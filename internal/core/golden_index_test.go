@@ -1,0 +1,95 @@
+package core
+
+import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"math"
+	"testing"
+	"time"
+
+	"github.com/urbandata/datapolygamy/internal/feature"
+	"github.com/urbandata/datapolygamy/internal/spatial"
+	"github.com/urbandata/datapolygamy/internal/temporal"
+	"github.com/urbandata/datapolygamy/internal/urban"
+)
+
+// goldenIndexHash pins the whole index of a small gendata-style corpus (the
+// urban collection, 1 month, grid 8, seed 1, gradients on): every entry's
+// key, its four feature bit vectors, its per-tile thresholds and its
+// critical-point counts. It was generated at the commit before the flat
+// merge-tree kernel; a change to the index layer that claims "same
+// features" must leave it alone, and one that changes features on purpose
+// must say so and regenerate it (the failure message prints the new value).
+const goldenIndexHash = "56c00fd57287f36598e7b156d1942bd692d4d186154cbc0301878d17e666397e"
+
+func TestGoldenIndex(t *testing.T) {
+	city, err := spatial.Generate(spatial.GridConfig(1, 8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := time.Date(2011, time.January, 1, 0, 0, 0, 0, time.UTC)
+	col, err := urban.Generate(urban.Config{Seed: 1, City: city, Start: start, End: start.AddDate(0, 1, 0), Scale: 0.1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := New(Options{City: city, Workers: 2, Seed: 1, IncludeGradients: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range col.Datasets {
+		if err := f.AddDataset(d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := f.BuildIndex(); err != nil {
+		t.Fatal(err)
+	}
+
+	h := sha256.New()
+	var buf []byte
+	num := func(x uint64) { buf = binary.LittleEndian.AppendUint64(buf, x) }
+	thresholds := func(th feature.Thresholds) {
+		for _, by := range []feature.SeasonThresholds{th.PosBySeason, th.NegBySeason} {
+			num(uint64(len(by)))
+			for _, st := range by {
+				num(uint64(st.Season))
+				num(math.Float64bits(st.Theta))
+			}
+		}
+		num(math.Float64bits(th.ExtremePos))
+		num(math.Float64bits(th.ExtremeNeg))
+	}
+	entries := 0
+	for _, name := range f.Datasets() {
+		for _, sr := range []spatial.Resolution{spatial.ZipCode, spatial.Neighborhood, spatial.City} {
+			for _, tr := range []temporal.Resolution{temporal.Hour, temporal.Day, temporal.Week, temporal.Month} {
+				for _, e := range f.Entries(name, Resolution{Spatial: sr, Temporal: tr}) {
+					entries++
+					buf = append(buf[:0], e.Key...)
+					num(uint64(e.NumVertices))
+					for _, set := range []*feature.Set{e.Salient, e.Extreme} {
+						buf = set.Positive.AppendWords(buf)
+						buf = set.Negative.AppendWords(buf)
+					}
+					thresholds(e.Thresholds)
+					num(uint64(len(e.TileThresholds)))
+					for _, th := range e.TileThresholds {
+						thresholds(th)
+					}
+					num(uint64(e.CriticalPoints))
+					for _, c := range e.TileCriticalPoints {
+						num(uint64(c))
+					}
+					h.Write(buf)
+				}
+			}
+		}
+	}
+	if entries == 0 {
+		t.Fatal("golden corpus indexed no functions")
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != goldenIndexHash {
+		t.Errorf("index hash over %d entries = %s, want %s", entries, got, goldenIndexHash)
+	}
+}

@@ -72,10 +72,19 @@ type SeasonTheta struct {
 // snapshot decoder can batch thousands of them in one backing array.
 type SeasonThresholds []SeasonTheta
 
-// Theta returns the threshold for season, if one was computed.
-func (s SeasonThresholds) Theta(season int) (float64, bool) {
+// find returns the index of season in s, or -1.
+func (s SeasonThresholds) find(season int) int {
 	i, ok := sort.Find(len(s), func(i int) int { return season - s[i].Season })
 	if !ok {
+		return -1
+	}
+	return i
+}
+
+// Theta returns the threshold for season, if one was computed.
+func (s SeasonThresholds) Theta(season int) (float64, bool) {
+	i := s.find(season)
+	if i < 0 {
 		return 0, false
 	}
 	return s[i].Theta, true
@@ -146,9 +155,8 @@ type Extractor struct {
 // features.
 func NewExtractor(f *scalar.Function) *Extractor {
 	f = sanitize(f)
-	return NewExtractorWithTrees(f,
-		topology.ComputeJoin(f.Graph, f.Values),
-		topology.ComputeSplit(f.Graph, f.Values))
+	join, split := topology.ComputeBoth(f.Graph, f.Values)
+	return NewExtractorWithTrees(f, join, split)
 }
 
 // sanitize returns f unchanged when it has no NaN values; otherwise a copy
@@ -358,41 +366,48 @@ func (e *Extractor) extractSeasonal(tree *topology.Tree, bySeason SeasonThreshol
 	if len(bySeason) == 0 {
 		return
 	}
-	g := e.fn.Graph
-	nRegions := g.NumRegions()
-	join := tree.Kind() == topology.Join
-	inSet := func(v float64, theta float64) bool {
-		if join {
-			return v >= theta
-		}
-		return v <= theta
-	}
-	seasonSize := make(map[int]int, len(bySeason))
-	seasonHits := make(map[int]int, len(bySeason))
+	nRegions := e.fn.Graph.NumRegions()
+	// slot[step] indexes the step's season in bySeason; -1 = no threshold.
+	slot := make([]int, len(e.stepSeason))
+	size := make([]int, len(bySeason))
 	for step, season := range e.stepSeason {
-		seasonSize[season] += nRegions
-		theta, ok := bySeason.Theta(season)
-		if !ok || math.IsNaN(theta) {
+		i := bySeason.find(season)
+		if i >= 0 && math.IsNaN(bySeason[i].Theta) {
+			i = -1
+		}
+		if i >= 0 {
+			size[i] += nRegions
+		}
+		slot[step] = i
+	}
+	// A vertex is in the level set when lo <= value <= hi: [theta, +Inf]
+	// for a join tree, [-Inf, theta] for a split tree.
+	bounds := func(theta float64) (lo, hi float64) {
+		if tree.Kind() == topology.Join {
+			return theta, math.Inf(1)
+		}
+		return math.Inf(-1), theta
+	}
+	hits := make([]int, len(bySeason))
+	for step, i := range slot {
+		if i < 0 {
 			continue
 		}
-		base := step * nRegions
-		for r := 0; r < nRegions; r++ {
-			if inSet(e.fn.Values[base+r], theta) {
-				seasonHits[season]++
+		lo, hi := bounds(bySeason[i].Theta)
+		for _, x := range e.fn.Values[step*nRegions : (step+1)*nRegions] {
+			if x >= lo && x <= hi {
+				hits[i]++
 			}
 		}
 	}
-	for step, season := range e.stepSeason {
-		if float64(seasonHits[season]) > MaxSeasonCoverage*float64(seasonSize[season]) {
-			continue // the level set is the norm, not a deviation
+	for step, i := range slot {
+		if i < 0 || float64(hits[i]) > MaxSeasonCoverage*float64(size[i]) {
+			continue // no threshold, or the level set is the norm, not a deviation
 		}
-		theta, ok := bySeason.Theta(season)
-		if !ok || math.IsNaN(theta) {
-			continue
-		}
+		lo, hi := bounds(bySeason[i].Theta)
 		base := step * nRegions
-		for r := 0; r < nRegions; r++ {
-			if inSet(e.fn.Values[base+r], theta) {
+		for r, x := range e.fn.Values[base : base+nRegions] {
+			if x >= lo && x <= hi {
 				out.Set(base + r)
 			}
 		}

@@ -14,7 +14,10 @@
 // every dimensionality (1D pure time series, 3D space-time volumes, ...).
 package stgraph
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Graph is the spatio-temporal domain graph of a scalar function.
 type Graph struct {
@@ -22,14 +25,21 @@ type Graph struct {
 	nSteps   int
 	spatAdj  [][]int // region adjacency; shared by every time step
 	nSpatial int     // number of undirected spatial edges per step
+	// Flat neighbor table for index-based traversal, see NeighborOffsets.
+	nbrOff, nbrDelta []int32
 }
 
 // New builds a domain graph for nRegions spatial regions over nSteps time
 // steps with the given region adjacency (adjacency lists must be symmetric
-// and irreflexive; len(spatAdj) must equal nRegions).
+// and irreflexive; len(spatAdj) must equal nRegions). Vertex ids are stored
+// as int32 by the merge-tree kernel, so |V| = nRegions*nSteps must not exceed
+// math.MaxInt32.
 func New(nRegions, nSteps int, spatAdj [][]int) (*Graph, error) {
 	if nRegions <= 0 || nSteps <= 0 {
 		return nil, fmt.Errorf("stgraph: need positive regions (%d) and steps (%d)", nRegions, nSteps)
+	}
+	if nSteps > math.MaxInt32/nRegions {
+		return nil, fmt.Errorf("stgraph: %d regions x %d steps exceeds the %d-vertex limit", nRegions, nSteps, math.MaxInt32)
 	}
 	if len(spatAdj) != nRegions {
 		return nil, fmt.Errorf("stgraph: adjacency has %d regions, want %d", len(spatAdj), nRegions)
@@ -46,7 +56,17 @@ func New(nRegions, nSteps int, spatAdj [][]int) (*Graph, error) {
 		}
 		deg += len(nbrs)
 	}
-	return &Graph{nRegions: nRegions, nSteps: nSteps, spatAdj: spatAdj, nSpatial: deg / 2}, nil
+	nbrOff := make([]int32, nRegions+1)
+	nbrDelta := make([]int32, 0, deg+2*nRegions)
+	for r, nbrs := range spatAdj {
+		for _, u := range nbrs {
+			nbrDelta = append(nbrDelta, int32(u-r))
+		}
+		nbrDelta = append(nbrDelta, int32(-nRegions), int32(nRegions))
+		nbrOff[r+1] = int32(len(nbrDelta))
+	}
+	return &Graph{nRegions: nRegions, nSteps: nSteps, spatAdj: spatAdj, nSpatial: deg / 2,
+		nbrOff: nbrOff, nbrDelta: nbrDelta}, nil
 }
 
 // NumRegions returns the number of spatial regions n.
@@ -101,6 +121,13 @@ func (g *Graph) Degree(v int) int {
 	}
 	return d
 }
+
+// NeighborOffsets exposes the adjacency as a flat table (read-only) for
+// traversals that cannot afford a callback: the neighbors of a vertex v of
+// region r are v+delta[i] for off[r] <= i < off[r+1], skipping sums outside
+// [0, NumVertices()) — the previous step of the first and the next step of
+// the last. They come in the order Neighbors visits them.
+func (g *Graph) NeighborOffsets() (off, delta []int32) { return g.nbrOff, g.nbrDelta }
 
 // SpatialAdjacency exposes the shared region adjacency lists (read-only).
 func (g *Graph) SpatialAdjacency() [][]int { return g.spatAdj }

@@ -1,6 +1,8 @@
 package stgraph
 
 import (
+	"math"
+	"reflect"
 	"sort"
 	"testing"
 )
@@ -25,6 +27,24 @@ func TestNewValidation(t *testing.T) {
 	}
 	if _, err := New(3, 5, [][]int{{0}, {}, {}}); err == nil {
 		t.Error("expected error for self loop")
+	}
+}
+
+// Vertex ids are int32 in the merge-tree kernel: a domain past 2^31-1
+// vertices must be refused, not wrapped.
+func TestNewRejectsDomainsBeyondInt32(t *testing.T) {
+	one := [][]int{nil}
+	if _, err := New(1, math.MaxInt32, one); err != nil {
+		t.Errorf("%d vertices is the limit and must be accepted: %v", math.MaxInt32, err)
+	}
+	if _, err := New(1, math.MaxInt32+1, one); err == nil {
+		t.Error("expected error for 2^31 vertices")
+	}
+	if _, err := New(3, math.MaxInt32/3+1, path3()); err == nil {
+		t.Error("expected error for regions*steps just past the limit")
+	}
+	if _, err := New(3, math.MaxInt64/2, path3()); err == nil {
+		t.Error("expected error where regions*steps overflows int")
 	}
 }
 
@@ -94,6 +114,32 @@ func TestNeighborsBoundary(t *testing.T) {
 	sort.Ints(want)
 	if len(got) != 2 || got[0] != want[0] || got[1] != want[1] {
 		t.Fatalf("neighbors = %v, want %v", got, want)
+	}
+}
+
+// The flat neighbor table must list exactly what Neighbors visits, in the
+// same order (the merge-tree kernel's edge order depends on it).
+func TestNeighborOffsetsMatchNeighbors(t *testing.T) {
+	adj := [][]int{{2, 1}, {0, 2}, {3, 0, 1}, {2}}
+	for _, steps := range []int{1, 2, 5} {
+		g, err := New(4, steps, adj)
+		if err != nil {
+			t.Fatal(err)
+		}
+		off, delta := g.NeighborOffsets()
+		for v := 0; v < g.NumVertices(); v++ {
+			var want, got []int
+			g.Neighbors(v, func(u int) { want = append(want, u) })
+			r, _ := g.RegionStep(v)
+			for _, d := range delta[off[r]:off[r+1]] {
+				if u := v + int(d); u >= 0 && u < g.NumVertices() {
+					got = append(got, u)
+				}
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("steps %d vertex %d: table gives %v, Neighbors %v", steps, v, got, want)
+			}
+		}
 	}
 }
 

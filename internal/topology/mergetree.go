@@ -10,12 +10,10 @@
 package topology
 
 import (
-	"math"
 	"sort"
 
 	"github.com/urbandata/datapolygamy/internal/bitvec"
 	"github.com/urbandata/datapolygamy/internal/stgraph"
-	"github.com/urbandata/datapolygamy/internal/unionfind"
 )
 
 // Kind distinguishes the two merge-tree flavours.
@@ -57,17 +55,14 @@ type Edge struct {
 }
 
 // Tree is a merge tree of a scalar function together with its persistence
-// pairing. Construct with ComputeJoin or ComputeSplit.
+// pairing. Construct with ComputeJoin, ComputeSplit or ComputeBoth.
 type Tree struct {
 	kind Kind
 	g    *stgraph.Graph
-	// vals are the sweep values: the original function for join trees, its
-	// negation for split trees — so both sweeps run "downhill".
 	vals []float64
-	orig []float64
 
 	// Leaves are the non-root leaf vertices (maxima for Join, minima for
-	// Split), sorted by decreasing sweep value (i.e. most extreme first).
+	// Split), in sweep order (i.e. most extreme first).
 	Leaves []int
 	// Pairs[i] is the persistence pair of Leaves[i].
 	Pairs []Pair
@@ -77,11 +72,12 @@ type Tree struct {
 	// for a join tree, the global maximum for a split tree.
 	Root int
 
-	// query scratch: epoch-stamped visited marks for output-sensitive
-	// level-set traversal without re-zeroing.
-	stamp   []int64
-	epoch   int64
-	scratch []int
+	critical int // distinct critical vertices, counted during the sweep
+
+	// query scratch, allocated by the first LevelSet: visited marks, set
+	// and cleared again along the traversal so no query re-zeroes them.
+	seen []uint64
+	work []int32
 }
 
 // Kind returns the tree kind.
@@ -89,184 +85,15 @@ func (t *Tree) Kind() Kind { return t.kind }
 
 // NumCriticalPoints returns the number of distinct critical vertices in the
 // tree (leaves, saddles, and the root).
-func (t *Tree) NumCriticalPoints() int {
-	vs := make([]int, 0, 2*len(t.Edges)+len(t.Leaves)+1)
-	vs = append(vs, t.Root)
-	for _, e := range t.Edges {
-		vs = append(vs, e.Upper, e.Lower)
+func (t *Tree) NumCriticalPoints() int { return t.critical }
+
+// beyond reports whether value x lies in the tree's level set at theta:
+// x >= theta for a join tree, x <= theta for a split tree.
+func (t *Tree) beyond(x, theta float64) bool {
+	if t.kind == Join {
+		return x >= theta
 	}
-	vs = append(vs, t.Leaves...)
-	sort.Ints(vs)
-	n := 0
-	for i, v := range vs {
-		if i == 0 || vs[i-1] != v {
-			n++
-		}
-	}
-	return n
-}
-
-// ComputeJoin builds the join tree of the function vals defined on the
-// vertices of g, tracking connected components of super-level sets with
-// decreasing function value (Procedure ComputeJoinTree in the paper).
-// It runs in O(N log N + N alpha(N)) for the planar domain graphs used here.
-func ComputeJoin(g *stgraph.Graph, vals []float64) *Tree {
-	t := &Tree{kind: Join, g: g, vals: vals, orig: vals}
-	t.sweep()
-	return t
-}
-
-// ComputeSplit builds the split tree of vals on g by sweeping the negated
-// function; leaves are the minima of vals and persistence values are
-// reported in original units.
-func ComputeSplit(g *stgraph.Graph, vals []float64) *Tree {
-	neg := make([]float64, len(vals))
-	for i, v := range vals {
-		neg[i] = -v
-	}
-	t := &Tree{kind: Split, g: g, vals: neg, orig: vals}
-	t.sweep()
-	return t
-}
-
-// above reports whether vertex u is above vertex v in the simulated-
-// perturbation total order of the sweep values.
-func (t *Tree) above(u, v int) bool {
-	if t.vals[u] != t.vals[v] {
-		return t.vals[u] > t.vals[v]
-	}
-	return u > v
-}
-
-// sweep processes vertices in decreasing perturbed order, maintaining
-// super-level-set components in a union-find structure, recording tree
-// edges at merges and pairing creators with destroyers.
-func (t *Tree) sweep() {
-	n := t.g.NumVertices()
-	if n == 0 {
-		return
-	}
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool { return t.above(order[a], order[b]) })
-
-	uf := unionfind.New(n)
-	// head[root] / creator[root] are maintained for current component roots.
-	head := make([]int32, n)
-	creator := make([]int32, n)
-	inSweep := make([]bool, n)
-
-	var compRoots []int // scratch: distinct component roots among upper neighbors
-
-	for _, v := range order {
-		compRoots = compRoots[:0]
-		t.g.Neighbors(v, func(u int) {
-			if !inSweep[u] {
-				return
-			}
-			r := uf.Find(u)
-			for _, cr := range compRoots {
-				if cr == r {
-					return
-				}
-			}
-			compRoots = append(compRoots, r)
-		})
-		inSweep[v] = true
-
-		switch len(compRoots) {
-		case 0:
-			// v is a maximum: creates a new component.
-			r := uf.Find(v)
-			head[r] = int32(v)
-			creator[r] = int32(v)
-		case 1:
-			// Regular vertex: join the existing component. Head and
-			// creator are only updated at critical points, so tree edges
-			// always connect critical vertices.
-			h, c := head[compRoots[0]], creator[compRoots[0]]
-			r := uf.Union(v, compRoots[0])
-			head[r] = h
-			creator[r] = c
-		default:
-			// v is a destroyer (merge saddle). For a Morse function there
-			// are exactly two components; PL multi-saddles merge k at once,
-			// pairing the k-1 youngest creators with v.
-			oldest := compRoots[0]
-			for _, r := range compRoots[1:] {
-				if t.above(int(creator[r]), int(creator[oldest])) {
-					oldest = r
-				}
-			}
-			survivor := creator[oldest]
-			for _, r := range compRoots {
-				t.Edges = append(t.Edges, Edge{Upper: int(head[r]), Lower: v})
-				if r != oldest {
-					t.addPair(int(creator[r]), v)
-				}
-			}
-			merged := uf.Find(v)
-			for _, r := range compRoots {
-				merged = uf.Union(merged, r)
-			}
-			head[merged] = int32(v)
-			creator[merged] = survivor
-		}
-	}
-
-	// The vertex processed last is the root (global minimum of the sweep
-	// values). The surviving creator is the global extremum: an essential
-	// pair with persistence equal to the function range.
-	root := order[n-1]
-	t.Root = root
-	survivorRoot := uf.Find(root)
-	globalExtreme := int(creator[survivorRoot])
-	t.addEssentialPair(globalExtreme, root)
-	if head[survivorRoot] != int32(root) {
-		t.Edges = append(t.Edges, Edge{Upper: int(head[survivorRoot]), Lower: root})
-	}
-
-	t.sortLeaves()
-	t.stamp = make([]int64, n)
-}
-
-func (t *Tree) addPair(creator, destroyer int) {
-	t.Leaves = append(t.Leaves, creator)
-	t.Pairs = append(t.Pairs, Pair{
-		Creator:     creator,
-		Destroyer:   destroyer,
-		Persistence: math.Abs(t.vals[destroyer] - t.vals[creator]),
-	})
-}
-
-func (t *Tree) addEssentialPair(creator, root int) {
-	t.Leaves = append(t.Leaves, creator)
-	t.Pairs = append(t.Pairs, Pair{
-		Creator:     creator,
-		Destroyer:   -1,
-		Persistence: math.Abs(t.vals[root] - t.vals[creator]),
-		Essential:   true,
-	})
-}
-
-// sortLeaves orders leaves (and their pairs) by decreasing sweep value, so
-// level-set queries can scan a prefix.
-func (t *Tree) sortLeaves() {
-	idx := make([]int, len(t.Leaves))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool { return t.above(t.Leaves[idx[a]], t.Leaves[idx[b]]) })
-	leaves := make([]int, len(idx))
-	pairs := make([]Pair, len(idx))
-	for i, j := range idx {
-		leaves[i] = t.Leaves[j]
-		pairs[i] = t.Pairs[j]
-	}
-	t.Leaves = leaves
-	t.Pairs = pairs
+	return x <= theta
 }
 
 // LevelSet computes the level set at threshold theta into out (which must
@@ -275,34 +102,36 @@ func (t *Tree) sortLeaves() {
 // from the qualifying extrema (a prefix of Leaves) and descends only
 // through qualifying vertices, making the query output-sensitive
 // (Section 3.2). Bits are OR-ed into out.
+//
+// LevelSet mutates the tree's query scratch, so concurrent calls on one
+// Tree are not safe.
 func (t *Tree) LevelSet(theta float64, out *bitvec.Vector) {
-	sweepTheta := theta
-	if t.kind == Split {
-		sweepTheta = -theta
+	if t.seen == nil {
+		t.seen = make([]uint64, bitvec.NumWords(t.g.NumVertices()))
 	}
-	t.epoch++
-	stack := t.scratch[:0]
+	seen := t.seen
+	work := t.work[:0] // visited vertices: the level set, once the loop ends
 	for _, leaf := range t.Leaves {
-		if t.vals[leaf] < sweepTheta {
-			break // leaves are sorted by decreasing sweep value
+		if !t.beyond(t.vals[leaf], theta) {
+			break // leaves are in sweep order, most extreme first
 		}
-		if t.stamp[leaf] != t.epoch {
-			t.stamp[leaf] = t.epoch
-			stack = append(stack, leaf)
-		}
+		seen[leaf>>6] |= 1 << (leaf & 63)
+		work = append(work, int32(leaf))
 	}
-	for len(stack) > 0 {
-		v := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
+	for i := 0; i < len(work); i++ {
+		v := int(work[i])
 		out.Set(v)
 		t.g.Neighbors(v, func(u int) {
-			if t.stamp[u] != t.epoch && t.vals[u] >= sweepTheta {
-				t.stamp[u] = t.epoch
-				stack = append(stack, u)
+			if seen[u>>6]&(1<<(u&63)) == 0 && t.beyond(t.vals[u], theta) {
+				seen[u>>6] |= 1 << (u & 63)
+				work = append(work, int32(u))
 			}
 		})
 	}
-	t.scratch = stack[:0]
+	for _, v := range work {
+		seen[v>>6] = 0 // every mark set above is some work vertex's
+	}
+	t.work = work[:0]
 }
 
 // LevelSetVertices returns the level set at theta as a fresh slice of
@@ -330,14 +159,14 @@ func (t *Tree) Diagram() []PersistencePoint {
 	for i, p := range t.Pairs {
 		pt := PersistencePoint{
 			Vertex:      p.Creator,
-			Creation:    t.orig[p.Creator],
+			Creation:    t.vals[p.Creator],
 			Persistence: p.Persistence,
 			Essential:   p.Essential,
 		}
 		if p.Destroyer >= 0 {
-			pt.Destruction = t.orig[p.Destroyer]
+			pt.Destruction = t.vals[p.Destroyer]
 		} else {
-			pt.Destruction = t.orig[t.Root]
+			pt.Destruction = t.vals[t.Root]
 		}
 		out[i] = pt
 	}
@@ -346,4 +175,4 @@ func (t *Tree) Diagram() []PersistencePoint {
 }
 
 // ExtremumValue returns the original function value at leaf i.
-func (t *Tree) ExtremumValue(i int) float64 { return t.orig[t.Leaves[i]] }
+func (t *Tree) ExtremumValue(i int) float64 { return t.vals[t.Leaves[i]] }

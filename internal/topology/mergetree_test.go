@@ -488,6 +488,58 @@ func BenchmarkComputeJoin1D(b *testing.B) {
 	}
 }
 
+func benchmarkMergeTree3D(b *testing.B, draw func(*rand.Rand) float64) {
+	const side, steps = 16, 8760
+	adj := make([][]int, side*side)
+	for r := range adj {
+		x, y := r%side, r/side
+		if x > 0 {
+			adj[r] = append(adj[r], r-1)
+		}
+		if x+1 < side {
+			adj[r] = append(adj[r], r+1)
+		}
+		if y > 0 {
+			adj[r] = append(adj[r], r-side)
+		}
+		if y+1 < side {
+			adj[r] = append(adj[r], r+side)
+		}
+	}
+	g, err := stgraph.New(side*side, steps, adj)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	vals := make([]float64, g.NumVertices())
+	for i := range vals {
+		vals[i] = draw(rng)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ComputeBoth(g, vals)
+	}
+}
+
+// BenchmarkMergeTree3D builds both trees of a 256-region x 8,760-step
+// function, the largest domain of a one-year hourly zip-code corpus:
+// sparse is a zero-inflated count (plateau-heavy), dense a full-mantissa
+// average.
+func BenchmarkMergeTree3D(b *testing.B) {
+	b.Run("sparse", func(b *testing.B) {
+		benchmarkMergeTree3D(b, func(rng *rand.Rand) float64 {
+			if rng.Intn(10) < 7 {
+				return 0
+			}
+			return float64(rng.Intn(40))
+		})
+	})
+	b.Run("dense", func(b *testing.B) {
+		benchmarkMergeTree3D(b, func(rng *rand.Rand) float64 { return rng.NormFloat64() })
+	})
+}
+
 func BenchmarkLevelSetQuery(b *testing.B) {
 	n := 1 << 16
 	g, _ := stgraph.New(1, n, [][]int{nil})

@@ -1,0 +1,429 @@
+package topology
+
+import (
+	"math"
+	"math/rand"
+	"reflect"
+	"sort"
+	"sync"
+	"testing"
+	"testing/quick"
+
+	"github.com/urbandata/datapolygamy/internal/stgraph"
+)
+
+// This file keeps the previous merge-tree sweep — sort.Slice over a
+// comparison closure, a rank/path-halving union-find on int, the
+// Neighbors callback, a negated value copy for split trees, leaves sorted
+// after the sweep, critical points counted by sort-and-dedup — as the
+// parity oracle of the kernel in sweep.go. It is the reference, not shared
+// code: nothing here calls into the kernel.
+
+type oracleTree struct {
+	vals   []float64 // sweep values: negated for split trees
+	Leaves []int
+	Pairs  []Pair
+	Edges  []Edge
+	Root   int
+}
+
+type oracleUF struct {
+	parent []int32
+	rank   []int8
+}
+
+func newOracleUF(n int) *oracleUF {
+	uf := &oracleUF{parent: make([]int32, n), rank: make([]int8, n)}
+	for i := range uf.parent {
+		uf.parent[i] = int32(i)
+	}
+	return uf
+}
+
+func (uf *oracleUF) find(x int) int {
+	p := uf.parent
+	for p[x] != int32(x) {
+		p[x] = p[p[x]]
+		x = int(p[x])
+	}
+	return x
+}
+
+func (uf *oracleUF) union(x, y int) int {
+	rx, ry := uf.find(x), uf.find(y)
+	if rx == ry {
+		return rx
+	}
+	switch {
+	case uf.rank[rx] < uf.rank[ry]:
+		rx, ry = ry, rx
+	case uf.rank[rx] == uf.rank[ry]:
+		uf.rank[rx]++
+	}
+	uf.parent[ry] = int32(rx)
+	return rx
+}
+
+func oracleJoin(g *stgraph.Graph, vals []float64) *oracleTree {
+	t := &oracleTree{vals: vals}
+	t.sweep(g)
+	return t
+}
+
+func oracleSplit(g *stgraph.Graph, vals []float64) *oracleTree {
+	neg := make([]float64, len(vals))
+	for i, v := range vals {
+		neg[i] = -v
+	}
+	t := &oracleTree{vals: neg}
+	t.sweep(g)
+	return t
+}
+
+func (t *oracleTree) above(u, v int) bool {
+	if t.vals[u] != t.vals[v] {
+		return t.vals[u] > t.vals[v]
+	}
+	return u > v
+}
+
+func (t *oracleTree) sweep(g *stgraph.Graph) {
+	n := g.NumVertices()
+	order := make([]int, n)
+	for i := range order {
+		order[i] = i
+	}
+	sort.Slice(order, func(a, b int) bool { return t.above(order[a], order[b]) })
+
+	uf := newOracleUF(n)
+	head := make([]int32, n)
+	creator := make([]int32, n)
+	inSweep := make([]bool, n)
+	var compRoots []int
+
+	for _, v := range order {
+		compRoots = compRoots[:0]
+		g.Neighbors(v, func(u int) {
+			if !inSweep[u] {
+				return
+			}
+			r := uf.find(u)
+			for _, cr := range compRoots {
+				if cr == r {
+					return
+				}
+			}
+			compRoots = append(compRoots, r)
+		})
+		inSweep[v] = true
+
+		switch len(compRoots) {
+		case 0:
+			r := uf.find(v)
+			head[r] = int32(v)
+			creator[r] = int32(v)
+		case 1:
+			h, c := head[compRoots[0]], creator[compRoots[0]]
+			r := uf.union(v, compRoots[0])
+			head[r] = h
+			creator[r] = c
+		default:
+			oldest := compRoots[0]
+			for _, r := range compRoots[1:] {
+				if t.above(int(creator[r]), int(creator[oldest])) {
+					oldest = r
+				}
+			}
+			survivor := creator[oldest]
+			for _, r := range compRoots {
+				t.Edges = append(t.Edges, Edge{Upper: int(head[r]), Lower: v})
+				if r != oldest {
+					t.addPair(int(creator[r]), v, false)
+				}
+			}
+			merged := uf.find(v)
+			for _, r := range compRoots {
+				merged = uf.union(merged, r)
+			}
+			head[merged] = int32(v)
+			creator[merged] = survivor
+		}
+	}
+
+	root := order[n-1]
+	t.Root = root
+	survivorRoot := uf.find(root)
+	t.addPair(int(creator[survivorRoot]), root, true)
+	if head[survivorRoot] != int32(root) {
+		t.Edges = append(t.Edges, Edge{Upper: int(head[survivorRoot]), Lower: root})
+	}
+
+	idx := make([]int, len(t.Leaves))
+	for i := range idx {
+		idx[i] = i
+	}
+	sort.Slice(idx, func(a, b int) bool { return t.above(t.Leaves[idx[a]], t.Leaves[idx[b]]) })
+	leaves := make([]int, len(idx))
+	pairs := make([]Pair, len(idx))
+	for i, j := range idx {
+		leaves[i] = t.Leaves[j]
+		pairs[i] = t.Pairs[j]
+	}
+	t.Leaves, t.Pairs = leaves, pairs
+}
+
+func (t *oracleTree) addPair(creator, destroyer int, essential bool) {
+	p := Pair{
+		Creator:     creator,
+		Destroyer:   destroyer,
+		Persistence: math.Abs(t.vals[destroyer] - t.vals[creator]),
+		Essential:   essential,
+	}
+	if essential {
+		p.Destroyer = -1
+	}
+	t.Leaves = append(t.Leaves, creator)
+	t.Pairs = append(t.Pairs, p)
+}
+
+func (t *oracleTree) numCriticalPoints() int {
+	vs := make([]int, 0, 2*len(t.Edges)+len(t.Leaves)+1)
+	vs = append(vs, t.Root)
+	for _, e := range t.Edges {
+		vs = append(vs, e.Upper, e.Lower)
+	}
+	vs = append(vs, t.Leaves...)
+	sort.Ints(vs)
+	n := 0
+	for i, v := range vs {
+		if i == 0 || vs[i-1] != v {
+			n++
+		}
+	}
+	return n
+}
+
+// sameTree compares a kernel tree with the oracle's field by field;
+// persistence is compared by bits, so NaN (Inf - Inf) and zero signs count.
+func sameTree(t *testing.T, what string, got *Tree, want *oracleTree) bool {
+	t.Helper()
+	ok := true
+	fail := func(field string, g, w any) {
+		t.Helper()
+		ok = false
+		t.Errorf("%s: %s = %v, oracle %v", what, field, g, w)
+	}
+	if !reflect.DeepEqual(got.Leaves, want.Leaves) {
+		fail("Leaves", got.Leaves, want.Leaves)
+	}
+	if !reflect.DeepEqual(got.Edges, want.Edges) {
+		fail("Edges", got.Edges, want.Edges)
+	}
+	if got.Root != want.Root {
+		fail("Root", got.Root, want.Root)
+	}
+	if len(got.Pairs) != len(want.Pairs) {
+		fail("len(Pairs)", len(got.Pairs), len(want.Pairs))
+	} else {
+		for i, p := range got.Pairs {
+			w := want.Pairs[i]
+			if p.Creator != w.Creator || p.Destroyer != w.Destroyer || p.Essential != w.Essential ||
+				math.Float64bits(p.Persistence) != math.Float64bits(w.Persistence) {
+				fail("Pairs", got.Pairs, want.Pairs)
+				break
+			}
+		}
+	}
+	if got.NumCriticalPoints() != want.numCriticalPoints() {
+		fail("NumCriticalPoints", got.NumCriticalPoints(), want.numCriticalPoints())
+	}
+	return ok
+}
+
+// checkKernel runs every kernel entry point on (g, vals) against the oracle.
+func checkKernel(t *testing.T, what string, g *stgraph.Graph, vals []float64) bool {
+	t.Helper()
+	wantJoin, wantSplit := oracleJoin(g, vals), oracleSplit(g, vals)
+	join, split := ComputeBoth(g, vals)
+	ok := sameTree(t, what+" ComputeBoth join", join, wantJoin)
+	ok = sameTree(t, what+" ComputeBoth split", split, wantSplit) && ok
+	ok = sameTree(t, what+" ComputeJoin", ComputeJoin(g, vals), wantJoin) && ok
+	ok = sameTree(t, what+" ComputeSplit", ComputeSplit(g, vals), wantSplit) && ok
+	if !ok {
+		t.Logf("%s: %d regions x %d steps, adjacency %v, values %v",
+			what, g.NumRegions(), g.NumSteps(), g.SpatialAdjacency(), vals)
+	}
+	return ok
+}
+
+// randomDomain draws a random symmetric region adjacency (possibly
+// disconnected, possibly dense enough for multi-saddles) and step count.
+func randomDomain(rng *rand.Rand) *stgraph.Graph {
+	nRegions := 1 + rng.Intn(7)
+	nSteps := 1 + rng.Intn(9)
+	adj := make([][]int, nRegions)
+	density := rng.Float64()
+	for a := 0; a < nRegions; a++ {
+		for b := a + 1; b < nRegions; b++ {
+			if rng.Float64() < density {
+				adj[a] = append(adj[a], b)
+				adj[b] = append(adj[b], a)
+			}
+		}
+	}
+	for _, nbrs := range adj { // neighbor order is part of the contract
+		rng.Shuffle(len(nbrs), func(i, j int) { nbrs[i], nbrs[j] = nbrs[j], nbrs[i] })
+	}
+	g, err := stgraph.New(nRegions, nSteps, adj)
+	if err != nil {
+		panic(err)
+	}
+	return g
+}
+
+// valueStyles are the value distributions of the parity property: each
+// stresses a different part of the key transform or the tie rule.
+var valueStyles = []struct {
+	name string
+	draw func(rng *rand.Rand) float64
+}{
+	{"plateau", func(*rand.Rand) float64 { return 3 }},
+	{"two-levels", func(rng *rand.Rand) float64 { return float64(rng.Intn(2)) }},
+	{"four-levels", func(rng *rand.Rand) float64 { return float64(rng.Intn(4)) - 1.5 }},
+	{"signed-zeros", func(rng *rand.Rand) float64 {
+		return []float64{0, math.Copysign(0, -1), 1, -1}[rng.Intn(4)]
+	}},
+	{"infinities", func(rng *rand.Rand) float64 {
+		return []float64{math.Inf(1), math.Inf(-1), 0, 2.5, -2.5}[rng.Intn(5)]
+	}},
+	{"dense", func(rng *rand.Rand) float64 { return rng.NormFloat64() * 1e3 }},
+	{"tiny-and-huge", func(rng *rand.Rand) float64 {
+		return math.Ldexp(rng.Float64()-0.5, rng.Intn(2000)-1000)
+	}},
+}
+
+func TestKernelMatchesOracle(t *testing.T) {
+	for _, style := range valueStyles {
+		style := style
+		t.Run(style.name, func(t *testing.T) {
+			prop := func(seed int64) bool {
+				rng := rand.New(rand.NewSource(seed))
+				g := randomDomain(rng)
+				vals := make([]float64, g.NumVertices())
+				for i := range vals {
+					vals[i] = style.draw(rng)
+				}
+				return checkKernel(t, style.name, g, vals)
+			}
+			if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
+				t.Error(err)
+			}
+		})
+	}
+}
+
+func TestKernelEdgeCases(t *testing.T) {
+	star := [][]int{{1, 2, 3, 4}, {0}, {0}, {0}, {0}}
+	negZero := math.Copysign(0, -1)
+	cases := []struct {
+		name           string
+		regions, steps int
+		adj            [][]int
+		vals           []float64
+	}{
+		{"single vertex", 1, 1, [][]int{nil}, []float64{7}},
+		{"one-region chain", 1, 9, [][]int{nil}, figure2Values()},
+		{"one-region plateau chain", 1, 6, [][]int{nil}, []float64{2, 2, 2, 2, 2, 2}},
+		{"one-step star, 4-way join multi-saddle", 5, 1, star, []float64{0, 5, 6, 7, 8}},
+		{"one-step star, 4-way split multi-saddle", 5, 1, star, []float64{9, 5, 6, 7, 8}},
+		{"one-step star, tied spokes", 5, 1, star, []float64{0, 5, 5, 5, 5}},
+		{"isolated regions, one step", 3, 1, [][]int{nil, nil, nil}, []float64{1, 3, 2}},
+		{"isolated regions over time", 3, 3, [][]int{nil, nil, nil}, []float64{1, 3, 2, 4, 0, 2, 1, 5, 2}},
+		{"two islands with inner saddles", 6, 1, [][]int{{1}, {0, 2}, {1}, {4}, {3, 5}, {4}},
+			[]float64{5, 1, 4, 9, 2, 8}},
+		{"signed zeros tie", 1, 4, [][]int{nil}, []float64{0, negZero, 0, negZero}},
+		{"infinite range", 1, 3, [][]int{nil}, []float64{math.Inf(1), 0, math.Inf(-1)}},
+		{"all +Inf", 2, 2, [][]int{{1}, {0}}, []float64{math.Inf(1), math.Inf(1), math.Inf(1), math.Inf(1)}},
+	}
+	for _, c := range cases {
+		g, err := stgraph.New(c.regions, c.steps, c.adj)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		checkKernel(t, c.name, g, c.vals)
+	}
+}
+
+// A sweeper that has served a larger domain must build the same trees on a
+// smaller one: stale keys, parents and components may not leak through.
+func TestPooledScratchReuse(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	big, err := stgraph.New(5, 40, [][]int{{1}, {0, 2}, {1, 3}, {2, 4}, {3}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bigVals := make([]float64, big.NumVertices())
+	for i := range bigVals {
+		bigVals[i] = float64(rng.Intn(5))
+	}
+	small, err := stgraph.New(2, 7, [][]int{{1}, {0}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	smallVals := make([]float64, small.NumVertices())
+	for i := range smallVals {
+		smallVals[i] = rng.NormFloat64()
+	}
+
+	s := new(sweeper)
+	build := func(g *stgraph.Graph, vals []float64) (*Tree, *Tree) {
+		s.sortDescending(vals)
+		join := s.sweep(g, vals, Join)
+		s.splitOrder()
+		return join, s.sweep(g, vals, Split)
+	}
+	build(big, bigVals)
+	join, split := build(small, smallVals)
+	sameTree(t, "reused scratch join", join, oracleJoin(small, smallVals))
+	sameTree(t, "reused scratch split", split, oracleSplit(small, smallVals))
+	join, split = build(big, bigVals)
+	sameTree(t, "regrown scratch join", join, oracleJoin(big, bigVals))
+	sameTree(t, "regrown scratch split", split, oracleSplit(big, bigVals))
+}
+
+// Concurrent builds share the graph (read-only CSR) and the sweeper pool;
+// run under -race.
+func TestConcurrentComputeBoth(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	g := randomDomain(rng)
+	const workers = 8
+	vals := make([][]float64, workers)
+	for w := range vals {
+		vals[w] = make([]float64, g.NumVertices())
+		for i := range vals[w] {
+			vals[w][i] = float64(rng.Intn(4))
+		}
+	}
+	type built struct{ join, split *Tree }
+	out := make([][]built, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				j, s := ComputeBoth(g, vals[w])
+				out[w] = append(out[w], built{j, s})
+			}
+		}(w)
+	}
+	wg.Wait()
+	for w, trees := range out {
+		wantJoin, wantSplit := oracleJoin(g, vals[w]), oracleSplit(g, vals[w])
+		for _, b := range trees {
+			if !sameTree(t, "concurrent join", b.join, wantJoin) || !sameTree(t, "concurrent split", b.split, wantSplit) {
+				return
+			}
+		}
+	}
+}

@@ -1,0 +1,305 @@
+package topology
+
+import (
+	"math"
+	"slices"
+	"sync"
+
+	"github.com/urbandata/datapolygamy/internal/stgraph"
+)
+
+// This file is the merge-tree kernel. One LSD radix sort of the function
+// values gives the join sweep order, the split order is derived from it,
+// and each tree is built by a flat int32 sweep over pooled scratch
+// (Procedure ComputeJoinTree, Appendix B.2).
+
+// ComputeJoin builds the join tree of the function vals defined on the
+// vertices of g, tracking connected components of super-level sets with
+// decreasing function value. It runs in O(N + N alpha(N)) for the planar
+// domain graphs used here. vals must not contain NaN.
+func ComputeJoin(g *stgraph.Graph, vals []float64) *Tree {
+	join, _ := compute(g, vals, true, false)
+	return join
+}
+
+// ComputeSplit builds the split tree of vals on g, tracking sub-level sets
+// with increasing function value; leaves are the minima of vals.
+func ComputeSplit(g *stgraph.Graph, vals []float64) *Tree {
+	_, split := compute(g, vals, false, true)
+	return split
+}
+
+// ComputeBoth builds the join and the split tree of vals from one sort; the
+// trees equal those of ComputeJoin and ComputeSplit.
+func ComputeBoth(g *stgraph.Graph, vals []float64) (join, split *Tree) {
+	return compute(g, vals, true, true)
+}
+
+func compute(g *stgraph.Graph, vals []float64, wantJoin, wantSplit bool) (join, split *Tree) {
+	vals = vals[:g.NumVertices()]
+	s := sweepers.Get().(*sweeper)
+	defer sweepers.Put(s)
+	s.sortDescending(vals)
+	if wantJoin {
+		join = s.sweep(g, vals, Join)
+	}
+	if wantSplit {
+		s.splitOrder()
+		split = s.sweep(g, vals, Split)
+	}
+	return join, split
+}
+
+// sweeper is the kernel's scratch, reused across functions through the
+// sweepers pool; its per-vertex buffers grow to the largest domain seen.
+type sweeper struct {
+	keys, keysTmp []uint64 // sort keys, parallel to order / orderTmp
+	// order holds the vertex ids in sweep order; orderTmp, the sort's
+	// spare, serves the sweep as its union-find forest (see find).
+	order, orderTmp []int32
+	count           [radixDigits][1 << radixBits]int32
+	comps           []component
+	roots           []int32 // distinct upper components at the current vertex
+	leaves          []int
+	pairs           []Pair
+	edges           []Edge
+}
+
+var sweepers = sync.Pool{New: func() any { return new(sweeper) }}
+
+// component is the state of one level-set component. Components are
+// numbered like the leaves that create them: comps[i] starts at leaves[i].
+type component struct {
+	head    int32 // latest critical vertex: the upper end of the next edge
+	creator int32 // leaf index of the component's oldest extremum
+	rank    int8
+}
+
+const (
+	unswept  = -1 // parent[v] before the sweep reaches v
+	unpaired = -2 // Pair.Destroyer of an extremum no saddle has killed yet
+
+	radixBits   = 11
+	radixMask   = 1<<radixBits - 1
+	radixDigits = (64 + radixBits - 1) / radixBits
+)
+
+// sortKey maps x to a key whose ascending order is descending float order,
+// with -0.0 and +0.0 sharing a key as they compare equal.
+func sortKey(x float64) uint64 {
+	b := math.Float64bits(x)
+	if b == 1<<63 {
+		b = 0
+	}
+	// Non-negative floats: flip the low 63 bits so larger sorts first.
+	// Negative floats already grow with magnitude and keep the top bit.
+	return b ^ (^uint64(int64(b)>>63) >> 1)
+}
+
+// sortDescending leaves in s.order the vertices of vals in join sweep order
+// — decreasing value, ties broken by higher vertex id (simulated
+// perturbation) — and in s.keys their keys. It is an LSD radix sort whose
+// digit histograms all come from the pass that builds the keys; a digit
+// that is the same in every key is skipped.
+func (s *sweeper) sortDescending(vals []float64) {
+	n := len(vals)
+	if cap(s.order) < n {
+		s.keys, s.keysTmp = make([]uint64, n), make([]uint64, n)
+		s.order, s.orderTmp = make([]int32, n), make([]int32, n)
+	}
+	keys, ids := s.keys[:n], s.order[:n]
+	tmpK, tmpI := s.keysTmp[:n], s.orderTmp[:n]
+	count := &s.count
+	*count = [radixDigits][1 << radixBits]int32{}
+	for i := range keys { // descending ids: a stable sort keeps ties that way
+		v := n - 1 - i
+		k := sortKey(vals[v])
+		keys[i], ids[i] = k, int32(v)
+		for d := range count {
+			count[d][k>>(d*radixBits)&radixMask]++
+		}
+	}
+	for d := range count {
+		next, shift := &count[d], d*radixBits
+		if next[keys[0]>>shift&radixMask] == int32(n) {
+			continue
+		}
+		sum := int32(0)
+		for b, c := range next {
+			next[b] = sum
+			sum += c
+		}
+		for i, k := range keys {
+			b := k >> shift & radixMask
+			p := next[b]
+			next[b] = p + 1
+			tmpK[p], tmpI[p] = k, ids[i]
+		}
+		keys, tmpK, ids, tmpI = tmpK, keys, tmpI, ids
+	}
+	s.keys, s.keysTmp, s.order, s.orderTmp = keys, tmpK, ids, tmpI
+}
+
+// splitOrder turns s.order from the join into the split sweep order
+// (increasing value, ties by higher vertex id): the runs of equal value in
+// reverse sequence, each run kept as it is — a reversal of the whole, then
+// of each run where it landed.
+func (s *sweeper) splitOrder() {
+	order, keys, n := s.order, s.keys, len(s.order)
+	slices.Reverse(order)
+	for hi := n; hi > 0; {
+		lo := hi - 1
+		for lo > 0 && keys[lo-1] == keys[lo] {
+			lo--
+		}
+		slices.Reverse(order[n-hi : n-lo])
+		hi = lo
+	}
+}
+
+// find returns the root vertex of x's component, halving the path. A root r
+// holds its component index as parent[r] = -2 - index (see compOf).
+func find(parent []int32, x int32) int32 {
+	for {
+		p := parent[x]
+		if p < 0 {
+			return x
+		}
+		pp := parent[p]
+		if pp < 0 {
+			return p
+		}
+		parent[x] = pp
+		x = pp
+	}
+}
+
+func compOf(parent []int32, root int32) int32 { return -2 - parent[root] }
+
+// sweep processes the vertices in s.order, maintaining level-set
+// components in a union-find forest, recording tree edges at merges and
+// pairing creators with destroyers.
+func (s *sweeper) sweep(g *stgraph.Graph, vals []float64, kind Kind) *Tree {
+	order := s.order
+	n := int32(len(order))
+	R := uint32(g.NumRegions())
+	off, delta := g.NeighborOffsets()
+	parent := s.orderTmp
+	for i := range parent {
+		parent[i] = unswept
+	}
+	comps, roots := s.comps[:0], s.roots[:0]
+	leaves, pairs, edges := s.leaves[:0], s.pairs[:0], s.edges[:0]
+	critical, paired := 0, 0
+
+	for _, v := range order {
+		region := uint32(v) % R
+		roots = roots[:0]
+		// Neighbor order fixes the order of Edges at a saddle.
+	neighbors:
+		for _, d := range delta[off[region]:off[region+1]] {
+			u := v + d
+			if uint32(u) >= uint32(n) || parent[u] == unswept {
+				continue
+			}
+			r := find(parent, u)
+			for _, seen := range roots {
+				if seen == r {
+					continue neighbors
+				}
+			}
+			roots = append(roots, r)
+		}
+
+		switch len(roots) {
+		case 0:
+			// v is an extremum: it creates a component and is a leaf.
+			c := int32(len(comps))
+			comps = append(comps, component{head: v, creator: c})
+			parent[v] = -2 - c
+			leaves = append(leaves, int(v))
+			pairs = append(pairs, Pair{Creator: int(v), Destroyer: unpaired})
+		case 1:
+			// Regular vertex: join the component. Head and creator change
+			// only at critical points, so edges connect critical vertices.
+			parent[v] = roots[0]
+		default:
+			// v is a destroyer (merge saddle). A Morse function merges two
+			// components; a PL multi-saddle merges k at once, pairing all
+			// creators but the oldest with v.
+			survivor := comps[compOf(parent, roots[0])].creator
+			for _, r := range roots[1:] {
+				survivor = min(survivor, comps[compOf(parent, r)].creator)
+			}
+			win := roots[0]
+			for i, r := range roots {
+				c := comps[compOf(parent, r)]
+				edges = append(edges, Edge{Upper: int(c.head), Lower: int(v)})
+				if int(c.head) == leaves[c.creator] {
+					critical++ // first merge of this component: its head is a leaf
+				}
+				if c.creator != survivor {
+					p := &pairs[c.creator]
+					p.Destroyer, p.Persistence = int(v), math.Abs(vals[v]-vals[p.Creator])
+					paired++
+				}
+				if i == 0 {
+					continue
+				}
+				w := &comps[compOf(parent, win)] // union by rank
+				switch {
+				case c.rank > w.rank:
+					parent[win], win = r, r
+				case c.rank == w.rank:
+					w.rank++
+					parent[r] = win
+				default:
+					parent[r] = win
+				}
+			}
+			w := &comps[compOf(parent, win)]
+			w.head, w.creator = v, survivor
+			parent[v] = win
+			critical++
+		}
+	}
+
+	// The vertex swept last is the root. The creator that survives in its
+	// component is the global extremum: an essential pair with persistence
+	// equal to the function range.
+	root := order[n-1]
+	c := comps[compOf(parent, find(parent, root))]
+	extreme := leaves[c.creator]
+	pairs[c.creator] = Pair{Creator: extreme, Destroyer: -1,
+		Persistence: math.Abs(vals[root] - vals[extreme]), Essential: true}
+	paired++
+	if int(c.head) == extreme {
+		critical++
+	}
+	if c.head != root {
+		edges = append(edges, Edge{Upper: int(c.head), Lower: int(root)})
+		critical++
+	}
+	if paired < len(leaves) {
+		// Disconnected domain: a component that never reaches the root's
+		// keeps its oldest extremum unpaired, and that is not a leaf.
+		k := 0
+		for i, p := range pairs {
+			if p.Destroyer != unpaired {
+				leaves[k], pairs[k] = leaves[i], p
+				k++
+			}
+		}
+		leaves, pairs = leaves[:k], pairs[:k]
+	}
+
+	s.comps, s.roots, s.leaves, s.pairs, s.edges = comps, roots, leaves, pairs, edges
+	return &Tree{
+		kind: kind, g: g, vals: vals,
+		Leaves:   append([]int(nil), leaves...),
+		Pairs:    append([]Pair(nil), pairs...),
+		Edges:    append([]Edge(nil), edges...),
+		Root:     int(root),
+		critical: critical,
+	}
+}
