@@ -44,17 +44,15 @@ func runInspect(args []string, stdout io.Writer) error {
 
 // inspectSection is the JSON form of one manifest section entry.
 type inspectSection struct {
-	Name     string `json:"name"`
-	Encoding string `json:"encoding"`
-	Length   int64  `json:"length"`
-	CRC32C   string `json:"crc32c"`
+	Name   string `json:"name"`
+	Length int64  `json:"length"`
+	CRC32C string `json:"crc32c"`
 }
 
 // inspectSnapshot is the JSON report of `polygamy inspect -json`.
 type inspectSnapshot struct {
 	Path             string           `json:"path"`
 	ContainerVersion int              `json:"container_version"`
-	SnapshotFormat   int              `json:"snapshot_format"`
 	Seed             int64            `json:"seed"`
 	MinTS            int64            `json:"min_ts"`
 	MaxTS            int64            `json:"max_ts"`
@@ -67,7 +65,6 @@ func inspectReport(path string, m store.Manifest) inspectSnapshot {
 	rep := inspectSnapshot{
 		Path:             path,
 		ContainerVersion: m.FormatVersion,
-		SnapshotFormat:   m.SnapshotFormat(),
 		Seed:             m.Fingerprint.Seed,
 		MinTS:            m.Fingerprint.MinTS,
 		MaxTS:            m.Fingerprint.MaxTS,
@@ -75,15 +72,10 @@ func inspectReport(path string, m store.Manifest) inspectSnapshot {
 		ClauseSig:        m.ClauseSig,
 	}
 	for _, s := range m.Sections {
-		enc := s.Encoding
-		if enc == "" {
-			enc = store.EncodingGob // pre-v4 manifests did not record it
-		}
 		rep.Sections = append(rep.Sections, inspectSection{
-			Name:     s.Name,
-			Encoding: enc,
-			Length:   s.Length,
-			CRC32C:   fmt.Sprintf("%08x", s.CRC),
+			Name:   s.Name,
+			Length: s.Length,
+			CRC32C: fmt.Sprintf("%08x", s.CRC),
 		})
 	}
 	return rep
@@ -92,7 +84,7 @@ func inspectReport(path string, m store.Manifest) inspectSnapshot {
 func printInspect(w io.Writer, path string, m store.Manifest) {
 	rep := inspectReport(path, m)
 	fmt.Fprintf(w, "snapshot %s\n", rep.Path)
-	fmt.Fprintf(w, "  container version: %d (snapshot format v%d)\n", rep.ContainerVersion, rep.SnapshotFormat)
+	fmt.Fprintf(w, "  container version: %d\n", rep.ContainerVersion)
 	fmt.Fprintf(w, "  corpus: seed %d, %d data sets, time range [%s, %s]\n",
 		rep.Seed, len(rep.Datasets),
 		time.Unix(rep.MinTS, 0).UTC().Format(time.RFC3339),
@@ -105,6 +97,6 @@ func printInspect(w io.Writer, path string, m store.Manifest) {
 	}
 	fmt.Fprintf(w, "  sections:\n")
 	for _, s := range rep.Sections {
-		fmt.Fprintf(w, "    %-8s %-5s %10d bytes  crc32c %s\n", s.Name, s.Encoding, s.Length, s.CRC32C)
+		fmt.Fprintf(w, "    %-8s %10d bytes  crc32c %s\n", s.Name, s.Length, s.CRC32C)
 	}
 }

@@ -30,8 +30,8 @@ func TestPolygamyCLIInspect(t *testing.T) {
 	if err := json.Unmarshal(out.Bytes(), &rep); err != nil {
 		t.Fatalf("inspect -json output is not JSON: %v\n%s", err, out.String())
 	}
-	if rep.ContainerVersion != 4 || rep.SnapshotFormat != 4 {
-		t.Errorf("versions = (%d, %d), want (4, 4)", rep.ContainerVersion, rep.SnapshotFormat)
+	if rep.ContainerVersion != 5 {
+		t.Errorf("container version = %d, want 5", rep.ContainerVersion)
 	}
 	if rep.Seed != 1 {
 		t.Errorf("seed = %d, want 1", rep.Seed)
@@ -52,7 +52,7 @@ func TestPolygamyCLIInspect(t *testing.T) {
 			t.Errorf("section %q missing from report", want)
 			continue
 		}
-		if s.Encoding != "flat" || s.Length <= 0 || len(s.CRC32C) != 8 {
+		if s.Length <= 0 || len(s.CRC32C) != 8 {
 			t.Errorf("section %q = %+v", want, s)
 		}
 	}
@@ -61,7 +61,7 @@ func TestPolygamyCLIInspect(t *testing.T) {
 	if err := runInspect([]string{snap}, &text); err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"snapshot format v4", "index", "graph", "crc32c"} {
+	for _, want := range []string{"container version: 5", "index", "graph", "crc32c"} {
 		if !strings.Contains(text.String(), want) {
 			t.Errorf("text report lacks %q:\n%s", want, text.String())
 		}

@@ -217,12 +217,9 @@ func prepareFramework(fw *core.Framework, snapshot string, graph bool) (bool, er
 			} else {
 				warm = true
 				_, hasGraph := fw.RelGraph()
-				mode := "gob decode"
-				if format, zeroCopy, ok := fw.LoadedSnapshot(); ok && format == 4 {
-					mode = "flat, copied"
-					if zeroCopy {
-						mode = "flat, zero-copy mmap"
-					}
+				mode := "flat, copied"
+				if _, zeroCopy, _ := fw.LoadedSnapshot(); zeroCopy {
+					mode = "flat, zero-copy mmap"
 				}
 				slog.Info("polygamyd: warm start: loaded snapshot, no rebuild",
 					"functions", fw.NumFunctions(), "graph", hasGraph, "snapshot", snapshot,

@@ -4,12 +4,15 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"math/rand"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -17,6 +20,7 @@ import (
 	"github.com/urbandata/datapolygamy/internal/core"
 	"github.com/urbandata/datapolygamy/internal/dataset"
 	"github.com/urbandata/datapolygamy/internal/spatial"
+	"github.com/urbandata/datapolygamy/internal/store"
 	"github.com/urbandata/datapolygamy/internal/temporal"
 )
 
@@ -564,6 +568,49 @@ func TestServerCorrection(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("max_q=-1: status %d, want 400", resp.StatusCode)
+	}
+}
+
+// TestPrepareFrameworkReplacesOldContainer: a snapshot left on disk by an
+// earlier build (container version 4) is not converted. Load refuses it
+// with ErrVersion, start-up answers with a cold build, and the re-save puts
+// a current container at the same path, so the start after that is warm.
+func TestPrepareFrameworkReplacesOldContainer(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "corpus.snap")
+	if err := testFramework(t).Save(path); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[8] = 4 // low byte of the header's little-endian version word
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := testFrameworkCold(t).Load(path); !errors.Is(err, store.ErrVersion) {
+		t.Fatalf("Load of a version-4 container: err = %v, want ErrVersion", err)
+	}
+
+	fw := testFrameworkCold(t)
+	warm, err := prepareFramework(fw, path, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if warm || !fw.Indexed() {
+		t.Errorf("start over a version-4 container: warm = %t, indexed = %t; want a cold build", warm, fw.Indexed())
+	}
+	m, err := store.ReadManifest(path)
+	if err != nil {
+		t.Fatalf("snapshot after the cold build: %v", err)
+	}
+	if m.FormatVersion != store.FormatVersion {
+		t.Errorf("re-saved container version = %d, want %d", m.FormatVersion, store.FormatVersion)
+	}
+	next := testFrameworkCold(t)
+	t.Cleanup(func() { next.Close() })
+	if warm, err := prepareFramework(next, path, false); err != nil || !warm {
+		t.Errorf("start after the re-save: warm = %t, err = %v; want a warm start", warm, err)
 	}
 }
 

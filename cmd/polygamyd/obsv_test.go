@@ -12,6 +12,7 @@ import (
 
 	"github.com/urbandata/datapolygamy/internal/core"
 	"github.com/urbandata/datapolygamy/internal/spatial"
+	"github.com/urbandata/datapolygamy/internal/store"
 )
 
 // TestRequestIDMiddleware pins the tracing contract: a client-supplied
@@ -257,8 +258,8 @@ func TestStatsSnapshotProvenance(t *testing.T) {
 		t.Errorf("warm server snapshot.source = %s, want \"warm\"", snap["source"])
 	}
 	var format int
-	if err := json.Unmarshal(snap["format"], &format); err != nil || format != 4 {
-		t.Errorf("warm server snapshot.format = %s, want 4 (err %v)", snap["format"], err)
+	if err := json.Unmarshal(snap["format"], &format); err != nil || format != store.FormatVersion {
+		t.Errorf("warm server snapshot.format = %s, want %d (err %v)", snap["format"], store.FormatVersion, err)
 	}
 	if _, ok := snap["mmap"]; !ok {
 		t.Error("warm server snapshot block lacks the mmap field")

@@ -282,9 +282,8 @@ func TestReplicatedTierEndToEnd(t *testing.T) {
 // TestRouterFailoverStorm is satellite #2: a query storm runs through
 // the router while one replica is killed mid-flight. Clients must see
 // zero hard errors (only 200s, plus the 429/503 back-pressure statuses),
-// and the killed replica's signatures re-home onto the survivor, whose
-// singleflight absorbs the redistributed duplicates (the coalesced
-// counter rises).
+// and the killed replica's signatures re-home onto the survivor (its
+// queries counter rises for signatures it never served before the kill).
 func TestRouterFailoverStorm(t *testing.T) {
 	tier := newReplTier(t, 2)
 	client := tier.router.Client()
@@ -313,7 +312,6 @@ func TestRouterFailoverStorm(t *testing.T) {
 		t.Fatal("no probed signature homed on follower 0")
 	}
 
-	coalescedBefore := tier.servers[1].coalesced.Load()
 	var badStatus atomic.Int64
 	var transportErr atomic.Int64
 	var okAfterKill atomic.Int64
@@ -356,12 +354,15 @@ func TestRouterFailoverStorm(t *testing.T) {
 	}
 
 	time.Sleep(100 * time.Millisecond) // let the storm establish on the victim
+	// Every storm signature is homed on the victim, so whatever the
+	// survivor serves from here on is redistributed traffic.
+	survivorBefore := tier.servers[1].queries.Load()
 	tier.srvs[0].CloseClientConnections()
 	tier.srvs[0].Close() // hard kill: in-flight requests die on the wire
 	close(killed)
 
 	deadline := time.Now().Add(20 * time.Second)
-	for tier.servers[1].coalesced.Load() == coalescedBefore || okAfterKill.Load() < 20 {
+	for tier.servers[1].queries.Load() == survivorBefore || okAfterKill.Load() < 20 {
 		if time.Now().After(deadline) {
 			break
 		}
@@ -379,10 +380,7 @@ func TestRouterFailoverStorm(t *testing.T) {
 	if okAfterKill.Load() == 0 {
 		t.Fatal("no request succeeded after the replica was killed")
 	}
-	if tier.servers[1].coalesced.Load() == coalescedBefore {
-		t.Fatal("survivor's coalesced counter never moved: redistributed signatures did not re-warm its cache")
-	}
-	if tier.servers[1].queries.Load() == 0 {
-		t.Fatal("survivor served no queries")
+	if tier.servers[1].queries.Load() == survivorBefore {
+		t.Fatal("survivor's queries counter never moved: the victim's signatures were not redistributed to it")
 	}
 }

@@ -385,42 +385,6 @@ func (v *Vector) String() string {
 	return sb.String()
 }
 
-// MarshalBinary encodes the vector as 8 bytes of length followed by its
-// words in little-endian order. It implements encoding.BinaryMarshaler.
-func (v *Vector) MarshalBinary() ([]byte, error) {
-	out := make([]byte, 8+8*len(v.words))
-	binary.LittleEndian.PutUint64(out, uint64(v.n))
-	for i, w := range v.words {
-		binary.LittleEndian.PutUint64(out[8+8*i:], w)
-	}
-	return out, nil
-}
-
-// UnmarshalBinary decodes a vector written by MarshalBinary. It implements
-// encoding.BinaryUnmarshaler.
-func (v *Vector) UnmarshalBinary(data []byte) error {
-	if len(data) < 8 {
-		return fmt.Errorf("bitvec: truncated header (%d bytes)", len(data))
-	}
-	n := int(binary.LittleEndian.Uint64(data))
-	words := (n + wordBits - 1) / wordBits
-	if len(data) != 8+8*words {
-		return fmt.Errorf("bitvec: %d bytes for %d bits, want %d", len(data), n, 8+8*words)
-	}
-	v.n = n
-	v.words = make([]uint64, words)
-	for i := range v.words {
-		v.words[i] = binary.LittleEndian.Uint64(data[8+8*i:])
-	}
-	return nil
-}
-
-// GobEncode implements gob.GobEncoder via MarshalBinary.
-func (v *Vector) GobEncode() ([]byte, error) { return v.MarshalBinary() }
-
-// GobDecode implements gob.GobDecoder via UnmarshalBinary.
-func (v *Vector) GobDecode(data []byte) error { return v.UnmarshalBinary(data) }
-
 // NumWords returns the number of 64-bit storage words backing n bits.
 func NumWords(n int) int { return (n + wordBits - 1) / wordBits }
 
@@ -428,9 +392,8 @@ func NumWords(n int) int { return (n + wordBits - 1) / wordBits }
 func (v *Vector) WordBytes() int { return 8 * len(v.words) }
 
 // AppendWords appends the vector's words to dst in little-endian order —
-// the flat snapshot encoding FromBytes maps back without a copy. Unlike
-// MarshalBinary, no length header is written; the caller records v.Len()
-// alongside the slab.
+// the flat snapshot encoding FromBytes maps back without a copy. No
+// length header is written; the caller records v.Len() alongside the slab.
 func (v *Vector) AppendWords(dst []byte) []byte {
 	for _, w := range v.words {
 		dst = binary.LittleEndian.AppendUint64(dst, w)

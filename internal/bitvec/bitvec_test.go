@@ -382,8 +382,7 @@ func TestGrow(t *testing.T) {
 func TestGrowReadOnlyView(t *testing.T) {
 	v := New(64)
 	v.Set(7)
-	data, _ := v.MarshalBinary()
-	view, err := FromBytes(64, data[8:])
+	view, err := FromBytes(64, v.AppendWords(nil))
 	if err != nil {
 		t.Fatal(err)
 	}

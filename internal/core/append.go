@@ -328,7 +328,7 @@ func (f *Framework) AppendSlice(slice *dataset.Dataset) (AppendStats, error) {
 		}
 	}
 	if interleaved {
-		// An exclusive operation (AddDataset, LoadIndex, IngestDataset, ...)
+		// An exclusive operation (AddDataset, Load, IngestDataset, ...)
 		// changed the corpus between our snapshot and the splice: the
 		// recomputed entries may be over the wrong domain. Correctness
 		// first — rebuild from the registered state.

@@ -1,7 +1,7 @@
 package core
 
 import (
-	"bytes"
+	"path/filepath"
 	"testing"
 
 	"github.com/urbandata/datapolygamy/internal/stats"
@@ -197,14 +197,15 @@ func TestGraphCorrectedSaveLoadRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	g, _ := f.RelGraph()
-	var buf bytes.Buffer
-	if err := f.SaveGraph(&buf); err != nil {
+	path := filepath.Join(t.TempDir(), "corrected.snap")
+	if err := f.Save(path); err != nil {
 		t.Fatal(err)
 	}
 	f2 := stressFW(t)
-	if err := f2.LoadGraph(bytes.NewReader(buf.Bytes())); err != nil {
+	if err := f2.Load(path); err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { f2.Close() })
 	g2, ok := f2.RelGraph()
 	if !ok || !g2.Equal(g) {
 		t.Fatal("corrected graph changed across a Save/Load round-trip")

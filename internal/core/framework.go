@@ -112,11 +112,11 @@ type IndexStats struct {
 // # Concurrency
 //
 // A Framework separates exclusive (index-mutating) operations from shared
-// (read-only) ones. AddDataset, BuildIndex, LoadIndex, and LoadGraph take
-// the state lock exclusively; concurrent readers block until they finish.
-// Once BuildIndex has succeeded, Query, Entries, Datasets,
-// DatasetIndexStats, Graph, RelGraph, NumFunctions, Indexed, SaveIndex,
-// and SaveGraph are all safe to call from any number of goroutines: the
+// (read-only) ones. AddDataset, BuildIndex, and Load take the state lock
+// exclusively; concurrent readers block until they finish. Once BuildIndex
+// has succeeded, Query, Entries, Datasets, DatasetIndexStats, Graph,
+// RelGraph, NumFunctions, Indexed, and Save are all safe to call from any
+// number of goroutines: the
 // index, shared timelines, and domain graphs are immutable between builds,
 // and the query cache is guarded by its own mutex with single-flight
 // deduplication — N identical in-flight queries trigger one evaluation,
@@ -127,7 +127,7 @@ type IndexStats struct {
 type Framework struct {
 	opts Options
 
-	// mu is the state lock: AddDataset, BuildIndex, and LoadIndex hold it
+	// mu is the state lock: AddDataset, BuildIndex, and Load hold it
 	// exclusively; every read path (including the whole of Query) shares
 	// it. Fields below mu are written only under the exclusive lock.
 	mu sync.RWMutex
@@ -143,13 +143,13 @@ type Framework struct {
 	graphs    map[Resolution]*stgraph.Graph
 
 	index *Index
-	built bool // BuildIndex or LoadIndex has succeeded at least once
+	built bool // BuildIndex or Load has succeeded at least once
 
 	// Materialized relationship graph (see relgraph.go). graphMu serializes
 	// graph builders and guards the per-pair candidate cache (every tested
 	// relationship with its raw p-value — the corpus-wide hypothesis family
 	// FDR control adjusts over), its clause signature, and the edge-selection
-	// rule; it nests inside mu (BuildGraph and SaveGraph take it while
+	// rule; it nests inside mu (BuildGraph and Save take it while
 	// holding the read lock), so a long graph build never blocks query
 	// traffic. relGraph is the published graph — an immutable value replaced
 	// wholesale at the end of a build, read without any lock.
@@ -184,8 +184,8 @@ type Framework struct {
 	// graph). Reported by IndexStats.Rebuilds and Framework.Rebuilds.
 	rebuilds atomic.Int64
 
-	// mappings are the snapshot memory mappings adopted by Load: flat (v4)
-	// sections are viewed zero-copy, so the mapped file must outlive every
+	// mappings are the snapshot memory mappings adopted by Load: sections
+	// are viewed zero-copy, so the mapped file must outlive every
 	// reachable bit vector, string, and edge. They are released only by
 	// Close — not on re-Load, since lock-free readers may still hold state
 	// aliasing an older mapping. snapFormat / snapZeroCopy record how the

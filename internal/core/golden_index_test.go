@@ -23,7 +23,10 @@ import (
 // must say so and regenerate it (the failure message prints the new value).
 const goldenIndexHash = "56c00fd57287f36598e7b156d1942bd692d4d186154cbc0301878d17e666397e"
 
-func TestGoldenIndex(t *testing.T) {
+// goldenFramework indexes the golden corpus and also returns what Open needs
+// to warm-start a second framework over it.
+func goldenFramework(t *testing.T) (*Framework, OpenOptions) {
+	t.Helper()
 	city, err := spatial.Generate(spatial.GridConfig(1, 8))
 	if err != nil {
 		t.Fatal(err)
@@ -33,7 +36,11 @@ func TestGoldenIndex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := New(Options{City: city, Workers: 2, Seed: 1, IncludeGradients: true})
+	opts := OpenOptions{
+		Options:  Options{City: city, Workers: 2, Seed: 1, IncludeGradients: true},
+		Datasets: col.Datasets,
+	}
+	f, err := New(opts.Options)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,6 +52,11 @@ func TestGoldenIndex(t *testing.T) {
 	if _, err := f.BuildIndex(); err != nil {
 		t.Fatal(err)
 	}
+	return f, opts
+}
+
+func TestGoldenIndex(t *testing.T) {
+	f, _ := goldenFramework(t)
 
 	h := sha256.New()
 	var buf []byte

@@ -236,7 +236,7 @@ type DatasetStats struct {
 // dropped and re-added without touching the others.
 //
 // An Index is not internally synchronised: it mutates only during
-// BuildIndex/LoadIndex, which hold the Framework's state lock exclusively,
+// BuildIndex/Load, which hold the Framework's state lock exclusively,
 // and is immutable — safe for lock-free concurrent reads — between builds
 // (see the Framework concurrency contract).
 type Index struct {

@@ -129,7 +129,7 @@ func (f *Framework) IngestDataset(d *dataset.Dataset) (IndexStats, error) {
 		return stats, fmt.Errorf("core: duplicate dataset %q", d.Name)
 	}
 	if f.minTS != minTS || f.maxTS != maxTS || !f.indexedLocked() {
-		// An exclusive operation (AddDataset, LoadIndex, ...) interleaved
+		// An exclusive operation (AddDataset, Load, ...) interleaved
 		// between our snapshot and the splice and changed the corpus
 		// domain: the computed entries may be over the wrong timelines.
 		// Correctness first — rebuild from the registered state.

@@ -66,7 +66,7 @@ var (
 	mSnapshotSaveDuration = obsv.NewHistogram("polygamy_snapshot_save_duration_seconds",
 		"Snapshot save latency.", nil)
 	mSnapshotLoads = obsv.NewCounterVec("polygamy_snapshot_loads_total",
-		"Snapshots opened, by adoption mode (mmap, heap, or gob).", "mode")
+		"Snapshots opened, by adoption mode (mmap or heap).", "mode")
 	mSnapshotLoadDuration = obsv.NewHistogram("polygamy_snapshot_load_duration_seconds",
 		"Snapshot open latency.", nil)
 	mSnapshotMappedBytes = obsv.NewGauge("polygamy_snapshot_mapped_bytes",

@@ -1,21 +1,24 @@
 package core
 
-// Flat section codecs — snapshot format v4. The gob codecs in persist.go
-// and relgraph.go decode every bit vector and edge into fresh heap
-// objects; at paper scale (hundreds of data sets) that is seconds of warm
-// start and a duplicated heap per process. The flat layout below writes
-// the same state as length-prefixed little-endian slabs with 8-byte
-// alignment, so a memory-mapped snapshot is *viewed* instead of decoded:
-// feature bit vectors alias the mapping (bitvec.FromBytes), strings alias
-// the mapping (store.SlabReader.String), and replicas on one host share
-// the page cache. Load sniffs each section payload's magic and falls back
-// to the gob codecs for v3-generation snapshots, so old containers keep
-// loading.
+// Flat codecs — the one serialisation of derived state. The index section,
+// the graph section and the shard wire payload (shard.go) are all written
+// as length-prefixed little-endian slabs with 8-byte alignment
+// (internal/store's SlabWriter / SlabReader), so a memory-mapped snapshot
+// is *viewed* instead of decoded: feature bit vectors alias the mapping
+// (bitvec.ViewBytes), strings alias the mapping (store.SlabReader.String),
+// and replicas on one host share the page cache. At paper scale (hundreds
+// of data sets) decoding every bit vector and edge into fresh heap objects
+// would cost seconds of warm start and a duplicated heap per process.
 //
-// Parsing is split from installation: parseFlatIndex / parseFlatGraph are
-// pure functions over a byte slice (fuzzed in persist_flat_test.go) whose
-// failures all wrap store.ErrCorrupt, and the framework-aware install
-// step reuses the same validation the gob path runs.
+// Parsing is split from installation: parseFlatIndex / parseFlatGraph /
+// parseFlatShard are pure functions over a byte slice (fuzzed in
+// persist_flat_test.go and shard_test.go) whose failures all wrap
+// store.ErrCorrupt; the framework-aware steps (installIndexLocked,
+// stageGraphLocked, MergeGraphShards) then validate the parsed value
+// against the registered corpus before anything is mutated. The graph
+// section and the shard payload share one pair table (writeFlatPairs /
+// readFlatPairs / addPairsLocked): the same bytes and the same checks
+// whether a candidate cache arrives from disk or from another replica.
 
 import (
 	"bytes"
@@ -32,20 +35,19 @@ import (
 	"github.com/urbandata/datapolygamy/internal/temporal"
 )
 
-// flatSnapshotVersion is the snapshot generation of the flat section
-// encoding. Generations 1–3 were gob (see snapshotVersion and
-// graphSnapshotVersion); 4 was the first flat, mmap-friendly one; 5 added
-// the per-entry tile table (NumSteps, per-tile thresholds and critical
-// points) that appending to a warm-opened corpus needs, and the query
-// window fields of the persisted clause.
+// flatSnapshotVersion is the generation of the flat encoding, written as
+// the word after every payload's magic. It equals store.FormatVersion: the
+// per-entry tile table and the clause's query window fields arrived in 5,
+// and evolving any layout below means bumping both (the format has no
+// field tags).
 const flatSnapshotVersion = 5
 
-// Section payload magics; Load sniffs these to pick the codec. The final
-// byte is the generation, so an older v4 layout is "not flat v5" rather
-// than a misparse.
+// Payload magics. The final byte is the generation, so another
+// generation's layout is "not flat v5" rather than a misparse.
 var (
 	flatIndexMagic = []byte("DPIXFLT\x05")
 	flatGraphMagic = []byte("DPGRFLT\x05")
+	flatShardMagic = []byte("DPSHFLT\x05")
 )
 
 // nilSlice is the length sentinel distinguishing a nil clause slice
@@ -54,6 +56,20 @@ const nilSlice = ^uint64(0)
 
 func corruptf(format string, args ...any) error {
 	return fmt.Errorf("core: "+format+": %w", append(args, store.ErrCorrupt)...)
+}
+
+// openFlat checks a payload's magic and generation word and returns a
+// reader positioned after them.
+func openFlat(data, magic []byte, what string) (*store.SlabReader, error) {
+	if !bytes.HasPrefix(data, magic) {
+		return nil, corruptf("%s is not flat v%d", what, flatSnapshotVersion)
+	}
+	r := store.NewSlabReader(data)
+	r.Raw(len(magic))
+	if v := r.U64(); r.Err() == nil && v != flatSnapshotVersion {
+		return nil, corruptf("flat %s version %d, want %d", what, v, flatSnapshotVersion)
+	}
+	return r, nil
 }
 
 // ---- index section ----
@@ -197,13 +213,9 @@ type flatIndexSnap struct {
 // wraps store.ErrCorrupt.
 func parseFlatIndex(data []byte) (flatIndexSnap, error) {
 	var snap flatIndexSnap
-	if !bytes.HasPrefix(data, flatIndexMagic) {
-		return snap, corruptf("index section is not flat v5")
-	}
-	r := store.NewSlabReader(data)
-	r.Raw(len(flatIndexMagic))
-	if v := r.U64(); r.Err() == nil && v != flatSnapshotVersion {
-		return snap, corruptf("flat index version %d, want %d", v, flatSnapshotVersion)
+	r, err := openFlat(data, flatIndexMagic, "index section")
+	if err != nil {
+		return snap, err
 	}
 	snap.minTS = r.I64()
 	snap.maxTS = r.I64()
@@ -261,53 +273,104 @@ func parseFlatIndex(data []byte) (flatIndexSnap, error) {
 		e.finalizeWithUnions(&vs[4], &vs[5])
 		snap.entries = append(snap.entries, e)
 	}
-	if err := r.Done(); err != nil {
-		return snap, err
-	}
-	return snap, nil
+	return snap, r.Done()
 }
 
-// decodeFlatIndexLocked parses a flat index payload and installs it, with
-// the same corpus validation as the gob path. The caller must hold the
-// state lock exclusively and keep the payload's backing storage alive for
-// the life of the index (Load adopts the snapshot mapping for that).
-func (f *Framework) decodeFlatIndexLocked(data []byte) error {
-	snap, err := parseFlatIndex(data)
-	if err != nil {
-		return err
+// installIndexLocked validates a parsed index against the registered corpus
+// and installs it, dropping the derived graph and query cache. The caller
+// must hold the state lock exclusively and keep the payload's backing
+// storage alive for the life of the index (Load adopts the snapshot mapping
+// for that).
+func (f *Framework) installIndexLocked(snap flatIndexSnap) error {
+	if len(snap.order) != len(f.order) {
+		return fmt.Errorf("core: index has %d data sets, framework has %d", len(snap.order), len(f.order))
 	}
-	return f.installIndexLocked(snap.minTS, snap.maxTS, snap.order, snap.entries)
+	for i, name := range snap.order {
+		if f.order[i] != name {
+			return fmt.Errorf("core: index data set %d is %q, framework has %q", i, name, f.order[i])
+		}
+	}
+	if snap.minTS != f.minTS || snap.maxTS != f.maxTS {
+		return fmt.Errorf("core: index time range [%d,%d] does not match corpus [%d,%d]",
+			snap.minTS, snap.maxTS, f.minTS, f.maxTS)
+	}
+	ix := newIndex()
+	for _, e := range snap.entries {
+		g, err := f.graph(e.Res)
+		if err != nil {
+			return err
+		}
+		if e.Salient.NumVertices() != g.NumVertices() {
+			return fmt.Errorf("core: entry %s has %d vertices, graph has %d",
+				e.Key, e.Salient.NumVertices(), g.NumVertices())
+		}
+		ix.add(e)
+	}
+	for _, name := range snap.order {
+		ix.sort(name)
+		ix.markDone(name)
+	}
+	f.index = ix
+	f.built = true
+	// The index was replaced wholesale; the materialized relationship graph
+	// derives from it, so drop it too (Load applies the saved one after).
+	f.resetGraph()
+	f.cacheMu.Lock()
+	f.cache = make(map[string]*cachedResult)
+	f.cacheMu.Unlock()
+	return nil
 }
 
-// ---- graph section ----
+// ---- pair table and its provenance ----
 
-// encodeFlatGraphLocked serialises the materialized graph (candidate
-// cache, clause signature, selection rule, originating clause) as a flat
-// v4 section, returning the clause signature captured in the same critical
-// section as the payload. The caller must hold the state lock (shared or
-// exclusive); the builder mutex is taken here, like encodeGraphLocked.
-func (f *Framework) encodeFlatGraphLocked() ([]byte, string, error) {
-	f.graphMu.Lock()
-	defer f.graphMu.Unlock()
-	if f.relGraph.Load() == nil {
-		return nil, "", fmt.Errorf("core: Save requires a built graph (run BuildGraph)")
-	}
-	w := store.NewSlabWriter(4096)
-	w.Raw(flatGraphMagic)
+// flatOrigin is what every payload of Monte Carlo candidates states ahead
+// of its pair table: the clause signature the candidates were computed
+// under and the corpus fingerprint fields the per-pair seeds depend on.
+type flatOrigin struct {
+	sig          string
+	seed         int64
+	minTS, maxTS int64
+}
+
+// writeFlatOriginLocked starts a graph or shard payload: magic, generation
+// and this framework's origin under sig. The caller must hold the state
+// lock.
+func (f *Framework) writeFlatOriginLocked(w *store.SlabWriter, magic []byte, sig string) {
+	w.Raw(magic)
 	w.U64(flatSnapshotVersion)
-	w.String(f.graphSig)
+	w.String(sig)
 	w.I64(f.opts.Seed)
 	w.I64(f.minTS)
 	w.I64(f.maxTS)
-	w.F64(f.graphSel.alpha)
-	w.I64(int64(f.graphSel.correction))
-	w.F64(f.graphSel.maxQ)
-	w.U64(b2u(f.graphSel.skip))
-	writeFlatClause(w, f.graphClause)
-	keys := make([]graphPair, 0, len(f.graphCands))
-	for key := range f.graphCands {
-		keys = append(keys, key)
+}
+
+func readFlatOrigin(r *store.SlabReader) flatOrigin {
+	return flatOrigin{sig: r.String(), seed: r.I64(), minTS: r.I64(), maxTS: r.I64()}
+}
+
+// checkOriginLocked refuses candidates this framework's own BuildGraph
+// could not have produced: another Monte Carlo seed or another corpus time
+// range. The caller must hold the state lock.
+func (f *Framework) checkOriginLocked(what string, o flatOrigin) error {
+	if o.seed != f.opts.Seed {
+		return fmt.Errorf("core: %s was built with seed %d, framework has %d", what, o.seed, f.opts.Seed)
 	}
+	if o.minTS != f.minTS || o.maxTS != f.maxTS {
+		return fmt.Errorf("core: %s corpus time range [%d,%d] does not match [%d,%d]",
+			what, o.minTS, o.maxTS, f.minTS, f.maxTS)
+	}
+	return nil
+}
+
+// flatPair is one data set pair's tested candidate family in a pair table.
+type flatPair struct {
+	A, B  string
+	Cands []relgraph.Edge
+}
+
+// writeFlatPairs lays out the candidate families of the given pairs in
+// canonical (A, then B) order; keys is sorted in place.
+func writeFlatPairs(w *store.SlabWriter, keys []graphPair, cands map[graphPair][]relgraph.Edge) {
 	sort.Slice(keys, func(i, j int) bool {
 		if keys[i].A != keys[j].A {
 			return keys[i].A < keys[j].A
@@ -318,64 +381,159 @@ func (f *Framework) encodeFlatGraphLocked() ([]byte, string, error) {
 	for _, key := range keys {
 		w.String(key.A)
 		w.String(key.B)
-		cands := f.graphCands[key]
-		w.U64(uint64(len(cands)))
-		for _, e := range cands {
+		es := cands[key]
+		w.U64(uint64(len(es)))
+		for _, e := range es {
 			relgraph.AppendFlatEdge(w, e)
 		}
 	}
-	return w.Finish(), f.graphSig, nil
 }
 
-// parseFlatGraph decodes a flat graph payload with no framework access,
-// returning the same snapshot value the gob codec produces so both paths
-// share one validation step.
-func parseFlatGraph(data []byte) (frameworkGraphSnapshot, error) {
-	var snap frameworkGraphSnapshot
-	if !bytes.HasPrefix(data, flatGraphMagic) {
-		return snap, corruptf("graph section is not flat v5")
-	}
-	r := store.NewSlabReader(data)
-	r.Raw(len(flatGraphMagic))
-	if v := r.U64(); r.Err() == nil && v != flatSnapshotVersion {
-		return snap, corruptf("flat graph version %d, want %d", v, flatSnapshotVersion)
-	}
-	snap.Version = graphSnapshotVersion // normalized for the shared validation
-	snap.Sig = r.String()
-	snap.Seed = r.I64()
-	snap.MinTS = r.I64()
-	snap.MaxTS = r.I64()
-	snap.Alpha = r.F64()
-	snap.Correction = stats.Correction(r.I64())
-	snap.MaxQ = r.F64()
-	snap.Skip = r.U64() != 0
-	snap.Clause = readFlatClause(r)
+func readFlatPairs(r *store.SlabReader) []flatPair {
 	nPairs := r.Count(24)
-	snap.Pairs = make([]graphPairSnapshot, 0, nPairs)
+	pairs := make([]flatPair, 0, nPairs)
 	for i := 0; i < nPairs && r.Err() == nil; i++ {
-		p := graphPairSnapshot{A: r.String(), B: r.String()}
+		p := flatPair{A: r.String(), B: r.String()}
 		nEdges := r.Count(relgraph.FlatEdgeMinBytes)
 		p.Cands = make([]relgraph.Edge, 0, nEdges)
 		for j := 0; j < nEdges && r.Err() == nil; j++ {
 			p.Cands = append(p.Cands, relgraph.ReadFlatEdge(r))
 		}
-		snap.Pairs = append(snap.Pairs, p)
+		pairs = append(pairs, p)
 	}
-	if err := r.Done(); err != nil {
-		return snap, err
-	}
-	return snap, nil
+	return pairs
 }
 
-// parseFlatGraphLocked decodes and validates a flat graph payload against
-// this framework without mutating any state. The caller must hold the
-// state lock.
-func (f *Framework) parseFlatGraphLocked(data []byte) (stagedGraph, error) {
-	snap, err := parseFlatGraph(data)
+// addPairsLocked validates a parsed pair table against the registered
+// corpus and adds it to cands. Pairs are written in canonical (A < B)
+// order; anything else would dodge the duplicate check and miss
+// BuildGraph's canonical cache lookups, leaving a stale entry that
+// double-counts edges. The caller must hold the state lock.
+func (f *Framework) addPairsLocked(cands map[graphPair][]relgraph.Edge, what string, pairs []flatPair) error {
+	for _, p := range pairs {
+		if p.A >= p.B {
+			return fmt.Errorf("core: %s pair %q|%q is not in canonical order", what, p.A, p.B)
+		}
+		for _, ds := range [2]string{p.A, p.B} {
+			if _, ok := f.datasets[ds]; !ok {
+				return fmt.Errorf("core: %s covers unregistered dataset %q", what, ds)
+			}
+		}
+		key := graphPair{A: p.A, B: p.B}
+		if _, dup := cands[key]; dup {
+			return fmt.Errorf("core: %s repeats pair %q|%q", what, p.A, p.B)
+		}
+		cands[key] = p.Cands
+	}
+	return nil
+}
+
+// ---- graph section ----
+
+// encodeFlatGraphLocked serialises the materialized graph (candidate
+// cache, clause signature, selection rule, originating clause) as a flat
+// section, returning the clause signature captured in the same critical
+// section as the payload — a caller must not re-read f.graphSig afterwards,
+// or a concurrent BuildGraph could make the two disagree. The caller must
+// hold the state lock (shared or exclusive); the builder mutex is taken
+// here.
+func (f *Framework) encodeFlatGraphLocked() ([]byte, string, error) {
+	f.graphMu.Lock()
+	defer f.graphMu.Unlock()
+	if f.relGraph.Load() == nil {
+		return nil, "", fmt.Errorf("core: Save requires a built graph (run BuildGraph)")
+	}
+	keys := make([]graphPair, 0, len(f.graphCands))
+	for key := range f.graphCands {
+		keys = append(keys, key)
+	}
+	return f.flatGraphSectionLocked(f.graphSig, f.graphSel, f.graphClause, keys, f.graphCands), f.graphSig, nil
+}
+
+// flatGraphSectionLocked lays out a graph section — the inverse of
+// parseFlatGraph — for the given pairs of cands under this framework's
+// origin. The caller must hold the state lock.
+func (f *Framework) flatGraphSectionLocked(sig string, sel graphSelection, clause Clause,
+	keys []graphPair, cands map[graphPair][]relgraph.Edge) []byte {
+	w := store.NewSlabWriter(4096)
+	f.writeFlatOriginLocked(w, flatGraphMagic, sig)
+	w.F64(sel.alpha)
+	w.I64(int64(sel.correction))
+	w.F64(sel.maxQ)
+	w.U64(b2u(sel.skip))
+	writeFlatClause(w, clause)
+	writeFlatPairs(w, keys, cands)
+	return w.Finish()
+}
+
+// flatGraphSnap is a parsed graph section: the candidate cache with its
+// origin, the edge-selection rule the published graph is assembled under,
+// and the originating clause, so a loaded graph supports incremental
+// maintenance — q-value recomputation included — exactly like the
+// original, and refreshes under exactly the clause it was built with
+// (GraphClause).
+type flatGraphSnap struct {
+	flatOrigin
+	sel    graphSelection
+	clause Clause
+	pairs  []flatPair
+}
+
+// parseFlatGraph decodes a flat graph payload with no framework access.
+func parseFlatGraph(data []byte) (flatGraphSnap, error) {
+	var snap flatGraphSnap
+	r, err := openFlat(data, flatGraphMagic, "graph section")
 	if err != nil {
+		return snap, err
+	}
+	snap.flatOrigin = readFlatOrigin(r)
+	snap.sel = graphSelection{
+		alpha:      r.F64(),
+		correction: stats.Correction(r.I64()),
+		maxQ:       r.F64(),
+		skip:       r.U64() != 0,
+	}
+	snap.clause = readFlatClause(r)
+	snap.pairs = readFlatPairs(r)
+	return snap, r.Done()
+}
+
+// stagedGraph is a fully validated graph snapshot that has not been
+// applied to the framework yet. The parse/apply split lets Load validate
+// every snapshot section before mutating anything, so a failed load never
+// leaves the framework half-restored.
+type stagedGraph struct {
+	cands  map[graphPair][]relgraph.Edge
+	sig    string
+	sel    graphSelection
+	clause Clause
+}
+
+// stageGraphLocked validates a parsed graph section against this framework
+// without mutating any state, so it is never grafted onto a framework whose
+// candidates it could not have come from. The caller must hold the state
+// lock.
+func (f *Framework) stageGraphLocked(snap flatGraphSnap) (stagedGraph, error) {
+	if err := f.checkOriginLocked("graph", snap.flatOrigin); err != nil {
 		return stagedGraph{}, err
 	}
-	return f.stageGraphSnapshotLocked(snap)
+	cands := make(map[graphPair][]relgraph.Edge, len(snap.pairs))
+	if err := f.addPairsLocked(cands, "graph", snap.pairs); err != nil {
+		return stagedGraph{}, err
+	}
+	return stagedGraph{cands: cands, sig: snap.sig, sel: snap.sel, clause: snap.clause}, nil
+}
+
+// applyGraphLocked publishes a staged graph snapshot. The caller must hold
+// the state lock exclusively. It cannot fail.
+func (f *Framework) applyGraphLocked(staged stagedGraph) {
+	f.graphMu.Lock()
+	f.graphCands = staged.cands
+	f.graphSig = staged.sig
+	f.graphSel = staged.sel
+	f.graphClause = staged.clause
+	f.graphMu.Unlock()
+	f.relGraph.Store(assembleGraph(staged.cands, staged.sel))
 }
 
 // ---- clause codec ----
@@ -467,6 +625,3 @@ func b2u(b bool) uint64 {
 	}
 	return 0
 }
-
-// isFlatSection reports whether a section payload uses the flat v5 codec.
-func isFlatSection(data, magic []byte) bool { return bytes.HasPrefix(data, magic) }

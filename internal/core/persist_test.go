@@ -1,8 +1,11 @@
 package core
 
 import (
-	"bytes"
+	"path/filepath"
+	"strings"
 	"testing"
+
+	"github.com/urbandata/datapolygamy/internal/store"
 )
 
 func TestSaveLoadIndexRoundTrip(t *testing.T) {
@@ -17,9 +20,8 @@ func TestSaveLoadIndexRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	var buf bytes.Buffer
-	if err := f.SaveIndex(&buf); err != nil {
+	path := filepath.Join(t.TempDir(), "index.snap")
+	if err := f.Save(path); err != nil {
 		t.Fatal(err)
 	}
 
@@ -29,11 +31,12 @@ func TestSaveLoadIndexRoundTrip(t *testing.T) {
 	wind2, trips2 := plantedPair(30, randomHours(31, 60), nil)
 	_ = g.AddDataset(wind2)
 	_ = g.AddDataset(trips2)
-	if err := g.LoadIndex(bytes.NewReader(buf.Bytes())); err != nil {
+	if err := g.Load(path); err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { g.Close() })
 	if !g.Indexed() {
-		t.Fatal("LoadIndex should mark the framework indexed")
+		t.Fatal("Load should mark the framework indexed")
 	}
 	if g.NumFunctions() != f.NumFunctions() {
 		t.Fatalf("loaded %d functions, want %d", g.NumFunctions(), f.NumFunctions())
@@ -52,15 +55,11 @@ func TestSaveLoadIndexRoundTrip(t *testing.T) {
 	}
 }
 
-func TestSaveIndexRequiresBuild(t *testing.T) {
-	f := newFW(t)
-	var buf bytes.Buffer
-	if err := f.SaveIndex(&buf); err == nil {
-		t.Error("SaveIndex before BuildIndex should fail")
-	}
-}
-
-func TestLoadIndexValidatesCorpus(t *testing.T) {
+// TestLoadValidatesIndexSection: the index section is checked against the
+// registered corpus on its own, not only through the manifest — a container
+// whose manifest matches the framework but whose index came from another
+// corpus must be refused.
+func TestLoadValidatesIndexSection(t *testing.T) {
 	f := newFW(t)
 	wind, trips := plantedPair(32, []int{5}, nil)
 	_ = f.AddDataset(wind)
@@ -68,24 +67,30 @@ func TestLoadIndexValidatesCorpus(t *testing.T) {
 	if _, err := f.BuildIndex(); err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := f.SaveIndex(&buf); err != nil {
+	foreign := filepath.Join(t.TempDir(), "two.snap")
+	if err := f.Save(foreign); err != nil {
+		t.Fatal(err)
+	}
+	_, sections, err := store.Read(foreign)
+	if err != nil {
 		t.Fatal(err)
 	}
 
-	// Different dataset set must be rejected.
 	g := newFW(t)
 	wind2, _ := plantedPair(32, []int{5}, nil)
 	_ = g.AddDataset(wind2)
-	if err := g.LoadIndex(bytes.NewReader(buf.Bytes())); err == nil {
-		t.Error("LoadIndex with mismatched corpus should fail")
+	if _, err := g.BuildIndex(); err != nil {
+		t.Fatal(err)
 	}
-
-	// Garbage input must be rejected.
-	h := newFW(t)
-	_ = h.AddDataset(wind)
-	_ = h.AddDataset(trips)
-	if err := h.LoadIndex(bytes.NewReader([]byte("not an index"))); err == nil {
-		t.Error("LoadIndex of garbage should fail")
+	own := filepath.Join(t.TempDir(), "one.snap")
+	if err := g.Save(own); err != nil {
+		t.Fatal(err)
+	}
+	bad := splice(t, own, store.SectionIndex, sections[store.SectionIndex])
+	if err := g.Load(bad); err == nil || !strings.Contains(err.Error(), "data sets") {
+		t.Errorf("index from another corpus under a matching manifest: err = %v", err)
+	}
+	if g.NumFunctions() == 0 {
+		t.Error("failed Load dropped the built index")
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"github.com/urbandata/datapolygamy/internal/feature"
+	"github.com/urbandata/datapolygamy/internal/store"
 	"github.com/urbandata/datapolygamy/internal/temporal"
 )
 
@@ -35,8 +36,8 @@ func TestSnapshotTileTableRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer g.Close()
-	if format, _, ok := g.LoadedSnapshot(); !ok || format != 4 {
-		t.Fatalf("warm open took snapshot format %d (loaded=%v), want the flat format 4", format, ok)
+	if format, _, ok := g.LoadedSnapshot(); !ok || format != store.FormatVersion {
+		t.Fatalf("warm open reports container version %d (loaded=%v), want %d", format, ok, store.FormatVersion)
 	}
 
 	// The corpus really is multi-tile at the fine resolutions.

@@ -1,11 +1,7 @@
 package core
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
-	"io"
-	"sort"
 	"time"
 
 	"github.com/urbandata/datapolygamy/internal/feature"
@@ -40,7 +36,7 @@ import (
 //
 // Locking: a build only reads post-BuildIndex-immutable state, so
 // BuildGraph holds the state lock shared — concurrent queries keep
-// flowing — and serializes against other builders (and SaveGraph) on
+// flowing — and serializes against other builders (and Save) on
 // graphMu, which guards the pair cache. The finished graph is published
 // through an atomic pointer: RelGraph never blocks, and a reader-held
 // graph stays consistent while a rebuild replaces it.
@@ -81,7 +77,7 @@ func graphSignature(clause Clause) string {
 // graphSelection is the edge-selection rule applied when assembling the
 // published graph from the candidate cache: the correction, its level, and
 // the optional q cutoff. It is remembered next to the cache (and persisted
-// in snapshots) so LoadGraph and pure-reuse builds select identically.
+// in snapshots) so Load and pure-reuse builds select identically.
 type graphSelection struct {
 	alpha      float64
 	correction stats.Correction
@@ -298,7 +294,7 @@ func relationshipEdge(r Relationship) relgraph.Edge {
 }
 
 // RelGraph returns the materialized relationship graph, or ok = false when
-// BuildGraph (or LoadGraph) has not run. It never blocks — not even on an
+// BuildGraph (or Load) has not run. It never blocks — not even on an
 // in-flight build — and the returned graph is an immutable value: it stays
 // valid and consistent while a concurrent BuildGraph replaces the
 // framework's current graph.
@@ -318,201 +314,4 @@ func (f *Framework) resetGraph() {
 	f.graphClause = Clause{}
 	f.graphMu.Unlock()
 	f.relGraph.Store(nil)
-}
-
-// graphPairSnapshot is one data set pair's cached candidates in a graph
-// snapshot.
-type graphPairSnapshot struct {
-	A, B  string
-	Cands []relgraph.Edge
-}
-
-// frameworkGraphSnapshot is the on-disk representation of a materialized
-// graph: the clause signature, corpus fingerprint, and edge-selection rule
-// it was built under plus the per-pair candidate cache, so a loaded graph
-// supports incremental maintenance — q-value recomputation included —
-// exactly like the original, and is never grafted onto a framework whose
-// candidates it could not have come from.
-type frameworkGraphSnapshot struct {
-	Version      int
-	Sig          string
-	Seed         int64
-	MinTS, MaxTS int64
-
-	// Selection rule (see graphSelection): how the published graph is
-	// assembled from the candidates.
-	Alpha      float64
-	Correction stats.Correction
-	MaxQ       float64
-	Skip       bool
-
-	// Clause is the originating clause of the candidate cache, so a
-	// loaded graph refreshes incrementally under exactly the clause it
-	// was built with (GraphClause).
-	Clause Clause
-
-	Pairs []graphPairSnapshot
-}
-
-// graphSnapshotVersion 2 switched the snapshot from significant edges to
-// the full tested candidate family (FDR control needs every p-value) and
-// added the selection rule; version 3 added the originating clause
-// (decoding an older snapshot would silently report a zero GraphClause,
-// so both are rejected).
-const graphSnapshotVersion = 3
-
-// SaveGraph writes the materialized relationship graph alongside the index
-// snapshot (SaveIndex): the per-pair edge cache, the clause signature, and
-// the corpus fingerprint, so a LoadGraph round-trip preserves the graph
-// exactly and keeps incremental BuildGraph calls cheap.
-func (f *Framework) SaveGraph(w io.Writer) error {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	data, _, err := f.encodeGraphLocked()
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(data)
-	return err
-}
-
-// encodeGraphLocked serialises the materialized graph (candidate cache,
-// clause signature, selection rule, originating clause) into its section
-// payload, also returning the clause signature captured in the same
-// critical section as the payload — a caller must not re-read f.graphSig
-// afterwards, or a concurrent BuildGraph could make the two disagree. The
-// caller must hold the state lock (shared or exclusive);
-// encodeGraphLocked takes the builder mutex itself.
-func (f *Framework) encodeGraphLocked() ([]byte, string, error) {
-	f.graphMu.Lock()
-	defer f.graphMu.Unlock()
-	if f.relGraph.Load() == nil {
-		return nil, "", fmt.Errorf("core: SaveGraph requires a built graph (run BuildGraph)")
-	}
-	snap := frameworkGraphSnapshot{
-		Version:    graphSnapshotVersion,
-		Sig:        f.graphSig,
-		Seed:       f.opts.Seed,
-		MinTS:      f.minTS,
-		MaxTS:      f.maxTS,
-		Alpha:      f.graphSel.alpha,
-		Correction: f.graphSel.correction,
-		MaxQ:       f.graphSel.maxQ,
-		Skip:       f.graphSel.skip,
-		Clause:     f.graphClause,
-	}
-	keys := make([]graphPair, 0, len(f.graphCands))
-	for key := range f.graphCands {
-		keys = append(keys, key)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].A != keys[j].A {
-			return keys[i].A < keys[j].A
-		}
-		return keys[i].B < keys[j].B
-	})
-	for _, key := range keys {
-		snap.Pairs = append(snap.Pairs, graphPairSnapshot{A: key.A, B: key.B, Cands: f.graphCands[key]})
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&snap); err != nil {
-		return nil, "", err
-	}
-	return buf.Bytes(), snap.Sig, nil
-}
-
-// LoadGraph restores a graph previously written with SaveGraph. The
-// framework must have the snapshot's data sets registered and match its
-// corpus fingerprint — the Monte Carlo seed and corpus time range — so
-// loaded edges are exactly what this framework's own BuildGraph would have
-// produced (and incremental maintenance stays byte-identical). The index
-// need not be built yet: graph reads work immediately, and the next
-// BuildGraph extends the loaded pair cache incrementally.
-//
-// LoadGraph takes the state lock exclusively, like LoadIndex.
-func (f *Framework) LoadGraph(r io.Reader) error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	staged, err := f.parseGraphSnapshotLocked(r)
-	if err != nil {
-		return err
-	}
-	f.applyGraphSnapshotLocked(staged)
-	return nil
-}
-
-// stagedGraph is a fully validated graph snapshot that has not been
-// applied to the framework yet. The parse/apply split lets Load validate
-// every snapshot section before mutating anything, so a failed load never
-// leaves the framework half-restored.
-type stagedGraph struct {
-	cands  map[graphPair][]relgraph.Edge
-	sig    string
-	sel    graphSelection
-	clause Clause
-}
-
-// parseGraphSnapshotLocked decodes and validates a graph section payload
-// against this framework without mutating any state. The caller must hold
-// the state lock (validation reads the corpus fingerprint fields).
-func (f *Framework) parseGraphSnapshotLocked(r io.Reader) (stagedGraph, error) {
-	var snap frameworkGraphSnapshot
-	if err := gob.NewDecoder(r).Decode(&snap); err != nil {
-		return stagedGraph{}, fmt.Errorf("core: decoding graph: %w", err)
-	}
-	return f.stageGraphSnapshotLocked(snap)
-}
-
-// stageGraphSnapshotLocked validates a decoded graph snapshot (gob or
-// flat) against this framework without mutating any state. The caller
-// must hold the state lock (validation reads the corpus fingerprint
-// fields).
-func (f *Framework) stageGraphSnapshotLocked(snap frameworkGraphSnapshot) (stagedGraph, error) {
-	var staged stagedGraph
-	if snap.Version != graphSnapshotVersion {
-		return staged, fmt.Errorf("core: graph version %d, want %d", snap.Version, graphSnapshotVersion)
-	}
-	if snap.Seed != f.opts.Seed {
-		return staged, fmt.Errorf("core: graph was built with seed %d, framework has %d", snap.Seed, f.opts.Seed)
-	}
-	if snap.MinTS != f.minTS || snap.MaxTS != f.maxTS {
-		return staged, fmt.Errorf("core: graph corpus time range [%d,%d] does not match [%d,%d]",
-			snap.MinTS, snap.MaxTS, f.minTS, f.maxTS)
-	}
-	cands := make(map[graphPair][]relgraph.Edge, len(snap.Pairs))
-	for _, p := range snap.Pairs {
-		// SaveGraph writes pairs in canonical (A < B) order; anything else
-		// would dodge the duplicate check and miss BuildGraph's canonical
-		// cache lookups, leaving a stale entry that double-counts edges.
-		if p.A >= p.B {
-			return staged, fmt.Errorf("core: graph snapshot pair %q|%q is not in canonical order", p.A, p.B)
-		}
-		for _, ds := range [2]string{p.A, p.B} {
-			if _, ok := f.datasets[ds]; !ok {
-				return staged, fmt.Errorf("core: graph covers unregistered dataset %q", ds)
-			}
-		}
-		key := graphPair{A: p.A, B: p.B}
-		if _, dup := cands[key]; dup {
-			return staged, fmt.Errorf("core: graph snapshot repeats pair %q|%q", p.A, p.B)
-		}
-		cands[key] = p.Cands
-	}
-	staged.cands = cands
-	staged.sig = snap.Sig
-	staged.sel = graphSelection{alpha: snap.Alpha, correction: snap.Correction, maxQ: snap.MaxQ, skip: snap.Skip}
-	staged.clause = snap.Clause
-	return staged, nil
-}
-
-// applyGraphSnapshotLocked publishes a staged graph snapshot. The caller
-// must hold the state lock exclusively. It cannot fail.
-func (f *Framework) applyGraphSnapshotLocked(staged stagedGraph) {
-	f.graphMu.Lock()
-	f.graphCands = staged.cands
-	f.graphSig = staged.sig
-	f.graphSel = staged.sel
-	f.graphClause = staged.clause
-	f.graphMu.Unlock()
-	f.relGraph.Store(assembleGraph(staged.cands, staged.sel))
 }

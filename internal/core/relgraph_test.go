@@ -1,11 +1,12 @@
 package core
 
 import (
-	"bytes"
-	"encoding/gob"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"github.com/urbandata/datapolygamy/internal/relgraph"
+	"github.com/urbandata/datapolygamy/internal/store"
 )
 
 // graphClause is the cheap test clause shared by the graph tests.
@@ -122,8 +123,18 @@ func TestGraphIncrementalEquivalence(t *testing.T) {
 	}
 }
 
-// TestGraphSaveLoadRoundTrip asserts that a SaveGraph/LoadGraph round-trip
-// preserves the graph exactly and keeps the pair cache warm.
+// handGraphSection lays out a graph section under f's origin holding
+// exactly the given (empty) pairs — which, unlike encodeFlatGraphLocked's,
+// may be ones no BuildGraph could have cached.
+func handGraphSection(f *Framework, sig string, pairs []graphPair) []byte {
+	f.mu.RLock()
+	defer f.mu.RUnlock()
+	return f.flatGraphSectionLocked(sig, selectionFromClause(Clause{}), Clause{}, pairs, nil)
+}
+
+// TestGraphSaveLoadRoundTrip asserts that a Save/Load round-trip preserves
+// the graph exactly and keeps the pair cache warm, and that a graph section
+// this framework could not have produced is refused.
 func TestGraphSaveLoadRoundTrip(t *testing.T) {
 	f := stressFW(t)
 	clause := graphClause()
@@ -131,18 +142,19 @@ func TestGraphSaveLoadRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	g, _ := f.RelGraph()
-	var buf bytes.Buffer
-	if err := f.SaveGraph(&buf); err != nil {
+	path := filepath.Join(t.TempDir(), "graph.snap")
+	if err := f.Save(path); err != nil {
 		t.Fatal(err)
 	}
 
 	f2 := stressFW(t)
-	if err := f2.LoadGraph(bytes.NewReader(buf.Bytes())); err != nil {
+	if err := f2.Load(path); err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { f2.Close() })
 	g2, ok := f2.RelGraph()
 	if !ok {
-		t.Fatal("RelGraph not available after LoadGraph")
+		t.Fatal("RelGraph not available after Load")
 	}
 	if !g2.Equal(g) {
 		t.Error("Save/Load round-trip changed the graph")
@@ -166,8 +178,8 @@ func TestGraphSaveLoadRoundTrip(t *testing.T) {
 	if err := f3.AddDataset(wind); err != nil {
 		t.Fatal(err)
 	}
-	if err := f3.LoadGraph(bytes.NewReader(buf.Bytes())); err == nil {
-		t.Error("expected LoadGraph error for unregistered data sets")
+	if err := f3.Load(path); err == nil {
+		t.Error("expected Load error for unregistered data sets")
 	}
 
 	// A framework with a different Monte Carlo seed must reject the load:
@@ -185,28 +197,33 @@ func TestGraphSaveLoadRoundTrip(t *testing.T) {
 			t.Fatal(e)
 		}
 	}
-	if err := f4.LoadGraph(bytes.NewReader(buf.Bytes())); err == nil {
-		t.Error("expected LoadGraph error for a mismatched framework seed")
+	if err := f4.Load(path); err == nil {
+		t.Error("expected Load error for a mismatched framework seed")
 	}
 
-	// Pairs stored in non-canonical order would dodge the duplicate check
-	// and miss BuildGraph's canonical cache lookups: reject them.
-	var bad bytes.Buffer
-	f.mu.RLock()
-	snap := frameworkGraphSnapshot{
-		Version: graphSnapshotVersion,
-		Sig:     f.graphSig,
-		Seed:    f.opts.Seed,
-		MinTS:   f.minTS,
-		MaxTS:   f.maxTS,
-		Pairs:   []graphPairSnapshot{{A: "wind", B: "trips"}}, // wind > trips
+	// The graph section is held to the same rules under a manifest that
+	// matches: each payload below is spliced into f's own snapshot, must be
+	// refused, and must leave the loaded graph as it was.
+	sig := graphSignature(clause)
+	sections := []struct {
+		name, want string
+		payload    []byte
+	}{
+		{"graph built under another seed", "seed", handGraphSection(f4, sig, nil)},
+		// Pairs stored in non-canonical order would dodge the duplicate check
+		// and miss BuildGraph's canonical cache lookups.
+		{"non-canonical pair order", "canonical", handGraphSection(f, sig, []graphPair{{A: "wind", B: "trips"}})},
+		{"unregistered data set", "unregistered", handGraphSection(f, sig, []graphPair{{A: "trips", B: "zebra"}})},
+		{"repeated pair", "repeats", handGraphSection(f, sig, []graphPair{{A: "trips", B: "wind"}, {A: "trips", B: "wind"}})},
 	}
-	f.mu.RUnlock()
-	if err := gob.NewEncoder(&bad).Encode(&snap); err != nil {
-		t.Fatal(err)
-	}
-	if err := f2.LoadGraph(bytes.NewReader(bad.Bytes())); err == nil {
-		t.Error("expected LoadGraph error for a non-canonical pair order")
+	for _, tc := range sections {
+		err := f2.Load(splice(t, path, store.SectionGraph, tc.payload))
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Load err = %v, want one naming %q", tc.name, err, tc.want)
+		}
+		if g4, ok := f2.RelGraph(); !ok || !g4.Equal(g) {
+			t.Errorf("%s: refused Load changed the published graph", tc.name)
+		}
 	}
 }
 
@@ -218,8 +235,11 @@ func TestBuildGraphRequiresIndex(t *testing.T) {
 	if _, ok := f.RelGraph(); ok {
 		t.Error("RelGraph should not be available before BuildGraph")
 	}
-	if err := f.SaveGraph(&bytes.Buffer{}); err == nil {
-		t.Error("expected SaveGraph error before BuildGraph")
+	f.mu.RLock()
+	_, _, err := f.encodeFlatGraphLocked()
+	f.mu.RUnlock()
+	if err == nil {
+		t.Error("expected a graph section encoding error before BuildGraph")
 	}
 }
 

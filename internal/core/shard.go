@@ -1,16 +1,14 @@
 package core
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"hash/fnv"
-	"sort"
 	"time"
 
 	"github.com/urbandata/datapolygamy/internal/feature"
 	"github.com/urbandata/datapolygamy/internal/mapreduce"
 	"github.com/urbandata/datapolygamy/internal/relgraph"
+	"github.com/urbandata/datapolygamy/internal/store"
 )
 
 // This file is the sharded form of BuildGraph: the all-pairs Monte Carlo
@@ -26,11 +24,13 @@ import (
 // single-process BuildGraph under the same clause (asserted by
 // TestShardedBuildGraphEquivalence).
 //
-// A shard payload is self-describing: it carries the clause signature its
-// candidates were computed under, the corpus fingerprint fields the
-// significance seeds depend on, and its (shard, of) coordinates.
-// MergeGraphShards refuses payloads from another clause, another corpus,
-// an inconsistent partition, or an incomplete one — a merged graph either
+// A shard payload is a flat section like the snapshot's (persist_flat.go):
+// a small header — its own magic, the origin every candidate payload states
+// (clause signature, seed, corpus time range) and its (shard, of)
+// coordinates — followed by the same pair table the graph section holds.
+// MergeGraphShards refuses damaged payloads (errors wrapping
+// store.ErrCorrupt) and payloads from another clause, another corpus, an
+// inconsistent partition, or an incomplete one — a merged graph either
 // covers exactly the current corpus's pair space or is not published.
 
 // PairShard maps an unordered data set pair to a shard index in [0, of).
@@ -50,18 +50,27 @@ func PairShard(a, b string, of int) int {
 	return int(h.Sum64() % uint64(of))
 }
 
-// graphShardVersion guards the shard payload encoding.
-const graphShardVersion = 1
+// flatShardSnap is a parsed shard payload: the tested candidate families
+// of every pair the shard owns.
+type flatShardSnap struct {
+	flatOrigin
+	shard, of int
+	pairs     []flatPair
+}
 
-// graphShard is the wire form of one computed shard: the per-pair tested
-// candidate families for every pair the shard owns.
-type graphShard struct {
-	Version      int
-	Sig          string // graphSignature of the clause
-	Seed         int64
-	MinTS, MaxTS int64
-	Shard, Of    int
-	Pairs        []graphPairSnapshot
+// parseFlatShard decodes a shard payload with no framework access; every
+// failure wraps store.ErrCorrupt.
+func parseFlatShard(data []byte) (flatShardSnap, error) {
+	var snap flatShardSnap
+	r, err := openFlat(data, flatShardMagic, "shard payload")
+	if err != nil {
+		return snap, err
+	}
+	snap.flatOrigin = readFlatOrigin(r)
+	snap.shard = int(r.I64())
+	snap.of = int(r.I64())
+	snap.pairs = readFlatPairs(r)
+	return snap, r.Done()
 }
 
 // BuildGraphShard computes the tested candidate families for the unordered
@@ -153,30 +162,13 @@ func (f *Framework) BuildGraphShard(clause Clause, shard, of int) ([]byte, error
 		}
 	}
 
-	out := graphShard{
-		Version: graphShardVersion,
-		Sig:     sig,
-		Seed:    f.opts.Seed,
-		MinTS:   f.minTS,
-		MaxTS:   f.maxTS,
-		Shard:   shard,
-		Of:      of,
-	}
-	sort.Slice(owned, func(i, j int) bool {
-		if owned[i].A != owned[j].A {
-			return owned[i].A < owned[j].A
-		}
-		return owned[i].B < owned[j].B
-	})
-	for _, key := range owned {
-		out.Pairs = append(out.Pairs, graphPairSnapshot{A: key.A, B: key.B, Cands: f.graphCands[key]})
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&out); err != nil {
-		return nil, fmt.Errorf("core: encoding graph shard: %w", err)
-	}
+	w := store.NewSlabWriter(4096)
+	f.writeFlatOriginLocked(w, flatShardMagic, sig)
+	w.I64(int64(shard))
+	w.I64(int64(of))
+	writeFlatPairs(w, owned, f.graphCands)
 	mGraphShardsComputed.Inc()
-	return buf.Bytes(), nil
+	return w.Finish(), nil
 }
 
 // MergeGraphShards merges shard payloads produced by BuildGraphShard under
@@ -204,53 +196,37 @@ func (f *Framework) MergeGraphShards(clause Clause, shards [][]byte) (GraphStats
 	seen := make(map[int]bool)
 	cands := make(map[graphPair][]relgraph.Edge)
 	for i, raw := range shards {
-		var sh graphShard
-		if err := gob.NewDecoder(bytes.NewReader(raw)).Decode(&sh); err != nil {
-			return st, fmt.Errorf("core: decoding shard %d: %w", i, err)
+		sh, err := parseFlatShard(raw)
+		if err != nil {
+			return st, fmt.Errorf("shard %d: %w", i, err)
 		}
-		if sh.Version != graphShardVersion {
-			return st, fmt.Errorf("core: shard %d has version %d, want %d", i, sh.Version, graphShardVersion)
-		}
-		if sh.Sig != sig {
+		if sh.sig != sig {
 			return st, fmt.Errorf("core: shard %d was computed under a different clause", i)
 		}
-		if sh.Seed != f.opts.Seed {
-			return st, fmt.Errorf("core: shard %d was computed with seed %d, framework has %d", i, sh.Seed, f.opts.Seed)
-		}
-		if sh.MinTS != f.minTS || sh.MaxTS != f.maxTS {
-			return st, fmt.Errorf("core: shard %d corpus time range [%d,%d] does not match [%d,%d]",
-				i, sh.MinTS, sh.MaxTS, f.minTS, f.maxTS)
+		what := fmt.Sprintf("shard %d", i)
+		if err := f.checkOriginLocked(what, sh.flatOrigin); err != nil {
+			return st, err
 		}
 		if of == 0 {
-			of = sh.Of
+			of = sh.of
 		}
-		if sh.Of != of {
-			return st, fmt.Errorf("core: shard %d has partition width %d, others have %d", i, sh.Of, of)
+		if sh.of != of {
+			return st, fmt.Errorf("core: shard %d has partition width %d, others have %d", i, sh.of, of)
 		}
-		if sh.Shard < 0 || sh.Shard >= of {
-			return st, fmt.Errorf("core: shard index %d out of range [0,%d)", sh.Shard, of)
+		if sh.shard < 0 || sh.shard >= of {
+			return st, fmt.Errorf("core: shard index %d out of range [0,%d)", sh.shard, of)
 		}
-		if seen[sh.Shard] {
-			return st, fmt.Errorf("core: shard index %d supplied twice", sh.Shard)
+		if seen[sh.shard] {
+			return st, fmt.Errorf("core: shard index %d supplied twice", sh.shard)
 		}
-		seen[sh.Shard] = true
-		for _, p := range sh.Pairs {
-			if p.A >= p.B {
-				return st, fmt.Errorf("core: shard %d pair %q|%q is not in canonical order", sh.Shard, p.A, p.B)
+		seen[sh.shard] = true
+		for _, p := range sh.pairs {
+			if PairShard(p.A, p.B, of) != sh.shard {
+				return st, fmt.Errorf("core: pair %q|%q does not belong to shard %d", p.A, p.B, sh.shard)
 			}
-			if PairShard(p.A, p.B, of) != sh.Shard {
-				return st, fmt.Errorf("core: pair %q|%q does not belong to shard %d", p.A, p.B, sh.Shard)
-			}
-			for _, ds := range [2]string{p.A, p.B} {
-				if _, ok := f.datasets[ds]; !ok {
-					return st, fmt.Errorf("core: shard %d covers unregistered dataset %q", sh.Shard, ds)
-				}
-			}
-			key := graphPair{A: p.A, B: p.B}
-			if _, dup := cands[key]; dup {
-				return st, fmt.Errorf("core: pair %q|%q supplied twice across shards", p.A, p.B)
-			}
-			cands[key] = p.Cands
+		}
+		if err := f.addPairsLocked(cands, what, sh.pairs); err != nil {
+			return st, err
 		}
 	}
 	if len(seen) != of {

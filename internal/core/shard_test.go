@@ -2,10 +2,12 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
 	"github.com/urbandata/datapolygamy/internal/dataset"
 	"github.com/urbandata/datapolygamy/internal/stats"
+	"github.com/urbandata/datapolygamy/internal/store"
 )
 
 // shardCorpus builds a four-data-set corpus (6 unordered pairs, so 2- and
@@ -168,6 +170,85 @@ func TestMergeGraphShardsRejectsBadPartitions(t *testing.T) {
 	if _, err := f.MergeGraphShards(clause, [][]byte{s0, s1}); err == nil {
 		t.Error("merge over a grown corpus unexpectedly succeeded")
 	}
+}
+
+// TestMergeGraphShardsRejectsDamagedPayloads: a shard payload crosses the
+// network, so the merge treats it like a snapshot section — truncation, a
+// flipped structural word or a foreign magic fails with an error wrapping
+// store.ErrCorrupt, never a panic, and the published graph stays as it was.
+func TestMergeGraphShardsRejectsDamagedPayloads(t *testing.T) {
+	clause := Clause{Permutations: 120}
+	f := shardCorpus(t)
+	if _, err := f.BuildGraph(clause); err != nil {
+		t.Fatal(err)
+	}
+	published := graphDOT(t, f)
+	s0, err := f.BuildGraphShard(clause, 0, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s1, err := f.BuildGraphShard(clause, 1, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, graph := seedFlatPayloads(t)
+
+	// Word offsets in a shard payload: magic 0, generation 8, then the
+	// signature's length at 16.
+	cases := []struct {
+		name    string
+		payload []byte
+	}{
+		{"empty", nil},
+		{"truncated to the magic", s1[:8]},
+		{"truncated mid-header", s1[:40]},
+		{"truncated mid-table", s1[:len(s1)/2/8*8]},
+		{"last word missing", s1[:len(s1)-8]},
+		{"trailing bytes", append(append([]byte(nil), s1...), make([]byte, 8)...)},
+		{"generation word flipped", flipWord(s1, 8)},
+		{"signature length flipped", flipWord(s1, 16)},
+		{"another generation's magic", append([]byte("DPSHFLT\x04"), s1[8:]...)},
+		{"graph section instead of a shard", graph},
+		{"not flat at all", []byte("junk")},
+	}
+	for _, tc := range cases {
+		_, err := f.MergeGraphShards(clause, [][]byte{s0, tc.payload})
+		if !errors.Is(err, store.ErrCorrupt) {
+			t.Errorf("%s: err = %v, does not wrap store.ErrCorrupt", tc.name, err)
+		}
+		if got := graphDOT(t, f); !bytes.Equal(got, published) {
+			t.Fatalf("%s: refused merge changed the published graph", tc.name)
+		}
+	}
+	// Every single-bit flip either fails cleanly or yields a payload that
+	// still parses (a flipped score bit is not structural); none may panic.
+	for bit := 0; bit < 8*len(s1); bit += 37 {
+		bad := append([]byte(nil), s1...)
+		bad[bit/8] ^= 1 << (bit % 8)
+		if _, err := parseFlatShard(bad); err != nil && !errors.Is(err, store.ErrCorrupt) {
+			t.Errorf("bit %d: non-ErrCorrupt failure: %v", bit, err)
+		}
+	}
+}
+
+// FuzzParseFlatShard: the shard parser must never panic and must fail only
+// with errors wrapping store.ErrCorrupt on arbitrary input.
+func FuzzParseFlatShard(f *testing.F) {
+	fw := shardCorpus(f)
+	for s := 0; s < 2; s++ {
+		payload, err := fw.BuildGraphShard(Clause{Permutations: 40}, s, 2)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(payload)
+		f.Add(payload[:len(payload)/2])
+	}
+	f.Add([]byte("DPSHFLT\x04"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if _, err := parseFlatShard(data); err != nil && !errors.Is(err, store.ErrCorrupt) {
+			t.Errorf("non-ErrCorrupt failure: %v", err)
+		}
+	})
 }
 
 // TestPairShardPartitions pins that the shard hash is a total, stable,

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"fmt"
 	"time"
 
@@ -12,18 +11,15 @@ import (
 // This file is the corpus lifecycle layer of the framework: one snapshot
 // container (internal/store) bundles everything a framework derives from
 // its corpus — the index snapshot and, when built, the relationship-graph
-// snapshot — behind unified Save / Load / Open entry points. The legacy
-// per-part io.Writer APIs (SaveIndex, LoadIndex, SaveGraph, LoadGraph)
-// remain and share the same section codecs, so both paths produce and
-// accept byte-identical section payloads.
+// snapshot — behind the Save / Load / Open entry points, the only way
+// derived state leaves or enters a framework (persist_flat.go holds the
+// section codecs).
 //
 // The container's manifest carries the corpus fingerprint (seed, time
 // range, data set names in insertion order). Load verifies it before
 // decoding any section, so a snapshot from a different corpus — or a
 // truncated, bit-flipped, or foreign file, rejected by the store layer
-// itself — fails with a precise error instead of a deep decode failure,
-// preserving the corpus-fingerprint rejection semantics of LoadIndex and
-// LoadGraph.
+// itself — fails with a precise error instead of a deep decode failure.
 
 // fingerprintLocked captures the corpus identity of this framework. The
 // caller must hold the state lock (shared or exclusive).
@@ -65,43 +61,28 @@ func (f *Framework) checkFingerprintLocked(fp store.Fingerprint) error {
 // candidates. The write goes through a temp file and os.Rename, so a crash
 // mid-save can never corrupt a previous snapshot at path.
 //
-// Save writes snapshot format v4: flat, mmap-friendly section payloads
-// that Load views zero-copy instead of decoding. Snapshots written by the
-// gob generation (v3 and earlier) are still loaded via the full-decode
-// fallback.
+// The section payloads are flat and mmap-friendly: Load views them
+// zero-copy instead of decoding.
 func (f *Framework) Save(path string) error {
-	return f.saveContainer(path, true)
-}
-
-// saveContainer is Save with the section encoding as a parameter: flat
-// (snapshot format v4, the only format Save writes) or the legacy gob
-// sections, which tests use to exercise the v3 fallback path.
-func (f *Framework) saveContainer(path string, flat bool) error {
 	t0 := time.Now()
 	f.mu.RLock()
 	defer f.mu.RUnlock()
-	encoding := store.EncodingGob
-	encodeIndex, encodeGraph := f.encodeIndexLocked, f.encodeGraphLocked
-	if flat {
-		encoding = store.EncodingFlat
-		encodeIndex, encodeGraph = f.encodeFlatIndexLocked, f.encodeFlatGraphLocked
-	}
-	idx, err := encodeIndex()
+	idx, err := f.encodeFlatIndexLocked()
 	if err != nil {
 		return err
 	}
 	m := store.Manifest{Fingerprint: f.fingerprintLocked()}
-	sections := []store.Section{{Name: store.SectionIndex, Data: idx, Encoding: encoding}}
+	sections := []store.Section{{Name: store.SectionIndex, Data: idx}}
 	if f.relGraph.Load() != nil {
 		// The clause signature comes out of the same critical section that
 		// encoded the payload: a concurrent BuildGraph (which also runs
 		// under the shared lock) must not make the manifest describe a
 		// different clause than the section it accompanies.
-		g, sig, err := encodeGraph()
+		g, sig, err := f.encodeFlatGraphLocked()
 		if err != nil {
 			return err
 		}
-		sections = append(sections, store.Section{Name: store.SectionGraph, Data: g, Encoding: encoding})
+		sections = append(sections, store.Section{Name: store.SectionGraph, Data: g})
 		m.ClauseSig = sig
 	}
 	if err := store.Write(path, m, sections); err != nil {
@@ -123,12 +104,10 @@ func (f *Framework) saveContainer(path string, flat bool) error {
 //
 // Load takes the state lock exclusively, like BuildIndex.
 //
-// A v4 snapshot is memory-mapped and its flat sections are viewed in
-// place: bit vectors and strings alias the mapping, which the framework
-// keeps alive until Close — so processes serving the same snapshot share
-// one copy of its pages, and warm start decodes nothing but the manifest.
-// Gob sections (snapshot format v3 and earlier) take the full-decode
-// fallback, after which the mapping is released.
+// The snapshot is memory-mapped and its sections are viewed in place: bit
+// vectors and strings alias the mapping, which the framework keeps alive
+// until Close — so processes serving the same snapshot share one copy of
+// its pages, and warm start decodes nothing but the manifest.
 func (f *Framework) Load(path string) (err error) {
 	t0 := time.Now()
 	mp, err := store.Map(path)
@@ -151,7 +130,6 @@ func (f *Framework) Load(path string) (err error) {
 	if err := f.checkFingerprintLocked(m.Fingerprint); err != nil {
 		return err
 	}
-	flatViews := false
 	// Validate the graph section (when present) before the index is
 	// applied: a snapshot that half-loads — indexed but graphless — would
 	// look warm-started to the caller while having silently dropped the
@@ -159,52 +137,42 @@ func (f *Framework) Load(path string) (err error) {
 	// persist that loss.
 	var graph *stagedGraph
 	if g, ok := mp.Section(store.SectionGraph); ok {
-		var staged stagedGraph
-		if isFlatSection(g, flatGraphMagic) {
-			staged, err = f.parseFlatGraphLocked(g)
-			flatViews = true
-		} else {
-			staged, err = f.parseGraphSnapshotLocked(bytes.NewReader(g))
+		parsed, err := parseFlatGraph(g)
+		if err != nil {
+			return err
 		}
+		staged, err := f.stageGraphLocked(parsed)
 		if err != nil {
 			return err
 		}
 		graph = &staged
 	}
-	if isFlatSection(idx, flatIndexMagic) {
-		err = f.decodeFlatIndexLocked(idx)
-		flatViews = true
-	} else {
-		err = f.decodeIndexLocked(bytes.NewReader(idx))
-	}
+	snap, err := parseFlatIndex(idx)
 	if err != nil {
 		return err
 	}
+	if err := f.installIndexLocked(snap); err != nil {
+		return err
+	}
 	if graph != nil {
-		// The index decode replaced the index wholesale and dropped the
-		// graph; publish the already-validated saved one.
-		f.applyGraphSnapshotLocked(*graph)
+		// Installing the index replaced it wholesale and dropped the graph;
+		// publish the already-validated saved one.
+		f.applyGraphLocked(*graph)
 	}
-	if flatViews {
-		// Flat views alias the container buffer. A mmap-backed buffer must
-		// stay mapped for as long as any view can be reached — readers hold
-		// graphs and entries lock-free, so the mapping is adopted for the
-		// framework's lifetime (Close) rather than tied to this index
-		// generation. A heap-backed buffer (mmap unavailable) is kept via
-		// the same list for uniformity; its Close is a no-op and the GC
-		// tracks the aliases anyway.
-		f.mappings = append(f.mappings, mp)
-		adopted = true
-	}
-	f.snapFormat = m.SnapshotFormat()
-	f.snapZeroCopy = flatViews && mp.ZeroCopy()
-	mode := "gob"
-	switch {
-	case f.snapZeroCopy:
+	// The views alias the container buffer. A mmap-backed buffer must stay
+	// mapped for as long as any view can be reached — readers hold graphs
+	// and entries lock-free, so the mapping is adopted for the framework's
+	// lifetime (Close) rather than tied to this index generation. A
+	// heap-backed buffer (mmap unavailable) is kept via the same list for
+	// uniformity; its Close is a no-op and the GC tracks the aliases anyway.
+	f.mappings = append(f.mappings, mp)
+	adopted = true
+	f.snapFormat = m.FormatVersion
+	f.snapZeroCopy = mp.ZeroCopy()
+	mode := "heap"
+	if f.snapZeroCopy {
 		mode = "mmap"
 		mSnapshotMappedBytes.Set(float64(mp.Size()))
-	case flatViews:
-		mode = "heap"
 	}
 	mSnapshotLoads.With(mode).Inc()
 	mSnapshotLoadDuration.Observe(time.Since(t0).Seconds())
@@ -213,8 +181,8 @@ func (f *Framework) Load(path string) (err error) {
 }
 
 // LoadedSnapshot reports how the last successful Load sourced its
-// sections: the snapshot generation (4 = flat, 3 = gob fallback) and
-// whether the flat sections are zero-copy views of a live memory mapping.
+// sections: the container format version and whether the sections are
+// zero-copy views of a live memory mapping.
 // ok is false when the framework has never loaded a snapshot.
 func (f *Framework) LoadedSnapshot() (format int, zeroCopy bool, ok bool) {
 	f.mu.RLock()
@@ -225,7 +193,7 @@ func (f *Framework) LoadedSnapshot() (format int, zeroCopy bool, ok bool) {
 // Close releases the snapshot mappings the framework has adopted across
 // its Loads. It must only be called when no reader can still hold state
 // obtained from this framework — entries, graphs, and query results may
-// alias a mapping. A framework that never loaded a flat snapshot has
+// alias a mapping. A framework that never loaded a snapshot has
 // nothing to release; Close is then a no-op. The framework must not be
 // used after Close.
 func (f *Framework) Close() error {

@@ -96,94 +96,6 @@ func TestSaveOpenQueryParity(t *testing.T) {
 	}
 }
 
-// TestSaveSectionParity pins the format-transition invariant: the flat v4
-// container Save writes and a legacy gob container of the same state load
-// into semantically identical frameworks — same query results, same
-// materialized graph, same originating clause. (Raw section bytes cannot
-// be compared across encodings.)
-func TestSaveSectionParity(t *testing.T) {
-	f, _ := snapshotCorpus(t)
-	if _, err := f.BuildIndex(); err != nil {
-		t.Fatal(err)
-	}
-	clause := Clause{Permutations: 60}
-	if _, err := f.BuildGraph(clause); err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	flatPath := filepath.Join(dir, "flat.snap")
-	gobPath := filepath.Join(dir, "gob.snap")
-	if err := f.Save(flatPath); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.saveContainer(gobPath, false); err != nil {
-		t.Fatal(err)
-	}
-
-	// The default Save output really is the flat generation, and the gob
-	// seam really is the legacy one.
-	for path, want := range map[string]int{flatPath: 4, gobPath: 3} {
-		m, err := store.ReadManifest(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := m.SnapshotFormat(); got != want {
-			t.Errorf("%s: snapshot format %d, want %d", path, got, want)
-		}
-	}
-
-	open := func(path string) *Framework {
-		t.Helper()
-		wind, trips := plantedPair(30, randomHours(31, 60), nil)
-		g, err := Open(path, OpenOptions{
-			Options:  Options{City: testCity(t), Workers: 2, Seed: 5},
-			Datasets: []*dataset.Dataset{wind, trips},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return g
-	}
-	ff, fg := open(flatPath), open(gobPath)
-	if format, _, ok := ff.LoadedSnapshot(); !ok || format != 4 {
-		t.Errorf("flat open: LoadedSnapshot format = %d, want 4", format)
-	}
-	if format, zc, ok := fg.LoadedSnapshot(); !ok || format != 3 || zc {
-		t.Errorf("gob open: LoadedSnapshot = (%d, %t), want (3, false)", format, zc)
-	}
-
-	rf, _, err := ff.Query(Query{Clause: clause})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rg, _, err := fg.Query(Query{Clause: clause})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(rf, rg) {
-		t.Errorf("flat and gob snapshots answer differently:\n flat %v\n gob  %v", rf, rg)
-	}
-	gf, ok1 := ff.RelGraph()
-	gg, ok2 := fg.RelGraph()
-	if !ok1 || !ok2 || !gf.Equal(gg) {
-		t.Errorf("materialized graphs differ across encodings (ok=%t,%t)", ok1, ok2)
-	}
-	cf, _ := ff.GraphClause()
-	cg, _ := fg.GraphClause()
-	if !reflect.DeepEqual(cf, cg) || !reflect.DeepEqual(cf, clause) {
-		t.Errorf("GraphClause differs: flat %+v gob %+v want %+v", cf, cg, clause)
-	}
-	// Per-entry parity: thresholds, occupancy, and feature vectors all
-	// round-trip identically through both encodings.
-	for _, name := range ff.Datasets() {
-		sf, _ := ff.DatasetIndexStats(name)
-		sg, _ := fg.DatasetIndexStats(name)
-		if !reflect.DeepEqual(sf, sg) {
-			t.Errorf("%s: index stats differ: flat %+v gob %+v", name, sf, sg)
-		}
-	}
-}
-
 func TestSaveRequiresIndex(t *testing.T) {
 	f, _ := snapshotCorpus(t)
 	if err := f.Save(filepath.Join(t.TempDir(), "x.snap")); err == nil {
@@ -262,7 +174,7 @@ func TestLoadRejectsForeignCorpus(t *testing.T) {
 }
 
 // TestLoadRejectsCorruptContainer flips one payload bit and asserts the
-// rejection is section-level, before any gob decoding.
+// rejection is section-level, before any section is parsed.
 func TestLoadRejectsCorruptContainer(t *testing.T) {
 	f, datasets := snapshotCorpus(t)
 	if _, err := f.BuildIndex(); err != nil {

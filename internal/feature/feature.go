@@ -90,32 +90,6 @@ func (s SeasonThresholds) Theta(season int) (float64, bool) {
 	return s[i].Theta, true
 }
 
-// SeasonMap returns the thresholds as a map, the shape the legacy gob
-// snapshot encoding stores.
-func (s SeasonThresholds) SeasonMap() map[int]float64 {
-	if s == nil {
-		return nil
-	}
-	out := make(map[int]float64, len(s))
-	for _, st := range s {
-		out[st.Season] = st.Theta
-	}
-	return out
-}
-
-// SeasonThresholdsFromMap converts a season→theta map into sorted form.
-func SeasonThresholdsFromMap(m map[int]float64) SeasonThresholds {
-	if m == nil {
-		return nil
-	}
-	out := make(SeasonThresholds, 0, len(m))
-	for season, theta := range m {
-		out = append(out, SeasonTheta{Season: season, Theta: theta})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Season < out[j].Season })
-	return out
-}
-
 // Thresholds records the automatically computed feature thresholds of one
 // function: per-season salient thresholds and global extreme thresholds.
 // NaN means "no threshold" (no features of that sign).

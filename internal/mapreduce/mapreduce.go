@@ -1,5 +1,6 @@
-// Package mapreduce is a small in-process map-reduce engine with a
-// configurable worker pool. It stands in for the paper's Hadoop deployment
+// Package mapreduce is a small in-process job runner with a configurable
+// worker pool: ForEach for batch map-only jobs and Pipeline (pipeline.go)
+// for streaming ones. It stands in for the paper's Hadoop deployment
 // (Section 5.4, Appendix C): the three framework jobs — scalar function
 // computation, feature identification, and relationship computation — are
 // embarrassingly parallel, so a worker pool reproduces the scaling
@@ -14,8 +15,7 @@ import (
 
 // Config controls a job's parallelism.
 type Config struct {
-	// Workers is the number of concurrent map workers and reduce workers
-	// ("nodes"). Zero or negative means runtime.NumCPU().
+	// Workers is the number of concurrent workers ("nodes"). Zero or negative means runtime.NumCPU().
 	Workers int
 }
 
@@ -24,118 +24,6 @@ func (c Config) workers() int {
 		return runtime.NumCPU()
 	}
 	return c.Workers
-}
-
-// Pair is an intermediate key/value pair emitted by a mapper.
-type Pair[K comparable, V any] struct {
-	Key   K
-	Value V
-}
-
-// Emitter receives intermediate pairs from a mapper.
-type Emitter[K comparable, V any] func(key K, value V)
-
-// MapFunc transforms one input into zero or more intermediate pairs.
-type MapFunc[I any, K comparable, V any] func(input I, emit Emitter[K, V]) error
-
-// ReduceFunc folds all values of one key into one output.
-type ReduceFunc[K comparable, V any, O any] func(key K, values []V) (O, error)
-
-// Run executes a map-reduce job over inputs: the map phase fans inputs out
-// to the worker pool, a shuffle groups intermediate pairs by key, and the
-// reduce phase processes key groups concurrently. The output order is
-// unspecified. The first mapper or reducer error aborts the job.
-func Run[I any, K comparable, V any, O any](
-	cfg Config,
-	inputs []I,
-	mapper MapFunc[I, K, V],
-	reducer ReduceFunc[K, V, O],
-) ([]O, error) {
-	w := cfg.workers()
-
-	// Map phase: each worker accumulates a private pair buffer to avoid
-	// contention; buffers are merged during the shuffle.
-	type mapOut struct {
-		pairs []Pair[K, V]
-		err   error
-	}
-	outs := make([]mapOut, w)
-	var wg sync.WaitGroup
-	idx := make(chan int)
-	for wi := 0; wi < w; wi++ {
-		wg.Add(1)
-		go func(wi int) {
-			defer wg.Done()
-			local := &outs[wi]
-			emit := func(k K, v V) {
-				local.pairs = append(local.pairs, Pair[K, V]{k, v})
-			}
-			for i := range idx {
-				if local.err != nil {
-					continue // drain after error
-				}
-				if err := mapper(inputs[i], emit); err != nil {
-					local.err = fmt.Errorf("mapreduce: map input %d: %w", i, err)
-				}
-			}
-		}(wi)
-	}
-	for i := range inputs {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
-	for _, o := range outs {
-		if o.err != nil {
-			return nil, o.err
-		}
-	}
-
-	// Shuffle: group values by key.
-	groups := make(map[K][]V)
-	var keys []K
-	for _, o := range outs {
-		for _, p := range o.pairs {
-			vs, ok := groups[p.Key]
-			if !ok {
-				keys = append(keys, p.Key)
-			}
-			groups[p.Key] = append(vs, p.Value)
-		}
-	}
-
-	// Reduce phase: keys are distributed across the pool.
-	results := make([]O, len(keys))
-	errs := make([]error, w)
-	kidx := make(chan int)
-	for wi := 0; wi < w; wi++ {
-		wg.Add(1)
-		go func(wi int) {
-			defer wg.Done()
-			for i := range kidx {
-				if errs[wi] != nil {
-					continue
-				}
-				out, err := reducer(keys[i], groups[keys[i]])
-				if err != nil {
-					errs[wi] = fmt.Errorf("mapreduce: reduce key %v: %w", keys[i], err)
-					continue
-				}
-				results[i] = out
-			}
-		}(wi)
-	}
-	for i := range keys {
-		kidx <- i
-	}
-	close(kidx)
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return results, nil
 }
 
 // ForEach runs fn over inputs on the worker pool (a map-only job) and

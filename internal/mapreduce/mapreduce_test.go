@@ -2,128 +2,9 @@ package mapreduce
 
 import (
 	"errors"
-	"sort"
-	"strings"
 	"sync/atomic"
 	"testing"
 )
-
-type wc struct {
-	word  string
-	count int
-}
-
-func wordCount(t *testing.T, workers int, docs []string) map[string]int {
-	t.Helper()
-	out, err := Run(Config{Workers: workers}, docs,
-		func(doc string, emit Emitter[string, int]) error {
-			for _, w := range strings.Fields(doc) {
-				emit(w, 1)
-			}
-			return nil
-		},
-		func(word string, counts []int) (wc, error) {
-			total := 0
-			for _, c := range counts {
-				total += c
-			}
-			return wc{word, total}, nil
-		})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := map[string]int{}
-	for _, o := range out {
-		m[o.word] = o.count
-	}
-	return m
-}
-
-func TestWordCount(t *testing.T) {
-	docs := []string{"a b a", "b c", "a", ""}
-	for _, workers := range []int{1, 2, 4, 8} {
-		got := wordCount(t, workers, docs)
-		want := map[string]int{"a": 3, "b": 2, "c": 1}
-		if len(got) != len(want) {
-			t.Fatalf("workers=%d: got %v, want %v", workers, got, want)
-		}
-		for k, v := range want {
-			if got[k] != v {
-				t.Fatalf("workers=%d: got[%s] = %d, want %d", workers, k, got[k], v)
-			}
-		}
-	}
-}
-
-func TestEmptyInputs(t *testing.T) {
-	out, err := Run(Config{}, nil,
-		func(x int, emit Emitter[int, int]) error { emit(x, x); return nil },
-		func(k int, vs []int) (int, error) { return k, nil })
-	if err != nil || len(out) != 0 {
-		t.Errorf("empty job: %v, %v", out, err)
-	}
-}
-
-func TestMapError(t *testing.T) {
-	boom := errors.New("boom")
-	_, err := Run(Config{Workers: 3}, []int{1, 2, 3},
-		func(x int, emit Emitter[int, int]) error {
-			if x == 2 {
-				return boom
-			}
-			emit(x, x)
-			return nil
-		},
-		func(k int, vs []int) (int, error) { return k, nil })
-	if !errors.Is(err, boom) {
-		t.Errorf("expected boom, got %v", err)
-	}
-}
-
-func TestReduceError(t *testing.T) {
-	boom := errors.New("bad key")
-	_, err := Run(Config{Workers: 3}, []int{1, 2, 3},
-		func(x int, emit Emitter[int, int]) error { emit(x, x); return nil },
-		func(k int, vs []int) (int, error) {
-			if k == 3 {
-				return 0, boom
-			}
-			return k, nil
-		})
-	if !errors.Is(err, boom) {
-		t.Errorf("expected boom, got %v", err)
-	}
-}
-
-func TestAllValuesReachReducer(t *testing.T) {
-	// 1000 inputs all mapping to 10 keys; each reducer must see exactly
-	// the values of its key.
-	n := 1000
-	inputs := make([]int, n)
-	for i := range inputs {
-		inputs[i] = i
-	}
-	out, err := Run(Config{Workers: 7}, inputs,
-		func(x int, emit Emitter[int, int]) error { emit(x%10, x); return nil },
-		func(k int, vs []int) (int, error) {
-			for _, v := range vs {
-				if v%10 != k {
-					return 0, errors.New("wrong shard")
-				}
-			}
-			return len(vs), nil
-		})
-	if err != nil {
-		t.Fatal(err)
-	}
-	total := 0
-	for _, c := range out {
-		total += c
-	}
-	if total != n {
-		t.Errorf("reducers saw %d values, want %d", total, n)
-	}
-}
 
 func TestForEachOrderPreserved(t *testing.T) {
 	inputs := []int{5, 3, 8, 1, 9, 2}
@@ -175,21 +56,5 @@ func TestDefaultWorkers(t *testing.T) {
 	}
 	if (Config{Workers: -3}).workers() < 1 {
 		t.Error("negative workers must fall back to NumCPU")
-	}
-}
-
-func TestDeterministicResults(t *testing.T) {
-	docs := []string{"x y z", "x x", "z"}
-	a := wordCount(t, 4, docs)
-	b := wordCount(t, 4, docs)
-	ka := make([]string, 0, len(a))
-	for k := range a {
-		ka = append(ka, k)
-	}
-	sort.Strings(ka)
-	for _, k := range ka {
-		if a[k] != b[k] {
-			t.Errorf("nondeterministic count for %q", k)
-		}
 	}
 }

@@ -6,9 +6,9 @@ import (
 )
 
 // This file implements the streaming half of the package: a Pipeline of
-// Stream stages connected by bounded channels. Where Run and ForEach are
-// batch jobs with a full barrier between phases — every output of phase k
-// is materialised before phase k+1 starts — a Pipeline fuses its stages:
+// Stream stages connected by bounded channels. Where ForEach is a batch
+// job with a full barrier after it — every output is materialised before
+// the caller's next phase starts — a Pipeline fuses its stages:
 // an item flows through all stages as soon as it is produced, so at most
 // O(workers) intermediate values exist per stage at any time. The framework
 // uses this to stream scalar functions straight into merge-tree indexing

@@ -8,12 +8,12 @@ import (
 )
 
 // Flat edge codec: the per-pair candidate cache is the bulk of a graph
-// snapshot, so snapshot format v4 lays edges out as fixed little-endian
-// words and length-prefixed strings (internal/store's slab encoding)
-// instead of gob. Decoding materializes only the Edge structs; the string
+// snapshot and the whole of a shard payload, so edges are laid out as
+// fixed little-endian words and length-prefixed strings (internal/store's
+// slab encoding). Decoding materializes only the Edge structs; the string
 // bytes stay zero-copy views into the snapshot mapping.
 
-// AppendFlatEdge writes e onto w in the v4 flat layout.
+// AppendFlatEdge writes e onto w in the flat layout.
 func AppendFlatEdge(w *store.SlabWriter, e Edge) {
 	w.String(e.Function1)
 	w.String(e.Function2)

@@ -5,7 +5,7 @@
 // the score tau, the strength rho, the Monte Carlo p-value, and the
 // resolution and feature class they were found at.
 //
-// A Graph is an immutable value: once built (New, or Load) it is safe for
+// A Graph is an immutable value: once built (New) it is safe for
 // lock-free concurrent reads. The core framework owns graph construction
 // and incremental maintenance (core.Framework.BuildGraph); this package
 // owns the structure and the graph-level queries pairwise relationship
@@ -14,9 +14,7 @@
 package relgraph
 
 import (
-	"encoding/gob"
 	"fmt"
-	"io"
 	"sort"
 
 	"github.com/urbandata/datapolygamy/internal/feature"
@@ -437,36 +435,6 @@ func (g *Graph) Equal(o *Graph) bool {
 		}
 	}
 	return true
-}
-
-// graphSnapshot is the on-disk representation: the canonical edge list
-// (every derived structure is rebuilt on load).
-type graphSnapshot struct {
-	Version int
-	Edges   []Edge
-}
-
-// snapshotVersion 2 added Edge.QValue; version-1 snapshots would silently
-// decode with q = 0 ("maximally significant"), so they are rejected.
-const snapshotVersion = 2
-
-// Save writes the graph to w. The snapshot is the canonical edge list, so
-// a Load round-trip reproduces the graph exactly (Equal returns true).
-func (g *Graph) Save(w io.Writer) error {
-	snap := graphSnapshot{Version: snapshotVersion, Edges: g.edges}
-	return gob.NewEncoder(w).Encode(&snap)
-}
-
-// Load restores a graph previously written with Save.
-func Load(r io.Reader) (*Graph, error) {
-	var snap graphSnapshot
-	if err := gob.NewDecoder(r).Decode(&snap); err != nil {
-		return nil, fmt.Errorf("relgraph: decoding graph: %w", err)
-	}
-	if snap.Version != snapshotVersion {
-		return nil, fmt.Errorf("relgraph: graph version %d, want %d", snap.Version, snapshotVersion)
-	}
-	return New(snap.Edges), nil
 }
 
 func abs(v float64) float64 {

@@ -234,24 +234,6 @@ func TestStats(t *testing.T) {
 	}
 }
 
-func TestSaveLoadRoundTrip(t *testing.T) {
-	g := testGraph()
-	var buf bytes.Buffer
-	if err := g.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	g2, err := Load(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !g2.Equal(g) {
-		t.Error("Save/Load round-trip changed the graph")
-	}
-	if _, err := Load(bytes.NewReader([]byte("junk"))); err == nil {
-		t.Error("expected error loading junk")
-	}
-}
-
 func TestWriteDOT(t *testing.T) {
 	g := testGraph()
 	var a, b bytes.Buffer

@@ -228,7 +228,7 @@ func (f *Follower) syncLocked(ctx context.Context) (bool, error) {
 			fetched++
 			bytes += int64(len(data))
 		}
-		sections = append(sections, store.Section{Name: want.Name, Data: data, Encoding: want.Encoding})
+		sections = append(sections, store.Section{Name: want.Name, Data: data})
 	}
 
 	// Assemble the container locally with the same atomic temp+rename

@@ -331,11 +331,11 @@ func TestFollowerRunAndWaitReady(t *testing.T) {
 // manifests, different on any replication-relevant change.
 func TestManifestETag(t *testing.T) {
 	m := store.Manifest{
-		FormatVersion: 4,
+		FormatVersion: store.FormatVersion,
 		Fingerprint:   store.Fingerprint{Seed: 5, MinTS: 1, MaxTS: 2, Datasets: []string{"a", "b"}},
 		ClauseSig:     "sig",
 		Sections: []store.SectionInfo{
-			{Name: "index", Length: 10, CRC: 0xAB, Encoding: "flat"},
+			{Name: "index", Length: 10, CRC: 0xAB},
 		},
 	}
 	base := ManifestETag(m)

@@ -50,7 +50,7 @@ func ManifestETag(m store.Manifest) string {
 		fmt.Fprintf(h, "ds%q|", ds)
 	}
 	for _, s := range m.Sections {
-		fmt.Fprintf(h, "s%q:%d:%08x:%s|", s.Name, s.Length, s.CRC, s.Encoding)
+		fmt.Fprintf(h, "s%q:%d:%08x|", s.Name, s.Length, s.CRC)
 	}
 	return fmt.Sprintf("%q", fmt.Sprintf("dp-%016x", h.Sum64()))
 }

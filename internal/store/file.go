@@ -57,10 +57,7 @@ func OpenFile(path string) (*File, error) {
 		f.Close()
 		return nil, fmt.Errorf("store: %s: sizing container: %w", path, err)
 	}
-	aligned := m.FormatVersion >= FormatVersion
-	if aligned {
-		off = align8(off)
-	}
+	off = align8(off)
 	offsets := make(map[string]int64, len(m.Sections))
 	for _, info := range m.Sections {
 		if info.Length < 0 {
@@ -78,10 +75,7 @@ func OpenFile(path string) (*File, error) {
 				path, info.Name, info.Length, size-off, ErrCorrupt)
 		}
 		offsets[info.Name] = off
-		off += info.Length
-		if aligned {
-			off = align8(off)
-		}
+		off = align8(off + info.Length)
 	}
 	return &File{f: f, m: m, offsets: offsets}, nil
 }

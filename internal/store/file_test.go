@@ -15,8 +15,8 @@ func fileFixture(t *testing.T) (string, []Section) {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "corpus.snap")
 	sections := []Section{
-		{Name: SectionIndex, Data: []byte("the index payload, longer than eight bytes"), Encoding: EncodingFlat},
-		{Name: SectionGraph, Data: []byte("graph!"), Encoding: EncodingFlat},
+		{Name: SectionIndex, Data: []byte("the index payload, longer than eight bytes")},
+		{Name: SectionGraph, Data: []byte("graph!")},
 	}
 	m := Manifest{Fingerprint: Fingerprint{Seed: 7, MinTS: 1, MaxTS: 2, Datasets: []string{"a", "b"}}}
 	if err := Write(path, m, sections); err != nil {

@@ -40,7 +40,7 @@ func TestMapRoundTrip(t *testing.T) {
 	}
 }
 
-// TestMapSectionsAreAligned pins the tentpole invariant: every v4 section
+// TestMapSectionsAreAligned pins the tentpole invariant: every section
 // payload starts on an 8-byte file offset, so uint64 slabs inside it can
 // be viewed in place.
 func TestMapSectionsAreAligned(t *testing.T) {

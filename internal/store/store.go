@@ -3,23 +3,22 @@
 // snapshot, its relationship-graph snapshot (when built), and a manifest
 // describing what the file holds and which corpus it belongs to.
 //
-// # Container layout (format v4)
+// # Container layout (format v5)
 //
 //	offset 0   magic        [8]byte  "DPOLYSNP"
 //	offset 8   version      uint32   container format version (little-endian)
-//	offset 12  manifestLen  uint32   length of the gob-encoded manifest
-//	offset 16  manifest     gob      Manifest (fingerprint, clause signature,
+//	offset 12  manifestLen  uint32   length of the JSON-encoded manifest
+//	offset 16  manifest     JSON     Manifest (fingerprint, clause signature,
 //	                                 per-section name/length/CRC table)
 //	...        padding      zeros    to the next 8-byte boundary
 //	...        sections     bytes    section payloads in manifest order, each
 //	                                 zero-padded to an 8-byte boundary
 //
-// Since format v4 every section payload starts on an 8-byte file offset,
-// which is what lets Map hand out zero-copy views whose uint64 bit-vector
-// words alias the mapped file directly (see internal/bitvec.FromBytes).
-// Format v1 — the gob-snapshot generation — packed sections unaligned
-// immediately after the manifest; Read still accepts it, so old snapshots
-// keep loading (via the full-decode fallback in internal/core).
+// Every section payload starts on an 8-byte file offset, which is what
+// lets Map hand out zero-copy views whose uint64 bit-vector words alias the
+// mapped file directly (see internal/bitvec.FromBytes). The manifest is the
+// same JSON object the replication tier serves (replica.ManifestInfo), so a
+// container and the wire describe a snapshot with one schema.
 //
 // The manifest is written before the payloads, so a reader can inspect
 // what a container holds — and reject a foreign or stale one — without
@@ -39,7 +38,7 @@ package store
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/gob"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -51,23 +50,12 @@ import (
 // Magic identifies a Data Polygamy snapshot container.
 var magic = [8]byte{'D', 'P', 'O', 'L', 'Y', 'S', 'N', 'P'}
 
-// FormatVersion is the container format version this package writes.
-// Version 4 is the mmap-friendly generation: sections are 8-byte aligned
-// so flat payloads can be viewed in place. (Versions 2–3 were never
-// container versions; the number lines up with the snapshot generations —
-// v1–v3 gob sections, v4 flat sections — so "a v4 snapshot" is
-// unambiguous across layers.)
-const FormatVersion = 4
-
-// legacyVersion is the unaligned gob-era container layout, still readable.
-const legacyVersion = 1
-
-// Section payload encodings recorded in the manifest (informational; the
-// decoder sniffs each payload's own magic).
-const (
-	EncodingGob  = "gob"
-	EncodingFlat = "flat"
-)
+// FormatVersion is the one container format version this package writes
+// and reads. It moves in step with the flat section generation in
+// internal/core, so "a v5 snapshot" is unambiguous across layers; a
+// container of any other version fails with ErrVersion and is rebuilt, not
+// converted.
+const FormatVersion = 5
 
 // Well-known section names.
 const (
@@ -79,7 +67,7 @@ const (
 // length field cannot demand an absurd allocation.
 const maxManifestLen = 64 << 20
 
-// sectionAlign is the file-offset alignment of every v4 section payload.
+// sectionAlign is the file-offset alignment of every section payload.
 const sectionAlign = 8
 
 // Sentinel errors; every failure returned by Read wraps one of these, so
@@ -115,9 +103,6 @@ type SectionInfo struct {
 	Name   string
 	Length int64
 	CRC    uint32 // CRC-32C (Castagnoli) of the payload
-	// Encoding names the payload encoding (EncodingGob or EncodingFlat);
-	// empty in manifests written before format v4, which always held gob.
-	Encoding string
 }
 
 // Manifest describes a container: which corpus it belongs to, what was
@@ -135,27 +120,10 @@ type Manifest struct {
 	Sections []SectionInfo
 }
 
-// SnapshotFormat reports the manifest's snapshot generation: 4 when every
-// section uses the flat mmap-friendly encoding, 3 for the gob generation.
-func (m Manifest) SnapshotFormat() int {
-	if len(m.Sections) == 0 {
-		return m.FormatVersion
-	}
-	for _, s := range m.Sections {
-		if s.Encoding != EncodingFlat {
-			return 3
-		}
-	}
-	return 4
-}
-
 // Section is one named payload to persist.
 type Section struct {
 	Name string
 	Data []byte
-	// Encoding is recorded in the manifest's section table (EncodingGob
-	// when empty).
-	Encoding string
 }
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
@@ -215,32 +183,27 @@ func writeContainer(w io.Writer, m Manifest, sections []Section) error {
 	// mutate the caller's Manifest.Sections in place.
 	m.Sections = make([]SectionInfo, 0, len(sections))
 	for _, s := range sections {
-		enc := s.Encoding
-		if enc == "" {
-			enc = EncodingGob
-		}
 		m.Sections = append(m.Sections, SectionInfo{
-			Name:     s.Name,
-			Length:   int64(len(s.Data)),
-			CRC:      crc32.Checksum(s.Data, castagnoli),
-			Encoding: enc,
+			Name:   s.Name,
+			Length: int64(len(s.Data)),
+			CRC:    crc32.Checksum(s.Data, castagnoli),
 		})
 	}
-	var mbuf bytes.Buffer
-	if err := gob.NewEncoder(&mbuf).Encode(&m); err != nil {
+	mbuf, err := json.Marshal(&m)
+	if err != nil {
 		return fmt.Errorf("store: encoding manifest: %w", err)
 	}
 	var header [16]byte
 	copy(header[:8], magic[:])
 	binary.LittleEndian.PutUint32(header[8:12], FormatVersion)
-	binary.LittleEndian.PutUint32(header[12:16], uint32(mbuf.Len()))
+	binary.LittleEndian.PutUint32(header[12:16], uint32(len(mbuf)))
 	if _, err := w.Write(header[:]); err != nil {
 		return fmt.Errorf("store: writing header: %w", err)
 	}
-	if _, err := w.Write(mbuf.Bytes()); err != nil {
+	if _, err := w.Write(mbuf); err != nil {
 		return fmt.Errorf("store: writing manifest: %w", err)
 	}
-	off := int64(16 + mbuf.Len())
+	off := int64(16 + len(mbuf))
 	pad := func() error {
 		n := align8(off) - off
 		if n == 0 {
@@ -295,9 +258,6 @@ func parseContainer(data []byte, path string) (Manifest, map[string][]byte, erro
 	}
 	off := int64(len(data)) - int64(br.Len()) // header + manifest bytes consumed
 	skipPad := func() error {
-		if m.FormatVersion < FormatVersion {
-			return nil // v1 packs sections unaligned
-		}
 		end := align8(off)
 		if end > int64(len(data)) {
 			return fmt.Errorf("store: %s: truncated inside section padding: %w", path, ErrCorrupt)
@@ -368,9 +328,9 @@ func readManifest(r io.Reader, path string) (Manifest, error) {
 		return Manifest{}, fmt.Errorf("store: %s: bad magic %q: %w", path, header[:8], ErrNotSnapshot)
 	}
 	v := binary.LittleEndian.Uint32(header[8:12])
-	if v != FormatVersion && v != legacyVersion {
-		return Manifest{}, fmt.Errorf("store: %s: container version %d, this build reads %d and %d: %w",
-			path, v, legacyVersion, FormatVersion, ErrVersion)
+	if v != FormatVersion {
+		return Manifest{}, fmt.Errorf("store: %s: container version %d, this build reads %d: %w",
+			path, v, FormatVersion, ErrVersion)
 	}
 	mlen := binary.LittleEndian.Uint32(header[12:16])
 	if mlen > maxManifestLen {
@@ -381,7 +341,7 @@ func readManifest(r io.Reader, path string) (Manifest, error) {
 		return Manifest{}, fmt.Errorf("store: %s: manifest truncated (want %d bytes): %w", path, mlen, ErrCorrupt)
 	}
 	var m Manifest
-	if err := gob.NewDecoder(bytes.NewReader(mbuf)).Decode(&m); err != nil {
+	if err := json.Unmarshal(mbuf, &m); err != nil {
 		return Manifest{}, fmt.Errorf("store: %s: decoding manifest: %v: %w", path, err, ErrCorrupt)
 	}
 	// The header, not the manifest's own echo, is authoritative.

@@ -3,9 +3,8 @@ package store
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/gob"
+	"encoding/json"
 	"errors"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strings"
@@ -162,7 +161,10 @@ func TestReadRejectsForeignFile(t *testing.T) {
 	}
 }
 
-func TestReadRejectsFutureVersion(t *testing.T) {
+// TestReadRejectsOtherVersions: exactly FormatVersion is read. Older
+// generations (1 and 4 were written by earlier builds) and future ones
+// fail with ErrVersion, which callers answer with a rebuild.
+func TestReadRejectsOtherVersions(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "corpus.snap")
 	if err := Write(path, testManifest(), testSections()); err != nil {
 		t.Fatal(err)
@@ -171,12 +173,17 @@ func TestReadRejectsFutureVersion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	data[8] = 0xFF // bump the version field
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := Read(path); !errors.Is(err, ErrVersion) {
-		t.Errorf("err = %v, want ErrVersion", err)
+	for _, v := range []byte{1, 4, FormatVersion + 1, 0xFF} {
+		data[8] = v // low byte of the little-endian version field
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := Read(path); !errors.Is(err, ErrVersion) {
+			t.Errorf("version %d: Read err = %v, want ErrVersion", v, err)
+		}
+		if _, err := ReadManifest(path); !errors.Is(err, ErrVersion) {
+			t.Errorf("version %d: ReadManifest err = %v, want ErrVersion", v, err)
+		}
 	}
 }
 
@@ -236,6 +243,17 @@ func TestReadRejectsBitFlip(t *testing.T) {
 	if !strings.Contains(err.Error(), SectionIndex) || !strings.Contains(err.Error(), "checksum") {
 		t.Errorf("bit-flip error does not name the damaged section: %v", err)
 	}
+
+	// The manifest has no checksum of its own; damage that breaks its JSON
+	// is still ErrCorrupt, from every reader.
+	data[payloadStart+7] ^= 0x10
+	data[16] = 'x' // the manifest's opening brace
+	if err := os.WriteFile(flip, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadManifest(flip); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("undecodable manifest: err = %v, want ErrCorrupt", err)
+	}
 }
 
 func TestReadRejectsTrailingGarbage(t *testing.T) {
@@ -265,7 +283,7 @@ func TestWriteDoesNotMutateCallerManifest(t *testing.T) {
 	// A pre-populated table with spare capacity, exactly the shape the bug
 	// needed: len < cap, so in-place appends overwrite live entries.
 	m.Sections = append(make([]SectionInfo, 0, 8),
-		SectionInfo{Name: "caller-owned", Length: 123, CRC: 0xDEAD, Encoding: "gob"})
+		SectionInfo{Name: "caller-owned", Length: 123, CRC: 0xDEAD})
 	want := append([]SectionInfo(nil), m.Sections...)
 
 	path := filepath.Join(t.TempDir(), "corpus.snap")
@@ -285,73 +303,6 @@ func TestWriteDoesNotMutateCallerManifest(t *testing.T) {
 	}
 }
 
-// writeLegacyContainer stages a version-1 container: manifest and sections
-// packed back to back with no alignment padding — the layout every
-// pre-flat snapshot on disk has.
-func writeLegacyContainer(t *testing.T, path string, m Manifest, sections []Section) {
-	t.Helper()
-	m.FormatVersion = legacyVersion
-	m.Sections = nil
-	for _, s := range sections {
-		m.Sections = append(m.Sections, SectionInfo{
-			Name:   s.Name,
-			Length: int64(len(s.Data)),
-			CRC:    crc32.Checksum(s.Data, castagnoli),
-		})
-	}
-	var mbuf bytes.Buffer
-	if err := gob.NewEncoder(&mbuf).Encode(&m); err != nil {
-		t.Fatal(err)
-	}
-	var file bytes.Buffer
-	file.Write(magic[:])
-	var word [4]byte
-	binary.LittleEndian.PutUint32(word[:], legacyVersion)
-	file.Write(word[:])
-	binary.LittleEndian.PutUint32(word[:], uint32(mbuf.Len()))
-	file.Write(word[:])
-	file.Write(mbuf.Bytes())
-	for _, s := range sections {
-		file.Write(s.Data)
-	}
-	if err := os.WriteFile(path, file.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestReadAcceptsLegacyV1Container pins backward compatibility: unaligned
-// version-1 containers still read (and map) correctly, with the header
-// version reported through the manifest.
-func TestReadAcceptsLegacyV1Container(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "legacy.snap")
-	writeLegacyContainer(t, path, testManifest(), testSections())
-	m, secs, err := Read(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.FormatVersion != legacyVersion {
-		t.Errorf("FormatVersion = %d, want %d", m.FormatVersion, legacyVersion)
-	}
-	for _, want := range testSections() {
-		if !bytes.Equal(secs[want.Name], want.Data) {
-			t.Errorf("legacy section %q differs", want.Name)
-		}
-	}
-	// Map takes the same parse path.
-	mp, err := Map(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mp.Close()
-	if got, _ := mp.Section(SectionGraph); !bytes.Equal(got, testSections()[1].Data) {
-		t.Error("legacy graph section differs through Map")
-	}
-	// Legacy containers with no Encoding fields report the gob generation.
-	if got := m.SnapshotFormat(); got != 3 {
-		t.Errorf("SnapshotFormat = %d, want 3", got)
-	}
-}
-
 // TestReadRejectsLyingSectionLength hand-crafts a container whose
 // manifest claims an absurd section length: Read must reject it as
 // corrupt instead of attempting the allocation (the manifest itself has
@@ -361,8 +312,8 @@ func TestReadRejectsLyingSectionLength(t *testing.T) {
 		FormatVersion: FormatVersion,
 		Sections:      []SectionInfo{{Name: SectionIndex, Length: 1 << 60, CRC: 0}},
 	}
-	var mbuf bytes.Buffer
-	if err := gob.NewEncoder(&mbuf).Encode(&m); err != nil {
+	mbuf, err := json.Marshal(&m)
+	if err != nil {
 		t.Fatal(err)
 	}
 	var file bytes.Buffer
@@ -370,11 +321,11 @@ func TestReadRejectsLyingSectionLength(t *testing.T) {
 	var word [4]byte
 	binary.LittleEndian.PutUint32(word[:], FormatVersion)
 	file.Write(word[:])
-	binary.LittleEndian.PutUint32(word[:], uint32(mbuf.Len()))
+	binary.LittleEndian.PutUint32(word[:], uint32(len(mbuf)))
 	file.Write(word[:])
-	file.Write(mbuf.Bytes())
+	file.Write(mbuf)
 	for file.Len()%8 != 0 {
-		file.WriteByte(0) // v4 pads to the section alignment after the manifest
+		file.WriteByte(0) // sections start on the alignment boundary after the manifest
 	}
 	file.WriteString("tiny payload")
 
@@ -382,7 +333,7 @@ func TestReadRejectsLyingSectionLength(t *testing.T) {
 	if err := os.WriteFile(path, file.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, _, err := Read(path)
+	_, _, err = Read(path)
 	if !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("lying section length: err = %v, want ErrCorrupt", err)
 	}

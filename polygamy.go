@@ -50,7 +50,7 @@ import (
 //
 // Once BuildIndex has succeeded, Query and every other read method are
 // safe for concurrent use from any number of goroutines; AddDataset,
-// BuildIndex, and LoadIndex take the framework's state lock exclusively.
+// BuildIndex, and Load take the framework's state lock exclusively.
 // Identical concurrent queries are deduplicated: one evaluation runs and
 // the other callers wait for its result (QueryStats.Coalesced). See the
 // core.Framework documentation for the full concurrency contract.
