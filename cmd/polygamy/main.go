@@ -31,6 +31,7 @@ import (
 
 	"github.com/urbandata/datapolygamy/internal/core"
 	"github.com/urbandata/datapolygamy/internal/dataset"
+	"github.com/urbandata/datapolygamy/internal/httpapi"
 	"github.com/urbandata/datapolygamy/internal/queryparse"
 	"github.com/urbandata/datapolygamy/internal/spatial"
 	"github.com/urbandata/datapolygamy/internal/stats"
@@ -51,7 +52,6 @@ type cliOptions struct {
 	seed       int64
 	grid       int
 	workers    int
-	noPrune    bool
 	stats      bool
 
 	jsonOut     bool   // machine-readable output on stdout
@@ -89,7 +89,6 @@ func main() {
 	flag.Int64Var(&o.seed, "seed", 1, "city / randomization seed")
 	flag.IntVar(&o.grid, "grid", 96, "synthetic city grid side used to place GPS data")
 	flag.IntVar(&o.workers, "workers", 0, "worker pool size (0 = NumCPU)")
-	flag.BoolVar(&o.noPrune, "no-prune", false, "disable the query planner's candidate pruning (results are identical; for verification)")
 	flag.BoolVar(&o.stats, "stats", false, "print per-data-set index statistics after indexing")
 	flag.BoolVar(&o.jsonOut, "json", false, "write results to stdout as JSON instead of text")
 	flag.BoolVar(&o.graph, "graph", false, "materialize the corpus-wide relationship graph and export it instead of answering a query")
@@ -182,7 +181,6 @@ func run(o cliOptions) error {
 			q.Targets = splitNames(o.targets)
 		}
 	}
-	q.Clause.DisablePruning = o.noPrune
 	if o.graph && (len(q.Sources) > 0 || len(q.Targets) > 0) {
 		// The graph is corpus-wide by definition; silently dropping a
 		// source/target restriction would misrepresent the output.
@@ -292,31 +290,12 @@ func runGraph(fw *core.Framework, clause core.Clause, o cliOptions) error {
 	return g.WriteDOT(o.stdout)
 }
 
-// relationshipJSON is the machine-readable form of one relationship. It is
-// kept field-for-field in sync by hand with relationshipWire in
-// cmd/polygamyd/server.go so CLI and server consumers can share parsers.
-type relationshipJSON struct {
-	Function1   string  `json:"function1"`
-	Function2   string  `json:"function2"`
-	Dataset1    string  `json:"dataset1"`
-	Dataset2    string  `json:"dataset2"`
-	Spec1       string  `json:"spec1"`
-	Spec2       string  `json:"spec2"`
-	Spatial     string  `json:"spatial"`
-	Temporal    string  `json:"temporal"`
-	Class       string  `json:"class"`
-	Score       float64 `json:"score"`
-	Strength    float64 `json:"strength"`
-	PValue      float64 `json:"pValue"`
-	QValue      float64 `json:"qValue"`
-	Significant bool    `json:"significant"`
-}
-
 // writeQueryJSON renders query results as a {relationships, stats}
-// document.
+// document; relationships take the daemon's wire form so CLI and server
+// consumers share parsers.
 func writeQueryJSON(w io.Writer, rels []core.Relationship, stats core.QueryStats) error {
 	doc := struct {
-		Relationships []relationshipJSON `json:"relationships"`
+		Relationships []httpapi.Relationship `json:"relationships"`
 		Stats         struct {
 			PairsConsidered int    `json:"pairsConsidered"`
 			Pruned          int    `json:"pruned"`
@@ -325,17 +304,7 @@ func writeQueryJSON(w io.Writer, rels []core.Relationship, stats core.QueryStats
 			Kept            int    `json:"kept"`
 			Duration        string `json:"duration"`
 		} `json:"stats"`
-	}{Relationships: make([]relationshipJSON, 0, len(rels))}
-	for _, r := range rels {
-		doc.Relationships = append(doc.Relationships, relationshipJSON{
-			Function1: r.Function1, Function2: r.Function2,
-			Dataset1: r.Dataset1, Dataset2: r.Dataset2,
-			Spec1: r.Spec1, Spec2: r.Spec2,
-			Spatial: r.Res.Spatial.String(), Temporal: r.Res.Temporal.String(),
-			Class: r.Class.String(), Score: r.Score, Strength: r.Strength,
-			PValue: r.PValue, QValue: r.QValue, Significant: r.Significant,
-		})
-	}
+	}{Relationships: httpapi.Relationships(rels)}
 	doc.Stats.PairsConsidered = stats.PairsConsidered
 	doc.Stats.Pruned = stats.Pruned
 	doc.Stats.Evaluated = stats.Evaluated

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"github.com/urbandata/datapolygamy/internal/dataset"
+	"github.com/urbandata/datapolygamy/internal/httpapi"
 	"github.com/urbandata/datapolygamy/internal/spatial"
 	"github.com/urbandata/datapolygamy/internal/temporal"
 )
@@ -141,10 +142,10 @@ func TestPolygamyCLICorrection(t *testing.T) {
 	dir := t.TempDir()
 	writeCorpus(t, dir)
 
-	decode := func(buf *bytes.Buffer) []relationshipJSON {
+	decode := func(buf *bytes.Buffer) []httpapi.Relationship {
 		t.Helper()
 		var doc struct {
-			Relationships []relationshipJSON `json:"relationships"`
+			Relationships []httpapi.Relationship `json:"relationships"`
 		}
 		if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
 			t.Fatalf("output is not JSON: %v\n%s", err, buf.String())

@@ -68,8 +68,8 @@ func (s *server) handleAppend(w http.ResponseWriter, r *http.Request) {
 }
 
 // runAppend is the body of one append job: the incremental tile-level
-// append, then — mirroring runIngest — a delta graph refresh under the
-// remembered clause and a snapshot re-save.
+// append, then — as in runIngest — refreshAndSave, whose graph refresh is
+// a delta here: only pairs the append dropped are recomputed.
 func (s *server) runAppend(d *dataset.Dataset) (map[string]any, error) {
 	st, err := s.fw().AppendSlice(d)
 	if err != nil {
@@ -87,24 +87,8 @@ func (s *server) runAppend(d *dataset.Dataset) (map[string]any, error) {
 		"fellBack":          st.FellBack,
 		"appendWall":        st.WallDuration.String(),
 	}
-	if _, built := s.fw().RelGraph(); built {
-		s.graphClauseMu.Lock()
-		clause := s.graphClause
-		s.graphClauseMu.Unlock()
-		gs, err := s.fw().BuildGraph(clause)
-		if err != nil {
-			return nil, fmt.Errorf("graph refresh: %w", err)
-		}
-		s.graphBuilds.Add(1)
-		result["graphEdges"] = gs.Edges
-		result["graphPairsComputed"] = gs.PairsComputed
-		result["graphPairsReused"] = gs.PairsReused
-	}
-	if s.snapshotPath != "" {
-		if err := s.fw().Save(s.snapshotPath); err != nil {
-			return nil, fmt.Errorf("snapshot re-save: %w", err)
-		}
-		result["snapshot"] = s.snapshotPath
+	if err := s.refreshAndSave(result); err != nil {
+		return nil, err
 	}
 	return result, nil
 }

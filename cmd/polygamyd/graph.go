@@ -38,33 +38,6 @@ type graphStatsWire struct {
 	Duration        string `json:"duration"`
 }
 
-type graphEdgeWire struct {
-	Function1 string  `json:"function1"`
-	Function2 string  `json:"function2"`
-	Dataset1  string  `json:"dataset1"`
-	Dataset2  string  `json:"dataset2"`
-	Spatial   string  `json:"spatial"`
-	Temporal  string  `json:"temporal"`
-	Class     string  `json:"class"`
-	Tau       float64 `json:"tau"`
-	Rho       float64 `json:"rho"`
-	PValue    float64 `json:"pValue"`
-	QValue    float64 `json:"qValue"`
-}
-
-func wireEdges(edges []relgraph.Edge) []graphEdgeWire {
-	out := make([]graphEdgeWire, 0, len(edges))
-	for _, e := range edges {
-		out = append(out, graphEdgeWire{
-			Function1: e.Function1, Function2: e.Function2,
-			Dataset1: e.Dataset1, Dataset2: e.Dataset2,
-			Spatial: e.SRes.String(), Temporal: e.TRes.String(), Class: e.Class.String(),
-			Tau: e.Tau, Rho: e.Rho, PValue: e.PValue, QValue: e.QValue,
-		})
-	}
-	return out
-}
-
 // graph returns the current graph or writes the standard "not built"
 // error.
 func (s *server) graph(w http.ResponseWriter) (*relgraph.Graph, bool) {
@@ -98,11 +71,6 @@ func (s *server) handleGraphBuild(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.graphBuilds.Add(1)
-	// Remember the clause so runtime ingestions refresh the graph under
-	// the operator's chosen selection (see runIngest).
-	s.graphClauseMu.Lock()
-	s.graphClause = clause
-	s.graphClauseMu.Unlock()
 	writeJSON(w, http.StatusOK, graphStatsWire{
 		Datasets:        stats.Datasets,
 		Pairs:           stats.Pairs,
@@ -171,9 +139,6 @@ func (s *server) handleGraphMerge(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.graphBuilds.Add(1)
-	s.graphClauseMu.Lock()
-	s.graphClause = clause
-	s.graphClauseMu.Unlock()
 	if s.snapshotPath != "" {
 		if err := s.fw().Save(s.snapshotPath); err != nil {
 			writeJSON(w, http.StatusInternalServerError,
@@ -247,9 +212,9 @@ func (s *server) handleGraphNeighbors(w http.ResponseWriter, r *http.Request) {
 	}
 	resp := map[string]any{}
 	if fn != "" {
-		resp["edges"] = wireEdges(g.Neighbors(fn))
+		resp["edges"] = relgraph.EdgesJSON(g.Neighbors(fn))
 	} else {
-		resp["edges"] = wireEdges(g.DatasetEdges(ds))
+		resp["edges"] = relgraph.EdgesJSON(g.DatasetEdges(ds))
 		if hopsStr := r.URL.Query().Get("hops"); hopsStr != "" {
 			hops, err := strconv.Atoi(hopsStr)
 			if err != nil || hops < 1 {
@@ -302,5 +267,5 @@ func (s *server) handleGraphTop(w http.ResponseWriter, r *http.Request) {
 		}
 		maxQ = v
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"edges": wireEdges(g.TopKMaxQ(k, by, maxQ))})
+	writeJSON(w, http.StatusOK, map[string]any{"edges": relgraph.EdgesJSON(g.TopKMaxQ(k, by, maxQ))})
 }

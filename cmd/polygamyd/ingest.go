@@ -92,9 +92,7 @@ func (s *server) handleIngest(w http.ResponseWriter, r *http.Request) {
 }
 
 // runIngest is the body of one ingestion job: the incremental epoch-swap
-// ingestion, then — mirroring what the operator has set up — an
-// incremental graph refresh under the remembered clause and a snapshot
-// re-save so the next restart includes the new data set.
+// ingestion, then the graph refresh and snapshot re-save of refreshAndSave.
 func (s *server) runIngest(d *dataset.Dataset) (map[string]any, error) {
 	st, err := s.fw().IngestDataset(d)
 	if err != nil {
@@ -106,25 +104,37 @@ func (s *server) runIngest(d *dataset.Dataset) (map[string]any, error) {
 		"datasets":  st.Datasets,
 		"indexWall": st.WallDuration.String(),
 	}
-	if _, built := s.fw().RelGraph(); built {
-		s.graphClauseMu.Lock()
-		clause := s.graphClause
-		s.graphClauseMu.Unlock()
+	if err := s.refreshAndSave(result); err != nil {
+		return nil, err
+	}
+	return result, nil
+}
+
+// refreshAndSave is the tail every corpus-changing job shares, mirroring
+// what the operator has set up: when a graph is materialized, an
+// incremental refresh under the clause the framework remembers for it (the
+// one it was built, merged or loaded under, so the candidate cache is
+// reused and the selection unchanged), then a snapshot re-save when the
+// server runs with -snapshot, so the next restart and the followers see
+// the change. Both are recorded in the job result.
+func (s *server) refreshAndSave(result map[string]any) error {
+	if clause, built := s.fw().GraphClause(); built {
 		gs, err := s.fw().BuildGraph(clause)
 		if err != nil {
-			return nil, fmt.Errorf("graph refresh: %w", err)
+			return fmt.Errorf("graph refresh: %w", err)
 		}
 		s.graphBuilds.Add(1)
 		result["graphEdges"] = gs.Edges
 		result["graphPairsComputed"] = gs.PairsComputed
+		result["graphPairsReused"] = gs.PairsReused
 	}
 	if s.snapshotPath != "" {
 		if err := s.fw().Save(s.snapshotPath); err != nil {
-			return nil, fmt.Errorf("snapshot re-save: %w", err)
+			return fmt.Errorf("snapshot re-save: %w", err)
 		}
 		result["snapshot"] = s.snapshotPath
 	}
-	return result, nil
+	return nil
 }
 
 func (s *server) handleJobs(w http.ResponseWriter, r *http.Request) {

@@ -202,6 +202,19 @@ func TestServerIngestEquivalence(t *testing.T) {
 	if _, ok := reopened.RelGraph(); !ok {
 		t.Error("reopened framework lost the graph")
 	}
+
+	// A server that never saw a graph build of its own — the graph came
+	// with the snapshot — still refreshes it under the clause it was built
+	// with: an ingestion computes only the new data set's three pairs. (A
+	// refresh under any other clause would discard the candidate cache and
+	// recompute all six.)
+	warm := httptest.NewServer(newServer(reopened))
+	defer warm.Close()
+	id = postIngest(t, warm.Client(), warm.URL, csvBody(t, noiseDataset("noise2", 78)))
+	if job := waitJob(t, warm.Client(), warm.URL, id); job.Status != "done" || job.Result["graphPairsComputed"] != float64(3) {
+		t.Errorf("ingest after a warm start: status %s (%s), computed %v pairs, want 3",
+			job.Status, job.Error, job.Result["graphPairsComputed"])
+	}
 }
 
 func mustCity(t *testing.T) *spatial.CityMap {

@@ -163,13 +163,6 @@ func main() {
 		srv = newServer(fw)
 		srv.snapshotPath = *snapshot
 		srv.warmStart = warm
-		if c, ok := fw.GraphClause(); ok {
-			// A graph restored from the snapshot (or built at startup) must be
-			// refreshed under its own clause after ingestions, not the zero
-			// clause — otherwise the candidate cache would be discarded and
-			// the selection silently changed.
-			srv.graphClause = c
-		}
 		if *snapshot != "" {
 			// A snapshot-backed server is a replication leader: followers
 			// poll /v1/snapshot/manifest and pull exactly what changed.

@@ -19,6 +19,8 @@ import (
 
 	"github.com/urbandata/datapolygamy/internal/core"
 	"github.com/urbandata/datapolygamy/internal/dataset"
+	"github.com/urbandata/datapolygamy/internal/httpapi"
+	"github.com/urbandata/datapolygamy/internal/relgraph"
 	"github.com/urbandata/datapolygamy/internal/spatial"
 	"github.com/urbandata/datapolygamy/internal/store"
 	"github.com/urbandata/datapolygamy/internal/temporal"
@@ -89,7 +91,7 @@ func testFramework(t *testing.T) *core.Framework {
 	return testFrameworkWith(t)
 }
 
-func postQuery(t *testing.T, client *http.Client, base string, req queryRequest) (queryResponse, int) {
+func postQuery(t *testing.T, client *http.Client, base string, req queryRequest) (httpapi.QueryResponse, int) {
 	t.Helper()
 	body, err := json.Marshal(req)
 	if err != nil {
@@ -100,7 +102,7 @@ func postQuery(t *testing.T, client *http.Client, base string, req queryRequest)
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var out queryResponse
+	var out httpapi.QueryResponse
 	if resp.StatusCode == http.StatusOK {
 		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
 			t.Fatal(err)
@@ -176,7 +178,7 @@ func TestServerEndpoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var tq queryResponse
+	var tq httpapi.QueryResponse
 	if err := json.NewDecoder(resp.Body).Decode(&tq); err != nil {
 		t.Fatal(err)
 	}
@@ -415,7 +417,7 @@ func TestServerGraphEndpoints(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("graph top status = %d", code)
 	}
-	var topEdges []graphEdgeWire
+	var topEdges []relgraph.EdgeJSON
 	if err := json.Unmarshal(top["edges"], &topEdges); err != nil {
 		t.Fatal(err)
 	}
@@ -426,7 +428,7 @@ func TestServerGraphEndpoints(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("graph neighbors status = %d", code)
 	}
-	var nbEdges []graphEdgeWire
+	var nbEdges []relgraph.EdgeJSON
 	if err := json.Unmarshal(nb["edges"], &nbEdges); err != nil {
 		t.Fatal(err)
 	}
@@ -447,7 +449,7 @@ func TestServerGraphEndpoints(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("function neighbors status = %d", code)
 	}
-	var fnEdges []graphEdgeWire
+	var fnEdges []relgraph.EdgeJSON
 	if err := json.Unmarshal(fnb["edges"], &fnEdges); err != nil {
 		t.Fatal(err)
 	}
@@ -514,7 +516,7 @@ func TestServerCorrection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var tq queryResponse
+	var tq httpapi.QueryResponse
 	if err := json.NewDecoder(resp.Body).Decode(&tq); err != nil {
 		t.Fatal(err)
 	}
@@ -542,7 +544,7 @@ func TestServerCorrection(t *testing.T) {
 		t.Fatal(err)
 	}
 	var top struct {
-		Edges []graphEdgeWire `json:"edges"`
+		Edges []relgraph.EdgeJSON `json:"edges"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&top); err != nil {
 		t.Fatal(err)

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"github.com/urbandata/datapolygamy/internal/core"
+	"github.com/urbandata/datapolygamy/internal/httpapi"
 	"github.com/urbandata/datapolygamy/internal/spatial"
 	"github.com/urbandata/datapolygamy/internal/store"
 )
@@ -142,7 +143,7 @@ func TestQueryTraceWire(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var wire queryResponse
+	var wire httpapi.QueryResponse
 	if err := json.NewDecoder(hr.Body).Decode(&wire); err != nil {
 		t.Fatal(err)
 	}

@@ -16,6 +16,7 @@ import (
 
 	"github.com/urbandata/datapolygamy/internal/core"
 	"github.com/urbandata/datapolygamy/internal/dataset"
+	"github.com/urbandata/datapolygamy/internal/httpapi"
 	"github.com/urbandata/datapolygamy/internal/replica"
 	"github.com/urbandata/datapolygamy/internal/spatial"
 	"github.com/urbandata/datapolygamy/internal/temporal"
@@ -168,7 +169,7 @@ func TestReplicatedTierEndToEnd(t *testing.T) {
 
 	// Routed structured query answers with relationships computed on a
 	// follower (the leader serves no /v1/query through this router).
-	var qr queryResponse
+	var qr httpapi.QueryResponse
 	body := `{"sources":["wind"],"targets":["trips"],"clause":{"permutations":60}}`
 	resp, err := client.Post(tier.router.URL+"/v1/query", "application/json", strings.NewReader(body))
 	if err != nil {

@@ -8,7 +8,6 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/pprof"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -53,12 +52,6 @@ type server struct {
 	// status endpoint; writes are rejected (the leader owns the corpus).
 	follower *replica.Follower
 	readOnly bool
-
-	// graphClause remembers the clause of the most recent successful graph
-	// build, so a runtime ingestion refreshes the graph under the same
-	// selection the operator chose.
-	graphClauseMu sync.Mutex
-	graphClause   core.Clause
 
 	queries   atomic.Int64 // relationship queries answered
 	cacheHits atomic.Int64 // served from the query cache
@@ -154,59 +147,15 @@ func (s *server) enablePprof() {
 
 // ---- wire types ----
 
-// The request vocabulary (clause, query, error bodies) lives in
-// internal/httpapi so the polygamyr router parses the exact same
-// dialect; the response shapes below are this server's own.
+// The query vocabulary (clause, query, response and error bodies) lives
+// in internal/httpapi so the polygamyr router, the CLI and the tests parse
+// the exact same dialect.
 type (
 	clauseRequest  = httpapi.ClauseRequest
 	resolutionWire = httpapi.Resolution
 	queryRequest   = httpapi.QueryRequest
 	errorResponse  = httpapi.Error
 )
-
-type relationshipWire struct {
-	Function1   string  `json:"function1"`
-	Function2   string  `json:"function2"`
-	Dataset1    string  `json:"dataset1"`
-	Dataset2    string  `json:"dataset2"`
-	Spec1       string  `json:"spec1"`
-	Spec2       string  `json:"spec2"`
-	Spatial     string  `json:"spatial"`
-	Temporal    string  `json:"temporal"`
-	Class       string  `json:"class"`
-	Score       float64 `json:"score"`
-	Strength    float64 `json:"strength"`
-	PValue      float64 `json:"pValue"`
-	QValue      float64 `json:"qValue"`
-	Significant bool    `json:"significant"`
-}
-
-type queryStatsWire struct {
-	PairsConsidered int    `json:"pairsConsidered"`
-	Pruned          int    `json:"pruned"`
-	Evaluated       int    `json:"evaluated"`
-	Significant     int    `json:"significant"`
-	Kept            int    `json:"kept"`
-	CacheHit        bool   `json:"cacheHit"`
-	Coalesced       bool   `json:"coalesced"`
-	Duration        string `json:"duration"`
-}
-
-// stageWire is one per-stage timing entry of a traced query response.
-type stageWire struct {
-	Stage    string  `json:"stage"`
-	Duration string  `json:"duration"`
-	Seconds  float64 `json:"seconds"`
-}
-
-type queryResponse struct {
-	Relationships []relationshipWire `json:"relationships"`
-	Stats         queryStatsWire     `json:"stats"`
-	// Trace is the per-stage breakdown (plan, evaluate, correct, select),
-	// present only when the request asked for it. A cache hit reports the
-	// stages of the evaluation that produced the cached result.
-	Trace []stageWire `json:"trace,omitempty"`
-}
 
 // ---- request decoding ----
 
@@ -348,48 +297,7 @@ func (s *server) answer(w http.ResponseWriter, q core.Query, trace bool) {
 	if stats.Coalesced {
 		s.coalesced.Add(1)
 	}
-	resp := queryResponse{
-		Relationships: make([]relationshipWire, 0, len(rels)),
-		Stats: queryStatsWire{
-			PairsConsidered: stats.PairsConsidered,
-			Pruned:          stats.Pruned,
-			Evaluated:       stats.Evaluated,
-			Significant:     stats.Significant,
-			Kept:            stats.Kept,
-			CacheHit:        stats.CacheHit,
-			Coalesced:       stats.Coalesced,
-			Duration:        stats.Duration.String(),
-		},
-	}
-	if trace {
-		resp.Trace = make([]stageWire, 0, len(stats.Stages))
-		for _, st := range stats.Stages {
-			resp.Trace = append(resp.Trace, stageWire{
-				Stage:    st.Stage,
-				Duration: st.Duration.String(),
-				Seconds:  st.Duration.Seconds(),
-			})
-		}
-	}
-	for _, rel := range rels {
-		resp.Relationships = append(resp.Relationships, relationshipWire{
-			Function1:   rel.Function1,
-			Function2:   rel.Function2,
-			Dataset1:    rel.Dataset1,
-			Dataset2:    rel.Dataset2,
-			Spec1:       rel.Spec1,
-			Spec2:       rel.Spec2,
-			Spatial:     rel.Res.Spatial.String(),
-			Temporal:    rel.Res.Temporal.String(),
-			Class:       rel.Class.String(),
-			Score:       rel.Score,
-			Strength:    rel.Strength,
-			PValue:      rel.PValue,
-			QValue:      rel.QValue,
-			Significant: rel.Significant,
-		})
-	}
-	writeJSON(w, http.StatusOK, resp)
+	writeJSON(w, http.StatusOK, httpapi.NewQueryResponse(rels, stats, trace))
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) { httpapi.WriteJSON(w, status, v) }

@@ -567,7 +567,7 @@ func writeFlatClause(w *store.SlabWriter, c Clause) {
 	w.I64(int64(c.Correction))
 	w.F64(c.MaxQ)
 	w.U64(b2u(c.Exhaustive))
-	w.U64(b2u(c.DisablePruning))
+	w.U64(0) // reserved (a retired clause flag); readers ignore it
 	w.U64(b2u(c.Windowed))
 	w.I64(c.WindowFrom)
 	w.I64(c.WindowTo)
@@ -601,7 +601,7 @@ func readFlatClause(r *store.SlabReader) Clause {
 	c.Correction = stats.Correction(r.I64())
 	c.MaxQ = r.F64()
 	c.Exhaustive = r.U64() != 0
-	c.DisablePruning = r.U64() != 0
+	r.U64() // reserved
 	c.Windowed = r.U64() != 0
 	c.WindowFrom = r.I64()
 	c.WindowTo = r.I64()

@@ -232,6 +232,28 @@ func TestBoundCountPoisons(t *testing.T) {
 	}
 }
 
+// TestFlatClauseReservedWord: the clause layout keeps one reserved word
+// where a retired flag used to sit, so the flat generation did not move.
+// It is written as zero, and a snapshot from before the retirement that
+// carries a one there reads back as the same clause.
+func TestFlatClauseReservedWord(t *testing.T) {
+	clause := Clause{MinScore: 0.2, Permutations: 40, Exhaustive: true,
+		Windowed: true, WindowFrom: 100, WindowTo: 200}
+	var w store.SlabWriter
+	writeFlatClause(&w, clause)
+	blob := w.Finish()
+	reserved := blob[len(blob)-32 : len(blob)-24] // then Windowed, WindowFrom, WindowTo
+	if binary.LittleEndian.Uint64(reserved) != 0 {
+		t.Fatalf("reserved clause word written as %d, want 0", binary.LittleEndian.Uint64(reserved))
+	}
+	binary.LittleEndian.PutUint64(reserved, 1)
+	r := store.NewSlabReader(blob)
+	if got := readFlatClause(r); r.Err() != nil || r.Remaining() != 0 || !reflect.DeepEqual(got, clause) {
+		t.Errorf("clause with the reserved word set read back as %+v (err %v, %d bytes left), want %+v",
+			got, r.Err(), r.Remaining(), clause)
+	}
+}
+
 // TestFlatClauseRoundTrip pins the explicit clause layout: every field,
 // including the nil-vs-empty slice distinction and the boolean flags, must
 // survive a flat save/open.
@@ -241,15 +263,14 @@ func TestFlatClauseRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	clause := Clause{
-		MinScore:       0.1,
-		MinStrength:    0.05,
-		Classes:        []feature.Class{feature.Salient},
-		Resolutions:    []Resolution{{Spatial: spatial.City, Temporal: temporal.Hour}},
-		Alpha:          0.1,
-		Permutations:   40,
-		MaxQ:           0.9,
-		Exhaustive:     true,
-		DisablePruning: true,
+		MinScore:     0.1,
+		MinStrength:  0.05,
+		Classes:      []feature.Class{feature.Salient},
+		Resolutions:  []Resolution{{Spatial: spatial.City, Temporal: temporal.Hour}},
+		Alpha:        0.1,
+		Permutations: 40,
+		MaxQ:         0.9,
+		Exhaustive:   true,
 	}
 	if _, err := f.BuildGraph(clause); err != nil {
 		t.Fatal(err)

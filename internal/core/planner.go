@@ -55,7 +55,7 @@ type queryPlan struct {
 
 // plan enumerates candidate pairs across data set pairs, common
 // resolutions, and feature classes (the map phase of paper job 3), pruning
-// each candidate against the clause unless pruning is disabled.
+// each candidate against the clause.
 func (f *Framework) plan(sources, targets []string, clause Clause, classes []feature.Class) queryPlan {
 	var pl queryPlan
 	seen := map[string]bool{}
@@ -93,14 +93,10 @@ func (f *Framework) plan(sources, targets []string, clause Clause, classes []fea
 								pl.pruned++
 								continue
 							}
-							sigma := -1
-							if !clause.DisablePruning {
-								var skip bool
-								skip, sigma = prunePair(e1, e2, class, clause)
-								if skip {
-									pl.pruned++
-									continue
-								}
+							skip, sigma := prunePair(e1, e2, class, clause)
+							if skip {
+								pl.pruned++
+								continue
 							}
 							pl.tasks = append(pl.tasks, pairTask{
 								e1: e1, e2: e2, class: class,

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"github.com/urbandata/datapolygamy/internal/feature"
@@ -23,10 +24,62 @@ func plannerFW(t *testing.T) *Framework {
 	return f
 }
 
+// bruteForce enumerates every candidate tuple of an all-pairs query itself
+// — no planner — and pushes each one through the relationship layer
+// (evaluatePair, hence the clause filters and the significance test). It
+// returns the tuples that survive, and fails the test if a tuple prunePair
+// would have skipped survives: that is the planner's soundness, checked per
+// tuple rather than inferred from equal totals.
+func bruteForce(t *testing.T, f *Framework, clause Clause) (cands []*Relationship, considered, skipped int) {
+	t.Helper()
+	classes := clause.Classes
+	if classes == nil {
+		classes = []feature.Class{feature.Salient, feature.Extreme}
+	}
+	names := f.Datasets()
+	slices.Sort(names) // the engine orients every pair by data set name
+	for i, a := range names {
+		for _, b := range names[i+1:] {
+			resolutions := f.CommonResolutions(f.datasets[a], f.datasets[b])
+			if clause.Resolutions != nil {
+				resolutions = intersectResolutions(resolutions, clause.Resolutions)
+			}
+			for _, res := range resolutions {
+				for _, e1 := range f.index.at(a, res) {
+					for _, e2 := range f.index.at(b, res) {
+						for _, class := range classes {
+							considered++
+							rel, err := f.evaluatePair(pairTask{
+								e1: e1, e2: e2, class: class, sigma: -1,
+								seed: pairSeed(f.opts.Seed, e1.Key, e2.Key, class),
+							}, clause, 1)
+							if err != nil {
+								t.Fatal(err)
+							}
+							if skip, _ := prunePair(e1, e2, class, clause); skip {
+								skipped++
+								if rel != nil {
+									t.Errorf("unsound prune: %s ~ %s (%v) is skipped by prunePair but passes the clause: tau=%g rho=%g",
+										e1.Key, e2.Key, class, rel.Score, rel.Strength)
+								}
+								continue
+							}
+							if rel != nil {
+								cands = append(cands, rel)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	return cands, considered, skipped
+}
+
 // TestPlannerParity is the planner's core contract: for every query in the
-// matrix, the pruned run returns exactly the relationships of the unpruned
-// run — same pairs, same measures, same p-values — and never evaluates a
-// pair the planner pruned.
+// matrix, every tuple the planner skips is one the clause filter rejects
+// when evaluated anyway, and the planned query returns exactly the
+// brute-force set — same pairs, same measures, same p-values.
 func TestPlannerParity(t *testing.T) {
 	f := plannerFW(t)
 	matrix := []struct {
@@ -47,35 +100,33 @@ func TestPlannerParity(t *testing.T) {
 	totalPruned := 0
 	for _, tc := range matrix {
 		t.Run(tc.name, func(t *testing.T) {
-			pruned, pstats, err := f.Query(Query{Clause: tc.clause})
+			planned, pstats, err := f.Query(Query{Clause: tc.clause})
 			if err != nil {
 				t.Fatal(err)
 			}
-			off := tc.clause
-			off.DisablePruning = true
-			unpruned, ustats, err := f.Query(Query{Clause: off})
-			if err != nil {
-				t.Fatal(err)
+			cands, considered, skipped := bruteForce(t, f, tc.clause)
+			if pstats.PairsConsidered != considered {
+				t.Errorf("PairsConsidered %d, brute force enumerated %d", pstats.PairsConsidered, considered)
 			}
-			if ustats.Pruned != 0 {
-				t.Errorf("DisablePruning run still pruned %d", ustats.Pruned)
+			if pstats.Pruned != skipped {
+				t.Errorf("Pruned %d, prunePair skipped %d", pstats.Pruned, skipped)
 			}
-			if pstats.PairsConsidered != ustats.PairsConsidered {
-				t.Errorf("PairsConsidered %d vs %d", pstats.PairsConsidered, ustats.PairsConsidered)
+			if pstats.Evaluated != len(cands) {
+				t.Errorf("Evaluated %d, brute force has %d related tuples", pstats.Evaluated, len(cands))
 			}
-			if pstats.Evaluated != ustats.Evaluated {
-				t.Errorf("Evaluated %d (pruned run) vs %d (unpruned)", pstats.Evaluated, ustats.Evaluated)
+			applyCorrection(cands, tc.clause)
+			want := map[string]Relationship{}
+			for _, r := range cands {
+				if r.Significant || tc.clause.SkipSignificance {
+					want[r.Function1+"|"+r.Function2+"|"+r.Class.String()] = *r
+				}
 			}
-			if pstats.Significant != ustats.Significant {
-				t.Errorf("Significant %d vs %d", pstats.Significant, ustats.Significant)
+			if len(planned) != len(want) {
+				t.Fatalf("planned query: %d relationships, brute force: %d", len(planned), len(want))
 			}
-			if len(pruned) != len(unpruned) {
-				t.Fatalf("pruned run: %d relationships, unpruned: %d", len(pruned), len(unpruned))
-			}
-			for i := range pruned {
-				if pruned[i] != unpruned[i] {
-					t.Errorf("relationship %d differs:\n  pruned:   %v\n  unpruned: %v",
-						i, pruned[i], unpruned[i])
+			for _, r := range planned {
+				if w := want[r.Function1+"|"+r.Function2+"|"+r.Class.String()]; r != w {
+					t.Errorf("relationship differs:\n  planned:     %v\n  brute force: %v", r, w)
 				}
 			}
 			totalPruned += pstats.Pruned

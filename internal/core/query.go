@@ -39,12 +39,6 @@ type Clause struct {
 	SkipSignificance bool
 	// TestKind selects restricted (default) or standard permutation tests.
 	TestKind montecarlo.Kind
-	// Kernel selects the Monte Carlo tau kernel (vector by default, scalar
-	// as the differential reference). Both kernels are byte-identical by
-	// construction, so Kernel is deliberately excluded from querySignature
-	// — scalar and vector runs share cache entries and snapshot-persisted
-	// graph edges — and is never persisted itself.
-	Kernel montecarlo.Kernel
 	// Correction selects the multiple-hypothesis correction applied across
 	// the query's tested pairs (stats.None, stats.BH, or stats.BY). Under a
 	// correction, every evaluated pair receives a q-value computed over the
@@ -60,13 +54,8 @@ type Clause struct {
 	// termination, evaluating all Permutations for every pair. Significant
 	// verdicts are identical either way (the early stop is decision-exact);
 	// only the reported p-values of insignificant pairs differ. This exists
-	// for verification and calibration, like DisablePruning.
+	// for verification and calibration.
 	Exhaustive bool
-	// DisablePruning makes the planner schedule every candidate tuple
-	// instead of skipping provably fruitless ones. Results are identical
-	// either way (pruning is sound); this exists for parity verification
-	// and planner benchmarking.
-	DisablePruning bool
 	// Windowed restricts the query to the time window [WindowFrom,
 	// WindowTo] (Unix seconds, both ends in their bins): feature bits
 	// outside the window are masked out before relationship evaluation, and
@@ -536,11 +525,11 @@ func querySignature(sources, targets []string, c Clause) string {
 	if c.Windowed {
 		winStr = fmt.Sprintf("%d:%d", c.WindowFrom, c.WindowTo)
 	}
-	return fmt.Sprintf("s=%s|t=%s|score=%g|strength=%g|alpha=%g|perms=%d|skip=%t|kind=%d|corr=%s|maxq=%g|exhaustive=%t|noprune=%t|classes=%s|res=%s|win=%s",
+	return fmt.Sprintf("s=%s|t=%s|score=%g|strength=%g|alpha=%g|perms=%d|skip=%t|kind=%d|corr=%s|maxq=%g|exhaustive=%t|classes=%s|res=%s|win=%s",
 		strings.Join(dedupeSorted(sources), ","), strings.Join(dedupeSorted(targets), ","),
 		c.MinScore, c.MinStrength, c.Alpha, c.Permutations, c.SkipSignificance,
 		c.TestKind, c.Correction, c.MaxQ, c.Exhaustive,
-		c.DisablePruning, strings.Join(clsParts, ";"), resStr, winStr)
+		strings.Join(clsParts, ";"), resStr, winStr)
 }
 
 // dedupeSorted returns a sorted copy of names with duplicates removed.

@@ -90,7 +90,6 @@ func (f *Framework) runSignificance(t pairTask, clause Clause, s1, s2 *feature.S
 		Alpha:        clause.Alpha,
 		Seed:         t.seed,
 		Kind:         clause.TestKind,
-		Kernel:       clause.Kernel,
 		Workers:      mcWorkers,
 		Exhaustive:   clause.Exhaustive,
 	}

@@ -1,0 +1,98 @@
+package httpapi
+
+import "github.com/urbandata/datapolygamy/internal/core"
+
+// Relationship is the JSON form of one core.Relationship, with resolution
+// and class names spelled out. The daemon's query responses and the CLI's
+// -json output both render through it, so their consumers share a parser.
+type Relationship struct {
+	Function1   string  `json:"function1"`
+	Function2   string  `json:"function2"`
+	Dataset1    string  `json:"dataset1"`
+	Dataset2    string  `json:"dataset2"`
+	Spec1       string  `json:"spec1"`
+	Spec2       string  `json:"spec2"`
+	Spatial     string  `json:"spatial"`
+	Temporal    string  `json:"temporal"`
+	Class       string  `json:"class"`
+	Score       float64 `json:"score"`
+	Strength    float64 `json:"strength"`
+	PValue      float64 `json:"pValue"`
+	QValue      float64 `json:"qValue"`
+	Significant bool    `json:"significant"`
+}
+
+// Relationships converts query results to their JSON form. The result is
+// never nil, so an empty answer renders as [] rather than null.
+func Relationships(rels []core.Relationship) []Relationship {
+	out := make([]Relationship, 0, len(rels))
+	for _, r := range rels {
+		out = append(out, Relationship{
+			Function1: r.Function1, Function2: r.Function2,
+			Dataset1: r.Dataset1, Dataset2: r.Dataset2,
+			Spec1: r.Spec1, Spec2: r.Spec2,
+			Spatial: r.Res.Spatial.String(), Temporal: r.Res.Temporal.String(),
+			Class: r.Class.String(), Score: r.Score, Strength: r.Strength,
+			PValue: r.PValue, QValue: r.QValue, Significant: r.Significant,
+		})
+	}
+	return out
+}
+
+// QueryStats is the JSON form of core.QueryStats.
+type QueryStats struct {
+	PairsConsidered int    `json:"pairsConsidered"`
+	Pruned          int    `json:"pruned"`
+	Evaluated       int    `json:"evaluated"`
+	Significant     int    `json:"significant"`
+	Kept            int    `json:"kept"`
+	CacheHit        bool   `json:"cacheHit"`
+	Coalesced       bool   `json:"coalesced"`
+	Duration        string `json:"duration"`
+}
+
+// Stage is one per-stage timing entry of a traced query response.
+type Stage struct {
+	Stage    string  `json:"stage"`
+	Duration string  `json:"duration"`
+	Seconds  float64 `json:"seconds"`
+}
+
+// QueryResponse is the body both query endpoints answer with.
+type QueryResponse struct {
+	Relationships []Relationship `json:"relationships"`
+	Stats         QueryStats     `json:"stats"`
+	// Trace is the per-stage breakdown (plan, evaluate, correct, select),
+	// present only when the request asked for it. A cache hit reports the
+	// stages of the evaluation that produced the cached result.
+	Trace []Stage `json:"trace,omitempty"`
+}
+
+// NewQueryResponse renders one evaluated query; with trace, the response
+// carries the per-stage timing breakdown.
+func NewQueryResponse(rels []core.Relationship, stats core.QueryStats, trace bool) QueryResponse {
+	resp := QueryResponse{
+		Relationships: Relationships(rels),
+		Stats: QueryStats{
+			PairsConsidered: stats.PairsConsidered,
+			Pruned:          stats.Pruned,
+			Evaluated:       stats.Evaluated,
+			Significant:     stats.Significant,
+			Kept:            stats.Kept,
+			CacheHit:        stats.CacheHit,
+			Coalesced:       stats.Coalesced,
+			Duration:        stats.Duration.String(),
+		},
+	}
+	if trace {
+		resp.Trace = make([]Stage, 0, len(stats.Stages))
+		for _, st := range stats.Stages {
+			resp.Trace = append(resp.Trace, Stage{
+				Stage:    st.Stage,
+				Duration: st.Duration.String(),
+				Seconds:  st.Duration.Seconds(),
+			})
+		}
+	}
+	return resp
+}

@@ -40,45 +40,165 @@ func denseSets(rng *rand.Rand, nVerts int, density float64, lo, hi int) (*featur
 	return a, b
 }
 
-// runBothKernels runs the same test under the scalar and vector kernels,
-// capturing the full per-permutation tau streams, and requires bitwise
-// identity of both the streams and the Results.
-func checkKernelParity(t *testing.T, a, b *feature.Set, g *stgraph.Graph, tau float64, cfg Config) {
-	t.Helper()
-	streams := map[Kernel][]float64{}
-	results := map[Kernel]Result{}
-	for _, kernel := range []Kernel{ScalarKernel, VectorKernel} {
-		c := cfg
-		c.Kernel = kernel
-		c.Exhaustive = true // cover every permutation index in the stream
-		taus := make([]float64, c.Permutations)
-		results[kernel] = test(a, b, g, tau, c, func(perm int, tauK float64) {
-			taus[perm] = tauK
-		})
-		streams[kernel] = taus
-	}
-	if results[ScalarKernel] != results[VectorKernel] {
-		t.Fatalf("Result mismatch: scalar %+v vector %+v (cfg %+v)",
-			results[ScalarKernel], results[VectorKernel], cfg)
-	}
-	for i := range streams[ScalarKernel] {
-		if streams[ScalarKernel][i] != streams[VectorKernel][i] {
-			t.Fatalf("tau stream diverges at permutation %d: scalar %v vector %v (cfg %+v)",
-				i, streams[ScalarKernel][i], streams[VectorKernel][i], cfg)
+// shiftedTau is the oracle's tau: the direct transcription of the paper's
+// definition. Each feature vertex of function 2 is carried through the
+// vertex map sigma (region permutation + time transport) and probed against
+// function 1's bit vectors one vertex at a time.
+func shiftedTau(a *feature.Set, pos2, neg2 []int, sigma func(v int) int) float64 {
+	var p, n, sigmaBoth int
+	visit := func(verts []int, positive bool) {
+		for _, v := range verts {
+			w := sigma(v)
+			inPos := a.Positive.Get(w)
+			inNeg := a.Negative.Get(w)
+			if !inPos && !inNeg {
+				continue
+			}
+			sigmaBoth++
+			if (positive && inPos) || (!positive && inNeg) {
+				p++
+			} else {
+				n++
+			}
 		}
 	}
-	// Adaptive runs must agree too (identical chunks counts => identical
-	// stopping point and truncated p-value).
-	sc, vc := cfg, cfg
-	sc.Kernel, vc.Kernel = ScalarKernel, VectorKernel
-	if rs, rv := Test(a, b, g, tau, sc), Test(a, b, g, tau, vc); rs != rv {
-		t.Fatalf("adaptive Result mismatch: scalar %+v vector %+v (cfg %+v)", rs, rv, cfg)
+	visit(pos2, true)
+	visit(neg2, false)
+	if sigmaBoth == 0 {
+		return 0
+	}
+	return float64(p-n) / float64(sigmaBoth)
+}
+
+// blockStepPerm builds the temporal bijection of one Block randomization:
+// the blocks [b*l, (b+1)*l) are laid out consecutively in the order given
+// by blockPerm, so when nSteps is not divisible by l the short tail block
+// simply occupies fewer output steps instead of wrapping onto steps owned
+// by another block. The result maps old step -> new step.
+func blockStepPerm(nSteps, l int, blockPerm []int) []int {
+	sp := make([]int, nSteps)
+	pos := 0
+	for _, b := range blockPerm {
+		end := min((b+1)*l, nSteps)
+		for s := b * l; s < end; s++ {
+			sp[s] = pos
+			pos++
+		}
+	}
+	return sp
+}
+
+// oracleTaus is the reference the production kernel is held to. It replays
+// every chunk's RNG stream itself — same chunkSeed, same permInto and
+// toroidal draws, written out here in the order the p-values were always
+// computed under — and evaluates each randomization per vertex through
+// shiftedTau. It shares no tau arithmetic and no draw sequencing with
+// testRun.chunk, so a reordered draw or a miscounted word there shows up as
+// a diverging permutation index.
+func oracleTaus(a, b *feature.Set, g *stgraph.Graph, cfg Config) []float64 {
+	pos2, neg2 := b.Positive.Ones(), b.Negative.Ones()
+	nRegions, nSteps := g.NumRegions(), g.NumSteps()
+	var (
+		src   splitmix
+		rng   = rand.New(&src)
+		shift shiftScratch
+	)
+	taus := make([]float64, cfg.Permutations)
+	for i := range taus {
+		if i%permChunk == 0 {
+			src.state = uint64(chunkSeed(cfg.Seed, i/permChunk))
+		}
+		switch cfg.Kind {
+		case Standard:
+			perm := make([]int, g.NumVertices())
+			permInto(rng, perm)
+			taus[i] = shiftedTau(a, pos2, neg2, func(v int) int { return perm[v] })
+		case Block:
+			l := blockLength(nSteps)
+			blockPerm := make([]int, (nSteps+l-1)/l)
+			permInto(rng, blockPerm)
+			var spatPerm []int
+			if nRegions > 1 {
+				spatPerm = shift.toroidal(g.SpatialAdjacency(), rng)
+			}
+			stepPerm := blockStepPerm(nSteps, l, blockPerm)
+			taus[i] = shiftedTau(a, pos2, neg2, func(v int) int {
+				r, s := g.RegionStep(v)
+				if spatPerm != nil {
+					r = spatPerm[r]
+				}
+				return g.Vertex(r, stepPerm[s])
+			})
+		default: // Restricted
+			rot := 0
+			if nSteps > 1 {
+				rot = 1 + rng.Intn(nSteps-1)
+			}
+			var spatPerm []int
+			if nRegions > 1 {
+				spatPerm = shift.toroidal(g.SpatialAdjacency(), rng)
+			}
+			taus[i] = shiftedTau(a, pos2, neg2, func(v int) int {
+				r, s := g.RegionStep(v)
+				if spatPerm != nil {
+					r = spatPerm[r]
+				}
+				return g.Vertex(r, (s+rot)%nSteps)
+			})
+		}
+	}
+	return taus
+}
+
+// oracleResult folds a tau stream into the Result a sequential scan
+// reports: count the randomizations at least as extreme as tau, and unless
+// exhaustive stop at the end of the first 50-wide chunk where the count
+// reaches alpha*(m+1), which proves p > alpha.
+func oracleResult(taus []float64, tau float64, cfg Config, exhaustive bool) Result {
+	cfg = cfg.withDefaults()
+	m := len(taus)
+	extreme, shifts := 0, 0
+	for i, tk := range taus {
+		if (tau < 0 && tk <= tau) || (tau > 0 && tk >= tau) {
+			extreme++
+		}
+		shifts = i + 1
+		if !exhaustive && shifts%permChunk == 0 && float64(extreme) >= cfg.Alpha*float64(m+1) {
+			break
+		}
+	}
+	p := float64(1+extreme) / float64(1+shifts)
+	return Result{PValue: p, Significant: p <= cfg.Alpha, TauObserved: tau, Shifts: shifts}
+}
+
+// checkKernelParity captures the production kernel's full per-permutation
+// tau stream (Exhaustive, so every index is covered under any Workers
+// value) and requires bitwise identity with the oracle's, then checks the
+// exhaustive and the adaptive Result against the oracle's fold.
+func checkKernelParity(t *testing.T, a, b *feature.Set, g *stgraph.Graph, tau float64, cfg Config) {
+	t.Helper()
+	want := oracleTaus(a, b, g, cfg)
+	ex := cfg
+	ex.Exhaustive = true
+	got := make([]float64, cfg.Permutations)
+	res := test(a, b, g, tau, ex, func(perm int, tauK float64) { got[perm] = tauK })
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("tau stream diverges at permutation %d: oracle %v kernel %v (cfg %+v)",
+				i, want[i], got[i], cfg)
+		}
+	}
+	if w := oracleResult(want, tau, cfg, true); res != w {
+		t.Fatalf("exhaustive Result mismatch: oracle %+v kernel %+v (cfg %+v)", w, res, cfg)
+	}
+	if w, r := oracleResult(want, tau, cfg, false), Test(a, b, g, tau, cfg); r != w {
+		t.Fatalf("adaptive Result mismatch: oracle %+v kernel %+v (cfg %+v)", w, r, cfg)
 	}
 }
 
-// TestKernelParity pins the tentpole contract: the word-level vector
-// kernel is byte-identical to the scalar reference for every Kind, domain
-// shape, feature density, windowed sub-domain, and Workers value.
+// TestKernelParity pins the kernel's contract: the word-level kernel is
+// byte-identical to the per-vertex oracle for every Kind, domain shape,
+// feature density, windowed sub-domain, and Workers value.
 func TestKernelParity(t *testing.T) {
 	cases := []struct {
 		name           string
@@ -164,30 +284,9 @@ func TestKernelParityOneSided(t *testing.T) {
 	}
 }
 
-func TestParseKernel(t *testing.T) {
-	for _, tc := range []struct {
-		in   string
-		want Kernel
-	}{{"vector", VectorKernel}, {"scalar", ScalarKernel}} {
-		got, err := ParseKernel(tc.in)
-		if err != nil || got != tc.want {
-			t.Errorf("ParseKernel(%q) = %v, %v", tc.in, got, err)
-		}
-		if got.String() != tc.in {
-			t.Errorf("Kernel(%v).String() = %q, want %q", got, got.String(), tc.in)
-		}
-	}
-	if _, err := ParseKernel("simd"); err == nil {
-		t.Error("ParseKernel(simd) should fail")
-	}
-	if s := Kernel(99).String(); s != "montecarlo.Kernel(?)" {
-		t.Errorf("invalid kernel String() = %q", s)
-	}
-}
-
 // TestPermIntoMatchesRandPerm pins permInto to rand.Perm's exact draw
-// sequence (the vector kernel's allocation-free replacement must consume
-// the RNG identically or permutation streams silently diverge).
+// sequence (the allocation-free replacement must consume the RNG
+// identically or permutation streams silently diverge).
 func TestPermIntoMatchesRandPerm(t *testing.T) {
 	for _, n := range []int{0, 1, 2, 7, 63, 64, 100, 1000} {
 		want := rand.New(rand.NewSource(int64(n))).Perm(n)
@@ -224,9 +323,9 @@ func TestToroidalScratchMatchesPublic(t *testing.T) {
 	}
 }
 
-// TestChunkSteadyStateAllocs asserts the tentpole's allocation contract:
+// TestChunkSteadyStateAllocs asserts the kernel's allocation contract:
 // after the first chunk sizes the scratch buffers, evaluating further
-// permutation chunks allocates nothing, for every Kind under both kernels.
+// permutation chunks allocates nothing, for every Kind.
 func TestChunkSteadyStateAllocs(t *testing.T) {
 	g, err := stgraph.New(16, 128, grid(4, 4))
 	if err != nil {
@@ -235,27 +334,22 @@ func TestChunkSteadyStateAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	a, b := denseSets(rng, g.NumVertices(), 0.1, 0, g.NumVertices())
 	for _, kind := range []Kind{Restricted, Standard, Block} {
-		for _, kernel := range []Kernel{VectorKernel, ScalarKernel} {
-			run := &testRun{
-				a: a, pos2: b.Positive.Ones(), neg2: b.Negative.Ones(),
-				g: g, tau: 0.9,
-				cfg: Config{Permutations: 200, Alpha: 0.05, Seed: 5, Kind: kind, Kernel: kernel},
-			}
-			if kernel == VectorKernel {
-				run.prep = newVectorPrep(a, b, g, kind)
-			}
-			sc := run.newScratch()
-			run.chunk(0, sc) // size the scratch buffers
-			if allocs := testing.AllocsPerRun(5, func() { run.chunk(1, sc) }); allocs != 0 {
-				t.Errorf("kind=%v kernel=%v: steady-state chunk allocates %.0f objects, want 0",
-					kind, kernel, allocs)
-			}
+		run := &testRun{
+			a: a, pos2: b.Positive.Ones(), neg2: b.Negative.Ones(),
+			g: g, tau: 0.9,
+			cfg:  Config{Permutations: 200, Alpha: 0.05, Seed: 5, Kind: kind},
+			prep: newVectorPrep(a, b, g, kind),
+		}
+		sc := run.newScratch()
+		run.chunk(0, sc) // size the scratch buffers
+		if allocs := testing.AllocsPerRun(5, func() { run.chunk(1, sc) }); allocs != 0 {
+			t.Errorf("kind=%v: steady-state chunk allocates %.0f objects, want 0", kind, allocs)
 		}
 	}
 }
 
 // FuzzKernelParity fuzzes domain shape, density, seed, Kind, and observed
-// tau, requiring byte-identical Results and tau streams from both kernels.
+// tau, requiring Results and tau streams byte-identical to the oracle's.
 func FuzzKernelParity(f *testing.F) {
 	f.Add(int64(1), uint8(3), uint8(3), uint8(50), uint8(30), uint8(0), false)
 	f.Add(int64(2), uint8(1), uint8(1), uint8(200), uint8(10), uint8(1), true)
@@ -291,7 +385,7 @@ func FuzzKernelParity(f *testing.F) {
 
 // BenchmarkShiftedTauKernel measures one permutation chunk (50
 // randomizations) per iteration on a 16x16-region hourly-resolution
-// domain, scalar vs vector, per Kind.
+// domain, per Kind.
 func BenchmarkShiftedTauKernel(b *testing.B) {
 	g, err := stgraph.New(256, 1464, grid(16, 16))
 	if err != nil {
@@ -300,23 +394,19 @@ func BenchmarkShiftedTauKernel(b *testing.B) {
 	rng := rand.New(rand.NewSource(42))
 	fa, fb := denseSets(rng, g.NumVertices(), 0.08, 0, g.NumVertices())
 	for _, kind := range []Kind{Restricted, Standard, Block} {
-		for _, kernel := range []Kernel{ScalarKernel, VectorKernel} {
-			b.Run(kind.String()+"/"+kernel.String(), func(b *testing.B) {
-				run := &testRun{
-					a: fa, pos2: fb.Positive.Ones(), neg2: fb.Negative.Ones(),
-					g: g, tau: 0.9,
-					cfg: Config{Permutations: permChunk, Alpha: 0.05, Seed: 1, Kind: kind, Kernel: kernel},
-				}
-				if kernel == VectorKernel {
-					run.prep = newVectorPrep(fa, fb, g, kind)
-				}
-				sc := run.newScratch()
-				run.chunk(0, sc)
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					run.chunk(i%8, sc)
-				}
-			})
-		}
+		b.Run(kind.String(), func(b *testing.B) {
+			run := &testRun{
+				a: fa, pos2: fb.Positive.Ones(), neg2: fb.Negative.Ones(),
+				g: g, tau: 0.9,
+				cfg:  Config{Permutations: permChunk, Alpha: 0.05, Seed: 1, Kind: kind},
+				prep: newVectorPrep(fa, fb, g, kind),
+			}
+			sc := run.newScratch()
+			run.chunk(0, sc)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				run.chunk(i%8, sc)
+			}
+		})
 	}
 }

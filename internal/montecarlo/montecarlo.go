@@ -18,16 +18,12 @@
 // relationships can be significant. An observed score of zero is never
 // significant (p = 1).
 //
-// Two tau kernels evaluate the randomizations. The scalar kernel walks
-// function 2's feature vertices one at a time through the permutation map
-// and probes function 1's bit vectors per vertex; it is the direct
-// transcription of the paper's definition and stays in-tree as the
-// reference. The vector kernel (the default) transposes both feature sets
-// into lane-padded region-major bit vectors once per test, materializes
-// each randomization with word-level rotate/copy blits, and reads tau off
-// fused popcounts at 64 vertices per word. Both kernels consume identical
-// RNG streams and compute tau from identical integer counts, so their
-// p-values are byte-identical (pinned by TestKernelParity and
+// The randomizations are evaluated a word at a time: both feature sets
+// are transposed once per test into lane-padded region-major bit vectors,
+// each randomization is materialized with rotate/copy blits, and tau is read
+// off fused popcounts at 64 vertices per word. The per-vertex transcription
+// of the paper's definition lives in kernel_test.go as the oracle every
+// permutation's tau is compared against (TestKernelParity,
 // FuzzKernelParity).
 package montecarlo
 
@@ -55,8 +51,6 @@ var (
 		"Permutations actually evaluated across all tests.")
 	mEarlyStops = obsv.NewCounter("polygamy_montecarlo_early_stops_total",
 		"Tests stopped by adaptive termination before the full permutation budget.")
-	mKernelPermutations = obsv.NewCounterVec("polygamy_mc_kernel_permutations_total",
-		"Permutations evaluated, by tau kernel.", "kernel")
 )
 
 // DefaultPermutations is the paper's |m| = 1,000 toroidal shifts.
@@ -96,45 +90,6 @@ func (k Kind) String() string {
 	}
 }
 
-// Kernel selects the tau evaluation strategy. Both kernels produce
-// byte-identical Results for every input, seed, Kind, and Workers value;
-// the choice is purely a performance knob, which is why it is excluded
-// from query cache signatures and never persisted in snapshots.
-type Kernel int
-
-const (
-	// VectorKernel (the default) evaluates tau with word-level bit blits
-	// and popcounts over lane-padded transposed feature vectors.
-	VectorKernel Kernel = iota
-	// ScalarKernel walks feature vertices one at a time — the reference
-	// implementation the vector kernel is differentially tested against.
-	ScalarKernel
-)
-
-// String implements fmt.Stringer.
-func (k Kernel) String() string {
-	switch k {
-	case VectorKernel:
-		return "vector"
-	case ScalarKernel:
-		return "scalar"
-	default:
-		return "montecarlo.Kernel(?)"
-	}
-}
-
-// ParseKernel maps "vector"/"scalar" to the Kernel constant.
-func ParseKernel(s string) (Kernel, error) {
-	switch s {
-	case "vector":
-		return VectorKernel, nil
-	case "scalar":
-		return ScalarKernel, nil
-	default:
-		return 0, fmt.Errorf("montecarlo: unknown kernel %q (want vector or scalar)", s)
-	}
-}
-
 // blockLength picks the temporal block size for Block permutations: about
 // fifty blocks, at least two steps each.
 func blockLength(nSteps int) int {
@@ -151,7 +106,6 @@ type Config struct {
 	Alpha        float64 // significance level; 0 => DefaultAlpha
 	Seed         int64   // RNG seed for reproducibility
 	Kind         Kind    // Restricted or Standard
-	Kernel       Kernel  // tau kernel; zero value is VectorKernel
 
 	// Workers is the number of goroutines evaluating permutation chunks;
 	// <= 1 runs sequentially. The permutations are partitioned into
@@ -335,37 +289,6 @@ func AdjacencyPreserved(adj [][]int, perm []int) float64 {
 	return float64(kept) / float64(total)
 }
 
-// shiftedTau computes the relationship score tau between the features of
-// function 1 and the features of function 2 transported by the vertex map
-// sigma (region permutation + time rotation). Only the (sparse) feature
-// vertices of function 2 are touched, keeping each randomization cheap.
-// This is the scalar reference kernel.
-func shiftedTau(a *feature.Set, pos2, neg2 []int, sigma func(v int) int) float64 {
-	var p, n, sigmaBoth int
-	visit := func(verts []int, positive bool) {
-		for _, v := range verts {
-			w := sigma(v)
-			inPos := a.Positive.Get(w)
-			inNeg := a.Negative.Get(w)
-			if !inPos && !inNeg {
-				continue
-			}
-			sigmaBoth++
-			if (positive && inPos) || (!positive && inNeg) {
-				p++
-			} else {
-				n++
-			}
-		}
-	}
-	visit(pos2, true)
-	visit(neg2, false)
-	if sigmaBoth == 0 {
-		return 0
-	}
-	return float64(p-n) / float64(sigmaBoth)
-}
-
 // permChunk is the number of randomizations per independently seeded chunk.
 // Chunking is a function of Permutations alone — never of Workers — so the
 // sequential and parallel paths evaluate identical RNG streams and produce
@@ -413,34 +336,6 @@ func permInto(rng *rand.Rand, buf []int) {
 	}
 }
 
-// blockStepPermInto builds the temporal bijection of one Block
-// randomization into sp: the blocks [b*l, (b+1)*l) are laid out
-// consecutively in the order given by blockPerm, so when len(sp) is not
-// divisible by l the short tail block simply occupies fewer output steps
-// instead of wrapping onto steps owned by another block. The result maps
-// old step -> new step and is always a bijection over [0, len(sp)).
-func blockStepPermInto(sp []int, l int, blockPerm []int) {
-	nSteps := len(sp)
-	pos := 0
-	for _, b := range blockPerm {
-		end := (b + 1) * l
-		if end > nSteps {
-			end = nSteps
-		}
-		for s := b * l; s < end; s++ {
-			sp[s] = pos
-			pos++
-		}
-	}
-}
-
-// blockStepPerm is blockStepPermInto with a freshly allocated result.
-func blockStepPerm(nSteps, l int, blockPerm []int) []int {
-	sp := make([]int, nSteps)
-	blockStepPermInto(sp, l, blockPerm)
-	return sp
-}
-
 // stopThreshold is the exceedance count that decides a test early: once
 // extreme >= ceil(alpha*(m+1)), every possible completion of the
 // permutation stream has 1+extreme > alpha*(m+1), hence
@@ -472,7 +367,7 @@ func foldCounts(counts []int, m, threshold int, exhaustive bool) (extreme, shift
 	return extreme, shifts
 }
 
-// vectorPrep is the per-test immutable state of the vector kernel: both
+// vectorPrep is the per-test immutable state of the tau kernel: both
 // feature sets re-laid-out so that each randomization becomes a handful of
 // word-level blits and popcounts. It is built once per Test and shared
 // read-only by all worker goroutines.
@@ -565,13 +460,12 @@ type scratch struct {
 	src splitmix
 	rng *rand.Rand
 
-	perm     []int // Standard: vertex perm; Block: block perm
-	stepPerm []int // scalar Block kernel: materialized step bijection
-	shift    shiftScratch
+	perm  []int // Standard: vertex perm; Block: block perm
+	shift shiftScratch
 
-	// Vector kernel outputs: function 2's permuted positive/negative
-	// vectors (transposed layout for Restricted/Block, vertex-major for
-	// Standard). Nil when the corresponding side has no features.
+	// Function 2's permuted positive/negative vectors (transposed layout
+	// for Restricted/Block, vertex-major for Standard). Nil when the
+	// corresponding side has no features.
 	permPos, permNeg *bitvec.Vector
 }
 
@@ -582,13 +476,6 @@ func (sc *scratch) intBuf(n int) []int {
 	return sc.perm[:n]
 }
 
-func (sc *scratch) stepBuf(n int) []int {
-	if cap(sc.stepPerm) < n {
-		sc.stepPerm = make([]int, n)
-	}
-	return sc.stepPerm[:n]
-}
-
 // newScratch sizes a worker's scratch for this run. The RNG wraps the
 // scratch's own splitmix source; chunk reseeding just overwrites the
 // source state, which yields the same stream as a freshly constructed
@@ -596,28 +483,26 @@ func (sc *scratch) stepBuf(n int) []int {
 func (t *testRun) newScratch() *scratch {
 	sc := &scratch{}
 	sc.rng = rand.New(&sc.src)
-	if t.prep != nil {
-		n := t.a.NumVertices()
-		if t.cfg.Kind != Standard {
-			n = t.g.NumRegions() * t.prep.laneBits
-		}
-		if t.prep.bPosAny {
-			sc.permPos = bitvec.New(n)
-		}
-		if t.prep.bNegAny {
-			sc.permNeg = bitvec.New(n)
-		}
+	n := t.a.NumVertices()
+	if t.cfg.Kind != Standard {
+		n = t.g.NumRegions() * t.prep.laneBits
+	}
+	if t.prep.bPosAny {
+		sc.permPos = bitvec.New(n)
+	}
+	if t.prep.bNegAny {
+		sc.permNeg = bitvec.New(n)
 	}
 	return sc
 }
 
 // tauFromCounts turns the fused popcount tallies into tau. With
 // pp = |sigma(pos2) ∩ aPos|, bp = |sigma(pos2) ∩ aAll| (and pn/bn the
-// negative-side mirrors), the scalar kernel's tallies are p = pp + pn,
-// |Σ| = bp + bn, n = |Σ| - p: a positive feature of function 2 landing on
-// a positive feature of function 1 counts toward p even when the vertex is
-// also negative, exactly like the scalar branch `(positive && inPos)`.
-// Identical integer counts make the float64 division bit-identical.
+// negative-side mirrors), the per-vertex definition's tallies are
+// p = pp + pn, |Σ| = bp + bn, n = |Σ| - p: a positive feature of function 2
+// landing on a positive feature of function 1 counts toward p even when
+// the vertex is also negative. Identical integer counts make the float64
+// division bit-identical to the test oracle's.
 func tauFromCounts(pp, pn, bp, bn int) float64 {
 	sigmaBoth := bp + bn
 	if sigmaBoth == 0 {
@@ -786,10 +671,10 @@ func Test(a, b *feature.Set, g *stgraph.Graph, tauObserved float64, cfg Config) 
 }
 
 // test is Test with an optional per-permutation tau sink, the hook the
-// kernel-parity tests use to compare the full tau streams of both kernels
-// (not just the folded Results). sink is called with the global
-// permutation index; under Workers > 1 calls arrive concurrently from
-// multiple goroutines and may cover chunks past the adaptive stopping
+// kernel-parity tests use to compare the full tau stream (not just the
+// folded Result) against the per-vertex oracle. sink is called with the
+// global permutation index; under Workers > 1 calls arrive concurrently
+// from multiple goroutines and may cover chunks past the adaptive stopping
 // point (in-flight work), so parity tests compare streams in Exhaustive
 // mode.
 func test(a, b *feature.Set, g *stgraph.Graph, tauObserved float64, cfg Config, sink func(perm int, tau float64)) Result {
@@ -807,14 +692,12 @@ func test(a, b *feature.Set, g *stgraph.Graph, tauObserved float64, cfg Config, 
 		g:    g,
 		tau:  tauObserved,
 		cfg:  cfg,
+		prep: newVectorPrep(a, b, g, cfg.Kind),
 		sink: sink,
 	}
-	if cfg.Kernel == VectorKernel {
-		run.prep = newVectorPrep(a, b, g, cfg.Kind)
-	}
-	if run.prep == nil || cfg.Kind == Standard {
-		// The lane kernels never walk individual vertices, so skip
-		// materializing the index slices for them.
+	if cfg.Kind == Standard {
+		// Only the Standard scatter walks individual vertices; the lane
+		// kernels never do, so skip materializing the index slices for them.
 		run.pos2 = b.Positive.Ones()
 		run.neg2 = b.Negative.Ones()
 	}
@@ -838,7 +721,6 @@ func test(a, b *feature.Set, g *stgraph.Graph, tauObserved float64, cfg Config, 
 	p := float64(1+extreme) / float64(1+shifts)
 	mTests.Inc()
 	mPermutations.Add(uint64(shifts))
-	mKernelPermutations.With(cfg.Kernel.String()).Add(uint64(shifts))
 	if shifts < cfg.Permutations {
 		mEarlyStops.Inc()
 	}
@@ -904,26 +786,23 @@ func (t *testRun) parallel(w int, counts []int, threshold int) {
 }
 
 // testRun carries the immutable inputs of one significance test across its
-// permutation chunks. The chunk body is a top-level method (not a closure
-// inside Test) so the hot sigma closures stay shallow enough for the
-// compiler to keep inlining Graph.Vertex/RegionStep.
+// permutation chunks.
 type testRun struct {
 	a          *feature.Set
 	pos2, neg2 []int
 	g          *stgraph.Graph
 	tau        float64
 	cfg        Config
-	prep       *vectorPrep // nil => scalar kernel
+	prep       *vectorPrep
 	sink       func(perm int, tau float64)
 }
 
 // chunk counts the extreme randomizations among permutation indices
 // [ci*permChunk, min((ci+1)*permChunk, |m|)) using the chunk's own
 // deterministically seeded RNG stream from sc. The random draws — vertex
-// or block permutation, time rotation, toroidal shift — happen on one
-// shared path in the historical order, so both kernels (and any future
-// one) consume identical streams by construction; only the tau evaluation
-// branches on the kernel.
+// or block permutation, time rotation, toroidal shift — happen in the
+// historical order, which the test oracle replays draw for draw; reordering
+// one changes every reported p-value (and fails TestKernelParity).
 func (t *testRun) chunk(ci int, sc *scratch) int {
 	sc.src.state = uint64(chunkSeed(t.cfg.Seed, ci))
 	rng := sc.rng
@@ -942,11 +821,7 @@ func (t *testRun) chunk(ci int, sc *scratch) int {
 		case Standard:
 			perm := sc.intBuf(nVerts)
 			permInto(rng, perm)
-			if t.prep != nil {
-				tauK = t.vectorTauStandard(sc, perm)
-			} else {
-				tauK = shiftedTau(t.a, t.pos2, t.neg2, func(v int) int { return perm[v] })
-			}
+			tauK = t.vectorTauStandard(sc, perm)
 		case Block:
 			l := blockLength(nSteps)
 			nBlocks := (nSteps + l - 1) / l
@@ -956,19 +831,7 @@ func (t *testRun) chunk(ci int, sc *scratch) int {
 			if nRegions > 1 {
 				spatPerm = sc.shift.toroidal(g.SpatialAdjacency(), rng)
 			}
-			if t.prep != nil {
-				tauK = t.vectorTauBlock(sc, spatPerm, blockPerm, l)
-			} else {
-				stepPerm := sc.stepBuf(nSteps)
-				blockStepPermInto(stepPerm, l, blockPerm)
-				tauK = shiftedTau(t.a, t.pos2, t.neg2, func(v int) int {
-					r, s := g.RegionStep(v)
-					if spatPerm != nil {
-						r = spatPerm[r]
-					}
-					return g.Vertex(r, stepPerm[s])
-				})
-			}
+			tauK = t.vectorTauBlock(sc, spatPerm, blockPerm, l)
 		default: // Restricted
 			rot := 0
 			if nSteps > 1 {
@@ -978,20 +841,7 @@ func (t *testRun) chunk(ci int, sc *scratch) int {
 			if nRegions > 1 {
 				spatPerm = sc.shift.toroidal(g.SpatialAdjacency(), rng)
 			}
-			if t.prep != nil {
-				tauK = t.vectorTauRestricted(sc, spatPerm, rot)
-			} else if spatPerm != nil {
-				perm := spatPerm
-				tauK = shiftedTau(t.a, t.pos2, t.neg2, func(v int) int {
-					r, s := g.RegionStep(v)
-					return g.Vertex(perm[r], (s+rot)%nSteps)
-				})
-			} else {
-				tauK = shiftedTau(t.a, t.pos2, t.neg2, func(v int) int {
-					_, s := g.RegionStep(v)
-					return g.Vertex(0, (s+rot)%nSteps)
-				})
-			}
+			tauK = t.vectorTauRestricted(sc, spatPerm, rot)
 		}
 		if t.sink != nil {
 			t.sink(ci*permChunk+k, tauK)

@@ -95,7 +95,7 @@ func Parse(input string) (core.Query, error) {
 // expressible in the grammar — lower-case data set names, the clause
 // fields the where-grammar covers — Parse(Format(q)) reproduces q exactly
 // (see the round-trip property test). Clause fields outside the grammar
-// (SkipSignificance, Exhaustive, DisablePruning) are not rendered.
+// (SkipSignificance, Exhaustive) are not rendered.
 func Format(q core.Query) string {
 	var b strings.Builder
 	b.WriteString("find relationships between ")

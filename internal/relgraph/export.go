@@ -46,7 +46,7 @@ func (g *Graph) WriteDOT(w io.Writer) error {
 // jsonGraph is the JSON document shape of a graph export.
 type jsonGraph struct {
 	Nodes    []jsonNode `json:"nodes"`
-	Edges    []jsonEdge `json:"edges"`
+	Edges    []EdgeJSON `json:"edges"`
 	Datasets []string   `json:"datasets"`
 }
 
@@ -57,7 +57,10 @@ type jsonNode struct {
 	Degree  int    `json:"degree"`
 }
 
-type jsonEdge struct {
+// EdgeJSON is the JSON form of one edge, with resolution and class names
+// spelled out: the shape of the graph export's edges and of every edge
+// list the daemon's graph endpoints return.
+type EdgeJSON struct {
 	Function1 string  `json:"function1"`
 	Function2 string  `json:"function2"`
 	Dataset1  string  `json:"dataset1"`
@@ -76,7 +79,7 @@ type jsonEdge struct {
 func (g *Graph) MarshalJSON() ([]byte, error) {
 	doc := jsonGraph{
 		Nodes:    make([]jsonNode, 0, len(g.nodes)),
-		Edges:    make([]jsonEdge, 0, len(g.edges)),
+		Edges:    EdgesJSON(g.edges),
 		Datasets: g.datasets,
 	}
 	if doc.Datasets == nil {
@@ -85,15 +88,22 @@ func (g *Graph) MarshalJSON() ([]byte, error) {
 	for _, n := range g.nodes {
 		doc.Nodes = append(doc.Nodes, jsonNode(n))
 	}
-	for _, e := range g.edges {
-		doc.Edges = append(doc.Edges, jsonEdge{
+	return json.Marshal(doc)
+}
+
+// EdgesJSON converts edges to their JSON form. The result is never nil, so
+// an empty list renders as [] rather than null.
+func EdgesJSON(edges []Edge) []EdgeJSON {
+	out := make([]EdgeJSON, 0, len(edges))
+	for _, e := range edges {
+		out = append(out, EdgeJSON{
 			Function1: e.Function1, Function2: e.Function2,
 			Dataset1: e.Dataset1, Dataset2: e.Dataset2,
 			Spatial: e.SRes.String(), Temporal: e.TRes.String(), Class: e.Class.String(),
 			Tau: e.Tau, Rho: e.Rho, PValue: e.PValue, QValue: e.QValue,
 		})
 	}
-	return json.Marshal(doc)
+	return out
 }
 
 // WriteJSON writes the MarshalJSON document to w with a trailing newline.

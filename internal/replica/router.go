@@ -124,7 +124,32 @@ func NewRouter(opts RouterOptions) (*Router, error) {
 	return rt, nil
 }
 
-func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) { rt.mux.ServeHTTP(w, r) }
+// ServeHTTP gives every request an ID before routing it — the client's
+// X-Request-ID, or a generated one — which backendRequest then carries to
+// every backend the request touches.
+func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if r.Header.Get("X-Request-ID") == "" {
+		r.Header.Set("X-Request-ID", obsv.NewRequestID())
+	}
+	rt.mux.ServeHTTP(w, r)
+}
+
+// backendRequest builds the outbound leg of the inbound request r: it
+// shares r's context, so a client that goes away cancels the backend call,
+// and r's request ID, so the router's, the replica's and the leader's log
+// lines for one client request can be joined (polygamyd adopts the header
+// as its own request ID and echoes it in the response).
+func backendRequest(r *http.Request, method, url string, body io.Reader, contentType string) (*http.Request, error) {
+	req, err := http.NewRequestWithContext(r.Context(), method, url, body)
+	if err != nil {
+		return nil, err
+	}
+	if contentType != "" {
+		req.Header.Set("Content-Type", contentType)
+	}
+	req.Header.Set("X-Request-ID", r.Header.Get("X-Request-ID"))
+	return req, nil
+}
 
 // Run probes replica health until ctx is cancelled.
 func (rt *Router) Run(ctx context.Context) {
@@ -267,13 +292,12 @@ func (rt *Router) handleWrite(w http.ResponseWriter, r *http.Request) {
 		httpapi.WriteJSON(w, http.StatusServiceUnavailable, httpapi.Error{Error: "router has no leader configured; writes are unavailable"})
 		return
 	}
-	req, err := http.NewRequestWithContext(r.Context(), r.Method,
-		strings.TrimRight(rt.opts.Leader, "/")+r.URL.RequestURI(), r.Body)
+	req, err := backendRequest(r, r.Method,
+		strings.TrimRight(rt.opts.Leader, "/")+r.URL.RequestURI(), r.Body, r.Header.Get("Content-Type"))
 	if err != nil {
 		httpapi.WriteJSON(w, http.StatusInternalServerError, httpapi.Error{Error: err.Error()})
 		return
 	}
-	req.Header.Set("Content-Type", r.Header.Get("Content-Type"))
 	resp, err := rt.hc.Do(req)
 	if err != nil {
 		httpapi.WriteJSON(w, http.StatusBadGateway, httpapi.Error{Error: "leader unreachable: " + err.Error()})
@@ -317,17 +341,17 @@ func (rt *Router) forwardOrdered(w http.ResponseWriter, r *http.Request, cands [
 		if i > 0 {
 			mRouterRetries.Inc()
 		}
-		var rd io.Reader
+		var (
+			rd          io.Reader
+			contentType string
+		)
 		if body != nil {
-			rd = bytes.NewReader(body)
+			rd, contentType = bytes.NewReader(body), "application/json"
 		}
-		req, err := http.NewRequestWithContext(r.Context(), method, b.url+path, rd)
+		req, err := backendRequest(r, method, b.url+path, rd, contentType)
 		if err != nil {
 			httpapi.WriteJSON(w, http.StatusInternalServerError, httpapi.Error{Error: err.Error()})
 			return
-		}
-		if body != nil {
-			req.Header.Set("Content-Type", "application/json")
 		}
 		resp, err := rt.hc.Do(req)
 		if err != nil {
@@ -418,7 +442,7 @@ func (rt *Router) handleShardedBuild(w http.ResponseWriter, r *http.Request) {
 		wg.Add(1)
 		go func(i int, b *backend) {
 			defer wg.Done()
-			shards[i], errs[i] = rt.fetchShard(r.Context(), b, req.Clause, i, of)
+			shards[i], errs[i] = rt.fetchShard(r, b, req.Clause, i, of)
 		}(i, b)
 	}
 	wg.Wait()
@@ -434,13 +458,12 @@ func (rt *Router) handleShardedBuild(w http.ResponseWriter, r *http.Request) {
 		httpapi.WriteJSON(w, http.StatusInternalServerError, httpapi.Error{Error: err.Error()})
 		return
 	}
-	mreq, err := http.NewRequestWithContext(r.Context(), http.MethodPost,
-		strings.TrimRight(rt.opts.Leader, "/")+"/v1/graph/merge", bytes.NewReader(merge))
+	mreq, err := backendRequest(r, http.MethodPost,
+		strings.TrimRight(rt.opts.Leader, "/")+"/v1/graph/merge", bytes.NewReader(merge), "application/json")
 	if err != nil {
 		httpapi.WriteJSON(w, http.StatusInternalServerError, httpapi.Error{Error: err.Error()})
 		return
 	}
-	mreq.Header.Set("Content-Type", "application/json")
 	resp, err := rt.hc.Do(mreq)
 	if err != nil {
 		httpapi.WriteJSON(w, http.StatusBadGateway, httpapi.Error{Error: "merging on leader: " + err.Error()})
@@ -453,16 +476,15 @@ func (rt *Router) handleShardedBuild(w http.ResponseWriter, r *http.Request) {
 	copyResponse(w, resp)
 }
 
-func (rt *Router) fetchShard(ctx context.Context, b *backend, clause httpapi.ClauseRequest, shard, of int) ([]byte, error) {
+func (rt *Router) fetchShard(r *http.Request, b *backend, clause httpapi.ClauseRequest, shard, of int) ([]byte, error) {
 	body, err := json.Marshal(httpapi.GraphShardRequest{Clause: clause, Shard: shard, Of: of})
 	if err != nil {
 		return nil, err
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, b.url+"/v1/graph/shard", bytes.NewReader(body))
+	req, err := backendRequest(r, http.MethodPost, b.url+"/v1/graph/shard", bytes.NewReader(body), "application/json")
 	if err != nil {
 		return nil, err
 	}
-	req.Header.Set("Content-Type", "application/json")
 	resp, err := rt.hc.Do(req)
 	if err != nil {
 		return nil, err

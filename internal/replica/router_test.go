@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -24,6 +25,7 @@ type stubReplica struct {
 	readHits  atomic.Int64
 	shardHits atomic.Int64
 	failWith  atomic.Int32 // 0 = healthy, otherwise status code to return
+	lastID    atomic.Value // X-Request-ID of the last query or shard request
 	name      string
 }
 
@@ -49,6 +51,7 @@ func newStubReplica(t testing.TB, name string) *stubReplica {
 			return
 		}
 		s.queryHits.Add(1)
+		s.lastID.Store(r.Header.Get("X-Request-ID"))
 		httpapi.WriteJSON(w, http.StatusOK, map[string]any{"served_by": s.name})
 	})
 	mux.HandleFunc("/v1/graph/shard", func(w http.ResponseWriter, r *http.Request) {
@@ -56,6 +59,7 @@ func newStubReplica(t testing.TB, name string) *stubReplica {
 			return
 		}
 		s.shardHits.Add(1)
+		s.lastID.Store(r.Header.Get("X-Request-ID"))
 		var req httpapi.GraphShardRequest
 		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 			httpapi.WriteJSON(w, http.StatusBadRequest, httpapi.Error{Error: err.Error()})
@@ -388,6 +392,70 @@ func TestRouterShardedBuildFansOutAndMerges(t *testing.T) {
 	rt.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/graph/build", strings.NewReader(`{}`)))
 	if w.Code != http.StatusBadGateway {
 		t.Fatalf("failed worker: status %d, want 502", w.Code)
+	}
+}
+
+// TestRouterForwardsRequestID: the client's X-Request-ID reaches every
+// backend a request touches — the replica of a routed query, the leader of
+// a forwarded write, and each replica plus the leader of a sharded build —
+// and a request without one gets an ID generated by the router.
+func TestRouterForwardsRequestID(t *testing.T) {
+	var leaderIDs sync.Map // path -> X-Request-ID
+	leader := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		io.Copy(io.Discard, r.Body)
+		leaderIDs.Store(r.URL.Path, r.Header.Get("X-Request-ID"))
+		httpapi.WriteJSON(w, http.StatusOK, map[string]any{"ok": true})
+	}))
+	defer leader.Close()
+	stubs := []*stubReplica{newStubReplica(t, "r0"), newStubReplica(t, "r1")}
+	rt := newTestRouter(t, leader.URL, stubs...)
+	send := func(id, method, path, body string) {
+		t.Helper()
+		req := httptest.NewRequest(method, path, strings.NewReader(body))
+		if id != "" {
+			req.Header.Set("X-Request-ID", id)
+		}
+		w := httptest.NewRecorder()
+		rt.ServeHTTP(w, req)
+		if w.Code != http.StatusOK {
+			t.Fatalf("%s %s: status %d: %s", method, path, w.Code, w.Body)
+		}
+	}
+	queryID := func() any {
+		for _, s := range stubs {
+			if s.queryHits.Swap(0) > 0 {
+				return s.lastID.Load()
+			}
+		}
+		return nil
+	}
+
+	send("client-query-1", http.MethodPost, "/v1/query", `{"sources":["wind"],"clause":{}}`)
+	if got := queryID(); got != "client-query-1" {
+		t.Errorf("routed query: replica saw request ID %q, want the client's", got)
+	}
+	send("client-text-1", http.MethodGet, "/v1/query?q=find+relationships+between+wind+and+trips", "")
+	if got := queryID(); got != "client-text-1" {
+		t.Errorf("routed text query: replica saw request ID %q, want the client's", got)
+	}
+	send("", http.MethodPost, "/v1/query", `{"sources":["wind"],"clause":{}}`)
+	if got, _ := queryID().(string); got == "" {
+		t.Error("routed query without an ID: router forwarded none")
+	}
+
+	send("client-write-1", http.MethodPost, "/v1/datasets/wind/append", "csv,body")
+	if got, _ := leaderIDs.Load("/v1/datasets/wind/append"); got != "client-write-1" {
+		t.Errorf("forwarded write: leader saw request ID %q, want the client's", got)
+	}
+
+	send("client-build-1", http.MethodPost, "/v1/graph/build", `{}`)
+	for _, s := range stubs {
+		if got := s.lastID.Load(); got != "client-build-1" {
+			t.Errorf("shard fan-out: replica %s saw request ID %q, want the client's", s.name, got)
+		}
+	}
+	if got, _ := leaderIDs.Load("/v1/graph/merge"); got != "client-build-1" {
+		t.Errorf("shard merge: leader saw request ID %q, want the client's", got)
 	}
 }
 

@@ -183,25 +183,6 @@ const (
 	BlockTest = montecarlo.Block
 )
 
-// KernelKind selects the Monte Carlo tau kernel. Both kernels are
-// byte-identical; the knob exists for benchmarking and differential
-// verification of the word-level vector kernel against the scalar
-// reference.
-type KernelKind = montecarlo.Kernel
-
-// Tau kernels.
-const (
-	// VectorKernel (default) evaluates permutations with word-level bit
-	// blits and popcounts over lane-padded transposed feature vectors.
-	VectorKernel = montecarlo.VectorKernel
-	// ScalarKernel walks feature vertices one at a time — the reference
-	// implementation.
-	ScalarKernel = montecarlo.ScalarKernel
-)
-
-// ParseKernel parses a kernel name ("vector" or "scalar").
-func ParseKernel(s string) (KernelKind, error) { return montecarlo.ParseKernel(s) }
-
 // ScalarKind distinguishes density, unique, and attribute functions.
 type ScalarKind = scalar.Kind
 
