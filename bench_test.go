@@ -530,19 +530,6 @@ func BenchmarkComparisonBaselines(b *testing.B) {
 	}
 }
 
-// BenchmarkToroidalShift measures one restricted-permutation shift on the
-// neighborhood adjacency graph (the inner loop of every significance test).
-func BenchmarkToroidalShift(b *testing.B) {
-	city, _, _ := benchSetup(b)
-	adj := city.Adjacency(spatial.Neighborhood)
-	rng := rand.New(rand.NewSource(5))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		montecarlo.ToroidalShift(adj, rng)
-	}
-}
-
 // BenchmarkExperimentTable1 runs the printable Table 1 reproduction end to
 // end (generation + formatting) at reduced scale.
 func BenchmarkExperimentTable1(b *testing.B) {

@@ -574,7 +574,8 @@ func TestServerCorrection(t *testing.T) {
 }
 
 // TestPrepareFrameworkReplacesOldContainer: a snapshot left on disk by an
-// earlier build (container version 4) is not converted. Load refuses it
+// earlier build (container version 5: this layout, but p-values drawn from
+// per-test toroidal shifts) is not converted. Load refuses it
 // with ErrVersion, start-up answers with a cold build, and the re-save puts
 // a current container at the same path, so the start after that is warm.
 func TestPrepareFrameworkReplacesOldContainer(t *testing.T) {
@@ -586,12 +587,12 @@ func TestPrepareFrameworkReplacesOldContainer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	data[8] = 4 // low byte of the header's little-endian version word
+	data[8] = 5 // low byte of the header's little-endian version word
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if err := testFrameworkCold(t).Load(path); !errors.Is(err, store.ErrVersion) {
-		t.Fatalf("Load of a version-4 container: err = %v, want ErrVersion", err)
+		t.Fatalf("Load of a version-5 container: err = %v, want ErrVersion", err)
 	}
 
 	fw := testFrameworkCold(t)
@@ -600,7 +601,7 @@ func TestPrepareFrameworkReplacesOldContainer(t *testing.T) {
 		t.Fatal(err)
 	}
 	if warm || !fw.Indexed() {
-		t.Errorf("start over a version-4 container: warm = %t, indexed = %t; want a cold build", warm, fw.Indexed())
+		t.Errorf("start over a version-5 container: warm = %t, indexed = %t; want a cold build", warm, fw.Indexed())
 	}
 	m, err := store.ReadManifest(path)
 	if err != nil {

@@ -189,6 +189,8 @@ func TestMetricsEndpoint(t *testing.T) {
 		"polygamy_query_duration_seconds_bucket{le=\"+Inf\"}",
 		"# TYPE polygamy_query_stage_duration_seconds histogram",
 		"# TYPE polygamy_montecarlo_tests_total counter",
+		"# TYPE polygamy_montecarlo_shifts_built_total counter",
+		"# TYPE polygamy_montecarlo_shift_pool_bytes gauge",
 		"# TYPE polygamy_index_builds_total counter",
 		"# TYPE polygamy_jobs_active gauge",
 		"# TYPE polygamy_http_requests_total counter",

@@ -36,6 +36,7 @@ import (
 
 	"github.com/urbandata/datapolygamy/internal/dataset"
 	"github.com/urbandata/datapolygamy/internal/mapreduce"
+	"github.com/urbandata/datapolygamy/internal/montecarlo"
 	"github.com/urbandata/datapolygamy/internal/relgraph"
 	"github.com/urbandata/datapolygamy/internal/scalar"
 	"github.com/urbandata/datapolygamy/internal/spatial"
@@ -70,8 +71,9 @@ type Options struct {
 	// week, and month (the paper's evaluation set; raw seconds are never
 	// an evaluation resolution).
 	EvalTemporal []temporal.Resolution
-	// Seed seeds the Monte Carlo randomization tests. Each pair's test is
-	// derived deterministically from this seed and the pair's identity, so
+	// Seed seeds the Monte Carlo randomization tests. Each pair's own draws
+	// derive deterministically from this seed and the pair's identity, the
+	// shared toroidal shifts from this seed and the spatial resolution, so
 	// p-values are stable across query shapes.
 	Seed int64
 	// IncludeGradients additionally indexes the gradient of every scalar
@@ -141,6 +143,13 @@ type Framework struct {
 
 	timelines map[temporal.Resolution]*temporal.Timeline
 	graphs    map[Resolution]*stgraph.Graph
+
+	// shifts holds the toroidal-shift sequence every significance test at a
+	// spatial resolution draws from (montecarlo.ShiftPool). It is a function
+	// of the city and Options.Seed alone, so it is fixed at New, outlives
+	// index rebuilds and appends, is never persisted, and is identical in
+	// every process that serves this corpus, shard workers included.
+	shifts map[spatial.Resolution]*montecarlo.ShiftPool
 
 	index *Index
 	built bool // BuildIndex or Load has succeeded at least once
@@ -216,12 +225,19 @@ func New(opts Options) (*Framework, error) {
 			return nil, fmt.Errorf("core: second is not an evaluation resolution")
 		}
 	}
+	// Every resolution an entry can have, not only EvalSpatial: a loaded
+	// snapshot may carry others, and a pool is empty until a test reads it.
+	shifts := make(map[spatial.Resolution]*montecarlo.ShiftPool)
+	for _, sr := range []spatial.Resolution{spatial.ZipCode, spatial.Neighborhood, spatial.City} {
+		shifts[sr] = montecarlo.NewShiftPool(opts.City.Adjacency(sr), shiftSeed(opts.Seed, sr))
+	}
 	return &Framework{
 		opts:      opts,
 		datasets:  make(map[string]*dataset.Dataset),
 		index:     newIndex(),
 		timelines: make(map[temporal.Resolution]*temporal.Timeline),
 		graphs:    make(map[Resolution]*stgraph.Graph),
+		shifts:    shifts,
 		cache:     make(map[string]*cachedResult),
 		inflight:  make(map[string]*inflightQuery),
 	}, nil

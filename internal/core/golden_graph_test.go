@@ -7,25 +7,37 @@ import (
 	"fmt"
 	"path/filepath"
 	"testing"
+
+	"github.com/urbandata/datapolygamy/internal/spatial"
 )
 
 // The golden graph and query hashes pin what the engine answers on the
 // golden corpus (goldenCorpus): the DOT and JSON export of the default
 // relationship graph, and the full-precision results of one pairwise and
-// one all-pairs query. They were generated at the commit before the gob
-// codecs were deleted; a change that claims "same behaviour" must leave
+// one all-pairs query. A change that claims "same behaviour" must leave
 // them alone, and one that changes answers on purpose must say so and
 // regenerate them (the failure message prints the new value).
+//
+// The DOT, JSON and all-pairs hashes were regenerated once, when toroidal
+// shifts moved from each test's own stream to one sequence per spatial
+// resolution (montecarlo.ShiftPool): multi-region p-values changed on
+// purpose, 13,211 → 13,180 graph edges and 13,234 → 13,192 all-pairs rows.
+// The pairwise hash (taxi ~ weather meets at city resolution only) did not
+// move, and neither did goldenOneRegionHash, which was added on the commit
+// before that change: it covers only the graph edges (12,380) and query
+// rows at a one-region spatial resolution, whose tests draw no shift, so
+// no change to the shift sequence may move it.
 const (
-	goldenGraphDOTHash  = "0d89a537e4991809977446c48df43f97323f7a23c47ceb076c45114033e06edb"
-	goldenGraphJSONHash = "0d8f2fb0fd2041bdde74d56da8b0371c9b7f2647e2416c224cbf175ab3eda9a0"
+	goldenGraphDOTHash  = "229cd6996c018010215a97b2e1d327f75e498df4ff76bc921d78173e32c84855"
+	goldenGraphJSONHash = "1e547cceba0b9bdc6400b7dc7df8430d54edb80f3565158c661875b567427e30"
 	goldenPairwiseHash  = "b6d3252b32347d939c9300ae094ead3578cf5af65fab1e432b7a7802c974043c"
-	goldenAllPairsHash  = "fd233c619b82cd49534a9f83824203695df984f68b3a89eae80063e48a3e6e90"
+	goldenAllPairsHash  = "7e5353ceca83958efb15ac6386c0dc3186c7aab8b9bd38bead2464ad7523a199"
+	goldenOneRegionHash = "fdaebfa6c9a2b8cf7d47e344cfc430a42a3d528f790f75a565e42c28f76cff8d"
 )
 
 // goldenAnswers hashes everything TestGoldenGraph pins about one framework:
 // its published graph's two exports and the two fixed queries.
-func goldenAnswers(t *testing.T, f *Framework) [4]string {
+func goldenAnswers(t *testing.T, f *Framework) [5]string {
 	t.Helper()
 	g, ok := f.RelGraph()
 	if !ok || g.NumEdges() == 0 {
@@ -39,6 +51,15 @@ func goldenAnswers(t *testing.T, f *Framework) [4]string {
 		h := sha256.Sum256(b)
 		return hex.EncodeToString(h[:])
 	}
+	// oneRegion collects the graph edges and query rows at a spatial
+	// resolution with a single region, in the order they were produced.
+	var oneRegion bytes.Buffer
+	single := func(sr spatial.Resolution) bool { return f.opts.City.NumRegions(sr) == 1 }
+	for _, e := range g.Edges() {
+		if single(e.SRes) {
+			fmt.Fprintf(&oneRegion, "%+v\n", e)
+		}
+	}
 	query := func(q Query) string {
 		rels, _, err := f.Query(q)
 		if err != nil {
@@ -50,20 +71,23 @@ func goldenAnswers(t *testing.T, f *Framework) [4]string {
 		var out bytes.Buffer
 		for _, r := range rels {
 			fmt.Fprintf(&out, "%+v\n", r)
+			if single(r.Res.Spatial) {
+				fmt.Fprintf(&oneRegion, "%+v\n", r)
+			}
 		}
 		return sum(out.Bytes())
 	}
-	return [4]string{
-		sum(graphDOT(t, f)),
-		sum(js.Bytes()),
-		query(Query{Sources: []string{"taxi"}, Targets: []string{"weather"}}),
-		query(Query{Clause: Clause{Permutations: 200}}),
+	pairwise := query(Query{Sources: []string{"taxi"}, Targets: []string{"weather"}})
+	allPairs := query(Query{Clause: Clause{Permutations: 200}})
+	if oneRegion.Len() == 0 {
+		t.Fatal("golden corpus has no one-region edge or query row")
 	}
+	return [5]string{sum(graphDOT(t, f)), sum(js.Bytes()), pairwise, allPairs, sum(oneRegion.Bytes())}
 }
 
 func TestGoldenGraph(t *testing.T) {
-	want := [4]string{goldenGraphDOTHash, goldenGraphJSONHash, goldenPairwiseHash, goldenAllPairsHash}
-	names := [4]string{"graph DOT", "graph JSON", "pairwise query", "all-pairs query"}
+	want := [5]string{goldenGraphDOTHash, goldenGraphJSONHash, goldenPairwiseHash, goldenAllPairsHash, goldenOneRegionHash}
+	names := [5]string{"graph DOT", "graph JSON", "pairwise query", "all-pairs query", "one-region rows"}
 	check := func(stage string, f *Framework) {
 		t.Helper()
 		got := goldenAnswers(t, f)

@@ -37,17 +37,19 @@ import (
 
 // flatSnapshotVersion is the generation of the flat encoding, written as
 // the word after every payload's magic. It equals store.FormatVersion: the
-// per-entry tile table and the clause's query window fields arrived in 5,
-// and evolving any layout below means bumping both (the format has no
-// field tags).
-const flatSnapshotVersion = 5
+// per-entry tile table and the clause's query window fields arrived in 5;
+// 6 keeps that layout and marks p-values drawn under the shared shift
+// sequences (montecarlo.ShiftPool), so candidate families of the two
+// randomization schemes never mix. Evolving any layout below means bumping
+// both (the format has no field tags).
+const flatSnapshotVersion = 6
 
 // Payload magics. The final byte is the generation, so another
-// generation's layout is "not flat v5" rather than a misparse.
+// generation's layout is "not flat v6" rather than a misparse.
 var (
-	flatIndexMagic = []byte("DPIXFLT\x05")
-	flatGraphMagic = []byte("DPGRFLT\x05")
-	flatShardMagic = []byte("DPSHFLT\x05")
+	flatIndexMagic = []byte("DPIXFLT\x06")
+	flatGraphMagic = []byte("DPGRFLT\x06")
+	flatShardMagic = []byte("DPSHFLT\x06")
 )
 
 // nilSlice is the length sentinel distinguishing a nil clause slice
@@ -92,7 +94,7 @@ func (f *Framework) collectEntriesLocked() []*FunctionEntry {
 	return out
 }
 
-// encodeFlatIndexLocked serialises the built index as a flat v5 section.
+// encodeFlatIndexLocked serialises the built index as a flat section.
 // The caller must hold the state lock (shared or exclusive).
 func (f *Framework) encodeFlatIndexLocked() ([]byte, error) {
 	if !f.indexedLocked() {

@@ -93,7 +93,7 @@ func TestFlatSectionCorruption(t *testing.T) {
 		// Offset 32 is the data-set-order count (after magic, version,
 		// minTS, maxTS): flipping it demands an absurd element count.
 		{"index count corrupted", store.SectionIndex, flipWord(idx, 32)},
-		{"graph wrong magic", store.SectionGraph, append([]byte("DPSHFLT\x05"), graph[8:]...)},
+		{"graph wrong magic", store.SectionGraph, append([]byte("DPSHFLT\x06"), graph[8:]...)},
 		{"graph truncated", store.SectionGraph, graph[:len(graph)/2/8*8]},
 		{"graph trailing bytes", store.SectionGraph, append(append([]byte(nil), graph...), make([]byte, 8)...)},
 	}

@@ -4,6 +4,7 @@ import (
 	"hash/fnv"
 
 	"github.com/urbandata/datapolygamy/internal/feature"
+	"github.com/urbandata/datapolygamy/internal/spatial"
 )
 
 // This file is the query planner layer: it turns a Query + Clause into the
@@ -176,5 +177,13 @@ func pairSeed(base int64, key1, key2 string, class feature.Class) int64 {
 	h.Write([]byte{0})
 	h.Write([]byte(key2))
 	h.Write([]byte{0, byte(class)})
+	return base ^ int64(h.Sum64())
+}
+
+// shiftSeed derives the seed of the toroidal-shift sequence shared by every
+// test at one spatial resolution (Framework.shifts).
+func shiftSeed(base int64, sr spatial.Resolution) int64 {
+	h := fnv.New64a()
+	h.Write([]byte{'s', 'h', 'i', 'f', 't', byte(sr)})
 	return base ^ int64(h.Sum64())
 }

@@ -28,8 +28,9 @@ import (
 // them over the whole cache on each build — a cheap O(E log E) pass over
 // cached numbers, with no Monte Carlo re-runs. A full recompute happens
 // only when the clause changes or the index itself fully rebuilds (corpus
-// time-range extension drops all derived state). Per-pair Monte Carlo
-// seeds are derived from the pair identity (pairSeed), so an incrementally
+// time-range extension drops all derived state). A pair's Monte Carlo
+// draws derive from its identity (pairSeed) and its toroidal shifts from
+// the spatial resolution's sequence (Framework.shifts), so an incrementally
 // maintained graph — q-values included — is byte-identical to a
 // from-scratch rebuild, and under Correction: none every edge is
 // byte-identical to what a direct Query for that pair returns.

@@ -15,9 +15,10 @@ import (
 // fan-out — the most expensive computation in the system — partitioned
 // across replicas. The pair space is split by a deterministic hash of the
 // unordered data set pair (PairShard), each shard computes its pairs'
-// tested candidate families with the same deterministic per-pair seeds a
-// local build would use (pairSeed derives from pair identity alone, never
-// from enumeration order), and the leader merges the per-pair caches and
+// tested candidate families with the same per-pair seeds and the same
+// per-resolution shift sequences a local build would use (both derive from
+// Options.Seed and an identity alone, never from enumeration order or the
+// process), and the leader merges the per-pair caches and
 // assembles the published graph. Because every per-pair candidate list is
 // independent of which process computed it, the merged graph — edges,
 // p-values, corpus-wide q-values, and DOT export — is byte-identical to a

@@ -207,7 +207,7 @@ func TestMergeGraphShardsRejectsDamagedPayloads(t *testing.T) {
 		{"trailing bytes", append(append([]byte(nil), s1...), make([]byte, 8)...)},
 		{"generation word flipped", flipWord(s1, 8)},
 		{"signature length flipped", flipWord(s1, 16)},
-		{"another generation's magic", append([]byte("DPSHFLT\x04"), s1[8:]...)},
+		{"another generation's magic", append([]byte("DPSHFLT\x05"), s1[8:]...)},
 		{"graph section instead of a shard", graph},
 		{"not flat at all", []byte("junk")},
 	}

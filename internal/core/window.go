@@ -81,7 +81,9 @@ func bitmapFull(bm []uint64, n int) bool {
 // on the full domain graph with the vectors as-is; otherwise the vectors
 // are compacted to the supporting tiles and the test runs on a graph of
 // just those steps. tau over the compacted domain equals tau over the full
-// one — every feature bit of both sides lives inside a supporting tile.
+// one — every feature bit of both sides lives inside a supporting tile —
+// and both draw their toroidal shifts from the spatial resolution's pool,
+// which does not depend on the number of steps.
 func (f *Framework) runSignificance(t pairTask, clause Clause, s1, s2 *feature.Set,
 	u1, u2 *bitvec.Vector, tau float64, mcWorkers int) (montecarlo.Result, error) {
 	g := f.graphs[t.e1.Res]
@@ -92,6 +94,7 @@ func (f *Framework) runSignificance(t pairTask, clause Clause, s1, s2 *feature.S
 		Kind:         clause.TestKind,
 		Workers:      mcWorkers,
 		Exhaustive:   clause.Exhaustive,
+		Shifts:       f.shifts[t.e1.Res.Spatial],
 	}
 	tres := t.e1.Res.Temporal
 	S := g.NumSteps()

@@ -2,6 +2,7 @@ package montecarlo
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/urbandata/datapolygamy/internal/bitvec"
@@ -88,25 +89,51 @@ func blockStepPerm(nSteps, l int, blockPerm []int) []int {
 	return sp
 }
 
-// oracleTaus is the reference the production kernel is held to. It replays
-// every chunk's RNG stream itself — same chunkSeed, same permInto and
-// toroidal draws, written out here in the order the p-values were always
-// computed under — and evaluates each randomization per vertex through
-// shiftedTau. It shares no tau arithmetic and no draw sequencing with
-// testRun.chunk, so a reordered draw or a miscounted word there shows up as
-// a diverging permutation index.
+// oracleShifts is the oracle's transcription of the shift sequence, written
+// out separately from ShiftPool: a fresh stream per permChunk shifts, seeded
+// with chunkSeed(seed, chunk), and one public ToroidalShift per draw.
+func oracleShifts(adj [][]int, seed int64, m int) [][]int {
+	var src splitmix
+	rng := rand.New(&src)
+	shifts := make([][]int, m)
+	for k := range shifts {
+		if k%permChunk == 0 {
+			src.state = uint64(chunkSeed(seed, k/permChunk))
+		}
+		shifts[k] = ToroidalShift(adj, rng)
+	}
+	return shifts
+}
+
+// oracleTaus is the reference the production kernel is held to. It takes
+// permutation k's spatial shift from oracleShifts and replays every chunk's
+// per-test RNG stream itself — same chunkSeed, same permInto and rotation
+// draws, written out here in the order the p-values are computed under —
+// and evaluates each randomization per vertex through shiftedTau. It shares
+// no tau arithmetic, no draw sequencing and no memo with testRun.chunk and
+// ShiftPool, so a reordered draw, a miscounted word or a misindexed shift
+// there shows up as a diverging permutation index.
 func oracleTaus(a, b *feature.Set, g *stgraph.Graph, cfg Config) []float64 {
 	pos2, neg2 := b.Positive.Ones(), b.Negative.Ones()
 	nRegions, nSteps := g.NumRegions(), g.NumSteps()
-	var (
-		src   splitmix
-		rng   = rand.New(&src)
-		shift shiftScratch
-	)
+	var shifts [][]int
+	if nRegions > 1 && cfg.Kind != Standard {
+		seed := cfg.Seed ^ shiftStream
+		if cfg.Shifts != nil {
+			seed = cfg.Shifts.seed
+		}
+		shifts = oracleShifts(g.SpatialAdjacency(), seed, cfg.Permutations)
+	}
+	var src splitmix
+	rng := rand.New(&src)
 	taus := make([]float64, cfg.Permutations)
 	for i := range taus {
 		if i%permChunk == 0 {
 			src.state = uint64(chunkSeed(cfg.Seed, i/permChunk))
+		}
+		var spatPerm []int
+		if shifts != nil {
+			spatPerm = shifts[i]
 		}
 		switch cfg.Kind {
 		case Standard:
@@ -117,10 +144,6 @@ func oracleTaus(a, b *feature.Set, g *stgraph.Graph, cfg Config) []float64 {
 			l := blockLength(nSteps)
 			blockPerm := make([]int, (nSteps+l-1)/l)
 			permInto(rng, blockPerm)
-			var spatPerm []int
-			if nRegions > 1 {
-				spatPerm = shift.toroidal(g.SpatialAdjacency(), rng)
-			}
 			stepPerm := blockStepPerm(nSteps, l, blockPerm)
 			taus[i] = shiftedTau(a, pos2, neg2, func(v int) int {
 				r, s := g.RegionStep(v)
@@ -133,10 +156,6 @@ func oracleTaus(a, b *feature.Set, g *stgraph.Graph, cfg Config) []float64 {
 			rot := 0
 			if nSteps > 1 {
 				rot = 1 + rng.Intn(nSteps-1)
-			}
-			var spatPerm []int
-			if nRegions > 1 {
-				spatPerm = shift.toroidal(g.SpatialAdjacency(), rng)
 			}
 			taus[i] = shiftedTau(a, pos2, neg2, func(v int) int {
 				r, s := g.RegionStep(v)
@@ -230,12 +249,17 @@ func TestKernelParity(t *testing.T) {
 				lo, hi = 0, g.NumVertices()
 			}
 			a, b := denseSets(rng, g.NumVertices(), tc.density, lo, hi)
+			// One pool across the whole matrix, as a family of tests shares
+			// it, and the private sequence a Config without a pool draws.
+			shared := NewShiftPool(g.SpatialAdjacency(), 99)
 			for _, kind := range []Kind{Restricted, Standard, Block} {
 				for _, workers := range []int{1, 4} {
 					for _, tau := range []float64{0.6, -0.35} {
-						checkKernelParity(t, a, b, g, tau, Config{
-							Permutations: 150, Seed: 23, Kind: kind, Workers: workers,
-						})
+						for _, pool := range []*ShiftPool{nil, shared} {
+							checkKernelParity(t, a, b, g, tau, Config{
+								Permutations: 150, Seed: 23, Kind: kind, Workers: workers, Shifts: pool,
+							})
+						}
 					}
 				}
 			}
@@ -300,32 +324,59 @@ func TestPermIntoMatchesRandPerm(t *testing.T) {
 	}
 }
 
-// TestToroidalScratchMatchesPublic: the scratch-reusing toroidal builder
-// must consume the RNG and produce bijections exactly like the public
-// ToroidalShift (which now delegates to it with fresh scratch) across
-// repeated reuse of one scratch.
+// TestShuffleMatchesRandShuffle pins shuffle to rand.Shuffle's exact draw
+// sequence, the next draw included.
+func TestShuffleMatchesRandShuffle(t *testing.T) {
+	for _, n := range []int{0, 1, 2, 3, 8, 63, 1000} {
+		want, got := make([]int, n), make([]int, n)
+		for i := range want {
+			want[i], got[i] = i, i
+		}
+		rngA := rand.New(rand.NewSource(int64(n)))
+		rngB := rand.New(rand.NewSource(int64(n)))
+		rngA.Shuffle(n, func(i, j int) { want[i], want[j] = want[j], want[i] })
+		shuffle(rngB, got)
+		if !slices.Equal(got, want) || rngA.Int63() != rngB.Int63() {
+			t.Fatalf("n=%d: shuffle = %v, rand.Shuffle = %v", n, got, want)
+		}
+	}
+}
+
+// TestToroidalScratchMatchesPublic: a scratch reused across constructions
+// consumes the RNG and produces bijections exactly like the public
+// ToroidalShift with its fresh one, and both still produce the shifts the
+// closure-shuffling construction did (the literals are its output).
 func TestToroidalScratchMatchesPublic(t *testing.T) {
 	adj := grid(4, 5)
 	var sc shiftScratch
 	rngA := rand.New(rand.NewSource(13))
 	rngB := rand.New(rand.NewSource(13))
+	historical := [][]int{
+		{12, 13, 9, 5, 8, 14, 10, 6, 4, 18, 11, 2, 0, 19, 7, 3, 1, 15, 16, 17},
+		{15, 11, 10, 6, 14, 7, 9, 5, 18, 3, 13, 4, 19, 2, 12, 0, 8, 1, 16, 17},
+	}
+	reused := make([]int32, len(adj))
 	for i := 0; i < 20; i++ {
 		fresh := ToroidalShift(adj, rngA)
-		reused := sc.toroidal(adj, rngB)
-		if !isBijection(reused) {
-			t.Fatalf("iteration %d: scratch toroidal not a bijection", i)
+		sc.toroidal(adj, rngB, reused)
+		if i < len(historical) && !slices.Equal(fresh, historical[i]) {
+			t.Fatalf("iteration %d: ToroidalShift = %v, historically %v", i, fresh, historical[i])
 		}
 		for j := range fresh {
-			if fresh[j] != reused[j] {
+			if fresh[j] != int(reused[j]) {
 				t.Fatalf("iteration %d: perm[%d] = %d (scratch) vs %d (fresh)", i, j, reused[j], fresh[j])
 			}
+		}
+		if !isBijection(fresh) {
+			t.Fatalf("iteration %d: toroidal shift is not a bijection", i)
 		}
 	}
 }
 
 // TestChunkSteadyStateAllocs asserts the kernel's allocation contract:
 // after the first chunk sizes the scratch buffers, evaluating further
-// permutation chunks allocates nothing, for every Kind.
+// permutation chunks allocates nothing, for every Kind — whether the
+// chunk's shifts are read from the pool's memo or regenerated past it.
 func TestChunkSteadyStateAllocs(t *testing.T) {
 	g, err := stgraph.New(16, 128, grid(4, 4))
 	if err != nil {
@@ -334,16 +385,19 @@ func TestChunkSteadyStateAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	a, b := denseSets(rng, g.NumVertices(), 0.1, 0, g.NumVertices())
 	for _, kind := range []Kind{Restricted, Standard, Block} {
-		run := &testRun{
-			a: a, pos2: b.Positive.Ones(), neg2: b.Negative.Ones(),
-			g: g, tau: 0.9,
-			cfg:  Config{Permutations: 200, Alpha: 0.05, Seed: 5, Kind: kind},
-			prep: newVectorPrep(a, b, g, kind),
-		}
-		sc := run.newScratch()
-		run.chunk(0, sc) // size the scratch buffers
-		if allocs := testing.AllocsPerRun(5, func() { run.chunk(1, sc) }); allocs != 0 {
-			t.Errorf("kind=%v: steady-state chunk allocates %.0f objects, want 0", kind, allocs)
+		for _, budget := range []int{0, shiftPoolBudget} {
+			run := &testRun{
+				a: a, pos2: b.Positive.Ones(), neg2: b.Negative.Ones(),
+				g: g, tau: 0.9,
+				cfg: Config{Permutations: 200, Alpha: 0.05, Seed: 5, Kind: kind,
+					Shifts: newShiftPool(g.SpatialAdjacency(), 5, budget)},
+				prep: newVectorPrep(a, b, g, kind),
+			}
+			sc := run.newScratch()
+			run.chunk(1, sc) // size the scratch buffers, memoise the chunk
+			if allocs := testing.AllocsPerRun(5, func() { run.chunk(1, sc) }); allocs != 0 {
+				t.Errorf("kind=%v budget=%d: steady-state chunk allocates %.0f objects, want 0", kind, budget, allocs)
+			}
 		}
 	}
 }
@@ -398,7 +452,8 @@ func BenchmarkShiftedTauKernel(b *testing.B) {
 			run := &testRun{
 				a: fa, pos2: fb.Positive.Ones(), neg2: fb.Negative.Ones(),
 				g: g, tau: 0.9,
-				cfg:  Config{Permutations: permChunk, Alpha: 0.05, Seed: 1, Kind: kind},
+				cfg: Config{Permutations: 8 * permChunk, Alpha: 0.05, Seed: 1, Kind: kind,
+					Shifts: NewShiftPool(g.SpatialAdjacency(), 1)},
 				prep: newVectorPrep(fa, fb, g, kind),
 			}
 			sc := run.newScratch()
@@ -406,6 +461,44 @@ func BenchmarkShiftedTauKernel(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				run.chunk(i%8, sc)
+			}
+		})
+	}
+}
+
+// BenchmarkToroidalShift measures one toroidal-shift construction on a
+// 16x16 grid with a reused scratch, as ShiftPool runs it.
+func BenchmarkToroidalShift(b *testing.B) {
+	adj := grid(16, 16)
+	var sc shiftScratch
+	rng := rand.New(rand.NewSource(5))
+	perm := make([]int32, len(adj))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sc.toroidal(adj, rng, perm)
+	}
+}
+
+// BenchmarkShiftPoolChunk measures what a test chunk pays for its 50
+// shifts on a 16x16 grid: a memo read, or a regeneration past the budget.
+func BenchmarkShiftPoolChunk(b *testing.B) {
+	adj := grid(16, 16)
+	for _, bc := range []struct {
+		name   string
+		budget int
+	}{{"memoised", shiftPoolBudget}, {"regenerated", 0}} {
+		b.Run(bc.name, func(b *testing.B) {
+			pool := newShiftPool(adj, 5, bc.budget)
+			sc := &scratch{}
+			sc.rng = rand.New(&sc.src)
+			for ci := 0; ci < 8; ci++ {
+				pool.chunk(ci, sc)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				pool.chunk(i%8, sc)
 			}
 		})
 	}

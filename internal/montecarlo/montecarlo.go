@@ -32,6 +32,7 @@ import (
 	"math"
 	"math/bits"
 	"math/rand"
+	"runtime"
 	"slices"
 	"sync"
 
@@ -51,6 +52,10 @@ var (
 		"Permutations actually evaluated across all tests.")
 	mEarlyStops = obsv.NewCounter("polygamy_montecarlo_early_stops_total",
 		"Tests stopped by adaptive termination before the full permutation budget.")
+	mShiftsBuilt = obsv.NewCounter("polygamy_montecarlo_shifts_built_total",
+		"Toroidal shifts constructed, memoised or regenerated past a pool's budget.")
+	mShiftPoolBytes = obsv.NewGauge("polygamy_montecarlo_shift_pool_bytes",
+		"Bytes of toroidal shifts memoised by the live shift pools.")
 )
 
 // DefaultPermutations is the paper's |m| = 1,000 toroidal shifts.
@@ -105,7 +110,13 @@ type Config struct {
 	Permutations int     // number of randomizations |m|; 0 => DefaultPermutations
 	Alpha        float64 // significance level; 0 => DefaultAlpha
 	Seed         int64   // RNG seed for reproducibility
-	Kind         Kind    // Restricted or Standard
+	Kind         Kind    // Restricted, Standard or Block
+
+	// Shifts is the toroidal-shift sequence the Restricted and Block kinds
+	// take their spatial shifts from; it must be over the graph's spatial
+	// adjacency. A family of tests shares one pool (see ShiftPool). Nil
+	// draws the same kind of sequence from Seed, for this test alone.
+	Shifts *ShiftPool
 
 	// Workers is the number of goroutines evaluating permutation chunks;
 	// <= 1 runs sequentially. The permutations are partitioned into
@@ -148,22 +159,18 @@ type Result struct {
 }
 
 // shiftScratch holds the working state of one toroidal-shift construction,
-// reused across the randomizations of a permutation chunk so the
-// steady-state loop allocates nothing.
+// reused across constructions so the steady-state loop allocates nothing.
 type shiftScratch struct {
-	perm  []int
 	used  []uint64 // bitset of already-assigned image regions; bits >= n pre-set
 	queue []int
 	cands []int
 }
 
 // pickUnused returns a random unused region, probing cyclically from a
-// random start. The rng.Intn(n) draw and the returned region are identical
-// to the historical one-region-at-a-time probe — only one RNG value is
-// ever consumed — but the probe itself scans the used bitset a word at a
-// time, which matters late in the construction when most regions are
-// taken. Bits at and above n are pre-set by toroidal, so they are never
-// returned.
+// random start. One rng.Intn(n) draw is consumed; the probe scans the used
+// bitset a word at a time, which matters late in the construction when most
+// regions are taken. Bits at and above n are pre-set by toroidal, so they
+// are never returned.
 func pickUnused(used []uint64, n int, rng *rand.Rand) int {
 	k := rng.Intn(n)
 	w := k / 64
@@ -183,20 +190,37 @@ func pickUnused(used []uint64, n int, rng *rand.Rand) int {
 	}
 }
 
-// toroidal builds the shift into sc's reusable buffers; the returned slice
-// aliases sc.perm and is valid until the next call. The RNG consumption is
-// identical to ToroidalShift's historical implementation — the same
-// pickUnused probes and candidate shuffles in the same order — which keeps
-// permutation streams byte-stable across releases.
-func (sc *shiftScratch) toroidal(adj [][]int, rng *rand.Rand) []int {
+// shuffle permutes xs uniformly, consuming the RNG exactly as rand.Shuffle
+// does for lengths below 2^31 (a descending Fisher-Yates with one
+// multiply-shift-reduced Uint32 per element and its rejection loop — locked
+// by the Go 1 compatibility promise and asserted by
+// TestShuffleMatchesRandShuffle). It is rand.Shuffle without the swap
+// closure.
+func shuffle(rng *rand.Rand, xs []int) {
+	for i := len(xs) - 1; i > 0; i-- {
+		n := uint32(i + 1)
+		prod := uint64(rng.Uint32()) * uint64(n)
+		if uint32(prod) < n {
+			for thresh := -n % n; uint32(prod) < thresh; {
+				prod = uint64(rng.Uint32()) * uint64(n)
+			}
+		}
+		j := int(prod >> 32)
+		xs[i], xs[j] = xs[j], xs[i]
+	}
+}
+
+// toroidal builds one shift into perm, which must hold len(adj) regions.
+// The draws — pickUnused probes and candidate shuffles, in breadth-first
+// order — are ToroidalShift's; TestToroidalScratchMatchesPublic holds a
+// reused scratch to it.
+func (sc *shiftScratch) toroidal(adj [][]int, rng *rand.Rand, perm []int32) {
 	n := len(adj)
 	nw := (n + 63) / 64
-	if cap(sc.perm) < n {
-		sc.perm = make([]int, n)
+	if cap(sc.used) < nw {
 		sc.used = make([]uint64, nw)
 		sc.queue = make([]int, 0, n)
 	}
-	perm := sc.perm[:n]
 	used := sc.used[:nw]
 	for i := range perm {
 		perm[i] = -1
@@ -214,21 +238,20 @@ func (sc *shiftScratch) toroidal(adj [][]int, rng *rand.Rand) []int {
 			continue
 		}
 		v := pickUnused(used, n, rng)
-		perm[start] = v
+		perm[start] = int32(v)
 		used[v/64] |= 1 << uint(v%64)
 		queue = append(queue, start)
 		for head := len(queue) - 1; head < len(queue); head++ {
 			u := queue[head]
-			target := perm[u]
 			// Candidate images: unused neighbors of the image of u, in
 			// random order.
 			cands = cands[:0]
-			for _, w := range adj[target] {
+			for _, w := range adj[perm[u]] {
 				if used[w/64]>>uint(w%64)&1 == 0 {
 					cands = append(cands, w)
 				}
 			}
-			rng.Shuffle(len(cands), func(i, j int) { cands[i], cands[j] = cands[j], cands[i] })
+			shuffle(rng, cands)
 			ci := 0
 			for _, up := range adj[u] {
 				if perm[up] >= 0 {
@@ -241,7 +264,7 @@ func (sc *shiftScratch) toroidal(adj [][]int, rng *rand.Rand) []int {
 				} else {
 					img = pickUnused(used, n, rng)
 				}
-				perm[up] = img
+				perm[up] = int32(img)
 				used[img/64] |= 1 << uint(img%64)
 				queue = append(queue, up)
 			}
@@ -249,7 +272,6 @@ func (sc *shiftScratch) toroidal(adj [][]int, rng *rand.Rand) []int {
 	}
 	sc.queue = queue[:0]
 	sc.cands = cands[:0]
-	return perm
 }
 
 // ToroidalShift builds a random bijection over the regions of a spatial
@@ -260,7 +282,13 @@ func (sc *shiftScratch) toroidal(adj [][]int, rng *rand.Rand) []int {
 // region (the graph analogue of wrapping an irregular domain onto a torus).
 func ToroidalShift(adj [][]int, rng *rand.Rand) []int {
 	var sc shiftScratch
-	return sc.toroidal(adj, rng)
+	perm32 := make([]int32, len(adj))
+	sc.toroidal(adj, rng, perm32)
+	perm := make([]int, len(adj))
+	for i, v := range perm32 {
+		perm[i] = int(v)
+	}
+	return perm
 }
 
 // AdjacencyPreserved returns the fraction of directed edges (u, u') whose
@@ -334,6 +362,91 @@ func permInto(rng *rand.Rand, buf []int) {
 		buf[i] = buf[j]
 		buf[j] = i
 	}
+}
+
+// shiftPoolBudget bounds the bytes of shifts one ShiftPool memoises: 4 MB
+// holds 4,000 shifts of a 256-region domain.
+const shiftPoolBudget = 4 << 20
+
+// shiftStream separates the shift sequence a test without a pool draws
+// from Config.Seed from the rotation stream drawn from the same seed.
+const shiftStream = 0x746f726f6964616c // "toroidal"
+
+// ShiftPool is the toroidal-shift sequence of one spatial adjacency: shift
+// k is the (k mod permChunk)-th shift drawn from the stream seeded with
+// chunkSeed(seed, k/permChunk). A shift depends on the adjacency and the
+// RNG only, never on the functions under test, so every test of a family
+// takes permutation k's shift from the same pool and the breadth-first
+// construction runs once per shift instead of once per test.
+//
+// The leading chunks are memoised on first use, up to a byte budget; a
+// chunk past it is regenerated from its seed into the caller's scratch, so
+// a result depends on the sequence and never on what is memoised
+// (TestShiftPoolMemoIndependence). A pool is safe for concurrent use.
+type ShiftPool struct {
+	adj  [][]int
+	seed int64
+	memo []shiftChunk
+}
+
+type shiftChunk struct {
+	once   sync.Once
+	shifts []int32 // permChunk shifts of len(adj) regions, back to back
+}
+
+// NewShiftPool returns the shift sequence of adj under seed.
+func NewShiftPool(adj [][]int, seed int64) *ShiftPool {
+	return newShiftPool(adj, seed, shiftPoolBudget)
+}
+
+func newShiftPool(adj [][]int, seed int64, budget int) *ShiftPool {
+	p := &ShiftPool{adj: adj, seed: seed}
+	if slots := budget / (permChunk * 4 * max(len(adj), 1)); slots > 0 {
+		p.memo = make([]shiftChunk, slots)
+		// Followers open a framework per epoch and never close the old one,
+		// so the gauge gets a pool's bytes back when the pool is collected.
+		runtime.SetFinalizer(p, func(p *ShiftPool) { mShiftPoolBytes.Add(-float64(p.memoBytes())) })
+	}
+	return p
+}
+
+// memoBytes counts the bytes memoised so far. It reads the memo without
+// synchronisation: no chunk call may be in flight.
+func (p *ShiftPool) memoBytes() (n int) {
+	for i := range p.memo {
+		n += 4 * len(p.memo[i].shifts)
+	}
+	return n
+}
+
+// chunk returns shifts [ci*permChunk, (ci+1)*permChunk) of the sequence.
+// The result is read-only and, past the memo, valid until sc's next call.
+func (p *ShiftPool) chunk(ci int, sc *scratch) []int32 {
+	size := permChunk * len(p.adj)
+	if ci >= len(p.memo) {
+		if cap(sc.shifts) < size {
+			sc.shifts = make([]int32, size)
+		}
+		return p.generate(ci, sc, sc.shifts[:size])
+	}
+	c := &p.memo[ci]
+	c.once.Do(func() {
+		c.shifts = p.generate(ci, sc, make([]int32, size))
+		mShiftPoolBytes.Add(float64(4 * size))
+	})
+	return c.shifts
+}
+
+// generate draws chunk ci of the sequence into dst through sc's RNG, which
+// it leaves mid-stream: the caller reseeds it.
+func (p *ShiftPool) generate(ci int, sc *scratch, dst []int32) []int32 {
+	sc.src.state = uint64(chunkSeed(p.seed, ci))
+	n := len(p.adj)
+	for k := 0; k < permChunk; k++ {
+		sc.shift.toroidal(p.adj, sc.rng, dst[k*n:(k+1)*n])
+	}
+	mShiftsBuilt.Add(permChunk)
+	return dst
 }
 
 // stopThreshold is the exceedance count that decides a test early: once
@@ -460,8 +573,12 @@ type scratch struct {
 	src splitmix
 	rng *rand.Rand
 
-	perm  []int // Standard: vertex perm; Block: block perm
-	shift shiftScratch
+	perm []int // Standard: vertex perm; Block: block perm
+
+	// shift builds the toroidal shifts a pool asks this worker for; shifts
+	// holds a chunk of them when it lies past the pool's memo.
+	shift  shiftScratch
+	shifts []int32
 
 	// Function 2's permuted positive/negative vectors (transposed layout
 	// for Restricted/Block, vertex-major for Standard). Nil when the
@@ -540,14 +657,14 @@ func (t *testRun) countTau(sc *scratch, aPos, aNeg, aAll *bitvec.Vector) float64
 // precisely because a lane is only ever counted in the same iteration that
 // overwrote it. Padding bits [nSteps, laneBits) are never written and stay
 // zero forever.
-func (t *testRun) vectorTauRestricted(sc *scratch, spatPerm []int, rot int) float64 {
+func (t *testRun) vectorTauRestricted(sc *scratch, spatPerm []int32, rot int) float64 {
 	p := t.prep
 	R, S, lb := t.g.NumRegions(), t.g.NumSteps(), p.laneBits
 	var pp, bp, pn, bn int
 	for r := 0; r < R; r++ {
 		dst := r
 		if spatPerm != nil {
-			dst = spatPerm[r]
+			dst = int(spatPerm[r])
 		}
 		if !p.aAllLane[dst] {
 			continue
@@ -575,14 +692,14 @@ func (t *testRun) vectorTauRestricted(sc *scratch, spatPerm []int, rot int) floa
 // destination lane is overwritten), then the lane lands at spatPerm[r] and
 // is counted in place. Lane skipping and staleness follow the same
 // argument as vectorTauRestricted.
-func (t *testRun) vectorTauBlock(sc *scratch, spatPerm, blockPerm []int, l int) float64 {
+func (t *testRun) vectorTauBlock(sc *scratch, spatPerm []int32, blockPerm []int, l int) float64 {
 	p := t.prep
 	R, S, lb := t.g.NumRegions(), t.g.NumSteps(), p.laneBits
 	var pp, bp, pn, bn int
 	for r := 0; r < R; r++ {
 		dst := r
 		if spatPerm != nil {
-			dst = spatPerm[r]
+			dst = int(spatPerm[r])
 		}
 		if !p.aAllLane[dst] {
 			continue
@@ -647,11 +764,11 @@ func (t *testRun) vectorTauStandard(sc *scratch, vertPerm []int) float64 {
 // two feature sets on the shared domain graph g, given the observed score
 // tauObserved.
 //
-// Restricted mode: when the domain has more than one region, each
-// randomization applies a fresh toroidal shift of the regions; time is
-// additionally rotated to respect temporal wrap-around. For pure time
-// series (one region), only the circular time rotation is used.
-// Standard mode permutes all vertices uniformly.
+// Restricted mode: when the domain has more than one region, randomization
+// k applies toroidal shift k of Config.Shifts to the regions; time is
+// additionally rotated, by the test's own draw, to respect temporal
+// wrap-around. For pure time series (one region), only the circular time
+// rotation is used. Standard mode permutes all vertices uniformly.
 //
 // The randomizations run in fixed-size chunks with per-chunk deterministic
 // seeds; Config.Workers spreads the chunks over goroutines without changing
@@ -686,6 +803,14 @@ func test(a, b *feature.Set, g *stgraph.Graph, tauObserved float64, cfg Config, 
 	if tauObserved == 0 {
 		mTests.Inc()
 		return Result{PValue: 1, Significant: false, TauObserved: 0, Shifts: 0}
+	}
+	if cfg.Shifts == nil {
+		// No memo: this test is the sequence's only reader, so each chunk
+		// is drawn into the scratch of the worker that evaluates it.
+		cfg.Shifts = newShiftPool(g.SpatialAdjacency(), cfg.Seed^shiftStream, 0)
+	} else if len(cfg.Shifts.adj) != g.NumRegions() {
+		panic(fmt.Sprintf("montecarlo: shift pool over %d regions does not match graph (%d)",
+			len(cfg.Shifts.adj), g.NumRegions()))
 	}
 	run := &testRun{
 		a:    a,
@@ -798,24 +923,33 @@ type testRun struct {
 }
 
 // chunk counts the extreme randomizations among permutation indices
-// [ci*permChunk, min((ci+1)*permChunk, |m|)) using the chunk's own
-// deterministically seeded RNG stream from sc. The random draws — vertex
-// or block permutation, time rotation, toroidal shift — happen in the
-// historical order, which the test oracle replays draw for draw; reordering
-// one changes every reported p-value (and fails TestKernelParity).
+// [ci*permChunk, min((ci+1)*permChunk, |m|)). Permutation k's toroidal
+// shift is shift k of the pool; the draws that are the test's own — vertex
+// or block permutation, time rotation — come from the chunk's
+// deterministically seeded stream in sc. The test oracle replays both
+// sequences draw for draw; reordering one changes every reported p-value
+// (and fails TestKernelParity).
 func (t *testRun) chunk(ci int, sc *scratch) int {
-	sc.src.state = uint64(chunkSeed(t.cfg.Seed, ci))
-	rng := sc.rng
 	g := t.g
 	nRegions := g.NumRegions()
 	nSteps := g.NumSteps()
 	nVerts := g.NumVertices()
+	var shifts []int32
+	if nRegions > 1 && t.cfg.Kind != Standard {
+		shifts = t.cfg.Shifts.chunk(ci, sc)
+	}
+	sc.src.state = uint64(chunkSeed(t.cfg.Seed, ci))
+	rng := sc.rng
 	n := t.cfg.Permutations - ci*permChunk
 	if n > permChunk {
 		n = permChunk
 	}
 	extreme := 0
 	for k := 0; k < n; k++ {
+		var spatPerm []int32
+		if shifts != nil {
+			spatPerm = shifts[k*nRegions : (k+1)*nRegions]
+		}
 		var tauK float64
 		switch t.cfg.Kind {
 		case Standard:
@@ -827,19 +961,11 @@ func (t *testRun) chunk(ci int, sc *scratch) int {
 			nBlocks := (nSteps + l - 1) / l
 			blockPerm := sc.intBuf(nBlocks)
 			permInto(rng, blockPerm)
-			var spatPerm []int
-			if nRegions > 1 {
-				spatPerm = sc.shift.toroidal(g.SpatialAdjacency(), rng)
-			}
 			tauK = t.vectorTauBlock(sc, spatPerm, blockPerm, l)
 		default: // Restricted
 			rot := 0
 			if nSteps > 1 {
 				rot = 1 + rng.Intn(nSteps-1)
-			}
-			var spatPerm []int
-			if nRegions > 1 {
-				spatPerm = sc.shift.toroidal(g.SpatialAdjacency(), rng)
 			}
 			tauK = t.vectorTauRestricted(sc, spatPerm, rot)
 		}

@@ -2,6 +2,8 @@ package montecarlo
 
 import (
 	"math/rand"
+	"slices"
+	"sync"
 	"testing"
 
 	"github.com/urbandata/datapolygamy/internal/bitvec"
@@ -81,6 +83,76 @@ func TestChunkSeedDistinct(t *testing.T) {
 				t.Fatalf("duplicate chunk seed %d (seed=%d chunk=%d)", s, seed, ci)
 			}
 			seen[s] = true
+		}
+	}
+}
+
+// TestShiftPoolMemoIndependence: a result depends on the shift sequence and
+// never on what a pool happens to have memoised. A family of tests sharing
+// one pool, run concurrently, must report the same tau streams and Results
+// whether the pool memoises nothing, one chunk, or every chunk, under every
+// Workers value.
+func TestShiftPoolMemoIndependence(t *testing.T) {
+	g, err := stgraph.New(16, 96, grid(4, 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	adj := g.SpatialAdjacency()
+	const perms, family = 230, 6 // 5 chunks, the last one ragged
+	rng := rand.New(rand.NewSource(17))
+	type pair struct{ a, b *feature.Set }
+	pairs := make([]pair, family)
+	for i := range pairs {
+		pairs[i].a, pairs[i].b = spatialSets(rng, g.NumVertices())
+	}
+	type outcome struct {
+		taus     []float64
+		adaptive Result
+	}
+	// runFamily tests every pair against pool at once, each with its own
+	// per-test seed, as a graph build does.
+	runFamily := func(pool *ShiftPool, kind Kind, workers int) []outcome {
+		out := make([]outcome, family)
+		var wg sync.WaitGroup
+		for i, p := range pairs {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				cfg := Config{Permutations: perms, Seed: int64(100 + i), Kind: kind, Workers: workers, Shifts: pool}
+				out[i].adaptive = Test(p.a, p.b, g, 0.3, cfg)
+				cfg.Exhaustive = true
+				taus := make([]float64, perms)
+				test(p.a, p.b, g, 0.3, cfg, func(k int, tau float64) { taus[k] = tau })
+				out[i].taus = taus
+			}()
+		}
+		wg.Wait()
+		return out
+	}
+	oneChunk := 4 * permChunk * len(adj)
+	for _, kind := range []Kind{Restricted, Block} {
+		full := NewShiftPool(adj, 9)
+		want := runFamily(full, kind, 1)
+		if got := full.memoBytes(); got != 5*oneChunk {
+			t.Fatalf("kind=%v: full pool memoised %d bytes, want 5 chunks = %d", kind, got, 5*oneChunk)
+		}
+		for _, budget := range []int{0, oneChunk} {
+			for _, workers := range []int{1, 2, 4} {
+				pool := newShiftPool(adj, 9, budget)
+				if len(pool.memo) != budget/oneChunk {
+					t.Fatalf("budget %d gives %d memo slots, want %d", budget, len(pool.memo), budget/oneChunk)
+				}
+				for i, got := range runFamily(pool, kind, workers) {
+					if got.adaptive != want[i].adaptive {
+						t.Errorf("kind=%v budget=%d workers=%d pair %d: Result %+v, fully memoised %+v",
+							kind, budget, workers, i, got.adaptive, want[i].adaptive)
+					}
+					if !slices.Equal(got.taus, want[i].taus) {
+						t.Errorf("kind=%v budget=%d workers=%d pair %d: tau stream differs from the fully memoised pool's",
+							kind, budget, workers, i)
+					}
+				}
+			}
 		}
 	}
 }

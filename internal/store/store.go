@@ -3,7 +3,7 @@
 // snapshot, its relationship-graph snapshot (when built), and a manifest
 // describing what the file holds and which corpus it belongs to.
 //
-// # Container layout (format v5)
+// # Container layout (format v6)
 //
 //	offset 0   magic        [8]byte  "DPOLYSNP"
 //	offset 8   version      uint32   container format version (little-endian)
@@ -52,10 +52,10 @@ var magic = [8]byte{'D', 'P', 'O', 'L', 'Y', 'S', 'N', 'P'}
 
 // FormatVersion is the one container format version this package writes
 // and reads. It moves in step with the flat section generation in
-// internal/core, so "a v5 snapshot" is unambiguous across layers; a
+// internal/core, so "a v6 snapshot" is unambiguous across layers; a
 // container of any other version fails with ErrVersion and is rebuilt, not
 // converted.
-const FormatVersion = 5
+const FormatVersion = 6
 
 // Well-known section names.
 const (
