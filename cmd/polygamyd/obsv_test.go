@@ -189,6 +189,8 @@ func TestMetricsEndpoint(t *testing.T) {
 		"polygamy_query_duration_seconds_bucket{le=\"+Inf\"}",
 		"# TYPE polygamy_query_stage_duration_seconds histogram",
 		"# TYPE polygamy_montecarlo_tests_total counter",
+		"# TYPE polygamy_montecarlo_permutations_total counter",
+		"# TYPE polygamy_montecarlo_tau_evaluations_total counter",
 		"# TYPE polygamy_montecarlo_shifts_built_total counter",
 		"# TYPE polygamy_montecarlo_shift_pool_bytes gauge",
 		"# TYPE polygamy_index_builds_total counter",

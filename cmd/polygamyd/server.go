@@ -285,7 +285,7 @@ func (s *server) handleQueryText(w http.ResponseWriter, r *http.Request) {
 // answer runs one relationship query and writes the JSON response. With
 // trace, the response carries the per-stage timing breakdown.
 func (s *server) answer(w http.ResponseWriter, q core.Query, trace bool) {
-	rels, stats, err := s.fw().Query(q)
+	rels, stats, err := s.fw().QueryEncoded(q, httpapi.EncodeRelationships)
 	if err != nil {
 		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
 		return
@@ -297,7 +297,7 @@ func (s *server) answer(w http.ResponseWriter, q core.Query, trace bool) {
 	if stats.Coalesced {
 		s.coalesced.Add(1)
 	}
-	writeJSON(w, http.StatusOK, httpapi.NewQueryResponse(rels, stats, trace))
+	httpapi.WriteQueryResponse(w, rels, stats, trace)
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) { httpapi.WriteJSON(w, status, v) }

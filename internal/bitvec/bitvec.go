@@ -248,28 +248,6 @@ func (v *Vector) CopyRange(src *Vector, srcOff, dstOff, n int) {
 	}
 }
 
-// RotateRange copies the n-bit range src[srcOff, srcOff+n) into
-// v[dstOff, dstOff+n), circularly rotated up by rot bits: source bit
-// srcOff+i lands at destination bit dstOff+(i+rot)%n. rot must lie in
-// [0, n) (rot 0 is a plain CopyRange); n may be 0 only with rot 0.
-//
-// This is the time-rotation primitive of the Monte Carlo vector kernel: a
-// region's lane-padded time-run is gathered to its image region's lane
-// block and rotated over the temporal ring in one pass, replacing a
-// per-vertex (s+rot)%S probe loop with word-level blits.
-func (v *Vector) RotateRange(src *Vector, srcOff, dstOff, n, rot int) {
-	if rot == 0 {
-		v.CopyRange(src, srcOff, dstOff, n)
-		return
-	}
-	if rot < 0 || rot >= n {
-		panic(fmt.Sprintf("bitvec: RotateRange rotation %d out of range [0,%d)", rot, n))
-	}
-	// out[rot, n) = in[0, n-rot); out[0, rot) = in[n-rot, n).
-	v.CopyRange(src, srcOff, dstOff+rot, n-rot)
-	v.CopyRange(src, srcOff+n-rot, dstOff, rot)
-}
-
 // AndCount2 returns (popcount(v AND x), popcount(v AND y)) in a single pass
 // over v's words. The Monte Carlo vector kernel derives each permutation's
 // tau from popcounts of the permuted feature vector against two masks
@@ -285,22 +263,36 @@ func (v *Vector) AndCount2(x, y *Vector) (cx, cy int) {
 	return cx, cy
 }
 
-// AndCount2Range is AndCount2 restricted to the word-aligned bit range
-// [from, to): both bounds must be multiples of 64. The Monte Carlo vector
-// kernel counts each destination lane right after blitting it — the words
-// are still cache-hot — and skips lanes that cannot intersect the masks.
-func (v *Vector) AndCount2Range(x, y *Vector, from, to int) (cx, cy int) {
-	v.checkLen(x)
-	v.checkLen(y)
-	if from%wordBits != 0 || to%wordBits != 0 || from < 0 || to > v.n || from > to {
-		panic(fmt.Sprintf("bitvec: AndCount2Range [%d,%d) not word-aligned within [0,%d)", from, to, v.n))
+// AndCount2Window counts the n-bit window v[off, off+n) against two masks
+// without storing it anywhere: with w the window laid over bits [at, at+n)
+// of an otherwise zero vector, it returns (popcount(w AND x),
+// popcount(w AND y)). at must be a multiple of 64, off is arbitrary: each
+// word of w is assembled from two neighbouring words of v and consumed at
+// once. A rotated lane of the Monte Carlo kernel is such a window of a
+// doubled lane, and tau needs nothing of it but these two counts.
+func (v *Vector) AndCount2Window(off, n int, x, y *Vector, at int) (cx, cy int) {
+	x.checkLen(y)
+	if n == 0 {
+		return 0, 0
 	}
-	for i := from / wordBits; i < to/wordBits; i++ {
-		w := v.words[i]
-		cx += bits.OnesCount64(w & x.words[i])
-		cy += bits.OnesCount64(w & y.words[i])
+	if n < 0 || off < 0 || off+n > v.n || at < 0 || at%wordBits != 0 || at+n > x.n {
+		panic(fmt.Sprintf("bitvec: AndCount2Window src[%d:%d) of %d at %d of %d", off, off+n, v.n, at, x.n))
 	}
-	return cx, cy
+	// The last word is read apart: it may be partial, and v may end in it.
+	last := (n - 1) / wordBits
+	lo, hi := uint(off%wordBits), uint(wordBits-1-off%wordBits)
+	src := v.words[off/wordBits:][:last+1]
+	xs := x.words[at/wordBits:][:len(src)]
+	ys := y.words[at/wordBits:][:len(src)]
+	cur := src[0]
+	for i, next := range src[1:] {
+		w := cur>>(lo&63) | next<<1<<(hi&63) // two shifts: a shift by 64 must give 0
+		cx += bits.OnesCount64(w & xs[i])
+		cy += bits.OnesCount64(w & ys[i])
+		cur = next
+	}
+	w := v.rangeBits(off+last*wordBits, n-last*wordBits)
+	return cx + bits.OnesCount64(w&xs[last]), cy + bits.OnesCount64(w&ys[last])
 }
 
 // AnyRange reports whether any bit in [from, to) is set.
@@ -340,34 +332,6 @@ func (v *Vector) MaskRange(from, to int) *Vector {
 		out.words[hiW] &= lowMask(tail)
 	}
 	return out
-}
-
-// ClearRange zeroes the bits in [from, to) in place. The Monte Carlo
-// vector kernel uses it to blank the destination lane of a region whose
-// source lane carries no features, instead of blitting a run of zeros.
-func (v *Vector) ClearRange(from, to int) {
-	v.checkWritable()
-	if from < 0 || to > v.n || from > to {
-		panic(fmt.Sprintf("bitvec: ClearRange [%d,%d) out of range [0,%d)", from, to, v.n))
-	}
-	if from == to {
-		return
-	}
-	loW, hiW := from/wordBits, (to-1)/wordBits
-	loMask := lowMask(from % wordBits)
-	hiMask := uint64(0) // to lands on a word boundary: clear all of hiW
-	if tail := to % wordBits; tail != 0 {
-		hiMask = ^lowMask(tail)
-	}
-	if loW == hiW {
-		v.words[loW] &= loMask | hiMask
-		return
-	}
-	v.words[loW] &= loMask
-	for w := loW + 1; w < hiW; w++ {
-		v.words[w] = 0
-	}
-	v.words[hiW] &= hiMask
 }
 
 // Reset clears all bits in place.

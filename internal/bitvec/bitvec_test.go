@@ -465,77 +465,56 @@ func TestAnyRangeAndMaskRange(t *testing.T) {
 	}
 }
 
-func TestRotateRangeRandomized(t *testing.T) {
+// TestAndCount2WindowRandomized holds the fused read-at-offset-and-count to
+// the composition it replaces: CopyRange of the window into a zeroed scratch
+// vector, then AndCount2 over it. Offsets, lengths and tail widths are
+// random; every fourth trial ends the window on the source's last bit, so
+// the last source word is the vector's last word.
+func TestAndCount2WindowRandomized(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 500; trial++ {
-		srcLen := 1 + rng.Intn(300)
-		dstLen := 1 + rng.Intn(300)
-		src := New(srcLen)
-		for i := 0; i < srcLen; i++ {
-			if rng.Intn(3) == 0 {
-				src.Set(i)
-			}
-		}
-		maxN := srcLen
-		if dstLen < maxN {
-			maxN = dstLen
-		}
-		n := 1 + rng.Intn(maxN)
-		srcOff := rng.Intn(srcLen - n + 1)
-		dstOff := rng.Intn(dstLen - n + 1)
-		rot := rng.Intn(n)
-		got := New(dstLen)
-		// Pre-dirty the destination range to catch missed bits.
-		for i := 0; i < dstLen; i++ {
-			if rng.Intn(2) == 0 {
-				got.Set(i)
-			}
-		}
-		want := got.Clone()
-		got.RotateRange(src, srcOff, dstOff, n, rot)
-		for i := 0; i < n; i++ {
-			j := dstOff + (i+rot)%n
-			if src.Get(srcOff + i) {
-				want.Set(j)
-			} else {
-				want.Clear(j)
-			}
-		}
-		if !got.Equal(want) {
-			t.Fatalf("trial %d: RotateRange(src[%d:%d) -> dst[%d:%d), rot=%d) mismatch",
-				trial, srcOff, srcOff+n, dstOff, dstOff+n, rot)
-		}
-	}
-}
-
-func TestRotateRangeWordBoundaries(t *testing.T) {
-	for _, n := range []int{63, 64, 65, 128} {
-		src := New(n)
-		for i := 0; i < n; i += 3 {
-			src.Set(i)
-		}
-		for _, rot := range []int{0, 1, n / 2, n - 1} {
-			dst := New(n)
-			dst.RotateRange(src, 0, 0, n, rot)
-			for i := 0; i < n; i++ {
-				if dst.Get((i+rot)%n) != src.Get(i) {
-					t.Fatalf("n=%d rot=%d: bit %d wrong", n, rot, i)
-				}
+	fill := func(v *Vector, oneIn int) {
+		for i := 0; i < v.Len(); i++ {
+			if rng.Intn(oneIn) == 0 {
+				v.Set(i)
 			}
 		}
 	}
+	for trial := 0; trial < 2000; trial++ {
+		srcLen := 1 + rng.Intn(400)
+		n := 1 + rng.Intn(srcLen)
+		off := rng.Intn(srcLen - n + 1)
+		if trial%4 == 0 {
+			off = srcLen - n
+		}
+		at := wordBits * rng.Intn(4)
+		dstLen := at + n + rng.Intn(130)
+		src, x, y := New(srcLen), New(dstLen), New(dstLen)
+		fill(src, 2)
+		fill(x, 2)
+		fill(y, 3)
+		scratch := New(dstLen)
+		scratch.CopyRange(src, off, at, n)
+		wx, wy := scratch.AndCount2(x, y)
+		if cx, cy := src.AndCount2Window(off, n, x, y, at); cx != wx || cy != wy {
+			t.Fatalf("trial %d: AndCount2Window(src[%d:%d) of %d at %d of %d) = (%d,%d), want (%d,%d)",
+				trial, off, off+n, srcLen, at, dstLen, cx, cy, wx, wy)
+		}
+	}
+	if cx, cy := New(10).AndCount2Window(3, 0, New(64), New(64), 0); cx != 0 || cy != 0 {
+		t.Fatalf("empty window counts (%d,%d)", cx, cy)
+	}
 }
 
-func TestRotateRangeBadRotPanics(t *testing.T) {
-	src, dst := New(64), New(64)
-	for _, rot := range []int{-1, 64, 100} {
+func TestAndCount2WindowBadRangePanics(t *testing.T) {
+	src, x := New(100), New(128)
+	for _, c := range [][3]int{{-1, 10, 0}, {95, 10, 0}, {0, 10, 32}, {0, 100, 64}, {0, 10, -64}} {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Fatalf("RotateRange rot=%d did not panic", rot)
+					t.Fatalf("AndCount2Window(off=%d, n=%d, at=%d) did not panic", c[0], c[1], c[2])
 				}
 			}()
-			dst.RotateRange(src, 0, 0, 64, rot)
+			src.AndCount2Window(c[0], c[1], x, x, c[2])
 		}()
 	}
 }
@@ -559,29 +538,6 @@ func TestAndCount2MatchesAndCount(t *testing.T) {
 		cx, cy := v.AndCount2(x, y)
 		if cx != v.AndCount(x) || cy != v.AndCount(y) {
 			t.Fatalf("AndCount2 = (%d,%d), want (%d,%d)", cx, cy, v.AndCount(x), v.AndCount(y))
-		}
-	}
-}
-
-func TestClearRangeRandomized(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	for trial := 0; trial < 300; trial++ {
-		n := 1 + rng.Intn(300)
-		v := New(n)
-		for i := 0; i < n; i++ {
-			if rng.Intn(2) == 0 {
-				v.Set(i)
-			}
-		}
-		want := v.Clone()
-		from := rng.Intn(n + 1)
-		to := from + rng.Intn(n-from+1)
-		for i := from; i < to; i++ {
-			want.Clear(i)
-		}
-		v.ClearRange(from, to)
-		if !v.Equal(want) {
-			t.Fatalf("trial %d: ClearRange(%d,%d) mismatch on %d bits", trial, from, to, n)
 		}
 	}
 }

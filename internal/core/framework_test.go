@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -347,6 +348,44 @@ func TestQueryCache(t *testing.T) {
 		stats2.Evaluated != stats1.Evaluated ||
 		stats2.Significant != stats1.Significant {
 		t.Errorf("cached stats %+v do not mirror original %+v", stats2, stats1)
+	}
+}
+
+// QueryEncoded encodes a result once, serves those bytes on every hit of it,
+// and encodes again only when the cached result has been replaced.
+func TestQueryEncodedOncePerResult(t *testing.T) {
+	f := newFW(t)
+	wind, trips := plantedPair(9, randomHours(16, 60), nil)
+	_ = f.AddDataset(wind)
+	_ = f.AddDataset(trips)
+	if _, err := f.BuildIndex(); err != nil {
+		t.Fatal(err)
+	}
+	calls := 0
+	encode := func(rels []Relationship) ([]byte, error) {
+		calls++
+		return []byte(fmt.Sprintf("%d relationships, encoding %d", len(rels), calls)), nil
+	}
+	q := Query{Clause: Clause{Permutations: 100}}
+	rels, _, err := f.Query(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := fmt.Sprintf("%d relationships, encoding 1", len(rels))
+	for i := 0; i < 3; i++ {
+		got, stats, err := f.QueryEncoded(q, encode)
+		if err != nil || string(got) != want || !stats.CacheHit {
+			t.Fatalf("call %d: %q, hit=%t, %v; want %q from the cache", i, got, stats.CacheHit, err, want)
+		}
+	}
+	f.invalidateCacheInvolving(wind.Name)
+	got, stats, err := f.QueryEncoded(q, encode)
+	if err != nil || stats.CacheHit || string(got) != fmt.Sprintf("%d relationships, encoding 2", len(rels)) {
+		t.Fatalf("after invalidation: %q, hit=%t, %v; want a fresh evaluation encoded anew", got, stats.CacheHit, err)
+	}
+	failing := Query{Clause: Clause{Permutations: 101}}
+	if _, _, err := f.QueryEncoded(failing, func([]Relationship) ([]byte, error) { return nil, fmt.Errorf("boom") }); err == nil {
+		t.Fatal("an encoding error was swallowed")
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"slices"
 	"sort"
 	"strings"
+	"sync"
 	"time"
 
 	"github.com/urbandata/datapolygamy/internal/feature"
@@ -152,11 +153,16 @@ func (s *QueryStats) addStage(name string, d time.Duration) {
 
 // cachedResult is one memoised query: its relationships, the stats of the
 // run that produced them, and the data sets involved (for targeted
-// invalidation when the corpus changes).
+// invalidation when the corpus changes). encoded is the caller's serialised
+// form of rels (QueryEncoded), made on first use and dropped with the result.
 type cachedResult struct {
 	rels     []Relationship
 	stats    QueryStats
 	involved map[string]bool
+
+	encodeOnce sync.Once
+	encoded    []byte
+	encodeErr  error
 }
 
 // inflightQuery is one query evaluation being deduplicated (singleflight):
@@ -164,10 +170,9 @@ type cachedResult struct {
 // concurrent callers with the same signature block on done and read the
 // result fields afterwards.
 type inflightQuery struct {
-	done  chan struct{}
-	rels  []Relationship
-	stats QueryStats
-	err   error
+	done chan struct{}
+	res  *cachedResult
+	err  error
 }
 
 // invalidateCacheInvolving drops cached results that involve any of the
@@ -197,6 +202,29 @@ func (f *Framework) invalidateCacheInvolving(names ...string) {
 // Callers must not mutate the returned slice: it is shared with the cache
 // and with concurrent callers of the same query.
 func (f *Framework) Query(q Query) ([]Relationship, QueryStats, error) {
+	res, stats, err := f.query(q)
+	if err != nil {
+		return nil, stats, err
+	}
+	return res.rels, stats, nil
+}
+
+// QueryEncoded is Query for a caller that serialises the answer: encode runs
+// once per cached result and its bytes are kept beside the result, so a
+// cache hit encodes nothing. Every caller of one framework must pass the
+// same encoding; the returned bytes are shared and must not be mutated.
+func (f *Framework) QueryEncoded(q Query, encode func([]Relationship) ([]byte, error)) ([]byte, QueryStats, error) {
+	res, stats, err := f.query(q)
+	if err != nil {
+		return nil, stats, err
+	}
+	res.encodeOnce.Do(func() { res.encoded, res.encodeErr = encode(res.rels) })
+	return res.encoded, stats, res.encodeErr
+}
+
+// query answers q from the cache, from an identical evaluation in flight, or
+// by evaluating it, and returns the shared result either way.
+func (f *Framework) query(q Query) (*cachedResult, QueryStats, error) {
 	t0 := time.Now()
 	mQueries.Inc()
 	f.mu.RLock()
@@ -230,7 +258,7 @@ func (f *Framework) Query(q Query) ([]Relationship, QueryStats, error) {
 		stats.Duration = time.Since(t0)
 		mQueryCacheHits.Inc()
 		mQueryDuration.Observe(stats.Duration.Seconds())
-		return c.rels, stats, nil
+		return c, stats, nil
 	}
 	if call, ok := f.inflight[sig]; ok {
 		// An identical query is being evaluated right now: wait for the
@@ -243,14 +271,14 @@ func (f *Framework) Query(q Query) ([]Relationship, QueryStats, error) {
 			mQueryErrors.Inc()
 			return nil, stats, call.err
 		}
-		stats = call.stats
+		stats = call.res.stats
 		stats.CacheHit = true
 		stats.Coalesced = true
 		stats.Duration = time.Since(t0)
 		mQueryCacheHits.Inc()
 		mQueryCoalesced.Inc()
 		mQueryDuration.Observe(stats.Duration.Seconds())
-		return call.rels, stats, nil
+		return call.res, stats, nil
 	}
 	call := &inflightQuery{done: make(chan struct{})}
 	f.inflight[sig] = call
@@ -261,8 +289,7 @@ func (f *Framework) Query(q Query) ([]Relationship, QueryStats, error) {
 	// publication and inflight cleanup run in a defer, and a panic turns
 	// into an error for the waiters while still propagating here.
 	var (
-		rels      []Relationship
-		rstats    QueryStats
+		res       *cachedResult // set once evaluation has succeeded
 		err       error
 		completed bool
 	)
@@ -270,30 +297,31 @@ func (f *Framework) Query(q Query) ([]Relationship, QueryStats, error) {
 		if !completed && err == nil {
 			err = fmt.Errorf("core: query evaluation panicked")
 		}
-		call.rels, call.stats, call.err = rels, rstats, err
+		call.res, call.err = res, err
 		f.cacheMu.Lock()
 		delete(f.inflight, sig)
-		if completed && err == nil {
-			involved := make(map[string]bool, len(sources)+len(targets))
-			for _, n := range sources {
-				involved[n] = true
-			}
-			for _, n := range targets {
-				involved[n] = true
-			}
-			f.cache[sig] = &cachedResult{rels: rels, stats: rstats, involved: involved}
+		if res != nil {
+			f.cache[sig] = res
 		}
 		f.cacheMu.Unlock()
 		close(call.done)
 	}()
-	rels, rstats, err = f.evaluateQuery(sources, targets, q.Clause, t0)
+	rels, rstats, err := f.evaluateQuery(sources, targets, q.Clause, t0)
 	completed = true
 	if err != nil {
 		mQueryErrors.Inc()
-	} else {
-		mQueryDuration.Observe(rstats.Duration.Seconds())
+		return nil, rstats, err
 	}
-	return rels, rstats, err
+	mQueryDuration.Observe(rstats.Duration.Seconds())
+	involved := make(map[string]bool, len(sources)+len(targets))
+	for _, n := range sources {
+		involved[n] = true
+	}
+	for _, n := range targets {
+		involved[n] = true
+	}
+	res = &cachedResult{rels: rels, stats: rstats, involved: involved}
+	return res, rstats, nil
 }
 
 // evaluateQuery plans and executes one relationship query (the leader path

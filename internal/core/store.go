@@ -190,6 +190,22 @@ func (f *Framework) LoadedSnapshot() (format int, zeroCopy bool, ok bool) {
 	return f.snapFormat, f.snapZeroCopy, f.snapFormat != 0
 }
 
+// Evict hands the resident pages of the framework's snapshot mappings back
+// to the kernel and keeps the mappings: unlike Close it is safe while readers
+// still hold state from this framework, which re-faults what it touches. A
+// follower calls it on the epoch it has just superseded.
+func (f *Framework) Evict() error {
+	f.mu.RLock()
+	defer f.mu.RUnlock()
+	var first error
+	for _, mp := range f.mappings {
+		if err := mp.Evict(); err != nil && first == nil {
+			first = err
+		}
+	}
+	return first
+}
+
 // Close releases the snapshot mappings the framework has adopted across
 // its Loads. It must only be called when no reader can still hold state
 // obtained from this framework — entries, graphs, and query results may

@@ -1,9 +1,14 @@
 package httpapi
 
 import (
+	"bytes"
 	"encoding/json"
 	"net/http/httptest"
+	"strconv"
 	"testing"
+	"time"
+
+	"github.com/urbandata/datapolygamy/internal/core"
 
 	"github.com/urbandata/datapolygamy/internal/feature"
 	"github.com/urbandata/datapolygamy/internal/montecarlo"
@@ -119,5 +124,55 @@ func TestWriteJSON(t *testing.T) {
 	var e Error
 	if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil || e.Error != "teapot" {
 		t.Fatalf("body = %q (%v)", rec.Body.String(), err)
+	}
+}
+
+// WriteQueryResponse splices pre-encoded relationships into the body; it must
+// be, byte for byte, what encoding the QueryResponse a client decodes gives.
+func TestWriteQueryResponseMatchesEncoder(t *testing.T) {
+	rels := []core.Relationship{
+		{Function1: "taxi.count", Function2: "weather.<rain&snow>", Dataset1: "taxi", Dataset2: "weather",
+			Class: feature.Extreme, Score: -0.8125, Strength: 1e-7, PValue: 1.0 / 1001, QValue: 3e21, Significant: true},
+		{Function1: "a", Function2: "b", Score: 1},
+	}
+	stats := core.QueryStats{PairsConsidered: 12, Pruned: 5, Evaluated: 7, Significant: 2, Kept: 2, CacheHit: true,
+		Duration: 1234 * time.Microsecond}
+	stats.Stages = []core.StageTiming{{Stage: "plan", Duration: time.Millisecond}, {Stage: "evaluate", Duration: 3 * time.Second}}
+	for _, tc := range []struct {
+		name  string
+		rels  []core.Relationship
+		stats core.QueryStats
+		trace bool
+	}{
+		{"traced", rels, stats, true},
+		{"untraced", rels, stats, false},
+		{"traced, no stages", rels[:1], core.QueryStats{}, true},
+		{"empty answer", nil, stats, false},
+	} {
+		want := QueryResponse{Relationships: Relationships(tc.rels)}
+		var buf bytes.Buffer
+		rec := httptest.NewRecorder()
+		enc, err := EncodeRelationships(tc.rels)
+		if err != nil {
+			t.Fatal(err)
+		}
+		WriteQueryResponse(rec, enc, tc.stats, tc.trace)
+		// The client's view: decode, then re-encode with the stock encoder.
+		if err := json.Unmarshal(rec.Body.Bytes(), &want); err != nil {
+			t.Fatalf("%s: body does not decode: %v\n%s", tc.name, err, rec.Body.String())
+		}
+		if err := json.NewEncoder(&buf).Encode(want); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(rec.Body.Bytes(), buf.Bytes()) {
+			t.Errorf("%s: body\n%s\nstock encoder\n%s", tc.name, rec.Body.String(), buf.String())
+		}
+		if got := rec.Header().Get("Content-Length"); got != strconv.Itoa(rec.Body.Len()) {
+			t.Errorf("%s: Content-Length %q for %d bytes", tc.name, got, rec.Body.Len())
+		}
+		if want.Stats.PairsConsidered != tc.stats.PairsConsidered || want.Stats.CacheHit != tc.stats.CacheHit ||
+			len(want.Relationships) != len(tc.rels) || (len(want.Trace) > 0) != (tc.trace && len(tc.stats.Stages) > 0) {
+			t.Errorf("%s: decoded %+v", tc.name, want)
+		}
 	}
 }

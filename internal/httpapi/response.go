@@ -1,6 +1,12 @@
 package httpapi
 
-import "github.com/urbandata/datapolygamy/internal/core"
+import (
+	"encoding/json"
+	"net/http"
+	"strconv"
+
+	"github.com/urbandata/datapolygamy/internal/core"
+)
 
 // Relationship is the JSON form of one core.Relationship, with resolution
 // and class names spelled out. The daemon's query responses and the CLI's
@@ -68,31 +74,50 @@ type QueryResponse struct {
 	Trace []Stage `json:"trace,omitempty"`
 }
 
-// NewQueryResponse renders one evaluated query; with trace, the response
-// carries the per-stage timing breakdown.
-func NewQueryResponse(rels []core.Relationship, stats core.QueryStats, trace bool) QueryResponse {
-	resp := QueryResponse{
-		Relationships: Relationships(rels),
-		Stats: QueryStats{
-			PairsConsidered: stats.PairsConsidered,
-			Pruned:          stats.Pruned,
-			Evaluated:       stats.Evaluated,
-			Significant:     stats.Significant,
-			Kept:            stats.Kept,
-			CacheHit:        stats.CacheHit,
-			Coalesced:       stats.Coalesced,
-			Duration:        stats.Duration.String(),
-		},
+// EncodeRelationships renders the "relationships" array of a query response:
+// the encoding core.Framework.QueryEncoded keeps beside a cached result.
+func EncodeRelationships(rels []core.Relationship) ([]byte, error) {
+	return json.Marshal(Relationships(rels))
+}
+
+// WriteQueryResponse answers one query with the body a QueryResponse encodes
+// to. relationships are the bytes of EncodeRelationships and go out as they
+// are, so answering a cached query encodes its stats only; with trace, the
+// response carries the per-stage timing breakdown.
+func WriteQueryResponse(w http.ResponseWriter, relationships []byte, stats core.QueryStats, trace bool) {
+	var rest struct {
+		Stats QueryStats `json:"stats"`
+		Trace []Stage    `json:"trace,omitempty"`
+	}
+	rest.Stats = QueryStats{
+		PairsConsidered: stats.PairsConsidered,
+		Pruned:          stats.Pruned,
+		Evaluated:       stats.Evaluated,
+		Significant:     stats.Significant,
+		Kept:            stats.Kept,
+		CacheHit:        stats.CacheHit,
+		Coalesced:       stats.Coalesced,
+		Duration:        stats.Duration.String(),
 	}
 	if trace {
-		resp.Trace = make([]Stage, 0, len(stats.Stages))
 		for _, st := range stats.Stages {
-			resp.Trace = append(resp.Trace, Stage{
+			rest.Trace = append(rest.Trace, Stage{
 				Stage:    st.Stage,
 				Duration: st.Duration.String(),
 				Seconds:  st.Duration.Seconds(),
 			})
 		}
 	}
-	return resp
+	// {"stats":{...}[,"trace":[...]]}: counters, flags and formatted
+	// durations, which always encode.
+	tail, _ := json.Marshal(rest)
+	const head = `{"relationships":`
+	tail = append(tail, '\n')
+	tail[0] = ','
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(head)+len(relationships)+len(tail)))
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write([]byte(head))
+	_, _ = w.Write(relationships)
+	_, _ = w.Write(tail)
 }

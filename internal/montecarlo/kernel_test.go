@@ -1,6 +1,7 @@
 package montecarlo
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -39,6 +40,21 @@ func denseSets(rng *rand.Rand, nVerts int, density float64, lo, hi int) (*featur
 		}
 	}
 	return a, b
+}
+
+// gridGraph is the w x h grid over steps time steps; 1 x 1 is a pure time
+// series, one region without neighbours.
+func gridGraph(tb testing.TB, w, h, steps int) *stgraph.Graph {
+	tb.Helper()
+	adj := [][]int{nil}
+	if w*h > 1 {
+		adj = grid(w, h)
+	}
+	g, err := stgraph.New(w*h, steps, adj)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return g
 }
 
 // shiftedTau is the oracle's tau: the direct transcription of the paper's
@@ -308,6 +324,43 @@ func TestKernelParityOneSided(t *testing.T) {
 	}
 }
 
+// TestKernelParityShapes covers the shapes with a path of their own. On one
+// region a Restricted test looks tau up by rotation, so 1,000 permutations
+// over 2, 3, 14 and 90 steps hit the table more than nine times in ten
+// (steps = 2 has the single rotation 1). On several regions the step counts
+// put a doubled lane's rotated window across zero, one and two word
+// boundaries. Each shape also runs with a one-sided function 2, and every
+// cell under Workers 1, 2 and 4: each worker fills its own rotation table.
+func TestKernelParityShapes(t *testing.T) {
+	type shape struct {
+		w, h, steps, perms int
+	}
+	var shapes []shape
+	for _, steps := range []int{2, 3, 14, 90} {
+		shapes = append(shapes, shape{1, 1, steps, 1000})
+	}
+	for _, steps := range []int{2, 3, 63, 64, 65, 127, 128, 129} {
+		shapes = append(shapes, shape{3, 2, steps, 150})
+	}
+	for _, sh := range shapes {
+		t.Run(fmt.Sprintf("%dx%d", sh.w*sh.h, sh.steps), func(t *testing.T) {
+			g := gridGraph(t, sh.w, sh.h, sh.steps)
+			n := g.NumVertices()
+			a, b := denseSets(rand.New(rand.NewSource(int64(sh.steps))), n, 0.4, 0, n)
+			oneSided := &feature.Set{Positive: bitvec.New(n), Negative: b.Negative}
+			for _, f2 := range []*feature.Set{b, oneSided} {
+				for _, kind := range []Kind{Restricted, Block} {
+					for _, workers := range []int{1, 2, 4} {
+						checkKernelParity(t, a, f2, g, -0.3, Config{
+							Permutations: sh.perms, Seed: 31, Kind: kind, Workers: workers,
+						})
+					}
+				}
+			}
+		})
+	}
+}
+
 // TestPermIntoMatchesRandPerm pins permInto to rand.Perm's exact draw
 // sequence (the allocation-free replacement must consume the RNG
 // identically or permutation streams silently diverge).
@@ -376,27 +429,31 @@ func TestToroidalScratchMatchesPublic(t *testing.T) {
 // TestChunkSteadyStateAllocs asserts the kernel's allocation contract:
 // after the first chunk sizes the scratch buffers, evaluating further
 // permutation chunks allocates nothing, for every Kind — whether the
-// chunk's shifts are read from the pool's memo or regenerated past it.
+// chunk's shifts are read from the pool's memo or regenerated past it, and
+// on one region, where tau comes from the rotation table (sized with the
+// scratch, not in the loop).
 func TestChunkSteadyStateAllocs(t *testing.T) {
-	g, err := stgraph.New(16, 128, grid(4, 4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(3))
-	a, b := denseSets(rng, g.NumVertices(), 0.1, 0, g.NumVertices())
-	for _, kind := range []Kind{Restricted, Standard, Block} {
-		for _, budget := range []int{0, shiftPoolBudget} {
-			run := &testRun{
-				a: a, pos2: b.Positive.Ones(), neg2: b.Negative.Ones(),
-				g: g, tau: 0.9,
-				cfg: Config{Permutations: 200, Alpha: 0.05, Seed: 5, Kind: kind,
-					Shifts: newShiftPool(g.SpatialAdjacency(), 5, budget)},
-				prep: newVectorPrep(a, b, g, kind),
-			}
-			sc := run.newScratch()
-			run.chunk(1, sc) // size the scratch buffers, memoise the chunk
-			if allocs := testing.AllocsPerRun(5, func() { run.chunk(1, sc) }); allocs != 0 {
-				t.Errorf("kind=%v budget=%d: steady-state chunk allocates %.0f objects, want 0", kind, budget, allocs)
+	for _, dom := range []struct {
+		w, h, steps int
+	}{{4, 4, 128}, {1, 1, 90}} {
+		g := gridGraph(t, dom.w, dom.h, dom.steps)
+		rng := rand.New(rand.NewSource(3))
+		a, b := denseSets(rng, g.NumVertices(), 0.1, 0, g.NumVertices())
+		for _, kind := range []Kind{Restricted, Standard, Block} {
+			for _, budget := range []int{0, shiftPoolBudget} {
+				run := &testRun{
+					a: a, pos2: b.Positive.Ones(), neg2: b.Negative.Ones(),
+					g: g, tau: 0.9,
+					cfg: Config{Permutations: 200, Alpha: 0.05, Seed: 5, Kind: kind,
+						Shifts: newShiftPool(g.SpatialAdjacency(), 5, budget)},
+					prep: newVectorPrep(a, b, g, kind),
+				}
+				sc := run.newScratch()
+				run.chunk(1, sc) // size the scratch buffers, memoise the chunk
+				if allocs := testing.AllocsPerRun(5, func() { run.chunk(1, sc) }); allocs != 0 {
+					t.Errorf("%dx%d kind=%v budget=%d: steady-state chunk allocates %.0f objects, want 0",
+						dom.w*dom.h, dom.steps, kind, budget, allocs)
+				}
 			}
 		}
 	}
@@ -409,6 +466,8 @@ func FuzzKernelParity(f *testing.F) {
 	f.Add(int64(2), uint8(1), uint8(1), uint8(200), uint8(10), uint8(1), true)
 	f.Add(int64(3), uint8(4), uint8(2), uint8(64), uint8(80), uint8(2), false)
 	f.Add(int64(-9), uint8(5), uint8(5), uint8(65), uint8(50), uint8(0), true)
+	f.Add(int64(4), uint8(0), uint8(0), uint8(2), uint8(60), uint8(0), false)  // 1x3: two rotations
+	f.Add(int64(5), uint8(4), uint8(4), uint8(128), uint8(40), uint8(0), true) // 5x5x129
 	f.Fuzz(func(t *testing.T, seed int64, w, h, stepsB, densityB, kindB uint8, negTau bool) {
 		w = w%5 + 1
 		h = h%5 + 1
@@ -439,7 +498,11 @@ func FuzzKernelParity(f *testing.F) {
 
 // BenchmarkShiftedTauKernel measures one permutation chunk (50
 // randomizations) per iteration on a 16x16-region hourly-resolution
-// domain, per Kind.
+// domain, per Kind, and then one whole exhaustive Restricted test of 1,000
+// permutations — transposition, scratch and rotation table included — on
+// the shapes and feature counts per set the graph-wide corpus is made of:
+// city x month (1x3, 2), city x day (1x90, 33), neighbourhood x week
+// (48x14, 90) and neighbourhood x hour (48x2160, 1,500).
 func BenchmarkShiftedTauKernel(b *testing.B) {
 	g, err := stgraph.New(256, 1464, grid(16, 16))
 	if err != nil {
@@ -462,6 +525,22 @@ func BenchmarkShiftedTauKernel(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				run.chunk(i%8, sc)
 			}
+		})
+	}
+	for _, sh := range []struct {
+		w, h, steps, features int
+	}{{1, 1, 3, 2}, {1, 1, 90, 33}, {8, 6, 14, 90}, {8, 6, 2160, 1500}} {
+		b.Run(fmt.Sprintf("%dx%d", sh.w*sh.h, sh.steps), func(b *testing.B) {
+			g := gridGraph(b, sh.w, sh.h, sh.steps)
+			n := g.NumVertices()
+			fa, fb := denseSets(rand.New(rand.NewSource(42)), n, float64(sh.features)/float64(n), 0, n)
+			cfg := Config{Seed: 1, Exhaustive: true, Shifts: NewShiftPool(g.SpatialAdjacency(), 1)}
+			Test(fa, fb, g, 0.9, cfg) // memoise the shifts, as a family's first test does
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				Test(fa, fb, g, 0.9, cfg)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*DefaultPermutations), "ns/permutation")
 		})
 	}
 }

@@ -19,9 +19,10 @@
 // significant (p = 1).
 //
 // The randomizations are evaluated a word at a time: both feature sets
-// are transposed once per test into lane-padded region-major bit vectors,
-// each randomization is materialized with rotate/copy blits, and tau is read
-// off fused popcounts at 64 vertices per word. The per-vertex transcription
+// are transposed once per test into region-major lanes, a rotated lane is a
+// window of function 2's doubled lane read at a bit offset, and tau is read
+// off fused popcounts at 64 vertices per word without the randomization ever
+// being stored. The per-vertex transcription
 // of the paper's definition lives in kernel_test.go as the oracle every
 // permutation's tau is compared against (TestKernelParity,
 // FuzzKernelParity).
@@ -50,6 +51,8 @@ var (
 		"Significance tests run (tau = 0 shortcuts included).")
 	mPermutations = obsv.NewCounter("polygamy_montecarlo_permutations_total",
 		"Permutations actually evaluated across all tests.")
+	mTauEvals = obsv.NewCounter("polygamy_montecarlo_tau_evaluations_total",
+		"Tau kernel runs; a one-region Restricted test runs one per distinct rotation, not one per permutation.")
 	mEarlyStops = obsv.NewCounter("polygamy_montecarlo_early_stops_total",
 		"Tests stopped by adaptive termination before the full permutation budget.")
 	mShiftsBuilt = obsv.NewCounter("polygamy_montecarlo_shifts_built_total",
@@ -482,66 +485,80 @@ func foldCounts(counts []int, m, threshold int, exhaustive bool) (extreme, shift
 
 // vectorPrep is the per-test immutable state of the tau kernel: both
 // feature sets re-laid-out so that each randomization becomes a handful of
-// word-level blits and popcounts. It is built once per Test and shared
+// word-level reads and popcounts. It is built once per Test and shared
 // read-only by all worker goroutines.
 //
-// For Restricted and Block kinds the layout is the lane-padded transpose:
-// region r's time-run occupies the laneBits-bit lane starting at bit
-// r*laneBits, with laneBits = NumWords(nSteps)*64 so every lane starts on
-// a word boundary and the padding bits [nSteps, laneBits) are permanently
-// zero. A time rotation is then an in-lane bit rotation and a region shift
-// a lane-to-lane blit — no per-vertex index arithmetic. For Standard the
-// native vertex-major layout is already right; only the union mask is
-// precomputed.
+// For Restricted and Block kinds both functions are transposed to
+// region-major lanes. Function 1's masks are lane-padded: region r's
+// time-run occupies the laneBits-bit lane starting at bit r*laneBits, with
+// laneBits = NumWords(nSteps)*64, so every lane starts on a word boundary
+// and the padding bits [nSteps, laneBits) are permanently zero. Function 2's
+// lanes are doubled: region r's time-run sits twice, back to back, at the
+// start of a dblBits-bit lane that ends in a spare word, so the run rotated
+// by rot steps is the contiguous nSteps-bit window starting at bit
+// nSteps-rot, and the word after a window's last always exists. A region
+// shift pairs a source lane with another destination lane — no per-vertex
+// index arithmetic, nothing stored. For Standard the native vertex-major
+// layout is already right; only the union mask is precomputed.
 type vectorPrep struct {
-	laneBits int // nSteps rounded up to a multiple of 64
+	laneBits int // function 1: nSteps rounded up to a multiple of 64
+	dblBits  int // function 2: 2*nSteps rounded up to a multiple of 64, plus one word
 
-	// Transposed masks (Restricted/Block): function 1's positive, negative
-	// and union sets, and function 2's positive/negative sets.
-	aPosT, aNegT, aAllT *bitvec.Vector
-	bPosT, bNegT        *bitvec.Vector
+	pos, neg side           // per sign: function 2's lanes against function 1's mask
+	aAllT    *bitvec.Vector // function 1's union, lane-padded
 
 	// aAllLane[r] reports whether function 1 has any feature in region r.
 	// A destination lane with no function-1 features contributes zero to
-	// every popcount no matter what lands there, so the kernel skips both
-	// the blit and the count for such lanes.
+	// every popcount no matter what lands there, so the kernel skips it.
 	aAllLane []bool
 
-	// bPosLane[r] reports whether function 2 has any positive feature in
-	// region r — an all-zero source lane contributes nothing and is skipped.
-	bPosLane, bNegLane []bool
-
-	// bPosAny/bNegAny gate entire sides: a function with no negative
-	// features (common under one-tailed thresholds) skips the negative
-	// blit and popcount passes altogether.
+	// bPosAny/bNegAny gate entire sides of the Standard kernel: a function
+	// with no negative features (common under one-tailed thresholds) skips
+	// the negative scatter and popcount pass altogether.
 	bPosAny, bNegAny bool
 
 	aAllV *bitvec.Vector // vertex-major union of function 1 (Standard kind)
 }
 
+// side is one sign of a transposed pair.
+type side struct {
+	a     *bitvec.Vector // function 1's features of this sign, lane-padded
+	b     *bitvec.Vector // function 2's, in doubled lanes; nil when it has none
+	lanes []int32        // regions whose lane of b holds a feature, ascending
+}
+
 // transposeLanes re-lays v (vertex-major, vertex = step*R + region) into
-// region-major lane-padded form: bit r*laneBits + s for region r, step s.
-func transposeLanes(v *bitvec.Vector, g *stgraph.Graph, laneBits int) *bitvec.Vector {
-	out := bitvec.New(g.NumRegions() * laneBits)
+// region-major lanes of stride bits: region r's step s is bit r*stride + s
+// and, in a doubled lane, bit r*stride + nSteps + s as well.
+func transposeLanes(v *bitvec.Vector, g *stgraph.Graph, stride int, doubled bool) *bitvec.Vector {
+	out := bitvec.New(g.NumRegions() * stride)
 	for _, vtx := range v.Ones() {
 		r, s := g.RegionStep(vtx)
-		out.Set(r*laneBits + s)
+		out.Set(r*stride + s)
+		if doubled {
+			out.Set(r*stride + g.NumSteps() + s)
+		}
 	}
 	return out
 }
 
-// laneAny reports per region whether its lane holds any set bit.
-func laneAny(v *bitvec.Vector, nRegions, laneBits int) []bool {
-	out := make([]bool, nRegions)
-	for r := range out {
-		out[r] = v.AnyRange(r*laneBits, (r+1)*laneBits)
+func (p *vectorPrep) newSide(a, b *bitvec.Vector, g *stgraph.Graph) side {
+	s := side{a: transposeLanes(a, g, p.laneBits, false)}
+	if b.Any() {
+		s.b = transposeLanes(b, g, p.dblBits, true)
+		for r := 0; r < g.NumRegions(); r++ {
+			if s.b.AnyRange(r*p.dblBits, r*p.dblBits+g.NumSteps()) {
+				s.lanes = append(s.lanes, int32(r))
+			}
+		}
 	}
-	return out
+	return s
 }
 
 func newVectorPrep(a, b *feature.Set, g *stgraph.Graph, kind Kind) *vectorPrep {
 	p := &vectorPrep{
 		laneBits: bitvec.NumWords(g.NumSteps()) * 64,
+		dblBits:  (bitvec.NumWords(2*g.NumSteps()) + 1) * 64,
 		bPosAny:  b.Positive.Any(),
 		bNegAny:  b.Negative.Any(),
 	}
@@ -549,18 +566,12 @@ func newVectorPrep(a, b *feature.Set, g *stgraph.Graph, kind Kind) *vectorPrep {
 		p.aAllV = a.All()
 		return p
 	}
-	p.aPosT = transposeLanes(a.Positive, g, p.laneBits)
-	p.aNegT = transposeLanes(a.Negative, g, p.laneBits)
-	p.aAllT = p.aPosT.Or(p.aNegT)
-	R := g.NumRegions()
-	p.aAllLane = laneAny(p.aAllT, R, p.laneBits)
-	if p.bPosAny {
-		p.bPosT = transposeLanes(b.Positive, g, p.laneBits)
-		p.bPosLane = laneAny(p.bPosT, R, p.laneBits)
-	}
-	if p.bNegAny {
-		p.bNegT = transposeLanes(b.Negative, g, p.laneBits)
-		p.bNegLane = laneAny(p.bNegT, R, p.laneBits)
+	p.pos = p.newSide(a.Positive, b.Positive, g)
+	p.neg = p.newSide(a.Negative, b.Negative, g)
+	p.aAllT = p.pos.a.Or(p.neg.a)
+	p.aAllLane = make([]bool, g.NumRegions())
+	for r := range p.aAllLane {
+		p.aAllLane[r] = p.aAllT.AnyRange(r*p.laneBits, (r+1)*p.laneBits)
 	}
 	return p
 }
@@ -580,10 +591,18 @@ type scratch struct {
 	shift  shiftScratch
 	shifts []int32
 
-	// Function 2's permuted positive/negative vectors (transposed layout
-	// for Restricted/Block, vertex-major for Standard). Nil when the
-	// corresponding side has no features.
+	// Standard: function 2's permuted positive/negative vectors,
+	// vertex-major. Nil when the corresponding side has no features.
 	permPos, permNeg *bitvec.Vector
+
+	// Block: the one destination lane a source lane's blocks are laid out
+	// in, wholly overwritten before each count.
+	lane *bitvec.Vector
+
+	// Restricted on a one-region domain: tau by rotation, NaN until that
+	// rotation is first drawn (see chunk). Each worker fills its own table
+	// with the same values, so the result does not depend on Workers.
+	rotTau []float64
 }
 
 func (sc *scratch) intBuf(n int) []int {
@@ -600,15 +619,21 @@ func (sc *scratch) intBuf(n int) []int {
 func (t *testRun) newScratch() *scratch {
 	sc := &scratch{}
 	sc.rng = rand.New(&sc.src)
-	n := t.a.NumVertices()
-	if t.cfg.Kind != Standard {
-		n = t.g.NumRegions() * t.prep.laneBits
-	}
-	if t.prep.bPosAny {
-		sc.permPos = bitvec.New(n)
-	}
-	if t.prep.bNegAny {
-		sc.permNeg = bitvec.New(n)
+	switch {
+	case t.cfg.Kind == Standard:
+		if t.prep.bPosAny {
+			sc.permPos = bitvec.New(t.a.NumVertices())
+		}
+		if t.prep.bNegAny {
+			sc.permNeg = bitvec.New(t.a.NumVertices())
+		}
+	case t.cfg.Kind == Block:
+		sc.lane = bitvec.New(t.prep.laneBits)
+	case t.g.NumRegions() == 1:
+		sc.rotTau = make([]float64, t.g.NumSteps())
+		for i := range sc.rotTau {
+			sc.rotTau[i] = math.NaN()
+		}
 	}
 	return sc
 }
@@ -644,99 +669,73 @@ func (t *testRun) countTau(sc *scratch, aPos, aNeg, aAll *bitvec.Vector) float64
 	return tauFromCounts(pp, pn, bp, bn)
 }
 
-// vectorTauRestricted materializes one Restricted randomization: region r
-// of function 2 is blitted to lane spatPerm[r] (identity when spatPerm is
-// nil), rotated by rot steps over the temporal circle, and the lane's
-// contribution is counted immediately while its words are cache-hot.
-//
-// Lanes are skipped entirely — neither blitted nor counted — when the
-// source lane of function 2 or the destination lane of function 1 is
-// empty: an empty source contributes no set bits and an empty destination
-// zeroes every AND no matter what lands there. Skipped destination lanes
-// may therefore hold stale bits from earlier randomizations, which is safe
-// precisely because a lane is only ever counted in the same iteration that
-// overwrote it. Padding bits [nSteps, laneBits) are never written and stay
-// zero forever.
-func (t *testRun) vectorTauRestricted(sc *scratch, spatPerm []int32, rot int) float64 {
-	p := t.prep
-	R, S, lb := t.g.NumRegions(), t.g.NumSteps(), p.laneBits
-	var pp, bp, pn, bn int
-	for r := 0; r < R; r++ {
-		dst := r
-		if spatPerm != nil {
-			dst = int(spatPerm[r])
-		}
-		if !p.aAllLane[dst] {
-			continue
-		}
-		off := dst * lb
-		if p.bPosAny && p.bPosLane[r] {
-			sc.permPos.RotateRange(p.bPosT, r*lb, off, S, rot)
-			cp, cb := sc.permPos.AndCount2Range(p.aPosT, p.aAllT, off, off+lb)
-			pp += cp
-			bp += cb
-		}
-		if p.bNegAny && p.bNegLane[r] {
-			sc.permNeg.RotateRange(p.bNegT, r*lb, off, S, rot)
-			cn, cb := sc.permNeg.AndCount2Range(p.aNegT, p.aAllT, off, off+lb)
-			pn += cn
-			bn += cb
-		}
-	}
+// vectorTauRestricted counts one Restricted randomization: region r of
+// function 2 lands on region spatPerm[r] (r itself when spatPerm is nil)
+// rotated by rot steps over the temporal circle — the window of its doubled
+// lane that starts at bit nSteps-rot — and that window is counted against
+// function 1's destination lane a word at a time, never stored.
+func (t *testRun) vectorTauRestricted(spatPerm []int32, rot int) float64 {
+	pp, bp := t.countRotated(&t.prep.pos, spatPerm, rot)
+	pn, bn := t.countRotated(&t.prep.neg, spatPerm, rot)
 	return tauFromCounts(pp, pn, bp, bn)
 }
 
-// vectorTauBlock materializes one Block randomization: within each source
-// lane the temporal blocks are laid out consecutively in blockPerm order
-// (piecewise word copies — the blocks partition [0, nSteps), so the whole
-// destination lane is overwritten), then the lane lands at spatPerm[r] and
-// is counted in place. Lane skipping and staleness follow the same
-// argument as vectorTauRestricted.
-func (t *testRun) vectorTauBlock(sc *scratch, spatPerm []int32, blockPerm []int, l int) float64 {
-	p := t.prep
-	R, S, lb := t.g.NumRegions(), t.g.NumSteps(), p.laneBits
-	var pp, bp, pn, bn int
-	for r := 0; r < R; r++ {
+// countRotated tallies one sign of a Restricted randomization: same counts
+// the vertices where function 2's shifted features meet function 1's of the
+// same sign, both where they meet any. Only non-empty source lanes are
+// visited, and a destination lane without function-1 features is skipped —
+// it zeroes every AND.
+func (t *testRun) countRotated(s *side, spatPerm []int32, rot int) (same, both int) {
+	p, S := t.prep, t.g.NumSteps()
+	for _, r := range s.lanes {
 		dst := r
 		if spatPerm != nil {
-			dst = int(spatPerm[r])
+			dst = spatPerm[r]
 		}
 		if !p.aAllLane[dst] {
 			continue
 		}
-		doPos := p.bPosAny && p.bPosLane[r]
-		doNeg := p.bNegAny && p.bNegLane[r]
-		if !doPos && !doNeg {
+		c, cb := s.b.AndCount2Window(int(r)*p.dblBits+S-rot, S, s.a, p.aAllT, int(dst)*p.laneBits)
+		same += c
+		both += cb
+	}
+	return same, both
+}
+
+// vectorTauBlock counts one Block randomization: within each source lane
+// the temporal blocks are laid out consecutively in blockPerm order, and the
+// lane is counted against function 1's lane at spatPerm[r].
+func (t *testRun) vectorTauBlock(sc *scratch, spatPerm []int32, blockPerm []int, l int) float64 {
+	pp, bp := t.countBlocks(&t.prep.pos, sc.lane, spatPerm, blockPerm, l)
+	pn, bn := t.countBlocks(&t.prep.neg, sc.lane, spatPerm, blockPerm, l)
+	return tauFromCounts(pp, pn, bp, bn)
+}
+
+// countBlocks is countRotated for Block: the blocks, read from the first
+// copy of the doubled lane, partition [0, nSteps), so piecewise copies
+// overwrite all of lane's first nSteps bits before it is counted.
+func (t *testRun) countBlocks(s *side, lane *bitvec.Vector, spatPerm []int32, blockPerm []int, l int) (same, both int) {
+	p, S := t.prep, t.g.NumSteps()
+	for _, r := range s.lanes {
+		dst := r
+		if spatPerm != nil {
+			dst = spatPerm[r]
+		}
+		if !p.aAllLane[dst] {
 			continue
 		}
-		off := dst * lb
 		pos := 0
 		for _, b := range blockPerm {
 			lo := b * l
-			hi := lo + l
-			if hi > S {
-				hi = S
-			}
-			if doPos {
-				sc.permPos.CopyRange(p.bPosT, r*lb+lo, off+pos, hi-lo)
-			}
-			if doNeg {
-				sc.permNeg.CopyRange(p.bNegT, r*lb+lo, off+pos, hi-lo)
-			}
-			pos += hi - lo
+			n := min(l, S-lo)
+			lane.CopyRange(s.b, int(r)*p.dblBits+lo, pos, n)
+			pos += n
 		}
-		if doPos {
-			cp, cb := sc.permPos.AndCount2Range(p.aPosT, p.aAllT, off, off+lb)
-			pp += cp
-			bp += cb
-		}
-		if doNeg {
-			cn, cb := sc.permNeg.AndCount2Range(p.aNegT, p.aAllT, off, off+lb)
-			pn += cn
-			bn += cb
-		}
+		c, cb := lane.AndCount2Window(0, S, s.a, p.aAllT, int(dst)*p.laneBits)
+		same += c
+		both += cb
 	}
-	return tauFromCounts(pp, pn, bp, bn)
+	return same, both
 }
 
 // vectorTauStandard materializes one Standard randomization by scattering
@@ -929,6 +928,12 @@ type testRun struct {
 // deterministically seeded stream in sc. The test oracle replays both
 // sequences draw for draw; reordering one changes every reported p-value
 // (and fails TestKernelParity).
+//
+// On a one-region domain a Restricted randomization is its rotation and
+// nothing else. The rotation is still drawn for every permutation — the
+// exceedance count depends on how often each one comes up — but tau is
+// looked up in sc.rotTau and the kernel runs only for a rotation not seen
+// before.
 func (t *testRun) chunk(ci int, sc *scratch) int {
 	g := t.g
 	nRegions := g.NumRegions()
@@ -944,7 +949,7 @@ func (t *testRun) chunk(ci int, sc *scratch) int {
 	if n > permChunk {
 		n = permChunk
 	}
-	extreme := 0
+	extreme, evals := 0, n
 	for k := 0; k < n; k++ {
 		var spatPerm []int32
 		if shifts != nil {
@@ -967,7 +972,14 @@ func (t *testRun) chunk(ci int, sc *scratch) int {
 			if nSteps > 1 {
 				rot = 1 + rng.Intn(nSteps-1)
 			}
-			tauK = t.vectorTauRestricted(sc, spatPerm, rot)
+			if sc.rotTau == nil {
+				tauK = t.vectorTauRestricted(spatPerm, rot)
+			} else if tauK = sc.rotTau[rot]; math.IsNaN(tauK) { // first draw of rot
+				tauK = t.vectorTauRestricted(nil, rot)
+				sc.rotTau[rot] = tauK
+			} else {
+				evals--
+			}
 		}
 		if t.sink != nil {
 			t.sink(ci*permChunk+k, tauK)
@@ -976,5 +988,6 @@ func (t *testRun) chunk(ci int, sc *scratch) int {
 			extreme++
 		}
 	}
+	mTauEvals.Add(uint64(evals))
 	return extreme
 }

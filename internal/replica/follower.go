@@ -123,7 +123,8 @@ func NewFollower(opts FollowerOptions) (*Follower, error) {
 
 // Framework returns the currently serving framework — nil until the
 // first successful sync. Callers must not Close it: a swapped-out epoch
-// stays alive because queries in flight may alias its mapped sections.
+// stays mapped because queries in flight may alias its mapped sections
+// (only its resident pages are given back, see syncLocked).
 func (f *Follower) Framework() *core.Framework { return f.cur.Load() }
 
 // Status reports the follower's replication state.
@@ -251,7 +252,14 @@ func (f *Follower) syncLocked(ctx context.Context) (bool, error) {
 		return false, err
 	}
 
-	f.cur.Store(fw)
+	// The superseded epoch is never Closed, so its mapping would stay
+	// resident for the life of the process: one snapshot of RSS per epoch.
+	// Evicting drops the pages and keeps every address valid.
+	if old := f.cur.Swap(fw); old != nil {
+		if err := old.Evict(); err != nil {
+			f.opts.Logger.Warn("replica: evicting the superseded epoch's mapping", "error", err)
+		}
+	}
 	f.etag = info.ETag
 	f.manifest = m
 	f.datasets = datasets

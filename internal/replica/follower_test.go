@@ -1,8 +1,11 @@
 package replica
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"net/http"
+	"os"
 	"reflect"
 	"sync"
 	"sync/atomic"
@@ -212,6 +215,58 @@ func TestFollowerCorpusGrowthResyncsDatasets(t *testing.T) {
 	// old framework must not be invalidated by the swap.
 	if rels := queryResults(t, firstFW); len(rels) == 0 {
 		t.Fatal("previous epoch stopped answering after swap")
+	}
+}
+
+// TestFollowerSupersededEpochKeepsAnswering: each sync gives the pages of
+// the epoch it supersedes back to the kernel. A framework captured at epoch
+// 1 must, five epochs on, repeat its cached answer byte for byte and answer
+// a clause it has never seen — which reads its evicted index sections —
+// exactly as the leader does.
+func TestFollowerSupersededEpochKeepsAnswering(t *testing.T) {
+	leaderFW := leaderFramework(t, 0)
+	lf := newLeaderFixture(t, leaderFW, nil)
+	f := newTestFollower(t, lf)
+	mustSync(t, f)
+	first := f.Framework()
+	answer := func(fw *core.Framework, perms int) []byte {
+		rels, _, err := fw.Query(core.Query{Clause: core.Clause{Permutations: perms}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rels) == 0 {
+			t.Fatal("query returned no relationship")
+		}
+		blob, err := json.Marshal(rels)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return blob
+	}
+	before := answer(first, 80)
+	for i := 0; i < 5; i++ {
+		if _, err := leaderFW.BuildGraph(core.Clause{Permutations: 60 + i*8}); err != nil {
+			t.Fatal(err)
+		}
+		if err := leaderFW.Save(lf.path); err != nil {
+			t.Fatal(err)
+		}
+		// The leader keys its manifest cache on size and mtime; give each
+		// re-save an mtime of its own so none hides inside one clock tick.
+		stamp := time.Now().Add(time.Duration(i+1) * time.Second)
+		if err := os.Chtimes(lf.path, stamp, stamp); err != nil {
+			t.Fatal(err)
+		}
+		mustSync(t, f)
+	}
+	if f.Framework() == first || f.Status().Epoch != 6 {
+		t.Fatalf("epoch = %d, want 6 and a new framework", f.Status().Epoch)
+	}
+	if got := answer(first, 80); !bytes.Equal(got, before) {
+		t.Fatal("epoch-1 framework repeats its cached answer differently after 5 swaps")
+	}
+	if got, want := answer(first, 96), answer(leaderFW, 96); !bytes.Equal(got, want) {
+		t.Fatal("epoch-1 framework answers a new clause differently from the leader after 5 swaps")
 	}
 }
 

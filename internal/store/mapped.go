@@ -18,6 +18,7 @@ type Mapped struct {
 	m        Manifest
 	sections map[string][]byte
 	zeroCopy bool
+	data     []byte // the whole container: the mapping, or the heap buffer
 
 	mu     sync.Mutex
 	unmap  func() error
@@ -60,7 +61,7 @@ func Map(path string) (*Mapped, error) {
 		_ = unmap()
 		return nil, err
 	}
-	return &Mapped{m: m, sections: sections, zeroCopy: zeroCopy, unmap: unmap}, nil
+	return &Mapped{m: m, sections: sections, zeroCopy: zeroCopy, data: data, unmap: unmap}, nil
 }
 
 // Manifest returns the container's verified manifest.
@@ -85,6 +86,21 @@ func (mp *Mapped) Size() int {
 		n += len(b)
 	}
 	return n
+}
+
+// Evict hands the mapping's resident pages back to the kernel without
+// unmapping anything (madvise MADV_DONTNEED where the platform has it). The
+// mapping is read-only and shared over a file, so every view stays valid and
+// a later read re-faults its page from the page cache: this is for a
+// container that is superseded but may still have readers. It does nothing
+// on the heap fallback or after Close.
+func (mp *Mapped) Evict() error {
+	mp.mu.Lock()
+	defer mp.mu.Unlock()
+	if mp.closed || !mp.zeroCopy || len(mp.data) == 0 {
+		return nil
+	}
+	return dropPages(mp.data)
 }
 
 // Close releases the mapping. Every view handed out by Section — and every

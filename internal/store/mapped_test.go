@@ -40,6 +40,44 @@ func TestMapRoundTrip(t *testing.T) {
 	}
 }
 
+// TestMapEvictKeepsViewsValid: Evict gives the mapping's pages back and
+// unmaps nothing, so views taken before it read the same bytes after it —
+// also when the file has since been replaced by rename, as a follower's is —
+// and it is a no-op once the mapping is closed.
+func TestMapEvictKeepsViewsValid(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "corpus.snap")
+	if err := Write(path, testManifest(), testSections()); err != nil {
+		t.Fatal(err)
+	}
+	mp, err := Map(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	views := map[string][]byte{}
+	for _, s := range testSections() {
+		views[s.Name], _ = mp.Section(s.Name)
+	}
+	if err := Write(path, testManifest(), []Section{{Name: SectionIndex, Data: []byte("next epoch")}}); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if err := mp.Evict(); err != nil {
+			t.Fatalf("Evict: %v", err)
+		}
+		for _, want := range testSections() {
+			if !bytes.Equal(views[want.Name], want.Data) {
+				t.Fatalf("section %q reads differently after Evict %d", want.Name, i+1)
+			}
+		}
+	}
+	if err := mp.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := mp.Evict(); err != nil {
+		t.Errorf("Evict after Close: %v", err)
+	}
+}
+
 // TestMapSectionsAreAligned pins the tentpole invariant: every section
 // payload starts on an 8-byte file offset, so uint64 slabs inside it can
 // be viewed in place.
