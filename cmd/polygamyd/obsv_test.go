@@ -167,6 +167,15 @@ func TestMetricsEndpoint(t *testing.T) {
 	}); status != http.StatusOK {
 		t.Fatalf("query status %d", status)
 	}
+	gresp, err := client.Post(srv.URL+"/v1/graph/build", "application/json", strings.NewReader(`{"clause":{"permutations":40}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, gresp.Body)
+	gresp.Body.Close()
+	if gresp.StatusCode != http.StatusOK {
+		t.Fatalf("graph build status %d", gresp.StatusCode)
+	}
 	resp, err := client.Get(srv.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
@@ -188,6 +197,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		"# TYPE polygamy_query_duration_seconds histogram",
 		"polygamy_query_duration_seconds_bucket{le=\"+Inf\"}",
 		"# TYPE polygamy_query_stage_duration_seconds histogram",
+		"# TYPE polygamy_graph_build_stage_duration_seconds histogram",
 		"# TYPE polygamy_montecarlo_tests_total counter",
 		"# TYPE polygamy_montecarlo_permutations_total counter",
 		"# TYPE polygamy_montecarlo_tau_evaluations_total counter",
@@ -210,6 +220,11 @@ func TestMetricsEndpoint(t *testing.T) {
 	// Stage labels are bounded and well-formed.
 	if !strings.Contains(text, `polygamy_query_stage_duration_seconds_bucket{stage="plan",le=`) {
 		t.Error("per-stage histogram missing the plan stage")
+	}
+	for _, stage := range []string{"plan", "evaluate", "assemble"} {
+		if !strings.Contains(text, `polygamy_graph_build_stage_duration_seconds_bucket{stage="`+stage+`",le=`) {
+			t.Errorf("graph build stage histogram missing the %s stage", stage)
+		}
 	}
 }
 

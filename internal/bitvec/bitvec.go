@@ -39,6 +39,26 @@ func New(n int) *Vector {
 // Len returns the number of bits in the vector.
 func (v *Vector) Len() int { return v.n }
 
+// Resize makes v an all-zero vector of n bits in place, reusing its storage
+// when that is large enough: a buffer refilled for inputs of varying size.
+func (v *Vector) Resize(n int) {
+	if n < 0 {
+		panic("bitvec: negative length")
+	}
+	v.checkWritable()
+	if nw := NumWords(n); cap(v.words) < nw {
+		v.words = make([]uint64, nw)
+	} else {
+		v.words = v.words[:nw]
+		clear(v.words)
+	}
+	v.n = n
+}
+
+// Words returns the vector's storage: bit i is bit i%64 of word i/64, and
+// bits at and past Len are zero. The slice aliases v; callers only read it.
+func (v *Vector) Words() []uint64 { return v.words }
+
 // Set sets bit i to 1.
 func (v *Vector) Set(i int) {
 	v.check(i)

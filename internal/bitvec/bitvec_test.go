@@ -182,6 +182,25 @@ func TestReset(t *testing.T) {
 	}
 }
 
+// TestResize: a vector re-sized in place reads all-zero at its new length
+// whether it shrinks into its storage or grows past it, and its words show
+// exactly the bits set since.
+func TestResize(t *testing.T) {
+	var v Vector
+	for _, n := range []int{130, 64, 0, 7, 300} {
+		v.Resize(n)
+		if v.Len() != n || v.Any() || len(v.Words()) != NumWords(n) {
+			t.Fatalf("Resize(%d): len %d, any %v, %d words", n, v.Len(), v.Any(), len(v.Words()))
+		}
+		if n > 0 {
+			v.Set(n - 1)
+			if w := v.Words()[(n-1)/64]; w != 1<<uint((n-1)%64) {
+				t.Fatalf("Resize(%d): last word %#x after Set(%d)", n, w, n-1)
+			}
+		}
+	}
+}
+
 func TestZeroLength(t *testing.T) {
 	v := New(0)
 	if v.Any() || v.Count() != 0 || len(v.Ones()) != 0 {
@@ -332,9 +351,10 @@ func TestFromBytesViewIsReadOnly(t *testing.T) {
 		t.Skip("view copied; writability is then acceptable")
 	}
 	for name, fn := range map[string]func(){
-		"Set":   func() { view.Set(2) },
-		"Clear": func() { view.Clear(1) },
-		"Reset": func() { view.Reset() },
+		"Set":    func() { view.Set(2) },
+		"Clear":  func() { view.Clear(1) },
+		"Reset":  func() { view.Reset() },
+		"Resize": func() { view.Resize(64) },
 	} {
 		func() {
 			defer func() {

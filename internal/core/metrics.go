@@ -44,6 +44,8 @@ var (
 		"Graph pair evaluations computed fresh.")
 	mGraphPairsReused = obsv.NewCounter("polygamy_graph_pairs_reused_total",
 		"Graph pair evaluations served from the candidate cache.")
+	mGraphStageDuration = obsv.NewHistogramVec("polygamy_graph_build_stage_duration_seconds",
+		"Graph build latency by stage (plan, evaluate, assemble).", nil, "stage")
 	mGraphEdges = obsv.NewGauge("polygamy_graph_edges",
 		"Edges in the current relationship graph.")
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"github.com/urbandata/datapolygamy/internal/feature"
@@ -100,7 +101,11 @@ func selectionFromClause(c Clause) graphSelection {
 // mutated: the cache stays q-free so a later build over a grown family can
 // re-adjust from the raw p-values.
 func assembleGraph(cands map[graphPair][]relgraph.Edge, sel graphSelection) *relgraph.Graph {
-	var all []relgraph.Edge
+	n := 0
+	for _, es := range cands {
+		n += len(es)
+	}
+	all := make([]relgraph.Edge, 0, n)
 	for _, es := range cands {
 		all = append(all, es...)
 	}
@@ -177,16 +182,9 @@ func (f *Framework) BuildGraph(clause Clause) (GraphStats, error) {
 	}
 	sel := selectionFromClause(clause)
 	st.Datasets = len(f.order)
-	classes := clause.Classes
-	if classes == nil {
-		classes = []feature.Class{feature.Salient, feature.Extreme}
-	}
 
-	// Enumerate the unordered pairs not yet covered and plan each one with
-	// the shared query planner (pruning included); all surviving tasks run
-	// as one batch so the worker pool sees the whole build at once.
-	var tasks []pairTask
-	missing := make(map[graphPair]bool)
+	// Enumerate the unordered pairs not yet covered.
+	var missing []graphPair
 	for i, a := range f.order {
 		for _, b := range f.order[i+1:] {
 			st.Pairs++
@@ -195,11 +193,7 @@ func (f *Framework) BuildGraph(clause Clause) (GraphStats, error) {
 				st.PairsReused++
 				continue
 			}
-			missing[key] = true
-			pl := f.plan([]string{a}, []string{b}, clause, classes)
-			st.PairsConsidered += pl.considered
-			st.Pruned += pl.pruned
-			tasks = append(tasks, pl.tasks...)
+			missing = append(missing, key)
 		}
 	}
 	st.PairsComputed = len(missing)
@@ -220,50 +214,83 @@ func (f *Framework) BuildGraph(clause Clause) (GraphStats, error) {
 	}
 	f.graphSel = sel
 
-	if len(missing) > 0 {
-		mcWorkers := 1
-		if n := len(tasks); n > 0 {
-			if w := f.workers() / n; w > mcWorkers {
-				mcWorkers = w
-			}
-		}
-		results, err := mapreduce.ForEach(mapreduce.Config{Workers: f.opts.Workers}, tasks,
-			func(t pairTask) (*Relationship, error) {
-				return f.evaluatePair(t, clause, mcWorkers)
-			})
-		if err != nil {
-			return st, err
-		}
-		// Record every computed pair — including empty ones, so fruitless
-		// pairs are not re-evaluated on the next build. Every *tested*
-		// candidate is cached with its raw p-value, significant or not:
-		// the insignificant ones are part of the corpus-wide hypothesis
-		// family and shift everyone's q-values.
-		newCands := make(map[graphPair][]relgraph.Edge, len(missing))
-		for key := range missing {
-			newCands[key] = []relgraph.Edge{}
-		}
-		for _, r := range results {
-			if r == nil {
-				continue
-			}
-			st.Evaluated++
-			key := makeGraphPair(r.Dataset1, r.Dataset2)
-			newCands[key] = append(newCands[key], relationshipEdge(*r))
-		}
-		for key, es := range newCands {
-			relgraph.SortEdges(es)
-			f.graphCands[key] = es
-		}
+	if err := f.evaluatePairsLocked(missing, clause, &st); err != nil {
+		return st, err
 	}
 
+	tAssemble := time.Now()
 	g := assembleGraph(f.graphCands, f.graphSel)
 	f.relGraph.Store(g)
+	mGraphStageDuration.With("assemble").Observe(time.Since(tAssemble).Seconds())
 	f.graphClause = clause
 	st.Edges = g.NumEdges()
 	st.WallDuration = time.Since(t0)
 	recordGraphBuild(st)
 	return st, nil
+}
+
+// evaluatePairsLocked computes the tested candidate families of the data
+// set pairs in keys into the pair cache: every tested candidate with its raw
+// p-value, significant or not — the insignificant ones are part of the
+// corpus-wide hypothesis family and shift everyone's q-values — sorted, and
+// an empty family for a fruitless pair so it is not re-evaluated. Planning,
+// evaluation and collection each run on the worker pool: the pairs' tasks
+// are one batch, so the pool sees the whole build at once, and a pair's
+// tasks are contiguous in it, so its results are a slice of the batch. The
+// caller holds graphMu.
+func (f *Framework) evaluatePairsLocked(keys []graphPair, clause Clause, st *GraphStats) error {
+	if len(keys) == 0 {
+		return nil
+	}
+	pool := mapreduce.Config{Workers: f.opts.Workers}
+	classes := clause.Classes
+	if classes == nil {
+		classes = []feature.Class{feature.Salient, feature.Extreme}
+	}
+	t0 := time.Now()
+	plans, _ := mapreduce.ForEach(pool, keys, func(k graphPair) (queryPlan, error) {
+		return f.plan([]string{k.A}, []string{k.B}, clause, classes), nil
+	})
+	n := 0
+	for _, pl := range plans {
+		n += len(pl.tasks)
+		st.PairsConsidered += pl.considered
+		st.Pruned += pl.pruned
+	}
+	tasks := make([]pairTask, 0, n)
+	for _, pl := range plans {
+		tasks = append(tasks, pl.tasks...)
+	}
+	mGraphStageDuration.With("plan").Observe(time.Since(t0).Seconds())
+
+	t0 = time.Now()
+	mcWorkers := max(1, f.workers()/max(n, 1))
+	results, err := mapreduce.ForEach(pool, tasks, func(t pairTask) (*Relationship, error) {
+		return f.evaluatePair(t, clause, mcWorkers)
+	})
+	if err != nil {
+		return err
+	}
+	perPair := make([][]*Relationship, len(plans))
+	for i, pl := range plans {
+		k := len(pl.tasks)
+		perPair[i], results = results[:k:k], results[k:]
+	}
+	cands, _ := mapreduce.ForEach(pool, perPair, func(rs []*Relationship) ([]relgraph.Edge, error) {
+		rs = slices.DeleteFunc(rs, func(r *Relationship) bool { return r == nil })
+		es := make([]relgraph.Edge, len(rs))
+		for i, r := range rs {
+			es[i] = relationshipEdge(*r)
+		}
+		relgraph.SortEdges(es)
+		return es, nil
+	})
+	for i, key := range keys {
+		f.graphCands[key] = cands[i]
+		st.Evaluated += len(cands[i])
+	}
+	mGraphStageDuration.With("evaluate").Observe(time.Since(t0).Seconds())
+	return nil
 }
 
 // GraphClause returns the clause the current materialized graph's

@@ -5,8 +5,6 @@ import (
 	"hash/fnv"
 	"time"
 
-	"github.com/urbandata/datapolygamy/internal/feature"
-	"github.com/urbandata/datapolygamy/internal/mapreduce"
 	"github.com/urbandata/datapolygamy/internal/relgraph"
 	"github.com/urbandata/datapolygamy/internal/store"
 )
@@ -107,16 +105,10 @@ func (f *Framework) BuildGraphShard(clause Clause, shard, of int) ([]byte, error
 		f.graphCands = make(map[graphPair][]relgraph.Edge)
 		f.graphSig = sig
 	}
-	classes := clause.Classes
-	if classes == nil {
-		classes = []feature.Class{feature.Salient, feature.Extreme}
-	}
 
 	// Enumerate this shard's pairs; plan and evaluate the ones the cache
 	// does not already hold.
-	var owned []graphPair
-	var tasks []pairTask
-	missing := make(map[graphPair]bool)
+	var owned, missing []graphPair
 	for i, a := range f.order {
 		for _, b := range f.order[i+1:] {
 			if PairShard(a, b, of) != shard {
@@ -124,43 +116,13 @@ func (f *Framework) BuildGraphShard(clause Clause, shard, of int) ([]byte, error
 			}
 			key := makeGraphPair(a, b)
 			owned = append(owned, key)
-			if _, ok := f.graphCands[key]; ok {
-				continue
+			if _, ok := f.graphCands[key]; !ok {
+				missing = append(missing, key)
 			}
-			missing[key] = true
-			pl := f.plan([]string{a}, []string{b}, clause, classes)
-			tasks = append(tasks, pl.tasks...)
 		}
 	}
-	if len(missing) > 0 {
-		mcWorkers := 1
-		if n := len(tasks); n > 0 {
-			if w := f.workers() / n; w > mcWorkers {
-				mcWorkers = w
-			}
-		}
-		results, err := mapreduce.ForEach(mapreduce.Config{Workers: f.opts.Workers}, tasks,
-			func(t pairTask) (*Relationship, error) {
-				return f.evaluatePair(t, clause, mcWorkers)
-			})
-		if err != nil {
-			return nil, err
-		}
-		newCands := make(map[graphPair][]relgraph.Edge, len(missing))
-		for key := range missing {
-			newCands[key] = []relgraph.Edge{}
-		}
-		for _, r := range results {
-			if r == nil {
-				continue
-			}
-			key := makeGraphPair(r.Dataset1, r.Dataset2)
-			newCands[key] = append(newCands[key], relationshipEdge(*r))
-		}
-		for key, es := range newCands {
-			relgraph.SortEdges(es)
-			f.graphCands[key] = es
-		}
+	if err := f.evaluatePairsLocked(missing, clause, &GraphStats{}); err != nil {
+		return nil, err
 	}
 
 	w := store.NewSlabWriter(4096)
@@ -253,8 +215,10 @@ func (f *Framework) MergeGraphShards(clause Clause, shards [][]byte) (GraphStats
 	f.graphCands = cands
 	f.graphSig = sig
 	f.graphSel = selectionFromClause(clause)
+	tAssemble := time.Now()
 	g := assembleGraph(f.graphCands, f.graphSel)
 	f.relGraph.Store(g)
+	mGraphStageDuration.With("assemble").Observe(time.Since(tAssemble).Seconds())
 	f.graphClause = clause
 	st.PairsComputed = st.Pairs
 	st.Edges = g.NumEdges()

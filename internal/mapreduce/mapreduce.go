@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 )
 
 // Config controls a job's parallelism.
@@ -27,39 +28,48 @@ func (c Config) workers() int {
 }
 
 // ForEach runs fn over inputs on the worker pool (a map-only job) and
-// returns the per-input outputs in input order.
+// returns the per-input outputs in input order. Workers claim input indices
+// from one shared cursor, so handing out an input costs an atomic add, not
+// a channel wake-up. Once an input fails no further index is claimed; the
+// inputs already claimed finish, and the error returned is that of the
+// lowest failing index — every lower index was claimed before it, so the
+// answer does not depend on scheduling.
 func ForEach[I any, O any](cfg Config, inputs []I, fn func(I) (O, error)) ([]O, error) {
-	w := cfg.workers()
 	results := make([]O, len(inputs))
-	errs := make([]error, w)
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for wi := 0; wi < w; wi++ {
+	var (
+		next   atomic.Int64
+		failed atomic.Bool
+		mu     sync.Mutex
+		errAt  = len(inputs)
+		err    error
+		wg     sync.WaitGroup
+	)
+	for range min(cfg.workers(), len(inputs)) {
 		wg.Add(1)
-		go func(wi int) {
+		go func() {
 			defer wg.Done()
-			for i := range idx {
-				if errs[wi] != nil {
-					continue
+			for !failed.Load() {
+				i := int(next.Add(1)) - 1
+				if i >= len(inputs) {
+					return
 				}
-				out, err := fn(inputs[i])
-				if err != nil {
-					errs[wi] = fmt.Errorf("mapreduce: input %d: %w", i, err)
-					continue
+				out, ierr := fn(inputs[i])
+				if ierr != nil {
+					mu.Lock()
+					if i < errAt {
+						errAt, err = i, fmt.Errorf("mapreduce: input %d: %w", i, ierr)
+					}
+					mu.Unlock()
+					failed.Store(true)
+					return
 				}
 				results[i] = out
 			}
-		}(wi)
+		}()
 	}
-	for i := range inputs {
-		idx <- i
-	}
-	close(idx)
 	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	if err != nil {
+		return nil, err
 	}
 	return results, nil
 }

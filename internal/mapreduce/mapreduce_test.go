@@ -2,6 +2,8 @@ package mapreduce
 
 import (
 	"errors"
+	"fmt"
+	"strings"
 	"sync/atomic"
 	"testing"
 )
@@ -34,6 +36,33 @@ func TestForEachError(t *testing.T) {
 	}
 }
 
+// TestForEachLowestFailingInput: with every input from 4,000 on failing,
+// the error always names input 4,000 however the workers interleave, and
+// claiming stops soon after the first failure instead of running the rest.
+func TestForEachLowestFailingInput(t *testing.T) {
+	const n, firstBad = 10000, 4000
+	inputs := make([]int, n)
+	for i := range inputs {
+		inputs[i] = i
+	}
+	for rep := 0; rep < 50; rep++ {
+		var calls atomic.Int64
+		_, err := ForEach(Config{Workers: 8}, inputs, func(x int) (int, error) {
+			calls.Add(1)
+			if x >= firstBad {
+				return 0, fmt.Errorf("bad %d", x)
+			}
+			return x, nil
+		})
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("input %d: bad %d", firstBad, firstBad)) {
+			t.Fatalf("rep %d: error %v, want input %d's", rep, err, firstBad)
+		}
+		if c := calls.Load(); c > n/2 {
+			t.Fatalf("rep %d: %d of %d inputs ran after the first failure at %d", rep, c, n, firstBad)
+		}
+	}
+}
+
 func TestForEachRunsAll(t *testing.T) {
 	var count atomic.Int64
 	n := 500
@@ -57,4 +86,16 @@ func TestDefaultWorkers(t *testing.T) {
 	if (Config{Workers: -3}).workers() < 1 {
 		t.Error("negative workers must fall back to NumCPU")
 	}
+}
+
+// BenchmarkForEachTiny measures the dispatch cost ForEach adds per input:
+// 200,000 no-op inputs at 2 workers, reported as ns/input.
+func BenchmarkForEachTiny(b *testing.B) {
+	inputs := make([]int, 200000)
+	for i := 0; i < b.N; i++ {
+		if _, err := ForEach(Config{Workers: 2}, inputs, func(x int) (int, error) { return x, nil }); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(inputs)), "ns/input")
 }

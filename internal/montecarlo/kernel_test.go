@@ -395,6 +395,26 @@ func TestShuffleMatchesRandShuffle(t *testing.T) {
 	}
 }
 
+// TestSplitmixIntnMatchesRand pins splitmix.intn, chunk's rotation draw, to
+// rand.(*Rand).Intn over the same source, draw for draw and the next draw
+// included. 2^30+1 rejects about half its draws, so the rejection loop runs.
+func TestSplitmixIntnMatchesRand(t *testing.T) {
+	for _, n := range []int{1, 2, 3, 64, 65, 2159, 8783, 1<<30 + 1, 1<<31 - 1} {
+		for _, seed := range []int64{0, 1, -7, 0x5eed} {
+			want := rand.New(&splitmix{uint64(seed)})
+			got := &splitmix{uint64(seed)}
+			for i := 0; i < 10000; i++ {
+				if w, g := want.Intn(n), got.intn(n); w != g {
+					t.Fatalf("n=%d seed=%d draw %d: intn = %d, rand.Intn = %d", n, seed, i, g, w)
+				}
+			}
+			if want.Int63() != got.Int63() {
+				t.Fatalf("n=%d seed=%d: streams diverge after 10,000 draws", n, seed)
+			}
+		}
+	}
+}
+
 // TestToroidalScratchMatchesPublic: a scratch reused across constructions
 // consumes the RNG and produces bijections exactly like the public
 // ToroidalShift with its fresh one, and both still produce the shifts the
@@ -456,6 +476,26 @@ func TestChunkSteadyStateAllocs(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+var raceEnabled bool // set by race_test.go
+
+// TestOpenTestAllocs pins what opening a test costs once the prep and
+// scratch pools are warm: a whole Restricted test on a 48x2,160 pair at
+// Workers 1 allocates only its run record and chunk counts, where building
+// the transposed lanes afresh cost four vectors and four Ones slices more.
+func TestOpenTestAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items under -race")
+	}
+	g := gridGraph(t, 8, 6, 2160)
+	n := g.NumVertices()
+	a, b := denseSets(rand.New(rand.NewSource(42)), n, 1500/float64(n), 0, n)
+	cfg := Config{Seed: 1, Workers: 1, Shifts: NewShiftPool(g.SpatialAdjacency(), 1)}
+	Test(a, b, g, 0.9, cfg) // warm the pools and memoise the shifts
+	if allocs := testing.AllocsPerRun(10, func() { Test(a, b, g, 0.9, cfg) }); allocs > 2 {
+		t.Errorf("opening a warmed 48x2160 test allocates %.0f objects, want <= 2", allocs)
 	}
 }
 

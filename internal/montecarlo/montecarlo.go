@@ -36,6 +36,7 @@ import (
 	"runtime"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"github.com/urbandata/datapolygamy/internal/bitvec"
 	"github.com/urbandata/datapolygamy/internal/feature"
@@ -354,6 +355,22 @@ func (s *splitmix) Uint64() uint64 {
 
 func (s *splitmix) Int63() int64 { return int64(s.Uint64() >> 1) }
 
+// intn returns what rand.New(s).Intn(n) would for n in [1, 2^31): Int31n's
+// mask for a power of two and its rejection loop otherwise, draw for draw
+// (TestSplitmixIntnMatchesRand), without the rand.Source interface call.
+func (s *splitmix) intn(n int) int {
+	n32 := int32(n)
+	if n32&(n32-1) == 0 {
+		return int(int32(s.Uint64()>>33) & (n32 - 1))
+	}
+	max := int32(1<<31 - 1 - (1<<31)%uint32(n32))
+	v := int32(s.Uint64() >> 33)
+	for v > max {
+		v = int32(s.Uint64() >> 33)
+	}
+	return int(v % n32)
+}
+
 // permInto fills buf with a uniform random permutation of [0, len(buf)),
 // consuming the RNG exactly as rand.Perm does (the inside-out Fisher-Yates
 // with one Intn(i+1) draw per element, in ascending order — locked by the
@@ -485,8 +502,9 @@ func foldCounts(counts []int, m, threshold int, exhaustive bool) (extreme, shift
 
 // vectorPrep is the per-test immutable state of the tau kernel: both
 // feature sets re-laid-out so that each randomization becomes a handful of
-// word-level reads and popcounts. It is built once per Test and shared
-// read-only by all worker goroutines.
+// word-level reads and popcounts. It is built once per Test, shared
+// read-only by all worker goroutines, and refilled in place from prepPool
+// by the next Test once this one is done with it.
 //
 // For Restricted and Block kinds both functions are transposed to
 // region-major lanes. Function 1's masks are lane-padded: region r's
@@ -529,47 +547,61 @@ type side struct {
 
 // transposeLanes re-lays v (vertex-major, vertex = step*R + region) into
 // region-major lanes of stride bits: region r's step s is bit r*stride + s
-// and, in a doubled lane, bit r*stride + nSteps + s as well.
-func transposeLanes(v *bitvec.Vector, g *stgraph.Graph, stride int, doubled bool) *bitvec.Vector {
-	out := bitvec.New(g.NumRegions() * stride)
-	for _, vtx := range v.Ones() {
-		r, s := g.RegionStep(vtx)
-		out.Set(r*stride + s)
-		if doubled {
-			out.Set(r*stride + g.NumSteps() + s)
+// and, in a doubled lane, bit r*stride + nSteps + s as well. dst is re-sized
+// and zeroed first (allocated when nil); union, when not nil, gets the
+// same bits on top of what it holds.
+func transposeLanes(dst, union, v *bitvec.Vector, g *stgraph.Graph, stride int, doubled bool) *bitvec.Vector {
+	if dst == nil {
+		dst = new(bitvec.Vector)
+	}
+	dst.Resize(g.NumRegions() * stride)
+	for wi, w := range v.Words() {
+		for ; w != 0; w &= w - 1 {
+			r, s := g.RegionStep(wi*64 + bits.TrailingZeros64(w))
+			dst.Set(r*stride + s)
+			if doubled {
+				dst.Set(r*stride + g.NumSteps() + s)
+			}
+			if union != nil {
+				union.Set(r*stride + s)
+			}
 		}
 	}
-	return out
+	return dst
 }
 
-func (p *vectorPrep) newSide(a, b *bitvec.Vector, g *stgraph.Graph) side {
-	s := side{a: transposeLanes(a, g, p.laneBits, false)}
+func (p *vectorPrep) fillSide(s *side, a, b *bitvec.Vector, g *stgraph.Graph) {
+	s.a = transposeLanes(s.a, p.aAllT, a, g, p.laneBits, false)
+	s.lanes = s.lanes[:0]
 	if b.Any() {
-		s.b = transposeLanes(b, g, p.dblBits, true)
+		s.b = transposeLanes(s.b, nil, b, g, p.dblBits, true)
 		for r := 0; r < g.NumRegions(); r++ {
 			if s.b.AnyRange(r*p.dblBits, r*p.dblBits+g.NumSteps()) {
 				s.lanes = append(s.lanes, int32(r))
 			}
 		}
 	}
-	return s
 }
 
+// prepPool recycles vectorPrep buffers across tests: opening a test then
+// refills lanes already sized for a domain of its shape instead of
+// allocating them.
+var prepPool = sync.Pool{New: func() any { return &vectorPrep{aAllT: new(bitvec.Vector)} }}
+
 func newVectorPrep(a, b *feature.Set, g *stgraph.Graph, kind Kind) *vectorPrep {
-	p := &vectorPrep{
-		laneBits: bitvec.NumWords(g.NumSteps()) * 64,
-		dblBits:  (bitvec.NumWords(2*g.NumSteps()) + 1) * 64,
-		bPosAny:  b.Positive.Any(),
-		bNegAny:  b.Negative.Any(),
-	}
+	p := prepPool.Get().(*vectorPrep)
+	p.laneBits = bitvec.NumWords(g.NumSteps()) * 64
+	p.dblBits = (bitvec.NumWords(2*g.NumSteps()) + 1) * 64
+	p.bPosAny, p.bNegAny = b.Positive.Any(), b.Negative.Any()
+	p.aAllV = nil
 	if kind == Standard {
 		p.aAllV = a.All()
 		return p
 	}
-	p.pos = p.newSide(a.Positive, b.Positive, g)
-	p.neg = p.newSide(a.Negative, b.Negative, g)
-	p.aAllT = p.pos.a.Or(p.neg.a)
-	p.aAllLane = make([]bool, g.NumRegions())
+	p.aAllT.Resize(g.NumRegions() * p.laneBits)
+	p.fillSide(&p.pos, a.Positive, b.Positive, g)
+	p.fillSide(&p.neg, a.Negative, b.Negative, g)
+	p.aAllLane = slices.Grow(p.aAllLane[:0], g.NumRegions())[:g.NumRegions()]
 	for r := range p.aAllLane {
 		p.aAllLane[r] = p.aAllT.AnyRange(r*p.laneBits, (r+1)*p.laneBits)
 	}
@@ -577,9 +609,10 @@ func newVectorPrep(a, b *feature.Set, g *stgraph.Graph, kind Kind) *vectorPrep {
 }
 
 // scratch is the per-worker mutable state of a test run: a reseedable RNG
-// and the permutation/output buffers every randomization writes into. One
-// scratch is built per goroutine per Test, so the steady-state permutation
-// loop allocates nothing (asserted by TestChunkSteadyStateAllocs).
+// and the permutation/output buffers every randomization writes into. Each
+// goroutine of a Test takes one from scratchPool, sized for this run, so the
+// steady-state permutation loop allocates nothing (asserted by
+// TestChunkSteadyStateAllocs) and neither, once warm, does opening a test.
 type scratch struct {
 	src splitmix
 	rng *rand.Rand
@@ -592,7 +625,7 @@ type scratch struct {
 	shifts []int32
 
 	// Standard: function 2's permuted positive/negative vectors,
-	// vertex-major. Nil when the corresponding side has no features.
+	// vertex-major.
 	permPos, permNeg *bitvec.Vector
 
 	// Block: the one destination lane a source lane's blocks are laid out
@@ -600,8 +633,9 @@ type scratch struct {
 	lane *bitvec.Vector
 
 	// Restricted on a one-region domain: tau by rotation, NaN until that
-	// rotation is first drawn (see chunk). Each worker fills its own table
-	// with the same values, so the result does not depend on Workers.
+	// rotation is first drawn (see chunk); empty for every other shape.
+	// Each worker fills its own table with the same values, so the result
+	// does not depend on Workers.
 	rotTau []float64
 }
 
@@ -612,25 +646,29 @@ func (sc *scratch) intBuf(n int) []int {
 	return sc.perm[:n]
 }
 
-// newScratch sizes a worker's scratch for this run. The RNG wraps the
-// scratch's own splitmix source; chunk reseeding just overwrites the
-// source state, which yields the same stream as a freshly constructed
-// rand.New for that seed.
-func (t *testRun) newScratch() *scratch {
-	sc := &scratch{}
+// scratchPool recycles worker scratches across tests. The RNG wraps the
+// scratch's own splitmix source; chunk reseeding just overwrites the source
+// state, which yields the same stream as a freshly constructed rand.New
+// for that seed.
+var scratchPool = sync.Pool{New: func() any {
+	sc := &scratch{permPos: new(bitvec.Vector), permNeg: new(bitvec.Vector), lane: new(bitvec.Vector)}
 	sc.rng = rand.New(&sc.src)
+	return sc
+}}
+
+// newScratch takes a worker's scratch from the pool and sizes it for this
+// run; the worker puts it back when the run is done.
+func (t *testRun) newScratch() *scratch {
+	sc := scratchPool.Get().(*scratch)
+	sc.rotTau = sc.rotTau[:0]
 	switch {
 	case t.cfg.Kind == Standard:
-		if t.prep.bPosAny {
-			sc.permPos = bitvec.New(t.a.NumVertices())
-		}
-		if t.prep.bNegAny {
-			sc.permNeg = bitvec.New(t.a.NumVertices())
-		}
+		sc.permPos.Resize(t.a.NumVertices())
+		sc.permNeg.Resize(t.a.NumVertices())
 	case t.cfg.Kind == Block:
-		sc.lane = bitvec.New(t.prep.laneBits)
+		sc.lane.Resize(t.prep.laneBits)
 	case t.g.NumRegions() == 1:
-		sc.rotTau = make([]float64, t.g.NumSteps())
+		sc.rotTau = slices.Grow(sc.rotTau, t.g.NumSteps())[:t.g.NumSteps()]
 		for i := range sc.rotTau {
 			sc.rotTau[i] = math.NaN()
 		}
@@ -840,7 +878,9 @@ func test(a, b *feature.Set, g *stgraph.Graph, tauObserved float64, cfg Config, 
 				break
 			}
 		}
+		scratchPool.Put(sc)
 	}
+	prepPool.Put(run.prep)
 	extreme, shifts := foldCounts(counts, cfg.Permutations, threshold, cfg.Exhaustive)
 	p := float64(1+extreme) / float64(1+shifts)
 	mTests.Inc()
@@ -857,55 +897,51 @@ func test(a, b *feature.Set, g *stgraph.Graph, tauObserved float64, cfg Config, 
 }
 
 // parallel evaluates permutation chunks on w goroutines, filling counts.
-// Early stopping is coordinated through the completed *prefix* of chunks:
-// dispatch halts once the chunks 0..c are all done and their cumulative
-// exceedances reach threshold — the same condition foldCounts re-derives
-// afterwards. Workers may finish chunks beyond the stopping point (at most
-// about one in-flight chunk each); those counts are recorded but lie past
-// where foldCounts stops, so they can never influence the Result.
+// Workers claim chunk indices from a shared cursor, so chunks are claimed
+// in order. Early stopping is coordinated through the completed *prefix*
+// of chunks: claiming halts once the chunks 0..c are all done and their
+// cumulative exceedances reach threshold — the same condition foldCounts
+// re-derives afterwards. Workers may finish chunks beyond the stopping
+// point (at most one in-flight chunk each); those counts are recorded but
+// lie past where foldCounts stops, so they can never influence the Result.
 func (t *testRun) parallel(w int, counts []int, threshold int) {
 	var (
 		mu       sync.Mutex
 		done     = make([]bool, len(counts))
 		prefix   int
 		prefixEx int
-		stopped  bool
+		next     atomic.Int64
+		stopped  atomic.Bool
+		wg       sync.WaitGroup
 	)
 	report := func(ci, c int) {
 		mu.Lock()
 		defer mu.Unlock()
 		counts[ci] = c
 		done[ci] = true
-		for !stopped && prefix < len(counts) && done[prefix] {
+		for !stopped.Load() && prefix < len(counts) && done[prefix] {
 			prefixEx += counts[prefix]
 			prefix++
 			if !t.cfg.Exhaustive && prefixEx >= threshold {
-				stopped = true
+				stopped.Store(true)
 			}
 		}
 	}
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for wi := 0; wi < w; wi++ {
+	for range w {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			sc := t.newScratch()
-			for ci := range idx {
+			defer scratchPool.Put(sc)
+			for !stopped.Load() {
+				ci := int(next.Add(1)) - 1
+				if ci >= len(counts) {
+					return
+				}
 				report(ci, t.chunk(ci, sc))
 			}
 		}()
 	}
-	for ci := range counts {
-		mu.Lock()
-		s := stopped
-		mu.Unlock()
-		if s {
-			break
-		}
-		idx <- ci
-	}
-	close(idx)
 	wg.Wait()
 }
 
@@ -970,9 +1006,9 @@ func (t *testRun) chunk(ci int, sc *scratch) int {
 		default: // Restricted
 			rot := 0
 			if nSteps > 1 {
-				rot = 1 + rng.Intn(nSteps-1)
+				rot = 1 + sc.src.intn(nSteps-1)
 			}
-			if sc.rotTau == nil {
+			if len(sc.rotTau) == 0 {
 				tauK = t.vectorTauRestricted(spatPerm, rot)
 			} else if tauK = sc.rotTau[rot]; math.IsNaN(tauK) { // first draw of rot
 				tauK = t.vectorTauRestricted(nil, rot)

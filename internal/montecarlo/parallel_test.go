@@ -156,3 +156,45 @@ func TestShiftPoolMemoIndependence(t *testing.T) {
 		}
 	}
 }
+
+// TestPreparedLanesPoolRace: concurrent tests over domains of different
+// shapes and kinds share the prep and scratch pools, so a recycled buffer
+// is refilled for a shape other than the one it last held. Every Result
+// must equal the one the same test returns run alone.
+func TestPreparedLanesPoolRace(t *testing.T) {
+	type job struct {
+		a, b *feature.Set
+		g    *stgraph.Graph
+		tau  float64
+		cfg  Config
+		want Result
+	}
+	var jobs []job
+	for _, sh := range []struct{ w, h, steps, features int }{{1, 1, 3, 2}, {8, 6, 14, 90}, {8, 6, 2160, 1500}} {
+		g := gridGraph(t, sh.w, sh.h, sh.steps)
+		n := g.NumVertices()
+		pool := NewShiftPool(g.SpatialAdjacency(), 3)
+		for i, kind := range []Kind{Restricted, Block, Standard} {
+			a, b := denseSets(rand.New(rand.NewSource(int64(i))), n, float64(sh.features)/float64(n), 0, n)
+			for _, tau := range []float64{0.05, -0.05} {
+				cfg := Config{Permutations: 100, Seed: int64(i), Kind: kind, Workers: 1 + i%2, Shifts: pool}
+				jobs = append(jobs, job{a, b, g, tau, cfg, Test(a, b, g, tau, cfg)})
+			}
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := range jobs {
+				j := jobs[(k*7+w*5)%len(jobs)]
+				if got := Test(j.a, j.b, j.g, j.tau, j.cfg); got != j.want {
+					t.Errorf("%dx%d %v tau=%v: concurrent %+v, alone %+v",
+						j.g.NumRegions(), j.g.NumSteps(), j.cfg.Kind, j.tau, got, j.want)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
