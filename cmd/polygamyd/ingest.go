@@ -16,7 +16,7 @@ import (
 //	POST /v1/datasets   body: one data set in the CSV format of
 //	                    internal/dataset (the polygamy CLI corpus format).
 //	                    Returns 202 with a job ID; the ingestion — the
-//	                    incremental index pipeline, a graph refresh when a
+//	                    incremental index job, a graph refresh when a
 //	                    graph is built, and a snapshot re-save when the
 //	                    server runs with -snapshot — happens in the
 //	                    background. Readers are never blocked: the core

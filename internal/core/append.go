@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 	"time"
 
@@ -172,21 +173,11 @@ func (f *Framework) AppendSlice(slice *dataset.Dataset) (AppendStats, error) {
 	}
 	minTS, maxTS := f.minTS, f.maxTS
 	order := append([]string{}, f.order...)
-	datasets := make(map[string]*dataset.Dataset, len(f.datasets))
-	for n, d := range f.datasets {
-		datasets[n] = d
-	}
+	datasets := maps.Clone(f.datasets)
 	// Timelines, graphs, and index entries are immutable once published;
 	// copy the map/slice containers so the compute phase never reads shared
 	// containers a concurrent exclusive operation may mutate.
-	timelines := make(map[temporal.Resolution]*temporal.Timeline, len(f.timelines))
-	for tr, tl := range f.timelines {
-		timelines[tr] = tl
-	}
-	graphs := make(map[Resolution]*stgraph.Graph, len(f.graphs))
-	for res, g := range f.graphs {
-		graphs[res] = g
-	}
+	timelines, graphs := maps.Clone(f.timelines), maps.Clone(f.graphs)
 	entriesAt := make(map[string]map[Resolution][]*FunctionEntry, len(order))
 	for _, n := range order {
 		byRes := make(map[Resolution][]*FunctionEntry)
@@ -259,7 +250,7 @@ func (f *Framework) AppendSlice(slice *dataset.Dataset) (AppendStats, error) {
 		defer f.mu.Unlock()
 		return f.appendRebuildLocked(slice, st, t0)
 	}
-	results, err := mapreduce.ForEach(mapreduce.Config{Workers: f.opts.Workers}, tasks,
+	results, err := mapreduce.ForEach(f.workers(), tasks,
 		func(at appendTask) (appendTaskResult, error) { return f.runAppendTask(at, extTimelines, extGraphs) })
 	if err != nil {
 		return st, err

@@ -7,11 +7,11 @@
 //
 // The engine is organised in four layers (see DESIGN.md):
 //
-//   - the streaming pipeline layer (internal/mapreduce Pipeline): scalar
-//     function computation and feature identification — the paper's first
-//     two map-reduce jobs (Appendix C) — run fused, each function flowing
-//     straight from computation into merge-tree indexing without the whole
-//     corpus of raw functions being materialised at a phase barrier;
+//   - the worker-pool layer (internal/mapreduce ForEach): scalar function
+//     computation and feature identification — the paper's first two
+//     map-reduce jobs (Appendix C) — run fused in one task per function,
+//     which is merge-tree indexed tile by tile and dropped before the task
+//     returns, so the corpus of raw functions is never materialised;
 //   - the index layer (index.go): a first-class Index of per-function
 //     feature entries that grows incrementally as data sets are added;
 //   - the query planner layer (planner.go): relationship queries are turned
@@ -29,6 +29,7 @@ import (
 	"fmt"
 	"log/slog"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -101,9 +102,9 @@ type IndexStats struct {
 	Rebuilds int64
 
 	// ComputeDuration and IndexDuration are cumulative time spent across
-	// workers in scalar computation and feature identification. The two
-	// phases are fused in one streaming pipeline, so they overlap in wall
-	// time; WallDuration is the end-to-end elapsed time of the pipeline.
+	// workers in scalar computation and feature identification. Each task
+	// runs both phases, tile by tile, so they overlap in wall time;
+	// WallDuration is the end-to-end elapsed time of the indexing job.
 	ComputeDuration time.Duration
 	IndexDuration   time.Duration
 	WallDuration    time.Duration
@@ -382,31 +383,28 @@ func (f *Framework) resolutionsFor(d *dataset.Dataset) []Resolution {
 	return out
 }
 
-func (f *Framework) timeline(tr temporal.Resolution) (*temporal.Timeline, error) {
-	if tl, ok := f.timelines[tr]; ok {
-		return tl, nil
-	}
-	tl, err := temporal.NewTimeline(f.minTS, f.maxTS, tr)
-	if err != nil {
-		return nil, err
-	}
-	f.timelines[tr] = tl
-	return tl, nil
-}
-
-func (f *Framework) graph(res Resolution) (*stgraph.Graph, error) {
-	if g, ok := f.graphs[res]; ok {
+// graph returns the domain graph at res in graphs, first creating it — and
+// the timeline over [minTS, maxTS] it spans, in timelines — when missing.
+// The maps are the framework's own under the exclusive lock, or the copies
+// IngestDataset fills with no lock held.
+func (f *Framework) graph(res Resolution, minTS, maxTS int64,
+	timelines map[temporal.Resolution]*temporal.Timeline, graphs map[Resolution]*stgraph.Graph) (*stgraph.Graph, error) {
+	if g, ok := graphs[res]; ok {
 		return g, nil
 	}
-	tl, err := f.timeline(res.Temporal)
-	if err != nil {
-		return nil, err
+	tl, ok := timelines[res.Temporal]
+	if !ok {
+		var err error
+		if tl, err = temporal.NewTimeline(minTS, maxTS, res.Temporal); err != nil {
+			return nil, err
+		}
+		timelines[res.Temporal] = tl
 	}
 	g, err := stgraph.New(f.opts.City.NumRegions(res.Spatial), tl.Len(), f.opts.City.Adjacency(res.Spatial))
 	if err != nil {
 		return nil, err
 	}
-	f.graphs[res] = g
+	graphs[res] = g
 	return g, nil
 }
 
@@ -423,11 +421,9 @@ type funcTask struct {
 // features extracted. The first call indexes the whole corpus; after an
 // incremental AddDataset only the new data set is processed.
 //
-// Computation and feature identification run as one fused streaming
-// pipeline: each function flows straight from scalar computation into
-// merge-tree indexing, so the corpus of raw functions is never materialised
-// at a phase barrier (peak memory is bounded by the worker count, not the
-// corpus size).
+// Each function is one ForEach input that computes and feature-indexes it
+// tile by tile (tile.go), dropping the raw function before it returns, so
+// peak memory holds the index entries plus one function per worker.
 //
 // BuildIndex takes the state lock exclusively; reads started afterwards
 // observe either the previous or the fully built index, never a partial
@@ -441,37 +437,18 @@ func (f *Framework) BuildIndex() (IndexStats, error) {
 // buildIndexLocked is BuildIndex under an already-held exclusive state
 // lock (shared with the ingestion fallback path).
 func (f *Framework) buildIndexLocked() (IndexStats, error) {
-	var stats IndexStats
-	stats.Datasets = len(f.order)
 	todo := f.unindexed()
-	stats.DatasetsIndexed = len(todo)
-	stats.DatasetsReused = len(f.order) - len(todo)
 	if len(todo) == 0 {
-		stats.Rebuilds = f.rebuilds.Load()
 		f.built = true
-		return stats, nil
+		return f.corpusStats(IndexStats{}, 0), nil
 	}
-
-	// Pre-build shared timelines and graphs (single-threaded; cheap). The
-	// pipeline stages below only read these maps.
-	var tasks []funcTask
-	for _, name := range todo {
-		d := f.datasets[name]
-		for _, res := range f.resolutionsFor(d) {
-			if _, err := f.graph(res); err != nil {
-				return stats, err
-			}
-			for _, spec := range scalar.Specs(d) {
-				tasks = append(tasks, funcTask{ds: d, spec: spec, res: res})
-			}
-		}
+	ds := make([]*dataset.Dataset, len(todo))
+	for i, name := range todo {
+		ds[i] = f.datasets[name]
 	}
-
-	newEntries, pstats, err := f.runIndexPipeline(tasks,
-		func(tr temporal.Resolution) *temporal.Timeline { return f.timelines[tr] },
-		func(res Resolution) *stgraph.Graph { return f.graphs[res] })
+	newEntries, stats, err := f.runIndexJob(ds, f.minTS, f.maxTS, f.timelines, f.graphs)
 	if err != nil {
-		return stats, err
+		return f.corpusStats(IndexStats{}, len(todo)), err
 	}
 	for _, e := range newEntries {
 		f.index.add(e)
@@ -480,67 +457,67 @@ func (f *Framework) buildIndexLocked() (IndexStats, error) {
 		f.index.sort(name)
 		f.index.markDone(name)
 	}
-
-	stats.Functions = pstats.Functions
-	stats.FeatureSets = pstats.FeatureSets
-	stats.ComputeDuration = pstats.ComputeDuration
-	stats.IndexDuration = pstats.IndexDuration
-	stats.WallDuration = pstats.WallDuration
-	stats.Rebuilds = f.rebuilds.Load()
 	f.built = true
 	f.invalidateCacheInvolving(todo...)
 	mIndexBuilds.Inc()
 	mIndexBuildDuration.Observe(stats.WallDuration.Seconds())
 	mIndexFunctions.Set(float64(f.index.numFunctions()))
-	return stats, nil
+	return f.corpusStats(stats, len(todo)), nil
 }
 
-// runIndexPipeline computes and feature-indexes the given function tasks
-// as one fused streaming pipeline and returns the resulting entries with
-// the pipeline counters of IndexStats filled in. The domain state a task
-// needs is resolved through the tl and gr lookups, so the pipeline can run
-// against the framework's shared maps (BuildIndex, under the exclusive
-// lock) or against a caller-captured snapshot of them (IngestDataset,
-// without any lock held — the lookups' targets are immutable).
-func (f *Framework) runIndexPipeline(tasks []funcTask,
-	tl func(temporal.Resolution) *temporal.Timeline,
-	gr func(Resolution) *stgraph.Graph) ([]*FunctionEntry, IndexStats, error) {
+// corpusStats completes an indexing call's stats with the corpus-level
+// counters. The caller holds the state lock.
+func (f *Framework) corpusStats(st IndexStats, indexed int) IndexStats {
+	st.Datasets = len(f.order)
+	st.DatasetsIndexed = indexed
+	st.DatasetsReused = len(f.order) - indexed
+	st.Rebuilds = f.rebuilds.Load()
+	return st
+}
+
+// runIndexJob computes and feature-indexes the functions of ds at every
+// viable resolution, creating the timelines and graphs over [minTS, maxTS]
+// they need in the given maps, and returns the entries in task order with
+// the job counters of IndexStats filled in. The maps are the framework's
+// own (BuildIndex, under the exclusive lock) or a caller-captured copy of
+// them (IngestDataset, without any lock held — their values are immutable).
+func (f *Framework) runIndexJob(ds []*dataset.Dataset, minTS, maxTS int64,
+	timelines map[temporal.Resolution]*temporal.Timeline, graphs map[Resolution]*stgraph.Graph) ([]*FunctionEntry, IndexStats, error) {
 	var stats IndexStats
-	t0 := time.Now()
-	var computeNS, featureNS, numFns atomic.Int64
-	p := mapreduce.NewPipeline(mapreduce.Config{Workers: f.opts.Workers})
+	var tasks []funcTask
+	for _, d := range ds {
+		for _, res := range f.resolutionsFor(d) {
+			if _, err := f.graph(res, minTS, maxTS, timelines, graphs); err != nil {
+				return nil, stats, err
+			}
+			for _, spec := range scalar.Specs(d) {
+				tasks = append(tasks, funcTask{ds: d, spec: spec, res: res})
+			}
+		}
+	}
 
 	// Each task runs the fused tiled build (tile.go): scalar computation
 	// (paper job 1) and feature identification (paper job 2) proceed tile by
-	// tile, each tile's function flowing straight into merge-tree indexing.
-	entries := mapreduce.FlatThrough(mapreduce.Emit(p, tasks),
-		func(t funcTask) ([]*FunctionEntry, error) {
-			es, tm, err := f.buildEntriesTiled(t, tl(t.res.Temporal), gr(t.res))
-			if err != nil {
-				return nil, err
-			}
-			computeNS.Add(int64(tm.compute))
-			featureNS.Add(int64(tm.feature))
-			numFns.Add(int64(len(es)))
-			return es, nil
-		})
-
-	// Sink: accumulate the new entries; the caller's index is only updated
-	// once the whole pipeline has succeeded, so a failed build leaves it
-	// untouched.
-	var newEntries []*FunctionEntry
-	if err := mapreduce.Drain(entries, func(e *FunctionEntry) error {
-		newEntries = append(newEntries, e)
-		return nil
-	}); err != nil {
+	// tile. The caller's index is only updated once every task has
+	// succeeded, so a failed build leaves it untouched.
+	t0 := time.Now()
+	var computeNS, featureNS atomic.Int64
+	perTask, err := mapreduce.ForEach(f.workers(), tasks, func(t funcTask) ([]*FunctionEntry, error) {
+		es, tm, err := f.buildEntriesTiled(t, timelines[t.res.Temporal], graphs[t.res])
+		computeNS.Add(int64(tm.compute))
+		featureNS.Add(int64(tm.feature))
+		return es, err
+	})
+	if err != nil {
 		return nil, stats, err
 	}
-	stats.Functions = int(numFns.Load())
-	stats.FeatureSets = len(newEntries)
+	entries := slices.Concat(perTask...)
+	stats.Functions = len(entries)
+	stats.FeatureSets = len(entries)
 	stats.ComputeDuration = time.Duration(computeNS.Load())
 	stats.IndexDuration = time.Duration(featureNS.Load())
 	stats.WallDuration = time.Since(t0)
-	return newEntries, stats, nil
+	return entries, stats, nil
 }
 
 // indexedLocked reports whether the index covers every registered data

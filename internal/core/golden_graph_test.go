@@ -98,7 +98,7 @@ func TestGoldenGraph(t *testing.T) {
 		}
 	}
 
-	f, opts := goldenFramework(t)
+	f, opts := goldenFramework(t, 2)
 	if _, err := f.BuildGraph(Clause{}); err != nil {
 		t.Fatal(err)
 	}

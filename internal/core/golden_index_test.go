@@ -23,9 +23,9 @@ import (
 // must say so and regenerate it (the failure message prints the new value).
 const goldenIndexHash = "56c00fd57287f36598e7b156d1942bd692d4d186154cbc0301878d17e666397e"
 
-// goldenFramework indexes the golden corpus and also returns what Open needs
-// to warm-start a second framework over it.
-func goldenFramework(t *testing.T) (*Framework, OpenOptions) {
+// goldenFramework indexes the golden corpus on the given worker count and
+// also returns what Open needs to warm-start a second framework over it.
+func goldenFramework(t *testing.T, workers int) (*Framework, OpenOptions) {
 	t.Helper()
 	city, err := spatial.Generate(spatial.GridConfig(1, 8))
 	if err != nil {
@@ -37,7 +37,7 @@ func goldenFramework(t *testing.T) (*Framework, OpenOptions) {
 		t.Fatal(err)
 	}
 	opts := OpenOptions{
-		Options:  Options{City: city, Workers: 2, Seed: 1, IncludeGradients: true},
+		Options:  Options{City: city, Workers: workers, Seed: 1, IncludeGradients: true},
 		Datasets: col.Datasets,
 	}
 	f, err := New(opts.Options)
@@ -55,8 +55,21 @@ func goldenFramework(t *testing.T) (*Framework, OpenOptions) {
 	return f, opts
 }
 
+// TestGoldenIndex checks the hash at several worker counts: the index must
+// not depend on how the indexing job's tasks were scheduled.
 func TestGoldenIndex(t *testing.T) {
-	f, _ := goldenFramework(t)
+	for _, workers := range []int{1, 2, 4} {
+		if got, entries := goldenIndexDigest(t, workers); got != goldenIndexHash {
+			t.Errorf("Workers %d: index hash over %d entries = %s, want %s", workers, entries, got, goldenIndexHash)
+		}
+	}
+}
+
+// goldenIndexDigest builds the golden index and hashes it, returning the
+// hex digest and the number of entries hashed.
+func goldenIndexDigest(t *testing.T, workers int) (string, int) {
+	t.Helper()
+	f, _ := goldenFramework(t, workers)
 
 	h := sha256.New()
 	var buf []byte
@@ -101,7 +114,5 @@ func TestGoldenIndex(t *testing.T) {
 	if entries == 0 {
 		t.Fatal("golden corpus indexed no functions")
 	}
-	if got := hex.EncodeToString(h.Sum(nil)); got != goldenIndexHash {
-		t.Errorf("index hash over %d entries = %s, want %s", entries, got, goldenIndexHash)
-	}
+	return hex.EncodeToString(h.Sum(nil)), entries
 }

@@ -2,18 +2,16 @@ package core
 
 import (
 	"fmt"
+	"maps"
 
 	"github.com/urbandata/datapolygamy/internal/dataset"
-	"github.com/urbandata/datapolygamy/internal/scalar"
-	"github.com/urbandata/datapolygamy/internal/stgraph"
-	"github.com/urbandata/datapolygamy/internal/temporal"
 )
 
 // This file is the runtime-ingestion path of the corpus lifecycle layer:
 // IngestDataset adds a data set to a live, indexed framework while queries
 // keep flowing. AddDataset + BuildIndex do the same work correctly, but
 // BuildIndex holds the state lock exclusively for the whole scalar-compute
-// and feature-identification pipeline — on a serving framework that stalls
+// and feature-identification job — on a serving framework that stalls
 // every reader for the duration. IngestDataset instead mirrors the
 // relationship-graph builder's pattern (relgraph.go): the expensive work
 // runs against an immutable snapshot of the domain state with no lock
@@ -31,7 +29,7 @@ import (
 
 // IngestDataset registers and indexes one new data set on a live
 // framework. Unlike AddDataset + BuildIndex, the expensive indexing
-// pipeline runs without the state lock; the exclusive lock is held only
+// job runs without the state lock; the exclusive lock is held only
 // for the final splice, so concurrent Query traffic is never blocked
 // behind the ingestion (the relationship graph is not rebuilt — run
 // BuildGraph afterwards to extend it incrementally with the new pairs).
@@ -47,7 +45,7 @@ func (f *Framework) IngestDataset(d *dataset.Dataset) (IndexStats, error) {
 	defer f.ingestMu.Unlock()
 
 	// Phase 1 — snapshot (brief shared lock): decide fast vs. fallback and
-	// capture the immutable domain state the pipeline needs.
+	// capture the immutable domain state the indexing job needs.
 	f.mu.RLock()
 	if _, dup := f.datasets[d.Name]; dup {
 		f.mu.RUnlock()
@@ -70,59 +68,28 @@ func (f *Framework) IngestDataset(d *dataset.Dataset) (IndexStats, error) {
 	minTS, maxTS := f.minTS, f.maxTS
 	// Shallow-copy the domain maps: timelines and graphs are immutable
 	// once created, but the maps themselves mutate under the exclusive
-	// lock (e.g. a concurrent BuildIndex), so the pipeline must not read
+	// lock (e.g. a concurrent BuildIndex), so the job must not read
 	// the shared maps after we release the lock. Tiling keeps this sound:
 	// AppendSlice never mutates a published Timeline or Graph — extension
 	// goes through temporal.Timeline.Extend, which returns a fresh copy —
 	// and it serializes with this function on ingestMu, so the captured
-	// pointers cannot change length mid-pipeline. If that serialization
+	// pointers cannot change length mid-job. If that serialization
 	// were ever relaxed, the minTS/maxTS recheck at the splice below is
 	// what catches a domain that moved underneath us.
-	timelines := make(map[temporal.Resolution]*temporal.Timeline, len(f.timelines))
-	for tr, tl := range f.timelines {
-		timelines[tr] = tl
-	}
-	graphs := make(map[Resolution]*stgraph.Graph, len(f.graphs))
-	for res, g := range f.graphs {
-		graphs[res] = g
-	}
-	resolutions := f.resolutionsFor(d)
+	timelines, graphs := maps.Clone(f.timelines), maps.Clone(f.graphs)
 	f.mu.RUnlock()
 
 	// Phase 2 — compute (no lock): fill in domain state for resolutions
-	// the corpus has not used yet, then run the indexing pipeline against
-	// the captured snapshot. Queries proceed concurrently throughout.
-	var tasks []funcTask
-	for _, res := range resolutions {
-		if graphs[res] == nil {
-			tl := timelines[res.Temporal]
-			if tl == nil {
-				var err error
-				if tl, err = temporal.NewTimeline(minTS, maxTS, res.Temporal); err != nil {
-					return stats, err
-				}
-				timelines[res.Temporal] = tl
-			}
-			g, err := stgraph.New(f.opts.City.NumRegions(res.Spatial), tl.Len(), f.opts.City.Adjacency(res.Spatial))
-			if err != nil {
-				return stats, err
-			}
-			graphs[res] = g
-		}
-		for _, spec := range scalar.Specs(d) {
-			tasks = append(tasks, funcTask{ds: d, spec: spec, res: res})
-		}
-	}
-	entries, pstats, err := f.runIndexPipeline(tasks,
-		func(tr temporal.Resolution) *temporal.Timeline { return timelines[tr] },
-		func(res Resolution) *stgraph.Graph { return graphs[res] })
+	// the corpus has not used yet and run the indexing job against the
+	// captured snapshot. Queries proceed concurrently throughout.
+	entries, jstats, err := f.runIndexJob([]*dataset.Dataset{d}, minTS, maxTS, timelines, graphs)
 	if err != nil {
 		return stats, err
 	}
 
 	// Phase 3 — splice (brief exclusive lock): publish the new data set.
 	// Readers block only for these map inserts and one sort, not for the
-	// pipeline above.
+	// indexing job above.
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if _, dup := f.datasets[d.Name]; dup {
@@ -154,10 +121,7 @@ func (f *Framework) IngestDataset(d *dataset.Dataset) (IndexStats, error) {
 	f.index.markDone(d.Name)
 	f.invalidateCacheInvolving(d.Name)
 
-	stats = pstats
-	stats.Datasets = len(f.order)
-	stats.DatasetsIndexed = 1
-	stats.DatasetsReused = len(f.order) - 1
+	stats = f.corpusStats(jstats, 1)
 	mIngests.Inc()
 	mIndexFunctions.Set(float64(f.index.numFunctions()))
 	return stats, nil

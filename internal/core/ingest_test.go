@@ -139,6 +139,17 @@ func TestIngestRangeExtensionFallback(t *testing.T) {
 	if !reflect.DeepEqual(want, got) {
 		t.Fatal("query results differ after range-extending ingest")
 	}
+
+	// An in-range ingest afterwards takes the fast path and must still
+	// echo the framework's rebuild counter, not zero.
+	st, err = live.IngestDataset(noiseDataset("noise2", 93, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.DatasetsIndexed != 1 || live.Rebuilds() == 0 || st.Rebuilds != live.Rebuilds() {
+		t.Errorf("in-range ingest: DatasetsIndexed %d, Rebuilds %d, want 1 and the framework's %d",
+			st.DatasetsIndexed, st.Rebuilds, live.Rebuilds())
+	}
 }
 
 func TestIngestIntoUnbuiltFramework(t *testing.T) {

@@ -298,7 +298,7 @@ func (f *Framework) installIndexLocked(snap flatIndexSnap) error {
 	}
 	ix := newIndex()
 	for _, e := range snap.entries {
-		g, err := f.graph(e.Res)
+		g, err := f.graph(e.Res, f.minTS, f.maxTS, f.timelines, f.graphs)
 		if err != nil {
 			return err
 		}

@@ -355,7 +355,7 @@ func (f *Framework) evaluateQuery(sources, targets []string, clause Clause, t0 t
 
 	// Reduce phase of job 3: evaluate each surviving candidate.
 	tStage = time.Now()
-	results, err := mapreduce.ForEach(mapreduce.Config{Workers: f.opts.Workers}, plan.tasks,
+	results, err := mapreduce.ForEach(f.workers(), plan.tasks,
 		func(t pairTask) (*Relationship, error) {
 			return f.evaluatePair(t, clause, mcWorkers)
 		})

@@ -242,13 +242,13 @@ func (f *Framework) evaluatePairsLocked(keys []graphPair, clause Clause, st *Gra
 	if len(keys) == 0 {
 		return nil
 	}
-	pool := mapreduce.Config{Workers: f.opts.Workers}
+	workers := f.workers()
 	classes := clause.Classes
 	if classes == nil {
 		classes = []feature.Class{feature.Salient, feature.Extreme}
 	}
 	t0 := time.Now()
-	plans, _ := mapreduce.ForEach(pool, keys, func(k graphPair) (queryPlan, error) {
+	plans, _ := mapreduce.ForEach(workers, keys, func(k graphPair) (queryPlan, error) {
 		return f.plan([]string{k.A}, []string{k.B}, clause, classes), nil
 	})
 	n := 0
@@ -264,8 +264,8 @@ func (f *Framework) evaluatePairsLocked(keys []graphPair, clause Clause, st *Gra
 	mGraphStageDuration.With("plan").Observe(time.Since(t0).Seconds())
 
 	t0 = time.Now()
-	mcWorkers := max(1, f.workers()/max(n, 1))
-	results, err := mapreduce.ForEach(pool, tasks, func(t pairTask) (*Relationship, error) {
+	mcWorkers := max(1, workers/max(n, 1))
+	results, err := mapreduce.ForEach(workers, tasks, func(t pairTask) (*Relationship, error) {
 		return f.evaluatePair(t, clause, mcWorkers)
 	})
 	if err != nil {
@@ -276,7 +276,7 @@ func (f *Framework) evaluatePairsLocked(keys []graphPair, clause Clause, st *Gra
 		k := len(pl.tasks)
 		perPair[i], results = results[:k:k], results[k:]
 	}
-	cands, _ := mapreduce.ForEach(pool, perPair, func(rs []*Relationship) ([]relgraph.Edge, error) {
+	cands, _ := mapreduce.ForEach(workers, perPair, func(rs []*Relationship) ([]relgraph.Edge, error) {
 		rs = slices.DeleteFunc(rs, func(r *Relationship) bool { return r == nil })
 		es := make([]relgraph.Edge, len(rs))
 		for i, r := range rs {

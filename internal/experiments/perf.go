@@ -138,7 +138,7 @@ func RunFigure8(e *Env, w io.Writer) error {
 	order := col.IndexingOrder()
 	section(w, "Figure 8(a): NYC Urban — indexing time vs # data sets")
 	// compute/features are cumulative task time across workers (the phases
-	// run fused in one streaming pipeline); wall is end-to-end.
+	// run fused in one task per function); wall is end-to-end.
 	fmt.Fprintf(w, "%4s %-16s %10s %12s %12s %12s\n", "k", "added", "# functions", "wall (s)", "compute (s)", "features (s)")
 	for k := 1; k <= len(order); k++ {
 		fw, err := newFramework(e, order[:k]...)
@@ -216,7 +216,7 @@ func RunFigure9(e *Env, w io.Writer) error {
 
 // RunFigure10 reproduces Figure 10: speedup of the framework with
 // increasing workers (standing in for cluster nodes). Scalar computation
-// and feature identification run fused in one streaming pipeline, so the
+// and feature identification run fused in one task per function, so the
 // indexing side is reported as a single wall-time curve rather than the
 // paper's two separate job curves.
 func RunFigure10(e *Env, w io.Writer) error {

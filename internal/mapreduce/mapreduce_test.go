@@ -10,7 +10,7 @@ import (
 
 func TestForEachOrderPreserved(t *testing.T) {
 	inputs := []int{5, 3, 8, 1, 9, 2}
-	out, err := ForEach(Config{Workers: 4}, inputs, func(x int) (int, error) {
+	out, err := ForEach(4, inputs, func(x int) (int, error) {
 		return x * x, nil
 	})
 	if err != nil {
@@ -25,7 +25,7 @@ func TestForEachOrderPreserved(t *testing.T) {
 
 func TestForEachError(t *testing.T) {
 	boom := errors.New("nope")
-	_, err := ForEach(Config{Workers: 2}, []int{1, 2, 3}, func(x int) (int, error) {
+	_, err := ForEach(2, []int{1, 2, 3}, func(x int) (int, error) {
 		if x == 3 {
 			return 0, boom
 		}
@@ -47,7 +47,7 @@ func TestForEachLowestFailingInput(t *testing.T) {
 	}
 	for rep := 0; rep < 50; rep++ {
 		var calls atomic.Int64
-		_, err := ForEach(Config{Workers: 8}, inputs, func(x int) (int, error) {
+		_, err := ForEach(8, inputs, func(x int) (int, error) {
 			calls.Add(1)
 			if x >= firstBad {
 				return 0, fmt.Errorf("bad %d", x)
@@ -67,7 +67,7 @@ func TestForEachRunsAll(t *testing.T) {
 	var count atomic.Int64
 	n := 500
 	inputs := make([]int, n)
-	_, err := ForEach(Config{Workers: 8}, inputs, func(x int) (struct{}, error) {
+	_, err := ForEach(8, inputs, func(x int) (struct{}, error) {
 		count.Add(1)
 		return struct{}{}, nil
 	})
@@ -79,12 +79,24 @@ func TestForEachRunsAll(t *testing.T) {
 	}
 }
 
+// TestDefaultWorkers: a pool sized below one still runs every input (on one
+// worker) instead of silently returning zero values.
 func TestDefaultWorkers(t *testing.T) {
-	if (Config{}).workers() < 1 {
-		t.Error("default workers must be >= 1")
+	for _, workers := range []int{0, -3} {
+		out, err := ForEach(workers, []int{1, 2, 3}, func(x int) (int, error) { return x + 1, nil })
+		if err != nil || len(out) != 3 || out[0] != 2 || out[2] != 4 {
+			t.Errorf("workers %d: got %v, %v; want [2 3 4]", workers, out, err)
+		}
 	}
-	if (Config{Workers: -3}).workers() < 1 {
-		t.Error("negative workers must fall back to NumCPU")
+}
+
+func TestForEachEmpty(t *testing.T) {
+	got, err := ForEach(4, []int(nil), func(v int) (int, error) { return v, nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 0 {
+		t.Errorf("got %v, want empty", got)
 	}
 }
 
@@ -93,7 +105,7 @@ func TestDefaultWorkers(t *testing.T) {
 func BenchmarkForEachTiny(b *testing.B) {
 	inputs := make([]int, 200000)
 	for i := 0; i < b.N; i++ {
-		if _, err := ForEach(Config{Workers: 2}, inputs, func(x int) (int, error) { return x, nil }); err != nil {
+		if _, err := ForEach(2, inputs, func(x int) (int, error) { return x, nil }); err != nil {
 			b.Fatal(err)
 		}
 	}

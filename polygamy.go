@@ -58,7 +58,7 @@ import (
 // A framework's derived state persists as one snapshot container:
 // Framework.Save writes it atomically, Framework.Load / Open restore it
 // (warm start), and Framework.IngestDataset adds a data set to a live
-// framework without blocking readers behind the indexing pipeline.
+// framework without blocking readers behind the indexing job.
 // Framework.AppendSlice extends a registered data set with new time — the
 // tiled temporal domain recomputes only the affected tiles and re-tests
 // only the graph edges whose supporting window changed.
