@@ -263,3 +263,24 @@ func TestGlobalPCCMissesEventRelationship(t *testing.T) {
 		t.Errorf("|PCC| = %g; the event-only relationship should stay weak globally", got)
 	}
 }
+
+// BenchmarkComparisonBaselines measures the Section 6.4 baselines (PCC,
+// MI, normalized DTW) on city-level hourly series.
+func BenchmarkComparisonBaselines(b *testing.B) {
+	rng := rand.New(rand.NewSource(4))
+	n := 24 * 180
+	x := make([]float64, n)
+	y := make([]float64, n)
+	for i := range x {
+		x[i] = rng.NormFloat64()
+		y[i] = x[i]*0.5 + rng.NormFloat64()
+	}
+	xs, ys := x[:1000], y[:1000]
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		PCC(x, y)
+		MI(x, y, 16)
+		NormalizedDTW(xs, ys)
+	}
+}

@@ -2,11 +2,13 @@ package core
 
 import (
 	"testing"
+	"time"
 
 	"github.com/urbandata/datapolygamy/internal/dataset"
 	"github.com/urbandata/datapolygamy/internal/feature"
 	"github.com/urbandata/datapolygamy/internal/spatial"
 	"github.com/urbandata/datapolygamy/internal/temporal"
+	"github.com/urbandata/datapolygamy/internal/urban"
 )
 
 // thirdDataset builds a city-level hourly data set over the same year as
@@ -283,6 +285,45 @@ func TestIncrementalCacheInvalidation(t *testing.T) {
 	for _, e := range f.Entries("gas", res) {
 		if got := e.occ(feature.Salient); got != e.SalientOcc {
 			t.Errorf("%s: occ() = %+v, field = %+v", e.Key, got, e.SalientOcc)
+		}
+	}
+}
+
+// BenchmarkBuildIndex measures BuildIndex over the urban collection
+// (Figure 8's per-increment cost) on 6 months at scale 0.3.
+func BenchmarkBuildIndex(b *testing.B) {
+	city, err := spatial.Generate(spatial.Config{
+		Seed: 1, GridW: 32, GridH: 32, Neighborhoods: 60, ZipCodes: 70,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	col, err := urban.Generate(urban.Config{
+		Seed:  1,
+		City:  city,
+		Start: time.Date(2011, time.June, 1, 0, 0, 0, 0, time.UTC),
+		End:   time.Date(2011, time.December, 1, 0, 0, 0, 0, time.UTC),
+		Scale: 0.3,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	// Index the first four data sets of the figure's order (through taxi).
+	order := col.IndexingOrder()[:4]
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		fw, err := New(Options{City: city, Seed: 1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, d := range order {
+			if err := fw.AddDataset(d); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if _, err := fw.BuildIndex(); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

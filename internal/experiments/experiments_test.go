@@ -2,8 +2,12 @@ package experiments
 
 import (
 	"bytes"
+	"math"
 	"strings"
+	"sync"
 	"testing"
+
+	"github.com/urbandata/datapolygamy/internal/scalar"
 )
 
 // tinyEnv builds the smallest environment that exercises every experiment.
@@ -15,8 +19,137 @@ func tinyEnv() *Env {
 		CityGrid:     24,
 		Permutations: 40,
 		OpenDatasets: 6,
-		Workers:      4,
 	})
+}
+
+// The claim environment is long enough for the paper's quality claims:
+// 12 months reach hurricane Irene and give the split-half test enough
+// weeks (at tinyEnv's 3 months, (hour, city) reads p 0.073). It is built
+// once and shared by the claim tests.
+var (
+	claimOnce sync.Once
+	claim     *Env
+)
+
+func claimEnv(t *testing.T) *Env {
+	t.Helper()
+	if testing.Short() {
+		t.Skip("claim tests build a 12-month corpus")
+	}
+	claimOnce.Do(func() {
+		claim = NewEnv(Config{
+			Seed:         1,
+			Scale:        0.2,
+			Months:       12,
+			CityGrid:     24,
+			Permutations: 250,
+			OpenDatasets: 6,
+		})
+	})
+	return claim
+}
+
+// TestFigure1Hurricanes: a hurricane line appears only when the window
+// reaches its month, and Irene's day is the lowest of 2011.
+func TestFigure1Hurricanes(t *testing.T) {
+	if testing.Short() {
+		t.Skip("slow")
+	}
+	var buf bytes.Buffer
+	if err := RunFigure1(tinyEnv(), &buf); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(buf.String(), "Irene") {
+		t.Errorf("a 3-month window reports Irene:\n%s", buf.String())
+	}
+	buf.Reset()
+	if err := RunFigure1(claimEnv(t), &buf); err != nil {
+		t.Fatal(err)
+	}
+	out := buf.String()
+	if !strings.Contains(out, "lowest 2011 day: 2011-08-28") {
+		t.Errorf("the lowest 2011 day should be Irene's 2011-08-28:\n%s", out)
+	}
+	if strings.Contains(out, "Sandy") {
+		t.Errorf("a 12-month window reports Sandy:\n%s", out)
+	}
+}
+
+// TestCorrectnessClaim is Section 6.2: the two halves of the taxi density
+// are strongly and significantly related at (hour, city) and
+// (hour, neighborhood).
+func TestCorrectnessClaim(t *testing.T) {
+	rows, err := correctness(claimEnv(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != 2 {
+		t.Fatalf("%d rows, want 2", len(rows))
+	}
+	for _, r := range rows {
+		if r.m.Tau < 0.9 || !r.mc.Significant {
+			t.Errorf("(hour, %v): tau %.2f p %.3f significant %v, want tau >= 0.9 and significant",
+				r.sres, r.m.Tau, r.mc.PValue, r.mc.Significant)
+		}
+	}
+}
+
+// TestRobustnessClaim is Figure 12: the score between the taxi density and
+// its noisy copy stays near 1 up to 10% of the IQR.
+func TestRobustnessClaim(t *testing.T) {
+	rows, err := robustness(claimEnv(t), scalar.Spec{Kind: scalar.Density})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) == 0 || rows[len(rows)-1].noise < 0.10 {
+		t.Fatalf("sweep %v does not reach 10%% noise", rows)
+	}
+	for _, r := range rows {
+		if r.m.Tau < 0.95 {
+			t.Errorf("noise %.3f IQR: score %.2f, want >= 0.95", r.noise, r.m.Tau)
+		}
+	}
+}
+
+// TestPruningClaim is Figure 11: the significance test prunes at least 95%
+// of the possible relationships on both corpora.
+func TestPruningClaim(t *testing.T) {
+	rows, err := pruning(claimEnv(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != 2 {
+		t.Fatalf("%d rows, want 2", len(rows))
+	}
+	for _, r := range rows {
+		if r.possible == 0 || r.pruned(r.significant) < 0.95 {
+			t.Errorf("%s: %d of %d possible significant (pruned %.1f%%), want >= 95%% pruned",
+				r.title, r.significant, r.possible, 100*r.pruned(r.significant))
+		}
+	}
+}
+
+// TestComparisonClaim is Section 6.4: on the event-only and conditional
+// pairs the Data Polygamy score sees a relationship the global PCC misses.
+func TestComparisonClaim(t *testing.T) {
+	rows, err := comparison(claimEnv(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	checked := 0
+	for _, r := range rows {
+		if r.label != "wind speed ~ taxi trips" && r.label != "precipitation ~ taxi trips" {
+			continue
+		}
+		checked++
+		if gap := math.Abs(r.tau) - math.Abs(r.pcc); !(gap >= 0.5) {
+			t.Errorf("%s (%s): |tau| %.2f - |PCC| %.2f = %.2f, want >= 0.5",
+				r.label, r.nature, math.Abs(r.tau), math.Abs(r.pcc), gap)
+		}
+	}
+	if checked != 2 {
+		t.Errorf("checked %d pairs, want 2", checked)
+	}
 }
 
 func TestAllExperimentsRun(t *testing.T) {
@@ -40,8 +173,8 @@ func TestAllExperimentsRun(t *testing.T) {
 
 func TestFindAndAll(t *testing.T) {
 	all := All()
-	if len(all) != 15 {
-		t.Errorf("All() = %d experiments, want 15", len(all))
+	if len(all) != 11 {
+		t.Errorf("All() = %d experiments, want 11", len(all))
 	}
 	seen := map[string]bool{}
 	for _, r := range all {
@@ -87,23 +220,6 @@ func TestTable1Content(t *testing.T) {
 	}
 	if !strings.Contains(out, "228") {
 		t.Error("Table 1 should show weather's 228 scalar functions")
-	}
-}
-
-func TestFigure7SweepLinear(t *testing.T) {
-	rows, err := Figure7Sweep(1, 1, [][]int{nil}, []int{20_000, 80_000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 2 {
-		t.Fatalf("rows = %d", len(rows))
-	}
-	if rows[1].Edges <= rows[0].Edges {
-		t.Error("edge counts must grow")
-	}
-	// Near-linear: 4x the size should cost well under 16x the time.
-	if rows[0].CreateMS > 0 && rows[1].CreateMS/rows[0].CreateMS > 16 {
-		t.Errorf("index creation scaled superquadratically: %v", rows)
 	}
 }
 

@@ -72,7 +72,7 @@ func RunFigure5(e *Env, w io.Writer) error {
 	// box-plot outlier threshold; the hurricane days must fall below it.
 	// The paper's 5(c) spans the full multi-year range; at laptop scale
 	// the daily function carries the outlier structure (hourly counts are
-	// too discrete — see EXPERIMENTS.md).
+	// too discrete).
 	daily, err := scalar.Compute(col.Dataset("taxi"), scalar.Spec{Kind: scalar.Density},
 		col.City, spatial.City, temporal.Day)
 	if err != nil {

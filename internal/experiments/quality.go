@@ -70,12 +70,20 @@ func RunFigure1(e *Env, w io.Writer) error {
 	}
 
 	// The headline observation: the hurricane days are the trip minima of
-	// their years, and coincide with the wind maxima.
-	report := func(h struct {
-		name  string
-		year  int
-		month time.Month
-	}) {
+	// their years, and coincide with the wind maxima. A hurricane is
+	// reported only when the corpus window reaches its month.
+	for _, h := range []struct {
+		name      string
+		year      int
+		month     time.Month
+		minMonths int
+	}{
+		{"Irene", 2011, time.August, 8},
+		{"Sandy", 2012, time.October, 22},
+	} {
+		if e.Cfg.Months < h.minMonths {
+			continue
+		}
 		minTrips, minDay := -1.0, time.Time{}
 		for s := 0; s < fn.Timeline.Len(); s++ {
 			t := time.Unix(fn.Timeline.StepStart(s), 0).UTC()
@@ -89,18 +97,6 @@ func RunFigure1(e *Env, w io.Writer) error {
 		}
 		fmt.Fprintf(w, "lowest %d day: %s (%0.f trips) — hurricane %s window: %v\n",
 			h.year, minDay.Format("2006-01-02"), minTrips, h.name, h.month)
-	}
-	report(struct {
-		name  string
-		year  int
-		month time.Month
-	}{"Irene", 2011, time.August})
-	if e.Cfg.Months >= 22 {
-		report(struct {
-			name  string
-			year  int
-			month time.Month
-		}{"Sandy", 2012, time.October})
 	}
 	return nil
 }
@@ -123,14 +119,21 @@ func splitHalves(d *dataset.Dataset, startTS, endTS int64) (*dataset.Dataset, *d
 	return a, b, half
 }
 
-// RunCorrectness reproduces the Section 6.2 controlled experiment: the
-// taxi density functions of two year-aligned halves must be strongly,
-// significantly, positively related at both (hour, city) and
-// (hour, neighborhood) — the paper reports (0.99, 0.85) and (1.0, 0.87).
-func RunCorrectness(e *Env, w io.Writer) error {
+// correctnessRow is the Section 6.2 split-half relationship at (hour, sres).
+type correctnessRow struct {
+	sres spatial.Resolution
+	m    relationship.Measures
+	mc   montecarlo.Result
+}
+
+// correctness runs the Section 6.2 controlled experiment: the taxi density
+// functions of two year-aligned halves must be strongly, significantly,
+// positively related at both (hour, city) and (hour, neighborhood) — the
+// paper reports (0.99, 0.85) and (1.0, 0.87).
+func correctness(e *Env) ([]correctnessRow, error) {
 	col, err := e.Collection()
 	if err != nil {
-		return err
+		return nil, err
 	}
 	// Neighborhood-resolution density needs enough trips per (region,
 	// hour) cell to carry structure rather than Poisson noise; the paper's
@@ -144,51 +147,84 @@ func RunCorrectness(e *Env, w io.Writer) error {
 	h1, h2, half := splitHalves(taxi, startTS, endTS)
 	tl, err := temporal.NewTimeline(startTS, startTS+half-1, temporal.Hour)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	section(w, "Correctness: taxi density, first half vs second half (week-aligned)")
-	fmt.Fprintf(w, "%-22s %8s %8s %8s %12s\n", "Resolution", "tau", "rho", "p", "significant")
+	var rows []correctnessRow
 	for _, sres := range []spatial.Resolution{spatial.City, spatial.Neighborhood} {
 		f1, err := scalar.ComputeOnTimeline(h1, scalar.Spec{Kind: scalar.Density}, col.City, sres, temporal.Hour, tl)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		f2, err := scalar.ComputeOnTimeline(h2, scalar.Spec{Kind: scalar.Density}, col.City, sres, temporal.Hour, tl)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		s1 := feature.NewExtractor(f1).Extract(feature.Salient)
 		s2 := feature.NewExtractor(f2).Extract(feature.Salient)
 		m := relationship.Evaluate(s1, s2)
-		res := montecarlo.Test(s1, s2, f1.Graph, m.Tau, montecarlo.Config{
+		mc := montecarlo.Test(s1, s2, f1.Graph, m.Tau, montecarlo.Config{
 			Permutations: e.Cfg.Permutations, Seed: e.Cfg.Seed,
 		})
+		rows = append(rows, correctnessRow{sres, m, mc})
+	}
+	return rows, nil
+}
+
+// RunCorrectness prints the Section 6.2 controlled experiment.
+func RunCorrectness(e *Env, w io.Writer) error {
+	rows, err := correctness(e)
+	if err != nil {
+		return err
+	}
+	section(w, "Correctness: taxi density, first half vs second half (week-aligned)")
+	fmt.Fprintf(w, "%-22s %8s %8s %8s %12s\n", "Resolution", "tau", "rho", "p", "significant")
+	for _, r := range rows {
 		fmt.Fprintf(w, "(hour, %-13s %8.2f %8.2f %8.3f %12v\n",
-			sres.String()+")", m.Tau, m.Rho, res.PValue, res.Significant)
+			r.sres.String()+")", r.m.Tau, r.m.Rho, r.mc.PValue, r.mc.Significant)
 	}
 	fmt.Fprintln(w, "paper: (hour, city) tau=0.99 rho=0.85; (hour, neighborhood) tau=1.00 rho=0.87")
 	return nil
 }
 
-// robustness evaluates score and strength between a function and its
-// noise-perturbed copy across noise levels (fractions of the IQR).
-func robustness(e *Env, w io.Writer, spec scalar.Spec) error {
+// robustnessRow is the score (tau) and strength (rho) between a function
+// and its copy perturbed by noise of the given fraction of the IQR.
+type robustnessRow struct {
+	noise float64
+	m     relationship.Measures
+}
+
+// robustness sweeps the taxi function of the given spec against its
+// noise-perturbed copies.
+func robustness(e *Env, spec scalar.Spec) ([]robustnessRow, error) {
 	col, err := e.Collection()
 	if err != nil {
-		return err
+		return nil, err
 	}
 	taxi := col.Dataset("taxi")
 	fn, err := scalar.Compute(taxi, spec, col.City, spatial.City, temporal.Hour)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	base := feature.NewExtractor(fn).Extract(feature.Salient)
-	fmt.Fprintf(w, "%-12s %8s %8s\n", "noise (IQR)", "score", "strength")
+	var rows []robustnessRow
 	for _, frac := range []float64{0, 0.005, 0.01, 0.02, 0.05, 0.10} {
 		noisy := fn.AddNoise(frac, e.Cfg.Seed+int64(frac*10000))
 		set := feature.NewExtractor(noisy).Extract(feature.Salient)
-		m := relationship.Evaluate(base, set)
-		fmt.Fprintf(w, "%-12.3f %8.2f %8.2f\n", frac, m.Tau, m.Rho)
+		rows = append(rows, robustnessRow{frac, relationship.Evaluate(base, set)})
+	}
+	return rows, nil
+}
+
+// printRobustness runs and prints one robustness sweep under a header.
+func printRobustness(e *Env, w io.Writer, title string, spec scalar.Spec) error {
+	rows, err := robustness(e, spec)
+	if err != nil {
+		return err
+	}
+	section(w, title)
+	fmt.Fprintf(w, "%-12s %8s %8s\n", "noise (IQR)", "score", "strength")
+	for _, r := range rows {
+		fmt.Fprintf(w, "%-12.3f %8.2f %8.2f\n", r.noise, r.m.Tau, r.m.Rho)
 	}
 	return nil
 }
@@ -197,8 +233,8 @@ func robustness(e *Env, w io.Writer, spec scalar.Spec) error {
 // function's relationship with its own noisy copy. The paper observes the
 // score staying 1 beyond 2% noise and both measures staying high at 10%.
 func RunFigure12(e *Env, w io.Writer) error {
-	section(w, "Figure 12: robustness — taxi density vs noisy copy")
-	return robustness(e, w, scalar.Spec{Kind: scalar.Density})
+	return printRobustness(e, w, "Figure 12: robustness — taxi density vs noisy copy",
+		scalar.Spec{Kind: scalar.Density})
 }
 
 // RunFigureE1 reproduces Appendix E.1 Figures I-III: the same robustness
@@ -213,8 +249,7 @@ func RunFigureE1(e *Env, w io.Writer) error {
 		{"Figure III: average total fare", scalar.Spec{Kind: scalar.Attribute, Attr: "fare", Agg: scalar.Avg}},
 	}
 	for _, s := range specs {
-		section(w, s.title)
-		if err := robustness(e, w, s.spec); err != nil {
+		if err := printRobustness(e, w, s.title, s.spec); err != nil {
 			return err
 		}
 	}

@@ -17,24 +17,36 @@ import (
 	"github.com/urbandata/datapolygamy/internal/temporal"
 )
 
-// RunFigure11 reproduces Figure 11: relationship pruning at the
-// (week, city) resolution — possible relationships vs statistically
-// significant ones, and the further reduction from tau filters.
-func RunFigure11(e *Env, w io.Writer) error {
+// pruningRow is Figure 11 for one corpus at (week, city): the possible
+// relationships, those with feature relations, and the significant ones
+// overall and above two |tau| floors.
+type pruningRow struct {
+	title                     string
+	possible, evaluated       int
+	significant, tau06, tau08 int
+}
+
+// pruned is the share of possible relationships that keeping only n of
+// them prunes.
+func (r pruningRow) pruned(n int) float64 {
+	return 1 - float64(n)/float64(max(1, r.possible))
+}
+
+// pruning measures Figure 11 on the NYC Urban and NYC Open corpora.
+func pruning(e *Env) ([]pruningRow, error) {
 	weekCity := []core.Resolution{{Spatial: spatial.City, Temporal: temporal.Week}}
-	report := func(title string, fw *core.Framework) error {
-		section(w, title)
+	measure := func(title string, fw *core.Framework) (pruningRow, error) {
 		_, all, err := fw.Query(core.Query{Clause: core.Clause{
 			SkipSignificance: true, Resolutions: weekCity,
 		}})
 		if err != nil {
-			return err
+			return pruningRow{}, err
 		}
 		sig, sstats, err := fw.Query(core.Query{Clause: core.Clause{
 			Permutations: e.Cfg.Permutations, Resolutions: weekCity,
 		}})
 		if err != nil {
-			return err
+			return pruningRow{}, err
 		}
 		count := func(min float64) int {
 			n := 0
@@ -45,37 +57,51 @@ func RunFigure11(e *Env, w io.Writer) error {
 			}
 			return n
 		}
-		possible := all.PairsConsidered
-		fmt.Fprintf(w, "possible relationships:      %8d\n", possible)
-		fmt.Fprintf(w, "with feature relations:      %8d\n", all.Evaluated)
-		fmt.Fprintf(w, "statistically significant:   %8d  (pruned %.2f%%)\n",
-			sstats.Significant, 100*(1-float64(sstats.Significant)/float64(max(1, possible))))
-		fmt.Fprintf(w, "significant with |tau|>=0.6: %8d  (pruned %.2f%%)\n",
-			count(0.6), 100*(1-float64(count(0.6))/float64(max(1, possible))))
-		fmt.Fprintf(w, "significant with |tau|>=0.8: %8d  (pruned %.2f%%)\n",
-			count(0.8), 100*(1-float64(count(0.8))/float64(max(1, possible))))
-		return nil
+		return pruningRow{title, all.PairsConsidered, all.Evaluated,
+			sstats.Significant, count(0.6), count(0.8)}, nil
 	}
 	fw, err := e.Framework()
 	if err != nil {
-		return err
+		return nil, err
 	}
-	if err := report("Figure 11(a): NYC Urban pruning at (week, city)", fw); err != nil {
-		return err
+	urbanRow, err := measure("Figure 11(a): NYC Urban pruning at (week, city)", fw)
+	if err != nil {
+		return nil, err
 	}
 	open, err := e.Open()
 	if err != nil {
-		return err
+		return nil, err
 	}
 	ofw, err := newFramework(e, open...)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if _, err := ofw.BuildIndex(); err != nil {
+		return nil, err
+	}
+	openRow, err := measure("Figure 11(b): NYC Open pruning at (week, city)", ofw)
+	if err != nil {
+		return nil, err
+	}
+	return []pruningRow{urbanRow, openRow}, nil
+}
+
+// RunFigure11 reproduces Figure 11: relationship pruning at the
+// (week, city) resolution — possible relationships vs statistically
+// significant ones, and the further reduction from tau filters.
+func RunFigure11(e *Env, w io.Writer) error {
+	rows, err := pruning(e)
+	if err != nil {
 		return err
 	}
-	if err := report("Figure 11(b): NYC Open pruning at (week, city)", ofw); err != nil {
-		return err
+	for _, r := range rows {
+		section(w, r.title)
+		fmt.Fprintf(w, "possible relationships:      %8d\n", r.possible)
+		fmt.Fprintf(w, "with feature relations:      %8d\n", r.evaluated)
+		fmt.Fprintf(w, "statistically significant:   %8d  (pruned %.2f%%)\n",
+			r.significant, 100*r.pruned(r.significant))
+		fmt.Fprintf(w, "significant with |tau|>=0.6: %8d  (pruned %.2f%%)\n", r.tau06, 100*r.pruned(r.tau06))
+		fmt.Fprintf(w, "significant with |tau|>=0.8: %8d  (pruned %.2f%%)\n", r.tau08, 100*r.pruned(r.tau08))
 	}
 	fmt.Fprintln(w, "paper: 9,745 -> 137 (98.6%) for Urban; 2M -> 22,327 (98.9%) for Open")
 	return nil
@@ -143,21 +169,20 @@ func sectionExpectations() []expectation {
 	}
 }
 
+// entry returns the index entry of data set ds's function spec at res, or
+// nil.
+func entry(fw *core.Framework, ds string, res core.Resolution, spec string) *core.FunctionEntry {
+	for _, c := range fw.Entries(ds, res) {
+		if c.SpecName == spec {
+			return c
+		}
+	}
+	return nil
+}
+
 // findRelationship evaluates one function pair directly from the index.
 func findRelationship(fw *core.Framework, ex expectation, perms int, seed int64) (relationship.Measures, montecarlo.Result, bool) {
-	e1s := fw.Entries(ex.ds1, ex.res)
-	e2s := fw.Entries(ex.ds2, ex.res)
-	var e1, e2 *core.FunctionEntry
-	for _, c := range e1s {
-		if c.SpecName == ex.spec1 {
-			e1 = c
-		}
-	}
-	for _, c := range e2s {
-		if c.SpecName == ex.spec2 {
-			e2 = c
-		}
-	}
+	e1, e2 := entry(fw, ex.ds1, ex.res, ex.spec1), entry(fw, ex.ds2, ex.res, ex.spec2)
 	if e1 == nil || e2 == nil {
 		return relationship.Measures{}, montecarlo.Result{}, false
 	}
@@ -221,13 +246,7 @@ func RunSignificance(e *Env, w io.Writer) error {
 	}
 	section(w, "Significance test: fare tax (white noise) vs weather attributes")
 	res := cityRes(temporal.Hour)
-	taxEntries := fw.Entries("taxi", res)
-	var tax *core.FunctionEntry
-	for _, c := range taxEntries {
-		if c.SpecName == "avg_tax" {
-			tax = c
-		}
-	}
+	tax := entry(fw, "taxi", res, "avg_tax")
 	if tax == nil {
 		return fmt.Errorf("experiments: avg_tax entry missing")
 	}
@@ -236,12 +255,7 @@ func RunSignificance(e *Env, w io.Writer) error {
 	pruned, totalTax := 0, 0
 	fmt.Fprintf(w, "%-24s %8s %8s %8s %12s\n", "weather attribute", "tau", "rho", "p", "significant")
 	for i, wsName := range weatherSpecs {
-		var we *core.FunctionEntry
-		for _, c := range fw.Entries("weather", res) {
-			if c.SpecName == wsName {
-				we = c
-			}
-		}
+		we := entry(fw, "weather", res, wsName)
 		if we == nil {
 			continue
 		}
@@ -257,17 +271,7 @@ func RunSignificance(e *Env, w io.Writer) error {
 	fmt.Fprintf(w, "pruned %d/%d fare-tax relationships (paper: all pruned as coincidental)\n", pruned, totalTax)
 
 	section(w, "Restricted vs standard Monte Carlo (snow precip ~ bike duration)")
-	var snow, dur *core.FunctionEntry
-	for _, c := range fw.Entries("weather", res) {
-		if c.SpecName == "avg_snow_precip" {
-			snow = c
-		}
-	}
-	for _, c := range fw.Entries("citibike", res) {
-		if c.SpecName == "avg_duration_min" {
-			dur = c
-		}
-	}
+	snow, dur := entry(fw, "weather", res, "avg_snow_precip"), entry(fw, "citibike", res, "avg_duration_min")
 	if snow == nil || dur == nil {
 		return fmt.Errorf("experiments: snow/duration entries missing")
 	}
@@ -353,14 +357,20 @@ func citySeries(e *Env, ds, specName string) ([]float64, error) {
 	return fn.CitySeries()
 }
 
-// RunComparison reproduces Section 6.4 / Appendix D: PCC, normalized MI,
-// and normalized DTW against the Data Polygamy score for global,
-// conditional (event-driven), and spatial relationships, plus the Farber
-// OLS-on-binary-rain regression.
-func RunComparison(e *Env, w io.Writer) error {
+// comparisonRow is one Section 6.4 pair: the three baselines on the city
+// hourly series and the Data Polygamy score (NaN if not indexed).
+type comparisonRow struct {
+	label, nature     string
+	pcc, mi, dtw, tau float64
+}
+
+// comparison measures PCC, normalized MI and normalized DTW against the
+// Data Polygamy score for global, conditional (event-driven) and spatial
+// relationships.
+func comparison(e *Env) ([]comparisonRow, error) {
 	fw, err := e.Framework()
 	if err != nil {
-		return err
+		return nil, err
 	}
 	type pair struct {
 		label      string
@@ -383,23 +393,19 @@ func RunComparison(e *Env, w io.Writer) error {
 			feature.Salient, core.Resolution{Spatial: spatial.Neighborhood, Temporal: temporal.Hour},
 			"spatial (1D baselines cannot see)"},
 	}
-	section(w, "Section 6.4: standard techniques vs Data Polygamy")
-	fmt.Fprintf(w, "%-32s %8s %8s %8s %10s  %s\n", "pair", "PCC", "MI", "bDTW", "DP tau", "nature")
+	var rows []comparisonRow
 	for i, p := range pairs {
 		x, err := citySeries(e, p.ds1, p.spec1)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		y, err := citySeries(e, p.ds2, p.spec2)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		pcc := baselines.PCC(x, y)
-		mi := baselines.MI(x, y, 16)
 		// DTW is O(n^2); subsample long series to keep it tractable,
 		// as DTW practitioners do.
 		xs, ys := subsample(x, 1500), subsample(y, 1500)
-		bdtw := baselines.NormalizedDTW(xs, ys)
 		m, _, found := findRelationship(fw, expectation{
 			ds1: p.ds1, spec1: p.spec1, ds2: p.ds2, spec2: p.spec2,
 			res: p.res, class: p.class,
@@ -408,9 +414,19 @@ func RunComparison(e *Env, w io.Writer) error {
 		if found {
 			tau = m.Tau
 		}
-		fmt.Fprintf(w, "%-32s %8.2f %8.2f %8.2f %10.2f  %s\n", p.label, pcc, mi, bdtw, tau, p.nature)
+		rows = append(rows, comparisonRow{p.label, p.nature,
+			baselines.PCC(x, y), baselines.MI(x, y, 16), baselines.NormalizedDTW(xs, ys), tau})
 	}
+	return rows, nil
+}
 
+// RunComparison reproduces Section 6.4 / Appendix D: the baseline
+// comparison, plus the Farber OLS-on-binary-rain regression.
+func RunComparison(e *Env, w io.Writer) error {
+	rows, err := comparison(e)
+	if err != nil {
+		return err
+	}
 	// Farber's OLS: binary rain indicator vs hourly average fare.
 	fare, err := citySeries(e, "taxi", "fare")
 	if err != nil {
@@ -427,6 +443,11 @@ func RunComparison(e *Env, w io.Writer) error {
 	slope, _, r2, err := baselines.OLSBinary(fare, rain)
 	if err != nil {
 		return err
+	}
+	section(w, "Section 6.4: standard techniques vs Data Polygamy")
+	fmt.Fprintf(w, "%-32s %8s %8s %8s %10s  %s\n", "pair", "PCC", "MI", "bDTW", "DP tau", "nature")
+	for _, r := range rows {
+		fmt.Fprintf(w, "%-32s %8.2f %8.2f %8.2f %10.2f  %s\n", r.label, r.pcc, r.mi, r.dtw, r.tau, r.nature)
 	}
 	fmt.Fprintf(w, "\nFarber-style OLS (fare ~ any-rain dummy): slope=%.3f R^2=%.4f\n", slope, r2)
 	fmt.Fprintln(w, "paper: the binary treatment and all-time-periods regression miss the salient-")
