@@ -1,13 +1,10 @@
 package main
 
 import (
-	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
 
-	"github.com/urbandata/datapolygamy/internal/httpapi"
 	"github.com/urbandata/datapolygamy/internal/relgraph"
 )
 
@@ -17,7 +14,8 @@ import (
 // over a snapshot even while a rebuild runs.
 //
 //	POST /v1/graph/build      {"clause":{...}} (optional body) — build or
-//	                          incrementally extend the graph
+//	                          incrementally extend the graph, then re-save
+//	                          the snapshot (-snapshot only)
 //	GET  /v1/graph/stats      sizes, degree distribution, hubs, rollup
 //	GET  /v1/graph/neighbors  ?function=<key> — edges incident to a function
 //	                          ?dataset=<name>[&hops=k] — edges incident to a
@@ -71,6 +69,11 @@ func (s *server) handleGraphBuild(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.graphBuilds.Add(1)
+	// A leader's followers receive the graph through the re-saved snapshot.
+	if _, err := s.saveSnapshot(); err != nil {
+		writeJSON(w, http.StatusInternalServerError, errorResponse{Error: err.Error()})
+		return
+	}
 	writeJSON(w, http.StatusOK, graphStatsWire{
 		Datasets:        stats.Datasets,
 		Pairs:           stats.Pairs,
@@ -81,77 +84,6 @@ func (s *server) handleGraphBuild(w http.ResponseWriter, r *http.Request) {
 		Evaluated:       stats.Evaluated,
 		Edges:           stats.Edges,
 		Duration:        stats.WallDuration.String(),
-	})
-}
-
-// handleGraphShard computes one shard of the distributed graph build:
-// the tested candidate families for the pair-space partition assigned to
-// this replica. Mounted on every server — replicas do the computing, and
-// a leader can take a shard too. Deterministic per-pair seeds make the
-// payload byte-identical no matter which process computes it.
-func (s *server) handleGraphShard(w http.ResponseWriter, r *http.Request) {
-	var req httpapi.GraphShardRequest
-	if !s.decodeJSON(w, r, &req, false) {
-		return
-	}
-	clause, err := parseClause(req.Clause)
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
-		return
-	}
-	payload, err := s.fw().BuildGraphShard(clause, req.Shard, req.Of)
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
-		return
-	}
-	writeJSON(w, http.StatusOK, httpapi.GraphShardResponse{Shard: payload})
-}
-
-// handleGraphMerge (leader only) merges shard payloads into the
-// published graph — refusing incomplete or inconsistent partitions —
-// and re-saves the snapshot so followers ship the merged graph on their
-// next poll.
-func (s *server) handleGraphMerge(w http.ResponseWriter, r *http.Request) {
-	// Shard payloads carry whole candidate caches, so the cap is the
-	// ingest-sized one, not the small-JSON one.
-	r.Body = http.MaxBytesReader(w, r.Body, s.maxIngestBody)
-	var req httpapi.GraphMergeRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			writeJSON(w, http.StatusRequestEntityTooLarge,
-				errorResponse{Error: fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit)})
-			return
-		}
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "decoding request: " + err.Error()})
-		return
-	}
-	clause, err := parseClause(req.Clause)
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
-		return
-	}
-	stats, err := s.fw().MergeGraphShards(clause, req.Shards)
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
-		return
-	}
-	s.graphBuilds.Add(1)
-	if s.snapshotPath != "" {
-		if err := s.fw().Save(s.snapshotPath); err != nil {
-			writeJSON(w, http.StatusInternalServerError,
-				errorResponse{Error: "snapshot re-save after merge: " + err.Error()})
-			return
-		}
-	}
-	writeJSON(w, http.StatusOK, graphStatsWire{
-		Datasets:      stats.Datasets,
-		Pairs:         stats.Pairs,
-		PairsComputed: stats.PairsComputed,
-		Edges:         stats.Edges,
-		Duration:      stats.WallDuration.String(),
 	})
 }
 

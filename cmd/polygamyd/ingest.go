@@ -113,7 +113,7 @@ func (s *server) runIngest(d *dataset.Dataset) (map[string]any, error) {
 // refreshAndSave is the tail every corpus-changing job shares, mirroring
 // what the operator has set up: when a graph is materialized, an
 // incremental refresh under the clause the framework remembers for it (the
-// one it was built, merged or loaded under, so the candidate cache is
+// one it was built or loaded under, so the candidate cache is
 // reused and the selection unchanged), then a snapshot re-save when the
 // server runs with -snapshot, so the next restart and the followers see
 // the change. Both are recorded in the job result.
@@ -128,13 +128,27 @@ func (s *server) refreshAndSave(result map[string]any) error {
 		result["graphPairsComputed"] = gs.PairsComputed
 		result["graphPairsReused"] = gs.PairsReused
 	}
-	if s.snapshotPath != "" {
-		if err := s.fw().Save(s.snapshotPath); err != nil {
-			return fmt.Errorf("snapshot re-save: %w", err)
-		}
-		result["snapshot"] = s.snapshotPath
+	path, err := s.saveSnapshot()
+	if err != nil {
+		return err
+	}
+	if path != "" {
+		result["snapshot"] = path
 	}
 	return nil
+}
+
+// saveSnapshot re-saves the snapshot when the server runs with -snapshot,
+// so the next restart and the followers, which poll it, see the change. It
+// returns the path written, or "" without -snapshot.
+func (s *server) saveSnapshot() (string, error) {
+	if s.snapshotPath == "" {
+		return "", nil
+	}
+	if err := s.fw().Save(s.snapshotPath); err != nil {
+		return "", fmt.Errorf("snapshot re-save: %w", err)
+	}
+	return s.snapshotPath, nil
 }
 
 func (s *server) handleJobs(w http.ResponseWriter, r *http.Request) {

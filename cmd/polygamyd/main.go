@@ -24,7 +24,6 @@
 //	                          (runs as a background job; returns 202 + job ID)
 //	GET  /v1/jobs             background jobs, newest first
 //	GET  /v1/jobs/{id}        one job's status and result
-//	POST /v1/graph/shard      compute one shard of a distributed graph build
 //
 // With -snapshot, the snapshot-shipping surface of the replicated tier is
 // mounted too (see internal/replica and cmd/polygamyr):
@@ -32,7 +31,9 @@
 //	GET  /v1/snapshot/manifest         current container manifest + ETag
 //	GET  /v1/snapshot/sections/{name}  one section, ranged, If-Match-pinned
 //	GET  /v1/snapshot/datasets/{name}  one data set as canonical CSV
-//	POST /v1/graph/merge               merge + publish computed graph shards
+//
+// A graph build then re-saves the snapshot, which is how followers receive
+// the graph.
 //
 // With -replica <leader-url>, the process is a read-only follower: it
 // polls the leader (-poll), pulls changed snapshot sections, epoch-swaps
@@ -55,7 +56,7 @@
 // and matches the corpus, the index (and graph, when saved) are loaded
 // instead of rebuilt; otherwise the server cold-builds and then writes the
 // snapshot, so the next restart is warm. Runtime ingestion keeps the
-// snapshot fresh after each accepted data set.
+// snapshot fresh after each accepted data set and each graph build.
 //
 // Usage:
 //
@@ -97,7 +98,7 @@ func main() {
 		workers  = flag.Int("workers", 0, "worker pool size (0 = NumCPU)")
 		graph    = flag.Bool("graph", false, "materialize the relationship graph at startup (otherwise POST /v1/graph/build)")
 		drain    = flag.Duration("drain", 15*time.Second, "in-flight query drain timeout on SIGINT/SIGTERM")
-		snapshot = flag.String("snapshot", "", "snapshot container path: warm-start from it when present, write it after cold builds and ingestions; also the container replicated to -replica followers")
+		snapshot = flag.String("snapshot", "", "snapshot container path: warm-start from it when present, write it after cold builds, ingestions and graph builds; also the container replicated to -replica followers")
 		replicaOf = flag.String("replica", "", "run as a read replica of the leader at this base URL: poll its snapshot, epoch-swap on change, reject writes")
 		poll      = flag.Duration("poll", 2*time.Second, "replica mode: leader manifest poll cadence (failures back off exponentially)")
 		writeTO  = flag.Duration("write-timeout", 5*time.Minute, "HTTP response write timeout (bounds the slowest handler, e.g. a synchronous graph build)")

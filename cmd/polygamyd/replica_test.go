@@ -161,8 +161,8 @@ func getJSON(t *testing.T, url string, out any) int {
 
 // TestReplicatedTierEndToEnd wires the full topology — leader, two
 // synced followers, router — and walks the serving contract: routed
-// queries, read-only followers, replica status, the distributed graph
-// build, and snapshot-shipped graph propagation back to the followers.
+// queries, read-only followers, replica status, a routed graph build on
+// the leader, and snapshot-shipped graph propagation to the followers.
 func TestReplicatedTierEndToEnd(t *testing.T) {
 	tier := newReplTier(t, 2)
 	client := tier.router.Client()
@@ -224,31 +224,34 @@ func TestReplicatedTierEndToEnd(t *testing.T) {
 		t.Fatalf("follower stats missing the replica block: %v", stats)
 	}
 
-	// Distributed graph build through the router: shards on both
-	// followers, merge + publish + snapshot re-save on the leader.
+	// A graph build through the router is a write: it reaches the leader,
+	// which builds and re-saves its snapshot.
 	resp, err = client.Post(tier.router.URL+"/v1/graph/build", "application/json",
 		strings.NewReader(`{"clause":{"permutations":60}}`))
 	if err != nil {
 		t.Fatal(err)
 	}
-	mergeBody, _ := io.ReadAll(resp.Body)
+	buildBody, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("sharded build: status %d: %s", resp.StatusCode, mergeBody)
+		t.Fatalf("routed graph build: status %d: %s", resp.StatusCode, buildBody)
+	}
+	if got := tier.leaderSrv.graphBuilds.Load(); got != 1 {
+		t.Fatalf("leader counted %d graph builds, want 1", got)
 	}
 	g, ok := tier.leaderFW.RelGraph()
 	if !ok {
-		t.Fatal("leader has no graph after the merge")
+		t.Fatal("leader has no graph after the routed build")
 	}
 
-	// The merged graph matches a local single-process build bit for bit.
+	// The leader's graph matches a local build under the same clause.
 	localFW := replFramework(t)
 	if _, err := localFW.BuildGraph(core.Clause{Permutations: 60}); err != nil {
 		t.Fatal(err)
 	}
 	lg, _ := localFW.RelGraph()
 	if !g.Equal(lg) {
-		t.Fatal("distributed graph differs from the local build")
+		t.Fatal("leader's graph differs from the local build")
 	}
 
 	// The re-saved snapshot ships the graph to the followers on their
@@ -266,8 +269,7 @@ func TestReplicatedTierEndToEnd(t *testing.T) {
 		}
 	}
 
-	// Graph shard requests against a follower serve the distributed
-	// build; local full builds stay forbidden there.
+	// Building directly on a follower stays forbidden.
 	resp, err = http.Post(tier.srvs[0].URL+"/v1/graph/build", "application/json",
 		strings.NewReader(`{"clause":{"permutations":60}}`))
 	if err != nil {

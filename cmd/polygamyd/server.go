@@ -89,7 +89,6 @@ func newServerFn(fw func() *core.Framework) *server {
 	s.mux.HandleFunc("POST /v1/query", s.handleQuery)
 	s.mux.HandleFunc("GET /v1/query", s.handleQueryText)
 	s.mux.HandleFunc("POST /v1/graph/build", s.handleGraphBuild)
-	s.mux.HandleFunc("POST /v1/graph/shard", s.handleGraphShard)
 	s.mux.HandleFunc("GET /v1/graph/stats", s.handleGraphStats)
 	s.mux.HandleFunc("GET /v1/graph/neighbors", s.handleGraphNeighbors)
 	s.mux.HandleFunc("GET /v1/graph/top", s.handleGraphTop)
@@ -99,8 +98,8 @@ func newServerFn(fw func() *core.Framework) *server {
 }
 
 // newReplicaServer serves a follower's epoch-swapped framework
-// read-only: ingest, append, and local graph builds are the leader's
-// business; this process computes graph shards and answers queries.
+// read-only: ingest, append, and graph builds are the leader's business;
+// this process answers queries and serves the graph it was shipped.
 func newReplicaServer(f *replica.Follower) *server {
 	s := newServerFn(f.Framework)
 	s.follower = f
@@ -111,14 +110,12 @@ func newReplicaServer(f *replica.Follower) *server {
 }
 
 // enableLeader mounts the snapshot-shipping surface (manifest, section,
-// and data set downloads) plus the shard-merge endpoint of the
-// distributed graph build.
+// and data set downloads).
 func (s *server) enableLeader(src *replica.Source) {
 	l := replica.NewLeader(src, s.fw)
 	s.mux.Handle("GET /v1/snapshot/manifest", l)
 	s.mux.Handle("GET /v1/snapshot/sections/{name}", l)
 	s.mux.Handle("GET /v1/snapshot/datasets/{name}", l)
-	s.mux.HandleFunc("POST /v1/graph/merge", s.handleGraphMerge)
 }
 
 // rejectWrite answers a mutating request on a read-only replica.

@@ -9,12 +9,10 @@
 //	                        next replica when the home replica fails
 //	GET  /v1/query?q=       the textual form, routed identically (both
 //	                        forms of the same query share a home)
-//	POST /v1/graph/build    distributed build: pair-space shards computed
-//	                        on every healthy replica, merged and
-//	                        published on the leader, shipped back to the
-//	                        replicas by snapshot replication
 //	POST /v1/datasets       forwarded to the leader (writes stay there)
 //	POST /v1/datasets/{name}/append  likewise
+//	POST /v1/graph/build    likewise: the leader builds the graph and its
+//	                        re-saved snapshot ships it to the replicas
 //	GET  /healthz           router + per-replica health
 //	GET  /metrics           router metrics (per-replica request counters,
 //	                        retries, health gauges)
@@ -54,7 +52,7 @@ func main() {
 	var (
 		addr     = flag.String("addr", ":8570", "listen address")
 		replicas = flag.String("replicas", "", "comma-separated replica base URLs (required)")
-		leader   = flag.String("leader", "", "leader base URL for writes and graph merges (optional; writes 503 without it)")
+		leader   = flag.String("leader", "", "leader base URL for writes and graph builds (optional; writes 503 without it)")
 		health   = flag.Duration("health-interval", time.Second, "replica health probe cadence")
 		drain    = flag.Duration("drain", 15*time.Second, "in-flight request drain timeout on SIGINT/SIGTERM")
 		logDebug = flag.Bool("log-debug", false, "log at debug level (default info)")

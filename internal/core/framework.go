@@ -149,7 +149,7 @@ type Framework struct {
 	// spatial resolution draws from (montecarlo.ShiftPool). It is a function
 	// of the city and Options.Seed alone, so it is fixed at New, outlives
 	// index rebuilds and appends, is never persisted, and is identical in
-	// every process that serves this corpus, shard workers included.
+	// every process that serves this corpus.
 	shifts map[spatial.Resolution]*montecarlo.ShiftPool
 
 	index *Index

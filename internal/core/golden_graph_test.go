@@ -117,25 +117,30 @@ func TestGoldenGraph(t *testing.T) {
 	defer opened.Close()
 	check("save/open", opened)
 
-	// Three shards computed over a warm-opened index and merged back.
-	merged, err := Open(path, opts)
+	// A warm-opened index recomputes the same graph.
+	rebuilt, err := Open(path, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer merged.Close()
-	merged.mu.Lock()
-	merged.resetGraph() // the shards compute their pairs, none come from the opened cache
-	merged.mu.Unlock()
-	var shards [][]byte
-	for s := 0; s < 3; s++ {
-		payload, err := merged.BuildGraphShard(Clause{}, s, 3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		shards = append(shards, payload)
+	defer rebuilt.Close()
+	rebuilt.mu.Lock()
+	rebuilt.resetGraph() // every pair is recomputed, none comes from the opened cache
+	rebuilt.mu.Unlock()
+	if st, err := rebuilt.BuildGraph(Clause{}); err != nil || st.PairsReused != 0 {
+		t.Fatalf("rebuild over the warm-opened index: %+v, %v", st, err)
 	}
-	if _, err := merged.MergeGraphShards(Clause{}, shards); err != nil {
+	check("warm-open rebuild", rebuilt)
+}
+
+func graphDOT(t *testing.T, f *Framework) []byte {
+	t.Helper()
+	g, ok := f.RelGraph()
+	if !ok {
+		t.Fatal("no graph published")
+	}
+	var buf bytes.Buffer
+	if err := g.WriteDOT(&buf); err != nil {
 		t.Fatal(err)
 	}
-	check("3-shard merge", merged)
+	return buf.Bytes()
 }

@@ -58,11 +58,6 @@ var (
 	mAppendDuration = obsv.NewHistogram("polygamy_append_duration_seconds",
 		"Append-slice latency (tile recompute plus graph patch).", nil)
 
-	mGraphShardsComputed = obsv.NewCounter("polygamy_graph_shards_computed_total",
-		"Graph pair-space shards computed for a sharded build.")
-	mGraphShardMerges = obsv.NewCounter("polygamy_graph_shard_merges_total",
-		"Sharded graph builds merged and published.")
-
 	mSnapshotSaves = obsv.NewCounter("polygamy_snapshot_saves_total",
 		"Snapshots written.")
 	mSnapshotSaveDuration = obsv.NewHistogram("polygamy_snapshot_save_duration_seconds",

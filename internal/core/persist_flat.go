@@ -1,24 +1,19 @@
 package core
 
-// Flat codecs — the one serialisation of derived state. The index section,
-// the graph section and the shard wire payload (shard.go) are all written
-// as length-prefixed little-endian slabs with 8-byte alignment
-// (internal/store's SlabWriter / SlabReader), so a memory-mapped snapshot
-// is *viewed* instead of decoded: feature bit vectors alias the mapping
+// Flat codecs — the one serialisation of derived state. The index section
+// and the graph section are written as length-prefixed little-endian slabs
+// with 8-byte alignment (internal/store's SlabWriter / SlabReader), so a
+// memory-mapped snapshot is *viewed* instead of decoded: feature bit vectors alias the mapping
 // (bitvec.ViewBytes), strings alias the mapping (store.SlabReader.String),
 // and replicas on one host share the page cache. At paper scale (hundreds
 // of data sets) decoding every bit vector and edge into fresh heap objects
 // would cost seconds of warm start and a duplicated heap per process.
 //
-// Parsing is split from installation: parseFlatIndex / parseFlatGraph /
-// parseFlatShard are pure functions over a byte slice (fuzzed in
-// persist_flat_test.go and shard_test.go) whose failures all wrap
-// store.ErrCorrupt; the framework-aware steps (installIndexLocked,
-// stageGraphLocked, MergeGraphShards) then validate the parsed value
-// against the registered corpus before anything is mutated. The graph
-// section and the shard payload share one pair table (writeFlatPairs /
-// readFlatPairs / addPairsLocked): the same bytes and the same checks
-// whether a candidate cache arrives from disk or from another replica.
+// Parsing is split from installation: parseFlatIndex / parseFlatGraph are
+// pure functions over a byte slice (fuzzed in persist_flat_test.go) whose
+// failures all wrap store.ErrCorrupt; the framework-aware steps
+// (installIndexLocked, stageGraphLocked) then validate the parsed value
+// against the registered corpus before anything is mutated.
 
 import (
 	"bytes"
@@ -49,7 +44,6 @@ const flatSnapshotVersion = 6
 var (
 	flatIndexMagic = []byte("DPIXFLT\x06")
 	flatGraphMagic = []byte("DPGRFLT\x06")
-	flatShardMagic = []byte("DPSHFLT\x06")
 )
 
 // nilSlice is the length sentinel distinguishing a nil clause slice
@@ -323,46 +317,7 @@ func (f *Framework) installIndexLocked(snap flatIndexSnap) error {
 	return nil
 }
 
-// ---- pair table and its provenance ----
-
-// flatOrigin is what every payload of Monte Carlo candidates states ahead
-// of its pair table: the clause signature the candidates were computed
-// under and the corpus fingerprint fields the per-pair seeds depend on.
-type flatOrigin struct {
-	sig          string
-	seed         int64
-	minTS, maxTS int64
-}
-
-// writeFlatOriginLocked starts a graph or shard payload: magic, generation
-// and this framework's origin under sig. The caller must hold the state
-// lock.
-func (f *Framework) writeFlatOriginLocked(w *store.SlabWriter, magic []byte, sig string) {
-	w.Raw(magic)
-	w.U64(flatSnapshotVersion)
-	w.String(sig)
-	w.I64(f.opts.Seed)
-	w.I64(f.minTS)
-	w.I64(f.maxTS)
-}
-
-func readFlatOrigin(r *store.SlabReader) flatOrigin {
-	return flatOrigin{sig: r.String(), seed: r.I64(), minTS: r.I64(), maxTS: r.I64()}
-}
-
-// checkOriginLocked refuses candidates this framework's own BuildGraph
-// could not have produced: another Monte Carlo seed or another corpus time
-// range. The caller must hold the state lock.
-func (f *Framework) checkOriginLocked(what string, o flatOrigin) error {
-	if o.seed != f.opts.Seed {
-		return fmt.Errorf("core: %s was built with seed %d, framework has %d", what, o.seed, f.opts.Seed)
-	}
-	if o.minTS != f.minTS || o.maxTS != f.maxTS {
-		return fmt.Errorf("core: %s corpus time range [%d,%d] does not match [%d,%d]",
-			what, o.minTS, o.maxTS, f.minTS, f.maxTS)
-	}
-	return nil
-}
+// ---- graph section ----
 
 // flatPair is one data set pair's tested candidate family in a pair table.
 type flatPair struct {
@@ -406,32 +361,6 @@ func readFlatPairs(r *store.SlabReader) []flatPair {
 	return pairs
 }
 
-// addPairsLocked validates a parsed pair table against the registered
-// corpus and adds it to cands. Pairs are written in canonical (A < B)
-// order; anything else would dodge the duplicate check and miss
-// BuildGraph's canonical cache lookups, leaving a stale entry that
-// double-counts edges. The caller must hold the state lock.
-func (f *Framework) addPairsLocked(cands map[graphPair][]relgraph.Edge, what string, pairs []flatPair) error {
-	for _, p := range pairs {
-		if p.A >= p.B {
-			return fmt.Errorf("core: %s pair %q|%q is not in canonical order", what, p.A, p.B)
-		}
-		for _, ds := range [2]string{p.A, p.B} {
-			if _, ok := f.datasets[ds]; !ok {
-				return fmt.Errorf("core: %s covers unregistered dataset %q", what, ds)
-			}
-		}
-		key := graphPair{A: p.A, B: p.B}
-		if _, dup := cands[key]; dup {
-			return fmt.Errorf("core: %s repeats pair %q|%q", what, p.A, p.B)
-		}
-		cands[key] = p.Cands
-	}
-	return nil
-}
-
-// ---- graph section ----
-
 // encodeFlatGraphLocked serialises the materialized graph (candidate
 // cache, clause signature, selection rule, originating clause) as a flat
 // section, returning the clause signature captured in the same critical
@@ -453,12 +382,19 @@ func (f *Framework) encodeFlatGraphLocked() ([]byte, string, error) {
 }
 
 // flatGraphSectionLocked lays out a graph section — the inverse of
-// parseFlatGraph — for the given pairs of cands under this framework's
-// origin. The caller must hold the state lock.
+// parseFlatGraph — for the given pairs of cands. Ahead of the pair table
+// it states the candidates' origin: the clause signature they were
+// computed under and the corpus fingerprint fields the per-pair seeds
+// depend on. The caller must hold the state lock.
 func (f *Framework) flatGraphSectionLocked(sig string, sel graphSelection, clause Clause,
 	keys []graphPair, cands map[graphPair][]relgraph.Edge) []byte {
 	w := store.NewSlabWriter(4096)
-	f.writeFlatOriginLocked(w, flatGraphMagic, sig)
+	w.Raw(flatGraphMagic)
+	w.U64(flatSnapshotVersion)
+	w.String(sig)
+	w.I64(f.opts.Seed)
+	w.I64(f.minTS)
+	w.I64(f.maxTS)
 	w.F64(sel.alpha)
 	w.I64(int64(sel.correction))
 	w.F64(sel.maxQ)
@@ -475,10 +411,12 @@ func (f *Framework) flatGraphSectionLocked(sig string, sel graphSelection, claus
 // original, and refreshes under exactly the clause it was built with
 // (GraphClause).
 type flatGraphSnap struct {
-	flatOrigin
-	sel    graphSelection
-	clause Clause
-	pairs  []flatPair
+	sig          string
+	seed         int64
+	minTS, maxTS int64
+	sel          graphSelection
+	clause       Clause
+	pairs        []flatPair
 }
 
 // parseFlatGraph decodes a flat graph payload with no framework access.
@@ -488,7 +426,10 @@ func parseFlatGraph(data []byte) (flatGraphSnap, error) {
 	if err != nil {
 		return snap, err
 	}
-	snap.flatOrigin = readFlatOrigin(r)
+	snap.sig = r.String()
+	snap.seed = r.I64()
+	snap.minTS = r.I64()
+	snap.maxTS = r.I64()
 	snap.sel = graphSelection{
 		alpha:      r.F64(),
 		correction: stats.Correction(r.I64()),
@@ -513,15 +454,34 @@ type stagedGraph struct {
 
 // stageGraphLocked validates a parsed graph section against this framework
 // without mutating any state, so it is never grafted onto a framework whose
-// candidates it could not have come from. The caller must hold the state
-// lock.
+// candidates it could not have come from: another Monte Carlo seed, another
+// corpus time range, or a data set outside the corpus. Pairs are written in
+// canonical (A < B) order; anything else would dodge the duplicate check
+// and miss BuildGraph's canonical cache lookups, leaving a stale entry that
+// double-counts edges. The caller must hold the state lock.
 func (f *Framework) stageGraphLocked(snap flatGraphSnap) (stagedGraph, error) {
-	if err := f.checkOriginLocked("graph", snap.flatOrigin); err != nil {
-		return stagedGraph{}, err
+	if snap.seed != f.opts.Seed {
+		return stagedGraph{}, fmt.Errorf("core: graph was built with seed %d, framework has %d", snap.seed, f.opts.Seed)
+	}
+	if snap.minTS != f.minTS || snap.maxTS != f.maxTS {
+		return stagedGraph{}, fmt.Errorf("core: graph corpus time range [%d,%d] does not match [%d,%d]",
+			snap.minTS, snap.maxTS, f.minTS, f.maxTS)
 	}
 	cands := make(map[graphPair][]relgraph.Edge, len(snap.pairs))
-	if err := f.addPairsLocked(cands, "graph", snap.pairs); err != nil {
-		return stagedGraph{}, err
+	for _, p := range snap.pairs {
+		if p.A >= p.B {
+			return stagedGraph{}, fmt.Errorf("core: graph pair %q|%q is not in canonical order", p.A, p.B)
+		}
+		for _, ds := range [2]string{p.A, p.B} {
+			if _, ok := f.datasets[ds]; !ok {
+				return stagedGraph{}, fmt.Errorf("core: graph covers unregistered dataset %q", ds)
+			}
+		}
+		key := graphPair{A: p.A, B: p.B}
+		if _, dup := cands[key]; dup {
+			return stagedGraph{}, fmt.Errorf("core: graph repeats pair %q|%q", p.A, p.B)
+		}
+		cands[key] = p.Cands
 	}
 	return stagedGraph{cands: cands, sig: snap.sig, sel: snap.sel, clause: snap.clause}, nil
 }

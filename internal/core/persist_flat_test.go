@@ -93,7 +93,7 @@ func TestFlatSectionCorruption(t *testing.T) {
 		// Offset 32 is the data-set-order count (after magic, version,
 		// minTS, maxTS): flipping it demands an absurd element count.
 		{"index count corrupted", store.SectionIndex, flipWord(idx, 32)},
-		{"graph wrong magic", store.SectionGraph, append([]byte("DPSHFLT\x06"), graph[8:]...)},
+		{"graph wrong magic", store.SectionGraph, append([]byte("DPIXFLT\x06"), graph[8:]...)},
 		{"graph truncated", store.SectionGraph, graph[:len(graph)/2/8*8]},
 		{"graph trailing bytes", store.SectionGraph, append(append([]byte(nil), graph...), make([]byte, 8)...)},
 	}
@@ -119,6 +119,64 @@ func TestFlatSectionCorruption(t *testing.T) {
 	bad := splice(t, path, store.SectionIndex, garbled)
 	if _, err := openPlanted(t, bad); err == nil {
 		t.Error("garbled flat index loaded")
+	}
+}
+
+// TestFlatGraphRejectsDamagedPayloads walks the graph section's pair-table
+// reader through damage a CRC cannot catch once rewritten: truncation, a
+// flipped structural word, trailing bytes or a foreign magic. parseFlatGraph
+// and Load must both fail with an error wrapping store.ErrCorrupt, never
+// panic, and a refused Load must leave the published graph as it was.
+func TestFlatGraphRejectsDamagedPayloads(t *testing.T) {
+	f := flatSnapshotFramework(t)
+	path := filepath.Join(t.TempDir(), "corpus.snap")
+	if err := f.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	_, sections, err := store.Read(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	idx, graph := sections[store.SectionIndex], sections[store.SectionGraph]
+	published := graphDOT(t, f)
+
+	// Word offsets in a graph section: magic 0, generation 8, then the
+	// signature's length at 16.
+	cases := []struct {
+		name    string
+		payload []byte
+	}{
+		{"empty", nil},
+		{"truncated to the magic", graph[:8]},
+		{"truncated mid-header", graph[:40]},
+		{"truncated mid-table", graph[:len(graph)/2/8*8]},
+		{"last word missing", graph[:len(graph)-8]},
+		{"trailing bytes", append(append([]byte(nil), graph...), make([]byte, 8)...)},
+		{"generation word flipped", flipWord(graph, 8)},
+		{"signature length flipped", flipWord(graph, 16)},
+		{"another generation's magic", append([]byte("DPGRFLT\x05"), graph[8:]...)},
+		{"index section instead of a graph", idx},
+		{"not flat at all", []byte("junk")},
+	}
+	for _, tc := range cases {
+		if _, err := parseFlatGraph(tc.payload); !errors.Is(err, store.ErrCorrupt) {
+			t.Errorf("%s: parse err = %v, does not wrap store.ErrCorrupt", tc.name, err)
+		}
+		if err := f.Load(splice(t, path, store.SectionGraph, tc.payload)); !errors.Is(err, store.ErrCorrupt) {
+			t.Errorf("%s: Load err = %v, does not wrap store.ErrCorrupt", tc.name, err)
+		}
+		if got := graphDOT(t, f); !bytes.Equal(got, published) {
+			t.Fatalf("%s: refused Load changed the published graph", tc.name)
+		}
+	}
+	// Every single-bit flip either fails cleanly or yields a payload that
+	// still parses (a flipped score bit is not structural); none may panic.
+	for bit := 0; bit < 8*len(graph); bit += 37 {
+		bad := append([]byte(nil), graph...)
+		bad[bit/8] ^= 1 << (bit % 8)
+		if _, err := parseFlatGraph(bad); err != nil && !errors.Is(err, store.ErrCorrupt) {
+			t.Errorf("bit %d: non-ErrCorrupt failure: %v", bit, err)
+		}
 	}
 }
 
@@ -185,11 +243,13 @@ func FuzzParseFlatIndex(f *testing.F) {
 	})
 }
 
-// FuzzParseFlatGraph: same property for the graph parser.
+// FuzzParseFlatGraph: same property for the graph parser, pair table
+// included.
 func FuzzParseFlatGraph(f *testing.F) {
 	_, graph := seedFlatPayloads(f)
 	f.Add(graph)
 	f.Add(graph[:len(graph)/2])
+	f.Add(graph[:len(graph)-8])
 	f.Add([]byte("DPGRFLT\x04"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if _, err := parseFlatGraph(data); err != nil && !errors.Is(err, store.ErrCorrupt) {

@@ -64,27 +64,6 @@ func (q QueryRequest) Query() (core.Query, error) {
 	return core.Query{Sources: q.Sources, Targets: q.Targets, Clause: clause}, nil
 }
 
-// GraphShardRequest is the body of POST /v1/graph/shard: compute the
-// candidate families for one shard of the pair space.
-type GraphShardRequest struct {
-	Clause ClauseRequest `json:"clause"`
-	Shard  int           `json:"shard"`
-	Of     int           `json:"of"`
-}
-
-// GraphShardResponse carries the opaque shard payload (base64 on the
-// wire, as encoding/json renders []byte).
-type GraphShardResponse struct {
-	Shard []byte `json:"shard"`
-}
-
-// GraphMergeRequest is the body of POST /v1/graph/merge: merge a
-// complete set of shard payloads and publish the assembled graph.
-type GraphMergeRequest struct {
-	Clause ClauseRequest `json:"clause"`
-	Shards [][]byte      `json:"shards"`
-}
-
 // Error is the uniform JSON error body.
 type Error struct {
 	Error string `json:"error"`

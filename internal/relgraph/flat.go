@@ -8,8 +8,7 @@ import (
 )
 
 // Flat edge codec: the per-pair candidate cache is the bulk of a graph
-// snapshot and the whole of a shard payload, so edges are laid out as
-// fixed little-endian words and length-prefixed strings (internal/store's
+// snapshot, so edges are laid out as fixed little-endian words and length-prefixed strings (internal/store's
 // slab encoding). Decoding materializes only the Edge structs; the string
 // bytes stay zero-copy views into the snapshot mapping.
 

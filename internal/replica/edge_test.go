@@ -85,70 +85,10 @@ func TestRouterWriteLeaderUnreachable(t *testing.T) {
 	if w.Code != http.StatusBadGateway {
 		t.Fatalf("dead leader write: status %d, want 502", w.Code)
 	}
-	// Sharded builds hit the same wall when the merge target is dead.
+	// Graph builds are writes too, and hit the same wall.
 	w = httptest.NewRecorder()
 	rt.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/graph/build", strings.NewReader(`{}`)))
 	if w.Code != http.StatusBadGateway {
-		t.Fatalf("dead leader merge: status %d, want 502", w.Code)
-	}
-}
-
-// TestRouterShardedBuildRejectsBadClause: clause validation happens at
-// the router before any replica burns work.
-func TestRouterShardedBuildRejectsBadClause(t *testing.T) {
-	stub := newStubReplica(t, "r0")
-	rt := newTestRouter(t, "http://leader.invalid", stub)
-	req := httptest.NewRequest(http.MethodPost, "/v1/graph/build",
-		strings.NewReader(`{"clause":{"classes":["bogus"]}}`))
-	w := httptest.NewRecorder()
-	rt.ServeHTTP(w, req)
-	if w.Code != http.StatusBadRequest {
-		t.Fatalf("bad clause: status %d, want 400", w.Code)
-	}
-	if stub.shardHits.Load() != 0 {
-		t.Fatal("replica saw shard work for an invalid clause")
-	}
-	// Unknown fields in the build body are rejected too.
-	req = httptest.NewRequest(http.MethodPost, "/v1/graph/build", strings.NewReader(`{"surprise":1}`))
-	w = httptest.NewRecorder()
-	rt.ServeHTTP(w, req)
-	if w.Code != http.StatusBadRequest {
-		t.Fatalf("unknown field: status %d, want 400", w.Code)
-	}
-	// Leaderless routers cannot build at all.
-	noLeader := newTestRouter(t, "", stub)
-	w = httptest.NewRecorder()
-	noLeader.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/graph/build", strings.NewReader(`{}`)))
-	if w.Code != http.StatusServiceUnavailable {
-		t.Fatalf("leaderless build: status %d, want 503", w.Code)
-	}
-}
-
-// TestFetchShardRejectsEmptyPayload: a replica answering 200 with an
-// empty shard is a protocol violation the router surfaces as 502.
-func TestFetchShardRejectsEmptyPayload(t *testing.T) {
-	bad := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		switch r.URL.Path {
-		case "/healthz":
-			w.Write([]byte(`{}`))
-		case "/v1/graph/shard":
-			w.Write([]byte(`{"shard":""}`))
-		default:
-			http.NotFound(w, r)
-		}
-	}))
-	defer bad.Close()
-	leader := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		t.Error("merge reached the leader despite a bad shard")
-	}))
-	defer leader.Close()
-	rt, err := NewRouter(RouterOptions{Leader: leader.URL, Replicas: []string{bad.URL}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := httptest.NewRecorder()
-	rt.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/graph/build", strings.NewReader(`{}`)))
-	if w.Code != http.StatusBadGateway {
-		t.Fatalf("empty shard: status %d, want 502", w.Code)
+		t.Fatalf("dead leader graph build: status %d, want 502", w.Code)
 	}
 }

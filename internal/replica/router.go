@@ -11,7 +11,6 @@ import (
 	"net/http"
 	"sort"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -29,8 +28,6 @@ var (
 		"Requests that failed on every replica and returned 503.")
 	mRouterHealthy = obsv.NewGaugeVec("polygamy_router_replica_healthy",
 		"1 when the replica's last health probe succeeded.", "replica")
-	mRouterShardBuilds = obsv.NewCounter("polygamy_router_sharded_builds_total",
-		"Sharded graph builds fanned out across replicas and merged on the leader.")
 )
 
 // ringVnodes is the number of virtual nodes per replica on the hash
@@ -40,7 +37,7 @@ const ringVnodes = 64
 
 // RouterOptions configures a Router.
 type RouterOptions struct {
-	// Leader is the base URL ingest writes and graph merges forward to.
+	// Leader is the base URL writes (ingest, append, graph build) forward to.
 	Leader string
 	// Replicas are the base URLs queries fan out over.
 	Replicas []string
@@ -70,8 +67,8 @@ type ringEntry struct {
 // query servers: each canonical query signature has a home replica, so
 // that replica's result cache and singleflight absorb repeats of the
 // same query, while distinct signatures spread across the fleet. Writes
-// (ingest, append) forward to the leader; sharded graph builds fan the
-// pair space across replicas and merge on the leader.
+// (ingest, append, graph build) forward to the leader, whose snapshot
+// re-save carries the result back to the replicas.
 type Router struct {
 	opts     RouterOptions
 	hc       *http.Client
@@ -115,7 +112,7 @@ func NewRouter(opts RouterOptions) (*Router, error) {
 
 	rt.mux.HandleFunc("POST /v1/query", rt.handleQuery)
 	rt.mux.HandleFunc("GET /v1/query", rt.handleQueryText)
-	rt.mux.HandleFunc("POST /v1/graph/build", rt.handleShardedBuild)
+	rt.mux.HandleFunc("POST /v1/graph/build", rt.handleWrite)
 	rt.mux.HandleFunc("POST /v1/datasets", rt.handleWrite)
 	rt.mux.HandleFunc("POST /v1/datasets/{name}/append", rt.handleWrite)
 	rt.mux.HandleFunc("GET /healthz", rt.handleHealthz)
@@ -286,7 +283,8 @@ func (rt *Router) handleRead(w http.ResponseWriter, r *http.Request) {
 	rt.forwardOrdered(w, r, cands, http.MethodGet, r.URL.RequestURI(), nil)
 }
 
-// handleWrite forwards ingest and append bodies to the leader verbatim.
+// handleWrite forwards ingest, append and graph-build bodies to the leader
+// verbatim.
 func (rt *Router) handleWrite(w http.ResponseWriter, r *http.Request) {
 	if rt.opts.Leader == "" {
 		httpapi.WriteJSON(w, http.StatusServiceUnavailable, httpapi.Error{Error: "router has no leader configured; writes are unavailable"})
@@ -391,114 +389,4 @@ func copyResponse(w http.ResponseWriter, resp *http.Response) {
 	}
 	w.WriteHeader(resp.StatusCode)
 	io.Copy(w, resp.Body)
-}
-
-// handleShardedBuild is the distributed BuildGraph: the pair space is
-// partitioned across the healthy replicas (POST /v1/graph/shard), the
-// collected shard payloads are merged and published on the leader
-// (POST /v1/graph/merge), and the leader's re-saved snapshot then
-// carries the graph to every follower on its next poll. The merged
-// result is byte-identical to a local build under the same clause.
-func (rt *Router) handleShardedBuild(w http.ResponseWriter, r *http.Request) {
-	if rt.opts.Leader == "" {
-		httpapi.WriteJSON(w, http.StatusServiceUnavailable, httpapi.Error{Error: "router has no leader configured; graph builds are unavailable"})
-		return
-	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, rt.opts.MaxBody))
-	if err != nil {
-		httpapi.WriteJSON(w, http.StatusRequestEntityTooLarge, httpapi.Error{Error: err.Error()})
-		return
-	}
-	var req struct {
-		Clause httpapi.ClauseRequest `json:"clause"`
-	}
-	if len(bytes.TrimSpace(body)) > 0 {
-		dec := json.NewDecoder(bytes.NewReader(body))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&req); err != nil {
-			httpapi.WriteJSON(w, http.StatusBadRequest, httpapi.Error{Error: "decoding request: " + err.Error()})
-			return
-		}
-	}
-	if _, err := httpapi.ParseClause(req.Clause); err != nil {
-		httpapi.WriteJSON(w, http.StatusBadRequest, httpapi.Error{Error: err.Error()})
-		return
-	}
-	var workers []*backend
-	for _, b := range rt.backends {
-		if b.healthy.Load() {
-			workers = append(workers, b)
-		}
-	}
-	if len(workers) == 0 {
-		httpapi.WriteJSON(w, http.StatusServiceUnavailable, httpapi.Error{Error: "no healthy replica to compute graph shards"})
-		return
-	}
-	of := len(workers)
-	shards := make([][]byte, of)
-	errs := make([]error, of)
-	var wg sync.WaitGroup
-	for i, b := range workers {
-		wg.Add(1)
-		go func(i int, b *backend) {
-			defer wg.Done()
-			shards[i], errs[i] = rt.fetchShard(r, b, req.Clause, i, of)
-		}(i, b)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			httpapi.WriteJSON(w, http.StatusBadGateway,
-				httpapi.Error{Error: fmt.Sprintf("computing shard %d/%d on %s: %v", i, of, workers[i].url, err)})
-			return
-		}
-	}
-	merge, err := json.Marshal(httpapi.GraphMergeRequest{Clause: req.Clause, Shards: shards})
-	if err != nil {
-		httpapi.WriteJSON(w, http.StatusInternalServerError, httpapi.Error{Error: err.Error()})
-		return
-	}
-	mreq, err := backendRequest(r, http.MethodPost,
-		strings.TrimRight(rt.opts.Leader, "/")+"/v1/graph/merge", bytes.NewReader(merge), "application/json")
-	if err != nil {
-		httpapi.WriteJSON(w, http.StatusInternalServerError, httpapi.Error{Error: err.Error()})
-		return
-	}
-	resp, err := rt.hc.Do(mreq)
-	if err != nil {
-		httpapi.WriteJSON(w, http.StatusBadGateway, httpapi.Error{Error: "merging on leader: " + err.Error()})
-		return
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode == http.StatusOK {
-		mRouterShardBuilds.Inc()
-	}
-	copyResponse(w, resp)
-}
-
-func (rt *Router) fetchShard(r *http.Request, b *backend, clause httpapi.ClauseRequest, shard, of int) ([]byte, error) {
-	body, err := json.Marshal(httpapi.GraphShardRequest{Clause: clause, Shard: shard, Of: of})
-	if err != nil {
-		return nil, err
-	}
-	req, err := backendRequest(r, http.MethodPost, b.url+"/v1/graph/shard", bytes.NewReader(body), "application/json")
-	if err != nil {
-		return nil, err
-	}
-	resp, err := rt.hc.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, errorBody(resp)
-	}
-	var out httpapi.GraphShardResponse
-	if err := json.NewDecoder(io.LimitReader(resp.Body, maxSectionBytes)).Decode(&out); err != nil {
-		return nil, err
-	}
-	if len(out.Shard) == 0 {
-		return nil, fmt.Errorf("replica %s returned an empty shard payload", b.url)
-	}
-	return out.Shard, nil
 }

@@ -23,9 +23,8 @@ type stubReplica struct {
 	srv       *httptest.Server
 	queryHits atomic.Int64
 	readHits  atomic.Int64
-	shardHits atomic.Int64
 	failWith  atomic.Int32 // 0 = healthy, otherwise status code to return
-	lastID    atomic.Value // X-Request-ID of the last query or shard request
+	lastID    atomic.Value // X-Request-ID of the last query
 	name      string
 }
 
@@ -53,21 +52,6 @@ func newStubReplica(t testing.TB, name string) *stubReplica {
 		s.queryHits.Add(1)
 		s.lastID.Store(r.Header.Get("X-Request-ID"))
 		httpapi.WriteJSON(w, http.StatusOK, map[string]any{"served_by": s.name})
-	})
-	mux.HandleFunc("/v1/graph/shard", func(w http.ResponseWriter, r *http.Request) {
-		if fail(w) {
-			return
-		}
-		s.shardHits.Add(1)
-		s.lastID.Store(r.Header.Get("X-Request-ID"))
-		var req httpapi.GraphShardRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			httpapi.WriteJSON(w, http.StatusBadRequest, httpapi.Error{Error: err.Error()})
-			return
-		}
-		httpapi.WriteJSON(w, http.StatusOK, httpapi.GraphShardResponse{
-			Shard: []byte(fmt.Sprintf("%s:%d/%d", s.name, req.Shard, req.Of)),
-		})
 	})
 	mux.HandleFunc("/v1/stats", func(w http.ResponseWriter, r *http.Request) {
 		if fail(w) {
@@ -291,8 +275,8 @@ func TestRouterReadRoundRobin(t *testing.T) {
 	}
 }
 
-// TestRouterWriteForwarding: ingest bodies go to the leader verbatim;
-// without a leader, writes 503.
+// TestRouterWriteForwarding: ingest and graph-build bodies go to the leader
+// verbatim; without a leader, writes 503.
 func TestRouterWriteForwarding(t *testing.T) {
 	var gotPath atomic.Value
 	leader := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -315,90 +299,34 @@ func TestRouterWriteForwarding(t *testing.T) {
 		t.Fatalf("leader saw %q", got)
 	}
 
+	// A graph build is a write: the leader builds, no replica is involved.
+	const build = `{"clause":{"permutations":64}}`
+	w = httptest.NewRecorder()
+	rt.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/graph/build", strings.NewReader(build)))
+	if w.Code != http.StatusCreated {
+		t.Fatalf("graph build status %d", w.Code)
+	}
+	if got := gotPath.Load(); got != "/v1/graph/build|"+build {
+		t.Fatalf("leader saw %q", got)
+	}
+	if n := stub.queryHits.Load() + stub.readHits.Load(); n != 0 {
+		t.Fatalf("replica saw %d requests for a graph build", n)
+	}
+
 	noLeader := newTestRouter(t, "", stub)
-	w = httptest.NewRecorder()
-	noLeader.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/datasets", strings.NewReader("x")))
-	if w.Code != http.StatusServiceUnavailable {
-		t.Fatalf("leaderless write: status %d, want 503", w.Code)
-	}
-}
-
-// TestRouterShardedBuildFansOutAndMerges: a build through the router
-// computes one shard per healthy replica and posts the complete set to
-// the leader's merge endpoint.
-func TestRouterShardedBuildFansOutAndMerges(t *testing.T) {
-	var merged atomic.Value
-	leader := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path != "/v1/graph/merge" {
-			http.NotFound(w, r)
-			return
+	for _, path := range []string{"/v1/datasets", "/v1/graph/build"} {
+		w = httptest.NewRecorder()
+		noLeader.ServeHTTP(w, httptest.NewRequest(http.MethodPost, path, strings.NewReader("x")))
+		if w.Code != http.StatusServiceUnavailable {
+			t.Fatalf("leaderless POST %s: status %d, want 503", path, w.Code)
 		}
-		var req httpapi.GraphMergeRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		merged.Store(req)
-		httpapi.WriteJSON(w, http.StatusOK, map[string]any{"edges": 3})
-	}))
-	defer leader.Close()
-	stubs := []*stubReplica{newStubReplica(t, "r0"), newStubReplica(t, "r1"), newStubReplica(t, "r2")}
-	rt := newTestRouter(t, leader.URL, stubs...)
-
-	before := mRouterShardBuilds.Value()
-	req := httptest.NewRequest(http.MethodPost, "/v1/graph/build",
-		strings.NewReader(`{"clause":{"permutations":64}}`))
-	req.Header.Set("Content-Type", "application/json")
-	w := httptest.NewRecorder()
-	rt.ServeHTTP(w, req)
-	if w.Code != http.StatusOK {
-		t.Fatalf("sharded build: status %d: %s", w.Code, w.Body)
-	}
-	mreq, ok := merged.Load().(httpapi.GraphMergeRequest)
-	if !ok {
-		t.Fatal("leader never saw a merge request")
-	}
-	if len(mreq.Shards) != 3 {
-		t.Fatalf("merge carried %d shards, want 3", len(mreq.Shards))
-	}
-	seen := map[string]bool{}
-	for _, sh := range mreq.Shards {
-		seen[string(sh)] = true
-	}
-	for _, s := range stubs {
-		if s.shardHits.Load() != 1 {
-			t.Fatalf("replica %s computed %d shards, want 1", s.name, s.shardHits.Load())
-		}
-	}
-	for i := 0; i < 3; i++ {
-		found := false
-		for payload := range seen {
-			if strings.HasSuffix(payload, fmt.Sprintf(":%d/3", i)) {
-				found = true
-			}
-		}
-		if !found {
-			t.Fatalf("shard %d/3 missing from merge: %v", i, seen)
-		}
-	}
-	if mRouterShardBuilds.Value() != before+1 {
-		t.Fatal("sharded-build counter did not move")
-	}
-
-	// A failing worker fails the build as a gateway error, not a partial
-	// merge.
-	stubs[1].failWith.Store(http.StatusInternalServerError)
-	w = httptest.NewRecorder()
-	rt.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/graph/build", strings.NewReader(`{}`)))
-	if w.Code != http.StatusBadGateway {
-		t.Fatalf("failed worker: status %d, want 502", w.Code)
 	}
 }
 
 // TestRouterForwardsRequestID: the client's X-Request-ID reaches every
 // backend a request touches — the replica of a routed query, the leader of
-// a forwarded write, and each replica plus the leader of a sharded build —
-// and a request without one gets an ID generated by the router.
+// a forwarded write or graph build — and a request without one gets an ID
+// generated by the router.
 func TestRouterForwardsRequestID(t *testing.T) {
 	var leaderIDs sync.Map // path -> X-Request-ID
 	leader := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -449,13 +377,8 @@ func TestRouterForwardsRequestID(t *testing.T) {
 	}
 
 	send("client-build-1", http.MethodPost, "/v1/graph/build", `{}`)
-	for _, s := range stubs {
-		if got := s.lastID.Load(); got != "client-build-1" {
-			t.Errorf("shard fan-out: replica %s saw request ID %q, want the client's", s.name, got)
-		}
-	}
-	if got, _ := leaderIDs.Load("/v1/graph/merge"); got != "client-build-1" {
-		t.Errorf("shard merge: leader saw request ID %q, want the client's", got)
+	if got, _ := leaderIDs.Load("/v1/graph/build"); got != "client-build-1" {
+		t.Errorf("forwarded graph build: leader saw request ID %q, want the client's", got)
 	}
 }
 

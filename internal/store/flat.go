@@ -1,9 +1,8 @@
 package store
 
 // Flat section payloads — the mmap-friendly encoding of every snapshot
-// section and of the shard wire payload — are sequences of 8-byte
-// little-endian machine words plus length-prefixed byte runs padded back
-// to 8-byte alignment. The
+// section — are sequences of 8-byte little-endian machine words plus
+// length-prefixed byte runs padded back to 8-byte alignment. The
 // SlabWriter/SlabReader pair below is the shared codec substrate: every
 // scalar occupies exactly 8 bytes, so any slab (a bit-vector word array, a
 // float array) that follows starts 8-byte aligned in the file, and a
