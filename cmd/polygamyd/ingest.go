@@ -113,7 +113,7 @@ func (s *server) runIngest(d *dataset.Dataset) (map[string]any, error) {
 // refreshAndSave is the tail every corpus-changing job shares, mirroring
 // what the operator has set up: when a graph is materialized, an
 // incremental refresh under the clause the framework remembers for it (the
-// one it was built or loaded under, so the candidate cache is
+// one it was built or loaded under, so the stored families are
 // reused and the selection unchanged), then a snapshot re-save when the
 // server runs with -snapshot, so the next restart and the followers see
 // the change. Both are recorded in the job result.

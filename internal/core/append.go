@@ -41,9 +41,9 @@ import (
 // keep every cached per-pair Monte Carlo result: the significance test runs
 // over a pair's supporting tiles (window.go), and those tiles' widths and
 // contents are untouched. Only pairs involving a changed data set have
-// their cached graph candidates dropped, so the next BuildGraph re-tests
-// exactly the affected edges and re-adjusts q-values over the full cached
-// family — byte-identical to a from-scratch rebuild-then-BuildGraph.
+// their tested families dropped (dropResultsInvolving), so the next query
+// or BuildGraph re-tests exactly the affected pairs and re-adjusts q-values
+// over the full family — byte-identical to a from-scratch rebuild.
 //
 // Concurrency mirrors IngestDataset (ingest.go): snapshot under a brief
 // shared lock, compute with no lock held, splice under a brief exclusive
@@ -71,11 +71,11 @@ type AppendStats struct {
 	EntriesReused  int
 
 	// ChangedDatasets lists the data sets whose feature bits changed
-	// (sorted). Their cached graph pairs and query cache entries are
+	// (sorted). Their tested families and memoised answers are
 	// invalidated; everything else keeps its cached Monte Carlo results.
 	ChangedDatasets []string
-	// GraphPairsDropped counts cached relationship-graph pairs invalidated
-	// for re-test by the next BuildGraph.
+	// GraphPairsDropped counts the families dropped under the published
+	// graph's signature, for re-test by the next BuildGraph.
 	GraphPairsDropped int
 
 	// FellBack reports that the append took the exclusive full-rebuild path
@@ -343,19 +343,10 @@ func (f *Framework) AppendSlice(slice *dataset.Dataset) (AppendStats, error) {
 	f.index = ix
 
 	if len(changed) > 0 {
-		// Delta graph refresh: drop only the cached pairs whose supporting
-		// state changed; the next BuildGraph under the remembered clause
-		// recomputes exactly those and re-adjusts q-values over the full
-		// cached family. Everything else keeps its Monte Carlo run.
-		f.graphMu.Lock()
-		for key := range f.graphCands {
-			if changed[key.A] || changed[key.B] {
-				delete(f.graphCands, key)
-				st.GraphPairsDropped++
-			}
-		}
-		f.graphMu.Unlock()
-		f.invalidateCacheInvolving(st.ChangedDatasets...)
+		// Delta refresh: drop only the families whose supporting state
+		// changed; the next query or BuildGraph recomputes exactly those.
+		// Everything else keeps its Monte Carlo run.
+		st.GraphPairsDropped = f.dropResultsInvolving(st.ChangedDatasets...)
 	}
 	st.Rebuilds = f.rebuilds.Load()
 	st.WallDuration = time.Since(t0)

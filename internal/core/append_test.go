@@ -225,13 +225,45 @@ func TestAppendEquivalence(t *testing.T) {
 			if st.GraphPairsDropped != wantDropped {
 				t.Errorf("GraphPairsDropped = %d, want %d (changed: %v)", st.GraphPairsDropped, wantDropped, st.ChangedDatasets)
 			}
+
+			// One invalidation rule for queries and graph alike: a query over
+			// a clean pair reads the family that survived the append, and one
+			// touching a dirty data set re-tests every pair of it.
+			if len(st.ChangedDatasets) == 0 {
+				t.Fatal("the append changed no data set")
+			}
+			dirty := st.ChangedDatasets[0]
+			probes := []Query{{Sources: []string{dirty}, Clause: clause}}
+			for i, a := range names {
+				for _, b := range names[i+1:] {
+					if len(probes) == 1 && !changed[a] && !changed[b] {
+						probes = append(probes, Query{Sources: []string{a}, Targets: []string{b}, Clause: clause})
+					}
+				}
+			}
+			probed := make([][]Relationship, len(probes))
+			for i, q := range probes {
+				before := permutationsRun(t)
+				if probed[i], _, err = live.Query(q); err != nil {
+					t.Fatal(err)
+				}
+				perms := permutationsRun(t) - before
+				if isDirty := i == 0; isDirty && perms == 0 {
+					t.Errorf("query touching dirty %s ran no permutation", dirty)
+				} else if !isDirty && perms != 0 {
+					t.Errorf("query over clean pair %v ran %d permutations", q.Sources, perms)
+				}
+			}
+
 			gs, err := live.BuildGraph(clause)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if gs.PairsComputed != wantDropped || gs.PairsReused != gs.Pairs-wantDropped {
+			// The dirty probe already re-tested its data set's pairs.
+			wantComputed := wantDropped - (len(names) - 1)
+			if gs.PairsComputed != wantComputed || gs.PairsReused != gs.Pairs-wantComputed {
 				t.Errorf("post-append BuildGraph = %+v, want %d computed / %d reused",
-					gs, wantDropped, gs.Pairs-wantDropped)
+					gs, wantComputed, gs.Pairs-wantComputed)
 			}
 
 			// Reference: the same corpus built from scratch with the slice
@@ -259,6 +291,15 @@ func TestAppendEquivalence(t *testing.T) {
 			}
 			if !reflect.DeepEqual(want, got) {
 				t.Fatalf("query results differ after append:\n scratch %v\n append  %v", want, got)
+			}
+			for i, q := range probes {
+				want, _, err := scratch.Query(q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(want, probed[i]) {
+					t.Errorf("probe %v~%v differs from the scratch build", q.Sources, q.Targets)
+				}
 			}
 			wantG, _ := scratch.RelGraph()
 			gotG, _ := live.RelGraph()

@@ -10,6 +10,7 @@ import (
 	"github.com/urbandata/datapolygamy/internal/feature"
 	"github.com/urbandata/datapolygamy/internal/relgraph"
 	"github.com/urbandata/datapolygamy/internal/spatial"
+	"github.com/urbandata/datapolygamy/internal/stats"
 	"github.com/urbandata/datapolygamy/internal/temporal"
 )
 
@@ -366,5 +367,75 @@ func TestConcurrentGraphBuildQueryStress(t *testing.T) {
 	want, _ := f2.RelGraph()
 	if !got.Equal(want) {
 		t.Error("graph after concurrent stress differs from a from-scratch build")
+	}
+}
+
+// TestConcurrentQueryGraphFamilies starts queries and graph builds that all
+// miss the same families at once, so they race to evaluate and store the
+// same pairs. Every answer, its stats counters, and the graph must be
+// byte-identical to a sequential run on a fresh framework.
+func TestConcurrentQueryGraphFamilies(t *testing.T) {
+	clause := graphClause()
+	bh := clause
+	bh.Correction = stats.BH
+	queries := []Query{
+		{Clause: clause},
+		{Sources: []string{"wind"}, Clause: clause},
+		{Sources: []string{"gusts"}, Targets: []string{"rides"}, Clause: clause},
+		{Clause: bh},
+	}
+	base := stressFW(t)
+	want := make([][]Relationship, len(queries))
+	wantSt := make([]QueryStats, len(queries))
+	for i, q := range queries {
+		var err error
+		if want[i], wantSt[i], err = base.Query(q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := base.BuildGraph(clause); err != nil {
+		t.Fatal(err)
+	}
+	wantG, _ := base.RelGraph()
+
+	f := stressFW(t)
+	got := make([][]Relationship, len(queries))
+	gotSt := make([]QueryStats, len(queries))
+	errs := make([]error, len(queries)+2)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i, q := range queries {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			got[i], gotSt[i], errs[i] = f.Query(q)
+		}()
+	}
+	for b := 0; b < 2; b++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			_, errs[len(queries)+b] = f.BuildGraph(clause)
+		}()
+	}
+	close(start)
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := range queries {
+		if !reflect.DeepEqual(got[i], want[i]) {
+			t.Errorf("query %d: concurrent answer diverges from sequential", i)
+		}
+		if queryCounters(gotSt[i]) != queryCounters(wantSt[i]) {
+			t.Errorf("query %d: stats %+v, sequential %+v", i, gotSt[i], wantSt[i])
+		}
+	}
+	if g, _ := f.RelGraph(); !g.Equal(wantG) {
+		t.Error("graph built while queries filled its families differs from a sequential build")
 	}
 }

@@ -121,12 +121,12 @@ type IndexStats struct {
 // RelGraph, NumFunctions, Indexed, and Save are all safe to call from any
 // number of goroutines: the
 // index, shared timelines, and domain graphs are immutable between builds,
-// and the query cache is guarded by its own mutex with single-flight
-// deduplication — N identical in-flight queries trigger one evaluation,
-// and the other N−1 wait for its result (QueryStats reports those as
-// Coalesced cache hits). BuildGraph runs under the shared lock too —
-// builders serialize on their own mutex, so materializing the relationship
-// graph never stalls query traffic.
+// the family store and the answer memo are guarded by their own mutexes,
+// and the memo deduplicates — N identical in-flight queries trigger one
+// evaluation, and the other N−1 wait for its result (QueryStats reports
+// those as Coalesced cache hits). BuildGraph runs under the shared lock too
+// — builders serialize on their own mutex, so materializing the
+// relationship graph never stalls query traffic.
 type Framework struct {
 	opts Options
 
@@ -155,22 +155,28 @@ type Framework struct {
 	index *Index
 	built bool // BuildIndex or Load has succeeded at least once
 
-	// Materialized relationship graph (see relgraph.go). graphMu serializes
-	// graph builders and guards the per-pair candidate cache (every tested
-	// relationship with its raw p-value — the corpus-wide hypothesis family
-	// FDR control adjusts over), its clause signature, and the edge-selection
-	// rule; it nests inside mu (BuildGraph and Save take it while
-	// holding the read lock), so a long graph build never blocks query
-	// traffic. relGraph is the published graph — an immutable value replaced
-	// wholesale at the end of a build, read without any lock.
-	graphMu    sync.Mutex
-	graphCands map[graphPair][]relgraph.Edge
-	graphSig   string
-	graphSel   graphSelection
-	// graphClause is the clause the current candidate cache was built (or
-	// loaded) under, so callers refreshing the graph after a corpus change
-	// can reuse exactly the operator's selection (GraphClause).
+	// families is the one store of Monte Carlo results (see relgraph.go):
+	// by test signature (graphSignature), then by data set pair, every
+	// tested relationship with its raw p-value. Query and BuildGraph both
+	// read it and fill its missing pairs. famMu guards it; it nests inside
+	// mu and graphMu and is never held across an evaluation.
+	famMu    sync.Mutex
+	families map[string]map[graphPair][]relgraph.Edge
+
+	// Materialized relationship graph. graphMu serializes graph builders
+	// and Save and guards the published graph's origin: its signature, its
+	// edge-selection rule, the clause it was built (or loaded) under — so a
+	// refresh after a corpus change can reuse exactly the operator's
+	// selection (GraphClause) — and graphFams, the families it was assembled
+	// from, minus any invalidated since. It nests inside mu (BuildGraph and
+	// Save take it while holding the read lock), so a long graph build never
+	// blocks query traffic. relGraph is the published graph — an immutable
+	// value replaced wholesale at the end of a build, read without any lock.
+	graphMu     sync.Mutex
+	graphSig    string
+	graphSel    graphSelection
 	graphClause Clause
+	graphFams   map[graphPair][]relgraph.Edge
 	relGraph    atomic.Pointer[relgraph.Graph]
 
 	// ingestMu serializes IngestDataset calls (see ingest.go): an ingestion
@@ -180,10 +186,11 @@ type Framework struct {
 	// mu and never while holding it.
 	ingestMu sync.Mutex
 
-	// cacheMu guards cache and inflight. It nests inside mu (Query touches
-	// it while holding the read lock) and is never held across a query
-	// evaluation: an in-flight leader publishes its result through the
-	// call's done channel, so waiters block on the channel, not the mutex.
+	// cache memoises assembled answers (query.go). cacheMu guards cache and
+	// inflight. It nests inside mu (Query touches it while holding the read
+	// lock) and is never held across a query evaluation: an in-flight leader
+	// publishes its result through the call's done channel, so waiters block
+	// on the channel, not the mutex.
 	cacheMu  sync.Mutex
 	cache    map[string]*cachedResult
 	inflight map[string]*inflightQuery
@@ -239,6 +246,7 @@ func New(opts Options) (*Framework, error) {
 		timelines: make(map[temporal.Resolution]*temporal.Timeline),
 		graphs:    make(map[Resolution]*stgraph.Graph),
 		shifts:    shifts,
+		families:  make(map[string]map[graphPair][]relgraph.Edge),
 		cache:     make(map[string]*cachedResult),
 		inflight:  make(map[string]*inflightQuery),
 	}, nil
@@ -256,9 +264,9 @@ func (f *Framework) workers() int {
 // is supported and incremental: the next BuildIndex call indexes only the
 // new data set's functions and keeps every existing entry — unless the new
 // data set extends the corpus time range, which changes every shared
-// timeline and forces a full rebuild. Cached query results that involve the
-// new data set (none can, for a genuinely new name) are invalidated; the
-// rest stay valid.
+// timeline and forces a full rebuild. Cached results that involve the new
+// data set (none can, for a genuinely new name) are invalidated; the rest
+// stay valid.
 //
 // AddDataset takes the state lock exclusively: it blocks until in-flight
 // reads drain and must not be interleaved with them from the caller's side
@@ -305,25 +313,21 @@ func (f *Framework) addDatasetLocked(d *dataset.Dataset) error {
 			"rebuild", f.rebuilds.Load()+1)
 		f.resetIndex()
 	} else {
-		f.invalidateCacheInvolving(d.Name)
+		f.dropResultsInvolving(d.Name)
 	}
 	return nil
 }
 
 // resetIndex drops all derived state: index entries, shared timelines and
-// graphs, the query cache, and the materialized relationship graph. The
-// registered data sets are kept. The caller must hold the state lock
-// exclusively.
+// graphs, and every Monte Carlo result (resetResults). The registered data
+// sets are kept. The caller must hold the state lock exclusively.
 func (f *Framework) resetIndex() {
 	f.rebuilds.Add(1)
 	mRebuilds.Inc()
 	f.index = newIndex()
 	f.timelines = make(map[temporal.Resolution]*temporal.Timeline)
 	f.graphs = make(map[Resolution]*stgraph.Graph)
-	f.resetGraph()
-	f.cacheMu.Lock()
-	f.cache = make(map[string]*cachedResult)
-	f.cacheMu.Unlock()
+	f.resetResults()
 }
 
 // Datasets returns the registered data set names in insertion order.
@@ -458,7 +462,7 @@ func (f *Framework) buildIndexLocked() (IndexStats, error) {
 		f.index.markDone(name)
 	}
 	f.built = true
-	f.invalidateCacheInvolving(todo...)
+	f.dropResultsInvolving(todo...)
 	mIndexBuilds.Inc()
 	mIndexBuildDuration.Observe(stats.WallDuration.Seconds())
 	mIndexFunctions.Set(float64(f.index.numFunctions()))

@@ -378,7 +378,7 @@ func TestQueryEncodedOncePerResult(t *testing.T) {
 			t.Fatalf("call %d: %q, hit=%t, %v; want %q from the cache", i, got, stats.CacheHit, err, want)
 		}
 	}
-	f.invalidateCacheInvolving(wind.Name)
+	f.dropResultsInvolving(wind.Name)
 	got, stats, err := f.QueryEncoded(q, encode)
 	if err != nil || stats.CacheHit || string(got) != fmt.Sprintf("%d relationships, encoding 2", len(rels)) {
 		t.Fatalf("after invalidation: %q, hit=%t, %v; want a fresh evaluation encoded anew", got, stats.CacheHit, err)

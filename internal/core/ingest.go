@@ -119,7 +119,7 @@ func (f *Framework) IngestDataset(d *dataset.Dataset) (IndexStats, error) {
 	}
 	f.index.sort(d.Name)
 	f.index.markDone(d.Name)
-	f.invalidateCacheInvolving(d.Name)
+	f.dropResultsInvolving(d.Name)
 
 	stats = f.corpusStats(jstats, 1)
 	mIngests.Inc()

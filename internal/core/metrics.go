@@ -43,7 +43,7 @@ var (
 	mGraphPairsComputed = obsv.NewCounter("polygamy_graph_pairs_computed_total",
 		"Graph pair evaluations computed fresh.")
 	mGraphPairsReused = obsv.NewCounter("polygamy_graph_pairs_reused_total",
-		"Graph pair evaluations served from the candidate cache.")
+		"Graph pair evaluations served from the family store.")
 	mGraphStageDuration = obsv.NewHistogramVec("polygamy_graph_build_stage_duration_seconds",
 		"Graph build latency by stage (plan, evaluate, assemble).", nil, "stage")
 	mGraphEdges = obsv.NewGauge("polygamy_graph_edges",

@@ -18,6 +18,8 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 
 	"github.com/urbandata/datapolygamy/internal/bitvec"
@@ -273,7 +275,7 @@ func parseFlatIndex(data []byte) (flatIndexSnap, error) {
 }
 
 // installIndexLocked validates a parsed index against the registered corpus
-// and installs it, dropping the derived graph and query cache. The caller
+// and installs it, dropping every Monte Carlo result. The caller
 // must hold the state lock exclusively and keep the payload's backing
 // storage alive for the life of the index (Load adopts the snapshot mapping
 // for that).
@@ -308,12 +310,9 @@ func (f *Framework) installIndexLocked(snap flatIndexSnap) error {
 	}
 	f.index = ix
 	f.built = true
-	// The index was replaced wholesale; the materialized relationship graph
-	// derives from it, so drop it too (Load applies the saved one after).
-	f.resetGraph()
-	f.cacheMu.Lock()
-	f.cache = make(map[string]*cachedResult)
-	f.cacheMu.Unlock()
+	// The index was replaced wholesale; every family derives from it, so
+	// drop them too (Load applies the saved graph's after).
+	f.resetResults()
 	return nil
 }
 
@@ -361,24 +360,23 @@ func readFlatPairs(r *store.SlabReader) []flatPair {
 	return pairs
 }
 
-// encodeFlatGraphLocked serialises the materialized graph (candidate
-// cache, clause signature, selection rule, originating clause) as a flat
-// section, returning the clause signature captured in the same critical
-// section as the payload — a caller must not re-read f.graphSig afterwards,
-// or a concurrent BuildGraph could make the two disagree. The caller must
-// hold the state lock (shared or exclusive); the builder mutex is taken
-// here.
+// encodeFlatGraphLocked serialises the materialized graph (the families it
+// was assembled from, clause signature, selection rule, originating clause)
+// as a flat section, returning the clause signature captured in the same
+// critical section as the payload — a caller must not re-read f.graphSig
+// afterwards, or a concurrent BuildGraph could make the two disagree. Only
+// the published graph's families are written: one a query stored for a data
+// set ingested since the last build is not part of the graph. The caller
+// must hold the state lock (shared or exclusive); the builder mutex is
+// taken here.
 func (f *Framework) encodeFlatGraphLocked() ([]byte, string, error) {
 	f.graphMu.Lock()
 	defer f.graphMu.Unlock()
 	if f.relGraph.Load() == nil {
 		return nil, "", fmt.Errorf("core: Save requires a built graph (run BuildGraph)")
 	}
-	keys := make([]graphPair, 0, len(f.graphCands))
-	for key := range f.graphCands {
-		keys = append(keys, key)
-	}
-	return f.flatGraphSectionLocked(f.graphSig, f.graphSel, f.graphClause, keys, f.graphCands), f.graphSig, nil
+	keys := slices.Collect(maps.Keys(f.graphFams))
+	return f.flatGraphSectionLocked(f.graphSig, f.graphSel, f.graphClause, keys, f.graphFams), f.graphSig, nil
 }
 
 // flatGraphSectionLocked lays out a graph section — the inverse of
@@ -404,12 +402,12 @@ func (f *Framework) flatGraphSectionLocked(sig string, sel graphSelection, claus
 	return w.Finish()
 }
 
-// flatGraphSnap is a parsed graph section: the candidate cache with its
-// origin, the edge-selection rule the published graph is assembled under,
+// flatGraphSnap is a parsed graph section: the published graph's families
+// with their origin, the edge-selection rule the graph is assembled under,
 // and the originating clause, so a loaded graph supports incremental
 // maintenance — q-value recomputation included — exactly like the
 // original, and refreshes under exactly the clause it was built with
-// (GraphClause).
+// (GraphClause). fams is set once stageGraphLocked has validated pairs.
 type flatGraphSnap struct {
 	sig          string
 	seed         int64
@@ -417,6 +415,7 @@ type flatGraphSnap struct {
 	sel          graphSelection
 	clause       Clause
 	pairs        []flatPair
+	fams         map[graphPair][]relgraph.Edge
 }
 
 // parseFlatGraph decodes a flat graph payload with no framework access.
@@ -441,61 +440,55 @@ func parseFlatGraph(data []byte) (flatGraphSnap, error) {
 	return snap, r.Done()
 }
 
-// stagedGraph is a fully validated graph snapshot that has not been
-// applied to the framework yet. The parse/apply split lets Load validate
-// every snapshot section before mutating anything, so a failed load never
-// leaves the framework half-restored.
-type stagedGraph struct {
-	cands  map[graphPair][]relgraph.Edge
-	sig    string
-	sel    graphSelection
-	clause Clause
-}
-
 // stageGraphLocked validates a parsed graph section against this framework
-// without mutating any state, so it is never grafted onto a framework whose
-// candidates it could not have come from: another Monte Carlo seed, another
-// corpus time range, or a data set outside the corpus. Pairs are written in
-// canonical (A < B) order; anything else would dodge the duplicate check
-// and miss BuildGraph's canonical cache lookups, leaving a stale entry that
-// double-counts edges. The caller must hold the state lock.
-func (f *Framework) stageGraphLocked(snap flatGraphSnap) (stagedGraph, error) {
+// and keys its families by pair, without mutating any framework state: the
+// parse/stage/apply split lets Load validate every snapshot section before
+// it changes anything, so a failed load never leaves the framework
+// half-restored. A section is never grafted onto a framework whose families
+// it could not have come from: another Monte Carlo seed, another corpus time
+// range, or a data set outside the corpus. Pairs are written in canonical
+// (A < B) order; anything else would dodge the duplicate check and miss the
+// store's canonical lookups, leaving a stale entry that double-counts edges.
+// The caller must hold the state lock.
+func (f *Framework) stageGraphLocked(snap *flatGraphSnap) error {
 	if snap.seed != f.opts.Seed {
-		return stagedGraph{}, fmt.Errorf("core: graph was built with seed %d, framework has %d", snap.seed, f.opts.Seed)
+		return fmt.Errorf("core: graph was built with seed %d, framework has %d", snap.seed, f.opts.Seed)
 	}
 	if snap.minTS != f.minTS || snap.maxTS != f.maxTS {
-		return stagedGraph{}, fmt.Errorf("core: graph corpus time range [%d,%d] does not match [%d,%d]",
+		return fmt.Errorf("core: graph corpus time range [%d,%d] does not match [%d,%d]",
 			snap.minTS, snap.maxTS, f.minTS, f.maxTS)
 	}
-	cands := make(map[graphPair][]relgraph.Edge, len(snap.pairs))
+	fams := make(map[graphPair][]relgraph.Edge, len(snap.pairs))
 	for _, p := range snap.pairs {
 		if p.A >= p.B {
-			return stagedGraph{}, fmt.Errorf("core: graph pair %q|%q is not in canonical order", p.A, p.B)
+			return fmt.Errorf("core: graph pair %q|%q is not in canonical order", p.A, p.B)
 		}
 		for _, ds := range [2]string{p.A, p.B} {
 			if _, ok := f.datasets[ds]; !ok {
-				return stagedGraph{}, fmt.Errorf("core: graph covers unregistered dataset %q", ds)
+				return fmt.Errorf("core: graph covers unregistered dataset %q", ds)
 			}
 		}
 		key := graphPair{A: p.A, B: p.B}
-		if _, dup := cands[key]; dup {
-			return stagedGraph{}, fmt.Errorf("core: graph repeats pair %q|%q", p.A, p.B)
+		if _, dup := fams[key]; dup {
+			return fmt.Errorf("core: graph repeats pair %q|%q", p.A, p.B)
 		}
-		cands[key] = p.Cands
+		fams[key] = p.Cands
 	}
-	return stagedGraph{cands: cands, sig: snap.sig, sel: snap.sel, clause: snap.clause}, nil
+	snap.fams = fams
+	return nil
 }
 
-// applyGraphLocked publishes a staged graph snapshot. The caller must hold
-// the state lock exclusively. It cannot fail.
-func (f *Framework) applyGraphLocked(staged stagedGraph) {
+// applyGraphLocked publishes a staged graph section, its families becoming
+// the stored families of its signature. The caller must hold the state lock
+// exclusively. It cannot fail.
+func (f *Framework) applyGraphLocked(snap *flatGraphSnap) {
 	f.graphMu.Lock()
-	f.graphCands = staged.cands
-	f.graphSig = staged.sig
-	f.graphSel = staged.sel
-	f.graphClause = staged.clause
+	f.graphSig, f.graphSel, f.graphClause, f.graphFams = snap.sig, snap.sel, snap.clause, snap.fams
 	f.graphMu.Unlock()
-	f.relGraph.Store(assembleGraph(staged.cands, staged.sel))
+	f.famMu.Lock()
+	f.families[snap.sig] = maps.Clone(snap.fams)
+	f.famMu.Unlock()
+	f.relGraph.Store(assembleGraph(snap.fams, snap.sel))
 }
 
 // ---- clause codec ----

@@ -54,59 +54,42 @@ type queryPlan struct {
 	pruned     int
 }
 
-// plan enumerates candidate pairs across data set pairs, common
-// resolutions, and feature classes (the map phase of paper job 3), pruning
-// each candidate against the clause.
-func (f *Framework) plan(sources, targets []string, clause Clause, classes []feature.Class) queryPlan {
+// plan enumerates the candidate tuples of one data set pair across its
+// common resolutions and the clause's feature classes (the map phase of
+// paper job 3), pruning each candidate against the clause.
+func (f *Framework) plan(k graphPair, clause Clause) queryPlan {
 	var pl queryPlan
-	seen := map[string]bool{}
-	for _, s := range sources {
-		for _, t := range targets {
-			if s == t {
-				continue
-			}
-			a, b := s, t
-			if a > b {
-				a, b = b, a
-			}
-			pairKey := a + "|" + b
-			if seen[pairKey] {
-				continue
-			}
-			seen[pairKey] = true
-			d1, d2 := f.datasets[a], f.datasets[b]
-			resolutions := f.CommonResolutions(d1, d2)
-			if clause.Resolutions != nil {
-				resolutions = intersectResolutions(resolutions, clause.Resolutions)
-			}
-			for _, res := range resolutions {
-				winLo, winHi := 0, 0
-				if clause.Windowed {
-					winLo, winHi = windowSteps(f.timelines[res.Temporal], clause.WindowFrom, clause.WindowTo)
-				}
-				for _, e1 := range f.index.at(a, res) {
-					for _, e2 := range f.index.at(b, res) {
-						for _, class := range classes {
-							pl.considered++
-							if clause.Windowed && winLo == winHi {
-								// Window misses this resolution's timeline
-								// entirely: nothing to evaluate.
-								pl.pruned++
-								continue
-							}
-							skip, sigma := prunePair(e1, e2, class, clause)
-							if skip {
-								pl.pruned++
-								continue
-							}
-							pl.tasks = append(pl.tasks, pairTask{
-								e1: e1, e2: e2, class: class,
-								seed:  pairSeed(f.opts.Seed, e1.Key, e2.Key, class),
-								sigma: sigma,
-								winLo: winLo, winHi: winHi,
-							})
-						}
+	classes := clauseClasses(clause)
+	resolutions := f.CommonResolutions(f.datasets[k.A], f.datasets[k.B])
+	if clause.Resolutions != nil {
+		resolutions = intersectResolutions(resolutions, clause.Resolutions)
+	}
+	for _, res := range resolutions {
+		winLo, winHi := 0, 0
+		if clause.Windowed {
+			winLo, winHi = windowSteps(f.timelines[res.Temporal], clause.WindowFrom, clause.WindowTo)
+		}
+		for _, e1 := range f.index.at(k.A, res) {
+			for _, e2 := range f.index.at(k.B, res) {
+				for _, class := range classes {
+					pl.considered++
+					if clause.Windowed && winLo == winHi {
+						// Window misses this resolution's timeline entirely:
+						// nothing to evaluate.
+						pl.pruned++
+						continue
 					}
+					skip, sigma := prunePair(e1, e2, class, clause)
+					if skip {
+						pl.pruned++
+						continue
+					}
+					pl.tasks = append(pl.tasks, pairTask{
+						e1: e1, e2: e2, class: class,
+						seed:  pairSeed(f.opts.Seed, e1.Key, e2.Key, class),
+						sigma: sigma,
+						winLo: winLo, winHi: winHi,
+					})
 				}
 			}
 		}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"github.com/urbandata/datapolygamy/internal/feature"
+	"github.com/urbandata/datapolygamy/internal/relgraph"
 	"github.com/urbandata/datapolygamy/internal/spatial"
 	"github.com/urbandata/datapolygamy/internal/temporal"
 )
@@ -30,12 +31,9 @@ func plannerFW(t *testing.T) *Framework {
 // returns the tuples that survive, and fails the test if a tuple prunePair
 // would have skipped survives: that is the planner's soundness, checked per
 // tuple rather than inferred from equal totals.
-func bruteForce(t *testing.T, f *Framework, clause Clause) (cands []*Relationship, considered, skipped int) {
+func bruteForce(t *testing.T, f *Framework, clause Clause) (cands []relgraph.Edge, considered, skipped int) {
 	t.Helper()
-	classes := clause.Classes
-	if classes == nil {
-		classes = []feature.Class{feature.Salient, feature.Extreme}
-	}
+	classes := clauseClasses(clause)
 	names := f.Datasets()
 	slices.Sort(names) // the engine orients every pair by data set name
 	for i, a := range names {
@@ -60,12 +58,12 @@ func bruteForce(t *testing.T, f *Framework, clause Clause) (cands []*Relationshi
 								skipped++
 								if rel != nil {
 									t.Errorf("unsound prune: %s ~ %s (%v) is skipped by prunePair but passes the clause: tau=%g rho=%g",
-										e1.Key, e2.Key, class, rel.Score, rel.Strength)
+										e1.Key, e2.Key, class, rel.Tau, rel.Rho)
 								}
 								continue
 							}
 							if rel != nil {
-								cands = append(cands, rel)
+								cands = append(cands, *rel)
 							}
 						}
 					}
@@ -114,11 +112,12 @@ func TestPlannerParity(t *testing.T) {
 			if pstats.Evaluated != len(cands) {
 				t.Errorf("Evaluated %d, brute force has %d related tuples", pstats.Evaluated, len(cands))
 			}
-			applyCorrection(cands, tc.clause)
+			sel := selectionFromClause(tc.clause)
+			assignQValues(cands, sel)
 			want := map[string]Relationship{}
-			for _, r := range cands {
-				if r.Significant || tc.clause.SkipSignificance {
-					want[r.Function1+"|"+r.Function2+"|"+r.Class.String()] = *r
+			for _, e := range cands {
+				if sel.keeps(e) {
+					want[e.Function1+"|"+e.Function2+"|"+e.Class.String()] = edgeRelationship(e, sel.significant(e))
 				}
 			}
 			if len(planned) != len(want) {

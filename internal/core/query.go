@@ -9,11 +9,20 @@ import (
 	"time"
 
 	"github.com/urbandata/datapolygamy/internal/feature"
-	"github.com/urbandata/datapolygamy/internal/mapreduce"
 	"github.com/urbandata/datapolygamy/internal/montecarlo"
 	"github.com/urbandata/datapolygamy/internal/relationship"
+	"github.com/urbandata/datapolygamy/internal/relgraph"
 	"github.com/urbandata/datapolygamy/internal/stats"
 )
+
+// This file is the query layer of the framework: the relationship operator
+// (Section 5.3). A query plans its data set pairs, takes each pair's tested
+// family from the store it shares with BuildGraph (relgraph.go) — evaluating
+// only the pairs no earlier query or build has tested under the same test
+// signature — then corrects over the union of those families and selects.
+// Assembled answers are memoised per query signature (Appendix C), and
+// identical concurrent queries are deduplicated, so a repeated query does
+// not even re-select.
 
 // Clause filters and parameterises a relationship query (Section 5.3).
 // The zero value applies the paper's defaults: alpha = 0.05, 1,000
@@ -98,7 +107,6 @@ type Relationship struct {
 
 	Score    float64 // tau
 	Strength float64 // rho
-	Measures relationship.Measures
 
 	PValue float64
 	// QValue is the corrected p-value over the query's tested family
@@ -151,10 +159,11 @@ func (s *QueryStats) addStage(name string, d time.Duration) {
 	mStageDuration.With(name).Observe(d.Seconds())
 }
 
-// cachedResult is one memoised query: its relationships, the stats of the
-// run that produced them, and the data sets involved (for targeted
+// cachedResult is one memoised answer: its relationships, the stats of the
+// run that assembled them, and the data sets involved (for targeted
 // invalidation when the corpus changes). encoded is the caller's serialised
 // form of rels (QueryEncoded), made on first use and dropped with the result.
+// The Monte Carlo results behind it live in the family store.
 type cachedResult struct {
 	rels     []Relationship
 	stats    QueryStats
@@ -173,23 +182,6 @@ type inflightQuery struct {
 	done chan struct{}
 	res  *cachedResult
 	err  error
-}
-
-// invalidateCacheInvolving drops cached results that involve any of the
-// named data sets, leaving the rest valid. Incremental indexing calls this
-// with the newly indexed names; the caller holds the state lock
-// exclusively, so no query is in flight.
-func (f *Framework) invalidateCacheInvolving(names ...string) {
-	f.cacheMu.Lock()
-	defer f.cacheMu.Unlock()
-	for sig, c := range f.cache {
-		for _, n := range names {
-			if c.involved[n] {
-				delete(f.cache, sig)
-				break
-			}
-		}
-	}
 }
 
 // Query runs the relationship operator and returns the statistically
@@ -325,73 +317,68 @@ func (f *Framework) query(q Query) (*cachedResult, QueryStats, error) {
 }
 
 // evaluateQuery plans and executes one relationship query (the leader path
-// of Query). The caller holds the shared state lock.
+// of Query). Its stats describe the query alone, whatever the family store
+// held: the planner counters come from its own plan, and Evaluated is the
+// size of the family it corrected over. The caller holds the shared state
+// lock.
 func (f *Framework) evaluateQuery(sources, targets []string, clause Clause, t0 time.Time) ([]Relationship, QueryStats, error) {
 	var stats QueryStats
-	classes := clause.Classes
-	if classes == nil {
-		classes = []feature.Class{feature.Salient, feature.Extreme}
-	}
 
 	// Planner: enumerate and prune candidate tuples (map phase of job 3).
 	tStage := time.Now()
-	plan := f.plan(sources, targets, clause, classes)
+	keys := queryPairs(sources, targets)
+	plans := f.planPairs(keys, clause)
+	for _, pl := range plans {
+		stats.PairsConsidered += pl.considered
+		stats.Pruned += pl.pruned
+	}
 	stats.addStage("plan", time.Since(tStage))
-	stats.PairsConsidered = plan.considered
-	stats.Pruned = plan.pruned
-	mPairsConsidered.Add(uint64(plan.considered))
-	mPairsPruned.Add(uint64(plan.pruned))
+	mPairsConsidered.Add(uint64(stats.PairsConsidered))
+	mPairsPruned.Add(uint64(stats.Pruned))
 
-	// When the plan has fewer tasks than workers, the per-pair pool alone
-	// cannot saturate the machine: hand the spare parallelism down to each
-	// pair's Monte Carlo test. Chunked per-seed permutation streams keep
-	// the p-values byte-identical to a sequential run.
-	mcWorkers := 1
-	if n := len(plan.tasks); n > 0 {
-		if w := f.workers() / n; w > mcWorkers {
-			mcWorkers = w
-		}
-	}
-
-	// Reduce phase of job 3: evaluate each surviving candidate.
+	// Reduce phase of job 3: each pair's tested family, evaluated only
+	// where the store has none under this test signature.
 	tStage = time.Now()
-	results, err := mapreduce.ForEach(f.workers(), plan.tasks,
-		func(t pairTask) (*Relationship, error) {
-			return f.evaluatePair(t, clause, mcWorkers)
-		})
-	if err != nil {
-		return nil, stats, err
-	}
-	var cands []*Relationship
-	for _, r := range results {
-		if r != nil {
-			cands = append(cands, r)
+	sig := graphSignature(clause)
+	fams, missing := f.storedFamilies(sig, keys)
+	if len(missing) > 0 {
+		mKeys := make([]graphPair, len(missing))
+		mPlans := make([]queryPlan, len(missing))
+		for j, i := range missing {
+			mKeys[j], mPlans[j] = keys[i], plans[i]
+		}
+		computed, err := f.evaluatePairsLocked(sig, mKeys, mPlans, clause)
+		if err != nil {
+			return nil, stats, err
+		}
+		for j, i := range missing {
+			fams[i] = computed[j]
 		}
 	}
-	stats.Evaluated = len(cands)
+	family := slices.Concat(fams...)
+	stats.Evaluated = len(family)
 	stats.addStage("evaluate", time.Since(tStage))
-	mPairsEvaluated.Add(uint64(len(cands)))
+	mPairsEvaluated.Add(uint64(len(family)))
+
 	// Multiple-hypothesis correction across the query's tested family: every
-	// evaluated pair — significant or not — contributes its p-value, and
-	// Significant is re-derived from the q-values.
+	// evaluated pair — significant or not — contributes its p-value.
 	tStage = time.Now()
-	applyCorrection(cands, clause)
+	sel := selectionFromClause(clause)
+	assignQValues(family, sel)
 	stats.addStage("correct", time.Since(tStage))
+
 	tStage = time.Now()
 	var out []Relationship
-	for _, r := range cands {
-		if r.Significant {
+	for _, e := range family {
+		significant := sel.significant(e)
+		if significant {
 			stats.Significant++
 		}
-		if !r.Significant && !clause.SkipSignificance {
-			continue
+		if sel.keeps(e) {
+			out = append(out, edgeRelationship(e, significant))
 		}
-		if !clause.SkipSignificance && clause.MaxQ > 0 && r.QValue > clause.MaxQ {
-			continue
-		}
-		stats.Kept++
-		out = append(out, *r)
 	}
+	stats.Kept = len(out)
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Function1 != out[j].Function1 {
 			return out[i].Function1 < out[j].Function1
@@ -406,12 +393,41 @@ func (f *Framework) evaluateQuery(sources, targets []string, clause Clause, t0 t
 	return out, stats, nil
 }
 
+// queryPairs returns the unordered data set pairs a query between sources
+// and targets covers, each once, in first-seen order.
+func queryPairs(sources, targets []string) []graphPair {
+	seen := make(map[graphPair]bool)
+	var keys []graphPair
+	for _, s := range sources {
+		for _, t := range targets {
+			if k := makeGraphPair(s, t); s != t && !seen[k] {
+				seen[k] = true
+				keys = append(keys, k)
+			}
+		}
+	}
+	return keys
+}
+
+// edgeRelationship converts one corrected family edge into a query row.
+func edgeRelationship(e relgraph.Edge, significant bool) Relationship {
+	return Relationship{
+		Function1: e.Function1, Function2: e.Function2,
+		Dataset1: e.Dataset1, Dataset2: e.Dataset2,
+		Spec1: e.Spec1, Spec2: e.Spec2,
+		Res: Resolution{Spatial: e.SRes, Temporal: e.TRes}, Class: e.Class,
+		Score: e.Tau, Strength: e.Rho, PValue: e.PValue, QValue: e.QValue,
+		Significant: significant,
+	}
+}
+
 // evaluatePair computes measures for one candidate pair and applies clause
-// filters plus the significance test. It returns nil when the pair has no
-// feature relations or fails a filter. mcWorkers goroutines evaluate the
-// Monte Carlo permutation chunks (1 = sequential; the p-value is identical
-// either way).
-func (f *Framework) evaluatePair(t pairTask, clause Clause, mcWorkers int) (*Relationship, error) {
+// filters plus the significance test, returning the tested candidate with
+// its raw p-value (1 under SkipSignificance). It returns nil when the pair
+// has no feature relations or fails a filter. mcWorkers goroutines evaluate
+// the Monte Carlo permutation chunks (1 = sequential; the p-value is
+// identical either way).
+func (f *Framework) evaluatePair(t pairTask, clause Clause, mcWorkers int) (*relgraph.Edge, error) {
 	s1, s2 := t.e1.set(t.class), t.e2.set(t.class)
 	all1, all2 := t.e1.union(t.class), t.e2.union(t.class)
 	sigma := t.sigma
@@ -440,62 +456,22 @@ func (f *Framework) evaluatePair(t pairTask, clause Clause, mcWorkers int) (*Rel
 	if abs(m.Tau) < clause.MinScore || m.Rho < clause.MinStrength {
 		return nil, nil
 	}
-	rel := &Relationship{
-		Function1: t.e1.Key,
-		Function2: t.e2.Key,
-		Dataset1:  t.e1.Dataset,
-		Dataset2:  t.e2.Dataset,
-		Spec1:     t.e1.SpecName,
-		Spec2:     t.e2.SpecName,
-		Res:       t.e1.Res,
-		Class:     t.class,
-		Score:     m.Tau,
-		Strength:  m.Rho,
-		Measures:  m,
+	e := &relgraph.Edge{
+		Function1: t.e1.Key, Function2: t.e2.Key,
+		Dataset1: t.e1.Dataset, Dataset2: t.e2.Dataset,
+		Spec1: t.e1.SpecName, Spec2: t.e2.SpecName,
+		SRes: t.e1.Res.Spatial, TRes: t.e1.Res.Temporal, Class: t.class,
+		Tau: m.Tau, Rho: m.Rho, PValue: 1,
 	}
 	if clause.SkipSignificance {
-		rel.PValue = 1
-		return rel, nil
+		return e, nil
 	}
 	res, err := f.runSignificance(t, clause, s1, s2, all1, all2, m.Tau, mcWorkers)
 	if err != nil {
 		return nil, err
 	}
-	rel.PValue = res.PValue
-	rel.Significant = res.Significant
-	return rel, nil
-}
-
-// applyCorrection assigns q-values across the tested family of candidates
-// and re-derives each candidate's Significant flag from them: under a
-// correction a pair is significant when q <= alpha; with stats.None the
-// q-value equals the raw p-value, reproducing the per-pair rule. Under
-// SkipSignificance no hypothesis was tested, so the q-values mirror the
-// (unit) p-values untouched.
-//
-// The q-values are a function of the p-value *multiset* only — stable
-// under permutation, with ties receiving identical values — so the result
-// does not depend on evaluation or enumeration order.
-func applyCorrection(cands []*Relationship, clause Clause) {
-	if clause.SkipSignificance {
-		for _, r := range cands {
-			r.QValue = r.PValue
-		}
-		return
-	}
-	alpha := clause.Alpha
-	if alpha <= 0 {
-		alpha = montecarlo.DefaultAlpha
-	}
-	ps := make([]float64, len(cands))
-	for i, r := range cands {
-		ps[i] = r.PValue
-	}
-	qs := stats.Adjust(clause.Correction, ps)
-	for i, r := range cands {
-		r.QValue = qs[i]
-		r.Significant = qs[i] <= alpha
-	}
+	e.PValue = res.PValue
+	return e, nil
 }
 
 func intersectResolutions(a, b []Resolution) []Resolution {
@@ -517,13 +493,7 @@ func intersectResolutions(a, b []Resolution) []Resolution {
 // query — [Salient, Extreme] vs [Extreme, Salient] vs nil, duplicated data
 // set names, permuted resolutions — hits the same cache entry.
 func querySignature(sources, targets []string, c Clause) string {
-	classes := c.Classes
-	if classes == nil {
-		classes = []feature.Class{feature.Salient, feature.Extreme}
-	}
-	cls := append([]feature.Class{}, classes...)
-	sort.Slice(cls, func(i, j int) bool { return cls[i] < cls[j] })
-	cls = slices.Compact(cls)
+	cls := clauseClasses(c)
 	clsParts := make([]string, len(cls))
 	for i, cl := range cls {
 		clsParts[i] = cl.String()
@@ -558,6 +528,18 @@ func querySignature(sources, targets []string, c Clause) string {
 		c.MinScore, c.MinStrength, c.Alpha, c.Permutations, c.SkipSignificance,
 		c.TestKind, c.Correction, c.MaxQ, c.Exhaustive,
 		strings.Join(clsParts, ";"), resStr, winStr)
+}
+
+// clauseClasses returns the feature classes a clause evaluates, sorted and
+// deduplicated — both classes for nil — so every spelling of one class set
+// plans the same tuples its signature names.
+func clauseClasses(c Clause) []feature.Class {
+	if c.Classes == nil {
+		return []feature.Class{feature.Salient, feature.Extreme}
+	}
+	cls := slices.Clone(c.Classes)
+	slices.Sort(cls)
+	return slices.Compact(cls)
 }
 
 // dedupeSorted returns a sorted copy of names with duplicates removed.

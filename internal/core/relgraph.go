@@ -2,56 +2,50 @@ package core
 
 import (
 	"fmt"
+	"maps"
 	"slices"
 	"time"
 
-	"github.com/urbandata/datapolygamy/internal/feature"
 	"github.com/urbandata/datapolygamy/internal/mapreduce"
 	"github.com/urbandata/datapolygamy/internal/montecarlo"
 	"github.com/urbandata/datapolygamy/internal/relgraph"
 	"github.com/urbandata/datapolygamy/internal/stats"
 )
 
-// This file is the relationship-graph layer of the framework: BuildGraph
-// materializes the corpus-wide many-many relationship graph — the paper's
-// headline artifact — by driving the query planner over every data set
-// pair, and the framework keeps it as a persistent, incrementally
-// maintained structure.
+// This file is the Monte Carlo result layer of the framework: the one store
+// of tested families, shared by Query and BuildGraph, and the corpus-wide
+// relationship graph — the paper's headline artifact — assembled from it.
 //
-// Incrementality mirrors the index contract: *candidates* — every tested
-// relationship with its raw p-value, significant or not — are cached per
-// unordered data set pair, so after AddDataset + BuildIndex a BuildGraph
-// call recomputes only the pairs incident to the new data set (the
-// existing pairs' entries are untouched, so their p-values cannot have
-// changed). Caching the full tested family rather than just the
-// significant edges is what makes corpus-wide FDR control incremental:
-// q-values depend on every tested p-value, so assembleGraph re-adjusts
-// them over the whole cache on each build — a cheap O(E log E) pass over
-// cached numbers, with no Monte Carlo re-runs. A full recompute happens
-// only when the clause changes or the index itself fully rebuilds (corpus
-// time-range extension drops all derived state). A pair's Monte Carlo
-// draws derive from its identity (pairSeed) and its toroidal shifts from
-// the spatial resolution's sequence (Framework.shifts), so an incrementally
-// maintained graph — q-values included — is byte-identical to a
-// from-scratch rebuild, and under Correction: none every edge is
-// byte-identical to what a direct Query for that pair returns.
+// A pair's tested family is every candidate that passed the clause filters,
+// with its raw p-value, significant or not: the insignificant ones belong to
+// the hypothesis family FDR control adjusts over. The store is keyed by the
+// clause's test signature (graphSignature), then by unordered pair; q-values
+// are assigned over a union of families only when an answer or a graph is
+// assembled. A pair's Monte Carlo draws derive from its identity (pairSeed)
+// and its toroidal shifts from the spatial resolution's sequence
+// (Framework.shifts), so a family is the same whoever filled it — a query,
+// a graph build or a snapshot — and an incrementally maintained graph is
+// byte-identical to a from-scratch rebuild. One rule invalidates
+// (dropResultsInvolving): a change to a data set drops its pairs' families
+// under every signature, plus the memoised answers that involve it.
 //
-// Locking: a build only reads post-BuildIndex-immutable state, so
-// BuildGraph holds the state lock shared — concurrent queries keep
-// flowing — and serializes against other builders (and Save) on
-// graphMu, which guards the pair cache. The finished graph is published
-// through an atomic pointer: RelGraph never blocks, and a reader-held
-// graph stays consistent while a rebuild replaces it.
+// Locking: evaluation only reads post-BuildIndex-immutable state, so Query
+// and BuildGraph both hold the state lock shared. famMu guards the store and
+// is never held across an evaluation, so a query never waits for a graph
+// build; two callers missing the same pair may both evaluate it, with
+// identical results. graphMu serializes builders and Save. Lock order: mu,
+// graphMu, famMu. The finished graph is published through an atomic
+// pointer: RelGraph never blocks, and a reader-held graph stays consistent
+// while a rebuild replaces it.
 
-// GraphStats reports what one BuildGraph call did. With incremental
-// maintenance, the planner and evaluation counters cover only the pairs
-// computed by that call; reused pairs contribute their cached edges
-// without re-evaluation.
+// GraphStats reports what one BuildGraph call did. The planner and
+// evaluation counters cover only the pairs computed by that call; reused
+// pairs contribute their stored families without re-evaluation.
 type GraphStats struct {
 	Datasets      int // data sets in the corpus
 	Pairs         int // unordered data set pairs covered by the graph
 	PairsComputed int // pairs evaluated by this call
-	PairsReused   int // pairs whose cached edges were kept
+	PairsReused   int // pairs whose stored family was kept
 
 	PairsConsidered int // candidate tuples enumerated for computed pairs
 	Pruned          int // candidates the planner skipped
@@ -61,14 +55,13 @@ type GraphStats struct {
 	WallDuration time.Duration
 }
 
-// graphSignature canonicalises the clause a graph's *candidate cache* is
-// built under; candidates cached under one signature are never reused for
-// another. Correction and MaxQ are deliberately excluded: the cache stores
-// the full tested family of raw p-values, which those two fields cannot
-// influence — they only select edges at assembly. Changing just the
-// correction therefore re-selects from the cached family (O(E log E))
-// instead of re-running the all-pairs Monte Carlo fan-out. Alpha stays in
-// the signature because the adaptive early stop — and thus the recorded
+// graphSignature canonicalises a clause into its test signature, the key of
+// the family store: families stored under one signature are never reused
+// for another. Correction and MaxQ are deliberately excluded: a family holds
+// raw p-values, which those two fields cannot influence — they only select
+// at assembly. Changing just the correction therefore re-selects from the
+// stored families instead of re-running the Monte Carlo fan-out. Alpha stays
+// in the signature because the adaptive early stop — and thus the recorded
 // p-values of insignificant candidates — depends on it.
 func graphSignature(clause Clause) string {
 	clause.Correction = stats.None
@@ -76,10 +69,10 @@ func graphSignature(clause Clause) string {
 	return querySignature(nil, nil, clause)
 }
 
-// graphSelection is the edge-selection rule applied when assembling the
-// published graph from the candidate cache: the correction, its level, and
-// the optional q cutoff. It is remembered next to the cache (and persisted
-// in snapshots) so Load and pure-reuse builds select identically.
+// graphSelection is the rule that turns a union of tested families into an
+// answer or a graph: the correction, its level, and the optional q cutoff.
+// The published graph's rule is remembered (and persisted in snapshots) so
+// Load and pure-reuse builds select identically.
 type graphSelection struct {
 	alpha      float64
 	correction stats.Correction
@@ -95,46 +88,55 @@ func selectionFromClause(c Clause) graphSelection {
 	return graphSelection{alpha: alpha, correction: c.Correction, maxQ: c.MaxQ, skip: c.SkipSignificance}
 }
 
-// assembleGraph adjusts the cached candidates' p-values into q-values over
-// the corpus-wide tested family and materializes the graph of the
-// candidates surviving the selection rule. Candidates are copied, never
-// mutated: the cache stays q-free so a later build over a grown family can
-// re-adjust from the raw p-values.
-func assembleGraph(cands map[graphPair][]relgraph.Edge, sel graphSelection) *relgraph.Graph {
+// assignQValues sets every edge's q-value in place: corrected over the
+// whole family, or equal to the raw p-value under SkipSignificance, where no
+// hypothesis was tested. The q-values are a function of the p-value
+// multiset only — ties receive identical values — so they do not depend on
+// the family's order. The caller owns es: stored families are never mutated.
+func assignQValues(es []relgraph.Edge, sel graphSelection) {
+	if sel.skip {
+		for i := range es {
+			es[i].QValue = es[i].PValue
+		}
+		return
+	}
+	ps := make([]float64, len(es))
+	for i := range es {
+		ps[i] = es[i].PValue
+	}
+	for i, q := range stats.Adjust(sel.correction, ps) {
+		es[i].QValue = q
+	}
+}
+
+// significant reports whether a corrected edge passes the test, q <= alpha.
+// Nothing is significant under SkipSignificance.
+func (s graphSelection) significant(e relgraph.Edge) bool {
+	return !s.skip && e.QValue <= s.alpha
+}
+
+// keeps reports whether the rule keeps a corrected edge: every edge under
+// SkipSignificance, else a significant one within the q cutoff.
+func (s graphSelection) keeps(e relgraph.Edge) bool {
+	return s.skip || s.significant(e) && (s.maxQ <= 0 || e.QValue <= s.maxQ)
+}
+
+// assembleGraph corrects the union of the given families and materializes
+// the graph of the edges the selection rule keeps.
+func assembleGraph(fams map[graphPair][]relgraph.Edge, sel graphSelection) *relgraph.Graph {
 	n := 0
-	for _, es := range cands {
+	for _, es := range fams {
 		n += len(es)
 	}
 	all := make([]relgraph.Edge, 0, n)
-	for _, es := range cands {
+	for _, es := range fams {
 		all = append(all, es...)
 	}
-	if sel.skip {
-		for i := range all {
-			all[i].QValue = all[i].PValue
-		}
-		return relgraph.New(all)
-	}
-	ps := make([]float64, len(all))
-	for i := range all {
-		ps[i] = all[i].PValue
-	}
-	qs := stats.Adjust(sel.correction, ps)
-	kept := all[:0]
-	for i, e := range all {
-		if qs[i] > sel.alpha {
-			continue
-		}
-		if sel.maxQ > 0 && qs[i] > sel.maxQ {
-			continue
-		}
-		e.QValue = qs[i]
-		kept = append(kept, e)
-	}
-	return relgraph.New(kept)
+	assignQValues(all, sel)
+	return relgraph.New(slices.DeleteFunc(all, func(e relgraph.Edge) bool { return !sel.keeps(e) }))
 }
 
-// graphPair is the unordered data set pair key of the edge cache
+// graphPair is the unordered data set pair key of the family store
 // (A < B). A struct key keeps arbitrary data set names collision-free.
 type graphPair struct {
 	A, B string
@@ -155,11 +157,11 @@ func makeGraphPair(a, b string) graphPair {
 // corpus-wide: q-values are adjusted over every tested pair in the corpus —
 // the many-many regime where per-pair alpha floods the graph with false
 // discoveries — and an edge survives when q <= alpha (and <= Clause.MaxQ,
-// when set). Pairs already covered by the current graph — built with the
-// same clause — are reused, so after an incremental AddDataset + BuildIndex
-// only the new data set's pairs are computed; q-values are still
-// re-adjusted over the full cached family, so the incremental graph is
-// byte-identical to a from-scratch rebuild.
+// when set). Pairs whose family is already stored under the clause's test
+// signature — by an earlier build, a query or a snapshot — are reused, so
+// after an incremental AddDataset + BuildIndex only the new data set's pairs
+// are computed; q-values are still re-adjusted over every pair's family, so
+// the incremental graph is byte-identical to a from-scratch rebuild.
 //
 // BuildGraph holds the state lock shared, so queries proceed concurrently
 // with a build; concurrent BuildGraph calls serialize on the builder
@@ -176,34 +178,19 @@ func (f *Framework) BuildGraph(clause Clause) (GraphStats, error) {
 	f.graphMu.Lock()
 	defer f.graphMu.Unlock()
 	sig := graphSignature(clause)
-	if f.graphSig != sig || f.graphCands == nil {
-		f.graphCands = make(map[graphPair][]relgraph.Edge)
-		f.graphSig = sig
-	}
 	sel := selectionFromClause(clause)
+	keys := queryPairs(f.order, f.order)
+	fams, missing := f.storedFamilies(sig, keys)
 	st.Datasets = len(f.order)
-
-	// Enumerate the unordered pairs not yet covered.
-	var missing []graphPair
-	for i, a := range f.order {
-		for _, b := range f.order[i+1:] {
-			st.Pairs++
-			key := makeGraphPair(a, b)
-			if _, ok := f.graphCands[key]; ok {
-				st.PairsReused++
-				continue
-			}
-			missing = append(missing, key)
-		}
-	}
+	st.Pairs = len(keys)
 	st.PairsComputed = len(missing)
+	st.PairsReused = len(keys) - len(missing)
 
-	// Pure reuse: same candidates *and* same selection rule, so the
-	// published graph is already the assembly of the cache — skip the
-	// O(E log E) reassembly. A changed selection (correction, alpha, q
-	// cutoff) falls through: the candidates are reusable but the edge set
-	// is not.
-	if len(missing) == 0 && sel == f.graphSel {
+	// Pure reuse: the published graph was assembled from every pair's
+	// current family under the same selection rule — skip the O(E log E)
+	// reassembly. Invalidation removes pairs from graphFams, so a full count
+	// means nothing changed.
+	if sig == f.graphSig && sel == f.graphSel && len(f.graphFams) == len(keys) {
 		if g := f.relGraph.Load(); g != nil {
 			f.graphClause = clause
 			st.Edges = g.NumEdges()
@@ -212,92 +199,177 @@ func (f *Framework) BuildGraph(clause Clause) (GraphStats, error) {
 			return st, nil
 		}
 	}
-	f.graphSel = sel
 
-	if err := f.evaluatePairsLocked(missing, clause, &st); err != nil {
-		return st, err
+	if len(missing) > 0 {
+		tStage := time.Now()
+		mKeys := make([]graphPair, len(missing))
+		for j, i := range missing {
+			mKeys[j] = keys[i]
+		}
+		plans := f.planPairs(mKeys, clause)
+		for _, pl := range plans {
+			st.PairsConsidered += pl.considered
+			st.Pruned += pl.pruned
+		}
+		mGraphStageDuration.With("plan").Observe(time.Since(tStage).Seconds())
+		tStage = time.Now()
+		computed, err := f.evaluatePairsLocked(sig, mKeys, plans, clause)
+		if err != nil {
+			return st, err
+		}
+		for j, i := range missing {
+			fams[i] = computed[j]
+			st.Evaluated += len(computed[j])
+		}
+		mGraphStageDuration.With("evaluate").Observe(time.Since(tStage).Seconds())
 	}
 
 	tAssemble := time.Now()
-	g := assembleGraph(f.graphCands, f.graphSel)
+	published := make(map[graphPair][]relgraph.Edge, len(keys))
+	for i, k := range keys {
+		published[k] = fams[i]
+	}
+	g := assembleGraph(published, sel)
 	f.relGraph.Store(g)
 	mGraphStageDuration.With("assemble").Observe(time.Since(tAssemble).Seconds())
-	f.graphClause = clause
+	f.graphSig, f.graphSel, f.graphClause, f.graphFams = sig, sel, clause, published
 	st.Edges = g.NumEdges()
 	st.WallDuration = time.Since(t0)
 	recordGraphBuild(st)
 	return st, nil
 }
 
-// evaluatePairsLocked computes the tested candidate families of the data
-// set pairs in keys into the pair cache: every tested candidate with its raw
-// p-value, significant or not — the insignificant ones are part of the
-// corpus-wide hypothesis family and shift everyone's q-values — sorted, and
-// an empty family for a fruitless pair so it is not re-evaluated. Planning,
-// evaluation and collection each run on the worker pool: the pairs' tasks
-// are one batch, so the pool sees the whole build at once, and a pair's
-// tasks are contiguous in it, so its results are a slice of the batch. The
-// caller holds graphMu.
-func (f *Framework) evaluatePairsLocked(keys []graphPair, clause Clause, st *GraphStats) error {
-	if len(keys) == 0 {
-		return nil
+// storedFamilies looks keys up in the family store under sig, returning the
+// families in keys order and the indices of the keys that have none yet.
+func (f *Framework) storedFamilies(sig string, keys []graphPair) (fams [][]relgraph.Edge, missing []int) {
+	fams = make([][]relgraph.Edge, len(keys))
+	f.famMu.Lock()
+	defer f.famMu.Unlock()
+	for i, k := range keys {
+		var ok bool
+		if fams[i], ok = f.families[sig][k]; !ok {
+			missing = append(missing, i)
+		}
 	}
-	workers := f.workers()
-	classes := clause.Classes
-	if classes == nil {
-		classes = []feature.Class{feature.Salient, feature.Extreme}
-	}
-	t0 := time.Now()
-	plans, _ := mapreduce.ForEach(workers, keys, func(k graphPair) (queryPlan, error) {
-		return f.plan([]string{k.A}, []string{k.B}, clause, classes), nil
+	return fams, missing
+}
+
+// planPairs plans each pair of keys on the worker pool.
+func (f *Framework) planPairs(keys []graphPair, clause Clause) []queryPlan {
+	plans, _ := mapreduce.ForEach(f.workers(), keys, func(k graphPair) (queryPlan, error) {
+		return f.plan(k, clause), nil
 	})
+	return plans
+}
+
+// evaluatePairsLocked evaluates the pairs keys — plans[i] is the plan of
+// keys[i] — into their tested families, sorted, and adds them to the store
+// under sig; a fruitless pair gets an empty family so it is not evaluated
+// again. The pairs' tasks are one batch on the worker pool, so the pool sees
+// the whole batch at once, and a pair's tasks are contiguous in it, so its
+// results are a slice of the batch. Query and BuildGraph both call this
+// under the shared state lock.
+func (f *Framework) evaluatePairsLocked(sig string, keys []graphPair, plans []queryPlan, clause Clause) ([][]relgraph.Edge, error) {
+	workers := f.workers()
 	n := 0
 	for _, pl := range plans {
 		n += len(pl.tasks)
-		st.PairsConsidered += pl.considered
-		st.Pruned += pl.pruned
 	}
 	tasks := make([]pairTask, 0, n)
 	for _, pl := range plans {
 		tasks = append(tasks, pl.tasks...)
 	}
-	mGraphStageDuration.With("plan").Observe(time.Since(t0).Seconds())
-
-	t0 = time.Now()
+	// When the batch has fewer tasks than workers, the pool alone cannot
+	// saturate the machine: hand the spare parallelism down to each task's
+	// Monte Carlo test. Chunked per-seed permutation streams keep the
+	// p-values byte-identical to a sequential run.
 	mcWorkers := max(1, workers/max(n, 1))
-	results, err := mapreduce.ForEach(workers, tasks, func(t pairTask) (*Relationship, error) {
+	results, err := mapreduce.ForEach(workers, tasks, func(t pairTask) (*relgraph.Edge, error) {
 		return f.evaluatePair(t, clause, mcWorkers)
 	})
 	if err != nil {
-		return err
+		return nil, err
 	}
-	perPair := make([][]*Relationship, len(plans))
+	perPair := make([][]*relgraph.Edge, len(plans))
 	for i, pl := range plans {
 		k := len(pl.tasks)
 		perPair[i], results = results[:k:k], results[k:]
 	}
-	cands, _ := mapreduce.ForEach(workers, perPair, func(rs []*Relationship) ([]relgraph.Edge, error) {
-		rs = slices.DeleteFunc(rs, func(r *Relationship) bool { return r == nil })
+	fams, _ := mapreduce.ForEach(workers, perPair, func(rs []*relgraph.Edge) ([]relgraph.Edge, error) {
+		rs = slices.DeleteFunc(rs, func(e *relgraph.Edge) bool { return e == nil })
 		es := make([]relgraph.Edge, len(rs))
-		for i, r := range rs {
-			es[i] = relationshipEdge(*r)
+		for i, e := range rs {
+			es[i] = *e
 		}
 		relgraph.SortEdges(es)
 		return es, nil
 	})
-	for i, key := range keys {
-		f.graphCands[key] = cands[i]
-		st.Evaluated += len(cands[i])
+	f.famMu.Lock()
+	defer f.famMu.Unlock()
+	byPair := f.families[sig]
+	if byPair == nil {
+		byPair = make(map[graphPair][]relgraph.Edge, len(keys))
+		f.families[sig] = byPair
 	}
-	mGraphStageDuration.With("evaluate").Observe(time.Since(t0).Seconds())
-	return nil
+	for i, k := range keys {
+		if _, ok := byPair[k]; !ok {
+			byPair[k] = fams[i]
+		}
+	}
+	return fams, nil
 }
 
-// GraphClause returns the clause the current materialized graph's
-// candidate cache was built (or loaded) under, and ok = false when no
-// graph exists. An incremental refresh after a corpus change — e.g. a
-// runtime ingestion — should pass exactly this clause to BuildGraph so
-// the cache is reused and the selection is unchanged.
+// dropResultsInvolving is the one invalidation rule: under every signature
+// it drops the families of the pairs incident to any of the named data sets
+// — from the store and from the published graph's record — and it drops the
+// memoised answers that involve them. It returns how many pairs it dropped
+// under the published graph's signature. The caller holds the state lock
+// exclusively, so no evaluation is in flight.
+func (f *Framework) dropResultsInvolving(names ...string) (dropped int) {
+	incident := func(k graphPair, _ []relgraph.Edge) bool {
+		return slices.Contains(names, k.A) || slices.Contains(names, k.B)
+	}
+	f.graphMu.Lock()
+	defer f.graphMu.Unlock()
+	maps.DeleteFunc(f.graphFams, incident)
+	f.famMu.Lock()
+	for sig, byPair := range f.families {
+		n := len(byPair)
+		maps.DeleteFunc(byPair, incident)
+		if sig == f.graphSig {
+			dropped = n - len(byPair)
+		}
+	}
+	f.famMu.Unlock()
+	f.cacheMu.Lock()
+	maps.DeleteFunc(f.cache, func(_ string, c *cachedResult) bool {
+		return slices.ContainsFunc(names, func(n string) bool { return c.involved[n] })
+	})
+	f.cacheMu.Unlock()
+	return dropped
+}
+
+// resetResults drops every Monte Carlo result: all families, the published
+// graph and the memoised answers. The caller holds the state lock
+// exclusively, which also excludes any in-flight builder.
+func (f *Framework) resetResults() {
+	f.graphMu.Lock()
+	f.graphSig, f.graphSel, f.graphClause, f.graphFams = "", graphSelection{}, Clause{}, nil
+	f.relGraph.Store(nil)
+	f.graphMu.Unlock()
+	f.famMu.Lock()
+	f.families = make(map[string]map[graphPair][]relgraph.Edge)
+	f.famMu.Unlock()
+	f.cacheMu.Lock()
+	f.cache = make(map[string]*cachedResult)
+	f.cacheMu.Unlock()
+}
+
+// GraphClause returns the clause the current materialized graph was built
+// (or loaded) under, and ok = false when no graph exists. An incremental
+// refresh after a corpus change — e.g. a runtime ingestion — should pass
+// exactly this clause to BuildGraph so the stored families are reused and
+// the selection is unchanged.
 func (f *Framework) GraphClause() (Clause, bool) {
 	if f.relGraph.Load() == nil {
 		return Clause{}, false
@@ -305,20 +377,6 @@ func (f *Framework) GraphClause() (Clause, bool) {
 	f.graphMu.Lock()
 	defer f.graphMu.Unlock()
 	return f.graphClause, true
-}
-
-// relationshipEdge converts one query-layer relationship into a graph edge.
-// For candidates entering the pair cache the QValue is still zero (q-values
-// are assigned corpus-wide at assembly); for parity comparisons against
-// Query results it carries the query-scoped q-value through.
-func relationshipEdge(r Relationship) relgraph.Edge {
-	return relgraph.Edge{
-		Function1: r.Function1, Function2: r.Function2,
-		Dataset1: r.Dataset1, Dataset2: r.Dataset2,
-		Spec1: r.Spec1, Spec2: r.Spec2,
-		SRes: r.Res.Spatial, TRes: r.Res.Temporal, Class: r.Class,
-		Tau: r.Score, Rho: r.Strength, PValue: r.PValue, QValue: r.QValue,
-	}
 }
 
 // RelGraph returns the materialized relationship graph, or ok = false when
@@ -329,17 +387,4 @@ func relationshipEdge(r Relationship) relgraph.Edge {
 func (f *Framework) RelGraph() (*relgraph.Graph, bool) {
 	g := f.relGraph.Load()
 	return g, g != nil
-}
-
-// resetGraph drops the materialized graph and its per-pair candidate
-// cache. The caller must hold the state lock exclusively (which also
-// excludes any in-flight builder, since builders hold the shared lock).
-func (f *Framework) resetGraph() {
-	f.graphMu.Lock()
-	f.graphCands = nil
-	f.graphSig = ""
-	f.graphSel = graphSelection{}
-	f.graphClause = Clause{}
-	f.graphMu.Unlock()
-	f.relGraph.Store(nil)
 }

@@ -1,16 +1,33 @@
 package core
 
 import (
+	"bytes"
 	"path/filepath"
+	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
+	"github.com/urbandata/datapolygamy/internal/dataset"
+	"github.com/urbandata/datapolygamy/internal/obsv"
 	"github.com/urbandata/datapolygamy/internal/relgraph"
+	"github.com/urbandata/datapolygamy/internal/stats"
 	"github.com/urbandata/datapolygamy/internal/store"
 )
 
 // graphClause is the cheap test clause shared by the graph tests.
 func graphClause() Clause { return Clause{Permutations: 30} }
+
+// relationshipEdge converts a query row into the graph edge it must equal.
+func relationshipEdge(r Relationship) relgraph.Edge {
+	return relgraph.Edge{
+		Function1: r.Function1, Function2: r.Function2,
+		Dataset1: r.Dataset1, Dataset2: r.Dataset2,
+		Spec1: r.Spec1, Spec2: r.Spec2,
+		SRes: r.Res.Spatial, TRes: r.Res.Temporal, Class: r.Class,
+		Tau: r.Score, Rho: r.Strength, PValue: r.PValue, QValue: r.QValue,
+	}
+}
 
 // TestGraphQueryParity asserts the ISSUE's parity criterion: for every
 // data set pair, the edges in the materialized graph are byte-identical
@@ -133,7 +150,7 @@ func handGraphSection(f *Framework, sig string, pairs []graphPair) []byte {
 }
 
 // TestGraphSaveLoadRoundTrip asserts that a Save/Load round-trip preserves
-// the graph exactly and keeps the pair cache warm, and that a graph section
+// the graph exactly and keeps its families warm, and that a graph section
 // this framework could not have produced is refused.
 func TestGraphSaveLoadRoundTrip(t *testing.T) {
 	f := stressFW(t)
@@ -159,7 +176,7 @@ func TestGraphSaveLoadRoundTrip(t *testing.T) {
 	if !g2.Equal(g) {
 		t.Error("Save/Load round-trip changed the graph")
 	}
-	// The loaded pair cache must make the next build a pure reuse.
+	// The loaded families must make the next build a pure reuse.
 	st, err := f2.BuildGraph(clause)
 	if err != nil {
 		t.Fatal(err)
@@ -243,7 +260,7 @@ func TestBuildGraphRequiresIndex(t *testing.T) {
 	}
 }
 
-// TestGraphClauseChangeRebuilds asserts the pair cache is keyed by the
+// TestGraphClauseChangeRebuilds asserts the family store is keyed by the
 // clause: a different clause forces a full recompute, and repeating a
 // clause is a pure reuse.
 func TestGraphClauseChangeRebuilds(t *testing.T) {
@@ -304,5 +321,150 @@ func TestGraphResetOnTimeRangeExtension(t *testing.T) {
 	}
 	if st.PairsComputed != 3 || st.PairsReused != 0 {
 		t.Errorf("post-reset build stats = %+v, want full recompute of 3 pairs", st)
+	}
+}
+
+// permutationsRun reads the process-wide Monte Carlo permutation counter,
+// the polygamy_montecarlo_permutations_total series of /metrics.
+func permutationsRun(t *testing.T) uint64 {
+	t.Helper()
+	var b bytes.Buffer
+	if err := obsv.Default.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(b.String(), "\n") {
+		if v, ok := strings.CutPrefix(line, "polygamy_montecarlo_permutations_total "); ok {
+			n, err := strconv.ParseUint(v, 10, 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return n
+		}
+	}
+	t.Fatal("no permutation counter on the default registry")
+	return 0
+}
+
+// queryCounters is every QueryStats counter that must not depend on what
+// the family store held.
+func queryCounters(st QueryStats) [6]int {
+	return [6]int{st.PairsConsidered, st.Pruned, st.Evaluated, st.Significant, st.Kept, b2i(st.CacheHit)}
+}
+
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// corpusOf returns f's data sets in registration order, as Open wants them.
+func corpusOf(f *Framework) []*dataset.Dataset {
+	var ds []*dataset.Dataset
+	for _, n := range f.Datasets() {
+		ds = append(ds, f.datasets[n])
+	}
+	return ds
+}
+
+// TestQueryReusesGraphFamilies: after BuildGraph, a pairwise or all-pairs
+// query under the graph's clause — under any correction — reads the tested
+// families the build stored and runs no permutation, on the built framework
+// and on one opened from its snapshot (the follower path), yet answers
+// exactly like a fresh framework, stats counters included.
+func TestQueryReusesGraphFamilies(t *testing.T) {
+	f := stressFW(t)
+	if _, err := f.BuildGraph(Clause{}); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "families.snap")
+	if err := f.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	opened, err := Open(path, OpenOptions{Options: f.opts, Datasets: corpusOf(f)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { opened.Close() })
+
+	rows := 0
+	for _, corr := range []stats.Correction{stats.None, stats.BH} {
+		for _, q := range []Query{
+			{Sources: []string{"wind"}, Targets: []string{"trips"}},
+			{},
+		} {
+			q.Clause.Correction = corr
+			want, wantSt, err := stressFW(t).Query(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rows += len(want)
+			for name, fw := range map[string]*Framework{"built": f, "opened": opened} {
+				before := permutationsRun(t)
+				got, st, err := fw.Query(q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if n := permutationsRun(t) - before; n != 0 {
+					t.Errorf("%s %s: query ran %d permutations, want 0", name, q.Signature(), n)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("%s %s: answer differs from a fresh framework's", name, q.Signature())
+				}
+				if queryCounters(st) != queryCounters(wantSt) {
+					t.Errorf("%s %s: stats %+v, fresh framework %+v", name, q.Signature(), st, wantSt)
+				}
+			}
+		}
+	}
+	if rows == 0 {
+		t.Fatal("every query came back empty; the comparison is vacuous")
+	}
+}
+
+// TestSaveWritesPublishedFamilies: a query under the graph's clause stores
+// families for a data set ingested after the last BuildGraph. They are not
+// part of the published graph, so Save must leave them out: the reopened
+// graph equals the published one, and its first build computes those pairs.
+func TestSaveWritesPublishedFamilies(t *testing.T) {
+	clause := graphClause()
+	f, ds := snapshotCorpus(t)
+	if _, err := f.BuildIndex(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.BuildGraph(clause); err != nil {
+		t.Fatal(err)
+	}
+	published, _ := f.RelGraph()
+	_, echo := plantedPair(30, randomHours(31, 60), nil) // a copy of trips
+	echo.Name = "echo"
+	if _, err := f.IngestDataset(echo); err != nil {
+		t.Fatal(err)
+	}
+	rels, _, err := f.Query(Query{Sources: []string{"echo"}, Clause: clause})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rels) == 0 {
+		t.Fatal("the ingested copy relates to nothing; the test would be vacuous")
+	}
+	path := filepath.Join(t.TempDir(), "published.snap")
+	if err := f.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	opened, err := Open(path, OpenOptions{Options: f.opts, Datasets: append(ds, echo)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { opened.Close() })
+	if g, ok := opened.RelGraph(); !ok || !g.Equal(published) {
+		t.Error("the reopened graph differs from the published one")
+	}
+	st, err := opened.BuildGraph(clause)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.PairsComputed != 2 || st.PairsReused != 1 {
+		t.Errorf("first build after Open = %+v, want the ingested data set's 2 pairs computed", st)
 	}
 }

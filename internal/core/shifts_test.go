@@ -185,7 +185,7 @@ func TestSharedShiftsByteIdentity(t *testing.T) {
 	check("save/open", open())
 	rebuilt := open()
 	rebuilt.mu.Lock()
-	rebuilt.resetGraph() // answer recomputes every pair over the opened index
+	rebuilt.resetResults() // answer recomputes every pair over the opened index
 	rebuilt.mu.Unlock()
 	check("warm-open rebuild", rebuilt)
 }

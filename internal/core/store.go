@@ -133,19 +133,18 @@ func (f *Framework) Load(path string) (err error) {
 	// Validate the graph section (when present) before the index is
 	// applied: a snapshot that half-loads — indexed but graphless — would
 	// look warm-started to the caller while having silently dropped the
-	// expensive all-pairs candidate cache, and a subsequent re-save would
+	// expensive all-pairs families, and a subsequent re-save would
 	// persist that loss.
-	var graph *stagedGraph
+	var graph *flatGraphSnap
 	if g, ok := mp.Section(store.SectionGraph); ok {
 		parsed, err := parseFlatGraph(g)
 		if err != nil {
 			return err
 		}
-		staged, err := f.stageGraphLocked(parsed)
-		if err != nil {
+		if err := f.stageGraphLocked(&parsed); err != nil {
 			return err
 		}
-		graph = &staged
+		graph = &parsed
 	}
 	snap, err := parseFlatIndex(idx)
 	if err != nil {
@@ -157,7 +156,7 @@ func (f *Framework) Load(path string) (err error) {
 	if graph != nil {
 		// Installing the index replaced it wholesale and dropped the graph;
 		// publish the already-validated saved one.
-		f.applyGraphLocked(*graph)
+		f.applyGraphLocked(graph)
 	}
 	// The views alias the container buffer. A mmap-backed buffer must stay
 	// mapped for as long as any view can be reached — readers hold graphs
