@@ -8,11 +8,14 @@
 //	polygamy -data dir/ -json -min-score 0.6            # machine-readable results
 //	polygamy -data dir/ -graph -graph-format dot        # Graphviz graph export
 //	polygamy -data dir/ -graph -graph-format json       # JSON graph export
+//	polygamy -data dir/ -save corpus.snap               # also write a snapshot
+//	polygamy -load corpus.snap -min-score 0.6           # answer from the snapshot alone
 //	polygamy inspect corpus.snap                        # describe a snapshot container
 //
 // Each file in the data directory must be a data set in the CSV format of
 // internal/dataset (WriteCSV). The tool builds the merge-tree index over
-// all data sets and then either runs the relationship operator with the
+// all data sets — or, with -load, opens a snapshot container without
+// reading any CSV — and then either runs the relationship operator with the
 // given clause and prints the statistically significant relationships
 // (human-readable, or JSON with -json), or — with -graph — materializes
 // the relationship graph over every data set pair and writes it to stdout
@@ -59,7 +62,7 @@ type cliOptions struct {
 	graphFormat string // "dot" or "json"
 
 	savePath string // write a snapshot container after the work
-	loadPath string // load a snapshot container instead of building the index
+	loadPath string // open a snapshot container instead of reading dataDir and building the index
 
 	stdout io.Writer // test seam; os.Stdout in main
 }
@@ -76,7 +79,7 @@ func main() {
 		return
 	}
 	var o cliOptions
-	flag.StringVar(&o.dataDir, "data", "", "directory of data set CSV files (required)")
+	flag.StringVar(&o.dataDir, "data", "", "directory of data set CSV files (required unless -load; not read with -load)")
 	flag.StringVar(&o.queryStr, "query", "", `textual query, e.g. "find relationships between taxi and all where score >= 0.6 at (hour, city)"; a second between-clause windows the evaluation in time, e.g. "find relationships between taxi and all between 2012-06-01 and 2012-08-31" (overrides the flag-based clause)`)
 	flag.StringVar(&o.sources, "sources", "", "comma-separated source data sets (default: all)")
 	flag.StringVar(&o.targets, "targets", "", "comma-separated target data sets (default: all)")
@@ -94,9 +97,9 @@ func main() {
 	flag.BoolVar(&o.graph, "graph", false, "materialize the corpus-wide relationship graph and export it instead of answering a query")
 	flag.StringVar(&o.graphFormat, "graph-format", "", "graph export format: dot or json (default dot, or json when -json is set)")
 	flag.StringVar(&o.savePath, "save", "", "write a snapshot container (index + graph when built) to this path after the work")
-	flag.StringVar(&o.loadPath, "load", "", "load a snapshot container instead of building the index (the same corpus, seed, and grid are required)")
+	flag.StringVar(&o.loadPath, "load", "", "answer from a snapshot container alone instead of reading -data and building the index (the seed and grid it was built with are required)")
 	flag.Parse()
-	if o.dataDir == "" {
+	if o.dataDir == "" && o.loadPath == "" {
 		flag.Usage()
 		os.Exit(2)
 	}
@@ -128,10 +131,6 @@ func run(o cliOptions) error {
 	// The canonical seed+grid city configuration shared with gendata and
 	// polygamyd, so snapshots written here warm-start the server.
 	city, err := spatial.Generate(spatial.GridConfig(o.seed, o.grid))
-	if err != nil {
-		return err
-	}
-	fw, err := core.New(core.Options{City: city, Workers: o.workers, Seed: o.seed})
 	if err != nil {
 		return err
 	}
@@ -186,44 +185,19 @@ func run(o cliOptions) error {
 		// source/target restriction would misrepresent the output.
 		return fmt.Errorf("-graph materializes the graph over all data sets; -sources/-targets (or a between-clause naming data sets) are not supported with it")
 	}
-	files, err := filepath.Glob(filepath.Join(o.dataDir, "*.csv"))
-	if err != nil {
-		return err
-	}
-	if len(files) == 0 {
-		return fmt.Errorf("no .csv files in %s", o.dataDir)
-	}
-	for _, path := range files {
-		f, err := os.Open(path)
-		if err != nil {
-			return err
-		}
-		d, err := dataset.ReadCSV(f)
-		f.Close()
-		if err != nil {
-			return fmt.Errorf("%s: %w", path, err)
-		}
-		if err := fw.AddDataset(d); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "loaded %s: %d tuples, %d scalar functions\n",
-			d.Name, len(d.Tuples), d.NumScalarFunctions())
-	}
+	opts := core.Options{City: city, Workers: o.workers, Seed: o.seed}
+	var fw *core.Framework
 	if o.loadPath != "" {
+		// The snapshot names the corpus and its index answers every read:
+		// no CSV is read.
 		t0 := time.Now()
-		if err := fw.Load(o.loadPath); err != nil {
+		if fw, err = core.Open(o.loadPath, core.OpenOptions{Options: opts}); err != nil {
 			return fmt.Errorf("loading snapshot %s: %w", o.loadPath, err)
 		}
 		fmt.Fprintf(os.Stderr, "loaded snapshot %s (%d functions) in %v — no rebuild\n",
 			o.loadPath, fw.NumFunctions(), time.Since(t0).Round(1e6))
-	} else {
-		istats, err := fw.BuildIndex()
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "indexed %d functions in %v (%v compute + %v feature identification across workers)\n",
-			istats.Functions, istats.WallDuration.Round(1e6),
-			istats.ComputeDuration.Round(1e6), istats.IndexDuration.Round(1e6))
+	} else if fw, err = indexCorpus(o.dataDir, opts); err != nil {
+		return err
 	}
 	if o.stats {
 		for _, name := range fw.Datasets() {
@@ -253,6 +227,45 @@ func run(o cliOptions) error {
 		fmt.Fprintf(os.Stderr, "wrote snapshot %s\n", o.savePath)
 	}
 	return nil
+}
+
+// indexCorpus registers every CSV data set in dir and builds the index.
+func indexCorpus(dir string, opts core.Options) (*core.Framework, error) {
+	fw, err := core.New(opts)
+	if err != nil {
+		return nil, err
+	}
+	files, err := filepath.Glob(filepath.Join(dir, "*.csv"))
+	if err != nil {
+		return nil, err
+	}
+	if len(files) == 0 {
+		return nil, fmt.Errorf("no .csv files in %s", dir)
+	}
+	for _, path := range files {
+		f, err := os.Open(path)
+		if err != nil {
+			return nil, err
+		}
+		d, err := dataset.ReadCSV(f)
+		f.Close()
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", path, err)
+		}
+		if err := fw.AddDataset(d); err != nil {
+			return nil, err
+		}
+		fmt.Fprintf(os.Stderr, "loaded %s: %d tuples, %d scalar functions\n",
+			d.Name, len(d.Tuples), d.NumScalarFunctions())
+	}
+	istats, err := fw.BuildIndex()
+	if err != nil {
+		return nil, err
+	}
+	fmt.Fprintf(os.Stderr, "indexed %d functions in %v (%v compute + %v feature identification across workers)\n",
+		istats.Functions, istats.WallDuration.Round(1e6),
+		istats.ComputeDuration.Round(1e6), istats.IndexDuration.Round(1e6))
+	return fw, nil
 }
 
 // runQuery answers one relationship query and writes the results as text

@@ -315,8 +315,9 @@ func TestSplitNames(t *testing.T) {
 }
 
 // TestPolygamyCLISaveLoad drives the snapshot flags end to end: a -save
-// run writes the container, a -load run answers the same query from it
-// with identical JSON output, and a corrupted snapshot is rejected.
+// run writes the container, a -load run without -data answers the same
+// query from it alone with identical JSON output, and a corrupted snapshot
+// is rejected.
 func TestPolygamyCLISaveLoad(t *testing.T) {
 	dir := t.TempDir()
 	writeCorpus(t, dir)
@@ -333,7 +334,7 @@ func TestPolygamyCLISaveLoad(t *testing.T) {
 	}
 
 	var warm bytes.Buffer
-	o2 := baseOptions(dir)
+	o2 := baseOptions("")
 	o2.jsonOut, o2.minScore, o2.loadPath, o2.stdout = true, 0.2, snap, &warm
 	if err := run(o2); err != nil {
 		t.Fatal(err)
@@ -356,7 +357,7 @@ func TestPolygamyCLISaveLoad(t *testing.T) {
 	}
 
 	// A different seed means a different corpus fingerprint: rejected.
-	o3 := baseOptions(dir)
+	o3 := baseOptions("")
 	o3.seed, o3.loadPath = 2, snap
 	if err := run(o3); err == nil || !strings.Contains(err.Error(), "seed") {
 		t.Errorf("-load with wrong seed: err = %v", err)
@@ -370,7 +371,7 @@ func TestPolygamyCLISaveLoad(t *testing.T) {
 	if err := os.WriteFile(snap, data[:len(data)-9], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	o4 := baseOptions(dir)
+	o4 := baseOptions("")
 	o4.loadPath = snap
 	if err := run(o4); err == nil || !strings.Contains(err.Error(), "truncated") {
 		t.Errorf("-load of truncated snapshot: err = %v", err)
@@ -378,7 +379,8 @@ func TestPolygamyCLISaveLoad(t *testing.T) {
 }
 
 // TestPolygamyCLIGraphSave asserts a -graph run's snapshot carries the
-// materialized graph: the -load run re-exports it without recomputing.
+// materialized graph: the -load run, without -data, re-exports it without
+// recomputing.
 func TestPolygamyCLIGraphSave(t *testing.T) {
 	dir := t.TempDir()
 	writeCorpus(t, dir)
@@ -392,7 +394,7 @@ func TestPolygamyCLIGraphSave(t *testing.T) {
 	}
 
 	var warm bytes.Buffer
-	o2 := baseOptions(dir)
+	o2 := baseOptions("")
 	o2.graph, o2.jsonOut, o2.loadPath, o2.stdout = true, true, snap, &warm
 	if err := run(o2); err != nil {
 		t.Fatal(err)

@@ -30,15 +30,15 @@
 //
 //	GET  /v1/snapshot/manifest         current container manifest + ETag
 //	GET  /v1/snapshot/sections/{name}  one section, ranged, If-Match-pinned
-//	GET  /v1/snapshot/datasets/{name}  one data set as canonical CSV
 //
 // A graph build then re-saves the snapshot, which is how followers receive
 // the graph.
 //
 // With -replica <leader-url>, the process is a read-only follower: it
 // polls the leader (-poll), pulls changed snapshot sections, epoch-swaps
-// the serving framework without dropping in-flight queries, and answers
-// GET /v1/replica/status; writes are refused with 403.
+// a framework opened from the snapshot alone (no raw data set is shipped)
+// without dropping in-flight queries, and answers GET /v1/replica/status;
+// writes are refused with 403.
 //
 // Every response carries an X-Request-ID header (client-supplied or
 // generated), and every request is logged as a structured line carrying
@@ -119,10 +119,9 @@ func main() {
 
 	var srv *server
 	if *replicaOf != "" {
-		// Replica mode: no local corpus assembly — the leader's snapshot
-		// (and its raw data sets) are the only source of truth. The first
-		// sync must complete before the listener opens, so the replica
-		// never serves an empty framework.
+		// Replica mode: no local corpus assembly — the leader's snapshot is
+		// the only source of truth. The first sync must complete before the
+		// listener opens, so the replica never serves an empty framework.
 		path := *snapshot
 		if path == "" {
 			path = filepath.Join(os.TempDir(), fmt.Sprintf("polygamyd-replica-%d.snap", os.Getpid()))

@@ -109,13 +109,12 @@ func newReplicaServer(f *replica.Follower) *server {
 	return s
 }
 
-// enableLeader mounts the snapshot-shipping surface (manifest, section,
-// and data set downloads).
+// enableLeader mounts the snapshot-shipping surface (manifest and section
+// downloads).
 func (s *server) enableLeader(src *replica.Source) {
-	l := replica.NewLeader(src, s.fw)
+	l := replica.NewLeader(src)
 	s.mux.Handle("GET /v1/snapshot/manifest", l)
 	s.mux.Handle("GET /v1/snapshot/sections/{name}", l)
-	s.mux.Handle("GET /v1/snapshot/datasets/{name}", l)
 }
 
 // rejectWrite answers a mutating request on a read-only replica.

@@ -150,6 +150,10 @@ func (f *Framework) AppendSlice(slice *dataset.Dataset) (AppendStats, error) {
 	// Phase 1 — snapshot (brief shared lock): validate against the corpus
 	// and capture the immutable domain state the recompute needs.
 	f.mu.RLock()
+	if err := f.writableLocked(); err != nil {
+		f.mu.RUnlock()
+		return st, err
+	}
 	old, registered := f.datasets[slice.Name]
 	if !registered {
 		f.mu.RUnlock()

@@ -25,7 +25,6 @@
 package core
 
 import (
-	"bytes"
 	"fmt"
 	"log/slog"
 	"runtime"
@@ -135,6 +134,9 @@ type Framework struct {
 	// it. Fields below mu are written only under the exclusive lock.
 	mu sync.RWMutex
 
+	// order names the corpus in registration order; datasets holds its raw
+	// data, which only writes read. A framework opened from a snapshot alone
+	// has the names and no raw data (writableLocked).
 	datasets map[string]*dataset.Dataset
 	order    []string
 
@@ -283,6 +285,9 @@ func (f *Framework) AddDataset(d *dataset.Dataset) error {
 // addDatasetLocked is AddDataset under an already-held exclusive state
 // lock (shared with the ingestion fallback path).
 func (f *Framework) addDatasetLocked(d *dataset.Dataset) error {
+	if err := f.writableLocked(); err != nil {
+		return err
+	}
 	if _, dup := f.datasets[d.Name]; dup {
 		return fmt.Errorf("core: duplicate dataset %q", d.Name)
 	}
@@ -337,24 +342,15 @@ func (f *Framework) Datasets() []string {
 	return append([]string{}, f.order...)
 }
 
-// DatasetCSV serializes one registered data set to the canonical CSV
-// form, under the state lock so a concurrent append cannot tear the
-// tuple slice mid-write. This is how a replication leader ships the raw
-// corpus to followers: a snapshot deliberately stores only derived
-// state, so a follower warm-starting from it needs the data sets
-// themselves to satisfy Open's fingerprint check.
-func (f *Framework) DatasetCSV(name string) ([]byte, error) {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	d, ok := f.datasets[name]
-	if !ok {
-		return nil, fmt.Errorf("core: unknown data set %q", name)
+// writableLocked refuses a write on a framework whose corpus has no raw
+// data: one opened from a snapshot alone (Open without Datasets) holds the
+// corpus names, time range and index, but none of the tuples new derived
+// state is computed from. The caller must hold the state lock.
+func (f *Framework) writableLocked() error {
+	if len(f.datasets) < len(f.order) {
+		return fmt.Errorf("core: framework was opened from a snapshot without its raw data sets and is read-only")
 	}
-	var buf bytes.Buffer
-	if err := dataset.WriteCSV(&buf, d); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
+	return nil
 }
 
 // unindexed returns the registered data sets not yet covered by the index,
@@ -571,43 +567,6 @@ func (f *Framework) NumFunctions() int {
 	return f.index.numFunctions()
 }
 
-// CommonResolutions returns the evaluation resolutions shared by two data
-// sets, finest first: the framework starts at the highest common resolution
-// and evaluates all of them (Section 5.3).
-func (f *Framework) CommonResolutions(d1, d2 *dataset.Dataset) []Resolution {
-	var out []Resolution
-	for _, sr := range spatial.CommonResolutions(d1.SpatialRes, d2.SpatialRes) {
-		if !containsSpatial(f.opts.EvalSpatial, sr) {
-			continue
-		}
-		for _, tr := range temporal.CommonResolutions(d1.TemporalRes, d2.TemporalRes) {
-			if tr == temporal.Second || !containsTemporal(f.opts.EvalTemporal, tr) {
-				continue
-			}
-			out = append(out, Resolution{sr, tr})
-		}
-	}
-	return out
-}
-
 func sortEntriesByKey(es []*FunctionEntry) {
 	sort.Slice(es, func(i, j int) bool { return es[i].Key < es[j].Key })
-}
-
-func containsSpatial(xs []spatial.Resolution, v spatial.Resolution) bool {
-	for _, x := range xs {
-		if x == v {
-			return true
-		}
-	}
-	return false
-}
-
-func containsTemporal(xs []temporal.Resolution, v temporal.Resolution) bool {
-	for _, x := range xs {
-		if x == v {
-			return true
-		}
-	}
-	return false
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -505,10 +506,27 @@ func TestCommonResolutionsFramework(t *testing.T) {
 	if err := f.AddDataset(hourly); err != nil {
 		t.Fatal(err)
 	}
-	got := f.CommonResolutions(weekly, hourly)
-	// gas is weekly: (week, city) and (month, city) are common.
-	want := []Resolution{{spatial.City, temporal.Week}, {spatial.City, temporal.Month}}
-	if len(got) != 2 || got[0] != want[0] || got[1] != want[1] {
-		t.Errorf("CommonResolutions = %v, want %v", got, want)
+	if _, err := f.BuildIndex(); err != nil {
+		t.Fatal(err)
+	}
+	// gas is weekly: the pair is planned at (week, city) and (month, city)
+	// only, though the hourly side is indexed at (hour, city) and (day, city)
+	// too.
+	common := []Resolution{{spatial.City, temporal.Week}, {spatial.City, temporal.Month}}
+	if len(f.Entries(hourly.Name, Resolution{spatial.City, temporal.Hour})) == 0 {
+		t.Fatal("hourly data set has no (hour, city) entries")
+	}
+	want := 0
+	for _, res := range common {
+		want += 2 * len(f.Entries("gas", res)) * len(f.Entries(hourly.Name, res))
+	}
+	pl := f.plan(makeGraphPair("gas", hourly.Name), Clause{SkipSignificance: true})
+	if want == 0 || pl.considered != want {
+		t.Errorf("planned %d candidate tuples, want %d at %v", pl.considered, want, common)
+	}
+	for _, task := range pl.tasks {
+		if !slices.Contains(common, task.e1.Res) || task.e2.Res != task.e1.Res {
+			t.Errorf("task planned at %v ~ %v, want one of %v", task.e1.Res, task.e2.Res, common)
+		}
 	}
 }

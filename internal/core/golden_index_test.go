@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"math"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -55,22 +56,36 @@ func goldenFramework(t *testing.T, workers int) (*Framework, OpenOptions) {
 	return f, opts
 }
 
-// TestGoldenIndex checks the hash at several worker counts: the index must
-// not depend on how the indexing job's tasks were scheduled.
+// TestGoldenIndex checks the hash at several worker counts — the index must
+// not depend on how the indexing job's tasks were scheduled — and on a
+// framework opened from the snapshot alone, with no raw data set.
 func TestGoldenIndex(t *testing.T) {
+	var f *Framework
+	var opts OpenOptions
 	for _, workers := range []int{1, 2, 4} {
-		if got, entries := goldenIndexDigest(t, workers); got != goldenIndexHash {
+		f, opts = goldenFramework(t, workers)
+		if got, entries := goldenIndexDigest(t, f); got != goldenIndexHash {
 			t.Errorf("Workers %d: index hash over %d entries = %s, want %s", workers, entries, got, goldenIndexHash)
 		}
 	}
+	path := filepath.Join(t.TempDir(), "golden.snap")
+	if err := f.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	opened, err := Open(path, OpenOptions{Options: opts.Options})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer opened.Close()
+	if got, entries := goldenIndexDigest(t, opened); got != goldenIndexHash {
+		t.Errorf("snapshot-only open: index hash over %d entries = %s, want %s", entries, got, goldenIndexHash)
+	}
 }
 
-// goldenIndexDigest builds the golden index and hashes it, returning the
-// hex digest and the number of entries hashed.
-func goldenIndexDigest(t *testing.T, workers int) (string, int) {
+// goldenIndexDigest hashes a framework's index, returning the hex digest and
+// the number of entries hashed.
+func goldenIndexDigest(t *testing.T, f *Framework) (string, int) {
 	t.Helper()
-	f, _ := goldenFramework(t, workers)
-
 	h := sha256.New()
 	var buf []byte
 	num := func(x uint64) { buf = binary.LittleEndian.AppendUint64(buf, x) }

@@ -47,6 +47,10 @@ func (f *Framework) IngestDataset(d *dataset.Dataset) (IndexStats, error) {
 	// Phase 1 — snapshot (brief shared lock): decide fast vs. fallback and
 	// capture the immutable domain state the indexing job needs.
 	f.mu.RLock()
+	if err := f.writableLocked(); err != nil {
+		f.mu.RUnlock()
+		return stats, err
+	}
 	if _, dup := f.datasets[d.Name]; dup {
 		f.mu.RUnlock()
 		return stats, fmt.Errorf("core: duplicate dataset %q", d.Name)

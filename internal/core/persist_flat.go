@@ -274,11 +274,11 @@ func parseFlatIndex(data []byte) (flatIndexSnap, error) {
 	return snap, r.Done()
 }
 
-// installIndexLocked validates a parsed index against the registered corpus
-// and installs it, dropping every Monte Carlo result. The caller
-// must hold the state lock exclusively and keep the payload's backing
-// storage alive for the life of the index (Load adopts the snapshot mapping
-// for that).
+// installIndexLocked validates a parsed index against the corpus and
+// installs it, dropping every Monte Carlo result; on error the framework is
+// unchanged. The caller must hold the state lock exclusively and keep the
+// payload's backing storage alive for the life of the index (Load adopts
+// the snapshot mapping for that).
 func (f *Framework) installIndexLocked(snap flatIndexSnap) error {
 	if len(snap.order) != len(f.order) {
 		return fmt.Errorf("core: index has %d data sets, framework has %d", len(snap.order), len(f.order))
@@ -293,8 +293,9 @@ func (f *Framework) installIndexLocked(snap flatIndexSnap) error {
 			snap.minTS, snap.maxTS, f.minTS, f.maxTS)
 	}
 	ix := newIndex()
+	timelines, graphs := maps.Clone(f.timelines), maps.Clone(f.graphs)
 	for _, e := range snap.entries {
-		g, err := f.graph(e.Res, f.minTS, f.maxTS, f.timelines, f.graphs)
+		g, err := f.graph(e.Res, f.minTS, f.maxTS, timelines, graphs)
 		if err != nil {
 			return err
 		}
@@ -309,6 +310,7 @@ func (f *Framework) installIndexLocked(snap flatIndexSnap) error {
 		ix.markDone(name)
 	}
 	f.index = ix
+	f.timelines, f.graphs = timelines, graphs
 	f.built = true
 	// The index was replaced wholesale; every family derives from it, so
 	// drop them too (Load applies the saved graph's after).
@@ -458,13 +460,17 @@ func (f *Framework) stageGraphLocked(snap *flatGraphSnap) error {
 		return fmt.Errorf("core: graph corpus time range [%d,%d] does not match [%d,%d]",
 			snap.minTS, snap.maxTS, f.minTS, f.maxTS)
 	}
+	corpus := make(map[string]bool, len(f.order))
+	for _, name := range f.order {
+		corpus[name] = true
+	}
 	fams := make(map[graphPair][]relgraph.Edge, len(snap.pairs))
 	for _, p := range snap.pairs {
 		if p.A >= p.B {
 			return fmt.Errorf("core: graph pair %q|%q is not in canonical order", p.A, p.B)
 		}
 		for _, ds := range [2]string{p.A, p.B} {
-			if _, ok := f.datasets[ds]; !ok {
+			if !corpus[ds] {
 				return fmt.Errorf("core: graph covers unregistered dataset %q", ds)
 			}
 		}

@@ -2,9 +2,11 @@ package core
 
 import (
 	"hash/fnv"
+	"slices"
 
 	"github.com/urbandata/datapolygamy/internal/feature"
 	"github.com/urbandata/datapolygamy/internal/spatial"
+	"github.com/urbandata/datapolygamy/internal/temporal"
 )
 
 // This file is the query planner layer: it turns a Query + Clause into the
@@ -56,40 +58,52 @@ type queryPlan struct {
 
 // plan enumerates the candidate tuples of one data set pair across its
 // common resolutions and the clause's feature classes (the map phase of
-// paper job 3), pruning each candidate against the clause.
+// paper job 3), pruning each candidate against the clause. The common
+// resolutions are read off the index, finest first (Section 5.3): a data set
+// has entries exactly where its native resolution converts, so no raw data
+// is needed.
 func (f *Framework) plan(k graphPair, clause Clause) queryPlan {
 	var pl queryPlan
 	classes := clauseClasses(clause)
-	resolutions := f.CommonResolutions(f.datasets[k.A], f.datasets[k.B])
-	if clause.Resolutions != nil {
-		resolutions = intersectResolutions(resolutions, clause.Resolutions)
-	}
-	for _, res := range resolutions {
-		winLo, winHi := 0, 0
-		if clause.Windowed {
-			winLo, winHi = windowSteps(f.timelines[res.Temporal], clause.WindowFrom, clause.WindowTo)
-		}
-		for _, e1 := range f.index.at(k.A, res) {
-			for _, e2 := range f.index.at(k.B, res) {
-				for _, class := range classes {
-					pl.considered++
-					if clause.Windowed && winLo == winHi {
-						// Window misses this resolution's timeline entirely:
-						// nothing to evaluate.
-						pl.pruned++
-						continue
+	for sr := spatial.ZipCode; sr <= spatial.City; sr++ {
+		for tr := temporal.Hour; tr <= temporal.Month; tr++ {
+			res := Resolution{sr, tr}
+			if !slices.Contains(f.opts.EvalSpatial, sr) || !slices.Contains(f.opts.EvalTemporal, tr) ||
+				clause.Resolutions != nil && !slices.Contains(clause.Resolutions, res) {
+				continue
+			}
+			es1, es2 := f.index.at(k.A, res), f.index.at(k.B, res)
+			if len(es1) == 0 || len(es2) == 0 {
+				// Not common; checked before windowSteps, since a resolution
+				// no entry uses may have no timeline.
+				continue
+			}
+			winLo, winHi := 0, 0
+			if clause.Windowed {
+				winLo, winHi = windowSteps(f.timelines[tr], clause.WindowFrom, clause.WindowTo)
+			}
+			for _, e1 := range es1 {
+				for _, e2 := range es2 {
+					for _, class := range classes {
+						pl.considered++
+						if clause.Windowed && winLo == winHi {
+							// Window misses this resolution's timeline
+							// entirely: nothing to evaluate.
+							pl.pruned++
+							continue
+						}
+						skip, sigma := prunePair(e1, e2, class, clause)
+						if skip {
+							pl.pruned++
+							continue
+						}
+						pl.tasks = append(pl.tasks, pairTask{
+							e1: e1, e2: e2, class: class,
+							seed:  pairSeed(f.opts.Seed, e1.Key, e2.Key, class),
+							sigma: sigma,
+							winLo: winLo, winHi: winHi,
+						})
 					}
-					skip, sigma := prunePair(e1, e2, class, clause)
-					if skip {
-						pl.pruned++
-						continue
-					}
-					pl.tasks = append(pl.tasks, pairTask{
-						e1: e1, e2: e2, class: class,
-						seed:  pairSeed(f.opts.Seed, e1.Key, e2.Key, class),
-						sigma: sigma,
-						winLo: winLo, winHi: winHi,
-					})
 				}
 			}
 		}

@@ -30,7 +30,8 @@ func plannerFW(t *testing.T) *Framework {
 // (evaluatePair, hence the clause filters and the significance test). It
 // returns the tuples that survive, and fails the test if a tuple prunePair
 // would have skipped survives: that is the planner's soundness, checked per
-// tuple rather than inferred from equal totals.
+// tuple rather than inferred from equal totals. Its resolutions come from
+// the data sets' native resolutions, not from the index the planner reads.
 func bruteForce(t *testing.T, f *Framework, clause Clause) (cands []relgraph.Edge, considered, skipped int) {
 	t.Helper()
 	classes := clauseClasses(clause)
@@ -38,9 +39,16 @@ func bruteForce(t *testing.T, f *Framework, clause Clause) (cands []relgraph.Edg
 	slices.Sort(names) // the engine orients every pair by data set name
 	for i, a := range names {
 		for _, b := range names[i+1:] {
-			resolutions := f.CommonResolutions(f.datasets[a], f.datasets[b])
-			if clause.Resolutions != nil {
-				resolutions = intersectResolutions(resolutions, clause.Resolutions)
+			d1, d2 := f.datasets[a], f.datasets[b]
+			var resolutions []Resolution
+			for _, sr := range spatial.CommonResolutions(d1.SpatialRes, d2.SpatialRes) {
+				for _, tr := range temporal.CommonResolutions(d1.TemporalRes, d2.TemporalRes) {
+					res := Resolution{sr, tr}
+					if slices.Contains(f.opts.EvalSpatial, sr) && slices.Contains(f.opts.EvalTemporal, tr) &&
+						(clause.Resolutions == nil || slices.Contains(clause.Resolutions, res)) {
+						resolutions = append(resolutions, res)
+					}
+				}
 			}
 			for _, res := range resolutions {
 				for _, e1 := range f.index.at(a, res) {

@@ -235,7 +235,7 @@ func (f *Framework) query(q Query) (*cachedResult, QueryStats, error) {
 		targets = f.order
 	}
 	for _, n := range append(append([]string{}, sources...), targets...) {
-		if _, ok := f.datasets[n]; !ok {
+		if !f.index.has(n) {
 			mQueryErrors.Inc()
 			return nil, stats, fmt.Errorf("core: unknown dataset %q", n)
 		}
@@ -472,19 +472,6 @@ func (f *Framework) evaluatePair(t pairTask, clause Clause, mcWorkers int) (*rel
 	}
 	e.PValue = res.PValue
 	return e, nil
-}
-
-func intersectResolutions(a, b []Resolution) []Resolution {
-	var out []Resolution
-	for _, x := range a {
-		for _, y := range b {
-			if x == y {
-				out = append(out, x)
-				break
-			}
-		}
-	}
-	return out
 }
 
 // querySignature canonicalises a query into its cache key: name lists are

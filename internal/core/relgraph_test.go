@@ -8,7 +8,6 @@ import (
 	"strings"
 	"testing"
 
-	"github.com/urbandata/datapolygamy/internal/dataset"
 	"github.com/urbandata/datapolygamy/internal/obsv"
 	"github.com/urbandata/datapolygamy/internal/relgraph"
 	"github.com/urbandata/datapolygamy/internal/stats"
@@ -358,15 +357,6 @@ func b2i(b bool) int {
 	return 0
 }
 
-// corpusOf returns f's data sets in registration order, as Open wants them.
-func corpusOf(f *Framework) []*dataset.Dataset {
-	var ds []*dataset.Dataset
-	for _, n := range f.Datasets() {
-		ds = append(ds, f.datasets[n])
-	}
-	return ds
-}
-
 // TestQueryReusesGraphFamilies: after BuildGraph, a pairwise or all-pairs
 // query under the graph's clause — under any correction — reads the tested
 // families the build stored and runs no permutation, on the built framework
@@ -381,7 +371,7 @@ func TestQueryReusesGraphFamilies(t *testing.T) {
 	if err := f.Save(path); err != nil {
 		t.Fatal(err)
 	}
-	opened, err := Open(path, OpenOptions{Options: f.opts, Datasets: corpusOf(f)})
+	opened, err := Open(path, OpenOptions{Options: f.opts})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"github.com/urbandata/datapolygamy/internal/dataset"
@@ -56,10 +57,10 @@ func (f *Framework) checkFingerprintLocked(fp store.Fingerprint) error {
 // Save atomically writes the framework's derived state to path as one
 // snapshot container: the index section always, and the graph section when
 // the relationship graph has been built. The corpus data itself is not
-// stored — Load requires the same data sets to be registered — so a
-// snapshot stays small: bit vectors, thresholds, and cached Monte Carlo
-// candidates. The write goes through a temp file and os.Rename, so a crash
-// mid-save can never corrupt a previous snapshot at path.
+// stored — the snapshot names the corpus, and answers every read from its
+// index — so a snapshot stays small: bit vectors, thresholds, and cached
+// Monte Carlo candidates. The write goes through a temp file and os.Rename,
+// so a crash mid-save can never corrupt a previous snapshot at path.
 //
 // The section payloads are flat and mmap-friendly: Load views them
 // zero-copy instead of decoding.
@@ -93,12 +94,15 @@ func (f *Framework) Save(path string) error {
 	return nil
 }
 
-// Load restores a snapshot written by Save into this framework. The
-// framework must have the snapshot's corpus registered: the manifest
-// fingerprint (seed, data set names, corpus time range) is verified before
-// any section is decoded, and the store layer has already rejected
-// truncated, bit-flipped, or foreign containers with section-level errors.
-// After a successful Load the framework is indexed — and holds the
+// Load restores a snapshot written by Save into this framework. A framework
+// with registered data sets must have exactly the snapshot's corpus: the
+// manifest fingerprint (seed, data set names, corpus time range) is verified
+// before any section is decoded. A framework with none adopts the
+// snapshot's names and time range (the seed must still match) and is then
+// read-only: it answers queries and builds graphs from the index, but holds
+// no raw data to add, ingest or append with. The store layer has already
+// rejected truncated, bit-flipped, or foreign containers with section-level
+// errors. After a successful Load the framework is indexed — and holds the
 // materialized relationship graph, when one was saved — without any
 // rebuild; a failed Load leaves the framework unchanged.
 //
@@ -127,6 +131,17 @@ func (f *Framework) Load(path string) (err error) {
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
+	if len(f.order) == 0 {
+		// No corpus of its own: adopt the snapshot's, until Load fails.
+		order, minTS, maxTS := f.order, f.minTS, f.maxTS
+		f.order = slices.Clone(m.Fingerprint.Datasets)
+		f.minTS, f.maxTS = m.Fingerprint.MinTS, m.Fingerprint.MaxTS
+		defer func() {
+			if err != nil {
+				f.order, f.minTS, f.maxTS = order, minTS, maxTS
+			}
+		}()
+	}
 	if err := f.checkFingerprintLocked(m.Fingerprint); err != nil {
 		return err
 	}
@@ -224,20 +239,22 @@ func (f *Framework) Close() error {
 	return first
 }
 
-// OpenOptions configures Open: the framework options plus the corpus
-// itself, which a snapshot deliberately does not store (Section 5.2: the
+// OpenOptions configures Open: the framework options plus, optionally, the
+// raw corpus, which a snapshot deliberately does not store (Section 5.2: the
 // index persists precomputed features, not data).
 type OpenOptions struct {
 	Options
-	// Datasets is the corpus, in the same order it was registered when the
-	// snapshot was saved.
+	// Datasets is the raw corpus, in the same order it was registered when
+	// the snapshot was saved. Reads need only the snapshot; nil opens a
+	// read-only framework, and only a framework given its raw data can add,
+	// ingest or append.
 	Datasets []*dataset.Dataset
 }
 
-// Open constructs a framework over the given corpus and restores the
-// snapshot at path — the warm-start path: registering data sets is cheap,
-// and the expensive index build (and graph build, when one was saved) is
-// replaced by a verified snapshot load.
+// Open constructs a framework and restores the snapshot at path — the
+// warm-start path: the expensive index build (and graph build, when one was
+// saved) is replaced by a verified snapshot load. With Datasets, the
+// framework registers them first and Load checks them against the snapshot.
 func Open(path string, opts OpenOptions) (*Framework, error) {
 	f, err := New(opts.Options)
 	if err != nil {

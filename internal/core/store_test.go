@@ -1,6 +1,8 @@
 package core
 
 import (
+	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -156,6 +158,21 @@ func TestLoadRejectsForeignCorpus(t *testing.T) {
 		Datasets: datasets[:1]}); err == nil || !strings.Contains(err.Error(), "data set") {
 		t.Errorf("missing dataset: err = %v", err)
 	}
+	// A framework with no corpus adopts the snapshot's only when Load
+	// succeeds: after a rejected one it is empty and writable.
+	e, err := New(Options{City: testCity(t), Workers: 2, Seed: 6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Load(path); err == nil || !strings.Contains(err.Error(), "seed") {
+		t.Errorf("snapshot-only load with wrong seed: err = %v", err)
+	}
+	if got := e.Datasets(); len(got) != 0 {
+		t.Errorf("failed Load left data sets %v", got)
+	}
+	if err := e.AddDataset(datasets[0]); err != nil {
+		t.Errorf("AddDataset after a failed Load: %v", err)
+	}
 	// A failed Load leaves a built framework fully usable.
 	g, _ := snapshotCorpus(t)
 	if _, err := g.BuildIndex(); err != nil {
@@ -207,6 +224,97 @@ func TestLoadRejectsCorruptContainer(t *testing.T) {
 	}
 	if err := f.Load(path); err == nil {
 		t.Error("Load of a truncated container should fail")
+	}
+}
+
+// TestSnapshotOnlyOpenIsReadOnly: a framework opened without its raw data
+// sets refuses every write, and each refusal leaves it exactly as it was —
+// same corpus names, fingerprint, index, answers, and saved bytes.
+func TestSnapshotOnlyOpenIsReadOnly(t *testing.T) {
+	f, datasets := snapshotCorpus(t)
+	if _, err := f.BuildIndex(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.BuildGraph(Clause{Permutations: 40}); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "corpus.snap")
+	if err := f.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	g, err := Open(path, OpenOptions{Options: f.opts})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+
+	answer := func(fw *Framework, perms int) []byte {
+		t.Helper()
+		rels, _, err := fw.Query(Query{Clause: Clause{Permutations: perms}})
+		if err != nil || len(rels) == 0 {
+			t.Fatalf("query: %d relationships, err %v", len(rels), err)
+		}
+		blob, err := json.Marshal(rels)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return blob
+	}
+	fingerprint := func() store.Fingerprint {
+		g.mu.RLock()
+		defer g.mu.RUnlock()
+		return g.fingerprintLocked()
+	}
+	wind := datasets[0]
+	slice := *wind
+	next := wind.Tuples[len(wind.Tuples)-1]
+	next.TS += 3600
+	slice.Tuples = []dataset.Tuple{next}
+	gusts := wind.Filter("gusts", func(dataset.Tuple) bool { return true })
+
+	names, fp, functions := g.Datasets(), fingerprint(), g.NumFunctions()
+	writes := []struct {
+		name  string
+		write func() error
+	}{
+		{"AddDataset", func() error { return g.AddDataset(gusts) }},
+		{"IngestDataset new", func() error { _, err := g.IngestDataset(gusts); return err }},
+		{"IngestDataset existing", func() error { _, err := g.IngestDataset(wind); return err }},
+		{"AppendSlice", func() error { _, err := g.AppendSlice(&slice); return err }},
+	}
+	for i, w := range writes {
+		if err := w.write(); err == nil || !strings.Contains(err.Error(), "read-only") {
+			t.Errorf("%s: err = %v, want the read-only refusal", w.name, err)
+		}
+		if got := g.Datasets(); !reflect.DeepEqual(got, names) {
+			t.Errorf("%s: data sets %v, want %v", w.name, got, names)
+		}
+		if got := fingerprint(); !reflect.DeepEqual(got, fp) {
+			t.Errorf("%s: fingerprint %+v, want %+v", w.name, got, fp)
+		}
+		if got := g.NumFunctions(); got != functions {
+			t.Errorf("%s: %d functions, want %d", w.name, got, functions)
+		}
+		// A clause of its own per write, so the answer is evaluated afresh.
+		if got, want := answer(g, 30+i), answer(f, 30+i); !bytes.Equal(got, want) {
+			t.Errorf("%s: answer differs from the framework that saved the snapshot", w.name)
+		}
+	}
+
+	resaved := filepath.Join(t.TempDir(), "resaved.snap")
+	if err := g.Save(resaved); err != nil {
+		t.Fatal(err)
+	}
+	_, want, err := store.Read(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, got, err := store.Read(resaved)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Error("Save of the snapshot-only framework changed the section bytes")
 	}
 }
 

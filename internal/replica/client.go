@@ -9,7 +9,6 @@ import (
 	"net/url"
 	"strings"
 
-	"github.com/urbandata/datapolygamy/internal/dataset"
 	"github.com/urbandata/datapolygamy/internal/store"
 )
 
@@ -119,29 +118,4 @@ func (c *Client) Section(ctx context.Context, etag string, want store.SectionInf
 			want.Name, crc, want.CRC)
 	}
 	return data, nil
-}
-
-// Dataset downloads one raw data set in canonical CSV form.
-func (c *Client) Dataset(ctx context.Context, name string) (*dataset.Dataset, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
-		c.base+"/v1/snapshot/datasets/"+url.PathEscape(name), nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, errorBody(resp)
-	}
-	d, err := dataset.ReadCSV(io.LimitReader(resp.Body, maxSectionBytes))
-	if err != nil {
-		return nil, fmt.Errorf("replica: decoding data set %q: %w", name, err)
-	}
-	if d.Name != name {
-		return nil, fmt.Errorf("replica: asked for data set %q, leader served %q", name, d.Name)
-	}
-	return d, nil
 }

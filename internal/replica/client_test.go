@@ -29,7 +29,7 @@ func TestNewClientValidation(t *testing.T) {
 }
 
 // TestLeaderEndpoints exercises the leader handler directly against a
-// real snapshot: 304s, 412s, missing sections, missing data sets.
+// real snapshot: 304s, 412s, missing sections.
 func TestLeaderEndpoints(t *testing.T) {
 	fw := leaderFramework(t, 0)
 	lf := newLeaderFixture(t, fw, nil)
@@ -76,24 +76,12 @@ func TestLeaderEndpoints(t *testing.T) {
 	if _, err := c.Section(ctx, info.ETag, lying); err == nil {
 		t.Fatal("checksum mismatch accepted")
 	}
-
-	// Data sets round-trip; unknown names 404.
-	d, err := c.Dataset(ctx, "wind")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.Name != "wind" || len(d.Tuples) != testHours {
-		t.Fatalf("dataset round-trip: name=%q tuples=%d", d.Name, len(d.Tuples))
-	}
-	if _, err := c.Dataset(ctx, "no-such-set"); err == nil {
-		t.Fatal("unknown data set did not fail")
-	}
 }
 
 // TestLeaderWithoutSnapshot: endpoints answer 503 (not panic) when the
-// container does not exist yet or the framework is gone.
+// container does not exist yet.
 func TestLeaderWithoutSnapshot(t *testing.T) {
-	l := NewLeader(NewSource("/nonexistent/leader.snap"), func() *core.Framework { return nil })
+	l := NewLeader(NewSource("/nonexistent/leader.snap"))
 
 	for _, path := range []string{"/v1/snapshot/manifest", "/v1/snapshot/sections/index"} {
 		w := httptest.NewRecorder()
@@ -101,11 +89,6 @@ func TestLeaderWithoutSnapshot(t *testing.T) {
 		if w.Code != http.StatusServiceUnavailable {
 			t.Fatalf("%s: status %d, want 503", path, w.Code)
 		}
-	}
-	w := httptest.NewRecorder()
-	l.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/v1/snapshot/datasets/wind", nil))
-	if w.Code != http.StatusServiceUnavailable {
-		t.Fatalf("dataset without framework: status %d, want 503", w.Code)
 	}
 }
 

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"github.com/urbandata/datapolygamy/internal/core"
-	"github.com/urbandata/datapolygamy/internal/dataset"
 	"github.com/urbandata/datapolygamy/internal/obsv"
 	"github.com/urbandata/datapolygamy/internal/spatial"
 	"github.com/urbandata/datapolygamy/internal/store"
@@ -83,7 +82,6 @@ type Follower struct {
 	mu       sync.Mutex // guards the sync state below
 	etag     string
 	manifest store.Manifest
-	datasets []*dataset.Dataset
 	epoch    int64
 	lastSync time.Time
 	lastErr  string
@@ -188,23 +186,6 @@ func (f *Follower) syncLocked(ctx context.Context) (bool, error) {
 	}
 	m := info.Manifest
 
-	// Corpus first: core.Open demands the raw data sets with the exact
-	// fingerprint the snapshot carries. Reuse the cached corpus only when
-	// the fingerprint is unchanged in every corpus-describing field; any
-	// difference (new data set, extended range, different seed) means the
-	// leader's raw data moved, so refetch it all.
-	datasets := f.datasets
-	if !corpusEqual(m.Fingerprint, f.manifest.Fingerprint) || datasets == nil {
-		datasets = make([]*dataset.Dataset, 0, len(m.Fingerprint.Datasets))
-		for _, name := range m.Fingerprint.Datasets {
-			d, err := f.client.Dataset(ctx, name)
-			if err != nil {
-				return false, err
-			}
-			datasets = append(datasets, d)
-		}
-	}
-
 	// Sections: pull only what changed, reuse the rest from the local
 	// container byte-for-byte. Every payload — fetched or reused — is
 	// verified against THIS manifest's CRC, and fetches carry If-Match, so
@@ -234,9 +215,11 @@ func (f *Follower) syncLocked(ctx context.Context) (bool, error) {
 
 	// Assemble the container locally with the same atomic temp+rename
 	// publication the leader's Save uses, then warm-start a fresh
-	// framework from it. The previous epoch's framework keeps serving
-	// until the pointer swap below, and is never Closed: in-flight queries
-	// may alias its mapping, and the rename left its inode intact.
+	// framework from it alone: the snapshot names the corpus and its index
+	// answers every read, so the follower holds no raw data and its
+	// framework refuses writes. The previous epoch's framework keeps
+	// serving until the pointer swap below, and is never Closed: in-flight
+	// queries may alias its mapping, and the rename left its inode intact.
 	if err := store.Write(f.opts.Path, store.Manifest{Fingerprint: m.Fingerprint, ClauseSig: m.ClauseSig}, sections); err != nil {
 		return false, err
 	}
@@ -245,8 +228,7 @@ func (f *Follower) syncLocked(ctx context.Context) (bool, error) {
 		return false, err
 	}
 	fw, err := core.Open(f.opts.Path, core.OpenOptions{
-		Options:  core.Options{City: city, Workers: f.opts.Workers, Seed: m.Fingerprint.Seed},
-		Datasets: datasets,
+		Options: core.Options{City: city, Workers: f.opts.Workers, Seed: m.Fingerprint.Seed},
 	})
 	if err != nil {
 		return false, err
@@ -262,7 +244,6 @@ func (f *Follower) syncLocked(ctx context.Context) (bool, error) {
 	}
 	f.etag = info.ETag
 	f.manifest = m
-	f.datasets = datasets
 	f.epoch++
 	f.fetched += fetched
 	f.reused += reused
@@ -274,22 +255,8 @@ func (f *Follower) syncLocked(ctx context.Context) (bool, error) {
 	f.opts.Logger.Info("replica: applied snapshot epoch",
 		"epoch", f.epoch, "etag", f.etag,
 		"sectionsFetched", fetched, "sectionsReused", reused, "bytesFetched", bytes,
-		"datasets", len(datasets))
+		"datasets", len(m.Fingerprint.Datasets))
 	return true, nil
-}
-
-// corpusEqual reports whether two fingerprints describe the same raw
-// corpus (seed, data set list, time range).
-func corpusEqual(a, b store.Fingerprint) bool {
-	if a.Seed != b.Seed || a.MinTS != b.MinTS || a.MaxTS != b.MaxTS || len(a.Datasets) != len(b.Datasets) {
-		return false
-	}
-	for i := range a.Datasets {
-		if a.Datasets[i] != b.Datasets[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // readLocalSection returns the local container's payload for want when

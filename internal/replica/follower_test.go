@@ -18,12 +18,14 @@ import (
 )
 
 // countingProxy wraps a leader handler and tallies replication traffic:
-// requests by path prefix and section payload bytes actually served.
+// requests by path prefix and section payload bytes actually served. A sync
+// needs nothing but the manifest and sections, so any other request fails
+// the test.
 type countingProxy struct {
+	t        testing.TB
 	inner    http.Handler
 	manifest atomic.Int64
 	sections atomic.Int64
-	datasets atomic.Int64
 	bytes    atomic.Int64
 }
 
@@ -46,14 +48,14 @@ func (p *countingProxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		p.sections.Add(1)
 		p.inner.ServeHTTP(countingWriter{w, &p.bytes}, r)
 	default:
-		p.datasets.Add(1)
-		p.inner.ServeHTTP(w, r)
+		p.t.Errorf("follower requested %s %s; a sync needs only the manifest and sections", r.Method, r.URL.Path)
+		http.NotFound(w, r)
 	}
 }
 
 // TestFollowerFirstSyncServesLeaderResults is the basic shipping path: a
-// follower bootstraps corpus + snapshot from the leader and answers the
-// reference query identically.
+// follower bootstraps from the leader's snapshot and answers the reference
+// query identically.
 func TestFollowerFirstSyncServesLeaderResults(t *testing.T) {
 	leaderFW := leaderFramework(t, 0)
 	lf := newLeaderFixture(t, leaderFW, nil)
@@ -83,11 +85,11 @@ func TestFollowerFirstSyncServesLeaderResults(t *testing.T) {
 // TestFollowerUnchangedSnapshotCostsOneConditionalRequest pins the
 // ETag/fingerprint short-circuit: while the leader's snapshot is
 // unchanged, a poll is exactly one conditional manifest request — no
-// section bytes, no data set transfers, and no manifest re-parse on the
-// leader (store.ReadManifest is stat-cached).
+// section bytes, and no manifest re-parse on the leader
+// (store.ReadManifest is stat-cached).
 func TestFollowerUnchangedSnapshotCostsOneConditionalRequest(t *testing.T) {
 	leaderFW := leaderFramework(t, 0)
-	proxy := &countingProxy{}
+	proxy := &countingProxy{t: t}
 	lf := newLeaderFixture(t, leaderFW, func(h http.Handler) http.Handler {
 		proxy.inner = h
 		return proxy
@@ -101,9 +103,8 @@ func TestFollowerUnchangedSnapshotCostsOneConditionalRequest(t *testing.T) {
 
 	sectionsAfterFirst := proxy.sections.Load()
 	bytesAfterFirst := proxy.bytes.Load()
-	datasetsAfterFirst := proxy.datasets.Load()
-	if sectionsAfterFirst == 0 || datasetsAfterFirst == 0 {
-		t.Fatal("first sync should transfer sections and data sets")
+	if sectionsAfterFirst == 0 {
+		t.Fatal("first sync should transfer sections")
 	}
 
 	for i := 0; i < 5; i++ {
@@ -120,9 +121,6 @@ func TestFollowerUnchangedSnapshotCostsOneConditionalRequest(t *testing.T) {
 	}
 	if got := proxy.bytes.Load(); got != bytesAfterFirst {
 		t.Fatalf("polling transferred %d extra section bytes", got-bytesAfterFirst)
-	}
-	if got := proxy.datasets.Load(); got != datasetsAfterFirst {
-		t.Fatalf("polling transferred %d extra data set requests", got-datasetsAfterFirst)
 	}
 	if got := proxy.manifest.Load(); got < 6 {
 		t.Fatalf("expected one conditional manifest request per poll, saw %d total", got)
@@ -147,7 +145,7 @@ func TestFollowerUnchangedSnapshotCostsOneConditionalRequest(t *testing.T) {
 // section and reuses the index bytes from its local container.
 func TestFollowerDeltaPullReusesUnchangedSections(t *testing.T) {
 	leaderFW := leaderFramework(t, 0)
-	proxy := &countingProxy{}
+	proxy := &countingProxy{t: t}
 	lf := newLeaderFixture(t, leaderFW, func(h http.Handler) http.Handler {
 		proxy.inner = h
 		return proxy
@@ -186,11 +184,16 @@ func TestFollowerDeltaPullReusesUnchangedSections(t *testing.T) {
 }
 
 // TestFollowerCorpusGrowthResyncsDatasets: a leader-side ingest that adds
-// a data set (changing the fingerprint) makes the follower refetch the
-// corpus and swap an epoch that covers it.
+// a data set (changing the fingerprint) makes the follower swap an epoch
+// that covers it, from the manifest and sections alone — no raw data set
+// crosses the wire.
 func TestFollowerCorpusGrowthResyncsDatasets(t *testing.T) {
 	leaderFW := leaderFramework(t, 0)
-	lf := newLeaderFixture(t, leaderFW, nil)
+	proxy := &countingProxy{t: t}
+	lf := newLeaderFixture(t, leaderFW, func(h http.Handler) http.Handler {
+		proxy.inner = h
+		return proxy
+	})
 	f := newTestFollower(t, lf)
 	mustSync(t, f)
 	firstFW := f.Framework()
@@ -210,6 +213,9 @@ func TestFollowerCorpusGrowthResyncsDatasets(t *testing.T) {
 	}
 	if got := len(fw.Datasets()); got != 3 {
 		t.Fatalf("follower corpus has %d data sets, want 3", got)
+	}
+	if _, err := fw.IngestDataset(extra.Filter("gusts2", func(dataset.Tuple) bool { return true })); err == nil {
+		t.Fatal("a follower's framework, which holds no raw data, accepted an ingest")
 	}
 	// The swapped-out epoch keeps answering: in-flight queries against the
 	// old framework must not be invalidated by the swap.

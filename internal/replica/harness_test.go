@@ -96,7 +96,7 @@ func newLeaderFixture(t testing.TB, fw *core.Framework, wrap func(http.Handler) 
 	if err := fw.Save(path); err != nil {
 		t.Fatal(err)
 	}
-	var h http.Handler = NewLeader(NewSource(path), func() *core.Framework { return fw })
+	var h http.Handler = NewLeader(NewSource(path))
 	if wrap != nil {
 		h = wrap(h)
 	}

@@ -2,13 +2,11 @@ package replica
 
 import (
 	"fmt"
-	"log/slog"
 	"net/http"
 	"os"
 	"sync"
 	"time"
 
-	"github.com/urbandata/datapolygamy/internal/core"
 	"github.com/urbandata/datapolygamy/internal/httpapi"
 	"github.com/urbandata/datapolygamy/internal/obsv"
 	"github.com/urbandata/datapolygamy/internal/store"
@@ -19,8 +17,6 @@ var (
 		"Snapshot manifest requests served by a leader, by result.", "result")
 	mSectionServed = obsv.NewCounterVec("polygamy_replication_section_requests_total",
 		"Snapshot section downloads served by a leader, by result.", "result")
-	mDatasetServed = obsv.NewCounter("polygamy_replication_dataset_requests_total",
-		"Raw data set downloads served by a leader for follower corpus bootstrap.")
 )
 
 // Source answers "what snapshot is current?" for a leader without paying
@@ -79,21 +75,18 @@ func (s *Source) Parses() int64 {
 }
 
 // Leader is the HTTP surface a leader mounts under /v1/snapshot/: the
-// versioned manifest, ranged section downloads, and raw data set CSVs
-// for follower corpus bootstrap.
+// versioned manifest and ranged section downloads — everything a follower
+// needs, since a snapshot opens without its raw corpus.
 type Leader struct {
 	src *Source
-	fw  func() *core.Framework
 	mux *http.ServeMux
 }
 
-// NewLeader builds the handler for the given snapshot source and the
-// framework accessor supplying data set CSVs.
-func NewLeader(src *Source, fw func() *core.Framework) *Leader {
-	l := &Leader{src: src, fw: fw, mux: http.NewServeMux()}
+// NewLeader builds the handler for the given snapshot source.
+func NewLeader(src *Source) *Leader {
+	l := &Leader{src: src, mux: http.NewServeMux()}
 	l.mux.HandleFunc("GET /v1/snapshot/manifest", l.handleManifest)
 	l.mux.HandleFunc("GET /v1/snapshot/sections/{name}", l.handleSection)
-	l.mux.HandleFunc("GET /v1/snapshot/datasets/{name}", l.handleDataset)
 	return l
 }
 
@@ -153,27 +146,4 @@ func (l *Leader) handleSection(w http.ResponseWriter, r *http.Request) {
 	// an interrupted large-section download addresses bytes *within* the
 	// section, which is what File.Section readers expose).
 	http.ServeContent(w, r, name, time.Time{}, rd)
-}
-
-// handleDataset serves one registered data set as canonical CSV. A
-// follower bootstraps (or refreshes) its corpus from these: the snapshot
-// carries only derived state, and core.Open demands the raw corpus.
-func (l *Leader) handleDataset(w http.ResponseWriter, r *http.Request) {
-	name := r.PathValue("name")
-	fw := l.fw()
-	if fw == nil {
-		httpapi.WriteJSON(w, http.StatusServiceUnavailable, httpapi.Error{Error: "no corpus"})
-		return
-	}
-	csv, err := fw.DatasetCSV(name)
-	if err != nil {
-		httpapi.WriteJSON(w, http.StatusNotFound, httpapi.Error{Error: err.Error()})
-		return
-	}
-	mDatasetServed.Inc()
-	w.Header().Set("Content-Type", "text/csv")
-	w.Header().Set("Content-Length", fmt.Sprint(len(csv)))
-	if _, err := w.Write(csv); err != nil {
-		slog.Debug("replica: dataset download aborted", "dataset", name, "error", err)
-	}
 }

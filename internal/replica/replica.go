@@ -8,7 +8,9 @@
 // unchanged fingerprint costs a 304 and zero section bytes), downloads
 // only the sections whose CRC changed, re-assembles the container
 // locally with the same atomic rename publication Write uses, and
-// warm-starts a fresh Framework from it via core.Open. The serving
+// warm-starts a fresh Framework from it alone via core.Open: no raw data
+// set is shipped, so a follower's framework holds none and refuses
+// writes. The serving
 // pointer swaps atomically — an epoch — and the previous framework is
 // deliberately never Closed while the process lives, because in-flight
 // queries may still alias its memory-mapped sections.

@@ -277,15 +277,16 @@ const (
 	RankByQValue = relgraph.ByQValue
 )
 
-// OpenOptions configures Open: the framework options plus the corpus data
-// sets, which a snapshot deliberately does not store (the index persists
-// precomputed features, not data — Section 5.2).
+// OpenOptions configures Open: the framework options plus, optionally, the
+// raw corpus data sets, which a snapshot deliberately does not store (the
+// index persists precomputed features, not data — Section 5.2).
 type OpenOptions = core.OpenOptions
 
-// Open constructs a framework over the given corpus and restores the
-// snapshot container at path — the warm-start path: registering data sets
-// is cheap, and the expensive index (and graph) build is replaced by a
-// verified snapshot load. Framework.Save writes such a container
+// Open constructs a framework and restores the snapshot container at path
+// — the warm-start path: the expensive index (and graph) build is replaced
+// by a verified snapshot load. Reads need only the snapshot; without
+// OpenOptions.Datasets the framework is read-only, and with them it can
+// also add, ingest and append. Framework.Save writes such a container
 // atomically; Framework.Load restores one into an existing framework.
 func Open(path string, opts OpenOptions) (*Framework, error) { return core.Open(path, opts) }
 
@@ -296,7 +297,8 @@ type SnapshotManifest = store.Manifest
 
 // SnapshotFingerprint identifies the corpus a snapshot was produced from
 // (seed, time range, data set names); a snapshot only loads into a
-// framework whose fingerprint matches.
+// framework whose fingerprint matches, or — adopting it — into one with
+// no data set registered.
 type SnapshotFingerprint = store.Fingerprint
 
 // ReadSnapshotManifest reads and verifies only a snapshot container's
