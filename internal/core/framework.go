@@ -503,7 +503,7 @@ func (f *Framework) runIndexJob(ds []*dataset.Dataset, minTS, maxTS int64,
 	t0 := time.Now()
 	var computeNS, featureNS atomic.Int64
 	perTask, err := mapreduce.ForEach(f.workers(), tasks, func(t funcTask) ([]*FunctionEntry, error) {
-		es, tm, err := f.buildEntriesTiled(t, timelines[t.res.Temporal], graphs[t.res])
+		es, tm, err := f.rebuildEntryTiles(t, timelines[t.res.Temporal], graphs[t.res], 0, nil)
 		computeNS.Add(int64(tm.compute))
 		featureNS.Add(int64(tm.feature))
 		return es, err

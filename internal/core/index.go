@@ -3,7 +3,6 @@ package core
 import (
 	"github.com/urbandata/datapolygamy/internal/bitvec"
 	"github.com/urbandata/datapolygamy/internal/feature"
-	"github.com/urbandata/datapolygamy/internal/scalar"
 	"github.com/urbandata/datapolygamy/internal/temporal"
 )
 
@@ -60,29 +59,6 @@ type FunctionEntry struct {
 	// that back it and is invariant under appends that leave them untouched.
 	// nil (NumSteps 0) means unknown: treated as every tile occupied.
 	salientTiles, extremeTiles []uint64
-}
-
-// newFunctionEntry builds the index entry of one scalar function computed
-// over a single-tile domain of numSteps steps from its feature extractor.
-func newFunctionEntry(fn *scalar.Function, ex *feature.Extractor, numSteps int) *FunctionEntry {
-	crit := ex.JoinTree().NumCriticalPoints() + ex.SplitTree().NumCriticalPoints()
-	e := &FunctionEntry{
-		Key:                fn.Key(),
-		Dataset:            fn.Dataset,
-		SpecName:           fn.Name(),
-		Res:                Resolution{fn.SRes, fn.TRes},
-		Salient:            ex.Extract(feature.Salient),
-		Extreme:            ex.Extract(feature.Extreme),
-		Thresholds:         ex.Thresholds(),
-		NumVertices:        fn.Graph.NumVertices(),
-		NumEdges:           fn.Graph.NumEdges(),
-		CriticalPoints:     crit,
-		NumSteps:           numSteps,
-		TileThresholds:     []feature.Thresholds{ex.Thresholds()},
-		TileCriticalPoints: []int{crit},
-	}
-	e.finalize()
-	return e
 }
 
 // finalize computes the cached unions and occupancy summaries from the

@@ -34,15 +34,10 @@ type tileTimings struct {
 	feature time.Duration // merge trees + feature extraction (paper job 2)
 }
 
-// buildEntriesTiled computes the index entries of one funcTask (the base
-// function plus its gradient when enabled) over the full timeline, tile by
-// tile. It is the build-from-scratch form of rebuildEntryTiles.
-func (f *Framework) buildEntriesTiled(t funcTask, tl *temporal.Timeline, g *stgraph.Graph) ([]*FunctionEntry, tileTimings, error) {
-	return f.rebuildEntryTiles(t, tl, g, 0, nil)
-}
-
-// rebuildEntryTiles computes tiles [fromTile, tl.NumTiles()) of the task's
-// entries and returns the complete entries over the full timeline.
+// rebuildEntryTiles computes tiles [fromTile, tl.NumTiles()) of the entries
+// of one funcTask (the base function plus its gradient when enabled) and
+// returns the complete entries over the full timeline. It is the one
+// builder of index entries: build, ingest and append all run it.
 //
 // When base is nil the whole domain is computed (fromTile must be 0). When
 // base holds the task's existing entries — one per variant, in variant
@@ -58,14 +53,6 @@ func (f *Framework) rebuildEntryTiles(t funcTask, tl *temporal.Timeline, g *stgr
 	}
 	if base == nil && fromTile != 0 {
 		return nil, tm, fmt.Errorf("core: partial tile build requires base entries")
-	}
-
-	// Single-tile corpora (up to a year at every evaluation resolution) take
-	// the unsliced path: one computation over the full domain, exactly the
-	// pre-tiling pipeline. A 1-tile loop below would produce identical bits —
-	// the slice is the whole timeline — so this is purely a fast path.
-	if fromTile == 0 && nTiles == 1 {
-		return f.buildEntriesWholeDomain(t, tl, g, &tm)
 	}
 
 	nVariants := 1
@@ -117,10 +104,15 @@ func (f *Framework) rebuildEntryTiles(t funcTask, tl *temporal.Timeline, g *stgr
 	adj := g.SpatialAdjacency()
 	for ti := fromTile; ti < nTiles; ti++ {
 		lo, hi := tl.TileBounds(ti)
-		sub := tl.Slice(lo, hi)
-		tg, err := stgraph.New(R, hi-lo, adj)
-		if err != nil {
-			return nil, tm, err
+		// A tile spanning the whole timeline (a corpus of up to a year at
+		// every evaluation resolution) runs on the shared timeline and graph.
+		sub, tg := tl, g
+		if hi-lo != S {
+			sub = tl.Slice(lo, hi)
+			var err error
+			if tg, err = stgraph.New(R, hi-lo, adj); err != nil {
+				return nil, tm, err
+			}
 		}
 		start := time.Now()
 		fn, err := scalar.ComputeOnDomain(t.ds, t.spec, f.opts.City, t.res.Spatial, t.res.Temporal, sub, tg)
@@ -188,29 +180,4 @@ func (f *Framework) rebuildEntryTiles(t funcTask, tl *temporal.Timeline, g *stgr
 		entries[vi] = e
 	}
 	return entries, tm, nil
-}
-
-// buildEntriesWholeDomain is the single-tile fast path: the original
-// unsliced pipeline (one scalar computation and one extractor over the full
-// domain), with the tile metadata filled in as the one-tile degenerate case.
-func (f *Framework) buildEntriesWholeDomain(t funcTask, tl *temporal.Timeline, g *stgraph.Graph, tm *tileTimings) ([]*FunctionEntry, tileTimings, error) {
-	start := time.Now()
-	fn, err := scalar.ComputeOnDomain(t.ds, t.spec, f.opts.City, t.res.Spatial, t.res.Temporal, tl, g)
-	if err != nil {
-		return nil, *tm, err
-	}
-	fns := []*scalar.Function{fn}
-	if f.opts.IncludeGradients {
-		fns = append(fns, scalar.Gradient(fn))
-	}
-	tm.compute += time.Since(start)
-
-	start = time.Now()
-	entries := make([]*FunctionEntry, 0, len(fns))
-	for _, vfn := range fns {
-		e := newFunctionEntry(vfn, feature.NewExtractor(vfn), tl.Len())
-		entries = append(entries, e)
-	}
-	tm.feature += time.Since(start)
-	return entries, *tm, nil
 }

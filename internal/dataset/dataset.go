@@ -46,7 +46,22 @@ type Dataset struct {
 
 // Validate checks structural invariants: resolutions are defined, attribute
 // values have the declared arity, regions are non-negative for polygon data.
+// It is ValidateSchema followed by ValidateTuple on every tuple.
 func (d *Dataset) Validate() error {
+	if err := d.ValidateSchema(); err != nil {
+		return err
+	}
+	for i := range d.Tuples {
+		if err := d.ValidateTuple(i); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// ValidateSchema checks the invariants that do not depend on the tuples:
+// the data set is named and its resolutions are defined.
+func (d *Dataset) ValidateSchema() error {
 	if d.Name == "" {
 		return fmt.Errorf("dataset: empty name")
 	}
@@ -56,13 +71,18 @@ func (d *Dataset) Validate() error {
 	if !d.TemporalRes.Valid() {
 		return fmt.Errorf("dataset %s: invalid temporal resolution %d", d.Name, int(d.TemporalRes))
 	}
-	for i, tup := range d.Tuples {
-		if len(tup.Values) != len(d.Attrs) {
-			return fmt.Errorf("dataset %s: tuple %d has %d values, want %d", d.Name, i, len(tup.Values), len(d.Attrs))
-		}
-		if d.SpatialRes != spatial.GPS && tup.Region < 0 {
-			return fmt.Errorf("dataset %s: tuple %d has negative region at polygon resolution", d.Name, i)
-		}
+	return nil
+}
+
+// ValidateTuple checks tuple i: it has one value per attribute and, at a
+// polygon resolution, a non-negative region.
+func (d *Dataset) ValidateTuple(i int) error {
+	tup := &d.Tuples[i]
+	if len(tup.Values) != len(d.Attrs) {
+		return fmt.Errorf("dataset %s: tuple %d has %d values, want %d", d.Name, i, len(tup.Values), len(d.Attrs))
+	}
+	if d.SpatialRes != spatial.GPS && tup.Region < 0 {
+		return fmt.Errorf("dataset %s: tuple %d has negative region at polygon resolution", d.Name, i)
 	}
 	return nil
 }

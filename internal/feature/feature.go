@@ -118,7 +118,10 @@ type Extractor struct {
 	salientMaxVals []float64
 	salientMinVals []float64
 
-	stepSeason []int // step index -> season key
+	// Seasons are contiguous step ranges: season i has key seasons[i] and
+	// covers steps [seasonStart[i], seasonStart[i+1]).
+	seasons     []int
+	seasonStart []int
 }
 
 // NewExtractor builds the merge-tree index of f and computes all feature
@@ -173,10 +176,14 @@ func NewExtractorWithTrees(f *scalar.Function, join, split *topology.Tree) *Extr
 		join:  join,
 		split: split,
 	}
-	e.stepSeason = make([]int, f.Timeline.Len())
-	for s := 0; s < f.Timeline.Len(); s++ {
-		e.stepSeason[s] = f.Timeline.SeasonOf(s)
+	tl := f.Timeline
+	for step := 0; step < tl.Len(); {
+		key := tl.SeasonOf(step)
+		e.seasons = append(e.seasons, key)
+		e.seasonStart = append(e.seasonStart, step)
+		step += sort.Search(tl.Len()-step, func(i int) bool { return tl.SeasonOf(step+i) != key })
 	}
+	e.seasonStart = append(e.seasonStart, tl.Len())
 	e.th.PosBySeason, e.salientMaxVals = e.seasonThresholds(e.join)
 	e.th.NegBySeason, e.salientMinVals = e.seasonThresholds(e.split)
 	e.th.ExtremePos = extremeThreshold(e.salientMaxVals, true)
@@ -208,54 +215,63 @@ func (e *Extractor) SplitTree() *topology.Tree { return e.split }
 // all persistences equal), the most persistent extrema are used if they
 // stand out, otherwise the season yields no salient features.
 func (e *Extractor) seasonThresholds(tree *topology.Tree) (SeasonThresholds, []float64) {
-	type leafInfo struct {
-		value       float64
-		persistence float64
-	}
-	bySeason := map[int][]leafInfo{}
+	// Group the leaves by season into flat slots, in tree order within a
+	// season: a counting sort on the season index.
+	nSeasons := len(e.seasons)
+	at := make([]int, nSeasons+1)
+	seasonOf := make([]int, len(tree.Leaves))
 	for i, leaf := range tree.Leaves {
 		_, step := e.fn.Graph.RegionStep(leaf)
-		season := e.stepSeason[step]
-		bySeason[season] = append(bySeason[season], leafInfo{
-			value:       e.fn.Values[leaf],
-			persistence: tree.Pairs[i].Persistence,
-		})
+		si := sort.SearchInts(e.seasonStart, step+1) - 1
+		seasonOf[i] = si
+		at[si+1]++
 	}
-	out := make(SeasonThresholds, 0, len(bySeason))
+	for si := 0; si < nSeasons; si++ {
+		at[si+1] += at[si]
+	}
+	next := append([]int(nil), at[:nSeasons]...)
+	values := make([]float64, len(tree.Leaves))
+	pers := make([]float64, len(tree.Leaves))
+	for i, leaf := range tree.Leaves {
+		p := next[seasonOf[i]]
+		next[seasonOf[i]]++
+		values[p], pers[p] = e.fn.Values[leaf], tree.Pairs[i].Persistence
+	}
+
+	var out SeasonThresholds
 	var salientVals []float64
-	for season, leaves := range bySeason {
-		pers := make([]float64, len(leaves))
-		for i, l := range leaves {
-			pers[i] = l.persistence
+	for si, season := range e.seasons {
+		lo, hi := at[si], at[si+1]
+		if lo == hi {
+			continue // no extremum in this season
 		}
-		high, _, highMin := mathx.TwoMeans(pers)
+		high, _, highMin := mathx.TwoMeans(pers[lo:hi])
 		threshold := math.NaN()
 		if math.IsNaN(highMin) {
 			// Degenerate: all persistences identical. A flat function
 			// (persistence 0) has no salient features; otherwise every
 			// extremum is equally persistent and all are salient.
-			if len(pers) > 0 && pers[0] > 0 {
+			if pers[lo] > 0 {
 				for i := range high {
 					high[i] = true
 				}
 			}
 		}
-		for i, l := range leaves {
+		for i, v := range values[lo:hi] {
 			if !high[i] {
 				continue
 			}
 			if math.IsNaN(threshold) {
-				threshold = l.value
+				threshold = v
 			} else if tree.Kind() == topology.Join {
-				threshold = math.Min(threshold, l.value)
+				threshold = math.Min(threshold, v)
 			} else {
-				threshold = math.Max(threshold, l.value)
+				threshold = math.Max(threshold, v)
 			}
-			salientVals = append(salientVals, l.value)
+			salientVals = append(salientVals, v)
 		}
 		out = append(out, SeasonTheta{Season: season, Theta: threshold})
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Season < out[j].Season })
 	return out, salientVals
 }
 
@@ -284,20 +300,15 @@ func (e *Extractor) Extract(class Class) *Set {
 	set := &Set{Positive: bitvec.New(n), Negative: bitvec.New(n)}
 	switch class {
 	case Salient:
-		e.extractSeasonal(e.join, e.th.PosBySeason, set.Positive)
-		e.extractSeasonal(e.split, e.th.NegBySeason, set.Negative)
+		e.extractSeasonal(topology.Join, e.th.PosBySeason, set.Positive)
+		e.extractSeasonal(topology.Split, e.th.NegBySeason, set.Negative)
 	case Extreme:
-		if !math.IsNaN(e.th.ExtremePos) {
-			e.join.LevelSet(e.th.ExtremePos, set.Positive)
-			if float64(set.Positive.Count()) > MaxSeasonCoverage*float64(n) {
-				set.Positive.Reset() // outliers cannot be the majority
-			}
+		// Outliers cannot be the majority.
+		if float64(e.markLevelSet(topology.Join, e.th.ExtremePos, set.Positive)) > MaxSeasonCoverage*float64(n) {
+			set.Positive.Reset()
 		}
-		if !math.IsNaN(e.th.ExtremeNeg) {
-			e.split.LevelSet(e.th.ExtremeNeg, set.Negative)
-			if float64(set.Negative.Count()) > MaxSeasonCoverage*float64(n) {
-				set.Negative.Reset()
-			}
+		if float64(e.markLevelSet(topology.Split, e.th.ExtremeNeg, set.Negative)) > MaxSeasonCoverage*float64(n) {
+			set.Negative.Reset()
 		}
 	}
 	return set
@@ -309,13 +320,20 @@ func (e *Extractor) Extract(class Class) *Set {
 func (e *Extractor) ExtractWithThresholds(thetaPos, thetaNeg float64) *Set {
 	n := e.fn.Graph.NumVertices()
 	set := &Set{Positive: bitvec.New(n), Negative: bitvec.New(n)}
-	if !math.IsNaN(thetaPos) {
-		e.join.LevelSet(thetaPos, set.Positive)
-	}
-	if !math.IsNaN(thetaNeg) {
-		e.split.LevelSet(thetaNeg, set.Negative)
-	}
+	e.markLevelSet(topology.Join, thetaPos, set.Positive)
+	e.markLevelSet(topology.Split, thetaNeg, set.Negative)
 	return set
+}
+
+// markLevelSet ORs into out the level set of the function at theta over the
+// whole domain — f >= theta for a join tree, f <= theta for a split tree —
+// and returns its size. A NaN theta marks nothing.
+func (e *Extractor) markLevelSet(kind topology.Kind, theta float64, out *bitvec.Vector) int {
+	if math.IsNaN(theta) {
+		return 0
+	}
+	lo, hi := bounds(kind, theta)
+	return markIn(e.fn.Values[:out.Len()], lo, hi, out, 0)
 }
 
 // MaxSeasonCoverage caps the fraction of a seasonal interval that may be
@@ -332,60 +350,60 @@ const MaxSeasonCoverage = 0.5
 // steps). A season whose level set covers more than MaxSeasonCoverage of
 // the interval is skipped (see the constant's doc).
 //
-// The batch extraction runs as two linear passes over the vertices — exact
-// by the level-set definition and O(|V|) overall regardless of how many
-// seasonal intervals exist. (The output-sensitive merge-tree query remains
-// the path for interactive, user-supplied thresholds.)
-func (e *Extractor) extractSeasonal(tree *topology.Tree, bySeason SeasonThresholds, out *bitvec.Vector) {
-	if len(bySeason) == 0 {
-		return
-	}
+// Level sets are marked by a linear scan over the values, not by a flood
+// through the merge tree: exact by the level-set definition, O(|V|)
+// whatever the number of seasons, and it reaches every component of a
+// disconnected domain, including one whose oldest extremum no saddle pairs
+// (that extremum is not a tree leaf, so a flood from the leaves misses it).
+func (e *Extractor) extractSeasonal(kind topology.Kind, bySeason SeasonThresholds, out *bitvec.Vector) {
 	nRegions := e.fn.Graph.NumRegions()
-	// slot[step] indexes the step's season in bySeason; -1 = no threshold.
-	slot := make([]int, len(e.stepSeason))
-	size := make([]int, len(bySeason))
-	for step, season := range e.stepSeason {
-		i := bySeason.find(season)
-		if i >= 0 && math.IsNaN(bySeason[i].Theta) {
-			i = -1
-		}
-		if i >= 0 {
-			size[i] += nRegions
-		}
-		slot[step] = i
-	}
-	// A vertex is in the level set when lo <= value <= hi: [theta, +Inf]
-	// for a join tree, [-Inf, theta] for a split tree.
-	bounds := func(theta float64) (lo, hi float64) {
-		if tree.Kind() == topology.Join {
-			return theta, math.Inf(1)
-		}
-		return math.Inf(-1), theta
-	}
-	hits := make([]int, len(bySeason))
-	for step, i := range slot {
-		if i < 0 {
+	for si, season := range e.seasons {
+		theta, ok := bySeason.Theta(season)
+		if !ok || math.IsNaN(theta) {
 			continue
 		}
-		lo, hi := bounds(bySeason[i].Theta)
-		for _, x := range e.fn.Values[step*nRegions : (step+1)*nRegions] {
-			if x >= lo && x <= hi {
-				hits[i]++
-			}
+		lo, hi := bounds(kind, theta)
+		off := e.seasonStart[si] * nRegions
+		vals := e.fn.Values[off : e.seasonStart[si+1]*nRegions]
+		if float64(countIn(vals, lo, hi)) > MaxSeasonCoverage*float64(len(vals)) {
+			continue // the level set is the norm, not a deviation
+		}
+		markIn(vals, lo, hi, out, off)
+	}
+}
+
+// bounds returns the value range [lo, hi] of the level set at theta:
+// [theta, +Inf] for a join tree (super-level set), [-Inf, theta] for a
+// split tree (sub-level set).
+func bounds(kind topology.Kind, theta float64) (lo, hi float64) {
+	if kind == topology.Join {
+		return theta, math.Inf(1)
+	}
+	return math.Inf(-1), theta
+}
+
+// countIn counts the values in [lo, hi].
+func countIn(vals []float64, lo, hi float64) int {
+	n := 0
+	for _, x := range vals {
+		if x >= lo && x <= hi {
+			n++
 		}
 	}
-	for step, i := range slot {
-		if i < 0 || float64(hits[i]) > MaxSeasonCoverage*float64(size[i]) {
-			continue // no threshold, or the level set is the norm, not a deviation
-		}
-		lo, hi := bounds(bySeason[i].Theta)
-		base := step * nRegions
-		for r, x := range e.fn.Values[base : base+nRegions] {
-			if x >= lo && x <= hi {
-				out.Set(base + r)
-			}
+	return n
+}
+
+// markIn sets bit off+i of out for every vals[i] in [lo, hi] and returns
+// how many it set.
+func markIn(vals []float64, lo, hi float64, out *bitvec.Vector, off int) int {
+	n := 0
+	for i, x := range vals {
+		if x >= lo && x <= hi {
+			out.Set(off + i)
+			n++
 		}
 	}
+	return n
 }
 
 // String summarises the extractor for diagnostics.

@@ -237,6 +237,27 @@ func TestSeasonalThresholds(t *testing.T) {
 	}
 }
 
+// TestSeasonBoundaryLeaf: an extremum on the first step of a season
+// belongs to that season, not to the one before.
+func TestSeasonBoundaryLeaf(t *testing.T) {
+	n1 := 24 * 31 // January
+	vals := make([]float64, n1+24*28)
+	for i := range vals {
+		vals[i] = 0.1 * float64(i%2)
+	}
+	for _, s := range []int{100, 300, 500} {
+		vals[s] = 10
+	}
+	vals[n1] = 4 // February's only spike, on its first hour
+	e := NewExtractor(seriesFunction(t, jan2012(), vals))
+	if theta, ok := e.Thresholds().PosBySeason.Theta(2012*12 + 1); !ok || theta != 4 {
+		t.Errorf("February theta+ = %g (found %t), want 4", theta, ok)
+	}
+	if !e.Extract(Salient).Positive.Get(n1) {
+		t.Error("the spike on February's first hour is not a feature")
+	}
+}
+
 func TestFlatFunctionNoFeatures(t *testing.T) {
 	vals := make([]float64, 24*10)
 	f := seriesFunction(t, jan2012(), vals)
@@ -342,5 +363,75 @@ func TestSpatialFeatures(t *testing.T) {
 	}
 	if set.Positive.Get(g.Vertex(2, 21)) {
 		t.Error("cold region wrongly hot")
+	}
+}
+
+// TestExtremeFeaturesOnDisconnectedDomain: on a city of two islands, the
+// island that does not hold the sweep's root keeps its oldest extremum
+// unpaired, so that extremum is not a tree leaf. Extreme features are the
+// threshold sets on both islands all the same.
+func TestExtremeFeaturesOnDisconnectedDomain(t *testing.T) {
+	const nSteps = 24 * 28
+	// Island A is regions 0-1, island B regions 2-3; two regions per island
+	// give the level sets a way around every spike.
+	g, err := stgraph.New(4, nSteps, [][]int{{1}, {0}, {3}, {2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := jan2012().Unix()
+	tl, err := temporal.NewTimeline(start, start+int64(nSteps-1)*3600, temporal.Hour)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vals := make([]float64, g.NumVertices())
+	for v := range vals {
+		_, step := g.RegionStep(v)
+		vals[v] = 0.1 * float64(step%2)
+	}
+	for _, s := range []int{100, 250, 400} {
+		vals[g.Vertex(0, s)] = 10
+	}
+	vals[g.Vertex(2, 300)] = 10
+	vals[g.Vertex(0, 300)] = -2
+	vals[g.Vertex(2, 200)] = -2
+	vals[g.Vertex(2, 650)] = -2
+	top := g.Vertex(2, 500) // the global maximum, on the island without the global minimum
+	vals[top] = 12
+	deep := g.Vertex(0, 600) // the global minimum, on the island without the global maximum
+	vals[deep] = -2.5
+	f := &scalar.Function{
+		Dataset: "islands", Spec: scalar.Spec{Kind: scalar.Density},
+		SRes: spatial.Neighborhood, TRes: temporal.Hour,
+		Timeline: tl, Graph: g, Values: vals, Observed: make([]bool, len(vals)),
+	}
+	e := NewExtractor(f)
+	for _, c := range []struct {
+		name   string
+		leaves []int
+		v      int
+	}{{"join", e.JoinTree().Leaves, top}, {"split", e.SplitTree().Leaves, deep}} {
+		for _, l := range c.leaves {
+			if l == c.v {
+				t.Fatalf("vertex %d is a %s leaf; the test needs it unpaired", c.v, c.name)
+			}
+		}
+	}
+
+	th := e.Thresholds()
+	set := e.Extract(Extreme)
+	for v, x := range vals {
+		if got, want := set.Positive.Get(v), x >= th.ExtremePos; got != want {
+			t.Errorf("vertex %d (%g): extreme positive %t, want %t (theta+ %g)", v, x, got, want, th.ExtremePos)
+		}
+		if got, want := set.Negative.Get(v), x <= th.ExtremeNeg; got != want {
+			t.Errorf("vertex %d (%g): extreme negative %t, want %t (theta- %g)", v, x, got, want, th.ExtremeNeg)
+		}
+	}
+	if !set.Positive.Get(top) || !set.Negative.Get(deep) {
+		t.Errorf("extreme features miss the unpaired extrema: top %t, deep %t", set.Positive.Get(top), set.Negative.Get(deep))
+	}
+	explicit := e.ExtractWithThresholds(11, -2.2)
+	if !explicit.Positive.Get(top) || !explicit.Negative.Get(deep) {
+		t.Error("explicit thresholds miss the unpaired extrema")
 	}
 }

@@ -19,6 +19,7 @@ import (
 	"math/rand"
 	"slices"
 	"sort"
+	"sync"
 
 	"github.com/urbandata/datapolygamy/internal/dataset"
 	"github.com/urbandata/datapolygamy/internal/mathx"
@@ -179,26 +180,9 @@ func (f *Function) Value(region, step int) float64 {
 // partition; sres must be a polygon resolution the data can be converted to
 // and tres a temporal resolution its timestamps can be aggregated into.
 func Compute(d *dataset.Dataset, spec Spec, city *spatial.CityMap, sres spatial.Resolution, tres temporal.Resolution) (*Function, error) {
-	if err := d.Validate(); err != nil {
+	attrIdx, err := checkRequest(d, spec, sres, tres)
+	if err != nil {
 		return nil, err
-	}
-	if sres == spatial.GPS {
-		return nil, fmt.Errorf("scalar: relationships are never evaluated at GPS resolution")
-	}
-	if !d.SpatialRes.ConvertibleTo(sres) {
-		return nil, fmt.Errorf("scalar: %s spatial resolution %s not convertible to %s", d.Name, d.SpatialRes, sres)
-	}
-	if !d.TemporalRes.ConvertibleTo(tres) {
-		return nil, fmt.Errorf("scalar: %s temporal resolution %s not convertible to %s", d.Name, d.TemporalRes, tres)
-	}
-	if spec.Kind == Unique && !d.HasID {
-		return nil, fmt.Errorf("scalar: %s has no identifier attribute for the unique function", d.Name)
-	}
-	attrIdx := -1
-	if spec.Kind == Attribute {
-		if attrIdx = d.AttrIndex(spec.Attr); attrIdx < 0 {
-			return nil, fmt.Errorf("scalar: %s has no attribute %q", d.Name, spec.Attr)
-		}
 	}
 	minTS, maxTS, ok := d.TimeRange()
 	if !ok {
@@ -208,47 +192,30 @@ func Compute(d *dataset.Dataset, spec Spec, city *spatial.CityMap, sres spatial.
 	if err != nil {
 		return nil, err
 	}
-	return computeOnTimeline(d, spec, attrIdx, city, sres, tres, tl)
+	return computeOnTimeline(d, spec, attrIdx, city, sres, tl)
 }
 
 // ComputeOnTimeline is like Compute but uses a caller-provided timeline,
 // which lets several functions (e.g. year-split halves of a data set) share
 // identical step indexing.
 func ComputeOnTimeline(d *dataset.Dataset, spec Spec, city *spatial.CityMap, sres spatial.Resolution, tres temporal.Resolution, tl *temporal.Timeline) (*Function, error) {
-	if err := d.Validate(); err != nil {
+	attrIdx, err := checkRequest(d, spec, sres, tres)
+	if err != nil {
 		return nil, err
-	}
-	if sres == spatial.GPS {
-		return nil, fmt.Errorf("scalar: relationships are never evaluated at GPS resolution")
-	}
-	if !d.SpatialRes.ConvertibleTo(sres) {
-		return nil, fmt.Errorf("scalar: %s spatial resolution %s not convertible to %s", d.Name, d.SpatialRes, sres)
-	}
-	if !d.TemporalRes.ConvertibleTo(tres) {
-		return nil, fmt.Errorf("scalar: %s temporal resolution %s not convertible to %s", d.Name, d.TemporalRes, tres)
 	}
 	if tl.Res() != tres {
 		return nil, fmt.Errorf("scalar: timeline resolution %s does not match %s", tl.Res(), tres)
 	}
-	attrIdx := -1
-	if spec.Kind == Attribute {
-		if attrIdx = d.AttrIndex(spec.Attr); attrIdx < 0 {
-			return nil, fmt.Errorf("scalar: %s has no attribute %q", d.Name, spec.Attr)
-		}
-	}
-	if spec.Kind == Unique && !d.HasID {
-		return nil, fmt.Errorf("scalar: %s has no identifier attribute for the unique function", d.Name)
-	}
-	return computeOnTimeline(d, spec, attrIdx, city, sres, tres, tl)
+	return computeOnTimeline(d, spec, attrIdx, city, sres, tl)
 }
 
-func computeOnTimeline(d *dataset.Dataset, spec Spec, attrIdx int, city *spatial.CityMap, sres spatial.Resolution, tres temporal.Resolution, tl *temporal.Timeline) (*Function, error) {
+func computeOnTimeline(d *dataset.Dataset, spec Spec, attrIdx int, city *spatial.CityMap, sres spatial.Resolution, tl *temporal.Timeline) (*Function, error) {
 	nRegions := city.NumRegions(sres)
 	g, err := stgraph.New(nRegions, tl.Len(), city.Adjacency(sres))
 	if err != nil {
 		return nil, err
 	}
-	return computeOnDomain(d, spec, attrIdx, city, sres, tres, tl, g)
+	return computeOnDomain(d, spec, attrIdx, city, sres, tl, g)
 }
 
 // ComputeOnDomain is like ComputeOnTimeline but additionally reuses a
@@ -256,17 +223,9 @@ func computeOnTimeline(d *dataset.Dataset, spec Spec, attrIdx int, city *spatial
 // sres and the timeline length), letting a corpus share one graph per
 // resolution.
 func ComputeOnDomain(d *dataset.Dataset, spec Spec, city *spatial.CityMap, sres spatial.Resolution, tres temporal.Resolution, tl *temporal.Timeline, g *stgraph.Graph) (*Function, error) {
-	if err := d.Validate(); err != nil {
+	attrIdx, err := checkRequest(d, spec, sres, tres)
+	if err != nil {
 		return nil, err
-	}
-	if sres == spatial.GPS {
-		return nil, fmt.Errorf("scalar: relationships are never evaluated at GPS resolution")
-	}
-	if !d.SpatialRes.ConvertibleTo(sres) {
-		return nil, fmt.Errorf("scalar: %s spatial resolution %s not convertible to %s", d.Name, d.SpatialRes, sres)
-	}
-	if !d.TemporalRes.ConvertibleTo(tres) {
-		return nil, fmt.Errorf("scalar: %s temporal resolution %s not convertible to %s", d.Name, d.TemporalRes, tres)
 	}
 	if tl.Res() != tres {
 		return nil, fmt.Errorf("scalar: timeline resolution %s does not match %s", tl.Res(), tres)
@@ -275,56 +234,100 @@ func ComputeOnDomain(d *dataset.Dataset, spec Spec, city *spatial.CityMap, sres 
 		return nil, fmt.Errorf("scalar: domain graph %dx%d does not match city/timeline %dx%d",
 			g.NumRegions(), g.NumSteps(), city.NumRegions(sres), tl.Len())
 	}
+	return computeOnDomain(d, spec, attrIdx, city, sres, tl, g)
+}
+
+// checkRequest checks what the Compute entry points share — the data set's
+// schema, the resolutions, the spec — and returns the attribute index of an
+// attribute spec (-1 otherwise). The per-tuple checks run in the binning
+// loop of computeOnDomain, the one pass over the tuples.
+func checkRequest(d *dataset.Dataset, spec Spec, sres spatial.Resolution, tres temporal.Resolution) (int, error) {
+	if err := d.ValidateSchema(); err != nil {
+		return -1, err
+	}
+	if sres == spatial.GPS {
+		return -1, fmt.Errorf("scalar: relationships are never evaluated at GPS resolution")
+	}
+	if !d.SpatialRes.ConvertibleTo(sres) {
+		return -1, fmt.Errorf("scalar: %s spatial resolution %s not convertible to %s", d.Name, d.SpatialRes, sres)
+	}
+	if !d.TemporalRes.ConvertibleTo(tres) {
+		return -1, fmt.Errorf("scalar: %s temporal resolution %s not convertible to %s", d.Name, d.TemporalRes, tres)
+	}
+	if spec.Kind == Unique && !d.HasID {
+		return -1, fmt.Errorf("scalar: %s has no identifier attribute for the unique function", d.Name)
+	}
 	attrIdx := -1
 	if spec.Kind == Attribute {
 		if attrIdx = d.AttrIndex(spec.Attr); attrIdx < 0 {
-			return nil, fmt.Errorf("scalar: %s has no attribute %q", d.Name, spec.Attr)
+			return -1, fmt.Errorf("scalar: %s has no attribute %q", d.Name, spec.Attr)
 		}
 	}
-	if spec.Kind == Unique && !d.HasID {
-		return nil, fmt.Errorf("scalar: %s has no identifier attribute for the unique function", d.Name)
-	}
-	return computeOnDomain(d, spec, attrIdx, city, sres, tres, tl, g)
+	return attrIdx, nil
 }
 
-func computeOnDomain(d *dataset.Dataset, spec Spec, attrIdx int, city *spatial.CityMap, sres spatial.Resolution, tres temporal.Resolution, tl *temporal.Timeline, g *stgraph.Graph) (*Function, error) {
+// scratch is computeOnDomain's working memory, reused across calls through
+// scratchPool: the running aggregates of attribute functions and the
+// (vertex, id) observations of unique functions. Only the Function escapes.
+type scratch struct {
+	sums, cnts []float64
+	uniq       []vertexID
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+// aggregates returns zeroed sums and counts for n vertices.
+func (s *scratch) aggregates(n int) (sums, cnts []float64) {
+	if cap(s.sums) < n {
+		s.sums, s.cnts = make([]float64, n), make([]float64, n)
+	}
+	sums, cnts = s.sums[:n], s.cnts[:n]
+	clear(sums)
+	clear(cnts)
+	return sums, cnts
+}
+
+func computeOnDomain(d *dataset.Dataset, spec Spec, attrIdx int, city *spatial.CityMap, sres spatial.Resolution, tl *temporal.Timeline, g *stgraph.Graph) (*Function, error) {
 	n := g.NumVertices()
 	f := &Function{
 		Dataset:  d.Name,
 		Spec:     spec,
 		SRes:     sres,
-		TRes:     tres,
+		TRes:     tl.Res(),
 		Timeline: tl,
 		Graph:    g,
 		Values:   make([]float64, n),
 		Observed: make([]bool, n),
 	}
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
 
 	// Unique functions count distinct IDs per vertex: (vertex, id) pairs are
 	// collected flat and sorted once, instead of one hash set per vertex —
-	// a single allocation in place of one map per observed vertex plus its
+	// a single buffer in place of one map per observed vertex plus its
 	// growth, which dominated the whole indexing pipeline's allocations.
 	var uniq []vertexID
-	var sums, cnts []float64
+	var sums, cnts []float64 // running sum (Avg, Sum) or extreme (Min, Max)
 	var samples [][]float64
 	switch spec.Kind {
 	case Unique:
-		uniq = make([]vertexID, 0, len(d.Tuples))
+		uniq = sc.uniq[:0]
 	case Attribute:
 		switch spec.Agg {
-		case Avg, Sum:
-			sums = make([]float64, n)
-			cnts = make([]float64, n)
-		case Min, Max:
-			sums = make([]float64, n) // running extreme
-			cnts = make([]float64, n)
+		case Avg, Sum, Min, Max:
+			sums, cnts = sc.aggregates(n)
 		case MedianAgg, Custom:
 			samples = make([][]float64, n)
 		}
 	}
 
-	for _, tup := range d.Tuples {
-		region := regionOf(d, &tup, city, sres)
+	polygon := d.SpatialRes != spatial.GPS
+	for i := range d.Tuples {
+		tup := &d.Tuples[i]
+		if len(tup.Values) != len(d.Attrs) || polygon && tup.Region < 0 {
+			return nil, d.ValidateTuple(i)
+		}
+		region := regionOf(d, tup, city, sres)
 		if region < 0 {
 			continue
 		}
@@ -375,6 +378,7 @@ func computeOnDomain(d *dataset.Dataset, spec Spec, attrIdx int, city *spatial.C
 			}
 			f.Values[p.v]++
 		}
+		sc.uniq = uniq[:0]
 	case Attribute:
 		finishAttribute(f, spec, sums, cnts, samples)
 	}
@@ -406,7 +410,7 @@ func sortVertexIDs(s []vertexID) {
 // vertices with the global mean so the function stays Morse-friendly:
 // imputed points sit at "normal" level and never become salient features.
 func finishAttribute(f *Function, spec Spec, sums, cnts []float64, samples [][]float64) {
-	var observedVals []float64
+	sum, observed := 0.0, 0 // mathx.Mean of the observed values, in vertex order
 	for v := range f.Values {
 		if !f.Observed[v] {
 			continue
@@ -423,11 +427,12 @@ func finishAttribute(f *Function, spec Spec, sums, cnts []float64, samples [][]f
 		case Custom:
 			f.Values[v] = spec.CustomFn(samples[v])
 		}
-		observedVals = append(observedVals, f.Values[v])
+		sum += f.Values[v]
+		observed++
 	}
 	fill := 0.0
-	if len(observedVals) > 0 {
-		fill = mathx.Mean(observedVals)
+	if observed > 0 {
+		fill = sum / float64(observed)
 	}
 	for v := range f.Values {
 		if !f.Observed[v] {

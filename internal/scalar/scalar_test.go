@@ -7,6 +7,7 @@ import (
 
 	"github.com/urbandata/datapolygamy/internal/dataset"
 	"github.com/urbandata/datapolygamy/internal/spatial"
+	"github.com/urbandata/datapolygamy/internal/stgraph"
 	"github.com/urbandata/datapolygamy/internal/temporal"
 )
 
@@ -198,6 +199,78 @@ func TestComputeErrors(t *testing.T) {
 	}
 	if _, err := Compute(zipd, Spec{Kind: Density}, city, spatial.Neighborhood, temporal.Hour); err == nil {
 		t.Error("expected error for zip->neighborhood conversion")
+	}
+}
+
+// TestInvalidTuplesRejected: the per-tuple checks run in the binning loop
+// and report what Validate reports — the same text, the first bad tuple —
+// through every entry point and for every function kind, also when the bad
+// tuple falls outside the timeline being computed.
+func TestInvalidTuplesRejected(t *testing.T) {
+	city := testCity(t)
+	tuples := func() []dataset.Tuple {
+		return []dataset.Tuple{
+			{ID: 1, Region: 0, TS: ts(2011, 1, 3, 0), Values: []float64{1}},
+			{ID: 2, Region: 1, TS: ts(2011, 1, 3, 5), Values: []float64{2}},
+			{ID: 3, Region: 2, TS: ts(2011, 1, 9, 0), Values: []float64{3}},
+		}
+	}
+	cases := []struct {
+		name    string
+		res     spatial.Resolution
+		corrupt func(tups []dataset.Tuple)
+		want    string
+	}{
+		{"short values row", spatial.ZipCode, func(tups []dataset.Tuple) { tups[1].Values = nil },
+			"dataset permits: tuple 1 has 0 values, want 1"},
+		{"negative region", spatial.ZipCode, func(tups []dataset.Tuple) { tups[2].Region = -3 },
+			"dataset permits: tuple 2 has negative region at polygon resolution"},
+		{"first bad tuple wins", spatial.ZipCode, func(tups []dataset.Tuple) {
+			tups[1].Region = -1
+			tups[2].Values = []float64{1, 2}
+		}, "dataset permits: tuple 1 has negative region at polygon resolution"},
+		{"long values row at GPS", spatial.GPS, func(tups []dataset.Tuple) { tups[0].Values = []float64{1, 2} },
+			"dataset permits: tuple 0 has 2 values, want 1"},
+	}
+	specs := []Spec{{Kind: Density}, {Kind: Unique}, {Kind: Attribute, Attr: "fee", Agg: Avg}}
+	for _, c := range cases {
+		d := &dataset.Dataset{Name: "permits", SpatialRes: c.res, TemporalRes: temporal.Hour,
+			HasID: true, Attrs: []string{"fee"}, Tuples: tuples()}
+		for i := range d.Tuples {
+			p := city.CellCenter(i)
+			d.Tuples[i].X, d.Tuples[i].Y = p.X, p.Y
+		}
+		c.corrupt(d.Tuples)
+		if err := d.Validate(); err == nil || err.Error() != c.want {
+			t.Fatalf("%s: Validate = %v, want %q", c.name, err, c.want)
+		}
+		// A timeline of the first day only: the third tuple lies outside it.
+		tl, err := temporal.NewTimeline(ts(2011, 1, 3, 0), ts(2011, 1, 3, 23), temporal.Hour)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, err := stgraph.New(city.NumRegions(spatial.City), tl.Len(), city.Adjacency(spatial.City))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, spec := range specs {
+			calls := map[string]func() (*Function, error){
+				"Compute": func() (*Function, error) {
+					return Compute(d, spec, city, spatial.City, temporal.Hour)
+				},
+				"ComputeOnTimeline": func() (*Function, error) {
+					return ComputeOnTimeline(d, spec, city, spatial.City, temporal.Hour, tl)
+				},
+				"ComputeOnDomain": func() (*Function, error) {
+					return ComputeOnDomain(d, spec, city, spatial.City, temporal.Hour, tl, g)
+				},
+			}
+			for name, call := range calls {
+				if _, err := call(); err == nil || err.Error() != c.want {
+					t.Errorf("%s: %s(%s) = %v, want %q", c.name, name, spec.Name(), err, c.want)
+				}
+			}
+		}
 	}
 }
 

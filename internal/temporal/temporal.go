@@ -11,6 +11,7 @@ package temporal
 
 import (
 	"fmt"
+	"slices"
 	"time"
 )
 
@@ -146,16 +147,10 @@ func Bin(ts int64, r Resolution) int64 {
 // NextBin returns the start of the time step immediately after the step
 // starting at binStart, at resolution r.
 func NextBin(binStart int64, r Resolution) int64 {
-	switch r {
-	case Second:
-		return binStart + 1
-	case Hour:
-		return binStart + 3600
-	case Day:
-		return binStart + 86400
-	case Week:
-		return binStart + 7*86400
-	case Month:
+	if w := stepSeconds(r); w > 0 {
+		return binStart + w
+	}
+	if r == Month {
 		t := time.Unix(binStart, 0).UTC()
 		return time.Date(t.Year(), t.Month()+1, 1, 0, 0, 0, 0, time.UTC).Unix()
 	}
@@ -211,8 +206,8 @@ func NumTilesFor(nSteps int, r Resolution) int {
 // tile — and thus every earlier step index and feature bit — untouched.
 type Timeline struct {
 	res    Resolution
-	starts []int64 // start of each step, ascending
-	index  map[int64]int
+	starts []int64 // start of each step: a contiguous chain of bins
+	end    int64   // start of the step after the last one
 }
 
 // NewTimeline builds the timeline covering [minTS, maxTS] at resolution r.
@@ -225,11 +220,12 @@ func NewTimeline(minTS, maxTS int64, r Resolution) (*Timeline, error) {
 	if maxTS < minTS {
 		return nil, fmt.Errorf("temporal: maxTS %d < minTS %d", maxTS, minTS)
 	}
-	tl := &Timeline{res: r, index: make(map[int64]int)}
-	for b := Bin(minTS, r); b <= maxTS; b = NextBin(b, r) {
-		tl.index[b] = len(tl.starts)
+	tl := &Timeline{res: r}
+	b := Bin(minTS, r)
+	for ; b <= maxTS; b = NextBin(b, r) {
 		tl.starts = append(tl.starts, b)
 	}
+	tl.end = b
 	return tl, nil
 }
 
@@ -240,13 +236,36 @@ func (tl *Timeline) Res() Resolution { return tl.res }
 func (tl *Timeline) Len() int { return len(tl.starts) }
 
 // Index returns the dense step index for timestamp ts, or -1 if ts falls
-// outside the timeline.
+// outside the timeline. The steps are a contiguous chain of bins, so no bin
+// is computed: a step of fixed length is found by arithmetic on the first
+// step's start, a month by binary search of the starts.
 func (tl *Timeline) Index(ts int64) int {
-	i, ok := tl.index[Bin(ts, tl.res)]
-	if !ok {
+	if len(tl.starts) == 0 || ts < tl.starts[0] || ts >= tl.end {
 		return -1
 	}
+	if w := stepSeconds(tl.res); w > 0 {
+		return int((ts - tl.starts[0]) / w)
+	}
+	i, found := slices.BinarySearch(tl.starts, ts)
+	if !found {
+		i-- // ts lies inside the step starting before it
+	}
 	return i
+}
+
+// stepSeconds returns the fixed length of a step at r, or 0 for months.
+func stepSeconds(r Resolution) int64 {
+	switch r {
+	case Second:
+		return 1
+	case Hour:
+		return 3600
+	case Day:
+		return 86400
+	case Week:
+		return 7 * 86400
+	}
+	return 0
 }
 
 // StepStart returns the Unix start time of step i.
@@ -276,18 +295,18 @@ func (tl *Timeline) TileBounds(t int) (lo, hi int) {
 }
 
 // Slice returns the sub-timeline of steps [lo, hi): same resolution, same
-// step starts, with indices re-based to 0. Tile-local scalar computation
-// runs against these slices so a tile's features are a pure function of the
-// tuples binning into it.
+// step starts, with indices re-based to 0. It shares the step starts, so it
+// costs O(1). Tile-local scalar computation runs against these slices so a
+// tile's features are a pure function of the tuples binning into it.
 func (tl *Timeline) Slice(lo, hi int) *Timeline {
 	if lo < 0 || hi > len(tl.starts) || lo >= hi {
 		panic(fmt.Sprintf("temporal: slice [%d,%d) out of range [0,%d)", lo, hi, len(tl.starts)))
 	}
-	out := &Timeline{res: tl.res, starts: tl.starts[lo:hi:hi], index: make(map[int64]int, hi-lo)}
-	for i, b := range out.starts {
-		out.index[b] = i
+	end := tl.end
+	if hi < len(tl.starts) {
+		end = tl.starts[hi]
 	}
-	return out
+	return &Timeline{res: tl.res, starts: tl.starts[lo:hi:hi], end: end}
 }
 
 // Extend returns a new timeline covering the original range extended to
@@ -303,18 +322,12 @@ func (tl *Timeline) Extend(newMaxTS int64) (*Timeline, error) {
 	if newMaxTS < last {
 		return nil, fmt.Errorf("temporal: newMaxTS %d precedes last step start %d", newMaxTS, last)
 	}
-	out := &Timeline{
-		res:    tl.res,
-		starts: append([]int64{}, tl.starts...),
-		index:  make(map[int64]int, len(tl.starts)),
-	}
-	for i, b := range out.starts {
-		out.index[b] = i
-	}
-	for b := NextBin(last, tl.res); b <= newMaxTS; b = NextBin(b, tl.res) {
-		out.index[b] = len(out.starts)
+	out := &Timeline{res: tl.res, starts: append([]int64{}, tl.starts...)}
+	b := NextBin(last, tl.res)
+	for ; b <= newMaxTS; b = NextBin(b, tl.res) {
 		out.starts = append(out.starts, b)
 	}
+	out.end = b
 	return out, nil
 }
 

@@ -366,3 +366,99 @@ func TestTimelineExtendNoop(t *testing.T) {
 		t.Error("extend into the past should fail")
 	}
 }
+
+// mapIndex is the reference step lookup: a map from step start to index,
+// built from the timeline's own starts.
+func mapIndex(tl *Timeline) func(ts int64) int {
+	idx := make(map[int64]int, tl.Len())
+	for i := 0; i < tl.Len(); i++ {
+		idx[tl.StepStart(i)] = i
+	}
+	return func(ts int64) int {
+		if i, ok := idx[Bin(ts, tl.Res())]; ok {
+			return i
+		}
+		return -1
+	}
+}
+
+// checkIndex probes tl.Index against the map lookup at every step start,
+// one second either side of it, mid-step, and well outside the range.
+func checkIndex(t *testing.T, what string, tl *Timeline) {
+	t.Helper()
+	want := mapIndex(tl)
+	first, last := tl.StepStart(0), tl.StepStart(tl.Len()-1)
+	probes := []int64{first - 400*86400, first - 1, last + 400*86400, NextBin(last, tl.Res()), NextBin(last, tl.Res()) - 1}
+	for i := 0; i < tl.Len(); i++ {
+		b := tl.StepStart(i)
+		probes = append(probes, b, b-1, b+1, b+(NextBin(b, tl.Res())-b)/2)
+	}
+	for _, ts := range probes {
+		if got, w := tl.Index(ts), want(ts); got != w {
+			t.Fatalf("%s: Index(%s) = %d, map says %d", what, time.Unix(ts, 0).UTC(), got, w)
+		}
+	}
+}
+
+func TestTimelineIndexMatchesMap(t *testing.T) {
+	for _, r := range []Resolution{Second, Hour, Day, Week, Month} {
+		// Across a year boundary and a leap February.
+		lo, hi := ts(2011, time.November, 14, 7, 30, 0), ts(2012, time.March, 2, 5, 0, 0)
+		if r == Second {
+			lo, hi = ts(2011, time.December, 31, 23, 58, 0), ts(2012, time.January, 1, 0, 1, 0)
+		}
+		tl, err := NewTimeline(lo, hi, r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkIndex(t, r.String(), tl)
+		n := tl.Len()
+		checkIndex(t, r.String()+" slice", tl.Slice(n/3, n-1))
+		checkIndex(t, r.String()+" one-step slice", tl.Slice(n-1, n))
+		sub := tl.Slice(1, n)
+		if got := sub.Index(tl.StepStart(2)); got != 1 {
+			t.Errorf("%s: sliced Index = %d, want 1 (re-based)", r, got)
+		}
+		if got := sub.Index(tl.StepStart(0)); got != -1 {
+			t.Errorf("%s: sliced Index of a step before the slice = %d, want -1", r, got)
+		}
+		ext, err := tl.Extend(hi + 40*86400)
+		if r == Second {
+			ext, err = tl.Extend(hi + 90)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkIndex(t, r.String()+" extended", ext)
+		if got := ext.Index(NextBin(tl.StepStart(n-1), r)); got != n {
+			t.Errorf("%s: first extended step Index = %d, want %d", r, got, n)
+		}
+		if got := tl.Index(NextBin(tl.StepStart(n-1), r)); got != -1 {
+			t.Errorf("%s: extending changed the original timeline: Index = %d", r, got)
+		}
+	}
+}
+
+func TestTimelineIndexMonthBoundaries(t *testing.T) {
+	tl, err := NewTimeline(ts(2011, time.November, 20, 0, 0, 0), ts(2012, time.March, 1, 0, 0, 0), Month)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		ts   int64
+		want int
+	}{
+		{ts(2011, time.October, 31, 23, 59, 59), -1},
+		{ts(2011, time.November, 1, 0, 0, 0), 0},
+		{ts(2011, time.December, 31, 23, 59, 59), 1},
+		{ts(2012, time.January, 1, 0, 0, 0), 2},
+		{ts(2012, time.February, 29, 23, 59, 59), 3},
+		{ts(2012, time.March, 31, 23, 59, 59), 4},
+		{ts(2012, time.April, 1, 0, 0, 0), -1},
+	}
+	for _, c := range cases {
+		if got := tl.Index(c.ts); got != c.want {
+			t.Errorf("Index(%s) = %d, want %d", time.Unix(c.ts, 0).UTC(), got, c.want)
+		}
+	}
+}

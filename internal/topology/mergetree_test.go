@@ -105,7 +105,7 @@ func TestSuperLevelSetFigure2(t *testing.T) {
 	jt := ComputeJoin(g, vals)
 
 	// theta = 4.0: {1 (6.0), 3 (5.0), 5 (4.5), 7 (8.0)} — four components.
-	got := jt.LevelSetVertices(4.0)
+	got := levelSetVertices(jt, 4.0)
 	want := []int{1, 3, 5, 7}
 	if len(got) != len(want) {
 		t.Fatalf("super-level(4.0) = %v, want %v", got, want)
@@ -117,19 +117,19 @@ func TestSuperLevelSetFigure2(t *testing.T) {
 	}
 
 	// theta = 3.0: adds vertex 4 (3.5), bridging maxima 3 and 5.
-	got = jt.LevelSetVertices(3.0)
+	got = levelSetVertices(jt, 3.0)
 	want = []int{1, 3, 4, 5, 7}
 	if len(got) != len(want) {
 		t.Fatalf("super-level(3.0) = %v, want %v", got, want)
 	}
 
 	// theta above the global max: empty.
-	if got := jt.LevelSetVertices(9.0); len(got) != 0 {
+	if got := levelSetVertices(jt, 9.0); len(got) != 0 {
 		t.Errorf("super-level(9.0) = %v, want empty", got)
 	}
 
 	// theta below the global min: everything.
-	if got := jt.LevelSetVertices(-1.0); len(got) != len(vals) {
+	if got := levelSetVertices(jt, -1.0); len(got) != len(vals) {
 		t.Errorf("super-level(-1) = %v, want all %d", got, len(vals))
 	}
 }
@@ -139,7 +139,7 @@ func TestSubLevelSetFigure2(t *testing.T) {
 	g := chain(t, len(vals))
 	st := ComputeSplit(g, vals)
 	// theta = 1.0: {0 (1.0), 6 (0.5), 8 (0.0)}.
-	got := st.LevelSetVertices(1.0)
+	got := levelSetVertices(st, 1.0)
 	want := []int{0, 6, 8}
 	if len(got) != len(want) {
 		t.Fatalf("sub-level(1.0) = %v, want %v", got, want)
@@ -152,22 +152,22 @@ func TestSubLevelSetFigure2(t *testing.T) {
 }
 
 func TestLevelSetRepeatedQueries(t *testing.T) {
-	// The epoch-stamp machinery must give identical results across calls.
+	// The flood oracle must give identical results across calls.
 	vals := figure2Values()
 	g := chain(t, len(vals))
 	jt := ComputeJoin(g, vals)
-	first := jt.LevelSetVertices(3.0)
+	first := levelSetVertices(jt, 3.0)
 	for i := 0; i < 5; i++ {
-		got := jt.LevelSetVertices(3.0)
+		got := levelSetVertices(jt, 3.0)
 		if len(got) != len(first) {
 			t.Fatalf("query %d returned %v, first returned %v", i, got, first)
 		}
 	}
 	// Interleave different thresholds.
-	if got := jt.LevelSetVertices(7.0); len(got) != 1 || got[0] != 7 {
+	if got := levelSetVertices(jt, 7.0); len(got) != 1 || got[0] != 7 {
 		t.Errorf("super-level(7.0) = %v, want [7]", got)
 	}
-	if got := jt.LevelSetVertices(3.0); len(got) != len(first) {
+	if got := levelSetVertices(jt, 3.0); len(got) != len(first) {
 		t.Errorf("level set changed after interleaved query: %v", got)
 	}
 }
@@ -178,9 +178,9 @@ func TestLevelSetORsIntoExisting(t *testing.T) {
 	jt := ComputeJoin(g, vals)
 	out := bitvec.New(g.NumVertices())
 	out.Set(0) // pre-existing bit must survive
-	jt.LevelSet(7.0, out)
+	floodLevelSet(jt, 7.0, out)
 	if !out.Get(0) || !out.Get(7) {
-		t.Error("LevelSet must OR into the output vector")
+		t.Error("the flood must OR into the output vector")
 	}
 }
 
@@ -198,10 +198,10 @@ func TestConstantFunction(t *testing.T) {
 	if !jt.Pairs[0].Essential || jt.Pairs[0].Persistence != 0 {
 		t.Error("constant function should have one essential zero-persistence pair")
 	}
-	if got := jt.LevelSetVertices(2.0); len(got) != 5 {
+	if got := levelSetVertices(jt, 2.0); len(got) != 5 {
 		t.Errorf("super-level(2.0) = %v, want all", got)
 	}
-	if got := jt.LevelSetVertices(2.1); len(got) != 0 {
+	if got := levelSetVertices(jt, 2.1); len(got) != 0 {
 		t.Errorf("super-level(2.1) = %v, want empty", got)
 	}
 }
@@ -215,7 +215,7 @@ func TestSingleVertex(t *testing.T) {
 	if len(jt.Leaves) != 1 || jt.Root != 0 {
 		t.Error("single vertex tree wrong")
 	}
-	if got := jt.LevelSetVertices(5); len(got) != 1 {
+	if got := levelSetVertices(jt, 5); len(got) != 1 {
 		t.Error("single vertex level set wrong")
 	}
 }
@@ -302,8 +302,9 @@ func bruteLevelSet(vals []float64, theta float64, kind Kind) map[int]bool {
 	return out
 }
 
-// TestLevelSetMatchesBruteForce is the core correctness property: the
-// output-sensitive merge-tree query must equal the brute-force level set.
+// TestLevelSetMatchesBruteForce is the property behind extracting features
+// by scan: on a connected domain the output-sensitive merge-tree flood
+// equals the brute-force level set.
 func TestLevelSetMatchesBruteForce(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -312,7 +313,7 @@ func TestLevelSetMatchesBruteForce(t *testing.T) {
 		st := ComputeSplit(g, vals)
 		for trial := 0; trial < 8; trial++ {
 			theta := rng.Float64()*12 - 1
-			got := jt.LevelSetVertices(theta)
+			got := levelSetVertices(jt, theta)
 			want := bruteLevelSet(vals, theta, Join)
 			if len(got) != len(want) {
 				return false
@@ -322,7 +323,7 @@ func TestLevelSetMatchesBruteForce(t *testing.T) {
 					return false
 				}
 			}
-			got = st.LevelSetVertices(theta)
+			got = levelSetVertices(st, theta)
 			want = bruteLevelSet(vals, theta, Split)
 			if len(got) != len(want) {
 				return false
@@ -538,21 +539,4 @@ func BenchmarkMergeTree3D(b *testing.B) {
 	b.Run("dense", func(b *testing.B) {
 		benchmarkMergeTree3D(b, func(rng *rand.Rand) float64 { return rng.NormFloat64() })
 	})
-}
-
-func BenchmarkLevelSetQuery(b *testing.B) {
-	n := 1 << 16
-	g, _ := stgraph.New(1, n, [][]int{nil})
-	rng := rand.New(rand.NewSource(1))
-	vals := make([]float64, n)
-	for i := range vals {
-		vals[i] = rng.Float64()
-	}
-	jt := ComputeJoin(g, vals)
-	out := bitvec.New(n)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		out.Reset()
-		jt.LevelSet(0.95, out)
-	}
 }

@@ -245,7 +245,8 @@ func checkKernel(t *testing.T, what string, g *stgraph.Graph, vals []float64) bo
 	t.Helper()
 	wantJoin, wantSplit := oracleJoin(g, vals), oracleSplit(g, vals)
 	join, split := ComputeBoth(g, vals)
-	ok := sameTree(t, what+" ComputeBoth join", join, wantJoin)
+	ok := checkSortOrder(t, what, vals)
+	ok = sameTree(t, what+" ComputeBoth join", join, wantJoin) && ok
 	ok = sameTree(t, what+" ComputeBoth split", split, wantSplit) && ok
 	ok = sameTree(t, what+" ComputeJoin", ComputeJoin(g, vals), wantJoin) && ok
 	ok = sameTree(t, what+" ComputeSplit", ComputeSplit(g, vals), wantSplit) && ok
@@ -282,24 +283,67 @@ func randomDomain(rng *rand.Rand) *stgraph.Graph {
 }
 
 // valueStyles are the value distributions of the parity property: each
-// stresses a different part of the key transform or the tie rule.
+// stresses a different part of the key transform, the tie rule or the
+// plateau splice of the sort.
 var valueStyles = []struct {
-	name string
-	draw func(rng *rand.Rand) float64
+	name   string
+	values func(rng *rand.Rand, n int) []float64
 }{
-	{"plateau", func(*rand.Rand) float64 { return 3 }},
-	{"two-levels", func(rng *rand.Rand) float64 { return float64(rng.Intn(2)) }},
-	{"four-levels", func(rng *rand.Rand) float64 { return float64(rng.Intn(4)) - 1.5 }},
-	{"signed-zeros", func(rng *rand.Rand) float64 {
+	{"plateau", each(func(*rand.Rand) float64 { return 3 })},
+	{"two-levels", each(func(rng *rand.Rand) float64 { return float64(rng.Intn(2)) })},
+	{"four-levels", each(func(rng *rand.Rand) float64 { return float64(rng.Intn(4)) - 1.5 })},
+	{"signed-zeros", each(func(rng *rand.Rand) float64 {
 		return []float64{0, math.Copysign(0, -1), 1, -1}[rng.Intn(4)]
-	}},
-	{"infinities", func(rng *rand.Rand) float64 {
+	})},
+	{"infinities", each(func(rng *rand.Rand) float64 {
 		return []float64{math.Inf(1), math.Inf(-1), 0, 2.5, -2.5}[rng.Intn(5)]
-	}},
-	{"dense", func(rng *rand.Rand) float64 { return rng.NormFloat64() * 1e3 }},
-	{"tiny-and-huge", func(rng *rand.Rand) float64 {
+	})},
+	{"dense", each(func(rng *rand.Rand) float64 { return rng.NormFloat64() * 1e3 })},
+	{"tiny-and-huge", each(func(rng *rand.Rand) float64 {
 		return math.Ldexp(rng.Float64()-0.5, rng.Intn(2000)-1000)
+	})},
+	// A dominant value (>= 90 % of vertices) at the minimum, in the middle
+	// and at the maximum: zero counts and the imputed mean.
+	{"dominant-min", dominant(0, func(rng *rand.Rand) float64 { return float64(1 + rng.Intn(3)) })},
+	{"dominant-middle", dominant(0.25, func(rng *rand.Rand) float64 { return rng.NormFloat64() })},
+	{"dominant-max", dominant(7, func(rng *rand.Rand) float64 { return -float64(rng.Intn(3)) + rng.Float64() })},
+	// Two values in equal shares, so the majority vote has no majority.
+	{"even-tie", func(rng *rand.Rand, n int) []float64 {
+		vals := make([]float64, n)
+		for i := range vals {
+			vals[i] = float64(i % 2)
+		}
+		if n%2 == 1 {
+			vals[n-1] = 0.5 // the rest ties exactly
+		}
+		rng.Shuffle(n, func(i, j int) { vals[i], vals[j] = vals[j], vals[i] })
+		return vals
 	}},
+}
+
+// each draws every vertex's value independently.
+func each(draw func(rng *rand.Rand) float64) func(*rand.Rand, int) []float64 {
+	return func(rng *rand.Rand, n int) []float64 {
+		vals := make([]float64, n)
+		for i := range vals {
+			vals[i] = draw(rng)
+		}
+		return vals
+	}
+}
+
+// dominant sets at least 90 % of the vertices to plateau and draws the rest.
+func dominant(plateau float64, other func(rng *rand.Rand) float64) func(*rand.Rand, int) []float64 {
+	return func(rng *rand.Rand, n int) []float64 {
+		vals := make([]float64, n)
+		for i := range vals {
+			vals[i] = plateau
+		}
+		for _, v := range rng.Perm(n)[:n/10] {
+			vals[v] = other(rng)
+		}
+		return vals
+	}
 }
 
 func TestKernelMatchesOracle(t *testing.T) {
@@ -309,13 +353,48 @@ func TestKernelMatchesOracle(t *testing.T) {
 			prop := func(seed int64) bool {
 				rng := rand.New(rand.NewSource(seed))
 				g := randomDomain(rng)
-				vals := make([]float64, g.NumVertices())
-				for i := range vals {
-					vals[i] = style.draw(rng)
-				}
-				return checkKernel(t, style.name, g, vals)
+				return checkKernel(t, style.name, g, style.values(rng, g.NumVertices()))
 			}
 			if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
+				t.Error(err)
+			}
+		})
+	}
+}
+
+// checkSortOrder compares the kernel's join order with a stable comparison
+// sort on (value desc, id desc), and its keys with the order's values.
+func checkSortOrder(t *testing.T, what string, vals []float64) bool {
+	t.Helper()
+	want := make([]int32, len(vals))
+	for i := range want {
+		want[i] = int32(len(vals) - 1 - i)
+	}
+	sort.SliceStable(want, func(a, b int) bool { return sortKey(vals[want[a]]) < sortKey(vals[want[b]]) })
+	s := new(sweeper)
+	s.sortDescending(vals)
+	if !reflect.DeepEqual(s.order, want) {
+		t.Errorf("%s: join order %v, stable sort %v (values %v)", what, s.order, want, vals)
+		return false
+	}
+	for i, v := range s.order {
+		if s.keys[i] != sortKey(vals[v]) {
+			t.Errorf("%s: key %d = %#x, want the key of vertex %d", what, i, s.keys[i], v)
+			return false
+		}
+	}
+	return true
+}
+
+func TestSortMatchesStableSort(t *testing.T) {
+	for _, style := range valueStyles {
+		style := style
+		t.Run(style.name, func(t *testing.T) {
+			prop := func(seed int64, size uint16) bool {
+				rng := rand.New(rand.NewSource(seed))
+				return checkSortOrder(t, style.name, style.values(rng, 1+int(size)%3000))
+			}
+			if err := quick.Check(prop, &quick.Config{MaxCount: 100}); err != nil {
 				t.Error(err)
 			}
 		})

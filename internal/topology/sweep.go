@@ -98,8 +98,15 @@ func sortKey(x float64) uint64 {
 
 // sortDescending leaves in s.order the vertices of vals in join sweep order
 // — decreasing value, ties broken by higher vertex id (simulated
-// perturbation) — and in s.keys their keys. It is an LSD radix sort whose
-// digit histograms all come from the pass that builds the keys; a digit
+// perturbation) — and in s.keys their keys.
+//
+// Fine-resolution functions are mostly one value (zero counts, the imputed
+// mean), so the plateau is taken out before sorting: the pass that builds
+// the keys also picks a Boyer–Moore majority candidate, the candidate's run
+// is partitioned out — already in descending-id order, the order a stable
+// sort leaves ties in — and only the other keys are radix sorted, with the
+// run spliced in between the smaller and the larger keys. The sort is LSD
+// radix whose digit histograms all come from the partition pass; a digit
 // that is the same in every key is skipped.
 func (s *sweeper) sortDescending(vals []float64) {
 	n := len(vals)
@@ -111,17 +118,50 @@ func (s *sweeper) sortDescending(vals []float64) {
 	tmpK, tmpI := s.keysTmp[:n], s.orderTmp[:n]
 	count := &s.count
 	*count = [radixDigits][1 << radixBits]int32{}
+	var plateau uint64
+	votes := 0
 	for i := range keys { // descending ids: a stable sort keeps ties that way
 		v := n - 1 - i
 		k := sortKey(vals[v])
 		keys[i], ids[i] = k, int32(v)
+		switch {
+		case votes == 0:
+			plateau, votes = k, 1
+		case k == plateau:
+			votes++
+		default:
+			votes--
+		}
+	}
+
+	// Partition: the plateau's ids compact to the front of ids (a write
+	// never overtakes the read), the other keys go to tmp in order and into
+	// the digit histograms.
+	run, m, below := 0, 0, 0
+	for i, k := range keys {
+		if k == plateau {
+			ids[run] = ids[i]
+			run++
+			continue
+		}
+		if k < plateau {
+			below++
+		}
+		tmpK[m], tmpI[m] = k, ids[i]
+		m++
 		for d := range count {
 			count[d][k>>(d*radixBits)&radixMask]++
 		}
 	}
+
+	// Radix sort the m other keys, ping-ponging between tmp[:m] and the
+	// slots of keys/ids behind the run.
+	srcK, srcI := tmpK[:m], tmpI[:m]
+	dstK, dstI := keys[run:], ids[run:]
+	inTmp := true
 	for d := range count {
 		next, shift := &count[d], d*radixBits
-		if next[keys[0]>>shift&radixMask] == int32(n) {
+		if m == 0 || next[srcK[0]>>shift&radixMask] == int32(m) {
 			continue
 		}
 		sum := int32(0)
@@ -129,15 +169,32 @@ func (s *sweeper) sortDescending(vals []float64) {
 			next[b] = sum
 			sum += c
 		}
-		for i, k := range keys {
+		for i, k := range srcK {
 			b := k >> shift & radixMask
 			p := next[b]
 			next[b] = p + 1
-			tmpK[p], tmpI[p] = k, ids[i]
+			dstK[p], dstI[p] = k, srcI[i]
 		}
-		keys, tmpK, ids, tmpI = tmpK, keys, tmpI, ids
+		srcK, dstK, srcI, dstI = dstK, srcK, dstI, srcI
+		inTmp = !inTmp
 	}
-	s.keys, s.keysTmp, s.order, s.orderTmp = keys, tmpK, ids, tmpI
+
+	// Splice [keys below the plateau | the run | keys above it] into the
+	// pair of buffers not holding the sorted keys. The run moves first: in
+	// ids it may overlap where it lands.
+	outK, outI, spareK, spareI := keys, ids, tmpK, tmpI
+	if !inTmp {
+		outK, outI, spareK, spareI = tmpK, tmpI, keys, ids
+	}
+	copy(outI[below:below+run], ids[:run])
+	copy(outI[:below], srcI[:below])
+	copy(outI[below+run:], srcI[below:])
+	copy(outK[:below], srcK[:below])
+	copy(outK[below+run:], srcK[below:])
+	for i := below; i < below+run; i++ {
+		outK[i] = plateau
+	}
+	s.keys, s.keysTmp, s.order, s.orderTmp = outK, spareK, outI, spareI
 }
 
 // splitOrder turns s.order from the join into the split sweep order
