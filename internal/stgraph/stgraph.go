@@ -27,13 +27,23 @@ type Graph struct {
 	nSpatial int     // number of undirected spatial edges per step
 	// Flat neighbor table for index-based traversal, see NeighborOffsets.
 	nbrOff, nbrDelta []int32
+	// Spatial neighbor bit masks per region, see NeighborMasks.
+	maskOff []int32
+	masks   []MaskWord
+}
+
+// MaskWord is one 64-region word of a region's spatial neighbor mask: bit b
+// of Bits stands for region 64*Word + b.
+type MaskWord struct {
+	Word int32
+	Bits uint64
 }
 
 // New builds a domain graph for nRegions spatial regions over nSteps time
-// steps with the given region adjacency (adjacency lists must be symmetric
-// and irreflexive; len(spatAdj) must equal nRegions). Vertex ids are stored
-// as int32 by the merge-tree kernel, so |V| = nRegions*nSteps must not exceed
-// math.MaxInt32.
+// steps with the given region adjacency (adjacency lists must be symmetric,
+// irreflexive and free of repeats; len(spatAdj) must equal nRegions).
+// Vertex ids are stored as int32 by the merge-tree kernel, so |V| =
+// nRegions*nSteps must not exceed math.MaxInt32.
 func New(nRegions, nSteps int, spatAdj [][]int) (*Graph, error) {
 	if nRegions <= 0 || nSteps <= 0 {
 		return nil, fmt.Errorf("stgraph: need positive regions (%d) and steps (%d)", nRegions, nSteps)
@@ -45,7 +55,10 @@ func New(nRegions, nSteps int, spatAdj [][]int) (*Graph, error) {
 		return nil, fmt.Errorf("stgraph: adjacency has %d regions, want %d", len(spatAdj), nRegions)
 	}
 	deg := 0
+	maskOff := make([]int32, nRegions+1)
+	masks := make([]MaskWord, 0, nRegions)
 	for r, nbrs := range spatAdj {
+		first := len(masks)
 		for _, u := range nbrs {
 			if u < 0 || u >= nRegions {
 				return nil, fmt.Errorf("stgraph: region %d has out-of-range neighbor %d", r, u)
@@ -53,8 +66,28 @@ func New(nRegions, nSteps int, spatAdj [][]int) (*Graph, error) {
 			if u == r {
 				return nil, fmt.Errorf("stgraph: region %d adjacent to itself", r)
 			}
+			word, bit := int32(u>>6), uint64(1)<<(u&63)
+			i := first
+			for i < len(masks) && masks[i].Word != word {
+				i++
+			}
+			if i == len(masks) {
+				masks = append(masks, MaskWord{Word: word})
+			}
+			if masks[i].Bits&bit != 0 {
+				return nil, fmt.Errorf("stgraph: region %d lists neighbor %d twice", r, u)
+			}
+			masks[i].Bits |= bit
 		}
+		maskOff[r+1] = int32(len(masks))
 		deg += len(nbrs)
+	}
+	for r, nbrs := range spatAdj {
+		for _, u := range nbrs {
+			if !inMask(masks[maskOff[u]:maskOff[u+1]], r) {
+				return nil, fmt.Errorf("stgraph: region %d lists neighbor %d, which does not list it", r, u)
+			}
+		}
 	}
 	nbrOff := make([]int32, nRegions+1)
 	nbrDelta := make([]int32, 0, deg+2*nRegions)
@@ -66,7 +99,17 @@ func New(nRegions, nSteps int, spatAdj [][]int) (*Graph, error) {
 		nbrOff[r+1] = int32(len(nbrDelta))
 	}
 	return &Graph{nRegions: nRegions, nSteps: nSteps, spatAdj: spatAdj, nSpatial: deg / 2,
-		nbrOff: nbrOff, nbrDelta: nbrDelta}, nil
+		nbrOff: nbrOff, nbrDelta: nbrDelta, maskOff: maskOff, masks: masks}, nil
+}
+
+// inMask reports whether region r is set in the neighbor mask m.
+func inMask(m []MaskWord, r int) bool {
+	for _, w := range m {
+		if w.Word == int32(r>>6) {
+			return w.Bits>>(r&63)&1 != 0
+		}
+	}
+	return false
 }
 
 // NumRegions returns the number of spatial regions n.
@@ -128,6 +171,11 @@ func (g *Graph) Degree(v int) int {
 // [0, NumVertices()) — the previous step of the first and the next step of
 // the last. They come in the order Neighbors visits them.
 func (g *Graph) NeighborOffsets() (off, delta []int32) { return g.nbrOff, g.nbrDelta }
+
+// NeighborMasks exposes the spatial adjacency as bit masks (read-only): the
+// spatial neighbors of region r are the set bits of masks[i] for off[r] <=
+// i < off[r+1], one entry for each 64-region word that holds a neighbor.
+func (g *Graph) NeighborMasks() (off []int32, masks []MaskWord) { return g.maskOff, g.masks }
 
 // SpatialAdjacency exposes the shared region adjacency lists (read-only).
 func (g *Graph) SpatialAdjacency() [][]int { return g.spatAdj }

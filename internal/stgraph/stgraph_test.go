@@ -30,6 +30,82 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
+// The merge-tree kernel's plateau test steps along spatial edges in both
+// directions, so New must refuse a one-way or repeated neighbor, in any
+// 64-region word of the adjacency.
+func TestNewRejectsMalformedAdjacency(t *testing.T) {
+	wide := func(links ...[2]int) [][]int { // 130 regions, directed links
+		adj := make([][]int, 130)
+		for _, l := range links {
+			adj[l[0]] = append(adj[l[0]], l[1])
+		}
+		return adj
+	}
+	cases := []struct {
+		name string
+		adj  [][]int
+		ok   bool
+	}{
+		{"path", path3(), true},
+		{"one way", [][]int{{1}, {}, {}}, false},
+		{"one of two back", [][]int{{1, 2}, {0}, {}}, false},
+		{"repeated neighbor", [][]int{{1, 1}, {0}, {}}, false},
+		{"repeated both ways", [][]int{{1, 1}, {0, 0}, {}}, false},
+		{"symmetric across words", wide([2]int{0, 129}, [2]int{129, 0}, [2]int{63, 64}, [2]int{64, 63}), true},
+		{"one way across words", wide([2]int{3, 100}), false},
+		// 100 lists 67, which shares 3's bit in the next word.
+		{"back link in the wrong word", wide([2]int{3, 100}, [2]int{100, 67}, [2]int{67, 100}), false},
+		{"repeated in a later word", wide([2]int{0, 70}, [2]int{0, 70}, [2]int{70, 0}), false},
+	}
+	for _, c := range cases {
+		_, err := New(len(c.adj), 2, c.adj)
+		if (err == nil) != c.ok {
+			t.Errorf("%s: err = %v, want accepted = %v", c.name, err, c.ok)
+		}
+	}
+}
+
+// NeighborMasks must hold exactly each region's spatial neighbors, one
+// non-empty entry per word that has any.
+func TestNeighborMasksMatchAdjacency(t *testing.T) {
+	const n = 130
+	adj := make([][]int, n)
+	for a := 0; a < n; a++ {
+		for _, b := range []int{a + 1, a + 63, a + 64, a + 70} {
+			if b < n {
+				adj[a] = append(adj[a], b)
+				adj[b] = append(adj[b], a)
+			}
+		}
+	}
+	g, err := New(n, 3, adj)
+	if err != nil {
+		t.Fatal(err)
+	}
+	off, masks := g.NeighborMasks()
+	for r := 0; r < n; r++ {
+		var got []int
+		words := map[int32]bool{}
+		for _, m := range masks[off[r]:off[r+1]] {
+			if m.Bits == 0 || words[m.Word] {
+				t.Fatalf("region %d: empty or repeated word %d in %v", r, m.Word, masks[off[r]:off[r+1]])
+			}
+			words[m.Word] = true
+			for b := 0; b < 64; b++ {
+				if m.Bits>>b&1 != 0 {
+					got = append(got, int(m.Word)*64+b)
+				}
+			}
+		}
+		want := append([]int(nil), adj[r]...)
+		sort.Ints(got)
+		sort.Ints(want)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("region %d: masks hold %v, adjacency %v", r, got, want)
+		}
+	}
+}
+
 // Vertex ids are int32 in the merge-tree kernel: a domain past 2^31-1
 // vertices must be refused, not wrapped.
 func TestNewRejectsDomainsBeyondInt32(t *testing.T) {

@@ -259,11 +259,18 @@ func checkKernel(t *testing.T, what string, g *stgraph.Graph, vals []float64) bo
 
 // randomDomain draws a random symmetric region adjacency (possibly
 // disconnected, possibly dense enough for multi-saddles) and step count.
+// One domain in four is 63, 64, 65 or 130 regions wide over a few steps, so
+// the kernel's bit rows span one, two and three words; half of those have a
+// few neighbours per region, like a city map.
 func randomDomain(rng *rand.Rand) *stgraph.Graph {
-	nRegions := 1 + rng.Intn(7)
-	nSteps := 1 + rng.Intn(9)
+	nRegions, nSteps, density := 1+rng.Intn(7), 1+rng.Intn(9), rng.Float64()
+	if rng.Intn(4) == 0 {
+		nRegions, nSteps = []int{63, 64, 65, 130}[rng.Intn(4)], 1+rng.Intn(4)
+		if rng.Intn(2) == 0 {
+			density *= 8 / float64(nRegions)
+		}
+	}
 	adj := make([][]int, nRegions)
-	density := rng.Float64()
 	for a := 0; a < nRegions; a++ {
 		for b := a + 1; b < nRegions; b++ {
 			if rng.Float64() < density {
@@ -372,7 +379,7 @@ func checkSortOrder(t *testing.T, what string, vals []float64) bool {
 	}
 	sort.SliceStable(want, func(a, b int) bool { return sortKey(vals[want[a]]) < sortKey(vals[want[b]]) })
 	s := new(sweeper)
-	s.sortDescending(vals)
+	s.sortDescending(vals, 1)
 	if !reflect.DeepEqual(s.order, want) {
 		t.Errorf("%s: join order %v, stable sort %v (values %v)", what, s.order, want, vals)
 		return false
@@ -456,7 +463,7 @@ func TestPooledScratchReuse(t *testing.T) {
 
 	s := new(sweeper)
 	build := func(g *stgraph.Graph, vals []float64) (*Tree, *Tree) {
-		s.sortDescending(vals)
+		s.sortDescending(vals, g.NumRegions())
 		join := s.sweep(g, vals, Join)
 		s.splitOrder()
 		return join, s.sweep(g, vals, Split)
@@ -505,4 +512,80 @@ func TestConcurrentComputeBoth(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestPlateauShortcutFires pins that the bit rows, not the neighbour walk,
+// settle the plateau of an hourly count at neighbourhood resolution (48
+// regions x 8,784 steps, 95 % zeros) in both trees: the parity tests cannot
+// see a shortcut that silently stops firing.
+func TestPlateauShortcutFires(t *testing.T) {
+	const regions, steps = 48, 8784
+	g, err := stgraph.New(regions, steps, gridAdjacency(8, 6))
+	if err != nil {
+		t.Fatal(err)
+	}
+	vals := hourlyCounts(regions)(rand.New(rand.NewSource(3)), g.NumVertices())
+	s := new(sweeper)
+	s.sortDescending(vals, regions)
+	if share := float64(s.run) / float64(len(vals)); share < 0.94 || vals[s.order[s.below]] != 0 {
+		t.Fatalf("plateau is %.1f %% of the vertices at %v, want the zeros at ~95 %%", 100*share, vals[s.order[s.below]])
+	}
+	join := s.sweep(g, vals, Join)
+	joinSettled := s.shortcuts
+	s.splitOrder()
+	split := s.sweep(g, vals, Split)
+	for _, c := range []struct {
+		kind    Kind
+		settled int
+	}{{Join, joinSettled}, {Split, s.shortcuts}} {
+		share := float64(c.settled) / float64(s.run)
+		t.Logf("%v: %d of %d plateau visits (%.1f %%) settled by the rows", c.kind, c.settled, s.run, 100*share)
+		if share < 0.9 {
+			t.Errorf("%v: %.1f %% of the plateau visits settled by the rows, want >= 90 %%", c.kind, 100*share)
+		}
+	}
+	sameTree(t, "hourly counts join", join, oracleJoin(g, vals))
+	sameTree(t, "hourly counts split", split, oracleSplit(g, vals))
+}
+
+// FuzzMergeTreeOracle compares the kernel with the oracle on a decoded
+// domain: byte 0 picks 1–130 regions, byte 1 1–6 steps, byte 2 1–4 value
+// levels and byte 3 an edge count; that many byte pairs name the edges
+// (made symmetric, self-loops and repeats skipped), and the bytes after
+// them, repeated, give the levels of the vertices.
+func FuzzMergeTreeOracle(f *testing.F) {
+	f.Add([]byte{0, 8, 1, 0})
+	f.Add([]byte{62, 2, 2, 3, 0, 1, 1, 2, 61, 62, 0, 1, 1, 0, 1})
+	f.Add([]byte{63, 3, 3, 4, 0, 63, 63, 62, 10, 11, 32, 31, 0, 2, 1, 0, 0, 0})
+	f.Add([]byte{64, 2, 2, 3, 64, 0, 63, 64, 1, 2, 0, 0, 1, 0, 0})
+	f.Add([]byte{129, 1, 4, 6, 0, 129, 64, 65, 127, 128, 63, 64, 1, 2, 5, 70, 0, 0, 0, 1, 2, 3, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 4 {
+			return
+		}
+		nRegions, nSteps, levels := 1+int(data[0])%130, 1+int(data[1])%6, 1+int(data[2])%4
+		adj := make([][]int, nRegions)
+		linked := map[[2]int]bool{}
+		rest := data[4:]
+		for e := int(data[3]); e > 0 && len(rest) >= 2; e-- {
+			a, b := int(rest[0])%nRegions, int(rest[1])%nRegions
+			rest = rest[2:]
+			if key := [2]int{min(a, b), max(a, b)}; a != b && !linked[key] {
+				linked[key] = true
+				adj[a] = append(adj[a], b)
+				adj[b] = append(adj[b], a)
+			}
+		}
+		g, err := stgraph.New(nRegions, nSteps, adj)
+		if err != nil {
+			t.Fatal(err)
+		}
+		vals := make([]float64, g.NumVertices())
+		if len(rest) > 0 {
+			for i := range vals {
+				vals[i] = float64(int(rest[i%len(rest)]) % levels)
+			}
+		}
+		checkKernel(t, "fuzz", g, vals)
+	})
 }

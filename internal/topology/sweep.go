@@ -2,6 +2,7 @@ package topology
 
 import (
 	"math"
+	"math/bits"
 	"slices"
 	"sync"
 
@@ -39,7 +40,7 @@ func compute(g *stgraph.Graph, vals []float64, wantJoin, wantSplit bool) (join, 
 	vals = vals[:g.NumVertices()]
 	s := sweepers.Get().(*sweeper)
 	defer sweepers.Put(s)
-	s.sortDescending(vals)
+	s.sortDescending(vals, g.NumRegions())
 	if wantJoin {
 		join = s.sweep(g, vals, Join)
 	}
@@ -58,11 +59,19 @@ type sweeper struct {
 	// spare, serves the sweep as its union-find forest (see find).
 	order, orderTmp []int32
 	count           [radixDigits][1 << radixBits]int32
-	comps           []component
-	roots           []int32 // distinct upper components at the current vertex
-	leaves          []int
-	pairs           []Pair
-	edges           []Edge
+	// The plateau is order[below : below+run] in join order. Its bit rows
+	// have ⌈regions/64⌉ words per step, bit r of row t standing for vertex
+	// (t, r): plat holds the plateau, pre what the sweep visits before the
+	// plateau — the larger values in the join, the smaller after splitOrder.
+	plat, pre  []uint64
+	below, run int
+	ok         []uint64 // the current step's regular plateau (see plateauRow)
+	shortcuts  int      // plateau vertices the last sweep settled from the rows
+	comps      []component
+	roots      []int32 // distinct upper components at the current vertex
+	leaves     []int
+	pairs      []Pair
+	edges      []Edge
 }
 
 var sweepers = sync.Pool{New: func() any { return new(sweeper) }}
@@ -96,9 +105,10 @@ func sortKey(x float64) uint64 {
 	return b ^ (^uint64(int64(b)>>63) >> 1)
 }
 
-// sortDescending leaves in s.order the vertices of vals in join sweep order
-// — decreasing value, ties broken by higher vertex id (simulated
-// perturbation) — and in s.keys their keys.
+// sortDescending leaves in s.order the vertices of vals, a function on a
+// domain of the given number of regions, in join sweep order — decreasing
+// value, ties broken by higher vertex id (simulated perturbation) — and in
+// s.keys their keys.
 //
 // Fine-resolution functions are mostly one value (zero counts, the imputed
 // mean), so the plateau is taken out before sorting: the pass that builds
@@ -107,13 +117,22 @@ func sortKey(x float64) uint64 {
 // sort leaves ties in — and only the other keys are radix sorted, with the
 // run spliced in between the smaller and the larger keys. The sort is LSD
 // radix whose digit histograms all come from the partition pass; a digit
-// that is the same in every key is skipped.
-func (s *sweeper) sortDescending(vals []float64) {
+// that is the same in every key is skipped. The partition pass also fills
+// the plateau's bit rows (see sweeper).
+func (s *sweeper) sortDescending(vals []float64, regions int) {
 	n := len(vals)
 	if cap(s.order) < n {
 		s.keys, s.keysTmp = make([]uint64, n), make([]uint64, n)
 		s.order, s.orderTmp = make([]int32, n), make([]int32, n)
 	}
+	words := (regions + 63) / 64
+	rows := n / regions * words
+	if cap(s.plat) < rows {
+		s.plat, s.pre = make([]uint64, rows), make([]uint64, rows)
+	}
+	plat, pre := s.plat[:rows], s.pre[:rows]
+	clear(plat)
+	clear(pre)
 	keys, ids := s.keys[:n], s.order[:n]
 	tmpK, tmpI := s.keysTmp[:n], s.orderTmp[:n]
 	count := &s.count
@@ -136,16 +155,24 @@ func (s *sweeper) sortDescending(vals []float64) {
 
 	// Partition: the plateau's ids compact to the front of ids (a write
 	// never overtakes the read), the other keys go to tmp in order and into
-	// the digit histograms.
+	// the digit histograms. Each vertex sets its bit in plat, or in pre if
+	// its value is larger; its row and region count down with the ids.
 	run, m, below := 0, 0, 0
+	row, r := rows-words, regions-1
 	for i, k := range keys {
+		w, bit := row+r>>6, uint64(1)<<(r&63)
+		if r--; r < 0 {
+			row, r = row-words, regions-1
+		}
 		if k == plateau {
 			ids[run] = ids[i]
 			run++
+			plat[w] |= bit
 			continue
 		}
 		if k < plateau {
 			below++
+			pre[w] |= bit
 		}
 		tmpK[m], tmpI[m] = k, ids[i]
 		m++
@@ -195,12 +222,14 @@ func (s *sweeper) sortDescending(vals []float64) {
 		outK[i] = plateau
 	}
 	s.keys, s.keysTmp, s.order, s.orderTmp = outK, spareK, outI, spareI
+	s.plat, s.pre, s.below, s.run = plat, pre, below, run
 }
 
 // splitOrder turns s.order from the join into the split sweep order
 // (increasing value, ties by higher vertex id): the runs of equal value in
 // reverse sequence, each run kept as it is — a reversal of the whole, then
-// of each run where it landed.
+// of each run where it landed. The split visits before its plateau what the
+// join visits after it.
 func (s *sweeper) splitOrder() {
 	order, keys, n := s.order, s.keys, len(s.order)
 	slices.Reverse(order)
@@ -211,6 +240,9 @@ func (s *sweeper) splitOrder() {
 		}
 		slices.Reverse(order[n-hi : n-lo])
 		hi = lo
+	}
+	for i, p := range s.plat {
+		s.pre[i] = ^(s.pre[i] | p)
 	}
 }
 
@@ -235,22 +267,57 @@ func compOf(parent []int32, root int32) int32 { return -2 - parent[root] }
 
 // sweep processes the vertices in s.order, maintaining level-set
 // components in a union-find forest, recording tree edges at merges and
-// pairing creators with destroyers.
+// pairing creators with destroyers. A plateau vertex that the bit rows
+// show regular (see plateauRow) joins the component of the vertex one step
+// later; every other vertex walks its neighbours.
 func (s *sweeper) sweep(g *stgraph.Graph, vals []float64, kind Kind) *Tree {
 	order := s.order
 	n := int32(len(order))
 	R := uint32(g.NumRegions())
 	off, delta := g.NeighborOffsets()
+	maskOff, masks := g.NeighborMasks()
 	parent := s.orderTmp
 	for i := range parent {
 		parent[i] = unswept
 	}
 	comps, roots := s.comps[:0], s.roots[:0]
 	leaves, pairs, edges := s.leaves[:0], s.pairs[:0], s.edges[:0]
-	critical, paired := 0, 0
+	critical, paired, shortcuts := 0, 0, 0
 
-	for _, v := range order {
-		region := uint32(v) % R
+	// The plateau is order[lo:hi] in both sweeps, in descending id order,
+	// so the row of its vertices counts down: row is the first word of the
+	// row of the step that starts at vertex rowStart, and ok marks that
+	// step's regular plateau vertices (see plateauRow).
+	lo := int32(s.below)
+	if kind == Split {
+		lo = n - int32(s.below+s.run)
+	}
+	hi := lo + int32(s.run)
+	words := int(R+63) / 64
+	row, rowStart := len(s.plat), n
+	if cap(s.ok) < words {
+		s.ok = make([]uint64, words)
+	}
+	ok := s.ok[:words]
+
+	for i, v := range order {
+		var region uint32
+		if int32(i) < lo || int32(i) >= hi {
+			region = uint32(v) % R
+		} else {
+			if v < rowStart {
+				for v < rowStart {
+					row, rowStart = row-words, rowStart-int32(R)
+				}
+				s.plateauRow(row, ok, maskOff, masks)
+			}
+			region = uint32(v - rowStart)
+			if ok[region>>6]>>(region&63)&1 != 0 {
+				parent[v] = find(parent, v+int32(R))
+				shortcuts++
+				continue
+			}
+		}
 		roots = roots[:0]
 		// Neighbor order fixes the order of Edges at a saddle.
 	neighbors:
@@ -351,6 +418,7 @@ func (s *sweeper) sweep(g *stgraph.Graph, vals []float64, kind Kind) *Tree {
 	}
 
 	s.comps, s.roots, s.leaves, s.pairs, s.edges = comps, roots, leaves, pairs, edges
+	s.shortcuts = shortcuts
 	return &Tree{
 		kind: kind, g: g, vals: vals,
 		Leaves:   append([]int(nil), leaves...),
@@ -358,5 +426,60 @@ func (s *sweeper) sweep(g *stgraph.Graph, vals []float64, kind Kind) *Tree {
 		Edges:    append([]Edge(nil), edges...),
 		Root:     int(root),
 		critical: critical,
+	}
+}
+
+// plateauRow decides from the bit rows which plateau vertices (t, r) of the
+// step whose row starts at word row are regular with (t+1, r) in their one
+// upper component. When the sweep reaches (t, r), the swept vertices are
+// pre and the plateau vertices of higher id, and S = pre ∪ plat is what is
+// swept by the end of the plateau. (t, r) is regular when t+1 < T and
+//
+//	(i)   r ∈ S[t+1];
+//	(ii)  every spatial neighbour r′ of r already swept — r′ ∈ pre[t], or
+//	      r′ ∈ plat[t] with r′ > r — has r′ ∈ S[t+1];
+//	(iii) t = 0 or r ∉ pre[t−1].
+//
+// Then (t+1, r) is swept, each swept (t, r′) is joined to (t+1, r′) by a
+// temporal and on to (t+1, r) by a spatial edge between swept vertices, and
+// (t−1, r) is not swept: every swept neighbour has the root of (t+1, r),
+// the one root the neighbour walk would find. The spatial step needs a
+// symmetric adjacency, which stgraph.New enforces.
+//
+// plateauRow sets in ok the regions that pass (i) and (iii). The adjacency
+// being symmetric, (ii) fails for r exactly when r neighbours a vertex of
+// pre[t] ∖ S[t+1], or lies below a neighbour in plat[t] ∖ S[t+1]: those
+// few vertices clear their neighbour masks (stgraph.Graph.NeighborMasks)
+// from ok.
+func (s *sweeper) plateauRow(row int, ok []uint64, maskOff []int32, masks []stgraph.MaskWord) {
+	words, next := len(ok), row+len(ok)
+	if next == len(s.plat) {
+		clear(ok) // the last step has no (t+1, r)
+		return
+	}
+	for x := range ok {
+		ok[x] = s.pre[next+x] | s.plat[next+x]
+		if row > 0 {
+			ok[x] &^= s.pre[row-words+x]
+		}
+	}
+	for x := range ok {
+		swept := s.pre[next+x] | s.plat[next+x]
+		for b := s.pre[row+x] &^ swept; b != 0; b &= b - 1 {
+			u := x<<6 + bits.TrailingZeros64(b)
+			for _, m := range masks[maskOff[u]:maskOff[u+1]] {
+				ok[m.Word] &^= m.Bits
+			}
+		}
+		for b := s.plat[row+x] &^ swept; b != 0; b &= b - 1 {
+			u, low := x<<6+bits.TrailingZeros64(b), b&-b-1 // low: the regions below u in its word
+			for _, m := range masks[maskOff[u]:maskOff[u+1]] {
+				if int(m.Word) < x {
+					ok[m.Word] &^= m.Bits
+				} else if int(m.Word) == x {
+					ok[m.Word] &^= m.Bits & low
+				}
+			}
+		}
 	}
 }
