@@ -163,7 +163,7 @@ type Framework struct {
 	// read it and fill its missing pairs. famMu guards it; it nests inside
 	// mu and graphMu and is never held across an evaluation.
 	famMu    sync.Mutex
-	families map[string]map[graphPair][]relgraph.Edge
+	families map[string]map[graphPair][]candidate
 
 	// Materialized relationship graph. graphMu serializes graph builders
 	// and Save and guards the published graph's origin: its signature, its
@@ -178,7 +178,7 @@ type Framework struct {
 	graphSig    string
 	graphSel    graphSelection
 	graphClause Clause
-	graphFams   map[graphPair][]relgraph.Edge
+	graphFams   map[graphPair][]candidate
 	relGraph    atomic.Pointer[relgraph.Graph]
 
 	// ingestMu serializes IngestDataset calls (see ingest.go): an ingestion
@@ -248,7 +248,7 @@ func New(opts Options) (*Framework, error) {
 		timelines: make(map[temporal.Resolution]*temporal.Timeline),
 		graphs:    make(map[Resolution]*stgraph.Graph),
 		shifts:    shifts,
-		families:  make(map[string]map[graphPair][]relgraph.Edge),
+		families:  make(map[string]map[graphPair][]candidate),
 		cache:     make(map[string]*cachedResult),
 		inflight:  make(map[string]*inflightQuery),
 	}, nil

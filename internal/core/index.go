@@ -1,8 +1,13 @@
 package core
 
 import (
+	"maps"
+	"slices"
+	"sync"
+
 	"github.com/urbandata/datapolygamy/internal/bitvec"
 	"github.com/urbandata/datapolygamy/internal/feature"
+	"github.com/urbandata/datapolygamy/internal/relgraph"
 	"github.com/urbandata/datapolygamy/internal/temporal"
 )
 
@@ -59,6 +64,10 @@ type FunctionEntry struct {
 	// that back it and is invariant under appends that leave them untouched.
 	// nil (NumSteps 0) means unknown: treated as every tile occupied.
 	salientTiles, extremeTiles []uint64
+
+	// pos is the entry's position in its data set's key-sorted entry list
+	// (Index.funcs), the name a tested candidate record gives it.
+	pos uint32
 }
 
 // finalize computes the cached unions and occupancy summaries from the
@@ -219,16 +228,29 @@ type Index struct {
 	// entries[dataset][Resolution] -> function entries at that resolution,
 	// sorted by Key within each resolution.
 	entries map[string]map[Resolution][]*FunctionEntry
-	stats   map[string]DatasetStats
+	// funcs[dataset] -> every entry of the data set sorted by key, the
+	// order the index section writes them in. A candidate record names its
+	// functions by position here (FunctionEntry.pos). Positions outlive any
+	// one Index: a data set that is re-indexed has its families dropped
+	// (dropResultsInvolving), and one that is not keeps its keys, so its
+	// list in the next Index is the same.
+	funcs map[string][]*FunctionEntry
+	stats map[string]DatasetStats
 	// done marks data sets the index covers. Tracked separately from
 	// entries: a data set with no viable evaluation resolution is indexed
 	// (vacuously, with zero entries) and must not be re-queued forever.
 	done map[string]bool
+
+	// tab is the function table graphs and query answers are assembled
+	// over, built on first use after a change (table).
+	tabMu sync.Mutex
+	tab   *funcTable
 }
 
 func newIndex() *Index {
 	return &Index{
 		entries: make(map[string]map[Resolution][]*FunctionEntry),
+		funcs:   make(map[string][]*FunctionEntry),
 		stats:   make(map[string]DatasetStats),
 		done:    make(map[string]bool),
 	}
@@ -279,11 +301,52 @@ func (ix *Index) numFunctions() int {
 }
 
 // sort orders a data set's entries deterministically by key within each
-// resolution.
+// resolution and lays out its key-sorted entry list, numbering positions.
 func (ix *Index) sort(ds string) {
+	var all []*FunctionEntry
 	for _, es := range ix.entries[ds] {
 		sortEntriesByKey(es)
+		all = append(all, es...)
 	}
+	sortEntriesByKey(all)
+	for i, e := range all {
+		e.pos = uint32(i)
+	}
+	ix.funcs[ds] = all
+	ix.tabMu.Lock()
+	ix.tab = nil
+	ix.tabMu.Unlock()
+}
+
+// funcTable is the index's functions as one relgraph table: every data
+// set's key-sorted entries in data set order, so a candidate record of
+// pair (A, B) names table ids base[A]+posA and base[B]+posB.
+type funcTable struct {
+	*relgraph.Table
+	base map[string]uint32
+}
+
+// table returns the index's function table, building it on first use
+// after a change. Safe for concurrent readers.
+func (ix *Index) table() *funcTable {
+	ix.tabMu.Lock()
+	defer ix.tabMu.Unlock()
+	if ix.tab != nil {
+		return ix.tab
+	}
+	names := slices.Sorted(maps.Keys(ix.funcs))
+	t := &funcTable{base: make(map[string]uint32, len(names))}
+	var fns []relgraph.Function
+	for _, ds := range names {
+		t.base[ds] = uint32(len(fns))
+		for _, e := range ix.funcs[ds] {
+			fns = append(fns, relgraph.Function{Key: e.Key, Dataset: e.Dataset, Spec: e.SpecName,
+				SRes: e.Res.Spatial, TRes: e.Res.Temporal})
+		}
+	}
+	t.Table = relgraph.NewTable(fns)
+	ix.tab = t
+	return t
 }
 
 // datasetStats returns the per-data-set statistics, reporting ok = false

@@ -3,29 +3,35 @@ package core
 // Flat codecs — the one serialisation of derived state. The index section
 // and the graph section are written as length-prefixed little-endian slabs
 // with 8-byte alignment (internal/store's SlabWriter / SlabReader), so a
-// memory-mapped snapshot is *viewed* instead of decoded: feature bit vectors alias the mapping
-// (bitvec.ViewBytes), strings alias the mapping (store.SlabReader.String),
-// and replicas on one host share the page cache. At paper scale (hundreds
-// of data sets) decoding every bit vector and edge into fresh heap objects
-// would cost seconds of warm start and a duplicated heap per process.
+// memory-mapped snapshot is *viewed* instead of decoded: feature bit vectors
+// (bitvec.ViewBytes), strings (store.SlabReader.String) and tested
+// candidate records (viewCandidates) alias the mapping, and replicas on one
+// host share the page cache. At paper scale (hundreds of data sets)
+// decoding every bit vector and candidate into fresh heap objects would
+// cost seconds of warm start and a duplicated heap per process.
 //
 // Parsing is split from installation: parseFlatIndex / parseFlatGraph are
 // pure functions over a byte slice (fuzzed in persist_flat_test.go) whose
-// failures all wrap store.ErrCorrupt; the framework-aware steps
-// (installIndexLocked, stageGraphLocked) then validate the parsed value
+// failures all wrap store.ErrCorrupt — the graph parser checks every record
+// against the parsed index's entry lists; the framework-aware steps
+// (installIndexLocked, stageGraphLocked) then validate the parsed values
 // against the registered corpus before anything is mutated.
 
 import (
 	"bytes"
+	"cmp"
+	"encoding/binary"
 	"fmt"
 	"maps"
+	"math"
 	"slices"
 	"sort"
+	"strings"
+	"unsafe"
 
 	"github.com/urbandata/datapolygamy/internal/bitvec"
 	"github.com/urbandata/datapolygamy/internal/feature"
 	"github.com/urbandata/datapolygamy/internal/montecarlo"
-	"github.com/urbandata/datapolygamy/internal/relgraph"
 	"github.com/urbandata/datapolygamy/internal/spatial"
 	"github.com/urbandata/datapolygamy/internal/stats"
 	"github.com/urbandata/datapolygamy/internal/store"
@@ -35,17 +41,17 @@ import (
 // flatSnapshotVersion is the generation of the flat encoding, written as
 // the word after every payload's magic. It equals store.FormatVersion: the
 // per-entry tile table and the clause's query window fields arrived in 5;
-// 6 keeps that layout and marks p-values drawn under the shared shift
-// sequences (montecarlo.ShiftPool), so candidate families of the two
-// randomization schemes never mix. Evolving any layout below means bumping
-// both (the format has no field tags).
-const flatSnapshotVersion = 6
+// 6 marked p-values drawn under the shared shift sequences
+// (montecarlo.ShiftPool); 7 stores each tested candidate as a fixed-width
+// record naming its functions by position in the index section. Evolving
+// any layout below means bumping both (the format has no field tags).
+const flatSnapshotVersion = 7
 
 // Payload magics. The final byte is the generation, so another
-// generation's layout is "not flat v6" rather than a misparse.
+// generation's layout is "not flat v7" rather than a misparse.
 var (
-	flatIndexMagic = []byte("DPIXFLT\x06")
-	flatGraphMagic = []byte("DPGRFLT\x06")
+	flatIndexMagic = []byte("DPIXFLT\x07")
+	flatGraphMagic = []byte("DPGRFLT\x07")
 )
 
 // nilSlice is the length sentinel distinguishing a nil clause slice
@@ -198,17 +204,22 @@ func readFlatThresholds(r *store.SlabReader, arena *[]feature.SeasonTheta) featu
 }
 
 // flatIndexSnap is a parsed flat index section: the snapshot's identity
-// plus fully built entries whose bit vectors view the payload in place.
+// plus fully built entries whose bit vectors view the payload in place, and
+// funcs, every listed data set's key-sorted run of entries (none for a data
+// set with no viable resolution) — the lists a graph section's records
+// name positions in.
 type flatIndexSnap struct {
 	minTS, maxTS int64
 	order        []string
 	entries      []*FunctionEntry
+	funcs        map[string][]*FunctionEntry
 }
 
 // parseFlatIndex decodes a flat index payload with no framework access and
 // no heap copies of the bit-vector slabs. Every failure — truncation, bad
-// counts, tail bits beyond a vector's length, mismatched vector lengths —
-// wraps store.ErrCorrupt.
+// counts, tail bits beyond a vector's length, mismatched vector lengths,
+// entries that are not one key-ascending run per listed data set — wraps
+// store.ErrCorrupt.
 func parseFlatIndex(data []byte) (flatIndexSnap, error) {
 	var snap flatIndexSnap
 	r, err := openFlat(data, flatIndexMagic, "index section")
@@ -271,7 +282,28 @@ func parseFlatIndex(data []byte) (flatIndexSnap, error) {
 		e.finalizeWithUnions(&vs[4], &vs[5])
 		snap.entries = append(snap.entries, e)
 	}
-	return snap, r.Done()
+	if err := r.Done(); err != nil {
+		return snap, err
+	}
+	snap.funcs = make(map[string][]*FunctionEntry, len(snap.order))
+	for _, name := range snap.order {
+		snap.funcs[name] = nil
+	}
+	for lo := 0; lo < len(snap.entries); {
+		ds := snap.entries[lo].Dataset
+		hi := lo + 1
+		for ; hi < len(snap.entries) && snap.entries[hi].Dataset == ds; hi++ {
+			if snap.entries[hi-1].Key >= snap.entries[hi].Key {
+				return snap, corruptf("index entries of %q are not in key order at %q", ds, snap.entries[hi].Key)
+			}
+		}
+		if run, ok := snap.funcs[ds]; !ok || run != nil {
+			return snap, corruptf("index entries of %q are not one run of a listed data set", ds)
+		}
+		snap.funcs[ds] = snap.entries[lo:hi:hi]
+		lo = hi
+	}
+	return snap, nil
 }
 
 // installIndexLocked validates a parsed index against the corpus and
@@ -320,46 +352,52 @@ func (f *Framework) installIndexLocked(snap flatIndexSnap) error {
 
 // ---- graph section ----
 
-// flatPair is one data set pair's tested candidate family in a pair table.
-type flatPair struct {
-	A, B  string
-	Cands []relgraph.Edge
+// candidateBytes is the width of one candidate record in a graph section:
+// posA and posB as little-endian uint32s, then class, tau, rho and p as
+// 64-bit words — the in-memory layout of candidate on a little-endian host.
+const candidateBytes = 40
+
+// hostLittleEndian reports whether the host lays out candidate records as
+// the graph section does; elsewhere viewCandidates decodes a copy.
+var hostLittleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
+// appendCandidates appends the records of fam to dst in the section layout.
+func appendCandidates(dst []byte, fam []candidate) []byte {
+	for _, c := range fam {
+		dst = binary.LittleEndian.AppendUint32(dst, c.posA)
+		dst = binary.LittleEndian.AppendUint32(dst, c.posB)
+		dst = binary.LittleEndian.AppendUint64(dst, uint64(c.class))
+		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(c.tau))
+		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(c.rho))
+		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(c.p))
+	}
+	return dst
 }
 
-// writeFlatPairs lays out the candidate families of the given pairs in
-// canonical (A, then B) order; keys is sorted in place.
-func writeFlatPairs(w *store.SlabWriter, keys []graphPair, cands map[graphPair][]relgraph.Edge) {
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].A != keys[j].A {
-			return keys[i].A < keys[j].A
-		}
-		return keys[i].B < keys[j].B
-	})
-	w.U64(uint64(len(keys)))
-	for _, key := range keys {
-		w.String(key.A)
-		w.String(key.B)
-		es := cands[key]
-		w.U64(uint64(len(es)))
-		for _, e := range es {
-			relgraph.AppendFlatEdge(w, e)
+// viewCandidates returns the n records of slab b, which holds exactly n.
+// On a little-endian host an 8-aligned slab is viewed in place — the family
+// aliases the snapshot mapping — and anything else is decoded into a heap
+// copy, the rule bitvec.ViewBytes applies to bit-vector slabs.
+func viewCandidates(b []byte, n int) []candidate {
+	if n == 0 {
+		return nil
+	}
+	if hostLittleEndian && uintptr(unsafe.Pointer(&b[0]))%8 == 0 {
+		return unsafe.Slice((*candidate)(unsafe.Pointer(&b[0])), n)
+	}
+	out := make([]candidate, n)
+	for i := range out {
+		r := b[candidateBytes*i:]
+		out[i] = candidate{
+			posA:  binary.LittleEndian.Uint32(r),
+			posB:  binary.LittleEndian.Uint32(r[4:]),
+			class: feature.Class(int64(binary.LittleEndian.Uint64(r[8:]))),
+			tau:   math.Float64frombits(binary.LittleEndian.Uint64(r[16:])),
+			rho:   math.Float64frombits(binary.LittleEndian.Uint64(r[24:])),
+			p:     math.Float64frombits(binary.LittleEndian.Uint64(r[32:])),
 		}
 	}
-}
-
-func readFlatPairs(r *store.SlabReader) []flatPair {
-	nPairs := r.Count(24)
-	pairs := make([]flatPair, 0, nPairs)
-	for i := 0; i < nPairs && r.Err() == nil; i++ {
-		p := flatPair{A: r.String(), B: r.String()}
-		nEdges := r.Count(relgraph.FlatEdgeMinBytes)
-		p.Cands = make([]relgraph.Edge, 0, nEdges)
-		for j := 0; j < nEdges && r.Err() == nil; j++ {
-			p.Cands = append(p.Cands, relgraph.ReadFlatEdge(r))
-		}
-		pairs = append(pairs, p)
-	}
-	return pairs
+	return out
 }
 
 // encodeFlatGraphLocked serialises the materialized graph (the families it
@@ -382,13 +420,20 @@ func (f *Framework) encodeFlatGraphLocked() ([]byte, string, error) {
 }
 
 // flatGraphSectionLocked lays out a graph section — the inverse of
-// parseFlatGraph — for the given pairs of cands. Ahead of the pair table
-// it states the candidates' origin: the clause signature they were
-// computed under and the corpus fingerprint fields the per-pair seeds
-// depend on. The caller must hold the state lock.
+// parseFlatGraph — for the given pairs of fams. Ahead of the pair table it
+// states the candidates' origin: the clause signature they were computed
+// under and the corpus fingerprint fields the per-pair seeds depend on. The
+// pair table lists the pairs in canonical (A, then B) order — keys is
+// sorted in place — each as its two names, its record count and its
+// records as one slab. The caller must hold the state lock.
 func (f *Framework) flatGraphSectionLocked(sig string, sel graphSelection, clause Clause,
-	keys []graphPair, cands map[graphPair][]relgraph.Edge) []byte {
-	w := store.NewSlabWriter(4096)
+	keys []graphPair, fams map[graphPair][]candidate) []byte {
+	slices.SortFunc(keys, func(x, y graphPair) int { return cmp.Or(strings.Compare(x.A, y.A), strings.Compare(x.B, y.B)) })
+	n := 0
+	for _, k := range keys {
+		n += len(fams[k])
+	}
+	w := store.NewSlabWriter(4096 + 64*len(keys) + candidateBytes*n)
 	w.Raw(flatGraphMagic)
 	w.U64(flatSnapshotVersion)
 	w.String(sig)
@@ -400,7 +445,13 @@ func (f *Framework) flatGraphSectionLocked(sig string, sel graphSelection, claus
 	w.F64(sel.maxQ)
 	w.U64(b2u(sel.skip))
 	writeFlatClause(w, clause)
-	writeFlatPairs(w, keys, cands)
+	w.U64(uint64(len(keys)))
+	for _, k := range keys {
+		w.String(k.A)
+		w.String(k.B)
+		w.U64(uint64(len(fams[k])))
+		w.AppendFunc(func(dst []byte) []byte { return appendCandidates(dst, fams[k]) })
+	}
 	return w.Finish()
 }
 
@@ -409,19 +460,26 @@ func (f *Framework) flatGraphSectionLocked(sig string, sel graphSelection, claus
 // and the originating clause, so a loaded graph supports incremental
 // maintenance — q-value recomputation included — exactly like the
 // original, and refreshes under exactly the clause it was built with
-// (GraphClause). fams is set once stageGraphLocked has validated pairs.
+// (GraphClause).
 type flatGraphSnap struct {
 	sig          string
 	seed         int64
 	minTS, maxTS int64
 	sel          graphSelection
 	clause       Clause
-	pairs        []flatPair
-	fams         map[graphPair][]relgraph.Edge
+	fams         map[graphPair][]candidate
 }
 
-// parseFlatGraph decodes a flat graph payload with no framework access.
-func parseFlatGraph(data []byte) (flatGraphSnap, error) {
+// parseFlatGraph decodes a flat graph payload against funcs, the parsed
+// index section's key-sorted entry lists (flatIndexSnap.funcs), with no
+// framework access. Families are views of the payload where the host
+// allows. Besides the structure it checks, in one pass over the records,
+// everything a record claims about the index: each pair is canonical
+// (A < B), appears once and names listed data sets; each record's
+// positions lie inside its data sets' lists and name entries of one
+// resolution, its class is a feature class, and the family is in (posA,
+// posB, class) order. Every failure wraps store.ErrCorrupt.
+func parseFlatGraph(data []byte, funcs map[string][]*FunctionEntry) (flatGraphSnap, error) {
 	var snap flatGraphSnap
 	r, err := openFlat(data, flatGraphMagic, "graph section")
 	if err != nil {
@@ -438,20 +496,53 @@ func parseFlatGraph(data []byte) (flatGraphSnap, error) {
 		skip:       r.U64() != 0,
 	}
 	snap.clause = readFlatClause(r)
-	snap.pairs = readFlatPairs(r)
+	nPairs := r.Count(24)
+	snap.fams = make(map[graphPair][]candidate, nPairs)
+	for i := 0; i < nPairs && r.Err() == nil; i++ {
+		k := graphPair{A: r.String(), B: r.String()}
+		n := r.Count(candidateBytes)
+		slab := r.Raw(candidateBytes * n)
+		if r.Err() != nil {
+			break
+		}
+		if k.A >= k.B {
+			return snap, corruptf("graph pair %q|%q is not in canonical order", k.A, k.B)
+		}
+		fa, okA := funcs[k.A]
+		fb, okB := funcs[k.B]
+		if !okA || !okB {
+			return snap, corruptf("graph pair %q|%q covers an unregistered dataset", k.A, k.B)
+		}
+		if _, dup := snap.fams[k]; dup {
+			return snap, corruptf("graph repeats pair %q|%q", k.A, k.B)
+		}
+		fam := viewCandidates(slab, n)
+		for j, c := range fam {
+			if int(c.posA) >= len(fa) || int(c.posB) >= len(fb) {
+				return snap, corruptf("pair %q|%q record %d names a position past its data set's table", k.A, k.B, j)
+			}
+			if fa[c.posA].Res != fb[c.posB].Res {
+				return snap, corruptf("pair %q|%q record %d relates entries of two resolutions", k.A, k.B, j)
+			}
+			if c.class != feature.Salient && c.class != feature.Extreme {
+				return snap, corruptf("pair %q|%q record %d has class %d", k.A, k.B, j, c.class)
+			}
+			if j > 0 && compareCandidates(fam[j-1], c) >= 0 {
+				return snap, corruptf("pair %q|%q record %d is out of order", k.A, k.B, j)
+			}
+		}
+		snap.fams[k] = fam
+	}
 	return snap, r.Done()
 }
 
-// stageGraphLocked validates a parsed graph section against this framework
-// and keys its families by pair, without mutating any framework state: the
+// stageGraphLocked validates a parsed graph section against this
+// framework's origin without mutating any framework state: the
 // parse/stage/apply split lets Load validate every snapshot section before
 // it changes anything, so a failed load never leaves the framework
 // half-restored. A section is never grafted onto a framework whose families
-// it could not have come from: another Monte Carlo seed, another corpus time
-// range, or a data set outside the corpus. Pairs are written in canonical
-// (A < B) order; anything else would dodge the duplicate check and miss the
-// store's canonical lookups, leaving a stale entry that double-counts edges.
-// The caller must hold the state lock.
+// it could not have come from: another Monte Carlo seed or another corpus
+// time range. The caller must hold the state lock.
 func (f *Framework) stageGraphLocked(snap *flatGraphSnap) error {
 	if snap.seed != f.opts.Seed {
 		return fmt.Errorf("core: graph was built with seed %d, framework has %d", snap.seed, f.opts.Seed)
@@ -460,33 +551,12 @@ func (f *Framework) stageGraphLocked(snap *flatGraphSnap) error {
 		return fmt.Errorf("core: graph corpus time range [%d,%d] does not match [%d,%d]",
 			snap.minTS, snap.maxTS, f.minTS, f.maxTS)
 	}
-	corpus := make(map[string]bool, len(f.order))
-	for _, name := range f.order {
-		corpus[name] = true
-	}
-	fams := make(map[graphPair][]relgraph.Edge, len(snap.pairs))
-	for _, p := range snap.pairs {
-		if p.A >= p.B {
-			return fmt.Errorf("core: graph pair %q|%q is not in canonical order", p.A, p.B)
-		}
-		for _, ds := range [2]string{p.A, p.B} {
-			if !corpus[ds] {
-				return fmt.Errorf("core: graph covers unregistered dataset %q", ds)
-			}
-		}
-		key := graphPair{A: p.A, B: p.B}
-		if _, dup := fams[key]; dup {
-			return fmt.Errorf("core: graph repeats pair %q|%q", p.A, p.B)
-		}
-		fams[key] = p.Cands
-	}
-	snap.fams = fams
 	return nil
 }
 
-// applyGraphLocked publishes a staged graph section, its families becoming
-// the stored families of its signature. The caller must hold the state lock
-// exclusively. It cannot fail.
+// applyGraphLocked publishes a staged graph section over the installed
+// index, its families becoming the stored families of its signature. The
+// caller must hold the state lock exclusively. It cannot fail.
 func (f *Framework) applyGraphLocked(snap *flatGraphSnap) {
 	f.graphMu.Lock()
 	f.graphSig, f.graphSel, f.graphClause, f.graphFams = snap.sig, snap.sel, snap.clause, snap.fams
@@ -494,7 +564,7 @@ func (f *Framework) applyGraphLocked(snap *flatGraphSnap) {
 	f.famMu.Lock()
 	f.families[snap.sig] = maps.Clone(snap.fams)
 	f.famMu.Unlock()
-	f.relGraph.Store(assembleGraph(snap.fams, snap.sel))
+	f.relGraph.Store(assembleGraph(f.index, snap.fams, snap.sel))
 }
 
 // ---- clause codec ----

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"maps"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 
 	"github.com/urbandata/datapolygamy/internal/dataset"
@@ -122,11 +124,35 @@ func TestFlatSectionCorruption(t *testing.T) {
 	}
 }
 
+// graphSectionWith lays out f's published graph section with its families
+// changed by mutate (applied to copies), so a test can plant damage a CRC
+// cannot catch once rewritten.
+func graphSectionWith(t *testing.T, f *Framework, mutate func(fams map[graphPair][]candidate)) []byte {
+	t.Helper()
+	f.mu.RLock()
+	defer f.mu.RUnlock()
+	f.graphMu.Lock()
+	fams := make(map[graphPair][]candidate, len(f.graphFams))
+	for k, fam := range f.graphFams {
+		fams[k] = slices.Clone(fam)
+	}
+	sig, sel, clause := f.graphSig, f.graphSel, f.graphClause
+	f.graphMu.Unlock()
+	mutate(fams)
+	return f.flatGraphSectionLocked(sig, sel, clause, slices.Collect(maps.Keys(fams)), fams)
+}
+
 // TestFlatGraphRejectsDamagedPayloads walks the graph section's pair-table
 // reader through damage a CRC cannot catch once rewritten: truncation, a
-// flipped structural word, trailing bytes or a foreign magic. parseFlatGraph
-// and Load must both fail with an error wrapping store.ErrCorrupt, never
-// panic, and a refused Load must leave the published graph as it was.
+// flipped structural word, trailing bytes, a foreign magic, and records
+// that do not fit the index they name. parseFlatGraph and Load must both
+// fail with an error wrapping store.ErrCorrupt, never panic, and a refused
+// Load must leave the published graph as it was.
+//
+// A record names its two functions by position in its own pair's data
+// sets, so a family whose edges name data sets outside its pair — which
+// the string-per-edge layout before container version 7 could carry, and
+// its loader accepted — cannot be written at all.
 func TestFlatGraphRejectsDamagedPayloads(t *testing.T) {
 	f := flatSnapshotFramework(t)
 	path := filepath.Join(t.TempDir(), "corpus.snap")
@@ -138,7 +164,38 @@ func TestFlatGraphRejectsDamagedPayloads(t *testing.T) {
 		t.Fatal(err)
 	}
 	idx, graph := sections[store.SectionIndex], sections[store.SectionGraph]
+	ix, err := parseFlatIndex(idx)
+	if err != nil {
+		t.Fatal(err)
+	}
 	published := graphDOT(t, f)
+
+	// The planted corpus has one pair; its family is the last slab.
+	pair := graphPair{A: "trips", B: "wind"}
+	fam := f.graphFams[pair]
+	if len(fam) == 0 {
+		t.Fatal("planted pair has an empty family; the record cases would be vacuous")
+	}
+	// Each record case publishes the pair with one damaged record, so no
+	// other check (the family's order) can object in its place.
+	fa, fb := ix.funcs[pair.A], ix.funcs[pair.B]
+	otherRes := -1 // a position in B's list at another resolution than fam[0]'s
+	for i, e := range fb {
+		if e.Res != fa[fam[0].posA].Res {
+			otherRes = i
+		}
+	}
+	if otherRes < 0 {
+		t.Fatal("wind has entries at one resolution only; the resolution case would be vacuous")
+	}
+	damaged := func(mutate func(c *candidate)) []byte {
+		return graphSectionWith(t, f, func(fams map[graphPair][]candidate) {
+			c := fam[0]
+			mutate(&c)
+			fams[pair] = []candidate{c}
+		})
+	}
+	countOff := len(graph) - candidateBytes*len(fam) - 8 // the pair's record count
 
 	// Word offsets in a graph section: magic 0, generation 8, then the
 	// signature's length at 16.
@@ -154,12 +211,24 @@ func TestFlatGraphRejectsDamagedPayloads(t *testing.T) {
 		{"trailing bytes", append(append([]byte(nil), graph...), make([]byte, 8)...)},
 		{"generation word flipped", flipWord(graph, 8)},
 		{"signature length flipped", flipWord(graph, 16)},
-		{"another generation's magic", append([]byte("DPGRFLT\x05"), graph[8:]...)},
+		{"another generation's magic", append([]byte("DPGRFLT\x06"), graph[8:]...)},
 		{"index section instead of a graph", idx},
 		{"not flat at all", []byte("junk")},
+		{"position past its data set's table", damaged(func(c *candidate) { c.posA = uint32(len(fa)) })},
+		{"entries of two resolutions", damaged(func(c *candidate) { c.posB = uint32(otherRes) })},
+		{"class out of range", damaged(func(c *candidate) { c.class = feature.Extreme + 1 })},
+		{"records out of order", graphSectionWith(t, f, func(fams map[graphPair][]candidate) {
+			fams[pair] = append(fams[pair], fams[pair][0])
+		})},
+		{"short record slab", func() []byte {
+			out := append([]byte(nil), graph...)
+			binary.LittleEndian.PutUint64(out[countOff:], uint64(len(fam)+1))
+			return out
+		}()},
+		{"slab ending mid-record", graph[:len(graph)-4]},
 	}
 	for _, tc := range cases {
-		if _, err := parseFlatGraph(tc.payload); !errors.Is(err, store.ErrCorrupt) {
+		if _, err := parseFlatGraph(tc.payload, ix.funcs); !errors.Is(err, store.ErrCorrupt) {
 			t.Errorf("%s: parse err = %v, does not wrap store.ErrCorrupt", tc.name, err)
 		}
 		if err := f.Load(splice(t, path, store.SectionGraph, tc.payload)); !errors.Is(err, store.ErrCorrupt) {
@@ -169,12 +238,19 @@ func TestFlatGraphRejectsDamagedPayloads(t *testing.T) {
 			t.Fatalf("%s: refused Load changed the published graph", tc.name)
 		}
 	}
+	// A slab the host cannot view in place — here, one at an odd address —
+	// is decoded into a heap copy holding the same records.
+	odd := make([]byte, len(graph)+1)[1:]
+	copy(odd, graph)
+	if got, err := parseFlatGraph(odd, ix.funcs); err != nil || !slices.Equal(got.fams[pair], fam) {
+		t.Errorf("misaligned payload: err = %v, family equal = %v", err, err == nil && slices.Equal(got.fams[pair], fam))
+	}
 	// Every single-bit flip either fails cleanly or yields a payload that
 	// still parses (a flipped score bit is not structural); none may panic.
 	for bit := 0; bit < 8*len(graph); bit += 37 {
 		bad := append([]byte(nil), graph...)
 		bad[bit/8] ^= 1 << (bit % 8)
-		if _, err := parseFlatGraph(bad); err != nil && !errors.Is(err, store.ErrCorrupt) {
+		if _, err := parseFlatGraph(bad, ix.funcs); err != nil && !errors.Is(err, store.ErrCorrupt) {
 			t.Errorf("bit %d: non-ErrCorrupt failure: %v", bit, err)
 		}
 	}
@@ -190,9 +266,10 @@ func flipWord(payload []byte, off int) []byte {
 
 // TestFlatOpenAllocations pins what a warm open costs in heap objects: the
 // flat sections are viewed in place, so opening the planted corpus (two
-// data sets, one graph pair) allocates headers and edges, not bit vectors
-// — 405 objects when this ceiling was set. A decoder that starts copying
-// slabs to the heap lands in the thousands.
+// data sets, one graph pair) allocates headers and the assembled graph, not
+// bit vectors or candidate records — 218 objects when this ceiling was set
+// (405 while the graph section held six strings per candidate). A decoder
+// that starts copying slabs to the heap lands in the thousands.
 func TestFlatOpenAllocations(t *testing.T) {
 	f := flatSnapshotFramework(t)
 	path := filepath.Join(t.TempDir(), "flat.snap")
@@ -207,8 +284,8 @@ func TestFlatOpenAllocations(t *testing.T) {
 		}
 	})
 	t.Logf("warm open allocations: %.0f", allocs)
-	if allocs > 500 {
-		t.Errorf("warm open allocates %.0f objects, ceiling 500", allocs)
+	if allocs > 300 {
+		t.Errorf("warm open allocates %.0f objects, ceiling 300", allocs)
 	}
 }
 
@@ -243,16 +320,21 @@ func FuzzParseFlatIndex(f *testing.F) {
 	})
 }
 
-// FuzzParseFlatGraph: same property for the graph parser, pair table
-// included.
+// FuzzParseFlatGraph: same property for the graph parser, pair table and
+// record checks included, against the seed snapshot's own index.
 func FuzzParseFlatGraph(f *testing.F) {
-	_, graph := seedFlatPayloads(f)
+	idx, graph := seedFlatPayloads(f)
+	ix, err := parseFlatIndex(idx)
+	if err != nil {
+		f.Fatal(err)
+	}
 	f.Add(graph)
 	f.Add(graph[:len(graph)/2])
 	f.Add(graph[:len(graph)-8])
-	f.Add([]byte("DPGRFLT\x04"))
+	f.Add([]byte("DPGRFLT\x07"))
+	f.Add(graph[:len(graph)-4])
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if _, err := parseFlatGraph(data); err != nil && !errors.Is(err, store.ErrCorrupt) {
+		if _, err := parseFlatGraph(data, ix.funcs); err != nil && !errors.Is(err, store.ErrCorrupt) {
 			t.Errorf("non-ErrCorrupt failure: %v", err)
 		}
 	})
@@ -268,7 +350,7 @@ func TestFlatVersionMismatch(t *testing.T) {
 		if bytes.Equal(magic, flatIndexMagic) {
 			_, err = parseFlatIndex(payload)
 		} else {
-			_, err = parseFlatGraph(payload)
+			_, err = parseFlatGraph(payload, nil)
 		}
 		if err == nil || !errors.Is(err, store.ErrCorrupt) {
 			t.Errorf("%q version 99: err = %v, want ErrCorrupt", magic, err)

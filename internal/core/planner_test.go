@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"github.com/urbandata/datapolygamy/internal/feature"
-	"github.com/urbandata/datapolygamy/internal/relgraph"
 	"github.com/urbandata/datapolygamy/internal/spatial"
 	"github.com/urbandata/datapolygamy/internal/temporal"
 )
@@ -32,7 +31,7 @@ func plannerFW(t *testing.T) *Framework {
 // would have skipped survives: that is the planner's soundness, checked per
 // tuple rather than inferred from equal totals. Its resolutions come from
 // the data sets' native resolutions, not from the index the planner reads.
-func bruteForce(t *testing.T, f *Framework, clause Clause) (cands []relgraph.Edge, considered, skipped int) {
+func bruteForce(t *testing.T, f *Framework, clause Clause) (cands []bruteCand, considered, skipped int) {
 	t.Helper()
 	classes := clauseClasses(clause)
 	names := f.Datasets()
@@ -55,7 +54,7 @@ func bruteForce(t *testing.T, f *Framework, clause Clause) (cands []relgraph.Edg
 					for _, e2 := range f.index.at(b, res) {
 						for _, class := range classes {
 							considered++
-							rel, err := f.evaluatePair(pairTask{
+							c, ok, err := f.evaluatePair(pairTask{
 								e1: e1, e2: e2, class: class, sigma: -1,
 								seed: pairSeed(f.opts.Seed, e1.Key, e2.Key, class),
 							}, clause, 1)
@@ -64,14 +63,14 @@ func bruteForce(t *testing.T, f *Framework, clause Clause) (cands []relgraph.Edg
 							}
 							if skip, _ := prunePair(e1, e2, class, clause); skip {
 								skipped++
-								if rel != nil {
+								if ok {
 									t.Errorf("unsound prune: %s ~ %s (%v) is skipped by prunePair but passes the clause: tau=%g rho=%g",
-										e1.Key, e2.Key, class, rel.Tau, rel.Rho)
+										e1.Key, e2.Key, class, c.tau, c.rho)
 								}
 								continue
 							}
-							if rel != nil {
-								cands = append(cands, *rel)
+							if ok {
+								cands = append(cands, bruteCand{e1, e2, c})
 							}
 						}
 					}
@@ -80,6 +79,12 @@ func bruteForce(t *testing.T, f *Framework, clause Clause) (cands []relgraph.Edg
 		}
 	}
 	return cands, considered, skipped
+}
+
+// bruteCand is one tuple bruteForce found related, with its entries.
+type bruteCand struct {
+	e1, e2 *FunctionEntry
+	c      candidate
 }
 
 // TestPlannerParity is the planner's core contract: for every query in the
@@ -121,11 +126,20 @@ func TestPlannerParity(t *testing.T) {
 				t.Errorf("Evaluated %d, brute force has %d related tuples", pstats.Evaluated, len(cands))
 			}
 			sel := selectionFromClause(tc.clause)
-			assignQValues(cands, sel)
+			fam := make([]candidate, len(cands))
+			for i, bc := range cands {
+				fam[i] = bc.c
+			}
+			qs := qValues([][]candidate{fam}, sel)
 			want := map[string]Relationship{}
-			for _, e := range cands {
-				if sel.keeps(e) {
-					want[e.Function1+"|"+e.Function2+"|"+e.Class.String()] = edgeRelationship(e, sel.significant(e))
+			for i, bc := range cands {
+				if q := qs[i]; sel.keeps(q) {
+					e1, e2, c := bc.e1, bc.e2, bc.c
+					want[e1.Key+"|"+e2.Key+"|"+c.class.String()] = Relationship{
+						Function1: e1.Key, Function2: e2.Key, Dataset1: e1.Dataset, Dataset2: e2.Dataset,
+						Spec1: e1.SpecName, Spec2: e2.SpecName, Res: e1.Res, Class: c.class,
+						Score: c.tau, Strength: c.rho, PValue: c.p, QValue: q, Significant: sel.significant(q),
+					}
 				}
 			}
 			if len(planned) != len(want) {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"sort"
@@ -11,7 +12,6 @@ import (
 	"github.com/urbandata/datapolygamy/internal/feature"
 	"github.com/urbandata/datapolygamy/internal/montecarlo"
 	"github.com/urbandata/datapolygamy/internal/relationship"
-	"github.com/urbandata/datapolygamy/internal/relgraph"
 	"github.com/urbandata/datapolygamy/internal/stats"
 )
 
@@ -355,39 +355,62 @@ func (f *Framework) evaluateQuery(sources, targets []string, clause Clause, t0 t
 			fams[i] = computed[j]
 		}
 	}
-	family := slices.Concat(fams...)
-	stats.Evaluated = len(family)
+	for _, fam := range fams {
+		stats.Evaluated += len(fam)
+	}
 	stats.addStage("evaluate", time.Since(tStage))
-	mPairsEvaluated.Add(uint64(len(family)))
+	mPairsEvaluated.Add(uint64(stats.Evaluated))
 
 	// Multiple-hypothesis correction across the query's tested family: every
 	// evaluated pair — significant or not — contributes its p-value.
 	tStage = time.Now()
 	sel := selectionFromClause(clause)
-	assignQValues(family, sel)
+	qs := qValues(fams, sel)
 	stats.addStage("correct", time.Since(tStage))
 
+	// Select, then order the rows by (Function1, Function2, Class) through
+	// the function table's key ranks.
 	tStage = time.Now()
-	var out []Relationship
-	for _, e := range family {
-		significant := sel.significant(e)
-		if significant {
-			stats.Significant++
+	type pick struct {
+		order  uint64
+		fa, fb uint32
+		c      candidate
+		q      float64
+	}
+	tab := f.index.table()
+	var picks []pick
+	i := 0
+	for j, fam := range fams {
+		baseA, baseB := tab.base[keys[j].A], tab.base[keys[j].B]
+		for _, c := range fam {
+			q := qs[i]
+			i++
+			if sel.significant(q) {
+				stats.Significant++
+			}
+			if sel.keeps(q) {
+				fa, fb := baseA+c.posA, baseB+c.posB
+				picks = append(picks, pick{order: tab.Order(fa, fb, c.class), fa: fa, fb: fb, c: c, q: q})
+			}
 		}
-		if sel.keeps(e) {
-			out = append(out, edgeRelationship(e, significant))
+	}
+	slices.SortFunc(picks, func(x, y pick) int { return cmp.Compare(x.order, y.order) })
+	var out []Relationship
+	if len(picks) > 0 {
+		out = make([]Relationship, len(picks))
+	}
+	for i, p := range picks {
+		a, b := tab.Function(p.fa), tab.Function(p.fb)
+		out[i] = Relationship{
+			Function1: a.Key, Function2: b.Key,
+			Dataset1: a.Dataset, Dataset2: b.Dataset,
+			Spec1: a.Spec, Spec2: b.Spec,
+			Res: Resolution{Spatial: a.SRes, Temporal: a.TRes}, Class: p.c.class,
+			Score: p.c.tau, Strength: p.c.rho, PValue: p.c.p, QValue: p.q,
+			Significant: sel.significant(p.q),
 		}
 	}
 	stats.Kept = len(out)
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Function1 != out[j].Function1 {
-			return out[i].Function1 < out[j].Function1
-		}
-		if out[i].Function2 != out[j].Function2 {
-			return out[i].Function2 < out[j].Function2
-		}
-		return out[i].Class < out[j].Class
-	})
 	stats.addStage("select", time.Since(tStage))
 	stats.Duration = time.Since(t0)
 	return out, stats, nil
@@ -409,25 +432,13 @@ func queryPairs(sources, targets []string) []graphPair {
 	return keys
 }
 
-// edgeRelationship converts one corrected family edge into a query row.
-func edgeRelationship(e relgraph.Edge, significant bool) Relationship {
-	return Relationship{
-		Function1: e.Function1, Function2: e.Function2,
-		Dataset1: e.Dataset1, Dataset2: e.Dataset2,
-		Spec1: e.Spec1, Spec2: e.Spec2,
-		Res: Resolution{Spatial: e.SRes, Temporal: e.TRes}, Class: e.Class,
-		Score: e.Tau, Strength: e.Rho, PValue: e.PValue, QValue: e.QValue,
-		Significant: significant,
-	}
-}
-
 // evaluatePair computes measures for one candidate pair and applies clause
 // filters plus the significance test, returning the tested candidate with
-// its raw p-value (1 under SkipSignificance). It returns nil when the pair
-// has no feature relations or fails a filter. mcWorkers goroutines evaluate
+// its raw p-value (1 under SkipSignificance). It returns ok = false when the
+// pair has no feature relations or fails a filter. mcWorkers goroutines evaluate
 // the Monte Carlo permutation chunks (1 = sequential; the p-value is
 // identical either way).
-func (f *Framework) evaluatePair(t pairTask, clause Clause, mcWorkers int) (*relgraph.Edge, error) {
+func (f *Framework) evaluatePair(t pairTask, clause Clause, mcWorkers int) (c candidate, ok bool, err error) {
 	s1, s2 := t.e1.set(t.class), t.e2.set(t.class)
 	all1, all2 := t.e1.union(t.class), t.e2.union(t.class)
 	sigma := t.sigma
@@ -448,30 +459,24 @@ func (f *Framework) evaluatePair(t pairTask, clause Clause, mcWorkers int) (*rel
 	}
 	m := relationship.EvaluateCounted(s1, s2, all1, all2, sigma)
 	if !m.Related() {
-		return nil, nil
+		return c, false, nil
 	}
 	// Clause filters run before the (expensive) significance test
 	// (Section 6.1: "the query evaluation step skips the significance test
 	// when C is not satisfied").
 	if abs(m.Tau) < clause.MinScore || m.Rho < clause.MinStrength {
-		return nil, nil
+		return c, false, nil
 	}
-	e := &relgraph.Edge{
-		Function1: t.e1.Key, Function2: t.e2.Key,
-		Dataset1: t.e1.Dataset, Dataset2: t.e2.Dataset,
-		Spec1: t.e1.SpecName, Spec2: t.e2.SpecName,
-		SRes: t.e1.Res.Spatial, TRes: t.e1.Res.Temporal, Class: t.class,
-		Tau: m.Tau, Rho: m.Rho, PValue: 1,
-	}
+	c = candidate{posA: t.e1.pos, posB: t.e2.pos, class: t.class, tau: m.Tau, rho: m.Rho, p: 1}
 	if clause.SkipSignificance {
-		return e, nil
+		return c, true, nil
 	}
 	res, err := f.runSignificance(t, clause, s1, s2, all1, all2, m.Tau, mcWorkers)
 	if err != nil {
-		return nil, err
+		return c, false, err
 	}
-	e.PValue = res.PValue
-	return e, nil
+	c.p = res.PValue
+	return c, true, nil
 }
 
 // querySignature canonicalises a query into its cache key: name lists are

@@ -1,11 +1,13 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"maps"
 	"slices"
 	"time"
 
+	"github.com/urbandata/datapolygamy/internal/feature"
 	"github.com/urbandata/datapolygamy/internal/mapreduce"
 	"github.com/urbandata/datapolygamy/internal/montecarlo"
 	"github.com/urbandata/datapolygamy/internal/relgraph"
@@ -88,52 +90,97 @@ func selectionFromClause(c Clause) graphSelection {
 	return graphSelection{alpha: alpha, correction: c.Correction, maxQ: c.MaxQ, skip: c.SkipSignificance}
 }
 
-// assignQValues sets every edge's q-value in place: corrected over the
-// whole family, or equal to the raw p-value under SkipSignificance, where no
-// hypothesis was tested. The q-values are a function of the p-value
-// multiset only — ties receive identical values — so they do not depend on
-// the family's order. The caller owns es: stored families are never mutated.
-func assignQValues(es []relgraph.Edge, sel graphSelection) {
-	if sel.skip {
-		for i := range es {
-			es[i].QValue = es[i].PValue
+// candidate is one tested candidate of a pair's family: a fixed-width,
+// pointer-free record, so the garbage collector never scans a family and a
+// snapshot's graph section is viewed in place (viewCandidates). For the
+// family of pair (A, B), posA and posB are the two functions' positions in
+// A's and B's key-sorted entry lists (Index.funcs); both entries share the
+// candidate's resolution. p is the raw p-value (1 under SkipSignificance).
+// A family is sorted by (posA, posB, class), which is the order of
+// (Function1, Function2, Class): Function1 is always A's key.
+type candidate struct {
+	posA, posB  uint32
+	class       feature.Class
+	tau, rho, p float64
+}
+
+// compareCandidates orders a family by (posA, posB, class).
+func compareCandidates(x, y candidate) int {
+	if x.posA != y.posA {
+		return cmp.Compare(x.posA, y.posA)
+	}
+	if x.posB != y.posB {
+		return cmp.Compare(x.posB, y.posB)
+	}
+	return cmp.Compare(x.class, y.class)
+}
+
+// qValues returns the q-value of every candidate of fams, in order: the
+// p-values corrected over the whole union, or the raw p-values when no
+// correction applies (under SkipSignificance no hypothesis was tested).
+// The q-values are a function of the p-value multiset only — ties receive
+// identical values — so they do not depend on the families' order.
+func qValues(fams [][]candidate, sel graphSelection) []float64 {
+	n := 0
+	for _, fam := range fams {
+		n += len(fam)
+	}
+	ps := make([]float64, 0, n)
+	for _, fam := range fams {
+		for _, c := range fam {
+			ps = append(ps, c.p)
 		}
-		return
 	}
-	ps := make([]float64, len(es))
-	for i := range es {
-		ps[i] = es[i].PValue
+	if sel.skip || sel.correction == stats.None {
+		return ps
 	}
-	for i, q := range stats.Adjust(sel.correction, ps) {
-		es[i].QValue = q
-	}
+	return stats.Adjust(sel.correction, ps)
 }
 
-// significant reports whether a corrected edge passes the test, q <= alpha.
-// Nothing is significant under SkipSignificance.
-func (s graphSelection) significant(e relgraph.Edge) bool {
-	return !s.skip && e.QValue <= s.alpha
+// significant reports whether a candidate with q-value q passes the test,
+// q <= alpha. Nothing is significant under SkipSignificance.
+func (s graphSelection) significant(q float64) bool {
+	return !s.skip && q <= s.alpha
 }
 
-// keeps reports whether the rule keeps a corrected edge: every edge under
-// SkipSignificance, else a significant one within the q cutoff.
-func (s graphSelection) keeps(e relgraph.Edge) bool {
-	return s.skip || s.significant(e) && (s.maxQ <= 0 || e.QValue <= s.maxQ)
+// keeps reports whether the rule keeps a candidate with q-value q: every
+// candidate under SkipSignificance, else a significant one within the q
+// cutoff.
+func (s graphSelection) keeps(q float64) bool {
+	return s.skip || s.significant(q) && (s.maxQ <= 0 || q <= s.maxQ)
 }
 
 // assembleGraph corrects the union of the given families and materializes
-// the graph of the edges the selection rule keeps.
-func assembleGraph(fams map[graphPair][]relgraph.Edge, sel graphSelection) *relgraph.Graph {
+// the graph of the candidates the selection rule keeps, over the index's
+// function table.
+func assembleGraph(ix *Index, fams map[graphPair][]candidate, sel graphSelection) *relgraph.Graph {
+	keys := make([]graphPair, 0, len(fams))
+	list := make([][]candidate, 0, len(fams))
+	for k, fam := range fams {
+		keys = append(keys, k)
+		list = append(list, fam)
+	}
+	qs := qValues(list, sel)
 	n := 0
-	for _, es := range fams {
-		n += len(es)
+	for _, q := range qs {
+		if sel.keeps(q) {
+			n++
+		}
 	}
-	all := make([]relgraph.Edge, 0, n)
-	for _, es := range fams {
-		all = append(all, es...)
+	tab := ix.table()
+	links := make([]relgraph.Link, 0, n)
+	i := 0
+	for j, fam := range list {
+		baseA, baseB := tab.base[keys[j].A], tab.base[keys[j].B]
+		for _, c := range fam {
+			if q := qs[i]; sel.keeps(q) {
+				links = append(links, relgraph.Link{F1: baseA + c.posA, F2: baseB + c.posB, Class: c.class,
+					Tau: c.tau, Rho: c.rho, PValue: c.p, QValue: q})
+			}
+			i++
+		}
 	}
-	assignQValues(all, sel)
-	return relgraph.New(slices.DeleteFunc(all, func(e relgraph.Edge) bool { return !sel.keeps(e) }))
+	return relgraph.Assemble(tab.Table, links)
 }
 
 // graphPair is the unordered data set pair key of the family store
@@ -225,11 +272,11 @@ func (f *Framework) BuildGraph(clause Clause) (GraphStats, error) {
 	}
 
 	tAssemble := time.Now()
-	published := make(map[graphPair][]relgraph.Edge, len(keys))
+	published := make(map[graphPair][]candidate, len(keys))
 	for i, k := range keys {
 		published[k] = fams[i]
 	}
-	g := assembleGraph(published, sel)
+	g := assembleGraph(f.index, published, sel)
 	f.relGraph.Store(g)
 	mGraphStageDuration.With("assemble").Observe(time.Since(tAssemble).Seconds())
 	f.graphSig, f.graphSel, f.graphClause, f.graphFams = sig, sel, clause, published
@@ -241,8 +288,8 @@ func (f *Framework) BuildGraph(clause Clause) (GraphStats, error) {
 
 // storedFamilies looks keys up in the family store under sig, returning the
 // families in keys order and the indices of the keys that have none yet.
-func (f *Framework) storedFamilies(sig string, keys []graphPair) (fams [][]relgraph.Edge, missing []int) {
-	fams = make([][]relgraph.Edge, len(keys))
+func (f *Framework) storedFamilies(sig string, keys []graphPair) (fams [][]candidate, missing []int) {
+	fams = make([][]candidate, len(keys))
 	f.famMu.Lock()
 	defer f.famMu.Unlock()
 	for i, k := range keys {
@@ -269,7 +316,7 @@ func (f *Framework) planPairs(keys []graphPair, clause Clause) []queryPlan {
 // the whole batch at once, and a pair's tasks are contiguous in it, so its
 // results are a slice of the batch. Query and BuildGraph both call this
 // under the shared state lock.
-func (f *Framework) evaluatePairsLocked(sig string, keys []graphPair, plans []queryPlan, clause Clause) ([][]relgraph.Edge, error) {
+func (f *Framework) evaluatePairsLocked(sig string, keys []graphPair, plans []queryPlan, clause Clause) ([][]candidate, error) {
 	workers := f.workers()
 	n := 0
 	for _, pl := range plans {
@@ -284,31 +331,43 @@ func (f *Framework) evaluatePairsLocked(sig string, keys []graphPair, plans []qu
 	// Monte Carlo test. Chunked per-seed permutation streams keep the
 	// p-values byte-identical to a sequential run.
 	mcWorkers := max(1, workers/max(n, 1))
-	results, err := mapreduce.ForEach(workers, tasks, func(t pairTask) (*relgraph.Edge, error) {
-		return f.evaluatePair(t, clause, mcWorkers)
+	type tested struct {
+		c  candidate
+		ok bool
+	}
+	results, err := mapreduce.ForEach(workers, tasks, func(t pairTask) (tested, error) {
+		c, ok, err := f.evaluatePair(t, clause, mcWorkers)
+		return tested{c, ok}, err
 	})
 	if err != nil {
 		return nil, err
 	}
-	perPair := make([][]*relgraph.Edge, len(plans))
+	perPair := make([][]tested, len(plans))
 	for i, pl := range plans {
 		k := len(pl.tasks)
 		perPair[i], results = results[:k:k], results[k:]
 	}
-	fams, _ := mapreduce.ForEach(workers, perPair, func(rs []*relgraph.Edge) ([]relgraph.Edge, error) {
-		rs = slices.DeleteFunc(rs, func(e *relgraph.Edge) bool { return e == nil })
-		es := make([]relgraph.Edge, len(rs))
-		for i, e := range rs {
-			es[i] = *e
+	fams, _ := mapreduce.ForEach(workers, perPair, func(rs []tested) ([]candidate, error) {
+		n := 0
+		for _, r := range rs {
+			if r.ok {
+				n++
+			}
 		}
-		relgraph.SortEdges(es)
-		return es, nil
+		fam := make([]candidate, 0, n)
+		for _, r := range rs {
+			if r.ok {
+				fam = append(fam, r.c)
+			}
+		}
+		slices.SortFunc(fam, compareCandidates)
+		return fam, nil
 	})
 	f.famMu.Lock()
 	defer f.famMu.Unlock()
 	byPair := f.families[sig]
 	if byPair == nil {
-		byPair = make(map[graphPair][]relgraph.Edge, len(keys))
+		byPair = make(map[graphPair][]candidate, len(keys))
 		f.families[sig] = byPair
 	}
 	for i, k := range keys {
@@ -326,7 +385,7 @@ func (f *Framework) evaluatePairsLocked(sig string, keys []graphPair, plans []qu
 // under the published graph's signature. The caller holds the state lock
 // exclusively, so no evaluation is in flight.
 func (f *Framework) dropResultsInvolving(names ...string) (dropped int) {
-	incident := func(k graphPair, _ []relgraph.Edge) bool {
+	incident := func(k graphPair, _ []candidate) bool {
 		return slices.Contains(names, k.A) || slices.Contains(names, k.B)
 	}
 	f.graphMu.Lock()
@@ -358,7 +417,7 @@ func (f *Framework) resetResults() {
 	f.relGraph.Store(nil)
 	f.graphMu.Unlock()
 	f.famMu.Lock()
-	f.families = make(map[string]map[graphPair][]relgraph.Edge)
+	f.families = make(map[string]map[graphPair][]candidate)
 	f.famMu.Unlock()
 	f.cacheMu.Lock()
 	f.cache = make(map[string]*cachedResult)

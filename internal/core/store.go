@@ -145,14 +145,19 @@ func (f *Framework) Load(path string) (err error) {
 	if err := f.checkFingerprintLocked(m.Fingerprint); err != nil {
 		return err
 	}
-	// Validate the graph section (when present) before the index is
-	// applied: a snapshot that half-loads — indexed but graphless — would
+	// Parse the index, then parse and stage the graph section (when
+	// present) against the parsed index's entry lists, before anything is
+	// installed: a snapshot that half-loads — indexed but graphless — would
 	// look warm-started to the caller while having silently dropped the
-	// expensive all-pairs families, and a subsequent re-save would
-	// persist that loss.
+	// expensive all-pairs families, and a subsequent re-save would persist
+	// that loss.
+	snap, err := parseFlatIndex(idx)
+	if err != nil {
+		return err
+	}
 	var graph *flatGraphSnap
 	if g, ok := mp.Section(store.SectionGraph); ok {
-		parsed, err := parseFlatGraph(g)
+		parsed, err := parseFlatGraph(g, snap.funcs)
 		if err != nil {
 			return err
 		}
@@ -161,16 +166,12 @@ func (f *Framework) Load(path string) (err error) {
 		}
 		graph = &parsed
 	}
-	snap, err := parseFlatIndex(idx)
-	if err != nil {
-		return err
-	}
 	if err := f.installIndexLocked(snap); err != nil {
 		return err
 	}
 	if graph != nil {
 		// Installing the index replaced it wholesale and dropped the graph;
-		// publish the already-validated saved one.
+		// publish the already-validated saved one over it.
 		f.applyGraphLocked(graph)
 	}
 	// The views alias the container buffer. A mmap-backed buffer must stay

@@ -35,7 +35,8 @@ func (g *Graph) WriteDOT(w io.Writer) error {
 		}
 		fmt.Fprintln(bw, "  }")
 	}
-	for _, e := range g.edges {
+	for i := range g.links {
+		e := g.edge(int32(i))
 		fmt.Fprintf(bw, "  %q -- %q [label=\"tau=%.2f rho=%.2f\", weight=%d];\n",
 			e.Function1, e.Function2, e.Tau, e.Rho, 1+int(10*abs(e.Tau)))
 	}
@@ -79,7 +80,7 @@ type EdgeJSON struct {
 func (g *Graph) MarshalJSON() ([]byte, error) {
 	doc := jsonGraph{
 		Nodes:    make([]jsonNode, 0, len(g.nodes)),
-		Edges:    EdgesJSON(g.edges),
+		Edges:    EdgesJSON(g.Edges()),
 		Datasets: g.datasets,
 	}
 	if doc.Datasets == nil {

@@ -5,26 +5,33 @@
 // the score tau, the strength rho, the Monte Carlo p-value, and the
 // resolution and feature class they were found at.
 //
-// A Graph is an immutable value: once built (New) it is safe for
-// lock-free concurrent reads. The core framework owns graph construction
-// and incremental maintenance (core.Framework.BuildGraph); this package
-// owns the structure and the graph-level queries pairwise relationship
-// queries cannot answer — neighbor lookup, top-k edge ranking, data-set
-// rollups, k-hop transitive exploration, and degree/hub statistics.
+// A Graph is assembled over a function Table: its edges name functions by
+// table position, so assembly orders and links them without comparing a
+// string, and an Edge with its six strings is materialized only when a
+// reader asks for one. A Graph is an immutable value: once assembled it is
+// safe for lock-free concurrent reads. The core framework owns graph
+// construction and incremental maintenance (core.Framework.BuildGraph);
+// this package owns the structure and the graph-level queries pairwise
+// relationship queries cannot answer — neighbor lookup, top-k edge ranking,
+// data-set rollups, k-hop transitive exploration, and degree/hub
+// statistics.
 package relgraph
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 
 	"github.com/urbandata/datapolygamy/internal/feature"
 	"github.com/urbandata/datapolygamy/internal/spatial"
 	"github.com/urbandata/datapolygamy/internal/temporal"
 )
 
-// Edge is one materialized relationship between two scalar functions. It is
-// stored in canonical orientation (Function1 < Function2); New reorients
-// edges as needed (tau, rho, and the p-value are symmetric).
+// Edge is one materialized relationship between two scalar functions, in
+// canonical orientation (Function1 <= Function2; tau, rho, and the p-value
+// are symmetric).
 type Edge struct {
 	Function1, Function2 string // function keys, e.g. "taxi/density@city,hour"
 	Dataset1, Dataset2   string
@@ -53,14 +60,84 @@ func (e Edge) String() string {
 	return s
 }
 
-// canonical returns the edge with Function1 <= Function2.
-func (e Edge) canonical() Edge {
-	if e.Function2 < e.Function1 {
-		e.Function1, e.Function2 = e.Function2, e.Function1
-		e.Dataset1, e.Dataset2 = e.Dataset2, e.Dataset1
-		e.Spec1, e.Spec2 = e.Spec2, e.Spec1
+// Function is one scalar function a graph can name. Both functions of a
+// relationship share its resolution.
+type Function struct {
+	Key, Dataset, Spec string
+	SRes               spatial.Resolution
+	TRes               temporal.Resolution
+}
+
+// Table is an immutable function table: the functions a graph's edges name
+// by position, with each key's rank in string order and each data set's
+// rank among the table's data sets, computed once per table so that no
+// per-edge step compares or hashes a string.
+type Table struct {
+	fns      []Function
+	rank     []uint32 // dense rank of fns[i].Key in string order
+	ds       []uint32 // rank of fns[i].Dataset among dsNames
+	dsNames  []string // the table's data sets, sorted
+	numRanks int
+}
+
+// maxTableFuncs bounds a table so that two key ranks and a class pack into
+// one uint64 sort key (Order).
+const maxTableFuncs = 1 << 28
+
+// NewTable ranks the functions of fns, which the table keeps.
+func NewTable(fns []Function) *Table {
+	if len(fns) >= maxTableFuncs {
+		panic(fmt.Sprintf("relgraph: %d functions exceed the table bound %d", len(fns), maxTableFuncs))
 	}
-	return e
+	t := &Table{fns: fns, rank: make([]uint32, len(fns)), ds: make([]uint32, len(fns))}
+	ids := make([]uint32, len(fns))
+	for i := range ids {
+		ids[i] = uint32(i)
+	}
+	slices.SortFunc(ids, func(a, b uint32) int { return strings.Compare(fns[a].Key, fns[b].Key) })
+	for i, id := range ids {
+		if i > 0 && fns[id].Key != fns[ids[i-1]].Key {
+			t.numRanks++
+		}
+		t.rank[id] = uint32(t.numRanks)
+	}
+	if len(fns) > 0 {
+		t.numRanks++
+	}
+	dsRank := make(map[string]uint32)
+	for _, f := range fns {
+		dsRank[f.Dataset] = 0
+	}
+	for name := range dsRank {
+		t.dsNames = append(t.dsNames, name)
+	}
+	slices.Sort(t.dsNames)
+	for i, name := range t.dsNames {
+		dsRank[name] = uint32(i)
+	}
+	for i, f := range fns {
+		t.ds[i] = dsRank[f.Dataset]
+	}
+	return t
+}
+
+// Function returns the function at table position id.
+func (t *Table) Function(id uint32) Function { return t.fns[id] }
+
+// Order returns the sort key of a relationship from f1 to f2 at class c:
+// the two key ranks and the class packed into one word, so comparing keys
+// orders relationships exactly as comparing (Function1, Function2, Class)
+// would. c must lie in [0, 256).
+func (t *Table) Order(f1, f2 uint32, c feature.Class) uint64 {
+	return uint64(t.rank[f1])<<36 | uint64(t.rank[f2])<<8 | uint64(c)
+}
+
+// Link is one relationship between two functions of a table, named by
+// table position.
+type Link struct {
+	F1, F2                   uint32
+	Class                    feature.Class
+	Tau, Rho, PValue, QValue float64
 }
 
 // Node is one graph vertex: an indexed scalar function that participates in
@@ -76,103 +153,142 @@ type Node struct {
 // not represented: the node set is exactly the functions that appear in an
 // edge.
 type Graph struct {
+	tab       *Table
+	links     []Link // canonical orientation, sorted by (Function1, Function2, Class)
 	nodes     []Node
 	nodeByKey map[string]int
-	edges     []Edge  // sorted by (Function1, Function2, Class)
-	adj       [][]int // node index -> indices into edges, in edge order
-	dsEdges   map[string][]int
-	datasets  []string // sorted data sets appearing in any edge
+	adj       [][]int32 // node index -> indices into links, in edge order
+	datasets  []string  // sorted data sets appearing in any edge
+	dsIndex   map[string]int
+	dsOf      []int32 // table data set rank -> index into datasets, -1 if absent
+	dsDegree  []int   // index into datasets -> incident edges
 }
 
-// SortEdges orders edges canonically: by function pair, then class. Every
-// slice of edges inside a Graph is kept in this order, which is what makes
-// graph comparison (Equal) and persistence deterministic.
-func SortEdges(es []Edge) {
-	sort.Slice(es, func(i, j int) bool {
-		if es[i].Function1 != es[j].Function1 {
-			return es[i].Function1 < es[j].Function1
+// Assemble builds a graph over t from links naming functions by table
+// position. Each link is put in canonical orientation (the smaller key
+// first) and the links are ordered by (Function1, Function2, Class)
+// through t's key ranks, by counting rather than by comparing; the
+// adjacency lists are laid out by counting too. Classes must lie in
+// [0, 256). Assemble takes ownership of links.
+func Assemble(t *Table, links []Link) *Graph {
+	classes := 1
+	for i := range links {
+		l := &links[i]
+		if t.rank[l.F2] < t.rank[l.F1] {
+			l.F1, l.F2 = l.F2, l.F1
 		}
-		if es[i].Function2 != es[j].Function2 {
-			return es[i].Function2 < es[j].Function2
-		}
-		return es[i].Class < es[j].Class
-	})
-}
+		classes = max(classes, int(l.Class)+1)
+	}
+	// Two stable counting passes, least significant key first.
+	tmp := make([]Link, len(links))
+	countingSort(tmp, links, t.numRanks*classes, func(l *Link) int { return int(t.rank[l.F2])*classes + int(l.Class) })
+	countingSort(links, tmp, t.numRanks, func(l *Link) int { return int(t.rank[l.F1]) })
+	g := &Graph{tab: t, links: links}
 
-// New builds a graph from a set of edges. Edges are canonicalised and
-// sorted; the input slice is not retained or mutated.
-func New(edges []Edge) *Graph {
-	g := &Graph{
-		nodeByKey: make(map[string]int, 2*len(edges)),
-		dsEdges:   make(map[string][]int),
-		edges:     make([]Edge, len(edges)),
+	// Nodes in first appearance along the edge order, identified by key
+	// rank; degrees first, so the adjacency lists carve one backing array.
+	nodeOf := make([]int32, t.numRanks)
+	for i := range nodeOf {
+		nodeOf[i] = -1
 	}
-	for i, e := range edges {
-		g.edges[i] = e.canonical()
-	}
-	SortEdges(g.edges)
-
-	// First pass assigns node ids and counts degrees, so the adjacency
-	// lists can carve one shared backing array instead of growing each
-	// list by repeated appends (this runs on the warm-open path).
-	node := func(key, ds, spec string) int {
-		if id, ok := g.nodeByKey[key]; ok {
-			return id
+	dsCount := make([]int, len(t.dsNames))
+	for _, l := range links {
+		for _, f := range [2]uint32{l.F1, l.F2} {
+			r := t.rank[f]
+			if nodeOf[r] < 0 {
+				nodeOf[r] = int32(len(g.nodes))
+				fn := &t.fns[f]
+				g.nodes = append(g.nodes, Node{Key: fn.Key, Dataset: fn.Dataset, Spec: fn.Spec})
+			}
+			g.nodes[nodeOf[r]].Degree++
 		}
-		id := len(g.nodes)
-		g.nodes = append(g.nodes, Node{Key: key, Dataset: ds, Spec: spec})
-		g.nodeByKey[key] = id
-		return id
-	}
-	dsCount := make(map[string]int)
-	for _, e := range g.edges {
-		g.nodes[node(e.Function1, e.Dataset1, e.Spec1)].Degree++
-		g.nodes[node(e.Function2, e.Dataset2, e.Spec2)].Degree++
-		dsCount[e.Dataset1]++
-		if e.Dataset2 != e.Dataset1 {
-			dsCount[e.Dataset2]++
+		dsCount[t.ds[l.F1]]++
+		if t.ds[l.F2] != t.ds[l.F1] {
+			dsCount[t.ds[l.F2]]++
 		}
 	}
-	adjBacking := make([]int, 0, 2*len(g.edges))
-	g.adj = make([][]int, len(g.nodes))
+	g.nodeByKey = make(map[string]int, len(g.nodes))
+	adjBacking := make([]int32, 2*len(links))
+	g.adj = make([][]int32, len(g.nodes))
+	off := 0
 	for i, n := range g.nodes {
-		off := len(adjBacking)
-		adjBacking = adjBacking[:off+n.Degree]
+		g.nodeByKey[n.Key] = i
 		g.adj[i] = adjBacking[off : off : off+n.Degree]
+		off += n.Degree
 	}
-	dsBacking := make([]int, 0, 2*len(g.edges))
-	g.datasets = make([]string, 0, len(dsCount))
-	for ds, cnt := range dsCount {
-		off := len(dsBacking)
-		dsBacking = dsBacking[:off+cnt]
-		g.dsEdges[ds] = dsBacking[off : off : off+cnt]
-		g.datasets = append(g.datasets, ds)
-	}
-	sort.Strings(g.datasets)
-	for i, e := range g.edges {
-		n1, n2 := g.nodeByKey[e.Function1], g.nodeByKey[e.Function2]
-		g.adj[n1] = append(g.adj[n1], i)
-		g.adj[n2] = append(g.adj[n2], i)
-		g.dsEdges[e.Dataset1] = append(g.dsEdges[e.Dataset1], i)
-		if e.Dataset2 != e.Dataset1 {
-			g.dsEdges[e.Dataset2] = append(g.dsEdges[e.Dataset2], i)
+	g.dsOf = make([]int32, len(t.dsNames))
+	g.dsIndex = make(map[string]int)
+	for r, cnt := range dsCount {
+		g.dsOf[r] = -1
+		if cnt > 0 {
+			g.dsOf[r] = int32(len(g.datasets))
+			g.dsIndex[t.dsNames[r]] = len(g.datasets)
+			g.datasets = append(g.datasets, t.dsNames[r])
+			g.dsDegree = append(g.dsDegree, cnt)
 		}
+	}
+	for i, l := range links {
+		n1, n2 := nodeOf[t.rank[l.F1]], nodeOf[t.rank[l.F2]]
+		g.adj[n1] = append(g.adj[n1], int32(i))
+		g.adj[n2] = append(g.adj[n2], int32(i))
 	}
 	return g
+}
+
+// countingSort stably places src into dst in ascending key order, keys in
+// [0, n).
+func countingSort(dst, src []Link, n int, key func(*Link) int) {
+	next := make([]int, n+1)
+	for i := range src {
+		next[key(&src[i])+1]++
+	}
+	for k := 1; k <= n; k++ {
+		next[k] += next[k-1]
+	}
+	for i := range src {
+		k := key(&src[i])
+		dst[next[k]] = src[i]
+		next[k]++
+	}
+}
+
+// edge materializes link i, its strings taken from the table.
+func (g *Graph) edge(i int32) Edge {
+	l := &g.links[i]
+	a, b := &g.tab.fns[l.F1], &g.tab.fns[l.F2]
+	return Edge{
+		Function1: a.Key, Function2: b.Key,
+		Dataset1: a.Dataset, Dataset2: b.Dataset,
+		Spec1: a.Spec, Spec2: b.Spec,
+		SRes: a.SRes, TRes: a.TRes, Class: l.Class,
+		Tau: l.Tau, Rho: l.Rho, PValue: l.PValue, QValue: l.QValue,
+	}
+}
+
+// linkDatasets returns the indices into g.datasets of link i's two data sets.
+func (g *Graph) linkDatasets(i int32) (int32, int32) {
+	l := &g.links[i]
+	return g.dsOf[g.tab.ds[l.F1]], g.dsOf[g.tab.ds[l.F2]]
 }
 
 // NumNodes returns the number of functions participating in relationships.
 func (g *Graph) NumNodes() int { return len(g.nodes) }
 
 // NumEdges returns the number of materialized relationships.
-func (g *Graph) NumEdges() int { return len(g.edges) }
+func (g *Graph) NumEdges() int { return len(g.links) }
 
 // Nodes returns a copy of the node set, ordered by first appearance in the
 // canonical edge order.
 func (g *Graph) Nodes() []Node { return append([]Node{}, g.nodes...) }
 
-// Edges returns a copy of all edges in canonical order.
-func (g *Graph) Edges() []Edge { return append([]Edge{}, g.edges...) }
+// Edges returns all edges in canonical order.
+func (g *Graph) Edges() []Edge {
+	out := make([]Edge, len(g.links))
+	for i := range out {
+		out[i] = g.edge(int32(i))
+	}
+	return out
+}
 
 // Datasets returns the sorted data sets that appear in at least one edge.
 func (g *Graph) Datasets() []string { return append([]string{}, g.datasets...) }
@@ -186,21 +302,24 @@ func (g *Graph) Neighbors(functionKey string) []Edge {
 	}
 	out := make([]Edge, len(g.adj[id]))
 	for i, ei := range g.adj[id] {
-		out[i] = g.edges[ei]
+		out[i] = g.edge(ei)
 	}
 	return out
 }
 
 // DatasetEdges returns the edges incident to any function of a data set, in
-// canonical order (nil when the data set has no relationships).
+// canonical order (nil when the data set has no relationships). It scans
+// the edge list: no per-data-set list is kept.
 func (g *Graph) DatasetEdges(ds string) []Edge {
-	idxs := g.dsEdges[ds]
-	if idxs == nil {
+	d, ok := g.dsIndex[ds]
+	if !ok {
 		return nil
 	}
-	out := make([]Edge, len(idxs))
-	for i, ei := range idxs {
-		out[i] = g.edges[ei]
+	out := make([]Edge, 0, g.dsDegree[d])
+	for i := range g.links {
+		if a, b := g.linkDatasets(int32(i)); a == int32(d) || b == int32(d) {
+			out = append(out, g.edge(int32(i)))
+		}
 	}
 	return out
 }
@@ -250,11 +369,11 @@ func (g *Graph) TopKMaxQ(k int, by RankBy, maxQ float64) []Edge {
 		}
 	}
 	var out []Edge
-	for _, e := range g.edges {
-		if maxQ > 0 && e.QValue > maxQ {
+	for i, l := range g.links {
+		if maxQ > 0 && l.QValue > maxQ {
 			continue
 		}
-		out = append(out, e)
+		out = append(out, g.edge(int32(i)))
 	}
 	sort.SliceStable(out, func(i, j int) bool { return rank(out[i]) > rank(out[j]) })
 	if k > 0 && k < len(out) {
@@ -283,40 +402,43 @@ func (g *Graph) Rollup() []DatasetRelation {
 
 // RollupMaxQ is Rollup restricted to edges with q-value <= maxQ; maxQ <= 0
 // applies no filter. Data set pairs whose every edge is filtered out do not
-// appear in the result.
+// appear in the result. Relations are keyed by data set index, so no two
+// distinct pairs can share a key whatever their names contain.
 func (g *Graph) RollupMaxQ(maxQ float64) []DatasetRelation {
-	agg := make(map[string]*DatasetRelation)
-	var keys []string
-	for _, e := range g.edges {
-		if maxQ > 0 && e.QValue > maxQ {
+	agg := make(map[[2]int32]*DatasetRelation)
+	var keys [][2]int32
+	for i, l := range g.links {
+		if maxQ > 0 && l.QValue > maxQ {
 			continue
 		}
-		a, b := e.Dataset1, e.Dataset2
+		a, b := g.linkDatasets(int32(i))
 		if b < a {
 			a, b = b, a
 		}
-		k := a + "|" + b
+		k := [2]int32{a, b}
 		r, ok := agg[k]
 		if !ok {
-			r = &DatasetRelation{Dataset1: a, Dataset2: b, MinPValue: e.PValue, MinQValue: e.QValue}
+			r = &DatasetRelation{Dataset1: g.datasets[a], Dataset2: g.datasets[b], MinPValue: l.PValue, MinQValue: l.QValue}
 			agg[k] = r
 			keys = append(keys, k)
 		}
 		r.Edges++
-		if t := abs(e.Tau); t > r.MaxAbsTau {
+		if t := abs(l.Tau); t > r.MaxAbsTau {
 			r.MaxAbsTau = t
 		}
-		if e.Rho > r.MaxRho {
-			r.MaxRho = e.Rho
+		if l.Rho > r.MaxRho {
+			r.MaxRho = l.Rho
 		}
-		if e.PValue < r.MinPValue {
-			r.MinPValue = e.PValue
+		if l.PValue < r.MinPValue {
+			r.MinPValue = l.PValue
 		}
-		if e.QValue < r.MinQValue {
-			r.MinQValue = e.QValue
+		if l.QValue < r.MinQValue {
+			r.MinQValue = l.QValue
 		}
 	}
-	sort.Strings(keys)
+	slices.SortFunc(keys, func(x, y [2]int32) int {
+		return cmp.Or(cmp.Compare(x[0], y[0]), cmp.Compare(x[1], y[1]))
+	})
 	out := make([]DatasetRelation, len(keys))
 	for i, k := range keys {
 		out[i] = *agg[k]
@@ -330,25 +452,25 @@ func (g *Graph) RollupMaxQ(maxQ float64) []DatasetRelation {
 // start data set itself maps to 0. An unknown or isolated start yields only
 // the start entry when it is registered in the graph, or nil otherwise.
 func (g *Graph) KHop(start string, k int) map[string]int {
-	if _, ok := g.dsEdges[start]; !ok {
+	s, ok := g.dsIndex[start]
+	if !ok {
 		return nil
 	}
 	dist := map[string]int{start: 0}
-	frontier := []string{start}
-	for hop := 1; hop <= k && len(frontier) > 0; hop++ {
-		var next []string
-		for _, ds := range frontier {
-			for _, ei := range g.dsEdges[ds] {
-				e := g.edges[ei]
-				for _, other := range [2]string{e.Dataset1, e.Dataset2} {
-					if _, seen := dist[other]; !seen {
-						dist[other] = hop
-						next = append(next, other)
-					}
+	hops := make([]int, len(g.datasets)) // hop distance + 1; 0 = not reached
+	hops[s] = 1
+	for hop, grew := 1, true; hop <= k && grew; hop++ {
+		grew = false
+		for i := range g.links {
+			a, b := g.linkDatasets(int32(i))
+			for _, e := range [2][2]int32{{a, b}, {b, a}} {
+				if from, to := e[0], e[1]; hops[from] == hop && hops[to] == 0 {
+					hops[to] = hop + 1
+					dist[g.datasets[to]] = hop
+					grew = true
 				}
 			}
 		}
-		frontier = next
 	}
 	return dist
 }
@@ -381,7 +503,7 @@ const topHubs = 5
 
 // Stats computes the graph's degree/hub statistics.
 func (g *Graph) Stats() Stats {
-	st := Stats{Nodes: len(g.nodes), Edges: len(g.edges), Datasets: len(g.datasets)}
+	st := Stats{Nodes: len(g.nodes), Edges: len(g.links), Datasets: len(g.datasets)}
 	if len(g.nodes) == 0 {
 		return st
 	}
@@ -401,8 +523,8 @@ func (g *Graph) Stats() Stats {
 	st.MeanDegree = float64(total) / float64(len(g.nodes))
 	st.TopFunctions = topOf(fns)
 	dss := make([]Hub, 0, len(g.datasets))
-	for _, ds := range g.datasets {
-		dss = append(dss, Hub{Name: ds, Degree: len(g.dsEdges[ds])})
+	for i, ds := range g.datasets {
+		dss = append(dss, Hub{Name: ds, Degree: g.dsDegree[i]})
 	}
 	st.TopDatasets = topOf(dss)
 	return st
@@ -426,11 +548,11 @@ func topOf(hubs []Hub) []Hub {
 // p-values. Since every derived structure is a function of the canonical
 // edge list, equal edge lists mean equal graphs.
 func (g *Graph) Equal(o *Graph) bool {
-	if len(g.edges) != len(o.edges) {
+	if len(g.links) != len(o.links) {
 		return false
 	}
-	for i := range g.edges {
-		if g.edges[i] != o.edges[i] {
+	for i := range g.links {
+		if g.edge(int32(i)) != o.edge(int32(i)) {
 			return false
 		}
 	}

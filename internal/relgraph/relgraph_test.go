@@ -3,6 +3,8 @@ package relgraph
 import (
 	"bytes"
 	"encoding/json"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 
@@ -28,8 +30,31 @@ func edge(f1, f2 string, class feature.Class, tau, rho, p float64) Edge {
 	}
 }
 
+// build assembles a graph from materialized edges over a table holding
+// each distinct function once, in first-seen order.
+func build(edges []Edge) *Graph {
+	var fns []Function
+	ids := make(map[string]uint32)
+	id := func(key, ds, spec string, e Edge) uint32 {
+		if i, ok := ids[key]; ok {
+			return i
+		}
+		ids[key] = uint32(len(fns))
+		fns = append(fns, Function{Key: key, Dataset: ds, Spec: spec, SRes: e.SRes, TRes: e.TRes})
+		return ids[key]
+	}
+	links := make([]Link, len(edges))
+	for i, e := range edges {
+		links[i] = Link{
+			F1: id(e.Function1, e.Dataset1, e.Spec1, e), F2: id(e.Function2, e.Dataset2, e.Spec2, e),
+			Class: e.Class, Tau: e.Tau, Rho: e.Rho, PValue: e.PValue, QValue: e.QValue,
+		}
+	}
+	return Assemble(NewTable(fns), links)
+}
+
 func testGraph() *Graph {
-	return New([]Edge{
+	return build([]Edge{
 		edge("taxi/density", "weather/wind", feature.Salient, -0.9, 0.8, 0.001),
 		edge("taxi/density", "weather/wind", feature.Extreme, -0.7, 0.5, 0.010),
 		edge("weather/wind", "citibike/trips", feature.Salient, 0.6, 0.4, 0.020),
@@ -48,7 +73,7 @@ func TestNewCanonicalises(t *testing.T) {
 		e.Spec1, e.Spec2 = e.Spec2, e.Spec1
 		rev = append([]Edge{e}, rev...)
 	}
-	if g := New(rev); !g.Equal(fwd) {
+	if g := build(rev); !g.Equal(fwd) {
 		t.Error("reversed/shuffled edges built a different graph")
 	}
 }
@@ -228,7 +253,7 @@ func TestStats(t *testing.T) {
 	if len(st.TopFunctions) == 0 || st.TopFunctions[0].Name != "weather/wind" {
 		t.Errorf("top function = %+v, want weather/wind", st.TopFunctions)
 	}
-	empty := New(nil).Stats()
+	empty := build(nil).Stats()
 	if empty.Nodes != 0 || empty.Edges != 0 {
 		t.Errorf("empty stats = %+v", empty)
 	}
@@ -280,5 +305,116 @@ func TestWriteJSON(t *testing.T) {
 	}
 	if doc.Edges[0].Class == "" {
 		t.Error("edge class not spelled out in JSON")
+	}
+}
+
+// TestRollupKeepsPipedNamesApart: data set names are unrestricted, so a
+// rollup keyed on a joined string would fold ("x|y", "z") and ("x", "y|z")
+// into one relation. They are two.
+func TestRollupKeepsPipedNamesApart(t *testing.T) {
+	g := build([]Edge{
+		{Function1: "x|y/a", Function2: "z/b", Dataset1: "x|y", Dataset2: "z", Spec1: "a", Spec2: "b", Tau: 0.5, Rho: 0.5, PValue: 0.01, QValue: 0.01},
+		{Function1: "x/a", Function2: "y|z/b", Dataset1: "x", Dataset2: "y|z", Spec1: "a", Spec2: "b", Tau: 0.7, Rho: 0.6, PValue: 0.02, QValue: 0.02},
+	})
+	roll := g.Rollup()
+	want := []DatasetRelation{
+		{Dataset1: "x", Dataset2: "y|z", Edges: 1, MaxAbsTau: 0.7, MaxRho: 0.6, MinPValue: 0.02, MinQValue: 0.02},
+		{Dataset1: "x|y", Dataset2: "z", Edges: 1, MaxAbsTau: 0.5, MaxRho: 0.5, MinPValue: 0.01, MinQValue: 0.01},
+	}
+	if len(roll) != len(want) {
+		t.Fatalf("rollup = %+v, want %+v", roll, want)
+	}
+	for i := range want {
+		if roll[i] != want[i] {
+			t.Errorf("relation %d = %+v, want %+v", i, roll[i], want[i])
+		}
+	}
+}
+
+// TestAssembleOrderMatchesStringOracle: assembly orders edges by key rank,
+// never by comparing strings. Over names whose string order and key order
+// disagree ("taxi" < "taxi-x" < "taxi2", yet "taxi-x/..." < "taxi/...") and
+// a name holding a '/', the edge list and every incident list must come
+// out exactly as a string sort of the canonicalised edges would put them.
+func TestAssembleOrderMatchesStringOracle(t *testing.T) {
+	names := []string{"taxi", "taxi-x", "taxi2", "a/b", "a"}
+	specs := []string{"count", "density", "b/c"}
+	var fns []Function
+	for _, ds := range names {
+		for _, sp := range specs {
+			fns = append(fns, Function{Key: ds + "/" + sp + "@city,hour", Dataset: ds, Spec: sp, SRes: spatial.City, TRes: temporal.Hour})
+		}
+	}
+	// Every cross-data-set function pair in both classes, named in a
+	// scrambled order and orientation.
+	var links []Link
+	for i := range fns {
+		for j := range fns {
+			if fns[i].Dataset >= fns[j].Dataset {
+				continue
+			}
+			for _, c := range []feature.Class{feature.Extreme, feature.Salient} {
+				a, b := uint32(i), uint32(j)
+				if (i+j)%2 == 0 {
+					a, b = b, a
+				}
+				links = append(links, Link{F1: a, F2: b, Class: c, Tau: float64(i), Rho: float64(j), PValue: 0.5, QValue: 0.5})
+			}
+		}
+	}
+	for i := range links {
+		j := (i*7919 + 13) % len(links)
+		links[i], links[j] = links[j], links[i]
+	}
+	var oracle []Edge
+	for _, l := range links {
+		a, b := fns[l.F1], fns[l.F2]
+		e := Edge{Function1: a.Key, Function2: b.Key, Dataset1: a.Dataset, Dataset2: b.Dataset, Spec1: a.Spec, Spec2: b.Spec,
+			SRes: a.SRes, TRes: a.TRes, Class: l.Class, Tau: l.Tau, Rho: l.Rho, PValue: l.PValue, QValue: l.QValue}
+		if e.Function2 < e.Function1 {
+			e.Function1, e.Function2 = e.Function2, e.Function1
+			e.Dataset1, e.Dataset2 = e.Dataset2, e.Dataset1
+			e.Spec1, e.Spec2 = e.Spec2, e.Spec1
+		}
+		oracle = append(oracle, e)
+	}
+	sort.Slice(oracle, func(i, j int) bool {
+		x, y := oracle[i], oracle[j]
+		if x.Function1 != y.Function1 {
+			return x.Function1 < y.Function1
+		}
+		if x.Function2 != y.Function2 {
+			return x.Function2 < y.Function2
+		}
+		return x.Class < y.Class
+	})
+	g := Assemble(NewTable(fns), links)
+	if got := g.Edges(); !slices.Equal(got, oracle) {
+		t.Fatal("edge order differs from the string-sorting oracle")
+	}
+	for _, fn := range fns {
+		var want []Edge
+		for _, e := range oracle {
+			if e.Function1 == fn.Key || e.Function2 == fn.Key {
+				want = append(want, e)
+			}
+		}
+		if got := g.Neighbors(fn.Key); !slices.Equal(got, want) {
+			t.Errorf("Neighbors(%q) differs from the oracle", fn.Key)
+		}
+	}
+	for _, ds := range names {
+		var want []Edge
+		for _, e := range oracle {
+			if e.Dataset1 == ds || e.Dataset2 == ds {
+				want = append(want, e)
+			}
+		}
+		if got := g.DatasetEdges(ds); !slices.Equal(got, want) {
+			t.Errorf("DatasetEdges(%q) differs from the oracle", ds)
+		}
+	}
+	if want := slices.Sorted(slices.Values(names)); !slices.Equal(g.Datasets(), want) {
+		t.Errorf("Datasets() = %q, want %q", g.Datasets(), want)
 	}
 }
