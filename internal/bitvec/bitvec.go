@@ -121,6 +121,15 @@ func (v *Vector) Or(o *Vector) *Vector {
 	return out
 }
 
+// OrWith sets v to v OR o in place. Both vectors must have the same length.
+func (v *Vector) OrWith(o *Vector) {
+	v.checkLen(o)
+	v.checkWritable()
+	for i, w := range o.words {
+		v.words[i] |= w
+	}
+}
+
 // AndNot returns a new vector with the bits of v that are not in o (v &^ o).
 func (v *Vector) AndNot(o *Vector) *Vector {
 	v.checkLen(o)

@@ -76,6 +76,10 @@ func TestAndOrAndNot(t *testing.T) {
 	if got := diff.Ones(); len(got) != 1 || got[0] != 65 {
 		t.Errorf("AndNot ones = %v, want [65]", got)
 	}
+	a.OrWith(b)
+	if !a.Equal(or) {
+		t.Errorf("OrWith = %v, want %v", a.Ones(), or.Ones())
+	}
 }
 
 func TestAndCountMatchesAnd(t *testing.T) {

@@ -2,6 +2,7 @@ package montecarlo
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -209,26 +210,34 @@ func oracleResult(taus []float64, tau float64, cfg Config, exhaustive bool) Resu
 // checkKernelParity captures the production kernel's full per-permutation
 // tau stream (Exhaustive, so every index is covered under any Workers
 // value) and requires bitwise identity with the oracle's, then checks the
-// exhaustive and the adaptive Result against the oracle's fold.
-func checkKernelParity(t *testing.T, a, b *feature.Set, g *stgraph.Graph, tau float64, cfg Config) {
+// exhaustive Result — with the sink and without it, the run in which
+// rotChunk's closed forms may fire — and the adaptive Result against the
+// oracle's fold. It returns the exhaustive run without the sink.
+func checkKernelParity(t *testing.T, a, b *feature.Set, g *stgraph.Graph, tau float64, cfg Config) *testRun {
 	t.Helper()
 	want := oracleTaus(a, b, g, cfg)
 	ex := cfg
 	ex.Exhaustive = true
 	got := make([]float64, cfg.Permutations)
-	res := test(a, b, g, tau, ex, func(perm int, tauK float64) { got[perm] = tauK })
+	res, _ := test(a, b, g, tau, ex, func(perm int, tauK float64) { got[perm] = tauK })
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("tau stream diverges at permutation %d: oracle %v kernel %v (cfg %+v)",
 				i, want[i], got[i], cfg)
 		}
 	}
-	if w := oracleResult(want, tau, cfg, true); res != w {
+	w := oracleResult(want, tau, cfg, true)
+	if res != w {
 		t.Fatalf("exhaustive Result mismatch: oracle %+v kernel %+v (cfg %+v)", w, res, cfg)
+	}
+	res, run := test(a, b, g, tau, ex, nil)
+	if res != w {
+		t.Fatalf("exhaustive Result without the sink mismatch: oracle %+v kernel %+v (cfg %+v)", w, res, cfg)
 	}
 	if w, r := oracleResult(want, tau, cfg, false), Test(a, b, g, tau, cfg); r != w {
 		t.Fatalf("adaptive Result mismatch: oracle %+v kernel %+v (cfg %+v)", w, r, cfg)
 	}
+	return run
 }
 
 // TestKernelParity pins the kernel's contract: the word-level kernel is
@@ -325,35 +334,80 @@ func TestKernelParityOneSided(t *testing.T) {
 }
 
 // TestKernelParityShapes covers the shapes with a path of their own. On one
-// region a Restricted test looks tau up by rotation, so 1,000 permutations
-// over 2, 3, 14 and 90 steps hit the table more than nine times in ten
-// (steps = 2 has the single rotation 1). On several regions the step counts
-// put a doubled lane's rotated window across zero, one and two word
-// boundaries. Each shape also runs with a one-sided function 2, and every
-// cell under Workers 1, 2 and 4: each worker fills its own rotation table.
+// region a Restricted test classifies each rotation once, so 1,000
+// permutations over 2, 3, 14 and 90 steps hit its table more than nine
+// times in ten (steps = 2 has the single rotation 1), while over 2,160 steps
+// the table never completes. On several regions the step counts put a
+// doubled lane's rotated window across zero, one and two word boundaries.
+// Each shape also runs with a one-sided function 2, and every cell under
+// Workers 1, 2 and 4.
+//
+// Below 2,160 steps one region also forces rotChunk's closed forms: |tau|
+// = 1 against a sparse positive-only function 1 and negative-only function
+// 2, or against a = b positive at every step, leaves the extreme set empty;
+// tau just above 0 against the latter makes it full. The run's counters
+// show each closed form deciding chunks, so the parity cannot pass by
+// drawing everything.
 func TestKernelParityShapes(t *testing.T) {
 	type shape struct {
 		w, h, steps, perms int
 	}
 	var shapes []shape
-	for _, steps := range []int{2, 3, 14, 90} {
+	for _, steps := range []int{2, 3, 14, 90, 2160} {
 		shapes = append(shapes, shape{1, 1, steps, 1000})
 	}
 	for _, steps := range []int{2, 3, 63, 64, 65, 127, 128, 129} {
 		shapes = append(shapes, shape{3, 2, steps, 150})
 	}
+	type pair struct {
+		a, b *feature.Set
+		tau  float64
+		// decided reads the Restricted run's counter of the closed form
+		// the pair must fire; nil when it need not fire.
+		decided func(*testRun) int
+	}
+	none := func(r *testRun) int { return r.decidedNone }
+	all := func(r *testRun) int { return r.decidedAll }
 	for _, sh := range shapes {
 		t.Run(fmt.Sprintf("%dx%d", sh.w*sh.h, sh.steps), func(t *testing.T) {
 			g := gridGraph(t, sh.w, sh.h, sh.steps)
 			n := g.NumVertices()
 			a, b := denseSets(rand.New(rand.NewSource(int64(sh.steps))), n, 0.4, 0, n)
 			oneSided := &feature.Set{Positive: bitvec.New(n), Negative: b.Negative}
-			for _, f2 := range []*feature.Set{b, oneSided} {
+			pairs := []pair{{a, b, -0.3, nil}, {a, oneSided, -0.3, nil}}
+			if n == sh.steps && sh.steps < 2160 {
+				set := func(pos, neg *bitvec.Vector) *feature.Set {
+					return &feature.Set{Positive: pos, Negative: neg}
+				}
+				first, last, every := bitvec.New(n), bitvec.New(n), bitvec.New(n)
+				first.Set(0)
+				last.Set(n - 1)
+				for s := 0; s < n; s++ {
+					every.Set(s)
+				}
+				sparseA, sparseB := set(first, bitvec.New(n)), set(bitvec.New(n), last)
+				full := set(every, bitvec.New(n))
+				pairs = append(pairs,
+					pair{sparseA, sparseB, 1, none},
+					pair{full, full, -1, none},
+					pair{full, full, 1e-9, all})
+			}
+			for _, p := range pairs {
 				for _, kind := range []Kind{Restricted, Block} {
 					for _, workers := range []int{1, 2, 4} {
-						checkKernelParity(t, a, f2, g, -0.3, Config{
+						run := checkKernelParity(t, p.a, p.b, g, p.tau, Config{
 							Permutations: sh.perms, Seed: 31, Kind: kind, Workers: workers,
 						})
+						if kind != Restricted || n != sh.steps {
+							continue
+						}
+						if sh.steps == 2160 && run.decidedNone+run.decidedAll != 0 {
+							t.Fatalf("%d chunks decided by a closed form over 2,160 steps, want 0",
+								run.decidedNone+run.decidedAll)
+						}
+						if p.decided != nil && p.decided(run) == 0 {
+							t.Fatalf("tau=%v workers=%d: no chunk decided by the closed form", p.tau, workers)
+						}
 					}
 				}
 			}
@@ -450,8 +504,9 @@ func TestToroidalScratchMatchesPublic(t *testing.T) {
 // after the first chunk sizes the scratch buffers, evaluating further
 // permutation chunks allocates nothing, for every Kind — whether the
 // chunk's shifts are read from the pool's memo or regenerated past it, and
-// on one region, where tau comes from the rotation table (sized with the
-// scratch, not in the loop).
+// on one region, where a Restricted chunk is rotChunk and its rotation
+// table is sized with the scratch, not in the loop. Chunk 1 alone never
+// completes a 90-step table, so every call draws.
 func TestChunkSteadyStateAllocs(t *testing.T) {
 	for _, dom := range []struct {
 		w, h, steps int
@@ -468,11 +523,36 @@ func TestChunkSteadyStateAllocs(t *testing.T) {
 						Shifts: newShiftPool(g.SpatialAdjacency(), 5, budget)},
 					prep: newVectorPrep(a, b, g, kind),
 				}
+				step := run.chunk
+				if run.oneRegion() {
+					step = run.rotChunk
+				}
 				sc := run.newScratch()
-				run.chunk(1, sc) // size the scratch buffers, memoise the chunk
-				if allocs := testing.AllocsPerRun(5, func() { run.chunk(1, sc) }); allocs != 0 {
+				step(1, sc) // size the scratch buffers, memoise the chunk
+				if allocs := testing.AllocsPerRun(5, func() { step(1, sc) }); allocs != 0 {
 					t.Errorf("%dx%d kind=%v budget=%d: steady-state chunk allocates %.0f objects, want 0",
 						dom.w*dom.h, dom.steps, kind, budget, allocs)
+				}
+			}
+		}
+	}
+}
+
+// TestNaNObservedNotSignificant: a NaN observed score compares false with
+// every randomization, so nothing would count as extreme and any test would
+// report p = 1/(1+m). NaN is no evidence at all: like a zero score it is
+// reported with p = 1 and no randomization run, for every Kind, on one
+// region and on several.
+func TestNaNObservedNotSignificant(t *testing.T) {
+	want := Result{PValue: 1}
+	for _, dom := range []struct{ w, h, steps int }{{1, 1, 90}, {3, 3, 40}} {
+		g := gridGraph(t, dom.w, dom.h, dom.steps)
+		n := g.NumVertices()
+		a, b := denseSets(rand.New(rand.NewSource(8)), n, 0.3, 0, n)
+		for _, kind := range []Kind{Restricted, Standard, Block} {
+			for _, tau := range []float64{0, math.NaN()} {
+				if got := Test(a, b, g, tau, Config{Seed: 1, Kind: kind, Workers: 2}); got != want {
+					t.Errorf("%dx%d kind=%v tau=%v: Result %+v, want %+v", dom.w*dom.h, dom.steps, kind, tau, got, want)
 				}
 			}
 		}
@@ -485,30 +565,40 @@ var raceEnabled bool // set by race_test.go
 // scratch pools are warm: a whole Restricted test on a 48x2,160 pair at
 // Workers 1 allocates only its run record and chunk counts, where building
 // the transposed lanes afresh cost four vectors and four Ones slices more.
+// So does a 1x2,160 test, whose 2,159-rotation table lives in the pooled
+// scratch.
 func TestOpenTestAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items under -race")
 	}
-	g := gridGraph(t, 8, 6, 2160)
-	n := g.NumVertices()
-	a, b := denseSets(rand.New(rand.NewSource(42)), n, 1500/float64(n), 0, n)
-	cfg := Config{Seed: 1, Workers: 1, Shifts: NewShiftPool(g.SpatialAdjacency(), 1)}
-	Test(a, b, g, 0.9, cfg) // warm the pools and memoise the shifts
-	if allocs := testing.AllocsPerRun(10, func() { Test(a, b, g, 0.9, cfg) }); allocs > 2 {
-		t.Errorf("opening a warmed 48x2160 test allocates %.0f objects, want <= 2", allocs)
+	for _, dom := range []struct{ w, h int }{{8, 6}, {1, 1}} {
+		g := gridGraph(t, dom.w, dom.h, 2160)
+		n := g.NumVertices()
+		a, b := denseSets(rand.New(rand.NewSource(42)), n, 1500/float64(n), 0, n)
+		cfg := Config{Seed: 1, Workers: 1, Shifts: NewShiftPool(g.SpatialAdjacency(), 1)}
+		Test(a, b, g, 0.9, cfg) // warm the pools and memoise the shifts
+		if allocs := testing.AllocsPerRun(10, func() { Test(a, b, g, 0.9, cfg) }); allocs > 2 {
+			t.Errorf("opening a warmed %dx2160 test allocates %.0f objects, want <= 2", dom.w*dom.h, allocs)
+		}
 	}
 }
 
 // FuzzKernelParity fuzzes domain shape, density, seed, Kind, and observed
-// tau, requiring Results and tau streams byte-identical to the oracle's.
+// tau (±0.5 or ±1, by tauB mod 4), requiring Results and tau streams
+// byte-identical to the oracle's.
 func FuzzKernelParity(f *testing.F) {
-	f.Add(int64(1), uint8(3), uint8(3), uint8(50), uint8(30), uint8(0), false)
-	f.Add(int64(2), uint8(1), uint8(1), uint8(200), uint8(10), uint8(1), true)
-	f.Add(int64(3), uint8(4), uint8(2), uint8(64), uint8(80), uint8(2), false)
-	f.Add(int64(-9), uint8(5), uint8(5), uint8(65), uint8(50), uint8(0), true)
-	f.Add(int64(4), uint8(0), uint8(0), uint8(2), uint8(60), uint8(0), false)  // 1x3: two rotations
-	f.Add(int64(5), uint8(4), uint8(4), uint8(128), uint8(40), uint8(0), true) // 5x5x129
-	f.Fuzz(func(t *testing.T, seed int64, w, h, stepsB, densityB, kindB uint8, negTau bool) {
+	f.Add(int64(1), uint8(3), uint8(3), uint8(50), uint8(30), uint8(0), uint8(0))
+	f.Add(int64(2), uint8(1), uint8(1), uint8(200), uint8(10), uint8(1), uint8(1))
+	f.Add(int64(3), uint8(4), uint8(2), uint8(64), uint8(80), uint8(2), uint8(0))
+	f.Add(int64(-9), uint8(5), uint8(5), uint8(65), uint8(50), uint8(0), uint8(1))
+	f.Add(int64(4), uint8(0), uint8(0), uint8(2), uint8(60), uint8(0), uint8(0))   // 1x3: two rotations
+	f.Add(int64(5), uint8(4), uint8(4), uint8(128), uint8(40), uint8(0), uint8(1)) // 5x5x129
+	f.Add(int64(6), uint8(0), uint8(0), uint8(1), uint8(50), uint8(0), uint8(0))   // 1x2: one rotation
+	f.Add(int64(7), uint8(0), uint8(0), uint8(1), uint8(99), uint8(0), uint8(2))   // 1x2, tau = 1
+	f.Add(int64(8), uint8(0), uint8(0), uint8(2), uint8(5), uint8(0), uint8(3))    // 1x3, tau = -1
+	f.Add(int64(9), uint8(0), uint8(0), uint8(89), uint8(20), uint8(0), uint8(2))  // 1x90, tau = 1
+	f.Add(int64(10), uint8(2), uint8(2), uint8(13), uint8(70), uint8(0), uint8(3)) // 3x3x14, tau = -1
+	f.Fuzz(func(t *testing.T, seed int64, w, h, stepsB, densityB, kindB, tauB uint8) {
 		w = w%5 + 1
 		h = h%5 + 1
 		steps := int(stepsB)%200 + 1
@@ -525,10 +615,7 @@ func FuzzKernelParity(f *testing.F) {
 		density := 0.01 + float64(densityB%100)/110
 		rng := rand.New(rand.NewSource(seed))
 		a, b := denseSets(rng, g.NumVertices(), density, 0, g.NumVertices())
-		tau := 0.5
-		if negTau {
-			tau = -0.5
-		}
+		tau := []float64{0.5, -0.5, 1, -1}[tauB%4]
 		kind := Kind(kindB % 3)
 		checkKernelParity(t, a, b, g, tau, Config{
 			Permutations: 100, Seed: seed, Kind: kind, Workers: int(densityB % 3),

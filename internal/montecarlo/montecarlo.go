@@ -15,8 +15,8 @@
 // p = (1 + #{k : tau_k <= tau*}) / (1 + |m|) — exactly the paper's
 // P(X <= x*) — and for a positive observed score the mirrored upper tail
 // P(X >= x*) is used, so both strongly negative and strongly positive
-// relationships can be significant. An observed score of zero is never
-// significant (p = 1).
+// relationships can be significant. An observed score of zero or NaN is
+// never significant (p = 1).
 //
 // The randomizations are evaluated a word at a time: both feature sets
 // are transposed once per test into region-major lanes, a rotated lane is a
@@ -53,7 +53,7 @@ var (
 	mPermutations = obsv.NewCounter("polygamy_montecarlo_permutations_total",
 		"Permutations actually evaluated across all tests.")
 	mTauEvals = obsv.NewCounter("polygamy_montecarlo_tau_evaluations_total",
-		"Tau kernel runs; a one-region Restricted test runs one per distinct rotation, not one per permutation.")
+		"Tau kernel runs: one per permutation, except that a one-region Restricted test runs one per distinct rotation per test.")
 	mEarlyStops = obsv.NewCounter("polygamy_montecarlo_early_stops_total",
 		"Tests stopped by adaptive termination before the full permutation budget.")
 	mShiftsBuilt = obsv.NewCounter("polygamy_montecarlo_shifts_built_total",
@@ -126,7 +126,9 @@ type Config struct {
 	// <= 1 runs sequentially. The permutations are partitioned into
 	// fixed-size chunks whose RNGs are seeded deterministically from Seed
 	// and the chunk index, so the Result is byte-identical for every
-	// Workers value (including the sequential path).
+	// Workers value (including the sequential path). A Restricted test on a
+	// one-region domain runs its chunks on one goroutine whatever Workers
+	// says: they share the test's rotation table (see Test).
 	Workers int
 
 	// Exhaustive disables adaptive early termination, forcing all
@@ -547,7 +549,8 @@ type side struct {
 
 // transposeLanes re-lays v (vertex-major, vertex = step*R + region) into
 // region-major lanes of stride bits: region r's step s is bit r*stride + s
-// and, in a doubled lane, bit r*stride + nSteps + s as well. dst is re-sized
+// and, in a doubled lane, bit r*stride + nSteps + s as well. On one region
+// v already is the lane, so it is copied a word at a time. dst is re-sized
 // and zeroed first (allocated when nil); union, when not nil, gets the
 // same bits on top of what it holds.
 func transposeLanes(dst, union, v *bitvec.Vector, g *stgraph.Graph, stride int, doubled bool) *bitvec.Vector {
@@ -555,6 +558,16 @@ func transposeLanes(dst, union, v *bitvec.Vector, g *stgraph.Graph, stride int, 
 		dst = new(bitvec.Vector)
 	}
 	dst.Resize(g.NumRegions() * stride)
+	if S := g.NumSteps(); g.NumRegions() == 1 {
+		dst.CopyRange(v, 0, 0, S)
+		if doubled {
+			dst.CopyRange(v, 0, S, S)
+		}
+		if union != nil {
+			union.OrWith(dst)
+		}
+		return dst
+	}
 	for wi, w := range v.Words() {
 		for ; w != 0; w &= w - 1 {
 			r, s := g.RegionStep(wi*64 + bits.TrailingZeros64(w))
@@ -632,12 +645,25 @@ type scratch struct {
 	// in, wholly overwritten before each count.
 	lane *bitvec.Vector
 
-	// Restricted on a one-region domain: tau by rotation, NaN until that
-	// rotation is first drawn (see chunk); empty for every other shape.
-	// Each worker fills its own table with the same values, so the result
-	// does not depend on Workers.
-	rotTau []float64
+	// rot is the rotation table of a one-region Restricted test, the one
+	// test this scratch serves (see rotChunk).
+	rot rotTable
 }
+
+// rotTable classifies the rotations of a one-region Restricted test by
+// whether tau under the rotation is as extreme as the observed score.
+type rotTable struct {
+	class   []uint8 // by rotation: rotUnknown, rotOrdinary or rotExtreme
+	size    int     // rotations a draw can land on: 1..S-1, or rotation 0 when S = 1
+	known   int     // rotations classified so far
+	extreme int     // classified rotations that are extreme
+}
+
+const (
+	rotUnknown uint8 = iota
+	rotOrdinary
+	rotExtreme
+)
 
 func (sc *scratch) intBuf(n int) []int {
 	if cap(sc.perm) < n {
@@ -660,18 +686,16 @@ var scratchPool = sync.Pool{New: func() any {
 // run; the worker puts it back when the run is done.
 func (t *testRun) newScratch() *scratch {
 	sc := scratchPool.Get().(*scratch)
-	sc.rotTau = sc.rotTau[:0]
 	switch {
 	case t.cfg.Kind == Standard:
 		sc.permPos.Resize(t.a.NumVertices())
 		sc.permNeg.Resize(t.a.NumVertices())
 	case t.cfg.Kind == Block:
 		sc.lane.Resize(t.prep.laneBits)
-	case t.g.NumRegions() == 1:
-		sc.rotTau = slices.Grow(sc.rotTau, t.g.NumSteps())[:t.g.NumSteps()]
-		for i := range sc.rotTau {
-			sc.rotTau[i] = math.NaN()
-		}
+	case t.oneRegion():
+		S := t.g.NumSteps()
+		sc.rot = rotTable{class: slices.Grow(sc.rot.class[:0], S)[:S], size: max(S-1, 1)}
+		clear(sc.rot.class)
 	}
 	return sc
 }
@@ -809,7 +833,12 @@ func (t *testRun) vectorTauStandard(sc *scratch, vertPerm []int) float64 {
 //
 // The randomizations run in fixed-size chunks with per-chunk deterministic
 // seeds; Config.Workers spreads the chunks over goroutines without changing
-// the result (see Config).
+// the result (see Config). A one-region Restricted test has only S-1
+// distinct randomizations over S steps, so its chunks share a table that
+// runs the kernel once per rotation (see rotChunk).
+//
+// An observed score of zero or NaN is never significant: no randomization
+// is evaluated and p = 1.
 //
 // Unless Config.Exhaustive is set, the test terminates adaptively: it
 // stops at the first chunk boundary where the exceedance count reaches
@@ -821,7 +850,8 @@ func (t *testRun) vectorTauStandard(sc *scratch, vertPerm []int) float64 {
 // stopped tests report the conservative p-value of the truncated stream
 // over Result.Shifts permutations.
 func Test(a, b *feature.Set, g *stgraph.Graph, tauObserved float64, cfg Config) Result {
-	return test(a, b, g, tauObserved, cfg, nil)
+	res, _ := test(a, b, g, tauObserved, cfg, nil)
+	return res
 }
 
 // test is Test with an optional per-permutation tau sink, the hook the
@@ -830,16 +860,18 @@ func Test(a, b *feature.Set, g *stgraph.Graph, tauObserved float64, cfg Config) 
 // global permutation index; under Workers > 1 calls arrive concurrently
 // from multiple goroutines and may cover chunks past the adaptive stopping
 // point (in-flight work), so parity tests compare streams in Exhaustive
-// mode.
-func test(a, b *feature.Set, g *stgraph.Graph, tauObserved float64, cfg Config, sink func(perm int, tau float64)) Result {
+// mode. A sink sees every draw, so it turns rotChunk's closed forms off.
+// The run is returned for its counters; it is nil when no randomization
+// was evaluated.
+func test(a, b *feature.Set, g *stgraph.Graph, tauObserved float64, cfg Config, sink func(perm int, tau float64)) (Result, *testRun) {
 	cfg = cfg.withDefaults()
 	if a.NumVertices() != g.NumVertices() || b.NumVertices() != g.NumVertices() {
 		panic(fmt.Sprintf("montecarlo: feature sets (%d, %d vertices) do not match graph (%d)",
 			a.NumVertices(), b.NumVertices(), g.NumVertices()))
 	}
-	if tauObserved == 0 {
+	if tauObserved == 0 || math.IsNaN(tauObserved) {
 		mTests.Inc()
-		return Result{PValue: 1, Significant: false, TauObserved: 0, Shifts: 0}
+		return Result{PValue: 1, Significant: false, TauObserved: 0, Shifts: 0}, nil
 	}
 	if cfg.Shifts == nil {
 		// No memo: this test is the sequence's only reader, so each chunk
@@ -866,13 +898,17 @@ func test(a, b *feature.Set, g *stgraph.Graph, tauObserved float64, cfg Config, 
 	nChunks := (cfg.Permutations + permChunk - 1) / permChunk
 	threshold := stopThreshold(cfg.Alpha, cfg.Permutations)
 	counts := make([]int, nChunks)
-	if w := min(cfg.Workers, nChunks); w > 1 {
+	if w := min(cfg.Workers, nChunks); w > 1 && !run.oneRegion() {
 		run.parallel(w, counts, threshold)
 	} else {
 		sc := run.newScratch()
 		ex := 0
 		for ci := range counts {
-			counts[ci] = run.chunk(ci, sc)
+			if run.oneRegion() {
+				counts[ci] = run.rotChunk(ci, sc)
+			} else {
+				counts[ci] = run.chunk(ci, sc)
+			}
 			ex += counts[ci]
 			if !cfg.Exhaustive && ex >= threshold {
 				break
@@ -893,7 +929,7 @@ func test(a, b *feature.Set, g *stgraph.Graph, tauObserved float64, cfg Config, 
 		Significant: p <= cfg.Alpha,
 		TauObserved: tauObserved,
 		Shifts:      shifts,
-	}
+	}, run
 }
 
 // parallel evaluates permutation chunks on w goroutines, filling counts.
@@ -955,6 +991,22 @@ type testRun struct {
 	cfg        Config
 	prep       *vectorPrep
 	sink       func(perm int, tau float64)
+
+	// Chunks rotChunk decided without drawing, by an empty and by a full
+	// extreme set.
+	decidedNone, decidedAll int
+}
+
+// oneRegion reports whether the test's randomization is a time rotation
+// alone, the shape rotChunk counts.
+func (t *testRun) oneRegion() bool {
+	return t.cfg.Kind == Restricted && t.g.NumRegions() == 1
+}
+
+// isExtreme reports whether a randomization's tau is at least as extreme as
+// the observed score, in the observed score's direction.
+func (t *testRun) isExtreme(tauK float64) bool {
+	return (t.tau < 0 && tauK <= t.tau) || (t.tau > 0 && tauK >= t.tau)
 }
 
 // chunk counts the extreme randomizations among permutation indices
@@ -963,13 +1015,8 @@ type testRun struct {
 // or block permutation, time rotation — come from the chunk's
 // deterministically seeded stream in sc. The test oracle replays both
 // sequences draw for draw; reordering one changes every reported p-value
-// (and fails TestKernelParity).
-//
-// On a one-region domain a Restricted randomization is its rotation and
-// nothing else. The rotation is still drawn for every permutation — the
-// exceedance count depends on how often each one comes up — but tau is
-// looked up in sc.rotTau and the kernel runs only for a rotation not seen
-// before.
+// (and fails TestKernelParity). A one-region Restricted test counts its
+// chunks with rotChunk instead.
 func (t *testRun) chunk(ci int, sc *scratch) int {
 	g := t.g
 	nRegions := g.NumRegions()
@@ -985,7 +1032,7 @@ func (t *testRun) chunk(ci int, sc *scratch) int {
 	if n > permChunk {
 		n = permChunk
 	}
-	extreme, evals := 0, n
+	extreme := 0
 	for k := 0; k < n; k++ {
 		var spatPerm []int32
 		if shifts != nil {
@@ -1008,22 +1055,64 @@ func (t *testRun) chunk(ci int, sc *scratch) int {
 			if nSteps > 1 {
 				rot = 1 + sc.src.intn(nSteps-1)
 			}
-			if len(sc.rotTau) == 0 {
-				tauK = t.vectorTauRestricted(spatPerm, rot)
-			} else if tauK = sc.rotTau[rot]; math.IsNaN(tauK) { // first draw of rot
-				tauK = t.vectorTauRestricted(nil, rot)
-				sc.rotTau[rot] = tauK
-			} else {
-				evals--
-			}
+			tauK = t.vectorTauRestricted(spatPerm, rot)
 		}
 		if t.sink != nil {
 			t.sink(ci*permChunk+k, tauK)
 		}
-		if (t.tau < 0 && tauK <= t.tau) || (t.tau > 0 && tauK >= t.tau) {
+		if t.isExtreme(tauK) {
 			extreme++
 		}
 	}
-	mTauEvals.Add(uint64(evals))
+	mTauEvals.Add(uint64(n))
+	return extreme
+}
+
+// rotChunk is chunk for a one-region Restricted test, whose randomization
+// is its time rotation alone. It replays chunk's draws — the chunk's seed,
+// one rotation per permutation — and counts the draws that land on an
+// extreme rotation. The kernel runs only for a rotation sc's table has not
+// classified yet, so a test runs it at most once per rotation. Once every
+// rotation is classified and none or all of them are extreme, the count is
+// 0 or n whatever the draws, and none is made.
+func (t *testRun) rotChunk(ci int, sc *scratch) int {
+	tab := &sc.rot
+	n := min(permChunk, t.cfg.Permutations-ci*permChunk)
+	if t.sink == nil && tab.known == tab.size {
+		switch tab.extreme {
+		case 0:
+			t.decidedNone++
+			return 0
+		case tab.size:
+			t.decidedAll++
+			return n
+		}
+	}
+	S, known := t.g.NumSteps(), tab.known
+	sc.src.state = uint64(chunkSeed(t.cfg.Seed, ci))
+	extreme := 0
+	for k := 0; k < n; k++ {
+		rot := 0
+		if S > 1 {
+			rot = 1 + sc.src.intn(S-1)
+		}
+		c := tab.class[rot]
+		if c == rotUnknown {
+			c = rotOrdinary
+			if t.isExtreme(t.vectorTauRestricted(nil, rot)) {
+				c = rotExtreme
+				tab.extreme++
+			}
+			tab.class[rot] = c
+			tab.known++
+		}
+		if t.sink != nil {
+			t.sink(ci*permChunk+k, t.vectorTauRestricted(nil, rot))
+		}
+		if c == rotExtreme {
+			extreme++
+		}
+	}
+	mTauEvals.Add(uint64(tab.known - known))
 	return extreme
 }
