@@ -89,22 +89,22 @@ import (
 
 func main() {
 	var (
-		addr     = flag.String("addr", ":8571", "listen address")
-		dataDir  = flag.String("data", "", "directory of data set CSV files (default: synthetic urban corpus)")
-		seed     = flag.Int64("seed", 1, "city / randomization seed")
-		grid     = flag.Int("grid", 32, "synthetic city grid side")
-		months   = flag.Int("months", 6, "synthetic corpus length in months")
-		scale    = flag.Float64("scale", 0.3, "synthetic corpus record-volume multiplier")
-		workers  = flag.Int("workers", 0, "worker pool size (0 = NumCPU)")
-		graph    = flag.Bool("graph", false, "materialize the relationship graph at startup (otherwise POST /v1/graph/build)")
-		drain    = flag.Duration("drain", 15*time.Second, "in-flight query drain timeout on SIGINT/SIGTERM")
-		snapshot = flag.String("snapshot", "", "snapshot container path: warm-start from it when present, write it after cold builds, ingestions and graph builds; also the container replicated to -replica followers")
+		addr      = flag.String("addr", ":8571", "listen address")
+		dataDir   = flag.String("data", "", "directory of data set CSV files (default: synthetic urban corpus)")
+		seed      = flag.Int64("seed", 1, "city / randomization seed")
+		grid      = flag.Int("grid", 32, "synthetic city grid side")
+		months    = flag.Int("months", 6, "synthetic corpus length in months")
+		scale     = flag.Float64("scale", 0.3, "synthetic corpus record-volume multiplier")
+		workers   = flag.Int("workers", 0, "worker pool size (0 = NumCPU)")
+		graph     = flag.Bool("graph", false, "materialize the relationship graph at startup (otherwise POST /v1/graph/build)")
+		drain     = flag.Duration("drain", 15*time.Second, "in-flight query drain timeout on SIGINT/SIGTERM")
+		snapshot  = flag.String("snapshot", "", "snapshot container path: warm-start from it when present, write it after cold builds, ingestions and graph builds; also the container replicated to -replica followers")
 		replicaOf = flag.String("replica", "", "run as a read replica of the leader at this base URL: poll its snapshot, epoch-swap on change, reject writes")
 		poll      = flag.Duration("poll", 2*time.Second, "replica mode: leader manifest poll cadence (failures back off exponentially)")
-		writeTO  = flag.Duration("write-timeout", 5*time.Minute, "HTTP response write timeout (bounds the slowest handler, e.g. a synchronous graph build)")
-		readTO   = flag.Duration("read-timeout", 2*time.Minute, "HTTP request read timeout (bounds the whole body; must accommodate a slow client uploading a CSV data set)")
-		pprofOn  = flag.Bool("pprof", false, "expose net/http/pprof profiling endpoints under /debug/pprof/ (off by default: they reveal stacks and heap contents)")
-		logDebug = flag.Bool("log-debug", false, "log at debug level (default info)")
+		writeTO   = flag.Duration("write-timeout", 5*time.Minute, "HTTP response write timeout (bounds the slowest handler, e.g. a synchronous graph build)")
+		readTO    = flag.Duration("read-timeout", 2*time.Minute, "HTTP request read timeout (bounds the whole body; must accommodate a slow client uploading a CSV data set)")
+		pprofOn   = flag.Bool("pprof", false, "expose net/http/pprof profiling endpoints under /debug/pprof/ (off by default: they reveal stacks and heap contents)")
+		logDebug  = flag.Bool("log-debug", false, "log at debug level (default info)")
 	)
 	flag.Parse()
 	level := slog.LevelInfo

@@ -212,27 +212,39 @@ func oracleResult(taus []float64, tau float64, cfg Config, exhaustive bool) Resu
 // value) and requires bitwise identity with the oracle's, then checks the
 // exhaustive Result — with the sink and without it, the run in which
 // rotChunk's closed forms may fire — and the adaptive Result against the
-// oracle's fold. It returns the exhaustive run without the sink.
+// oracle's fold. A Restricted test is held to the oracle under each walk
+// forced and under the walk the selection picks. It returns the exhaustive
+// run without the sink under the selected walk.
 func checkKernelParity(t *testing.T, a, b *feature.Set, g *stgraph.Graph, tau float64, cfg Config) *testRun {
 	t.Helper()
 	want := oracleTaus(a, b, g, cfg)
 	ex := cfg
 	ex.Exhaustive = true
-	got := make([]float64, cfg.Permutations)
-	res, _ := test(a, b, g, tau, ex, func(perm int, tauK float64) { got[perm] = tauK })
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("tau stream diverges at permutation %d: oracle %v kernel %v (cfg %+v)",
-				i, want[i], got[i], cfg)
-		}
-	}
 	w := oracleResult(want, tau, cfg, true)
-	if res != w {
-		t.Fatalf("exhaustive Result mismatch: oracle %+v kernel %+v (cfg %+v)", w, res, cfg)
+	walks := []walk{chooseWalk}
+	if cfg.Kind == Restricted {
+		walks = []walk{wordWalk, featureWalk, chooseWalk}
 	}
-	res, run := test(a, b, g, tau, ex, nil)
-	if res != w {
-		t.Fatalf("exhaustive Result without the sink mismatch: oracle %+v kernel %+v (cfg %+v)", w, res, cfg)
+	var run *testRun
+	for _, wk := range walks {
+		got := make([]float64, cfg.Permutations)
+		res, _ := test(a, b, g, tau, ex, func(perm int, tauK float64) { got[perm] = tauK }, wk)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("walk %d: tau stream diverges at permutation %d: oracle %v kernel %v (cfg %+v)",
+					wk, i, want[i], got[i], cfg)
+			}
+		}
+		if res != w {
+			t.Fatalf("walk %d: exhaustive Result mismatch: oracle %+v kernel %+v (cfg %+v)", wk, w, res, cfg)
+		}
+		res, run = test(a, b, g, tau, ex, nil, wk)
+		if res != w {
+			t.Fatalf("walk %d: exhaustive Result without the sink mismatch: oracle %+v kernel %+v (cfg %+v)", wk, w, res, cfg)
+		}
+		if forced := wk == featureWalk; wk != chooseWalk && run != nil && run.feat != forced {
+			t.Fatalf("walk %d forced, but the run's feature walk is %v", wk, run.feat)
+		}
 	}
 	if w, r := oracleResult(want, tau, cfg, false), Test(a, b, g, tau, cfg); r != w {
 		t.Fatalf("adaptive Result mismatch: oracle %+v kernel %+v (cfg %+v)", w, r, cfg)
@@ -342,6 +354,11 @@ func TestKernelParityOneSided(t *testing.T) {
 // Each shape also runs with a one-sided function 2, and every cell under
 // Workers 1, 2 and 4.
 //
+// The walk a Restricted test's selection picks is pinned on both sides of
+// the crossover: 48 regions x 1,416 steps at 1 % density (about 9 features
+// a 23-word lane) and 48 x 14 at 10 % take the feature walk, 48 x 14 at
+// 40 % the word walk.
+//
 // Below 2,160 steps one region also forces rotChunk's closed forms: |tau|
 // = 1 against a sparse positive-only function 1 and negative-only function
 // 2, or against a = b positive at every step, leaves the extreme set empty;
@@ -351,14 +368,18 @@ func TestKernelParityOneSided(t *testing.T) {
 func TestKernelParityShapes(t *testing.T) {
 	type shape struct {
 		w, h, steps, perms int
+		density            float64
+		walk               walk // the walk the selection must pick; chooseWalk: either
 	}
 	var shapes []shape
 	for _, steps := range []int{2, 3, 14, 90, 2160} {
-		shapes = append(shapes, shape{1, 1, steps, 1000})
+		shapes = append(shapes, shape{1, 1, steps, 1000, 0.4, chooseWalk})
 	}
 	for _, steps := range []int{2, 3, 63, 64, 65, 127, 128, 129} {
-		shapes = append(shapes, shape{3, 2, steps, 150})
+		shapes = append(shapes, shape{3, 2, steps, 150, 0.4, chooseWalk})
 	}
+	shapes = append(shapes, shape{8, 6, 1416, 150, 0.01, featureWalk},
+		shape{8, 6, 14, 150, 0.1, featureWalk}, shape{8, 6, 14, 150, 0.4, wordWalk})
 	type pair struct {
 		a, b *feature.Set
 		tau  float64
@@ -369,10 +390,14 @@ func TestKernelParityShapes(t *testing.T) {
 	none := func(r *testRun) int { return r.decidedNone }
 	all := func(r *testRun) int { return r.decidedAll }
 	for _, sh := range shapes {
-		t.Run(fmt.Sprintf("%dx%d", sh.w*sh.h, sh.steps), func(t *testing.T) {
+		name := fmt.Sprintf("%dx%d", sh.w*sh.h, sh.steps)
+		if sh.walk != chooseWalk {
+			name += fmt.Sprintf("-%g", sh.density)
+		}
+		t.Run(name, func(t *testing.T) {
 			g := gridGraph(t, sh.w, sh.h, sh.steps)
 			n := g.NumVertices()
-			a, b := denseSets(rand.New(rand.NewSource(int64(sh.steps))), n, 0.4, 0, n)
+			a, b := denseSets(rand.New(rand.NewSource(int64(sh.steps))), n, sh.density, 0, n)
 			oneSided := &feature.Set{Positive: bitvec.New(n), Negative: b.Negative}
 			pairs := []pair{{a, b, -0.3, nil}, {a, oneSided, -0.3, nil}}
 			if n == sh.steps && sh.steps < 2160 {
@@ -398,7 +423,13 @@ func TestKernelParityShapes(t *testing.T) {
 						run := checkKernelParity(t, p.a, p.b, g, p.tau, Config{
 							Permutations: sh.perms, Seed: 31, Kind: kind, Workers: workers,
 						})
-						if kind != Restricted || n != sh.steps {
+						if kind != Restricted {
+							continue
+						}
+						if sh.walk != chooseWalk && run.feat != (sh.walk == featureWalk) {
+							t.Fatalf("tau=%v: feature walk %v, want walk %d", p.tau, run.feat, sh.walk)
+						}
+						if n != sh.steps {
 							continue
 						}
 						if sh.steps == 2160 && run.decidedNone+run.decidedAll != 0 {
@@ -502,11 +533,11 @@ func TestToroidalScratchMatchesPublic(t *testing.T) {
 
 // TestChunkSteadyStateAllocs asserts the kernel's allocation contract:
 // after the first chunk sizes the scratch buffers, evaluating further
-// permutation chunks allocates nothing, for every Kind — whether the
-// chunk's shifts are read from the pool's memo or regenerated past it, and
-// on one region, where a Restricted chunk is rotChunk and its rotation
-// table is sized with the scratch, not in the loop. Chunk 1 alone never
-// completes a 90-step table, so every call draws.
+// permutation chunks allocates nothing, for every Kind and each walk of a
+// Restricted test — whether the chunk's shifts are read from the pool's
+// memo or regenerated past it, and on one region, where a Restricted chunk
+// is rotChunk and its rotation table is sized with the scratch, not in the
+// loop. Chunk 1 alone never completes a 90-step table, so every call draws.
 func TestChunkSteadyStateAllocs(t *testing.T) {
 	for _, dom := range []struct {
 		w, h, steps int
@@ -514,15 +545,19 @@ func TestChunkSteadyStateAllocs(t *testing.T) {
 		g := gridGraph(t, dom.w, dom.h, dom.steps)
 		rng := rand.New(rand.NewSource(3))
 		a, b := denseSets(rng, g.NumVertices(), 0.1, 0, g.NumVertices())
-		for _, kind := range []Kind{Restricted, Standard, Block} {
+		for _, kw := range []struct {
+			kind Kind
+			walk walk
+		}{{Restricted, wordWalk}, {Restricted, featureWalk}, {Standard, chooseWalk}, {Block, chooseWalk}} {
+			kind := kw.kind
 			for _, budget := range []int{0, shiftPoolBudget} {
 				run := &testRun{
 					a: a, pos2: b.Positive.Ones(), neg2: b.Negative.Ones(),
 					g: g, tau: 0.9,
 					cfg: Config{Permutations: 200, Alpha: 0.05, Seed: 5, Kind: kind,
 						Shifts: newShiftPool(g.SpatialAdjacency(), 5, budget)},
-					prep: newVectorPrep(a, b, g, kind),
 				}
+				run.prep, run.feat = newVectorPrep(a, b, g, kind, kw.walk)
 				step := run.chunk
 				if run.oneRegion() {
 					step = run.rotChunk
@@ -530,8 +565,8 @@ func TestChunkSteadyStateAllocs(t *testing.T) {
 				sc := run.newScratch()
 				step(1, sc) // size the scratch buffers, memoise the chunk
 				if allocs := testing.AllocsPerRun(5, func() { step(1, sc) }); allocs != 0 {
-					t.Errorf("%dx%d kind=%v budget=%d: steady-state chunk allocates %.0f objects, want 0",
-						dom.w*dom.h, dom.steps, kind, budget, allocs)
+					t.Errorf("%dx%d kind=%v feature walk=%v budget=%d: steady-state chunk allocates %.0f objects, want 0",
+						dom.w*dom.h, dom.steps, kind, run.feat, budget, allocs)
 				}
 			}
 		}
@@ -562,30 +597,40 @@ func TestNaNObservedNotSignificant(t *testing.T) {
 var raceEnabled bool // set by race_test.go
 
 // TestOpenTestAllocs pins what opening a test costs once the prep and
-// scratch pools are warm: a whole Restricted test on a 48x2,160 pair at
-// Workers 1 allocates only its run record and chunk counts, where building
-// the transposed lanes afresh cost four vectors and four Ones slices more.
-// So does a 1x2,160 test, whose 2,159-rotation table lives in the pooled
-// scratch.
+// scratch pools are warm: a whole Restricted test at Workers 1 allocates
+// only its run record and chunk counts, under either walk. A dense
+// 48x2,160 pair's transposed lanes live in the pooled prep (building them
+// afresh cost four vectors and four Ones slices more), as do a sparse
+// 48x2,160 or 48x1,416 pair's feature lists and codes; a 1x2,160 test's
+// 2,159-rotation table lives in the pooled scratch.
 func TestOpenTestAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items under -race")
 	}
-	for _, dom := range []struct{ w, h int }{{8, 6}, {1, 1}} {
-		g := gridGraph(t, dom.w, dom.h, 2160)
+	for _, dom := range []struct {
+		w, h, steps, features int
+		feat                  bool // the walk the selection picks
+	}{{8, 6, 2160, 8000, false}, {8, 6, 2160, 1500, true}, {8, 6, 1416, 600, true}, {1, 1, 2160, 1500, false}} {
+		g := gridGraph(t, dom.w, dom.h, dom.steps)
 		n := g.NumVertices()
-		a, b := denseSets(rand.New(rand.NewSource(42)), n, 1500/float64(n), 0, n)
+		a, b := denseSets(rand.New(rand.NewSource(42)), n, float64(dom.features)/float64(n), 0, n)
 		cfg := Config{Seed: 1, Workers: 1, Shifts: NewShiftPool(g.SpatialAdjacency(), 1)}
-		Test(a, b, g, 0.9, cfg) // warm the pools and memoise the shifts
+		// Warm the pools and memoise the shifts.
+		if _, run := test(a, b, g, 0.9, cfg, nil, chooseWalk); run.feat != dom.feat {
+			t.Fatalf("%dx%d, %d features: feature walk %v, want %v", dom.w*dom.h, dom.steps, dom.features, run.feat, dom.feat)
+		}
 		if allocs := testing.AllocsPerRun(10, func() { Test(a, b, g, 0.9, cfg) }); allocs > 2 {
-			t.Errorf("opening a warmed %dx2160 test allocates %.0f objects, want <= 2", dom.w*dom.h, allocs)
+			t.Errorf("opening a warmed %dx%d test of %d features allocates %.0f objects, want <= 2",
+				dom.w*dom.h, dom.steps, dom.features, allocs)
 		}
 	}
 }
 
 // FuzzKernelParity fuzzes domain shape, density, seed, Kind, and observed
 // tau (±0.5 or ±1, by tauB mod 4), requiring Results and tau streams
-// byte-identical to the oracle's.
+// byte-identical to the oracle's, a Restricted test's under each walk. The
+// seeds at 1–2 % density over 64 steps or more are ones the selection hands
+// to the feature walk.
 func FuzzKernelParity(f *testing.F) {
 	f.Add(int64(1), uint8(3), uint8(3), uint8(50), uint8(30), uint8(0), uint8(0))
 	f.Add(int64(2), uint8(1), uint8(1), uint8(200), uint8(10), uint8(1), uint8(1))
@@ -598,6 +643,9 @@ func FuzzKernelParity(f *testing.F) {
 	f.Add(int64(8), uint8(0), uint8(0), uint8(2), uint8(5), uint8(0), uint8(3))    // 1x3, tau = -1
 	f.Add(int64(9), uint8(0), uint8(0), uint8(89), uint8(20), uint8(0), uint8(2))  // 1x90, tau = 1
 	f.Add(int64(10), uint8(2), uint8(2), uint8(13), uint8(70), uint8(0), uint8(3)) // 3x3x14, tau = -1
+	f.Add(int64(11), uint8(4), uint8(4), uint8(199), uint8(0), uint8(0), uint8(0)) // 5x5x200 at 1 %
+	f.Add(int64(12), uint8(0), uint8(0), uint8(150), uint8(1), uint8(0), uint8(1)) // 1x151 at 1.9 %
+	f.Add(int64(13), uint8(3), uint8(2), uint8(63), uint8(0), uint8(0), uint8(2))  // 4x3x64 at 1 %, tau = 1
 	f.Fuzz(func(t *testing.T, seed int64, w, h, stepsB, densityB, kindB, tauB uint8) {
 		w = w%5 + 1
 		h = h%5 + 1
@@ -626,10 +674,13 @@ func FuzzKernelParity(f *testing.F) {
 // BenchmarkShiftedTauKernel measures one permutation chunk (50
 // randomizations) per iteration on a 16x16-region hourly-resolution
 // domain, per Kind, and then one whole exhaustive Restricted test of 1,000
-// permutations — transposition, scratch and rotation table included — on
-// the shapes and feature counts per set the graph-wide corpus is made of:
-// city x month (1x3, 2), city x day (1x90, 33), neighbourhood x week
-// (48x14, 90) and neighbourhood x hour (48x2160, 1,500).
+// permutations — layout, scratch and rotation table included — on the
+// shapes and feature counts per set the graph-wide corpus is made of: city
+// x month (1x3, 2), city x day (1x90, 33), neighbourhood x week (48x14, 90)
+// and neighbourhood x hour (48x2160, 1,500); and on two of the 9-data-set
+// fleet corpus, one either side of featureWalkRatio: neighbourhood x hour
+// (48x1416, 600, the feature walk) and dense city x hour (1x1416, 500, the
+// word walk).
 func BenchmarkShiftedTauKernel(b *testing.B) {
 	g, err := stgraph.New(256, 1464, grid(16, 16))
 	if err != nil {
@@ -644,8 +695,8 @@ func BenchmarkShiftedTauKernel(b *testing.B) {
 				g: g, tau: 0.9,
 				cfg: Config{Permutations: 8 * permChunk, Alpha: 0.05, Seed: 1, Kind: kind,
 					Shifts: NewShiftPool(g.SpatialAdjacency(), 1)},
-				prep: newVectorPrep(fa, fb, g, kind),
 			}
+			run.prep, run.feat = newVectorPrep(fa, fb, g, kind, chooseWalk)
 			sc := run.newScratch()
 			run.chunk(0, sc)
 			b.ResetTimer()
@@ -656,7 +707,7 @@ func BenchmarkShiftedTauKernel(b *testing.B) {
 	}
 	for _, sh := range []struct {
 		w, h, steps, features int
-	}{{1, 1, 3, 2}, {1, 1, 90, 33}, {8, 6, 14, 90}, {8, 6, 2160, 1500}} {
+	}{{1, 1, 3, 2}, {1, 1, 90, 33}, {8, 6, 14, 90}, {8, 6, 2160, 1500}, {8, 6, 1416, 600}, {1, 1, 1416, 500}} {
 		b.Run(fmt.Sprintf("%dx%d", sh.w*sh.h, sh.steps), func(b *testing.B) {
 			g := gridGraph(b, sh.w, sh.h, sh.steps)
 			n := g.NumVertices()

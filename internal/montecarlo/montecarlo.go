@@ -18,11 +18,12 @@
 // relationships can be significant. An observed score of zero or NaN is
 // never significant (p = 1).
 //
-// The randomizations are evaluated a word at a time: both feature sets
-// are transposed once per test into region-major lanes, a rotated lane is a
-// window of function 2's doubled lane read at a bit offset, and tau is read
-// off fused popcounts at 64 vertices per word without the randomization ever
-// being stored. The per-vertex transcription
+// The randomizations are never stored: both feature sets are transposed
+// once per test into region-major lanes, and a rotated lane is a window of
+// function 2's doubled lane. A Restricted test counts each window against
+// function 1's lane a word at a time, by fused popcounts at 64 vertices a
+// word, or, when its feature and lane counts make that cheaper, feature by
+// feature over function 1's listed features. The per-vertex transcription
 // of the paper's definition lives in kernel_test.go as the oracle every
 // permutation's tau is compared against (TestKernelParity,
 // FuzzKernelParity).
@@ -518,8 +519,10 @@ func foldCounts(counts []int, m, threshold int, exhaustive bool) (extreme, shift
 // by rot steps is the contiguous nSteps-bit window starting at bit
 // nSteps-rot, and the word after a window's last always exists. A region
 // shift pairs a source lane with another destination lane — no per-vertex
-// index arithmetic, nothing stored. For Standard the native vertex-major
-// layout is already right; only the union mask is precomputed.
+// index arithmetic, nothing stored. A Restricted test the feature walk
+// counts also has both listed feature by feature (see countFeatures). For
+// Standard the native vertex-major layout is already right; only the union
+// mask is precomputed.
 type vectorPrep struct {
 	laneBits int // function 1: nSteps rounded up to a multiple of 64
 	dblBits  int // function 2: 2*nSteps rounded up to a multiple of 64, plus one word
@@ -531,6 +534,16 @@ type vectorPrep struct {
 	// A destination lane with no function-1 features contributes zero to
 	// every popcount no matter what lands there, so the kernel skips it.
 	aAllLane []bool
+
+	// The feature walk's layout, filled by listFeatures. Region r's
+	// features of function 1 are aFeat[aStart[r]:aStart[r+1]], one
+	// step<<2 | pos | neg<<1 each. Function 2's doubled lane of region r is
+	// bCode[r*2S:(r+1)*2S], one pos | neg<<1 byte per step; bLanes lists
+	// the regions where it has a feature of either sign.
+	aFeat  []uint32
+	aStart []int32
+	bCode  []uint8
+	bLanes []int32
 
 	// bPosAny/bNegAny gate entire sides of the Standard kernel: a function
 	// with no negative features (common under one-tailed thresholds) skips
@@ -546,6 +559,24 @@ type side struct {
 	b     *bitvec.Vector // function 2's, in doubled lanes; nil when it has none
 	lanes []int32        // regions whose lane of b holds a feature, ascending
 }
+
+// walk selects how a Restricted test counts a randomization. Tests force
+// each walk through test; Test always lets newVectorPrep choose.
+type walk uint8
+
+const (
+	chooseWalk  walk = iota // the cheaper walk by featureWalkRatio
+	wordWalk                // countRotated over transposed lanes
+	featureWalk             // countFeatures over listed features
+)
+
+// featureWalkRatio is how many listed features the feature walk visits in
+// the time the word walk counts one word of a window against two masks.
+// Forced on BenchmarkShiftedTauKernel's shapes, the walks break even at
+// 1.3–1.8 features a word on 1,416- and 2,160-step lanes and at 3–4 on
+// 48 regions' one- and two-word lanes; its 48x1416 row (600 features) runs
+// 4x faster feature by feature, its 1x1416 row (500) 4.5x slower.
+const featureWalkRatio = 2
 
 // transposeLanes re-lays v (vertex-major, vertex = step*R + region) into
 // region-major lanes of stride bits: region r's step s is bit r*stride + s
@@ -596,12 +627,53 @@ func (p *vectorPrep) fillSide(s *side, a, b *bitvec.Vector, g *stgraph.Graph) {
 	}
 }
 
+// listFeatures fills the rest of the feature walk's layout from the
+// transposed lanes: function 1's features lane by lane, steps ascending,
+// and the first copy of each of function 2's listed lanes as codes, at
+// both of their positions.
+func (p *vectorPrep) listFeatures(R, S int) {
+	lw := p.laneBits / 64
+	all, pos, neg := p.aAllT.Words(), p.pos.a.Words(), p.neg.a.Words()
+	p.aFeat, p.aStart = p.aFeat[:0], append(p.aStart[:0], 0)
+	for i, w := range all {
+		for ; w != 0; w &= w - 1 {
+			b := bits.TrailingZeros64(w)
+			p.aFeat = append(p.aFeat, uint32(i%lw*64+b)<<2|uint32(pos[i]>>b&1)|uint32(neg[i]>>b&1)<<1)
+		}
+		if (i+1)%lw == 0 {
+			p.aStart = append(p.aStart, int32(len(p.aFeat)))
+		}
+	}
+	p.bCode = slices.Grow(p.bCode[:0], R*2*S)[:R*2*S]
+	clear(p.bCode)
+	for sign, s := range []*side{&p.pos, &p.neg} {
+		bit := uint8(1 << sign)
+		for _, r := range s.lanes {
+			lane := p.bCode[int(r)*2*S:][:2*S]
+			for i, w := range s.b.Words()[int(r)*p.dblBits/64:][:lw] {
+				for ; w != 0; w &= w - 1 {
+					if st := i*64 + bits.TrailingZeros64(w); st < S {
+						lane[st] |= bit
+						lane[S+st] |= bit
+					}
+				}
+			}
+		}
+	}
+}
+
 // prepPool recycles vectorPrep buffers across tests: opening a test then
 // refills lanes already sized for a domain of its shape instead of
 // allocating them.
 var prepPool = sync.Pool{New: func() any { return &vectorPrep{aAllT: new(bitvec.Vector)} }}
 
-func newVectorPrep(a, b *feature.Set, g *stgraph.Graph, kind Kind) *vectorPrep {
+// newVectorPrep lays out a test's feature sets for its kernel and reports
+// whether a Restricted test is counted by the feature walk: as w forces,
+// or, for chooseWalk, when the features that walk expects to visit per
+// randomization — function 1's, in the destination lanes of function 2's
+// listed lanes — number fewer than featureWalkRatio per word the word walk
+// would read.
+func newVectorPrep(a, b *feature.Set, g *stgraph.Graph, kind Kind, w walk) (*vectorPrep, bool) {
 	p := prepPool.Get().(*vectorPrep)
 	p.laneBits = bitvec.NumWords(g.NumSteps()) * 64
 	p.dblBits = (bitvec.NumWords(2*g.NumSteps()) + 1) * 64
@@ -609,16 +681,28 @@ func newVectorPrep(a, b *feature.Set, g *stgraph.Graph, kind Kind) *vectorPrep {
 	p.aAllV = nil
 	if kind == Standard {
 		p.aAllV = a.All()
-		return p
+		return p, false
 	}
-	p.aAllT.Resize(g.NumRegions() * p.laneBits)
+	R := g.NumRegions()
+	p.aAllT.Resize(R * p.laneBits)
 	p.fillSide(&p.pos, a.Positive, b.Positive, g)
 	p.fillSide(&p.neg, a.Negative, b.Negative, g)
-	p.aAllLane = slices.Grow(p.aAllLane[:0], g.NumRegions())[:g.NumRegions()]
+	p.aAllLane = slices.Grow(p.aAllLane[:0], R)[:R]
 	for r := range p.aAllLane {
 		p.aAllLane[r] = p.aAllT.AnyRange(r*p.laneBits, (r+1)*p.laneBits)
 	}
-	return p
+	if kind != Restricted || w == wordWalk {
+		return p, false
+	}
+	p.bLanes = append(append(p.bLanes[:0], p.pos.lanes...), p.neg.lanes...)
+	slices.Sort(p.bLanes)
+	p.bLanes = slices.Compact(p.bLanes)
+	words := (len(p.pos.lanes) + len(p.neg.lanes)) * p.laneBits / 64
+	if w == chooseWalk && p.aAllT.Count()*len(p.bLanes) >= featureWalkRatio*words*R {
+		return p, false
+	}
+	p.listFeatures(R, g.NumSteps())
+	return p, true
 }
 
 // scratch is the per-worker mutable state of a test run: a reseedable RNG
@@ -735,20 +819,33 @@ func (t *testRun) countTau(sc *scratch, aPos, aNeg, aAll *bitvec.Vector) float64
 // function 2 lands on region spatPerm[r] (r itself when spatPerm is nil)
 // rotated by rot steps over the temporal circle — the window of its doubled
 // lane that starts at bit nSteps-rot — and that window is counted against
-// function 1's destination lane a word at a time, never stored.
+// function 1's destination lane by the test's walk, never stored.
 func (t *testRun) vectorTauRestricted(spatPerm []int32, rot int) float64 {
+	if t.feat {
+		same, both := t.countFeatures(spatPerm, rot)
+		return tauFromCounts(same, 0, both, 0)
+	}
 	pp, bp := t.countRotated(&t.prep.pos, spatPerm, rot)
 	pn, bn := t.countRotated(&t.prep.neg, spatPerm, rot)
 	return tauFromCounts(pp, pn, bp, bn)
 }
 
-// countRotated tallies one sign of a Restricted randomization: same counts
-// the vertices where function 2's shifted features meet function 1's of the
-// same sign, both where they meet any. Only non-empty source lanes are
-// visited, and a destination lane without function-1 features is skipped —
-// it zeroes every AND.
+// countRotated tallies one sign of a Restricted randomization a word at a
+// time: same counts the vertices where function 2's shifted features meet
+// function 1's of the same sign, both where they meet any. Only non-empty
+// source lanes are visited, and a destination lane without function-1
+// features is skipped — it zeroes every AND. A window is read a whole lane
+// of words long: its bits past nSteps meet function 1's zero padding, and
+// its last word's successor is the doubled lane's spare word.
 func (t *testRun) countRotated(s *side, spatPerm []int32, rot int) (same, both int) {
-	p, S := t.prep, t.g.NumSteps()
+	p := t.prep
+	if len(s.lanes) == 0 {
+		return 0, 0
+	}
+	nw := p.laneBits / 64
+	bw, aw, uw := s.b.Words(), s.a.Words(), p.aAllT.Words()
+	off := t.g.NumSteps() - rot
+	lo, hi := uint(off%64), uint(63-off%64)
 	for _, r := range s.lanes {
 		dst := r
 		if spatPerm != nil {
@@ -757,11 +854,73 @@ func (t *testRun) countRotated(s *side, spatPerm []int32, rot int) (same, both i
 		if !p.aAllLane[dst] {
 			continue
 		}
-		c, cb := s.b.AndCount2Window(int(r)*p.dblBits+S-rot, S, s.a, p.aAllT, int(dst)*p.laneBits)
+		src := bw[(int(r)*p.dblBits+off)/64:][:nw+1]
+		if nw == 1 {
+			w := src[0]>>(lo&63) | src[1]<<1<<(hi&63) // two shifts: a shift by 64 must give 0
+			same += bits.OnesCount64(w & aw[dst])
+			both += bits.OnesCount64(w & uw[dst])
+			continue
+		}
+		c, cb := countWindow(src, aw[int(dst)*nw:], uw[int(dst)*nw:], lo, hi)
 		same += c
 		both += cb
 	}
 	return same, both
+}
+
+// countWindow counts the window of src that starts lo bits into its first
+// word, len(src)-1 words long, against xs and ys. It is kept out of line:
+// inlined into countRotated's lane loop, its counters and cursor no longer
+// fit in registers and are spilled on every word.
+//
+//go:noinline
+func countWindow(src, xs, ys []uint64, lo, hi uint) (cx, cy int) {
+	xs = xs[:len(src)-1]
+	ys = ys[:len(xs)]
+	cur := src[0]
+	for i, next := range src[1:] {
+		w := cur>>(lo&63) | next<<1<<(hi&63)
+		cx += bits.OnesCount64(w & xs[i])
+		cy += bits.OnesCount64(w & ys[i])
+		cur = next
+	}
+	return cx, cy
+}
+
+// featurePairCounts[c<<2|f] holds, for function 2's code c meeting a
+// function-1 feature with sign flags f, the same-sign count in its low half
+// and the any-sign count in its high half.
+var featurePairCounts = func() (t [16]uint64) {
+	for i := range t {
+		c, f := uint(i>>2), uint(i&3)
+		t[i] = uint64(bits.OnesCount(c&f)) | uint64(bits.OnesCount(c))<<32
+	}
+	return t
+}()
+
+// countFeatures tallies a Restricted randomization feature by feature, both
+// signs in one pass: for each listed source lane r it visits function 1's
+// features in the destination lane and reads function 2's code at the
+// feature's step of r's rotated window. The integers are countRotated's
+// summed over signs, so tau is bit-identical.
+func (t *testRun) countFeatures(spatPerm []int32, rot int) (same, both int) {
+	p, S := t.prep, t.g.NumSteps()
+	var acc uint64
+	for _, r := range p.bLanes {
+		dst := r
+		if spatPerm != nil {
+			dst = spatPerm[r]
+		}
+		feats := p.aFeat[p.aStart[dst]:p.aStart[dst+1]]
+		if len(feats) == 0 {
+			continue
+		}
+		win := p.bCode[int(r)*2*S+S-rot:][:S]
+		for _, e := range feats {
+			acc += featurePairCounts[(uint(win[e>>2])<<2|uint(e&3))&15]
+		}
+	}
+	return int(uint32(acc)), int(acc >> 32)
 }
 
 // vectorTauBlock counts one Block randomization: within each source lane
@@ -850,7 +1009,7 @@ func (t *testRun) vectorTauStandard(sc *scratch, vertPerm []int) float64 {
 // stopped tests report the conservative p-value of the truncated stream
 // over Result.Shifts permutations.
 func Test(a, b *feature.Set, g *stgraph.Graph, tauObserved float64, cfg Config) Result {
-	res, _ := test(a, b, g, tauObserved, cfg, nil)
+	res, _ := test(a, b, g, tauObserved, cfg, nil, chooseWalk)
 	return res
 }
 
@@ -861,9 +1020,9 @@ func Test(a, b *feature.Set, g *stgraph.Graph, tauObserved float64, cfg Config) 
 // from multiple goroutines and may cover chunks past the adaptive stopping
 // point (in-flight work), so parity tests compare streams in Exhaustive
 // mode. A sink sees every draw, so it turns rotChunk's closed forms off.
-// The run is returned for its counters; it is nil when no randomization
-// was evaluated.
-func test(a, b *feature.Set, g *stgraph.Graph, tauObserved float64, cfg Config, sink func(perm int, tau float64)) (Result, *testRun) {
+// w forces a Restricted test's walk unless it is chooseWalk. The run is
+// returned for its counters; it is nil when no randomization was evaluated.
+func test(a, b *feature.Set, g *stgraph.Graph, tauObserved float64, cfg Config, sink func(perm int, tau float64), w walk) (Result, *testRun) {
 	cfg = cfg.withDefaults()
 	if a.NumVertices() != g.NumVertices() || b.NumVertices() != g.NumVertices() {
 		panic(fmt.Sprintf("montecarlo: feature sets (%d, %d vertices) do not match graph (%d)",
@@ -886,9 +1045,9 @@ func test(a, b *feature.Set, g *stgraph.Graph, tauObserved float64, cfg Config, 
 		g:    g,
 		tau:  tauObserved,
 		cfg:  cfg,
-		prep: newVectorPrep(a, b, g, cfg.Kind),
 		sink: sink,
 	}
+	run.prep, run.feat = newVectorPrep(a, b, g, cfg.Kind, w)
 	if cfg.Kind == Standard {
 		// Only the Standard scatter walks individual vertices; the lane
 		// kernels never do, so skip materializing the index slices for them.
@@ -990,6 +1149,7 @@ type testRun struct {
 	tau        float64
 	cfg        Config
 	prep       *vectorPrep
+	feat       bool // a Restricted test counted by countFeatures
 	sink       func(perm int, tau float64)
 
 	// Chunks rotChunk decided without drawing, by an empty and by a full

@@ -122,7 +122,7 @@ func TestShiftPoolMemoIndependence(t *testing.T) {
 				out[i].adaptive = Test(p.a, p.b, g, 0.3, cfg)
 				cfg.Exhaustive = true
 				taus := make([]float64, perms)
-				test(p.a, p.b, g, 0.3, cfg, func(k int, tau float64) { taus[k] = tau })
+				test(p.a, p.b, g, 0.3, cfg, func(k int, tau float64) { taus[k] = tau }, chooseWalk)
 				out[i].taus = taus
 			}()
 		}

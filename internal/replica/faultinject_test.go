@@ -23,13 +23,13 @@ type faultProxy struct {
 }
 
 const (
-	faultNone = iota
-	faultTruncate   // full Content-Length, half the body, then cut
-	faultCorrupt    // full body with flipped bytes (CRC mismatch)
-	faultServerErr  // plain 500
-	faultStall      // headers then silence past the client timeout
-	faultStaleEtag  // rewrite the follower's If-Match to a bogus tag (412)
-	faultBadLength  // short body with a matching short Content-Length
+	faultNone      = iota
+	faultTruncate  // full Content-Length, half the body, then cut
+	faultCorrupt   // full body with flipped bytes (CRC mismatch)
+	faultServerErr // plain 500
+	faultStall     // headers then silence past the client timeout
+	faultStaleEtag // rewrite the follower's If-Match to a bogus tag (412)
+	faultBadLength // short body with a matching short Content-Length
 )
 
 func (p *faultProxy) arm(mode int32) { p.mode.Store(mode) }
