@@ -39,11 +39,14 @@ const (
 	goldenPairwiseHash  = "96e0836fe9f2f60d19dadb8fab93dd68858c71bb9fc734bb37a8b71598a91f7b"
 	goldenAllPairsHash  = "040757726846b2b612a163091bb3fd71070f1d6938afae644fb955dddb368553"
 	goldenOneRegionHash = "1177b1d50b7151d95c52fb932af6b4a062d10ebdadab50e3cf1bd6c51100f8e2"
+
+	goldenMultiRegionHash = "03cdd1b77a0acf1118ec1bd4c075aef8bae2a355b4cf93db44ce58ea76ec5558"
 )
 
 // goldenAnswers hashes everything TestGoldenGraph pins about one framework:
-// its published graph's two exports and the two fixed queries.
-func goldenAnswers(t *testing.T, f *Framework) [5]string {
+// its published graph's two exports and the two fixed queries, and the
+// one-region and multi-region parts of the edges and rows.
+func goldenAnswers(t *testing.T, f *Framework) [6]string {
 	t.Helper()
 	g, ok := f.RelGraph()
 	if !ok || g.NumEdges() == 0 {
@@ -58,13 +61,17 @@ func goldenAnswers(t *testing.T, f *Framework) [5]string {
 		return hex.EncodeToString(h[:])
 	}
 	// oneRegion collects the graph edges and query rows at a spatial
-	// resolution with a single region, in the order they were produced.
-	var oneRegion bytes.Buffer
-	single := func(sr spatial.Resolution) bool { return f.opts.City.NumRegions(sr) == 1 }
-	for _, e := range g.Edges() {
-		if single(e.SRes) {
-			fmt.Fprintf(&oneRegion, "%+v\n", e)
+	// resolution with a single region, multiRegion those at every other, in
+	// the order they were produced.
+	var oneRegion, multiRegion bytes.Buffer
+	part := func(sr spatial.Resolution) *bytes.Buffer {
+		if f.opts.City.NumRegions(sr) == 1 {
+			return &oneRegion
 		}
+		return &multiRegion
+	}
+	for _, e := range g.Edges() {
+		fmt.Fprintf(part(e.SRes), "%+v\n", e)
 	}
 	query := func(q Query) string {
 		rels, _, err := f.Query(q)
@@ -77,18 +84,16 @@ func goldenAnswers(t *testing.T, f *Framework) [5]string {
 		var out bytes.Buffer
 		for _, r := range rels {
 			out.WriteString(goldenRow(r))
-			if single(r.Res.Spatial) {
-				oneRegion.WriteString(goldenRow(r))
-			}
+			part(r.Res.Spatial).WriteString(goldenRow(r))
 		}
 		return sum(out.Bytes())
 	}
 	pairwise := query(Query{Sources: []string{"taxi"}, Targets: []string{"weather"}})
 	allPairs := query(Query{Clause: Clause{Permutations: 200}})
-	if oneRegion.Len() == 0 {
-		t.Fatal("golden corpus has no one-region edge or query row")
+	if oneRegion.Len() == 0 || multiRegion.Len() == 0 {
+		t.Fatal("golden corpus lacks one-region or multi-region edges and query rows")
 	}
-	return [5]string{sum(graphDOT(t, f)), sum(js.Bytes()), pairwise, allPairs, sum(oneRegion.Bytes())}
+	return [6]string{sum(graphDOT(t, f)), sum(js.Bytes()), pairwise, allPairs, sum(oneRegion.Bytes()), sum(multiRegion.Bytes())}
 }
 
 // goldenRow formats one query row field by field, every float at full
@@ -100,8 +105,9 @@ func goldenRow(r Relationship) string {
 }
 
 func TestGoldenGraph(t *testing.T) {
-	want := [5]string{goldenGraphDOTHash, goldenGraphJSONHash, goldenPairwiseHash, goldenAllPairsHash, goldenOneRegionHash}
-	names := [5]string{"graph DOT", "graph JSON", "pairwise query", "all-pairs query", "one-region rows"}
+	want := [6]string{goldenGraphDOTHash, goldenGraphJSONHash, goldenPairwiseHash, goldenAllPairsHash,
+		goldenOneRegionHash, goldenMultiRegionHash}
+	names := [6]string{"graph DOT", "graph JSON", "pairwise query", "all-pairs query", "one-region rows", "multi-region rows"}
 	check := func(stage string, f *Framework) {
 		t.Helper()
 		got := goldenAnswers(t, f)
