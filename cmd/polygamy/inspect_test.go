@@ -30,8 +30,8 @@ func TestPolygamyCLIInspect(t *testing.T) {
 	if err := json.Unmarshal(out.Bytes(), &rep); err != nil {
 		t.Fatalf("inspect -json output is not JSON: %v\n%s", err, out.String())
 	}
-	if rep.ContainerVersion != 7 {
-		t.Errorf("container version = %d, want 7", rep.ContainerVersion)
+	if rep.ContainerVersion != 8 {
+		t.Errorf("container version = %d, want 8", rep.ContainerVersion)
 	}
 	if rep.Seed != 1 {
 		t.Errorf("seed = %d, want 1", rep.Seed)
@@ -61,7 +61,7 @@ func TestPolygamyCLIInspect(t *testing.T) {
 	if err := runInspect([]string{snap}, &text); err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"container version: 7", "index", "graph", "crc32c"} {
+	for _, want := range []string{"container version: 8", "index", "graph", "crc32c"} {
 		if !strings.Contains(text.String(), want) {
 			t.Errorf("text report lacks %q:\n%s", want, text.String())
 		}

@@ -43,15 +43,18 @@ import (
 // per-entry tile table and the clause's query window fields arrived in 5;
 // 6 marked p-values drawn under the shared shift sequences
 // (montecarlo.ShiftPool); 7 stores each tested candidate as a fixed-width
-// record naming its functions by position in the index section. Evolving
-// any layout below means bumping both (the format has no field tags).
-const flatSnapshotVersion = 7
+// record naming its functions by position in the index section; 8 marks
+// families whose one-region p-values are enumerated exactly and which hold
+// no tuple whose test cannot reach alpha (a v7 family has sampled p-values
+// and those tuples). Evolving any layout or meaning below means bumping
+// both (the format has no field tags).
+const flatSnapshotVersion = 8
 
 // Payload magics. The final byte is the generation, so another
-// generation's layout is "not flat v7" rather than a misparse.
+// generation's layout is "not flat v8" rather than a misparse.
 var (
-	flatIndexMagic = []byte("DPIXFLT\x07")
-	flatGraphMagic = []byte("DPGRFLT\x07")
+	flatIndexMagic = []byte("DPIXFLT\x08")
+	flatGraphMagic = []byte("DPGRFLT\x08")
 )
 
 // nilSlice is the length sentinel distinguishing a nil clause slice

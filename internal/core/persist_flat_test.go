@@ -331,7 +331,7 @@ func FuzzParseFlatGraph(f *testing.F) {
 	f.Add(graph)
 	f.Add(graph[:len(graph)/2])
 	f.Add(graph[:len(graph)-8])
-	f.Add([]byte("DPGRFLT\x07"))
+	f.Add([]byte("DPGRFLT\x08"))
 	f.Add(graph[:len(graph)-4])
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if _, err := parseFlatGraph(data, ix.funcs); err != nil && !errors.Is(err, store.ErrCorrupt) {

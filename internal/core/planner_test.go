@@ -54,13 +54,14 @@ func bruteForce(t *testing.T, f *Framework, clause Clause) (cands []bruteCand, c
 					for _, e2 := range f.index.at(b, res) {
 						for _, class := range classes {
 							considered++
-							c, ok, err := f.evaluatePair(pairTask{
+							c, fa, err := f.evaluatePair(pairTask{
 								e1: e1, e2: e2, class: class, sigma: -1,
 								seed: pairSeed(f.opts.Seed, e1.Key, e2.Key, class),
 							}, clause, 1)
 							if err != nil {
 								t.Fatal(err)
 							}
+							ok := fa == inFamily
 							if skip, _ := prunePair(e1, e2, class, clause); skip {
 								skipped++
 								if ok {

@@ -132,6 +132,7 @@ type QueryStats struct {
 	PairsConsidered int // candidate (function, function, resolution, class) tuples
 	Pruned          int // candidates the planner skipped without evaluation
 	Evaluated       int // pairs with any feature relation
+	NotResolvable   int // tuples kept out of the family, their test unable to reach Alpha (evaluated pairs only)
 	Significant     int // pairs passing the significance test (0 under SkipSignificance)
 	Kept            int // relationships returned (== Significant unless SkipSignificance)
 	CacheHit        bool
@@ -347,10 +348,11 @@ func (f *Framework) evaluateQuery(sources, targets []string, clause Clause, t0 t
 		for j, i := range missing {
 			mKeys[j], mPlans[j] = keys[i], plans[i]
 		}
-		computed, err := f.evaluatePairsLocked(sig, mKeys, mPlans, clause)
+		computed, notResolvable, err := f.evaluatePairsLocked(sig, mKeys, mPlans, clause)
 		if err != nil {
 			return nil, stats, err
 		}
+		stats.NotResolvable = notResolvable
 		for j, i := range missing {
 			fams[i] = computed[j]
 		}
@@ -432,13 +434,23 @@ func queryPairs(sources, targets []string) []graphPair {
 	return keys
 }
 
+// fate is what evaluatePair made of a candidate tuple.
+type fate uint8
+
+const (
+	filtered     fate = iota // no feature relation, or a clause filter failed
+	inFamily                 // a member of its pair's tested family
+	unresolvable             // its test cannot reach Alpha: no hypothesis, no family member
+)
+
 // evaluatePair computes measures for one candidate pair and applies clause
 // filters plus the significance test, returning the tested candidate with
-// its raw p-value (1 under SkipSignificance). It returns ok = false when the
-// pair has no feature relations or fails a filter. mcWorkers goroutines evaluate
-// the Monte Carlo permutation chunks (1 = sequential; the p-value is
-// identical either way).
-func (f *Framework) evaluatePair(t pairTask, clause Clause, mcWorkers int) (c candidate, ok bool, err error) {
+// its raw p-value (1 under SkipSignificance) and its fate. A tuple whose
+// test is not resolvable (montecarlo.Result.NotResolvable) is no hypothesis
+// at all: it is kept out of the family, so no correction counts it.
+// mcWorkers goroutines evaluate the Monte Carlo permutation chunks (1 =
+// sequential; the p-value is identical either way).
+func (f *Framework) evaluatePair(t pairTask, clause Clause, mcWorkers int) (c candidate, fa fate, err error) {
 	s1, s2 := t.e1.set(t.class), t.e2.set(t.class)
 	all1, all2 := t.e1.union(t.class), t.e2.union(t.class)
 	sigma := t.sigma
@@ -459,24 +471,27 @@ func (f *Framework) evaluatePair(t pairTask, clause Clause, mcWorkers int) (c ca
 	}
 	m := relationship.EvaluateCounted(s1, s2, all1, all2, sigma)
 	if !m.Related() {
-		return c, false, nil
+		return c, filtered, nil
 	}
 	// Clause filters run before the (expensive) significance test
 	// (Section 6.1: "the query evaluation step skips the significance test
 	// when C is not satisfied").
 	if abs(m.Tau) < clause.MinScore || m.Rho < clause.MinStrength {
-		return c, false, nil
+		return c, filtered, nil
 	}
 	c = candidate{posA: t.e1.pos, posB: t.e2.pos, class: t.class, tau: m.Tau, rho: m.Rho, p: 1}
 	if clause.SkipSignificance {
-		return c, true, nil
+		return c, inFamily, nil
 	}
 	res, err := f.runSignificance(t, clause, s1, s2, all1, all2, m.Tau, mcWorkers)
 	if err != nil {
-		return c, false, err
+		return c, filtered, err
+	}
+	if res.NotResolvable {
+		return c, unresolvable, nil
 	}
 	c.p = res.PValue
-	return c, true, nil
+	return c, inFamily, nil
 }
 
 // querySignature canonicalises a query into its cache key: name lists are

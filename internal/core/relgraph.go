@@ -52,6 +52,7 @@ type GraphStats struct {
 	PairsConsidered int // candidate tuples enumerated for computed pairs
 	Pruned          int // candidates the planner skipped
 	Evaluated       int // candidates with any feature relation
+	NotResolvable   int // candidates left out of their family: their test cannot reach alpha
 
 	Edges        int // edges in the materialized graph
 	WallDuration time.Duration
@@ -260,10 +261,11 @@ func (f *Framework) BuildGraph(clause Clause) (GraphStats, error) {
 		}
 		mGraphStageDuration.With("plan").Observe(time.Since(tStage).Seconds())
 		tStage = time.Now()
-		computed, err := f.evaluatePairsLocked(sig, mKeys, plans, clause)
+		computed, notResolvable, err := f.evaluatePairsLocked(sig, mKeys, plans, clause)
 		if err != nil {
 			return st, err
 		}
+		st.NotResolvable = notResolvable
 		for j, i := range missing {
 			fams[i] = computed[j]
 			st.Evaluated += len(computed[j])
@@ -312,11 +314,12 @@ func (f *Framework) planPairs(keys []graphPair, clause Clause) []queryPlan {
 // evaluatePairsLocked evaluates the pairs keys — plans[i] is the plan of
 // keys[i] — into their tested families, sorted, and adds them to the store
 // under sig; a fruitless pair gets an empty family so it is not evaluated
-// again. The pairs' tasks are one batch on the worker pool, so the pool sees
-// the whole batch at once, and a pair's tasks are contiguous in it, so its
+// again. It also returns how many tuples were left out as not resolvable.
+// The pairs' tasks are one batch on the worker pool, so the pool sees the
+// whole batch at once, and a pair's tasks are contiguous in it, so its
 // results are a slice of the batch. Query and BuildGraph both call this
 // under the shared state lock.
-func (f *Framework) evaluatePairsLocked(sig string, keys []graphPair, plans []queryPlan, clause Clause) ([][]candidate, error) {
+func (f *Framework) evaluatePairsLocked(sig string, keys []graphPair, plans []queryPlan, clause Clause) ([][]candidate, int, error) {
 	workers := f.workers()
 	n := 0
 	for _, pl := range plans {
@@ -333,14 +336,20 @@ func (f *Framework) evaluatePairsLocked(sig string, keys []graphPair, plans []qu
 	mcWorkers := max(1, workers/max(n, 1))
 	type tested struct {
 		c  candidate
-		ok bool
+		fa fate
 	}
 	results, err := mapreduce.ForEach(workers, tasks, func(t pairTask) (tested, error) {
-		c, ok, err := f.evaluatePair(t, clause, mcWorkers)
-		return tested{c, ok}, err
+		c, fa, err := f.evaluatePair(t, clause, mcWorkers)
+		return tested{c, fa}, err
 	})
 	if err != nil {
-		return nil, err
+		return nil, 0, err
+	}
+	unresolvables := 0
+	for _, r := range results {
+		if r.fa == unresolvable {
+			unresolvables++
+		}
 	}
 	perPair := make([][]tested, len(plans))
 	for i, pl := range plans {
@@ -350,13 +359,13 @@ func (f *Framework) evaluatePairsLocked(sig string, keys []graphPair, plans []qu
 	fams, _ := mapreduce.ForEach(workers, perPair, func(rs []tested) ([]candidate, error) {
 		n := 0
 		for _, r := range rs {
-			if r.ok {
+			if r.fa == inFamily {
 				n++
 			}
 		}
 		fam := make([]candidate, 0, n)
 		for _, r := range rs {
-			if r.ok {
+			if r.fa == inFamily {
 				fam = append(fam, r.c)
 			}
 		}
@@ -375,7 +384,7 @@ func (f *Framework) evaluatePairsLocked(sig string, keys []graphPair, plans []qu
 			byPair[k] = fams[i]
 		}
 	}
-	return fams, nil
+	return fams, unresolvables, nil
 }
 
 // dropResultsInvolving is the one invalidation rule: under every signature

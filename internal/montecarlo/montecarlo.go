@@ -18,6 +18,15 @@
 // relationships can be significant. An observed score of zero or NaN is
 // never significant (p = 1).
 //
+// On a one-region domain a Restricted randomization is a time rotation
+// alone, and a domain of S steps has only S-1 of them besides the
+// identity. They are enumerated, not sampled: |m| = S-1, so p = (1 +
+// #extreme) / S is the exact permutation p-value and no RNG is drawn. Its
+// smallest attainable value is 1/S, so when 1/S > alpha no outcome can be
+// significant; such a test is not resolvable (Tarone's rule, Biometrics
+// 1990) and is reported as such without evaluating anything, so a caller
+// can leave it out of its multiple-testing family.
+//
 // The randomizations are never stored: both feature sets are transposed
 // once per test into region-major lanes, and a rotated lane is a window of
 // function 2's doubled lane. A Restricted test counts each window against
@@ -54,9 +63,11 @@ var (
 	mPermutations = obsv.NewCounter("polygamy_montecarlo_permutations_total",
 		"Permutations actually evaluated across all tests.")
 	mTauEvals = obsv.NewCounter("polygamy_montecarlo_tau_evaluations_total",
-		"Tau kernel runs: one per permutation, except that a one-region Restricted test runs one per distinct rotation per test.")
+		"Tau kernel runs: one per permutation; a one-region Restricted test's permutations are its rotations, each run once.")
 	mEarlyStops = obsv.NewCounter("polygamy_montecarlo_early_stops_total",
 		"Tests stopped by adaptive termination before the full permutation budget.")
+	mNotResolvable = obsv.NewCounter("polygamy_montecarlo_not_resolvable_total",
+		"One-region Restricted tests not run because their smallest attainable p-value, 1/steps, exceeds alpha.")
 	mShiftsBuilt = obsv.NewCounter("polygamy_montecarlo_shifts_built_total",
 		"Toroidal shifts constructed, memoised or regenerated past a pool's budget.")
 	mShiftPoolBytes = obsv.NewGauge("polygamy_montecarlo_shift_pool_bytes",
@@ -128,8 +139,8 @@ type Config struct {
 	// fixed-size chunks whose RNGs are seeded deterministically from Seed
 	// and the chunk index, so the Result is byte-identical for every
 	// Workers value (including the sequential path). A Restricted test on a
-	// one-region domain runs its chunks on one goroutine whatever Workers
-	// says: they share the test's rotation table (see Test).
+	// one-region domain has no chunks: it enumerates its rotations in order
+	// on the calling goroutine whatever Workers says (see Test).
 	Workers int
 
 	// Exhaustive disables adaptive early termination, forcing all
@@ -152,17 +163,23 @@ func (c Config) withDefaults() Config {
 }
 
 // Result reports the outcome of a significance test. Shifts counts the
-// permutations actually evaluated: equal to Config.Permutations for an
-// exhaustive (or significant — the verdict is only ever decided early in
-// the insignificant direction) run, smaller when adaptive early
-// termination stopped the test, and 0 for the tau = 0 shortcut. PValue is
-// always computed over the evaluated permutations, so it is exact for full
-// runs and a valid conservative p-value for truncated ones.
+// permutations actually evaluated: equal to Config.Permutations (S-1, the
+// rotations, for a one-region Restricted test) for an exhaustive (or
+// significant — the verdict is only ever decided early in the insignificant
+// direction) run, smaller when adaptive early termination stopped the test,
+// and 0 for the tau = 0 shortcut and a test that is not resolvable. PValue
+// is always computed over the evaluated permutations, so it is exact for
+// full runs and a valid conservative p-value for truncated ones.
+//
+// NotResolvable marks a one-region Restricted test whose smallest
+// attainable p-value exceeds Alpha: nothing was evaluated, PValue is 1, and
+// the test is no hypothesis a correction should count.
 type Result struct {
-	PValue      float64
-	Significant bool
-	TauObserved float64
-	Shifts      int
+	PValue        float64
+	Significant   bool
+	TauObserved   float64
+	Shifts        int
+	NotResolvable bool
 }
 
 // shiftScratch holds the working state of one toroidal-shift construction,
@@ -728,26 +745,7 @@ type scratch struct {
 	// Block: the one destination lane a source lane's blocks are laid out
 	// in, wholly overwritten before each count.
 	lane *bitvec.Vector
-
-	// rot is the rotation table of a one-region Restricted test, the one
-	// test this scratch serves (see rotChunk).
-	rot rotTable
 }
-
-// rotTable classifies the rotations of a one-region Restricted test by
-// whether tau under the rotation is as extreme as the observed score.
-type rotTable struct {
-	class   []uint8 // by rotation: rotUnknown, rotOrdinary or rotExtreme
-	size    int     // rotations a draw can land on: 1..S-1, or rotation 0 when S = 1
-	known   int     // rotations classified so far
-	extreme int     // classified rotations that are extreme
-}
-
-const (
-	rotUnknown uint8 = iota
-	rotOrdinary
-	rotExtreme
-)
 
 func (sc *scratch) intBuf(n int) []int {
 	if cap(sc.perm) < n {
@@ -770,16 +768,12 @@ var scratchPool = sync.Pool{New: func() any {
 // run; the worker puts it back when the run is done.
 func (t *testRun) newScratch() *scratch {
 	sc := scratchPool.Get().(*scratch)
-	switch {
-	case t.cfg.Kind == Standard:
+	switch t.cfg.Kind {
+	case Standard:
 		sc.permPos.Resize(t.a.NumVertices())
 		sc.permNeg.Resize(t.a.NumVertices())
-	case t.cfg.Kind == Block:
+	case Block:
 		sc.lane.Resize(t.prep.laneBits)
-	case t.oneRegion():
-		S := t.g.NumSteps()
-		sc.rot = rotTable{class: slices.Grow(sc.rot.class[:0], S)[:S], size: max(S-1, 1)}
-		clear(sc.rot.class)
 	}
 	return sc
 }
@@ -987,14 +981,18 @@ func (t *testRun) vectorTauStandard(sc *scratch, vertPerm []int) float64 {
 // Restricted mode: when the domain has more than one region, randomization
 // k applies toroidal shift k of Config.Shifts to the regions; time is
 // additionally rotated, by the test's own draw, to respect temporal
-// wrap-around. For pure time series (one region), only the circular time
-// rotation is used. Standard mode permutes all vertices uniformly.
+// wrap-around. Standard mode permutes all vertices uniformly.
 //
 // The randomizations run in fixed-size chunks with per-chunk deterministic
 // seeds; Config.Workers spreads the chunks over goroutines without changing
-// the result (see Config). A one-region Restricted test has only S-1
-// distinct randomizations over S steps, so its chunks share a table that
-// runs the kernel once per rotation (see rotChunk).
+// the result (see Config).
+//
+// A pure time series (one region) under Restricted is randomized by the
+// circular time rotation alone, and its S steps admit S-1 rotations besides
+// the identity. The test enumerates them in order instead of drawing
+// Config.Permutations (see enumerate), so its p-value is exact. When even
+// p = 1/S, an observed score beyond every rotation, exceeds Alpha, the test
+// is not resolvable: nothing is evaluated and the Result says so.
 //
 // An observed score of zero or NaN is never significant: no randomization
 // is evaluated and p = 1.
@@ -1007,7 +1005,8 @@ func (t *testRun) vectorTauStandard(sc *scratch, vertPerm []int) float64 {
 // TestAdaptiveExhaustiveParity); only insignificant tests stop early, so
 // significant pairs always report their exact full-|m| p-value, while
 // stopped tests report the conservative p-value of the truncated stream
-// over Result.Shifts permutations.
+// over Result.Shifts permutations. An enumerated test stops likewise, after
+// the rotation that proves p > Alpha.
 func Test(a, b *feature.Set, g *stgraph.Graph, tauObserved float64, cfg Config) Result {
 	res, _ := test(a, b, g, tauObserved, cfg, nil, chooseWalk)
 	return res
@@ -1019,26 +1018,32 @@ func Test(a, b *feature.Set, g *stgraph.Graph, tauObserved float64, cfg Config) 
 // global permutation index; under Workers > 1 calls arrive concurrently
 // from multiple goroutines and may cover chunks past the adaptive stopping
 // point (in-flight work), so parity tests compare streams in Exhaustive
-// mode. A sink sees every draw, so it turns rotChunk's closed forms off.
-// w forces a Restricted test's walk unless it is chooseWalk. The run is
-// returned for its counters; it is nil when no randomization was evaluated.
+// mode; an enumerated test calls it with rotation-1, in order. w forces a
+// Restricted test's walk unless it is chooseWalk. The run is returned for
+// its walk; it is nil when no randomization was evaluated.
 func test(a, b *feature.Set, g *stgraph.Graph, tauObserved float64, cfg Config, sink func(perm int, tau float64), w walk) (Result, *testRun) {
 	cfg = cfg.withDefaults()
 	if a.NumVertices() != g.NumVertices() || b.NumVertices() != g.NumVertices() {
 		panic(fmt.Sprintf("montecarlo: feature sets (%d, %d vertices) do not match graph (%d)",
 			a.NumVertices(), b.NumVertices(), g.NumVertices()))
 	}
+	oneRegion := cfg.Kind == Restricted && g.NumRegions() == 1
+	if oneRegion && exceedsAlpha(cfg.Alpha, 0, g.NumSteps()) {
+		mNotResolvable.Inc()
+		return Result{PValue: 1, TauObserved: tauObserved, NotResolvable: true}, nil
+	}
 	if tauObserved == 0 || math.IsNaN(tauObserved) {
 		mTests.Inc()
 		return Result{PValue: 1, Significant: false, TauObserved: 0, Shifts: 0}, nil
 	}
-	if cfg.Shifts == nil {
+	switch {
+	case cfg.Shifts != nil && len(cfg.Shifts.adj) != g.NumRegions():
+		panic(fmt.Sprintf("montecarlo: shift pool over %d regions does not match graph (%d)",
+			len(cfg.Shifts.adj), g.NumRegions()))
+	case cfg.Shifts == nil && !oneRegion:
 		// No memo: this test is the sequence's only reader, so each chunk
 		// is drawn into the scratch of the worker that evaluates it.
 		cfg.Shifts = newShiftPool(g.SpatialAdjacency(), cfg.Seed^shiftStream, 0)
-	} else if len(cfg.Shifts.adj) != g.NumRegions() {
-		panic(fmt.Sprintf("montecarlo: shift pool over %d regions does not match graph (%d)",
-			len(cfg.Shifts.adj), g.NumRegions()))
 	}
 	run := &testRun{
 		a:    a,
@@ -1054,33 +1059,36 @@ func test(a, b *feature.Set, g *stgraph.Graph, tauObserved float64, cfg Config, 
 		run.pos2 = b.Positive.Ones()
 		run.neg2 = b.Negative.Ones()
 	}
-	nChunks := (cfg.Permutations + permChunk - 1) / permChunk
-	threshold := stopThreshold(cfg.Alpha, cfg.Permutations)
-	counts := make([]int, nChunks)
-	if w := min(cfg.Workers, nChunks); w > 1 && !run.oneRegion() {
-		run.parallel(w, counts, threshold)
+	m := cfg.Permutations
+	var extreme, shifts int
+	if oneRegion {
+		m = g.NumSteps() - 1
+		extreme, shifts = run.enumerate()
 	} else {
-		sc := run.newScratch()
-		ex := 0
-		for ci := range counts {
-			if run.oneRegion() {
-				counts[ci] = run.rotChunk(ci, sc)
-			} else {
+		nChunks := (m + permChunk - 1) / permChunk
+		threshold := stopThreshold(cfg.Alpha, m)
+		counts := make([]int, nChunks)
+		if w := min(cfg.Workers, nChunks); w > 1 {
+			run.parallel(w, counts, threshold)
+		} else {
+			sc := run.newScratch()
+			ex := 0
+			for ci := range counts {
 				counts[ci] = run.chunk(ci, sc)
+				ex += counts[ci]
+				if !cfg.Exhaustive && ex >= threshold {
+					break
+				}
 			}
-			ex += counts[ci]
-			if !cfg.Exhaustive && ex >= threshold {
-				break
-			}
+			scratchPool.Put(sc)
 		}
-		scratchPool.Put(sc)
+		extreme, shifts = foldCounts(counts, m, threshold, cfg.Exhaustive)
 	}
 	prepPool.Put(run.prep)
-	extreme, shifts := foldCounts(counts, cfg.Permutations, threshold, cfg.Exhaustive)
 	p := float64(1+extreme) / float64(1+shifts)
 	mTests.Inc()
 	mPermutations.Add(uint64(shifts))
-	if shifts < cfg.Permutations {
+	if shifts < m {
 		mEarlyStops.Inc()
 	}
 	return Result{
@@ -1151,16 +1159,6 @@ type testRun struct {
 	prep       *vectorPrep
 	feat       bool // a Restricted test counted by countFeatures
 	sink       func(perm int, tau float64)
-
-	// Chunks rotChunk decided without drawing, by an empty and by a full
-	// extreme set.
-	decidedNone, decidedAll int
-}
-
-// oneRegion reports whether the test's randomization is a time rotation
-// alone, the shape rotChunk counts.
-func (t *testRun) oneRegion() bool {
-	return t.cfg.Kind == Restricted && t.g.NumRegions() == 1
 }
 
 // isExtreme reports whether a randomization's tau is at least as extreme as
@@ -1175,8 +1173,8 @@ func (t *testRun) isExtreme(tauK float64) bool {
 // or block permutation, time rotation — come from the chunk's
 // deterministically seeded stream in sc. The test oracle replays both
 // sequences draw for draw; reordering one changes every reported p-value
-// (and fails TestKernelParity). A one-region Restricted test counts its
-// chunks with rotChunk instead.
+// (and fails TestKernelParity). A one-region Restricted test has no
+// chunks: see enumerate.
 func (t *testRun) chunk(ci int, sc *scratch) int {
 	g := t.g
 	nRegions := g.NumRegions()
@@ -1228,51 +1226,36 @@ func (t *testRun) chunk(ci int, sc *scratch) int {
 	return extreme
 }
 
-// rotChunk is chunk for a one-region Restricted test, whose randomization
-// is its time rotation alone. It replays chunk's draws — the chunk's seed,
-// one rotation per permutation — and counts the draws that land on an
-// extreme rotation. The kernel runs only for a rotation sc's table has not
-// classified yet, so a test runs it at most once per rotation. Once every
-// rotation is classified and none or all of them are extreme, the count is
-// 0 or n whatever the draws, and none is made.
-func (t *testRun) rotChunk(ci int, sc *scratch) int {
-	tab := &sc.rot
-	n := min(permChunk, t.cfg.Permutations-ci*permChunk)
-	if t.sink == nil && tab.known == tab.size {
-		switch tab.extreme {
-		case 0:
-			t.decidedNone++
-			return 0
-		case tab.size:
-			t.decidedAll++
-			return n
-		}
-	}
-	S, known := t.g.NumSteps(), tab.known
-	sc.src.state = uint64(chunkSeed(t.cfg.Seed, ci))
-	extreme := 0
-	for k := 0; k < n; k++ {
-		rot := 0
-		if S > 1 {
-			rot = 1 + sc.src.intn(S-1)
-		}
-		c := tab.class[rot]
-		if c == rotUnknown {
-			c = rotOrdinary
-			if t.isExtreme(t.vectorTauRestricted(nil, rot)) {
-				c = rotExtreme
-				tab.extreme++
-			}
-			tab.class[rot] = c
-			tab.known++
-		}
+// exceedsAlpha reports whether p = (1+extreme)/S exceeds alpha, the
+// p-value of a one-region test over S steps of whose S-1 rotations extreme
+// are extreme. It is computed exactly as Test computes and compares an
+// exhaustive p, so it is the verdict's own rule: at extreme = 0 it says
+// the test is not resolvable, and since the count only grows as rotations
+// are visited, once it holds the test is decided insignificant — the rule
+// stopThreshold states for sampled tests.
+func exceedsAlpha(alpha float64, extreme, S int) bool {
+	return float64(1+extreme)/float64(S) > alpha
+}
+
+// enumerate counts a one-region Restricted test exactly: it visits the
+// rotations 1..S-1 in order and returns how many were visited and how many
+// of them are extreme. Unless the test is Exhaustive it stops at the first
+// extreme rotation that decides the test insignificant (exceedsAlpha).
+func (t *testRun) enumerate() (extreme, visited int) {
+	S := t.g.NumSteps()
+	for rot := 1; rot < S; rot++ {
+		tauK := t.vectorTauRestricted(nil, rot)
 		if t.sink != nil {
-			t.sink(ci*permChunk+k, t.vectorTauRestricted(nil, rot))
+			t.sink(rot-1, tauK)
 		}
-		if c == rotExtreme {
+		visited++
+		if t.isExtreme(tauK) {
 			extreme++
+			if !t.cfg.Exhaustive && exceedsAlpha(t.cfg.Alpha, extreme, S) {
+				break
+			}
 		}
 	}
-	mTauEvals.Add(uint64(tab.known - known))
-	return extreme
+	mTauEvals.Add(uint64(visited))
+	return extreme, visited
 }
