@@ -275,7 +275,7 @@ func runQuery(fw *core.Framework, q core.Query, o cliOptions) error {
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(os.Stderr, "considered %d candidate pairs (%d pruned by planner, %d evaluated, %d not resolvable) in %v\n",
+	fmt.Fprintf(os.Stderr, "considered %d candidate pairs (%d pruned by planner, %d evaluated, %d not resolvable this run) in %v\n",
 		qstats.PairsConsidered, qstats.Pruned, qstats.Evaluated, qstats.NotResolvable, qstats.Duration.Round(1e6))
 	if o.jsonOut {
 		return writeQueryJSON(o.stdout, rels, qstats)
@@ -294,8 +294,8 @@ func runGraph(fw *core.Framework, clause core.Clause, o cliOptions) error {
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(os.Stderr, "materialized relationship graph: %d edges over %d data set pairs (%d candidates, %d pruned, %d not resolvable) in %v\n",
-		gstats.Edges, gstats.Pairs, gstats.PairsConsidered, gstats.Pruned, gstats.NotResolvable, gstats.WallDuration.Round(1e6))
+	fmt.Fprintf(os.Stderr, "materialized relationship graph: %d edges over %d data set pairs (%d candidates, %d pruned) in %v\n",
+		gstats.Edges, gstats.Pairs, gstats.PairsConsidered, gstats.Pruned, gstats.WallDuration.Round(1e6))
 	g, _ := fw.RelGraph()
 	if o.graphFormat == "json" {
 		return g.WriteJSON(o.stdout)
@@ -313,7 +313,6 @@ func writeQueryJSON(w io.Writer, rels []core.Relationship, stats core.QueryStats
 			PairsConsidered int    `json:"pairsConsidered"`
 			Pruned          int    `json:"pruned"`
 			Evaluated       int    `json:"evaluated"`
-			NotResolvable   int    `json:"notResolvable"`
 			Significant     int    `json:"significant"`
 			Kept            int    `json:"kept"`
 			Duration        string `json:"duration"`
@@ -322,7 +321,6 @@ func writeQueryJSON(w io.Writer, rels []core.Relationship, stats core.QueryStats
 	doc.Stats.PairsConsidered = stats.PairsConsidered
 	doc.Stats.Pruned = stats.Pruned
 	doc.Stats.Evaluated = stats.Evaluated
-	doc.Stats.NotResolvable = stats.NotResolvable
 	doc.Stats.Significant = stats.Significant
 	doc.Stats.Kept = stats.Kept
 	doc.Stats.Duration = stats.Duration.String()

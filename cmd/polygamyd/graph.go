@@ -32,7 +32,6 @@ type graphStatsWire struct {
 	PairsConsidered int    `json:"pairsConsidered"`
 	Pruned          int    `json:"pruned"`
 	Evaluated       int    `json:"evaluated"`
-	NotResolvable   int    `json:"notResolvable"`
 	Edges           int    `json:"edges"`
 	Duration        string `json:"duration"`
 }
@@ -83,7 +82,6 @@ func (s *server) handleGraphBuild(w http.ResponseWriter, r *http.Request) {
 		PairsConsidered: stats.PairsConsidered,
 		Pruned:          stats.Pruned,
 		Evaluated:       stats.Evaluated,
-		NotResolvable:   stats.NotResolvable,
 		Edges:           stats.Edges,
 		Duration:        stats.WallDuration.String(),
 	})

@@ -27,11 +27,13 @@ func plannerFW(t *testing.T) *Framework {
 // bruteForce enumerates every candidate tuple of an all-pairs query itself
 // — no planner — and pushes each one through the relationship layer
 // (evaluatePair, hence the clause filters and the significance test). It
-// returns the tuples that survive, and fails the test if a tuple prunePair
-// would have skipped survives: that is the planner's soundness, checked per
-// tuple rather than inferred from equal totals. Its resolutions come from
-// the data sets' native resolutions, not from the index the planner reads.
-func bruteForce(t *testing.T, f *Framework, clause Clause) (cands []bruteCand, considered, skipped int) {
+// returns the tuples that join their family and counts those left out as
+// not resolvable, and fails the test if a tuple prunePair would have
+// skipped passes the clause, family member or not: that is the planner's
+// soundness, checked per tuple rather than inferred from equal totals. Its
+// resolutions come from the data sets' native resolutions, not from the
+// index the planner reads.
+func bruteForce(t *testing.T, f *Framework, clause Clause) (cands []bruteCand, considered, skipped, unresolvableN int) {
 	t.Helper()
 	classes := clauseClasses(clause)
 	names := f.Datasets()
@@ -61,17 +63,19 @@ func bruteForce(t *testing.T, f *Framework, clause Clause) (cands []bruteCand, c
 							if err != nil {
 								t.Fatal(err)
 							}
-							ok := fa == inFamily
 							if skip, _ := prunePair(e1, e2, class, clause); skip {
 								skipped++
-								if ok {
+								if fa != filtered {
 									t.Errorf("unsound prune: %s ~ %s (%v) is skipped by prunePair but passes the clause: tau=%g rho=%g",
 										e1.Key, e2.Key, class, c.tau, c.rho)
 								}
 								continue
 							}
-							if ok {
+							switch fa {
+							case inFamily:
 								cands = append(cands, bruteCand{e1, e2, c})
+							case unresolvable:
+								unresolvableN++
 							}
 						}
 					}
@@ -79,7 +83,7 @@ func bruteForce(t *testing.T, f *Framework, clause Clause) (cands []bruteCand, c
 			}
 		}
 	}
-	return cands, considered, skipped
+	return cands, considered, skipped, unresolvableN
 }
 
 // bruteCand is one tuple bruteForce found related, with its entries.
@@ -109,14 +113,14 @@ func TestPlannerParity(t *testing.T) {
 		{"week_city", Clause{Permutations: 80, MinScore: 0.2,
 			Resolutions: []Resolution{{spatial.City, temporal.Week}}}},
 	}
-	totalPruned := 0
+	totalPruned, totalUnresolvable := 0, 0
 	for _, tc := range matrix {
 		t.Run(tc.name, func(t *testing.T) {
 			planned, pstats, err := f.Query(Query{Clause: tc.clause})
 			if err != nil {
 				t.Fatal(err)
 			}
-			cands, considered, skipped := bruteForce(t, f, tc.clause)
+			cands, considered, skipped, unresolvableN := bruteForce(t, f, tc.clause)
 			if pstats.PairsConsidered != considered {
 				t.Errorf("PairsConsidered %d, brute force enumerated %d", pstats.PairsConsidered, considered)
 			}
@@ -125,6 +129,9 @@ func TestPlannerParity(t *testing.T) {
 			}
 			if pstats.Evaluated != len(cands) {
 				t.Errorf("Evaluated %d, brute force has %d related tuples", pstats.Evaluated, len(cands))
+			}
+			if pstats.NotResolvable != unresolvableN {
+				t.Errorf("NotResolvable %d, brute force left %d tuples out", pstats.NotResolvable, unresolvableN)
 			}
 			sel := selectionFromClause(tc.clause)
 			fam := make([]candidate, len(cands))
@@ -152,10 +159,14 @@ func TestPlannerParity(t *testing.T) {
 				}
 			}
 			totalPruned += pstats.Pruned
+			totalUnresolvable += unresolvableN
 		})
 	}
 	if totalPruned == 0 {
 		t.Error("planner pruned nothing across the whole query matrix")
+	}
+	if totalUnresolvable == 0 {
+		t.Error("no tuple across the whole query matrix was left out as not resolvable")
 	}
 }
 

@@ -132,10 +132,14 @@ type QueryStats struct {
 	PairsConsidered int // candidate (function, function, resolution, class) tuples
 	Pruned          int // candidates the planner skipped without evaluation
 	Evaluated       int // pairs with any feature relation
-	NotResolvable   int // tuples kept out of the family, their test unable to reach Alpha (evaluated pairs only)
 	Significant     int // pairs passing the significance test (0 under SkipSignificance)
 	Kept            int // relationships returned (== Significant unless SkipSignificance)
-	CacheHit        bool
+	// NotResolvable counts the tuples this call evaluated and kept out of
+	// their family, their test unable to reach Alpha. Unlike the counters
+	// above it leaves out families the call found stored (built earlier,
+	// loaded from a snapshot or shipped to a follower): there it reads 0.
+	NotResolvable int
+	CacheHit      bool
 	// Coalesced marks a cache hit that was deduplicated against an
 	// identical in-flight query: this caller waited for the concurrent
 	// evaluation instead of starting its own.

@@ -50,7 +50,6 @@ type QueryStats struct {
 	PairsConsidered int    `json:"pairsConsidered"`
 	Pruned          int    `json:"pruned"`
 	Evaluated       int    `json:"evaluated"`
-	NotResolvable   int    `json:"notResolvable"`
 	Significant     int    `json:"significant"`
 	Kept            int    `json:"kept"`
 	CacheHit        bool   `json:"cacheHit"`
@@ -94,7 +93,6 @@ func WriteQueryResponse(w http.ResponseWriter, relationships []byte, stats core.
 		PairsConsidered: stats.PairsConsidered,
 		Pruned:          stats.Pruned,
 		Evaluated:       stats.Evaluated,
-		NotResolvable:   stats.NotResolvable,
 		Significant:     stats.Significant,
 		Kept:            stats.Kept,
 		CacheHit:        stats.CacheHit,

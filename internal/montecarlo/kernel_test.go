@@ -219,6 +219,9 @@ func oracleResult(taus []float64, tau float64, cfg Config, exhaustive, enumerate
 	cfg = cfg.withDefaults()
 	m := len(taus)
 	if enumerated && 1/float64(m+1) > cfg.Alpha {
+		if math.IsNaN(tau) {
+			tau = 0
+		}
 		return Result{PValue: 1, TauObserved: tau, NotResolvable: true}
 	}
 	extreme, shifts := 0, 0
@@ -649,14 +652,18 @@ func TestChunkSteadyStateAllocs(t *testing.T) {
 // every randomization, so nothing would count as extreme and any test would
 // report p = 1/(1+m). NaN is no evidence at all: like a zero score it is
 // reported with p = 1 and no randomization run, for every Kind, on one
-// region and on several.
+// region and on several. A one-region Restricted test too short to reach
+// alpha (1x14) is reported not resolvable, its score likewise as zero.
 func TestNaNObservedNotSignificant(t *testing.T) {
-	want := Result{PValue: 1}
-	for _, dom := range []struct{ w, h, steps int }{{1, 1, 90}, {3, 3, 40}} {
+	for _, dom := range []struct{ w, h, steps int }{{1, 1, 90}, {3, 3, 40}, {1, 1, 14}} {
 		g := gridGraph(t, dom.w, dom.h, dom.steps)
 		n := g.NumVertices()
 		a, b := denseSets(rand.New(rand.NewSource(8)), n, 0.3, 0, n)
 		for _, kind := range []Kind{Restricted, Standard, Block} {
+			want := Result{PValue: 1}
+			if kind == Restricted && dom.w*dom.h == 1 && dom.steps < 20 {
+				want.NotResolvable = true
+			}
 			for _, tau := range []float64{0, math.NaN()} {
 				if got := Test(a, b, g, tau, Config{Seed: 1, Kind: kind, Workers: 2}); got != want {
 					t.Errorf("%dx%d kind=%v tau=%v: Result %+v, want %+v", dom.w*dom.h, dom.steps, kind, tau, got, want)

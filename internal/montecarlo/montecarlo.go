@@ -1027,12 +1027,15 @@ func test(a, b *feature.Set, g *stgraph.Graph, tauObserved float64, cfg Config, 
 		panic(fmt.Sprintf("montecarlo: feature sets (%d, %d vertices) do not match graph (%d)",
 			a.NumVertices(), b.NumVertices(), g.NumVertices()))
 	}
+	if math.IsNaN(tauObserved) {
+		tauObserved = 0 // never significant, and reported as zero
+	}
 	oneRegion := cfg.Kind == Restricted && g.NumRegions() == 1
 	if oneRegion && exceedsAlpha(cfg.Alpha, 0, g.NumSteps()) {
 		mNotResolvable.Inc()
 		return Result{PValue: 1, TauObserved: tauObserved, NotResolvable: true}, nil
 	}
-	if tauObserved == 0 || math.IsNaN(tauObserved) {
+	if tauObserved == 0 {
 		mTests.Inc()
 		return Result{PValue: 1, Significant: false, TauObserved: 0, Shifts: 0}, nil
 	}
