@@ -10,6 +10,7 @@ import (
 
 	"github.com/urbandata/datapolygamy/internal/dataset"
 	"github.com/urbandata/datapolygamy/internal/feature"
+	"github.com/urbandata/datapolygamy/internal/montecarlo"
 	"github.com/urbandata/datapolygamy/internal/spatial"
 	"github.com/urbandata/datapolygamy/internal/temporal"
 )
@@ -195,41 +196,51 @@ func TestPlantedNegativeRelationshipFound(t *testing.T) {
 	if _, err := f.BuildIndex(); err != nil {
 		t.Fatal(err)
 	}
-	rels, stats, err := f.Query(Query{
-		Sources: []string{"wind"},
-		Clause:  Clause{Permutations: 300},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.PairsConsidered == 0 {
-		t.Fatal("no pairs considered")
-	}
-	// Find the count ~ speed salient relationship at (hour, city); the
-	// pair is reported with the alphabetically first data set as side 1.
-	found := false
-	for _, r := range rels {
-		if r.Spec1 == "avg_count" && r.Spec2 == "avg_speed" &&
-			r.Res == (Resolution{spatial.City, temporal.Hour}) && r.Class == feature.Salient {
-			found = true
-			// Between-event extrema are persistent too, so salient sets
-			// include baseline-tail points and tau is diluted toward the
-			// moderate regime the paper itself reports (e.g. -0.62 for
-			// precipitation/taxis). Direction and significance are the
-			// contract.
-			if r.Score > -0.15 {
-				t.Errorf("planted negative relationship has tau = %g, want clearly negative", r.Score)
-			}
-			if !r.Significant {
-				t.Error("planted relationship should be significant")
-			}
+	// The planted relationship is strong enough for every permutation
+	// scheme to find it; the non-default kinds run through the same
+	// Query path, filtered to the planted resolution and class.
+	for _, kind := range []montecarlo.Kind{montecarlo.Restricted, montecarlo.Standard, montecarlo.Block} {
+		clause := Clause{Permutations: 300, TestKind: kind}
+		if kind != montecarlo.Restricted {
+			clause.Resolutions = []Resolution{{spatial.City, temporal.Hour}}
+			clause.Classes = []feature.Class{feature.Salient}
 		}
-	}
-	if !found {
+		rels, stats, err := f.Query(Query{Sources: []string{"wind"}, Clause: clause})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stats.PairsConsidered == 0 {
+			t.Fatalf("%v: no pairs considered", kind)
+		}
+		// Find the count ~ speed salient relationship at (hour, city); the
+		// pair is reported with the alphabetically first data set as side 1.
+		found := false
 		for _, r := range rels {
-			t.Logf("got: %v", r)
+			if kind != montecarlo.Restricted && (r.Res != clause.Resolutions[0] || r.Class != feature.Salient) {
+				t.Errorf("%v: clause filter leaked %v", kind, r)
+			}
+			if r.Spec1 == "avg_count" && r.Spec2 == "avg_speed" &&
+				r.Res == (Resolution{spatial.City, temporal.Hour}) && r.Class == feature.Salient {
+				found = true
+				// Between-event extrema are persistent too, so salient sets
+				// include baseline-tail points and tau is diluted toward the
+				// moderate regime the paper itself reports (e.g. -0.62 for
+				// precipitation/taxis). Direction and significance are the
+				// contract.
+				if r.Score > -0.15 {
+					t.Errorf("%v: planted negative relationship has tau = %g, want clearly negative", kind, r.Score)
+				}
+				if !r.Significant {
+					t.Errorf("%v: planted relationship should be significant", kind)
+				}
+			}
 		}
-		t.Fatal("planted wind/trips relationship not found")
+		if !found {
+			for _, r := range rels {
+				t.Logf("got: %v", r)
+			}
+			t.Fatalf("%v: planted wind/trips relationship not found", kind)
+		}
 	}
 }
 

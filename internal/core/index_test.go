@@ -280,7 +280,7 @@ func TestIncrementalCacheInvalidation(t *testing.T) {
 	if !stats.CacheHit {
 		t.Error("wind/trips query should still be cached after adding unrelated gas")
 	}
-	// An entry occupancy sanity check on the facade-visible summaries.
+	// An entry occupancy sanity check on the exported summaries.
 	res := Resolution{spatial.City, temporal.Hour}
 	for _, e := range f.Entries("gas", res) {
 		if got := e.occ(feature.Salient); got != e.SalientOcc {

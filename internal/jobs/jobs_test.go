@@ -28,6 +28,11 @@ func TestJobLifecycle(t *testing.T) {
 	if got.Finished.Before(got.Started) || got.Started.Before(got.Created) {
 		t.Errorf("timestamps out of order: %+v", got)
 	}
+	for st, want := range map[Status]bool{Pending: false, Running: false, Done: true, Failed: true} {
+		if st.Terminal() != want {
+			t.Errorf("%s.Terminal() = %t, want %t", st, !want, want)
+		}
+	}
 }
 
 func TestJobFailure(t *testing.T) {

@@ -346,6 +346,11 @@ func TestSpecs(t *testing.T) {
 	if specs[0].Name() != "density" || specs[1].Name() != "unique" || specs[2].Name() != "avg_fare" {
 		t.Errorf("spec names: %s %s %s", specs[0].Name(), specs[1].Name(), specs[2].Name())
 	}
+	for i, want := range []string{"density", "unique", "attribute"} {
+		if got := specs[i].Kind.String(); got != want {
+			t.Errorf("spec %d kind = %q, want %q", i, got, want)
+		}
+	}
 }
 
 func TestKey(t *testing.T) {

@@ -42,13 +42,6 @@ func GridConfig(seed int64, grid int) Config {
 type CityMap struct {
 	w, h int
 
-	// Coordinate transform for cities built from explicit polygons
-	// (FromPolygons): external coordinates map to grid coordinates via
-	// (p - origin) * scale. scaleX == 0 means identity (synthetic cities
-	// use grid coordinates directly).
-	origin         Point
-	scaleX, scaleY float64
-
 	cellAt []int // grid (y*w+x) -> cell id, or -1 for water/outside
 
 	cellX, cellY []int // cell id -> grid coordinates
@@ -316,33 +309,16 @@ func (c *CityMap) NumRegions(r Resolution) int {
 	return 0
 }
 
-// toGrid maps an external coordinate to grid coordinates.
-func (c *CityMap) toGrid(p Point) Point {
-	if c.scaleX == 0 {
-		return p
-	}
-	return Point{X: (p.X - c.origin.X) * c.scaleX, Y: (p.Y - c.origin.Y) * c.scaleY}
-}
-
-// fromGrid maps grid coordinates back to external coordinates.
-func (c *CityMap) fromGrid(p Point) Point {
-	if c.scaleX == 0 {
-		return p
-	}
-	return Point{X: p.X/c.scaleX + c.origin.X, Y: p.Y/c.scaleY + c.origin.Y}
-}
-
 // Locate maps a coordinate to the fine cell containing it, or -1 if the
-// point is water or outside the city. For synthetic cities coordinates
-// live in [0,W)x[0,H); for polygon-built cities they live in the polygons'
-// own coordinate system.
+// point is water or outside the city. Coordinates live in [0,W)x[0,H);
+// NaN, infinite and out-of-range coordinates are outside.
 func (c *CityMap) Locate(p Point) int {
-	p = c.toGrid(p)
-	x, y := int(math.Floor(p.X)), int(math.Floor(p.Y))
-	if x < 0 || y < 0 || x >= c.w || y >= c.h {
+	// Range-check the floats before converting: converting NaN, ±Inf or a
+	// value beyond the int range to int is implementation-dependent.
+	if !(p.X >= 0 && p.X < float64(c.w) && p.Y >= 0 && p.Y < float64(c.h)) {
 		return -1
 	}
-	return c.cellAt[y*c.w+x]
+	return c.cellAt[int(p.Y)*c.w+int(p.X)]
 }
 
 // RegionOfCell maps a fine cell to its region id at resolution r.
@@ -391,26 +367,24 @@ func (c *CityMap) Adjacency(r Resolution) [][]int {
 func (c *CityMap) RegionCentroid(r Resolution, id int) Point {
 	switch r {
 	case GPS:
-		return c.fromGrid(Point{float64(c.cellX[id]) + 0.5, float64(c.cellY[id]) + 0.5})
+		return c.CellCenter(id)
 	case ZipCode:
-		return c.fromGrid(c.zipCentroid[id])
+		return c.zipCentroid[id]
 	case Neighborhood:
-		return c.fromGrid(c.nbhdCentroid[id])
+		return c.nbhdCentroid[id]
 	case City:
-		return c.fromGrid(Point{float64(c.w) / 2, float64(c.h) / 2})
+		return Point{float64(c.w) / 2, float64(c.h) / 2}
 	}
 	return Point{}
 }
 
-// RandomPoint returns a uniformly random point inside the city (on land),
-// in external coordinates.
+// RandomPoint returns a uniformly random point inside the city (on land).
 func (c *CityMap) RandomPoint(rng *rand.Rand) Point {
 	id := rng.Intn(len(c.cellX))
-	return c.fromGrid(Point{float64(c.cellX[id]) + rng.Float64(), float64(c.cellY[id]) + rng.Float64()})
+	return Point{float64(c.cellX[id]) + rng.Float64(), float64(c.cellY[id]) + rng.Float64()}
 }
 
-// CellCenter returns the center point of a fine cell, in external
-// coordinates.
+// CellCenter returns the center point of a fine cell.
 func (c *CityMap) CellCenter(id int) Point {
-	return c.fromGrid(Point{float64(c.cellX[id]) + 0.5, float64(c.cellY[id]) + 0.5})
+	return Point{float64(c.cellX[id]) + 0.5, float64(c.cellY[id]) + 0.5}
 }

@@ -1,8 +1,8 @@
 // Package spatial models the spatial side of the Data Polygamy framework:
-// points and polygons, spatial resolutions (GPS, zip code, neighborhood,
-// city), and an irregular synthetic city that partitions space into regions
-// with an adjacency structure, standing in for NYC's shapefiles (see
-// DESIGN.md, Substitutions).
+// points, spatial resolutions (GPS, zip code, neighborhood, city), and an
+// irregular synthetic city that partitions space into regions with an
+// adjacency structure, standing in for NYC's shapefiles (see DESIGN.md,
+// Substitutions).
 package spatial
 
 import "math"
@@ -11,94 +11,6 @@ import "math"
 // projected longitude/latitude.
 type Point struct {
 	X, Y float64
-}
-
-// Polygon is a simple (non self-intersecting) polygon given by its vertices
-// in order. The polygon is implicitly closed: the last vertex connects back
-// to the first.
-type Polygon []Point
-
-// Contains reports whether pt lies inside the polygon, using the ray
-// casting (even-odd) rule. Points exactly on an edge may be classified
-// either way, which is acceptable for density aggregation.
-func (p Polygon) Contains(pt Point) bool {
-	inside := false
-	n := len(p)
-	if n < 3 {
-		return false
-	}
-	j := n - 1
-	for i := 0; i < n; i++ {
-		pi, pj := p[i], p[j]
-		if (pi.Y > pt.Y) != (pj.Y > pt.Y) {
-			xCross := (pj.X-pi.X)*(pt.Y-pi.Y)/(pj.Y-pi.Y) + pi.X
-			if pt.X < xCross {
-				inside = !inside
-			}
-		}
-		j = i
-	}
-	return inside
-}
-
-// Area returns the unsigned area of the polygon (shoelace formula).
-func (p Polygon) Area() float64 {
-	n := len(p)
-	if n < 3 {
-		return 0
-	}
-	sum := 0.0
-	j := n - 1
-	for i := 0; i < n; i++ {
-		sum += (p[j].X + p[i].X) * (p[j].Y - p[i].Y)
-		j = i
-	}
-	return math.Abs(sum) / 2
-}
-
-// Centroid returns the area centroid of the polygon. For degenerate
-// polygons (fewer than 3 vertices or zero area) it returns the vertex mean.
-func (p Polygon) Centroid() Point {
-	n := len(p)
-	if n == 0 {
-		return Point{}
-	}
-	a := 0.0
-	var cx, cy float64
-	j := n - 1
-	for i := 0; i < n; i++ {
-		cross := p[j].X*p[i].Y - p[i].X*p[j].Y
-		a += cross
-		cx += (p[j].X + p[i].X) * cross
-		cy += (p[j].Y + p[i].Y) * cross
-		j = i
-	}
-	if math.Abs(a) < 1e-12 {
-		var sx, sy float64
-		for _, v := range p {
-			sx += v.X
-			sy += v.Y
-		}
-		return Point{sx / float64(n), sy / float64(n)}
-	}
-	a /= 2
-	return Point{cx / (6 * a), cy / (6 * a)}
-}
-
-// BBox returns the axis-aligned bounding box (min, max) of the polygon.
-func (p Polygon) BBox() (Point, Point) {
-	if len(p) == 0 {
-		return Point{}, Point{}
-	}
-	lo := Point{math.Inf(1), math.Inf(1)}
-	hi := Point{math.Inf(-1), math.Inf(-1)}
-	for _, v := range p {
-		lo.X = math.Min(lo.X, v.X)
-		lo.Y = math.Min(lo.Y, v.Y)
-		hi.X = math.Max(hi.X, v.X)
-		hi.Y = math.Max(hi.Y, v.Y)
-	}
-	return lo, hi
 }
 
 // Dist returns the Euclidean distance between two points.
