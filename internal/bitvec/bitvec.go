@@ -100,17 +100,6 @@ func (v *Vector) Count() int {
 	return c
 }
 
-// And returns a new vector that is the bitwise AND of v and o.
-// Both vectors must have the same length.
-func (v *Vector) And(o *Vector) *Vector {
-	v.checkLen(o)
-	out := New(v.n)
-	for i, w := range v.words {
-		out.words[i] = w & o.words[i]
-	}
-	return out
-}
-
 // Or returns a new vector that is the bitwise OR of v and o.
 func (v *Vector) Or(o *Vector) *Vector {
 	v.checkLen(o)
@@ -128,16 +117,6 @@ func (v *Vector) OrWith(o *Vector) {
 	for i, w := range o.words {
 		v.words[i] |= w
 	}
-}
-
-// AndNot returns a new vector with the bits of v that are not in o (v &^ o).
-func (v *Vector) AndNot(o *Vector) *Vector {
-	v.checkLen(o)
-	out := New(v.n)
-	for i, w := range v.words {
-		out.words[i] = w &^ o.words[i]
-	}
-	return out
 }
 
 // AndCount returns the popcount of v AND o without allocating the result

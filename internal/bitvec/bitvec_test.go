@@ -565,3 +565,24 @@ func TestAndCount2MatchesAndCount(t *testing.T) {
 		}
 	}
 }
+
+// And returns a new vector that is the bitwise AND of v and o.
+// Both vectors must have the same length.
+func (v *Vector) And(o *Vector) *Vector {
+	v.checkLen(o)
+	out := New(v.n)
+	for i, w := range v.words {
+		out.words[i] = w & o.words[i]
+	}
+	return out
+}
+
+// AndNot returns a new vector with the bits of v that are not in o (v &^ o).
+func (v *Vector) AndNot(o *Vector) *Vector {
+	v.checkLen(o)
+	out := New(v.n)
+	for i, w := range v.words {
+		out.words[i] = w &^ o.words[i]
+	}
+	return out
+}

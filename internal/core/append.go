@@ -254,8 +254,13 @@ func (f *Framework) AppendSlice(slice *dataset.Dataset) (AppendStats, error) {
 		defer f.mu.Unlock()
 		return f.appendRebuildLocked(slice, st, t0)
 	}
+	fts := make([]funcTask, len(tasks))
+	for i, at := range tasks {
+		fts[i] = at.t
+	}
+	in := newJobInputs(f.opts.City, extTimelines, fts)
 	results, err := mapreduce.ForEach(f.workers(), tasks,
-		func(at appendTask) (appendTaskResult, error) { return f.runAppendTask(at, extTimelines, extGraphs) })
+		func(at appendTask) (appendTaskResult, error) { return f.runAppendTask(at, in, extTimelines, extGraphs) })
 	if err != nil {
 		return st, err
 	}
@@ -425,7 +430,7 @@ func (f *Framework) appendTasks(target string, merged *dataset.Dataset, order []
 }
 
 // runAppendTask executes one append recompute task.
-func (f *Framework) runAppendTask(at appendTask,
+func (f *Framework) runAppendTask(at appendTask, in *jobInputs,
 	extTimelines map[temporal.Resolution]*temporal.Timeline,
 	extGraphs map[Resolution]*stgraph.Graph) (appendTaskResult, error) {
 
@@ -438,7 +443,7 @@ func (f *Framework) runAppendTask(at appendTask,
 	if !at.tileBase {
 		base = nil
 	}
-	entries, tm, err := f.rebuildEntryTiles(at.t, tl, extGraphs[at.t.res], at.fromTile, base)
+	entries, tm, err := f.rebuildEntryTiles(at.t, in, tl, extGraphs[at.t.res], at.fromTile, base)
 	if err != nil {
 		return appendTaskResult{}, err
 	}

@@ -502,8 +502,9 @@ func (f *Framework) runIndexJob(ds []*dataset.Dataset, minTS, maxTS int64,
 	// succeeded, so a failed build leaves it untouched.
 	t0 := time.Now()
 	var computeNS, featureNS atomic.Int64
+	in := newJobInputs(f.opts.City, timelines, tasks)
 	perTask, err := mapreduce.ForEach(f.workers(), tasks, func(t funcTask) ([]*FunctionEntry, error) {
-		es, tm, err := f.rebuildEntryTiles(t, timelines[t.res.Temporal], graphs[t.res], 0, nil)
+		es, tm, err := f.rebuildEntryTiles(t, in, timelines[t.res.Temporal], graphs[t.res], 0, nil)
 		computeNS.Add(int64(tm.compute))
 		featureNS.Add(int64(tm.feature))
 		return es, err

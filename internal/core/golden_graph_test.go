@@ -128,7 +128,7 @@ func TestGoldenGraph(t *testing.T) {
 		}
 	}
 
-	f, opts := goldenFramework(t, 2)
+	f, opts := goldenFramework(t, 2, false)
 	if _, err := f.BuildGraph(Clause{}); err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -9,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/urbandata/datapolygamy/internal/dataset"
 	"github.com/urbandata/datapolygamy/internal/feature"
 	"github.com/urbandata/datapolygamy/internal/spatial"
 	"github.com/urbandata/datapolygamy/internal/temporal"
@@ -26,7 +28,9 @@ const goldenIndexHash = "56c00fd57287f36598e7b156d1942bd692d4d186154cbc0301878d1
 
 // goldenFramework indexes the golden corpus on the given worker count and
 // also returns what Open needs to warm-start a second framework over it.
-func goldenFramework(t *testing.T, workers int) (*Framework, OpenOptions) {
+// With viaCSV every data set is first written with dataset.WriteCSV and
+// read back with dataset.ReadCSV.
+func goldenFramework(t *testing.T, workers int, viaCSV bool) (*Framework, OpenOptions) {
 	t.Helper()
 	city, err := spatial.Generate(spatial.GridConfig(1, 8))
 	if err != nil {
@@ -36,6 +40,17 @@ func goldenFramework(t *testing.T, workers int) (*Framework, OpenOptions) {
 	col, err := urban.Generate(urban.Config{Seed: 1, City: city, Start: start, End: start.AddDate(0, 1, 0), Scale: 0.1})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if viaCSV {
+		for i, d := range col.Datasets {
+			var buf bytes.Buffer
+			if err := dataset.WriteCSV(&buf, d); err != nil {
+				t.Fatal(err)
+			}
+			if col.Datasets[i], err = dataset.ReadCSV(&buf); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
 	opts := OpenOptions{
 		Options:  Options{City: city, Workers: workers, Seed: 1, IncludeGradients: true},
@@ -63,10 +78,16 @@ func TestGoldenIndex(t *testing.T) {
 	var f *Framework
 	var opts OpenOptions
 	for _, workers := range []int{1, 2, 4} {
-		f, opts = goldenFramework(t, workers)
+		f, opts = goldenFramework(t, workers, false)
 		if got, entries := goldenIndexDigest(t, f); got != goldenIndexHash {
 			t.Errorf("Workers %d: index hash over %d entries = %s, want %s", workers, entries, got, goldenIndexHash)
 		}
+	}
+	// The CSV codec is lossless: the corpus read back from its CSV files
+	// indexes to the same hash.
+	viaCSV, _ := goldenFramework(t, 2, true)
+	if got, entries := goldenIndexDigest(t, viaCSV); got != goldenIndexHash {
+		t.Errorf("corpus through WriteCSV/ReadCSV: index hash over %d entries = %s, want %s", entries, got, goldenIndexHash)
 	}
 	path := filepath.Join(t.TempDir(), "golden.snap")
 	if err := f.Save(path); err != nil {

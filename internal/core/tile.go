@@ -2,11 +2,14 @@ package core
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
 	"github.com/urbandata/datapolygamy/internal/bitvec"
+	"github.com/urbandata/datapolygamy/internal/dataset"
 	"github.com/urbandata/datapolygamy/internal/feature"
 	"github.com/urbandata/datapolygamy/internal/scalar"
+	"github.com/urbandata/datapolygamy/internal/spatial"
 	"github.com/urbandata/datapolygamy/internal/stgraph"
 	"github.com/urbandata/datapolygamy/internal/temporal"
 )
@@ -28,6 +31,39 @@ import (
 // same way, which is what keeps append-then-query byte-identical to
 // rebuild-then-query.
 
+// jobInputs is what one indexing job derives from its data sets once and
+// shares across its tasks: each data set binned at every resolution it is
+// indexed at (scalar.Bin), and its attribute columns (scalar.Columns). The
+// maps are filled when the job is planned and only read while it runs;
+// an input is built by the first task that asks for it, inside the worker
+// pool, and all of them are dropped with the job.
+type jobInputs struct {
+	bins map[binKey]func() (*scalar.Binned, error)
+	cols map[*dataset.Dataset]func() [][]float64
+}
+
+type binKey struct {
+	ds  *dataset.Dataset
+	res Resolution
+}
+
+// newJobInputs plans the inputs of tasks over the given timelines.
+func newJobInputs(city *spatial.CityMap, timelines map[temporal.Resolution]*temporal.Timeline, tasks []funcTask) *jobInputs {
+	in := &jobInputs{bins: make(map[binKey]func() (*scalar.Binned, error)), cols: make(map[*dataset.Dataset]func() [][]float64)}
+	for _, t := range tasks {
+		d, res := t.ds, t.res
+		if in.bins[binKey{d, res}] == nil {
+			in.bins[binKey{d, res}] = sync.OnceValues(func() (*scalar.Binned, error) {
+				return scalar.Bin(d, city, res.Spatial, timelines[res.Temporal])
+			})
+		}
+		if in.cols[d] == nil {
+			in.cols[d] = sync.OnceValue(func() [][]float64 { return scalar.Columns(d) })
+		}
+	}
+	return in
+}
+
 // tileTimings carries the per-phase worker time of one tiled entry build.
 type tileTimings struct {
 	compute time.Duration // scalar computation (paper job 1)
@@ -37,7 +73,9 @@ type tileTimings struct {
 // rebuildEntryTiles computes tiles [fromTile, tl.NumTiles()) of the entries
 // of one funcTask (the base function plus its gradient when enabled) and
 // returns the complete entries over the full timeline. It is the one
-// builder of index entries: build, ingest and append all run it.
+// builder of index entries: build, ingest and append all run it, reading
+// the task's tuples from the job's inputs, whose timeline at the task's
+// resolution must be tl.
 //
 // When base is nil the whole domain is computed (fromTile must be 0). When
 // base holds the task's existing entries — one per variant, in variant
@@ -45,7 +83,7 @@ type tileTimings struct {
 // tiles before fromTile are reused: the existing vectors are zero-extended
 // to the new domain and only the given tile range is recomputed and
 // re-stitched. This is the append path; base entries are never mutated.
-func (f *Framework) rebuildEntryTiles(t funcTask, tl *temporal.Timeline, g *stgraph.Graph, fromTile int, base []*FunctionEntry) ([]*FunctionEntry, tileTimings, error) {
+func (f *Framework) rebuildEntryTiles(t funcTask, in *jobInputs, tl *temporal.Timeline, g *stgraph.Graph, fromTile int, base []*FunctionEntry) ([]*FunctionEntry, tileTimings, error) {
 	var tm tileTimings
 	nTiles := tl.NumTiles()
 	if fromTile < 0 || fromTile >= nTiles {
@@ -101,6 +139,16 @@ func (f *Framework) rebuildEntryTiles(t funcTask, tl *temporal.Timeline, g *stgr
 		accs[vi] = a
 	}
 
+	start := time.Now()
+	src, err := in.bins[binKey{t.ds, t.res}]()
+	if err != nil {
+		return nil, tm, err
+	}
+	var col []float64
+	if t.spec.Kind == scalar.Attribute {
+		col = in.cols[t.ds]()[t.ds.AttrIndex(t.spec.Attr)]
+	}
+	tm.compute += time.Since(start)
 	adj := g.SpatialAdjacency()
 	for ti := fromTile; ti < nTiles; ti++ {
 		lo, hi := tl.TileBounds(ti)
@@ -115,10 +163,7 @@ func (f *Framework) rebuildEntryTiles(t funcTask, tl *temporal.Timeline, g *stgr
 			}
 		}
 		start := time.Now()
-		fn, err := scalar.ComputeOnDomain(t.ds, t.spec, f.opts.City, t.res.Spatial, t.res.Temporal, sub, tg)
-		if err != nil {
-			return nil, tm, err
-		}
+		fn := src.Compute(t.spec, col, lo, sub, tg)
 		variants := []*scalar.Function{fn}
 		if f.opts.IncludeGradients {
 			variants = append(variants, scalar.Gradient(fn))
@@ -144,11 +189,11 @@ func (f *Framework) rebuildEntryTiles(t funcTask, tl *temporal.Timeline, g *stgr
 			a.extPos.CopyRange(ext.Positive, 0, off, tileBits)
 			a.extNeg.CopyRange(ext.Negative, 0, off, tileBits)
 			a.tileThresholds = append(a.tileThresholds, ex.Thresholds())
-			a.tileCriticalPoints = append(a.tileCriticalPoints,
-				ex.JoinTree().NumCriticalPoints()+ex.SplitTree().NumCriticalPoints())
+			a.tileCriticalPoints = append(a.tileCriticalPoints, ex.CriticalPoints())
 			if ti == 0 {
 				a.entryThresholds = ex.Thresholds()
 			}
+			vfn.Recycle()
 		}
 		tm.feature += time.Since(start)
 	}

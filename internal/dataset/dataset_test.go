@@ -2,6 +2,7 @@ package dataset
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"strings"
 	"testing"
@@ -139,22 +140,34 @@ func TestCSVRoundTrip(t *testing.T) {
 }
 
 func TestReadCSVErrors(t *testing.T) {
-	cases := map[string]string{
-		"empty":          "",
-		"bad meta":       "x,y\n",
-		"bad sres":       "name,d,blah,hour,false\nid,x,y,region,ts\n",
-		"bad tres":       "name,d,city,blah,false\nid,x,y,region,ts\n",
-		"bad hasid":      "name,d,city,hour,maybe\nid,x,y,region,ts\n",
-		"bad header":     "name,d,city,hour,false\nfoo,x,y,region,ts\n",
-		"short header":   "name,d,city,hour,false\nid,x\n",
-		"bad id":         "name,d,city,hour,false\nid,x,y,region,ts\nzz,0,0,0,5\n",
-		"bad ts":         "name,d,city,hour,false\nid,x,y,region,ts\n1,0,0,0,zz\n",
-		"bad attr value": "name,d,city,hour,false\nid,x,y,region,ts,a\n1,0,0,0,5,zz\n",
+	const head = "name,d,city,hour,false\nid,x,y,region,ts,a\n"
+	cases := []struct {
+		name, in string
+		want     string // a substring of the error, "" for any error
+	}{
+		{"empty", "", ""},
+		{"bad meta", "x,y\n", ""},
+		{"bad sres", "name,d,blah,hour,false\nid,x,y,region,ts\n", ""},
+		{"bad tres", "name,d,city,blah,false\nid,x,y,region,ts\n", ""},
+		{"bad hasid", "name,d,city,hour,maybe\nid,x,y,region,ts\n", ""},
+		{"bad header", "name,d,city,hour,false\nfoo,x,y,region,ts\n", ""},
+		{"short header", "name,d,city,hour,false\nid,x\n", ""},
+		{"bad id", "name,d,city,hour,false\nid,x,y,region,ts\nzz,0,0,0,5\n", "line 3 id:"},
+		{"bad ts", "name,d,city,hour,false\nid,x,y,region,ts\n1,0,0,0,zz\n", "line 3 ts:"},
+		{"bad attr value", head + "1,0,0,0,5,zz\n", "line 3 attr a:"},
+		// Lines are physical lines: blank lines count.
+		{"blank line before a bad record", head + "1,0,0,0,5,1\n\n\r\n1,0,0,0,5,zz\n", "line 6 attr a:"},
+		{"quoted data field", head + "1,0,0,0,5,1\n1,0,0,0,5,\"2\"\n", "line 4: quoted field"},
+		{"extra fields", head + "1,0,0,0,5,1,2\n", "line 3 has 7 fields, want 6"},
 	}
-	for name, in := range cases {
-		if _, err := ReadCSV(strings.NewReader(in)); err == nil {
-			t.Errorf("%s: expected error", name)
+	for _, c := range cases {
+		_, err := ReadCSV(strings.NewReader(c.in))
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: error %v, want one containing %q", c.name, err, c.want)
 		}
+	}
+	if _, err := ReadCSV(strings.NewReader(head + "1,0,0,0,5,\"2\"\n")); !errors.Is(err, ErrQuotedField) {
+		t.Errorf("a quoted data field fails with %v, want ErrQuotedField", err)
 	}
 }
 

@@ -26,7 +26,7 @@ func hourlyFunction(t testing.TB, vals []float64) *scalar.Function {
 	return &scalar.Function{
 		Dataset: "e", Spec: scalar.Spec{Kind: scalar.Density},
 		SRes: spatial.City, TRes: temporal.Hour,
-		Timeline: tl, Graph: g, Values: vals, Observed: make([]bool, len(vals)),
+		Timeline: tl, Graph: g, Values: vals,
 	}
 }
 
@@ -123,7 +123,7 @@ func TestDetectSpatial(t *testing.T) {
 	f := &scalar.Function{
 		Dataset: "s", Spec: scalar.Spec{Kind: scalar.Density},
 		SRes: spatial.Neighborhood, TRes: temporal.Hour,
-		Timeline: tl, Graph: g, Values: vals, Observed: make([]bool, len(vals)),
+		Timeline: tl, Graph: g, Values: vals,
 	}
 	set := Detect(f, 3)
 	if !set.Positive.Get(bump) {

@@ -11,6 +11,7 @@ import (
 	"github.com/urbandata/datapolygamy/internal/scalar"
 	"github.com/urbandata/datapolygamy/internal/spatial"
 	"github.com/urbandata/datapolygamy/internal/temporal"
+	"github.com/urbandata/datapolygamy/internal/topology"
 )
 
 // timeString renders a function's step start as a date.
@@ -34,8 +35,7 @@ func RunFigure5(e *Env, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	ex := feature.NewExtractor(fn)
-	split := ex.SplitTree()
+	split := topology.ComputeSplit(fn.Graph, fn.Values)
 
 	pers := make([]float64, len(split.Pairs))
 	for i, p := range split.Pairs {
@@ -79,7 +79,7 @@ func RunFigure5(e *Env, w io.Writer) error {
 		return err
 	}
 	dex := feature.NewExtractor(daily)
-	dsplit := dex.SplitTree()
+	dsplit := topology.ComputeSplit(daily.Graph, daily.Values)
 	dpers := make([]float64, len(dsplit.Pairs))
 	for i, p := range dsplit.Pairs {
 		dpers[i] = p.Persistence

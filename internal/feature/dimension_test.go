@@ -63,7 +63,7 @@ func TestThreeDimensionalSpatialDomain(t *testing.T) {
 	f := &scalar.Function{
 		Dataset: "building_noise", Spec: scalar.Spec{Kind: scalar.Attribute, Attr: "db", Agg: scalar.Avg},
 		SRes: spatial.Neighborhood, TRes: temporal.Hour,
-		Timeline: tl, Graph: g, Values: vals, Observed: make([]bool, len(vals)),
+		Timeline: tl, Graph: g, Values: vals,
 	}
 	set := NewExtractor(f).Extract(Salient)
 	for s := 100; s <= 103; s++ {

@@ -14,7 +14,9 @@ package feature
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
+	"sync"
 
 	"github.com/urbandata/datapolygamy/internal/bitvec"
 	"github.com/urbandata/datapolygamy/internal/mathx"
@@ -104,25 +106,35 @@ type Thresholds struct {
 	ExtremeNeg float64
 }
 
-// Extractor computes feature sets for one scalar function. It owns the
-// function's join and split trees, so constructing it once and extracting
-// both salient and extreme features amortises the index build.
+// Extractor computes feature sets for one scalar function. Constructing it
+// sweeps the function's join and split trees once and keeps what feature
+// extraction needs — the thresholds and the trees' counts, not the trees —
+// so extracting both salient and extreme features amortises the index
+// build.
 type Extractor struct {
-	fn    *scalar.Function
-	join  *topology.Tree
-	split *topology.Tree
-	th    Thresholds
-
-	// salient extrema recorded during threshold computation, used both for
-	// extreme thresholds and for diagnostics.
-	salientMaxVals []float64
-	salientMinVals []float64
+	fn *scalar.Function
+	th Thresholds
+	// maxima and minima count the leaves of the join and the split tree;
+	// critical counts the critical points of both.
+	maxima, minima, critical int
 
 	// Seasons are contiguous step ranges: season i has key seasons[i] and
 	// covers steps [seasonStart[i], seasonStart[i+1]).
 	seasons     []int
 	seasonStart []int
 }
+
+// scratch is the working memory of one extractor construction, reused
+// through scratchPool: the extrema of both merge trees (NewExtractor), and
+// the season slots seasonThresholds groups one tree's extrema into.
+type scratch struct {
+	join, split  topology.Extrema
+	at, seasonOf []int
+	values, pers []float64
+	salient      []float64 // the values of the salient extrema
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 
 // NewExtractor builds the merge-tree index of f and computes all feature
 // thresholds (salient per season, extreme global). NaN values — which the
@@ -132,8 +144,10 @@ type Extractor struct {
 // features.
 func NewExtractor(f *scalar.Function) *Extractor {
 	f = sanitize(f)
-	join, split := topology.ComputeBoth(f.Graph, f.Values)
-	return NewExtractorWithTrees(f, join, split)
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
+	topology.Persistence(f.Graph, f.Values, &sc.join, &sc.split)
+	return newExtractor(f, &sc.join, &sc.split, sc)
 }
 
 // sanitize returns f unchanged when it has no NaN values; otherwise a copy
@@ -171,10 +185,19 @@ func sanitize(f *scalar.Function) *scalar.Function {
 // trees (which must be the join and split trees of f), so index creation
 // and threshold/feature computation can be timed separately.
 func NewExtractorWithTrees(f *scalar.Function, join, split *topology.Tree) *Extractor {
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
+	return newExtractor(f, &join.Extrema, &split.Extrema, sc)
+}
+
+// newExtractor computes the thresholds of f from the extrema of its join
+// and split tree.
+func newExtractor(f *scalar.Function, join, split *topology.Extrema, sc *scratch) *Extractor {
 	e := &Extractor{
-		fn:    f,
-		join:  join,
-		split: split,
+		fn:       f,
+		maxima:   len(join.Leaves),
+		minima:   len(split.Leaves),
+		critical: join.Critical + split.Critical,
 	}
 	tl := f.Timeline
 	for step := 0; step < tl.Len(); {
@@ -184,10 +207,8 @@ func NewExtractorWithTrees(f *scalar.Function, join, split *topology.Tree) *Extr
 		step += sort.Search(tl.Len()-step, func(i int) bool { return tl.SeasonOf(step+i) != key })
 	}
 	e.seasonStart = append(e.seasonStart, tl.Len())
-	e.th.PosBySeason, e.salientMaxVals = e.seasonThresholds(e.join)
-	e.th.NegBySeason, e.salientMinVals = e.seasonThresholds(e.split)
-	e.th.ExtremePos = extremeThreshold(e.salientMaxVals, true)
-	e.th.ExtremeNeg = extremeThreshold(e.salientMinVals, false)
+	e.th.PosBySeason, e.th.ExtremePos = e.seasonThresholds(topology.Join, join, sc)
+	e.th.NegBySeason, e.th.ExtremeNeg = e.seasonThresholds(topology.Split, split, sc)
 	return e
 }
 
@@ -197,15 +218,13 @@ func (e *Extractor) Function() *scalar.Function { return e.fn }
 // Thresholds returns the computed thresholds.
 func (e *Extractor) Thresholds() Thresholds { return e.th }
 
-// JoinTree exposes the join tree (for diagnostics and benchmarks).
-func (e *Extractor) JoinTree() *topology.Tree { return e.join }
-
-// SplitTree exposes the split tree.
-func (e *Extractor) SplitTree() *topology.Tree { return e.split }
+// CriticalPoints returns the number of critical points of the function's
+// join and split trees together (the index size).
+func (e *Extractor) CriticalPoints() int { return e.critical }
 
 // seasonThresholds computes the per-season salient threshold from the
-// persistence of the tree's extrema, and collects the function values of
-// the salient extrema across all seasons.
+// persistence of one tree's extrema x, and from the function values of the
+// salient extrema across all seasons the tree's extreme threshold.
 //
 // For a join tree, the threshold for a season is the smallest function
 // value among its high-persistence maxima (so every such maximum is
@@ -214,14 +233,15 @@ func (e *Extractor) SplitTree() *topology.Tree { return e.split }
 // follows Section 3.3; when clustering cannot separate (one extremum, or
 // all persistences equal), the most persistent extrema are used if they
 // stand out, otherwise the season yields no salient features.
-func (e *Extractor) seasonThresholds(tree *topology.Tree) (SeasonThresholds, []float64) {
+func (e *Extractor) seasonThresholds(kind topology.Kind, x *topology.Extrema, sc *scratch) (SeasonThresholds, float64) {
 	// Group the leaves by season into flat slots, in tree order within a
 	// season: a counting sort on the season index.
-	nSeasons := len(e.seasons)
-	at := make([]int, nSeasons+1)
-	seasonOf := make([]int, len(tree.Leaves))
-	for i, leaf := range tree.Leaves {
-		_, step := e.fn.Graph.RegionStep(leaf)
+	nSeasons, n := len(e.seasons), len(x.Leaves)
+	sc.at = append(sc.at[:0], make([]int, nSeasons+1)...)
+	sc.seasonOf = slices.Grow(sc.seasonOf[:0], n)[:n]
+	at, seasonOf := sc.at, sc.seasonOf
+	for i, leaf := range x.Leaves {
+		_, step := e.fn.Graph.RegionStep(int(leaf))
 		si := sort.SearchInts(e.seasonStart, step+1) - 1
 		seasonOf[i] = si
 		at[si+1]++
@@ -229,19 +249,22 @@ func (e *Extractor) seasonThresholds(tree *topology.Tree) (SeasonThresholds, []f
 	for si := 0; si < nSeasons; si++ {
 		at[si+1] += at[si]
 	}
-	next := append([]int(nil), at[:nSeasons]...)
-	values := make([]float64, len(tree.Leaves))
-	pers := make([]float64, len(tree.Leaves))
-	for i, leaf := range tree.Leaves {
-		p := next[seasonOf[i]]
-		next[seasonOf[i]]++
-		values[p], pers[p] = e.fn.Values[leaf], tree.Pairs[i].Persistence
+	sc.values, sc.pers = slices.Grow(sc.values[:0], n)[:n], slices.Grow(sc.pers[:0], n)[:n]
+	values, pers := sc.values, sc.pers
+	for i, leaf := range x.Leaves {
+		p := at[seasonOf[i]]
+		at[seasonOf[i]]++
+		values[p], pers[p] = e.fn.Values[leaf], x.Persistence[i]
 	}
+	// Each at[si] has moved to the end of season si: the start of si+1.
 
 	var out SeasonThresholds
-	var salientVals []float64
+	salient := sc.salient[:0]
 	for si, season := range e.seasons {
-		lo, hi := at[si], at[si+1]
+		lo, hi := 0, at[si]
+		if si > 0 {
+			lo = at[si-1]
+		}
 		if lo == hi {
 			continue // no extremum in this season
 		}
@@ -263,16 +286,17 @@ func (e *Extractor) seasonThresholds(tree *topology.Tree) (SeasonThresholds, []f
 			}
 			if math.IsNaN(threshold) {
 				threshold = v
-			} else if tree.Kind() == topology.Join {
+			} else if kind == topology.Join {
 				threshold = math.Min(threshold, v)
 			} else {
 				threshold = math.Max(threshold, v)
 			}
-			salientVals = append(salientVals, v)
+			salient = append(salient, v)
 		}
 		out = append(out, SeasonTheta{Season: season, Theta: threshold})
 	}
-	return out, salientVals
+	sc.salient = salient
+	return out, extremeThreshold(salient, kind == topology.Join)
 }
 
 // extremeThreshold applies the box-plot outlier rule to the salient
@@ -311,17 +335,6 @@ func (e *Extractor) Extract(class Class) *Set {
 			set.Negative.Reset()
 		}
 	}
-	return set
-}
-
-// ExtractWithThresholds bypasses automatic threshold computation and
-// extracts features at user-provided thresholds (clause-specified
-// thresholds, Section 5.3). NaN skips that sign.
-func (e *Extractor) ExtractWithThresholds(thetaPos, thetaNeg float64) *Set {
-	n := e.fn.Graph.NumVertices()
-	set := &Set{Positive: bitvec.New(n), Negative: bitvec.New(n)}
-	e.markLevelSet(topology.Join, thetaPos, set.Positive)
-	e.markLevelSet(topology.Split, thetaNeg, set.Negative)
 	return set
 }
 
@@ -409,5 +422,5 @@ func markIn(vals []float64, lo, hi float64, out *bitvec.Vector, off int) int {
 // String summarises the extractor for diagnostics.
 func (e *Extractor) String() string {
 	return fmt.Sprintf("extractor(%s: %d maxima, %d minima, %d seasons)",
-		e.fn.Key(), len(e.join.Leaves), len(e.split.Leaves), len(e.th.PosBySeason))
+		e.fn.Key(), e.maxima, e.minima, len(e.th.PosBySeason))
 }

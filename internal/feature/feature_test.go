@@ -1,6 +1,8 @@
 package feature
 
 import (
+	"fmt"
+	"github.com/urbandata/datapolygamy/internal/bitvec"
 	"math"
 	"testing"
 	"time"
@@ -9,6 +11,7 @@ import (
 	"github.com/urbandata/datapolygamy/internal/spatial"
 	"github.com/urbandata/datapolygamy/internal/stgraph"
 	"github.com/urbandata/datapolygamy/internal/temporal"
+	"github.com/urbandata/datapolygamy/internal/topology"
 )
 
 // seriesFunction builds a city-resolution (1D) scalar function directly
@@ -28,10 +31,6 @@ func seriesFunction(t testing.TB, start time.Time, vals []float64) *scalar.Funct
 	if err != nil {
 		t.Fatal(err)
 	}
-	obs := make([]bool, len(vals))
-	for i := range obs {
-		obs[i] = true
-	}
 	return &scalar.Function{
 		Dataset:  "test",
 		Spec:     scalar.Spec{Kind: scalar.Density},
@@ -40,7 +39,6 @@ func seriesFunction(t testing.TB, start time.Time, vals []float64) *scalar.Funct
 		Timeline: tl,
 		Graph:    g,
 		Values:   vals,
-		Observed: obs,
 	}
 }
 
@@ -319,8 +317,21 @@ func TestExtractorString(t *testing.T) {
 	if e.String() == "" || e.Function() != f {
 		t.Error("accessor methods broken")
 	}
-	if e.JoinTree() == nil || e.SplitTree() == nil {
-		t.Error("tree accessors broken")
+	join, split := topology.ComputeBoth(f.Graph, f.Values)
+	if want := join.NumCriticalPoints() + split.NumCriticalPoints(); e.CriticalPoints() != want {
+		t.Errorf("CriticalPoints = %d, the trees have %d", e.CriticalPoints(), want)
+	}
+}
+
+// TestExtractorWithTrees: thresholds from caller-built trees equal those
+// NewExtractor computes from its pooled extrema.
+func TestExtractorWithTrees(t *testing.T) {
+	vals, _ := spikySeries()
+	f := seriesFunction(t, jan2012(), vals)
+	join, split := topology.ComputeBoth(f.Graph, f.Values)
+	a, b := NewExtractor(f), NewExtractorWithTrees(f, join, split)
+	if fmt.Sprint(a.Thresholds()) != fmt.Sprint(b.Thresholds()) || a.CriticalPoints() != b.CriticalPoints() || a.String() != b.String() {
+		t.Errorf("with trees %v (%d critical), pooled %v (%d critical)", b.Thresholds(), b.CriticalPoints(), a.Thresholds(), a.CriticalPoints())
 	}
 }
 
@@ -350,7 +361,7 @@ func TestSpatialFeatures(t *testing.T) {
 	f := &scalar.Function{
 		Dataset: "grid", Spec: scalar.Spec{Kind: scalar.Density},
 		SRes: spatial.Neighborhood, TRes: temporal.Hour,
-		Timeline: tl, Graph: g, Values: vals, Observed: make([]bool, len(vals)),
+		Timeline: tl, Graph: g, Values: vals,
 	}
 	set := NewExtractor(f).Extract(Salient)
 	for s := 20; s <= 22; s++ {
@@ -402,16 +413,17 @@ func TestExtremeFeaturesOnDisconnectedDomain(t *testing.T) {
 	f := &scalar.Function{
 		Dataset: "islands", Spec: scalar.Spec{Kind: scalar.Density},
 		SRes: spatial.Neighborhood, TRes: temporal.Hour,
-		Timeline: tl, Graph: g, Values: vals, Observed: make([]bool, len(vals)),
+		Timeline: tl, Graph: g, Values: vals,
 	}
 	e := NewExtractor(f)
+	join, split := topology.ComputeBoth(g, vals)
 	for _, c := range []struct {
 		name   string
-		leaves []int
+		leaves []int32
 		v      int
-	}{{"join", e.JoinTree().Leaves, top}, {"split", e.SplitTree().Leaves, deep}} {
+	}{{"join", join.Leaves, top}, {"split", split.Leaves, deep}} {
 		for _, l := range c.leaves {
-			if l == c.v {
+			if int(l) == c.v {
 				t.Fatalf("vertex %d is a %s leaf; the test needs it unpaired", c.v, c.name)
 			}
 		}
@@ -434,4 +446,15 @@ func TestExtremeFeaturesOnDisconnectedDomain(t *testing.T) {
 	if !explicit.Positive.Get(top) || !explicit.Negative.Get(deep) {
 		t.Error("explicit thresholds miss the unpaired extrema")
 	}
+}
+
+// ExtractWithThresholds bypasses automatic threshold computation and
+// extracts features at user-provided thresholds (clause-specified
+// thresholds, Section 5.3). NaN skips that sign.
+func (e *Extractor) ExtractWithThresholds(thetaPos, thetaNeg float64) *Set {
+	n := e.fn.Graph.NumVertices()
+	set := &Set{Positive: bitvec.New(n), Negative: bitvec.New(n)}
+	e.markLevelSet(topology.Join, thetaPos, set.Positive)
+	e.markLevelSet(topology.Split, thetaNeg, set.Negative)
+	return set
 }

@@ -2,6 +2,7 @@ package montecarlo
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -314,4 +315,47 @@ func BenchmarkRestrictedTest1D(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		Test(s1, s2, g, 1.0, Config{Permutations: 1000, Seed: int64(i)})
 	}
+}
+
+// ToroidalShift builds a random bijection over the regions of a spatial
+// adjacency graph that preserves adjacency wherever possible: starting from
+// a random seed mapping m(u) = v, adjacent regions of u are assigned to
+// unused adjacent regions of v in breadth-first order; regions that cannot
+// be placed next to their image neighborhood fall back to a random unused
+// region (the graph analogue of wrapping an irregular domain onto a torus).
+func ToroidalShift(adj [][]int, rng *rand.Rand) []int {
+	var sc shiftScratch
+	perm32 := make([]int32, len(adj))
+	sc.toroidal(adj, rng, perm32)
+	perm := make([]int, len(adj))
+	for i, v := range perm32 {
+		perm[i] = int(v)
+	}
+	return perm
+}
+
+// AdjacencyPreserved returns the fraction of directed edges (u, u') whose
+// images remain adjacent under perm — a quality diagnostic for shifts.
+// Neighbor lists are sorted once and membership resolved by binary search,
+// so the cost is O(E log deg) rather than O(E·deg).
+func AdjacencyPreserved(adj [][]int, perm []int) float64 {
+	sorted := make([][]int, len(adj))
+	for i, nbrs := range adj {
+		s := slices.Clone(nbrs)
+		slices.Sort(s)
+		sorted[i] = s
+	}
+	total, kept := 0, 0
+	for u, nbrs := range adj {
+		for _, up := range nbrs {
+			total++
+			if _, ok := slices.BinarySearch(sorted[perm[u]], perm[up]); ok {
+				kept++
+			}
+		}
+	}
+	if total == 0 {
+		return 1
+	}
+	return float64(kept) / float64(total)
 }

@@ -271,9 +271,6 @@ func (g *Graph) linkDatasets(i int32) (int32, int32) {
 	return g.dsOf[g.tab.ds[l.F1]], g.dsOf[g.tab.ds[l.F2]]
 }
 
-// NumNodes returns the number of functions participating in relationships.
-func (g *Graph) NumNodes() int { return len(g.nodes) }
-
 // NumEdges returns the number of materialized relationships.
 func (g *Graph) NumEdges() int { return len(g.links) }
 

@@ -418,3 +418,6 @@ func TestAssembleOrderMatchesStringOracle(t *testing.T) {
 		t.Errorf("Datasets() = %q, want %q", g.Datasets(), want)
 	}
 }
+
+// NumNodes returns the number of functions participating in relationships.
+func (g *Graph) NumNodes() int { return len(g.nodes) }

@@ -1,9 +1,6 @@
 package scalar
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
 // Gradient derives a new scalar function whose value at each vertex is the
 // discrete gradient magnitude of f over the spatio-temporal domain graph:
@@ -17,9 +14,9 @@ import (
 // the standard feature pipeline on the gradient function surfaces them.
 func Gradient(f *Function) *Function {
 	g := f.Graph
-	out := f.clone()
+	out := *f
 	out.Derived = "grad"
-	out.Values = make([]float64, len(f.Values))
+	out.Values = newValues(len(f.Values))
 	for v := range f.Values {
 		sum := 0.0
 		deg := 0
@@ -32,12 +29,5 @@ func Gradient(f *Function) *Function {
 			out.Values[v] = math.Sqrt(sum / float64(deg))
 		}
 	}
-	return out
-}
-
-// GradientKey returns the key a gradient of f would have in an index
-// (equal to Gradient(f).Key()); gradient keys never collide with their
-// sources because of the "grad_" namespace.
-func GradientKey(f *Function) string {
-	return fmt.Sprintf("%s/grad_%s@%s,%s", f.Dataset, f.Spec.Name(), f.SRes, f.TRes)
+	return &out
 }

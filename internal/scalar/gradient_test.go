@@ -1,6 +1,7 @@
 package scalar
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"time"
@@ -26,8 +27,7 @@ func gradientFixture(t *testing.T, nRegions, nSteps int, adj [][]int) *Function 
 		Dataset: "g", Spec: Spec{Kind: Density},
 		SRes: spatial.Neighborhood, TRes: temporal.Hour,
 		Timeline: tl, Graph: g,
-		Values:   make([]float64, g.NumVertices()),
-		Observed: make([]bool, g.NumVertices()),
+		Values: make([]float64, g.NumVertices()),
 	}
 }
 
@@ -152,4 +152,11 @@ func TestCustomAggregate(t *testing.T) {
 	if f.Spec.Name() != "range_fare" {
 		t.Errorf("custom spec name = %q", f.Spec.Name())
 	}
+}
+
+// GradientKey returns the key a gradient of f would have in an index
+// (equal to Gradient(f).Key()); gradient keys never collide with their
+// sources because of the "grad_" namespace.
+func GradientKey(f *Function) string {
+	return fmt.Sprintf("%s/grad_%s@%s,%s", f.Dataset, f.Spec.Name(), f.SRes, f.TRes)
 }

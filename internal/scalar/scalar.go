@@ -14,11 +14,10 @@
 package scalar
 
 import (
+	"cmp"
 	"fmt"
-	"math"
 	"math/rand"
 	"slices"
-	"sort"
 	"sync"
 
 	"github.com/urbandata/datapolygamy/internal/dataset"
@@ -149,11 +148,10 @@ type Function struct {
 	Timeline *temporal.Timeline
 	Graph    *stgraph.Graph
 
+	// Values holds the function at every vertex. A vertex no tuple
+	// contributed to is imputed: zero for count functions, the mean of the
+	// observed vertices for attribute functions.
 	Values []float64
-	// Observed marks vertices where at least one tuple contributed; the
-	// remaining vertices were imputed (zero for count functions, the global
-	// mean for attribute functions).
-	Observed []bool
 }
 
 // Name returns the function's name: the spec name, prefixed by the
@@ -180,10 +178,6 @@ func (f *Function) Value(region, step int) float64 {
 // partition; sres must be a polygon resolution the data can be converted to
 // and tres a temporal resolution its timestamps can be aggregated into.
 func Compute(d *dataset.Dataset, spec Spec, city *spatial.CityMap, sres spatial.Resolution, tres temporal.Resolution) (*Function, error) {
-	attrIdx, err := checkRequest(d, spec, sres, tres)
-	if err != nil {
-		return nil, err
-	}
 	minTS, maxTS, ok := d.TimeRange()
 	if !ok {
 		return nil, fmt.Errorf("scalar: %s is empty", d.Name)
@@ -192,197 +186,276 @@ func Compute(d *dataset.Dataset, spec Spec, city *spatial.CityMap, sres spatial.
 	if err != nil {
 		return nil, err
 	}
-	return computeOnTimeline(d, spec, attrIdx, city, sres, tl)
+	return ComputeOnTimeline(d, spec, city, sres, tres, tl)
 }
 
 // ComputeOnTimeline is like Compute but uses a caller-provided timeline,
 // which lets several functions (e.g. year-split halves of a data set) share
 // identical step indexing.
 func ComputeOnTimeline(d *dataset.Dataset, spec Spec, city *spatial.CityMap, sres spatial.Resolution, tres temporal.Resolution, tl *temporal.Timeline) (*Function, error) {
-	attrIdx, err := checkRequest(d, spec, sres, tres)
+	if _, err := checkRequest(d, spec, sres, tres, tl); err != nil {
+		return nil, err
+	}
+	g, err := stgraph.New(city.NumRegions(sres), tl.Len(), city.Adjacency(sres))
 	if err != nil {
 		return nil, err
 	}
-	if tl.Res() != tres {
-		return nil, fmt.Errorf("scalar: timeline resolution %s does not match %s", tl.Res(), tres)
-	}
-	return computeOnTimeline(d, spec, attrIdx, city, sres, tl)
-}
-
-func computeOnTimeline(d *dataset.Dataset, spec Spec, attrIdx int, city *spatial.CityMap, sres spatial.Resolution, tl *temporal.Timeline) (*Function, error) {
-	nRegions := city.NumRegions(sres)
-	g, err := stgraph.New(nRegions, tl.Len(), city.Adjacency(sres))
-	if err != nil {
-		return nil, err
-	}
-	return computeOnDomain(d, spec, attrIdx, city, sres, tl, g)
+	return ComputeOnDomain(d, spec, city, sres, tres, tl, g)
 }
 
 // ComputeOnDomain is like ComputeOnTimeline but additionally reuses a
 // caller-provided domain graph (which must match the city's adjacency at
 // sres and the timeline length), letting a corpus share one graph per
-// resolution.
+// resolution. It bins the tuples (Bin) and aggregates over the bins, with
+// the vertex ids and the attribute column in pooled scratch.
 func ComputeOnDomain(d *dataset.Dataset, spec Spec, city *spatial.CityMap, sres spatial.Resolution, tres temporal.Resolution, tl *temporal.Timeline, g *stgraph.Graph) (*Function, error) {
-	attrIdx, err := checkRequest(d, spec, sres, tres)
+	attr, err := checkRequest(d, spec, sres, tres, tl)
 	if err != nil {
 		return nil, err
-	}
-	if tl.Res() != tres {
-		return nil, fmt.Errorf("scalar: timeline resolution %s does not match %s", tl.Res(), tres)
 	}
 	if g.NumRegions() != city.NumRegions(sres) || g.NumSteps() != tl.Len() {
 		return nil, fmt.Errorf("scalar: domain graph %dx%d does not match city/timeline %dx%d",
 			g.NumRegions(), g.NumSteps(), city.NumRegions(sres), tl.Len())
 	}
-	return computeOnDomain(d, spec, attrIdx, city, sres, tl, g)
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
+	b := &Binned{d: d, sres: sres, regions: g.NumRegions()}
+	if b.vertex, err = bin(sc.vertex[:0], d, city, sres, tl); err != nil {
+		return nil, err
+	}
+	sc.vertex = b.vertex
+	var col []float64
+	if attr >= 0 {
+		col = column(sc.col[:0], d, attr)
+		sc.col = col
+	}
+	return b.Compute(spec, col, 0, tl, g), nil
 }
 
 // checkRequest checks what the Compute entry points share — the data set's
 // schema, the resolutions, the spec — and returns the attribute index of an
-// attribute spec (-1 otherwise). The per-tuple checks run in the binning
-// loop of computeOnDomain, the one pass over the tuples.
-func checkRequest(d *dataset.Dataset, spec Spec, sres spatial.Resolution, tres temporal.Resolution) (int, error) {
+// attribute spec (-1 otherwise). The per-tuple checks run in bin, the one
+// pass over the tuples.
+func checkRequest(d *dataset.Dataset, spec Spec, sres spatial.Resolution, tres temporal.Resolution, tl *temporal.Timeline) (int, error) {
 	if err := d.ValidateSchema(); err != nil {
 		return -1, err
 	}
-	if sres == spatial.GPS {
+	switch {
+	case sres == spatial.GPS:
 		return -1, fmt.Errorf("scalar: relationships are never evaluated at GPS resolution")
-	}
-	if !d.SpatialRes.ConvertibleTo(sres) {
+	case !d.SpatialRes.ConvertibleTo(sres):
 		return -1, fmt.Errorf("scalar: %s spatial resolution %s not convertible to %s", d.Name, d.SpatialRes, sres)
-	}
-	if !d.TemporalRes.ConvertibleTo(tres) {
+	case !d.TemporalRes.ConvertibleTo(tres):
 		return -1, fmt.Errorf("scalar: %s temporal resolution %s not convertible to %s", d.Name, d.TemporalRes, tres)
-	}
-	if spec.Kind == Unique && !d.HasID {
+	case tl.Res() != tres:
+		return -1, fmt.Errorf("scalar: timeline resolution %s does not match %s", tl.Res(), tres)
+	case spec.Kind == Unique && !d.HasID:
 		return -1, fmt.Errorf("scalar: %s has no identifier attribute for the unique function", d.Name)
+	case spec.Kind != Attribute:
+		return -1, nil
 	}
-	attrIdx := -1
-	if spec.Kind == Attribute {
-		if attrIdx = d.AttrIndex(spec.Attr); attrIdx < 0 {
-			return -1, fmt.Errorf("scalar: %s has no attribute %q", d.Name, spec.Attr)
-		}
+	attr := d.AttrIndex(spec.Attr)
+	if attr < 0 {
+		return -1, fmt.Errorf("scalar: %s has no attribute %q", d.Name, spec.Attr)
 	}
-	return attrIdx, nil
+	return attr, nil
 }
 
-// scratch is computeOnDomain's working memory, reused across calls through
-// scratchPool: the running aggregates of attribute functions and the
-// (vertex, id) observations of unique functions. Only the Function escapes.
-type scratch struct {
-	sums, cnts []float64
-	uniq       []vertexID
+// Binned is a valid data set placed on one evaluation domain: the vertex
+// of every tuple at a spatial resolution over a timeline. Every function
+// of the data set at that resolution, on every tile of the timeline,
+// aggregates over the same vertex ids, so a data set is binned once per
+// resolution rather than once per function.
+type Binned struct {
+	d       *dataset.Dataset
+	sres    spatial.Resolution
+	regions int
+	// vertex[i] is tuple i's vertex (step-major, as in Function.Values),
+	// or -1 when the tuple falls outside the city or the timeline.
+	vertex []int32
 }
 
-var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
-
-// aggregates returns zeroed sums and counts for n vertices.
-func (s *scratch) aggregates(n int) (sums, cnts []float64) {
-	if cap(s.sums) < n {
-		s.sums, s.cnts = make([]float64, n), make([]float64, n)
-	}
-	sums, cnts = s.sums[:n], s.cnts[:n]
-	clear(sums)
-	clear(cnts)
-	return sums, cnts
+// Bin places the tuples of d on the domain of sres over tl, which must be
+// a resolution pair d converts to and the domain of a stgraph.Graph.
+func Bin(d *dataset.Dataset, city *spatial.CityMap, sres spatial.Resolution, tl *temporal.Timeline) (*Binned, error) {
+	vertex, err := bin(make([]int32, 0, len(d.Tuples)), d, city, sres, tl)
+	return &Binned{d: d, sres: sres, regions: city.NumRegions(sres), vertex: vertex}, err
 }
 
-func computeOnDomain(d *dataset.Dataset, spec Spec, attrIdx int, city *spatial.CityMap, sres spatial.Resolution, tl *temporal.Timeline, g *stgraph.Graph) (*Function, error) {
-	n := g.NumVertices()
-	f := &Function{
-		Dataset:  d.Name,
-		Spec:     spec,
-		SRes:     sres,
-		TRes:     tl.Res(),
-		Timeline: tl,
-		Graph:    g,
-		Values:   make([]float64, n),
-		Observed: make([]bool, n),
-	}
-	sc := scratchPool.Get().(*scratch)
-	defer scratchPool.Put(sc)
-
-	// Unique functions count distinct IDs per vertex: (vertex, id) pairs are
-	// collected flat and sorted once, instead of one hash set per vertex —
-	// a single buffer in place of one map per observed vertex plus its
-	// growth, which dominated the whole indexing pipeline's allocations.
-	var uniq []vertexID
-	var sums, cnts []float64 // running sum (Avg, Sum) or extreme (Min, Max)
-	var samples [][]float64
-	switch spec.Kind {
-	case Unique:
-		uniq = sc.uniq[:0]
-	case Attribute:
-		switch spec.Agg {
-		case Avg, Sum, Min, Max:
-			sums, cnts = sc.aggregates(n)
-		case MedianAgg, Custom:
-			samples = make([][]float64, n)
-		}
-	}
-
+// bin appends to dst the vertex of every tuple of d (see Binned), failing
+// on the first tuple that breaks the data set's invariants.
+func bin(dst []int32, d *dataset.Dataset, city *spatial.CityMap, sres spatial.Resolution, tl *temporal.Timeline) ([]int32, error) {
+	regions := city.NumRegions(sres)
 	polygon := d.SpatialRes != spatial.GPS
 	for i := range d.Tuples {
 		tup := &d.Tuples[i]
 		if len(tup.Values) != len(d.Attrs) || polygon && tup.Region < 0 {
 			return nil, d.ValidateTuple(i)
 		}
-		region := regionOf(d, tup, city, sres)
-		if region < 0 {
-			continue
+		v := int32(-1)
+		if region, step := regionOf(d, tup, city, sres), tl.Index(tup.TS); region >= 0 && step >= 0 {
+			v = int32(step*regions + region)
 		}
-		step := tl.Index(tup.TS)
-		if step < 0 {
-			continue
-		}
-		v := g.Vertex(region, step)
-		switch spec.Kind {
-		case Density:
-			f.Values[v]++
-			f.Observed[v] = true
-		case Unique:
-			uniq = append(uniq, vertexID{v: v, id: tup.ID})
-			f.Observed[v] = true
-		case Attribute:
-			x := tup.Values[attrIdx]
-			if dataset.IsMissing(x) {
-				continue
-			}
-			switch spec.Agg {
-			case Avg, Sum:
-				sums[v] += x
-				cnts[v]++
-			case Min:
-				if cnts[v] == 0 || x < sums[v] {
-					sums[v] = x
-				}
-				cnts[v]++
-			case Max:
-				if cnts[v] == 0 || x > sums[v] {
-					sums[v] = x
-				}
-				cnts[v]++
-			case MedianAgg, Custom:
-				samples[v] = append(samples[v], x)
-			}
-			f.Observed[v] = true
-		}
+		dst = append(dst, v)
 	}
+	return dst, nil
+}
 
+// Columns returns the attributes of d, a valid data set, column by column:
+// the contiguous form attribute functions aggregate over.
+func Columns(d *dataset.Dataset) [][]float64 {
+	cols := make([][]float64, len(d.Attrs))
+	for a := range cols {
+		cols[a] = column(make([]float64, 0, len(d.Tuples)), d, a)
+	}
+	return cols
+}
+
+func column(dst []float64, d *dataset.Dataset, attr int) []float64 {
+	for i := range d.Tuples {
+		dst = append(dst, d.Tuples[i].Values[attr])
+	}
+	return dst
+}
+
+// Compute computes the function of spec, valid for the data set, on one
+// tile of the binned domain: the steps of sub, a slice of the binned
+// timeline that starts at its step lo, over g, the tile's domain graph.
+// col is the attribute column of an attribute spec (see Columns). The
+// function's Values come from a pool; Recycle returns them.
+func (b *Binned) Compute(spec Spec, col []float64, lo int, sub *temporal.Timeline, g *stgraph.Graph) *Function {
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
+	n := g.NumVertices()
+	f := &Function{Dataset: b.d.Name, Spec: spec, SRes: b.sres, TRes: sub.Res(), Timeline: sub, Graph: g, Values: newValues(n)}
+	// A tuple's vertex in the tile is its domain vertex less off; unplaced
+	// (-1) or outside the tile, it wraps to n or more.
+	off, vals := int32(lo*b.regions), f.Values
 	switch spec.Kind {
+	case Density:
+		for _, v := range b.vertex {
+			if u := uint32(v - off); u < uint32(n) {
+				vals[u]++
+			}
+		}
 	case Unique:
+		// Distinct IDs per vertex: (vertex, id) pairs are collected flat
+		// and sorted once, instead of one hash set per vertex.
+		uniq := sc.uniq[:0]
+		for i, v := range b.vertex {
+			if u := uint32(v - off); u < uint32(n) {
+				uniq = append(uniq, vertexID{v: int(u), id: b.d.Tuples[i].ID})
+			}
+		}
 		sortVertexIDs(uniq)
 		for i, p := range uniq {
-			if i > 0 && uniq[i-1] == p {
-				continue
+			if i == 0 || uniq[i-1] != p {
+				vals[p.v]++
 			}
-			f.Values[p.v]++
 		}
 		sc.uniq = uniq[:0]
 	case Attribute:
-		finishAttribute(f, spec, sums, cnts, samples)
+		aggregate(vals, spec, b.vertex, col, off, sc)
 	}
-	return f, nil
+	return f
+}
+
+// scratch is the working memory of a function computation, reused across
+// calls through scratchPool: the counts of attribute functions, the
+// (vertex, id) observations of unique functions, and the vertex ids and
+// attribute column of ComputeOnDomain. Only the Function escapes.
+type scratch struct {
+	cnts   []float64
+	uniq   []vertexID
+	vertex []int32
+	col    []float64
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+// valuesPool holds the Values buffers Recycle hands back.
+var valuesPool sync.Pool
+
+// newValues returns n zeroed values, in a pooled buffer when one is large
+// enough.
+func newValues(n int) []float64 {
+	if p, ok := valuesPool.Get().(*[]float64); ok && cap(*p) >= n {
+		clear((*p)[:n])
+		return (*p)[:n]
+	}
+	return make([]float64, n)
+}
+
+// Recycle hands f's Values buffer back to the pool new functions draw
+// from. Neither f nor its Values may be read afterwards.
+func (f *Function) Recycle() {
+	v := f.Values
+	f.Values = nil
+	valuesPool.Put(&v)
+}
+
+// aggregate computes an attribute function into vals: the value col[i] of
+// tuple i folds into its tile vertex vertex[i]-off, missing values
+// skipped. A vertex no value reached is imputed with the mean of the
+// others, so the function stays Morse-friendly: imputed points sit at
+// "normal" level and never become salient features.
+func aggregate(vals []float64, spec Spec, vertex []int32, col []float64, off int32, sc *scratch) {
+	n := len(vals)
+	if cap(sc.cnts) < n {
+		sc.cnts = make([]float64, n)
+	}
+	cnts := sc.cnts[:n] // values folded into each vertex
+	clear(cnts)
+	var samples [][]float64
+	if spec.Agg == MedianAgg || spec.Agg == Custom {
+		samples = make([][]float64, n)
+	}
+	for i, v := range vertex {
+		u, x := uint32(v-off), col[i]
+		if u >= uint32(n) || dataset.IsMissing(x) {
+			continue
+		}
+		switch spec.Agg {
+		case Avg, Sum:
+			vals[u] += x
+		case Min:
+			if cnts[u] == 0 || x < vals[u] {
+				vals[u] = x
+			}
+		case Max:
+			if cnts[u] == 0 || x > vals[u] {
+				vals[u] = x
+			}
+		case MedianAgg, Custom:
+			samples[u] = append(samples[u], x)
+		}
+		cnts[u]++
+	}
+	sum, observed := 0.0, 0 // mathx.Mean of the observed values, in vertex order
+	for u, c := range cnts {
+		if c == 0 {
+			continue
+		}
+		switch spec.Agg {
+		case Avg:
+			vals[u] /= c
+		case MedianAgg:
+			vals[u] = mathx.Median(samples[u])
+		case Custom:
+			vals[u] = spec.CustomFn(samples[u])
+		}
+		sum += vals[u]
+		observed++
+	}
+	fill := 0.0
+	if observed > 0 {
+		fill = sum / float64(observed)
+	}
+	for u, c := range cnts {
+		if c == 0 {
+			vals[u] = fill
+		}
+	}
 }
 
 // vertexID is one (vertex, tuple ID) observation of a Unique function.
@@ -396,49 +469,8 @@ func sortVertexIDs(s []vertexID) {
 		if a.v != b.v {
 			return a.v - b.v
 		}
-		switch {
-		case a.id < b.id:
-			return -1
-		case a.id > b.id:
-			return 1
-		}
-		return 0
+		return cmp.Compare(a.id, b.id)
 	})
-}
-
-// finishAttribute finalises attribute aggregates and imputes unobserved
-// vertices with the global mean so the function stays Morse-friendly:
-// imputed points sit at "normal" level and never become salient features.
-func finishAttribute(f *Function, spec Spec, sums, cnts []float64, samples [][]float64) {
-	sum, observed := 0.0, 0 // mathx.Mean of the observed values, in vertex order
-	for v := range f.Values {
-		if !f.Observed[v] {
-			continue
-		}
-		switch spec.Agg {
-		case Avg:
-			f.Values[v] = sums[v] / cnts[v]
-		case Sum:
-			f.Values[v] = sums[v]
-		case Min, Max:
-			f.Values[v] = sums[v]
-		case MedianAgg:
-			f.Values[v] = mathx.Median(samples[v])
-		case Custom:
-			f.Values[v] = spec.CustomFn(samples[v])
-		}
-		sum += f.Values[v]
-		observed++
-	}
-	fill := 0.0
-	if observed > 0 {
-		fill = sum / float64(observed)
-	}
-	for v := range f.Values {
-		if !f.Observed[v] {
-			f.Values[v] = fill
-		}
-	}
 }
 
 // regionOf maps a tuple to its region at the evaluation resolution, or -1
@@ -494,24 +526,5 @@ func (f *Function) AddNoise(frac float64, seed int64) *Function {
 func (f *Function) clone() *Function {
 	out := *f
 	out.Values = append([]float64(nil), f.Values...)
-	out.Observed = append([]bool(nil), f.Observed...)
 	return &out
-}
-
-// SortedValues returns the function values in ascending order (helper for
-// diagnostics and threshold studies).
-func (f *Function) SortedValues() []float64 {
-	out := append([]float64(nil), f.Values...)
-	sort.Float64s(out)
-	return out
-}
-
-// Stats summarises a function: min, mean, max.
-func (f *Function) Stats() (lo, mean, hi float64) {
-	lo, hi = math.Inf(1), math.Inf(-1)
-	for _, v := range f.Values {
-		lo = math.Min(lo, v)
-		hi = math.Max(hi, v)
-	}
-	return lo, mathx.Mean(f.Values), hi
 }

@@ -1,7 +1,9 @@
 package scalar
 
 import (
+	"github.com/urbandata/datapolygamy/internal/mathx"
 	"math"
+	"slices"
 	"testing"
 	"time"
 
@@ -135,9 +137,14 @@ func TestImputationUsesGlobalMean(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Mean of observed vertex values: hour0 nbhd of p0 = 15, hour1 nbhd of p1 = 5 -> mean 10.
+	// No fare is missing, so the observed vertices are those with a tuple.
+	density, err := Compute(d, Spec{Kind: Density}, city, spatial.Neighborhood, temporal.Hour)
+	if err != nil {
+		t.Fatal(err)
+	}
 	want := 10.0
-	for v, obs := range f.Observed {
-		if !obs && f.Values[v] != want {
+	for v, n := range density.Values {
+		if n == 0 && f.Values[v] != want {
 			t.Fatalf("imputed value = %g, want %g", f.Values[v], want)
 		}
 	}
@@ -150,17 +157,18 @@ func TestDensityImputesZero(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	zeros := 0
-	for v, obs := range f.Observed {
-		if !obs {
-			if f.Values[v] != 0 {
-				t.Fatalf("unobserved density = %g, want 0", f.Values[v])
-			}
+	// The three tuples land on two vertices (two in hour 0 at p0, one in
+	// hour 1 at p1); every other vertex is unobserved and reads zero.
+	zeros, total := 0, 0.0
+	for _, x := range f.Values {
+		if x == 0 {
 			zeros++
 		}
+		total += x
 	}
-	if zeros == 0 {
-		t.Error("expected some unobserved vertices at neighborhood resolution")
+	if zeros != len(f.Values)-2 || total != 3 {
+		t.Errorf("density has %d zeros of %d vertices and total %g, want %d and 3",
+			zeros, len(f.Values), total, len(f.Values)-2)
 	}
 }
 
@@ -438,6 +446,46 @@ func TestComputeOnTimelineShared(t *testing.T) {
 	}
 }
 
+// TestBinnedMatchesComputeOnDomain: every function computed from one Bin
+// and one Columns equals the one-off ComputeOnDomain, also when its Values
+// buffer is a recycled one.
+func TestBinnedMatchesComputeOnDomain(t *testing.T) {
+	city := testCity(t)
+	d := gpsDataset(t, city)
+	d.Tuples[1].Values[0] = dataset.Missing()
+	tl, err := temporal.NewTimeline(ts(2011, 1, 1, 0), ts(2011, 1, 1, 5), temporal.Hour)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := stgraph.New(city.NumRegions(spatial.Neighborhood), tl.Len(), city.Adjacency(spatial.Neighborhood))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := Bin(d, city, spatial.Neighborhood, tl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cols := Columns(d)
+	specs := append(Specs(d), Spec{Kind: Attribute, Attr: "fare", Agg: Max}, Spec{Kind: Attribute, Attr: "fare", Agg: MedianAgg})
+	for _, spec := range specs {
+		want, err := ComputeOnDomain(d, spec, city, spatial.Neighborhood, temporal.Hour, tl, g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var col []float64
+		if spec.Kind == Attribute {
+			col = cols[d.AttrIndex(spec.Attr)]
+		}
+		for round := 0; round < 2; round++ {
+			got := b.Compute(spec, col, 0, tl, g)
+			if !slices.Equal(got.Values, want.Values) || got.Key() != want.Key() {
+				t.Fatalf("%s round %d: %v, want %v", spec.Name(), round, got.Values, want.Values)
+			}
+			got.Recycle()
+		}
+	}
+}
+
 func TestStats(t *testing.T) {
 	city := testCity(t)
 	f, err := Compute(gpsDataset(t, city), Spec{Kind: Density}, city, spatial.City, temporal.Hour)
@@ -448,4 +496,14 @@ func TestStats(t *testing.T) {
 	if lo != 1 || hi != 2 || mean != 1.5 {
 		t.Errorf("Stats = %g %g %g", lo, mean, hi)
 	}
+}
+
+// Stats summarises a function: min, mean, max.
+func (f *Function) Stats() (lo, mean, hi float64) {
+	lo, hi = math.Inf(1), math.Inf(-1)
+	for _, v := range f.Values {
+		lo = math.Min(lo, v)
+		hi = math.Max(hi, v)
+	}
+	return lo, mathx.Mean(f.Values), hi
 }

@@ -53,9 +53,6 @@ type CityMap struct {
 	cellAdj [][]int // fine-grid 4-adjacency between cells
 	nbhdAdj [][]int
 	zipAdj  [][]int
-
-	nbhdCentroid []Point
-	zipCentroid  []Point
 }
 
 // Generate builds a deterministic synthetic city from cfg.
@@ -77,8 +74,6 @@ func Generate(cfg Config) (*CityMap, error) {
 	c.cellZip, c.numZip = c.partition(rng, cfg.ZipCodes)
 	c.nbhdAdj = c.regionAdjacency(c.cellNbhd, c.numNbhd)
 	c.zipAdj = c.regionAdjacency(c.cellZip, c.numZip)
-	c.nbhdCentroid = c.regionCentroids(c.cellNbhd, c.numNbhd)
-	c.zipCentroid = c.regionCentroids(c.cellZip, c.numZip)
 	return c, nil
 }
 
@@ -268,25 +263,6 @@ func (c *CityMap) regionAdjacency(assign []int, k int) [][]int {
 	return adj
 }
 
-func (c *CityMap) regionCentroids(assign []int, k int) []Point {
-	sx := make([]float64, k)
-	sy := make([]float64, k)
-	cnt := make([]float64, k)
-	for id := range c.cellX {
-		a := assign[id]
-		sx[a] += float64(c.cellX[id]) + 0.5
-		sy[a] += float64(c.cellY[id]) + 0.5
-		cnt[a]++
-	}
-	out := make([]Point, k)
-	for i := range out {
-		if cnt[i] > 0 {
-			out[i] = Point{sx[i] / cnt[i], sy[i] / cnt[i]}
-		}
-	}
-	return out
-}
-
 // GridSize returns the underlying grid dimensions (width, height).
 func (c *CityMap) GridSize() (int, int) { return c.w, c.h }
 
@@ -360,22 +336,6 @@ func (c *CityMap) Adjacency(r Resolution) [][]int {
 		return [][]int{nil}
 	}
 	return nil
-}
-
-// RegionCentroid returns the centroid of region id at resolution r, used by
-// synthetic data generators to place spatial hot spots.
-func (c *CityMap) RegionCentroid(r Resolution, id int) Point {
-	switch r {
-	case GPS:
-		return c.CellCenter(id)
-	case ZipCode:
-		return c.zipCentroid[id]
-	case Neighborhood:
-		return c.nbhdCentroid[id]
-	case City:
-		return Point{float64(c.w) / 2, float64(c.h) / 2}
-	}
-	return Point{}
 }
 
 // RandomPoint returns a uniformly random point inside the city (on land).

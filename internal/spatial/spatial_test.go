@@ -270,16 +270,3 @@ func TestRegionCounts(t *testing.T) {
 		t.Error("GPS regions should equal cell count")
 	}
 }
-
-func TestRegionCentroidInsideGrid(t *testing.T) {
-	c := testCity(t)
-	w, h := c.GridSize()
-	for _, res := range []Resolution{ZipCode, Neighborhood} {
-		for id := 0; id < c.NumRegions(res); id++ {
-			p := c.RegionCentroid(res, id)
-			if p.X < 0 || p.Y < 0 || p.X > float64(w) || p.Y > float64(h) {
-				t.Errorf("centroid %v of region %d at %v outside grid", p, id, res)
-			}
-		}
-	}
-}

@@ -9,12 +9,6 @@
 // critical values coincide (Appendix B.1).
 package topology
 
-import (
-	"sort"
-
-	"github.com/urbandata/datapolygamy/internal/stgraph"
-)
-
 // Kind distinguishes the two merge-tree flavours.
 type Kind int
 
@@ -47,31 +41,17 @@ type Pair struct {
 	Essential   bool
 }
 
-// Edge is a merge-tree edge between two critical vertices; it represents
-// the connected level-set component living between its endpoints.
-type Edge struct {
-	Upper, Lower int // for join trees, f(Upper) > f(Lower) in perturbed order
-}
-
-// Tree is a merge tree of a scalar function together with its persistence
-// pairing. Construct with ComputeJoin, ComputeSplit or ComputeBoth.
+// Tree is a merge tree of a scalar function reduced to its persistence
+// pairing: the tree's leaves and the pair each creates. Construct with
+// ComputeJoin, ComputeSplit or ComputeBoth.
 type Tree struct {
 	kind Kind
-	g    *stgraph.Graph
-	vals []float64
-
-	// Leaves are the non-root leaf vertices (maxima for Join, minima for
-	// Split), in sweep order (i.e. most extreme first).
-	Leaves []int
+	// Extrema holds the non-root leaf vertices (maxima for Join, minima for
+	// Split) in sweep order, i.e. most extreme first, with their
+	// persistence and the tree's critical-point count.
+	Extrema
 	// Pairs[i] is the persistence pair of Leaves[i].
 	Pairs []Pair
-	// Edges are the merge-tree edges, in construction order.
-	Edges []Edge
-	// Root is the vertex processed last in the sweep: the global minimum
-	// for a join tree, the global maximum for a split tree.
-	Root int
-
-	critical int // distinct critical vertices, counted during the sweep
 }
 
 // Kind returns the tree kind.
@@ -79,39 +59,16 @@ func (t *Tree) Kind() Kind { return t.kind }
 
 // NumCriticalPoints returns the number of distinct critical vertices in the
 // tree (leaves, saddles, and the root).
-func (t *Tree) NumCriticalPoints() int { return t.critical }
+func (t *Tree) NumCriticalPoints() int { return t.Critical }
 
-// PersistencePoint is one point of a persistence diagram: an extremum with
-// its creation and destruction function values (in original units).
-type PersistencePoint struct {
-	Vertex      int
-	Creation    float64
-	Destruction float64
-	Persistence float64
-	Essential   bool
+// Extrema is one merge tree reduced to what feature thresholds read: its
+// leaves in sweep order, most extreme first, and the persistence of each.
+// Persistence fills it in place, so a caller that keeps one Extrema per
+// worker reuses its buffers from function to function.
+type Extrema struct {
+	Leaves      []int32
+	Persistence []float64
+	// Critical counts the tree's distinct critical vertices: leaves,
+	// saddles and the root.
+	Critical int
 }
-
-// Diagram returns the persistence diagram of the tree in original function
-// units, one point per leaf, most persistent first.
-func (t *Tree) Diagram() []PersistencePoint {
-	out := make([]PersistencePoint, len(t.Pairs))
-	for i, p := range t.Pairs {
-		pt := PersistencePoint{
-			Vertex:      p.Creator,
-			Creation:    t.vals[p.Creator],
-			Persistence: p.Persistence,
-			Essential:   p.Essential,
-		}
-		if p.Destroyer >= 0 {
-			pt.Destruction = t.vals[p.Destroyer]
-		} else {
-			pt.Destruction = t.vals[t.Root]
-		}
-		out[i] = pt
-	}
-	sort.Slice(out, func(a, b int) bool { return out[a].Persistence > out[b].Persistence })
-	return out
-}
-
-// ExtremumValue returns the original function value at leaf i.
-func (t *Tree) ExtremumValue(i int) float64 { return t.vals[t.Leaves[i]] }

@@ -40,14 +40,14 @@ func TestJoinTreeLeavesAreMaxima(t *testing.T) {
 	if len(jt.Leaves) != len(want) {
 		t.Fatalf("join leaves = %v, want the 4 maxima", jt.Leaves)
 	}
-	for _, l := range jt.Leaves {
+	for _, l := range ints(jt.Leaves) {
 		if !want[l] {
 			t.Errorf("leaf %d is not a maximum", l)
 		}
 	}
 	// Leaves must be sorted by decreasing value: 7, 1, 3, 5.
 	wantOrder := []int{7, 1, 3, 5}
-	for i, l := range jt.Leaves {
+	for i, l := range ints(jt.Leaves) {
 		if l != wantOrder[i] {
 			t.Fatalf("leaf order = %v, want %v", jt.Leaves, wantOrder)
 		}
@@ -63,7 +63,7 @@ func TestSplitTreeLeavesAreMinima(t *testing.T) {
 	if len(st.Leaves) != len(want) {
 		t.Fatalf("split leaves = %v, want the 5 minima", st.Leaves)
 	}
-	for _, l := range st.Leaves {
+	for _, l := range ints(st.Leaves) {
 		if !want[l] {
 			t.Errorf("leaf %d is not a minimum", l)
 		}
@@ -73,7 +73,7 @@ func TestSplitTreeLeavesAreMinima(t *testing.T) {
 func TestJoinPersistencePairing(t *testing.T) {
 	vals := figure2Values()
 	g := chain(t, len(vals))
-	jt := ComputeJoin(g, vals)
+	jt, _ := traceBoth(g, vals)
 
 	// Expected pairing in a descending sweep:
 	// max 7 (8.0) is global -> essential, persistence = 8.0 - 0.0 = 8.
@@ -82,7 +82,7 @@ func TestJoinPersistencePairing(t *testing.T) {
 	// max 5 (4.5) merges with 3's component at saddle 4 (3.5): pi = 1.0.
 	wantPersistence := map[int]float64{7: 8.0, 1: 5.5, 3: 3.0, 5: 1.0}
 	wantDestroyer := map[int]int{7: -1, 1: 6, 3: 2, 5: 4}
-	for i, leaf := range jt.Leaves {
+	for i, leaf := range ints(jt.Leaves) {
 		p := jt.Pairs[i]
 		if math.Abs(p.Persistence-wantPersistence[leaf]) > 1e-12 {
 			t.Errorf("persistence of max %d = %g, want %g", leaf, p.Persistence, wantPersistence[leaf])
@@ -105,7 +105,7 @@ func TestSuperLevelSetFigure2(t *testing.T) {
 	jt := ComputeJoin(g, vals)
 
 	// theta = 4.0: {1 (6.0), 3 (5.0), 5 (4.5), 7 (8.0)} — four components.
-	got := levelSetVertices(jt, 4.0)
+	got := levelSetVertices(g, vals, jt, 4.0)
 	want := []int{1, 3, 5, 7}
 	if len(got) != len(want) {
 		t.Fatalf("super-level(4.0) = %v, want %v", got, want)
@@ -117,19 +117,19 @@ func TestSuperLevelSetFigure2(t *testing.T) {
 	}
 
 	// theta = 3.0: adds vertex 4 (3.5), bridging maxima 3 and 5.
-	got = levelSetVertices(jt, 3.0)
+	got = levelSetVertices(g, vals, jt, 3.0)
 	want = []int{1, 3, 4, 5, 7}
 	if len(got) != len(want) {
 		t.Fatalf("super-level(3.0) = %v, want %v", got, want)
 	}
 
 	// theta above the global max: empty.
-	if got := levelSetVertices(jt, 9.0); len(got) != 0 {
+	if got := levelSetVertices(g, vals, jt, 9.0); len(got) != 0 {
 		t.Errorf("super-level(9.0) = %v, want empty", got)
 	}
 
 	// theta below the global min: everything.
-	if got := levelSetVertices(jt, -1.0); len(got) != len(vals) {
+	if got := levelSetVertices(g, vals, jt, -1.0); len(got) != len(vals) {
 		t.Errorf("super-level(-1) = %v, want all %d", got, len(vals))
 	}
 }
@@ -139,7 +139,7 @@ func TestSubLevelSetFigure2(t *testing.T) {
 	g := chain(t, len(vals))
 	st := ComputeSplit(g, vals)
 	// theta = 1.0: {0 (1.0), 6 (0.5), 8 (0.0)}.
-	got := levelSetVertices(st, 1.0)
+	got := levelSetVertices(g, vals, st, 1.0)
 	want := []int{0, 6, 8}
 	if len(got) != len(want) {
 		t.Fatalf("sub-level(1.0) = %v, want %v", got, want)
@@ -156,18 +156,18 @@ func TestLevelSetRepeatedQueries(t *testing.T) {
 	vals := figure2Values()
 	g := chain(t, len(vals))
 	jt := ComputeJoin(g, vals)
-	first := levelSetVertices(jt, 3.0)
+	first := levelSetVertices(g, vals, jt, 3.0)
 	for i := 0; i < 5; i++ {
-		got := levelSetVertices(jt, 3.0)
+		got := levelSetVertices(g, vals, jt, 3.0)
 		if len(got) != len(first) {
 			t.Fatalf("query %d returned %v, first returned %v", i, got, first)
 		}
 	}
 	// Interleave different thresholds.
-	if got := levelSetVertices(jt, 7.0); len(got) != 1 || got[0] != 7 {
+	if got := levelSetVertices(g, vals, jt, 7.0); len(got) != 1 || got[0] != 7 {
 		t.Errorf("super-level(7.0) = %v, want [7]", got)
 	}
-	if got := levelSetVertices(jt, 3.0); len(got) != len(first) {
+	if got := levelSetVertices(g, vals, jt, 3.0); len(got) != len(first) {
 		t.Errorf("level set changed after interleaved query: %v", got)
 	}
 }
@@ -178,7 +178,7 @@ func TestLevelSetORsIntoExisting(t *testing.T) {
 	jt := ComputeJoin(g, vals)
 	out := bitvec.New(g.NumVertices())
 	out.Set(0) // pre-existing bit must survive
-	floodLevelSet(jt, 7.0, out)
+	floodLevelSet(g, vals, jt, 7.0, out)
 	if !out.Get(0) || !out.Get(7) {
 		t.Error("the flood must OR into the output vector")
 	}
@@ -198,10 +198,10 @@ func TestConstantFunction(t *testing.T) {
 	if !jt.Pairs[0].Essential || jt.Pairs[0].Persistence != 0 {
 		t.Error("constant function should have one essential zero-persistence pair")
 	}
-	if got := levelSetVertices(jt, 2.0); len(got) != 5 {
+	if got := levelSetVertices(g, vals, jt, 2.0); len(got) != 5 {
 		t.Errorf("super-level(2.0) = %v, want all", got)
 	}
-	if got := levelSetVertices(jt, 2.1); len(got) != 0 {
+	if got := levelSetVertices(g, vals, jt, 2.1); len(got) != 0 {
 		t.Errorf("super-level(2.1) = %v, want empty", got)
 	}
 }
@@ -211,34 +211,38 @@ func TestSingleVertex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	jt := ComputeJoin(g, []float64{5})
+	vals := []float64{5}
+	jt, _ := traceBoth(g, vals)
 	if len(jt.Leaves) != 1 || jt.Root != 0 {
 		t.Error("single vertex tree wrong")
 	}
-	if got := levelSetVertices(jt, 5); len(got) != 1 {
+	if got := levelSetVertices(g, vals, jt.Tree, 5); len(got) != 1 {
 		t.Error("single vertex level set wrong")
 	}
 }
 
+// TestDiagram reads the persistence diagram of Figure 2's join tree off
+// its pairs: one point per maximum, the essential one spanning the range.
 func TestDiagram(t *testing.T) {
 	vals := figure2Values()
 	g := chain(t, len(vals))
-	d := ComputeJoin(g, vals).Diagram()
-	if len(d) != 4 {
-		t.Fatalf("diagram has %d points, want 4", len(d))
+	jt := ComputeJoin(g, vals)
+	if len(jt.Pairs) != 4 {
+		t.Fatalf("diagram has %d points, want 4", len(jt.Pairs))
 	}
-	// Sorted by persistence descending: 8, 5.5, 3, 1.
+	// In sweep order (value descending) the pairs of Figure 2 are also in
+	// persistence order: 8, 5.5, 3, 1.
 	wantP := []float64{8, 5.5, 3, 1}
-	for i, p := range d {
+	for i, p := range jt.Pairs {
 		if math.Abs(p.Persistence-wantP[i]) > 1e-12 {
-			t.Errorf("diagram[%d].Persistence = %g, want %g", i, p.Persistence, wantP[i])
+			t.Errorf("pair %d persistence = %g, want %g", i, p.Persistence, wantP[i])
 		}
 	}
-	if !d[0].Essential || d[0].Creation != 8.0 {
+	if p := jt.Pairs[0]; !p.Essential || vals[p.Creator] != 8.0 {
 		t.Error("first diagram point should be the essential global max")
 	}
-	if d[1].Creation != 6.0 || d[1].Destruction != 0.5 {
-		t.Errorf("diagram[1] = %+v, want creation 6 destruction 0.5", d[1])
+	if p := jt.Pairs[1]; vals[p.Creator] != 6.0 || vals[p.Destroyer] != 0.5 {
+		t.Errorf("pair 1 = %+v, want creation 6 destruction 0.5", p)
 	}
 }
 
@@ -256,7 +260,7 @@ func TestMultiSaddle(t *testing.T) {
 		t.Fatalf("star join leaves = %v, want 3 maxima", jt.Leaves)
 	}
 	// Creator 7 survives (essential); 5 and 6 both destroyed at vertex 0.
-	for i, leaf := range jt.Leaves {
+	for i, leaf := range ints(jt.Leaves) {
 		p := jt.Pairs[i]
 		switch leaf {
 		case 3:
@@ -313,7 +317,7 @@ func TestLevelSetMatchesBruteForce(t *testing.T) {
 		st := ComputeSplit(g, vals)
 		for trial := 0; trial < 8; trial++ {
 			theta := rng.Float64()*12 - 1
-			got := levelSetVertices(jt, theta)
+			got := levelSetVertices(g, vals, jt, theta)
 			want := bruteLevelSet(vals, theta, Join)
 			if len(got) != len(want) {
 				return false
@@ -323,7 +327,7 @@ func TestLevelSetMatchesBruteForce(t *testing.T) {
 					return false
 				}
 			}
-			got = levelSetVertices(st, theta)
+			got = levelSetVertices(g, vals, st, theta)
 			want = bruteLevelSet(vals, theta, Split)
 			if len(got) != len(want) {
 				return false
@@ -369,7 +373,7 @@ func TestLeavesMatchLocalExtrema(t *testing.T) {
 		if len(jt.Leaves) != len(wantMaxima) {
 			return false
 		}
-		for _, l := range jt.Leaves {
+		for _, l := range ints(jt.Leaves) {
 			if !wantMaxima[l] {
 				return false
 			}
@@ -400,7 +404,7 @@ func TestPairingBijection(t *testing.T) {
 			essentials := 0
 			seen := map[int]bool{}
 			for i, p := range tree.Pairs {
-				if p.Creator != tree.Leaves[i] {
+				if p.Creator != int(tree.Leaves[i]) {
 					return false
 				}
 				if seen[p.Creator] {
@@ -441,10 +445,10 @@ func TestJoinSplitDuality(t *testing.T) {
 			return false
 		}
 		a := map[int]bool{}
-		for _, l := range jt.Leaves {
+		for _, l := range ints(jt.Leaves) {
 			a[l] = true
 		}
-		for _, l := range st.Leaves {
+		for _, l := range ints(st.Leaves) {
 			if !a[l] {
 				return false
 			}
@@ -565,4 +569,13 @@ func BenchmarkMergeTree3D(b *testing.B) {
 		benchmarkMergeTree3D(b, 16, 16, 8760, each(func(rng *rand.Rand) float64 { return rng.NormFloat64() }))
 	})
 	b.Run("plateau48", func(b *testing.B) { benchmarkMergeTree3D(b, 8, 6, 8784, hourlyCounts(48)) })
+}
+
+// ints widens vertex ids to int.
+func ints(vs []int32) []int {
+	out := make([]int, len(vs))
+	for i, v := range vs {
+		out[i] = int(v)
+	}
+	return out
 }

@@ -18,6 +18,42 @@ import (
 // after the sweep, critical points counted by sort-and-dedup — as the
 // parity oracle of the kernel in sweep.go. It is the reference, not shared
 // code: nothing here calls into the kernel.
+//
+// The oracle builds the whole tree. The kernel keeps only the persistence
+// pairs; the rest of the structure — the edges and the root — is checked
+// through the sweeper's edge hook (traceBoth).
+
+// Edge is a merge-tree edge between two critical vertices; it represents
+// the connected level-set component living between its endpoints.
+type Edge struct {
+	Upper, Lower int // for join trees, f(Upper) > f(Lower) in perturbed order
+}
+
+// traced is a kernel tree with the structure the sweep does not keep: its
+// edges, as the edge hook reports them, and its root, the vertex swept last
+// (the global minimum of a join tree, the global maximum of a split tree).
+type traced struct {
+	*Tree
+	Edges []Edge
+	Root  int
+}
+
+// traceBoth builds both trees of vals on g on a fresh sweeper with the edge
+// hook set.
+func traceBoth(g *stgraph.Graph, vals []float64) (join, split traced) {
+	s := new(sweeper)
+	var edges []Edge
+	s.edge = func(upper, lower int32) { edges = append(edges, Edge{Upper: int(upper), Lower: int(lower)}) }
+	run := func(kind Kind) traced {
+		edges = nil
+		s.sweep(g, vals, kind, &s.ext)
+		return traced{Tree: s.tree(kind), Edges: edges, Root: int(s.order[len(s.order)-1])}
+	}
+	s.sortDescending(vals, g.NumRegions())
+	join = run(Join)
+	s.splitOrder()
+	return join, run(Split)
+}
 
 type oracleTree struct {
 	vals   []float64 // sweep values: negated for split trees
@@ -203,9 +239,27 @@ func (t *oracleTree) numCriticalPoints() int {
 	return n
 }
 
-// sameTree compares a kernel tree with the oracle's field by field;
-// persistence is compared by bits, so NaN (Inf - Inf) and zero signs count.
+// sameTree compares a kernel tree with the oracle's pairs, leaves and
+// critical-point count; persistence is compared by bits, so NaN (Inf - Inf)
+// and zero signs count.
 func sameTree(t *testing.T, what string, got *Tree, want *oracleTree) bool {
+	t.Helper()
+	if !sameExtrema(t, what, &got.Extrema, want) {
+		return false
+	}
+	for i, p := range got.Pairs {
+		if w := want.Pairs[i]; p.Creator != w.Creator || p.Destroyer != w.Destroyer || p.Essential != w.Essential ||
+			math.Float64bits(p.Persistence) != math.Float64bits(w.Persistence) {
+			t.Errorf("%s: Pairs = %v, oracle %v", what, got.Pairs, want.Pairs)
+			return false
+		}
+	}
+	return true
+}
+
+// sameExtrema compares the leaves, persistences and critical-point count
+// the kernel wrote with the oracle's.
+func sameExtrema(t *testing.T, what string, got *Extrema, want *oracleTree) bool {
 	t.Helper()
 	ok := true
 	fail := func(field string, g, w any) {
@@ -213,29 +267,36 @@ func sameTree(t *testing.T, what string, got *Tree, want *oracleTree) bool {
 		ok = false
 		t.Errorf("%s: %s = %v, oracle %v", what, field, g, w)
 	}
-	if !reflect.DeepEqual(got.Leaves, want.Leaves) {
-		fail("Leaves", got.Leaves, want.Leaves)
+	if leaves := ints(got.Leaves); !reflect.DeepEqual(leaves, want.Leaves) {
+		fail("Leaves", leaves, want.Leaves)
 	}
-	if !reflect.DeepEqual(got.Edges, want.Edges) {
-		fail("Edges", got.Edges, want.Edges)
-	}
-	if got.Root != want.Root {
-		fail("Root", got.Root, want.Root)
-	}
-	if len(got.Pairs) != len(want.Pairs) {
-		fail("len(Pairs)", len(got.Pairs), len(want.Pairs))
+	if len(got.Persistence) != len(want.Pairs) {
+		fail("len(Persistence)", len(got.Persistence), len(want.Pairs))
 	} else {
-		for i, p := range got.Pairs {
-			w := want.Pairs[i]
-			if p.Creator != w.Creator || p.Destroyer != w.Destroyer || p.Essential != w.Essential ||
-				math.Float64bits(p.Persistence) != math.Float64bits(w.Persistence) {
-				fail("Pairs", got.Pairs, want.Pairs)
+		for i, p := range got.Persistence {
+			if math.Float64bits(p) != math.Float64bits(want.Pairs[i].Persistence) {
+				fail("Persistence", got.Persistence, want.Pairs)
 				break
 			}
 		}
 	}
-	if got.NumCriticalPoints() != want.numCriticalPoints() {
-		fail("NumCriticalPoints", got.NumCriticalPoints(), want.numCriticalPoints())
+	if got.Critical != want.numCriticalPoints() {
+		fail("NumCriticalPoints", got.Critical, want.numCriticalPoints())
+	}
+	return ok
+}
+
+// sameStructure is sameTree plus the edges and the root.
+func sameStructure(t *testing.T, what string, got traced, want *oracleTree) bool {
+	t.Helper()
+	ok := sameTree(t, what, got.Tree, want)
+	if !reflect.DeepEqual(got.Edges, want.Edges) {
+		ok = false
+		t.Errorf("%s: Edges = %v, oracle %v", what, got.Edges, want.Edges)
+	}
+	if got.Root != want.Root {
+		ok = false
+		t.Errorf("%s: Root = %d, oracle %d", what, got.Root, want.Root)
 	}
 	return ok
 }
@@ -246,6 +307,13 @@ func checkKernel(t *testing.T, what string, g *stgraph.Graph, vals []float64) bo
 	wantJoin, wantSplit := oracleJoin(g, vals), oracleSplit(g, vals)
 	join, split := ComputeBoth(g, vals)
 	ok := checkSortOrder(t, what, vals)
+	tj, ts := traceBoth(g, vals)
+	ok = sameStructure(t, what+" traced join", tj, wantJoin) && ok
+	ok = sameStructure(t, what+" traced split", ts, wantSplit) && ok
+	var xj, xs Extrema
+	Persistence(g, vals, &xj, &xs)
+	ok = sameExtrema(t, what+" Persistence join", &xj, wantJoin) && ok
+	ok = sameExtrema(t, what+" Persistence split", &xs, wantSplit) && ok
 	ok = sameTree(t, what+" ComputeBoth join", join, wantJoin) && ok
 	ok = sameTree(t, what+" ComputeBoth split", split, wantSplit) && ok
 	ok = sameTree(t, what+" ComputeJoin", ComputeJoin(g, vals), wantJoin) && ok
@@ -464,9 +532,11 @@ func TestPooledScratchReuse(t *testing.T) {
 	s := new(sweeper)
 	build := func(g *stgraph.Graph, vals []float64) (*Tree, *Tree) {
 		s.sortDescending(vals, g.NumRegions())
-		join := s.sweep(g, vals, Join)
+		s.sweep(g, vals, Join, &s.ext)
+		join := s.tree(Join)
 		s.splitOrder()
-		return join, s.sweep(g, vals, Split)
+		s.sweep(g, vals, Split, &s.ext)
+		return join, s.tree(Split)
 	}
 	build(big, bigVals)
 	join, split := build(small, smallVals)
@@ -530,10 +600,11 @@ func TestPlateauShortcutFires(t *testing.T) {
 	if share := float64(s.run) / float64(len(vals)); share < 0.94 || vals[s.order[s.below]] != 0 {
 		t.Fatalf("plateau is %.1f %% of the vertices at %v, want the zeros at ~95 %%", 100*share, vals[s.order[s.below]])
 	}
-	join := s.sweep(g, vals, Join)
-	joinSettled := s.shortcuts
+	s.sweep(g, vals, Join, &s.ext)
+	join, joinSettled := s.tree(Join), s.shortcuts
 	s.splitOrder()
-	split := s.sweep(g, vals, Split)
+	s.sweep(g, vals, Split, &s.ext)
+	split := s.tree(Split)
 	for _, c := range []struct {
 		kind    Kind
 		settled int

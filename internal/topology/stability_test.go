@@ -84,20 +84,20 @@ func TestLevelSetMonotone(t *testing.T) {
 		t1 := rng.Float64() * 10
 		t2 := t1 + rng.Float64()*3
 		hi := map[int]bool{}
-		for _, v := range levelSetVertices(jt, t2) {
+		for _, v := range levelSetVertices(g, vals, jt, t2) {
 			hi[v] = true
 		}
-		for _, v := range levelSetVertices(jt, t1) {
+		for _, v := range levelSetVertices(g, vals, jt, t1) {
 			delete(hi, v)
 		}
 		if len(hi) != 0 {
 			return false // super-level at t2 must be subset of t1
 		}
 		lo := map[int]bool{}
-		for _, v := range levelSetVertices(st, t1) {
+		for _, v := range levelSetVertices(g, vals, st, t1) {
 			lo[v] = true
 		}
-		for _, v := range levelSetVertices(st, t2) {
+		for _, v := range levelSetVertices(g, vals, st, t2) {
 			delete(lo, v)
 		}
 		return len(lo) == 0 // sub-level at t1 must be subset of t2

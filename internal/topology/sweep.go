@@ -36,19 +36,45 @@ func ComputeBoth(g *stgraph.Graph, vals []float64) (join, split *Tree) {
 	return compute(g, vals, true, true)
 }
 
+// Persistence is ComputeBoth without the trees: it writes the leaves and
+// persistence of the join tree of vals on g into join and those of the
+// split tree into split, reusing their buffers.
+func Persistence(g *stgraph.Graph, vals []float64, join, split *Extrema) {
+	vals = vals[:g.NumVertices()]
+	s := sweepers.Get().(*sweeper)
+	defer sweepers.Put(s)
+	s.sortDescending(vals, g.NumRegions())
+	s.sweep(g, vals, Join, join)
+	s.splitOrder()
+	s.sweep(g, vals, Split, split)
+}
+
 func compute(g *stgraph.Graph, vals []float64, wantJoin, wantSplit bool) (join, split *Tree) {
 	vals = vals[:g.NumVertices()]
 	s := sweepers.Get().(*sweeper)
 	defer sweepers.Put(s)
 	s.sortDescending(vals, g.NumRegions())
 	if wantJoin {
-		join = s.sweep(g, vals, Join)
+		s.sweep(g, vals, Join, &s.ext)
+		join = s.tree(Join)
 	}
 	if wantSplit {
 		s.splitOrder()
-		split = s.sweep(g, vals, Split)
+		s.sweep(g, vals, Split, &s.ext)
+		split = s.tree(Split)
 	}
 	return join, split
+}
+
+// tree copies the last sweep's extrema and destroyers out into a Tree.
+func (s *sweeper) tree(kind Kind) *Tree {
+	x := s.ext
+	t := &Tree{kind: kind, Pairs: make([]Pair, len(x.Leaves)), Extrema: Extrema{
+		Leaves: slices.Clone(x.Leaves), Persistence: slices.Clone(x.Persistence), Critical: x.Critical}}
+	for i, leaf := range x.Leaves {
+		t.Pairs[i] = Pair{Creator: int(leaf), Destroyer: int(s.dest[i]), Persistence: x.Persistence[i], Essential: s.dest[i] == -1}
+	}
+	return t
 }
 
 // sweeper is the kernel's scratch, reused across functions through the
@@ -69,9 +95,14 @@ type sweeper struct {
 	shortcuts  int      // plateau vertices the last sweep settled from the rows
 	comps      []component
 	roots      []int32 // distinct upper components at the current vertex
-	leaves     []int
-	pairs      []Pair
-	edges      []Edge
+	// dest[i] is the destroyer of the last sweep's leaf i: a saddle, -1
+	// for the essential pair, unpaired until a saddle kills it.
+	dest []int32
+	ext  Extrema // the extrema ComputeJoin/Split/Both copy into a Tree
+	// edge, when set, is called with every merge-tree edge (upper, lower)
+	// in construction order: the hook the oracle test checks the tree's
+	// structure through.
+	edge func(upper, lower int32)
 }
 
 var sweepers = sync.Pool{New: func() any { return new(sweeper) }}
@@ -86,7 +117,7 @@ type component struct {
 
 const (
 	unswept  = -1 // parent[v] before the sweep reaches v
-	unpaired = -2 // Pair.Destroyer of an extremum no saddle has killed yet
+	unpaired = -2 // the destroyer of an extremum no saddle has killed yet
 
 	radixBits   = 11
 	radixMask   = 1<<radixBits - 1
@@ -266,11 +297,12 @@ func find(parent []int32, x int32) int32 {
 func compOf(parent []int32, root int32) int32 { return -2 - parent[root] }
 
 // sweep processes the vertices in s.order, maintaining level-set
-// components in a union-find forest, recording tree edges at merges and
-// pairing creators with destroyers. A plateau vertex that the bit rows
-// show regular (see plateauRow) joins the component of the vertex one step
-// later; every other vertex walks its neighbours.
-func (s *sweeper) sweep(g *stgraph.Graph, vals []float64, kind Kind) *Tree {
+// components in a union-find forest and pairing creators with destroyers,
+// and writes the leaves and their persistence into out (the destroyers
+// into s.dest). A plateau vertex that the bit rows show regular (see
+// plateauRow) joins the component of the vertex one step later; every
+// other vertex walks its neighbours.
+func (s *sweeper) sweep(g *stgraph.Graph, vals []float64, kind Kind, out *Extrema) {
 	order := s.order
 	n := int32(len(order))
 	R := uint32(g.NumRegions())
@@ -281,7 +313,7 @@ func (s *sweeper) sweep(g *stgraph.Graph, vals []float64, kind Kind) *Tree {
 		parent[i] = unswept
 	}
 	comps, roots := s.comps[:0], s.roots[:0]
-	leaves, pairs, edges := s.leaves[:0], s.pairs[:0], s.edges[:0]
+	leaves, pers, dest := out.Leaves[:0], out.Persistence[:0], s.dest[:0]
 	critical, paired, shortcuts := 0, 0, 0
 
 	// The plateau is order[lo:hi] in both sweeps, in descending id order,
@@ -319,7 +351,7 @@ func (s *sweeper) sweep(g *stgraph.Graph, vals []float64, kind Kind) *Tree {
 			}
 		}
 		roots = roots[:0]
-		// Neighbor order fixes the order of Edges at a saddle.
+		// Neighbor order fixes the order of the edges at a saddle.
 	neighbors:
 		for _, d := range delta[off[region]:off[region+1]] {
 			u := v + d
@@ -341,8 +373,9 @@ func (s *sweeper) sweep(g *stgraph.Graph, vals []float64, kind Kind) *Tree {
 			c := int32(len(comps))
 			comps = append(comps, component{head: v, creator: c})
 			parent[v] = -2 - c
-			leaves = append(leaves, int(v))
-			pairs = append(pairs, Pair{Creator: int(v), Destroyer: unpaired})
+			leaves = append(leaves, v)
+			pers = append(pers, 0)
+			dest = append(dest, unpaired)
 		case 1:
 			// Regular vertex: join the component. Head and creator change
 			// only at critical points, so edges connect critical vertices.
@@ -358,13 +391,14 @@ func (s *sweeper) sweep(g *stgraph.Graph, vals []float64, kind Kind) *Tree {
 			win := roots[0]
 			for i, r := range roots {
 				c := comps[compOf(parent, r)]
-				edges = append(edges, Edge{Upper: int(c.head), Lower: int(v)})
-				if int(c.head) == leaves[c.creator] {
+				if s.edge != nil {
+					s.edge(c.head, v)
+				}
+				if c.head == leaves[c.creator] {
 					critical++ // first merge of this component: its head is a leaf
 				}
 				if c.creator != survivor {
-					p := &pairs[c.creator]
-					p.Destroyer, p.Persistence = int(v), math.Abs(vals[v]-vals[p.Creator])
+					dest[c.creator], pers[c.creator] = v, math.Abs(vals[v]-vals[leaves[c.creator]])
 					paired++
 				}
 				if i == 0 {
@@ -394,39 +428,33 @@ func (s *sweeper) sweep(g *stgraph.Graph, vals []float64, kind Kind) *Tree {
 	root := order[n-1]
 	c := comps[compOf(parent, find(parent, root))]
 	extreme := leaves[c.creator]
-	pairs[c.creator] = Pair{Creator: extreme, Destroyer: -1,
-		Persistence: math.Abs(vals[root] - vals[extreme]), Essential: true}
+	dest[c.creator], pers[c.creator] = -1, math.Abs(vals[root]-vals[extreme])
 	paired++
-	if int(c.head) == extreme {
+	if c.head == extreme {
 		critical++
 	}
 	if c.head != root {
-		edges = append(edges, Edge{Upper: int(c.head), Lower: int(root)})
+		if s.edge != nil {
+			s.edge(c.head, root)
+		}
 		critical++
 	}
 	if paired < len(leaves) {
 		// Disconnected domain: a component that never reaches the root's
 		// keeps its oldest extremum unpaired, and that is not a leaf.
 		k := 0
-		for i, p := range pairs {
-			if p.Destroyer != unpaired {
-				leaves[k], pairs[k] = leaves[i], p
+		for i, d := range dest {
+			if d != unpaired {
+				leaves[k], pers[k], dest[k] = leaves[i], pers[i], d
 				k++
 			}
 		}
-		leaves, pairs = leaves[:k], pairs[:k]
+		leaves, pers, dest = leaves[:k], pers[:k], dest[:k]
 	}
 
-	s.comps, s.roots, s.leaves, s.pairs, s.edges = comps, roots, leaves, pairs, edges
+	s.comps, s.roots, s.dest = comps, roots, dest
 	s.shortcuts = shortcuts
-	return &Tree{
-		kind: kind, g: g, vals: vals,
-		Leaves:   append([]int(nil), leaves...),
-		Pairs:    append([]Pair(nil), pairs...),
-		Edges:    append([]Edge(nil), edges...),
-		Root:     int(root),
-		critical: critical,
-	}
+	out.Leaves, out.Persistence, out.Critical = leaves, pers, critical
 }
 
 // plateauRow decides from the bit rows which plateau vertices (t, r) of the
