@@ -20,8 +20,8 @@ func TestList(t *testing.T) {
 		got = append(got, strings.Fields(line)[0])
 	}
 	all := experiments.All()
-	if len(all) != 11 {
-		t.Errorf("experiments.All() has %d entries, want 11", len(all))
+	if len(all) != 10 {
+		t.Errorf("experiments.All() has %d entries, want 10", len(all))
 	}
 	var want []string
 	for _, r := range all {

@@ -13,6 +13,7 @@ import (
 	"net/url"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -233,6 +234,63 @@ func TestServerRejectsBadRequests(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("missing q: status = %d, want 400", resp.StatusCode)
+	}
+}
+
+// TestClauseVerdictBothDoors sends each clause through both query doors,
+// the grammar (GET /v1/query?q=) and the JSON clause (POST /v1/query), and
+// requires the same verdict: both answer, or both refuse with a 400 whose
+// error names the offending field. The values are checked in one place
+// (core.Clause.Validate) that both doors reach.
+func TestClauseVerdictBothDoors(t *testing.T) {
+	srv := httptest.NewServer(newServer(testFramework(t)))
+	defer srv.Close()
+	client := srv.Client()
+	for _, tc := range []struct {
+		where  string
+		clause clauseRequest
+		status int
+		names  string // a substring of both errors
+	}{
+		{"permutations = 20", clauseRequest{Permutations: 20}, http.StatusOK, ""},
+		{"test = restricted and permutations = 20", clauseRequest{Test: "restricted", Permutations: 20}, http.StatusOK, ""},
+		{"alpha = 0.01 and permutations = 20 and qvalue <= 0.5", clauseRequest{Alpha: 0.01, Permutations: 20, MaxQ: 0.5}, http.StatusOK, ""},
+		{"permutations = -5", clauseRequest{Permutations: -5}, http.StatusBadRequest, "permutations"},
+		{"permutations = 2000000000", clauseRequest{Permutations: 2e9}, http.StatusBadRequest, "permutations"},
+		{"alpha = 3", clauseRequest{Alpha: 3}, http.StatusBadRequest, "alpha"},
+		{"alpha = 1", clauseRequest{Alpha: 1}, http.StatusBadRequest, "alpha"},
+		{"alpha = -0.05", clauseRequest{Alpha: -0.05}, http.StatusBadRequest, "alpha"},
+		{"qvalue <= -1", clauseRequest{MaxQ: -1}, http.StatusBadRequest, "max_q"},
+		{"test = standard", clauseRequest{Test: "standard"}, http.StatusBadRequest, "the standard test was removed"},
+		{"test = block", clauseRequest{Test: "block"}, http.StatusBadRequest, "the block test was removed"},
+	} {
+		resp, err := client.Get(srv.URL + "/v1/query?q=" +
+			url.QueryEscape("find relationships between wind and trips where "+tc.where+" at (week, city)"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var textErr errorResponse
+		json.NewDecoder(resp.Body).Decode(&textErr)
+		resp.Body.Close()
+		clause := tc.clause
+		clause.Resolutions = []resolutionWire{{Spatial: "city", Temporal: "week"}}
+		body, err := json.Marshal(queryRequest{Sources: []string{"wind"}, Targets: []string{"trips"}, Clause: clause})
+		if err != nil {
+			t.Fatal(err)
+		}
+		jresp, err := client.Post(srv.URL+"/v1/query", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var jsonErr errorResponse
+		json.NewDecoder(jresp.Body).Decode(&jsonErr)
+		jresp.Body.Close()
+		if resp.StatusCode != tc.status || jresp.StatusCode != tc.status {
+			t.Errorf("%q: grammar %d, JSON %d, want %d for both", tc.where, resp.StatusCode, jresp.StatusCode, tc.status)
+		}
+		if tc.names != "" && (!strings.Contains(textErr.Error, tc.names) || !strings.Contains(jsonErr.Error, tc.names)) {
+			t.Errorf("%q: errors %q and %q, want both to name %q", tc.where, textErr.Error, jsonErr.Error, tc.names)
+		}
 	}
 }
 

@@ -256,53 +256,6 @@ func (v *Vector) CopyRange(src *Vector, srcOff, dstOff, n int) {
 	}
 }
 
-// AndCount2 returns (popcount(v AND x), popcount(v AND y)) in a single pass
-// over v's words. The Monte Carlo vector kernel derives each permutation's
-// tau from popcounts of the permuted feature vector against two masks
-// (same-sign features and the feature union); fusing them halves the memory
-// traffic of the hot loop.
-func (v *Vector) AndCount2(x, y *Vector) (cx, cy int) {
-	v.checkLen(x)
-	v.checkLen(y)
-	for i, w := range v.words {
-		cx += bits.OnesCount64(w & x.words[i])
-		cy += bits.OnesCount64(w & y.words[i])
-	}
-	return cx, cy
-}
-
-// AndCount2Window counts the n-bit window v[off, off+n) against two masks
-// without storing it anywhere: with w the window laid over bits [at, at+n)
-// of an otherwise zero vector, it returns (popcount(w AND x),
-// popcount(w AND y)). at must be a multiple of 64, off is arbitrary: each
-// word of w is assembled from two neighbouring words of v and consumed at
-// once. A rotated lane of the Monte Carlo kernel is such a window of a
-// doubled lane, and tau needs nothing of it but these two counts.
-func (v *Vector) AndCount2Window(off, n int, x, y *Vector, at int) (cx, cy int) {
-	x.checkLen(y)
-	if n == 0 {
-		return 0, 0
-	}
-	if n < 0 || off < 0 || off+n > v.n || at < 0 || at%wordBits != 0 || at+n > x.n {
-		panic(fmt.Sprintf("bitvec: AndCount2Window src[%d:%d) of %d at %d of %d", off, off+n, v.n, at, x.n))
-	}
-	// The last word is read apart: it may be partial, and v may end in it.
-	last := (n - 1) / wordBits
-	lo, hi := uint(off%wordBits), uint(wordBits-1-off%wordBits)
-	src := v.words[off/wordBits:][:last+1]
-	xs := x.words[at/wordBits:][:len(src)]
-	ys := y.words[at/wordBits:][:len(src)]
-	cur := src[0]
-	for i, next := range src[1:] {
-		w := cur>>(lo&63) | next<<1<<(hi&63) // two shifts: a shift by 64 must give 0
-		cx += bits.OnesCount64(w & xs[i])
-		cy += bits.OnesCount64(w & ys[i])
-		cur = next
-	}
-	w := v.rangeBits(off+last*wordBits, n-last*wordBits)
-	return cx + bits.OnesCount64(w&xs[last]), cy + bits.OnesCount64(w&ys[last])
-}
-
 // AnyRange reports whether any bit in [from, to) is set.
 func (v *Vector) AnyRange(from, to int) bool {
 	if from < 0 || to > v.n || from > to {

@@ -489,83 +489,6 @@ func TestAnyRangeAndMaskRange(t *testing.T) {
 	}
 }
 
-// TestAndCount2WindowRandomized holds the fused read-at-offset-and-count to
-// the composition it replaces: CopyRange of the window into a zeroed scratch
-// vector, then AndCount2 over it. Offsets, lengths and tail widths are
-// random; every fourth trial ends the window on the source's last bit, so
-// the last source word is the vector's last word.
-func TestAndCount2WindowRandomized(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	fill := func(v *Vector, oneIn int) {
-		for i := 0; i < v.Len(); i++ {
-			if rng.Intn(oneIn) == 0 {
-				v.Set(i)
-			}
-		}
-	}
-	for trial := 0; trial < 2000; trial++ {
-		srcLen := 1 + rng.Intn(400)
-		n := 1 + rng.Intn(srcLen)
-		off := rng.Intn(srcLen - n + 1)
-		if trial%4 == 0 {
-			off = srcLen - n
-		}
-		at := wordBits * rng.Intn(4)
-		dstLen := at + n + rng.Intn(130)
-		src, x, y := New(srcLen), New(dstLen), New(dstLen)
-		fill(src, 2)
-		fill(x, 2)
-		fill(y, 3)
-		scratch := New(dstLen)
-		scratch.CopyRange(src, off, at, n)
-		wx, wy := scratch.AndCount2(x, y)
-		if cx, cy := src.AndCount2Window(off, n, x, y, at); cx != wx || cy != wy {
-			t.Fatalf("trial %d: AndCount2Window(src[%d:%d) of %d at %d of %d) = (%d,%d), want (%d,%d)",
-				trial, off, off+n, srcLen, at, dstLen, cx, cy, wx, wy)
-		}
-	}
-	if cx, cy := New(10).AndCount2Window(3, 0, New(64), New(64), 0); cx != 0 || cy != 0 {
-		t.Fatalf("empty window counts (%d,%d)", cx, cy)
-	}
-}
-
-func TestAndCount2WindowBadRangePanics(t *testing.T) {
-	src, x := New(100), New(128)
-	for _, c := range [][3]int{{-1, 10, 0}, {95, 10, 0}, {0, 10, 32}, {0, 100, 64}, {0, 10, -64}} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("AndCount2Window(off=%d, n=%d, at=%d) did not panic", c[0], c[1], c[2])
-				}
-			}()
-			src.AndCount2Window(c[0], c[1], x, x, c[2])
-		}()
-	}
-}
-
-func TestAndCount2MatchesAndCount(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	for trial := 0; trial < 200; trial++ {
-		n := 1 + rng.Intn(400)
-		v, x, y := New(n), New(n), New(n)
-		for i := 0; i < n; i++ {
-			if rng.Intn(2) == 0 {
-				v.Set(i)
-			}
-			if rng.Intn(3) == 0 {
-				x.Set(i)
-			}
-			if rng.Intn(3) == 0 {
-				y.Set(i)
-			}
-		}
-		cx, cy := v.AndCount2(x, y)
-		if cx != v.AndCount(x) || cy != v.AndCount(y) {
-			t.Fatalf("AndCount2 = (%d,%d), want (%d,%d)", cx, cy, v.AndCount(x), v.AndCount(y))
-		}
-	}
-}
-
 // And returns a new vector that is the bitwise AND of v and o.
 // Both vectors must have the same length.
 func (v *Vector) And(o *Vector) *Vector {

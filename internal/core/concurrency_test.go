@@ -2,7 +2,9 @@ package core
 
 import (
 	"errors"
+	"math"
 	"reflect"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -146,6 +148,73 @@ func TestSingleflightDedup(t *testing.T) {
 	for g := 1; g < goroutines; g++ {
 		if !reflect.DeepEqual(results[g], results[0]) {
 			t.Fatalf("goroutine %d saw a different result set", g)
+		}
+	}
+}
+
+// TestQuerySignaturePinned pins the signature of two restricted clauses to
+// the strings the engine produced while a clause could still name its test
+// kind. The kind=0 field stays, so the family-store key a snapshot's graph
+// section carries is still the key its clause signs to.
+func TestQuerySignaturePinned(t *testing.T) {
+	for _, c := range []struct {
+		sources, targets []string
+		clause           Clause
+		want             string
+	}{
+		{nil, nil, Clause{},
+			"s=|t=|score=0|strength=0|alpha=0|perms=0|skip=false|kind=0|corr=none|maxq=0|exhaustive=false|classes=salient;extreme|res=all|win=none"},
+		{[]string{"weather", "taxi", "taxi"}, []string{"citibike"}, Clause{
+			MinScore: 0.6, MinStrength: 0.25, Alpha: 0.01, Permutations: 500, Correction: stats.BH, MaxQ: 0.1,
+			Exhaustive: true, Classes: []feature.Class{feature.Extreme, feature.Salient},
+			Resolutions: []Resolution{{Spatial: spatial.Neighborhood, Temporal: temporal.Day}, {Spatial: spatial.City, Temporal: temporal.Hour}},
+			Windowed:    true, WindowFrom: 1338508800, WindowTo: 1346371200,
+		}, "s=taxi,weather|t=citibike|score=0.6|strength=0.25|alpha=0.01|perms=500|skip=false|kind=0|corr=bh|maxq=0.1|exhaustive=true|classes=salient;extreme|res=(day, neighborhood);(hour, city)|win=1338508800:1346371200"},
+	} {
+		if got := querySignature(c.sources, c.targets, c.clause); got != c.want {
+			t.Errorf("signature\n got %s\nwant %s", got, c.want)
+		}
+	}
+	if got, want := graphSignature(Clause{Permutations: 1000, Correction: stats.BY}),
+		"s=|t=|score=0|strength=0|alpha=0|perms=1000|skip=false|kind=0|corr=none|maxq=0|exhaustive=false|classes=salient;extreme|res=all|win=none"; got != want {
+		t.Errorf("graph signature\n got %s\nwant %s", got, want)
+	}
+}
+
+// TestClauseValidate: Query and BuildGraph reject a clause outside its
+// domain before anything else, indexed or not, and accept its edges.
+func TestClauseValidate(t *testing.T) {
+	f := newFW(t)
+	for _, c := range []struct {
+		clause Clause
+		field  string // "" => valid
+	}{
+		{Clause{}, ""},
+		{Clause{Alpha: 0.999, Permutations: 1_000_000_000, MaxQ: 2, MinScore: -1}, ""},
+		{Clause{Windowed: true, WindowFrom: 5, WindowTo: 5}, ""},
+		{Clause{Alpha: 1}, "alpha"},
+		{Clause{Alpha: 3}, "alpha"},
+		{Clause{Alpha: -0.05}, "alpha"},
+		{Clause{Alpha: math.NaN()}, "alpha"},
+		{Clause{Permutations: -5}, "permutations"},
+		{Clause{Permutations: 2_000_000_000}, "permutations"},
+		{Clause{MaxQ: -1}, "max_q"},
+		{Clause{MinScore: math.Inf(1)}, "score"},
+		{Clause{MinStrength: math.NaN()}, "strength"},
+		{Clause{Windowed: true, WindowFrom: 6, WindowTo: 5}, "window"},
+	} {
+		err := c.clause.Validate()
+		if (err == nil) != (c.field == "") || err != nil && !strings.Contains(err.Error(), c.field) {
+			t.Errorf("%+v: Validate = %v, want an error naming %q", c.clause, err, c.field)
+		}
+		if c.field == "" {
+			continue
+		}
+		if _, _, qerr := f.Query(Query{Clause: c.clause}); qerr == nil || qerr.Error() != err.Error() {
+			t.Errorf("%+v: Query err = %v, want %v", c.clause, qerr, err)
+		}
+		if _, gerr := f.BuildGraph(c.clause); gerr == nil || gerr.Error() != err.Error() {
+			t.Errorf("%+v: BuildGraph err = %v, want %v", c.clause, gerr, err)
 		}
 	}
 }

@@ -10,7 +10,6 @@ import (
 
 	"github.com/urbandata/datapolygamy/internal/dataset"
 	"github.com/urbandata/datapolygamy/internal/feature"
-	"github.com/urbandata/datapolygamy/internal/montecarlo"
 	"github.com/urbandata/datapolygamy/internal/spatial"
 	"github.com/urbandata/datapolygamy/internal/temporal"
 )
@@ -196,12 +195,11 @@ func TestPlantedNegativeRelationshipFound(t *testing.T) {
 	if _, err := f.BuildIndex(); err != nil {
 		t.Fatal(err)
 	}
-	// The planted relationship is strong enough for every permutation
-	// scheme to find it; the non-default kinds run through the same
-	// Query path, filtered to the planted resolution and class.
-	for _, kind := range []montecarlo.Kind{montecarlo.Restricted, montecarlo.Standard, montecarlo.Block} {
-		clause := Clause{Permutations: 300, TestKind: kind}
-		if kind != montecarlo.Restricted {
+	// The restricted test finds the planted relationship whether the query
+	// plans every resolution and class or is filtered to the planted ones.
+	for _, filtered := range []bool{false, true} {
+		clause := Clause{Permutations: 300}
+		if filtered {
 			clause.Resolutions = []Resolution{{spatial.City, temporal.Hour}}
 			clause.Classes = []feature.Class{feature.Salient}
 		}
@@ -210,14 +208,14 @@ func TestPlantedNegativeRelationshipFound(t *testing.T) {
 			t.Fatal(err)
 		}
 		if stats.PairsConsidered == 0 {
-			t.Fatalf("%v: no pairs considered", kind)
+			t.Fatalf("filtered=%v: no pairs considered", filtered)
 		}
 		// Find the count ~ speed salient relationship at (hour, city); the
 		// pair is reported with the alphabetically first data set as side 1.
 		found := false
 		for _, r := range rels {
-			if kind != montecarlo.Restricted && (r.Res != clause.Resolutions[0] || r.Class != feature.Salient) {
-				t.Errorf("%v: clause filter leaked %v", kind, r)
+			if filtered && (r.Res != clause.Resolutions[0] || r.Class != feature.Salient) {
+				t.Errorf("clause filter leaked %v", r)
 			}
 			if r.Spec1 == "avg_count" && r.Spec2 == "avg_speed" &&
 				r.Res == (Resolution{spatial.City, temporal.Hour}) && r.Class == feature.Salient {
@@ -228,10 +226,10 @@ func TestPlantedNegativeRelationshipFound(t *testing.T) {
 				// precipitation/taxis). Direction and significance are the
 				// contract.
 				if r.Score > -0.15 {
-					t.Errorf("%v: planted negative relationship has tau = %g, want clearly negative", kind, r.Score)
+					t.Errorf("filtered=%v: planted negative relationship has tau = %g, want clearly negative", filtered, r.Score)
 				}
 				if !r.Significant {
-					t.Errorf("%v: planted relationship should be significant", kind)
+					t.Errorf("filtered=%v: planted relationship should be significant", filtered)
 				}
 			}
 		}
@@ -239,7 +237,7 @@ func TestPlantedNegativeRelationshipFound(t *testing.T) {
 			for _, r := range rels {
 				t.Logf("got: %v", r)
 			}
-			t.Fatalf("%v: planted wind/trips relationship not found", kind)
+			t.Fatalf("filtered=%v: planted wind/trips relationship not found", filtered)
 		}
 	}
 }

@@ -31,7 +31,6 @@ import (
 
 	"github.com/urbandata/datapolygamy/internal/bitvec"
 	"github.com/urbandata/datapolygamy/internal/feature"
-	"github.com/urbandata/datapolygamy/internal/montecarlo"
 	"github.com/urbandata/datapolygamy/internal/spatial"
 	"github.com/urbandata/datapolygamy/internal/stats"
 	"github.com/urbandata/datapolygamy/internal/store"
@@ -498,7 +497,9 @@ func parseFlatGraph(data []byte, funcs map[string][]*FunctionEntry) (flatGraphSn
 		maxQ:       r.F64(),
 		skip:       r.U64() != 0,
 	}
-	snap.clause = readFlatClause(r)
+	if snap.clause, err = readFlatClause(r); err != nil {
+		return snap, err
+	}
 	nPairs := r.Count(24)
 	snap.fams = make(map[graphPair][]candidate, nPairs)
 	for i := 0; i < nPairs && r.Err() == nil; i++ {
@@ -597,7 +598,7 @@ func writeFlatClause(w *store.SlabWriter, c Clause) {
 	w.F64(c.Alpha)
 	w.I64(int64(c.Permutations))
 	w.U64(b2u(c.SkipSignificance))
-	w.I64(int64(c.TestKind))
+	w.I64(0) // reserved: the retired test kind, 0 for the restricted test
 	w.I64(int64(c.Correction))
 	w.F64(c.MaxQ)
 	w.U64(b2u(c.Exhaustive))
@@ -607,7 +608,7 @@ func writeFlatClause(w *store.SlabWriter, c Clause) {
 	w.I64(c.WindowTo)
 }
 
-func readFlatClause(r *store.SlabReader) Clause {
+func readFlatClause(r *store.SlabReader) (Clause, error) {
 	var c Clause
 	c.MinScore = r.F64()
 	c.MinStrength = r.F64()
@@ -631,7 +632,16 @@ func readFlatClause(r *store.SlabReader) Clause {
 	c.Alpha = r.F64()
 	c.Permutations = int(r.I64())
 	c.SkipSignificance = r.U64() != 0
-	c.TestKind = montecarlo.Kind(r.I64())
+	if kind := r.I64(); kind != 0 {
+		name := "an unknown test"
+		switch kind {
+		case 1:
+			name = "the standard test"
+		case 2:
+			name = "the block test"
+		}
+		return c, corruptf("graph clause names test kind %d (%s), which was removed", kind, name)
+	}
 	c.Correction = stats.Correction(r.I64())
 	c.MaxQ = r.F64()
 	c.Exhaustive = r.U64() != 0
@@ -639,7 +649,7 @@ func readFlatClause(r *store.SlabReader) Clause {
 	c.Windowed = r.U64() != 0
 	c.WindowFrom = r.I64()
 	c.WindowTo = r.I64()
-	return c
+	return c, nil
 }
 
 // boundCount applies SlabReader.Count's allocation bound to a count that

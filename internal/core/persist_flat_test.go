@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 
 	"github.com/urbandata/datapolygamy/internal/dataset"
@@ -196,6 +197,15 @@ func TestFlatGraphRejectsDamagedPayloads(t *testing.T) {
 		})
 	}
 	countOff := len(graph) - candidateBytes*len(fam) - 8 // the pair's record count
+	// The clause's retired test-kind word: seven words before the clause's
+	// end (Correction, MaxQ, Exhaustive, a reserved word, the window).
+	var cw store.SlabWriter
+	writeFlatClause(&cw, f.graphClause)
+	clauseBlob := cw.Finish()
+	kindOff := bytes.Index(graph, clauseBlob) + len(clauseBlob) - 64
+	if kindOff < 64 {
+		t.Fatal("the published clause is not in the graph section")
+	}
 
 	// Word offsets in a graph section: magic 0, generation 8, then the
 	// signature's length at 16.
@@ -226,6 +236,11 @@ func TestFlatGraphRejectsDamagedPayloads(t *testing.T) {
 			return out
 		}()},
 		{"slab ending mid-record", graph[:len(graph)-4]},
+		{"a retired test kind in the clause", func() []byte {
+			out := append([]byte(nil), graph...)
+			binary.LittleEndian.PutUint64(out[kindOff:], 1)
+			return out
+		}()},
 	}
 	for _, tc := range cases {
 		if _, err := parseFlatGraph(tc.payload, ix.funcs); !errors.Is(err, store.ErrCorrupt) {
@@ -374,10 +389,13 @@ func TestBoundCountPoisons(t *testing.T) {
 	}
 }
 
-// TestFlatClauseReservedWord: the clause layout keeps one reserved word
-// where a retired flag used to sit, so the flat generation did not move.
-// It is written as zero, and a snapshot from before the retirement that
-// carries a one there reads back as the same clause.
+// TestFlatClauseReservedWord: the clause layout keeps two reserved words,
+// so the flat generation did not move. Where a retired flag used to sit,
+// the word is written as zero, and a snapshot from before the retirement
+// that carries a one there reads back as the same clause. Where the test
+// kind sat, the word is written as zero, the restricted test's code; a
+// clause naming the standard (1) or block (2) test, both removed, is
+// corrupt, and the error names the test.
 func TestFlatClauseReservedWord(t *testing.T) {
 	clause := Clause{MinScore: 0.2, Permutations: 40, Exhaustive: true,
 		Windowed: true, WindowFrom: 100, WindowTo: 200}
@@ -385,14 +403,23 @@ func TestFlatClauseReservedWord(t *testing.T) {
 	writeFlatClause(&w, clause)
 	blob := w.Finish()
 	reserved := blob[len(blob)-32 : len(blob)-24] // then Windowed, WindowFrom, WindowTo
-	if binary.LittleEndian.Uint64(reserved) != 0 {
-		t.Fatalf("reserved clause word written as %d, want 0", binary.LittleEndian.Uint64(reserved))
+	kind := blob[len(blob)-64 : len(blob)-56]     // then Correction, MaxQ, Exhaustive, reserved, window
+	if binary.LittleEndian.Uint64(reserved) != 0 || binary.LittleEndian.Uint64(kind) != 0 {
+		t.Fatalf("reserved clause words written as %d and %d, want 0",
+			binary.LittleEndian.Uint64(reserved), binary.LittleEndian.Uint64(kind))
 	}
 	binary.LittleEndian.PutUint64(reserved, 1)
 	r := store.NewSlabReader(blob)
-	if got := readFlatClause(r); r.Err() != nil || r.Remaining() != 0 || !reflect.DeepEqual(got, clause) {
-		t.Errorf("clause with the reserved word set read back as %+v (err %v, %d bytes left), want %+v",
-			got, r.Err(), r.Remaining(), clause)
+	if got, err := readFlatClause(r); err != nil || r.Err() != nil || r.Remaining() != 0 || !reflect.DeepEqual(got, clause) {
+		t.Errorf("clause with the reserved word set read back as %+v (err %v, %v, %d bytes left), want %+v",
+			got, err, r.Err(), r.Remaining(), clause)
+	}
+	for code, name := range map[uint64]string{1: "standard", 2: "block"} {
+		binary.LittleEndian.PutUint64(kind, code)
+		_, err := readFlatClause(store.NewSlabReader(blob))
+		if !errors.Is(err, store.ErrCorrupt) || !strings.Contains(err.Error(), "the "+name+" test") {
+			t.Errorf("clause naming test kind %d: err = %v, want an ErrCorrupt naming the %s test", code, err, name)
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package core
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"strings"
@@ -10,7 +11,6 @@ import (
 	"time"
 
 	"github.com/urbandata/datapolygamy/internal/feature"
-	"github.com/urbandata/datapolygamy/internal/montecarlo"
 	"github.com/urbandata/datapolygamy/internal/relationship"
 	"github.com/urbandata/datapolygamy/internal/stats"
 )
@@ -39,16 +39,15 @@ type Clause struct {
 	// Resolutions restricts the evaluation resolutions; nil => every
 	// common resolution of each pair.
 	Resolutions []Resolution
-	// Alpha is the significance level (0 => 0.05).
+	// Alpha is the significance level, below 1 (0 => 0.05).
 	Alpha float64
-	// Permutations is |m| for the Monte Carlo test (0 => 1,000).
+	// Permutations is |m| for the Monte Carlo test (0 => 1,000), at most
+	// 1e9.
 	Permutations int
 	// SkipSignificance disables the Monte Carlo test, returning every
 	// candidate relationship (used to count "possible" relationships for
 	// the pruning experiment, Figure 11).
 	SkipSignificance bool
-	// TestKind selects restricted (default) or standard permutation tests.
-	TestKind montecarlo.Kind
 	// Correction selects the multiple-hypothesis correction applied across
 	// the query's tested pairs (stats.None, stats.BH, or stats.BY). Under a
 	// correction, every evaluated pair receives a q-value computed over the
@@ -75,6 +74,50 @@ type Clause struct {
 	// (only emptiness and disjointness pruning stays on).
 	Windowed             bool
 	WindowFrom, WindowTo int64
+}
+
+// maxPermutations bounds Clause.Permutations.
+const maxPermutations = 1_000_000_000
+
+// Validate reports the first field of c outside its domain: a non-finite
+// threshold, alpha outside [0, 1), permutations outside [0, 1e9], a
+// negative MaxQ or a window that ends before it starts. Query, QueryEncoded
+// and BuildGraph run it first, so the query grammar and the JSON clause,
+// which only translate names, accept and reject the same clauses.
+func (c Clause) Validate() error {
+	for _, v := range []struct {
+		name string
+		x    float64
+	}{{"score", c.MinScore}, {"strength", c.MinStrength}, {"alpha", c.Alpha}, {"max_q", c.MaxQ}} {
+		if math.IsNaN(v.x) || math.IsInf(v.x, 0) {
+			return fmt.Errorf("core: %s must be finite, got %g", v.name, v.x)
+		}
+	}
+	switch {
+	case c.Alpha < 0 || c.Alpha >= 1:
+		return fmt.Errorf("core: alpha must be in [0, 1), got %g", c.Alpha)
+	case c.Permutations < 0 || c.Permutations > maxPermutations:
+		return fmt.Errorf("core: permutations must be in [0, %d], got %d", maxPermutations, c.Permutations)
+	case c.MaxQ < 0:
+		return fmt.Errorf("core: max_q must be >= 0, got %g", c.MaxQ)
+	case c.Windowed && c.WindowFrom > c.WindowTo:
+		return fmt.Errorf("core: time window starts after it ends (%d > %d)", c.WindowFrom, c.WindowTo)
+	}
+	return nil
+}
+
+// CheckTest accepts the name of the significance test a query asks for:
+// "restricted", the paper's restricted Monte Carlo test and the only one the
+// engine runs, or "" for it. The standard and block permutation tests were
+// removed; naming one is an error that says so.
+func CheckTest(name string) error {
+	switch name {
+	case "", "restricted":
+		return nil
+	case "standard", "block":
+		return fmt.Errorf("core: the %s test was removed: the engine runs the restricted test only", name)
+	}
+	return fmt.Errorf("core: unknown test %q (want restricted)", name)
 }
 
 // Query asks for relationships between two collections of data sets
@@ -227,6 +270,10 @@ func (f *Framework) query(q Query) (*cachedResult, QueryStats, error) {
 	f.mu.RLock()
 	defer f.mu.RUnlock()
 	var stats QueryStats
+	if err := q.Clause.Validate(); err != nil {
+		mQueryErrors.Inc()
+		return nil, stats, err
+	}
 	if !f.indexedLocked() {
 		mQueryErrors.Inc()
 		return nil, stats, fmt.Errorf("core: BuildIndex must run before Query")
@@ -534,10 +581,13 @@ func querySignature(sources, targets []string, c Clause) string {
 	if c.Windowed {
 		winStr = fmt.Sprintf("%d:%d", c.WindowFrom, c.WindowTo)
 	}
-	return fmt.Sprintf("s=%s|t=%s|score=%g|strength=%g|alpha=%g|perms=%d|skip=%t|kind=%d|corr=%s|maxq=%g|exhaustive=%t|classes=%s|res=%s|win=%s",
+	// kind=0 is the restricted test's code, kept from when a clause could
+	// name another test, so that signatures and the family-store keys
+	// snapshots carry stay what they were.
+	return fmt.Sprintf("s=%s|t=%s|score=%g|strength=%g|alpha=%g|perms=%d|skip=%t|kind=0|corr=%s|maxq=%g|exhaustive=%t|classes=%s|res=%s|win=%s",
 		strings.Join(dedupeSorted(sources), ","), strings.Join(dedupeSorted(targets), ","),
 		c.MinScore, c.MinStrength, c.Alpha, c.Permutations, c.SkipSignificance,
-		c.TestKind, c.Correction, c.MaxQ, c.Exhaustive,
+		c.Correction, c.MaxQ, c.Exhaustive,
 		strings.Join(clsParts, ";"), resStr, winStr)
 }
 

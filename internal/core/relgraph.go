@@ -220,6 +220,9 @@ func (f *Framework) BuildGraph(clause Clause) (GraphStats, error) {
 	f.mu.RLock()
 	defer f.mu.RUnlock()
 	var st GraphStats
+	if err := clause.Validate(); err != nil {
+		return st, err
+	}
 	if !f.indexedLocked() {
 		return st, fmt.Errorf("core: BuildIndex must run before BuildGraph")
 	}

@@ -91,7 +91,6 @@ func (f *Framework) runSignificance(t pairTask, clause Clause, s1, s2 *feature.S
 		Permutations: clause.Permutations,
 		Alpha:        clause.Alpha,
 		Seed:         t.seed,
-		Kind:         clause.TestKind,
 		Workers:      mcWorkers,
 		Exhaustive:   clause.Exhaustive,
 		Shifts:       f.shifts[t.e1.Res.Spatial],

@@ -225,7 +225,6 @@ func All() []Runner {
 		{"interesting", "Section 6.3 — interesting relationships", RunInteresting},
 		{"significance", "Section 6.3 — significance test effectiveness", RunSignificance},
 		{"comparison", "Section 6.4 — comparison against PCC / MI / DTW", RunComparison},
-		{"ablation", "Design ablations — event detection; randomization schemes", RunAblation},
 	}
 }
 

@@ -152,6 +152,28 @@ func TestComparisonClaim(t *testing.T) {
 	}
 }
 
+// TestSignificanceClaim is the Section 6.3 significance-test study: the
+// restricted test prunes every relationship of the fare tax, white noise,
+// with the weather, and prunes relationships whose score is high.
+func TestSignificanceClaim(t *testing.T) {
+	st, err := significance(claimEnv(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(st.tax) != 4 {
+		t.Fatalf("%d fare-tax relationships, want 4", len(st.tax))
+	}
+	for _, r := range st.tax {
+		if r.mc.Significant {
+			t.Errorf("fare tax ~ %s: tau %.2f p %.3f is significant, want pruned", r.spec, r.m.Tau, r.mc.PValue)
+		}
+	}
+	if len(st.pruned) == 0 {
+		t.Error("no relationship with |tau| >= 0.6 at (week, city) was pruned")
+	}
+	t.Logf("high-|tau| pruned: %d", len(st.pruned))
+}
+
 func TestAllExperimentsRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiments are slow")
@@ -173,8 +195,8 @@ func TestAllExperimentsRun(t *testing.T) {
 
 func TestFindAndAll(t *testing.T) {
 	all := All()
-	if len(all) != 11 {
-		t.Errorf("All() = %d experiments, want 11", len(all))
+	if len(all) != 10 {
+		t.Errorf("All() = %d experiments, want 10", len(all))
 	}
 	seen := map[string]bool{}
 	for _, r := range all {

@@ -15,7 +15,6 @@ import (
 
 	"github.com/urbandata/datapolygamy/internal/core"
 	"github.com/urbandata/datapolygamy/internal/feature"
-	"github.com/urbandata/datapolygamy/internal/montecarlo"
 	"github.com/urbandata/datapolygamy/internal/spatial"
 	"github.com/urbandata/datapolygamy/internal/stats"
 	"github.com/urbandata/datapolygamy/internal/temporal"
@@ -31,7 +30,7 @@ type ClauseRequest struct {
 	Alpha            float64      `json:"alpha,omitempty"`
 	Permutations     int          `json:"permutations,omitempty"`
 	SkipSignificance bool         `json:"skipSignificance,omitempty"`
-	Test             string       `json:"test,omitempty"`       // "restricted" (default), "standard", "block"
+	Test             string       `json:"test,omitempty"`       // "restricted", the default and only test
 	Correction       string       `json:"correction,omitempty"` // "none" (default), "bh", "by"
 	MaxQ             float64      `json:"max_q,omitempty"`      // keep only q <= max_q (0 => no filter)
 }
@@ -70,7 +69,8 @@ type Error struct {
 }
 
 // ParseClause decodes the wire clause into the engine form, rejecting
-// unknown enum names.
+// unknown enum names. The values are the engine's to check
+// (core.Clause.Validate), as they are for the query grammar.
 func ParseClause(c ClauseRequest) (core.Clause, error) {
 	out := core.Clause{
 		MinScore:         c.MinScore,
@@ -100,24 +100,14 @@ func ParseClause(c ClauseRequest) (core.Clause, error) {
 		}
 		out.Resolutions = append(out.Resolutions, core.Resolution{Spatial: sr, Temporal: tr})
 	}
-	switch strings.ToLower(strings.TrimSpace(c.Test)) {
-	case "", "restricted":
-		out.TestKind = montecarlo.Restricted
-	case "standard":
-		out.TestKind = montecarlo.Standard
-	case "block":
-		out.TestKind = montecarlo.Block
-	default:
-		return out, fmt.Errorf("unknown test kind %q (want restricted, standard, or block)", c.Test)
+	if err := core.CheckTest(strings.ToLower(strings.TrimSpace(c.Test))); err != nil {
+		return out, err
 	}
 	corr, err := stats.ParseCorrection(c.Correction)
 	if err != nil {
 		return out, err
 	}
 	out.Correction = corr
-	if c.MaxQ < 0 {
-		return out, fmt.Errorf("max_q must be >= 0, got %g", c.MaxQ)
-	}
 	out.MaxQ = c.MaxQ
 	return out, nil
 }

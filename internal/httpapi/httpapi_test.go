@@ -5,13 +5,13 @@ import (
 	"encoding/json"
 	"net/http/httptest"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 
 	"github.com/urbandata/datapolygamy/internal/core"
 
 	"github.com/urbandata/datapolygamy/internal/feature"
-	"github.com/urbandata/datapolygamy/internal/montecarlo"
 	"github.com/urbandata/datapolygamy/internal/stats"
 )
 
@@ -23,7 +23,7 @@ func TestParseClauseFull(t *testing.T) {
 		Resolutions:  []Resolution{{Spatial: "city", Temporal: "hour"}},
 		Alpha:        0.01,
 		Permutations: 500,
-		Test:         "block",
+		Test:         "Restricted",
 		Correction:   "bh",
 		MaxQ:         0.2,
 	})
@@ -39,9 +39,6 @@ func TestParseClauseFull(t *testing.T) {
 	if len(c.Resolutions) != 1 {
 		t.Fatalf("resolutions = %v", c.Resolutions)
 	}
-	if c.TestKind != montecarlo.Block {
-		t.Fatalf("test kind = %v", c.TestKind)
-	}
 	if c.Correction != stats.BH {
 		t.Fatalf("correction = %v", c.Correction)
 	}
@@ -55,9 +52,6 @@ func TestParseClauseDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.TestKind != montecarlo.Restricted {
-		t.Fatalf("default test kind = %v, want restricted", c.TestKind)
-	}
 	if c.Correction != stats.None {
 		t.Fatalf("default correction = %v, want none", c.Correction)
 	}
@@ -70,11 +64,17 @@ func TestParseClauseRejects(t *testing.T) {
 		{Resolutions: []Resolution{{Spatial: "city", Temporal: "nope"}}},
 		{Test: "bayesian"},
 		{Correction: "bogus"},
-		{MaxQ: -1},
 	}
 	for i, c := range cases {
 		if _, err := ParseClause(c); err == nil {
 			t.Errorf("case %d: ParseClause accepted %+v", i, c)
+		}
+	}
+	// The standard and block tests were removed: asking for one names it.
+	for _, kind := range []string{"standard", "block"} {
+		_, err := ParseClause(ClauseRequest{Test: kind})
+		if err == nil || !strings.Contains(err.Error(), "the "+kind+" test was removed") {
+			t.Errorf("test %q: err = %v, want one saying the %s test was removed", kind, err, kind)
 		}
 	}
 }

@@ -39,14 +39,13 @@ func TestStopThreshold(t *testing.T) {
 	}
 }
 
-// TestAdaptiveExhaustiveParity is the tentpole's decision-exactness
-// contract: for every Monte Carlo kind and a sweep of seeds, the adaptive
-// (default) and exhaustive runs must agree on Significant, adaptive Shifts
-// must never exceed exhaustive Shifts, and the sweep must contain at least
-// one genuinely early-stopped case — otherwise the test proves nothing. An
-// exhaustive run evaluates every permutation: 400, or on the one-region
-// domain under Restricted all 1,499 rotations, which a significant test
-// visits adaptively too.
+// TestAdaptiveExhaustiveParity is the decision-exactness contract: for a
+// sweep of seeds, the adaptive (default) and exhaustive runs must agree on
+// Significant, adaptive Shifts must never exceed exhaustive Shifts, and the
+// sweep must contain at least one genuinely early-stopped case — otherwise
+// the test proves nothing. An exhaustive run evaluates every permutation:
+// 400, or on the one-region domain all 1,499 rotations, which a significant
+// test visits adaptively too.
 func TestAdaptiveExhaustiveParity(t *testing.T) {
 	n := 1500
 	g, err := stgraph.New(1, n, [][]int{nil})
@@ -86,48 +85,46 @@ func TestAdaptiveExhaustiveParity(t *testing.T) {
 	earlyStops := 0
 	for _, fx := range fixtures {
 		m := relationship.Evaluate(fx.a, fx.b)
-		for _, kind := range []Kind{Restricted, Standard, Block} {
-			for seed := int64(0); seed < 8; seed++ {
-				for _, workers := range []int{1, 4} {
-					cfg := Config{Permutations: 400, Seed: seed, Kind: kind, Workers: workers}
-					full := 400
-					if kind == Restricted && fx.g.NumRegions() == 1 {
-						full = fx.g.NumSteps() - 1
-					}
-					adaptive := Test(fx.a, fx.b, fx.g, m.Tau, cfg)
-					cfg.Exhaustive = true
-					exhaustive := Test(fx.a, fx.b, fx.g, m.Tau, cfg)
+		for seed := int64(0); seed < 8; seed++ {
+			for _, workers := range []int{1, 4} {
+				cfg := Config{Permutations: 400, Seed: seed, Workers: workers}
+				full := 400
+				if fx.g.NumRegions() == 1 {
+					full = fx.g.NumSteps() - 1
+				}
+				adaptive := Test(fx.a, fx.b, fx.g, m.Tau, cfg)
+				cfg.Exhaustive = true
+				exhaustive := Test(fx.a, fx.b, fx.g, m.Tau, cfg)
 
-					if adaptive.Significant != exhaustive.Significant {
-						t.Errorf("%s kind=%v seed=%d workers=%d: adaptive significant=%t (p=%g, shifts=%d), exhaustive=%t (p=%g)",
-							fx.name, kind, seed, workers,
-							adaptive.Significant, adaptive.PValue, adaptive.Shifts,
-							exhaustive.Significant, exhaustive.PValue)
+				if adaptive.Significant != exhaustive.Significant {
+					t.Errorf("%s seed=%d workers=%d: adaptive significant=%t (p=%g, shifts=%d), exhaustive=%t (p=%g)",
+						fx.name, seed, workers,
+						adaptive.Significant, adaptive.PValue, adaptive.Shifts,
+						exhaustive.Significant, exhaustive.PValue)
+				}
+				if adaptive.Shifts > exhaustive.Shifts {
+					t.Errorf("%s seed=%d: adaptive shifts %d > exhaustive %d",
+						fx.name, seed, adaptive.Shifts, exhaustive.Shifts)
+				}
+				if exhaustive.Shifts != full {
+					t.Errorf("%s seed=%d: exhaustive shifts = %d, want %d",
+						fx.name, seed, exhaustive.Shifts, full)
+				}
+				if adaptive.Shifts < exhaustive.Shifts {
+					earlyStops++
+					// An early stop must still report an insignificant,
+					// internally consistent p-value.
+					if adaptive.Significant {
+						t.Errorf("%s seed=%d: early-stopped run claims significance", fx.name, seed)
 					}
-					if adaptive.Shifts > exhaustive.Shifts {
-						t.Errorf("%s kind=%v seed=%d: adaptive shifts %d > exhaustive %d",
-							fx.name, kind, seed, adaptive.Shifts, exhaustive.Shifts)
+					if adaptive.PValue <= DefaultAlpha {
+						t.Errorf("%s seed=%d: truncated p = %g <= alpha", fx.name, seed, adaptive.PValue)
 					}
-					if exhaustive.Shifts != full {
-						t.Errorf("%s kind=%v seed=%d: exhaustive shifts = %d, want %d",
-							fx.name, kind, seed, exhaustive.Shifts, full)
-					}
-					if adaptive.Shifts < exhaustive.Shifts {
-						earlyStops++
-						// An early stop must still report an insignificant,
-						// internally consistent p-value.
-						if adaptive.Significant {
-							t.Errorf("%s kind=%v seed=%d: early-stopped run claims significance", fx.name, kind, seed)
-						}
-						if adaptive.PValue <= DefaultAlpha {
-							t.Errorf("%s kind=%v seed=%d: truncated p = %g <= alpha", fx.name, kind, seed, adaptive.PValue)
-						}
-					}
-					// A significant verdict must come from the full stream.
-					if adaptive.Significant && adaptive.Shifts != full {
-						t.Errorf("%s kind=%v seed=%d: significant verdict from a truncated run (shifts=%d)",
-							fx.name, kind, seed, adaptive.Shifts)
-					}
+				}
+				// A significant verdict must come from the full stream.
+				if adaptive.Significant && adaptive.Shifts != full {
+					t.Errorf("%s seed=%d: significant verdict from a truncated run (shifts=%d)",
+						fx.name, seed, adaptive.Shifts)
 				}
 			}
 		}
@@ -147,14 +144,12 @@ func TestAdaptiveParallelParity(t *testing.T) {
 		randIndices(rng, n, 50), randIndices(rng, n, 50),
 		randIndices(rng, n, 50), randIndices(rng, n, 50))
 	m := relationship.Evaluate(a, b)
-	for _, kind := range []Kind{Restricted, Standard, Block} {
-		for _, perms := range []int{60, 237, 1000} {
-			seq := Test(a, b, g, m.Tau, Config{Permutations: perms, Seed: 5, Kind: kind, Workers: 1})
-			for _, w := range []int{2, 4, 16} {
-				par := Test(a, b, g, m.Tau, Config{Permutations: perms, Seed: 5, Kind: kind, Workers: w})
-				if seq != par {
-					t.Errorf("kind=%v perms=%d workers=%d: %+v != sequential %+v", kind, perms, w, par, seq)
-				}
+	for _, perms := range []int{60, 237, 1000} {
+		seq := Test(a, b, g, m.Tau, Config{Permutations: perms, Seed: 5, Workers: 1})
+		for _, w := range []int{2, 4, 16} {
+			par := Test(a, b, g, m.Tau, Config{Permutations: perms, Seed: 5, Workers: w})
+			if seq != par {
+				t.Errorf("perms=%d workers=%d: %+v != sequential %+v", perms, w, par, seq)
 			}
 		}
 	}

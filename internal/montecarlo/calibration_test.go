@@ -225,3 +225,62 @@ func TestSharedPoolCalibration(t *testing.T) {
 	t.Logf("null rejections %d up + %d down of %d; BH discoveries two-sided %d true + %d false, one-sided %d true + %d false",
 		upper, lower, 3*nulls, found2, false2, found1, false1)
 }
+
+// TestStandardInflatesNullRejections is Section 6.3's claim that ignoring
+// spatio-temporal dependence misleads, asserted on null pairs. Each of 300
+// independent pairs of burstSet functions (150 bursts a sign, fixed seeds)
+// is tested by the restricted test and by the standard test's oracle
+// (standardTest: a uniform vertex permutation, 199 draws), on an 8x8 grid
+// of 96 steps and on one region of 2,160. Bursts are dependent in time, and
+// only the restricted randomization keeps that dependence, so:
+//
+//   - the standard test rejects more than 2*alpha plus 3 binomial standard
+//     errors of the pairs, and more than the restricted test does;
+//   - the restricted test stays inside TestSharedPoolCalibration's stated
+//     interval, 2*alpha ± (3 standard errors + the p-value granule): its
+//     one-sided p makes it a level-2*alpha test overall, not a level-alpha
+//     one.
+func TestStandardInflatesNullRejections(t *testing.T) {
+	if testing.Short() {
+		t.Skip("a null study of 600 pairs")
+	}
+	const (
+		alpha, pairs, perms = 0.05, 300, 199
+		level               = 2 * alpha
+	)
+	se := math.Sqrt(level * (1 - level) / pairs)
+	for _, sh := range []struct {
+		w, h, steps int
+		seed        int64
+	}{{8, 8, 96, 61}, {1, 1, 2160, 63}} {
+		t.Run(fmt.Sprintf("%dx%dx%d", sh.w, sh.h, sh.steps), func(t *testing.T) {
+			g := gridGraph(t, sh.w, sh.h, sh.steps)
+			pool := NewShiftPool(g.SpatialAdjacency(), sh.seed)
+			rng := rand.New(rand.NewSource(sh.seed))
+			restricted, standard := 0, 0
+			for i := 0; i < pairs; i++ {
+				a, b := burstSet(rng, g, 150), burstSet(rng, g, 150)
+				tau := relationship.Evaluate(a, b).Tau
+				if Test(a, b, g, tau, Config{Permutations: perms, Alpha: alpha, Seed: int64(i), Shifts: pool}).Significant {
+					restricted++
+				}
+				if standardTest(a, b, tau, perms, alpha, int64(i)).Significant {
+					standard++
+				}
+			}
+			rRate, sRate := float64(restricted)/pairs, float64(standard)/pairs
+			granule := 1 / float64(perms+1)
+			if g.NumRegions() == 1 {
+				granule = 1 / float64(g.NumSteps()) // every rotation, enumerated
+			}
+			if slack := 3*se + granule; math.Abs(rRate-level) > slack {
+				t.Errorf("restricted test rejects %.3f of null pairs, outside %.2f ± %.4f", rRate, level, slack)
+			}
+			if sRate <= level+3*se || sRate <= rRate {
+				t.Errorf("standard test rejects %.3f of null pairs, want above %.3f and above the restricted test's %.3f",
+					sRate, level+3*se, rRate)
+			}
+			t.Logf("null rejections: restricted %d, standard %d of %d", restricted, standard, pairs)
+		})
+	}
+}

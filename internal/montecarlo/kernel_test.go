@@ -88,24 +88,6 @@ func shiftedTau(a *feature.Set, pos2, neg2 []int, sigma func(v int) int) float64
 	return float64(p-n) / float64(sigmaBoth)
 }
 
-// blockStepPerm builds the temporal bijection of one Block randomization:
-// the blocks [b*l, (b+1)*l) are laid out consecutively in the order given
-// by blockPerm, so when nSteps is not divisible by l the short tail block
-// simply occupies fewer output steps instead of wrapping onto steps owned
-// by another block. The result maps old step -> new step.
-func blockStepPerm(nSteps, l int, blockPerm []int) []int {
-	sp := make([]int, nSteps)
-	pos := 0
-	for _, b := range blockPerm {
-		end := min((b+1)*l, nSteps)
-		for s := b * l; s < end; s++ {
-			sp[s] = pos
-			pos++
-		}
-	}
-	return sp
-}
-
 // oracleShifts is the oracle's transcription of the shift sequence, written
 // out separately from ShiftPool: a fresh stream per permChunk shifts, seeded
 // with chunkSeed(seed, chunk), and one public ToroidalShift per draw.
@@ -123,10 +105,10 @@ func oracleShifts(adj [][]int, seed int64, m int) [][]int {
 }
 
 // enumerated reports whether the oracle enumerates a test's randomizations
-// instead of drawing them: a Restricted test on one region, whose only
-// randomizations are the S-1 rotations.
-func enumerated(g *stgraph.Graph, cfg Config) bool {
-	return cfg.Kind == Restricted && g.NumRegions() == 1
+// instead of drawing them: a test on one region, whose only randomizations
+// are the S-1 rotations.
+func enumerated(g *stgraph.Graph) bool {
+	return g.NumRegions() == 1
 }
 
 // rotateTau is the oracle's tau under randomization (spatPerm, rot): region
@@ -144,31 +126,28 @@ func rotateTau(a *feature.Set, pos2, neg2 []int, g *stgraph.Graph, spatPerm []in
 
 // oracleTaus is the reference the production kernel is held to. It takes
 // permutation k's spatial shift from oracleShifts and replays every chunk's
-// per-test RNG stream itself — same chunkSeed, same permInto and rotation
-// draws, written out here in the order the p-values are computed under —
-// and evaluates each randomization per vertex through shiftedTau. It shares
-// no tau arithmetic, no draw sequencing and no memo with testRun.chunk and
-// ShiftPool, so a reordered draw, a miscounted word or a misindexed shift
-// there shows up as a diverging permutation index. An enumerated test's
-// stream is every rotation 1..S-1 in order, whatever cfg.Permutations says.
+// per-test RNG stream itself — same chunkSeed, same rotation draws, written
+// out here in the order the p-values are computed under — and evaluates each
+// randomization per vertex through shiftedTau. It shares no tau arithmetic,
+// no draw sequencing and no memo with testRun.chunk and ShiftPool, so a
+// reordered draw, a miscounted word or a misindexed shift there shows up as
+// a diverging permutation index. An enumerated test's stream is every
+// rotation 1..S-1 in order, whatever cfg.Permutations says.
 func oracleTaus(a, b *feature.Set, g *stgraph.Graph, cfg Config) []float64 {
 	pos2, neg2 := b.Positive.Ones(), b.Negative.Ones()
-	nRegions, nSteps := g.NumRegions(), g.NumSteps()
-	if enumerated(g, cfg) {
+	nSteps := g.NumSteps()
+	if enumerated(g) {
 		taus := make([]float64, nSteps-1)
 		for k := range taus {
 			taus[k] = rotateTau(a, pos2, neg2, g, nil, k+1)
 		}
 		return taus
 	}
-	var shifts [][]int
-	if nRegions > 1 && cfg.Kind != Standard {
-		seed := cfg.Seed ^ shiftStream
-		if cfg.Shifts != nil {
-			seed = cfg.Shifts.seed
-		}
-		shifts = oracleShifts(g.SpatialAdjacency(), seed, cfg.Permutations)
+	seed := cfg.Seed ^ shiftStream
+	if cfg.Shifts != nil {
+		seed = cfg.Shifts.seed
 	}
+	shifts := oracleShifts(g.SpatialAdjacency(), seed, cfg.Permutations)
 	var src splitmix
 	rng := rand.New(&src)
 	taus := make([]float64, cfg.Permutations)
@@ -176,36 +155,49 @@ func oracleTaus(a, b *feature.Set, g *stgraph.Graph, cfg Config) []float64 {
 		if i%permChunk == 0 {
 			src.state = uint64(chunkSeed(cfg.Seed, i/permChunk))
 		}
-		var spatPerm []int
-		if shifts != nil {
-			spatPerm = shifts[i]
+		rot := 0
+		if nSteps > 1 {
+			rot = 1 + rng.Intn(nSteps-1)
 		}
-		switch cfg.Kind {
-		case Standard:
-			perm := make([]int, g.NumVertices())
-			permInto(rng, perm)
-			taus[i] = shiftedTau(a, pos2, neg2, func(v int) int { return perm[v] })
-		case Block:
-			l := blockLength(nSteps)
-			blockPerm := make([]int, (nSteps+l-1)/l)
-			permInto(rng, blockPerm)
-			stepPerm := blockStepPerm(nSteps, l, blockPerm)
-			taus[i] = shiftedTau(a, pos2, neg2, func(v int) int {
-				r, s := g.RegionStep(v)
-				if spatPerm != nil {
-					r = spatPerm[r]
-				}
-				return g.Vertex(r, stepPerm[s])
-			})
-		default: // Restricted
-			rot := 0
-			if nSteps > 1 {
-				rot = 1 + rng.Intn(nSteps-1)
-			}
-			taus[i] = rotateTau(a, pos2, neg2, g, spatPerm, rot)
-		}
+		taus[i] = rotateTau(a, pos2, neg2, g, shifts[i], rot)
 	}
 	return taus
+}
+
+// permInto fills buf with a uniform random permutation of [0, len(buf)),
+// consuming the RNG exactly as rand.Perm does (the inside-out Fisher-Yates
+// with one Intn(i+1) draw per element, in ascending order, asserted by
+// TestPermIntoMatchesRandPerm). It is rand.Perm without the per-call
+// allocation.
+func permInto(rng *rand.Rand, buf []int) {
+	for i := range buf {
+		j := rng.Intn(i + 1)
+		buf[i] = buf[j]
+		buf[j] = i
+	}
+}
+
+// standardTest is the standard (unrestricted) Monte Carlo test Section 6.3
+// contrasts with the restricted one: each of m randomizations permutes all
+// vertices uniformly (permInto), ignoring spatial and temporal dependence,
+// and tau is taken per vertex (shiftedTau). p follows the package's
+// direction-aware rule, and the test stops where stopThreshold decides it
+// insignificant, so the verdict is exact and a stopped p is conservative.
+func standardTest(a, b *feature.Set, tau float64, m int, alpha float64, seed int64) Result {
+	pos2, neg2 := b.Positive.Ones(), b.Negative.Ones()
+	rng := rand.New(&splitmix{uint64(seed)})
+	perm := make([]int, a.NumVertices())
+	extreme, shifts := 0, 0
+	for shifts < m && extreme < stopThreshold(alpha, m) {
+		permInto(rng, perm)
+		tk := shiftedTau(a, pos2, neg2, func(v int) int { return perm[v] })
+		if (tau < 0 && tk <= tau) || (tau > 0 && tk >= tau) {
+			extreme++
+		}
+		shifts++
+	}
+	p := float64(1+extreme) / float64(1+shifts)
+	return Result{PValue: p, Significant: p <= alpha, TauObserved: tau, Shifts: shifts}
 }
 
 // oracleResult folds a tau stream into the Result a sequential scan
@@ -247,29 +239,25 @@ func oracleResult(taus []float64, tau float64, cfg Config, exhaustive, enumerate
 // tau stream (Exhaustive, so every index is covered under any Workers
 // value) and requires bitwise identity with the oracle's, then checks the
 // exhaustive Result, with the sink and without it, and the adaptive Result
-// against the oracle's fold, and the adaptive verdict against the
-// exhaustive one. An enumerated test's sink must see each rotation once, in
-// order, and no stream at all when the test is not resolvable. A Restricted
-// test is held to the oracle under each walk forced and under the walk the
-// selection picks, adaptively as well. It returns the exhaustive run
-// without the sink under the selected walk.
+// against the oracle's fold, and the adaptive verdict against the exhaustive
+// one. An enumerated test's sink must see each rotation once, in order, and
+// no stream at all when the test is not resolvable. The test is held to the
+// oracle under each walk forced and under the walk the selection picks,
+// adaptively as well. It returns the exhaustive run without the sink under
+// the selected walk.
 func checkKernelParity(t *testing.T, a, b *feature.Set, g *stgraph.Graph, tau float64, cfg Config) *testRun {
 	t.Helper()
 	want := oracleTaus(a, b, g, cfg)
 	ex := cfg
 	ex.Exhaustive = true
-	enum := enumerated(g, cfg)
+	enum := enumerated(g)
 	w := oracleResult(want, tau, cfg, true, enum)
 	wAdaptive := oracleResult(want, tau, cfg, false, enum)
 	if wAdaptive.Significant != w.Significant {
 		t.Fatalf("oracle: adaptive verdict %+v differs from exhaustive %+v", wAdaptive, w)
 	}
-	walks := []walk{chooseWalk}
-	if cfg.Kind == Restricted {
-		walks = []walk{wordWalk, featureWalk, chooseWalk}
-	}
 	var run *testRun
-	for _, wk := range walks {
+	for _, wk := range []walk{wordWalk, featureWalk, chooseWalk} {
 		got := make([]float64, len(want))
 		var order []int
 		res, _ := test(a, b, g, tau, ex, func(perm int, tauK float64) {
@@ -317,8 +305,8 @@ func checkKernelParity(t *testing.T, a, b *feature.Set, g *stgraph.Graph, tau fl
 }
 
 // TestKernelParity pins the kernel's contract: the word-level kernel is
-// byte-identical to the per-vertex oracle for every Kind, domain shape,
-// feature density, windowed sub-domain, and Workers value.
+// byte-identical to the per-vertex oracle for every domain shape, feature
+// density, windowed sub-domain, Workers value and shift pool.
 func TestKernelParity(t *testing.T) {
 	cases := []struct {
 		name           string
@@ -353,14 +341,12 @@ func TestKernelParity(t *testing.T) {
 			// One pool across the whole matrix, as a family of tests shares
 			// it, and the private sequence a Config without a pool draws.
 			shared := NewShiftPool(g.SpatialAdjacency(), 99)
-			for _, kind := range []Kind{Restricted, Standard, Block} {
-				for _, workers := range []int{1, 4} {
-					for _, tau := range []float64{0.6, -0.35} {
-						for _, pool := range []*ShiftPool{nil, shared} {
-							checkKernelParity(t, a, b, g, tau, Config{
-								Permutations: 150, Seed: 23, Kind: kind, Workers: workers, Shifts: pool,
-							})
-						}
+			for _, workers := range []int{1, 4} {
+				for _, tau := range []float64{0.6, -0.35} {
+					for _, pool := range []*ShiftPool{nil, shared} {
+						checkKernelParity(t, a, b, g, tau, Config{
+							Permutations: 150, Seed: 23, Workers: workers, Shifts: pool,
+						})
 					}
 				}
 			}
@@ -369,7 +355,7 @@ func TestKernelParity(t *testing.T) {
 }
 
 // TestKernelParityOneSided covers feature sets with an entirely absent
-// sign (the bPosAny/bNegAny fast paths) and empty intersections.
+// sign (a side without lanes) and empty intersections.
 func TestKernelParityOneSided(t *testing.T) {
 	g, err := stgraph.New(9, 80, grid(3, 3))
 	if err != nil {
@@ -400,28 +386,24 @@ func TestKernelParityOneSided(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			for _, kind := range []Kind{Restricted, Standard, Block} {
-				checkKernelParity(t, tc.a, tc.b, g, 0.4, Config{
-					Permutations: 120, Seed: 5, Kind: kind, Workers: 2,
-				})
-			}
+			checkKernelParity(t, tc.a, tc.b, g, 0.4, Config{
+				Permutations: 120, Seed: 5, Workers: 2,
+			})
 		})
 	}
 }
 
 // TestKernelParityShapes covers the shapes with a path of their own. On one
-// region a Restricted test enumerates its rotations. Over 2, 3 and 14 steps
-// it is not resolvable at the default alpha, so each one-region shape also
-// runs at alpha 0.5, where every one is resolvable and the stop fires
-// within a few rotations. On several regions the step counts put a doubled
-// lane's rotated window across zero, one and two word boundaries. Each
-// shape also runs with a one-sided function 2, and every cell under Workers
-// 1, 2 and 4.
+// region a test enumerates its rotations. Over 2, 3 and 14 steps it is not
+// resolvable at the default alpha, so each one-region shape also runs at
+// alpha 0.5, where every one is resolvable and the stop fires within a few
+// rotations. On several regions the step counts put a doubled lane's rotated
+// window across zero, one and two word boundaries. Each shape also runs with
+// a one-sided function 2, and every cell under Workers 1, 2 and 4.
 //
-// The walk a Restricted test's selection picks is pinned on both sides of
-// the crossover: 48 regions x 1,416 steps at 1 % density (about 9 features
-// a 23-word lane) and 48 x 14 at 10 % take the feature walk, 48 x 14 at
-// 40 % the word walk.
+// The walk the selection picks is pinned on both sides of the crossover: 48
+// regions x 1,416 steps at 1 % density (about 9 features a 23-word lane) and
+// 48 x 14 at 10 % take the feature walk, 48 x 14 at 40 % the word walk.
 //
 // Below 2,160 steps one region also covers both ends of the enumeration:
 // |tau| = 1 against a sparse positive-only function 1 and negative-only
@@ -448,8 +430,8 @@ func TestKernelParityShapes(t *testing.T) {
 	type pair struct {
 		a, b *feature.Set
 		tau  float64
-		// visits is the rotations an adaptive one-region Restricted test
-		// must visit when resolvable; nil when it is not pinned.
+		// visits is the rotations an adaptive one-region test must visit
+		// when resolvable; nil when it is not pinned.
 		visits func(steps int, alpha float64) int
 	}
 	every := func(steps int, _ float64) int { return steps - 1 }
@@ -493,25 +475,20 @@ func TestKernelParityShapes(t *testing.T) {
 					pair{full, full, 1e-9, decided})
 			}
 			for _, p := range pairs {
-				for _, kind := range []Kind{Restricted, Block} {
-					for _, alpha := range alphas {
-						for _, workers := range []int{1, 2, 4} {
-							cfg := Config{Permutations: sh.perms, Alpha: alpha, Seed: 31, Kind: kind, Workers: workers}
-							run := checkKernelParity(t, p.a, p.b, g, p.tau, cfg)
-							if kind != Restricted {
-								continue
-							}
-							if run != nil && sh.walk != chooseWalk && run.feat != (sh.walk == featureWalk) {
-								t.Fatalf("tau=%v: feature walk %v, want walk %d", p.tau, run.feat, sh.walk)
-							}
-							res := Test(p.a, p.b, g, p.tau, cfg)
-							if p.visits == nil || res.NotResolvable {
-								continue
-							}
-							if want := p.visits(sh.steps, cfg.withDefaults().Alpha); res.Shifts != want {
-								t.Fatalf("tau=%v alpha=%v: adaptive test visited %d rotations, want %d",
-									p.tau, alpha, res.Shifts, want)
-							}
+				for _, alpha := range alphas {
+					for _, workers := range []int{1, 2, 4} {
+						cfg := Config{Permutations: sh.perms, Alpha: alpha, Seed: 31, Workers: workers}
+						run := checkKernelParity(t, p.a, p.b, g, p.tau, cfg)
+						if run != nil && sh.walk != chooseWalk && run.feat != (sh.walk == featureWalk) {
+							t.Fatalf("tau=%v: feature walk %v, want walk %d", p.tau, run.feat, sh.walk)
+						}
+						res := Test(p.a, p.b, g, p.tau, cfg)
+						if p.visits == nil || res.NotResolvable {
+							continue
+						}
+						if want := p.visits(sh.steps, cfg.withDefaults().Alpha); res.Shifts != want {
+							t.Fatalf("tau=%v alpha=%v: adaptive test visited %d rotations, want %d",
+								p.tau, alpha, res.Shifts, want)
 						}
 					}
 				}
@@ -605,13 +582,12 @@ func TestToroidalScratchMatchesPublic(t *testing.T) {
 	}
 }
 
-// TestChunkSteadyStateAllocs asserts the kernel's allocation contract:
-// after the first chunk sizes the scratch buffers, evaluating further
-// permutation chunks allocates nothing, for every Kind and each walk of a
-// Restricted test — whether the chunk's shifts are read from the pool's
-// memo or regenerated past it — and on one region, where a Restricted test
-// has no chunk, enumerating all 89 rotations of a 90-step test allocates
-// nothing either.
+// TestChunkSteadyStateAllocs asserts the kernel's allocation contract: after
+// the first chunk sizes the scratch buffers, evaluating further permutation
+// chunks allocates nothing, under each walk — whether the chunk's shifts are
+// read from the pool's memo or regenerated past it — and on one region,
+// where a test has no chunk, enumerating all 89 rotations of a 90-step test
+// allocates nothing either.
 func TestChunkSteadyStateAllocs(t *testing.T) {
 	for _, dom := range []struct {
 		w, h, steps int
@@ -619,29 +595,24 @@ func TestChunkSteadyStateAllocs(t *testing.T) {
 		g := gridGraph(t, dom.w, dom.h, dom.steps)
 		rng := rand.New(rand.NewSource(3))
 		a, b := denseSets(rng, g.NumVertices(), 0.1, 0, g.NumVertices())
-		for _, kw := range []struct {
-			kind Kind
-			walk walk
-		}{{Restricted, wordWalk}, {Restricted, featureWalk}, {Standard, chooseWalk}, {Block, chooseWalk}} {
-			kind := kw.kind
+		for _, wk := range []walk{wordWalk, featureWalk} {
 			for _, budget := range []int{0, shiftPoolBudget} {
 				run := &testRun{
-					a: a, pos2: b.Positive.Ones(), neg2: b.Negative.Ones(),
-					g: g, tau: 0.9,
-					cfg: Config{Permutations: 200, Alpha: 0.05, Seed: 5, Kind: kind,
+					a: a, g: g, tau: 0.9,
+					cfg: Config{Permutations: 200, Alpha: 0.05, Seed: 5,
 						Shifts: newShiftPool(g.SpatialAdjacency(), 5, budget)},
 				}
-				run.prep, run.feat = newVectorPrep(a, b, g, kind, kw.walk)
-				sc := run.newScratch()
+				run.prep, run.feat = newVectorPrep(a, b, g, wk)
+				sc := scratchPool.Get().(*scratch)
 				step := func() { run.chunk(1, sc) }
-				if kind == Restricted && g.NumRegions() == 1 {
+				if g.NumRegions() == 1 {
 					run.cfg.Exhaustive = true
 					step = func() { run.enumerate() }
 				}
 				step() // size the scratch buffers, memoise the chunk
 				if allocs := testing.AllocsPerRun(5, step); allocs != 0 {
-					t.Errorf("%dx%d kind=%v feature walk=%v budget=%d: steady-state chunk allocates %.0f objects, want 0",
-						dom.w*dom.h, dom.steps, kind, run.feat, budget, allocs)
+					t.Errorf("%dx%d feature walk=%v budget=%d: steady-state chunk allocates %.0f objects, want 0",
+						dom.w*dom.h, dom.steps, run.feat, budget, allocs)
 				}
 			}
 		}
@@ -651,23 +622,21 @@ func TestChunkSteadyStateAllocs(t *testing.T) {
 // TestNaNObservedNotSignificant: a NaN observed score compares false with
 // every randomization, so nothing would count as extreme and any test would
 // report p = 1/(1+m). NaN is no evidence at all: like a zero score it is
-// reported with p = 1 and no randomization run, for every Kind, on one
-// region and on several. A one-region Restricted test too short to reach
-// alpha (1x14) is reported not resolvable, its score likewise as zero.
+// reported with p = 1 and no randomization run, on one region and on
+// several. A one-region test too short to reach alpha (1x14) is reported
+// not resolvable, its score likewise as zero.
 func TestNaNObservedNotSignificant(t *testing.T) {
 	for _, dom := range []struct{ w, h, steps int }{{1, 1, 90}, {3, 3, 40}, {1, 1, 14}} {
 		g := gridGraph(t, dom.w, dom.h, dom.steps)
 		n := g.NumVertices()
 		a, b := denseSets(rand.New(rand.NewSource(8)), n, 0.3, 0, n)
-		for _, kind := range []Kind{Restricted, Standard, Block} {
-			want := Result{PValue: 1}
-			if kind == Restricted && dom.w*dom.h == 1 && dom.steps < 20 {
-				want.NotResolvable = true
-			}
-			for _, tau := range []float64{0, math.NaN()} {
-				if got := Test(a, b, g, tau, Config{Seed: 1, Kind: kind, Workers: 2}); got != want {
-					t.Errorf("%dx%d kind=%v tau=%v: Result %+v, want %+v", dom.w*dom.h, dom.steps, kind, tau, got, want)
-				}
+		want := Result{PValue: 1}
+		if dom.w*dom.h == 1 && dom.steps < 20 {
+			want.NotResolvable = true
+		}
+		for _, tau := range []float64{0, math.NaN()} {
+			if got := Test(a, b, g, tau, Config{Seed: 1, Workers: 2}); got != want {
+				t.Errorf("%dx%d tau=%v: Result %+v, want %+v", dom.w*dom.h, dom.steps, tau, got, want)
 			}
 		}
 	}
@@ -676,12 +645,12 @@ func TestNaNObservedNotSignificant(t *testing.T) {
 var raceEnabled bool // set by race_test.go
 
 // TestOpenTestAllocs pins what opening a test costs once the prep and
-// scratch pools are warm: a whole Restricted test at Workers 1 allocates
-// only its run record and chunk counts, under either walk. A dense
-// 48x2,160 pair's transposed lanes live in the pooled prep (building them
-// afresh cost four vectors and four Ones slices more), as do a sparse
-// 48x2,160 or 48x1,416 pair's feature lists and codes; a 1x2,160 test
-// enumerates its 2,159 rotations with nothing but its run record.
+// scratch pools are warm: a whole test at Workers 1 allocates only its run
+// record and chunk counts, under either walk. A dense 48x2,160 pair's
+// transposed lanes live in the pooled prep (building them afresh cost four
+// vectors and four Ones slices more), as do a sparse 48x2,160 or 48x1,416
+// pair's feature lists and codes; a 1x2,160 test enumerates its 2,159
+// rotations with nothing but its run record.
 func TestOpenTestAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items under -race")
@@ -705,29 +674,29 @@ func TestOpenTestAllocs(t *testing.T) {
 	}
 }
 
-// FuzzKernelParity fuzzes domain shape, density, seed, Kind, observed tau
-// (±0.5 or ±1, by tauB mod 4) and alpha (the default, or 0.5 when tauB has
-// bit 2 set, so one-region tests of 2 to 19 steps are resolvable),
-// requiring Results and tau streams byte-identical to the oracle's, a
-// Restricted test's under each walk. The seeds at 1–2 % density over 64
-// steps or more are ones the selection hands to the feature walk.
+// FuzzKernelParity fuzzes domain shape, density, seed, observed tau (±0.5 or
+// ±1, by tauB mod 4) and alpha (the default, or 0.5 when tauB has bit 2 set,
+// so one-region tests of 2 to 19 steps are resolvable), requiring Results
+// and tau streams byte-identical to the oracle's under each walk. The seeds
+// at 1–2 % density over 64 steps or more are ones the selection hands to the
+// feature walk.
 func FuzzKernelParity(f *testing.F) {
-	f.Add(int64(1), uint8(3), uint8(3), uint8(50), uint8(30), uint8(0), uint8(0))
-	f.Add(int64(2), uint8(1), uint8(1), uint8(200), uint8(10), uint8(1), uint8(1))
-	f.Add(int64(3), uint8(4), uint8(2), uint8(64), uint8(80), uint8(2), uint8(0))
-	f.Add(int64(-9), uint8(5), uint8(5), uint8(65), uint8(50), uint8(0), uint8(1))
-	f.Add(int64(4), uint8(0), uint8(0), uint8(2), uint8(60), uint8(0), uint8(4))   // 1x3: two rotations
-	f.Add(int64(5), uint8(4), uint8(4), uint8(128), uint8(40), uint8(0), uint8(1)) // 5x5x129
-	f.Add(int64(6), uint8(0), uint8(0), uint8(1), uint8(50), uint8(0), uint8(4))   // 1x2: one rotation
-	f.Add(int64(7), uint8(0), uint8(0), uint8(1), uint8(99), uint8(0), uint8(6))   // 1x2, tau = 1
-	f.Add(int64(8), uint8(0), uint8(0), uint8(2), uint8(5), uint8(0), uint8(7))    // 1x3, tau = -1
-	f.Add(int64(8), uint8(0), uint8(0), uint8(13), uint8(5), uint8(0), uint8(1))   // 1x14: not resolvable
-	f.Add(int64(9), uint8(0), uint8(0), uint8(89), uint8(20), uint8(0), uint8(2))  // 1x90, tau = 1
-	f.Add(int64(10), uint8(2), uint8(2), uint8(13), uint8(70), uint8(0), uint8(3)) // 3x3x14, tau = -1
-	f.Add(int64(11), uint8(4), uint8(4), uint8(199), uint8(0), uint8(0), uint8(0)) // 5x5x200 at 1 %
-	f.Add(int64(12), uint8(0), uint8(0), uint8(150), uint8(1), uint8(0), uint8(1)) // 1x151 at 1.9 %
-	f.Add(int64(13), uint8(3), uint8(2), uint8(63), uint8(0), uint8(0), uint8(2))  // 4x3x64 at 1 %, tau = 1
-	f.Fuzz(func(t *testing.T, seed int64, w, h, stepsB, densityB, kindB, tauB uint8) {
+	f.Add(int64(1), uint8(3), uint8(3), uint8(50), uint8(30), uint8(0))
+	f.Add(int64(2), uint8(1), uint8(1), uint8(200), uint8(10), uint8(1))
+	f.Add(int64(3), uint8(4), uint8(2), uint8(64), uint8(80), uint8(0))
+	f.Add(int64(-9), uint8(5), uint8(5), uint8(65), uint8(50), uint8(1))
+	f.Add(int64(4), uint8(0), uint8(0), uint8(2), uint8(60), uint8(4))   // 1x3: two rotations
+	f.Add(int64(5), uint8(4), uint8(4), uint8(128), uint8(40), uint8(1)) // 5x5x129
+	f.Add(int64(6), uint8(0), uint8(0), uint8(1), uint8(50), uint8(4))   // 1x2: one rotation
+	f.Add(int64(7), uint8(0), uint8(0), uint8(1), uint8(99), uint8(6))   // 1x2, tau = 1
+	f.Add(int64(8), uint8(0), uint8(0), uint8(2), uint8(5), uint8(7))    // 1x3, tau = -1
+	f.Add(int64(8), uint8(0), uint8(0), uint8(13), uint8(5), uint8(1))   // 1x14: not resolvable
+	f.Add(int64(9), uint8(0), uint8(0), uint8(89), uint8(20), uint8(2))  // 1x90, tau = 1
+	f.Add(int64(10), uint8(2), uint8(2), uint8(13), uint8(70), uint8(3)) // 3x3x14, tau = -1
+	f.Add(int64(11), uint8(4), uint8(4), uint8(199), uint8(0), uint8(0)) // 5x5x200 at 1 %
+	f.Add(int64(12), uint8(0), uint8(0), uint8(150), uint8(1), uint8(1)) // 1x151 at 1.9 %
+	f.Add(int64(13), uint8(3), uint8(2), uint8(63), uint8(0), uint8(2))  // 4x3x64 at 1 %, tau = 1
+	f.Fuzz(func(t *testing.T, seed int64, w, h, stepsB, densityB, tauB uint8) {
 		w = w%5 + 1
 		h = h%5 + 1
 		steps := int(stepsB)%200 + 1
@@ -746,24 +715,22 @@ func FuzzKernelParity(f *testing.F) {
 		a, b := denseSets(rng, g.NumVertices(), density, 0, g.NumVertices())
 		tau := []float64{0.5, -0.5, 1, -1}[tauB%4]
 		alpha := []float64{0, 0.5}[tauB/4%2]
-		kind := Kind(kindB % 3)
 		checkKernelParity(t, a, b, g, tau, Config{
-			Permutations: 100, Alpha: alpha, Seed: seed, Kind: kind, Workers: int(densityB % 3),
+			Permutations: 100, Alpha: alpha, Seed: seed, Workers: int(densityB % 3),
 		})
 	})
 }
 
 // BenchmarkShiftedTauKernel measures one permutation chunk (50
-// randomizations) per iteration on a 16x16-region hourly-resolution
-// domain, per Kind, and then one whole exhaustive Restricted test — layout
-// and scratch included, 1,000 permutations on several regions and S-1
-// enumerated rotations on one — on the resolvable shapes and feature counts
-// per set the graph-wide corpus is made of: city x day (1x90, 33), dense
-// city x hour (1x2160, 1,300), neighbourhood x week (48x14, 90) and
-// neighbourhood x hour (48x2160, 1,500); and on two of the 9-data-set fleet
-// corpus, one either side of featureWalkRatio: neighbourhood x hour
-// (48x1416, 600, the feature walk) and dense city x hour (1x1416, 500, the
-// word walk).
+// randomizations) per iteration on a 16x16-region hourly-resolution domain,
+// and then one whole exhaustive test — layout and scratch included, 1,000
+// permutations on several regions and S-1 enumerated rotations on one — on
+// the resolvable shapes and feature counts per set the graph-wide corpus is
+// made of: city x day (1x90, 33), dense city x hour (1x2160, 1,300),
+// neighbourhood x week (48x14, 90) and neighbourhood x hour (48x2160,
+// 1,500); and on two of the 9-data-set fleet corpus, one either side of
+// featureWalkRatio: neighbourhood x hour (48x1416, 600, the feature walk)
+// and dense city x hour (1x1416, 500, the word walk).
 func BenchmarkShiftedTauKernel(b *testing.B) {
 	g, err := stgraph.New(256, 1464, grid(16, 16))
 	if err != nil {
@@ -771,23 +738,20 @@ func BenchmarkShiftedTauKernel(b *testing.B) {
 	}
 	rng := rand.New(rand.NewSource(42))
 	fa, fb := denseSets(rng, g.NumVertices(), 0.08, 0, g.NumVertices())
-	for _, kind := range []Kind{Restricted, Standard, Block} {
-		b.Run(kind.String(), func(b *testing.B) {
-			run := &testRun{
-				a: fa, pos2: fb.Positive.Ones(), neg2: fb.Negative.Ones(),
-				g: g, tau: 0.9,
-				cfg: Config{Permutations: 8 * permChunk, Alpha: 0.05, Seed: 1, Kind: kind,
-					Shifts: NewShiftPool(g.SpatialAdjacency(), 1)},
-			}
-			run.prep, run.feat = newVectorPrep(fa, fb, g, kind, chooseWalk)
-			sc := run.newScratch()
-			run.chunk(0, sc)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				run.chunk(i%8, sc)
-			}
-		})
-	}
+	b.Run("chunk", func(b *testing.B) {
+		run := &testRun{
+			a: fa, g: g, tau: 0.9,
+			cfg: Config{Permutations: 8 * permChunk, Alpha: 0.05, Seed: 1,
+				Shifts: NewShiftPool(g.SpatialAdjacency(), 1)},
+		}
+		run.prep, run.feat = newVectorPrep(fa, fb, g, chooseWalk)
+		sc := scratchPool.Get().(*scratch)
+		run.chunk(0, sc)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			run.chunk(i%8, sc)
+		}
+	})
 	for _, sh := range []struct {
 		w, h, steps, features int
 	}{{1, 1, 90, 33}, {1, 1, 2160, 1300}, {8, 6, 14, 90}, {8, 6, 2160, 1500}, {8, 6, 1416, 600}, {1, 1, 1416, 500}} {

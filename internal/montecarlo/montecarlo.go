@@ -6,9 +6,10 @@
 // Spatial correlation is respected through graph toroidal shifts: a random
 // bijection of the region set built breadth-first so that adjacent regions
 // map to adjacent regions wherever possible. Temporal correlation is
-// respected by wrapping time onto a circle and rotating it. A standard
-// (unrestricted) permutation test is also provided for the comparison in
-// Section 6.3, which shows why ignoring dependencies misleads.
+// respected by wrapping time onto a circle and rotating it. This is the
+// only randomization the package runs: the standard (unrestricted) vertex
+// permutation that Section 6.3 contrasts with it is a test oracle
+// (kernel_test.go), which asserts the section's claim on null pairs.
 //
 // The p-value follows Equation (3)/(4) with add-one smoothing and a
 // direction-aware tail: for a negative observed score it is
@@ -80,67 +81,25 @@ const DefaultPermutations = 1000
 // DefaultAlpha is the paper's significance level of 5%.
 const DefaultAlpha = 0.05
 
-// Kind selects the permutation scheme.
-type Kind int
-
-const (
-	// Restricted uses toroidal shifts (spatial) and circular rotations
-	// (temporal), respecting data dependencies.
-	Restricted Kind = iota
-	// Standard permutes vertices uniformly at random, ignoring spatio-
-	// temporal dependencies (for comparison only).
-	Standard
-	// Block permutes whole temporal blocks (the block-bootstrap family the
-	// paper cites via Kunsch [22]): within-block dependence is preserved,
-	// long-range alignment is broken. Spatial shifts are applied as in
-	// Restricted.
-	Block
-)
-
-// String implements fmt.Stringer.
-func (k Kind) String() string {
-	switch k {
-	case Restricted:
-		return "restricted"
-	case Standard:
-		return "standard"
-	case Block:
-		return "block"
-	default:
-		return "montecarlo.Kind(?)"
-	}
-}
-
-// blockLength picks the temporal block size for Block permutations: about
-// fifty blocks, at least two steps each.
-func blockLength(nSteps int) int {
-	l := nSteps / 50
-	if l < 2 {
-		l = 2
-	}
-	return l
-}
-
 // Config parameterises a significance test.
 type Config struct {
 	Permutations int     // number of randomizations |m|; 0 => DefaultPermutations
 	Alpha        float64 // significance level; 0 => DefaultAlpha
 	Seed         int64   // RNG seed for reproducibility
-	Kind         Kind    // Restricted, Standard or Block
 
-	// Shifts is the toroidal-shift sequence the Restricted and Block kinds
-	// take their spatial shifts from; it must be over the graph's spatial
-	// adjacency. A family of tests shares one pool (see ShiftPool). Nil
-	// draws the same kind of sequence from Seed, for this test alone.
+	// Shifts is the toroidal-shift sequence the test takes its spatial
+	// shifts from; it must be over the graph's spatial adjacency. A family
+	// of tests shares one pool (see ShiftPool). Nil draws the same kind of
+	// sequence from Seed, for this test alone.
 	Shifts *ShiftPool
 
 	// Workers is the number of goroutines evaluating permutation chunks;
 	// <= 1 runs sequentially. The permutations are partitioned into
 	// fixed-size chunks whose RNGs are seeded deterministically from Seed
 	// and the chunk index, so the Result is byte-identical for every
-	// Workers value (including the sequential path). A Restricted test on a
-	// one-region domain has no chunks: it enumerates its rotations in order
-	// on the calling goroutine whatever Workers says (see Test).
+	// Workers value (including the sequential path). A test on a one-region
+	// domain has no chunks: it enumerates its rotations in order on the
+	// calling goroutine whatever Workers says (see Test).
 	Workers int
 
 	// Exhaustive disables adaptive early termination, forcing all
@@ -164,16 +123,16 @@ func (c Config) withDefaults() Config {
 
 // Result reports the outcome of a significance test. Shifts counts the
 // permutations actually evaluated: equal to Config.Permutations (S-1, the
-// rotations, for a one-region Restricted test) for an exhaustive (or
-// significant — the verdict is only ever decided early in the insignificant
-// direction) run, smaller when adaptive early termination stopped the test,
-// and 0 for the tau = 0 shortcut and a test that is not resolvable. PValue
-// is always computed over the evaluated permutations, so it is exact for
-// full runs and a valid conservative p-value for truncated ones.
+// rotations, for a one-region test) for an exhaustive (or significant — the
+// verdict is only ever decided early in the insignificant direction) run,
+// smaller when adaptive early termination stopped the test, and 0 for the
+// tau = 0 shortcut and a test that is not resolvable. PValue is always
+// computed over the evaluated permutations, so it is exact for full runs and
+// a valid conservative p-value for truncated ones.
 //
-// NotResolvable marks a one-region Restricted test whose smallest
-// attainable p-value exceeds Alpha: nothing was evaluated, PValue is 1, and
-// the test is no hypothesis a correction should count.
+// NotResolvable marks a one-region test whose smallest attainable p-value
+// exceeds Alpha: nothing was evaluated, PValue is 1, and the test is no
+// hypothesis a correction should count.
 type Result struct {
 	PValue        float64
 	Significant   bool
@@ -348,19 +307,6 @@ func (s *splitmix) intn(n int) int {
 	return int(v % n32)
 }
 
-// permInto fills buf with a uniform random permutation of [0, len(buf)),
-// consuming the RNG exactly as rand.Perm does (the inside-out Fisher-Yates
-// with one Intn(i+1) draw per element, in ascending order — locked by the
-// Go 1 compatibility promise and asserted by TestPermIntoMatchesRandPerm).
-// It is rand.Perm without the per-call allocation.
-func permInto(rng *rand.Rand, buf []int) {
-	for i := range buf {
-		j := rng.Intn(i + 1)
-		buf[i] = buf[j]
-		buf[j] = i
-	}
-}
-
 // shiftPoolBudget bounds the bytes of shifts one ShiftPool memoises: 4 MB
 // holds 4,000 shifts of a 256-region domain.
 const shiftPoolBudget = 4 << 20
@@ -483,20 +429,17 @@ func foldCounts(counts []int, m, threshold int, exhaustive bool) (extreme, shift
 // read-only by all worker goroutines, and refilled in place from prepPool
 // by the next Test once this one is done with it.
 //
-// For Restricted and Block kinds both functions are transposed to
-// region-major lanes. Function 1's masks are lane-padded: region r's
-// time-run occupies the laneBits-bit lane starting at bit r*laneBits, with
-// laneBits = NumWords(nSteps)*64, so every lane starts on a word boundary
-// and the padding bits [nSteps, laneBits) are permanently zero. Function 2's
-// lanes are doubled: region r's time-run sits twice, back to back, at the
-// start of a dblBits-bit lane that ends in a spare word, so the run rotated
-// by rot steps is the contiguous nSteps-bit window starting at bit
-// nSteps-rot, and the word after a window's last always exists. A region
-// shift pairs a source lane with another destination lane — no per-vertex
-// index arithmetic, nothing stored. A Restricted test the feature walk
-// counts also has both listed feature by feature (see countFeatures). For
-// Standard the native vertex-major layout is already right; only the union
-// mask is precomputed.
+// Both functions are transposed to region-major lanes. Function 1's masks
+// are lane-padded: region r's time-run occupies the laneBits-bit lane
+// starting at bit r*laneBits, with laneBits = NumWords(nSteps)*64, so every
+// lane starts on a word boundary and the padding bits [nSteps, laneBits) are
+// permanently zero. Function 2's lanes are doubled: region r's time-run sits
+// twice, back to back, at the start of a dblBits-bit lane that ends in a
+// spare word, so the run rotated by rot steps is the contiguous nSteps-bit
+// window starting at bit nSteps-rot, and the word after a window's last
+// always exists. A region shift pairs a source lane with another destination
+// lane — no per-vertex index arithmetic, nothing stored. A test the feature
+// walk counts also has both listed feature by feature (see countFeatures).
 type vectorPrep struct {
 	laneBits int // function 1: nSteps rounded up to a multiple of 64
 	dblBits  int // function 2: 2*nSteps rounded up to a multiple of 64, plus one word
@@ -518,13 +461,6 @@ type vectorPrep struct {
 	aStart []int32
 	bCode  []uint8
 	bLanes []int32
-
-	// bPosAny/bNegAny gate entire sides of the Standard kernel: a function
-	// with no negative features (common under one-tailed thresholds) skips
-	// the negative scatter and popcount pass altogether.
-	bPosAny, bNegAny bool
-
-	aAllV *bitvec.Vector // vertex-major union of function 1 (Standard kind)
 }
 
 // side is one sign of a transposed pair.
@@ -534,8 +470,8 @@ type side struct {
 	lanes []int32        // regions whose lane of b holds a feature, ascending
 }
 
-// walk selects how a Restricted test counts a randomization. Tests force
-// each walk through test; Test always lets newVectorPrep choose.
+// walk selects how a test counts a randomization. Tests force each walk
+// through test; Test always lets newVectorPrep choose.
 type walk uint8
 
 const (
@@ -642,21 +578,14 @@ func (p *vectorPrep) listFeatures(R, S int) {
 var prepPool = sync.Pool{New: func() any { return &vectorPrep{aAllT: new(bitvec.Vector)} }}
 
 // newVectorPrep lays out a test's feature sets for its kernel and reports
-// whether a Restricted test is counted by the feature walk: as w forces,
-// or, for chooseWalk, when the features that walk expects to visit per
-// randomization — function 1's, in the destination lanes of function 2's
-// listed lanes — number fewer than featureWalkRatio per word the word walk
-// would read.
-func newVectorPrep(a, b *feature.Set, g *stgraph.Graph, kind Kind, w walk) (*vectorPrep, bool) {
+// whether the test is counted by the feature walk: as w forces, or, for
+// chooseWalk, when the features that walk expects to visit per randomization
+// — function 1's, in the destination lanes of function 2's listed lanes —
+// number fewer than featureWalkRatio per word the word walk would read.
+func newVectorPrep(a, b *feature.Set, g *stgraph.Graph, w walk) (*vectorPrep, bool) {
 	p := prepPool.Get().(*vectorPrep)
 	p.laneBits = bitvec.NumWords(g.NumSteps()) * 64
 	p.dblBits = (bitvec.NumWords(2*g.NumSteps()) + 1) * 64
-	p.bPosAny, p.bNegAny = b.Positive.Any(), b.Negative.Any()
-	p.aAllV = nil
-	if kind == Standard {
-		p.aAllV = a.All()
-		return p, false
-	}
 	R := g.NumRegions()
 	p.aAllT.Resize(R * p.laneBits)
 	p.fillSide(&p.pos, a.Positive, b.Positive, g)
@@ -665,7 +594,7 @@ func newVectorPrep(a, b *feature.Set, g *stgraph.Graph, kind Kind, w walk) (*vec
 	for r := range p.aAllLane {
 		p.aAllLane[r] = p.aAllT.AnyRange(r*p.laneBits, (r+1)*p.laneBits)
 	}
-	if kind != Restricted || w == wordWalk {
+	if w == wordWalk {
 		return p, false
 	}
 	p.bLanes = append(append(p.bLanes[:0], p.pos.lanes...), p.neg.lanes...)
@@ -680,35 +609,18 @@ func newVectorPrep(a, b *feature.Set, g *stgraph.Graph, kind Kind, w walk) (*vec
 }
 
 // scratch is the per-worker mutable state of a test run: a reseedable RNG
-// and the permutation/output buffers every randomization writes into. Each
-// goroutine of a Test takes one from scratchPool, sized for this run, so the
-// steady-state permutation loop allocates nothing (asserted by
-// TestChunkSteadyStateAllocs) and neither, once warm, does opening a test.
+// and the shift buffers a chunk writes into. Each goroutine of a Test takes
+// one from scratchPool, so the steady-state permutation loop allocates
+// nothing (asserted by TestChunkSteadyStateAllocs) and neither, once warm,
+// does opening a test.
 type scratch struct {
 	src splitmix
 	rng *rand.Rand
-
-	perm []int // Standard: vertex perm; Block: block perm
 
 	// shift builds the toroidal shifts a pool asks this worker for; shifts
 	// holds a chunk of them when it lies past the pool's memo.
 	shift  shiftScratch
 	shifts []int32
-
-	// Standard: function 2's permuted positive/negative vectors,
-	// vertex-major.
-	permPos, permNeg *bitvec.Vector
-
-	// Block: the one destination lane a source lane's blocks are laid out
-	// in, wholly overwritten before each count.
-	lane *bitvec.Vector
-}
-
-func (sc *scratch) intBuf(n int) []int {
-	if cap(sc.perm) < n {
-		sc.perm = make([]int, n)
-	}
-	return sc.perm[:n]
 }
 
 // scratchPool recycles worker scratches across tests. The RNG wraps the
@@ -716,24 +628,10 @@ func (sc *scratch) intBuf(n int) []int {
 // state, which yields the same stream as a freshly constructed rand.New
 // for that seed.
 var scratchPool = sync.Pool{New: func() any {
-	sc := &scratch{permPos: new(bitvec.Vector), permNeg: new(bitvec.Vector), lane: new(bitvec.Vector)}
+	sc := &scratch{}
 	sc.rng = rand.New(&sc.src)
 	return sc
 }}
-
-// newScratch takes a worker's scratch from the pool and sizes it for this
-// run; the worker puts it back when the run is done.
-func (t *testRun) newScratch() *scratch {
-	sc := scratchPool.Get().(*scratch)
-	switch t.cfg.Kind {
-	case Standard:
-		sc.permPos.Resize(t.a.NumVertices())
-		sc.permNeg.Resize(t.a.NumVertices())
-	case Block:
-		sc.lane.Resize(t.prep.laneBits)
-	}
-	return sc
-}
 
 // tauFromCounts turns the fused popcount tallies into tau. With
 // pp = |sigma(pos2) ∩ aPos|, bp = |sigma(pos2) ∩ aAll| (and pn/bn the
@@ -752,26 +650,12 @@ func tauFromCounts(pp, pn, bp, bn int) float64 {
 	return float64(p-n) / float64(sigmaBoth)
 }
 
-// countTau is the whole-vector variant of tauFromCounts used by the
-// Standard kernel, whose uniform vertex permutation has no lane structure
-// to exploit.
-func (t *testRun) countTau(sc *scratch, aPos, aNeg, aAll *bitvec.Vector) float64 {
-	var pp, bp, pn, bn int
-	if t.prep.bPosAny {
-		pp, bp = sc.permPos.AndCount2(aPos, aAll)
-	}
-	if t.prep.bNegAny {
-		pn, bn = sc.permNeg.AndCount2(aNeg, aAll)
-	}
-	return tauFromCounts(pp, pn, bp, bn)
-}
-
-// vectorTauRestricted counts one Restricted randomization: region r of
-// function 2 lands on region spatPerm[r] (r itself when spatPerm is nil)
-// rotated by rot steps over the temporal circle — the window of its doubled
-// lane that starts at bit nSteps-rot — and that window is counted against
-// function 1's destination lane by the test's walk, never stored.
-func (t *testRun) vectorTauRestricted(spatPerm []int32, rot int) float64 {
+// vectorTau counts one randomization: region r of function 2 lands on region
+// spatPerm[r] (r itself when spatPerm is nil) rotated by rot steps over the
+// temporal circle — the window of its doubled lane that starts at bit
+// nSteps-rot — and that window is counted against function 1's destination
+// lane by the test's walk, never stored.
+func (t *testRun) vectorTau(spatPerm []int32, rot int) float64 {
 	if t.feat {
 		same, both := t.countFeatures(spatPerm, rot)
 		return tauFromCounts(same, 0, both, 0)
@@ -781,13 +665,13 @@ func (t *testRun) vectorTauRestricted(spatPerm []int32, rot int) float64 {
 	return tauFromCounts(pp, pn, bp, bn)
 }
 
-// countRotated tallies one sign of a Restricted randomization a word at a
-// time: same counts the vertices where function 2's shifted features meet
-// function 1's of the same sign, both where they meet any. Only non-empty
-// source lanes are visited, and a destination lane without function-1
-// features is skipped — it zeroes every AND. A window is read a whole lane
-// of words long: its bits past nSteps meet function 1's zero padding, and
-// its last word's successor is the doubled lane's spare word.
+// countRotated tallies one sign of a randomization a word at a time: same
+// counts the vertices where function 2's shifted features meet function 1's
+// of the same sign, both where they meet any. Only non-empty source lanes
+// are visited, and a destination lane without function-1 features is skipped
+// — it zeroes every AND. A window is read a whole lane of words long: its
+// bits past nSteps meet function 1's zero padding, and its last word's
+// successor is the doubled lane's spare word.
 func (t *testRun) countRotated(s *side, spatPerm []int32, rot int) (same, both int) {
 	p := t.prep
 	if len(s.lanes) == 0 {
@@ -849,11 +733,11 @@ var featurePairCounts = func() (t [16]uint64) {
 	return t
 }()
 
-// countFeatures tallies a Restricted randomization feature by feature, both
-// signs in one pass: for each listed source lane r it visits function 1's
-// features in the destination lane and reads function 2's code at the
-// feature's step of r's rotated window. The integers are countRotated's
-// summed over signs, so tau is bit-identical.
+// countFeatures tallies a randomization feature by feature, both signs in
+// one pass: for each listed source lane r it visits function 1's features in
+// the destination lane and reads function 2's code at the feature's step of
+// r's rotated window. The integers are countRotated's summed over signs, so
+// tau is bit-identical.
 func (t *testRun) countFeatures(spatPerm []int32, rot int) (same, both int) {
 	p, S := t.prep, t.g.NumSteps()
 	var acc uint64
@@ -874,82 +758,24 @@ func (t *testRun) countFeatures(spatPerm []int32, rot int) (same, both int) {
 	return int(uint32(acc)), int(acc >> 32)
 }
 
-// vectorTauBlock counts one Block randomization: within each source lane
-// the temporal blocks are laid out consecutively in blockPerm order, and the
-// lane is counted against function 1's lane at spatPerm[r].
-func (t *testRun) vectorTauBlock(sc *scratch, spatPerm []int32, blockPerm []int, l int) float64 {
-	pp, bp := t.countBlocks(&t.prep.pos, sc.lane, spatPerm, blockPerm, l)
-	pn, bn := t.countBlocks(&t.prep.neg, sc.lane, spatPerm, blockPerm, l)
-	return tauFromCounts(pp, pn, bp, bn)
-}
-
-// countBlocks is countRotated for Block: the blocks, read from the first
-// copy of the doubled lane, partition [0, nSteps), so piecewise copies
-// overwrite all of lane's first nSteps bits before it is counted.
-func (t *testRun) countBlocks(s *side, lane *bitvec.Vector, spatPerm []int32, blockPerm []int, l int) (same, both int) {
-	p, S := t.prep, t.g.NumSteps()
-	for _, r := range s.lanes {
-		dst := r
-		if spatPerm != nil {
-			dst = spatPerm[r]
-		}
-		if !p.aAllLane[dst] {
-			continue
-		}
-		pos := 0
-		for _, b := range blockPerm {
-			lo := b * l
-			n := min(l, S-lo)
-			lane.CopyRange(s.b, int(r)*p.dblBits+lo, pos, n)
-			pos += n
-		}
-		c, cb := lane.AndCount2Window(0, S, s.a, p.aAllT, int(dst)*p.laneBits)
-		same += c
-		both += cb
-	}
-	return same, both
-}
-
-// vectorTauStandard materializes one Standard randomization by scattering
-// function 2's feature vertices through the vertex permutation into
-// vertex-major scratch vectors (reset per call — a uniform perm has no
-// lane structure to overwrite in place).
-func (t *testRun) vectorTauStandard(sc *scratch, vertPerm []int) float64 {
-	p := t.prep
-	if p.bPosAny {
-		sc.permPos.Reset()
-		for _, v := range t.pos2 {
-			sc.permPos.Set(vertPerm[v])
-		}
-	}
-	if p.bNegAny {
-		sc.permNeg.Reset()
-		for _, v := range t.neg2 {
-			sc.permNeg.Set(vertPerm[v])
-		}
-	}
-	return t.countTau(sc, t.a.Positive, t.a.Negative, p.aAllV)
-}
-
 // Test runs the Monte Carlo significance test for the relationship between
 // two feature sets on the shared domain graph g, given the observed score
 // tauObserved.
 //
-// Restricted mode: when the domain has more than one region, randomization
-// k applies toroidal shift k of Config.Shifts to the regions; time is
-// additionally rotated, by the test's own draw, to respect temporal
-// wrap-around. Standard mode permutes all vertices uniformly.
+// When the domain has more than one region, randomization k applies
+// toroidal shift k of Config.Shifts to the regions; time is additionally
+// rotated, by the test's own draw, to respect temporal wrap-around.
 //
 // The randomizations run in fixed-size chunks with per-chunk deterministic
 // seeds; Config.Workers spreads the chunks over goroutines without changing
 // the result (see Config).
 //
-// A pure time series (one region) under Restricted is randomized by the
-// circular time rotation alone, and its S steps admit S-1 rotations besides
-// the identity. The test enumerates them in order instead of drawing
-// Config.Permutations (see enumerate), so its p-value is exact. When even
-// p = 1/S, an observed score beyond every rotation, exceeds Alpha, the test
-// is not resolvable: nothing is evaluated and the Result says so.
+// A pure time series (one region) is randomized by the circular time
+// rotation alone, and its S steps admit S-1 rotations besides the identity.
+// The test enumerates them in order instead of drawing Config.Permutations
+// (see enumerate), so its p-value is exact. When even p = 1/S, an observed
+// score beyond every rotation, exceeds Alpha, the test is not resolvable:
+// nothing is evaluated and the Result says so.
 //
 // An observed score of zero or NaN is never significant: no randomization
 // is evaluated and p = 1.
@@ -975,8 +801,8 @@ func Test(a, b *feature.Set, g *stgraph.Graph, tauObserved float64, cfg Config) 
 // global permutation index; under Workers > 1 calls arrive concurrently
 // from multiple goroutines and may cover chunks past the adaptive stopping
 // point (in-flight work), so parity tests compare streams in Exhaustive
-// mode; an enumerated test calls it with rotation-1, in order. w forces a
-// Restricted test's walk unless it is chooseWalk. The run is returned for
+// mode; an enumerated test calls it with rotation-1, in order. w forces the
+// test's walk unless it is chooseWalk. The run is returned for
 // its walk; it is nil when no randomization was evaluated.
 func test(a, b *feature.Set, g *stgraph.Graph, tauObserved float64, cfg Config, sink func(perm int, tau float64), w walk) (Result, *testRun) {
 	cfg = cfg.withDefaults()
@@ -987,7 +813,7 @@ func test(a, b *feature.Set, g *stgraph.Graph, tauObserved float64, cfg Config, 
 	if math.IsNaN(tauObserved) {
 		tauObserved = 0 // never significant, and reported as zero
 	}
-	oneRegion := cfg.Kind == Restricted && g.NumRegions() == 1
+	oneRegion := g.NumRegions() == 1
 	if oneRegion && exceedsAlpha(cfg.Alpha, 0, g.NumSteps()) {
 		mNotResolvable.Inc()
 		return Result{PValue: 1, TauObserved: tauObserved, NotResolvable: true}, nil
@@ -1012,13 +838,7 @@ func test(a, b *feature.Set, g *stgraph.Graph, tauObserved float64, cfg Config, 
 		cfg:  cfg,
 		sink: sink,
 	}
-	run.prep, run.feat = newVectorPrep(a, b, g, cfg.Kind, w)
-	if cfg.Kind == Standard {
-		// Only the Standard scatter walks individual vertices; the lane
-		// kernels never do, so skip materializing the index slices for them.
-		run.pos2 = b.Positive.Ones()
-		run.neg2 = b.Negative.Ones()
-	}
+	run.prep, run.feat = newVectorPrep(a, b, g, w)
 	m := cfg.Permutations
 	var extreme, shifts int
 	if oneRegion {
@@ -1031,7 +851,7 @@ func test(a, b *feature.Set, g *stgraph.Graph, tauObserved float64, cfg Config, 
 		if w := min(cfg.Workers, nChunks); w > 1 {
 			run.parallel(w, counts, threshold)
 		} else {
-			sc := run.newScratch()
+			sc := scratchPool.Get().(*scratch)
 			ex := 0
 			for ci := range counts {
 				counts[ci] = run.chunk(ci, sc)
@@ -1094,7 +914,7 @@ func (t *testRun) parallel(w int, counts []int, threshold int) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			sc := t.newScratch()
+			sc := scratchPool.Get().(*scratch)
 			defer scratchPool.Put(sc)
 			for !stopped.Load() {
 				ci := int(next.Add(1)) - 1
@@ -1111,14 +931,13 @@ func (t *testRun) parallel(w int, counts []int, threshold int) {
 // testRun carries the immutable inputs of one significance test across its
 // permutation chunks.
 type testRun struct {
-	a          *feature.Set
-	pos2, neg2 []int
-	g          *stgraph.Graph
-	tau        float64
-	cfg        Config
-	prep       *vectorPrep
-	feat       bool // a Restricted test counted by countFeatures
-	sink       func(perm int, tau float64)
+	a    *feature.Set
+	g    *stgraph.Graph
+	tau  float64
+	cfg  Config
+	prep *vectorPrep
+	feat bool // counted by countFeatures
+	sink func(perm int, tau float64)
 }
 
 // isExtreme reports whether a randomization's tau is at least as extreme as
@@ -1129,52 +948,23 @@ func (t *testRun) isExtreme(tauK float64) bool {
 
 // chunk counts the extreme randomizations among permutation indices
 // [ci*permChunk, min((ci+1)*permChunk, |m|)). Permutation k's toroidal
-// shift is shift k of the pool; the draws that are the test's own — vertex
-// or block permutation, time rotation — come from the chunk's
-// deterministically seeded stream in sc. The test oracle replays both
-// sequences draw for draw; reordering one changes every reported p-value
-// (and fails TestKernelParity). A one-region Restricted test has no
+// shift is shift k of the pool; its time rotation, the test's own draw,
+// comes from the chunk's deterministically seeded stream in sc. The test
+// oracle replays both sequences draw for draw; reordering one changes every
+// reported p-value (and fails TestKernelParity). A one-region test has no
 // chunks: see enumerate.
 func (t *testRun) chunk(ci int, sc *scratch) int {
-	g := t.g
-	nRegions := g.NumRegions()
-	nSteps := g.NumSteps()
-	nVerts := g.NumVertices()
-	var shifts []int32
-	if nRegions > 1 && t.cfg.Kind != Standard {
-		shifts = t.cfg.Shifts.chunk(ci, sc)
-	}
+	nRegions, nSteps := t.g.NumRegions(), t.g.NumSteps()
+	shifts := t.cfg.Shifts.chunk(ci, sc)
 	sc.src.state = uint64(chunkSeed(t.cfg.Seed, ci))
-	rng := sc.rng
-	n := t.cfg.Permutations - ci*permChunk
-	if n > permChunk {
-		n = permChunk
-	}
+	n := min(t.cfg.Permutations-ci*permChunk, permChunk)
 	extreme := 0
 	for k := 0; k < n; k++ {
-		var spatPerm []int32
-		if shifts != nil {
-			spatPerm = shifts[k*nRegions : (k+1)*nRegions]
+		rot := 0
+		if nSteps > 1 {
+			rot = 1 + sc.src.intn(nSteps-1)
 		}
-		var tauK float64
-		switch t.cfg.Kind {
-		case Standard:
-			perm := sc.intBuf(nVerts)
-			permInto(rng, perm)
-			tauK = t.vectorTauStandard(sc, perm)
-		case Block:
-			l := blockLength(nSteps)
-			nBlocks := (nSteps + l - 1) / l
-			blockPerm := sc.intBuf(nBlocks)
-			permInto(rng, blockPerm)
-			tauK = t.vectorTauBlock(sc, spatPerm, blockPerm, l)
-		default: // Restricted
-			rot := 0
-			if nSteps > 1 {
-				rot = 1 + sc.src.intn(nSteps-1)
-			}
-			tauK = t.vectorTauRestricted(spatPerm, rot)
-		}
+		tauK := t.vectorTau(shifts[k*nRegions:(k+1)*nRegions], rot)
 		if t.sink != nil {
 			t.sink(ci*permChunk+k, tauK)
 		}
@@ -1197,14 +987,14 @@ func exceedsAlpha(alpha float64, extreme, S int) bool {
 	return float64(1+extreme)/float64(S) > alpha
 }
 
-// enumerate counts a one-region Restricted test exactly: it visits the
+// enumerate counts a one-region test exactly: it visits the
 // rotations 1..S-1 in order and returns how many were visited and how many
 // of them are extreme. Unless the test is Exhaustive it stops at the first
 // extreme rotation that decides the test insignificant (exceedsAlpha).
 func (t *testRun) enumerate() (extreme, visited int) {
 	S := t.g.NumSteps()
 	for rot := 1; rot < S; rot++ {
-		tauK := t.vectorTauRestricted(nil, rot)
+		tauK := t.vectorTau(nil, rot)
 		if t.sink != nil {
 			t.sink(rot-1, tauK)
 		}

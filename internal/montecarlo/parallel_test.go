@@ -30,10 +30,9 @@ func spatialSets(rng *rand.Rand, nVerts int) (*feature.Set, *feature.Set) {
 }
 
 // TestParallelParity: the parallel test must produce byte-identical results
-// to the sequential path for every worker count, every kind, and both
-// chunk-aligned and ragged permutation counts. This is the contract that
-// lets the query layer hand spare cores to the Monte Carlo test without
-// perturbing p-values.
+// to the sequential path for every worker count, and both chunk-aligned and
+// ragged permutation counts. This is the contract that lets the query layer
+// hand spare cores to the Monte Carlo test without perturbing p-values.
 func TestParallelParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	n := 1500
@@ -51,23 +50,21 @@ func TestParallelParity(t *testing.T) {
 	}
 	as, bs := spatialSets(rng, gs.NumVertices())
 
-	for _, kind := range []Kind{Restricted, Standard, Block} {
-		for _, perms := range []int{1, 49, 50, 51, 100, 237, 1000} {
-			seq := Test(a, b, g, 0.8, Config{Permutations: perms, Seed: 7, Kind: kind, Workers: 1})
-			for _, w := range []int{0, 2, 4, 8, 16} {
-				par := Test(a, b, g, 0.8, Config{Permutations: perms, Seed: 7, Kind: kind, Workers: w})
-				if seq != par {
-					t.Errorf("kind=%v perms=%d workers=%d: parallel %+v != sequential %+v",
-						kind, perms, w, par, seq)
-				}
+	for _, perms := range []int{1, 49, 50, 51, 100, 237, 1000} {
+		seq := Test(a, b, g, 0.8, Config{Permutations: perms, Seed: 7, Workers: 1})
+		for _, w := range []int{0, 2, 4, 8, 16} {
+			par := Test(a, b, g, 0.8, Config{Permutations: perms, Seed: 7, Workers: w})
+			if seq != par {
+				t.Errorf("perms=%d workers=%d: parallel %+v != sequential %+v",
+					perms, w, par, seq)
 			}
-			// Spatial domain (multi-region sigma construction).
-			seqS := Test(as, bs, gs, 0.5, Config{Permutations: perms, Seed: 11, Kind: kind, Workers: 1})
-			parS := Test(as, bs, gs, 0.5, Config{Permutations: perms, Seed: 11, Kind: kind, Workers: 8})
-			if seqS != parS {
-				t.Errorf("spatial kind=%v perms=%d: parallel %+v != sequential %+v",
-					kind, perms, parS, seqS)
-			}
+		}
+		// Spatial domain (multi-region sigma construction).
+		seqS := Test(as, bs, gs, 0.5, Config{Permutations: perms, Seed: 11, Workers: 1})
+		parS := Test(as, bs, gs, 0.5, Config{Permutations: perms, Seed: 11, Workers: 8})
+		if seqS != parS {
+			t.Errorf("spatial perms=%d: parallel %+v != sequential %+v",
+				perms, parS, seqS)
 		}
 	}
 }
@@ -111,14 +108,14 @@ func TestShiftPoolMemoIndependence(t *testing.T) {
 	}
 	// runFamily tests every pair against pool at once, each with its own
 	// per-test seed, as a graph build does.
-	runFamily := func(pool *ShiftPool, kind Kind, workers int) []outcome {
+	runFamily := func(pool *ShiftPool, workers int) []outcome {
 		out := make([]outcome, family)
 		var wg sync.WaitGroup
 		for i, p := range pairs {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				cfg := Config{Permutations: perms, Seed: int64(100 + i), Kind: kind, Workers: workers, Shifts: pool}
+				cfg := Config{Permutations: perms, Seed: int64(100 + i), Workers: workers, Shifts: pool}
 				out[i].adaptive = Test(p.a, p.b, g, 0.3, cfg)
 				cfg.Exhaustive = true
 				taus := make([]float64, perms)
@@ -130,27 +127,25 @@ func TestShiftPoolMemoIndependence(t *testing.T) {
 		return out
 	}
 	oneChunk := 4 * permChunk * len(adj)
-	for _, kind := range []Kind{Restricted, Block} {
-		full := NewShiftPool(adj, 9)
-		want := runFamily(full, kind, 1)
-		if got := full.memoBytes(); got != 5*oneChunk {
-			t.Fatalf("kind=%v: full pool memoised %d bytes, want 5 chunks = %d", kind, got, 5*oneChunk)
-		}
-		for _, budget := range []int{0, oneChunk} {
-			for _, workers := range []int{1, 2, 4} {
-				pool := newShiftPool(adj, 9, budget)
-				if len(pool.memo) != budget/oneChunk {
-					t.Fatalf("budget %d gives %d memo slots, want %d", budget, len(pool.memo), budget/oneChunk)
+	full := NewShiftPool(adj, 9)
+	want := runFamily(full, 1)
+	if got := full.memoBytes(); got != 5*oneChunk {
+		t.Fatalf("full pool memoised %d bytes, want 5 chunks = %d", got, 5*oneChunk)
+	}
+	for _, budget := range []int{0, oneChunk} {
+		for _, workers := range []int{1, 2, 4} {
+			pool := newShiftPool(adj, 9, budget)
+			if len(pool.memo) != budget/oneChunk {
+				t.Fatalf("budget %d gives %d memo slots, want %d", budget, len(pool.memo), budget/oneChunk)
+			}
+			for i, got := range runFamily(pool, workers) {
+				if got.adaptive != want[i].adaptive {
+					t.Errorf("budget=%d workers=%d pair %d: Result %+v, fully memoised %+v",
+						budget, workers, i, got.adaptive, want[i].adaptive)
 				}
-				for i, got := range runFamily(pool, kind, workers) {
-					if got.adaptive != want[i].adaptive {
-						t.Errorf("kind=%v budget=%d workers=%d pair %d: Result %+v, fully memoised %+v",
-							kind, budget, workers, i, got.adaptive, want[i].adaptive)
-					}
-					if !slices.Equal(got.taus, want[i].taus) {
-						t.Errorf("kind=%v budget=%d workers=%d pair %d: tau stream differs from the fully memoised pool's",
-							kind, budget, workers, i)
-					}
+				if !slices.Equal(got.taus, want[i].taus) {
+					t.Errorf("budget=%d workers=%d pair %d: tau stream differs from the fully memoised pool's",
+						budget, workers, i)
 				}
 			}
 		}
@@ -158,9 +153,9 @@ func TestShiftPoolMemoIndependence(t *testing.T) {
 }
 
 // TestPreparedLanesPoolRace: concurrent tests over domains of different
-// shapes and kinds share the prep and scratch pools, so a recycled buffer
-// is refilled for a shape other than the one it last held. Every Result
-// must equal the one the same test returns run alone.
+// shapes share the prep and scratch pools, so a recycled buffer is refilled
+// for a shape other than the one it last held. Every Result must equal the
+// one the same test returns run alone.
 func TestPreparedLanesPoolRace(t *testing.T) {
 	type job struct {
 		a, b *feature.Set
@@ -174,10 +169,10 @@ func TestPreparedLanesPoolRace(t *testing.T) {
 		g := gridGraph(t, sh.w, sh.h, sh.steps)
 		n := g.NumVertices()
 		pool := NewShiftPool(g.SpatialAdjacency(), 3)
-		for i, kind := range []Kind{Restricted, Block, Standard} {
+		for i := range 3 {
 			a, b := denseSets(rand.New(rand.NewSource(int64(i))), n, float64(sh.features)/float64(n), 0, n)
 			for _, tau := range []float64{0.05, -0.05} {
-				cfg := Config{Permutations: 100, Seed: int64(i), Kind: kind, Workers: 1 + i%2, Shifts: pool}
+				cfg := Config{Permutations: 100, Seed: int64(i), Workers: 1 + i%2, Shifts: pool}
 				jobs = append(jobs, job{a, b, g, tau, cfg, Test(a, b, g, tau, cfg)})
 			}
 		}
@@ -190,8 +185,8 @@ func TestPreparedLanesPoolRace(t *testing.T) {
 			for k := range jobs {
 				j := jobs[(k*7+w*5)%len(jobs)]
 				if got := Test(j.a, j.b, j.g, j.tau, j.cfg); got != j.want {
-					t.Errorf("%dx%d %v tau=%v: concurrent %+v, alone %+v",
-						j.g.NumRegions(), j.g.NumSteps(), j.cfg.Kind, j.tau, got, j.want)
+					t.Errorf("%dx%d seed %d tau=%v: concurrent %+v, alone %+v",
+						j.g.NumRegions(), j.g.NumSteps(), j.cfg.Seed, j.tau, got, j.want)
 				}
 			}
 		}()

@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"github.com/urbandata/datapolygamy/internal/core"
-	"github.com/urbandata/datapolygamy/internal/montecarlo"
 	"github.com/urbandata/datapolygamy/internal/stats"
 )
 
@@ -44,12 +43,6 @@ func Format(q core.Query) string {
 	}
 	if q.Clause.Permutations != 0 {
 		conds = append(conds, "permutations = "+strconv.Itoa(q.Clause.Permutations))
-	}
-	switch q.Clause.TestKind {
-	case montecarlo.Standard:
-		conds = append(conds, "test = standard")
-	case montecarlo.Block:
-		conds = append(conds, "test = block")
 	}
 	if q.Clause.Correction != stats.None {
 		conds = append(conds, "correction = "+q.Clause.Correction.String())

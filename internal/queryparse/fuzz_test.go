@@ -7,14 +7,15 @@ import (
 
 // FuzzParse asserts the parser's two robustness contracts on arbitrary
 // input: Parse never panics (any failure is a returned error), and for
-// every input Parse accepts, Parse∘Format∘Parse is a fixed point — the
-// parsed query formats to a string that parses back to exactly the same
-// query. The seed corpus is the representable-query matrix from the
-// round-trip test (strided to ~5k entries) plus the known error shapes, so
-// the fuzzer starts from every grammar production.
+// every input the grammar accepts and whose clause the engine accepts
+// (core.Clause.Validate), Parse∘Format∘Parse is a fixed point — the parsed
+// query formats to a string that parses back to exactly the same query.
+// The seed corpus is the representable-query matrix from the round-trip
+// test (strided to ~5k entries) plus the known error shapes, so the fuzzer
+// starts from every grammar production.
 func FuzzParse(f *testing.F) {
 	for i, q := range matrixQueries() {
-		if i%27 == 0 { // ~5k of the full matrix; mutation covers the rest
+		if i%9 == 0 { // ~5k of the full matrix; mutation covers the rest
 			f.Add(Format(q))
 		}
 	}
@@ -42,7 +43,7 @@ func FuzzParse(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, input string) {
 		q1, err := Parse(input)
-		if err != nil {
+		if err != nil || q1.Clause.Validate() != nil {
 			return // rejected inputs only need to not panic
 		}
 		text := Format(q1)

@@ -32,7 +32,6 @@ import (
 
 	"github.com/urbandata/datapolygamy/internal/core"
 	"github.com/urbandata/datapolygamy/internal/feature"
-	"github.com/urbandata/datapolygamy/internal/montecarlo"
 	"github.com/urbandata/datapolygamy/internal/spatial"
 	"github.com/urbandata/datapolygamy/internal/stats"
 	"github.com/urbandata/datapolygamy/internal/temporal"
@@ -165,8 +164,10 @@ func parseNameList(s string) []string {
 }
 
 // parseWhere handles "score >= 0.6 and strength >= 0.3 and alpha = 0.05
-// and permutations = 500 and test = standard and correction = bh and
-// qvalue <= 0.1".
+// and permutations = 500 and test = restricted and correction = bh and
+// qvalue <= 0.1". It checks the syntax only: what a value may be is the
+// clause's to check (core.Clause.Validate), which the engine runs for both
+// the grammar and the JSON clause.
 func parseWhere(s string, c *core.Clause) error {
 	for _, cond := range strings.Split(s, " and ") {
 		fields := strings.Fields(cond)
@@ -182,15 +183,8 @@ func parseWhere(s string, c *core.Clause) error {
 			if op != "=" {
 				return fmt.Errorf("queryparse: test needs '=', got %q", op)
 			}
-			switch valStr {
-			case "restricted":
-				c.TestKind = montecarlo.Restricted
-			case "standard":
-				c.TestKind = montecarlo.Standard
-			case "block":
-				c.TestKind = montecarlo.Block
-			default:
-				return fmt.Errorf("queryparse: unknown test kind %q", valStr)
+			if err := core.CheckTest(valStr); err != nil {
+				return err
 			}
 			continue
 		case "correction":
@@ -207,11 +201,6 @@ func parseWhere(s string, c *core.Clause) error {
 		val, err := strconv.ParseFloat(valStr, 64)
 		if err != nil {
 			return fmt.Errorf("queryparse: bad number %q in condition", valStr)
-		}
-		// NaN would poison clause comparisons (and Inf is never a sensible
-		// threshold); reject non-finite numbers outright.
-		if math.IsNaN(val) || math.IsInf(val, 0) {
-			return fmt.Errorf("queryparse: non-finite number %q in condition", valStr)
 		}
 		switch name {
 		case "score":
@@ -233,8 +222,10 @@ func parseWhere(s string, c *core.Clause) error {
 			if op != "=" {
 				return fmt.Errorf("queryparse: permutations needs '=', got %q", op)
 			}
-			if val != math.Trunc(val) || val < 0 || val > 1e9 {
-				return fmt.Errorf("queryparse: permutations must be an integer in [0, 1e9], got %q", valStr)
+			// Its range is the clause's to check (core.Clause.Validate);
+			// the grammar only needs an integer any int holds.
+			if val != math.Trunc(val) || math.Abs(val) > math.MaxInt32 {
+				return fmt.Errorf("queryparse: permutations must be a 32-bit integer, got %q", valStr)
 			}
 			c.Permutations = int(val)
 		case "qvalue":
@@ -263,9 +254,6 @@ func parseWindow(s string, c *core.Clause) error {
 	to, err := parseTime(parts[1])
 	if err != nil {
 		return err
-	}
-	if from > to {
-		return fmt.Errorf("queryparse: time window starts after it ends (%s > %s)", formatTime(from), formatTime(to))
 	}
 	c.Windowed = true
 	c.WindowFrom, c.WindowTo = from, to
