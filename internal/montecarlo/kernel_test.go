@@ -43,6 +43,47 @@ func denseSets(rng *rand.Rand, nVerts int, density float64, lo, hi int) (*featur
 	return a, b
 }
 
+// setSigns makes function 2's feature signs disjoint, as real feature sets
+// have them, and then gives k of its vertices, drawn with rng, both signs:
+// with k = 0 the word walk counts two popcounts a word, with k > 0 it counts
+// sign by sign.
+func setSigns(rng *rand.Rand, b *feature.Set, k int) {
+	for _, v := range b.Positive.Ones() {
+		b.Negative.Clear(v)
+	}
+	for range k {
+		v := rng.Intn(b.NumVertices())
+		b.Positive.Set(v)
+		b.Negative.Set(v)
+	}
+}
+
+// pairSets draws function 1 with about na features and function 2 with
+// about nb, over n vertices.
+func pairSets(rng *rand.Rand, n, na, nb int) (*feature.Set, *feature.Set) {
+	a, _ := denseSets(rng, n, float64(na)/float64(n), 0, n)
+	_, b := denseSets(rng, n, float64(nb)/float64(n), 0, n)
+	return a, b
+}
+
+// pathName names the counting path a test under walk w takes: the word
+// walk's fused form, or its sign-by-sign form when function 2 has vertices
+// of both signs, or the feature walk over one function's features.
+func pathName(w walk, b *feature.Set) string {
+	switch w {
+	case wordWalk:
+		if b.Positive.AndAny(b.Negative) {
+			return "word walk with overlap"
+		}
+		return "fused word walk"
+	case flatA:
+		return "flat walk over function 1"
+	case flatB:
+		return "flat walk over function 2"
+	}
+	return "chosen walk"
+}
+
 // gridGraph is the w x h grid over steps time steps; 1 x 1 is a pure time
 // series, one region without neighbours.
 func gridGraph(tb testing.TB, w, h, steps int) *stgraph.Graph {
@@ -242,9 +283,11 @@ func oracleResult(taus []float64, tau float64, cfg Config, exhaustive, enumerate
 // against the oracle's fold, and the adaptive verdict against the exhaustive
 // one. An enumerated test's sink must see each rotation once, in order, and
 // no stream at all when the test is not resolvable. The test is held to the
-// oracle under each walk forced and under the walk the selection picks,
-// adaptively as well. It returns the exhaustive run without the sink under
-// the selected walk.
+// oracle under each walk forced — the word walk, and the feature walk over
+// either function's features — and under the walk the selection picks,
+// adaptively as well; whether the word walk counts sign by sign is b's
+// choice (see setSigns). It returns the exhaustive run without the
+// sink under the selected walk; its prep is released.
 func checkKernelParity(t *testing.T, a, b *feature.Set, g *stgraph.Graph, tau float64, cfg Config) *testRun {
 	t.Helper()
 	want := oracleTaus(a, b, g, cfg)
@@ -257,7 +300,8 @@ func checkKernelParity(t *testing.T, a, b *feature.Set, g *stgraph.Graph, tau fl
 		t.Fatalf("oracle: adaptive verdict %+v differs from exhaustive %+v", wAdaptive, w)
 	}
 	var run *testRun
-	for _, wk := range []walk{wordWalk, featureWalk, chooseWalk} {
+	for _, wk := range []walk{wordWalk, flatA, flatB, chooseWalk} {
+		path := pathName(wk, b)
 		got := make([]float64, len(want))
 		var order []int
 		res, _ := test(a, b, g, tau, ex, func(perm int, tauK float64) {
@@ -268,34 +312,34 @@ func checkKernelParity(t *testing.T, a, b *feature.Set, g *stgraph.Graph, tau fl
 		}, wk)
 		for i := range want {
 			if w.Shifts > 0 && got[i] != want[i] {
-				t.Fatalf("walk %d: tau stream diverges at permutation %d: oracle %v kernel %v (cfg %+v)",
-					wk, i, want[i], got[i], cfg)
+				t.Fatalf("%s: tau stream diverges at permutation %d: oracle %v kernel %v (cfg %+v)",
+					path, i, want[i], got[i], cfg)
 			}
 		}
 		if enum && w.Shifts > 0 {
 			if len(order) != len(want) {
-				t.Fatalf("walk %d: sink saw %d rotations, want %d", wk, len(order), len(want))
+				t.Fatalf("%s: sink saw %d rotations, want %d", path, len(order), len(want))
 			}
 			for i, k := range order {
 				if k != i {
-					t.Fatalf("walk %d: sink saw rotation index %d at position %d, want each once in order", wk, k, i)
+					t.Fatalf("%s: sink saw rotation index %d at position %d, want each once in order", path, k, i)
 				}
 			}
 		} else if len(order) != 0 {
-			t.Fatalf("walk %d: sink saw %d rotations of a test that evaluates none", wk, len(order))
+			t.Fatalf("%s: sink saw %d rotations of a test that evaluates none", path, len(order))
 		}
 		if res != w {
-			t.Fatalf("walk %d: exhaustive Result mismatch: oracle %+v kernel %+v (cfg %+v)", wk, w, res, cfg)
+			t.Fatalf("%s: exhaustive Result mismatch: oracle %+v kernel %+v (cfg %+v)", path, w, res, cfg)
 		}
 		res, run = test(a, b, g, tau, ex, nil, wk)
 		if res != w {
-			t.Fatalf("walk %d: exhaustive Result without the sink mismatch: oracle %+v kernel %+v (cfg %+v)", wk, w, res, cfg)
+			t.Fatalf("%s: exhaustive Result without the sink mismatch: oracle %+v kernel %+v (cfg %+v)", path, w, res, cfg)
 		}
-		if forced := wk == featureWalk; wk != chooseWalk && run != nil && run.feat != forced {
-			t.Fatalf("walk %d forced, but the run's feature walk is %v", wk, run.feat)
+		if run != nil && (run.prep != nil || wk != chooseWalk && run.walk != wk) {
+			t.Fatalf("%s forced: the run took walk %d, prep released %v", path, run.walk, run.prep == nil)
 		}
 		if r, _ := test(a, b, g, tau, cfg, nil, wk); r != wAdaptive {
-			t.Fatalf("walk %d: adaptive Result mismatch: oracle %+v kernel %+v (cfg %+v)", wk, wAdaptive, r, cfg)
+			t.Fatalf("%s: adaptive Result mismatch: oracle %+v kernel %+v (cfg %+v)", path, wAdaptive, r, cfg)
 		}
 	}
 	if r := Test(a, b, g, tau, cfg); r != wAdaptive {
@@ -306,7 +350,8 @@ func checkKernelParity(t *testing.T, a, b *feature.Set, g *stgraph.Graph, tau fl
 
 // TestKernelParity pins the kernel's contract: the word-level kernel is
 // byte-identical to the per-vertex oracle for every domain shape, feature
-// density, windowed sub-domain, Workers value and shift pool.
+// density, windowed sub-domain, Workers value and shift pool, and with
+// function 2's signs disjoint or overlapping on purpose.
 func TestKernelParity(t *testing.T) {
 	cases := []struct {
 		name           string
@@ -314,6 +359,7 @@ func TestKernelParity(t *testing.T) {
 		adj            func() [][]int
 		density        float64
 		lo, hi         int // vertex window; 0,0 => full domain
+		both           int // function 2's signs: 0 as drawn, -1 disjoint, k > 0 k vertices of both (setSigns)
 	}{
 		{name: "timeseries-sparse", regions: 1, steps: 500, adj: func() [][]int { return [][]int{nil} }, density: 0.02},
 		{name: "timeseries-dense", regions: 1, steps: 321, adj: func() [][]int { return [][]int{nil} }, density: 0.5},
@@ -325,6 +371,11 @@ func TestKernelParity(t *testing.T) {
 		{name: "single-step", regions: 9, steps: 1, adj: func() [][]int { return grid(3, 3) }, density: 0.5},
 		{name: "word-boundary-steps", regions: 4, steps: 64, adj: func() [][]int { return grid(2, 2) }, density: 0.3},
 		{name: "word-boundary-plus1", regions: 4, steps: 65, adj: func() [][]int { return grid(2, 2) }, density: 0.3},
+		{name: "timeseries-disjoint", regions: 1, steps: 321, adj: func() [][]int { return [][]int{nil} }, density: 0.5, both: -1},
+		{name: "timeseries-both-signs", regions: 1, steps: 321, adj: func() [][]int { return [][]int{nil} }, density: 0.3, both: 40},
+		{name: "grid4x4-disjoint", regions: 16, steps: 100, adj: func() [][]int { return grid(4, 4) }, density: 0.4, both: -1},
+		{name: "grid4x4-both-signs", regions: 16, steps: 100, adj: func() [][]int { return grid(4, 4) }, density: 0.1, both: 60},
+		{name: "ring7-both-signs-sparse", regions: 7, steps: 67, adj: func() [][]int { return ring(7) }, density: 0.02, both: 5},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -338,6 +389,9 @@ func TestKernelParity(t *testing.T) {
 				lo, hi = 0, g.NumVertices()
 			}
 			a, b := denseSets(rng, g.NumVertices(), tc.density, lo, hi)
+			if tc.both != 0 {
+				setSigns(rng, b, max(tc.both, 0))
+			}
 			// One pool across the whole matrix, as a family of tests shares
 			// it, and the private sequence a Config without a pool draws.
 			shared := NewShiftPool(g.SpatialAdjacency(), 99)
@@ -355,7 +409,8 @@ func TestKernelParity(t *testing.T) {
 }
 
 // TestKernelParityOneSided covers feature sets with an entirely absent
-// sign (a side without lanes) and empty intersections.
+// sign (a side without lanes, read by the fused word walk as zeros) and
+// empty intersections, and a function 2 with vertices of both signs.
 func TestKernelParityOneSided(t *testing.T) {
 	g, err := stgraph.New(9, 80, grid(3, 3))
 	if err != nil {
@@ -383,7 +438,9 @@ func TestKernelParityOneSided(t *testing.T) {
 		{"b-negative-only", mk(true, true), mk(false, true)},
 		{"a-positive-only", mk(true, false), mk(true, true)},
 		{"disjoint-sides", mk(true, false), mk(false, true)},
+		{"b-both-signs", mk(true, true), mk(true, true)},
 	}
+	setSigns(rng, cases[4].b, 15)
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			checkKernelParity(t, tc.a, tc.b, g, 0.4, Config{
@@ -402,8 +459,11 @@ func TestKernelParityOneSided(t *testing.T) {
 // a one-sided function 2, and every cell under Workers 1, 2 and 4.
 //
 // The walk the selection picks is pinned on both sides of the crossover: 48
-// regions x 1,416 steps at 1 % density (about 9 features a 23-word lane) and
-// 48 x 14 at 10 % take the feature walk, 48 x 14 at 40 % the word walk.
+// regions x 1,416 steps at 1 % density (about 14 features a 23-word lane)
+// and 48 x 14 at 10 and 40 % (about 210 features against 48 one-word
+// lanes) take the feature walk over function 2's features, 48 x 14 at 80 %
+// (about 360 against 48) the word walk, and its one-sided function 2 (about
+// 215) the feature walk again.
 //
 // Below 2,160 steps one region also covers both ends of the enumeration:
 // |tau| = 1 against a sparse positive-only function 1 and negative-only
@@ -416,23 +476,25 @@ func TestKernelParityShapes(t *testing.T) {
 	type shape struct {
 		w, h, steps, perms int
 		density            float64
-		walk               walk // the walk the selection must pick; chooseWalk: either
+		walks              [2]walk // what the selection picks for function 2 and its one-sided twin; chooseWalk: either
 	}
 	var shapes []shape
 	for _, steps := range []int{2, 3, 14, 90, 2160} {
-		shapes = append(shapes, shape{1, 1, steps, 1000, 0.4, chooseWalk})
+		shapes = append(shapes, shape{1, 1, steps, 1000, 0.4, [2]walk{}})
 	}
 	for _, steps := range []int{2, 3, 63, 64, 65, 127, 128, 129} {
-		shapes = append(shapes, shape{3, 2, steps, 150, 0.4, chooseWalk})
+		shapes = append(shapes, shape{3, 2, steps, 150, 0.4, [2]walk{}})
 	}
-	shapes = append(shapes, shape{8, 6, 1416, 150, 0.01, featureWalk},
-		shape{8, 6, 14, 150, 0.1, featureWalk}, shape{8, 6, 14, 150, 0.4, wordWalk})
+	shapes = append(shapes, shape{8, 6, 1416, 150, 0.01, [2]walk{flatB, flatB}},
+		shape{8, 6, 14, 150, 0.1, [2]walk{flatB, flatB}}, shape{8, 6, 14, 150, 0.4, [2]walk{flatB, flatB}},
+		shape{8, 6, 14, 150, 0.8, [2]walk{wordWalk, flatB}})
 	type pair struct {
 		a, b *feature.Set
 		tau  float64
 		// visits is the rotations an adaptive one-region test must visit
 		// when resolvable; nil when it is not pinned.
 		visits func(steps int, alpha float64) int
+		walk   walk // the walk the selection must pick; chooseWalk: either
 	}
 	every := func(steps int, _ float64) int { return steps - 1 }
 	decided := func(steps int, alpha float64) int {
@@ -444,7 +506,7 @@ func TestKernelParityShapes(t *testing.T) {
 	}
 	for _, sh := range shapes {
 		name := fmt.Sprintf("%dx%d", sh.w*sh.h, sh.steps)
-		if sh.walk != chooseWalk {
+		if sh.walks[0] != chooseWalk {
 			name += fmt.Sprintf("-%g", sh.density)
 		}
 		t.Run(name, func(t *testing.T) {
@@ -452,7 +514,7 @@ func TestKernelParityShapes(t *testing.T) {
 			n := g.NumVertices()
 			a, b := denseSets(rand.New(rand.NewSource(int64(sh.steps))), n, sh.density, 0, n)
 			oneSided := &feature.Set{Positive: bitvec.New(n), Negative: b.Negative}
-			pairs := []pair{{a, b, -0.3, nil}, {a, oneSided, -0.3, nil}}
+			pairs := []pair{{a, b, -0.3, nil, sh.walks[0]}, {a, oneSided, -0.3, nil, sh.walks[1]}}
 			alphas := []float64{0}
 			if n == sh.steps {
 				alphas = append(alphas, 0.5)
@@ -470,17 +532,17 @@ func TestKernelParityShapes(t *testing.T) {
 				sparseA, sparseB := set(firstStep, bitvec.New(n)), set(bitvec.New(n), lastStep)
 				full := set(all, bitvec.New(n))
 				pairs = append(pairs,
-					pair{sparseA, sparseB, 1, every},
-					pair{full, full, -1, every},
-					pair{full, full, 1e-9, decided})
+					pair{sparseA, sparseB, 1, every, chooseWalk},
+					pair{full, full, -1, every, chooseWalk},
+					pair{full, full, 1e-9, decided, chooseWalk})
 			}
 			for _, p := range pairs {
 				for _, alpha := range alphas {
 					for _, workers := range []int{1, 2, 4} {
 						cfg := Config{Permutations: sh.perms, Alpha: alpha, Seed: 31, Workers: workers}
 						run := checkKernelParity(t, p.a, p.b, g, p.tau, cfg)
-						if run != nil && sh.walk != chooseWalk && run.feat != (sh.walk == featureWalk) {
-							t.Fatalf("tau=%v: feature walk %v, want walk %d", p.tau, run.feat, sh.walk)
+						if run != nil && p.walk != chooseWalk && run.walk != p.walk {
+							t.Fatalf("tau=%v: %s, want %s", p.tau, pathName(run.walk, p.b), pathName(p.walk, p.b))
 						}
 						res := Test(p.a, p.b, g, p.tau, cfg)
 						if p.visits == nil || res.NotResolvable {
@@ -584,10 +646,12 @@ func TestToroidalScratchMatchesPublic(t *testing.T) {
 
 // TestChunkSteadyStateAllocs asserts the kernel's allocation contract: after
 // the first chunk sizes the scratch buffers, evaluating further permutation
-// chunks allocates nothing, under each walk — whether the chunk's shifts are
-// read from the pool's memo or regenerated past it — and on one region,
-// where a test has no chunk, enumerating all 89 rotations of a 90-step test
-// allocates nothing either.
+// chunks allocates nothing, under each counting path — the word walk with
+// function 2's signs disjoint and overlapping, the feature walk over either
+// function's features, whose σ⁻¹ table lives in the scratch — whether the
+// chunk's shifts are read from the pool's memo or regenerated past it, and
+// on one region, where a test has no chunk, enumerating all 89 rotations of
+// a 90-step test allocates nothing either.
 func TestChunkSteadyStateAllocs(t *testing.T) {
 	for _, dom := range []struct {
 		w, h, steps int
@@ -595,24 +659,27 @@ func TestChunkSteadyStateAllocs(t *testing.T) {
 		g := gridGraph(t, dom.w, dom.h, dom.steps)
 		rng := rand.New(rand.NewSource(3))
 		a, b := denseSets(rng, g.NumVertices(), 0.1, 0, g.NumVertices())
-		for _, wk := range []walk{wordWalk, featureWalk} {
-			for _, budget := range []int{0, shiftPoolBudget} {
-				run := &testRun{
-					a: a, g: g, tau: 0.9,
-					cfg: Config{Permutations: 200, Alpha: 0.05, Seed: 5,
-						Shifts: newShiftPool(g.SpatialAdjacency(), 5, budget)},
-				}
-				run.prep, run.feat = newVectorPrep(a, b, g, wk)
-				sc := scratchPool.Get().(*scratch)
-				step := func() { run.chunk(1, sc) }
-				if g.NumRegions() == 1 {
-					run.cfg.Exhaustive = true
-					step = func() { run.enumerate() }
-				}
-				step() // size the scratch buffers, memoise the chunk
-				if allocs := testing.AllocsPerRun(5, step); allocs != 0 {
-					t.Errorf("%dx%d feature walk=%v budget=%d: steady-state chunk allocates %.0f objects, want 0",
-						dom.w*dom.h, dom.steps, run.feat, budget, allocs)
+		for _, both := range []int{0, 5} {
+			setSigns(rng, b, both)
+			for _, wk := range []walk{wordWalk, flatA, flatB} {
+				for _, budget := range []int{0, shiftPoolBudget} {
+					run := &testRun{
+						a: a, g: g, tau: 0.9,
+						cfg: Config{Permutations: 200, Alpha: 0.05, Seed: 5,
+							Shifts: newShiftPool(g.SpatialAdjacency(), 5, budget)},
+					}
+					run.prep, run.walk = newVectorPrep(a, b, g, wk)
+					sc := scratchPool.Get().(*scratch)
+					step := func() { run.chunk(1, sc) }
+					if g.NumRegions() == 1 {
+						run.cfg.Exhaustive = true
+						step = func() { run.enumerate(sc) }
+					}
+					step() // size the scratch buffers, memoise the chunk
+					if allocs := testing.AllocsPerRun(5, step); allocs != 0 {
+						t.Errorf("%dx%d %s budget=%d: steady-state chunk allocates %.0f objects, want 0",
+							dom.w*dom.h, dom.steps, pathName(wk, b), budget, allocs)
+					}
 				}
 			}
 		}
@@ -646,26 +713,33 @@ var raceEnabled bool // set by race_test.go
 
 // TestOpenTestAllocs pins what opening a test costs once the prep and
 // scratch pools are warm: a whole test at Workers 1 allocates only its run
-// record and chunk counts, under either walk. A dense 48x2,160 pair's
+// record and chunk counts, under every walk. A dense 48x2,160 pair's
 // transposed lanes live in the pooled prep (building them afresh cost four
 // vectors and four Ones slices more), as do a sparse 48x2,160 or 48x1,416
-// pair's feature lists and codes; a 1x2,160 test enumerates its 2,159
-// rotations with nothing but its run record.
+// pair's feature list and codes, walked over function 2's features, and a
+// 48x90 pair's of 9 and 1,000 features, walked over function 1's; a 1x2,160
+// test enumerates its 2,159 rotations with nothing but its run record.
 func TestOpenTestAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items under -race")
 	}
 	for _, dom := range []struct {
 		w, h, steps, features int
-		feat                  bool // the walk the selection picks
-	}{{8, 6, 2160, 8000, false}, {8, 6, 2160, 1500, true}, {8, 6, 1416, 600, true}, {1, 1, 2160, 1500, false}} {
+		sparseA               int  // when non-zero, function 1's feature count, drawn apart
+		walk                  walk // the walk the selection picks
+	}{{8, 6, 2160, 8000, 0, wordWalk}, {8, 6, 2160, 1500, 0, flatB}, {8, 6, 1416, 600, 0, flatB}, {8, 6, 90, 1000, 9, flatA},
+		{1, 1, 2160, 1500, 0, wordWalk}} {
 		g := gridGraph(t, dom.w, dom.h, dom.steps)
 		n := g.NumVertices()
-		a, b := denseSets(rand.New(rand.NewSource(42)), n, float64(dom.features)/float64(n), 0, n)
+		rng := rand.New(rand.NewSource(42))
+		a, b := denseSets(rng, n, float64(dom.features)/float64(n), 0, n)
+		if dom.sparseA > 0 {
+			a, b = pairSets(rng, n, dom.sparseA, dom.features)
+		}
 		cfg := Config{Seed: 1, Workers: 1, Shifts: NewShiftPool(g.SpatialAdjacency(), 1)}
 		// Warm the pools and memoise the shifts.
-		if _, run := test(a, b, g, 0.9, cfg, nil, chooseWalk); run.feat != dom.feat {
-			t.Fatalf("%dx%d, %d features: feature walk %v, want %v", dom.w*dom.h, dom.steps, dom.features, run.feat, dom.feat)
+		if _, run := test(a, b, g, 0.9, cfg, nil, chooseWalk); run.walk != dom.walk {
+			t.Fatalf("%dx%d, %d features: %s, want %s", dom.w*dom.h, dom.steps, dom.features, pathName(run.walk, b), pathName(dom.walk, b))
 		}
 		if allocs := testing.AllocsPerRun(10, func() { Test(a, b, g, 0.9, cfg) }); allocs > 2 {
 			t.Errorf("opening a warmed %dx%d test of %d features allocates %.0f objects, want <= 2",
@@ -675,28 +749,32 @@ func TestOpenTestAllocs(t *testing.T) {
 }
 
 // FuzzKernelParity fuzzes domain shape, density, seed, observed tau (±0.5 or
-// ±1, by tauB mod 4) and alpha (the default, or 0.5 when tauB has bit 2 set,
-// so one-region tests of 2 to 19 steps are resolvable), requiring Results
-// and tau streams byte-identical to the oracle's under each walk. The seeds
-// at 1–2 % density over 64 steps or more are ones the selection hands to the
-// feature walk.
+// ±1, by tauB mod 4), alpha (the default, or 0.5 when tauB has bit 2 set,
+// so one-region tests of 2 to 19 steps are resolvable) and function 2's
+// signs (bothB: 0 as drawn, otherwise disjoint plus (bothB-1) mod 16
+// vertices of both, see setSigns), requiring Results and tau streams
+// byte-identical to the oracle's under each walk forced — the word walk,
+// fused or sign by sign as bothB leaves function 2's signs, and the
+// feature walk over either function — and the one chosen. The
+// seeds at 1–2 % density over 64 steps or more are ones the selection hands
+// to the feature walk.
 func FuzzKernelParity(f *testing.F) {
-	f.Add(int64(1), uint8(3), uint8(3), uint8(50), uint8(30), uint8(0))
-	f.Add(int64(2), uint8(1), uint8(1), uint8(200), uint8(10), uint8(1))
-	f.Add(int64(3), uint8(4), uint8(2), uint8(64), uint8(80), uint8(0))
-	f.Add(int64(-9), uint8(5), uint8(5), uint8(65), uint8(50), uint8(1))
-	f.Add(int64(4), uint8(0), uint8(0), uint8(2), uint8(60), uint8(4))   // 1x3: two rotations
-	f.Add(int64(5), uint8(4), uint8(4), uint8(128), uint8(40), uint8(1)) // 5x5x129
-	f.Add(int64(6), uint8(0), uint8(0), uint8(1), uint8(50), uint8(4))   // 1x2: one rotation
-	f.Add(int64(7), uint8(0), uint8(0), uint8(1), uint8(99), uint8(6))   // 1x2, tau = 1
-	f.Add(int64(8), uint8(0), uint8(0), uint8(2), uint8(5), uint8(7))    // 1x3, tau = -1
-	f.Add(int64(8), uint8(0), uint8(0), uint8(13), uint8(5), uint8(1))   // 1x14: not resolvable
-	f.Add(int64(9), uint8(0), uint8(0), uint8(89), uint8(20), uint8(2))  // 1x90, tau = 1
-	f.Add(int64(10), uint8(2), uint8(2), uint8(13), uint8(70), uint8(3)) // 3x3x14, tau = -1
-	f.Add(int64(11), uint8(4), uint8(4), uint8(199), uint8(0), uint8(0)) // 5x5x200 at 1 %
-	f.Add(int64(12), uint8(0), uint8(0), uint8(150), uint8(1), uint8(1)) // 1x151 at 1.9 %
-	f.Add(int64(13), uint8(3), uint8(2), uint8(63), uint8(0), uint8(2))  // 4x3x64 at 1 %, tau = 1
-	f.Fuzz(func(t *testing.T, seed int64, w, h, stepsB, densityB, tauB uint8) {
+	f.Add(int64(1), uint8(3), uint8(3), uint8(50), uint8(30), uint8(0), uint8(0))
+	f.Add(int64(2), uint8(1), uint8(1), uint8(200), uint8(10), uint8(1), uint8(1))
+	f.Add(int64(3), uint8(4), uint8(2), uint8(64), uint8(80), uint8(0), uint8(9))
+	f.Add(int64(-9), uint8(5), uint8(5), uint8(65), uint8(50), uint8(1), uint8(0))
+	f.Add(int64(4), uint8(0), uint8(0), uint8(2), uint8(60), uint8(4), uint8(1))   // 1x3: two rotations
+	f.Add(int64(5), uint8(4), uint8(4), uint8(128), uint8(40), uint8(1), uint8(0)) // 5x5x129
+	f.Add(int64(6), uint8(0), uint8(0), uint8(1), uint8(50), uint8(4), uint8(9))   // 1x2: one rotation
+	f.Add(int64(7), uint8(0), uint8(0), uint8(1), uint8(99), uint8(6), uint8(0))   // 1x2, tau = 1
+	f.Add(int64(8), uint8(0), uint8(0), uint8(2), uint8(5), uint8(7), uint8(0))    // 1x3, tau = -1
+	f.Add(int64(8), uint8(0), uint8(0), uint8(13), uint8(5), uint8(1), uint8(1))   // 1x14: not resolvable
+	f.Add(int64(9), uint8(0), uint8(0), uint8(89), uint8(20), uint8(2), uint8(0))  // 1x90, tau = 1
+	f.Add(int64(10), uint8(2), uint8(2), uint8(13), uint8(70), uint8(3), uint8(1)) // 3x3x14, tau = -1
+	f.Add(int64(11), uint8(4), uint8(4), uint8(199), uint8(0), uint8(0), uint8(9)) // 5x5x200 at 1 %
+	f.Add(int64(12), uint8(0), uint8(0), uint8(150), uint8(1), uint8(1), uint8(0)) // 1x151 at 1.9 %
+	f.Add(int64(13), uint8(3), uint8(2), uint8(63), uint8(0), uint8(2), uint8(1))  // 4x3x64 at 1 %, tau = 1
+	f.Fuzz(func(t *testing.T, seed int64, w, h, stepsB, densityB, tauB, bothB uint8) {
 		w = w%5 + 1
 		h = h%5 + 1
 		steps := int(stepsB)%200 + 1
@@ -713,6 +791,9 @@ func FuzzKernelParity(f *testing.F) {
 		density := 0.01 + float64(densityB%100)/110
 		rng := rand.New(rand.NewSource(seed))
 		a, b := denseSets(rng, g.NumVertices(), density, 0, g.NumVertices())
+		if bothB > 0 {
+			setSigns(rng, b, int(bothB-1)%16)
+		}
 		tau := []float64{0.5, -0.5, 1, -1}[tauB%4]
 		alpha := []float64{0, 0.5}[tauB/4%2]
 		checkKernelParity(t, a, b, g, tau, Config{
@@ -728,9 +809,13 @@ func FuzzKernelParity(f *testing.F) {
 // the resolvable shapes and feature counts per set the graph-wide corpus is
 // made of: city x day (1x90, 33), dense city x hour (1x2160, 1,300),
 // neighbourhood x week (48x14, 90) and neighbourhood x hour (48x2160,
-// 1,500); and on two of the 9-data-set fleet corpus, one either side of
-// featureWalkRatio: neighbourhood x hour (48x1416, 600, the feature walk)
-// and dense city x hour (1x1416, 500, the word walk).
+// 1,500); on two of the 9-data-set fleet corpus, one either side of the
+// walk choice: neighbourhood x hour (48x1416, 600, the feature walk) and
+// dense city x hour (1x1416, 500, the word walk); on graph-wide pairs whose
+// functions differ in feature count (function 1 / function 2): 48x14 (22 /
+// 108), 48x3 (21 / 16), 48x90 (9 / 1,016 and 921 / 856); and on a sparse
+// 256-region day domain (256x90, 30 / 400), whose feature walk over
+// function 1 scatters σ⁻¹ over 256 regions a randomization.
 func BenchmarkShiftedTauKernel(b *testing.B) {
 	g, err := stgraph.New(256, 1464, grid(16, 16))
 	if err != nil {
@@ -744,7 +829,7 @@ func BenchmarkShiftedTauKernel(b *testing.B) {
 			cfg: Config{Permutations: 8 * permChunk, Alpha: 0.05, Seed: 1,
 				Shifts: NewShiftPool(g.SpatialAdjacency(), 1)},
 		}
-		run.prep, run.feat = newVectorPrep(fa, fb, g, chooseWalk)
+		run.prep, run.walk = newVectorPrep(fa, fb, g, chooseWalk)
 		sc := scratchPool.Get().(*scratch)
 		run.chunk(0, sc)
 		b.ResetTimer()
@@ -754,11 +839,21 @@ func BenchmarkShiftedTauKernel(b *testing.B) {
 	})
 	for _, sh := range []struct {
 		w, h, steps, features int
-	}{{1, 1, 90, 33}, {1, 1, 2160, 1300}, {8, 6, 14, 90}, {8, 6, 2160, 1500}, {8, 6, 1416, 600}, {1, 1, 1416, 500}} {
-		b.Run(fmt.Sprintf("%dx%d", sh.w*sh.h, sh.steps), func(b *testing.B) {
+		na                    int // when non-zero, function 1's feature count, drawn apart
+	}{{1, 1, 90, 33, 0}, {1, 1, 2160, 1300, 0}, {8, 6, 14, 90, 0}, {8, 6, 2160, 1500, 0}, {8, 6, 1416, 600, 0}, {1, 1, 1416, 500, 0},
+		{8, 6, 14, 108, 22}, {8, 6, 3, 16, 21}, {8, 6, 90, 1016, 9}, {8, 6, 90, 856, 921}, {16, 16, 90, 400, 30}} {
+		name := fmt.Sprintf("%dx%d", sh.w*sh.h, sh.steps)
+		if sh.na > 0 {
+			name += fmt.Sprintf("-%d/%d", sh.na, sh.features)
+		}
+		b.Run(name, func(b *testing.B) {
 			g := gridGraph(b, sh.w, sh.h, sh.steps)
 			n := g.NumVertices()
-			fa, fb := denseSets(rand.New(rand.NewSource(42)), n, float64(sh.features)/float64(n), 0, n)
+			rng := rand.New(rand.NewSource(42))
+			fa, fb := denseSets(rng, n, float64(sh.features)/float64(n), 0, n)
+			if sh.na > 0 {
+				fa, fb = pairSets(rng, n, sh.na, sh.features)
+			}
 			cfg := Config{Seed: 1, Exhaustive: true, Shifts: NewShiftPool(g.SpatialAdjacency(), 1)}
 			res := Test(fa, fb, g, 0.9, cfg) // memoise the shifts, as a family's first test does
 			b.ResetTimer()

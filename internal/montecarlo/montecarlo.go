@@ -30,11 +30,13 @@
 //
 // The randomizations are never stored: both feature sets are transposed
 // once per test into region-major lanes, and a rotated lane is a window of
-// function 2's doubled lane. A Restricted test counts each window against
-// function 1's lane a word at a time, by fused popcounts at 64 vertices a
-// word, or, when its feature and lane counts make that cheaper, feature by
-// feature over function 1's listed features. The per-vertex transcription
-// of the paper's definition lives in kernel_test.go as the oracle every
+// function 2's doubled lane. A test counts each randomization by one of two
+// walks, the one its feature and lane counts make cheaper: the word walk
+// counts each window against function 1's lane a word at a time, both signs
+// in one pass, two popcounts a word of 64 vertices; the feature walk lists
+// the sparser function's features and, in one flat loop, reads the other
+// function's sign code where each lands. The per-vertex transcription of the
+// paper's definition lives in kernel_test.go as the oracle every
 // permutation's tau is compared against (TestKernelParity,
 // FuzzKernelParity).
 package montecarlo
@@ -425,9 +427,10 @@ func foldCounts(counts []int, m, threshold int, exhaustive bool) (extreme, shift
 
 // vectorPrep is the per-test immutable state of the tau kernel: both
 // feature sets re-laid-out so that each randomization becomes a handful of
-// word-level reads and popcounts. It is built once per Test, shared
-// read-only by all worker goroutines, and refilled in place from prepPool
-// by the next Test once this one is done with it.
+// word-level reads and popcounts, or one table read per listed feature. It
+// is built once per Test, shared read-only by all worker goroutines, and
+// refilled in place from prepPool by the next Test once this one is done
+// with it.
 //
 // Both functions are transposed to region-major lanes. Function 1's masks
 // are lane-padded: region r's time-run occupies the laneBits-bit lane
@@ -439,35 +442,35 @@ func foldCounts(counts []int, m, threshold int, exhaustive bool) (extreme, shift
 // window starting at bit nSteps-rot, and the word after a window's last
 // always exists. A region shift pairs a source lane with another destination
 // lane — no per-vertex index arithmetic, nothing stored. A test the feature
-// walk counts also has both listed feature by feature (see countFeatures).
+// walk counts also has one function's features listed (see listFlat).
 type vectorPrep struct {
 	laneBits int // function 1: nSteps rounded up to a multiple of 64
 	dblBits  int // function 2: 2*nSteps rounded up to a multiple of 64, plus one word
 
-	pos, neg side           // per sign: function 2's lanes against function 1's mask
-	aAllT    *bitvec.Vector // function 1's union, lane-padded
+	aPos, aNeg, aAll *bitvec.Vector // function 1's features by sign and their union, lane-padded
+	bPos, bNeg       *bitvec.Vector // function 2's, doubled; all zero for a sign it lacks
+	bLanes           []int32        // regions where function 2 has a feature of either sign, ascending
 
 	// aAllLane[r] reports whether function 1 has any feature in region r.
 	// A destination lane with no function-1 features contributes zero to
-	// every popcount no matter what lands there, so the kernel skips it.
+	// every popcount no matter what lands there, so the word walk skips it.
 	aAllLane []bool
 
-	// The feature walk's layout, filled by listFeatures. Region r's
-	// features of function 1 are aFeat[aStart[r]:aStart[r+1]], one
-	// step<<2 | pos | neg<<1 each. Function 2's doubled lane of region r is
-	// bCode[r*2S:(r+1)*2S], one pos | neg<<1 byte per step; bLanes lists
-	// the regions where it has a feature of either sign.
-	aFeat  []uint32
-	aStart []int32
-	bCode  []uint8
-	bLanes []int32
+	// overlap reports whether function 2 has vertices of both signs, which
+	// the word walk counts sign by sign (see countWords).
+	overlap bool
+
+	// The feature walk's layout, filled by listFlat: one function's features,
+	// lane by lane and steps ascending, and the other's sign codes
+	// (pos | neg<<1, one byte a step) in doubled lanes of 2*nSteps bytes.
+	flat []flatEntry
+	code []uint8
 }
 
-// side is one sign of a transposed pair.
-type side struct {
-	a     *bitvec.Vector // function 1's features of this sign, lane-padded
-	b     *bitvec.Vector // function 2's, in doubled lanes; nil when it has none
-	lanes []int32        // regions whose lane of b holds a feature, ascending
+// flatEntry is one listed feature: its region and step<<2 | pos | neg<<1.
+type flatEntry struct {
+	lane int32
+	key  uint32
 }
 
 // walk selects how a test counts a randomization. Tests force each walk
@@ -475,18 +478,46 @@ type side struct {
 type walk uint8
 
 const (
-	chooseWalk  walk = iota // the cheaper walk by featureWalkRatio
-	wordWalk                // countRotated over transposed lanes
-	featureWalk             // countFeatures over listed features
+	chooseWalk walk = iota // the cheaper walk by the cost rule of chooseFor
+	wordWalk               // countWords over transposed lanes
+	flatA                  // countFlat over function 1's listed features
+	flatB                  // countFlat over function 2's
 )
 
-// featureWalkRatio is how many listed features the feature walk visits in
-// the time the word walk counts one word of a window against two masks.
-// Forced on BenchmarkShiftedTauKernel's shapes, the walks break even at
-// 1.3–1.8 features a word on 1,416- and 2,160-step lanes and at 3–4 on
-// 48 regions' one- and two-word lanes; its 48x1416 row (600 features) runs
-// 4x faster feature by feature, its 1x1416 row (500) 4.5x slower.
-const featureWalkRatio = 2
+// The walk choice weighs, per randomization, the feature walk's reads
+// against the word walk's window words, in features read. wordEntries is
+// how many features the feature walk reads in the time the word walk counts
+// one word of a window, both signs at once; a window of a lane of w words
+// spans w+1. scatterRegions is how many regions it scatters into σ⁻¹, to
+// walk function 1's features, in the time of one read. Forced on
+// BenchmarkShiftedTauKernel's rows (ns per randomization, word walk /
+// feature walk), a read costs 1.1–1.4 ns and a window 7 ns on 48x14's
+// one-word lanes (85 features a side: 355 / 134), 18 on 48x90's two-word
+// lanes (about 800: 878 / 916), and 100–150 on 23- and 34-word lanes
+// (48x1416: 4,835 / 859; 48x2160: 6,972 / 2,089; 1x2160: 152 / 1,049):
+// about 3 reads a window word. On 256x90 at 30 / 400 features the walk over
+// function 1's, σ⁻¹ included, costs 260 and over function 2's 644: a region
+// scattered costs about half a read.
+const (
+	wordEntries    = 3
+	scatterRegions = 2
+)
+
+// chooseFor is the walk a test's counts make cheaper: the feature walk over
+// the sparser side — function 1's nA features plus R/scatterRegions for
+// σ⁻¹, or function 2's nB — when it reads fewer than wordEntries features
+// per word of the windows of function 2's listed lanes, the word walk
+// otherwise.
+func chooseFor(nA, nB, R, lanes, laneWords int) walk {
+	flat, w := nA+R/scatterRegions, flatA
+	if nB < flat {
+		flat, w = nB, flatB
+	}
+	if flat < wordEntries*lanes*(laneWords+1) {
+		return w
+	}
+	return wordWalk
+}
 
 // transposeLanes re-lays v (vertex-major, vertex = step*R + region) into
 // region-major lanes of stride bits: region r's step s is bit r*stride + s
@@ -509,9 +540,16 @@ func transposeLanes(dst, union, v *bitvec.Vector, g *stgraph.Graph, stride int, 
 		}
 		return dst
 	}
+	// (r, s) is vertex at's region and step, advanced from one set bit to
+	// the next without a division: the walk crosses each step once.
+	R, r, s, at := g.NumRegions(), 0, 0, 0
 	for wi, w := range v.Words() {
 		for ; w != 0; w &= w - 1 {
-			r, s := g.RegionStep(wi*64 + bits.TrailingZeros64(w))
+			i := wi*64 + bits.TrailingZeros64(w)
+			for r += i - at; r >= R; r -= R {
+				s++
+			}
+			at = i
 			dst.Set(r*stride + s)
 			if doubled {
 				dst.Set(r*stride + g.NumSteps() + s)
@@ -524,47 +562,36 @@ func transposeLanes(dst, union, v *bitvec.Vector, g *stgraph.Graph, stride int, 
 	return dst
 }
 
-func (p *vectorPrep) fillSide(s *side, a, b *bitvec.Vector, g *stgraph.Graph) {
-	s.a = transposeLanes(s.a, p.aAllT, a, g, p.laneBits, false)
-	s.lanes = s.lanes[:0]
-	if b.Any() {
-		s.b = transposeLanes(s.b, nil, b, g, p.dblBits, true)
-		for r := 0; r < g.NumRegions(); r++ {
-			if s.b.AnyRange(r*p.dblBits, r*p.dblBits+g.NumSteps()) {
-				s.lanes = append(s.lanes, int32(r))
-			}
-		}
+// listFlat fills the feature walk's layout for walk w: the walked
+// function's features as entries, lane by lane and steps ascending, and the
+// other's codes, each step at both of its positions in the doubled code
+// lane. Either function's lanes are read up to nSteps bits: past them a
+// doubled lane repeats itself.
+func (p *vectorPrep) listFlat(w walk, R, S int) {
+	fn := [2][2]*bitvec.Vector{{p.aPos, p.aNeg}, {p.bPos, p.bNeg}}
+	stride := [2]int{p.laneBits, p.dblBits}
+	order := [2]int{1, 0} // the function coded, then the one listed
+	if w == flatB {
+		order = [2]int{0, 1}
 	}
-}
-
-// listFeatures fills the rest of the feature walk's layout from the
-// transposed lanes: function 1's features lane by lane, steps ascending,
-// and the first copy of each of function 2's listed lanes as codes, at
-// both of their positions.
-func (p *vectorPrep) listFeatures(R, S int) {
-	lw := p.laneBits / 64
-	all, pos, neg := p.aAllT.Words(), p.pos.a.Words(), p.neg.a.Words()
-	p.aFeat, p.aStart = p.aFeat[:0], append(p.aStart[:0], 0)
-	for i, w := range all {
-		for ; w != 0; w &= w - 1 {
-			b := bits.TrailingZeros64(w)
-			p.aFeat = append(p.aFeat, uint32(i%lw*64+b)<<2|uint32(pos[i]>>b&1)|uint32(neg[i]>>b&1)<<1)
-		}
-		if (i+1)%lw == 0 {
-			p.aStart = append(p.aStart, int32(len(p.aFeat)))
-		}
-	}
-	p.bCode = slices.Grow(p.bCode[:0], R*2*S)[:R*2*S]
-	clear(p.bCode)
-	for sign, s := range []*side{&p.pos, &p.neg} {
-		bit := uint8(1 << sign)
-		for _, r := range s.lanes {
-			lane := p.bCode[int(r)*2*S:][:2*S]
-			for i, w := range s.b.Words()[int(r)*p.dblBits/64:][:lw] {
-				for ; w != 0; w &= w - 1 {
-					if st := i*64 + bits.TrailingZeros64(w); st < S {
-						lane[st] |= bit
-						lane[S+st] |= bit
+	p.code = slices.Grow(p.code[:0], R*2*S)[:R*2*S]
+	clear(p.code)
+	p.flat = p.flat[:0]
+	for side, f := range order {
+		pw, nw := fn[f][0].Words(), fn[f][1].Words()
+		for r := range R {
+			for i := range bitvec.NumWords(S) {
+				j := r*stride[f]/64 + i
+				for x := pw[j] | nw[j]; x != 0; x &= x - 1 {
+					b := bits.TrailingZeros64(x)
+					st, c := i*64+b, uint8(pw[j]>>b&1|nw[j]>>b&1<<1)
+					if st >= S {
+						break
+					}
+					if side == 0 {
+						p.code[r*2*S+st], p.code[r*2*S+S+st] = c, c
+					} else {
+						p.flat = append(p.flat, flatEntry{int32(r), uint32(st)<<2 | uint32(c)})
 					}
 				}
 			}
@@ -575,42 +602,44 @@ func (p *vectorPrep) listFeatures(R, S int) {
 // prepPool recycles vectorPrep buffers across tests: opening a test then
 // refills lanes already sized for a domain of its shape instead of
 // allocating them.
-var prepPool = sync.Pool{New: func() any { return &vectorPrep{aAllT: new(bitvec.Vector)} }}
+var prepPool = sync.Pool{New: func() any { return &vectorPrep{aAll: new(bitvec.Vector)} }}
 
-// newVectorPrep lays out a test's feature sets for its kernel and reports
-// whether the test is counted by the feature walk: as w forces, or, for
-// chooseWalk, when the features that walk expects to visit per randomization
-// — function 1's, in the destination lanes of function 2's listed lanes —
-// number fewer than featureWalkRatio per word the word walk would read.
-func newVectorPrep(a, b *feature.Set, g *stgraph.Graph, w walk) (*vectorPrep, bool) {
+// newVectorPrep lays out a test's feature sets for its kernel and returns
+// the walk that counts it: w, or, for chooseWalk, the one chooseFor picks
+// from the feature counts and function 2's listed lanes.
+func newVectorPrep(a, b *feature.Set, g *stgraph.Graph, w walk) (*vectorPrep, walk) {
 	p := prepPool.Get().(*vectorPrep)
-	p.laneBits = bitvec.NumWords(g.NumSteps()) * 64
-	p.dblBits = (bitvec.NumWords(2*g.NumSteps()) + 1) * 64
-	R := g.NumRegions()
-	p.aAllT.Resize(R * p.laneBits)
-	p.fillSide(&p.pos, a.Positive, b.Positive, g)
-	p.fillSide(&p.neg, a.Negative, b.Negative, g)
+	R, S := g.NumRegions(), g.NumSteps()
+	p.laneBits = bitvec.NumWords(S) * 64
+	p.dblBits = (bitvec.NumWords(2*S) + 1) * 64
+	p.aAll.Resize(R * p.laneBits)
+	p.aPos = transposeLanes(p.aPos, p.aAll, a.Positive, g, p.laneBits, false)
+	p.aNeg = transposeLanes(p.aNeg, p.aAll, a.Negative, g, p.laneBits, false)
+	p.bPos = transposeLanes(p.bPos, nil, b.Positive, g, p.dblBits, true)
+	p.bNeg = transposeLanes(p.bNeg, nil, b.Negative, g, p.dblBits, true)
 	p.aAllLane = slices.Grow(p.aAllLane[:0], R)[:R]
-	for r := range p.aAllLane {
-		p.aAllLane[r] = p.aAllT.AnyRange(r*p.laneBits, (r+1)*p.laneBits)
+	p.bLanes = p.bLanes[:0]
+	for r := range R {
+		p.aAllLane[r] = p.aAll.AnyRange(r*p.laneBits, (r+1)*p.laneBits)
+		if lo, hi := r*p.dblBits, r*p.dblBits+S; p.bPos.AnyRange(lo, hi) || p.bNeg.AnyRange(lo, hi) {
+			p.bLanes = append(p.bLanes, int32(r))
+		}
 	}
-	if w == wordWalk {
-		return p, false
+	bBoth := b.Positive.AndCount(b.Negative)
+	if w == chooseWalk {
+		nB := b.Positive.Count() + b.Negative.Count() - bBoth
+		w = chooseFor(p.aAll.Count(), nB, R, len(p.bLanes), p.laneBits/64)
 	}
-	p.bLanes = append(append(p.bLanes[:0], p.pos.lanes...), p.neg.lanes...)
-	slices.Sort(p.bLanes)
-	p.bLanes = slices.Compact(p.bLanes)
-	words := (len(p.pos.lanes) + len(p.neg.lanes)) * p.laneBits / 64
-	if w == chooseWalk && p.aAllT.Count()*len(p.bLanes) >= featureWalkRatio*words*R {
-		return p, false
+	p.overlap = bBoth > 0
+	if w != wordWalk {
+		p.listFlat(w, R, S)
 	}
-	p.listFeatures(R, g.NumSteps())
-	return p, true
+	return p, w
 }
 
 // scratch is the per-worker mutable state of a test run: a reseedable RNG
-// and the shift buffers a chunk writes into. Each goroutine of a Test takes
-// one from scratchPool, so the steady-state permutation loop allocates
+// and the buffers a randomization writes into. Each goroutine of a Test
+// takes one from scratchPool, so the steady-state permutation loop allocates
 // nothing (asserted by TestChunkSteadyStateAllocs) and neither, once warm,
 // does opening a test.
 type scratch struct {
@@ -621,6 +650,9 @@ type scratch struct {
 	// holds a chunk of them when it lies past the pool's memo.
 	shift  shiftScratch
 	shifts []int32
+
+	// base is the feature walk's lane-base table, one entry a region.
+	base []int
 }
 
 // scratchPool recycles worker scratches across tests. The RNG wraps the
@@ -633,127 +665,166 @@ var scratchPool = sync.Pool{New: func() any {
 	return sc
 }}
 
-// tauFromCounts turns the fused popcount tallies into tau. With
-// pp = |sigma(pos2) ∩ aPos|, bp = |sigma(pos2) ∩ aAll| (and pn/bn the
-// negative-side mirrors), the per-vertex definition's tallies are
-// p = pp + pn, |Σ| = bp + bn, n = |Σ| - p: a positive feature of function 2
-// landing on a positive feature of function 1 counts toward p even when
-// the vertex is also negative. Identical integer counts make the float64
-// division bit-identical to the test oracle's.
-func tauFromCounts(pp, pn, bp, bn int) float64 {
-	sigmaBoth := bp + bn
-	if sigmaBoth == 0 {
+// tauFromCounts turns a randomization's tallies into tau. same is
+// |σ(pos2) ∩ aPos| + |σ(neg2) ∩ aNeg| and both is |σ(pos2) ∩ aAll| +
+// |σ(neg2) ∩ aAll|, so the per-vertex definition's tallies are p = same,
+// |Σ| = both, n = |Σ| - p: a positive feature of function 2 landing on a
+// positive feature of function 1 counts toward p even when the vertex is
+// also negative. Identical integer counts make the float64 division
+// bit-identical to the test oracle's.
+func tauFromCounts(same, both int) float64 {
+	if both == 0 {
 		return 0
 	}
-	p := pp + pn
-	n := sigmaBoth - p
-	return float64(p-n) / float64(sigmaBoth)
+	return float64(same-(both-same)) / float64(both)
 }
 
 // vectorTau counts one randomization: region r of function 2 lands on region
-// spatPerm[r] (r itself when spatPerm is nil) rotated by rot steps over the
+// spatPerm[r] (noShift on one region) rotated by rot steps over the
 // temporal circle — the window of its doubled lane that starts at bit
-// nSteps-rot — and that window is counted against function 1's destination
-// lane by the test's walk, never stored.
-func (t *testRun) vectorTau(spatPerm []int32, rot int) float64 {
-	if t.feat {
-		same, both := t.countFeatures(spatPerm, rot)
-		return tauFromCounts(same, 0, both, 0)
+// nSteps-rot — and is counted against function 1's destination lane by the
+// test's walk, never stored.
+func (t *testRun) vectorTau(sc *scratch, spatPerm []int32, rot int) float64 {
+	if t.walk == wordWalk {
+		return tauFromCounts(t.countWords(spatPerm, rot))
 	}
-	pp, bp := t.countRotated(&t.prep.pos, spatPerm, rot)
-	pn, bn := t.countRotated(&t.prep.neg, spatPerm, rot)
-	return tauFromCounts(pp, pn, bp, bn)
+	return tauFromCounts(t.countFlat(sc, spatPerm, rot))
 }
 
-// countRotated tallies one sign of a randomization a word at a time: same
-// counts the vertices where function 2's shifted features meet function 1's
-// of the same sign, both where they meet any. Only non-empty source lanes
-// are visited, and a destination lane without function-1 features is skipped
-// — it zeroes every AND. A window is read a whole lane of words long: its
+// countWords tallies a randomization a word at a time, both signs of a
+// window in one pass: with function 2's signs disjoint, the per-sign counts
+// summed are same = |wp∧xp ∨ wn∧xn| and both = |(wp ∨ wn)∧u| for its
+// windows wp and wn against function 1's masks xp and xn and union u — two
+// popcounts a word instead of four. A test whose function 2 has vertices
+// of both signs counts the four, sign by sign. Only function 2's listed
+// lanes are visited, and a destination lane without function-1 features is
+// skipped — it zeroes every AND. A window is read a whole lane of words long: its
 // bits past nSteps meet function 1's zero padding, and its last word's
 // successor is the doubled lane's spare word.
-func (t *testRun) countRotated(s *side, spatPerm []int32, rot int) (same, both int) {
+func (t *testRun) countWords(spatPerm []int32, rot int) (same, both int) {
 	p := t.prep
-	if len(s.lanes) == 0 {
-		return 0, 0
-	}
 	nw := p.laneBits / 64
-	bw, aw, uw := s.b.Words(), s.a.Words(), p.aAllT.Words()
+	bp, bn, ap, an, uw := p.bPos.Words(), p.bNeg.Words(), p.aPos.Words(), p.aNeg.Words(), p.aAll.Words()
 	off := t.g.NumSteps() - rot
 	lo, hi := uint(off%64), uint(63-off%64)
-	for _, r := range s.lanes {
-		dst := r
-		if spatPerm != nil {
-			dst = spatPerm[r]
-		}
+	for _, r := range p.bLanes {
+		dst := spatPerm[r]
 		if !p.aAllLane[dst] {
 			continue
 		}
-		src := bw[(int(r)*p.dblBits+off)/64:][:nw+1]
+		i := (int(r)*p.dblBits + off) / 64
 		if nw == 1 {
-			w := src[0]>>(lo&63) | src[1]<<1<<(hi&63) // two shifts: a shift by 64 must give 0
-			same += bits.OnesCount64(w & aw[dst])
-			both += bits.OnesCount64(w & uw[dst])
+			// Two shifts: a shift by 64 must give 0.
+			wp := bp[i]>>(lo&63) | bp[i+1]<<1<<(hi&63)
+			wn := bn[i]>>(lo&63) | bn[i+1]<<1<<(hi&63)
+			if p.overlap {
+				same += bits.OnesCount64(wp&ap[dst]) + bits.OnesCount64(wn&an[dst])
+				both += bits.OnesCount64(wp&uw[dst]) + bits.OnesCount64(wn&uw[dst])
+			} else {
+				same += bits.OnesCount64(wp&ap[dst] | wn&an[dst])
+				both += bits.OnesCount64((wp | wn) & uw[dst])
+			}
 			continue
 		}
-		c, cb := countWindow(src, aw[int(dst)*nw:], uw[int(dst)*nw:], lo, hi)
+		d := int(dst) * nw
+		if p.overlap {
+			s1, b1 := countSign(bp[i:i+nw+1], ap[d:d+nw], uw[d:d+nw], lo, hi)
+			s2, b2 := countSign(bn[i:i+nw+1], an[d:d+nw], uw[d:d+nw], lo, hi)
+			same, both = same+s1+s2, both+b1+b2
+			continue
+		}
+		c, cb := countWindow(bp[i:i+nw+1], bn[i:i+nw+1], ap[d:d+nw], an[d:d+nw], uw[d:d+nw], lo, hi)
 		same += c
 		both += cb
 	}
 	return same, both
 }
 
-// countWindow counts the window of src that starts lo bits into its first
-// word, len(src)-1 words long, against xs and ys. It is kept out of line:
-// inlined into countRotated's lane loop, its counters and cursor no longer
-// fit in registers and are spilled on every word.
+// countWindow counts the windows of sp and sn that start lo bits into their
+// first words, len(xp) words long, as countWords does for disjoint signs.
+// It is kept out of line: inlined into the lane loop, its counters and
+// cursors no longer fit in registers and are spilled on every word.
 //
 //go:noinline
-func countWindow(src, xs, ys []uint64, lo, hi uint) (cx, cy int) {
-	xs = xs[:len(src)-1]
-	ys = ys[:len(xs)]
+func countWindow(sp, sn, xp, xn, u []uint64, lo, hi uint) (same, both int) {
+	sp, sn = sp[:len(xp)+1], sn[:len(xp)+1]
+	xn, u = xn[:len(xp)], u[:len(xp)]
+	for i := range xp {
+		wp := sp[i]>>(lo&63) | sp[i+1]<<1<<(hi&63)
+		wn := sn[i]>>(lo&63) | sn[i+1]<<1<<(hi&63)
+		same += bits.OnesCount64(wp&xp[i] | wn&xn[i])
+		both += bits.OnesCount64((wp | wn) & u[i])
+	}
+	return same, both
+}
+
+// countSign is countWindow for one sign, for a function 2 with vertices of
+// both signs: the window of src against x and u.
+//
+//go:noinline
+func countSign(src, x, u []uint64, lo, hi uint) (same, both int) {
+	x, u = x[:len(src)-1], u[:len(src)-1]
 	cur := src[0]
 	for i, next := range src[1:] {
 		w := cur>>(lo&63) | next<<1<<(hi&63)
-		cx += bits.OnesCount64(w & xs[i])
-		cy += bits.OnesCount64(w & ys[i])
+		same += bits.OnesCount64(w & x[i])
+		both += bits.OnesCount64(w & u[i])
 		cur = next
 	}
-	return cx, cy
+	return same, both
 }
 
-// featurePairCounts[c<<2|f] holds, for function 2's code c meeting a
-// function-1 feature with sign flags f, the same-sign count in its low half
-// and the any-sign count in its high half.
-var featurePairCounts = func() (t [16]uint64) {
-	for i := range t {
-		c, f := uint(i>>2), uint(i&3)
-		t[i] = uint64(bits.OnesCount(c&f)) | uint64(bits.OnesCount(c))<<32
+// featurePairCounts[s][x<<2|y] is what one listed feature adds when the
+// feature walk walks side s (0: function 1's features, 1: function 2's): y
+// is the entry's code, x the code read where it lands, so function 2's code
+// c and function 1's f are (x, y) on side 0 and (y, x) on side 1. The low
+// half holds c∧f's popcount, the same-sign count, and the high half c's, the
+// any-sign count, when f is non-zero; a feature of function 2 that lands on
+// none of function 1 counts nowhere, so the f = 0 rows are zero.
+var featurePairCounts = func() (t [2][16]uint64) {
+	for x := range uint(4) {
+		for y := range uint(4) {
+			for s, cf := range [2][2]uint{{x, y}, {y, x}} {
+				if c, f := cf[0], cf[1]; f != 0 {
+					t[s][x<<2|y] = uint64(bits.OnesCount(c&f)) | uint64(bits.OnesCount(c))<<32
+				}
+			}
+		}
 	}
 	return t
 }()
 
-// countFeatures tallies a randomization feature by feature, both signs in
-// one pass: for each listed source lane r it visits function 1's features in
-// the destination lane and reads function 2's code at the feature's step of
-// r's rotated window. The integers are countRotated's summed over signs, so
-// tau is bit-identical.
-func (t *testRun) countFeatures(spatPerm []int32, rot int) (same, both int) {
-	p, S := t.prep, t.g.NumSteps()
+// countFlat tallies a randomization feature by feature, both signs at once,
+// in one flat loop over the walked function's listed features: one code
+// read where the feature lands and one table add each, no branch. The
+// lane-base table, in the worker's scratch, holds for each region of the
+// walked function where its features' codes start: a feature of function 2
+// in region r lands in region σ(r), rot steps on, so r's base, filled for
+// function 2's listed lanes only, is σ(r)'s doubled code lane plus rot; a
+// feature of function 1 in region d meets
+// region σ⁻¹(d) of function 2, whose rotated window starts nSteps-rot into
+// its doubled code lane, so the bases are scattered through σ. The integers
+// are the word walk's, so tau is bit-identical.
+func (t *testRun) countFlat(sc *scratch, spatPerm []int32, rot int) (same, both int) {
+	S2, R := 2*t.g.NumSteps(), len(spatPerm)
+	if len(sc.base) < R {
+		sc.base = make([]int, R)
+	}
+	base := sc.base[:R]
+	if t.walk == flatA {
+		at := S2/2 - rot
+		for r, d := range spatPerm {
+			base[d] = r*S2 + at
+		}
+	} else {
+		for _, r := range t.prep.bLanes {
+			base[r] = int(spatPerm[r])*S2 + rot
+		}
+	}
+	pairs, code := &featurePairCounts[t.walk-flatA], t.prep.code
 	var acc uint64
-	for _, r := range p.bLanes {
-		dst := r
-		if spatPerm != nil {
-			dst = spatPerm[r]
-		}
-		feats := p.aFeat[p.aStart[dst]:p.aStart[dst+1]]
-		if len(feats) == 0 {
-			continue
-		}
-		win := p.bCode[int(r)*2*S+S-rot:][:S]
-		for _, e := range feats {
-			acc += featurePairCounts[(uint(win[e>>2])<<2|uint(e&3))&15]
-		}
+	for _, e := range t.prep.flat {
+		acc += pairs[(uint(code[base[e.lane]+int(e.key>>2)])<<2|uint(e.key&3))&15]
 	}
 	return int(uint32(acc)), int(acc >> 32)
 }
@@ -802,8 +873,9 @@ func Test(a, b *feature.Set, g *stgraph.Graph, tauObserved float64, cfg Config) 
 // from multiple goroutines and may cover chunks past the adaptive stopping
 // point (in-flight work), so parity tests compare streams in Exhaustive
 // mode; an enumerated test calls it with rotation-1, in order. w forces the
-// test's walk unless it is chooseWalk. The run is returned for
-// its walk; it is nil when no randomization was evaluated.
+// test's walk unless it is chooseWalk. The run is returned for its walk,
+// its prep already released to the next test; it is nil when no
+// randomization was evaluated.
 func test(a, b *feature.Set, g *stgraph.Graph, tauObserved float64, cfg Config, sink func(perm int, tau float64), w walk) (Result, *testRun) {
 	cfg = cfg.withDefaults()
 	if a.NumVertices() != g.NumVertices() || b.NumVertices() != g.NumVertices() {
@@ -838,12 +910,14 @@ func test(a, b *feature.Set, g *stgraph.Graph, tauObserved float64, cfg Config, 
 		cfg:  cfg,
 		sink: sink,
 	}
-	run.prep, run.feat = newVectorPrep(a, b, g, w)
+	run.prep, run.walk = newVectorPrep(a, b, g, w)
 	m := cfg.Permutations
 	var extreme, shifts int
 	if oneRegion {
 		m = g.NumSteps() - 1
-		extreme, shifts = run.enumerate()
+		sc := scratchPool.Get().(*scratch)
+		extreme, shifts = run.enumerate(sc)
+		scratchPool.Put(sc)
 	} else {
 		nChunks := (m + permChunk - 1) / permChunk
 		threshold := stopThreshold(cfg.Alpha, m)
@@ -865,6 +939,7 @@ func test(a, b *feature.Set, g *stgraph.Graph, tauObserved float64, cfg Config, 
 		extreme, shifts = foldCounts(counts, m, threshold, cfg.Exhaustive)
 	}
 	prepPool.Put(run.prep)
+	run.prep = nil // the next test may refill it
 	p := float64(1+extreme) / float64(1+shifts)
 	mTests.Inc()
 	mPermutations.Add(uint64(shifts))
@@ -936,7 +1011,7 @@ type testRun struct {
 	tau  float64
 	cfg  Config
 	prep *vectorPrep
-	feat bool // counted by countFeatures
+	walk walk // the walk that counts each randomization, never chooseWalk
 	sink func(perm int, tau float64)
 }
 
@@ -964,7 +1039,7 @@ func (t *testRun) chunk(ci int, sc *scratch) int {
 		if nSteps > 1 {
 			rot = 1 + sc.src.intn(nSteps-1)
 		}
-		tauK := t.vectorTau(shifts[k*nRegions:(k+1)*nRegions], rot)
+		tauK := t.vectorTau(sc, shifts[k*nRegions:(k+1)*nRegions], rot)
 		if t.sink != nil {
 			t.sink(ci*permChunk+k, tauK)
 		}
@@ -975,6 +1050,9 @@ func (t *testRun) chunk(ci int, sc *scratch) int {
 	mTauEvals.Add(uint64(n))
 	return extreme
 }
+
+// noShift is the one spatial shift of a one-region domain.
+var noShift = []int32{0}
 
 // exceedsAlpha reports whether p = (1+extreme)/S exceeds alpha, the
 // p-value of a one-region test over S steps of whose S-1 rotations extreme
@@ -991,10 +1069,10 @@ func exceedsAlpha(alpha float64, extreme, S int) bool {
 // rotations 1..S-1 in order and returns how many were visited and how many
 // of them are extreme. Unless the test is Exhaustive it stops at the first
 // extreme rotation that decides the test insignificant (exceedsAlpha).
-func (t *testRun) enumerate() (extreme, visited int) {
+func (t *testRun) enumerate(sc *scratch) (extreme, visited int) {
 	S := t.g.NumSteps()
 	for rot := 1; rot < S; rot++ {
-		tauK := t.vectorTau(nil, rot)
+		tauK := t.vectorTau(sc, noShift, rot)
 		if t.sink != nil {
 			t.sink(rot-1, tauK)
 		}
