@@ -80,17 +80,9 @@ func (v *Vector) Get(i int) bool {
 }
 
 func (v *Vector) check(i int) {
-	if uint(i) >= uint(v.n) {
-		panic(indexError{i, v.n})
+	if i < 0 || i >= v.n {
+		panic(fmt.Sprintf("bitvec: index %d out of range [0,%d)", i, v.n))
 	}
-}
-
-// indexError is check's panic value. Formatting it only when printed keeps
-// check cheap enough for Set and Get to inline.
-type indexError struct{ i, n int }
-
-func (e indexError) Error() string {
-	return fmt.Sprintf("bitvec: index %d out of range [0,%d)", e.i, e.n)
 }
 
 func (v *Vector) checkWritable() {

@@ -45,8 +45,8 @@ func denseSets(rng *rand.Rand, nVerts int, density float64, lo, hi int) (*featur
 
 // setSigns makes function 2's feature signs disjoint, as real feature sets
 // have them, and then gives k of its vertices, drawn with rng, both signs:
-// with k = 0 the word walk counts two popcounts a word, with k > 0 it counts
-// sign by sign.
+// with k = 0 the word walk may count it, with k > 0 only the feature walk
+// does.
 func setSigns(rng *rand.Rand, b *feature.Set, k int) {
 	for _, v := range b.Positive.Ones() {
 		b.Negative.Clear(v)
@@ -59,23 +59,24 @@ func setSigns(rng *rand.Rand, b *feature.Set, k int) {
 }
 
 // pairSets draws function 1 with about na features and function 2 with
-// about nb, over n vertices.
+// about nb, its signs disjoint, over n vertices.
 func pairSets(rng *rand.Rand, n, na, nb int) (*feature.Set, *feature.Set) {
 	a, _ := denseSets(rng, n, float64(na)/float64(n), 0, n)
 	_, b := denseSets(rng, n, float64(nb)/float64(n), 0, n)
+	setSigns(rng, b, 0)
 	return a, b
 }
 
 // pathName names the counting path a test under walk w takes: the word
-// walk's fused form, or its sign-by-sign form when function 2 has vertices
-// of both signs, or the feature walk over one function's features.
+// walk, or the feature walk over one function's features. A word walk
+// forced on a function 2 with vertices of both signs is a feature walk.
 func pathName(w walk, b *feature.Set) string {
 	switch w {
 	case wordWalk:
 		if b.Positive.AndAny(b.Negative) {
-			return "word walk with overlap"
+			return "word walk forced with both signs"
 		}
-		return "fused word walk"
+		return "word walk"
 	case flatA:
 		return "flat walk over function 1"
 	case flatB:
@@ -285,9 +286,10 @@ func oracleResult(taus []float64, tau float64, cfg Config, exhaustive, enumerate
 // no stream at all when the test is not resolvable. The test is held to the
 // oracle under each walk forced — the word walk, and the feature walk over
 // either function's features — and under the walk the selection picks,
-// adaptively as well; whether the word walk counts sign by sign is b's
-// choice (see setSigns). It returns the exhaustive run without the
-// sink under the selected walk; its prep is released.
+// adaptively as well. A b with vertices of both signs (see setSigns) must
+// take a feature walk even when the word walk is forced. It returns the
+// exhaustive run without the sink under the selected walk; its prep is
+// released.
 func checkKernelParity(t *testing.T, a, b *feature.Set, g *stgraph.Graph, tau float64, cfg Config) *testRun {
 	t.Helper()
 	want := oracleTaus(a, b, g, cfg)
@@ -300,6 +302,7 @@ func checkKernelParity(t *testing.T, a, b *feature.Set, g *stgraph.Graph, tau fl
 		t.Fatalf("oracle: adaptive verdict %+v differs from exhaustive %+v", wAdaptive, w)
 	}
 	var run *testRun
+	overlap := b.Positive.AndAny(b.Negative)
 	for _, wk := range []walk{wordWalk, flatA, flatB, chooseWalk} {
 		path := pathName(wk, b)
 		got := make([]float64, len(want))
@@ -335,8 +338,9 @@ func checkKernelParity(t *testing.T, a, b *feature.Set, g *stgraph.Graph, tau fl
 		if res != w {
 			t.Fatalf("%s: exhaustive Result without the sink mismatch: oracle %+v kernel %+v (cfg %+v)", path, w, res, cfg)
 		}
-		if run != nil && (run.prep != nil || wk != chooseWalk && run.walk != wk) {
-			t.Fatalf("%s forced: the run took walk %d, prep released %v", path, run.walk, run.prep == nil)
+		forced := wk != chooseWalk && !(overlap && wk == wordWalk)
+		if run != nil && (run.prep != nil || forced && run.walk != wk || overlap && run.walk == wordWalk) {
+			t.Fatalf("%s: the run took walk %d, prep released %v", path, run.walk, run.prep == nil)
 		}
 		if r, _ := test(a, b, g, tau, cfg, nil, wk); r != wAdaptive {
 			t.Fatalf("%s: adaptive Result mismatch: oracle %+v kernel %+v (cfg %+v)", path, wAdaptive, r, cfg)
@@ -409,7 +413,7 @@ func TestKernelParity(t *testing.T) {
 }
 
 // TestKernelParityOneSided covers feature sets with an entirely absent
-// sign (a side without lanes, read by the fused word walk as zeros) and
+// sign (a side without lanes, read by the word walk as zeros) and
 // empty intersections, and a function 2 with vertices of both signs.
 func TestKernelParityOneSided(t *testing.T) {
 	g, err := stgraph.New(9, 80, grid(3, 3))
@@ -513,6 +517,9 @@ func TestKernelParityShapes(t *testing.T) {
 			g := gridGraph(t, sh.w, sh.h, sh.steps)
 			n := g.NumVertices()
 			a, b := denseSets(rand.New(rand.NewSource(int64(sh.steps))), n, sh.density, 0, n)
+			if sh.walks[0] != chooseWalk {
+				setSigns(nil, b, 0) // as real data, so the word walk may count it
+			}
 			oneSided := &feature.Set{Positive: bitvec.New(n), Negative: b.Negative}
 			pairs := []pair{{a, b, -0.3, nil, sh.walks[0]}, {a, oneSided, -0.3, nil, sh.walks[1]}}
 			alphas := []float64{0}
@@ -646,9 +653,9 @@ func TestToroidalScratchMatchesPublic(t *testing.T) {
 
 // TestChunkSteadyStateAllocs asserts the kernel's allocation contract: after
 // the first chunk sizes the scratch buffers, evaluating further permutation
-// chunks allocates nothing, under each counting path — the word walk with
-// function 2's signs disjoint and overlapping, the feature walk over either
-// function's features, whose σ⁻¹ table lives in the scratch — whether the
+// chunks allocates nothing, under each counting path — the word walk, the
+// feature walk over either function's features, whose σ⁻¹ table lives in
+// the scratch, and either with function 2's signs overlapping — whether the
 // chunk's shifts are read from the pool's memo or regenerated past it, and
 // on one region, where a test has no chunk, enumerating all 89 rotations of
 // a 90-step test allocates nothing either.
@@ -736,6 +743,7 @@ func TestOpenTestAllocs(t *testing.T) {
 		if dom.sparseA > 0 {
 			a, b = pairSets(rng, n, dom.sparseA, dom.features)
 		}
+		setSigns(rng, b, 0)
 		cfg := Config{Seed: 1, Workers: 1, Shifts: NewShiftPool(g.SpatialAdjacency(), 1)}
 		// Warm the pools and memoise the shifts.
 		if _, run := test(a, b, g, 0.9, cfg, nil, chooseWalk); run.walk != dom.walk {
@@ -753,9 +761,9 @@ func TestOpenTestAllocs(t *testing.T) {
 // so one-region tests of 2 to 19 steps are resolvable) and function 2's
 // signs (bothB: 0 as drawn, otherwise disjoint plus (bothB-1) mod 16
 // vertices of both, see setSigns), requiring Results and tau streams
-// byte-identical to the oracle's under each walk forced — the word walk,
-// fused or sign by sign as bothB leaves function 2's signs, and the
-// feature walk over either function — and the one chosen. The
+// byte-identical to the oracle's under each walk forced — the word walk
+// (a feature walk when bothB leaves function 2 with both signs on a
+// vertex) and the feature walk over either function — and the one chosen. The
 // seeds at 1–2 % density over 64 steps or more are ones the selection hands
 // to the feature walk.
 func FuzzKernelParity(f *testing.F) {
@@ -815,7 +823,8 @@ func FuzzKernelParity(f *testing.F) {
 // functions differ in feature count (function 1 / function 2): 48x14 (22 /
 // 108), 48x3 (21 / 16), 48x90 (9 / 1,016 and 921 / 856); and on a sparse
 // 256-region day domain (256x90, 30 / 400), whose feature walk over
-// function 1 scatters σ⁻¹ over 256 regions a randomization.
+// function 1 scatters σ⁻¹ over 256 regions a randomization. Function 2's
+// signs are disjoint in every row, as extracted feature sets have them.
 func BenchmarkShiftedTauKernel(b *testing.B) {
 	g, err := stgraph.New(256, 1464, grid(16, 16))
 	if err != nil {
@@ -823,6 +832,7 @@ func BenchmarkShiftedTauKernel(b *testing.B) {
 	}
 	rng := rand.New(rand.NewSource(42))
 	fa, fb := denseSets(rng, g.NumVertices(), 0.08, 0, g.NumVertices())
+	setSigns(rng, fb, 0)
 	b.Run("chunk", func(b *testing.B) {
 		run := &testRun{
 			a: fa, g: g, tau: 0.9,
@@ -854,6 +864,7 @@ func BenchmarkShiftedTauKernel(b *testing.B) {
 			if sh.na > 0 {
 				fa, fb = pairSets(rng, n, sh.na, sh.features)
 			}
+			setSigns(rng, fb, 0)
 			cfg := Config{Seed: 1, Exhaustive: true, Shifts: NewShiftPool(g.SpatialAdjacency(), 1)}
 			res := Test(fa, fb, g, 0.9, cfg) // memoise the shifts, as a family's first test does
 			b.ResetTimer()

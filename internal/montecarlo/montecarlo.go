@@ -35,7 +35,9 @@
 // counts each window against function 1's lane a word at a time, both signs
 // in one pass, two popcounts a word of 64 vertices; the feature walk lists
 // the sparser function's features and, in one flat loop, reads the other
-// function's sign code where each lands. The per-vertex transcription of the
+// function's sign code where each lands. Only the feature walk counts a
+// function 2 with a vertex of both signs, which extracted feature sets
+// almost never have. The per-vertex transcription of the
 // paper's definition lives in kernel_test.go as the oracle every
 // permutation's tau is compared against (TestKernelParity,
 // FuzzKernelParity).
@@ -456,10 +458,6 @@ type vectorPrep struct {
 	// every popcount no matter what lands there, so the word walk skips it.
 	aAllLane []bool
 
-	// overlap reports whether function 2 has vertices of both signs, which
-	// the word walk counts sign by sign (see countWords).
-	overlap bool
-
 	// The feature walk's layout, filled by listFlat: one function's features,
 	// lane by lane and steps ascending, and the other's sign codes
 	// (pos | neg<<1, one byte a step) in doubled lanes of 2*nSteps bytes.
@@ -490,14 +488,17 @@ const (
 // one word of a window, both signs at once; a window of a lane of w words
 // spans w+1. scatterRegions is how many regions it scatters into σ⁻¹, to
 // walk function 1's features, in the time of one read. Forced on
-// BenchmarkShiftedTauKernel's rows (ns per randomization, word walk /
-// feature walk), a read costs 1.1–1.4 ns and a window 7 ns on 48x14's
-// one-word lanes (85 features a side: 355 / 134), 18 on 48x90's two-word
-// lanes (about 800: 878 / 916), and 100–150 on 23- and 34-word lanes
-// (48x1416: 4,835 / 859; 48x2160: 6,972 / 2,089; 1x2160: 152 / 1,049):
-// about 3 reads a window word. On 256x90 at 30 / 400 features the walk over
-// function 1's, σ⁻¹ included, costs 260 and over function 2's 644: a region
-// scattered costs about half a read.
+// BenchmarkShiftedTauKernel's rows, function 2's signs disjoint (median ns
+// per randomization of 5 runs, 2-core Xeon, word walk / feature walk over
+// function 2), a read costs 1.8–2.9 ns and a window word 4.5–8: 48x14 at 85
+// features a side, one-word lanes, 391 / 250; 48x90 at 921 / 856, two-word
+// lanes, 1,163 / 1,483; 48x1416 at 600, 23-word lanes, 5,230 / 1,303;
+// 48x2160 at 1,500, 34-word lanes, 10,403 / 3,457; 1x2160 at 1,300, 170 /
+// 1,743 — about 2.5 reads a window word. On 256x90 at 30 / 400 features
+// the walk over function 1's, σ⁻¹ included, costs 374 and over function
+// 2's 986: a region scattered costs about half a read. With these constants
+// every row gets its fastest walk, or on 48x14 and 48x2160, whose two
+// feature walks tie within run-to-run spread, one of the two.
 const (
 	wordEntries    = 3
 	scatterRegions = 2
@@ -506,14 +507,15 @@ const (
 // chooseFor is the walk a test's counts make cheaper: the feature walk over
 // the sparser side — function 1's nA features plus R/scatterRegions for
 // σ⁻¹, or function 2's nB — when it reads fewer than wordEntries features
-// per word of the windows of function 2's listed lanes, the word walk
-// otherwise.
-func chooseFor(nA, nB, R, lanes, laneWords int) walk {
+// per word of the windows of function 2's listed lanes or when function 2
+// has a vertex of both signs (overlap), which the word walk does not count,
+// the word walk otherwise.
+func chooseFor(nA, nB, R, lanes, laneWords int, overlap bool) walk {
 	flat, w := nA+R/scatterRegions, flatA
 	if nB < flat {
 		flat, w = nB, flatB
 	}
-	if flat < wordEntries*lanes*(laneWords+1) {
+	if overlap || flat < wordEntries*lanes*(laneWords+1) {
 		return w
 	}
 	return wordWalk
@@ -541,8 +543,14 @@ func transposeLanes(dst, union, v *bitvec.Vector, g *stgraph.Graph, stride int, 
 		return dst
 	}
 	// (r, s) is vertex at's region and step, advanced from one set bit to
-	// the next without a division: the walk crosses each step once.
+	// the next without a division: the walk crosses each step once. Bits
+	// are written to the words directly: every index is below R*stride.
 	R, r, s, at := g.NumRegions(), 0, 0, 0
+	var uw []uint64
+	if union != nil {
+		uw = union.Words()
+	}
+	dw := dst.Words()
 	for wi, w := range v.Words() {
 		for ; w != 0; w &= w - 1 {
 			i := wi*64 + bits.TrailingZeros64(w)
@@ -550,12 +558,14 @@ func transposeLanes(dst, union, v *bitvec.Vector, g *stgraph.Graph, stride int, 
 				s++
 			}
 			at = i
-			dst.Set(r*stride + s)
+			j := uint(r*stride + s)
+			dw[j/64] |= 1 << (j % 64)
 			if doubled {
-				dst.Set(r*stride + g.NumSteps() + s)
+				k := j + uint(g.NumSteps())
+				dw[k/64] |= 1 << (k % 64)
 			}
-			if union != nil {
-				union.Set(r*stride + s)
+			if uw != nil {
+				uw[j/64] |= 1 << (j % 64)
 			}
 		}
 	}
@@ -605,8 +615,9 @@ func (p *vectorPrep) listFlat(w walk, R, S int) {
 var prepPool = sync.Pool{New: func() any { return &vectorPrep{aAll: new(bitvec.Vector)} }}
 
 // newVectorPrep lays out a test's feature sets for its kernel and returns
-// the walk that counts it: w, or, for chooseWalk, the one chooseFor picks
-// from the feature counts and function 2's listed lanes.
+// the walk that counts it: w, or, for chooseWalk and for a word walk that
+// cannot count function 2's signs, the one chooseFor picks from the feature
+// counts and function 2's listed lanes.
 func newVectorPrep(a, b *feature.Set, g *stgraph.Graph, w walk) (*vectorPrep, walk) {
 	p := prepPool.Get().(*vectorPrep)
 	R, S := g.NumRegions(), g.NumSteps()
@@ -626,11 +637,10 @@ func newVectorPrep(a, b *feature.Set, g *stgraph.Graph, w walk) (*vectorPrep, wa
 		}
 	}
 	bBoth := b.Positive.AndCount(b.Negative)
-	if w == chooseWalk {
+	if w == chooseWalk || w == wordWalk && bBoth > 0 {
 		nB := b.Positive.Count() + b.Negative.Count() - bBoth
-		w = chooseFor(p.aAll.Count(), nB, R, len(p.bLanes), p.laneBits/64)
+		w = chooseFor(p.aAll.Count(), nB, R, len(p.bLanes), p.laneBits/64, bBoth > 0)
 	}
-	p.overlap = bBoth > 0
 	if w != wordWalk {
 		p.listFlat(w, R, S)
 	}
@@ -692,15 +702,15 @@ func (t *testRun) vectorTau(sc *scratch, spatPerm []int32, rot int) float64 {
 }
 
 // countWords tallies a randomization a word at a time, both signs of a
-// window in one pass: with function 2's signs disjoint, the per-sign counts
-// summed are same = |wp∧xp ∨ wn∧xn| and both = |(wp ∨ wn)∧u| for its
-// windows wp and wn against function 1's masks xp and xn and union u — two
-// popcounts a word instead of four. A test whose function 2 has vertices
-// of both signs counts the four, sign by sign. Only function 2's listed
-// lanes are visited, and a destination lane without function-1 features is
-// skipped — it zeroes every AND. A window is read a whole lane of words long: its
-// bits past nSteps meet function 1's zero padding, and its last word's
-// successor is the doubled lane's spare word.
+// window in one pass: function 2's signs being disjoint (newVectorPrep sends
+// a test whose aren't to the feature walk), the per-sign counts summed are
+// same = |wp∧xp ∨ wn∧xn| and both = |(wp ∨ wn)∧u| for its windows wp and wn
+// against function 1's masks xp and xn and union u — two popcounts a word
+// instead of four. Only function 2's listed lanes are visited, and a
+// destination lane without function-1 features is skipped — it zeroes every
+// AND. A window is read a whole lane of words long: its bits past nSteps
+// meet function 1's zero padding, and its last word's successor is the
+// doubled lane's spare word.
 func (t *testRun) countWords(spatPerm []int32, rot int) (same, both int) {
 	p := t.prep
 	nw := p.laneBits / 64
@@ -717,22 +727,11 @@ func (t *testRun) countWords(spatPerm []int32, rot int) (same, both int) {
 			// Two shifts: a shift by 64 must give 0.
 			wp := bp[i]>>(lo&63) | bp[i+1]<<1<<(hi&63)
 			wn := bn[i]>>(lo&63) | bn[i+1]<<1<<(hi&63)
-			if p.overlap {
-				same += bits.OnesCount64(wp&ap[dst]) + bits.OnesCount64(wn&an[dst])
-				both += bits.OnesCount64(wp&uw[dst]) + bits.OnesCount64(wn&uw[dst])
-			} else {
-				same += bits.OnesCount64(wp&ap[dst] | wn&an[dst])
-				both += bits.OnesCount64((wp | wn) & uw[dst])
-			}
+			same += bits.OnesCount64(wp&ap[dst] | wn&an[dst])
+			both += bits.OnesCount64((wp | wn) & uw[dst])
 			continue
 		}
 		d := int(dst) * nw
-		if p.overlap {
-			s1, b1 := countSign(bp[i:i+nw+1], ap[d:d+nw], uw[d:d+nw], lo, hi)
-			s2, b2 := countSign(bn[i:i+nw+1], an[d:d+nw], uw[d:d+nw], lo, hi)
-			same, both = same+s1+s2, both+b1+b2
-			continue
-		}
 		c, cb := countWindow(bp[i:i+nw+1], bn[i:i+nw+1], ap[d:d+nw], an[d:d+nw], uw[d:d+nw], lo, hi)
 		same += c
 		both += cb
@@ -741,7 +740,7 @@ func (t *testRun) countWords(spatPerm []int32, rot int) (same, both int) {
 }
 
 // countWindow counts the windows of sp and sn that start lo bits into their
-// first words, len(xp) words long, as countWords does for disjoint signs.
+// first words, len(xp) words long, as countWords does.
 // It is kept out of line: inlined into the lane loop, its counters and
 // cursors no longer fit in registers and are spilled on every word.
 //
@@ -754,22 +753,6 @@ func countWindow(sp, sn, xp, xn, u []uint64, lo, hi uint) (same, both int) {
 		wn := sn[i]>>(lo&63) | sn[i+1]<<1<<(hi&63)
 		same += bits.OnesCount64(wp&xp[i] | wn&xn[i])
 		both += bits.OnesCount64((wp | wn) & u[i])
-	}
-	return same, both
-}
-
-// countSign is countWindow for one sign, for a function 2 with vertices of
-// both signs: the window of src against x and u.
-//
-//go:noinline
-func countSign(src, x, u []uint64, lo, hi uint) (same, both int) {
-	x, u = x[:len(src)-1], u[:len(src)-1]
-	cur := src[0]
-	for i, next := range src[1:] {
-		w := cur>>(lo&63) | next<<1<<(hi&63)
-		same += bits.OnesCount64(w & x[i])
-		both += bits.OnesCount64(w & u[i])
-		cur = next
 	}
 	return same, both
 }
