@@ -275,8 +275,8 @@ func runQuery(fw *core.Framework, q core.Query, o cliOptions) error {
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(os.Stderr, "considered %d candidate pairs (%d pruned by planner, %d evaluated, %d not resolvable this run) in %v\n",
-		qstats.PairsConsidered, qstats.Pruned, qstats.Evaluated, qstats.NotResolvable, qstats.Duration.Round(1e6))
+	fmt.Fprintf(os.Stderr, "considered %d candidate pairs (%d pruned and %d not resolvable by planner, %d evaluated) in %v\n",
+		qstats.PairsConsidered, qstats.Pruned, qstats.NotResolvable, qstats.Evaluated, qstats.Duration.Round(1e6))
 	if o.jsonOut {
 		return writeQueryJSON(o.stdout, rels, qstats)
 	}

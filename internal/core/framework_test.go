@@ -99,6 +99,47 @@ func newFW(t *testing.T) *Framework {
 	return f
 }
 
+// testDomainSteps is the oracle for the step count of the domain a
+// candidate's significance test runs on, read off the feature vectors: the
+// steps of every temporal tile where either function has a feature of the
+// class, inside the clause's window when it has one. Without a window, a
+// pair whose entries carry no tile bitmaps (hand-built) is tested on the
+// full timeline.
+func testDomainSteps(f *Framework, e1, e2 *FunctionEntry, class feature.Class, c Clause) int {
+	g := f.graphs[e1.Res]
+	R, S, w := g.NumRegions(), g.NumSteps(), temporal.TileWidth(e1.Res.Temporal)
+	if !c.Windowed && (e1.tileOcc(class) == nil || e2.tileOcc(class) == nil) {
+		return S
+	}
+	lo, hi := 0, S
+	if c.Windowed {
+		lo, hi = windowSteps(f.timelines[e1.Res.Temporal], c.WindowFrom, c.WindowTo)
+	}
+	steps := 0
+	for t0 := 0; t0 < S; t0 += w {
+		t1 := min(t0+w, S)
+		from, to := max(t0, lo), min(t1, hi)
+		if from < to && (e1.union(class).AnyRange(from*R, to*R) || e2.union(class).AnyRange(from*R, to*R)) {
+			steps += t1 - t0
+		}
+	}
+	return steps
+}
+
+// oracleNotResolvable reports whether a candidate's test cannot reach the
+// clause's alpha, by the oracle's domain: one region and 1/S > alpha. No
+// test runs under SkipSignificance, so nothing is unresolvable there.
+func oracleNotResolvable(f *Framework, e1, e2 *FunctionEntry, class feature.Class, c Clause) bool {
+	if c.SkipSignificance || f.graphs[e1.Res].NumRegions() > 1 {
+		return false
+	}
+	alpha := c.Alpha
+	if alpha == 0 {
+		alpha = 0.05
+	}
+	return 1/float64(testDomainSteps(f, e1, e2, class, c)) > alpha
+}
+
 func TestNewValidation(t *testing.T) {
 	if _, err := New(Options{}); err == nil {
 		t.Error("expected error for missing city")

@@ -24,8 +24,10 @@ var (
 		"Candidate (function, function, resolution, class) tuples enumerated by the planner.")
 	mPairsPruned = obsv.NewCounter("polygamy_planner_pairs_pruned_total",
 		"Candidate tuples the planner skipped without evaluation.")
+	mPairsNotResolvable = obsv.NewCounter("polygamy_planner_pairs_not_resolvable_total",
+		"Candidate tuples the planner left out because their one-region test cannot reach alpha.")
 	mPairsEvaluated = obsv.NewCounter("polygamy_pairs_evaluated_total",
-		"Candidate tuples evaluated to a related pair.")
+		"Candidate tuples evaluated to a related pair (stored families not counted).")
 
 	mIndexBuilds = obsv.NewCounter("polygamy_index_builds_total",
 		"Full index builds (initial and rebuild).")

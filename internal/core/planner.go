@@ -5,6 +5,7 @@ import (
 	"slices"
 
 	"github.com/urbandata/datapolygamy/internal/feature"
+	"github.com/urbandata/datapolygamy/internal/montecarlo"
 	"github.com/urbandata/datapolygamy/internal/spatial"
 	"github.com/urbandata/datapolygamy/internal/temporal"
 )
@@ -29,6 +30,13 @@ import (
 // prune a pair the evaluator's own (differently associated) arithmetic
 // would keep. Pruned pairs skip relationship evaluation and, decisively,
 // the Monte Carlo significance test — the dominant query cost.
+//
+// The planner is also the one place a surviving tuple is judged not
+// resolvable: on a one-region resolution a test over S steps cannot reach
+// alpha when 1/S > alpha (montecarlo.Resolvable), so the tuple is no
+// hypothesis and never becomes a task. The verdict is taken once per
+// resolution when even its full timeline is too short, else per tuple on
+// the test's own domain (testDomain).
 
 // pruneMargin keeps bound-based pruning strictly conservative under
 // floating-point rounding differences with the evaluator.
@@ -49,11 +57,12 @@ type pairTask struct {
 }
 
 // queryPlan is the planner's output: the surviving task list plus counts of
-// everything enumerated and pruned.
+// everything enumerated, pruned and left out as not resolvable.
 type queryPlan struct {
-	tasks      []pairTask
-	considered int
-	pruned     int
+	tasks         []pairTask
+	considered    int
+	pruned        int
+	notResolvable int
 }
 
 // plan enumerates the candidate tuples of one data set pair across its
@@ -65,6 +74,7 @@ type queryPlan struct {
 func (f *Framework) plan(k graphPair, clause Clause) queryPlan {
 	var pl queryPlan
 	classes := clauseClasses(clause)
+	alpha := selectionFromClause(clause).alpha
 	for sr := spatial.ZipCode; sr <= spatial.City; sr++ {
 		for tr := temporal.Hour; tr <= temporal.Month; tr++ {
 			res := Resolution{sr, tr}
@@ -82,6 +92,15 @@ func (f *Framework) plan(k graphPair, clause Clause) queryPlan {
 			if clause.Windowed {
 				winLo, winHi = windowSteps(f.timelines[tr], clause.WindowFrom, clause.WindowTo)
 			}
+			// A one-region test's domain is at most the timeline: when even
+			// that is too short no tuple here is resolvable, else each tuple
+			// is judged on its supporting tiles.
+			oneRegion, anyResolvable := false, true
+			if !clause.SkipSignificance {
+				g := f.graphs[res]
+				oneRegion = g.NumRegions() == 1
+				anyResolvable = montecarlo.Resolvable(alpha, g.NumRegions(), g.NumSteps())
+			}
 			for _, e1 := range es1 {
 				for _, e2 := range es2 {
 					for _, class := range classes {
@@ -97,12 +116,18 @@ func (f *Framework) plan(k graphPair, clause Clause) queryPlan {
 							pl.pruned++
 							continue
 						}
-						pl.tasks = append(pl.tasks, pairTask{
-							e1: e1, e2: e2, class: class,
-							seed:  pairSeed(f.opts.Seed, e1.Key, e2.Key, class),
-							sigma: sigma,
-							winLo: winLo, winHi: winHi,
-						})
+						t := pairTask{e1: e1, e2: e2, class: class, sigma: sigma, winLo: winLo, winHi: winHi}
+						resolvable := anyResolvable
+						if oneRegion && resolvable {
+							_, steps := f.testDomain(t, clause.Windowed)
+							resolvable = montecarlo.Resolvable(alpha, 1, steps)
+						}
+						if !resolvable {
+							pl.notResolvable++
+							continue
+						}
+						t.seed = pairSeed(f.opts.Seed, e1.Key, e2.Key, class)
+						pl.tasks = append(pl.tasks, t)
 					}
 				}
 			}

@@ -27,15 +27,18 @@ func plannerFW(t *testing.T) *Framework {
 // bruteForce enumerates every candidate tuple of an all-pairs query itself
 // — no planner — and pushes each one through the relationship layer
 // (evaluatePair, hence the clause filters and the significance test). It
-// returns the tuples that join their family and counts those left out as
-// not resolvable, and fails the test if a tuple prunePair would have
-// skipped passes the clause, family member or not: that is the planner's
-// soundness, checked per tuple rather than inferred from equal totals. Its
-// resolutions come from the data sets' native resolutions, not from the
-// index the planner reads.
-func bruteForce(t *testing.T, f *Framework, clause Clause) (cands []bruteCand, considered, skipped, unresolvableN int) {
+// returns the tuples that join their family and counts those prunePair
+// skips and those whose test the oracle (oracleNotResolvable) finds cannot
+// reach alpha, which it does not evaluate. It fails the test if a tuple
+// prunePair would have skipped passes the clause filters: that is the
+// planner's soundness, checked per tuple rather than inferred from equal
+// totals. Its resolutions come from the data sets' native resolutions, not
+// from the index the planner reads.
+func bruteForce(t *testing.T, f *Framework, clause Clause) (cands []bruteCand, considered, skipped, notResolvable int) {
 	t.Helper()
 	classes := clauseClasses(clause)
+	filters := clause
+	filters.SkipSignificance = true
 	names := f.Datasets()
 	slices.Sort(names) // the engine orients every pair by data set name
 	for i, a := range names {
@@ -52,30 +55,39 @@ func bruteForce(t *testing.T, f *Framework, clause Clause) (cands []bruteCand, c
 				}
 			}
 			for _, res := range resolutions {
+				winLo, winHi := 0, 0
+				if clause.Windowed {
+					winLo, winHi = windowSteps(f.timelines[res.Temporal], clause.WindowFrom, clause.WindowTo)
+				}
 				for _, e1 := range f.index.at(a, res) {
 					for _, e2 := range f.index.at(b, res) {
 						for _, class := range classes {
 							considered++
-							c, fa, err := f.evaluatePair(pairTask{
+							task := pairTask{
 								e1: e1, e2: e2, class: class, sigma: -1,
-								seed: pairSeed(f.opts.Seed, e1.Key, e2.Key, class),
-							}, clause, 1)
-							if err != nil {
-								t.Fatal(err)
+								seed:  pairSeed(f.opts.Seed, e1.Key, e2.Key, class),
+								winLo: winLo, winHi: winHi,
 							}
-							if skip, _ := prunePair(e1, e2, class, clause); skip {
+							if skip, _ := prunePair(e1, e2, class, clause); skip || clause.Windowed && winLo == winHi {
 								skipped++
-								if fa != filtered {
+								if c, in, err := f.evaluatePair(task, filters, 1); err != nil {
+									t.Fatal(err)
+								} else if in {
 									t.Errorf("unsound prune: %s ~ %s (%v) is skipped by prunePair but passes the clause: tau=%g rho=%g",
 										e1.Key, e2.Key, class, c.tau, c.rho)
 								}
 								continue
 							}
-							switch fa {
-							case inFamily:
+							if oracleNotResolvable(f, e1, e2, class, clause) {
+								notResolvable++
+								continue
+							}
+							c, in, err := f.evaluatePair(task, clause, 1)
+							if err != nil {
+								t.Fatal(err)
+							}
+							if in {
 								cands = append(cands, bruteCand{e1, e2, c})
-							case unresolvable:
-								unresolvableN++
 							}
 						}
 					}
@@ -83,7 +95,7 @@ func bruteForce(t *testing.T, f *Framework, clause Clause) (cands []bruteCand, c
 			}
 		}
 	}
-	return cands, considered, skipped, unresolvableN
+	return cands, considered, skipped, notResolvable
 }
 
 // bruteCand is one tuple bruteForce found related, with its entries.
@@ -113,14 +125,14 @@ func TestPlannerParity(t *testing.T) {
 		{"week_city", Clause{Permutations: 80, MinScore: 0.2,
 			Resolutions: []Resolution{{spatial.City, temporal.Week}}}},
 	}
-	totalPruned, totalUnresolvable := 0, 0
+	totalPruned, totalNotResolvable := 0, 0
 	for _, tc := range matrix {
 		t.Run(tc.name, func(t *testing.T) {
 			planned, pstats, err := f.Query(Query{Clause: tc.clause})
 			if err != nil {
 				t.Fatal(err)
 			}
-			cands, considered, skipped, unresolvableN := bruteForce(t, f, tc.clause)
+			cands, considered, skipped, notResolvable := bruteForce(t, f, tc.clause)
 			if pstats.PairsConsidered != considered {
 				t.Errorf("PairsConsidered %d, brute force enumerated %d", pstats.PairsConsidered, considered)
 			}
@@ -130,8 +142,8 @@ func TestPlannerParity(t *testing.T) {
 			if pstats.Evaluated != len(cands) {
 				t.Errorf("Evaluated %d, brute force has %d related tuples", pstats.Evaluated, len(cands))
 			}
-			if pstats.NotResolvable != unresolvableN {
-				t.Errorf("NotResolvable %d, brute force left %d tuples out", pstats.NotResolvable, unresolvableN)
+			if pstats.NotResolvable != notResolvable {
+				t.Errorf("NotResolvable %d, the oracle finds %d tuples not resolvable", pstats.NotResolvable, notResolvable)
 			}
 			sel := selectionFromClause(tc.clause)
 			fam := make([]candidate, len(cands))
@@ -159,13 +171,13 @@ func TestPlannerParity(t *testing.T) {
 				}
 			}
 			totalPruned += pstats.Pruned
-			totalUnresolvable += unresolvableN
+			totalNotResolvable += notResolvable
 		})
 	}
 	if totalPruned == 0 {
 		t.Error("planner pruned nothing across the whole query matrix")
 	}
-	if totalUnresolvable == 0 {
+	if totalNotResolvable == 0 {
 		t.Error("no tuple across the whole query matrix was left out as not resolvable")
 	}
 }

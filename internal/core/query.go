@@ -177,10 +177,10 @@ type QueryStats struct {
 	Evaluated       int // pairs with any feature relation
 	Significant     int // pairs passing the significance test (0 under SkipSignificance)
 	Kept            int // relationships returned (== Significant unless SkipSignificance)
-	// NotResolvable counts the tuples this call evaluated and kept out of
-	// their family, their test unable to reach Alpha. Unlike the counters
-	// above it leaves out families the call found stored (built earlier,
-	// loaded from a snapshot or shipped to a follower): there it reads 0.
+	// NotResolvable counts the candidates the planner left out, like
+	// Pruned, because their one-region test cannot reach Alpha
+	// (montecarlo.Resolvable): no hypothesis, no family member.
+	// PairsConsidered = Pruned + NotResolvable + the tuples planned.
 	NotResolvable int
 	CacheHit      bool
 	// Coalesced marks a cache hit that was deduplicated against an
@@ -383,10 +383,9 @@ func (f *Framework) evaluateQuery(sources, targets []string, clause Clause, t0 t
 	for _, pl := range plans {
 		stats.PairsConsidered += pl.considered
 		stats.Pruned += pl.pruned
+		stats.NotResolvable += pl.notResolvable
 	}
 	stats.addStage("plan", time.Since(tStage))
-	mPairsConsidered.Add(uint64(stats.PairsConsidered))
-	mPairsPruned.Add(uint64(stats.Pruned))
 
 	// Reduce phase of job 3: each pair's tested family, evaluated only
 	// where the store has none under this test signature.
@@ -399,11 +398,10 @@ func (f *Framework) evaluateQuery(sources, targets []string, clause Clause, t0 t
 		for j, i := range missing {
 			mKeys[j], mPlans[j] = keys[i], plans[i]
 		}
-		computed, notResolvable, err := f.evaluatePairsLocked(sig, mKeys, mPlans, clause)
+		computed, err := f.evaluatePairsLocked(sig, mKeys, mPlans, clause)
 		if err != nil {
 			return nil, stats, err
 		}
-		stats.NotResolvable = notResolvable
 		for j, i := range missing {
 			fams[i] = computed[j]
 		}
@@ -412,7 +410,6 @@ func (f *Framework) evaluateQuery(sources, targets []string, clause Clause, t0 t
 		stats.Evaluated += len(fam)
 	}
 	stats.addStage("evaluate", time.Since(tStage))
-	mPairsEvaluated.Add(uint64(stats.Evaluated))
 
 	// Multiple-hypothesis correction across the query's tested family: every
 	// evaluated pair — significant or not — contributes its p-value.
@@ -485,23 +482,14 @@ func queryPairs(sources, targets []string) []graphPair {
 	return keys
 }
 
-// fate is what evaluatePair made of a candidate tuple.
-type fate uint8
-
-const (
-	filtered     fate = iota // no feature relation, or a clause filter failed
-	inFamily                 // a member of its pair's tested family
-	unresolvable             // its test cannot reach Alpha: no hypothesis, no family member
-)
-
 // evaluatePair computes measures for one candidate pair and applies clause
 // filters plus the significance test, returning the tested candidate with
-// its raw p-value (1 under SkipSignificance) and its fate. A tuple whose
-// test is not resolvable (montecarlo.Result.NotResolvable) is no hypothesis
-// at all: it is kept out of the family, so no correction counts it.
-// mcWorkers goroutines evaluate the Monte Carlo permutation chunks (1 =
-// sequential; the p-value is identical either way).
-func (f *Framework) evaluatePair(t pairTask, clause Clause, mcWorkers int) (c candidate, fa fate, err error) {
+// its raw p-value (1 under SkipSignificance) and whether it joins its
+// pair's tested family (false: no feature relation, or a clause filter
+// failed). The planner has left out every tuple whose test is not
+// resolvable. mcWorkers goroutines evaluate the Monte Carlo permutation
+// chunks (1 = sequential; the p-value is identical either way).
+func (f *Framework) evaluatePair(t pairTask, clause Clause, mcWorkers int) (c candidate, inFamily bool, err error) {
 	s1, s2 := t.e1.set(t.class), t.e2.set(t.class)
 	all1, all2 := t.e1.union(t.class), t.e2.union(t.class)
 	sigma := t.sigma
@@ -522,27 +510,24 @@ func (f *Framework) evaluatePair(t pairTask, clause Clause, mcWorkers int) (c ca
 	}
 	m := relationship.EvaluateCounted(s1, s2, all1, all2, sigma)
 	if !m.Related() {
-		return c, filtered, nil
+		return c, false, nil
 	}
 	// Clause filters run before the (expensive) significance test
 	// (Section 6.1: "the query evaluation step skips the significance test
 	// when C is not satisfied").
 	if abs(m.Tau) < clause.MinScore || m.Rho < clause.MinStrength {
-		return c, filtered, nil
+		return c, false, nil
 	}
 	c = candidate{posA: t.e1.pos, posB: t.e2.pos, class: t.class, tau: m.Tau, rho: m.Rho, p: 1}
 	if clause.SkipSignificance {
-		return c, inFamily, nil
+		return c, true, nil
 	}
-	res, err := f.runSignificance(t, clause, s1, s2, all1, all2, m.Tau, mcWorkers)
+	res, err := f.runSignificance(t, clause, s1, s2, m.Tau, mcWorkers)
 	if err != nil {
-		return c, filtered, err
-	}
-	if res.NotResolvable {
-		return c, unresolvable, nil
+		return c, false, err
 	}
 	c.p = res.PValue
-	return c, inFamily, nil
+	return c, true, nil
 }
 
 // querySignature canonicalises a query into its cache key: name lists are

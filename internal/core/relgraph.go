@@ -52,7 +52,7 @@ type GraphStats struct {
 	PairsConsidered int // candidate tuples enumerated for computed pairs
 	Pruned          int // candidates the planner skipped
 	Evaluated       int // candidates with any feature relation
-	NotResolvable   int // candidates left out of their family: their test cannot reach alpha
+	NotResolvable   int // candidates the planner left out: their test cannot reach alpha
 
 	Edges        int // edges in the materialized graph
 	WallDuration time.Duration
@@ -261,14 +261,14 @@ func (f *Framework) BuildGraph(clause Clause) (GraphStats, error) {
 		for _, pl := range plans {
 			st.PairsConsidered += pl.considered
 			st.Pruned += pl.pruned
+			st.NotResolvable += pl.notResolvable
 		}
 		mGraphStageDuration.With("plan").Observe(time.Since(tStage).Seconds())
 		tStage = time.Now()
-		computed, notResolvable, err := f.evaluatePairsLocked(sig, mKeys, plans, clause)
+		computed, err := f.evaluatePairsLocked(sig, mKeys, plans, clause)
 		if err != nil {
 			return st, err
 		}
-		st.NotResolvable = notResolvable
 		for j, i := range missing {
 			fams[i] = computed[j]
 			st.Evaluated += len(computed[j])
@@ -306,23 +306,29 @@ func (f *Framework) storedFamilies(sig string, keys []graphPair) (fams [][]candi
 	return fams, missing
 }
 
-// planPairs plans each pair of keys on the worker pool.
+// planPairs plans each pair of keys on the worker pool and adds the plans'
+// counts to the planner metrics, for Query and BuildGraph alike.
 func (f *Framework) planPairs(keys []graphPair, clause Clause) []queryPlan {
 	plans, _ := mapreduce.ForEach(f.workers(), keys, func(k graphPair) (queryPlan, error) {
 		return f.plan(k, clause), nil
 	})
+	for _, pl := range plans {
+		mPairsConsidered.Add(uint64(pl.considered))
+		mPairsPruned.Add(uint64(pl.pruned))
+		mPairsNotResolvable.Add(uint64(pl.notResolvable))
+	}
 	return plans
 }
 
 // evaluatePairsLocked evaluates the pairs keys — plans[i] is the plan of
 // keys[i] — into their tested families, sorted, and adds them to the store
 // under sig; a fruitless pair gets an empty family so it is not evaluated
-// again. It also returns how many tuples were left out as not resolvable.
-// The pairs' tasks are one batch on the worker pool, so the pool sees the
-// whole batch at once, and a pair's tasks are contiguous in it, so its
-// results are a slice of the batch. Query and BuildGraph both call this
-// under the shared state lock.
-func (f *Framework) evaluatePairsLocked(sig string, keys []graphPair, plans []queryPlan, clause Clause) ([][]candidate, int, error) {
+// again. It is where the evaluated counter is recorded, for Query and
+// BuildGraph alike. The pairs' tasks are one batch on the worker pool, so
+// the pool sees the whole batch at once, and a pair's tasks are contiguous
+// in it, so its results are a slice of the batch. Query and BuildGraph both
+// call this under the shared state lock.
+func (f *Framework) evaluatePairsLocked(sig string, keys []graphPair, plans []queryPlan, clause Clause) ([][]candidate, error) {
 	workers := f.workers()
 	n := 0
 	for _, pl := range plans {
@@ -338,21 +344,15 @@ func (f *Framework) evaluatePairsLocked(sig string, keys []graphPair, plans []qu
 	// p-values byte-identical to a sequential run.
 	mcWorkers := max(1, workers/max(n, 1))
 	type tested struct {
-		c  candidate
-		fa fate
+		c        candidate
+		inFamily bool
 	}
 	results, err := mapreduce.ForEach(workers, tasks, func(t pairTask) (tested, error) {
-		c, fa, err := f.evaluatePair(t, clause, mcWorkers)
-		return tested{c, fa}, err
+		c, in, err := f.evaluatePair(t, clause, mcWorkers)
+		return tested{c, in}, err
 	})
 	if err != nil {
-		return nil, 0, err
-	}
-	unresolvables := 0
-	for _, r := range results {
-		if r.fa == unresolvable {
-			unresolvables++
-		}
+		return nil, err
 	}
 	perPair := make([][]tested, len(plans))
 	for i, pl := range plans {
@@ -362,19 +362,22 @@ func (f *Framework) evaluatePairsLocked(sig string, keys []graphPair, plans []qu
 	fams, _ := mapreduce.ForEach(workers, perPair, func(rs []tested) ([]candidate, error) {
 		n := 0
 		for _, r := range rs {
-			if r.fa == inFamily {
+			if r.inFamily {
 				n++
 			}
 		}
 		fam := make([]candidate, 0, n)
 		for _, r := range rs {
-			if r.fa == inFamily {
+			if r.inFamily {
 				fam = append(fam, r.c)
 			}
 		}
 		slices.SortFunc(fam, compareCandidates)
 		return fam, nil
 	})
+	for _, fam := range fams {
+		mPairsEvaluated.Add(uint64(len(fam)))
+	}
 	f.famMu.Lock()
 	defer f.famMu.Unlock()
 	byPair := f.families[sig]
@@ -387,7 +390,7 @@ func (f *Framework) evaluatePairsLocked(sig string, keys []graphPair, plans []qu
 			byPair[k] = fams[i]
 		}
 	}
-	return fams, unresolvables, nil
+	return fams, nil
 }
 
 // dropResultsInvolving is the one invalidation rule: under every signature

@@ -259,6 +259,41 @@ func TestBuildGraphRequiresIndex(t *testing.T) {
 	}
 }
 
+// TestBuildGraphRecordsPlannerCounters: a graph build plans through the
+// same planPairs as a query, so one BuildGraph moves each planner counter
+// and the evaluated counter by its GraphStats value, and a pure reuse,
+// which plans nothing, moves none.
+func TestBuildGraphRecordsPlannerCounters(t *testing.T) {
+	f := plannerFW(t)
+	counters := []*obsv.Counter{mPairsConsidered, mPairsPruned, mPairsNotResolvable, mPairsEvaluated}
+	names := []string{"considered", "pruned", "not resolvable", "evaluated"}
+	read := func() []uint64 {
+		v := make([]uint64, len(counters))
+		for i, c := range counters {
+			v[i] = c.Value()
+		}
+		return v
+	}
+	before := read()
+	st, err := f.BuildGraph(graphClause())
+	if err != nil {
+		t.Fatal(err)
+	}
+	after := read()
+	want := []int{st.PairsConsidered, st.Pruned, st.NotResolvable, st.Evaluated}
+	for i, name := range names {
+		if w := want[i]; w == 0 || after[i]-before[i] != uint64(w) {
+			t.Errorf("the %s counter moved by %d, GraphStats says %d", name, after[i]-before[i], w)
+		}
+	}
+	if _, err := f.BuildGraph(graphClause()); err != nil {
+		t.Fatal(err)
+	}
+	if again := read(); !reflect.DeepEqual(again, after) {
+		t.Errorf("a pure reuse moved the planner counters from %v to %v", after, again)
+	}
+}
+
 // TestGraphClauseChangeRebuilds asserts the family store is keyed by the
 // clause: a different clause forces a full recompute, and repeating a
 // clause is a pure reuse.

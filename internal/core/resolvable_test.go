@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"github.com/urbandata/datapolygamy/internal/dataset"
-	"github.com/urbandata/datapolygamy/internal/feature"
 	"github.com/urbandata/datapolygamy/internal/spatial"
 	"github.com/urbandata/datapolygamy/internal/temporal"
 )
@@ -33,35 +32,15 @@ func dailyPair(days int) []*dataset.Dataset {
 	return []*dataset.Dataset{a, b}
 }
 
-// testDomainSteps is the oracle for the step count of the domain a
-// candidate's significance test runs on, read off the feature vectors: the
-// steps of every temporal tile where either function has a feature of the
-// class, inside the clause's window when it has one.
-func testDomainSteps(f *Framework, e1, e2 *FunctionEntry, class feature.Class, c Clause) int {
-	g := f.graphs[e1.Res]
-	R, S, w := g.NumRegions(), g.NumSteps(), temporal.TileWidth(e1.Res.Temporal)
-	lo, hi := 0, S
-	if c.Windowed {
-		lo, hi = windowSteps(f.timelines[e1.Res.Temporal], c.WindowFrom, c.WindowTo)
-	}
-	steps := 0
-	for t0 := 0; t0 < S; t0 += w {
-		t1 := min(t0+w, S)
-		from, to := max(t0, lo), min(t1, hi)
-		if from < to && (e1.union(class).AnyRange(from*R, to*R) || e2.union(class).AnyRange(from*R, to*R)) {
-			steps += t1 - t0
-		}
-	}
-	return steps
-}
-
 // checkResolvable evaluates every candidate of the corpus under clause with
 // SkipSignificance, and requires that the families stored under clause
 // itself are those minus exactly the one-region candidates whose test
-// domain of S steps has 1/S > alpha, and that notResolvable, what the
-// BuildGraph or Query that stored them reported, counts those. It returns
-// the dropped candidates' step counts and the kept one-region ones'.
-func checkResolvable(t *testing.T, f *Framework, clause Clause, alpha float64, notResolvable int) (dropped, kept []int) {
+// domain of S steps has 1/S > alpha (oracleNotResolvable). It also requires that notResolvable,
+// what the BuildGraph or Query that stored them reported, counts every
+// candidate past prunePair that the oracle finds not resolvable
+// (bruteForce), related or not. It returns the dropped candidates' step
+// counts and the kept one-region ones'.
+func checkResolvable(t *testing.T, f *Framework, clause Clause, notResolvable int) (dropped, kept []int) {
 	t.Helper()
 	skip := clause
 	skip.SkipSignificance = true
@@ -85,7 +64,7 @@ func checkResolvable(t *testing.T, f *Framework, clause Clause, alpha float64, n
 		for _, c := range fam {
 			e1, e2 := f.index.funcs[pair.A][c.posA], f.index.funcs[pair.B][c.posB]
 			S := testDomainSteps(f, e1, e2, c.class, clause)
-			resolvable := f.graphs[e1.Res].NumRegions() > 1 || 1/float64(S) <= alpha
+			resolvable := !oracleNotResolvable(f, e1, e2, c.class, clause)
 			if in := inTested[[3]uint32{c.posA, c.posB, uint32(c.class)}]; in != resolvable {
 				t.Errorf("%s ~ %s (%v) over %d steps: in the tested family %v, resolvable %v",
 					e1.Key, e2.Key, c.class, S, in, resolvable)
@@ -98,18 +77,20 @@ func checkResolvable(t *testing.T, f *Framework, clause Clause, alpha float64, n
 			}
 		}
 	}
-	if notResolvable != len(dropped) {
-		t.Errorf("%d tuples reported not resolvable, want %d", notResolvable, len(dropped))
+	if _, _, _, want := bruteForce(t, f, clause); notResolvable != want || want < len(dropped) {
+		t.Errorf("%d tuples reported not resolvable, the oracle finds %d (%d of them related)", notResolvable, want, len(dropped))
 	}
 	return dropped, kept
 }
 
 // TestNotResolvableLeftOutOfFamilies: a one-region candidate whose test
-// domain has S steps with 1/S > alpha can never be significant, so it is
-// left out of its family — never corrected over — and counted as not
-// resolvable, by BuildGraph and by Query alike; the domain is the
-// supporting tiles', so a window that drops a tile can cross the cut;
-// alpha moves it; SkipSignificance drops nothing.
+// domain has S steps with 1/S > alpha can never be significant, so the
+// planner leaves it out of its family — never corrected over — and counts
+// it as not resolvable, for BuildGraph and for Query alike; the domain is
+// the supporting tiles', whole tiles even where a window ends inside one,
+// so a window that drops a tile can cross the cut; entries without tile
+// bitmaps are judged on the full timeline; alpha moves the cut;
+// SkipSignificance drops nothing.
 func TestNotResolvableLeftOutOfFamilies(t *testing.T) {
 	// One year: 12 month steps fall below the cut of 20, 53 week steps not.
 	f := buildFW(t, dailyPair(366))
@@ -117,7 +98,7 @@ func TestNotResolvableLeftOutOfFamilies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dropped, kept := checkResolvable(t, f, Clause{}, 0.05, st.NotResolvable)
+	dropped, kept := checkResolvable(t, f, Clause{}, st.NotResolvable)
 	if !slices.Contains(dropped, 12) || !slices.Contains(kept, 53) {
 		t.Errorf("dropped step counts %v, kept %v: want 12 dropped, 53 kept", dropped, kept)
 	}
@@ -134,14 +115,14 @@ func TestNotResolvableLeftOutOfFamilies(t *testing.T) {
 	}
 	// Two years are 24 month steps: month candidates are kept at 0.05.
 	f = buildFW(t, dailyPair(731))
-	if _, kept = checkResolvable(t, f, Clause{}, 0.05, queryNotResolvable(t, f, Clause{})); !slices.Contains(kept, 24) {
+	if _, kept = checkResolvable(t, f, Clause{}, queryNotResolvable(t, f, Clause{})); !slices.Contains(kept, 24) {
 		t.Fatalf("no month candidate over 24 steps kept at alpha 0.05 (kept step counts %v)", kept)
 	}
 
 	// A window over the first year leaves one month tile, 12 steps: its
 	// month candidates are dropped, its week (53) and day ones kept.
 	win := Clause{Windowed: true, WindowFrom: ts(0, 0), WindowTo: ts(365, 23)}
-	wDropped, wKept := checkResolvable(t, f, win, 0.05, queryNotResolvable(t, f, win))
+	wDropped, wKept := checkResolvable(t, f, win, queryNotResolvable(t, f, win))
 	if !slices.Contains(wDropped, 12) {
 		t.Errorf("the first-year window dropped no 12-step month candidate (dropped %v)", wDropped)
 	}
@@ -149,10 +130,37 @@ func TestNotResolvableLeftOutOfFamilies(t *testing.T) {
 		t.Errorf("the first-year window kept no 53-step week candidate (kept %v)", wKept)
 	}
 
+	// A window that ends inside a tile, in May of the second year, holds 17
+	// month steps, but the test runs over whole tiles: the boundary tile's
+	// 12 steps count, so month candidates are tested over 24 steps.
+	mid := Clause{Windowed: true, WindowFrom: ts(0, 0), WindowTo: ts(366+150, 23)}
+	if _, mKept := checkResolvable(t, f, mid, queryNotResolvable(t, f, mid)); !slices.Contains(mKept, 24) {
+		t.Errorf("a window ending mid second year kept no 24-step month candidate (kept %v)", mKept)
+	}
+
 	// At alpha 0.01 the cut is S < 100: 24 month steps now fall below it.
-	lDropped, _ := checkResolvable(t, f, Clause{Alpha: 0.01}, 0.01, queryNotResolvable(t, f, Clause{Alpha: 0.01}))
+	lDropped, _ := checkResolvable(t, f, Clause{Alpha: 0.01}, queryNotResolvable(t, f, Clause{Alpha: 0.01}))
 	if !slices.Contains(lDropped, 24) {
 		t.Errorf("alpha 0.01 dropped no 24-step month candidate (dropped %v)", lDropped)
+	}
+
+	// A year and ten days are 13 month steps over two tiles. At alpha 0.08
+	// the cut is S < 12.5: a month candidate with no feature in the second
+	// tile is dropped over its 12 supporting steps. Entries without tile
+	// bitmaps are tested on the full timeline, so there it is kept over 13.
+	c := Clause{Alpha: 0.08}
+	f = buildFW(t, dailyPair(366+10))
+	if dropped, _ := checkResolvable(t, f, c, queryNotResolvable(t, f, c)); !slices.Contains(dropped, 12) {
+		t.Errorf("alpha 0.08 dropped no 12-step month candidate (dropped %v)", dropped)
+	}
+	f = buildFW(t, dailyPair(366+10))
+	for _, es := range f.index.funcs {
+		for _, e := range es {
+			e.salientTiles, e.extremeTiles = nil, nil
+		}
+	}
+	if dropped, kept := checkResolvable(t, f, c, queryNotResolvable(t, f, c)); len(dropped) != 0 || !slices.Contains(kept, 13) {
+		t.Errorf("without tile bitmaps: dropped step counts %v, kept %v: want none dropped, 13 kept", dropped, kept)
 	}
 }
 

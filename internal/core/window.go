@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+
 	"github.com/urbandata/datapolygamy/internal/bitvec"
 	"github.com/urbandata/datapolygamy/internal/feature"
 	"github.com/urbandata/datapolygamy/internal/montecarlo"
@@ -55,37 +57,58 @@ func windowSteps(tl *temporal.Timeline, from, to int64) (lo, hi int) {
 	return lo, hi
 }
 
-// orBitmaps returns the elementwise union of two equal-length tile bitmaps.
-func orBitmaps(a, b []uint64) []uint64 {
-	out := make([]uint64, len(a))
-	for i := range a {
-		out[i] = a[i] | b[i]
+// testDomain returns the supporting tiles of t's significance test, as a
+// tile bitmap, and the number of steps they cover: the tiles where either
+// side has a feature bit of t's class, read off the entries' tile
+// occupancy, or, under a window, the tiles with such a bit inside
+// [t.winLo, t.winHi). supp is nil when the test runs on the full domain:
+// every tile supports it, or a non-windowed entry carries no tile bitmaps
+// (hand-built). The planner and runSignificance both call it, so the
+// domain a tuple is judged resolvable on is the one its test runs on.
+func (f *Framework) testDomain(t pairTask, windowed bool) (supp []uint64, steps int) {
+	g := f.graphs[t.e1.Res]
+	tres := t.e1.Res.Temporal
+	R, S, w := g.NumRegions(), g.NumSteps(), temporal.TileWidth(tres)
+	nTiles := temporal.NumTilesFor(S, tres)
+	b1, b2 := t.e1.tileOcc(t.class), t.e2.tileOcc(t.class)
+	if !windowed && (b1 == nil || b2 == nil || len(b1) != len(b2)) {
+		return nil, S
 	}
-	return out
-}
-
-// bitmapFull reports whether all n tile bits are set.
-func bitmapFull(bm []uint64, n int) bool {
-	for t := 0; t < n; t++ {
-		if bm[t/64]&(1<<uint(t%64)) == 0 {
-			return false
+	u1, u2 := t.e1.union(t.class), t.e2.union(t.class)
+	supp = make([]uint64, (nTiles+63)/64)
+	for ti := 0; ti < nTiles; ti++ {
+		lo, hi := ti*w, min((ti+1)*w, S)
+		bit := uint64(1) << uint(ti%64)
+		if windowed {
+			from, to := max(lo, t.winLo), min(hi, t.winHi)
+			if from >= to || !u1.AnyRange(from*R, to*R) && !u2.AnyRange(from*R, to*R) {
+				continue
+			}
+		} else if (b1[ti/64]|b2[ti/64])&bit == 0 {
+			continue
 		}
+		supp[ti/64] |= bit
+		steps += hi - lo
 	}
-	return true
+	if steps == S {
+		return nil, S
+	}
+	return supp, steps
 }
 
 // runSignificance runs the pair's Monte Carlo test over its supporting
-// tiles. s1/s2/u1/u2 are the (window-masked, when the clause is windowed)
-// feature sets and unions the relationship was evaluated on; tau is the
+// tiles (testDomain). s1/s2 are the (window-masked, when the clause is
+// windowed) feature sets the relationship was evaluated on; tau is the
 // observed score. When the supporting set covers every tile the test runs
 // on the full domain graph with the vectors as-is; otherwise the vectors
 // are compacted to the supporting tiles and the test runs on a graph of
 // just those steps. tau over the compacted domain equals tau over the full
 // one — every feature bit of both sides lives inside a supporting tile —
 // and both draw their toroidal shifts from the spatial resolution's pool,
-// which does not depend on the number of steps.
-func (f *Framework) runSignificance(t pairTask, clause Clause, s1, s2 *feature.Set,
-	u1, u2 *bitvec.Vector, tau float64, mcWorkers int) (montecarlo.Result, error) {
+// which does not depend on the number of steps. The planner has already
+// left out every tuple whose test is not resolvable, so a test that reports
+// one is an error.
+func (f *Framework) runSignificance(t pairTask, clause Clause, s1, s2 *feature.Set, tau float64, mcWorkers int) (montecarlo.Result, error) {
 	g := f.graphs[t.e1.Res]
 	cfg := montecarlo.Config{
 		Permutations: clause.Permutations,
@@ -95,51 +118,28 @@ func (f *Framework) runSignificance(t pairTask, clause Clause, s1, s2 *feature.S
 		Exhaustive:   clause.Exhaustive,
 		Shifts:       f.shifts[t.e1.Res.Spatial],
 	}
-	tres := t.e1.Res.Temporal
-	S := g.NumSteps()
-	R := g.NumRegions()
-	w := temporal.TileWidth(tres)
-	nTiles := temporal.NumTilesFor(S, tres)
-
-	var supp []uint64
-	if clause.Windowed {
-		// The masked unions already reflect the window; their live tiles are
-		// the supporting set.
-		supp = orBitmaps(tileOccupancyBits(u1, w, R, S, nTiles), tileOccupancyBits(u2, w, R, S, nTiles))
-	} else {
-		b1, b2 := t.e1.tileOcc(t.class), t.e2.tileOcc(t.class)
-		if b1 != nil && b2 != nil && len(b1) == len(b2) {
-			supp = orBitmaps(b1, b2)
+	if supp, steps := f.testDomain(t, clause.Windowed); supp != nil {
+		// Compact the vectors onto the supporting tiles and test on a graph
+		// of just those steps.
+		R, S, w := g.NumRegions(), g.NumSteps(), temporal.TileWidth(t.e1.Res.Temporal)
+		cg, err := stgraph.New(R, steps, g.SpatialAdjacency())
+		if err != nil {
+			return montecarlo.Result{}, err
 		}
-		// else: entries without tile metadata (hand-built) — full domain.
-	}
-	if supp == nil || bitmapFull(supp, nTiles) {
-		return montecarlo.Test(s1, s2, g, tau, cfg), nil
-	}
-
-	// Compact the vectors onto the supporting tiles and test on a graph of
-	// just those steps.
-	steps := 0
-	for ti := 0; ti < nTiles; ti++ {
-		if supp[ti/64]&(1<<uint(ti%64)) == 0 {
-			continue
+		compact := func(s *feature.Set) *feature.Set {
+			return &feature.Set{
+				Positive: compactToTiles(s.Positive, supp, w, R, S, steps),
+				Negative: compactToTiles(s.Negative, supp, w, R, S, steps),
+			}
 		}
-		lo, hi := ti*w, min((ti+1)*w, S)
-		steps += hi - lo
+		g, s1, s2 = cg, compact(s1), compact(s2)
 	}
-	cg, err := stgraph.New(R, steps, g.SpatialAdjacency())
-	if err != nil {
-		return montecarlo.Result{}, err
+	r := montecarlo.Test(s1, s2, g, tau, cfg)
+	if r.NotResolvable {
+		return r, fmt.Errorf("core: the planner let %s ~ %s (%v) through, but its test over %d steps is not resolvable",
+			t.e1.Key, t.e2.Key, t.class, g.NumSteps())
 	}
-	cs1 := &feature.Set{
-		Positive: compactToTiles(s1.Positive, supp, w, R, S, steps),
-		Negative: compactToTiles(s1.Negative, supp, w, R, S, steps),
-	}
-	cs2 := &feature.Set{
-		Positive: compactToTiles(s2.Positive, supp, w, R, S, steps),
-		Negative: compactToTiles(s2.Negative, supp, w, R, S, steps),
-	}
-	return montecarlo.Test(cs1, cs2, cg, tau, cfg), nil
+	return r, nil
 }
 
 // compactToTiles concatenates the vertex-bit ranges of the supporting tiles

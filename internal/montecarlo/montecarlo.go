@@ -25,8 +25,10 @@
 // #extreme) / S is the exact permutation p-value and no RNG is drawn. Its
 // smallest attainable value is 1/S, so when 1/S > alpha no outcome can be
 // significant; such a test is not resolvable (Tarone's rule, Biometrics
-// 1990) and is reported as such without evaluating anything, so a caller
-// can leave it out of its multiple-testing family.
+// 1990). Resolvable states the rule on the domain's shape alone, so a
+// caller can apply it before a test exists and leave the candidate out of
+// its multiple-testing family; Test applies it too and reports such a test
+// as NotResolvable without evaluating anything.
 //
 // The randomizations are never stored: both feature sets are transposed
 // once per test into region-major lanes, and a rotated lane is a window of
@@ -71,8 +73,6 @@ var (
 		"Tau kernel runs: one per permutation; a one-region Restricted test's permutations are its rotations, each run once.")
 	mEarlyStops = obsv.NewCounter("polygamy_montecarlo_early_stops_total",
 		"Tests stopped by adaptive termination before the full permutation budget.")
-	mNotResolvable = obsv.NewCounter("polygamy_montecarlo_not_resolvable_total",
-		"One-region Restricted tests not run because their smallest attainable p-value, 1/steps, exceeds alpha.")
 	mShiftsBuilt = obsv.NewCounter("polygamy_montecarlo_shifts_built_total",
 		"Toroidal shifts constructed, memoised or regenerated past a pool's budget.")
 	mShiftPoolBytes = obsv.NewGauge("polygamy_montecarlo_shift_pool_bytes",
@@ -869,8 +869,7 @@ func test(a, b *feature.Set, g *stgraph.Graph, tauObserved float64, cfg Config, 
 		tauObserved = 0 // never significant, and reported as zero
 	}
 	oneRegion := g.NumRegions() == 1
-	if oneRegion && exceedsAlpha(cfg.Alpha, 0, g.NumSteps()) {
-		mNotResolvable.Inc()
+	if !Resolvable(cfg.Alpha, g.NumRegions(), g.NumSteps()) {
 		return Result{PValue: 1, TauObserved: tauObserved, NotResolvable: true}, nil
 	}
 	if tauObserved == 0 {
@@ -1036,6 +1035,16 @@ func (t *testRun) chunk(ci int, sc *scratch) int {
 
 // noShift is the one spatial shift of a one-region domain.
 var noShift = []int32{0}
+
+// Resolvable reports whether a test on a domain of regions × steps can reach
+// alpha at all. A multi-region test always can. A one-region test is exact
+// over its steps-1 rotations, so its smallest attainable p-value is 1/steps;
+// when that exceeds alpha no outcome is significant and the test is not
+// resolvable (Tarone's rule). Test applies it, and a caller that knows a
+// test's domain before it has the feature sets can apply it first.
+func Resolvable(alpha float64, regions, steps int) bool {
+	return regions > 1 || !exceedsAlpha(alpha, 0, steps)
+}
 
 // exceedsAlpha reports whether p = (1+extreme)/S exceeds alpha, the
 // p-value of a one-region test over S steps of whose S-1 rotations extreme

@@ -49,6 +49,25 @@ func isBijection(perm []int) bool {
 	return true
 }
 
+// TestResolvableCut pins Tarone's rule at its cuts: a one-region test over
+// S steps reaches alpha exactly when 1/S <= alpha, and a multi-region test
+// always can, however short its timeline.
+func TestResolvableCut(t *testing.T) {
+	for _, tc := range []struct {
+		alpha          float64
+		regions, steps int
+		want           bool
+	}{
+		{0.05, 1, 19, false}, {0.05, 1, 20, true},
+		{0.01, 1, 99, false}, {0.01, 1, 100, true},
+		{0.05, 2, 1, true}, {0.01, 48, 3, true},
+	} {
+		if got := Resolvable(tc.alpha, tc.regions, tc.steps); got != tc.want {
+			t.Errorf("Resolvable(%g, %d regions, %d steps) = %v, want %v", tc.alpha, tc.regions, tc.steps, got, tc.want)
+		}
+	}
+}
+
 func TestToroidalShiftBijection(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
