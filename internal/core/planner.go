@@ -42,16 +42,12 @@ import (
 // floating-point rounding differences with the evaluator.
 const pruneMargin = 1e-9
 
-// pairTask is one relationship-evaluation work unit. sigma carries the
-// planner's precomputed |Σ1 ∩ Σ2| (-1 when the planner did not need it), so
-// the evaluator never recomputes the intersection. winLo/winHi are the
-// clause window's step range [winLo, winHi) at the task's temporal
-// resolution (meaningful only when the clause is windowed).
+// pairTask is one relationship-evaluation work unit: the tuple's identity
+// and, when the clause is windowed, the window's step range [winLo, winHi)
+// at the task's temporal resolution.
 type pairTask struct {
 	e1, e2 *FunctionEntry
 	class  feature.Class
-	seed   int64
-	sigma  int
 
 	winLo, winHi int
 }
@@ -111,12 +107,11 @@ func (f *Framework) plan(k graphPair, clause Clause) queryPlan {
 							pl.pruned++
 							continue
 						}
-						skip, sigma := prunePair(e1, e2, class, clause)
-						if skip {
+						if prunePair(e1, e2, class, clause) {
 							pl.pruned++
 							continue
 						}
-						t := pairTask{e1: e1, e2: e2, class: class, sigma: sigma, winLo: winLo, winHi: winHi}
+						t := pairTask{e1: e1, e2: e2, class: class, winLo: winLo, winHi: winHi}
 						resolvable := anyResolvable
 						if oneRegion && resolvable {
 							_, steps := f.testDomain(t, clause.Windowed)
@@ -126,7 +121,6 @@ func (f *Framework) plan(k graphPair, clause Clause) queryPlan {
 							pl.notResolvable++
 							continue
 						}
-						t.seed = pairSeed(f.opts.Seed, e1.Key, e2.Key, class)
 						pl.tasks = append(pl.tasks, t)
 					}
 				}
@@ -137,53 +131,33 @@ func (f *Framework) plan(k graphPair, clause Clause) queryPlan {
 }
 
 // prunePair decides whether a candidate can be skipped, cheapest evidence
-// first: occupancy counts alone, then the exact intersection. It returns
-// the intersection popcount when it computed one (-1 otherwise) so the
-// evaluator can reuse it.
-func prunePair(e1, e2 *FunctionEntry, class feature.Class, clause Clause) (skip bool, sigma int) {
+// first: occupancy counts alone, then the exact intersection.
+func prunePair(e1, e2 *FunctionEntry, class feature.Class, clause Clause) bool {
 	o1, o2 := e1.occ(class), e2.occ(class)
 	if o1.All == 0 || o2.All == 0 {
-		return true, 0 // one side has no features: never Related
+		return true // one side has no features: never Related
 	}
-	if clause.Windowed {
-		// Occupancy counts and intersections are over the full domain; under
-		// a window only vacuity arguments stay sound (a pair empty or
-		// disjoint globally is empty or disjoint in every window — the bound
-		// rules below are not monotone under masking). The evaluator
-		// recomputes sigma on the masked vectors.
-		if !e1.union(class).AndAny(e2.union(class)) {
-			return true, 0
-		}
-		return false, -1
+	if clause.Windowed || clause.MinScore <= 0 && clause.MinStrength <= 0 {
+		// Only Related() can reject: one early-exit intersection test. Under
+		// a window occupancy counts and intersections are over the full
+		// domain, so only this vacuity argument stays sound (a pair disjoint
+		// globally is disjoint in every window — the bound rules below are
+		// not monotone under masking).
+		return !e1.union(class).AndAny(e2.union(class))
 	}
-	sigmaHi := min(o1.All, o2.All)
-	if clause.MinStrength > 0 &&
-		2*float64(sigmaHi)/float64(o1.All+o2.All) < clause.MinStrength-pruneMargin {
-		return true, -1 // even a full overlap cannot reach MinStrength
+	if 2*float64(min(o1.All, o2.All))/float64(o1.All+o2.All) < clause.MinStrength-pruneMargin {
+		return true // even a full overlap cannot reach MinStrength (≤ 0 never prunes)
 	}
-	if clause.MinScore <= 0 && clause.MinStrength <= 0 {
-		// Only Related() can reject: one early-exit intersection test.
-		if !e1.union(class).AndAny(e2.union(class)) {
-			return true, 0
-		}
-		return false, -1
-	}
-	sigma = e1.union(class).AndCount(e2.union(class))
+	sigma := e1.union(class).AndCount(e2.union(class))
 	if sigma == 0 {
-		return true, 0
+		return true
 	}
-	if clause.MinStrength > 0 &&
-		2*float64(sigma)/float64(o1.All+o2.All) < clause.MinStrength-pruneMargin {
-		return true, sigma // rho is exactly 2|Σ|/(|Σ1|+|Σ2|)
+	if 2*float64(sigma)/float64(o1.All+o2.All) < clause.MinStrength-pruneMargin {
+		return true // rho is exactly 2|Σ|/(|Σ1|+|Σ2|)
 	}
-	if clause.MinScore > 0 {
-		pHi := min(o1.Pos, o2.Pos) + min(o1.Neg, o2.Neg)
-		nHi := min(o1.Pos, o2.Neg) + min(o1.Neg, o2.Pos)
-		if float64(max(pHi, nHi))/float64(sigma) < clause.MinScore-pruneMargin {
-			return true, sigma
-		}
-	}
-	return false, sigma
+	pHi := min(o1.Pos, o2.Pos) + min(o1.Neg, o2.Neg)
+	nHi := min(o1.Pos, o2.Neg) + min(o1.Neg, o2.Pos)
+	return float64(max(pHi, nHi))/float64(sigma) < clause.MinScore-pruneMargin
 }
 
 // pairSeed derives the Monte Carlo seed of one candidate tuple from the

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"github.com/urbandata/datapolygamy/internal/feature"
+	"github.com/urbandata/datapolygamy/internal/relationship"
 	"github.com/urbandata/datapolygamy/internal/spatial"
 	"github.com/urbandata/datapolygamy/internal/temporal"
 )
@@ -32,7 +33,9 @@ func plannerFW(t *testing.T) *Framework {
 // reach alpha, which it does not evaluate. It fails the test if a tuple
 // prunePair would have skipped passes the clause filters: that is the
 // planner's soundness, checked per tuple rather than inferred from equal
-// totals. Its resolutions come from the data sets' native resolutions, not
+// totals. Under MinScore or MinStrength it also checks, on every tuple
+// the planner keeps, that Measure's |Σ| equals the intersection prunePair
+// counts. Its resolutions come from the data sets' native resolutions, not
 // from the index the planner reads.
 func bruteForce(t *testing.T, f *Framework, clause Clause) (cands []bruteCand, considered, skipped, notResolvable int) {
 	t.Helper()
@@ -63,12 +66,8 @@ func bruteForce(t *testing.T, f *Framework, clause Clause) (cands []bruteCand, c
 					for _, e2 := range f.index.at(b, res) {
 						for _, class := range classes {
 							considered++
-							task := pairTask{
-								e1: e1, e2: e2, class: class, sigma: -1,
-								seed:  pairSeed(f.opts.Seed, e1.Key, e2.Key, class),
-								winLo: winLo, winHi: winHi,
-							}
-							if skip, _ := prunePair(e1, e2, class, clause); skip || clause.Windowed && winLo == winHi {
+							task := pairTask{e1: e1, e2: e2, class: class, winLo: winLo, winHi: winHi}
+							if prunePair(e1, e2, class, clause) || clause.Windowed && winLo == winHi {
 								skipped++
 								if c, in, err := f.evaluatePair(task, filters, 1); err != nil {
 									t.Fatal(err)
@@ -81,6 +80,15 @@ func bruteForce(t *testing.T, f *Framework, clause Clause) (cands []bruteCand, c
 							if oracleNotResolvable(f, e1, e2, class, clause) {
 								notResolvable++
 								continue
+							}
+							if !clause.Windowed && (clause.MinScore > 0 || clause.MinStrength > 0) {
+								// prunePair counted σ to bound this tuple; the
+								// evaluator's one pass must find the same |Σ|.
+								u1, u2 := e1.union(class), e2.union(class)
+								m := relationship.Measure(e1.set(class), e2.set(class), u1, u2, e1.occ(class).All, e2.occ(class).All)
+								if want := u1.AndCount(u2); m.SigmaBoth != want {
+									t.Errorf("%s ~ %s (%v): Measure |Σ| = %d, planner's AndCount %d", e1.Key, e2.Key, class, m.SigmaBoth, want)
+								}
 							}
 							c, in, err := f.evaluatePair(task, clause, 1)
 							if err != nil {
@@ -213,7 +221,7 @@ func TestPrunePairBounds(t *testing.T) {
 	}
 	e := entries[0]
 	// Identical entries: sigma equals occupancy, rho = 1 — never prunable.
-	if skip, _ := prunePair(e, e, feature.Salient, Clause{MinStrength: 0.99}); skip {
+	if prunePair(e, e, feature.Salient, Clause{MinStrength: 0.99}) {
 		t.Error("self-pair with rho=1 pruned")
 	}
 	// A clause no pair can satisfy (> max rho bound) must prune.
@@ -223,7 +231,7 @@ func TestPrunePairBounds(t *testing.T) {
 		t.Fatal("planted entries have empty salient sets")
 	}
 	maxRho := 2 * float64(min(o1.All, o2.All)) / float64(o1.All+o2.All)
-	if skip, _ := prunePair(e, other, feature.Salient, Clause{MinStrength: maxRho + 0.01}); !skip {
+	if !prunePair(e, other, feature.Salient, Clause{MinStrength: maxRho + 0.01}) {
 		t.Errorf("pair with rho bound %.3f not pruned at MinStrength %.3f", maxRho, maxRho+0.01)
 	}
 }

@@ -113,7 +113,7 @@ func (f *Framework) runSignificance(t pairTask, clause Clause, s1, s2 *feature.S
 	cfg := montecarlo.Config{
 		Permutations: clause.Permutations,
 		Alpha:        clause.Alpha,
-		Seed:         t.seed,
+		Seed:         pairSeed(f.opts.Seed, t.e1.Key, t.e2.Key, t.class),
 		Workers:      mcWorkers,
 		Exhaustive:   clause.Exhaustive,
 		Shifts:       f.shifts[t.e1.Res.Spatial],

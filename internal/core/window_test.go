@@ -3,6 +3,9 @@ package core
 import (
 	"reflect"
 	"testing"
+
+	"github.com/urbandata/datapolygamy/internal/feature"
+	"github.com/urbandata/datapolygamy/internal/relationship"
 )
 
 // TestWindowedQueryFullRangeEquivalence: a window spanning the whole corpus
@@ -62,5 +65,45 @@ func TestWindowedQueryRestricts(t *testing.T) {
 	}
 	if !st.CacheHit {
 		t.Error("repeated windowed query should hit the cache")
+	}
+}
+
+// TestWindowedMeasuresMasked: under a window, tau and rho are the measures
+// of the masked feature sets — |Σ1| and |Σ2| are counted inside the window,
+// not read off the entries' whole-domain occupancy.
+func TestWindowedMeasuresMasked(t *testing.T) {
+	f := buildFW(t, appendCorpus(t, 0))
+	c := Clause{SkipSignificance: true, Windowed: true, WindowFrom: f.minTS, WindowTo: f.minTS + 90*24*3600}
+	rels, _, err := f.Query(Query{Clause: c})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rels) == 0 {
+		t.Fatal("quarter-year window relates nothing")
+	}
+	entry := func(ds, key string, res Resolution) *FunctionEntry {
+		for _, e := range f.index.at(ds, res) {
+			if e.Key == key {
+				return e
+			}
+		}
+		t.Fatalf("no entry %s", key)
+		return nil
+	}
+	for _, r := range rels {
+		lo, hi := windowSteps(f.timelines[r.Res.Temporal], c.WindowFrom, c.WindowTo)
+		regions := f.graphs[r.Res].NumRegions()
+		mask := func(e *FunctionEntry) *feature.Set {
+			s := e.set(r.Class)
+			return &feature.Set{
+				Positive: s.Positive.MaskRange(lo*regions, hi*regions),
+				Negative: s.Negative.MaskRange(lo*regions, hi*regions),
+			}
+		}
+		m := relationship.Evaluate(mask(entry(r.Dataset1, r.Function1, r.Res)), mask(entry(r.Dataset2, r.Function2, r.Res)))
+		if r.Score != m.Tau || r.Strength != m.Rho {
+			t.Errorf("%s ~ %s (%v): tau=%g rho=%g, masked sets give tau=%g rho=%g",
+				r.Function1, r.Function2, r.Class, r.Score, r.Strength, m.Tau, m.Rho)
+		}
 	}
 }

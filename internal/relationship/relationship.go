@@ -3,11 +3,19 @@
 // feature sets of two scalar functions on the same domain graph, it
 // computes the feature relations, the relationship score tau, and the
 // relationship strength rho (F1).
+//
+// Measure is the one kernel. It makes a single pass over the words of the
+// two feature unions Σ1 and Σ2: a word the unions do not share holds no
+// feature relation and is skipped; every other word adds its popcount to
+// |Σ| and its four sign intersections to #p and #n. |Σ1| and |Σ2| come from
+// the caller, which holds them already (the index caches them per entry),
+// so nothing is counted twice.
 package relationship
 
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"github.com/urbandata/datapolygamy/internal/bitvec"
 	"github.com/urbandata/datapolygamy/internal/feature"
@@ -35,29 +43,39 @@ type Measures struct {
 }
 
 // Evaluate computes the relationship measures between the feature sets of
-// two functions defined on the same domain graph. It panics if the sets
-// have different vertex counts (callers align resolutions first).
+// two functions defined on the same domain graph, deriving their unions
+// and union sizes. It panics if the sets have different vertex counts
+// (callers align resolutions first).
 func Evaluate(a, b *feature.Set) Measures {
 	allA, allB := a.All(), b.All()
-	return EvaluateCounted(a, b, allA, allB, allA.AndCount(allB))
+	return Measure(a, b, allA, allB, allA.Count(), allB.Count())
 }
 
-// EvaluateCounted is Evaluate for callers that have already materialised
-// the feature unions Σ1 = allA and Σ2 = allB and their intersection
-// popcount sigmaBoth = |Σ1 ∩ Σ2|. The query planner computes these while
-// pruning candidates, and the index caches per-entry unions, so the hot
-// query path avoids re-deriving them for every pair.
-func EvaluateCounted(a, b *feature.Set, allA, allB *bitvec.Vector, sigmaBoth int) Measures {
-	if a.NumVertices() != b.NumVertices() {
-		panic(fmt.Sprintf("relationship: feature sets over %d vs %d vertices",
-			a.NumVertices(), b.NumVertices()))
+// Measure computes the relationship measures of a and b in one pass over
+// their feature unions unionA = Σ1 and unionB = Σ2, whose popcounts the
+// caller supplies as sizeA = |Σ1| and sizeB = |Σ2| (used as given). It
+// panics if the six vectors do not all have the same length.
+func Measure(a, b *feature.Set, unionA, unionB *bitvec.Vector, sizeA, sizeB int) Measures {
+	n := unionA.Len()
+	for _, v := range [...]*bitvec.Vector{unionB, a.Positive, a.Negative, b.Positive, b.Negative} {
+		if v.Len() != n {
+			panic(fmt.Sprintf("relationship: feature vectors over %d vs %d vertices", n, v.Len()))
+		}
 	}
+	ua := unionA.Words()
+	ub := unionB.Words()[:len(ua)]
+	ap, an := a.Positive.Words()[:len(ua)], a.Negative.Words()[:len(ua)]
+	bp, bn := b.Positive.Words()[:len(ua)], b.Negative.Words()[:len(ua)]
 	var m Measures
-	m.NumPositive = a.Positive.AndCount(b.Positive) + a.Negative.AndCount(b.Negative)
-	m.NumNegative = a.Positive.AndCount(b.Negative) + a.Negative.AndCount(b.Positive)
-	m.Sigma1 = allA.Count()
-	m.Sigma2 = allB.Count()
-	m.SigmaBoth = sigmaBoth
+	for i, w := range ua {
+		if w &= ub[i]; w == 0 {
+			continue
+		}
+		m.SigmaBoth += bits.OnesCount64(w)
+		m.NumPositive += bits.OnesCount64(ap[i]&bp[i]) + bits.OnesCount64(an[i]&bn[i])
+		m.NumNegative += bits.OnesCount64(ap[i]&bn[i]) + bits.OnesCount64(an[i]&bp[i])
+	}
+	m.Sigma1, m.Sigma2 = sizeA, sizeB
 	if m.SigmaBoth > 0 {
 		m.Tau = float64(m.NumPositive-m.NumNegative) / float64(m.SigmaBoth)
 	}
