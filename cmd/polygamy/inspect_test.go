@@ -3,10 +3,13 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"github.com/urbandata/datapolygamy/internal/store"
 )
 
 // TestPolygamyCLIInspect drives the inspect subcommand against a real
@@ -30,8 +33,8 @@ func TestPolygamyCLIInspect(t *testing.T) {
 	if err := json.Unmarshal(out.Bytes(), &rep); err != nil {
 		t.Fatalf("inspect -json output is not JSON: %v\n%s", err, out.String())
 	}
-	if rep.ContainerVersion != 8 {
-		t.Errorf("container version = %d, want 8", rep.ContainerVersion)
+	if rep.ContainerVersion != store.FormatVersion {
+		t.Errorf("container version = %d, want %d", rep.ContainerVersion, store.FormatVersion)
 	}
 	if rep.Seed != 1 {
 		t.Errorf("seed = %d, want 1", rep.Seed)
@@ -61,7 +64,7 @@ func TestPolygamyCLIInspect(t *testing.T) {
 	if err := runInspect([]string{snap}, &text); err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"container version: 8", "index", "graph", "crc32c"} {
+	for _, want := range []string{fmt.Sprintf("container version: %d", store.FormatVersion), "index", "graph", "crc32c"} {
 		if !strings.Contains(text.String(), want) {
 			t.Errorf("text report lacks %q:\n%s", want, text.String())
 		}

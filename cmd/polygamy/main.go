@@ -294,8 +294,8 @@ func runGraph(fw *core.Framework, clause core.Clause, o cliOptions) error {
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(os.Stderr, "materialized relationship graph: %d edges over %d data set pairs (%d candidates, %d pruned) in %v\n",
-		gstats.Edges, gstats.Pairs, gstats.PairsConsidered, gstats.Pruned, gstats.WallDuration.Round(1e6))
+	fmt.Fprintf(os.Stderr, "materialized relationship graph: %d edges over %d data set pairs (%d candidates, %d pruned, %d not resolvable) in %v\n",
+		gstats.Edges, gstats.Pairs, gstats.PairsConsidered, gstats.Pruned, gstats.NotResolvable, gstats.WallDuration.Round(1e6))
 	g, _ := fw.RelGraph()
 	if o.graphFormat == "json" {
 		return g.WriteJSON(o.stdout)
@@ -307,24 +307,10 @@ func runGraph(fw *core.Framework, clause core.Clause, o cliOptions) error {
 // document; relationships take the daemon's wire form so CLI and server
 // consumers share parsers.
 func writeQueryJSON(w io.Writer, rels []core.Relationship, stats core.QueryStats) error {
-	doc := struct {
-		Relationships []httpapi.Relationship `json:"relationships"`
-		Stats         struct {
-			PairsConsidered int    `json:"pairsConsidered"`
-			Pruned          int    `json:"pruned"`
-			Evaluated       int    `json:"evaluated"`
-			Significant     int    `json:"significant"`
-			Kept            int    `json:"kept"`
-			Duration        string `json:"duration"`
-		} `json:"stats"`
-	}{Relationships: httpapi.Relationships(rels)}
-	doc.Stats.PairsConsidered = stats.PairsConsidered
-	doc.Stats.Pruned = stats.Pruned
-	doc.Stats.Evaluated = stats.Evaluated
-	doc.Stats.Significant = stats.Significant
-	doc.Stats.Kept = stats.Kept
-	doc.Stats.Duration = stats.Duration.String()
-	return json.NewEncoder(w).Encode(doc)
+	return json.NewEncoder(w).Encode(httpapi.QueryResponse{
+		Relationships: httpapi.Relationships(rels),
+		Stats:         httpapi.Stats(stats),
+	})
 }
 
 func splitNames(s string) []string {

@@ -31,6 +31,7 @@ type graphStatsWire struct {
 	PairsReused     int    `json:"pairsReused"`
 	PairsConsidered int    `json:"pairsConsidered"`
 	Pruned          int    `json:"pruned"`
+	NotResolvable   int    `json:"notResolvable"`
 	Evaluated       int    `json:"evaluated"`
 	Edges           int    `json:"edges"`
 	Duration        string `json:"duration"`
@@ -81,6 +82,7 @@ func (s *server) handleGraphBuild(w http.ResponseWriter, r *http.Request) {
 		PairsReused:     stats.PairsReused,
 		PairsConsidered: stats.PairsConsidered,
 		Pruned:          stats.Pruned,
+		NotResolvable:   stats.NotResolvable,
 		Evaluated:       stats.Evaluated,
 		Edges:           stats.Edges,
 		Duration:        stats.WallDuration.String(),

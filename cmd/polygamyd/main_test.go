@@ -529,6 +529,56 @@ func TestServerGraphEndpoints(t *testing.T) {
 	}
 }
 
+// TestServerReportsNotResolvable: the planner's count of tuples whose test
+// cannot reach alpha reaches both JSON surfaces. On the one-region test
+// corpus every month tuple spans 12 steps, under the 20 a test at alpha
+// 0.05 needs, so the count is not zero; the graph build and the query
+// response report what the core counts for the same clause over the same
+// (one) pair.
+func TestServerReportsNotResolvable(t *testing.T) {
+	fw := testFramework(t)
+	srv := httptest.NewServer(newServer(fw))
+	defer srv.Close()
+
+	// The build runs first: a build plans only the pairs it computes, and
+	// the query families stored under the same clause would be reused.
+	resp, err := srv.Client().Post(srv.URL+"/v1/graph/build", "application/json",
+		strings.NewReader(`{"clause":{"permutations":100}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var bs graphStatsWire
+	if err := json.NewDecoder(resp.Body).Decode(&bs); err != nil {
+		t.Fatal(err)
+	}
+
+	req := clauseRequest{Permutations: 100}
+	clause, err := parseClause(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// No source named, so the wire query below is a separate evaluation
+	// rather than a cache hit of this one.
+	_, want, err := fw.Query(core.Query{Clause: clause})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.NotResolvable == 0 {
+		t.Fatal("the core counts no unresolvable tuple on a one-region corpus")
+	}
+	if bs.NotResolvable != want.NotResolvable {
+		t.Errorf("graph build notResolvable = %d, want %d", bs.NotResolvable, want.NotResolvable)
+	}
+	out, code := postQuery(t, srv.Client(), srv.URL, queryRequest{Sources: []string{"wind"}, Clause: req})
+	if code != http.StatusOK {
+		t.Fatalf("query status = %d", code)
+	}
+	if out.Stats.CacheHit || out.Stats.NotResolvable != want.NotResolvable {
+		t.Errorf("query stats %+v: want notResolvable %d from a fresh evaluation", out.Stats, want.NotResolvable)
+	}
+}
+
 // TestServerCorrection drives the FDR layer over the wire: corrected
 // queries carry q-values >= p-values and return a subset of the
 // uncorrected results, and the graph's top endpoint ranks and filters by

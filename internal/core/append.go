@@ -103,11 +103,6 @@ type appendTask struct {
 	// old holds the task's existing entries in variant order (function,
 	// then gradient).
 	old []*FunctionEntry
-	// tileBase reports whether old carries the tile metadata needed to
-	// reuse tiles before fromTile; when false the whole domain is
-	// recomputed (still byte-identical to from-scratch, just not
-	// incremental).
-	tileBase bool
 }
 
 // appendTaskResult is the outcome of one appendTask.
@@ -245,11 +240,11 @@ func (f *Framework) AppendSlice(slice *dataset.Dataset) (AppendStats, error) {
 		extGraphs[res] = ext
 	}
 
-	tasks, err := f.appendTasks(slice.Name, merged, order, datasets, entriesAt, timelines, domainFrom, appendFrom, st.Extended)
+	tasks, err := f.appendTasks(slice.Name, merged, order, datasets, entriesAt, domainFrom, appendFrom, st.Extended)
 	if err != nil {
-		// The existing index is not in the shape the incremental path needs
-		// (e.g. an entry the task enumeration expects is missing). Fall back
-		// to the exclusive rebuild — correct, just not incremental.
+		// The existing index lacks an entry the task enumeration expects (a
+		// snapshot saved without gradients, opened with them). Fall back to
+		// the exclusive rebuild — correct, just not incremental.
 		f.mu.Lock()
 		defer f.mu.Unlock()
 		return f.appendRebuildLocked(slice, st, t0)
@@ -370,7 +365,6 @@ func (f *Framework) AppendSlice(slice *dataset.Dataset) (AppendStats, error) {
 // the enumeration expects (the caller falls back to a full rebuild).
 func (f *Framework) appendTasks(target string, merged *dataset.Dataset, order []string,
 	datasets map[string]*dataset.Dataset, entriesAt map[string]map[Resolution][]*FunctionEntry,
-	oldTimelines map[temporal.Resolution]*temporal.Timeline,
 	domainFrom, appendFrom map[temporal.Resolution]int, extended bool) ([]appendTask, error) {
 
 	var tasks []appendTask
@@ -390,37 +384,18 @@ func (f *Framework) appendTasks(target string, merged *dataset.Dataset, order []
 			} else if extended {
 				from = domainFrom[res.Temporal]
 			}
-			oldSteps := -1
 			for _, spec := range scalar.Specs(d) {
 				keys := []string{entryKey(n, spec.Name(), res)}
 				if f.opts.IncludeGradients {
 					keys = append(keys, entryKey(n, "grad_"+spec.Name(), res))
 				}
-				at := appendTask{t: funcTask{ds: d, spec: spec, res: res}, fromTile: from, tileBase: true}
+				at := appendTask{t: funcTask{ds: d, spec: spec, res: res}, fromTile: from}
 				for _, k := range keys {
 					e := byKey[k]
 					if e == nil {
 						return nil, fmt.Errorf("core: index has no entry %s", k)
 					}
 					at.old = append(at.old, e)
-					// Entries without tile metadata (built before tiling, or
-					// hand-constructed) cannot seed a partial recompute.
-					if e.NumSteps <= 0 || len(e.TileThresholds) == 0 {
-						at.tileBase = false
-					}
-					if oldSteps < 0 {
-						oldSteps = e.NumSteps
-					}
-				}
-				if at.fromTile >= 0 && !at.tileBase {
-					at.fromTile = 0
-				}
-				if at.fromTile > 0 && at.tileBase && oldSteps != oldTimelines[res.Temporal].Len() {
-					// Tile reuse needs the base entries to span exactly the
-					// pre-extension domain; a mismatch means the index is not
-					// what this append expects.
-					return nil, fmt.Errorf("core: entry %s spans %d steps, timeline has %d",
-						keys[0], oldSteps, oldTimelines[res.Temporal].Len())
 				}
 				tasks = append(tasks, at)
 			}
@@ -439,19 +414,11 @@ func (f *Framework) runAppendTask(at appendTask, in *jobInputs,
 	if at.fromTile < 0 {
 		return appendTaskResult{entries: at.old, reused: true, kept: nTiles}, nil
 	}
-	base := at.old
-	if !at.tileBase {
-		base = nil
-	}
-	entries, tm, err := f.rebuildEntryTiles(at.t, in, tl, extGraphs[at.t.res], at.fromTile, base)
+	entries, tm, err := f.rebuildEntryTiles(at.t, in, tl, extGraphs[at.t.res], at.fromTile, at.old)
 	if err != nil {
 		return appendTaskResult{}, err
 	}
-	from := at.fromTile
-	if base == nil {
-		from = 0
-	}
-	return appendTaskResult{entries: entries, computed: nTiles - from, kept: from, tm: tm}, nil
+	return appendTaskResult{entries: entries, computed: nTiles - at.fromTile, kept: at.fromTile, tm: tm}, nil
 }
 
 // entryBitsEqual reports whether the new entry's feature bits equal the old
@@ -465,11 +432,8 @@ func entryBitsEqual(old, new *FunctionEntry) bool {
 }
 
 // entryOccupiesTileGE reports whether the entry has any feature bit in a
-// tile >= from. Entries without tile metadata are conservatively occupied.
+// tile >= from.
 func entryOccupiesTileGE(e *FunctionEntry, from int) bool {
-	if e.salientTiles == nil || e.extremeTiles == nil {
-		return true
-	}
 	for _, bm := range [][]uint64{e.salientTiles, e.extremeTiles} {
 		for t := from; t < 64*len(bm); t++ {
 			if bm[t/64]&(1<<uint(t%64)) != 0 {

@@ -111,9 +111,6 @@ func assertIndexIdentical(t *testing.T, want, got *Framework) {
 					!w.Extreme.Positive.Equal(g.Extreme.Positive) || !w.Extreme.Negative.Equal(g.Extreme.Negative) {
 					t.Errorf("%s: feature bits differ after append", w.Key)
 				}
-				if !thresholdsEq(w.Thresholds, g.Thresholds) {
-					t.Errorf("%s: thresholds %+v vs %+v", w.Key, w.Thresholds, g.Thresholds)
-				}
 				if w.NumSteps != g.NumSteps || w.NumVertices != g.NumVertices || w.CriticalPoints != g.CriticalPoints {
 					t.Errorf("%s: shape (%d,%d,%d) vs (%d,%d,%d)", w.Key,
 						w.NumSteps, w.NumVertices, w.CriticalPoints, g.NumSteps, g.NumVertices, g.CriticalPoints)

@@ -102,15 +102,10 @@ func newFW(t *testing.T) *Framework {
 // testDomainSteps is the oracle for the step count of the domain a
 // candidate's significance test runs on, read off the feature vectors: the
 // steps of every temporal tile where either function has a feature of the
-// class, inside the clause's window when it has one. Without a window, a
-// pair whose entries carry no tile bitmaps (hand-built) is tested on the
-// full timeline.
+// class, inside the clause's window when it has one.
 func testDomainSteps(f *Framework, e1, e2 *FunctionEntry, class feature.Class, c Clause) int {
 	g := f.graphs[e1.Res]
 	R, S, w := g.NumRegions(), g.NumSteps(), temporal.TileWidth(e1.Res.Temporal)
-	if !c.Windowed && (e1.tileOcc(class) == nil || e2.tileOcc(class) == nil) {
-		return S
-	}
 	lo, hi := 0, S
 	if c.Windowed {
 		lo, hi = windowSteps(f.timelines[e1.Res.Temporal], c.WindowFrom, c.WindowTo)

@@ -133,7 +133,7 @@ func goldenIndexDigest(t *testing.T, f *Framework) (string, int) {
 						buf = set.Positive.AppendWords(buf)
 						buf = set.Negative.AppendWords(buf)
 					}
-					thresholds(e.Thresholds)
+					thresholds(e.TileThresholds[0]) // where the dropped entry-level thresholds (tile 0's) were hashed
 					num(uint64(len(e.TileThresholds)))
 					for _, th := range e.TileThresholds {
 						thresholds(th)

@@ -18,38 +18,43 @@ import (
 // set touches only that data set's functions (see Framework.BuildIndex).
 
 // FunctionEntry is one indexed scalar function: its identity, feature sets,
-// and thresholds. Raw values and merge trees are dropped after feature
-// extraction to keep the index small (the paper stores features, not
-// functions, for querying — Section 5.2).
+// and per-tile metadata. Raw values and merge trees are dropped after
+// feature extraction to keep the index small (the paper stores features,
+// not functions, for querying — Section 5.2).
+//
+// Every entry is tiled and finalized: NumSteps > 0 divides NumVertices, the
+// length of its vectors, it has one tile table element per tile, and
+// finalize has run. rebuildEntryTiles builds entries of that shape over a
+// timeline and its graph; parseFlatIndex refuses a snapshot entry of any
+// other, and installIndexLocked one over another number of steps than the
+// corpus timeline. No reader handles an entry without that shape.
 type FunctionEntry struct {
 	Key      string
 	Dataset  string
 	SpecName string
 	Res      Resolution
 
-	Salient    *feature.Set
-	Extreme    *feature.Set
-	Thresholds feature.Thresholds
+	Salient *feature.Set
+	Extreme *feature.Set
 
 	// SalientOcc and ExtremeOcc are the feature bit-vector occupancy
 	// summaries the query planner prunes with.
 	SalientOcc, ExtremeOcc Occupancy
 
-	// NumVertices and NumEdges describe the domain graph.
-	NumVertices, NumEdges int
+	// NumVertices is the size of the domain graph, NumSteps times the
+	// number of regions.
+	NumVertices int
 	// CriticalPoints counts join+split tree critical vertices (index size),
 	// summed over tiles.
 	CriticalPoints int
 
 	// NumSteps is the length of the temporal domain the entry was built
 	// over. Together with Res.Temporal it determines the tile partition
-	// (temporal.TileWidth); entries built before tiling (hand-constructed in
-	// tests) leave it 0 and are treated as a single opaque tile.
+	// (temporal.TileWidth).
 	NumSteps int
 	// TileThresholds and TileCriticalPoints hold the per-tile extractor
 	// thresholds and merge-tree critical point counts, one element per tile.
-	// They are what an append reuses for untouched tiles; the entry-level
-	// Thresholds field is tile 0's.
+	// They are what an append reuses for untouched tiles.
 	TileThresholds     []feature.Thresholds
 	TileCriticalPoints []int
 
@@ -62,7 +67,6 @@ type FunctionEntry struct {
 	// test of a pair runs over the union of both entries' occupied tiles —
 	// the supporting window — so a pair's p-value depends only on the tiles
 	// that back it and is invariant under appends that leave them untouched.
-	// nil (NumSteps 0) means unknown: treated as every tile occupied.
 	salientTiles, extremeTiles []uint64
 
 	// pos is the entry's position in its data set's key-sorted entry list
@@ -70,11 +74,14 @@ type FunctionEntry struct {
 	pos uint32
 }
 
-// finalize computes the cached unions and occupancy summaries from the
-// feature sets. It must run once per entry before the entry is queried.
-func (e *FunctionEntry) finalize() {
-	e.salientAll = e.Salient.All()
-	e.extremeAll = e.Extreme.All()
+// finalize installs the feature unions — Positive ∪ Negative of each class,
+// freshly built or zero-copy views into a snapshot mapping (the snapshot
+// CRC guards them in transit) — and derives the occupancy summaries and
+// tile bitmaps from them. It runs once per entry, after the entry's shape
+// has been checked, before the entry is queried.
+func (e *FunctionEntry) finalize(salientAll, extremeAll *bitvec.Vector) {
+	e.salientAll = salientAll
+	e.extremeAll = extremeAll
 	e.SalientOcc = Occupancy{
 		Pos: e.Salient.Positive.Count(),
 		Neg: e.Salient.Negative.Count(),
@@ -84,17 +91,6 @@ func (e *FunctionEntry) finalize() {
 		Pos: e.Extreme.Positive.Count(),
 		Neg: e.Extreme.Negative.Count(),
 		All: e.extremeAll.Count(),
-	}
-	e.computeTileOccupancy()
-}
-
-// computeTileOccupancy derives the per-class tile occupancy bitmaps from the
-// cached unions. Entries with unknown domain length (NumSteps 0) keep nil
-// bitmaps, which readers treat as "every tile occupied".
-func (e *FunctionEntry) computeTileOccupancy() {
-	if e.NumSteps <= 0 || e.NumVertices%e.NumSteps != 0 {
-		e.salientTiles, e.extremeTiles = nil, nil
-		return
 	}
 	w := temporal.TileWidth(e.Res.Temporal)
 	nTiles := temporal.NumTilesFor(e.NumSteps, e.Res.Temporal)
@@ -121,35 +117,12 @@ func tileOccupancyBits(v *bitvec.Vector, w, r, nSteps, nTiles int) []uint64 {
 	return out
 }
 
-// tileOcc returns the tile occupancy bitmap of the given class (nil when
-// unknown — treat as fully occupied).
+// tileOcc returns the tile occupancy bitmap of the given class.
 func (e *FunctionEntry) tileOcc(c feature.Class) []uint64 {
 	if c == feature.Salient {
 		return e.salientTiles
 	}
 	return e.extremeTiles
-}
-
-// finalizeWithUnions is finalize for entries whose feature unions were
-// persisted alongside the sets (flat snapshots): the unions are installed
-// as-is — typically zero-copy views into a snapshot mapping — and only the
-// occupancy popcounts are recomputed. Callers are responsible for the
-// unions actually being Positive ∪ Negative of the matching set; the
-// snapshot CRC guards them in transit.
-func (e *FunctionEntry) finalizeWithUnions(salientAll, extremeAll *bitvec.Vector) {
-	e.salientAll = salientAll
-	e.extremeAll = extremeAll
-	e.SalientOcc = Occupancy{
-		Pos: e.Salient.Positive.Count(),
-		Neg: e.Salient.Negative.Count(),
-		All: e.salientAll.Count(),
-	}
-	e.ExtremeOcc = Occupancy{
-		Pos: e.Extreme.Positive.Count(),
-		Neg: e.Extreme.Negative.Count(),
-		All: e.extremeAll.Count(),
-	}
-	e.computeTileOccupancy()
 }
 
 // set returns the feature set of the given class.
@@ -160,36 +133,20 @@ func (e *FunctionEntry) set(c feature.Class) *feature.Set {
 	return e.Extreme
 }
 
-// union returns the cached feature union of the given class, deriving it on
-// the fly for entries constructed without finalize (hand-built in tests).
+// union returns the cached feature union of the given class.
 func (e *FunctionEntry) union(c feature.Class) *bitvec.Vector {
 	if c == feature.Salient {
-		if e.salientAll != nil {
-			return e.salientAll
-		}
-		return e.Salient.All()
+		return e.salientAll
 	}
-	if e.extremeAll != nil {
-		return e.extremeAll
-	}
-	return e.Extreme.All()
+	return e.extremeAll
 }
 
-// occ returns the occupancy summary of the given class, counting on the fly
-// for entries constructed without finalize.
+// occ returns the occupancy summary of the given class.
 func (e *FunctionEntry) occ(c feature.Class) Occupancy {
 	if c == feature.Salient {
-		if e.salientAll != nil {
-			return e.SalientOcc
-		}
-		s := e.Salient
-		return Occupancy{Pos: s.Positive.Count(), Neg: s.Negative.Count(), All: s.All().Count()}
+		return e.SalientOcc
 	}
-	if e.extremeAll != nil {
-		return e.ExtremeOcc
-	}
-	s := e.Extreme
-	return Occupancy{Pos: s.Positive.Count(), Neg: s.Negative.Count(), All: s.All().Count()}
+	return e.ExtremeOcc
 }
 
 // Occupancy summarises one feature bit vector family by popcounts: how many

@@ -45,15 +45,16 @@ import (
 // record naming its functions by position in the index section; 8 marks
 // families whose one-region p-values are enumerated exactly and which hold
 // no tuple whose test cannot reach alpha (a v7 family has sampled p-values
-// and those tuples). Evolving any layout or meaning below means bumping
-// both (the format has no field tags).
-const flatSnapshotVersion = 8
+// and those tuples); 9 drops the entry-level thresholds (tile 0's) and the
+// domain graph's edge count from each index entry. Evolving any layout or
+// meaning below means bumping both (the format has no field tags).
+const flatSnapshotVersion = 9
 
 // Payload magics. The final byte is the generation, so another
-// generation's layout is "not flat v8" rather than a misparse.
+// generation's layout is "not flat v9" rather than a misparse.
 var (
-	flatIndexMagic = []byte("DPIXFLT\x08")
-	flatGraphMagic = []byte("DPGRFLT\x08")
+	flatIndexMagic = []byte("DPIXFLT\x09")
+	flatGraphMagic = []byte("DPGRFLT\x09")
 )
 
 // nilSlice is the length sentinel distinguishing a nil clause slice
@@ -126,9 +127,7 @@ func (f *Framework) encodeFlatIndexLocked() ([]byte, error) {
 		w.String(e.SpecName)
 		w.I64(int64(e.Res.Spatial))
 		w.I64(int64(e.Res.Temporal))
-		writeFlatThresholds(w, e.Thresholds)
 		w.I64(int64(e.NumVertices))
-		w.I64(int64(e.NumEdges))
 		w.I64(int64(e.CriticalPoints))
 		// Tile table (v5): domain length plus per-tile thresholds and
 		// critical point counts, so appends can reuse untouched tiles after
@@ -220,7 +219,8 @@ type flatIndexSnap struct {
 // parseFlatIndex decodes a flat index payload with no framework access and
 // no heap copies of the bit-vector slabs. Every failure — truncation, bad
 // counts, tail bits beyond a vector's length, mismatched vector lengths,
-// entries that are not one key-ascending run per listed data set — wraps
+// an entry whose shape is not a tiled one (see FunctionEntry), entries that
+// are not one key-ascending run per listed data set — wraps
 // store.ErrCorrupt.
 func parseFlatIndex(data []byte) (flatIndexSnap, error) {
 	var snap flatIndexSnap
@@ -256,9 +256,7 @@ func parseFlatIndex(data []byte) (flatIndexSnap, error) {
 			Spatial:  spatial.Resolution(r.I64()),
 			Temporal: temporal.Resolution(r.I64()),
 		}
-		e.Thresholds = readFlatThresholds(r, &seasonArena)
 		e.NumVertices = int(r.I64())
-		e.NumEdges = int(r.I64())
 		e.CriticalPoints = int(r.I64())
 		e.NumSteps = int(r.I64())
 		nTiles := r.Count(24)
@@ -277,11 +275,21 @@ func parseFlatIndex(data []byte) (flatIndexSnap, error) {
 				return snap, corruptf("entry %s: vector %d has %d bits, want %d", e.Key, j, vs[j].Len(), vs[0].Len())
 			}
 		}
+		// The shape finalize divides by and tiles over.
+		if e.NumVertices != vs[0].Len() {
+			return snap, corruptf("entry %s: %d vertices, vectors have %d bits", e.Key, e.NumVertices, vs[0].Len())
+		}
+		if e.NumSteps <= 0 || e.NumVertices%e.NumSteps != 0 {
+			return snap, corruptf("entry %s: %d steps do not divide %d vertices", e.Key, e.NumSteps, e.NumVertices)
+		}
+		if !e.Res.Temporal.Valid() || nTiles != temporal.NumTilesFor(e.NumSteps, e.Res.Temporal) {
+			return snap, corruptf("entry %s: %d tiles for %d steps at temporal resolution %d", e.Key, nTiles, e.NumSteps, e.Res.Temporal)
+		}
 		e.Salient = &setBuf[2*i]
 		e.Extreme = &setBuf[2*i+1]
 		*e.Salient = feature.Set{Positive: &vs[0], Negative: &vs[1]}
 		*e.Extreme = feature.Set{Positive: &vs[2], Negative: &vs[3]}
-		e.finalizeWithUnions(&vs[4], &vs[5])
+		e.finalize(&vs[4], &vs[5])
 		snap.entries = append(snap.entries, e)
 	}
 	if err := r.Done(); err != nil {
@@ -333,9 +341,9 @@ func (f *Framework) installIndexLocked(snap flatIndexSnap) error {
 		if err != nil {
 			return err
 		}
-		if e.Salient.NumVertices() != g.NumVertices() {
-			return fmt.Errorf("core: entry %s has %d vertices, graph has %d",
-				e.Key, e.Salient.NumVertices(), g.NumVertices())
+		if e.NumVertices != g.NumVertices() || e.NumSteps != g.NumSteps() {
+			return fmt.Errorf("core: entry %s spans %d vertices over %d steps, graph has %d over %d",
+				e.Key, e.NumVertices, e.NumSteps, g.NumVertices(), g.NumSteps())
 		}
 		ix.add(e)
 	}

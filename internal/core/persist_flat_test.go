@@ -99,6 +99,15 @@ func TestFlatSectionCorruption(t *testing.T) {
 		{"graph wrong magic", store.SectionGraph, append([]byte("DPIXFLT\x06"), graph[8:]...)},
 		{"graph truncated", store.SectionGraph, graph[:len(graph)/2/8*8]},
 		{"graph trailing bytes", store.SectionGraph, append(append([]byte(nil), graph...), make([]byte, 8)...)},
+		// Entries that are not tiled: the checks run before finalize, which
+		// divides by NumSteps and tiles over it.
+		{"entry with zero steps", store.SectionIndex, indexSectionWith(t, f, func(e *FunctionEntry) { e.NumSteps = 0 })},
+		{"entry with one step too many", store.SectionIndex, indexSectionWith(t, f, func(e *FunctionEntry) { e.NumSteps++ })},
+		{"entry with one tile too many", store.SectionIndex, indexSectionWith(t, f, func(e *FunctionEntry) {
+			e.TileThresholds = append(slices.Clone(e.TileThresholds), feature.Thresholds{})
+			e.TileCriticalPoints = append(slices.Clone(e.TileCriticalPoints), 0)
+		})},
+		{"entry vertices off its vectors", store.SectionIndex, indexSectionWith(t, f, func(e *FunctionEntry) { e.NumVertices++ })},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -123,6 +132,46 @@ func TestFlatSectionCorruption(t *testing.T) {
 	if _, err := openPlanted(t, bad); err == nil {
 		t.Error("garbled flat index loaded")
 	}
+
+	// A well-formed entry over another number of steps than the corpus
+	// timeline has — one step, which divides any vertex count and keeps a
+	// one-tile entry's tile count — parses, and the install refuses it.
+	oneTile := 0
+	bad = splice(t, path, store.SectionIndex, indexSectionWith(t, f, func(e *FunctionEntry) {
+		if len(e.TileThresholds) == 1 && e.NumSteps > 1 {
+			e.NumSteps = 1
+			oneTile++
+		}
+	}))
+	if oneTile == 0 {
+		t.Fatal("no one-tile entry over more than one step; the install case would be vacuous")
+	}
+	if _, err := openPlanted(t, bad); err == nil || !strings.Contains(err.Error(), "steps") {
+		t.Errorf("entries over one step installed: err = %v", err)
+	}
+}
+
+// indexSectionWith lays out f's index section with every entry changed by
+// mutate, so a test can plant damage a CRC cannot catch once rewritten.
+// The entries are restored before it returns.
+func indexSectionWith(t *testing.T, f *Framework, mutate func(e *FunctionEntry)) []byte {
+	t.Helper()
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	entries := f.collectEntriesLocked()
+	saved := make([]FunctionEntry, len(entries))
+	for i, e := range entries {
+		saved[i] = *e
+		mutate(e)
+	}
+	idx, err := f.encodeFlatIndexLocked()
+	for i, e := range entries {
+		*e = saved[i]
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return idx
 }
 
 // graphSectionWith lays out f's published graph section with its families
@@ -346,7 +395,7 @@ func FuzzParseFlatGraph(f *testing.F) {
 	f.Add(graph)
 	f.Add(graph[:len(graph)/2])
 	f.Add(graph[:len(graph)-8])
-	f.Add([]byte("DPGRFLT\x08"))
+	f.Add([]byte("DPGRFLT\x09"))
 	f.Add(graph[:len(graph)-4])
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if _, err := parseFlatGraph(data, ix.funcs); err != nil && !errors.Is(err, store.ErrCorrupt) {

@@ -211,7 +211,7 @@ func TestPlannerPrunesOnFilteredQuery(t *testing.T) {
 }
 
 // TestPrunePairBounds exercises the planner's decision procedure directly
-// on synthetic occupancies via hand-built entries.
+// on the planted corpus's entries.
 func TestPrunePairBounds(t *testing.T) {
 	f := plannerFW(t)
 	res := Resolution{spatial.City, temporal.Hour}

@@ -88,8 +88,7 @@ func checkResolvable(t *testing.T, f *Framework, clause Clause, notResolvable in
 // planner leaves it out of its family — never corrected over — and counts
 // it as not resolvable, for BuildGraph and for Query alike; the domain is
 // the supporting tiles', whole tiles even where a window ends inside one,
-// so a window that drops a tile can cross the cut; entries without tile
-// bitmaps are judged on the full timeline; alpha moves the cut;
+// so a window that drops a tile can cross the cut; alpha moves the cut;
 // SkipSignificance drops nothing.
 func TestNotResolvableLeftOutOfFamilies(t *testing.T) {
 	// One year: 12 month steps fall below the cut of 20, 53 week steps not.
@@ -146,21 +145,11 @@ func TestNotResolvableLeftOutOfFamilies(t *testing.T) {
 
 	// A year and ten days are 13 month steps over two tiles. At alpha 0.08
 	// the cut is S < 12.5: a month candidate with no feature in the second
-	// tile is dropped over its 12 supporting steps. Entries without tile
-	// bitmaps are tested on the full timeline, so there it is kept over 13.
+	// tile is dropped over its 12 supporting steps.
 	c := Clause{Alpha: 0.08}
 	f = buildFW(t, dailyPair(366+10))
 	if dropped, _ := checkResolvable(t, f, c, queryNotResolvable(t, f, c)); !slices.Contains(dropped, 12) {
 		t.Errorf("alpha 0.08 dropped no 12-step month candidate (dropped %v)", dropped)
-	}
-	f = buildFW(t, dailyPair(366+10))
-	for _, es := range f.index.funcs {
-		for _, e := range es {
-			e.salientTiles, e.extremeTiles = nil, nil
-		}
-	}
-	if dropped, kept := checkResolvable(t, f, c, queryNotResolvable(t, f, c)); len(dropped) != 0 || !slices.Contains(kept, 13) {
-		t.Errorf("without tile bitmaps: dropped step counts %v, kept %v: want none dropped, 13 kept", dropped, kept)
 	}
 }
 

@@ -109,7 +109,6 @@ func (f *Framework) rebuildEntryTiles(t funcTask, in *jobInputs, tl *temporal.Ti
 		key, specName      string
 		salPos, salNeg     *bitvec.Vector
 		extPos, extNeg     *bitvec.Vector
-		entryThresholds    feature.Thresholds
 		tileThresholds     []feature.Thresholds
 		tileCriticalPoints []int
 	}
@@ -128,7 +127,6 @@ func (f *Framework) rebuildEntryTiles(t funcTask, in *jobInputs, tl *temporal.Ti
 			}
 			a.key = b.Key
 			a.specName = b.SpecName
-			a.entryThresholds = b.Thresholds
 			a.salPos = b.Salient.Positive.Grow(nBits)
 			a.salNeg = b.Salient.Negative.Grow(nBits)
 			a.extPos = b.Extreme.Positive.Grow(nBits)
@@ -190,9 +188,6 @@ func (f *Framework) rebuildEntryTiles(t funcTask, in *jobInputs, tl *temporal.Ti
 			a.extNeg.CopyRange(ext.Negative, 0, off, tileBits)
 			a.tileThresholds = append(a.tileThresholds, ex.Thresholds())
 			a.tileCriticalPoints = append(a.tileCriticalPoints, ex.CriticalPoints())
-			if ti == 0 {
-				a.entryThresholds = ex.Thresholds()
-			}
 			vfn.Recycle()
 		}
 		tm.feature += time.Since(start)
@@ -205,23 +200,19 @@ func (f *Framework) rebuildEntryTiles(t funcTask, in *jobInputs, tl *temporal.Ti
 			crit += c
 		}
 		e := &FunctionEntry{
-			Key:      a.key,
-			Dataset:  t.ds.Name,
-			SpecName: a.specName,
-			Res:      t.res,
-			Salient:  &feature.Set{Positive: a.salPos, Negative: a.salNeg},
-			Extreme:  &feature.Set{Positive: a.extPos, Negative: a.extNeg},
-			// Entry-level thresholds are the first tile's (a multi-tile
-			// function has per-tile thresholds; see TileThresholds).
-			Thresholds:         a.entryThresholds,
+			Key:                a.key,
+			Dataset:            t.ds.Name,
+			SpecName:           a.specName,
+			Res:                t.res,
+			Salient:            &feature.Set{Positive: a.salPos, Negative: a.salNeg},
+			Extreme:            &feature.Set{Positive: a.extPos, Negative: a.extNeg},
 			NumVertices:        nBits,
-			NumEdges:           g.NumEdges(),
 			CriticalPoints:     crit,
 			NumSteps:           S,
 			TileThresholds:     a.tileThresholds,
 			TileCriticalPoints: a.tileCriticalPoints,
 		}
-		e.finalize()
+		e.finalize(e.Salient.All(), e.Extreme.All())
 		entries[vi] = e
 	}
 	return entries, tm, nil

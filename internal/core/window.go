@@ -61,19 +61,16 @@ func windowSteps(tl *temporal.Timeline, from, to int64) (lo, hi int) {
 // tile bitmap, and the number of steps they cover: the tiles where either
 // side has a feature bit of t's class, read off the entries' tile
 // occupancy, or, under a window, the tiles with such a bit inside
-// [t.winLo, t.winHi). supp is nil when the test runs on the full domain:
-// every tile supports it, or a non-windowed entry carries no tile bitmaps
-// (hand-built). The planner and runSignificance both call it, so the
-// domain a tuple is judged resolvable on is the one its test runs on.
+// [t.winLo, t.winHi). supp is nil when every tile supports the test, which
+// then runs on the full domain. The planner and runSignificance both call
+// it, so the domain a tuple is judged resolvable on is the one its test
+// runs on.
 func (f *Framework) testDomain(t pairTask, windowed bool) (supp []uint64, steps int) {
 	g := f.graphs[t.e1.Res]
 	tres := t.e1.Res.Temporal
 	R, S, w := g.NumRegions(), g.NumSteps(), temporal.TileWidth(tres)
 	nTiles := temporal.NumTilesFor(S, tres)
 	b1, b2 := t.e1.tileOcc(t.class), t.e2.tileOcc(t.class)
-	if !windowed && (b1 == nil || b2 == nil || len(b1) != len(b2)) {
-		return nil, S
-	}
 	u1, u2 := t.e1.union(t.class), t.e2.union(t.class)
 	supp = make([]uint64, (nTiles+63)/64)
 	for ti := 0; ti < nTiles; ti++ {

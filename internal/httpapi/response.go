@@ -45,16 +45,33 @@ func Relationships(rels []core.Relationship) []Relationship {
 	return out
 }
 
-// QueryStats is the JSON form of core.QueryStats.
+// QueryStats is the JSON form of core.QueryStats. The daemon's query
+// responses and the CLI's -json output both render through it.
 type QueryStats struct {
 	PairsConsidered int    `json:"pairsConsidered"`
 	Pruned          int    `json:"pruned"`
+	NotResolvable   int    `json:"notResolvable"`
 	Evaluated       int    `json:"evaluated"`
 	Significant     int    `json:"significant"`
 	Kept            int    `json:"kept"`
 	CacheHit        bool   `json:"cacheHit"`
 	Coalesced       bool   `json:"coalesced"`
 	Duration        string `json:"duration"`
+}
+
+// Stats converts a query's counters to their JSON form.
+func Stats(st core.QueryStats) QueryStats {
+	return QueryStats{
+		PairsConsidered: st.PairsConsidered,
+		Pruned:          st.Pruned,
+		NotResolvable:   st.NotResolvable,
+		Evaluated:       st.Evaluated,
+		Significant:     st.Significant,
+		Kept:            st.Kept,
+		CacheHit:        st.CacheHit,
+		Coalesced:       st.Coalesced,
+		Duration:        st.Duration.String(),
+	}
 }
 
 // Stage is one per-stage timing entry of a traced query response.
@@ -89,16 +106,7 @@ func WriteQueryResponse(w http.ResponseWriter, relationships []byte, stats core.
 		Stats QueryStats `json:"stats"`
 		Trace []Stage    `json:"trace,omitempty"`
 	}
-	rest.Stats = QueryStats{
-		PairsConsidered: stats.PairsConsidered,
-		Pruned:          stats.Pruned,
-		Evaluated:       stats.Evaluated,
-		Significant:     stats.Significant,
-		Kept:            stats.Kept,
-		CacheHit:        stats.CacheHit,
-		Coalesced:       stats.Coalesced,
-		Duration:        stats.Duration.String(),
-	}
+	rest.Stats = Stats(stats)
 	if trace {
 		for _, st := range stats.Stages {
 			rest.Trace = append(rest.Trace, Stage{
