@@ -28,7 +28,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"strings"
 	"time"
 
@@ -235,23 +234,11 @@ func indexCorpus(dir string, opts core.Options) (*core.Framework, error) {
 	if err != nil {
 		return nil, err
 	}
-	files, err := filepath.Glob(filepath.Join(dir, "*.csv"))
+	ds, err := dataset.ReadDir(dir)
 	if err != nil {
 		return nil, err
 	}
-	if len(files) == 0 {
-		return nil, fmt.Errorf("no .csv files in %s", dir)
-	}
-	for _, path := range files {
-		f, err := os.Open(path)
-		if err != nil {
-			return nil, err
-		}
-		d, err := dataset.ReadCSV(f)
-		f.Close()
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", path, err)
-		}
+	for _, d := range ds {
 		if err := fw.AddDataset(d); err != nil {
 			return nil, err
 		}

@@ -296,23 +296,11 @@ func assembleFramework(dataDir string, seed int64, grid, months int, scale float
 		return nil, err
 	}
 	if dataDir != "" {
-		files, err := filepath.Glob(filepath.Join(dataDir, "*.csv"))
+		ds, err := dataset.ReadDir(dataDir)
 		if err != nil {
 			return nil, err
 		}
-		if len(files) == 0 {
-			return nil, fmt.Errorf("no .csv files in %s", dataDir)
-		}
-		for _, path := range files {
-			f, err := os.Open(path)
-			if err != nil {
-				return nil, err
-			}
-			d, err := dataset.ReadCSV(f)
-			f.Close()
-			if err != nil {
-				return nil, fmt.Errorf("%s: %w", path, err)
-			}
+		for _, d := range ds {
 			if err := fw.AddDataset(d); err != nil {
 				return nil, err
 			}

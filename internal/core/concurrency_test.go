@@ -295,40 +295,34 @@ func TestSkipSignificanceStats(t *testing.T) {
 	}
 }
 
-// TestConcurrentMonteCarloParity: a framework configured with many workers
-// over a tiny plan hands spare cores to the Monte Carlo test; p-values must
-// equal the single-worker framework's exactly.
+// TestConcurrentMonteCarloParity: the worker pool schedules a query's Monte
+// Carlo tests, and the schedule must not change an answer. On the golden
+// corpus at neighbourhood × day every test is multi-region and samples
+// permutations; a one-worker and a four-worker framework must answer
+// identically.
 func TestConcurrentMonteCarloParity(t *testing.T) {
-	build := func(workers int) *Framework {
-		f, err := New(Options{City: testCity(t), Workers: workers, Seed: 5})
+	q := Query{Clause: Clause{
+		Permutations: 200,
+		Resolutions:  []Resolution{{Spatial: spatial.Neighborhood, Temporal: temporal.Day}},
+	}}
+	answer := func(workers int) []Relationship {
+		f, _ := goldenFramework(t, workers, false)
+		if r := f.opts.City.NumRegions(spatial.Neighborhood); r < 2 {
+			t.Fatalf("the golden city has %d neighbourhoods; the query would test no multi-region tuple", r)
+		}
+		before := permutationsRun(t)
+		rels, st, err := f.Query(q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		wind, trips := plantedPair(10, randomHours(17, 40), nil)
-		for _, e := range []error{f.AddDataset(wind), f.AddDataset(trips)} {
-			if e != nil {
-				t.Fatal(e)
-			}
+		if ran := permutationsRun(t) - before; st.Evaluated == 0 || ran == 0 {
+			t.Fatalf("workers=%d: %d tuples evaluated, %d permutations run", workers, st.Evaluated, ran)
 		}
-		if _, err := f.BuildIndex(); err != nil {
-			t.Fatal(err)
-		}
-		return f
+		return rels
 	}
-	q := Query{Clause: Clause{
-		Permutations: 400,
-		Resolutions:  []Resolution{{Spatial: spatial.City, Temporal: temporal.Hour}},
-	}}
-	seq, _, err := build(1).Query(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, _, err := build(16).Query(q)
-	if err != nil {
-		t.Fatal(err)
-	}
+	seq, par := answer(1), answer(4)
 	if !reflect.DeepEqual(seq, par) {
-		t.Errorf("worker count changed query results:\nw=1:  %v\nw=16: %v", seq, par)
+		t.Errorf("worker count changed query results:\nw=1: %v\nw=4: %v", seq, par)
 	}
 	if len(seq) == 0 {
 		t.Fatal("expected relationships")

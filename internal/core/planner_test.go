@@ -69,7 +69,7 @@ func bruteForce(t *testing.T, f *Framework, clause Clause) (cands []bruteCand, c
 							task := pairTask{e1: e1, e2: e2, class: class, winLo: winLo, winHi: winHi}
 							if prunePair(e1, e2, class, clause) || clause.Windowed && winLo == winHi {
 								skipped++
-								if c, in, err := f.evaluatePair(task, filters, 1); err != nil {
+								if c, in, err := f.evaluatePair(task, filters); err != nil {
 									t.Fatal(err)
 								} else if in {
 									t.Errorf("unsound prune: %s ~ %s (%v) is skipped by prunePair but passes the clause: tau=%g rho=%g",
@@ -90,7 +90,7 @@ func bruteForce(t *testing.T, f *Framework, clause Clause) (cands []bruteCand, c
 									t.Errorf("%s ~ %s (%v): Measure |Σ| = %d, planner's AndCount %d", e1.Key, e2.Key, class, m.SigmaBoth, want)
 								}
 							}
-							c, in, err := f.evaluatePair(task, clause, 1)
+							c, in, err := f.evaluatePair(task, clause)
 							if err != nil {
 								t.Fatal(err)
 							}

@@ -487,9 +487,8 @@ func queryPairs(sources, targets []string) []graphPair {
 // its raw p-value (1 under SkipSignificance) and whether it joins its
 // pair's tested family (false: no feature relation, or a clause filter
 // failed). The planner has left out every tuple whose test is not
-// resolvable. mcWorkers goroutines evaluate the Monte Carlo permutation
-// chunks (1 = sequential; the p-value is identical either way).
-func (f *Framework) evaluatePair(t pairTask, clause Clause, mcWorkers int) (c candidate, inFamily bool, err error) {
+// resolvable.
+func (f *Framework) evaluatePair(t pairTask, clause Clause) (c candidate, inFamily bool, err error) {
 	s1, s2 := t.e1.set(t.class), t.e2.set(t.class)
 	all1, all2 := t.e1.union(t.class), t.e2.union(t.class)
 	n1, n2 := t.e1.occ(t.class).All, t.e2.occ(t.class).All
@@ -518,7 +517,7 @@ func (f *Framework) evaluatePair(t pairTask, clause Clause, mcWorkers int) (c ca
 	if clause.SkipSignificance {
 		return c, true, nil
 	}
-	res, err := f.runSignificance(t, clause, s1, s2, m.Tau, mcWorkers)
+	res, err := f.runSignificance(t, clause, s1, s2, m.Tau)
 	if err != nil {
 		return c, false, err
 	}

@@ -326,8 +326,9 @@ func (f *Framework) planPairs(keys []graphPair, clause Clause) []queryPlan {
 // again. It is where the evaluated counter is recorded, for Query and
 // BuildGraph alike. The pairs' tasks are one batch on the worker pool, so
 // the pool sees the whole batch at once, and a pair's tasks are contiguous
-// in it, so its results are a slice of the batch. Query and BuildGraph both
-// call this under the shared state lock.
+// in it, so its results are a slice of the batch. A task's Monte Carlo test
+// runs on the pool goroutine that evaluates the task. Query and BuildGraph
+// both call this under the shared state lock.
 func (f *Framework) evaluatePairsLocked(sig string, keys []graphPair, plans []queryPlan, clause Clause) ([][]candidate, error) {
 	workers := f.workers()
 	n := 0
@@ -338,17 +339,12 @@ func (f *Framework) evaluatePairsLocked(sig string, keys []graphPair, plans []qu
 	for _, pl := range plans {
 		tasks = append(tasks, pl.tasks...)
 	}
-	// When the batch has fewer tasks than workers, the pool alone cannot
-	// saturate the machine: hand the spare parallelism down to each task's
-	// Monte Carlo test. Chunked per-seed permutation streams keep the
-	// p-values byte-identical to a sequential run.
-	mcWorkers := max(1, workers/max(n, 1))
 	type tested struct {
 		c        candidate
 		inFamily bool
 	}
 	results, err := mapreduce.ForEach(workers, tasks, func(t pairTask) (tested, error) {
-		c, in, err := f.evaluatePair(t, clause, mcWorkers)
+		c, in, err := f.evaluatePair(t, clause)
 		return tested{c, in}, err
 	})
 	if err != nil {

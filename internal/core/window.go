@@ -105,13 +105,12 @@ func (f *Framework) testDomain(t pairTask, windowed bool) (supp []uint64, steps 
 // which does not depend on the number of steps. The planner has already
 // left out every tuple whose test is not resolvable, so a test that reports
 // one is an error.
-func (f *Framework) runSignificance(t pairTask, clause Clause, s1, s2 *feature.Set, tau float64, mcWorkers int) (montecarlo.Result, error) {
+func (f *Framework) runSignificance(t pairTask, clause Clause, s1, s2 *feature.Set, tau float64) (montecarlo.Result, error) {
 	g := f.graphs[t.e1.Res]
 	cfg := montecarlo.Config{
 		Permutations: clause.Permutations,
 		Alpha:        clause.Alpha,
 		Seed:         pairSeed(f.opts.Seed, t.e1.Key, t.e2.Key, t.class),
-		Workers:      mcWorkers,
 		Exhaustive:   clause.Exhaustive,
 		Shifts:       f.shifts[t.e1.Res.Spatial],
 	}

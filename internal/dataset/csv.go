@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"io"
 	"io/fs"
+	"os"
+	"path/filepath"
 	"runtime"
 	"slices"
 	"strconv"
@@ -87,6 +89,33 @@ func ReadCSV(r io.Reader) (*Dataset, error) {
 		return nil, fmt.Errorf("dataset: reading: %w", err)
 	}
 	return readCSV(buf.Bytes(), csvChunkBytes, runtime.GOMAXPROCS(0))
+}
+
+// ReadDir reads every *.csv file in dir with ReadCSV, in the lexical order
+// filepath.Glob returns them. A directory without one is an error, and a
+// file that fails to read or parse is named in the error.
+func ReadDir(dir string) ([]*Dataset, error) {
+	files, err := filepath.Glob(filepath.Join(dir, "*.csv"))
+	if err != nil {
+		return nil, err
+	}
+	if len(files) == 0 {
+		return nil, fmt.Errorf("no .csv files in %s", dir)
+	}
+	out := make([]*Dataset, 0, len(files))
+	for _, path := range files {
+		f, err := os.Open(path)
+		if err != nil {
+			return nil, err
+		}
+		d, err := ReadCSV(f)
+		f.Close()
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", path, err)
+		}
+		out = append(out, d)
+	}
+	return out, nil
 }
 
 // readCSV is ReadCSV over data, parsed in chunks of about chunkBytes on

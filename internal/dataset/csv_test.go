@@ -8,6 +8,8 @@ import (
 	"io"
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
 	"runtime"
 	"strconv"
@@ -191,6 +193,47 @@ func writeCSV(t testing.TB, d *Dataset) []byte {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
+}
+
+// TestReadDir: a directory's *.csv files load in name order, other files
+// are ignored, a file that fails to parse is named in the error, and a
+// directory without a .csv file is an error.
+func TestReadDir(t *testing.T) {
+	dir := t.TempDir()
+	a, b := sample(), csvCorpus(40, 3)
+	a.Name, b.Name = "a", "b"
+	for name, data := range map[string][]byte{
+		"b.csv": writeCSV(t, b), "a.csv": writeCSV(t, a), "notes.txt": []byte("not a data set"),
+	} {
+		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got, err := ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 2 {
+		t.Fatalf("ReadDir loaded %d data sets, want 2", len(got))
+	}
+	for i, want := range []*Dataset{a, b} {
+		if diff := sameDataset(got[i], want); diff != nil {
+			t.Errorf("data set %d: %v", i, diff)
+		}
+	}
+
+	bad := filepath.Join(dir, "c.csv")
+	if err := os.WriteFile(bad, []byte("name,c,city,hour,false\nid,x,y,region,ts\nzz,0,0,0,5\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadDir(dir); err == nil || !strings.HasPrefix(err.Error(), bad+":") {
+		t.Errorf("malformed %s: error %v, want one naming the file", bad, err)
+	}
+
+	empty := t.TempDir()
+	if _, err := ReadDir(empty); err == nil || err.Error() != "no .csv files in "+empty {
+		t.Errorf("empty directory: error %v, want \"no .csv files in %s\"", err, empty)
+	}
 }
 
 // TestReadCSVChunked pins that the result of ReadCSV depends neither on

@@ -42,10 +42,13 @@ func TestStopThreshold(t *testing.T) {
 // TestAdaptiveExhaustiveParity is the decision-exactness contract: for a
 // sweep of seeds, the adaptive (default) and exhaustive runs must agree on
 // Significant, adaptive Shifts must never exceed exhaustive Shifts, and the
-// sweep must contain at least one genuinely early-stopped case — otherwise
-// the test proves nothing. An exhaustive run evaluates every permutation:
-// 400, or on the one-region domain all 1,499 rotations, which a significant
-// test visits adaptively too.
+// sweep must contain at least one genuinely early-stopped case on a
+// multi-region domain — otherwise the test proves nothing. An exhaustive
+// run evaluates every permutation: 400, or on the one-region domain all
+// 1,499 rotations, which a significant test visits adaptively too. A test
+// evaluates exactly what it reports, however early it stops: the sink sees
+// permutations 0..Shifts-1 once each, in order, and the tau-evaluation
+// counter moves by as much as the permutation counter.
 func TestAdaptiveExhaustiveParity(t *testing.T) {
 	n := 1500
 	g, err := stgraph.New(1, n, [][]int{nil})
@@ -76,82 +79,79 @@ func TestAdaptiveExhaustiveParity(t *testing.T) {
 		randIndices(rng, n, 40), randIndices(rng, n, 40),
 		randIndices(rng, n, 40), randIndices(rng, n, 40))
 	spA, spB := spatialSets(rng, gs.NumVertices())
+	ns := gs.NumVertices()
+	spIndA, spIndB, _ := mkSets(t, ns,
+		randIndices(rng, ns, 40), randIndices(rng, ns, 40),
+		randIndices(rng, ns, 40), randIndices(rng, ns, 40))
 	fixtures := []fixture{
 		{"dependent-1d", depA, depB, g},
 		{"independent-1d", indA, indB, g},
-		{"spatial", spA, spB, gs},
+		{"dependent-spatial", spA, spB, gs},
+		{"independent-spatial", spIndA, spIndB, gs},
 	}
 
-	earlyStops := 0
+	spatialStops := 0
 	for _, fx := range fixtures {
 		m := relationship.Evaluate(fx.a, fx.b)
+		full := 400
+		if fx.g.NumRegions() == 1 {
+			full = fx.g.NumSteps() - 1
+		}
 		for seed := int64(0); seed < 8; seed++ {
-			for _, workers := range []int{1, 4} {
-				cfg := Config{Permutations: 400, Seed: seed, Workers: workers}
-				full := 400
-				if fx.g.NumRegions() == 1 {
-					full = fx.g.NumSteps() - 1
-				}
-				adaptive := Test(fx.a, fx.b, fx.g, m.Tau, cfg)
-				cfg.Exhaustive = true
-				exhaustive := Test(fx.a, fx.b, fx.g, m.Tau, cfg)
+			cfg := Config{Permutations: 400, Seed: seed}
+			var seen []int
+			evals, perms := mTauEvals.Value(), mPermutations.Value()
+			adaptive, _ := test(fx.a, fx.b, fx.g, m.Tau, cfg, func(k int, _ float64) { seen = append(seen, k) }, chooseWalk)
+			evals, perms = mTauEvals.Value()-evals, mPermutations.Value()-perms
+			cfg.Exhaustive = true
+			exhaustive := Test(fx.a, fx.b, fx.g, m.Tau, cfg)
 
-				if adaptive.Significant != exhaustive.Significant {
-					t.Errorf("%s seed=%d workers=%d: adaptive significant=%t (p=%g, shifts=%d), exhaustive=%t (p=%g)",
-						fx.name, seed, workers,
-						adaptive.Significant, adaptive.PValue, adaptive.Shifts,
-						exhaustive.Significant, exhaustive.PValue)
+			if adaptive.Significant != exhaustive.Significant {
+				t.Errorf("%s seed=%d: adaptive significant=%t (p=%g, shifts=%d), exhaustive=%t (p=%g)",
+					fx.name, seed,
+					adaptive.Significant, adaptive.PValue, adaptive.Shifts,
+					exhaustive.Significant, exhaustive.PValue)
+			}
+			if adaptive.Shifts > exhaustive.Shifts {
+				t.Errorf("%s seed=%d: adaptive shifts %d > exhaustive %d",
+					fx.name, seed, adaptive.Shifts, exhaustive.Shifts)
+			}
+			if exhaustive.Shifts != full {
+				t.Errorf("%s seed=%d: exhaustive shifts = %d, want %d",
+					fx.name, seed, exhaustive.Shifts, full)
+			}
+			if len(seen) != adaptive.Shifts || evals != perms || perms != uint64(adaptive.Shifts) {
+				t.Errorf("%s seed=%d: reported %d permutations, the sink saw %d, %d tau evaluations and %d permutations counted",
+					fx.name, seed, adaptive.Shifts, len(seen), evals, perms)
+			}
+			for i, k := range seen {
+				if k != i {
+					t.Fatalf("%s seed=%d: the sink saw permutation %d at position %d, want each once in order",
+						fx.name, seed, k, i)
 				}
-				if adaptive.Shifts > exhaustive.Shifts {
-					t.Errorf("%s seed=%d: adaptive shifts %d > exhaustive %d",
-						fx.name, seed, adaptive.Shifts, exhaustive.Shifts)
+			}
+			if adaptive.Shifts < exhaustive.Shifts {
+				if fx.g.NumRegions() > 1 {
+					spatialStops++
 				}
-				if exhaustive.Shifts != full {
-					t.Errorf("%s seed=%d: exhaustive shifts = %d, want %d",
-						fx.name, seed, exhaustive.Shifts, full)
+				// An early stop must still report an insignificant,
+				// internally consistent p-value.
+				if adaptive.Significant {
+					t.Errorf("%s seed=%d: early-stopped run claims significance", fx.name, seed)
 				}
-				if adaptive.Shifts < exhaustive.Shifts {
-					earlyStops++
-					// An early stop must still report an insignificant,
-					// internally consistent p-value.
-					if adaptive.Significant {
-						t.Errorf("%s seed=%d: early-stopped run claims significance", fx.name, seed)
-					}
-					if adaptive.PValue <= DefaultAlpha {
-						t.Errorf("%s seed=%d: truncated p = %g <= alpha", fx.name, seed, adaptive.PValue)
-					}
+				if adaptive.PValue <= DefaultAlpha {
+					t.Errorf("%s seed=%d: truncated p = %g <= alpha", fx.name, seed, adaptive.PValue)
 				}
-				// A significant verdict must come from the full stream.
-				if adaptive.Significant && adaptive.Shifts != full {
-					t.Errorf("%s seed=%d: significant verdict from a truncated run (shifts=%d)",
-						fx.name, seed, adaptive.Shifts)
-				}
+			}
+			// A significant verdict must come from the full stream.
+			if adaptive.Significant && adaptive.Shifts != full {
+				t.Errorf("%s seed=%d: significant verdict from a truncated run (shifts=%d)",
+					fx.name, seed, adaptive.Shifts)
 			}
 		}
 	}
-	if earlyStops == 0 {
-		t.Error("no case stopped early; the parity sweep exercised nothing")
-	}
-}
-
-// TestAdaptiveParallelParity: the adaptive path must stay byte-identical
-// across worker counts even when it stops early (the stopping chunk is a
-// function of the deterministic per-chunk counts, not of scheduling).
-func TestAdaptiveParallelParity(t *testing.T) {
-	rng := rand.New(rand.NewSource(91))
-	n := 2000
-	a, b, g := mkSets(t, n,
-		randIndices(rng, n, 50), randIndices(rng, n, 50),
-		randIndices(rng, n, 50), randIndices(rng, n, 50))
-	m := relationship.Evaluate(a, b)
-	for _, perms := range []int{60, 237, 1000} {
-		seq := Test(a, b, g, m.Tau, Config{Permutations: perms, Seed: 5, Workers: 1})
-		for _, w := range []int{2, 4, 16} {
-			par := Test(a, b, g, m.Tau, Config{Permutations: perms, Seed: 5, Workers: w})
-			if seq != par {
-				t.Errorf("perms=%d workers=%d: %+v != sequential %+v", perms, w, par, seq)
-			}
-		}
+	if spatialStops == 0 {
+		t.Error("no multi-region case stopped early; the parity sweep exercised nothing")
 	}
 }
 

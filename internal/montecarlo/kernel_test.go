@@ -278,8 +278,8 @@ func oracleResult(taus []float64, tau float64, cfg Config, exhaustive, enumerate
 }
 
 // checkKernelParity captures the production kernel's full per-permutation
-// tau stream (Exhaustive, so every index is covered under any Workers
-// value) and requires bitwise identity with the oracle's, then checks the
+// tau stream (Exhaustive, so every index is covered) and requires bitwise
+// identity with the oracle's, then checks the
 // exhaustive Result, with the sink and without it, and the adaptive Result
 // against the oracle's fold, and the adaptive verdict against the exhaustive
 // one. An enumerated test's sink must see each rotation once, in order, and
@@ -354,7 +354,7 @@ func checkKernelParity(t *testing.T, a, b *feature.Set, g *stgraph.Graph, tau fl
 
 // TestKernelParity pins the kernel's contract: the word-level kernel is
 // byte-identical to the per-vertex oracle for every domain shape, feature
-// density, windowed sub-domain, Workers value and shift pool, and with
+// density, windowed sub-domain and shift pool, and with
 // function 2's signs disjoint or overlapping on purpose.
 func TestKernelParity(t *testing.T) {
 	cases := []struct {
@@ -399,13 +399,11 @@ func TestKernelParity(t *testing.T) {
 			// One pool across the whole matrix, as a family of tests shares
 			// it, and the private sequence a Config without a pool draws.
 			shared := NewShiftPool(g.SpatialAdjacency(), 99)
-			for _, workers := range []int{1, 4} {
-				for _, tau := range []float64{0.6, -0.35} {
-					for _, pool := range []*ShiftPool{nil, shared} {
-						checkKernelParity(t, a, b, g, tau, Config{
-							Permutations: 150, Seed: 23, Workers: workers, Shifts: pool,
-						})
-					}
+			for _, tau := range []float64{0.6, -0.35} {
+				for _, pool := range []*ShiftPool{nil, shared} {
+					checkKernelParity(t, a, b, g, tau, Config{
+						Permutations: 150, Seed: 23, Shifts: pool,
+					})
 				}
 			}
 		})
@@ -448,7 +446,7 @@ func TestKernelParityOneSided(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			checkKernelParity(t, tc.a, tc.b, g, 0.4, Config{
-				Permutations: 120, Seed: 5, Workers: 2,
+				Permutations: 120, Seed: 5,
 			})
 		})
 	}
@@ -460,7 +458,7 @@ func TestKernelParityOneSided(t *testing.T) {
 // alpha 0.5, where every one is resolvable and the stop fires within a few
 // rotations. On several regions the step counts put a doubled lane's rotated
 // window across zero, one and two word boundaries. Each shape also runs with
-// a one-sided function 2, and every cell under Workers 1, 2 and 4.
+// a one-sided function 2.
 //
 // The walk the selection picks is pinned on both sides of the crossover: 48
 // regions x 1,416 steps at 1 % density (about 14 features a 23-word lane)
@@ -545,20 +543,18 @@ func TestKernelParityShapes(t *testing.T) {
 			}
 			for _, p := range pairs {
 				for _, alpha := range alphas {
-					for _, workers := range []int{1, 2, 4} {
-						cfg := Config{Permutations: sh.perms, Alpha: alpha, Seed: 31, Workers: workers}
-						run := checkKernelParity(t, p.a, p.b, g, p.tau, cfg)
-						if run != nil && p.walk != chooseWalk && run.walk != p.walk {
-							t.Fatalf("tau=%v: %s, want %s", p.tau, pathName(run.walk, p.b), pathName(p.walk, p.b))
-						}
-						res := Test(p.a, p.b, g, p.tau, cfg)
-						if p.visits == nil || res.NotResolvable {
-							continue
-						}
-						if want := p.visits(sh.steps, cfg.withDefaults().Alpha); res.Shifts != want {
-							t.Fatalf("tau=%v alpha=%v: adaptive test visited %d rotations, want %d",
-								p.tau, alpha, res.Shifts, want)
-						}
+					cfg := Config{Permutations: sh.perms, Alpha: alpha, Seed: 31}
+					run := checkKernelParity(t, p.a, p.b, g, p.tau, cfg)
+					if run != nil && p.walk != chooseWalk && run.walk != p.walk {
+						t.Fatalf("tau=%v: %s, want %s", p.tau, pathName(run.walk, p.b), pathName(p.walk, p.b))
+					}
+					res := Test(p.a, p.b, g, p.tau, cfg)
+					if p.visits == nil || res.NotResolvable {
+						continue
+					}
+					if want := p.visits(sh.steps, cfg.withDefaults().Alpha); res.Shifts != want {
+						t.Fatalf("tau=%v alpha=%v: adaptive test visited %d rotations, want %d",
+							p.tau, alpha, res.Shifts, want)
 					}
 				}
 			}
@@ -709,7 +705,7 @@ func TestNaNObservedNotSignificant(t *testing.T) {
 			want.NotResolvable = true
 		}
 		for _, tau := range []float64{0, math.NaN()} {
-			if got := Test(a, b, g, tau, Config{Seed: 1, Workers: 2}); got != want {
+			if got := Test(a, b, g, tau, Config{Seed: 1}); got != want {
 				t.Errorf("%dx%d tau=%v: Result %+v, want %+v", dom.w*dom.h, dom.steps, tau, got, want)
 			}
 		}
@@ -719,13 +715,13 @@ func TestNaNObservedNotSignificant(t *testing.T) {
 var raceEnabled bool // set by race_test.go
 
 // TestOpenTestAllocs pins what opening a test costs once the prep and
-// scratch pools are warm: a whole test at Workers 1 allocates only its run
-// record and chunk counts, under every walk. A dense 48x2,160 pair's
-// transposed lanes live in the pooled prep (building them afresh cost four
-// vectors and four Ones slices more), as do a sparse 48x2,160 or 48x1,416
-// pair's feature list and codes, walked over function 2's features, and a
-// 48x90 pair's of 9 and 1,000 features, walked over function 1's; a 1x2,160
-// test enumerates its 2,159 rotations with nothing but its run record.
+// scratch pools are warm: a whole test allocates only its run record, under
+// every walk and on one region too, where a 1x2,160 test enumerates its
+// 2,159 rotations. A dense 48x2,160 pair's transposed lanes live in the
+// pooled prep (building them afresh cost four vectors and four Ones slices
+// more), as do a sparse 48x2,160 or 48x1,416 pair's feature list and codes,
+// walked over function 2's features, and a 48x90 pair's of 9 and 1,000
+// features, walked over function 1's.
 func TestOpenTestAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items under -race")
@@ -744,13 +740,13 @@ func TestOpenTestAllocs(t *testing.T) {
 			a, b = pairSets(rng, n, dom.sparseA, dom.features)
 		}
 		setSigns(rng, b, 0)
-		cfg := Config{Seed: 1, Workers: 1, Shifts: NewShiftPool(g.SpatialAdjacency(), 1)}
+		cfg := Config{Seed: 1, Shifts: NewShiftPool(g.SpatialAdjacency(), 1)}
 		// Warm the pools and memoise the shifts.
 		if _, run := test(a, b, g, 0.9, cfg, nil, chooseWalk); run.walk != dom.walk {
 			t.Fatalf("%dx%d, %d features: %s, want %s", dom.w*dom.h, dom.steps, dom.features, pathName(run.walk, b), pathName(dom.walk, b))
 		}
-		if allocs := testing.AllocsPerRun(10, func() { Test(a, b, g, 0.9, cfg) }); allocs > 2 {
-			t.Errorf("opening a warmed %dx%d test of %d features allocates %.0f objects, want <= 2",
+		if allocs := testing.AllocsPerRun(10, func() { Test(a, b, g, 0.9, cfg) }); allocs > 1 {
+			t.Errorf("opening a warmed %dx%d test of %d features allocates %.0f objects, want <= 1",
 				dom.w*dom.h, dom.steps, dom.features, allocs)
 		}
 	}
@@ -805,7 +801,7 @@ func FuzzKernelParity(f *testing.F) {
 		tau := []float64{0.5, -0.5, 1, -1}[tauB%4]
 		alpha := []float64{0, 0.5}[tauB/4%2]
 		checkKernelParity(t, a, b, g, tau, Config{
-			Permutations: 100, Alpha: alpha, Seed: seed, Workers: int(densityB % 3),
+			Permutations: 100, Alpha: alpha, Seed: seed,
 		})
 	})
 }

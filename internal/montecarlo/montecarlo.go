@@ -53,7 +53,6 @@ import (
 	"runtime"
 	"slices"
 	"sync"
-	"sync/atomic"
 
 	"github.com/urbandata/datapolygamy/internal/bitvec"
 	"github.com/urbandata/datapolygamy/internal/feature"
@@ -97,13 +96,12 @@ type Config struct {
 	// sequence from Seed, for this test alone.
 	Shifts *ShiftPool
 
-	// Workers is the number of goroutines evaluating permutation chunks;
-	// <= 1 runs sequentially. The permutations are partitioned into
-	// fixed-size chunks whose RNGs are seeded deterministically from Seed
-	// and the chunk index, so the Result is byte-identical for every
-	// Workers value (including the sequential path). A test on a one-region
-	// domain has no chunks: it enumerates its rotations in order on the
-	// calling goroutine whatever Workers says (see Test).
+	// Workers is ignored: a test evaluates its chunks in order on the
+	// calling goroutine, and a caller that runs many tests runs them on its
+	// own worker pool.
+	//
+	// Deprecated: nothing reads it. It goes with bench/replay.go, its last
+	// setter (see ROADMAP.md).
 	Workers int
 
 	// Exhaustive disables adaptive early termination, forcing all
@@ -262,9 +260,9 @@ func (sc *shiftScratch) toroidal(adj [][]int, rng *rand.Rand, perm []int32) {
 }
 
 // permChunk is the number of randomizations per independently seeded chunk.
-// Chunking is a function of Permutations alone — never of Workers — so the
-// sequential and parallel paths evaluate identical RNG streams and produce
-// byte-identical p-values.
+// Chunk ci's rotations come from the stream seeded with chunkSeed(Seed, ci)
+// and its shifts are the pool's chunk ci, so permutation k is a function of
+// the seed and k alone.
 const permChunk = 50
 
 // chunkSeed derives the RNG seed of one permutation chunk from the test
@@ -408,31 +406,11 @@ func stopThreshold(alpha float64, m int) int {
 	return int(math.Ceil(alpha * float64(m+1)))
 }
 
-// foldCounts replays per-chunk exceedance counts in deterministic chunk
-// order, applying the early-stopping rule exactly as a sequential scan
-// would: accumulate chunk by chunk and stop at the end of the first chunk
-// whose cumulative count reaches threshold. It returns the accumulated
-// exceedances and the number of permutations covered. Both the sequential
-// and the parallel paths reduce through this one function, which is what
-// keeps their Results byte-identical: the stopping point is a pure
-// function of the (deterministic) per-chunk counts, never of scheduling.
-func foldCounts(counts []int, m, threshold int, exhaustive bool) (extreme, shifts int) {
-	for ci, c := range counts {
-		extreme += c
-		shifts = min((ci+1)*permChunk, m)
-		if !exhaustive && extreme >= threshold {
-			break
-		}
-	}
-	return extreme, shifts
-}
-
 // vectorPrep is the per-test immutable state of the tau kernel: both
 // feature sets re-laid-out so that each randomization becomes a handful of
 // word-level reads and popcounts, or one table read per listed feature. It
-// is built once per Test, shared read-only by all worker goroutines, and
-// refilled in place from prepPool by the next Test once this one is done
-// with it.
+// is built once per Test, read by each of its randomizations, and refilled
+// in place from prepPool by the next Test once this one is done with it.
 //
 // Both functions are transposed to region-major lanes. Function 1's masks
 // are lane-padded: region r's time-run occupies the laneBits-bit lane
@@ -647,16 +625,16 @@ func newVectorPrep(a, b *feature.Set, g *stgraph.Graph, w walk) (*vectorPrep, wa
 	return p, w
 }
 
-// scratch is the per-worker mutable state of a test run: a reseedable RNG
-// and the buffers a randomization writes into. Each goroutine of a Test
-// takes one from scratchPool, so the steady-state permutation loop allocates
-// nothing (asserted by TestChunkSteadyStateAllocs) and neither, once warm,
-// does opening a test.
+// scratch is the mutable state of a test run: a reseedable RNG and the
+// buffers a randomization writes into. Each Test takes one from
+// scratchPool, so the steady-state permutation loop allocates nothing
+// (asserted by TestChunkSteadyStateAllocs) and neither, once warm, does
+// opening a test.
 type scratch struct {
 	src splitmix
 	rng *rand.Rand
 
-	// shift builds the toroidal shifts a pool asks this worker for; shifts
+	// shift builds the toroidal shifts a pool asks this test for; shifts
 	// holds a chunk of them when it lies past the pool's memo.
 	shift  shiftScratch
 	shifts []int32
@@ -665,7 +643,7 @@ type scratch struct {
 	base []int
 }
 
-// scratchPool recycles worker scratches across tests. The RNG wraps the
+// scratchPool recycles scratches across tests. The RNG wraps the
 // scratch's own splitmix source; chunk reseeding just overwrites the source
 // state, which yields the same stream as a freshly constructed rand.New
 // for that seed.
@@ -780,7 +758,7 @@ var featurePairCounts = func() (t [2][16]uint64) {
 // countFlat tallies a randomization feature by feature, both signs at once,
 // in one flat loop over the walked function's listed features: one code
 // read where the feature lands and one table add each, no branch. The
-// lane-base table, in the worker's scratch, holds for each region of the
+// lane-base table, in the test's scratch, holds for each region of the
 // walked function where its features' codes start: a feature of function 2
 // in region r lands in region σ(r), rot steps on, so r's base, filled for
 // function 2's listed lanes only, is σ(r)'s doubled code lane plus rot; a
@@ -821,8 +799,7 @@ func (t *testRun) countFlat(sc *scratch, spatPerm []int32, rot int) (same, both 
 // rotated, by the test's own draw, to respect temporal wrap-around.
 //
 // The randomizations run in fixed-size chunks with per-chunk deterministic
-// seeds; Config.Workers spreads the chunks over goroutines without changing
-// the result (see Config).
+// seeds, in chunk order on the calling goroutine (see permChunk).
 //
 // A pure time series (one region) is randomized by the circular time
 // rotation alone, and its S steps admit S-1 rotations besides the identity.
@@ -851,11 +828,9 @@ func Test(a, b *feature.Set, g *stgraph.Graph, tauObserved float64, cfg Config) 
 
 // test is Test with an optional per-permutation tau sink, the hook the
 // kernel-parity tests use to compare the full tau stream (not just the
-// folded Result) against the per-vertex oracle. sink is called with the
-// global permutation index; under Workers > 1 calls arrive concurrently
-// from multiple goroutines and may cover chunks past the adaptive stopping
-// point (in-flight work), so parity tests compare streams in Exhaustive
-// mode; an enumerated test calls it with rotation-1, in order. w forces the
+// folded Result) against the per-vertex oracle. sink is called once per
+// evaluated randomization, in order, with the global permutation index (an
+// enumerated test's rotation-1): exactly Result.Shifts calls. w forces the
 // test's walk unless it is chooseWalk. The run is returned for its walk,
 // its prep already released to the next test; it is nil when no
 // randomization was evaluated.
@@ -882,7 +857,7 @@ func test(a, b *feature.Set, g *stgraph.Graph, tauObserved float64, cfg Config, 
 			len(cfg.Shifts.adj), g.NumRegions()))
 	case cfg.Shifts == nil && !oneRegion:
 		// No memo: this test is the sequence's only reader, so each chunk
-		// is drawn into the scratch of the worker that evaluates it.
+		// is drawn into the test's scratch.
 		cfg.Shifts = newShiftPool(g.SpatialAdjacency(), cfg.Seed^shiftStream, 0)
 	}
 	run := &testRun{
@@ -895,31 +870,21 @@ func test(a, b *feature.Set, g *stgraph.Graph, tauObserved float64, cfg Config, 
 	run.prep, run.walk = newVectorPrep(a, b, g, w)
 	m := cfg.Permutations
 	var extreme, shifts int
+	sc := scratchPool.Get().(*scratch)
 	if oneRegion {
 		m = g.NumSteps() - 1
-		sc := scratchPool.Get().(*scratch)
 		extreme, shifts = run.enumerate(sc)
-		scratchPool.Put(sc)
 	} else {
-		nChunks := (m + permChunk - 1) / permChunk
 		threshold := stopThreshold(cfg.Alpha, m)
-		counts := make([]int, nChunks)
-		if w := min(cfg.Workers, nChunks); w > 1 {
-			run.parallel(w, counts, threshold)
-		} else {
-			sc := scratchPool.Get().(*scratch)
-			ex := 0
-			for ci := range counts {
-				counts[ci] = run.chunk(ci, sc)
-				ex += counts[ci]
-				if !cfg.Exhaustive && ex >= threshold {
-					break
-				}
+		for ci := 0; shifts < m; ci++ {
+			extreme += run.chunk(ci, sc)
+			shifts = min((ci+1)*permChunk, m)
+			if !cfg.Exhaustive && extreme >= threshold {
+				break
 			}
-			scratchPool.Put(sc)
 		}
-		extreme, shifts = foldCounts(counts, m, threshold, cfg.Exhaustive)
 	}
+	scratchPool.Put(sc)
 	prepPool.Put(run.prep)
 	run.prep = nil // the next test may refill it
 	p := float64(1+extreme) / float64(1+shifts)
@@ -934,55 +899,6 @@ func test(a, b *feature.Set, g *stgraph.Graph, tauObserved float64, cfg Config, 
 		TauObserved: tauObserved,
 		Shifts:      shifts,
 	}, run
-}
-
-// parallel evaluates permutation chunks on w goroutines, filling counts.
-// Workers claim chunk indices from a shared cursor, so chunks are claimed
-// in order. Early stopping is coordinated through the completed *prefix*
-// of chunks: claiming halts once the chunks 0..c are all done and their
-// cumulative exceedances reach threshold — the same condition foldCounts
-// re-derives afterwards. Workers may finish chunks beyond the stopping
-// point (at most one in-flight chunk each); those counts are recorded but
-// lie past where foldCounts stops, so they can never influence the Result.
-func (t *testRun) parallel(w int, counts []int, threshold int) {
-	var (
-		mu       sync.Mutex
-		done     = make([]bool, len(counts))
-		prefix   int
-		prefixEx int
-		next     atomic.Int64
-		stopped  atomic.Bool
-		wg       sync.WaitGroup
-	)
-	report := func(ci, c int) {
-		mu.Lock()
-		defer mu.Unlock()
-		counts[ci] = c
-		done[ci] = true
-		for !stopped.Load() && prefix < len(counts) && done[prefix] {
-			prefixEx += counts[prefix]
-			prefix++
-			if !t.cfg.Exhaustive && prefixEx >= threshold {
-				stopped.Store(true)
-			}
-		}
-	}
-	for range w {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			sc := scratchPool.Get().(*scratch)
-			defer scratchPool.Put(sc)
-			for !stopped.Load() {
-				ci := int(next.Add(1)) - 1
-				if ci >= len(counts) {
-					return
-				}
-				report(ci, t.chunk(ci, sc))
-			}
-		}()
-	}
-	wg.Wait()
 }
 
 // testRun carries the immutable inputs of one significance test across its

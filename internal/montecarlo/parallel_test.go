@@ -29,46 +29,6 @@ func spatialSets(rng *rand.Rand, nVerts int) (*feature.Set, *feature.Set) {
 	return a, b
 }
 
-// TestParallelParity: the parallel test must produce byte-identical results
-// to the sequential path for every worker count, and both chunk-aligned and
-// ragged permutation counts. This is the contract that lets the query layer
-// hand spare cores to the Monte Carlo test without perturbing p-values.
-func TestParallelParity(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	n := 1500
-	var pos, neg []int
-	for i := 0; i < 60; i++ {
-		pos = append(pos, rng.Intn(n))
-		neg = append(neg, rng.Intn(n))
-	}
-	a, b, g := mkSets(t, n, pos, neg, pos, neg)
-
-	// A spatial variant exercises the ToroidalShift path too.
-	gs, err := stgraph.New(25, 64, grid(5, 5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	as, bs := spatialSets(rng, gs.NumVertices())
-
-	for _, perms := range []int{1, 49, 50, 51, 100, 237, 1000} {
-		seq := Test(a, b, g, 0.8, Config{Permutations: perms, Seed: 7, Workers: 1})
-		for _, w := range []int{0, 2, 4, 8, 16} {
-			par := Test(a, b, g, 0.8, Config{Permutations: perms, Seed: 7, Workers: w})
-			if seq != par {
-				t.Errorf("perms=%d workers=%d: parallel %+v != sequential %+v",
-					perms, w, par, seq)
-			}
-		}
-		// Spatial domain (multi-region sigma construction).
-		seqS := Test(as, bs, gs, 0.5, Config{Permutations: perms, Seed: 11, Workers: 1})
-		parS := Test(as, bs, gs, 0.5, Config{Permutations: perms, Seed: 11, Workers: 8})
-		if seqS != parS {
-			t.Errorf("spatial perms=%d: parallel %+v != sequential %+v",
-				perms, parS, seqS)
-		}
-	}
-}
-
 // TestChunkSeedDistinct: chunk seeds must differ across chunks and base
 // seeds (no stream reuse between chunks).
 func TestChunkSeedDistinct(t *testing.T) {
@@ -87,8 +47,7 @@ func TestChunkSeedDistinct(t *testing.T) {
 // TestShiftPoolMemoIndependence: a result depends on the shift sequence and
 // never on what a pool happens to have memoised. A family of tests sharing
 // one pool, run concurrently, must report the same tau streams and Results
-// whether the pool memoises nothing, one chunk, or every chunk, under every
-// Workers value.
+// whether the pool memoises nothing, one chunk, or every chunk.
 func TestShiftPoolMemoIndependence(t *testing.T) {
 	g, err := stgraph.New(16, 96, grid(4, 4))
 	if err != nil {
@@ -108,14 +67,14 @@ func TestShiftPoolMemoIndependence(t *testing.T) {
 	}
 	// runFamily tests every pair against pool at once, each with its own
 	// per-test seed, as a graph build does.
-	runFamily := func(pool *ShiftPool, workers int) []outcome {
+	runFamily := func(pool *ShiftPool) []outcome {
 		out := make([]outcome, family)
 		var wg sync.WaitGroup
 		for i, p := range pairs {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				cfg := Config{Permutations: perms, Seed: int64(100 + i), Workers: workers, Shifts: pool}
+				cfg := Config{Permutations: perms, Seed: int64(100 + i), Shifts: pool}
 				out[i].adaptive = Test(p.a, p.b, g, 0.3, cfg)
 				cfg.Exhaustive = true
 				taus := make([]float64, perms)
@@ -128,25 +87,23 @@ func TestShiftPoolMemoIndependence(t *testing.T) {
 	}
 	oneChunk := 4 * permChunk * len(adj)
 	full := NewShiftPool(adj, 9)
-	want := runFamily(full, 1)
+	want := runFamily(full)
 	if got := full.memoBytes(); got != 5*oneChunk {
 		t.Fatalf("full pool memoised %d bytes, want 5 chunks = %d", got, 5*oneChunk)
 	}
 	for _, budget := range []int{0, oneChunk} {
-		for _, workers := range []int{1, 2, 4} {
-			pool := newShiftPool(adj, 9, budget)
-			if len(pool.memo) != budget/oneChunk {
-				t.Fatalf("budget %d gives %d memo slots, want %d", budget, len(pool.memo), budget/oneChunk)
+		pool := newShiftPool(adj, 9, budget)
+		if len(pool.memo) != budget/oneChunk {
+			t.Fatalf("budget %d gives %d memo slots, want %d", budget, len(pool.memo), budget/oneChunk)
+		}
+		for i, got := range runFamily(pool) {
+			if got.adaptive != want[i].adaptive {
+				t.Errorf("budget=%d pair %d: Result %+v, fully memoised %+v",
+					budget, i, got.adaptive, want[i].adaptive)
 			}
-			for i, got := range runFamily(pool, workers) {
-				if got.adaptive != want[i].adaptive {
-					t.Errorf("budget=%d workers=%d pair %d: Result %+v, fully memoised %+v",
-						budget, workers, i, got.adaptive, want[i].adaptive)
-				}
-				if !slices.Equal(got.taus, want[i].taus) {
-					t.Errorf("budget=%d workers=%d pair %d: tau stream differs from the fully memoised pool's",
-						budget, workers, i)
-				}
+			if !slices.Equal(got.taus, want[i].taus) {
+				t.Errorf("budget=%d pair %d: tau stream differs from the fully memoised pool's",
+					budget, i)
 			}
 		}
 	}
@@ -172,7 +129,7 @@ func TestPreparedLanesPoolRace(t *testing.T) {
 		for i := range 3 {
 			a, b := denseSets(rand.New(rand.NewSource(int64(i))), n, float64(sh.features)/float64(n), 0, n)
 			for _, tau := range []float64{0.05, -0.05} {
-				cfg := Config{Permutations: 100, Seed: int64(i), Workers: 1 + i%2, Shifts: pool}
+				cfg := Config{Permutations: 100, Seed: int64(i), Shifts: pool}
 				jobs = append(jobs, job{a, b, g, tau, cfg, Test(a, b, g, tau, cfg)})
 			}
 		}
