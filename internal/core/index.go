@@ -8,7 +8,6 @@ import (
 	"github.com/urbandata/datapolygamy/internal/bitvec"
 	"github.com/urbandata/datapolygamy/internal/feature"
 	"github.com/urbandata/datapolygamy/internal/relgraph"
-	"github.com/urbandata/datapolygamy/internal/temporal"
 )
 
 // This file is the index layer of the framework: the Index type stores the
@@ -44,8 +43,8 @@ type FunctionEntry struct {
 	// NumVertices is the size of the domain graph, NumSteps times the
 	// number of regions.
 	NumVertices int
-	// CriticalPoints counts join+split tree critical vertices (index size),
-	// summed over tiles.
+	// CriticalPoints counts join+split tree critical vertices (index size):
+	// the sum of TileCriticalPoints.
 	CriticalPoints int
 
 	// NumSteps is the length of the temporal domain the entry was built
@@ -63,7 +62,7 @@ type FunctionEntry struct {
 	salientAll, extremeAll *bitvec.Vector
 
 	// Per-class tile occupancy bitmaps (bit t set ⇔ tile t contains at least
-	// one feature bit of that class), derived in finalize. The significance
+	// one feature bit of that class), installed by finalize. The significance
 	// test of a pair runs over the union of both entries' occupied tiles —
 	// the supporting window — so a pair's p-value depends only on the tiles
 	// that back it and is invariant under appends that leave them untouched.
@@ -74,47 +73,25 @@ type FunctionEntry struct {
 	pos uint32
 }
 
-// finalize installs the feature unions — Positive ∪ Negative of each class,
-// freshly built or zero-copy views into a snapshot mapping (the snapshot
-// CRC guards them in transit) — and derives the occupancy summaries and
-// tile bitmaps from them. It runs once per entry, after the entry's shape
-// has been checked, before the entry is queried.
-func (e *FunctionEntry) finalize(salientAll, extremeAll *bitvec.Vector) {
-	e.salientAll = salientAll
-	e.extremeAll = extremeAll
-	e.SalientOcc = Occupancy{
-		Pos: e.Salient.Positive.Count(),
-		Neg: e.Salient.Negative.Count(),
-		All: e.salientAll.Count(),
-	}
-	e.ExtremeOcc = Occupancy{
-		Pos: e.Extreme.Positive.Count(),
-		Neg: e.Extreme.Negative.Count(),
-		All: e.extremeAll.Count(),
-	}
-	w := temporal.TileWidth(e.Res.Temporal)
-	nTiles := temporal.NumTilesFor(e.NumSteps, e.Res.Temporal)
-	r := e.NumVertices / e.NumSteps
-	e.salientTiles = tileOccupancyBits(e.salientAll, w, r, e.NumSteps, nTiles)
-	e.extremeTiles = tileOccupancyBits(e.extremeAll, w, r, e.NumSteps, nTiles)
+// classSummary is what an entry keeps of one feature class beside its
+// Positive and Negative vectors: their union, its occupancy counts and its
+// tile occupancy bitmap (bit t set ⇔ tile t holds a feature bit of the
+// class). summarize derives it from the vectors when an entry is built;
+// the entry's snapshot record carries it, so a load reads it as written.
+type classSummary struct {
+	all   *bitvec.Vector
+	occ   Occupancy
+	tiles []uint64
 }
 
-// tileOccupancyBits scans one union vector tile by tile and returns the
-// occupancy bitset (bit t set ⇔ any feature bit inside tile t's vertex
-// range).
-func tileOccupancyBits(v *bitvec.Vector, w, r, nSteps, nTiles int) []uint64 {
-	out := make([]uint64, (nTiles+63)/64)
-	for t := 0; t < nTiles; t++ {
-		lo := t * w
-		hi := lo + w
-		if hi > nSteps {
-			hi = nSteps
-		}
-		if v.AnyRange(lo*r, hi*r) {
-			out[t/64] |= 1 << uint(t%64)
-		}
-	}
-	return out
+// finalize installs both classes' summaries: freshly derived, or read from
+// a snapshot record whose unions and bitmaps are zero-copy views into the
+// mapping (the snapshot CRC guards them in transit). It runs once per
+// entry, after the entry's shape has been checked, before the entry is
+// queried.
+func (e *FunctionEntry) finalize(salient, extreme classSummary) {
+	e.salientAll, e.SalientOcc, e.salientTiles = salient.all, salient.occ, salient.tiles
+	e.extremeAll, e.ExtremeOcc, e.extremeTiles = extreme.all, extreme.occ, extreme.tiles
 }
 
 // tileOcc returns the tile occupancy bitmap of the given class.
@@ -273,6 +250,20 @@ func (ix *Index) sort(ds string) {
 	ix.tabMu.Lock()
 	ix.tab = nil
 	ix.tabMu.Unlock()
+}
+
+// addRun adds a data set's entries from run, its key-ascending entry list
+// as a parsed index section holds it (parseFlatIndex refuses any other
+// order), and marks the data set done. Positions are numbered by the run,
+// so the entries keep the positions they were saved with and nothing is
+// sorted.
+func (ix *Index) addRun(ds string, run []*FunctionEntry) {
+	for i, e := range run {
+		e.pos = uint32(i)
+		ix.add(e)
+	}
+	ix.funcs[ds] = run
+	ix.markDone(ds)
 }
 
 // funcTable is the index's functions as one relgraph table: every data

@@ -68,6 +68,10 @@ var (
 		"Snapshots opened, by adoption mode (mmap or heap).", "mode")
 	mSnapshotLoadDuration = obsv.NewHistogram("polygamy_snapshot_load_duration_seconds",
 		"Snapshot open latency.", nil)
+	// map is the mmap plus the section checksums, parse both section
+	// parsers, install the index install plus the graph apply.
+	mSnapshotLoadStageDuration = obsv.NewHistogramVec("polygamy_snapshot_load_stage_duration_seconds",
+		"Snapshot open latency by stage (map, parse, install).", nil, "stage")
 	mSnapshotMappedBytes = obsv.NewGauge("polygamy_snapshot_mapped_bytes",
 		"Bytes of the current snapshot served zero-copy from the page cache.")
 )

@@ -46,15 +46,18 @@ import (
 // families whose one-region p-values are enumerated exactly and which hold
 // no tuple whose test cannot reach alpha (a v7 family has sampled p-values
 // and those tuples); 9 drops the entry-level thresholds (tile 0's) and the
-// domain graph's edge count from each index entry. Evolving any layout or
-// meaning below means bumping both (the format has no field tags).
-const flatSnapshotVersion = 9
+// domain graph's edge count from each index entry; 10 stores each entry's
+// occupancy counts and class tile bitmaps, which a load had recomputed from
+// the vectors, and drops the per-vector bit lengths and the critical point
+// total. Evolving any layout or meaning below means bumping both (the
+// format has no field tags).
+const flatSnapshotVersion = 10
 
 // Payload magics. The final byte is the generation, so another
-// generation's layout is "not flat v9" rather than a misparse.
+// generation's layout is "not flat v10" rather than a misparse.
 var (
-	flatIndexMagic = []byte("DPIXFLT\x09")
-	flatGraphMagic = []byte("DPGRFLT\x09")
+	flatIndexMagic = []byte("DPIXFLT\x0a")
+	flatGraphMagic = []byte("DPGRFLT\x0a")
 )
 
 // nilSlice is the length sentinel distinguishing a nil clause slice
@@ -108,8 +111,7 @@ func (f *Framework) encodeFlatIndexLocked() ([]byte, error) {
 	entries := f.collectEntriesLocked()
 	est := 256
 	for _, e := range entries {
-		est += 256 + len(e.Key) + len(e.Dataset) + len(e.SpecName) +
-			6*(8+e.Salient.Positive.WordBytes())
+		est += 256 + len(e.Key) + len(e.Dataset) + len(e.SpecName) + 6*e.Salient.Positive.WordBytes()
 	}
 	w := store.NewSlabWriter(est)
 	w.Raw(flatIndexMagic)
@@ -122,16 +124,18 @@ func (f *Framework) encodeFlatIndexLocked() ([]byte, error) {
 	}
 	w.U64(uint64(len(entries)))
 	for _, e := range entries {
+		if e.NumVertices > math.MaxUint32 {
+			return nil, fmt.Errorf("core: entry %s spans %d vertices, more than a record counts", e.Key, e.NumVertices)
+		}
 		w.String(e.Key)
 		w.String(e.Dataset)
 		w.String(e.SpecName)
 		w.I64(int64(e.Res.Spatial))
 		w.I64(int64(e.Res.Temporal))
 		w.I64(int64(e.NumVertices))
-		w.I64(int64(e.CriticalPoints))
 		// Tile table (v5): domain length plus per-tile thresholds and
 		// critical point counts, so appends can reuse untouched tiles after
-		// a warm open.
+		// a warm open. CriticalPoints is their sum, recomputed at load.
 		if len(e.TileThresholds) != len(e.TileCriticalPoints) {
 			return nil, fmt.Errorf("core: entry %s has %d tile thresholds, %d tile critical point counts",
 				e.Key, len(e.TileThresholds), len(e.TileCriticalPoints))
@@ -142,29 +146,50 @@ func (f *Framework) encodeFlatIndexLocked() ([]byte, error) {
 			writeFlatThresholds(w, th)
 			w.I64(int64(e.TileCriticalPoints[ti]))
 		}
+		// The summaries the builder derived (v10): six occupancy counts,
+		// two to a word, and the two class tile bitmaps, so a load installs
+		// them without reading a feature bit.
+		w.U64(packCounts(e.SalientOcc.Pos, e.SalientOcc.Neg))
+		w.U64(packCounts(e.SalientOcc.All, e.ExtremeOcc.Pos))
+		w.U64(packCounts(e.ExtremeOcc.Neg, e.ExtremeOcc.All))
+		for _, bm := range [][]uint64{e.salientTiles, e.extremeTiles} {
+			for _, word := range bm {
+				w.U64(word)
+			}
+		}
 		// The derived unions are persisted too: reloading them as views
-		// keeps the whole feature working set inside the shared mapping
-		// (occupancy summaries are recomputed by popcount at load).
+		// keeps the whole feature working set inside the shared mapping.
+		// Every vector is NumVertices bits long, so no slab carries its
+		// length.
 		for _, v := range []*bitvec.Vector{
 			e.Salient.Positive, e.Salient.Negative,
 			e.Extreme.Positive, e.Extreme.Negative,
-			e.union(feature.Salient), e.union(feature.Extreme),
+			e.salientAll, e.extremeAll,
 		} {
-			writeFlatVector(w, v)
+			w.AppendFunc(v.AppendWords)
 		}
 	}
 	return w.Finish(), nil
 }
 
-func writeFlatVector(w *store.SlabWriter, v *bitvec.Vector) {
-	w.U64(uint64(v.Len()))
-	w.AppendFunc(v.AppendWords)
+// packCounts lays out two occupancy counts, each at most NumVertices and so
+// below 2^32, as one word: lo in the low half, hi in the high half.
+func packCounts(lo, hi int) uint64 { return uint64(lo) | uint64(hi)<<32 }
+
+// readOccupancy reads the three words packCounts wrote for an entry's two
+// classes.
+func readOccupancy(r *store.SlabReader) (salient, extreme Occupancy) {
+	var c [6]int
+	for i := 0; i < 6; i += 2 {
+		v := r.U64()
+		c[i], c[i+1] = int(uint32(v)), int(v>>32)
+	}
+	return Occupancy{Pos: c[0], Neg: c[1], All: c[2]}, Occupancy{Pos: c[3], Neg: c[4], All: c[5]}
 }
 
-// readFlatVector builds a zero-copy view of one bit-vector slab into the
+// readFlatVector builds a zero-copy view of one n-bit vector slab into the
 // caller-allocated dst (batched by parseFlatIndex).
-func readFlatVector(r *store.SlabReader, dst *bitvec.Vector) error {
-	n := r.Int()
+func readFlatVector(r *store.SlabReader, dst *bitvec.Vector, n int) error {
 	b := r.Raw(8 * bitvec.NumWords(n))
 	if err := r.Err(); err != nil {
 		return err
@@ -173,6 +198,30 @@ func readFlatVector(r *store.SlabReader, dst *bitvec.Vector) error {
 		return corruptf("%v", err)
 	}
 	return nil
+}
+
+// readTiles checks one class's occupancy counts against the entry's vertex
+// count and each other, then views the class's tile bitmap in place and
+// checks it against the tile count and the union count. It reads no
+// feature bit: counts and bitmap are installed as the builder derived them
+// (the snapshot CRC vouches for them in transit); what is checked is what
+// no vectors of the entry's shape could have.
+func readTiles(r *store.SlabReader, e *FunctionEntry, class string, occ Occupancy, nTiles int) ([]uint64, error) {
+	if occ.Pos > e.NumVertices || occ.Neg > e.NumVertices || occ.All > e.NumVertices {
+		return nil, corruptf("entry %s: %s counts %+v exceed its %d vertices", e.Key, class, occ, e.NumVertices)
+	}
+	if max(occ.Pos, occ.Neg) > occ.All || occ.All > occ.Pos+occ.Neg {
+		return nil, corruptf("entry %s: %s union count %d outside [max, sum] of its signs' %d and %d",
+			e.Key, class, occ.All, occ.Pos, occ.Neg)
+	}
+	var bm bitvec.Vector
+	if err := readFlatVector(r, &bm, nTiles); err != nil {
+		return nil, fmt.Errorf("core: entry %s: %s tile bitmap: %w", e.Key, class, err)
+	}
+	if (occ.All == 0) != !bm.Any() {
+		return nil, corruptf("entry %s: %s tile bitmap disagrees with its union count %d", e.Key, class, occ.All)
+	}
+	return bm.Words(), nil
 }
 
 func writeFlatThresholds(w *store.SlabWriter, t feature.Thresholds) {
@@ -216,10 +265,12 @@ type flatIndexSnap struct {
 	funcs        map[string][]*FunctionEntry
 }
 
-// parseFlatIndex decodes a flat index payload with no framework access and
-// no heap copies of the bit-vector slabs. Every failure — truncation, bad
-// counts, tail bits beyond a vector's length, mismatched vector lengths,
-// an entry whose shape is not a tiled one (see FunctionEntry), entries that
+// parseFlatIndex decodes a flat index payload with no framework access, no
+// heap copies of the bit-vector slabs and no read of a feature bit: the
+// summaries are installed as the record states them. Every failure —
+// truncation, bad counts, tail bits beyond a vector's or bitmap's length,
+// an entry whose shape is not a tiled one (see FunctionEntry), summaries
+// that no vectors of its shape could have (readTiles), entries that
 // are not one key-ascending run per listed data set — wraps
 // store.ErrCorrupt.
 func parseFlatIndex(data []byte) (flatIndexSnap, error) {
@@ -236,15 +287,18 @@ func parseFlatIndex(data []byte) (flatIndexSnap, error) {
 		snap.order = append(snap.order, r.String())
 	}
 	nEntries := r.Count(64)
-	// Entry, vector, and feature-set headers are batched into three slabs
-	// — warm open allocates O(1) headers instead of O(entries). The counts
-	// are bounded by Count, and the loop never outgrows the slabs, so the
-	// pointers taken below stay valid.
+	// Entry, vector, and feature-set headers are batched into three slabs,
+	// and the tile tables and season thresholds are carved from
+	// section-wide arenas, so warm open allocates per section, not per
+	// entry. The counts are bounded by Count, and the loop never outgrows
+	// the slabs, so the pointers taken below stay valid. An arena that
+	// grows leaves the entries carved so far on its old backing array,
+	// every one capped so no append can reach its neighbour.
 	entryBuf := make([]FunctionEntry, nEntries)
 	vecBuf := make([]bitvec.Vector, 6*nEntries)
 	setBuf := make([]feature.Set, 2*nEntries)
-	// Season thresholds share one arena: most entries carry a couple of
-	// seasons per sign, so this usually grows a handful of times in total.
+	tileArena := make([]feature.Thresholds, 0, nEntries)
+	critArena := make([]int, 0, nEntries)
 	seasonArena := make([]feature.SeasonTheta, 0, 2*nEntries)
 	snap.entries = make([]*FunctionEntry, 0, nEntries)
 	for i := 0; i < nEntries && r.Err() == nil; i++ {
@@ -256,40 +310,52 @@ func parseFlatIndex(data []byte) (flatIndexSnap, error) {
 			Spatial:  spatial.Resolution(r.I64()),
 			Temporal: temporal.Resolution(r.I64()),
 		}
-		e.NumVertices = int(r.I64())
-		e.CriticalPoints = int(r.I64())
+		nv := r.U64()
+		if nv > math.MaxUint32 {
+			return snap, corruptf("entry %s: %d vertices, more than a record counts", e.Key, nv)
+		}
+		e.NumVertices = int(nv)
 		e.NumSteps = int(r.I64())
 		nTiles := r.Count(24)
-		e.TileThresholds = make([]feature.Thresholds, 0, nTiles)
-		e.TileCriticalPoints = make([]int, 0, nTiles)
-		for t := 0; t < nTiles && r.Err() == nil; t++ {
-			e.TileThresholds = append(e.TileThresholds, readFlatThresholds(r, &seasonArena))
-			e.TileCriticalPoints = append(e.TileCriticalPoints, int(r.I64()))
+		if r.Err() != nil {
+			break
 		}
-		vs := vecBuf[6*i : 6*i+6]
-		for j := range vs {
-			if err := readFlatVector(r, &vs[j]); err != nil {
-				return snap, err
-			}
-			if j > 0 && vs[j].Len() != vs[0].Len() {
-				return snap, corruptf("entry %s: vector %d has %d bits, want %d", e.Key, j, vs[j].Len(), vs[0].Len())
-			}
-		}
-		// The shape finalize divides by and tiles over.
-		if e.NumVertices != vs[0].Len() {
-			return snap, corruptf("entry %s: %d vertices, vectors have %d bits", e.Key, e.NumVertices, vs[0].Len())
-		}
+		// The shape the vectors are read at and the tiles partition.
 		if e.NumSteps <= 0 || e.NumVertices%e.NumSteps != 0 {
 			return snap, corruptf("entry %s: %d steps do not divide %d vertices", e.Key, e.NumSteps, e.NumVertices)
 		}
 		if !e.Res.Temporal.Valid() || nTiles != temporal.NumTilesFor(e.NumSteps, e.Res.Temporal) {
 			return snap, corruptf("entry %s: %d tiles for %d steps at temporal resolution %d", e.Key, nTiles, e.NumSteps, e.Res.Temporal)
 		}
+		t0 := len(tileArena)
+		for t := 0; t < nTiles && r.Err() == nil; t++ {
+			tileArena = append(tileArena, readFlatThresholds(r, &seasonArena))
+			crit := int(r.I64())
+			critArena = append(critArena, crit)
+			e.CriticalPoints += crit
+		}
+		e.TileThresholds = tileArena[t0:len(tileArena):len(tileArena)]
+		e.TileCriticalPoints = critArena[t0:len(critArena):len(critArena)]
+		vs := vecBuf[6*i : 6*i+6]
+		salOcc, extOcc := readOccupancy(r)
+		salTiles, err := readTiles(r, e, "salient", salOcc, nTiles)
+		if err != nil {
+			return snap, err
+		}
+		extTiles, err := readTiles(r, e, "extreme", extOcc, nTiles)
+		if err != nil {
+			return snap, err
+		}
+		for j := range vs {
+			if err := readFlatVector(r, &vs[j], e.NumVertices); err != nil {
+				return snap, err
+			}
+		}
 		e.Salient = &setBuf[2*i]
 		e.Extreme = &setBuf[2*i+1]
 		*e.Salient = feature.Set{Positive: &vs[0], Negative: &vs[1]}
 		*e.Extreme = feature.Set{Positive: &vs[2], Negative: &vs[3]}
-		e.finalize(&vs[4], &vs[5])
+		e.finalize(classSummary{&vs[4], salOcc, salTiles}, classSummary{&vs[5], extOcc, extTiles})
 		snap.entries = append(snap.entries, e)
 	}
 	if err := r.Done(); err != nil {
@@ -336,20 +402,19 @@ func (f *Framework) installIndexLocked(snap flatIndexSnap) error {
 	}
 	ix := newIndex()
 	timelines, graphs := maps.Clone(f.timelines), maps.Clone(f.graphs)
-	for _, e := range snap.entries {
-		g, err := f.graph(e.Res, f.minTS, f.maxTS, timelines, graphs)
-		if err != nil {
-			return err
-		}
-		if e.NumVertices != g.NumVertices() || e.NumSteps != g.NumSteps() {
-			return fmt.Errorf("core: entry %s spans %d vertices over %d steps, graph has %d over %d",
-				e.Key, e.NumVertices, e.NumSteps, g.NumVertices(), g.NumSteps())
-		}
-		ix.add(e)
-	}
 	for _, name := range snap.order {
-		ix.sort(name)
-		ix.markDone(name)
+		run := snap.funcs[name]
+		for _, e := range run {
+			g, err := f.graph(e.Res, f.minTS, f.maxTS, timelines, graphs)
+			if err != nil {
+				return err
+			}
+			if e.NumVertices != g.NumVertices() || e.NumSteps != g.NumSteps() {
+				return fmt.Errorf("core: entry %s spans %d vertices over %d steps, graph has %d over %d",
+					e.Key, e.NumVertices, e.NumSteps, g.NumVertices(), g.NumSteps())
+			}
+		}
+		ix.addRun(name, run)
 	}
 	f.index = ix
 	f.timelines, f.graphs = timelines, graphs

@@ -83,31 +83,68 @@ func TestFlatSectionCorruption(t *testing.T) {
 
 	idx := sections[store.SectionIndex]
 	graph := sections[store.SectionGraph]
+	// The summary cases change one class's record of every entry that can
+	// carry the damage, so each trips one parse check; want names it.
+	salient := func(mutate func(e *FunctionEntry, occ *Occupancy, tiles []uint64)) []byte {
+		return indexSectionWith(t, f, func(e *FunctionEntry) {
+			e.salientTiles = slices.Clone(e.salientTiles)
+			mutate(e, &e.SalientOcc, e.salientTiles)
+		})
+	}
 	cases := []struct {
 		name    string
 		section string
 		payload []byte
+		want    string // in the error, when set
 	}{
-		{"index wrong magic", store.SectionIndex, append([]byte("DPIXFLT\x04"), idx[8:]...)},
-		{"index not flat at all", store.SectionIndex, []byte("not an index")},
-		{"index truncated mid-entry", store.SectionIndex, idx[:len(idx)-8]},
-		{"index truncated to magic", store.SectionIndex, idx[:8]},
-		{"index trailing bytes", store.SectionIndex, append(append([]byte(nil), idx...), make([]byte, 16)...)},
+		{"index wrong magic", store.SectionIndex, append([]byte("DPIXFLT\x04"), idx[8:]...), ""},
+		{"index not flat at all", store.SectionIndex, []byte("not an index"), ""},
+		{"index truncated mid-entry", store.SectionIndex, idx[:len(idx)-8], ""},
+		{"index truncated to magic", store.SectionIndex, idx[:8], ""},
+		{"index trailing bytes", store.SectionIndex, append(append([]byte(nil), idx...), make([]byte, 16)...), ""},
 		// Offset 32 is the data-set-order count (after magic, version,
 		// minTS, maxTS): flipping it demands an absurd element count.
-		{"index count corrupted", store.SectionIndex, flipWord(idx, 32)},
-		{"graph wrong magic", store.SectionGraph, append([]byte("DPIXFLT\x06"), graph[8:]...)},
-		{"graph truncated", store.SectionGraph, graph[:len(graph)/2/8*8]},
-		{"graph trailing bytes", store.SectionGraph, append(append([]byte(nil), graph...), make([]byte, 8)...)},
-		// Entries that are not tiled: the checks run before finalize, which
-		// divides by NumSteps and tiles over it.
-		{"entry with zero steps", store.SectionIndex, indexSectionWith(t, f, func(e *FunctionEntry) { e.NumSteps = 0 })},
-		{"entry with one step too many", store.SectionIndex, indexSectionWith(t, f, func(e *FunctionEntry) { e.NumSteps++ })},
+		{"index count corrupted", store.SectionIndex, flipWord(idx, 32), ""},
+		{"graph wrong magic", store.SectionGraph, append([]byte("DPIXFLT\x06"), graph[8:]...), ""},
+		{"graph truncated", store.SectionGraph, graph[:len(graph)/2/8*8], ""},
+		{"graph trailing bytes", store.SectionGraph, append(append([]byte(nil), graph...), make([]byte, 8)...), ""},
+		// Entries that are not tiled: the checks run before a vector is
+		// viewed at the entry's vertex count or a tile bitmap at its tiles.
+		{"entry with zero steps", store.SectionIndex, indexSectionWith(t, f, func(e *FunctionEntry) { e.NumSteps = 0 }), ""},
+		{"entry with one step too many", store.SectionIndex, indexSectionWith(t, f, func(e *FunctionEntry) { e.NumSteps++ }), ""},
 		{"entry with one tile too many", store.SectionIndex, indexSectionWith(t, f, func(e *FunctionEntry) {
 			e.TileThresholds = append(slices.Clone(e.TileThresholds), feature.Thresholds{})
 			e.TileCriticalPoints = append(slices.Clone(e.TileCriticalPoints), 0)
-		})},
-		{"entry vertices off its vectors", store.SectionIndex, indexSectionWith(t, f, func(e *FunctionEntry) { e.NumVertices++ })},
+		}), ""},
+		{"entry vertices off its vectors", store.SectionIndex, indexSectionWith(t, f, func(e *FunctionEntry) { e.NumVertices++ }), ""},
+		// One case per check of the stored summaries (v10).
+		{"entry vertices past a uint32", store.SectionIndex, func() []byte {
+			out := slices.Clone(idx)
+			binary.LittleEndian.PutUint64(out[firstVertexWord(t, idx):], 1<<32)
+			return out
+		}(), "more than a record counts"},
+		{"occupancy count past the vertices", store.SectionIndex, salient(func(e *FunctionEntry, occ *Occupancy, _ []uint64) {
+			*occ = Occupancy{Pos: e.NumVertices + 1, All: e.NumVertices + 1}
+		}), "exceed its"},
+		{"union count below a sign's", store.SectionIndex, salient(func(_ *FunctionEntry, occ *Occupancy, _ []uint64) {
+			*occ = Occupancy{Pos: occ.All + 1, All: occ.All}
+		}), "union count"},
+		{"union count above both signs'", store.SectionIndex, salient(func(_ *FunctionEntry, occ *Occupancy, _ []uint64) {
+			*occ = Occupancy{Pos: occ.All, All: occ.All + 1}
+		}), "union count"},
+		{"tile bit past the last tile", store.SectionIndex, salient(func(e *FunctionEntry, _ *Occupancy, tiles []uint64) {
+			if n := len(e.TileThresholds); n%64 != 0 {
+				tiles[n/64] |= 1 << uint(n%64)
+			}
+		}), "bits beyond length"},
+		{"empty tile bitmap under features", store.SectionIndex, salient(func(_ *FunctionEntry, _ *Occupancy, tiles []uint64) {
+			clear(tiles)
+		}), "disagrees"},
+		{"occupied tile bitmap under no feature", store.SectionIndex, salient(func(_ *FunctionEntry, occ *Occupancy, tiles []uint64) {
+			if slices.ContainsFunc(tiles, func(w uint64) bool { return w != 0 }) {
+				*occ = Occupancy{}
+			}
+		}), "disagrees"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -118,6 +155,9 @@ func TestFlatSectionCorruption(t *testing.T) {
 			}
 			if !errors.Is(err, store.ErrCorrupt) {
 				t.Errorf("err = %v, does not wrap store.ErrCorrupt", err)
+			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("err = %v, want it to name %q", err, tc.want)
 			}
 		})
 	}
@@ -149,6 +189,32 @@ func TestFlatSectionCorruption(t *testing.T) {
 	if _, err := openPlanted(t, bad); err == nil || !strings.Contains(err.Error(), "steps") {
 		t.Errorf("entries over one step installed: err = %v", err)
 	}
+}
+
+// firstVertexWord returns the offset of the first entry's vertex count in
+// an index section, for damage the encoder refuses to write.
+func firstVertexWord(t *testing.T, idx []byte) int {
+	t.Helper()
+	r := store.NewSlabReader(idx)
+	r.Raw(len(flatIndexMagic))
+	r.U64() // generation
+	r.I64() // minTS
+	r.I64() // maxTS
+	for n := r.Count(8); n > 0; n-- {
+		r.Bytes() // a data set name
+	}
+	if r.Count(64) == 0 {
+		t.Fatal("index section has no entry")
+	}
+	r.Bytes() // key
+	r.Bytes() // data set
+	r.Bytes() // spec
+	r.I64()   // spatial resolution
+	r.I64()   // temporal resolution
+	if r.Err() != nil {
+		t.Fatal(r.Err())
+	}
+	return len(idx) - r.Remaining()
 }
 
 // indexSectionWith lays out f's index section with every entry changed by
@@ -331,9 +397,15 @@ func flipWord(payload []byte, off int) []byte {
 // TestFlatOpenAllocations pins what a warm open costs in heap objects: the
 // flat sections are viewed in place, so opening the planted corpus (two
 // data sets, one graph pair) allocates headers and the assembled graph, not
-// bit vectors or candidate records — 218 objects when this ceiling was set
-// (405 while the graph section held six strings per candidate). A decoder
-// that starts copying slabs to the heap lands in the thousands.
+// bit vectors or candidate records — 126 objects when this ceiling was set
+// (218 while each entry allocated its tile tables and bitmaps, 405 while
+// the graph section held six strings per candidate). A decoder that starts
+// copying slabs to the heap lands in the thousands.
+//
+// It also pins that the cost is per section, not per entry: the entry,
+// vector and set headers come in slabs, the tile tables from arenas, and
+// the tile bitmaps are views, so an index of several times the entries
+// costs less than one more object per extra entry.
 func TestFlatOpenAllocations(t *testing.T) {
 	f := flatSnapshotFramework(t)
 	path := filepath.Join(t.TempDir(), "flat.snap")
@@ -342,14 +414,137 @@ func TestFlatOpenAllocations(t *testing.T) {
 	}
 	g, _ := snapshotCorpus(t)
 	t.Cleanup(func() { g.Close() })
-	allocs := testing.AllocsPerRun(5, func() {
-		if err := g.Load(path); err != nil {
+	allocs := openAllocs(t, g, path)
+	t.Logf("warm open allocations: %.0f", allocs)
+	if allocs > 200 {
+		t.Errorf("warm open allocates %.0f objects, ceiling 200", allocs)
+	}
+
+	small, smallN := indexOpenAllocs(t, false)
+	large, largeN := indexOpenAllocs(t, true)
+	if largeN < 2*smallN {
+		t.Fatalf("%d entries against %d; the growth check needs at least twice as many", largeN, smallN)
+	}
+	t.Logf("index-only warm open: %.0f objects for %d entries, %.0f for %d", small, smallN, large, largeN)
+	if grown := large - small; grown >= float64(largeN-smallN) {
+		t.Errorf("%d more entries cost %.0f more objects, want fewer than one each", largeN-smallN, grown)
+	}
+}
+
+// openAllocs loads path into f and returns the heap objects one Load takes.
+func openAllocs(t *testing.T, f *Framework, path string) float64 {
+	t.Helper()
+	return testing.AllocsPerRun(5, func() {
+		if err := f.Load(path); err != nil {
 			t.Fatal(err)
 		}
 	})
-	t.Logf("warm open allocations: %.0f", allocs)
-	if allocs > 300 {
-		t.Errorf("warm open allocates %.0f objects, ceiling 300", allocs)
+}
+
+// indexOpenAllocs indexes the planted pair — with a gradient entry beside
+// every function entry when gradients is set, which doubles the entries
+// over the same data sets and resolutions — saves the index alone, and
+// returns what one Load of it allocates and how many entries it holds.
+func indexOpenAllocs(t *testing.T, gradients bool) (float64, int) {
+	t.Helper()
+	corpus := func() *Framework {
+		f, err := New(Options{City: testCity(t), Workers: 2, Seed: 5, IncludeGradients: gradients})
+		if err != nil {
+			t.Fatal(err)
+		}
+		wind, trips := plantedPair(30, randomHours(31, 60), nil)
+		for _, d := range []*dataset.Dataset{wind, trips} {
+			if err := f.AddDataset(d); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return f
+	}
+	f := corpus()
+	if _, err := f.BuildIndex(); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "index.snap")
+	if err := f.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	g := corpus()
+	t.Cleanup(func() { g.Close() })
+	return openAllocs(t, g, path), f.NumFunctions()
+}
+
+// TestWarmOpenKeepsEntryOrder: a load installs each data set's entries in
+// the order the section lists them, with no sort, so a warm-opened index
+// has the built one's key-sorted entry lists, per-resolution lists and
+// positions — the positions the graph section's records name.
+func TestWarmOpenKeepsEntryOrder(t *testing.T) {
+	f := flatSnapshotFramework(t)
+	path := filepath.Join(t.TempDir(), "corpus.snap")
+	if err := f.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	g, err := openPlanted(t, path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { g.Close() })
+	keys := func(es []*FunctionEntry) []string {
+		out := make([]string, len(es))
+		for i, e := range es {
+			out[i] = e.Key
+		}
+		return out
+	}
+	for _, name := range f.Datasets() {
+		want, got := f.index.funcs[name], g.index.funcs[name]
+		if len(want) == 0 || !slices.Equal(keys(want), keys(got)) {
+			t.Fatalf("%s: warm-opened entry list %v, built %v", name, keys(got), keys(want))
+		}
+		for i := range want {
+			if want[i].pos != uint32(i) || got[i].pos != want[i].pos {
+				t.Errorf("%s: entry %s at %d has position %d warm-opened, %d built", name, want[i].Key, i, got[i].pos, want[i].pos)
+			}
+		}
+		for _, res := range f.resolutionsFor(f.datasets[name]) {
+			if w, g := keys(f.Entries(name, res)), keys(g.Entries(name, res)); !slices.Equal(w, g) {
+				t.Errorf("%s@%v: warm-opened entries %v, built %v", name, res, g, w)
+			}
+		}
+	}
+}
+
+// TestLoadRecordsStages: each Load records its map, parse and install
+// stages once, and a refused Load records none.
+func TestLoadRecordsStages(t *testing.T) {
+	f := flatSnapshotFramework(t)
+	path := filepath.Join(t.TempDir(), "corpus.snap")
+	if err := f.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	g, _ := snapshotCorpus(t)
+	t.Cleanup(func() { g.Close() })
+	stages := []string{"map", "parse", "install"}
+	before := make(map[string]uint64)
+	for _, st := range stages {
+		before[st] = mSnapshotLoadStageDuration.With(st).Count()
+	}
+	for n := uint64(1); n <= 2; n++ {
+		if err := g.Load(path); err != nil {
+			t.Fatal(err)
+		}
+		for _, st := range stages {
+			if got := mSnapshotLoadStageDuration.With(st).Count() - before[st]; got != n {
+				t.Errorf("after %d loads the %s stage has %d observations", n, st, got)
+			}
+		}
+	}
+	if err := g.Load(splice(t, path, store.SectionIndex, []byte("junk"))); err == nil {
+		t.Fatal("a junk index section loaded")
+	}
+	for _, st := range stages {
+		if got := mSnapshotLoadStageDuration.With(st).Count() - before[st]; got != 2 {
+			t.Errorf("a refused load moved the %s stage to %d observations", st, got)
+		}
 	}
 }
 
@@ -376,7 +571,7 @@ func FuzzParseFlatIndex(f *testing.F) {
 	idx, _ := seedFlatPayloads(f)
 	f.Add(idx)
 	f.Add(idx[:len(idx)-8])
-	f.Add([]byte("DPIXFLT\x04"))
+	f.Add([]byte("DPIXFLT\x0a"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if _, err := parseFlatIndex(data); err != nil && !errors.Is(err, store.ErrCorrupt) {
 			t.Errorf("non-ErrCorrupt failure: %v", err)
@@ -395,7 +590,7 @@ func FuzzParseFlatGraph(f *testing.F) {
 	f.Add(graph)
 	f.Add(graph[:len(graph)/2])
 	f.Add(graph[:len(graph)-8])
-	f.Add([]byte("DPGRFLT\x09"))
+	f.Add([]byte("DPGRFLT\x0a"))
 	f.Add(graph[:len(graph)-4])
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if _, err := parseFlatGraph(data, ix.funcs); err != nil && !errors.Is(err, store.ErrCorrupt) {

@@ -3,6 +3,7 @@ package core
 import (
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 
 	"github.com/urbandata/datapolygamy/internal/feature"
@@ -62,7 +63,7 @@ func TestSnapshotTileTableRoundTrip(t *testing.T) {
 						e.Key, len(e.TileThresholds), len(e.TileCriticalPoints), wantTiles)
 				}
 				if e.tileOcc(feature.Salient) == nil {
-					t.Errorf("%s: tile occupancy not rederived after load", e.Key)
+					t.Errorf("%s: tile occupancy not installed by the load", e.Key)
 				}
 			}
 		}
@@ -156,4 +157,87 @@ func TestAppendAfterWarmOpen(t *testing.T) {
 	}
 	defer reopened.Close()
 	assertIndexIdentical(t, live, reopened)
+}
+
+// assertSummariesFromVectors checks every entry's union, occupancy counts
+// and tile bitmaps against its own vectors, bit by bit — an oracle sharing
+// no code with summarize, which derives them, or with the snapshot record,
+// which carries them.
+func assertSummariesFromVectors(t *testing.T, f *Framework, when string) {
+	t.Helper()
+	n := 0
+	for _, name := range f.Datasets() {
+		for _, e := range f.index.funcs[name] {
+			n++
+			regions, w := e.NumVertices/e.NumSteps, temporal.TileWidth(e.Res.Temporal)
+			for _, c := range []feature.Class{feature.Salient, feature.Extreme} {
+				s, u := e.set(c), e.union(c)
+				var occ Occupancy
+				tiles := make([]uint64, (len(e.TileThresholds)+63)/64)
+				for v := 0; v < e.NumVertices; v++ {
+					p, q := s.Positive.Get(v), s.Negative.Get(v)
+					if u.Get(v) != (p || q) {
+						t.Fatalf("%s: %s: %v union bit %d is not the sign bits' union", when, e.Key, c, v)
+					}
+					if p {
+						occ.Pos++
+					}
+					if q {
+						occ.Neg++
+					}
+					if p || q {
+						occ.All++
+						tile := v / regions / w
+						tiles[tile/64] |= 1 << uint(tile%64)
+					}
+				}
+				if got := e.occ(c); got != occ {
+					t.Errorf("%s: %s: %v occupancy %+v, its vectors count %+v", when, e.Key, c, got, occ)
+				}
+				if got := e.tileOcc(c); !slices.Equal(got, tiles) {
+					t.Errorf("%s: %s: %v tile bitmap %x, its vectors occupy %x", when, e.Key, c, got, tiles)
+				}
+			}
+		}
+	}
+	if n == 0 {
+		t.Fatalf("%s: no index entries; the oracle is vacuous", when)
+	}
+}
+
+// TestSummariesMatchTheirVectors: the occupancy counts and tile bitmaps a
+// load installs unread are those of the entry's own vectors, along the
+// whole lifecycle — after a build, after a warm open, after an append into
+// the opened corpus, and after that corpus is saved and opened again.
+func TestSummariesMatchTheirVectors(t *testing.T) {
+	base := buildFW(t, appendCorpus(t, 48))
+	assertSummariesFromVectors(t, base, "build")
+	path := filepath.Join(t.TempDir(), "corpus.snap")
+	if err := base.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	opts := Options{City: testCity(t), Workers: 2, Seed: 5}
+	live, err := Open(path, OpenOptions{Options: opts, Datasets: appendCorpus(t, 48)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer live.Close()
+	assertSummariesFromVectors(t, live, "load")
+
+	// An append that extends the corpus: the recomputed entries gain a
+	// tile, and the rest keep the summaries the load installed.
+	if st, err := live.AppendSlice(hourSlice("noise", "level", 230, plantedHours+48, 24*5)); err != nil || st.FellBack {
+		t.Fatalf("append: err = %v, fell back = %v", err, st.FellBack)
+	}
+	assertSummariesFromVectors(t, live, "append")
+	path2 := filepath.Join(t.TempDir(), "corpus2.snap")
+	if err := live.Save(path2); err != nil {
+		t.Fatal(err)
+	}
+	reopened, err := Open(path2, OpenOptions{Options: opts})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reopened.Close()
+	assertSummariesFromVectors(t, reopened, "append, save and load")
 }

@@ -106,7 +106,9 @@ func (f *Framework) Save(path string) error {
 // materialized relationship graph, when one was saved — without any
 // rebuild; a failed Load leaves the framework unchanged.
 //
-// Load takes the state lock exclusively, like BuildIndex.
+// Load takes the state lock exclusively, like BuildIndex. A successful Load
+// records its map, parse and install stages once each in
+// polygamy_snapshot_load_stage_duration_seconds.
 //
 // The snapshot is memory-mapped and its sections are viewed in place: bit
 // vectors and strings alias the mapping, which the framework keeps alive
@@ -118,6 +120,7 @@ func (f *Framework) Load(path string) (err error) {
 	if err != nil {
 		return err
 	}
+	mapped := time.Since(t0)
 	adopted := false
 	defer func() {
 		if !adopted {
@@ -151,6 +154,7 @@ func (f *Framework) Load(path string) (err error) {
 	// look warm-started to the caller while having silently dropped the
 	// expensive all-pairs families, and a subsequent re-save would persist
 	// that loss.
+	t1 := time.Now()
 	snap, err := parseFlatIndex(idx)
 	if err != nil {
 		return err
@@ -166,6 +170,7 @@ func (f *Framework) Load(path string) (err error) {
 		}
 		graph = &parsed
 	}
+	t2 := time.Now()
 	if err := f.installIndexLocked(snap); err != nil {
 		return err
 	}
@@ -174,6 +179,7 @@ func (f *Framework) Load(path string) (err error) {
 		// publish the already-validated saved one over it.
 		f.applyGraphLocked(graph)
 	}
+	installed := time.Since(t2)
 	// The views alias the container buffer. A mmap-backed buffer must stay
 	// mapped for as long as any view can be reached — readers hold graphs
 	// and entries lock-free, so the mapping is adopted for the framework's
@@ -191,6 +197,9 @@ func (f *Framework) Load(path string) (err error) {
 	}
 	mSnapshotLoads.With(mode).Inc()
 	mSnapshotLoadDuration.Observe(time.Since(t0).Seconds())
+	mSnapshotLoadStageDuration.With("map").Observe(mapped.Seconds())
+	mSnapshotLoadStageDuration.With("parse").Observe(t2.Sub(t1).Seconds())
+	mSnapshotLoadStageDuration.With("install").Observe(installed.Seconds())
 	mIndexFunctions.Set(float64(f.index.numFunctions()))
 	return nil
 }

@@ -212,8 +212,34 @@ func (f *Framework) rebuildEntryTiles(t funcTask, in *jobInputs, tl *temporal.Ti
 			TileThresholds:     a.tileThresholds,
 			TileCriticalPoints: a.tileCriticalPoints,
 		}
-		e.finalize(e.Salient.All(), e.Extreme.All())
+		e.finalize(summarize(e.Salient, t.res.Temporal, S, R), summarize(e.Extreme, t.res.Temporal, S, R))
 		entries[vi] = e
 	}
 	return entries, tm, nil
+}
+
+// summarize derives one class's summary from its vectors over nSteps steps
+// of nRegions regions at temporal resolution tres: the union, its popcounts
+// and its tile occupancy. It is the one place summaries are derived; the
+// snapshot record stores them, and a load installs them unread.
+func summarize(s *feature.Set, tres temporal.Resolution, nSteps, nRegions int) classSummary {
+	all := s.All()
+	return classSummary{
+		all:   all,
+		occ:   Occupancy{Pos: s.Positive.Count(), Neg: s.Negative.Count(), All: all.Count()},
+		tiles: tileOccupancyBits(all, temporal.TileWidth(tres), nRegions, nSteps, temporal.NumTilesFor(nSteps, tres)),
+	}
+}
+
+// tileOccupancyBits scans one union vector tile by tile and returns the
+// occupancy bitset (bit t set ⇔ any feature bit inside tile t's vertex
+// range).
+func tileOccupancyBits(v *bitvec.Vector, w, r, nSteps, nTiles int) []uint64 {
+	out := make([]uint64, bitvec.NumWords(nTiles))
+	for t := 0; t < nTiles; t++ {
+		if v.AnyRange(t*w*r, min((t+1)*w, nSteps)*r) {
+			out[t/64] |= 1 << uint(t%64)
+		}
+	}
+	return out
 }

@@ -3,6 +3,7 @@ package experiments
 import (
 	"bytes"
 	"math"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -72,6 +73,28 @@ func TestFigure1Hurricanes(t *testing.T) {
 	}
 	if strings.Contains(out, "Sandy") {
 		t.Errorf("a 12-month window reports Sandy:\n%s", out)
+	}
+}
+
+// TestFigure5Claim is Figure 5's caption: the taxi-density minima split
+// into two persistence clusters, apart, and the days whose value is an
+// outlier of the salient minima include a hurricane day.
+func TestFigure5Claim(t *testing.T) {
+	r, err := figure5(claimEnv(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.lowN == 0 || r.highN == 0 {
+		t.Errorf("persistence clusters of %d and %d minima, want both non-empty", r.lowN, r.highN)
+	}
+	if !(r.lowMax < r.highMin) {
+		t.Errorf("low cluster ends at %.2f, high cluster starts at %.2f: not apart", r.lowMax, r.highMin)
+	}
+	hurricane := func(day string) bool {
+		return slices.Contains([]string{"2011-08-27", "2011-08-28", "2012-10-29", "2012-10-30"}, day)
+	}
+	if !slices.ContainsFunc(r.extremeDays, hurricane) {
+		t.Errorf("extreme negative days %v include no hurricane day", r.extremeDays)
 	}
 }
 

@@ -19,66 +19,64 @@ func timeString(f *scalar.Function, step int) string {
 	return time.Unix(f.Timeline.StepStart(step), 0).UTC().Format("2006-01-02")
 }
 
-// RunFigure5 reproduces Figure 5: the persistence structure of the taxi
-// density function's minima. (a/b) The minima split into a low-persistence
-// cluster (noise) and a high-persistence cluster (salient valleys) — the
-// split two-means finds automatically. (c) Across all time intervals, the
-// function values of extreme-feature minima (hurricane collapses) are
-// box-plot outliers of the salient-minima value distribution.
-func RunFigure5(e *Env, w io.Writer) error {
+// figure5Result is what Figure 5 computes. (a/b) The taxi density
+// function's minima split by persistence into a low cluster (noise) and a
+// high cluster (salient valleys) — the split two-means finds, with lowMax
+// the low cluster's largest persistence and highMin the high cluster's
+// smallest. (c) Across all time intervals, the values of the daily
+// function's salient minima, summarised by quartiles, and the days that
+// fall below the extreme threshold: the hurricane collapses.
+type figure5Result struct {
+	minima            int
+	lowN, highN       int
+	lowMean, highMean float64
+	lowMax, highMin   float64
+
+	q1, median, q3 float64
+	extremeNeg     float64
+	extremeDays    []string
+}
+
+// figure5 computes Figure 5 on the taxi density at (hour, city) and, for
+// (c), at (day, city): at laptop scale the daily function carries the
+// outlier structure the paper's multi-year 5(c) shows (hourly counts are
+// too discrete).
+func figure5(e *Env) (figure5Result, error) {
+	var r figure5Result
 	col, err := e.Collection()
 	if err != nil {
-		return err
+		return r, err
 	}
 	fn, err := scalar.Compute(col.Dataset("taxi"), scalar.Spec{Kind: scalar.Density},
 		col.City, spatial.City, temporal.Hour)
 	if err != nil {
-		return err
+		return r, err
 	}
 	split := topology.ComputeSplit(fn.Graph, fn.Values)
-
 	pers := make([]float64, len(split.Pairs))
 	for i, p := range split.Pairs {
 		pers[i] = p.Persistence
 	}
-	high, lowMax, highMin := mathx.TwoMeans(pers)
-	var lowN, highN int
-	var lowSum, highSum float64
+	var high []bool
+	high, r.lowMax, r.highMin = mathx.TwoMeans(pers)
+	r.minima = len(pers)
 	for i, p := range pers {
 		if high[i] {
-			highN++
-			highSum += p
+			r.highN++
+			r.highMean += p
 		} else {
-			lowN++
-			lowSum += p
+			r.lowN++
+			r.lowMean += p
 		}
 	}
-	section(w, "Figure 5(a/b): persistence of the taxi-density minima")
-	fmt.Fprintf(w, "minima: %d total\n", len(pers))
-	if lowN > 0 {
-		fmt.Fprintf(w, "low-persistence cluster:  %6d minima, mean persistence %8.2f (max %.2f)\n",
-			lowN, lowSum/float64(lowN), lowMax)
-	}
-	if highN > 0 {
-		fmt.Fprintf(w, "high-persistence cluster: %6d minima, mean persistence %8.2f (min %.2f)\n",
-			highN, highSum/float64(highN), highMin)
-	}
-	if lowN > 0 && highN > 0 {
-		fmt.Fprintf(w, "separation: high cluster starts at %.2f, low cluster ends at %.2f\n",
-			highMin, lowMax)
-	}
+	r.lowMean /= float64(max(r.lowN, 1))
+	r.highMean /= float64(max(r.highN, 1))
 
-	// (c) Function values of salient minima across all intervals, with the
-	// box-plot outlier threshold; the hurricane days must fall below it.
-	// The paper's 5(c) spans the full multi-year range; at laptop scale
-	// the daily function carries the outlier structure (hourly counts are
-	// too discrete).
 	daily, err := scalar.Compute(col.Dataset("taxi"), scalar.Spec{Kind: scalar.Density},
 		col.City, spatial.City, temporal.Day)
 	if err != nil {
-		return err
+		return r, err
 	}
-	dex := feature.NewExtractor(daily)
 	dsplit := topology.ComputeSplit(daily.Graph, daily.Values)
 	dpers := make([]float64, len(dsplit.Pairs))
 	for i, p := range dsplit.Pairs {
@@ -92,21 +90,42 @@ func RunFigure5(e *Env, w io.Writer) error {
 		}
 	}
 	sort.Float64s(salientVals)
-	q1, q2, q3 := mathx.Quartiles(salientVals)
-	th := dex.Thresholds()
+	r.q1, r.median, r.q3 = mathx.Quartiles(salientVals)
+	dex := feature.NewExtractor(daily)
+	r.extremeNeg = dex.Thresholds().ExtremeNeg
+	for _, v := range dex.Extract(feature.Extreme).Negative.Ones() {
+		_, step := daily.Graph.RegionStep(v)
+		r.extremeDays = append(r.extremeDays, timeString(daily, step))
+	}
+	return r, nil
+}
+
+// RunFigure5 prints Figure 5 (figure5).
+func RunFigure5(e *Env, w io.Writer) error {
+	r, err := figure5(e)
+	if err != nil {
+		return err
+	}
+	section(w, "Figure 5(a/b): persistence of the taxi-density minima")
+	fmt.Fprintf(w, "minima: %d total\n", r.minima)
+	if r.lowN > 0 {
+		fmt.Fprintf(w, "low-persistence cluster:  %6d minima, mean persistence %8.2f (max %.2f)\n",
+			r.lowN, r.lowMean, r.lowMax)
+	}
+	if r.highN > 0 {
+		fmt.Fprintf(w, "high-persistence cluster: %6d minima, mean persistence %8.2f (min %.2f)\n",
+			r.highN, r.highMean, r.highMin)
+	}
+	if r.lowN > 0 && r.highN > 0 {
+		fmt.Fprintf(w, "separation: high cluster starts at %.2f, low cluster ends at %.2f\n",
+			r.highMin, r.lowMax)
+	}
 	section(w, "Figure 5(c): salient-minima values (daily) and the extreme outlier threshold")
-	fmt.Fprintf(w, "salient minima values: Q1=%.1f median=%.1f Q3=%.1f\n", q1, q2, q3)
-	fmt.Fprintf(w, "extreme threshold (Q1 - 1.5*IQR): %.2f\n", th.ExtremeNeg)
-	extreme := dex.Extract(feature.Extreme)
-	_, negCount := extreme.Count()
-	fmt.Fprintf(w, "extreme negative features (days below threshold): %d\n", negCount)
-	if negCount > 0 {
-		var lowest []string
-		for _, v := range extreme.Negative.Ones() {
-			_, step := daily.Graph.RegionStep(v)
-			lowest = append(lowest, timeString(daily, step))
-		}
-		fmt.Fprintf(w, "extreme days: %v (hurricanes: 2011-08-27/28, 2012-10-29/30)\n", lowest)
+	fmt.Fprintf(w, "salient minima values: Q1=%.1f median=%.1f Q3=%.1f\n", r.q1, r.median, r.q3)
+	fmt.Fprintf(w, "extreme threshold (Q1 - 1.5*IQR): %.2f\n", r.extremeNeg)
+	fmt.Fprintf(w, "extreme negative features (days below threshold): %d\n", len(r.extremeDays))
+	if len(r.extremeDays) > 0 {
+		fmt.Fprintf(w, "extreme days: %v (hurricanes: 2011-08-27/28, 2012-10-29/30)\n", r.extremeDays)
 	}
 	fmt.Fprintln(w, "paper: minima split into two persistence groups; hurricane-period values")
 	fmt.Fprintln(w, "       are outliers of the salient-minima distribution")
