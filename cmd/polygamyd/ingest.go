@@ -139,14 +139,18 @@ func (s *server) refreshAndSave(result map[string]any) error {
 }
 
 // saveSnapshot re-saves the snapshot when the server runs with -snapshot,
-// so the next restart and the followers, which poll it, see the change. It
-// returns the path written, or "" without -snapshot.
+// so the next restart and the followers see the change: the source is
+// told of the publish, which answers the followers' held manifest
+// requests. It returns the path written, or "" without -snapshot.
 func (s *server) saveSnapshot() (string, error) {
 	if s.snapshotPath == "" {
 		return "", nil
 	}
 	if err := s.fw().Save(s.snapshotPath); err != nil {
 		return "", fmt.Errorf("snapshot re-save: %w", err)
+	}
+	if s.source != nil {
+		s.source.Notify()
 	}
 	return s.snapshotPath, nil
 }

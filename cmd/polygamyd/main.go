@@ -35,10 +35,11 @@
 // the graph.
 //
 // With -replica <leader-url>, the process is a read-only follower: it
-// polls the leader (-poll), pulls changed snapshot sections, epoch-swaps
-// a framework opened from the snapshot alone (no raw data set is shipped)
-// without dropping in-flight queries, and answers GET /v1/replica/status;
-// writes are refused with 403.
+// asks the leader for its manifest, which the leader holds until it
+// publishes a new snapshot or -poll runs out, pulls changed snapshot
+// sections, epoch-swaps a framework opened from the snapshot alone (no raw
+// data set is shipped) without dropping in-flight queries, and answers
+// GET /v1/replica/status; writes are refused with 403.
 //
 // Every response carries an X-Request-ID header (client-supplied or
 // generated), and every request is logged as a structured line carrying
@@ -62,7 +63,7 @@
 //
 //	polygamyd -addr :8571 -months 6 -scale 0.3
 //	polygamyd -addr :8571 -data corpus/ -snapshot corpus.snap
-//	polygamyd -addr :8572 -replica http://leader:8571 -poll 2s
+//	polygamyd -addr :8572 -replica http://leader:8571 -poll 2s  # epochs apply at publish; an idle follower asks every 2s
 package main
 
 import (
@@ -100,7 +101,7 @@ func main() {
 		drain     = flag.Duration("drain", 15*time.Second, "in-flight query drain timeout on SIGINT/SIGTERM")
 		snapshot  = flag.String("snapshot", "", "snapshot container path: warm-start from it when present, write it after cold builds, ingestions and graph builds; also the container replicated to -replica followers")
 		replicaOf = flag.String("replica", "", "run as a read replica of the leader at this base URL: poll its snapshot, epoch-swap on change, reject writes")
-		poll      = flag.Duration("poll", 2*time.Second, "replica mode: leader manifest poll cadence (failures back off exponentially)")
+		poll      = flag.Duration("poll", 2*time.Second, "replica mode: how often an idle follower asks the leader for its manifest; the leader holds each request until it publishes or -poll runs out (failures back off exponentially)")
 		writeTO   = flag.Duration("write-timeout", 5*time.Minute, "HTTP response write timeout (bounds the slowest handler, e.g. a synchronous graph build)")
 		readTO    = flag.Duration("read-timeout", 2*time.Minute, "HTTP request read timeout (bounds the whole body; must accommodate a slow client uploading a CSV data set)")
 		pprofOn   = flag.Bool("pprof", false, "expose net/http/pprof profiling endpoints under /debug/pprof/ (off by default: they reveal stacks and heap contents)")
@@ -180,6 +181,9 @@ func main() {
 		ReadTimeout:       *readTO,
 		WriteTimeout:      *writeTO,
 		IdleTimeout:       2 * time.Minute,
+	}
+	if srv.leader != nil {
+		hs.RegisterOnShutdown(srv.leader.Close)
 	}
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {

@@ -48,6 +48,11 @@ type server struct {
 	maxJSONBody   int64
 	maxIngestBody int64
 
+	// Leader mode (-snapshot): saveSnapshot tells source of every publish,
+	// which wakes the manifest requests leader holds.
+	source *replica.Source
+	leader *replica.Leader
+
 	// Replica mode: follower supplies the serving framework and the
 	// status endpoint; writes are rejected (the leader owns the corpus).
 	follower *replica.Follower
@@ -112,9 +117,9 @@ func newReplicaServer(f *replica.Follower) *server {
 // enableLeader mounts the snapshot-shipping surface (manifest and section
 // downloads).
 func (s *server) enableLeader(src *replica.Source) {
-	l := replica.NewLeader(src)
-	s.mux.Handle("GET /v1/snapshot/manifest", l)
-	s.mux.Handle("GET /v1/snapshot/sections/{name}", l)
+	s.source, s.leader = src, replica.NewLeader(src)
+	s.mux.Handle("GET /v1/snapshot/manifest", s.leader)
+	s.mux.Handle("GET /v1/snapshot/sections/{name}", s.leader)
 }
 
 // rejectWrite answers a mutating request on a read-only replica.

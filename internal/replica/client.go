@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/url"
 	"strings"
+	"time"
 
 	"github.com/urbandata/datapolygamy/internal/store"
 )
@@ -52,9 +53,16 @@ func errorBody(resp *http.Response) error {
 // Manifest fetches the leader's current snapshot manifest. With a
 // non-empty etag from a previous call, the request is conditional:
 // notModified reports the 304 case, where the leader transferred no
-// manifest (and the follower will transfer no section bytes).
-func (c *Client) Manifest(ctx context.Context, etag string) (info ManifestInfo, notModified bool, err error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/v1/snapshot/manifest", nil)
+// manifest (and the follower will transfer no section bytes). A positive
+// wait asks the leader to hold a conditional request for up to that long,
+// answering as soon as it publishes a new snapshot; the HTTP client's
+// timeout must exceed it.
+func (c *Client) Manifest(ctx context.Context, etag string, wait time.Duration) (info ManifestInfo, notModified bool, err error) {
+	u := c.base + "/v1/snapshot/manifest"
+	if etag != "" && wait > 0 {
+		u += "?wait=" + url.QueryEscape(wait.String())
+	}
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
 	if err != nil {
 		return info, false, err
 	}
@@ -85,10 +93,15 @@ func (c *Client) Manifest(ctx context.Context, etag string) (info ManifestInfo, 
 
 // Section downloads one section's payload, pinned with If-Match to the
 // manifest the caller is applying, and verifies the bytes against that
-// manifest entry's CRC and length. A snapshot that rotated on the leader
-// mid-sync surfaces as an error here (412 or checksum mismatch), never
-// as silently mixed epochs.
+// manifest entry's length and CRC. The body is read once, into one buffer
+// of the manifest's length: a Content-Length that disagrees with it, or a
+// body one byte short or long, fails before the checksum. A snapshot that
+// rotated on the leader mid-sync surfaces as an error here (412 or
+// checksum mismatch), never as silently mixed epochs.
 func (c *Client) Section(ctx context.Context, etag string, want store.SectionInfo) ([]byte, error) {
+	if want.Length < 0 || want.Length > maxSectionBytes {
+		return nil, fmt.Errorf("replica: section %q: manifest length %d out of range", want.Name, want.Length)
+	}
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
 		c.base+"/v1/snapshot/sections/"+url.PathEscape(want.Name), nil)
 	if err != nil {
@@ -105,13 +118,21 @@ func (c *Client) Section(ctx context.Context, etag string, want store.SectionInf
 	if resp.StatusCode != http.StatusOK {
 		return nil, errorBody(resp)
 	}
-	data, err := io.ReadAll(io.LimitReader(resp.Body, maxSectionBytes))
-	if err != nil {
-		return nil, fmt.Errorf("replica: downloading section %q: %w", want.Name, err)
+	if resp.ContentLength >= 0 && resp.ContentLength != want.Length {
+		return nil, fmt.Errorf("replica: section %q: leader sends %d bytes, manifest says %d",
+			want.Name, resp.ContentLength, want.Length)
 	}
-	if int64(len(data)) != want.Length {
-		return nil, fmt.Errorf("replica: section %q: got %d bytes, manifest says %d",
-			want.Name, len(data), want.Length)
+	data := make([]byte, want.Length)
+	if n, err := io.ReadFull(resp.Body, data); err != nil {
+		return nil, fmt.Errorf("replica: downloading section %q: got %d of %d bytes: %w",
+			want.Name, n, want.Length, err)
+	}
+	var extra [1]byte
+	switch n, err := io.ReadFull(resp.Body, extra[:]); {
+	case n > 0:
+		return nil, fmt.Errorf("replica: section %q: body runs past the manifest's %d bytes", want.Name, want.Length)
+	case err != io.EOF:
+		return nil, fmt.Errorf("replica: downloading section %q: %w", want.Name, err)
 	}
 	if crc := store.Checksum(data); crc != want.CRC {
 		return nil, fmt.Errorf("replica: section %q: checksum %08x does not match manifest %08x",

@@ -1,9 +1,12 @@
 package replica
 
 import (
+	"bytes"
 	"context"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
+	"strings"
 	"testing"
 
 	"github.com/urbandata/datapolygamy/internal/core"
@@ -39,18 +42,18 @@ func TestLeaderEndpoints(t *testing.T) {
 	}
 	ctx := context.Background()
 
-	info, notMod, err := c.Manifest(ctx, "")
+	info, notMod, err := c.Manifest(ctx, "", 0)
 	if err != nil || notMod {
 		t.Fatalf("first manifest: notMod=%v err=%v", notMod, err)
 	}
 	if info.ETag == "" || len(info.Manifest.Sections) == 0 {
 		t.Fatalf("thin manifest: %+v", info)
 	}
-	if _, notMod, err := c.Manifest(ctx, info.ETag); err != nil || !notMod {
+	if _, notMod, err := c.Manifest(ctx, info.ETag, 0); err != nil || !notMod {
 		t.Fatalf("conditional poll: notMod=%v err=%v", notMod, err)
 	}
 	// A stale etag gets a full manifest again.
-	if _, notMod, err := c.Manifest(ctx, `"dp-feedfacecafebeef"`); err != nil || notMod {
+	if _, notMod, err := c.Manifest(ctx, `"dp-feedfacecafebeef"`, 0); err != nil || notMod {
 		t.Fatalf("stale etag poll: notMod=%v err=%v", notMod, err)
 	}
 
@@ -125,5 +128,56 @@ func TestSourceReparsesOnRotation(t *testing.T) {
 	}
 	if src.Parses() != 2 {
 		t.Fatalf("parses = %d after rotation, want 2", src.Parses())
+	}
+}
+
+// TestClientSectionSizedRead: Section reads exactly the manifest's length,
+// with or without a Content-Length, and rejects one byte short or long
+// before the checksum.
+func TestClientSectionSizedRead(t *testing.T) {
+	payload := []byte("section payload of a known length")
+	want := store.SectionInfo{Name: "index", Length: int64(len(payload)), CRC: store.Checksum(payload)}
+	for _, tc := range []struct {
+		name    string
+		body    []byte
+		chunked bool // no Content-Length: the body's end is the only bound
+		ok      bool
+	}{
+		{"exact", payload, false, true},
+		{"exact chunked", payload, true, true},
+		{"one byte long", append(append([]byte{}, payload...), 'x'), false, false},
+		{"one byte long chunked", append(append([]byte{}, payload...), 'x'), true, false},
+		{"one byte short", payload[:len(payload)-1], false, false},
+		{"one byte short chunked", payload[:len(payload)-1], true, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if !tc.chunked {
+					w.Header().Set("Content-Length", strconv.Itoa(len(tc.body)))
+				}
+				w.WriteHeader(http.StatusOK)
+				w.(http.Flusher).Flush() // headers out before the body: no length is derived
+				w.Write(tc.body)
+			}))
+			defer srv.Close()
+			c, err := NewClient(srv.URL, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := c.Section(context.Background(), "", want)
+			if tc.ok != (err == nil) {
+				t.Fatalf("err = %v, want ok=%v", err, tc.ok)
+			}
+			if tc.ok && !bytes.Equal(got, payload) {
+				t.Fatalf("got %q", got)
+			}
+			if !tc.ok && strings.Contains(err.Error(), "checksum") {
+				t.Fatalf("a wrong length reached the checksum: %v", err)
+			}
+		})
+	}
+	if _, err := (&Client{base: "http://unused", hc: http.DefaultClient}).Section(context.Background(), "",
+		store.SectionInfo{Name: "index", Length: maxSectionBytes + 1}); err == nil {
+		t.Fatal("a manifest length past maxSectionBytes was accepted")
 	}
 }

@@ -30,6 +30,7 @@ const (
 	faultStall     // headers then silence past the client timeout
 	faultStaleEtag // rewrite the follower's If-Match to a bogus tag (412)
 	faultBadLength // short body with a matching short Content-Length
+	faultLongBody  // one byte past the section with a matching Content-Length
 )
 
 func (p *faultProxy) arm(mode int32) { p.mode.Store(mode) }
@@ -91,6 +92,11 @@ func (p *faultProxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Length", strconv.Itoa(len(half)))
 		w.WriteHeader(http.StatusOK)
 		w.Write(half)
+	case faultLongBody:
+		long := append(body, 0)
+		w.Header().Set("Content-Length", strconv.Itoa(len(long)))
+		w.WriteHeader(http.StatusOK)
+		w.Write(long)
 	}
 }
 
@@ -122,6 +128,7 @@ func TestFollowerSurvivesSectionFaults(t *testing.T) {
 		{"stalled read", faultStall},
 		{"stale manifest etag", faultStaleEtag},
 		{"short content-length", faultBadLength},
+		{"over-long body", faultLongBody},
 	}
 	for _, fault := range faults {
 		t.Run(fault.name, func(t *testing.T) {

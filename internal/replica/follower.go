@@ -26,6 +26,11 @@ var (
 		"Section payload bytes downloaded from the leader.")
 	mEpoch = obsv.NewGauge("polygamy_replica_epoch",
 		"Serving epoch of this follower (increments on every applied sync).")
+	// wait is the manifest request (a leader's hold included), fetch the
+	// section downloads and local reuse, write the container, open the new
+	// epoch's framework and its swap.
+	mSyncStage = obsv.NewHistogramVec("polygamy_replica_sync_stage_duration_seconds",
+		"Follower sync latency by stage (wait, fetch, write, open).", nil, "stage")
 )
 
 // FollowerOptions configures a follower.
@@ -41,7 +46,12 @@ type FollowerOptions struct {
 	Grid int
 	// Workers sizes the framework worker pool (0 = NumCPU).
 	Workers int
-	// Poll is the manifest poll cadence of Run.
+	// Poll is how often an idle follower asks the leader for its manifest.
+	// Run's conditional request carries Poll as a wait: the leader holds it
+	// until it publishes a new snapshot or Poll runs out, so an epoch
+	// applies at publish time, and Run asks again at once. A leader that
+	// answers sooner without a change is asked again after the rest of
+	// Poll. The HTTP client's timeout must exceed Poll.
 	Poll time.Duration
 	// MaxBackoff caps the exponential backoff after consecutive sync
 	// failures (default 16x Poll).
@@ -146,15 +156,32 @@ func (f *Follower) Status() FollowerStatus {
 	}
 }
 
-// Sync performs one poll-and-apply cycle. It returns (true, nil) when a
-// new epoch was applied, (false, nil) when the leader's snapshot was
-// unchanged, and (false, err) on any failure — in which case the serving
-// framework and all sync state are exactly as before: a failed sync can
-// never leave a torn epoch.
+// Sync performs one poll-and-apply cycle without asking the leader to
+// hold the request. It returns (true, nil) when a new epoch was applied,
+// (false, nil) when the leader's snapshot was unchanged, and (false, err)
+// on any failure — in which case the serving framework and all sync state
+// are exactly as before: a failed sync can never leave a torn epoch.
 func (f *Follower) Sync(ctx context.Context) (applied bool, err error) {
+	return f.sync(ctx, 0)
+}
+
+// sync is Sync with a wait the leader may hold an unchanged manifest
+// request for. The request runs outside mu, so Status answers during a
+// hold; the apply runs under it.
+func (f *Follower) sync(ctx context.Context, wait time.Duration) (applied bool, err error) {
+	f.mu.Lock()
+	etag := f.etag
+	f.mu.Unlock()
+	t0 := time.Now()
+	info, notModified, err := f.client.Manifest(ctx, etag, wait)
+	waited := time.Since(t0)
+
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	applied, err = f.syncLocked(ctx)
+	if err == nil && !notModified {
+		err = f.applyLocked(ctx, info)
+		applied = err == nil
+	}
 	f.lastSync = time.Now()
 	switch {
 	case err != nil:
@@ -162,29 +189,25 @@ func (f *Follower) Sync(ctx context.Context) (applied bool, err error) {
 		f.fails++
 		f.lastErr = err.Error()
 		mSyncs.With("error").Inc()
+		return false, err
 	case applied:
 		f.syncs++
-		f.fails = 0
-		f.lastErr = ""
 		mSyncs.With("applied").Inc()
 	default:
 		f.noops++
-		f.fails = 0
-		f.lastErr = ""
 		mSyncs.With("noop").Inc()
 	}
-	return applied, err
+	f.fails = 0
+	f.lastErr = ""
+	mSyncStage.With("wait").Observe(waited.Seconds())
+	return applied, nil
 }
 
-func (f *Follower) syncLocked(ctx context.Context) (bool, error) {
-	info, notModified, err := f.client.Manifest(ctx, f.etag)
-	if err != nil {
-		return false, err
-	}
-	if notModified {
-		return false, nil
-	}
+// applyLocked pulls, writes and opens the snapshot info describes and
+// swaps it in as the next epoch.
+func (f *Follower) applyLocked(ctx context.Context, info ManifestInfo) error {
 	m := info.Manifest
+	t0 := time.Now()
 
 	// Sections: pull only what changed, reuse the rest from the local
 	// container byte-for-byte. Every payload — fetched or reused — is
@@ -203,15 +226,19 @@ func (f *Follower) syncLocked(ctx context.Context) (bool, error) {
 		if ok {
 			reused++
 		} else {
+			var err error
 			data, err = f.client.Section(ctx, info.ETag, want)
 			if err != nil {
-				return false, err
+				return err
 			}
 			fetched++
 			bytes += int64(len(data))
 		}
-		sections = append(sections, store.Section{Name: want.Name, Data: data})
+		// Both paths checked data against want.CRC, so Write records it
+		// without hashing the payload again.
+		sections = append(sections, store.Section{Name: want.Name, Data: data, CRC: want.CRC, Verified: true})
 	}
+	t1 := time.Now()
 
 	// Assemble the container locally with the same atomic temp+rename
 	// publication the leader's Save uses, then warm-start a fresh
@@ -221,17 +248,18 @@ func (f *Follower) syncLocked(ctx context.Context) (bool, error) {
 	// serving until the pointer swap below, and is never Closed: in-flight
 	// queries may alias its mapping, and the rename left its inode intact.
 	if err := store.Write(f.opts.Path, store.Manifest{Fingerprint: m.Fingerprint, ClauseSig: m.ClauseSig}, sections); err != nil {
-		return false, err
+		return err
 	}
+	t2 := time.Now()
 	city, err := spatial.Generate(spatial.GridConfig(m.Fingerprint.Seed, f.opts.Grid))
 	if err != nil {
-		return false, err
+		return err
 	}
 	fw, err := core.Open(f.opts.Path, core.OpenOptions{
 		Options: core.Options{City: city, Workers: f.opts.Workers, Seed: m.Fingerprint.Seed},
 	})
 	if err != nil {
-		return false, err
+		return err
 	}
 
 	// The superseded epoch is never Closed, so its mapping would stay
@@ -252,11 +280,14 @@ func (f *Follower) syncLocked(ctx context.Context) (bool, error) {
 	mSectionsReused.Add(uint64(reused))
 	mSectionBytesFetched.Add(uint64(bytes))
 	mEpoch.Set(float64(f.epoch))
+	mSyncStage.With("fetch").Observe(t1.Sub(t0).Seconds())
+	mSyncStage.With("write").Observe(t2.Sub(t1).Seconds())
+	mSyncStage.With("open").Observe(time.Since(t2).Seconds())
 	f.opts.Logger.Info("replica: applied snapshot epoch",
 		"epoch", f.epoch, "etag", f.etag,
 		"sectionsFetched", fetched, "sectionsReused", reused, "bytesFetched", bytes,
 		"datasets", len(m.Fingerprint.Datasets))
-	return true, nil
+	return nil
 }
 
 // readLocalSection returns the local container's payload for want when
@@ -297,17 +328,28 @@ func backoffDelay(base time.Duration, fails int, max time.Duration) time.Duratio
 	return d
 }
 
-// Run polls the leader until ctx is cancelled, backing off exponentially
-// while syncs fail. The first cycle runs immediately, so a follower
-// whose leader is up serves within one round trip of starting.
+// Run follows the leader until ctx is cancelled. The first cycle runs
+// immediately, so a follower whose leader is up serves within one round
+// trip of starting. After an applied sync, or an unchanged manifest the
+// leader held for the whole Poll, Run asks again at once; after a sooner
+// unchanged answer it sleeps the rest of Poll, and while syncs fail it
+// backs off exponentially.
 func (f *Follower) Run(ctx context.Context) {
 	for {
-		if _, err := f.Sync(ctx); err != nil && ctx.Err() == nil {
-			f.opts.Logger.Warn("replica: sync failed", "leader", f.opts.Leader, "error", err)
+		t0 := time.Now()
+		applied, err := f.sync(ctx, f.opts.Poll)
+		var delay time.Duration
+		switch {
+		case err != nil:
+			if ctx.Err() == nil {
+				f.opts.Logger.Warn("replica: sync failed", "leader", f.opts.Leader, "error", err)
+			}
+			f.mu.Lock()
+			delay = backoffDelay(f.opts.Poll, f.fails, f.opts.MaxBackoff)
+			f.mu.Unlock()
+		case !applied:
+			delay = f.opts.Poll - time.Since(t0)
 		}
-		f.mu.Lock()
-		delay := backoffDelay(f.opts.Poll, f.fails, f.opts.MaxBackoff)
-		f.mu.Unlock()
 		select {
 		case <-ctx.Done():
 			return

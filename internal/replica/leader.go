@@ -28,10 +28,15 @@ var (
 // same-size snapshot landing within the stat timestamp granularity — and
 // even then, section If-Match checks re-derive the tag from the opened
 // file, so a follower can never apply mismatched bytes.
+//
+// A publisher that calls Notify after each write wakes the manifest
+// requests the leader holds; a snapshot replaced behind the source's back
+// is seen when a hold runs out.
 type Source struct {
 	path string
 
 	mu       sync.Mutex
+	notify   chan struct{} // closed and replaced by Notify
 	haveStat bool
 	size     int64
 	modTime  time.Time
@@ -41,7 +46,24 @@ type Source struct {
 }
 
 // NewSource serves the snapshot container at path.
-func NewSource(path string) *Source { return &Source{path: path} }
+func NewSource(path string) *Source { return &Source{path: path, notify: make(chan struct{})} }
+
+// Notify tells the source that a new snapshot was published at its path:
+// the next Manifest re-parses it, and every held manifest request wakes.
+func (s *Source) Notify() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.haveStat = false
+	close(s.notify)
+	s.notify = make(chan struct{})
+}
+
+// published returns a channel that the next Notify closes.
+func (s *Source) published() <-chan struct{} {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.notify
+}
 
 // Manifest returns the current snapshot manifest and its ETag,
 // re-parsing the container only when the file's stat identity changed
@@ -74,17 +96,23 @@ func (s *Source) Parses() int64 {
 	return s.parses
 }
 
+// maxManifestHold caps how long the leader holds a conditional manifest
+// request whose tag still matches, whatever wait the follower asks for.
+const maxManifestHold = 30 * time.Second
+
 // Leader is the HTTP surface a leader mounts under /v1/snapshot/: the
 // versioned manifest and ranged section downloads — everything a follower
 // needs, since a snapshot opens without its raw corpus.
 type Leader struct {
-	src *Source
-	mux *http.ServeMux
+	src     *Source
+	mux     *http.ServeMux
+	closing chan struct{} // closed by Close: held requests answer at once
+	close   sync.Once
 }
 
 // NewLeader builds the handler for the given snapshot source.
 func NewLeader(src *Source) *Leader {
-	l := &Leader{src: src, mux: http.NewServeMux()}
+	l := &Leader{src: src, mux: http.NewServeMux(), closing: make(chan struct{})}
 	l.mux.HandleFunc("GET /v1/snapshot/manifest", l.handleManifest)
 	l.mux.HandleFunc("GET /v1/snapshot/sections/{name}", l.handleSection)
 	return l
@@ -92,24 +120,64 @@ func NewLeader(src *Source) *Leader {
 
 func (l *Leader) ServeHTTP(w http.ResponseWriter, r *http.Request) { l.mux.ServeHTTP(w, r) }
 
+// Close ends every held manifest request and stops holding new ones, so a
+// shutting-down server drains at once (polygamyd registers it with
+// http.Server.RegisterOnShutdown). Sections are still served.
+func (l *Leader) Close() { l.close.Do(func() { close(l.closing) }) }
+
 // handleManifest serves the current manifest with its ETag. A follower
 // polling with If-None-Match pays a 304 and zero body bytes while the
-// snapshot is unchanged.
+// snapshot is unchanged. With ?wait=<duration> (capped at
+// maxManifestHold) and a tag that still matches, the leader holds the
+// request until the source is told of a publish that changes the tag, the
+// wait runs out, the client hangs up or the leader closes, and then
+// answers as above: a follower that asks again at once sees a new
+// snapshot when it is published, not on its next poll.
 func (l *Leader) handleManifest(w http.ResponseWriter, r *http.Request) {
-	m, etag, err := l.src.Manifest()
-	if err != nil {
-		httpapi.WriteJSON(w, http.StatusServiceUnavailable, httpapi.Error{Error: "snapshot unavailable: " + err.Error()})
-		mManifestServed.With("error").Inc()
-		return
+	var wait time.Duration
+	if v := r.URL.Query().Get("wait"); v != "" {
+		d, err := time.ParseDuration(v)
+		if err != nil || d < 0 {
+			httpapi.WriteJSON(w, http.StatusBadRequest, httpapi.Error{Error: fmt.Sprintf("bad wait %q", v)})
+			mManifestServed.With("error").Inc()
+			return
+		}
+		wait = min(d, maxManifestHold)
 	}
-	w.Header().Set("ETag", etag)
-	if r.Header.Get("If-None-Match") == etag {
-		w.WriteHeader(http.StatusNotModified)
-		mManifestServed.With("not_modified").Inc()
-		return
+	hold := time.NewTimer(wait)
+	defer hold.Stop()
+	for {
+		// Taken before the manifest is read, so a publish between the read
+		// and the select below still wakes it.
+		published := l.src.published()
+		m, etag, err := l.src.Manifest()
+		if err != nil {
+			httpapi.WriteJSON(w, http.StatusServiceUnavailable, httpapi.Error{Error: "snapshot unavailable: " + err.Error()})
+			mManifestServed.With("error").Inc()
+			return
+		}
+		if r.Header.Get("If-None-Match") != etag {
+			w.Header().Set("ETag", etag)
+			mManifestServed.With("changed").Inc()
+			httpapi.WriteJSON(w, http.StatusOK, ManifestInfo{ETag: etag, Manifest: m})
+			return
+		}
+		if wait == 0 {
+			w.Header().Set("ETag", etag)
+			w.WriteHeader(http.StatusNotModified)
+			mManifestServed.With("not_modified").Inc()
+			return
+		}
+		select {
+		case <-published: // read again: a re-save of the same bytes keeps the hold
+		case <-hold.C:
+			wait = 0
+		case <-r.Context().Done():
+			wait = 0
+		case <-l.closing:
+			wait = 0
+		}
 	}
-	mManifestServed.With("changed").Inc()
-	httpapi.WriteJSON(w, http.StatusOK, ManifestInfo{ETag: etag, Manifest: m})
 }
 
 // handleSection streams one section's payload. The ETag is re-derived

@@ -4,14 +4,17 @@
 //
 // The design leans entirely on the snapshot container (internal/store):
 // the leader's on-disk snapshot *is* the replication log entry. A
-// follower polls the leader's manifest (one conditional request — an
-// unchanged fingerprint costs a 304 and zero section bytes), downloads
-// only the sections whose CRC changed, re-assembles the container
-// locally with the same atomic rename publication Write uses, and
-// warm-starts a fresh Framework from it alone via core.Open: no raw data
-// set is shipped, so a follower's framework holds none and refuses
-// writes. The serving
-// pointer swaps atomically — an epoch — and the previous framework is
+// follower asks for the leader's manifest with one conditional request,
+// which the leader holds while the fingerprint is unchanged until it
+// publishes a new snapshot or the follower's poll interval runs out (an
+// unchanged snapshot costs a 304 and zero section bytes). The follower
+// downloads only the sections whose CRC changed, each read once into a
+// buffer of the manifest's length, re-assembles the container locally
+// with the same atomic rename publication Write uses (recording the CRCs
+// it checked rather than hashing again), and warm-starts a fresh
+// Framework from it alone via core.Open: no raw data set is shipped, so a
+// follower's framework holds none and refuses writes. The serving pointer
+// swaps atomically — an epoch — and the previous framework is
 // deliberately never Closed while the process lives, because in-flight
 // queries may still alias its memory-mapped sections.
 //

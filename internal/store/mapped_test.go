@@ -40,6 +40,48 @@ func TestMapRoundTrip(t *testing.T) {
 	}
 }
 
+// TestWriteVerifiedCRC: Write records a Verified section's CRC as given —
+// a right one opens like a computed one, a wrong one fails Map with
+// ErrCorrupt, because Map checks every section whoever wrote it.
+func TestWriteVerifiedCRC(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		delta uint32
+	}{{"right crc", 0}, {"wrong crc", 1}} {
+		t.Run(tc.name, func(t *testing.T) {
+			secs := testSections()
+			for i := range secs {
+				secs[i].CRC = Checksum(secs[i].Data) + tc.delta
+				secs[i].Verified = true
+			}
+			path := filepath.Join(t.TempDir(), "corpus.snap")
+			if err := Write(path, testManifest(), secs); err != nil {
+				t.Fatal(err)
+			}
+			m, err := ReadManifest(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, info := range m.Sections {
+				if info.CRC != secs[i].CRC {
+					t.Fatalf("section %q recorded crc %08x, supplied %08x", info.Name, info.CRC, secs[i].CRC)
+				}
+			}
+			mp, err := Map(path)
+			if tc.delta == 0 {
+				if err != nil {
+					t.Fatalf("Map: %v", err)
+				}
+				mp.Close()
+				return
+			}
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("Map of a wrong supplied crc: err = %v, want ErrCorrupt", err)
+			}
+		})
+	}
+}
+
 // TestMapEvictKeepsViewsValid: Evict gives the mapping's pages back and
 // unmaps nothing, so views taken before it read the same bytes after it —
 // also when the file has since been replaced by rename, as a follower's is —

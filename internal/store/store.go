@@ -124,6 +124,12 @@ type Manifest struct {
 type Section struct {
 	Name string
 	Data []byte
+	// CRC, when Verified, is the payload's CRC-32C as the caller already
+	// checked it (a follower checks every shipped section against its
+	// manifest); Write records it instead of hashing Data again. Map still
+	// verifies it, so a wrong CRC fails the next open, not the write.
+	CRC      uint32
+	Verified bool
 }
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
@@ -136,9 +142,10 @@ func align8(n int64) int64 {
 // Write atomically writes a container holding the given sections to path:
 // the container is staged in a temporary file next to path and published
 // with os.Rename, so a crash mid-write can never corrupt an existing
-// snapshot at path. The manifest's section table is filled in by Write;
-// any caller-provided table is ignored (and left untouched — the caller's
-// Sections slice is never written through).
+// snapshot at path. The manifest's section table is filled in by Write
+// from the sections, checksumming each payload unless the section carries
+// a Verified CRC; any caller-provided table is ignored (and left untouched —
+// the caller's Sections slice is never written through).
 func Write(path string, m Manifest, sections []Section) (err error) {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
@@ -183,11 +190,11 @@ func writeContainer(w io.Writer, m Manifest, sections []Section) error {
 	// mutate the caller's Manifest.Sections in place.
 	m.Sections = make([]SectionInfo, 0, len(sections))
 	for _, s := range sections {
-		m.Sections = append(m.Sections, SectionInfo{
-			Name:   s.Name,
-			Length: int64(len(s.Data)),
-			CRC:    crc32.Checksum(s.Data, castagnoli),
-		})
+		crc := s.CRC
+		if !s.Verified {
+			crc = crc32.Checksum(s.Data, castagnoli)
+		}
+		m.Sections = append(m.Sections, SectionInfo{Name: s.Name, Length: int64(len(s.Data)), CRC: crc})
 	}
 	mbuf, err := json.Marshal(&m)
 	if err != nil {
