@@ -43,14 +43,22 @@ import (
 // x week) is left out of the family. Graph edges went 13,180 → 3,268, the
 // one-region ones 12,380 → 2,468, and all-pairs rows 13,192 → 3,253; the
 // 800 multi-region edges and goldenMultiRegionHash did not move.
+//
+// All six were regenerated once more when the p-value became two-sided (a
+// randomization counts when |tau*| >= |tau|, where it counted only in the
+// observed score's direction, a level-2*alpha test). p-values changed on
+// purpose: graph edges went 3,268 → 1,617, the one-region ones 2,468 →
+// 1,348, and all-pairs rows 3,253 → 1,630. The multi-region edges, often a
+// single overlapping feature whose opposite-sign randomizations never
+// counted before, fell by two thirds, 800 → 269.
 const (
-	goldenGraphDOTHash  = "df61664e10ca83b323b9a28f37daa84aa9cdf03cf6cd45eaea640c755ab7ab05"
-	goldenGraphJSONHash = "76f6b25470dcdf297d33369a907960d76fbb96958b903ebec7622c4e5ff3a496"
-	goldenPairwiseHash  = "b3cb639f472ccdca5ff2d4c2ff7c2aad32ac5e4e80e969ce130837b622a8da10"
-	goldenAllPairsHash  = "bd2beb5e7157ec2b3cd0fbec374f6d7698b46a22a0a10b713404ec77a93847cd"
-	goldenOneRegionHash = "1839a082654225b51495ae9bf862b59f5222872807d4ef7562caac3f78936a26"
+	goldenGraphDOTHash  = "e1488c3a91adfc5a2dfa6b5d99f5e03df967758682d47fce56d10eb36ceb30d3"
+	goldenGraphJSONHash = "1b55128ec501b20ff96ef3d2ba843130b6b01493dc5ab74bd5fdb9369a695766"
+	goldenPairwiseHash  = "7d1218dee77c452eca4191e5c4eb1b83d51f876c132e0bc7023a27d8d97b00aa"
+	goldenAllPairsHash  = "e01cecc29c42fc9e7649d19bf1d3ccfa57907a65138e3083b771be93af79c02d"
+	goldenOneRegionHash = "5cf2f6d11f5dca3cfe2c2faf9deef37eaf0f434c9b075829dafd373e22bec028"
 
-	goldenMultiRegionHash = "03cdd1b77a0acf1118ec1bd4c075aef8bae2a355b4cf93db44ce58ea76ec5558"
+	goldenMultiRegionHash = "83bee26a403123832ee9dbfda7c5824e30ec860d81fe45d70a56be3cade57eea"
 )
 
 // goldenAnswers hashes everything TestGoldenGraph pins about one framework:

@@ -49,15 +49,17 @@ import (
 // domain graph's edge count from each index entry; 10 stores each entry's
 // occupancy counts and class tile bitmaps, which a load had recomputed from
 // the vectors, and drops the per-vector bit lengths and the critical point
-// total. Evolving any layout or meaning below means bumping both (the
-// format has no field tags).
-const flatSnapshotVersion = 10
+// total; 11 marks p-values counted two-sided (|tau*| >= |tau|), where a v10
+// family's p-values counted in the observed score's direction only.
+// Evolving any layout or meaning below means bumping both (the format has
+// no field tags).
+const flatSnapshotVersion = 11
 
 // Payload magics. The final byte is the generation, so another
-// generation's layout is "not flat v10" rather than a misparse.
+// generation's layout is "not flat v11" rather than a misparse.
 var (
-	flatIndexMagic = []byte("DPIXFLT\x0a")
-	flatGraphMagic = []byte("DPGRFLT\x0a")
+	flatIndexMagic = []byte("DPIXFLT\x0b")
+	flatGraphMagic = []byte("DPGRFLT\x0b")
 )
 
 // nilSlice is the length sentinel distinguishing a nil clause slice

@@ -571,7 +571,7 @@ func FuzzParseFlatIndex(f *testing.F) {
 	idx, _ := seedFlatPayloads(f)
 	f.Add(idx)
 	f.Add(idx[:len(idx)-8])
-	f.Add([]byte("DPIXFLT\x0a"))
+	f.Add([]byte("DPIXFLT\x0b"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if _, err := parseFlatIndex(data); err != nil && !errors.Is(err, store.ErrCorrupt) {
 			t.Errorf("non-ErrCorrupt failure: %v", err)
@@ -590,7 +590,7 @@ func FuzzParseFlatGraph(f *testing.F) {
 	f.Add(graph)
 	f.Add(graph[:len(graph)/2])
 	f.Add(graph[:len(graph)-8])
-	f.Add([]byte("DPGRFLT\x0a"))
+	f.Add([]byte("DPGRFLT\x0b"))
 	f.Add(graph[:len(graph)-4])
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if _, err := parseFlatGraph(data, ix.funcs); err != nil && !errors.Is(err, store.ErrCorrupt) {

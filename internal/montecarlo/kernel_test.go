@@ -223,7 +223,7 @@ func permInto(rng *rand.Rand, buf []int) {
 // contrasts with the restricted one: each of m randomizations permutes all
 // vertices uniformly (permInto), ignoring spatial and temporal dependence,
 // and tau is taken per vertex (shiftedTau). p follows the package's
-// direction-aware rule, and the test stops where stopThreshold decides it
+// two-sided rule, and the test stops where stopThreshold decides it
 // insignificant, so the verdict is exact and a stopped p is conservative.
 func standardTest(a, b *feature.Set, tau float64, m int, alpha float64, seed int64) Result {
 	pos2, neg2 := b.Positive.Ones(), b.Negative.Ones()
@@ -233,7 +233,7 @@ func standardTest(a, b *feature.Set, tau float64, m int, alpha float64, seed int
 	for shifts < m && extreme < stopThreshold(alpha, m) {
 		permInto(rng, perm)
 		tk := shiftedTau(a, pos2, neg2, func(v int) int { return perm[v] })
-		if (tau < 0 && tk <= tau) || (tau > 0 && tk >= tau) {
+		if tau != 0 && math.Abs(tk) >= math.Abs(tau) {
 			extreme++
 		}
 		shifts++
@@ -260,7 +260,7 @@ func oracleResult(taus []float64, tau float64, cfg Config, exhaustive, enumerate
 	}
 	extreme, shifts := 0, 0
 	for i, tk := range taus {
-		hit := (tau < 0 && tk <= tau) || (tau > 0 && tk >= tau)
+		hit := tau != 0 && math.Abs(tk) >= math.Abs(tau)
 		if hit {
 			extreme++
 		}
@@ -467,13 +467,15 @@ func TestKernelParityOneSided(t *testing.T) {
 // (about 360 against 48) the word walk, and its one-sided function 2 (about
 // 215) the feature walk again.
 //
-// Below 2,160 steps one region also covers both ends of the enumeration:
-// |tau| = 1 against a sparse positive-only function 1 and negative-only
-// function 2, or against a = b positive at every step, leaves no rotation
-// extreme, so a resolvable test is significant at p = 1/S and must visit
-// every rotation even adaptively; tau just above 0 against the latter makes
-// every rotation extreme, so the adaptive test stops at the first rotation
-// where (1 + rotations visited) / S exceeds alpha.
+// Below 2,160 steps one region also covers both ends of the enumeration.
+// Function 1 positive at every step against function 2 positive at the
+// first step and negative at the last scores tau* = 0 at every rotation, so
+// |tau| = 1 leaves no rotation extreme: a resolvable test is significant at
+// p = 1/S and must visit every rotation even adaptively. a = b positive at
+// every step scores tau* = 1 at every rotation, so both tau = -1 (a tie in
+// the opposite direction) and tau just above 0 make every rotation
+// extreme, and the adaptive test stops at the first rotation where
+// (1 + rotations visited) / S exceeds alpha.
 func TestKernelParityShapes(t *testing.T) {
 	type shape struct {
 		w, h, steps, perms int
@@ -534,11 +536,10 @@ func TestKernelParityShapes(t *testing.T) {
 				for s := 0; s < n; s++ {
 					all.Set(s)
 				}
-				sparseA, sparseB := set(firstStep, bitvec.New(n)), set(bitvec.New(n), lastStep)
-				full := set(all, bitvec.New(n))
+				full, balanced := set(all, bitvec.New(n)), set(firstStep, lastStep)
 				pairs = append(pairs,
-					pair{sparseA, sparseB, 1, every, chooseWalk},
-					pair{full, full, -1, every, chooseWalk},
+					pair{full, balanced, 1, every, chooseWalk},
+					pair{full, full, -1, decided, chooseWalk},
 					pair{full, full, 1e-9, decided, chooseWalk})
 			}
 			for _, p := range pairs {

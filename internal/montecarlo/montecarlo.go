@@ -11,13 +11,14 @@
 // permutation that Section 6.3 contrasts with it is a test oracle
 // (kernel_test.go), which asserts the section's claim on null pairs.
 //
-// The p-value follows Equation (3)/(4) with add-one smoothing and a
-// direction-aware tail: for a negative observed score it is
-// p = (1 + #{k : tau_k <= tau*}) / (1 + |m|) — exactly the paper's
-// P(X <= x*) — and for a positive observed score the mirrored upper tail
-// P(X >= x*) is used, so both strongly negative and strongly positive
-// relationships can be significant. An observed score of zero or NaN is
-// never significant (p = 1).
+// The p-value follows Equation (3)/(4) with add-one smoothing and is
+// two-sided: p = (1 + #{k : |tau_k| >= |tau*|}) / (1 + |m|). A
+// randomization counts as extreme when its score ties or beats the
+// observed score's magnitude in either direction, so a strongly negative
+// and a strongly positive relationship are judged by one rule, and
+// "p <= alpha" is a level-alpha test over both directions together, not
+// alpha per direction. An observed score of zero or NaN is never
+// significant: no randomization is evaluated and p = 1.
 //
 // On a one-region domain a Restricted randomization is a time rotation
 // alone, and a domain of S steps has only S-1 of them besides the
@@ -914,9 +915,11 @@ type testRun struct {
 }
 
 // isExtreme reports whether a randomization's tau is at least as extreme as
-// the observed score, in the observed score's direction.
+// the observed score in magnitude, in either direction; a tie counts. A
+// zero observed score makes none extreme (Test returns p = 1 before any
+// randomization runs).
 func (t *testRun) isExtreme(tauK float64) bool {
-	return (t.tau < 0 && tauK <= t.tau) || (t.tau > 0 && tauK >= t.tau)
+	return t.tau != 0 && math.Abs(tauK) >= math.Abs(t.tau)
 }
 
 // chunk counts the extreme randomizations among permutation indices

@@ -26,10 +26,10 @@ type Client struct {
 	hc   *http.Client
 }
 
-// NewClient talks to the leader at base (e.g. "http://leader:8571"). hc
-// may be nil for http.DefaultClient; production followers pass a client
-// with timeouts so a stalled leader read fails the sync instead of
-// wedging it.
+// NewClient talks to the leader at base (e.g. "http://leader:8571")
+// through hc, which must carry a Timeout above the longest Manifest wait:
+// a leader that stalls mid-section then fails the sync instead of wedging
+// it. NewFollower builds one sized for its Poll.
 func NewClient(base string, hc *http.Client) (*Client, error) {
 	u, err := url.Parse(base)
 	if err != nil {
@@ -39,10 +39,15 @@ func NewClient(base string, hc *http.Client) (*Client, error) {
 		return nil, fmt.Errorf("replica: leader URL %q must be absolute", base)
 	}
 	if hc == nil {
-		hc = http.DefaultClient
+		return nil, fmt.Errorf("replica: leader %q needs an HTTP client", base)
 	}
 	return &Client{base: strings.TrimRight(base, "/"), hc: hc}, nil
 }
+
+// transferMargin is how long a request to the leader may take beyond the
+// time the leader holds it on purpose: a section of up to maxSectionBytes
+// must arrive within it. It matches the router's default backend timeout.
+const transferMargin = 5 * time.Minute
 
 // errorBody extracts the JSON error payload from a non-2xx response.
 func errorBody(resp *http.Response) error {

@@ -8,26 +8,30 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"github.com/urbandata/datapolygamy/internal/core"
 	"github.com/urbandata/datapolygamy/internal/store"
 )
 
+// testClient bounds every request a test makes to a leader fixture.
+var testClient = &http.Client{Timeout: time.Minute}
+
 func TestNewClientValidation(t *testing.T) {
 	for _, bad := range []string{"", "not a url", "/relative/path", "host:port"} {
-		if _, err := NewClient(bad, nil); err == nil {
+		if _, err := NewClient(bad, testClient); err == nil {
 			t.Errorf("NewClient(%q) accepted", bad)
 		}
 	}
-	c, err := NewClient("http://leader:8571/", nil)
+	if _, err := NewClient("http://leader:8571", nil); err == nil {
+		t.Error("NewClient accepted a nil HTTP client")
+	}
+	c, err := NewClient("http://leader:8571/", testClient)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if c.base != "http://leader:8571" {
 		t.Fatalf("base = %q, trailing slash kept", c.base)
-	}
-	if c.hc != http.DefaultClient {
-		t.Fatal("nil HTTP client not defaulted")
 	}
 }
 
@@ -36,7 +40,7 @@ func TestNewClientValidation(t *testing.T) {
 func TestLeaderEndpoints(t *testing.T) {
 	fw := leaderFramework(t, 0)
 	lf := newLeaderFixture(t, fw, nil)
-	c, err := NewClient(lf.srv.URL, nil)
+	c, err := NewClient(lf.srv.URL, testClient)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +164,7 @@ func TestClientSectionSizedRead(t *testing.T) {
 				w.Write(tc.body)
 			}))
 			defer srv.Close()
-			c, err := NewClient(srv.URL, nil)
+			c, err := NewClient(srv.URL, testClient)
 			if err != nil {
 				t.Fatal(err)
 			}

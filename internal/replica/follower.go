@@ -56,7 +56,9 @@ type FollowerOptions struct {
 	// MaxBackoff caps the exponential backoff after consecutive sync
 	// failures (default 16x Poll).
 	MaxBackoff time.Duration
-	// HTTPClient overrides the leader transport (nil = http.DefaultClient).
+	// HTTPClient overrides the leader transport. Nil gets a client whose
+	// Timeout is Poll plus transferMargin, so a held
+	// manifest request answers in time and a stalled leader fails the sync.
 	HTTPClient *http.Client
 	Logger     *slog.Logger
 }
@@ -121,6 +123,9 @@ func NewFollower(opts FollowerOptions) (*Follower, error) {
 	}
 	if opts.Logger == nil {
 		opts.Logger = slog.Default()
+	}
+	if opts.HTTPClient == nil {
+		opts.HTTPClient = &http.Client{Timeout: opts.Poll + transferMargin}
 	}
 	client, err := NewClient(opts.Leader, opts.HTTPClient)
 	if err != nil {

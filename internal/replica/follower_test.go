@@ -364,6 +364,22 @@ func TestNewFollowerValidation(t *testing.T) {
 	}
 }
 
+// TestFollowerDefaultClientTimeout: a follower given no HTTP client talks
+// to its leader through one whose timeout exceeds Poll, the longest a held
+// manifest request waits, so a stalled leader fails the sync instead of
+// wedging Run.
+func TestFollowerDefaultClientTimeout(t *testing.T) {
+	for _, poll := range []time.Duration{0, 10 * time.Second, 10 * time.Minute} {
+		f, err := NewFollower(FollowerOptions{Leader: "http://x", Path: "p", Poll: poll})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if to := f.client.hc.Timeout; to <= f.opts.Poll {
+			t.Errorf("Poll %v: default client timeout %v, want above Poll", f.opts.Poll, to)
+		}
+	}
+}
+
 // TestFollowerRunAndWaitReady drives the production loop briefly: Run
 // applies the first epoch, WaitReady observes it, cancellation stops the
 // loop.

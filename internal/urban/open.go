@@ -22,7 +22,25 @@ type OpenConfig struct {
 	Start, End time.Time        // zero => 2011-01-01 .. 2013-01-01
 	Weather    *Weather         // shared latent; nil => generated from Seed
 	Activity   *Activity        // shared latent; nil => generated from Seed
+
+	// Truth, when non-nil, receives the label of every generated attribute,
+	// keyed "<data set>/<attribute>" (e.g. "open_003/attr_02"). Filling it
+	// draws nothing, so the corpus is the same with it or without it.
+	Truth map[string]Label
 }
+
+// Label is the generator's truth about one open-style attribute: the shared
+// latent it tracks and the sign it tracks it with, or noise (Latent == "",
+// Sign == 0). Two attributes of one latent are genuinely related, with the
+// product of their signs as the relationship's direction; an attribute of
+// noise is related to nothing.
+type Label struct {
+	Latent string // "precip", "temperature", "wind", "snow", "activity"; "" for noise
+	Sign   int    // +1 or -1; 0 for noise
+}
+
+// Noise reports whether the attribute is independent noise.
+func (l Label) Noise() bool { return l.Latent == "" }
 
 // GenerateOpen builds the corpus. Roughly a third of all attributes track a
 // shared latent signal (weather or city activity) with random sign and
@@ -52,7 +70,10 @@ func GenerateOpen(cfg OpenConfig) ([]*dataset.Dataset, error) {
 		act = GenerateActivity(cfg.Seed+9100, cfg.Start, w.Hours)
 	}
 
-	latents := [][]float64{w.Precip, w.Temperature, w.WindSpeed, w.SnowDepth, act.Level}
+	latents := []openLatent{
+		{"precip", w.Precip}, {"temperature", w.Temperature}, {"wind", w.WindSpeed},
+		{"snow", w.SnowDepth}, {"activity", act.Level},
+	}
 
 	out := make([]*dataset.Dataset, 0, cfg.N)
 	for i := 0; i < cfg.N; i++ {
@@ -65,7 +86,14 @@ func GenerateOpen(cfg OpenConfig) ([]*dataset.Dataset, error) {
 	return out, nil
 }
 
-func generateOpenDataset(rng *rand.Rand, idx int, cfg OpenConfig, w *Weather, latents [][]float64) (*dataset.Dataset, error) {
+// openLatent is one shared signal open-style attributes may track, under
+// the name its attributes' labels carry.
+type openLatent struct {
+	name   string
+	series []float64
+}
+
+func generateOpenDataset(rng *rand.Rand, idx int, cfg OpenConfig, w *Weather, latents []openLatent) (*dataset.Dataset, error) {
 	// Spatial resolution mix: most open data sets are city-level series or
 	// already aggregated to zip codes (Section 6.1's observation).
 	var sres spatial.Resolution
@@ -83,6 +111,7 @@ func generateOpenDataset(rng *rand.Rand, idx int, cfg OpenConfig, w *Weather, la
 		tres = temporal.Day // keep zip-level data sets small
 	}
 
+	name := fmt.Sprintf("open_%03d", idx)
 	nAttrs := 1 + rng.Intn(15) // mean ~8
 	attrs := make([]string, nAttrs)
 	type attrModel struct {
@@ -94,17 +123,23 @@ func generateOpenDataset(rng *rand.Rand, idx int, cfg OpenConfig, w *Weather, la
 	for a := range attrs {
 		attrs[a] = fmt.Sprintf("attr_%02d", a)
 		m := attrModel{sign: 1, scale: 1 + rng.Float64()*9}
+		var label Label
 		if rng.Float64() < 0.35 {
-			m.latent = latents[rng.Intn(len(latents))]
+			l := latents[rng.Intn(len(latents))]
+			m.latent = l.series
 			if rng.Float64() < 0.5 {
 				m.sign = -1
 			}
+			label = Label{Latent: l.name, Sign: int(m.sign)}
 		}
 		models[a] = m
+		if cfg.Truth != nil {
+			cfg.Truth[name+"/"+attrs[a]] = label
+		}
 	}
 
 	d := &dataset.Dataset{
-		Name:        fmt.Sprintf("open_%03d", idx),
+		Name:        name,
 		SpatialRes:  sres,
 		TemporalRes: tres,
 		Attrs:       attrs,

@@ -3,6 +3,8 @@ package urban
 import (
 	"math"
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -401,6 +403,51 @@ func TestGenerateOpenCorpus(t *testing.T) {
 	}
 	if _, err := GenerateOpen(OpenConfig{Seed: 1, N: 5}); err == nil {
 		t.Error("expected error when City is nil")
+	}
+}
+
+// TestGenerateOpenTruth checks the open corpus's labels: asking for them
+// leaves the corpus unchanged, every attribute has one, each is noise or a
+// named latent with sign ±1, and about a third of the attributes track a
+// latent.
+func TestGenerateOpenTruth(t *testing.T) {
+	city := testCity(t)
+	s, e := shortRange()
+	plain, err := GenerateOpen(OpenConfig{Seed: 44, N: 25, City: city, Start: s, End: e})
+	if err != nil {
+		t.Fatal(err)
+	}
+	truth := map[string]Label{}
+	labelled, err := GenerateOpen(OpenConfig{Seed: 44, N: 25, City: city, Start: s, End: e, Truth: truth})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(plain, labelled) {
+		t.Fatal("asking for the truth changed the generated corpus")
+	}
+	latents := []string{"precip", "temperature", "wind", "snow", "activity"}
+	attrs, signal := 0, 0
+	for _, d := range labelled {
+		for _, a := range d.Attrs {
+			attrs++
+			l, ok := truth[d.Name+"/"+a]
+			switch {
+			case !ok:
+				t.Fatalf("%s/%s has no label", d.Name, a)
+			case l.Noise() && l.Sign != 0:
+				t.Errorf("%s/%s: noise with sign %d", d.Name, a, l.Sign)
+			case !l.Noise() && (!slices.Contains(latents, l.Latent) || l.Sign*l.Sign != 1):
+				t.Errorf("%s/%s: label %+v", d.Name, a, l)
+			case !l.Noise():
+				signal++
+			}
+		}
+	}
+	if len(truth) != attrs {
+		t.Errorf("%d labels for %d attributes", len(truth), attrs)
+	}
+	if share := float64(signal) / float64(attrs); share < 0.2 || share > 0.5 {
+		t.Errorf("%.2f of attributes track a latent, want about 0.35", share)
 	}
 }
 
