@@ -60,7 +60,6 @@ func (s *server) handleAppend(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusNotFound, errorResponse{Error: fmt.Sprintf("unknown dataset %q", name)})
 		return
 	}
-	s.appends.Add(1)
 	job := s.jobs.Start("append", d.Name, func() (map[string]any, error) {
 		return s.runAppend(d)
 	})

@@ -127,6 +127,8 @@ func TestServerAppendEquivalence(t *testing.T) {
 		resp.Body.Close()
 	}
 	rebuildsBefore := serverStats(t, client, srv.URL)["rebuilds"]
+	const accepted = `polygamy_http_requests_total{route="POST /v1/datasets/{name}/append",code="202"}`
+	acceptedBefore := metricSample(t, srv.URL, accepted)
 
 	id := postAppend(t, client, srv.URL, "wind", csvBody(t, slice))
 	job := waitJob(t, client, srv.URL, id)
@@ -146,8 +148,8 @@ func TestServerAppendEquivalence(t *testing.T) {
 	if st["rebuilds"] != rebuildsBefore {
 		t.Errorf("rebuilds went %v -> %v: the server dropped its derived state", rebuildsBefore, st["rebuilds"])
 	}
-	if st["appends"] != float64(1) {
-		t.Errorf("appends counter = %v, want 1", st["appends"])
+	if got := metricSample(t, srv.URL, accepted) - acceptedBefore; got != 1 {
+		t.Errorf("accepted append jobs rose by %v, want 1", got)
 	}
 	if _, ok := job.Result["graphPairsComputed"]; !ok {
 		t.Errorf("append job did not refresh the graph: %v", job.Result)

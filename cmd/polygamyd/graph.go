@@ -69,7 +69,6 @@ func (s *server) handleGraphBuild(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
 		return
 	}
-	s.graphBuilds.Add(1)
 	// A leader's followers receive the graph through the re-saved snapshot.
 	if _, err := s.saveSnapshot(); err != nil {
 		writeJSON(w, http.StatusInternalServerError, errorResponse{Error: err.Error()})
@@ -116,7 +115,7 @@ func (s *server) handleGraphStats(w http.ResponseWriter, r *http.Request) {
 		MinQValue float64 `json:"minQValue"`
 	}
 	rollup := make([]rollupWire, 0)
-	for _, rel := range g.Rollup() {
+	for _, rel := range g.Rollup(0) {
 		rollup = append(rollup, rollupWire(rel))
 	}
 	writeJSON(w, http.StatusOK, map[string]any{
@@ -201,5 +200,5 @@ func (s *server) handleGraphTop(w http.ResponseWriter, r *http.Request) {
 		}
 		maxQ = v
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"edges": relgraph.EdgesJSON(g.TopKMaxQ(k, by, maxQ))})
+	writeJSON(w, http.StatusOK, map[string]any{"edges": relgraph.EdgesJSON(g.TopK(k, by, maxQ))})
 }

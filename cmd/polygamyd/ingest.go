@@ -84,7 +84,6 @@ func (s *server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
 		return
 	}
-	s.ingests.Add(1)
 	job := s.jobs.Start("ingest", d.Name, func() (map[string]any, error) {
 		return s.runIngest(d)
 	})
@@ -123,7 +122,6 @@ func (s *server) refreshAndSave(result map[string]any) error {
 		if err != nil {
 			return fmt.Errorf("graph refresh: %w", err)
 		}
-		s.graphBuilds.Add(1)
 		result["graphEdges"] = gs.Edges
 		result["graphPairsComputed"] = gs.PairsComputed
 		result["graphPairsReused"] = gs.PairsReused

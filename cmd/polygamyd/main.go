@@ -7,10 +7,12 @@
 // Endpoints:
 //
 //	GET  /healthz      liveness: {"status":"ok"} once the index is built
-//	GET  /metrics      Prometheus text exposition of all engine metrics
+//	GET  /metrics      Prometheus text exposition of every count the server
+//	                   and the engine keep (queries, cache hits, error
+//	                   splits, graph builds, jobs)
 //	GET  /v1/datasets  the indexed data sets and their index statistics
-//	GET  /v1/stats     server counters (queries, cache hits, error splits,
-//	                   snapshot provenance)
+//	GET  /v1/stats     corpus facts /metrics does not hold: uptime, sizes,
+//	                   warm start, snapshot provenance, rebuilds, replica
 //	POST /v1/query     structured query: {"sources":[...],"targets":[...],
 //	                   "clause":{"minScore":0.6,"permutations":1000,...}}
 //	GET  /v1/query?q=  the paper's textual query form, e.g.
@@ -215,7 +217,7 @@ func prepareFramework(fw *core.Framework, snapshot string, graph bool) (bool, er
 				warm = true
 				_, hasGraph := fw.RelGraph()
 				mode := "flat, copied"
-				if _, zeroCopy, _ := fw.LoadedSnapshot(); zeroCopy {
+				if zeroCopy, _ := fw.LoadedSnapshot(); zeroCopy {
 					mode = "flat, zero-copy mmap"
 				}
 				slog.Info("polygamyd: warm start: loaded snapshot, no rebuild",

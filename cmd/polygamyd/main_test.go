@@ -315,6 +315,10 @@ func TestServerStress(t *testing.T) {
 
 	const goroutines = 12
 	const rounds = 3
+	queriesBefore := metricSample(t, srv.URL, "polygamy_queries_total")
+	hitsBefore := metricSample(t, srv.URL, "polygamy_query_cache_hits_total")
+	clientErrsBefore := metricSample(t, srv.URL, "polygamy_http_client_errors_total")
+	serverErrsBefore := metricSample(t, srv.URL, "polygamy_http_server_errors_total")
 	var wg sync.WaitGroup
 	relCounts := make([][]int, goroutines)
 	for g := 0; g < goroutines; g++ {
@@ -371,30 +375,17 @@ func TestServerStress(t *testing.T) {
 			}
 		}
 	}
-	// The stats endpoint aggregates coherently.
-	resp, err := client.Get(srv.URL + "/v1/stats")
-	if err != nil {
-		t.Fatal(err)
+	// The metrics endpoint aggregates coherently.
+	wantQueries := float64(goroutines * rounds * (len(shared) + 1))
+	if got := metricSample(t, srv.URL, "polygamy_queries_total") - queriesBefore; got != wantQueries {
+		t.Errorf("polygamy_queries_total rose by %v, want %v", got, wantQueries)
 	}
-	var stats struct {
-		Queries      int64 `json:"queries"`
-		CacheHits    int64 `json:"cacheHits"`
-		ClientErrors int64 `json:"clientErrors"`
-		ServerErrors int64 `json:"serverErrors"`
+	clientErrs := metricSample(t, srv.URL, "polygamy_http_client_errors_total") - clientErrsBefore
+	serverErrs := metricSample(t, srv.URL, "polygamy_http_server_errors_total") - serverErrsBefore
+	if clientErrs != 0 || serverErrs != 0 {
+		t.Errorf("errors rose by %v client, %v server, want 0, 0", clientErrs, serverErrs)
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	wantQueries := int64(goroutines * rounds * (len(shared) + 1))
-	if stats.Queries != wantQueries {
-		t.Errorf("stats.queries = %d, want %d", stats.Queries, wantQueries)
-	}
-	if stats.ClientErrors != 0 || stats.ServerErrors != 0 {
-		t.Errorf("stats errors = %d client, %d server, want 0, 0",
-			stats.ClientErrors, stats.ServerErrors)
-	}
-	if stats.CacheHits == 0 {
+	if metricSample(t, srv.URL, "polygamy_query_cache_hits_total") == hitsBefore {
 		t.Error("expected repeated queries to produce cache hits")
 	}
 }

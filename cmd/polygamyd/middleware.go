@@ -14,7 +14,7 @@ import (
 // body, engine warning — can be correlated, and echoed back in the
 // response header. The middleware also owns the error taxonomy: handlers
 // just write their status, and the recorded code splits failures into
-// client (4xx) and server (5xx) errors for /v1/stats and /metrics.
+// client (4xx) and server (5xx) errors for /metrics.
 
 // HTTP metrics on the default registry. Routes are the mux patterns, so
 // label cardinality is bounded by the route table, not by request paths.
@@ -72,10 +72,8 @@ func (s *server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 	switch {
 	case status >= 500:
-		s.serverErrors.Add(1)
 		mHTTPServerErrors.Inc()
 	case status >= 400:
-		s.clientErrors.Add(1)
 		mHTTPClientErrors.Inc()
 	}
 	// The mux fills r.Pattern on match; an unmatched request (404/405 from

@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -50,14 +51,50 @@ func TestRequestIDMiddleware(t *testing.T) {
 	}
 }
 
+// metricSample scrapes GET /metrics at base and returns one series'
+// sample. series is written as the exposition prints it: the metric name,
+// then its label set in declaration order. A labelled series no request
+// has touched yet is absent from the page and reads 0. The registry is
+// process-wide and these tests do not run in parallel, so an assertion
+// takes the difference of two samples around the requests it counts.
+func metricSample(t *testing.T, base, series string) float64 {
+	t.Helper()
+	resp, err := http.Get(base + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(string(body), "\n") {
+		if v, ok := strings.CutPrefix(line, series+" "); ok {
+			f, err := strconv.ParseFloat(v, 64)
+			if err != nil {
+				t.Fatalf("/metrics sample %q: %v", line, err)
+			}
+			return f
+		}
+	}
+	return 0
+}
+
 // TestErrorSplit pins the middleware's error taxonomy: 4xx responses land
-// in clientErrors, successes in neither, and the old conflated "failures"
-// counter is gone from /v1/stats.
+// in polygamy_http_client_errors_total, successes in neither error
+// series, and /v1/stats carries no request counter at all (neither the
+// old conflated "failures" nor the counters /metrics now holds alone).
 func TestErrorSplit(t *testing.T) {
 	srv := httptest.NewServer(newServer(testFramework(t)))
 	defer srv.Close()
 	client := srv.Client()
 
+	const (
+		clientSeries = "polygamy_http_client_errors_total"
+		serverSeries = "polygamy_http_server_errors_total"
+	)
+	clientBefore := metricSample(t, srv.URL, clientSeries)
+	serverBefore := metricSample(t, srv.URL, serverSeries)
 	// One bad query (missing q), one unmatched route, one success.
 	for _, path := range []string{"/v1/query", "/no/such/route", "/healthz"} {
 		resp, err := client.Get(srv.URL + path)
@@ -76,23 +113,19 @@ func TestErrorSplit(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if _, ok := stats["failures"]; ok {
-		t.Error("/v1/stats still exposes the conflated failures counter")
-	}
-	var clientErrs, serverErrs int64
-	if err := json.Unmarshal(stats["clientErrors"], &clientErrs); err != nil {
-		t.Fatalf("clientErrors missing from /v1/stats: %v", err)
-	}
-	if err := json.Unmarshal(stats["serverErrors"], &serverErrs); err != nil {
-		t.Fatalf("serverErrors missing from /v1/stats: %v", err)
+	for _, key := range []string{"failures", "queries", "cacheHits", "coalesced",
+		"clientErrors", "serverErrors", "graphBuilds", "ingests", "appends"} {
+		if _, ok := stats[key]; ok {
+			t.Errorf("/v1/stats still exposes the %s counter", key)
+		}
 	}
 	// The bad query and the 404 are client faults; /v1/stats itself and
 	// /healthz are not.
-	if clientErrs != 2 {
-		t.Errorf("clientErrors = %d, want 2", clientErrs)
+	if got := metricSample(t, srv.URL, clientSeries) - clientBefore; got != 2 {
+		t.Errorf("%s rose by %v, want 2", clientSeries, got)
 	}
-	if serverErrs != 0 {
-		t.Errorf("serverErrors = %d, want 0", serverErrs)
+	if got := metricSample(t, srv.URL, serverSeries) - serverBefore; got != 0 {
+		t.Errorf("%s rose by %v, want 0", serverSeries, got)
 	}
 }
 

@@ -87,9 +87,27 @@ type replTier struct {
 	leader    *httptest.Server
 	snapPath  string
 	followers []*replica.Follower
-	servers   []*server
 	srvs      []*httptest.Server
 	router    *httptest.Server
+}
+
+// answered reads how many forwards to follower i the router counted
+// "ok": a response that follower served. The tier's servers share this
+// process's registry, so per-follower counts come from the router's
+// per-replica series.
+func (tier *replTier) answered(t *testing.T, i int) float64 {
+	t.Helper()
+	return metricSample(t, tier.router.URL,
+		`polygamy_router_requests_total{replica="`+tier.srvs[i].URL+`",outcome="ok"}`)
+}
+
+// answeredAll sums answered over every follower.
+func (tier *replTier) answeredAll(t *testing.T) float64 {
+	var sum float64
+	for i := range tier.srvs {
+		sum += tier.answered(t, i)
+	}
+	return sum
 }
 
 func newReplTier(t *testing.T, nFollowers int) *replTier {
@@ -125,7 +143,6 @@ func newReplTier(t *testing.T, nFollowers int) *replTier {
 		hs := httptest.NewServer(rs)
 		t.Cleanup(hs.Close)
 		tier.followers = append(tier.followers, fol)
-		tier.servers = append(tier.servers, rs)
 		tier.srvs = append(tier.srvs, hs)
 		urls = append(urls, hs.URL)
 	}
@@ -171,6 +188,8 @@ func TestReplicatedTierEndToEnd(t *testing.T) {
 	// follower (the leader serves no /v1/query through this router).
 	var qr httpapi.QueryResponse
 	body := `{"sources":["wind"],"targets":["trips"],"clause":{"permutations":60}}`
+	queriesBefore := metricSample(t, tier.router.URL, "polygamy_queries_total")
+	answeredBefore := tier.answeredAll(t)
 	resp, err := client.Post(tier.router.URL+"/v1/query", "application/json", strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
@@ -185,8 +204,13 @@ func TestReplicatedTierEndToEnd(t *testing.T) {
 	if len(qr.Relationships) == 0 {
 		t.Fatal("routed query found no relationships in the planted corpus")
 	}
-	if got := tier.servers[0].queries.Load() + tier.servers[1].queries.Load(); got != 1 {
-		t.Fatalf("follower query counters sum to %d, want 1", got)
+	// The query was evaluated once, and a follower (not the leader)
+	// answered it.
+	if got := metricSample(t, tier.router.URL, "polygamy_queries_total") - queriesBefore; got != 1 {
+		t.Fatalf("process query count rose by %v, want 1", got)
+	}
+	if got := tier.answeredAll(t) - answeredBefore; got != 1 {
+		t.Fatalf("follower answers sum to %v, want 1", got)
 	}
 
 	// The textual form routes too.
@@ -226,6 +250,7 @@ func TestReplicatedTierEndToEnd(t *testing.T) {
 
 	// A graph build through the router is a write: it reaches the leader,
 	// which builds and re-saves its snapshot.
+	buildsBefore := metricSample(t, tier.router.URL, "polygamy_graph_builds_total")
 	resp, err = client.Post(tier.router.URL+"/v1/graph/build", "application/json",
 		strings.NewReader(`{"clause":{"permutations":60}}`))
 	if err != nil {
@@ -236,8 +261,10 @@ func TestReplicatedTierEndToEnd(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("routed graph build: status %d: %s", resp.StatusCode, buildBody)
 	}
-	if got := tier.leaderSrv.graphBuilds.Load(); got != 1 {
-		t.Fatalf("leader counted %d graph builds, want 1", got)
+	// Followers cannot build, so the one build in the process is the
+	// leader's.
+	if got := metricSample(t, tier.router.URL, "polygamy_graph_builds_total") - buildsBefore; got != 1 {
+		t.Fatalf("leader counted %v graph builds, want 1", got)
 	}
 	g, ok := tier.leaderFW.RelGraph()
 	if !ok {
@@ -285,8 +312,9 @@ func TestReplicatedTierEndToEnd(t *testing.T) {
 // TestRouterFailoverStorm is satellite #2: a query storm runs through
 // the router while one replica is killed mid-flight. Clients must see
 // zero hard errors (only 200s, plus the 429/503 back-pressure statuses),
-// and the killed replica's signatures re-home onto the survivor (its
-// queries counter rises for signatures it never served before the kill).
+// and the killed replica's signatures re-home onto the survivor (the
+// survivor's answered count rises for signatures it never served before
+// the kill).
 func TestRouterFailoverStorm(t *testing.T) {
 	tier := newReplTier(t, 2)
 	client := tier.router.Client()
@@ -297,7 +325,7 @@ func TestRouterFailoverStorm(t *testing.T) {
 	var victimBodies []string
 	for p := 100; p < 160 && len(victimBodies) < 3; p++ {
 		body := fmt.Sprintf(`{"sources":["wind"],"targets":["trips"],"clause":{"permutations":%d}}`, p)
-		before := tier.servers[0].queries.Load()
+		before := tier.answered(t, 0)
 		resp, err := client.Post(tier.router.URL+"/v1/query", "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
@@ -307,7 +335,7 @@ func TestRouterFailoverStorm(t *testing.T) {
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("probe %d: status %d", p, resp.StatusCode)
 		}
-		if tier.servers[0].queries.Load() > before {
+		if tier.answered(t, 0) > before {
 			victimBodies = append(victimBodies, body)
 		}
 	}
@@ -359,13 +387,13 @@ func TestRouterFailoverStorm(t *testing.T) {
 	time.Sleep(100 * time.Millisecond) // let the storm establish on the victim
 	// Every storm signature is homed on the victim, so whatever the
 	// survivor serves from here on is redistributed traffic.
-	survivorBefore := tier.servers[1].queries.Load()
+	survivorBefore := tier.answered(t, 1)
 	tier.srvs[0].CloseClientConnections()
 	tier.srvs[0].Close() // hard kill: in-flight requests die on the wire
 	close(killed)
 
 	deadline := time.Now().Add(20 * time.Second)
-	for tier.servers[1].queries.Load() == survivorBefore || okAfterKill.Load() < 20 {
+	for tier.answered(t, 1) == survivorBefore || okAfterKill.Load() < 20 {
 		if time.Now().After(deadline) {
 			break
 		}
@@ -383,7 +411,7 @@ func TestRouterFailoverStorm(t *testing.T) {
 	if okAfterKill.Load() == 0 {
 		t.Fatal("no request succeeded after the replica was killed")
 	}
-	if tier.servers[1].queries.Load() == survivorBefore {
-		t.Fatal("survivor's queries counter never moved: the victim's signatures were not redistributed to it")
+	if tier.answered(t, 1) == survivorBefore {
+		t.Fatal("survivor's answered count never moved: the victim's signatures were not redistributed to it")
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/pprof"
-	"sync/atomic"
 	"time"
 
 	"github.com/urbandata/datapolygamy/internal/core"
@@ -17,6 +16,7 @@ import (
 	"github.com/urbandata/datapolygamy/internal/obsv"
 	"github.com/urbandata/datapolygamy/internal/queryparse"
 	"github.com/urbandata/datapolygamy/internal/replica"
+	"github.com/urbandata/datapolygamy/internal/store"
 )
 
 // Request-body caps, enforced with http.MaxBytesReader on every POST
@@ -57,19 +57,6 @@ type server struct {
 	// status endpoint; writes are rejected (the leader owns the corpus).
 	follower *replica.Follower
 	readOnly bool
-
-	queries   atomic.Int64 // relationship queries answered
-	cacheHits atomic.Int64 // served from the query cache
-	coalesced atomic.Int64 // deduplicated against an in-flight evaluation
-	// clientErrors / serverErrors split failed requests by fault: 4xx
-	// responses (bad queries, unknown data sets, oversized bodies) vs 5xx
-	// ones. Both are counted by the middleware from the status actually
-	// written, so every handler is covered uniformly.
-	clientErrors atomic.Int64
-	serverErrors atomic.Int64
-	graphBuilds  atomic.Int64 // graph builds completed
-	ingests      atomic.Int64 // ingestion jobs accepted
-	appends      atomic.Int64 // append jobs accepted
 }
 
 // newServer wraps one fixed framework — the standalone and leader form.
@@ -199,24 +186,16 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 	if s.warmStart {
 		snapshot["source"] = "warm"
 	}
-	if format, zeroCopy, ok := s.fw().LoadedSnapshot(); ok {
-		snapshot["format"] = format
+	if zeroCopy, ok := s.fw().LoadedSnapshot(); ok {
+		snapshot["format"] = store.FormatVersion
 		snapshot["mmap"] = zeroCopy
 	}
 	resp := map[string]any{
-		"uptime":       time.Since(s.started).Round(time.Millisecond).String(),
-		"datasets":     len(s.fw().Datasets()),
-		"functions":    s.fw().NumFunctions(),
-		"warmStart":    s.warmStart,
-		"snapshot":     snapshot,
-		"queries":      s.queries.Load(),
-		"cacheHits":    s.cacheHits.Load(),
-		"coalesced":    s.coalesced.Load(),
-		"clientErrors": s.clientErrors.Load(),
-		"serverErrors": s.serverErrors.Load(),
-		"graphBuilds":  s.graphBuilds.Load(),
-		"ingests":      s.ingests.Load(),
-		"appends":      s.appends.Load(),
+		"uptime":    time.Since(s.started).Round(time.Millisecond).String(),
+		"datasets":  len(s.fw().Datasets()),
+		"functions": s.fw().NumFunctions(),
+		"warmStart": s.warmStart,
+		"snapshot":  snapshot,
 		// rebuilds counts full derived-state discards over the framework's
 		// lifetime (range-extending AddDataset, fallback appends); an
 		// operator watching this sees exactly when incrementality was lost.
@@ -290,13 +269,6 @@ func (s *server) answer(w http.ResponseWriter, q core.Query, trace bool) {
 	if err != nil {
 		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
 		return
-	}
-	s.queries.Add(1)
-	if stats.CacheHit {
-		s.cacheHits.Add(1)
-	}
-	if stats.Coalesced {
-		s.coalesced.Add(1)
 	}
 	httpapi.WriteQueryResponse(w, rels, stats, trace)
 }

@@ -390,8 +390,8 @@ func TestConcurrentGraphBuildQueryStress(t *testing.T) {
 					graph.KHop(ds, 2)
 					graph.DatasetEdges(ds)
 				}
-				graph.TopK(5, relgraph.ByScore)
-				graph.Rollup()
+				graph.TopK(5, relgraph.ByScore, 0)
+				graph.Rollup(0)
 			}
 		}()
 	}

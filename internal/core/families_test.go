@@ -59,7 +59,7 @@ func TestFamiliesViewTheMapping(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { g.Close() })
-	if _, zeroCopy, _ := g.LoadedSnapshot(); !zeroCopy || !hostLittleEndian {
+	if zeroCopy, _ := g.LoadedSnapshot(); !zeroCopy || !hostLittleEndian {
 		t.Skip("no zero-copy mapping on this platform")
 	}
 	sec, ok := g.mappings[len(g.mappings)-1].Section(store.SectionGraph)

@@ -207,10 +207,9 @@ type Framework struct {
 	// are viewed zero-copy, so the mapped file must outlive every
 	// reachable bit vector, string, and edge. They are released only by
 	// Close — not on re-Load, since lock-free readers may still hold state
-	// aliasing an older mapping. snapFormat / snapZeroCopy record how the
-	// last Load sourced its sections (see LoadedSnapshot).
+	// aliasing an older mapping. snapZeroCopy records how the last Load
+	// sourced its sections (see LoadedSnapshot).
 	mappings     []*store.Mapped
-	snapFormat   int
 	snapZeroCopy bool
 }
 

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"github.com/urbandata/datapolygamy/internal/feature"
-	"github.com/urbandata/datapolygamy/internal/store"
 	"github.com/urbandata/datapolygamy/internal/temporal"
 )
 
@@ -37,8 +36,8 @@ func TestSnapshotTileTableRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer g.Close()
-	if format, _, ok := g.LoadedSnapshot(); !ok || format != store.FormatVersion {
-		t.Fatalf("warm open reports container version %d (loaded=%v), want %d", format, ok, store.FormatVersion)
+	if _, ok := g.LoadedSnapshot(); !ok {
+		t.Fatal("warm open reports no loaded snapshot")
 	}
 
 	// The corpus really is multi-tile at the fine resolutions.

@@ -48,10 +48,11 @@ func bruteForce(t *testing.T, f *Framework, clause Clause) (cands []bruteCand, c
 		for _, b := range names[i+1:] {
 			d1, d2 := f.datasets[a], f.datasets[b]
 			var resolutions []Resolution
-			for _, sr := range spatial.CommonResolutions(d1.SpatialRes, d2.SpatialRes) {
-				for _, tr := range temporal.CommonResolutions(d1.TemporalRes, d2.TemporalRes) {
+			for _, sr := range f.opts.EvalSpatial {
+				for _, tr := range f.opts.EvalTemporal {
 					res := Resolution{sr, tr}
-					if slices.Contains(f.opts.EvalSpatial, sr) && slices.Contains(f.opts.EvalTemporal, tr) &&
+					if d1.SpatialRes.ConvertibleTo(sr) && d2.SpatialRes.ConvertibleTo(sr) &&
+						d1.TemporalRes.ConvertibleTo(tr) && d2.TemporalRes.ConvertibleTo(tr) &&
 						(clause.Resolutions == nil || slices.Contains(clause.Resolutions, res)) {
 						resolutions = append(resolutions, res)
 					}

@@ -188,7 +188,6 @@ func (f *Framework) Load(path string) (err error) {
 	// uniformity; its Close is a no-op and the GC tracks the aliases anyway.
 	f.mappings = append(f.mappings, mp)
 	adopted = true
-	f.snapFormat = m.FormatVersion
 	f.snapZeroCopy = mp.ZeroCopy()
 	mode := "heap"
 	if f.snapZeroCopy {
@@ -205,13 +204,14 @@ func (f *Framework) Load(path string) (err error) {
 }
 
 // LoadedSnapshot reports how the last successful Load sourced its
-// sections: the container format version and whether the sections are
-// zero-copy views of a live memory mapping.
-// ok is false when the framework has never loaded a snapshot.
-func (f *Framework) LoadedSnapshot() (format int, zeroCopy bool, ok bool) {
+// sections: whether they are zero-copy views of a live memory mapping.
+// Its container version is store.FormatVersion, the only one Load
+// accepts. ok is false when the framework holds no loaded snapshot
+// (none was loaded, or Close released it).
+func (f *Framework) LoadedSnapshot() (zeroCopy bool, ok bool) {
 	f.mu.RLock()
 	defer f.mu.RUnlock()
-	return f.snapFormat, f.snapZeroCopy, f.snapFormat != 0
+	return f.snapZeroCopy, len(f.mappings) > 0
 }
 
 // Evict hands the resident pages of the framework's snapshot mappings back

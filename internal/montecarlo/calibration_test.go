@@ -13,49 +13,6 @@ import (
 	"github.com/urbandata/datapolygamy/internal/stgraph"
 )
 
-// TestNullCalibration checks the statistical validity of the restricted
-// test: under the null hypothesis (independent feature sets), the fraction
-// of trials declared significant at alpha must not exceed alpha beyond
-// sampling error. (Permutation tests with add-one smoothing are
-// conservative, and ties count as extreme, so the rate sits at or below
-// alpha.)
-func TestNullCalibration(t *testing.T) {
-	if testing.Short() {
-		t.Skip("calibration is slow")
-	}
-	const alpha = 0.05
-	rng := rand.New(rand.NewSource(42))
-	n := 3000
-	g, err := stgraph.New(1, n, [][]int{nil})
-	if err != nil {
-		t.Fatal(err)
-	}
-	trials := 120
-	significant := 0
-	for trial := 0; trial < trials; trial++ {
-		mk := func() *feature.Set {
-			s := &feature.Set{Positive: bitvec.New(n), Negative: bitvec.New(n)}
-			for i := 0; i < 60; i++ {
-				s.Positive.Set(rng.Intn(n))
-				s.Negative.Set(rng.Intn(n))
-			}
-			return s
-		}
-		a, b := mk(), mk()
-		m := relationship.Evaluate(a, b)
-		res := Test(a, b, g, m.Tau, Config{Permutations: 200, Seed: int64(trial), Alpha: alpha})
-		if res.Significant {
-			significant++
-		}
-	}
-	rate := float64(significant) / float64(trials)
-	// A valid p-value keeps the rate at or below alpha, up to 3 binomial
-	// standard errors and the 1/n granule of the enumerated rotations.
-	if slack := 3*math.Sqrt(alpha*(1-alpha)/float64(trials)) + 1/float64(n); rate > alpha+slack {
-		t.Errorf("null rejection rate = %.3f (%d of %d), want <= alpha %.2f + %.4f", rate, significant, trials, alpha, slack)
-	}
-}
-
 // TestPowerUnderAlternative: strongly dependent feature sets must be
 // detected with high probability — the test has power, not just size.
 func TestPowerUnderAlternative(t *testing.T) {

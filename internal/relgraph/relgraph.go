@@ -344,17 +344,12 @@ func (r RankBy) String() string {
 	}
 }
 
-// TopK returns the k highest-ranked edges by the given criterion, ties
-// broken by canonical edge order so the result is deterministic. k <= 0 or
-// k > NumEdges returns all edges ranked.
-func (g *Graph) TopK(k int, by RankBy) []Edge {
-	return g.TopKMaxQ(k, by, 0)
-}
-
-// TopKMaxQ is TopK restricted to edges with q-value <= maxQ; maxQ <= 0
-// applies no filter. Combined with ByQValue this answers "the k most
-// trustworthy relationships under the graph's correction".
-func (g *Graph) TopKMaxQ(k int, by RankBy, maxQ float64) []Edge {
+// TopK returns the k highest-ranked edges by the given criterion among
+// those with q-value <= maxQ, ties broken by canonical edge order so the
+// result is deterministic. k <= 0 or k > the edges kept returns them all
+// ranked; maxQ <= 0 applies no filter. Combined with ByQValue this answers
+// "the k most trustworthy relationships under the graph's correction".
+func (g *Graph) TopK(k int, by RankBy, maxQ float64) []Edge {
 	rank := func(e Edge) float64 {
 		switch by {
 		case ByStrength:
@@ -391,17 +386,12 @@ type DatasetRelation struct {
 	MinQValue          float64
 }
 
-// Rollup aggregates edges to data-set granularity, sorted by the data set
-// pair.
-func (g *Graph) Rollup() []DatasetRelation {
-	return g.RollupMaxQ(0)
-}
-
-// RollupMaxQ is Rollup restricted to edges with q-value <= maxQ; maxQ <= 0
-// applies no filter. Data set pairs whose every edge is filtered out do not
-// appear in the result. Relations are keyed by data set index, so no two
-// distinct pairs can share a key whatever their names contain.
-func (g *Graph) RollupMaxQ(maxQ float64) []DatasetRelation {
+// Rollup aggregates the edges with q-value <= maxQ to data-set
+// granularity, sorted by the data set pair; maxQ <= 0 applies no filter.
+// Data set pairs whose every edge is filtered out do not appear in the
+// result. Relations are keyed by data set index, so no two distinct pairs
+// can share a key whatever their names contain.
+func (g *Graph) Rollup(maxQ float64) []DatasetRelation {
 	agg := make(map[[2]int32]*DatasetRelation)
 	var keys [][2]int32
 	for i, l := range g.links {

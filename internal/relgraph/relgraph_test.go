@@ -126,25 +126,25 @@ func TestDatasetEdges(t *testing.T) {
 
 func TestTopK(t *testing.T) {
 	g := testGraph()
-	top := g.TopK(2, ByScore)
+	top := g.TopK(2, ByScore, 0)
 	if len(top) != 2 {
 		t.Fatalf("TopK returned %d edges", len(top))
 	}
 	if top[0].Tau != 0.95 || top[1].Tau != -0.9 {
 		t.Errorf("TopK by score = %.2f, %.2f; want 0.95, -0.90", top[0].Tau, top[1].Tau)
 	}
-	top = g.TopK(1, ByStrength)
+	top = g.TopK(1, ByStrength, 0)
 	if top[0].Rho != 0.9 {
 		t.Errorf("TopK by strength = %.2f, want 0.90", top[0].Rho)
 	}
-	if n := len(g.TopK(0, ByScore)); n != g.NumEdges() {
+	if n := len(g.TopK(0, ByScore, 0)); n != g.NumEdges() {
 		t.Errorf("TopK(0) returned %d edges, want all %d", n, g.NumEdges())
 	}
 }
 
 func TestTopKByQValue(t *testing.T) {
 	g := testGraph()
-	top := g.TopK(0, ByQValue)
+	top := g.TopK(0, ByQValue, 0)
 	if len(top) != g.NumEdges() {
 		t.Fatalf("TopK(0, ByQValue) returned %d edges", len(top))
 	}
@@ -158,23 +158,23 @@ func TestTopKByQValue(t *testing.T) {
 		t.Errorf("most significant edge q = %g, want 0.002", top[0].QValue)
 	}
 	// The q filter keeps exactly the edges at or below the cutoff.
-	few := g.TopKMaxQ(0, ByScore, 0.005)
+	few := g.TopK(0, ByScore, 0.005)
 	if len(few) != 2 {
-		t.Fatalf("TopKMaxQ(0.005) kept %d edges, want 2", len(few))
+		t.Fatalf("TopK(maxQ = 0.005) kept %d edges, want 2", len(few))
 	}
 	for _, e := range few {
 		if e.QValue > 0.005 {
 			t.Errorf("edge with q = %g survived maxQ = 0.005", e.QValue)
 		}
 	}
-	if n := len(g.TopKMaxQ(1, ByQValue, 0.005)); n != 1 {
-		t.Errorf("TopKMaxQ(k=1) returned %d edges", n)
+	if n := len(g.TopK(1, ByQValue, 0.005)); n != 1 {
+		t.Errorf("TopK(k = 1, maxQ = 0.005) returned %d edges", n)
 	}
 }
 
 func TestRollup(t *testing.T) {
 	g := testGraph()
-	roll := g.Rollup()
+	roll := g.Rollup(0)
 	if len(roll) != 3 {
 		t.Fatalf("rollup has %d relations, want 3", len(roll))
 	}
@@ -203,9 +203,9 @@ func TestRollupMaxQ(t *testing.T) {
 	g := testGraph()
 	// q-values are 2p: {0.002, 0.02, 0.04, 0.004}. A cutoff of 0.01 keeps
 	// only taxi|weather (salient) and citibike|events.
-	roll := g.RollupMaxQ(0.01)
+	roll := g.Rollup(0.01)
 	if len(roll) != 2 {
-		t.Fatalf("RollupMaxQ(0.01) = %+v, want 2 relations", roll)
+		t.Fatalf("Rollup(0.01) = %+v, want 2 relations", roll)
 	}
 	for _, r := range roll {
 		if r.Edges != 1 {
@@ -316,7 +316,7 @@ func TestRollupKeepsPipedNamesApart(t *testing.T) {
 		{Function1: "x|y/a", Function2: "z/b", Dataset1: "x|y", Dataset2: "z", Spec1: "a", Spec2: "b", Tau: 0.5, Rho: 0.5, PValue: 0.01, QValue: 0.01},
 		{Function1: "x/a", Function2: "y|z/b", Dataset1: "x", Dataset2: "y|z", Spec1: "a", Spec2: "b", Tau: 0.7, Rho: 0.6, PValue: 0.02, QValue: 0.02},
 	})
-	roll := g.Rollup()
+	roll := g.Rollup(0)
 	want := []DatasetRelation{
 		{Dataset1: "x", Dataset2: "y|z", Edges: 1, MaxAbsTau: 0.7, MaxRho: 0.6, MinPValue: 0.02, MinQValue: 0.02},
 		{Dataset1: "x|y", Dataset2: "z", Edges: 1, MaxAbsTau: 0.5, MaxRho: 0.5, MinPValue: 0.01, MinQValue: 0.01},

@@ -70,30 +70,3 @@ func (r Resolution) ConvertibleTo(target Resolution) bool {
 	}
 	return false
 }
-
-// Coarsenings returns every resolution r can be converted to (including r),
-// finest first. GPS itself is excluded from evaluation resolutions, so the
-// result for GPS data starts at ZipCode.
-func (r Resolution) Coarsenings() []Resolution {
-	out := []Resolution{}
-	for t := ZipCode; t <= City; t++ {
-		if r.ConvertibleTo(t) {
-			out = append(out, t)
-		}
-	}
-	return out
-}
-
-// CommonResolutions returns the evaluation resolutions shared by native
-// resolutions a and b, finest first. GPS never appears in the output: the
-// framework always aggregates point data into polygons before evaluating
-// relationships.
-func CommonResolutions(a, b Resolution) []Resolution {
-	out := []Resolution{}
-	for t := ZipCode; t <= City; t++ {
-		if a.ConvertibleTo(t) && b.ConvertibleTo(t) {
-			out = append(out, t)
-		}
-	}
-	return out
-}

@@ -34,21 +34,6 @@ func TestResolutionDAG(t *testing.T) {
 	}
 }
 
-func TestCommonResolutions(t *testing.T) {
-	got := CommonResolutions(Neighborhood, ZipCode)
-	if len(got) != 1 || got[0] != City {
-		t.Errorf("CommonResolutions(nbhd, zip) = %v, want [city]", got)
-	}
-	got = CommonResolutions(GPS, GPS)
-	if len(got) != 3 {
-		t.Errorf("CommonResolutions(gps, gps) = %v, want 3 evaluation resolutions", got)
-	}
-	got = CommonResolutions(GPS, City)
-	if len(got) != 1 || got[0] != City {
-		t.Errorf("CommonResolutions(gps, city) = %v, want [city]", got)
-	}
-}
-
 func TestParseResolutionRoundTrip(t *testing.T) {
 	for r, name := range map[Resolution]string{GPS: "gps", ZipCode: "zip", Neighborhood: "neighborhood", City: "city"} {
 		if r.String() != name {

@@ -100,31 +100,6 @@ func (r Resolution) ConvertibleTo(target Resolution) bool {
 	return false
 }
 
-// Coarsenings returns every resolution that r can be converted to,
-// including r itself, in ascending (finest-first) order.
-func (r Resolution) Coarsenings() []Resolution {
-	out := make([]Resolution, 0, numResolutions)
-	for t := Second; t <= Month; t++ {
-		if r.ConvertibleTo(t) {
-			out = append(out, t)
-		}
-	}
-	return out
-}
-
-// CommonResolutions returns the temporal resolutions at which two functions
-// with native resolutions a and b can both be evaluated, finest first.
-// The slice is empty when no common resolution exists (e.g. week vs month).
-func CommonResolutions(a, b Resolution) []Resolution {
-	out := []Resolution{}
-	for t := Second; t <= Month; t++ {
-		if a.ConvertibleTo(t) && b.ConvertibleTo(t) {
-			out = append(out, t)
-		}
-	}
-	return out
-}
-
 // Bin returns the canonical start (Unix seconds, UTC) of the time step at
 // resolution r containing timestamp ts.
 func Bin(ts int64, r Resolution) int64 {

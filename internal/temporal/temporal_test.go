@@ -138,44 +138,6 @@ func TestConvertibleDAG(t *testing.T) {
 	}
 }
 
-func TestCommonResolutions(t *testing.T) {
-	got := CommonResolutions(Hour, Week)
-	if len(got) != 2 || got[0] != Week || got[1] != Month {
-		t.Errorf("CommonResolutions(hour, week) = %v, want [week month]", got)
-	}
-	got = CommonResolutions(Week, Month)
-	if len(got) != 1 || got[0] != Month {
-		t.Errorf("CommonResolutions(week, month) = %v, want [month]", got)
-	}
-	got = CommonResolutions(Second, Second)
-	if len(got) != numResolutions {
-		t.Errorf("CommonResolutions(second, second) = %v, want all %d", got, numResolutions)
-	}
-	got = CommonResolutions(Hour, Day)
-	want := []Resolution{Day, Week, Month}
-	if len(got) != len(want) {
-		t.Fatalf("CommonResolutions(hour, day) = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("CommonResolutions(hour, day) = %v, want %v", got, want)
-		}
-	}
-}
-
-func TestCoarsenings(t *testing.T) {
-	got := Day.Coarsenings()
-	want := []Resolution{Day, Week, Month}
-	if len(got) != len(want) {
-		t.Fatalf("Day.Coarsenings() = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Day.Coarsenings() = %v, want %v", got, want)
-		}
-	}
-}
-
 func TestTimelineHourly(t *testing.T) {
 	start := ts(2011, time.August, 27, 0, 0, 0)
 	end := ts(2011, time.August, 28, 23, 0, 0)
