@@ -1,7 +1,6 @@
 package main
 
 import (
-	"errors"
 	"fmt"
 	"net/http"
 
@@ -20,33 +19,20 @@ import (
 //	    when a graph is built, and a snapshot re-save when the server runs
 //	    with -snapshot — happens in the background.
 //
-// Unlike ingesting a range-extending data set (which discards all derived
-// state and rebuilds), an append keeps the relationship graph live
-// throughout: only the tiles covering new time are computed, and only graph
-// edges whose supporting window changed are re-tested under the remembered
-// clause. Results are byte-identical to a from-scratch rebuild (asserted by
+// An append keeps the relationship graph live throughout: only the tiles
+// covering new time are computed, and only graph edges whose supporting
+// window changed are re-tested under the remembered clause. Results are
+// byte-identical to a from-scratch rebuild (asserted by
 // TestServerAppendEquivalence).
 
 func (s *server) handleAppend(w http.ResponseWriter, r *http.Request) {
 	if s.rejectWrite(w) {
 		return
 	}
+	// The path identifies the target; the CSV name line is advisory.
 	name := r.PathValue("name")
-	body := http.MaxBytesReader(w, r.Body, s.maxIngestBody)
-	d, err := dataset.ReadCSV(body)
-	if err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			writeJSON(w, http.StatusRequestEntityTooLarge,
-				errorResponse{Error: fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit)})
-			return
-		}
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "parsing CSV slice: " + err.Error()})
-		return
-	}
-	d.Name = name // the path identifies the target; the CSV name line is advisory
-	if err := d.Validate(); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
+	d := s.readCSVBody(w, r, "slice", name)
+	if d == nil {
 		return
 	}
 	registered := false

@@ -65,29 +65,43 @@ func (s *server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	if s.rejectWrite(w) {
 		return
 	}
-	// The CSV is parsed synchronously — a malformed body should fail the
-	// request, not a job the client has to dig out of /v1/jobs — and the
-	// expensive indexing runs in the background.
-	body := http.MaxBytesReader(w, r.Body, s.maxIngestBody)
-	d, err := dataset.ReadCSV(body)
-	if err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			writeJSON(w, http.StatusRequestEntityTooLarge,
-				errorResponse{Error: fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit)})
-			return
-		}
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "parsing CSV data set: " + err.Error()})
-		return
-	}
-	if err := d.Validate(); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
+	d := s.readCSVBody(w, r, "data set", "")
+	if d == nil {
 		return
 	}
 	job := s.jobs.Start("ingest", d.Name, func() (map[string]any, error) {
 		return s.runIngest(d)
 	})
 	writeJSON(w, http.StatusAccepted, map[string]any{"job": wireJob(job)})
+}
+
+// readCSVBody parses a write's request body as one data set, named name
+// when that is not empty (the CSV name line is then advisory). The CSV is
+// parsed synchronously — a malformed body should fail the request, not a
+// job the client has to dig out of /v1/jobs — and the expensive work runs
+// in the background. On failure it answers 413 for a body over the ingest
+// limit, 400 for one that does not parse or validate (what names the body
+// in the message), and returns nil.
+func (s *server) readCSVBody(w http.ResponseWriter, r *http.Request, what, name string) *dataset.Dataset {
+	d, err := dataset.ReadCSV(http.MaxBytesReader(w, r.Body, s.maxIngestBody))
+	if err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			writeJSON(w, http.StatusRequestEntityTooLarge,
+				errorResponse{Error: fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit)})
+			return nil
+		}
+		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "parsing CSV " + what + ": " + err.Error()})
+		return nil
+	}
+	if name != "" {
+		d.Name = name
+	}
+	if err := d.Validate(); err != nil {
+		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
+		return nil
+	}
+	return d
 }
 
 // runIngest is the body of one ingestion job: the incremental epoch-swap

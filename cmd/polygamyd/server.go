@@ -197,8 +197,9 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 		"warmStart": s.warmStart,
 		"snapshot":  snapshot,
 		// rebuilds counts full derived-state discards over the framework's
-		// lifetime (range-extending AddDataset, fallback appends); an
-		// operator watching this sees exactly when incrementality was lost.
+		// lifetime (a range-extending AddDataset, an ingest starting before
+		// the corpus); an operator watching this sees exactly when
+		// incrementality was lost.
 		"rebuilds": s.fw().Rebuilds(),
 	}
 	if s.follower != nil {

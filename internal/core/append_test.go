@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -460,4 +461,35 @@ func TestConcurrentAppendQueryGraphStress(t *testing.T) {
 	if _, _, err := f.Query(Query{Sources: []string{"noise"}, Clause: Clause{Permutations: 20, SkipSignificance: true}}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestAppendWithinLastStep: an append that moves the corpus end inside the
+// last step of a timeline — here the 366-step day timeline, exactly one
+// tile — extends the corpus but adds no step at that resolution. That
+// timeline did not grow, so no tile past its end may be scheduled: the
+// other data set keeps its entries, and the result equals a from-scratch
+// build.
+func TestAppendWithinLastStep(t *testing.T) {
+	daily := func(name string, seed int64) *dataset.Dataset {
+		rng := rand.New(rand.NewSource(seed))
+		d := &dataset.Dataset{Name: name, SpatialRes: spatial.City, TemporalRes: temporal.Day, Attrs: []string{"v"}}
+		for i := 0; i < 366; i++ {
+			d.Tuples = append(d.Tuples, dataset.Tuple{Region: 0, TS: ts(i, 0), Values: []float64{25 + rng.NormFloat64()}})
+		}
+		return d
+	}
+	slice := func() *dataset.Dataset {
+		return &dataset.Dataset{Name: "a", SpatialRes: spatial.City, TemporalRes: temporal.Day, Attrs: []string{"v"},
+			Tuples: []dataset.Tuple{{Region: 0, TS: ts(365, 12), Values: []float64{80}}}}
+	}
+	live := buildFW(t, []*dataset.Dataset{daily("a", 1), daily("b", 2)})
+	st, err := live.AppendSlice(slice())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !st.Extended || st.FellBack || slices.Contains(st.ChangedDatasets, "b") {
+		t.Errorf("append stats = %+v, want an extension that leaves b untouched", st)
+	}
+	scratch := buildFW(t, []*dataset.Dataset{appendTuples(daily("a", 1), slice()), daily("b", 2)})
+	assertIndexIdentical(t, scratch, live)
 }

@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"github.com/urbandata/datapolygamy/internal/dataset"
 	"github.com/urbandata/datapolygamy/internal/feature"
 	"github.com/urbandata/datapolygamy/internal/relgraph"
 	"github.com/urbandata/datapolygamy/internal/spatial"
@@ -500,5 +501,75 @@ func TestConcurrentQueryGraphFamilies(t *testing.T) {
 	}
 	if g, _ := f.RelGraph(); !g.Equal(wantG) {
 		t.Error("graph built while queries filled its families differs from a sequential build")
+	}
+}
+
+// TestConcurrentWriters runs an IngestDataset of a new data set and an
+// AppendSlice to another at once, beside Query traffic. The writes
+// serialize on the writer mutex, so neither sees the corpus change between
+// its capture and its splice: neither recomputes from an empty base, no
+// rebuild is counted, and the final answers equal a from-scratch build over
+// the same order with the slice merged, whichever write goes first.
+func TestConcurrentWriters(t *testing.T) {
+	live := buildFW(t, appendCorpus(t, 48))
+	rebuilds := live.Rebuilds()
+	added := func() *dataset.Dataset { return noiseDataset("noise2", 95, 48) }
+	slice := func() *dataset.Dataset { return hourSlice("noise", "level", 240, plantedHours+48, 24*3) }
+
+	stop := make(chan struct{})
+	var readers sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		readers.Add(1)
+		go func(g int) {
+			defer readers.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				q := Query{Sources: []string{"wind"}, Clause: Clause{Permutations: 20 + (i+g)%3}}
+				if _, _, err := live.Query(q); err != nil {
+					t.Errorf("query during writes: %v", err)
+					return
+				}
+			}
+		}(g)
+	}
+	var writers sync.WaitGroup
+	var ist IndexStats
+	var ast AppendStats
+	var ierr, aerr error
+	writers.Add(2)
+	go func() { defer writers.Done(); ist, ierr = live.IngestDataset(added()) }()
+	go func() { defer writers.Done(); ast, aerr = live.AppendSlice(slice()) }()
+	writers.Wait()
+	close(stop)
+	readers.Wait()
+	if ierr != nil || aerr != nil {
+		t.Fatalf("ingest: %v; append: %v", ierr, aerr)
+	}
+	if ist.DatasetsIndexed != 1 || ast.FellBack {
+		t.Errorf("ingest indexed %d data sets, append fell back = %t; want 1 and no empty base", ist.DatasetsIndexed, ast.FellBack)
+	}
+	if live.Rebuilds() != rebuilds {
+		t.Errorf("rebuilds %d -> %d, want unchanged", rebuilds, live.Rebuilds())
+	}
+
+	corpus := appendCorpus(t, 48)
+	corpus[2] = appendTuples(corpus[2], slice())
+	scratch := buildFW(t, append(corpus, added()))
+	assertIndexIdentical(t, scratch, live)
+	q := Query{Clause: Clause{Permutations: 40}}
+	want, _, err := scratch.Query(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _, err := live.Query(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(want, got) {
+		t.Fatalf("answers differ from a from-scratch build:\n scratch %v\n live    %v", want, got)
 	}
 }

@@ -28,14 +28,12 @@ import (
 	"fmt"
 	"log/slog"
 	"runtime"
-	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"github.com/urbandata/datapolygamy/internal/dataset"
-	"github.com/urbandata/datapolygamy/internal/mapreduce"
 	"github.com/urbandata/datapolygamy/internal/montecarlo"
 	"github.com/urbandata/datapolygamy/internal/relgraph"
 	"github.com/urbandata/datapolygamy/internal/scalar"
@@ -114,8 +112,10 @@ type IndexStats struct {
 // # Concurrency
 //
 // A Framework separates exclusive (index-mutating) operations from shared
-// (read-only) ones. AddDataset, BuildIndex, and Load take the state lock
-// exclusively; concurrent readers block until they finish. Once BuildIndex
+// (read-only) ones. AddDataset and Load take the state lock exclusively;
+// concurrent readers block until they finish. BuildIndex, IngestDataset and
+// AppendSlice compute without it and hold it only to publish (write.go);
+// all writers serialize on one mutex. Once BuildIndex
 // has succeeded, Query, Entries, Datasets, DatasetIndexStats, Graph,
 // RelGraph, NumFunctions, Indexed, and Save are all safe to call from any
 // number of goroutines: the
@@ -129,9 +129,10 @@ type IndexStats struct {
 type Framework struct {
 	opts Options
 
-	// mu is the state lock: AddDataset, BuildIndex, and Load hold it
-	// exclusively; every read path (including the whole of Query) shares
-	// it. Fields below mu are written only under the exclusive lock.
+	// mu is the state lock: AddDataset and Load hold it exclusively, and a
+	// corpus write for its splice; every read path (including the whole of
+	// Query) shares it. Fields below mu are written only under writeMu and
+	// the exclusive lock.
 	mu sync.RWMutex
 
 	// order names the corpus in registration order; datasets holds its raw
@@ -155,7 +156,7 @@ type Framework struct {
 	shifts map[spatial.Resolution]*montecarlo.ShiftPool
 
 	index *Index
-	built bool // BuildIndex or Load has succeeded at least once
+	built bool // a corpus write or Load has succeeded at least once
 
 	// families is the one store of Monte Carlo results (see relgraph.go):
 	// by test signature (graphSignature), then by data set pair, every
@@ -181,12 +182,11 @@ type Framework struct {
 	graphFams   map[graphPair][]candidate
 	relGraph    atomic.Pointer[relgraph.Graph]
 
-	// ingestMu serializes IngestDataset calls (see ingest.go): an ingestion
-	// computes the new data set's entries under the shared lock and splices
-	// them in under a brief exclusive lock, and the mutex keeps two
-	// ingestions from interleaving between those phases. It is taken before
-	// mu and never while holding it.
-	ingestMu sync.Mutex
+	// writeMu is the one writer mutex: AddDataset, Load and every corpus
+	// write (write.go) hold it, so nothing changes the corpus between a
+	// write's capture and its splice. It is taken before mu and never while
+	// holding it.
+	writeMu sync.Mutex
 
 	// cache memoises assembled answers (query.go). cacheMu guards cache and
 	// inflight. It nests inside mu (Query touches it while holding the read
@@ -269,21 +269,17 @@ func (f *Framework) workers() int {
 // data set (none can, for a genuinely new name) are invalidated; the rest
 // stay valid.
 //
-// AddDataset takes the state lock exclusively: it blocks until in-flight
-// reads drain and must not be interleaved with them from the caller's side
-// (see the Framework concurrency contract).
+// AddDataset takes the writer mutex and the state lock exclusively: it
+// blocks until an in-flight write finishes and reads drain (see the
+// Framework concurrency contract).
 func (f *Framework) AddDataset(d *dataset.Dataset) error {
 	if err := d.Validate(); err != nil {
 		return err
 	}
+	f.writeMu.Lock()
+	defer f.writeMu.Unlock()
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return f.addDatasetLocked(d)
-}
-
-// addDatasetLocked is AddDataset under an already-held exclusive state
-// lock (shared with the ingestion fallback path).
-func (f *Framework) addDatasetLocked(d *dataset.Dataset) error {
 	if err := f.writableLocked(); err != nil {
 		return err
 	}
@@ -307,15 +303,10 @@ func (f *Framework) addDatasetLocked(d *dataset.Dataset) error {
 		// The corpus time range grew under an existing index:
 		// per-resolution timelines change length, so every existing bit
 		// vector is over the wrong domain. This is the teardown path
-		// AppendSlice exists to avoid; count and log it — naming the
-		// triggering data set — so rebuild storms are visible to operators
-		// (/v1/stats and /metrics). Range extensions during pre-build
+		// AppendSlice exists to avoid. Range extensions during pre-build
 		// registration are not counted: there is no derived state to
 		// discard yet.
-		slog.Warn("core: dataset extends corpus time range; discarding derived state",
-			"dataset", d.Name, "minTS", f.minTS, "maxTS", f.maxTS,
-			"rebuild", f.rebuilds.Load()+1)
-		f.resetIndex()
+		f.resetIndex(d.Name)
 	} else {
 		f.dropResultsInvolving(d.Name)
 	}
@@ -324,8 +315,13 @@ func (f *Framework) addDatasetLocked(d *dataset.Dataset) error {
 
 // resetIndex drops all derived state: index entries, shared timelines and
 // graphs, and every Monte Carlo result (resetResults). The registered data
-// sets are kept. The caller must hold the state lock exclusively.
-func (f *Framework) resetIndex() {
+// sets are kept. It counts and logs the teardown — naming the data set
+// that forced it — so rebuild storms are visible to operators (/v1/stats
+// and /metrics). The caller must hold the state lock exclusively.
+func (f *Framework) resetIndex(trigger string) {
+	slog.Warn("core: dataset extends corpus time range; discarding derived state",
+		"dataset", trigger, "minTS", f.minTS, "maxTS", f.maxTS,
+		"rebuild", f.rebuilds.Load()+1)
 	f.rebuilds.Add(1)
 	mRebuilds.Inc()
 	f.index = newIndex()
@@ -384,8 +380,7 @@ func (f *Framework) resolutionsFor(d *dataset.Dataset) []Resolution {
 
 // graph returns the domain graph at res in graphs, first creating it — and
 // the timeline over [minTS, maxTS] it spans, in timelines — when missing.
-// The maps are the framework's own under the exclusive lock, or the copies
-// IngestDataset fills with no lock held.
+// The maps are copies a corpus write or Load fills before publishing them.
 func (f *Framework) graph(res Resolution, minTS, maxTS int64,
 	timelines map[temporal.Resolution]*temporal.Timeline, graphs map[Resolution]*stgraph.Graph) (*stgraph.Graph, error) {
 	if g, ok := graphs[res]; ok {
@@ -424,100 +419,16 @@ type funcTask struct {
 // tile by tile (tile.go), dropping the raw function before it returns, so
 // peak memory holds the index entries plus one function per worker.
 //
-// BuildIndex takes the state lock exclusively; reads started afterwards
-// observe either the previous or the fully built index, never a partial
-// one.
+// BuildIndex is one corpus write (write.go): the job runs without the
+// state lock, and reads observe either the previous or the fully built
+// index, never a partial one.
 func (f *Framework) BuildIndex() (IndexStats, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.buildIndexLocked()
-}
-
-// buildIndexLocked is BuildIndex under an already-held exclusive state
-// lock (shared with the ingestion fallback path).
-func (f *Framework) buildIndexLocked() (IndexStats, error) {
-	todo := f.unindexed()
-	if len(todo) == 0 {
-		f.built = true
-		return f.corpusStats(IndexStats{}, 0), nil
+	st, _, err := f.write(nil, nil)
+	if err == nil && st.DatasetsIndexed > 0 {
+		mIndexBuilds.Inc()
+		mIndexBuildDuration.Observe(st.WallDuration.Seconds())
 	}
-	ds := make([]*dataset.Dataset, len(todo))
-	for i, name := range todo {
-		ds[i] = f.datasets[name]
-	}
-	newEntries, stats, err := f.runIndexJob(ds, f.minTS, f.maxTS, f.timelines, f.graphs)
-	if err != nil {
-		return f.corpusStats(IndexStats{}, len(todo)), err
-	}
-	for _, e := range newEntries {
-		f.index.add(e)
-	}
-	for _, name := range todo {
-		f.index.sort(name)
-		f.index.markDone(name)
-	}
-	f.built = true
-	f.dropResultsInvolving(todo...)
-	mIndexBuilds.Inc()
-	mIndexBuildDuration.Observe(stats.WallDuration.Seconds())
-	mIndexFunctions.Set(float64(f.index.numFunctions()))
-	return f.corpusStats(stats, len(todo)), nil
-}
-
-// corpusStats completes an indexing call's stats with the corpus-level
-// counters. The caller holds the state lock.
-func (f *Framework) corpusStats(st IndexStats, indexed int) IndexStats {
-	st.Datasets = len(f.order)
-	st.DatasetsIndexed = indexed
-	st.DatasetsReused = len(f.order) - indexed
-	st.Rebuilds = f.rebuilds.Load()
-	return st
-}
-
-// runIndexJob computes and feature-indexes the functions of ds at every
-// viable resolution, creating the timelines and graphs over [minTS, maxTS]
-// they need in the given maps, and returns the entries in task order with
-// the job counters of IndexStats filled in. The maps are the framework's
-// own (BuildIndex, under the exclusive lock) or a caller-captured copy of
-// them (IngestDataset, without any lock held — their values are immutable).
-func (f *Framework) runIndexJob(ds []*dataset.Dataset, minTS, maxTS int64,
-	timelines map[temporal.Resolution]*temporal.Timeline, graphs map[Resolution]*stgraph.Graph) ([]*FunctionEntry, IndexStats, error) {
-	var stats IndexStats
-	var tasks []funcTask
-	for _, d := range ds {
-		for _, res := range f.resolutionsFor(d) {
-			if _, err := f.graph(res, minTS, maxTS, timelines, graphs); err != nil {
-				return nil, stats, err
-			}
-			for _, spec := range scalar.Specs(d) {
-				tasks = append(tasks, funcTask{ds: d, spec: spec, res: res})
-			}
-		}
-	}
-
-	// Each task runs the fused tiled build (tile.go): scalar computation
-	// (paper job 1) and feature identification (paper job 2) proceed tile by
-	// tile. The caller's index is only updated once every task has
-	// succeeded, so a failed build leaves it untouched.
-	t0 := time.Now()
-	var computeNS, featureNS atomic.Int64
-	in := newJobInputs(f.opts.City, timelines, tasks)
-	perTask, err := mapreduce.ForEach(f.workers(), tasks, func(t funcTask) ([]*FunctionEntry, error) {
-		es, tm, err := f.rebuildEntryTiles(t, in, timelines[t.res.Temporal], graphs[t.res], 0, nil)
-		computeNS.Add(int64(tm.compute))
-		featureNS.Add(int64(tm.feature))
-		return es, err
-	})
-	if err != nil {
-		return nil, stats, err
-	}
-	entries := slices.Concat(perTask...)
-	stats.Functions = len(entries)
-	stats.FeatureSets = len(entries)
-	stats.ComputeDuration = time.Duration(computeNS.Load())
-	stats.IndexDuration = time.Duration(featureNS.Load())
-	stats.WallDuration = time.Since(t0)
-	return entries, stats, nil
+	return st, err
 }
 
 // indexedLocked reports whether the index covers every registered data

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -51,5 +52,44 @@ func TestIncludeGradientsDoublesIndex(t *testing.T) {
 	}
 	if !foundGrad {
 		t.Error("no gradient-gradient candidate relationships found")
+	}
+}
+
+// TestLoadRefusesGradientMismatch: a snapshot built under the other
+// IncludeGradients setting lacks (or carries extra) grad_ entries, so Load
+// must refuse it in both directions — accepting one would leave the
+// framework half-indexed and its next write without the entries it extends
+// — and leave the framework unloaded.
+func TestLoadRefusesGradientMismatch(t *testing.T) {
+	for _, saved := range []bool{false, true} {
+		src, err := New(Options{City: testCity(t), Workers: 2, Seed: 5, IncludeGradients: saved})
+		if err != nil {
+			t.Fatal(err)
+		}
+		wind, trips := plantedPair(40, randomHours(41, 60), nil)
+		_ = src.AddDataset(wind)
+		_ = src.AddDataset(trips)
+		if _, err := src.BuildIndex(); err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(t.TempDir(), "corpus.snap")
+		if err := src.Save(path); err != nil {
+			t.Fatal(err)
+		}
+
+		dst, err := New(Options{City: testCity(t), Workers: 2, Seed: 5, IncludeGradients: !saved})
+		if err != nil {
+			t.Fatal(err)
+		}
+		wind, trips = plantedPair(40, randomHours(41, 60), nil)
+		_ = dst.AddDataset(wind)
+		_ = dst.AddDataset(trips)
+		if err := dst.Load(path); err == nil || !strings.Contains(err.Error(), "IncludeGradients") {
+			t.Errorf("saved with gradients %t, loaded with %t: err = %v, want an IncludeGradients refusal", saved, !saved, err)
+		}
+		if dst.Indexed() || dst.NumFunctions() != 0 {
+			t.Errorf("saved with gradients %t: refused Load left indexed = %t with %d functions",
+				saved, dst.Indexed(), dst.NumFunctions())
+		}
 	}
 }

@@ -13,8 +13,9 @@ import (
 // This file is the index layer of the framework: the Index type stores the
 // precomputed feature entries of every indexed function, organised by data
 // set and resolution, and maintains per-data-set statistics. The Framework
-// owns one Index and grows it incrementally — indexing a newly added data
-// set touches only that data set's functions (see Framework.BuildIndex).
+// publishes a new Index with every corpus write (write.go), reusing the
+// entries the write did not touch — indexing a newly added data set
+// computes only that data set's functions.
 
 // FunctionEntry is one indexed scalar function: its identity, feature sets,
 // and per-tile metadata. Raw values and merge trees are dropped after
@@ -154,10 +155,10 @@ type DatasetStats struct {
 // incremental growth: entries are added per data set, and a data set can be
 // dropped and re-added without touching the others.
 //
-// An Index is not internally synchronised: it mutates only during
-// BuildIndex/Load, which hold the Framework's state lock exclusively,
-// and is immutable — safe for lock-free concurrent reads — between builds
-// (see the Framework concurrency contract).
+// An Index is not internally synchronised: a corpus write or Load fills
+// it before publishing it, and it is never mutated after — safe for
+// lock-free concurrent reads, and for a write to capture as its base (see
+// the Framework concurrency contract).
 type Index struct {
 	// entries[dataset][Resolution] -> function entries at that resolution,
 	// sorted by Key within each resolution.

@@ -110,47 +110,64 @@ func TestIngestEquivalence(t *testing.T) {
 	}
 }
 
-// TestIngestRangeExtensionFallback: a data set that grows the corpus time
-// range cannot reuse shared timelines; ingestion must fall back to the
-// full rebuild and still land in the exact from-scratch state.
+// TestIngestRangeExtensionFallback: ingesting a data set that grows the
+// corpus time range. Growth forward is incremental, like an append: no
+// rebuild, and the families of pairs whose tiles kept their widths survive.
+// Growth into the past shifts every step index, so that ingest recomputes
+// from an empty base and counts exactly one rebuild. Both land in the exact
+// from-scratch state.
 func TestIngestRangeExtensionFallback(t *testing.T) {
-	extra := noiseDataset("noise", 92, 48) // two days past the planted window
 	clause := Clause{Permutations: 60}
-	scratch := buildScratch(t, extra)
-	want, _, err := scratch.Query(Query{Clause: clause})
-	if err != nil {
-		t.Fatal(err)
+	later := func() *dataset.Dataset { return noiseDataset("later", 92, 48+24*10) }
+	early := func() *dataset.Dataset { return hourSlice("early", "level", 93, -48, 24*5) }
+	query := func(f *Framework) []Relationship {
+		t.Helper()
+		rels, _, err := f.Query(Query{Clause: clause})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rels
 	}
 
-	live, _ := snapshotCorpus(t)
-	if _, err := live.BuildIndex(); err != nil {
+	// The base corpus ends on a tile boundary (appendCorpus), so the
+	// forward growth opens new tiles and leaves the old ones' widths alone.
+	live := buildFW(t, appendCorpus(t, 48))
+	if _, err := live.BuildGraph(clause); err != nil {
 		t.Fatal(err)
 	}
-	st, err := live.IngestDataset(noiseDataset("noise", 92, 48))
+	rebuilds := live.Rebuilds()
+	st, err := live.IngestDataset(later())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.DatasetsIndexed != 3 {
-		t.Errorf("range-extending ingest reindexed %d data sets, want all 3", st.DatasetsIndexed)
+	if st.DatasetsIndexed != 1 || live.Rebuilds() != rebuilds {
+		t.Errorf("forward-extending ingest: DatasetsIndexed %d, rebuilds %d -> %d; want 1 and unchanged",
+			st.DatasetsIndexed, rebuilds, live.Rebuilds())
 	}
-	got, _, err := live.Query(Query{Clause: clause})
+	gs, err := live.BuildGraph(clause)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(want, got) {
-		t.Fatal("query results differ after range-extending ingest")
+	if gs.PairsReused == 0 {
+		t.Errorf("post-ingest BuildGraph stats = %+v, want the untouched pairs' families reused", gs)
+	}
+	if !reflect.DeepEqual(query(buildFW(t, append(appendCorpus(t, 48), later()))), query(live)) {
+		t.Fatal("query results differ after forward-extending ingest")
 	}
 
-	// An in-range ingest afterwards takes the fast path and must still
-	// echo the framework's rebuild counter, not zero.
-	st, err = live.IngestDataset(noiseDataset("noise2", 93, 0))
+	st, err = live.IngestDataset(early())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.DatasetsIndexed != 1 || live.Rebuilds() == 0 || st.Rebuilds != live.Rebuilds() {
-		t.Errorf("in-range ingest: DatasetsIndexed %d, Rebuilds %d, want 1 and the framework's %d",
-			st.DatasetsIndexed, st.Rebuilds, live.Rebuilds())
+	if live.Rebuilds() != rebuilds+1 || st.Rebuilds != live.Rebuilds() || st.DatasetsIndexed != 5 {
+		t.Errorf("backward-extending ingest: rebuilds %d -> %d (stats %d), DatasetsIndexed %d; want one rebuild and all 5",
+			rebuilds, live.Rebuilds(), st.Rebuilds, st.DatasetsIndexed)
 	}
+	scratch := buildFW(t, append(appendCorpus(t, 48), later(), early()))
+	if !reflect.DeepEqual(query(scratch), query(live)) {
+		t.Fatal("query results differ after backward-extending ingest")
+	}
+	assertIndexIdentical(t, scratch, live)
 }
 
 func TestIngestIntoUnbuiltFramework(t *testing.T) {

@@ -30,9 +30,9 @@ var (
 		"Candidate tuples evaluated to a related pair (stored families not counted).")
 
 	mIndexBuilds = obsv.NewCounter("polygamy_index_builds_total",
-		"Full index builds (initial and rebuild).")
+		"BuildIndex calls that indexed at least one data set.")
 	mIndexBuildDuration = obsv.NewHistogram("polygamy_index_build_duration_seconds",
-		"Full index build latency.", nil)
+		"Latency of BuildIndex calls that indexed at least one data set.", nil)
 	mIndexFunctions = obsv.NewGauge("polygamy_index_functions",
 		"Indexed function entries after the latest build or load.")
 	mRebuilds = obsv.NewCounter("polygamy_rebuilds_total",
@@ -56,7 +56,7 @@ var (
 	mAppends = obsv.NewCounter("polygamy_appends_total",
 		"Append-slice operations absorbed tile-incrementally.")
 	mAppendFallbacks = obsv.NewCounter("polygamy_append_fallbacks_total",
-		"Appends that degraded into a full rebuild.")
+		"Appends recomputed from an empty base (nothing indexed yet).")
 	mAppendDuration = obsv.NewHistogram("polygamy_append_duration_seconds",
 		"Append-slice latency (tile recompute plus graph patch).", nil)
 

@@ -406,6 +406,10 @@ func (f *Framework) installIndexLocked(snap flatIndexSnap) error {
 	timelines, graphs := maps.Clone(f.timelines), maps.Clone(f.graphs)
 	for _, name := range snap.order {
 		run := snap.funcs[name]
+		if !f.gradientTwins(run) {
+			return fmt.Errorf("core: index entries of %q were built with IncludeGradients %t, framework has %t",
+				name, !f.opts.IncludeGradients, f.opts.IncludeGradients)
+		}
 		for _, e := range run {
 			g, err := f.graph(e.Res, f.minTS, f.maxTS, timelines, graphs)
 			if err != nil {
@@ -425,6 +429,35 @@ func (f *Framework) installIndexLocked(snap flatIndexSnap) error {
 	// drop them too (Load applies the saved graph's after).
 	f.resetResults()
 	return nil
+}
+
+// gradientTwins reports whether run, one data set's entries in key order,
+// carries exactly the gradient entries this framework indexes: with
+// IncludeGradients, a grad_ twin of every function entry at its resolution;
+// without, none. Each twin's key inserts one prefix into its function's, so
+// the twins of the function entries in key order are the grad_ entries in
+// key order, and one walk pairs them.
+func (f *Framework) gradientTwins(run []*FunctionEntry) bool {
+	isGrad := func(e *FunctionEntry) bool { return strings.HasPrefix(e.SpecName, "grad_") }
+	j := 0 // the next grad_ entry to pair
+	for _, e := range run {
+		if isGrad(e) || !f.opts.IncludeGradients {
+			continue
+		}
+		for j < len(run) && !isGrad(run[j]) {
+			j++
+		}
+		if j == len(run) || run[j].Res != e.Res || strings.TrimPrefix(run[j].SpecName, "grad_") != e.SpecName {
+			return false
+		}
+		j++
+	}
+	for ; j < len(run); j++ {
+		if isGrad(run[j]) {
+			return false
+		}
+	}
+	return true
 }
 
 // ---- graph section ----

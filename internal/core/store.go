@@ -106,8 +106,8 @@ func (f *Framework) Save(path string) error {
 // materialized relationship graph, when one was saved — without any
 // rebuild; a failed Load leaves the framework unchanged.
 //
-// Load takes the state lock exclusively, like BuildIndex. A successful Load
-// records its map, parse and install stages once each in
+// Load takes the writer mutex, then the state lock exclusively. A
+// successful Load records its map, parse and install stages once each in
 // polygamy_snapshot_load_stage_duration_seconds.
 //
 // The snapshot is memory-mapped and its sections are viewed in place: bit
@@ -132,6 +132,8 @@ func (f *Framework) Load(path string) (err error) {
 	if !ok {
 		return fmt.Errorf("core: snapshot %s has no index section", path)
 	}
+	f.writeMu.Lock()
+	defer f.writeMu.Unlock()
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if len(f.order) == 0 {

@@ -1,0 +1,373 @@
+package core
+
+import (
+	"fmt"
+	"maps"
+	"slices"
+	"strings"
+	"time"
+
+	"github.com/urbandata/datapolygamy/internal/dataset"
+	"github.com/urbandata/datapolygamy/internal/mapreduce"
+	"github.com/urbandata/datapolygamy/internal/scalar"
+	"github.com/urbandata/datapolygamy/internal/stgraph"
+	"github.com/urbandata/datapolygamy/internal/temporal"
+)
+
+// This file is the one corpus write of the lifecycle layer. BuildIndex,
+// IngestDataset and AppendSlice all change the corpus through write, in
+// three phases:
+//
+//   - capture (shared lock): the order, the raw data sets, the time range,
+//     the timelines, the domain graphs and the index — immutable values in
+//     copied containers (a published Index is never mutated; a write
+//     publishes a new one);
+//   - compute (no lock): grow the domain forward when the corpus end moves
+//     (Timeline.Extend keeps every step index, see append.go), then run one
+//     mapreduce.ForEach of rebuildEntryTiles tasks, one per function and
+//     resolution of every data set;
+//   - splice (brief exclusive lock): publish the data sets, time range,
+//     timelines, graphs and index at once, and drop the Monte Carlo results
+//     of the data sets whose supporting state changed. A new data set is
+//     registered only here, so no reader sees one without its index.
+//
+// One rule sets a task's fromTile, the first tile it recomputes:
+//
+//   - 0 from no base when the captured index has no entries for the task: a
+//     new data set, a registered but unindexed one, or an empty base;
+//   - the first tile the appended tuples can reach, for the data set a slice
+//     extends;
+//   - the first tile whose step range grew, for every other data set, when
+//     the timeline at the task's resolution gained steps;
+//   - -1, keeping the captured entries, otherwise.
+//
+// A rebuild is no separate path: it is this write from an empty base. That
+// happens when nothing is indexed yet, when AddDataset has already reset
+// the index, and when an ingested data set starts before the corpus does —
+// every step index shifts, so no entry survives; that last case drops the
+// derived state at the splice and counts one rebuild (resetIndex).
+//
+// writeMu serializes the writes with AddDataset and Load, so nothing
+// changes the corpus between capture and splice, while readers are served
+// throughout the compute phase.
+
+// writeTask is one function task of a write.
+type writeTask struct {
+	funcTask
+	// fromTile is the first tile to recompute; -1 keeps base untouched.
+	fromTile int
+	// base holds the task's captured entries in variant order (function,
+	// then gradient), nil when the index has none.
+	base []*FunctionEntry
+}
+
+// writeResult is the outcome of one writeTask.
+type writeResult struct {
+	entries []*FunctionEntry
+	tm      tileTimings
+}
+
+// write applies one change to the corpus: add registers a new data set
+// (IngestDataset), slice extends a registered one (AppendSlice), and with
+// neither it indexes whatever is registered but not yet indexed
+// (BuildIndex). It reports the change as both stats types; each caller
+// returns its own.
+func (f *Framework) write(add, slice *dataset.Dataset) (IndexStats, AppendStats, error) {
+	t0 := time.Now()
+	var ist IndexStats
+	var ast AppendStats
+	f.writeMu.Lock()
+	defer f.writeMu.Unlock()
+
+	// Capture (shared lock).
+	f.mu.RLock()
+	order := slices.Clone(f.order)
+	datasets := maps.Clone(f.datasets)
+	minTS, maxTS := f.minTS, f.maxTS
+	timelines, graphs := maps.Clone(f.timelines), maps.Clone(f.graphs)
+	base := f.index
+	hadState := f.built || len(f.timelines) > 0
+	noop := add == nil && slice == nil && f.indexedLocked()
+	err := f.checkWriteLocked(add, slice)
+	f.mu.RUnlock()
+	if noop {
+		return f.indexStats(ist, 0), ast, nil
+	}
+	if err != nil {
+		return ist, ast, err
+	}
+
+	newMin, newMax := minTS, maxTS
+	rebase := false
+	if add != nil {
+		lo, hi, _ := add.TimeRange()
+		if len(order) == 0 {
+			newMin, newMax = lo, hi
+		}
+		// A data set starting before the corpus shifts every step index.
+		rebase = len(order) > 0 && lo < minTS
+		newMin, newMax = min(newMin, lo), max(newMax, hi)
+		order = append(order, add.Name)
+		datasets[add.Name] = add
+	}
+	var sliceLo int64
+	if slice != nil {
+		var sliceHi int64
+		sliceLo, sliceHi, _ = slice.TimeRange()
+		newMax = max(newMax, sliceHi)
+		datasets[slice.Name] = appendTuples(datasets[slice.Name], slice)
+		ast.Dataset = slice.Name
+	}
+	if rebase {
+		base = newIndex()
+		timelines = make(map[temporal.Resolution]*temporal.Timeline)
+		graphs = make(map[Resolution]*stgraph.Graph)
+	}
+	ast.OldMaxTS, ast.NewMaxTS, ast.Extended = maxTS, newMax, newMax > maxTS
+	ast.FellBack = !slices.ContainsFunc(order, base.has)
+
+	// Compute (no lock): grow the captured timelines to the new end. grownFrom
+	// is, per temporal resolution that gained steps, the first tile whose
+	// step range changed: the old last tile when it was partial, else the
+	// first wholly new one.
+	grownFrom := make(map[temporal.Resolution]int)
+	for tr, tl := range timelines {
+		ext, err := tl.Extend(newMax)
+		if err != nil {
+			return ist, ast, err
+		}
+		if ext.Len() > tl.Len() {
+			timelines[tr] = ext
+			grownFrom[tr] = tl.TileOfStep(tl.Len())
+		}
+	}
+	for res, g := range graphs {
+		if _, grew := grownFrom[res.Temporal]; grew {
+			if graphs[res], err = stgraph.New(g.NumRegions(), timelines[res.Temporal].Len(), g.SpatialAdjacency()); err != nil {
+				return ist, ast, err
+			}
+		}
+	}
+
+	variants := []string{""}
+	if f.opts.IncludeGradients {
+		variants = append(variants, "grad_")
+	}
+	var tasks []writeTask
+	var computing []funcTask
+	for _, n := range order {
+		d := datasets[n]
+		for _, res := range f.resolutionsFor(d) {
+			if _, err := f.graph(res, newMin, newMax, timelines, graphs); err != nil {
+				return ist, ast, err
+			}
+			old := base.at(n, res)
+			for _, spec := range scalar.Specs(d) {
+				t := writeTask{funcTask: funcTask{ds: d, spec: spec, res: res}, fromTile: -1}
+				for _, v := range variants {
+					if i, ok := slices.BinarySearchFunc(old, entryKey(n, v+spec.Name(), res), func(e *FunctionEntry, k string) int {
+						return strings.Compare(e.Key, k)
+					}); ok {
+						t.base = append(t.base, old[i])
+					}
+				}
+				from, grew := grownFrom[res.Temporal]
+				switch {
+				case len(t.base) < len(variants):
+					t.base, t.fromTile = nil, 0
+				case slice != nil && n == slice.Name:
+					tl := timelines[res.Temporal]
+					t.fromTile = tl.TileOfStep(tl.Index(sliceLo))
+					if grew {
+						t.fromTile = min(t.fromTile, from)
+					}
+				case grew:
+					t.fromTile = from
+				}
+				if t.fromTile >= 0 {
+					computing = append(computing, t.funcTask)
+				}
+				tasks = append(tasks, t)
+			}
+		}
+	}
+	in := newJobInputs(f.opts.City, timelines, computing)
+	results, err := mapreduce.ForEach(f.workers(), tasks, func(t writeTask) (writeResult, error) {
+		if t.fromTile < 0 {
+			return writeResult{entries: t.base}, nil
+		}
+		es, tm, err := f.rebuildEntryTiles(t.funcTask, in, timelines[t.res.Temporal], graphs[t.res], t.fromTile, t.base)
+		return writeResult{entries: es, tm: tm}, err
+	})
+	if err != nil {
+		return ist, ast, err
+	}
+
+	// A data set is changed when it (or one of its tasks) had no entries,
+	// when a recomputed entry's bits differ beyond zero-extension, or when
+	// it holds feature bits in a tile whose width grew: its pairs'
+	// supporting windows (window.go) span that tile, so their Monte Carlo
+	// null domain changed even where the bits did not.
+	changed := make(map[string]bool)
+	indexed := 0
+	for _, n := range order {
+		if !base.has(n) {
+			changed[n] = true
+			indexed++
+		}
+	}
+	for i, r := range results {
+		t := tasks[i]
+		ast.ComputeDuration += r.tm.compute
+		ast.IndexDuration += r.tm.feature
+		if t.fromTile < 0 {
+			ast.TilesReused += timelines[t.res.Temporal].NumTiles()
+			ast.EntriesReused += len(r.entries)
+			continue
+		}
+		ast.TilesComputed += timelines[t.res.Temporal].NumTiles() - t.fromTile
+		ast.TilesReused += t.fromTile
+		ast.EntriesRebuilt += len(r.entries)
+		if changed[t.ds.Name] {
+			continue
+		}
+		from, grew := grownFrom[t.res.Temporal]
+		for vi, e := range r.entries {
+			if t.base == nil || !entryBitsEqual(t.base[vi], e) || grew && entryOccupiesTileGE(t.base[vi], from) {
+				changed[t.ds.Name] = true
+				break
+			}
+		}
+	}
+	ast.ChangedDatasets = slices.Sorted(maps.Keys(changed))
+
+	// Splice (brief exclusive lock).
+	ix := newIndex()
+	for _, r := range results {
+		for _, e := range r.entries {
+			ix.add(e)
+		}
+	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	for _, n := range order {
+		ix.sort(n)
+		ix.markDone(n)
+	}
+	f.order, f.datasets = order, datasets
+	f.minTS, f.maxTS = newMin, newMax
+	if rebase && hadState {
+		f.resetIndex(add.Name)
+	}
+	f.timelines, f.graphs = timelines, graphs
+	f.index = ix
+	f.built = true
+	if len(ast.ChangedDatasets) > 0 {
+		// Drop only the families whose supporting state changed; the next
+		// query or BuildGraph recomputes exactly those.
+		ast.GraphPairsDropped = f.dropResultsInvolving(ast.ChangedDatasets...)
+	}
+	mIndexFunctions.Set(float64(ix.numFunctions()))
+
+	ast.Rebuilds = f.rebuilds.Load()
+	ast.WallDuration = time.Since(t0)
+	ist.Functions = ast.EntriesRebuilt
+	ist.FeatureSets = ast.EntriesRebuilt
+	ist.ComputeDuration, ist.IndexDuration, ist.WallDuration = ast.ComputeDuration, ast.IndexDuration, ast.WallDuration
+	return f.indexStats(ist, indexed), ast, nil
+}
+
+// checkWriteLocked validates a write against the captured corpus. The
+// caller holds the state lock.
+func (f *Framework) checkWriteLocked(add, slice *dataset.Dataset) error {
+	if err := f.writableLocked(); err != nil {
+		return err
+	}
+	if add != nil {
+		if _, dup := f.datasets[add.Name]; dup {
+			return fmt.Errorf("core: duplicate dataset %q", add.Name)
+		}
+		if _, _, ok := add.TimeRange(); !ok {
+			return fmt.Errorf("core: dataset %q is empty", add.Name)
+		}
+	}
+	if slice != nil {
+		old, registered := f.datasets[slice.Name]
+		if !registered {
+			return fmt.Errorf("core: dataset %q is not registered (AddDataset or IngestDataset first)", slice.Name)
+		}
+		if err := sliceSchemaMatch(old, slice); err != nil {
+			return err
+		}
+		lo, _, ok := slice.TimeRange()
+		if !ok {
+			return fmt.Errorf("core: append slice for %q is empty", slice.Name)
+		}
+		if lo < f.minTS {
+			return fmt.Errorf("core: append slice for %q starts at %d, before corpus start %d (appends cannot extend into the past)",
+				slice.Name, lo, f.minTS)
+		}
+	}
+	return nil
+}
+
+// indexStats completes a write's stats with the corpus-level counters.
+// The caller holds writeMu, so the corpus is the one the write published.
+func (f *Framework) indexStats(st IndexStats, indexed int) IndexStats {
+	st.Datasets = len(f.order)
+	st.DatasetsIndexed = indexed
+	st.DatasetsReused = len(f.order) - indexed
+	st.Rebuilds = f.rebuilds.Load()
+	return st
+}
+
+// IngestDataset registers and indexes one new data set on a live
+// framework. Unlike AddDataset + BuildIndex, which leave the new data set
+// registered but unindexed in between, it is one write: the indexing runs
+// without the state lock and the data set appears, indexed, at the splice,
+// so concurrent Query traffic is never blocked behind it (the relationship
+// graph is not rebuilt — run BuildGraph afterwards to extend it
+// incrementally with the new pairs). A data set that ends after the corpus
+// grows the domain forward, recomputing only the grown tiles of the others;
+// one that starts before the corpus rebuilds from an empty base. The
+// resulting state is byte-identical to a from-scratch build over the
+// enlarged corpus.
+func (f *Framework) IngestDataset(d *dataset.Dataset) (IndexStats, error) {
+	if err := d.Validate(); err != nil {
+		return IndexStats{}, err
+	}
+	st, _, err := f.write(d, nil)
+	if err == nil {
+		mIngests.Inc()
+	}
+	return st, err
+}
+
+// entryBitsEqual reports whether the new entry's feature bits equal the old
+// entry's, zero-extended to the new domain length.
+func entryBitsEqual(old, new *FunctionEntry) bool {
+	n := new.NumVertices
+	return new.Salient.Positive.Equal(old.Salient.Positive.Grow(n)) &&
+		new.Salient.Negative.Equal(old.Salient.Negative.Grow(n)) &&
+		new.Extreme.Positive.Equal(old.Extreme.Positive.Grow(n)) &&
+		new.Extreme.Negative.Equal(old.Extreme.Negative.Grow(n))
+}
+
+// entryOccupiesTileGE reports whether the entry has any feature bit in a
+// tile >= from.
+func entryOccupiesTileGE(e *FunctionEntry, from int) bool {
+	for _, bm := range [][]uint64{e.salientTiles, e.extremeTiles} {
+		for t := from; t < 64*len(bm); t++ {
+			if bm[t/64]&(1<<uint(t%64)) != 0 {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// entryKey reconstructs the index key of a function entry (scalar
+// Function.Key format).
+func entryKey(ds, fn string, res Resolution) string {
+	return fmt.Sprintf("%s/%s@%s,%s", ds, fn, res.Spatial, res.Temporal)
+}
