@@ -363,7 +363,7 @@ func (f *Framework) unindexed() []string {
 // resolutionsFor enumerates the evaluation resolutions viable for a data
 // set given its native resolutions and the framework's evaluation sets.
 func (f *Framework) resolutionsFor(d *dataset.Dataset) []Resolution {
-	var out []Resolution
+	out := make([]Resolution, 0, len(f.opts.EvalSpatial)*len(f.opts.EvalTemporal))
 	for _, sr := range f.opts.EvalSpatial {
 		if !d.SpatialRes.ConvertibleTo(sr) {
 			continue

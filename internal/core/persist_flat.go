@@ -31,6 +31,7 @@ import (
 
 	"github.com/urbandata/datapolygamy/internal/bitvec"
 	"github.com/urbandata/datapolygamy/internal/feature"
+	"github.com/urbandata/datapolygamy/internal/scalar"
 	"github.com/urbandata/datapolygamy/internal/spatial"
 	"github.com/urbandata/datapolygamy/internal/stats"
 	"github.com/urbandata/datapolygamy/internal/store"
@@ -406,9 +407,9 @@ func (f *Framework) installIndexLocked(snap flatIndexSnap) error {
 	timelines, graphs := maps.Clone(f.timelines), maps.Clone(f.graphs)
 	for _, name := range snap.order {
 		run := snap.funcs[name]
-		if !f.gradientTwins(run) {
-			return fmt.Errorf("core: index entries of %q were built with IncludeGradients %t, framework has %t",
-				name, !f.opts.IncludeGradients, f.opts.IncludeGradients)
+		if !f.indexesExactly(name, run) {
+			return fmt.Errorf("core: index entries of %q are not the functions the framework indexes for it "+
+				"(its attributes and resolutions, IncludeGradients %t)", name, f.opts.IncludeGradients)
 		}
 		for _, e := range run {
 			g, err := f.graph(e.Res, f.minTS, f.maxTS, timelines, graphs)
@@ -431,29 +432,51 @@ func (f *Framework) installIndexLocked(snap flatIndexSnap) error {
 	return nil
 }
 
-// gradientTwins reports whether run, one data set's entries in key order,
-// carries exactly the gradient entries this framework indexes: with
-// IncludeGradients, a grad_ twin of every function entry at its resolution;
-// without, none. Each twin's key inserts one prefix into its function's, so
-// the twins of the function entries in key order are the grad_ entries in
-// key order, and one walk pairs them.
-func (f *Framework) gradientTwins(run []*FunctionEntry) bool {
-	isGrad := func(e *FunctionEntry) bool { return strings.HasPrefix(e.SpecName, "grad_") }
-	j := 0 // the next grad_ entry to pair
+// indexesExactly reports whether run, one data set's entries in key order,
+// holds exactly the keys a write indexes for it: one per viable
+// resolution, scalar spec and variant (the function, and with
+// IncludeGradients its grad_ twin). Keys are unique in a run, so a run of
+// that product's length whose every key is in it holds them all. A data
+// set the framework has no raw data for — a snapshot opened alone — takes
+// its specs and resolutions from the run's entries without the grad_
+// prefix, so only the variants are checked.
+func (f *Framework) indexesExactly(name string, run []*FunctionEntry) bool {
+	var names []string
+	var resolutions []Resolution
+	if d := f.datasets[name]; d != nil {
+		specs := scalar.Specs(d)
+		resolutions, names = f.resolutionsFor(d), make([]string, len(specs))
+		for i, spec := range specs {
+			names[i] = spec.Name()
+		}
+	} else {
+		for _, e := range run {
+			if strings.HasPrefix(e.SpecName, "grad_") {
+				continue
+			}
+			if !slices.Contains(names, e.SpecName) {
+				names = append(names, e.SpecName)
+			}
+			if !slices.Contains(resolutions, e.Res) {
+				resolutions = append(resolutions, e.Res)
+			}
+		}
+	}
+	variants := f.variants()
+	if len(run) != len(resolutions)*len(names)*len(variants) {
+		return false
+	}
 	for _, e := range run {
-		if isGrad(e) || !f.opts.IncludeGradients {
-			continue
-		}
-		for j < len(run) && !isGrad(run[j]) {
-			j++
-		}
-		if j == len(run) || run[j].Res != e.Res || strings.TrimPrefix(run[j].SpecName, "grad_") != e.SpecName {
+		if !slices.Contains(resolutions, e.Res) || !isEntryKey(e.Key, name, e.SpecName, e.Res) {
 			return false
 		}
-		j++
-	}
-	for ; j < len(run); j++ {
-		if isGrad(run[j]) {
+		indexed := false
+		for _, v := range variants {
+			if rest, ok := strings.CutPrefix(e.SpecName, v); ok && slices.Contains(names, rest) {
+				indexed = true
+			}
+		}
+		if !indexed {
 			return false
 		}
 	}

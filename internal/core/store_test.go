@@ -349,3 +349,44 @@ func BenchmarkSnapshotSaveLoad(b *testing.B) {
 		}
 	}
 }
+
+// TestLoadRejectsChangedAttributes: a data set that kept its name and time
+// range but gained an attribute is not the corpus the snapshot indexed —
+// its new attribute's functions are missing — so Load and Open refuse it.
+func TestLoadRejectsChangedAttributes(t *testing.T) {
+	f, _ := snapshotCorpus(t)
+	if _, err := f.BuildIndex(); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "corpus.snap")
+	if err := f.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	changed := func() []*dataset.Dataset {
+		wind, trips := plantedPair(30, randomHours(31, 60), nil)
+		wind.Attrs = append(wind.Attrs, "gust")
+		for i := range wind.Tuples {
+			wind.Tuples[i].Values = append(wind.Tuples[i].Values, 2*wind.Tuples[i].Values[0])
+		}
+		return []*dataset.Dataset{wind, trips}
+	}
+	opts := Options{City: testCity(t), Workers: 2, Seed: 5}
+	g, err := New(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range changed() {
+		if err := g.AddDataset(d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := g.Load(path); err == nil || !strings.Contains(err.Error(), `"wind"`) {
+		t.Errorf("Load with wind's attributes changed: err = %v, want a refusal naming wind", err)
+	}
+	if g.Indexed() {
+		t.Error("refused Load left the framework indexed")
+	}
+	if _, err := Open(path, OpenOptions{Options: opts, Datasets: changed()}); err == nil || !strings.Contains(err.Error(), `"wind"`) {
+		t.Errorf("Open with wind's attributes changed: err = %v, want a refusal naming wind", err)
+	}
+}

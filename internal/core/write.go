@@ -149,10 +149,7 @@ func (f *Framework) write(add, slice *dataset.Dataset) (IndexStats, AppendStats,
 		}
 	}
 
-	variants := []string{""}
-	if f.opts.IncludeGradients {
-		variants = append(variants, "grad_")
-	}
+	variants := f.variants()
 	var tasks []writeTask
 	var computing []funcTask
 	for _, n := range order {
@@ -370,4 +367,25 @@ func entryOccupiesTileGE(e *FunctionEntry, from int) bool {
 // Function.Key format).
 func entryKey(ds, fn string, res Resolution) string {
 	return fmt.Sprintf("%s/%s@%s,%s", ds, fn, res.Spatial, res.Temporal)
+}
+
+// isEntryKey reports whether key is entryKey(ds, fn, res), without
+// building it.
+func isEntryKey(key, ds, fn string, res Resolution) bool {
+	for _, part := range [...]string{ds, "/", fn, "@", res.Spatial.String(), ",", res.Temporal.String()} {
+		var ok bool
+		if key, ok = strings.CutPrefix(key, part); !ok {
+			return false
+		}
+	}
+	return key == ""
+}
+
+// variants are the name prefixes of the entries a write indexes for each
+// scalar function: the function, and with IncludeGradients its gradient.
+func (f *Framework) variants() []string {
+	if f.opts.IncludeGradients {
+		return []string{"", "grad_"}
+	}
+	return []string{""}
 }

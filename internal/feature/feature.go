@@ -14,6 +14,7 @@ package feature
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"sort"
 	"sync"
@@ -124,14 +125,16 @@ type Extractor struct {
 	seasonStart []int
 }
 
-// scratch is the working memory of one extractor construction, reused
-// through scratchPool: the extrema of both merge trees (NewExtractor), and
-// the season slots seasonThresholds groups one tree's extrema into.
+// scratch is the working memory of one extractor construction or
+// extraction, reused through scratchPool: the extrema of both merge trees
+// (NewExtractor), the season slots seasonThresholds groups one tree's
+// extrema into, and the words of one level set (Extract).
 type scratch struct {
 	join, split  topology.Extrema
 	at, seasonOf []int
 	values, pers []float64
 	salient      []float64 // the values of the salient extrema
+	words        []uint64
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
@@ -322,31 +325,18 @@ func extremeThreshold(vals []float64, pos bool) float64 {
 func (e *Extractor) Extract(class Class) *Set {
 	n := e.fn.Graph.NumVertices()
 	set := &Set{Positive: bitvec.New(n), Negative: bitvec.New(n)}
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
 	switch class {
 	case Salient:
-		e.extractSeasonal(topology.Join, e.th.PosBySeason, set.Positive)
-		e.extractSeasonal(topology.Split, e.th.NegBySeason, set.Negative)
+		e.extractSeasonal(topology.Join, e.th.PosBySeason, set.Positive, sc)
+		e.extractSeasonal(topology.Split, e.th.NegBySeason, set.Negative, sc)
 	case Extreme:
 		// Outliers cannot be the majority.
-		if float64(e.markLevelSet(topology.Join, e.th.ExtremePos, set.Positive)) > MaxSeasonCoverage*float64(n) {
-			set.Positive.Reset()
-		}
-		if float64(e.markLevelSet(topology.Split, e.th.ExtremeNeg, set.Negative)) > MaxSeasonCoverage*float64(n) {
-			set.Negative.Reset()
-		}
+		e.markLevelSet(topology.Join, e.th.ExtremePos, 0, n, set.Positive, sc)
+		e.markLevelSet(topology.Split, e.th.ExtremeNeg, 0, n, set.Negative, sc)
 	}
 	return set
-}
-
-// markLevelSet ORs into out the level set of the function at theta over the
-// whole domain — f >= theta for a join tree, f <= theta for a split tree —
-// and returns its size. A NaN theta marks nothing.
-func (e *Extractor) markLevelSet(kind topology.Kind, theta float64, out *bitvec.Vector) int {
-	if math.IsNaN(theta) {
-		return 0
-	}
-	lo, hi := bounds(kind, theta)
-	return markIn(e.fn.Values[:out.Len()], lo, hi, out, 0)
 }
 
 // MaxSeasonCoverage caps the fraction of a seasonal interval that may be
@@ -368,55 +358,55 @@ const MaxSeasonCoverage = 0.5
 // whatever the number of seasons, and it reaches every component of a
 // disconnected domain, including one whose oldest extremum no saddle pairs
 // (that extremum is not a tree leaf, so a flood from the leaves misses it).
-func (e *Extractor) extractSeasonal(kind topology.Kind, bySeason SeasonThresholds, out *bitvec.Vector) {
+func (e *Extractor) extractSeasonal(kind topology.Kind, bySeason SeasonThresholds, out *bitvec.Vector, sc *scratch) {
 	nRegions := e.fn.Graph.NumRegions()
 	for si, season := range e.seasons {
-		theta, ok := bySeason.Theta(season)
-		if !ok || math.IsNaN(theta) {
-			continue
+		if theta, ok := bySeason.Theta(season); ok {
+			e.markLevelSet(kind, theta, e.seasonStart[si]*nRegions, e.seasonStart[si+1]*nRegions, out, sc)
 		}
-		lo, hi := bounds(kind, theta)
-		off := e.seasonStart[si] * nRegions
-		vals := e.fn.Values[off : e.seasonStart[si+1]*nRegions]
-		if float64(countIn(vals, lo, hi)) > MaxSeasonCoverage*float64(len(vals)) {
-			continue // the level set is the norm, not a deviation
-		}
-		markIn(vals, lo, hi, out, off)
 	}
 }
 
-// bounds returns the value range [lo, hi] of the level set at theta:
-// [theta, +Inf] for a join tree (super-level set), [-Inf, theta] for a
-// split tree (sub-level set).
-func bounds(kind topology.Kind, theta float64) (lo, hi float64) {
-	if kind == topology.Join {
-		return theta, math.Inf(1)
+// markLevelSet ORs into out the level set at theta of the function's
+// vertices [lo, hi) — f >= theta for a join tree, f <= theta for a split
+// tree — unless it covers more than MaxSeasonCoverage of them (see the
+// constant's doc). A NaN theta marks nothing. Each word of the set is
+// built from up to 64 comparisons in sc.words, aligned with out's words,
+// and counted there; out is written only once the count is known.
+func (e *Extractor) markLevelSet(kind topology.Kind, theta float64, lo, hi int, out *bitvec.Vector, sc *scratch) {
+	if math.IsNaN(theta) || lo == hi {
+		return
 	}
-	return math.Inf(-1), theta
-}
-
-// countIn counts the values in [lo, hi].
-func countIn(vals []float64, lo, hi float64) int {
-	n := 0
-	for _, x := range vals {
-		if x >= lo && x <= hi {
-			n++
+	shift := lo % 64
+	words := slices.Grow(sc.words[:0], bitvec.NumWords(shift+hi-lo))[:bitvec.NumWords(shift+hi-lo)]
+	sc.words = words
+	vals, count := e.fn.Values[lo:hi], 0
+	for j := range words {
+		chunk := vals[:min(len(vals), 64-shift)]
+		var w uint64
+		if kind == topology.Join {
+			for b, x := range chunk {
+				if x >= theta {
+					w |= 1 << (shift + b)
+				}
+			}
+		} else {
+			for b, x := range chunk {
+				if x <= theta {
+					w |= 1 << (shift + b)
+				}
+			}
 		}
+		words[j], count = w, count+bits.OnesCount64(w)
+		vals, shift = vals[len(chunk):], 0
 	}
-	return n
-}
-
-// markIn sets bit off+i of out for every vals[i] in [lo, hi] and returns
-// how many it set.
-func markIn(vals []float64, lo, hi float64, out *bitvec.Vector, off int) int {
-	n := 0
-	for i, x := range vals {
-		if x >= lo && x <= hi {
-			out.Set(off + i)
-			n++
-		}
+	if float64(count) > MaxSeasonCoverage*float64(hi-lo) {
+		return // the level set is the norm, not a deviation
 	}
-	return n
+	dst := out.Words()[lo/64:]
+	for j, w := range words {
+		dst[j] |= w
+	}
 }
 
 // String summarises the extractor for diagnostics.

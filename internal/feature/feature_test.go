@@ -454,7 +454,13 @@ func TestExtremeFeaturesOnDisconnectedDomain(t *testing.T) {
 func (e *Extractor) ExtractWithThresholds(thetaPos, thetaNeg float64) *Set {
 	n := e.fn.Graph.NumVertices()
 	set := &Set{Positive: bitvec.New(n), Negative: bitvec.New(n)}
-	e.markLevelSet(topology.Join, thetaPos, set.Positive)
-	e.markLevelSet(topology.Split, thetaNeg, set.Negative)
+	for v, x := range e.fn.Values[:n] {
+		if x >= thetaPos {
+			set.Positive.Set(v)
+		}
+		if x <= thetaNeg {
+			set.Negative.Set(v)
+		}
+	}
 	return set
 }

@@ -514,26 +514,43 @@ func gridAdjacency(w, h int) [][]int {
 	return adj
 }
 
-// hourlyCounts draws a zero-inflated hourly count over the given number of
-// regions: each region is busy in bursts of 1–15 consecutive steps, which
-// leaves about 95 % of the vertices at zero — the shape of the (hour,
-// neighbourhood) functions that hold most of an urban corpus's vertices.
-func hourlyCounts(regions int) func(*rand.Rand, int) []float64 {
+// hourlyBursts draws an hourly function over the given number of regions
+// that holds base except in bursts: each region leaves it about once every
+// `every` steps, for 1–15 consecutive steps of values from draw.
+func hourlyBursts(regions, every int, base float64, draw func(*rand.Rand) float64) func(*rand.Rand, int) []float64 {
 	return func(rng *rand.Rand, n int) []float64 {
 		vals := make([]float64, n)
+		for v := range vals {
+			vals[v] = base
+		}
 		for r := 0; r < regions; r++ {
 			for v := r; v < n; v += regions {
-				if rng.Intn(160) != 0 {
+				if rng.Intn(every) != 0 {
 					continue
 				}
 				for k := rng.Intn(15); k >= 0 && v < n; k-- {
-					vals[v] = float64(1 + rng.Intn(40))
+					vals[v] = draw(rng)
 					v += regions
 				}
 			}
 		}
 		return vals
 	}
+}
+
+// hourlyCounts is a zero-inflated hourly count, about 95 % zeros: the
+// shape of the (hour, neighbourhood) counts that hold most of an urban
+// corpus's vertices.
+func hourlyCounts(regions int) func(*rand.Rand, int) []float64 {
+	return hourlyBursts(regions, 160, 0, func(rng *rand.Rand) float64 { return float64(1 + rng.Intn(40)) })
+}
+
+// hourlyMeans is an hourly average with about 97 % of the vertices at the
+// imputed mean and the observed values on both sides of it: the shape of
+// an average attribute at (hour, zip).
+func hourlyMeans(regions int) func(*rand.Rand, int) []float64 {
+	const mean = 12.375
+	return hourlyBursts(regions, 260, mean, func(rng *rand.Rand) float64 { return mean + 3*rng.NormFloat64() })
 }
 
 func benchmarkMergeTree3D(b *testing.B, w, h, steps int, values func(*rand.Rand, int) []float64) {
@@ -553,9 +570,11 @@ func benchmarkMergeTree3D(b *testing.B, w, h, steps int, values func(*rand.Rand,
 // a year of hours. sparse and dense take the largest domain of a one-year
 // hourly zip-code corpus, 256 regions x 8,760 steps (bit rows of four
 // words): sparse is a zero-inflated count (a 70 % plateau), dense a
-// full-mantissa average (no plateau). plateau48 is the (hour,
-// neighbourhood) shape that holds most of an urban corpus's vertices: 48
-// regions x 8,784 steps, 95 % zeros.
+// full-mantissa average (no plateau). plateau48 and mean48 are the (hour,
+// neighbourhood) shapes that hold most of an urban corpus's vertices, 48
+// regions x 8,784 steps: a count with 95 % zeros (the plateau at the
+// minimum) and an average with 97 % at the imputed mean (values on both
+// sides).
 func BenchmarkMergeTree3D(b *testing.B) {
 	b.Run("sparse", func(b *testing.B) {
 		benchmarkMergeTree3D(b, 16, 16, 8760, each(func(rng *rand.Rand) float64 {
@@ -569,6 +588,7 @@ func BenchmarkMergeTree3D(b *testing.B) {
 		benchmarkMergeTree3D(b, 16, 16, 8760, each(func(rng *rand.Rand) float64 { return rng.NormFloat64() }))
 	})
 	b.Run("plateau48", func(b *testing.B) { benchmarkMergeTree3D(b, 8, 6, 8784, hourlyCounts(48)) })
+	b.Run("mean48", func(b *testing.B) { benchmarkMergeTree3D(b, 8, 6, 8784, hourlyMeans(48)) })
 }
 
 // ints widens vertex ids to int.

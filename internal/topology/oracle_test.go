@@ -2,8 +2,10 @@ package topology
 
 import (
 	"math"
+	"math/bits"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -47,7 +49,7 @@ func traceBoth(g *stgraph.Graph, vals []float64) (join, split traced) {
 	run := func(kind Kind) traced {
 		edges = nil
 		s.sweep(g, vals, kind, &s.ext)
-		return traced{Tree: s.tree(kind), Edges: edges, Root: int(s.order[len(s.order)-1])}
+		return traced{Tree: s.tree(kind), Edges: edges, Root: int(s.lastSwept(kind))}
 	}
 	s.sortDescending(vals, g.NumRegions())
 	join = run(Join)
@@ -382,6 +384,21 @@ var valueStyles = []struct {
 	{"dominant-min", dominant(0, func(rng *rand.Rand) float64 { return float64(1 + rng.Intn(3)) })},
 	{"dominant-middle", dominant(0.25, func(rng *rand.Rand) float64 { return rng.NormFloat64() })},
 	{"dominant-max", dominant(7, func(rng *rand.Rand) float64 { return -float64(rng.Intn(3)) + rng.Float64() })},
+	// An imputed mean: a dominant value with coarse values on both sides,
+	// off it in bursts of consecutive ids, so runs stop at the top and the
+	// bottom of the domain as well as at a burst.
+	{"mid-plateau", func(rng *rand.Rand, n int) []float64 {
+		vals := make([]float64, n)
+		for i := range vals {
+			vals[i] = 2.5
+		}
+		for off := n / 10; off > 0; {
+			for v, k := rng.Intn(n), 1+rng.Intn(4); k > 0 && v < n && off > 0; v, k, off = v+1, k-1, off-1 {
+				vals[v] = float64(rng.Intn(6))
+			}
+		}
+		return vals
+	}},
 	// Two values in equal shares, so the majority vote has no majority.
 	{"even-tie", func(rng *rand.Rand, n int) []float64 {
 		vals := make([]float64, n)
@@ -437,8 +454,12 @@ func TestKernelMatchesOracle(t *testing.T) {
 	}
 }
 
-// checkSortOrder compares the kernel's join order with a stable comparison
-// sort on (value desc, id desc), and its keys with the order's values.
+// checkSortOrder compares the kernel's join order — s.order up to below,
+// the plateau in descending id, the rest of s.order — with a stable
+// comparison sort on (value desc, id desc), its keys with the order's
+// values, and the forest's first state with the plateau's runs: on a
+// one-region domain a run is consecutive ids, all linked to one run node
+// numbered from the top down after the vertices.
 func checkSortOrder(t *testing.T, what string, vals []float64) bool {
 	t.Helper()
 	want := make([]int32, len(vals))
@@ -448,8 +469,15 @@ func checkSortOrder(t *testing.T, what string, vals []float64) bool {
 	sort.SliceStable(want, func(a, b int) bool { return sortKey(vals[want[a]]) < sortKey(vals[want[b]]) })
 	s := new(sweeper)
 	s.sortDescending(vals, 1)
-	if !reflect.DeepEqual(s.order, want) {
-		t.Errorf("%s: join order %v, stable sort %v (values %v)", what, s.order, want, vals)
+	got := append([]int32(nil), s.order[:s.below]...)
+	for v := len(vals) - 1; v >= 0; v-- {
+		if s.plat[v]&1 != 0 {
+			got = append(got, int32(v))
+		}
+	}
+	got = append(got, s.order[s.below:]...)
+	if run := len(got) - len(s.order); !reflect.DeepEqual(got, want) || run > 0 && s.last != got[s.below+run-1] {
+		t.Errorf("%s: join order %v (plateau ending at %d), stable sort %v (values %v)", what, got, s.last, want, vals)
 		return false
 	}
 	for i, v := range s.order {
@@ -457,6 +485,25 @@ func checkSortOrder(t *testing.T, what string, vals []float64) bool {
 			t.Errorf("%s: key %d = %#x, want the key of vertex %d", what, i, s.keys[i], v)
 			return false
 		}
+	}
+	runs := int32(len(vals)) // the next run's node
+	for v := len(vals) - 1; v >= 0; v-- {
+		want := int32(unswept)
+		switch {
+		case s.plat[v]&1 == 0:
+		case v+1 < len(vals) && s.plat[v+1]&1 != 0:
+			want = s.parent[v+1]
+		default:
+			want, runs = runs, runs+1
+		}
+		if s.parent[v] != want {
+			t.Errorf("%s: vertex %d links to %d, want %d (its run's node, or unswept)", what, v, s.parent[v], want)
+			return false
+		}
+	}
+	if int(runs) != len(s.parent) || slices.ContainsFunc(s.parent[len(vals):], func(p int32) bool { return p != unswept }) {
+		t.Errorf("%s: %d slots for %d vertices and %d runs, run slots %v", what, len(s.parent), len(vals), int(runs)-len(vals), s.parent[len(vals):])
+		return false
 	}
 	return true
 }
@@ -585,42 +632,58 @@ func TestConcurrentComputeBoth(t *testing.T) {
 }
 
 // TestPlateauShortcutFires pins that the bit rows, not the neighbour walk,
-// settle the plateau of an hourly count at neighbourhood resolution (48
-// regions x 8,784 steps, 95 % zeros) in both trees: the parity tests cannot
-// see a shortcut that silently stops firing.
+// settle the plateau of the (hour, neighbourhood) shapes — 48 regions x
+// 8,784 steps, a count with 95 % zeros and an average with 97 % at the
+// imputed mean — in both trees: the parity tests cannot see a shortcut that
+// silently stops firing.
 func TestPlateauShortcutFires(t *testing.T) {
 	const regions, steps = 48, 8784
 	g, err := stgraph.New(regions, steps, gridAdjacency(8, 6))
 	if err != nil {
 		t.Fatal(err)
 	}
-	vals := hourlyCounts(regions)(rand.New(rand.NewSource(3)), g.NumVertices())
-	s := new(sweeper)
-	s.sortDescending(vals, regions)
-	if share := float64(s.run) / float64(len(vals)); share < 0.94 || vals[s.order[s.below]] != 0 {
-		t.Fatalf("plateau is %.1f %% of the vertices at %v, want the zeros at ~95 %%", 100*share, vals[s.order[s.below]])
-	}
-	s.sweep(g, vals, Join, &s.ext)
-	join, joinSettled := s.tree(Join), s.shortcuts
-	s.splitOrder()
-	s.sweep(g, vals, Split, &s.ext)
-	split := s.tree(Split)
 	for _, c := range []struct {
-		kind    Kind
-		settled int
-	}{{Join, joinSettled}, {Split, s.shortcuts}} {
-		share := float64(c.settled) / float64(s.run)
-		t.Logf("%v: %d of %d plateau visits (%.1f %%) settled by the rows", c.kind, c.settled, s.run, 100*share)
-		if share < 0.9 {
-			t.Errorf("%v: %.1f %% of the plateau visits settled by the rows, want >= 90 %%", c.kind, 100*share)
+		name    string
+		values  func(*rand.Rand, int) []float64
+		plateau float64
+		share   float64
+	}{
+		{"hourly counts", hourlyCounts(regions), 0, 0.94},
+		{"hourly means", hourlyMeans(regions), 12.375, 0.96},
+	} {
+		vals := c.values(rand.New(rand.NewSource(3)), g.NumVertices())
+		s := new(sweeper)
+		s.sortDescending(vals, regions)
+		run := 0
+		for _, w := range s.plat {
+			run += bits.OnesCount64(w)
 		}
+		if share := float64(run) / float64(len(vals)); share < c.share || vals[s.last] != c.plateau {
+			t.Fatalf("%s: plateau is %.1f %% of the vertices at %v, want %v at >= %.0f %%",
+				c.name, 100*share, vals[s.last], c.plateau, 100*c.share)
+		}
+		s.sweep(g, vals, Join, &s.ext)
+		join, joinSettled := s.tree(Join), s.shortcuts
+		s.splitOrder()
+		s.sweep(g, vals, Split, &s.ext)
+		split := s.tree(Split)
+		for _, k := range []struct {
+			kind    Kind
+			settled int
+		}{{Join, joinSettled}, {Split, s.shortcuts}} {
+			share := float64(k.settled) / float64(run)
+			t.Logf("%s %v: %d of %d plateau vertices (%.1f %%) settled by the rows", c.name, k.kind, k.settled, run, 100*share)
+			if share < 0.9 {
+				t.Errorf("%s %v: %.1f %% of the plateau settled by the rows, want >= 90 %%", c.name, k.kind, 100*share)
+			}
+		}
+		sameTree(t, c.name+" join", join, oracleJoin(g, vals))
+		sameTree(t, c.name+" split", split, oracleSplit(g, vals))
 	}
-	sameTree(t, "hourly counts join", join, oracleJoin(g, vals))
-	sameTree(t, "hourly counts split", split, oracleSplit(g, vals))
 }
 
 // FuzzMergeTreeOracle compares the kernel with the oracle on a decoded
-// domain: byte 0 picks 1–130 regions, byte 1 1–6 steps, byte 2 1–4 value
+// domain: byte 0 picks 1–130 regions, byte 1 1–64 steps, byte 2 1–4 value
 // levels and byte 3 an edge count; that many byte pairs name the edges
 // (made symmetric, self-loops and repeats skipped), and the bytes after
 // them, repeated, give the levels of the vertices.
@@ -630,11 +693,12 @@ func FuzzMergeTreeOracle(f *testing.F) {
 	f.Add([]byte{63, 3, 3, 4, 0, 63, 63, 62, 10, 11, 32, 31, 0, 2, 1, 0, 0, 0})
 	f.Add([]byte{64, 2, 2, 3, 64, 0, 63, 64, 1, 2, 0, 0, 1, 0, 0})
 	f.Add([]byte{129, 1, 4, 6, 0, 129, 64, 65, 127, 128, 63, 64, 1, 2, 5, 70, 0, 0, 0, 1, 2, 3, 0})
+	f.Add([]byte{2, 63, 2, 2, 0, 1, 1, 2, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 4 {
 			return
 		}
-		nRegions, nSteps, levels := 1+int(data[0])%130, 1+int(data[1])%6, 1+int(data[2])%4
+		nRegions, nSteps, levels := 1+int(data[0])%130, 1+int(data[1])%64, 1+int(data[2])%4
 		adj := make([][]int, nRegions)
 		linked := map[[2]int]bool{}
 		rest := data[4:]

@@ -9,10 +9,17 @@ import (
 	"github.com/urbandata/datapolygamy/internal/stgraph"
 )
 
-// This file is the merge-tree kernel. One LSD radix sort of the function
-// values gives the join sweep order, the split order is derived from it,
-// and each tree is built by a flat int32 sweep over pooled scratch
-// (Procedure ComputeJoinTree, Appendix B.2).
+// This file is the merge-tree kernel. A radix sort of the function values
+// off the plateau (the value most vertices hold) gives the join sweep
+// order, the split order is derived from it, and each tree is built by a
+// flat int32 sweep over pooled scratch (Procedure ComputeJoinTree,
+// Appendix B.2). The sweep's union-find holds nodes, not vertices: a
+// vertex off the plateau is a node, and so is each maximal run of plateau
+// vertices of one region over consecutive steps, whose vertices all link
+// to it for good. Both sweeps visit the plateau in
+// descending id, row by row, so the swept part of a run is always one
+// component, and a plateau vertex below the top of its run that the bit
+// rows show regular (see plateauRow) is never visited.
 
 // ComputeJoin builds the join tree of the function vals defined on the
 // vertices of g, tracking connected components of super-level sets with
@@ -78,23 +85,32 @@ func (s *sweeper) tree(kind Kind) *Tree {
 }
 
 // sweeper is the kernel's scratch, reused across functions through the
-// sweepers pool; its per-vertex buffers grow to the largest domain seen.
+// sweepers pool; its buffers grow to the largest domain seen.
 type sweeper struct {
-	keys, keysTmp []uint64 // sort keys, parallel to order / orderTmp
-	// order holds the vertex ids in sweep order; orderTmp, the sort's
-	// spare, serves the sweep as its union-find forest (see find).
+	// order holds the vertices off the plateau in sweep order and keys
+	// their sort keys; the Tmp buffers are the sort's spares.
+	keys, keysTmp   []uint64
 	order, orderTmp []int32
 	count           [radixDigits][1 << radixBits]int32
-	// The plateau is order[below : below+run] in join order. Its bit rows
-	// have ⌈regions/64⌉ words per step, bit r of row t standing for vertex
-	// (t, r): plat holds the plateau, pre what the sweep visits before the
-	// plateau — the larger values in the join, the smaller after splitOrder.
-	plat, pre  []uint64
-	below, run int
-	ok         []uint64 // the current step's regular plateau (see plateauRow)
-	shortcuts  int      // plateau vertices the last sweep settled from the rows
-	comps      []component
-	roots      []int32 // distinct upper components at the current vertex
+	// parent is the union-find forest (see find): one slot per vertex,
+	// then one per run of the plateau. A vertex off the plateau is a node
+	// with its own slot; a plateau vertex starts each sweep linked to its
+	// run's slot (see link).
+	parent  []int32
+	regions int
+	// The plateau's bit rows have ⌈regions/64⌉ words per step, bit r of
+	// row t standing for vertex (t, r): plat holds the plateau, pre what
+	// the sweep visits before the plateau — the larger values in the join,
+	// the smaller after splitOrder. below counts the join's vertices before
+	// the plateau, and last is the plateau's lowest id, the plateau vertex
+	// both sweeps reach last.
+	plat, pre []uint64
+	below     int
+	last      int32
+	ok        []uint64 // the current step's regular plateau (see plateauRow)
+	shortcuts int      // plateau vertices the last sweep settled from the rows
+	comps     []component
+	roots     []int32 // distinct upper components at the current vertex
 	// dest[i] is the destroyer of the last sweep's leaf i: a saddle, -1
 	// for the essential pair, unpaired until a saddle kills it.
 	dest []int32
@@ -116,7 +132,7 @@ type component struct {
 }
 
 const (
-	unswept  = -1 // parent[v] before the sweep reaches v
+	unswept  = -1 // parent[x] before the sweep reaches node x
 	unpaired = -2 // the destroyer of an extremum no saddle has killed yet
 
 	radixBits   = 11
@@ -136,87 +152,89 @@ func sortKey(x float64) uint64 {
 	return b ^ (^uint64(int64(b)>>63) >> 1)
 }
 
-// sortDescending leaves in s.order the vertices of vals, a function on a
-// domain of the given number of regions, in join sweep order — decreasing
-// value, ties broken by higher vertex id (simulated perturbation) — and in
-// s.keys their keys.
+// sortDescending sorts vals, a function on a domain of the given number of
+// regions, for the join sweep — decreasing value, ties broken by higher
+// vertex id (simulated perturbation) — and sets up the union-find forest.
 //
 // Fine-resolution functions are mostly one value (zero counts, the imputed
-// mean), so the plateau is taken out before sorting: the pass that builds
-// the keys also picks a Boyer–Moore majority candidate, the candidate's run
-// is partitioned out — already in descending-id order, the order a stable
-// sort leaves ties in — and only the other keys are radix sorted, with the
-// run spliced in between the smaller and the larger keys. The sort is LSD
-// radix whose digit histograms all come from the partition pass; a digit
-// that is the same in every key is skipped. The partition pass also fills
-// the plateau's bit rows (see sweeper).
+// mean), so that plateau is never sorted: a first pass votes for the
+// Boyer–Moore majority, and a second, in descending id, sets each plateau
+// vertex's bit in plat. Only every other vertex gets a key: its bit in pre
+// if its value is larger, and its key and id into the LSD radix sort, whose
+// digit histograms that pass also fills (a digit that is the same in every
+// key is skipped). s.order then holds the other vertices in join order, the
+// first below of them before the plateau; the plateau itself, in
+// descending id, lies between.
 func (s *sweeper) sortDescending(vals []float64, regions int) {
 	n := len(vals)
 	if cap(s.order) < n {
 		s.keys, s.keysTmp = make([]uint64, n), make([]uint64, n)
 		s.order, s.orderTmp = make([]int32, n), make([]int32, n)
 	}
+	if cap(s.parent) < n {
+		s.parent = make([]int32, n)
+	}
 	words := (regions + 63) / 64
 	rows := n / regions * words
 	if cap(s.plat) < rows {
 		s.plat, s.pre = make([]uint64, rows), make([]uint64, rows)
 	}
-	plat, pre := s.plat[:rows], s.pre[:rows]
-	clear(plat)
-	clear(pre)
-	keys, ids := s.keys[:n], s.order[:n]
-	tmpK, tmpI := s.keysTmp[:n], s.orderTmp[:n]
+	plat, pre, parent := s.plat[:rows], s.pre[:rows], s.parent[:n]
 	count := &s.count
 	*count = [radixDigits][1 << radixBits]int32{}
-	var plateau uint64
+	var plateau float64 // values compare as their keys do: -0.0 == +0.0
 	votes := 0
-	for i := range keys { // descending ids: a stable sort keeps ties that way
-		v := n - 1 - i
-		k := sortKey(vals[v])
-		keys[i], ids[i] = k, int32(v)
-		switch {
+	for v := n - 1; v >= 0; v-- {
+		switch x := vals[v]; {
 		case votes == 0:
-			plateau, votes = k, 1
-		case k == plateau:
+			plateau, votes = x, 1
+		case x == plateau:
 			votes++
 		default:
 			votes--
 		}
 	}
+	plateauKey := sortKey(plateau)
 
-	// Partition: the plateau's ids compact to the front of ids (a write
-	// never overtakes the read), the other keys go to tmp in order and into
-	// the digit histograms. Each vertex sets its bit in plat, or in pre if
-	// its value is larger; its row and region count down with the ids.
-	run, m, below := 0, 0, 0
-	row, r := rows-words, regions-1
-	for i, k := range keys {
-		w, bit := row+r>>6, uint64(1)<<(r&63)
-		if r--; r < 0 {
-			row, r = row-words, regions-1
+	// Descending ids, as a stable sort keeps ties: the steps from the last,
+	// each step's words and their regions from the top.
+	keys, ids := s.keysTmp[:n], s.orderTmp[:n]
+	m, below := 0, 0
+	for row := rows - words; row >= 0; row -= words {
+		for x := words - 1; x >= 0; x-- {
+			first := row/words*regions + x<<6
+			xs := vals[first : first+min(64, regions-x<<6)]
+			var pw, bw uint64 // this word's plat and pre
+			for b := len(xs) - 1; b >= 0; b-- {
+				if xs[b] == plateau {
+					pw |= 1 << b
+					continue
+				}
+				k := sortKey(xs[b])
+				if k < plateauKey {
+					bw |= 1 << b
+					below++
+				}
+				keys[m], ids[m] = k, int32(first+b)
+				m++
+				for d := range count {
+					count[d][k>>(d*radixBits)&radixMask]++
+				}
+			}
+			plat[row+x], pre[row+x] = pw, bw
 		}
-		if k == plateau {
-			ids[run] = ids[i]
-			run++
-			plat[w] |= bit
-			continue
-		}
-		if k < plateau {
-			below++
-			pre[w] |= bit
-		}
-		tmpK[m], tmpI[m] = k, ids[i]
-		m++
-		for d := range count {
-			count[d][k>>(d*radixBits)&radixMask]++
+	}
+	last := int32(-1)
+	for w, p := range plat {
+		if p != 0 {
+			last = int32(w/words*regions + w%words<<6 + bits.TrailingZeros64(p))
+			break
 		}
 	}
 
-	// Radix sort the m other keys, ping-ponging between tmp[:m] and the
-	// slots of keys/ids behind the run.
-	srcK, srcI := tmpK[:m], tmpI[:m]
-	dstK, dstI := keys[run:], ids[run:]
-	inTmp := true
+	// Radix sort the m keys, ping-ponging between the two buffer pairs.
+	srcK, srcI := keys[:m], ids[:m]
+	dstK, dstI := s.keys[:m], s.order[:m]
 	for d := range count {
 		next, shift := &count[d], d*radixBits
 		if m == 0 || next[srcK[0]>>shift&radixMask] == int32(m) {
@@ -234,26 +252,54 @@ func (s *sweeper) sortDescending(vals []float64, regions int) {
 			dstK[p], dstI[p] = k, srcI[i]
 		}
 		srcK, dstK, srcI, dstI = dstK, srcK, dstI, srcI
-		inTmp = !inTmp
 	}
+	s.keys, s.keysTmp, s.order, s.orderTmp = srcK, dstK[:0], srcI, dstI[:0]
+	s.parent, s.regions = parent, regions
+	s.plat, s.pre, s.below, s.last = plat, pre, below, last
+	s.link()
+}
 
-	// Splice [keys below the plateau | the run | keys above it] into the
-	// pair of buffers not holding the sorted keys. The run moves first: in
-	// ids it may overlap where it lands.
-	outK, outI, spareK, spareI := keys, ids, tmpK, tmpI
-	if !inTmp {
-		outK, outI, spareK, spareI = tmpK, tmpI, keys, ids
+// link sets up the union-find forest for a sweep: every node unswept, and
+// each plateau vertex linked to its run's node — the node of the vertex
+// one step later if that one is on the plateau, else a new one. A sweep's
+// path halving may shorten those links, so each sweep gets fresh ones.
+func (s *sweeper) link() {
+	words, regions := (s.regions+63)/64, s.regions
+	plat, parent := s.plat, s.parent
+	n := len(plat) / words * regions
+	runs := int32(n)
+	for row := len(plat) - words; row >= 0; row -= words {
+		for x := words - 1; x >= 0; x-- {
+			first := row/words*regions + x<<6
+			ps := parent[first : first+min(64, regions-x<<6)]
+			pw, linked := plat[row+x], uint64(0) // this word's plateau, and its part on the plateau one step later too
+			if row+words < len(plat) {
+				if linked = pw & plat[row+words+x]; linked != 0 {
+					copy(ps, parent[first+regions:]) // the links one step later
+				}
+			}
+			// The rest, top down: a run's top starts a new run, a vertex
+			// off the plateau is unswept. Branch-free: the bits are noise.
+			for rest := ^linked & (1<<len(ps) - 1); rest != 0; {
+				b := 63 - bits.LeadingZeros64(rest)
+				rest &^= 1 << b
+				on, p := int32(pw>>b&1), runs
+				if on == 0 {
+					p = unswept
+				}
+				ps[b] = p
+				runs += on
+			}
+		}
 	}
-	copy(outI[below:below+run], ids[:run])
-	copy(outI[:below], srcI[:below])
-	copy(outI[below+run:], srcI[below:])
-	copy(outK[:below], srcK[:below])
-	copy(outK[below+run:], srcK[below:])
-	for i := below; i < below+run; i++ {
-		outK[i] = plateau
+	if cap(parent) < int(runs) {
+		parent = append(parent[:n], make([]int32, int(runs)-n)...)
 	}
-	s.keys, s.keysTmp, s.order, s.orderTmp = outK, spareK, outI, spareI
-	s.plat, s.pre, s.below, s.run = plat, pre, below, run
+	parent = parent[:runs]
+	for i := n; i < len(parent); i++ {
+		parent[i] = unswept
+	}
+	s.parent = parent
 }
 
 // splitOrder turns s.order from the join into the split sweep order
@@ -275,9 +321,38 @@ func (s *sweeper) splitOrder() {
 	for i, p := range s.plat {
 		s.pre[i] = ^(s.pre[i] | p)
 	}
+	s.link()
 }
 
-// find returns the root vertex of x's component, halving the path. A root r
+// plateauAt returns where the plateau falls in s.order: the number of
+// vertices off it that the sweep of the given kind visits before it.
+func (s *sweeper) plateauAt(kind Kind) int {
+	if kind == Split {
+		return len(s.order) - s.below
+	}
+	return s.below
+}
+
+// lastSwept returns the vertex the sweep of the given kind reaches last,
+// the root of its tree.
+func (s *sweeper) lastSwept(kind Kind) int32 {
+	if s.plateauAt(kind) == len(s.order) {
+		return s.last
+	}
+	return s.order[len(s.order)-1]
+}
+
+// anySet reports whether a row has a bit set.
+func anySet(row []uint64) bool {
+	for _, w := range row {
+		if w != 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// find returns the root node of x's component, halving the path. A root r
 // holds its component index as parent[r] = -2 - index (see compOf).
 func find(parent []int32, x int32) int32 {
 	for {
@@ -296,75 +371,98 @@ func find(parent []int32, x int32) int32 {
 
 func compOf(parent []int32, root int32) int32 { return -2 - parent[root] }
 
-// sweep processes the vertices in s.order, maintaining level-set
-// components in a union-find forest and pairing creators with destroyers,
+// sweep visits the vertices in sweep order — s.order up to the plateau,
+// the plateau, the rest of s.order — maintaining level-set components in a
+// union-find forest over the nodes and pairing creators with destroyers,
 // and writes the leaves and their persistence into out (the destroyers
-// into s.dest). A plateau vertex that the bit rows show regular (see
-// plateauRow) joins the component of the vertex one step later; every
-// other vertex walks its neighbours.
+// into s.dest).
+//
+// The plateau is visited step by step from the last, each step in
+// descending region. A plateau vertex (t, r) that the bit rows show
+// regular with (t+1, r) (see plateauRow) has the component of (t+1, r):
+// below the top of its run that is its own run's, so the sweep skips it;
+// at the top it joins the run's node to it. Every other vertex walks its
+// neighbours. A neighbour off the plateau has been swept when its node
+// has; one on it, after the plateau, or on it when its id is the higher.
+// Before the plateau no run is swept, so no swept vertex links to a run:
+// a link to one is a plateau vertex's. On the plateau the bit rows tell.
 func (s *sweeper) sweep(g *stgraph.Graph, vals []float64, kind Kind, out *Extrema) {
-	order := s.order
-	n := int32(len(order))
-	R := uint32(g.NumRegions())
+	order, parent, plat := s.order, s.parent, s.plat
+	n := int32(g.NumVertices())
+	R := int32(g.NumRegions())
 	off, delta := g.NeighborOffsets()
 	maskOff, masks := g.NeighborMasks()
-	parent := s.orderTmp
-	for i := range parent {
-		parent[i] = unswept
-	}
 	comps, roots := s.comps[:0], s.roots[:0]
 	leaves, pers, dest := out.Leaves[:0], out.Persistence[:0], s.dest[:0]
 	critical, paired, shortcuts := 0, 0, 0
 
-	// The plateau is order[lo:hi] in both sweeps, in descending id order,
-	// so the row of its vertices counts down: row is the first word of the
-	// row of the step that starts at vertex rowStart, and ok marks that
-	// step's regular plateau vertices (see plateauRow).
-	lo := int32(s.below)
-	if kind == Split {
-		lo = n - int32(s.below+s.run)
-	}
-	hi := lo + int32(s.run)
 	words := int(R+63) / 64
-	row, rowStart := len(s.plat), n
 	if cap(s.ok) < words {
 		s.ok = make([]uint64, words)
 	}
 	ok := s.ok[:words]
+	lo := s.plateauAt(kind)
+	// On the plateau, row is the first word of step t's row and bs the
+	// bits of word x still to visit: the run tops and the vertices ok does
+	// not settle. A link to a run slot of firstUnswept or above is an
+	// unswept plateau vertex's: before the plateau that is every run slot.
+	steps := n / R
+	t, row, x, bs := steps, len(plat), 0, uint64(0)
+	firstUnswept := n
 
-	for i, v := range order {
+	for i := 0; ; {
+		var v, xv int32 // the vertex and its node
 		var region uint32
-		if int32(i) < lo || int32(i) >= hi {
-			region = uint32(v) % R
-		} else {
-			if v < rowStart {
-				for v < rowStart {
-					row, rowStart = row-words, rowStart-int32(R)
+		fresh, onPlateau := true, false // fresh: v's node is not swept yet
+		if i == lo && t >= 0 {
+			for bs == 0 {
+				if x > 0 {
+					x--
+					bs = plat[row+x]
+					if o := ok[x]; o != 0 { // ok is clear on the last step
+						bs &^= plat[row+words+x] & o
+					}
+					continue
+				}
+				if t--; t < 0 {
+					break
+				}
+				row -= words
+				if !anySet(plat[row : row+words]) {
+					continue // nothing to visit: skip plateauRow's walk of pre
 				}
 				s.plateauRow(row, ok, maskOff, masks)
-			}
-			region = uint32(v - rowStart)
-			if ok[region>>6]>>(region&63)&1 != 0 {
-				parent[v] = find(parent, v+int32(R))
-				shortcuts++
-				continue
-			}
-		}
-		roots = roots[:0]
-		// Neighbor order fixes the order of the edges at a saddle.
-	neighbors:
-		for _, d := range delta[off[region]:off[region+1]] {
-			u := v + d
-			if uint32(u) >= uint32(n) || parent[u] == unswept {
-				continue
-			}
-			r := find(parent, u)
-			for _, seen := range roots {
-				if seen == r {
-					continue neighbors
+				for j, o := range ok {
+					shortcuts += bits.OnesCount64(o & plat[row+j])
 				}
+				x = words
 			}
-			roots = append(roots, r)
+			if t < 0 {
+				continue
+			}
+			firstUnswept = math.MaxInt32 // a run's top is visited first
+			k := 63 - bits.LeadingZeros64(bs)
+			bs &^= 1 << k
+			region = uint32(x<<6 + k)
+			v = t*R + int32(region)
+			xv, onPlateau = parent[v], true
+			fresh = t+1 == steps || plat[row+words+x]>>k&1 == 0
+			if fresh && ok[x]>>k&1 != 0 {
+				r := find(parent, v+R)
+				parent[xv], parent[v] = r, r
+				continue
+			}
+		} else if i < len(order) {
+			v = order[i]
+			region, xv = uint32(v)%uint32(R), v
+			i++
+		} else {
+			break
+		}
+		if onPlateau {
+			roots = s.upperOnPlateau(roots[:0], delta[off[region]:off[region+1]], v, int32(region), row, n)
+		} else {
+			roots = upper(roots[:0], parent, delta[off[region]:off[region+1]], v, n, firstUnswept)
 		}
 
 		switch len(roots) {
@@ -372,13 +470,16 @@ func (s *sweeper) sweep(g *stgraph.Graph, vals []float64, kind Kind, out *Extrem
 			// v is an extremum: it creates a component and is a leaf.
 			c := int32(len(comps))
 			comps = append(comps, component{head: v, creator: c})
-			parent[v] = -2 - c
+			parent[xv] = -2 - c
 			leaves = append(leaves, v)
 			pers = append(pers, 0)
 			dest = append(dest, unpaired)
 		case 1:
 			// Regular vertex: join the component. Head and creator change
 			// only at critical points, so edges connect critical vertices.
+			if fresh {
+				parent[xv] = roots[0]
+			}
 			parent[v] = roots[0]
 		default:
 			// v is a destroyer (merge saddle). A Morse function merges two
@@ -417,6 +518,9 @@ func (s *sweeper) sweep(g *stgraph.Graph, vals []float64, kind Kind, out *Extrem
 			}
 			w := &comps[compOf(parent, win)]
 			w.head, w.creator = v, survivor
+			if fresh {
+				parent[xv] = win
+			}
 			parent[v] = win
 			critical++
 		}
@@ -425,8 +529,12 @@ func (s *sweeper) sweep(g *stgraph.Graph, vals []float64, kind Kind, out *Extrem
 	// The vertex swept last is the root. The creator that survives in its
 	// component is the global extremum: an essential pair with persistence
 	// equal to the function range.
-	root := order[n-1]
-	c := comps[compOf(parent, find(parent, root))]
+	root := s.lastSwept(kind)
+	node := root
+	if lo == len(order) {
+		node = parent[root] // the plateau's run
+	}
+	c := comps[compOf(parent, find(parent, node))]
 	extreme := leaves[c.creator]
 	dest[c.creator], pers[c.creator] = -1, math.Abs(vals[root]-vals[extreme])
 	paired++
@@ -455,6 +563,66 @@ func (s *sweeper) sweep(g *stgraph.Graph, vals []float64, kind Kind, out *Extrem
 	s.comps, s.roots, s.dest = comps, roots, dest
 	s.shortcuts = shortcuts
 	out.Leaves, out.Persistence, out.Critical = leaves, pers, critical
+}
+
+// upper appends to roots the distinct components of the swept neighbours
+// of v, a vertex off the plateau, in neighbour order — the order that fixes
+// the order of the edges at a saddle. A link to a run slot of firstUnswept
+// or above is a plateau vertex's whose run is not swept yet.
+func upper(roots, parent, nbrs []int32, v, n, firstUnswept int32) []int32 {
+neighbors:
+	for _, d := range nbrs {
+		u := v + d
+		if uint32(u) >= uint32(n) {
+			continue
+		}
+		p := parent[u]
+		if p == unswept || p >= firstUnswept {
+			continue
+		}
+		r := u
+		if p >= 0 {
+			r = find(parent, u)
+		}
+		for _, seen := range roots {
+			if seen == r {
+				continue neighbors
+			}
+		}
+		roots = append(roots, r)
+	}
+	return roots
+}
+
+// upperOnPlateau is upper for v on the plateau, at region of the step
+// whose row starts at word row, on a domain of n vertices: a plateau
+// neighbour of lower id is not swept yet, whatever its run.
+func (s *sweeper) upperOnPlateau(roots, nbrs []int32, v, region int32, row int, n int32) []int32 {
+	parent, plat, R := s.parent, s.plat, int32(s.regions)
+neighbors:
+	for _, d := range nbrs {
+		u := v + d
+		if uint32(u) >= uint32(n) || parent[u] == unswept {
+			continue
+		}
+		if u < v {
+			ur, urow := region+d, row // u's region and row
+			if d == -R {
+				ur, urow = region, row-(s.regions+63)>>6
+			}
+			if plat[urow+int(ur>>6)]>>(ur&63)&1 != 0 {
+				continue
+			}
+		}
+		r := find(parent, u)
+		for _, seen := range roots {
+			if seen == r {
+				continue neighbors
+			}
+		}
+		roots = append(roots, r)
+	}
+	return roots
 }
 
 // plateauRow decides from the bit rows which plateau vertices (t, r) of the
