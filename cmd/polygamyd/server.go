@@ -197,8 +197,8 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 		"warmStart": s.warmStart,
 		"snapshot":  snapshot,
 		// rebuilds counts full derived-state discards over the framework's
-		// lifetime (a range-extending AddDataset, an ingest starting before
-		// the corpus); an operator watching this sees exactly when
+		// lifetime (a write whose new data set starts in an earlier step
+		// than the corpus); an operator watching this sees exactly when
 		// incrementality was lost.
 		"rebuilds": s.fw().Rebuilds(),
 	}

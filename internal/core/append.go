@@ -10,7 +10,7 @@ import (
 // This file is the append path of the corpus lifecycle layer: AppendSlice
 // extends a registered data set with new tuples — typically a fresh time
 // slice of a continuously collected urban feed — without tearing down the
-// derived state the way AddDataset does when the corpus time range grows.
+// derived state, as a new data set that ends later does (write.go).
 //
 // The tiled temporal domain (temporal.TileWidth, tile.go) is what makes
 // this incremental. Extending the corpus maximum timestamp appends steps to
@@ -76,9 +76,6 @@ type AppendStats struct {
 	// FellBack reports that the append recomputed every entry from an
 	// empty base: nothing was indexed yet.
 	FellBack bool
-	// Rebuilds echoes the framework-lifetime rebuild counter after the
-	// call (see IndexStats.Rebuilds); an append leaves it unchanged.
-	Rebuilds int64
 
 	// ComputeDuration and IndexDuration are cumulative worker time in
 	// scalar computation and feature extraction over recomputed tiles.
@@ -91,7 +88,7 @@ type AppendStats struct {
 // slice, which must match the data set's schema and start no earlier than
 // the corpus start of time (appends never extend into the past — that would
 // shift every step index). Extending the corpus end of time is the designed
-// case and is incremental: no resetIndex, only dirty tiles recomputed, only
+// case and is incremental: no rebuild, only dirty tiles recomputed, only
 // affected graph pairs re-tested.
 //
 // It is one corpus write (write.go): the recompute runs without the state

@@ -155,7 +155,7 @@ func TestAppendEquivalence(t *testing.T) {
 		{
 			// Extending mid-tile: the partial last tile's width changes, so
 			// every data set's entries restitch (domainFrom = 0 while the
-			// corpus is single-tile) — still no resetIndex, and byte-equal.
+			// corpus is single-tile) — still no rebuild, and byte-equal.
 			name:  "mid-tile extension",
 			slice: func() *dataset.Dataset { return hourSlice("wind", "speed", 202, plantedHours, 120) },
 			// +120 hours crosses 8784: the corpus becomes two Hour tiles.

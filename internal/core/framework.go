@@ -26,8 +26,8 @@ package core
 
 import (
 	"fmt"
-	"log/slog"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -81,22 +81,16 @@ type Options struct {
 	IncludeGradients bool
 }
 
-// IndexStats reports what one BuildIndex call did. With incremental
-// indexing, the function and duration fields cover only the data sets
-// indexed by that call; previously indexed data sets are reused untouched.
+// IndexStats reports what one BuildIndex or IngestDataset call did. The
+// function and duration fields cover only the data sets that call indexed
+// (or recomputed, when its domain grew); the rest are reused untouched.
+// Framework.Rebuilds counts the writes that rebuilt from an empty base.
 type IndexStats struct {
 	Datasets        int // data sets registered in the corpus
 	DatasetsIndexed int // data sets (re)indexed by this call
 	DatasetsReused  int // data sets whose existing entries were kept
 	Functions       int // scalar functions computed by this call
 	FeatureSets     int // feature sets extracted by this call
-
-	// Rebuilds is the framework-lifetime count of full derived-state
-	// teardowns (resetIndex): how many times the corpus was forced to
-	// re-derive every timeline, bit vector, and graph from scratch. A
-	// healthy append-only deployment keeps this at its warm-start value;
-	// a climbing counter is a rebuild storm (see Framework.Rebuilds).
-	Rebuilds int64
 
 	// ComputeDuration and IndexDuration are cumulative time spent across
 	// workers in scalar computation and feature identification. Each task
@@ -197,10 +191,10 @@ type Framework struct {
 	cache    map[string]*cachedResult
 	inflight map[string]*inflightQuery
 
-	// rebuilds counts full derived-state teardowns (resetIndex) over the
-	// framework's lifetime, so operators can see rebuild storms (every
-	// teardown discards all bit vectors, caches, and the relationship
-	// graph). Reported by IndexStats.Rebuilds and Framework.Rebuilds.
+	// rebuilds counts the corpus writes that discarded the derived state
+	// (a start in an earlier step, write.go) over the framework's lifetime,
+	// so operators can see rebuild storms (every one discards all bit
+	// vectors, caches, and the relationship graph). Read by Rebuilds.
 	rebuilds atomic.Int64
 
 	// mappings are the snapshot memory mappings adopted by Load: sections
@@ -261,13 +255,11 @@ func (f *Framework) workers() int {
 	return f.opts.Workers
 }
 
-// AddDataset registers a data set with the corpus. Adding after BuildIndex
-// is supported and incremental: the next BuildIndex call indexes only the
-// new data set's functions and keeps every existing entry — unless the new
-// data set extends the corpus time range, which changes every shared
-// timeline and forces a full rebuild. Cached results that involve the new
-// data set (none can, for a genuinely new name) are invalidated; the rest
-// stay valid.
+// AddDataset registers a data set with the corpus and widens its time
+// range; it computes and drops nothing. The next corpus write (write.go)
+// indexes it from no base under the one range rule that write applies to
+// IngestDataset: a later end grows the domain forward, and only a start in
+// an earlier step than some timeline's first rebuilds from an empty base.
 //
 // AddDataset takes the writer mutex and the state lock exclusively: it
 // blocks until an in-flight write finishes and reads drain (see the
@@ -280,54 +272,13 @@ func (f *Framework) AddDataset(d *dataset.Dataset) error {
 	defer f.writeMu.Unlock()
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if err := f.writableLocked(); err != nil {
+	if err := f.checkWriteLocked(d, nil); err != nil {
 		return err
 	}
-	if _, dup := f.datasets[d.Name]; dup {
-		return fmt.Errorf("core: duplicate dataset %q", d.Name)
-	}
-	lo, hi, ok := d.TimeRange()
-	if !ok {
-		return fmt.Errorf("core: dataset %q is empty", d.Name)
-	}
-	extends := len(f.datasets) > 0 && (lo < f.minTS || hi > f.maxTS)
-	if len(f.datasets) == 0 || lo < f.minTS {
-		f.minTS = lo
-	}
-	if len(f.datasets) == 0 || hi > f.maxTS {
-		f.maxTS = hi
-	}
+	f.minTS, f.maxTS = widenRange(len(f.order) == 0, f.minTS, f.maxTS, d)
 	f.datasets[d.Name] = d
 	f.order = append(f.order, d.Name)
-	if extends && (f.built || len(f.timelines) > 0) {
-		// The corpus time range grew under an existing index:
-		// per-resolution timelines change length, so every existing bit
-		// vector is over the wrong domain. This is the teardown path
-		// AppendSlice exists to avoid. Range extensions during pre-build
-		// registration are not counted: there is no derived state to
-		// discard yet.
-		f.resetIndex(d.Name)
-	} else {
-		f.dropResultsInvolving(d.Name)
-	}
 	return nil
-}
-
-// resetIndex drops all derived state: index entries, shared timelines and
-// graphs, and every Monte Carlo result (resetResults). The registered data
-// sets are kept. It counts and logs the teardown — naming the data set
-// that forced it — so rebuild storms are visible to operators (/v1/stats
-// and /metrics). The caller must hold the state lock exclusively.
-func (f *Framework) resetIndex(trigger string) {
-	slog.Warn("core: dataset extends corpus time range; discarding derived state",
-		"dataset", trigger, "minTS", f.minTS, "maxTS", f.maxTS,
-		"rebuild", f.rebuilds.Load()+1)
-	f.rebuilds.Add(1)
-	mRebuilds.Inc()
-	f.index = newIndex()
-	f.timelines = make(map[temporal.Resolution]*temporal.Timeline)
-	f.graphs = make(map[Resolution]*stgraph.Graph)
-	f.resetResults()
 }
 
 // Datasets returns the registered data set names in insertion order.
@@ -346,18 +297,6 @@ func (f *Framework) writableLocked() error {
 		return fmt.Errorf("core: framework was opened from a snapshot without its raw data sets and is read-only")
 	}
 	return nil
-}
-
-// unindexed returns the registered data sets not yet covered by the index,
-// in insertion order.
-func (f *Framework) unindexed() []string {
-	var out []string
-	for _, name := range f.order {
-		if !f.index.has(name) {
-			out = append(out, name)
-		}
-	}
-	return out
 }
 
 // resolutionsFor enumerates the evaluation resolutions viable for a data
@@ -413,7 +352,8 @@ type funcTask struct {
 // every not-yet-indexed data set's scalar functions are computed at every
 // viable resolution, merge-tree indexed, and their salient and extreme
 // features extracted. The first call indexes the whole corpus; after an
-// incremental AddDataset only the new data set is processed.
+// AddDataset only the new data set is computed, plus the grown tiles of the
+// others when it ends later (write.go).
 //
 // Each function is one ForEach input that computes and feature-indexes it
 // tile by tile (tile.go), dropping the raw function before it returns, so
@@ -433,7 +373,9 @@ func (f *Framework) BuildIndex() (IndexStats, error) {
 
 // indexedLocked reports whether the index covers every registered data
 // set. The caller must hold the state lock (shared or exclusive).
-func (f *Framework) indexedLocked() bool { return f.built && len(f.unindexed()) == 0 }
+func (f *Framework) indexedLocked() bool {
+	return f.built && !slices.ContainsFunc(f.order, func(n string) bool { return !f.index.has(n) })
+}
 
 // Indexed reports whether the index covers every registered data set.
 func (f *Framework) Indexed() bool {
@@ -468,7 +410,7 @@ func (f *Framework) Graph(res Resolution) (*stgraph.Graph, bool) {
 }
 
 // Rebuilds returns the framework-lifetime count of full derived-state
-// teardowns (index, timelines, graphs, caches all dropped and re-derived).
+// rebuilds (index, timelines, graphs, caches all dropped and re-derived).
 func (f *Framework) Rebuilds() int64 { return f.rebuilds.Load() }
 
 // NumFunctions returns the total number of indexed scalar functions.

@@ -123,8 +123,10 @@ func TestIncrementalAddDatasetEquivalence(t *testing.T) {
 }
 
 // TestAddDatasetExtendingRangeForcesRebuild: a data set that widens the
-// corpus time range changes every shared timeline, so the whole index must
-// be rebuilt.
+// corpus time range back into earlier steps shifts every step index of the
+// shared timelines, so the BuildIndex after it rebuilds the whole index,
+// counted once. (Widening forward is incremental: see
+// TestIngestRangeExtensionFallback.)
 func TestAddDatasetExtendingRangeForcesRebuild(t *testing.T) {
 	wind, trips := plantedPair(23, randomHours(34, 40), nil)
 	f := newFW(t)
@@ -133,25 +135,29 @@ func TestAddDatasetExtendingRangeForcesRebuild(t *testing.T) {
 	if _, err := f.BuildIndex(); err != nil {
 		t.Fatal(err)
 	}
-	// One tuple a week after the planted year: extends the range.
-	late := &dataset.Dataset{
-		Name: "late", SpatialRes: spatial.City, TemporalRes: temporal.Hour,
+	// One tuple a week before the planted year: extends the range back.
+	early := &dataset.Dataset{
+		Name: "early", SpatialRes: spatial.City, TemporalRes: temporal.Hour,
 		Attrs: []string{"v"},
 		Tuples: []dataset.Tuple{
-			{Region: 0, TS: ts(0, 0), Values: []float64{1}},
-			{Region: 0, TS: ts(7*53, 0), Values: []float64{2}},
+			{Region: 0, TS: ts(-7, 0), Values: []float64{1}},
+			{Region: 0, TS: ts(1, 0), Values: []float64{2}},
 		},
 	}
-	if err := f.AddDataset(late); err != nil {
+	rebuilds := f.Rebuilds()
+	if err := f.AddDataset(early); err != nil {
 		t.Fatal(err)
+	}
+	if f.Rebuilds() != rebuilds {
+		t.Errorf("AddDataset alone counted %d rebuilds; it only registers", f.Rebuilds()-rebuilds)
 	}
 	stats, err := f.BuildIndex()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.DatasetsIndexed != 3 || stats.DatasetsReused != 0 {
-		t.Errorf("range-extending add: DatasetsIndexed=%d DatasetsReused=%d, want 3/0",
-			stats.DatasetsIndexed, stats.DatasetsReused)
+	if stats.DatasetsIndexed != 3 || stats.DatasetsReused != 0 || f.Rebuilds() != rebuilds+1 {
+		t.Errorf("range-extending add: DatasetsIndexed=%d DatasetsReused=%d rebuilds %d, want 3/0/1",
+			stats.DatasetsIndexed, stats.DatasetsReused, f.Rebuilds()-rebuilds)
 	}
 	// All bit vectors must live on the new, longer timelines.
 	res := Resolution{spatial.City, temporal.Hour}

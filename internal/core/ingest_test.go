@@ -2,6 +2,8 @@ package core
 
 import (
 	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
 	"sync"
 	"testing"
@@ -110,12 +112,14 @@ func TestIngestEquivalence(t *testing.T) {
 	}
 }
 
-// TestIngestRangeExtensionFallback: ingesting a data set that grows the
-// corpus time range. Growth forward is incremental, like an append: no
-// rebuild, and the families of pairs whose tiles kept their widths survive.
-// Growth into the past shifts every step index, so that ingest recomputes
-// from an empty base and counts exactly one rebuild. Both land in the exact
-// from-scratch state.
+// TestIngestRangeExtensionFallback: bringing in a data set that grows the
+// corpus time range, through either entry point — IngestDataset, or
+// AddDataset + BuildIndex — under the one range rule of the corpus write.
+// Growth forward is incremental, like an append: no rebuild, and the
+// families of pairs whose tiles kept their widths survive. Growth into an
+// earlier step shifts every step index, so that write recomputes from an
+// empty base and counts exactly one rebuild. Both entry points land in the
+// exact from-scratch state, and in the same stats and snapshot bytes.
 func TestIngestRangeExtensionFallback(t *testing.T) {
 	clause := Clause{Permutations: 60}
 	later := func() *dataset.Dataset { return noiseDataset("later", 92, 48+24*10) }
@@ -128,46 +132,97 @@ func TestIngestRangeExtensionFallback(t *testing.T) {
 		}
 		return rels
 	}
+	entryPoints := []struct {
+		name string
+		add  func(*Framework, *dataset.Dataset) (IndexStats, error)
+	}{
+		{"IngestDataset", (*Framework).IngestDataset},
+		{"AddDataset+BuildIndex", func(f *Framework, d *dataset.Dataset) (IndexStats, error) {
+			if err := f.AddDataset(d); err != nil {
+				return IndexStats{}, err
+			}
+			return f.BuildIndex()
+		}},
+	}
+	forwardScratch := buildFW(t, append(appendCorpus(t, 48), later()))
+	backwardScratch := buildFW(t, append(appendCorpus(t, 48), later(), early()))
 
-	// The base corpus ends on a tile boundary (appendCorpus), so the
-	// forward growth opens new tiles and leaves the old ones' widths alone.
-	live := buildFW(t, appendCorpus(t, 48))
-	if _, err := live.BuildGraph(clause); err != nil {
-		t.Fatal(err)
+	// outcome is what must not depend on the entry point.
+	type outcome struct {
+		forward, backward IndexStats
+		rebuilds          [2]int64
+		graph             GraphStats
+		answers           [2][]Relationship
+		snapshot          []byte
 	}
-	rebuilds := live.Rebuilds()
-	st, err := live.IngestDataset(later())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.DatasetsIndexed != 1 || live.Rebuilds() != rebuilds {
-		t.Errorf("forward-extending ingest: DatasetsIndexed %d, rebuilds %d -> %d; want 1 and unchanged",
-			st.DatasetsIndexed, rebuilds, live.Rebuilds())
-	}
-	gs, err := live.BuildGraph(clause)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gs.PairsReused == 0 {
-		t.Errorf("post-ingest BuildGraph stats = %+v, want the untouched pairs' families reused", gs)
-	}
-	if !reflect.DeepEqual(query(buildFW(t, append(appendCorpus(t, 48), later()))), query(live)) {
-		t.Fatal("query results differ after forward-extending ingest")
-	}
+	var outcomes []outcome
+	for _, ep := range entryPoints {
+		t.Run(ep.name, func(t *testing.T) {
+			var o outcome
+			// The base corpus ends on a tile boundary (appendCorpus), so the
+			// forward growth opens new tiles and leaves the old ones' widths
+			// alone.
+			live := buildFW(t, appendCorpus(t, 48))
+			if _, err := live.BuildGraph(clause); err != nil {
+				t.Fatal(err)
+			}
+			rebuilds := live.Rebuilds()
+			st, err := ep.add(live, later())
+			if err != nil {
+				t.Fatal(err)
+			}
+			o.rebuilds[0] = live.Rebuilds() - rebuilds
+			if st.DatasetsIndexed != 1 || o.rebuilds[0] != 0 {
+				t.Errorf("forward extension: DatasetsIndexed %d, %d rebuilds; want 1 and none", st.DatasetsIndexed, o.rebuilds[0])
+			}
+			if o.graph, err = live.BuildGraph(clause); err != nil {
+				t.Fatal(err)
+			}
+			if o.graph.PairsReused == 0 {
+				t.Errorf("post-extension BuildGraph stats = %+v, want the untouched pairs' families reused", o.graph)
+			}
+			o.answers[0] = query(live)
+			if !reflect.DeepEqual(query(forwardScratch), o.answers[0]) {
+				t.Fatal("query results differ after forward extension")
+			}
+			assertIndexIdentical(t, forwardScratch, live)
+			path := filepath.Join(t.TempDir(), "forward.snap")
+			if err := live.Save(path); err != nil {
+				t.Fatal(err)
+			}
+			if o.snapshot, err = os.ReadFile(path); err != nil {
+				t.Fatal(err)
+			}
+			o.forward = st
 
-	st, err = live.IngestDataset(early())
-	if err != nil {
-		t.Fatal(err)
+			if o.backward, err = ep.add(live, early()); err != nil {
+				t.Fatal(err)
+			}
+			o.rebuilds[1] = live.Rebuilds() - rebuilds
+			if o.rebuilds[1] != 1 || o.backward.DatasetsIndexed != 5 {
+				t.Errorf("backward extension: %d rebuilds, DatasetsIndexed %d; want one rebuild and all 5",
+					o.rebuilds[1], o.backward.DatasetsIndexed)
+			}
+			o.answers[1] = query(live)
+			if !reflect.DeepEqual(query(backwardScratch), o.answers[1]) {
+				t.Fatal("query results differ after backward extension")
+			}
+			assertIndexIdentical(t, backwardScratch, live)
+			outcomes = append(outcomes, o)
+		})
 	}
-	if live.Rebuilds() != rebuilds+1 || st.Rebuilds != live.Rebuilds() || st.DatasetsIndexed != 5 {
-		t.Errorf("backward-extending ingest: rebuilds %d -> %d (stats %d), DatasetsIndexed %d; want one rebuild and all 5",
-			rebuilds, live.Rebuilds(), st.Rebuilds, st.DatasetsIndexed)
+	if len(outcomes) != len(entryPoints) {
+		return
 	}
-	scratch := buildFW(t, append(appendCorpus(t, 48), later(), early()))
-	if !reflect.DeepEqual(query(scratch), query(live)) {
-		t.Fatal("query results differ after backward-extending ingest")
+	a, b := outcomes[0], outcomes[1]
+	for _, st := range []*IndexStats{&a.forward, &a.backward, &b.forward, &b.backward} {
+		st.ComputeDuration, st.IndexDuration, st.WallDuration = 0, 0, 0
 	}
-	assertIndexIdentical(t, scratch, live)
+	a.graph.WallDuration, b.graph.WallDuration = 0, 0
+	if !reflect.DeepEqual(a, b) {
+		t.Errorf("the entry points differ:\n IngestDataset          %+v %+v rebuilds %v graph %+v\n AddDataset+BuildIndex  %+v %+v rebuilds %v graph %+v",
+			a.forward, a.backward, a.rebuilds, a.graph, b.forward, b.backward, b.rebuilds, b.graph)
+	}
 }
 
 func TestIngestIntoUnbuiltFramework(t *testing.T) {

@@ -36,7 +36,7 @@ var (
 	mIndexFunctions = obsv.NewGauge("polygamy_index_functions",
 		"Indexed function entries after the latest build or load.")
 	mRebuilds = obsv.NewCounter("polygamy_rebuilds_total",
-		"Index resets forced by datasets extending the corpus time range.")
+		"Index rebuilds forced by data sets starting in an earlier step than the corpus.")
 
 	mGraphBuilds = obsv.NewCounter("polygamy_graph_builds_total",
 		"Relationship graph builds.")

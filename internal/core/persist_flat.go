@@ -443,12 +443,10 @@ func (f *Framework) installIndexLocked(snap flatIndexSnap) error {
 func (f *Framework) indexesExactly(name string, run []*FunctionEntry) bool {
 	var names []string
 	var resolutions []Resolution
-	if d := f.datasets[name]; d != nil {
-		specs := scalar.Specs(d)
-		resolutions, names = f.resolutionsFor(d), make([]string, len(specs))
-		for i, spec := range specs {
-			names[i] = spec.Name()
-		}
+	funcs := 0
+	d := f.datasets[name]
+	if d != nil {
+		funcs, resolutions = len(scalar.Specs(d)), f.resolutionsFor(d)
 	} else {
 		for _, e := range run {
 			if strings.HasPrefix(e.SpecName, "grad_") {
@@ -461,9 +459,10 @@ func (f *Framework) indexesExactly(name string, run []*FunctionEntry) bool {
 				resolutions = append(resolutions, e.Res)
 			}
 		}
+		funcs = len(names)
 	}
 	variants := f.variants()
-	if len(run) != len(resolutions)*len(names)*len(variants) {
+	if len(run) != len(resolutions)*funcs*len(variants) {
 		return false
 	}
 	for _, e := range run {
@@ -472,7 +471,7 @@ func (f *Framework) indexesExactly(name string, run []*FunctionEntry) bool {
 		}
 		indexed := false
 		for _, v := range variants {
-			if rest, ok := strings.CutPrefix(e.SpecName, v); ok && slices.Contains(names, rest) {
+			if rest, ok := strings.CutPrefix(e.SpecName, v); ok && (d != nil && scalar.SpecNamed(d, rest) || slices.Contains(names, rest)) {
 				indexed = true
 			}
 		}

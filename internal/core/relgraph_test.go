@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/urbandata/datapolygamy/internal/dataset"
 	"github.com/urbandata/datapolygamy/internal/obsv"
 	"github.com/urbandata/datapolygamy/internal/relgraph"
 	"github.com/urbandata/datapolygamy/internal/stats"
@@ -318,43 +319,75 @@ func TestGraphClauseChangeRebuilds(t *testing.T) {
 	}
 }
 
-// TestGraphResetOnTimeRangeExtension asserts that a data set extending the
-// corpus time range — which forces a full index rebuild — also drops the
-// materialized graph, mirroring the index contract.
+// TestGraphResetOnTimeRangeExtension: a data set that extends the corpus
+// time range forward leaves the materialized graph in place while AddDataset
+// registers it. The BuildIndex after it resets only the families whose
+// supporting state changed, and the BuildGraph after that gives the stats and
+// graph of the IngestDataset path and the graph of a scratch build.
 func TestGraphResetOnTimeRangeExtension(t *testing.T) {
-	f := newFW(t)
-	wind, trips := plantedPair(10, randomHours(17, 40), nil)
-	for _, err := range []error{f.AddDataset(wind), f.AddDataset(trips)} {
+	late := func() *dataset.Dataset {
+		d, _ := plantedPair(12, randomHours(23, 40), nil)
+		d.Name = "late"
+		for i := range d.Tuples {
+			d.Tuples[i].TS += 365 * 24 * 3600 // extend the corpus range
+		}
+		return d
+	}
+	corpus := func(extra ...*dataset.Dataset) *Framework {
+		f := newFW(t)
+		wind, trips := plantedPair(10, randomHours(17, 40), nil)
+		for _, d := range append([]*dataset.Dataset{wind, trips}, extra...) {
+			if err := f.AddDataset(d); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := f.BuildIndex(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.BuildGraph(graphClause()); err != nil {
+			t.Fatal(err)
+		}
+		return f
+	}
+	refresh := func(f *Framework) (GraphStats, *relgraph.Graph) {
+		t.Helper()
+		st, err := f.BuildGraph(graphClause())
 		if err != nil {
 			t.Fatal(err)
 		}
+		st.WallDuration = 0
+		g, _ := f.RelGraph()
+		return st, g
 	}
-	if _, err := f.BuildIndex(); err != nil {
+
+	added := corpus()
+	if err := added.AddDataset(late()); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.BuildGraph(graphClause()); err != nil {
+	if _, ok := added.RelGraph(); !ok {
+		t.Error("AddDataset dropped the graph; it only registers")
+	}
+	if _, err := added.BuildIndex(); err != nil {
 		t.Fatal(err)
 	}
-	late, _ := plantedPair(12, randomHours(23, 40), nil)
-	late.Name = "late"
-	for i := range late.Tuples {
-		late.Tuples[i].TS += 365 * 24 * 3600 // extend the corpus range
+	st, g := refresh(added)
+	if st.PairsComputed+st.PairsReused != 3 || st.PairsComputed < 2 {
+		t.Errorf("post-extension build stats = %+v, want the 3 pairs, the new data set's 2 computed", st)
 	}
-	if err := f.AddDataset(late); err != nil {
+
+	ingested := corpus()
+	if _, err := ingested.IngestDataset(late()); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := f.RelGraph(); ok {
-		t.Error("graph should be dropped when the corpus time range extends")
+	wantSt, wantG := refresh(ingested)
+	if st != wantSt {
+		t.Errorf("graph stats differ:\n AddDataset+BuildIndex %+v\n IngestDataset         %+v", st, wantSt)
 	}
-	if _, err := f.BuildIndex(); err != nil {
-		t.Fatal(err)
+	if !g.Equal(wantG) {
+		t.Error("graph differs between the AddDataset and IngestDataset paths")
 	}
-	st, err := f.BuildGraph(graphClause())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.PairsComputed != 3 || st.PairsReused != 0 {
-		t.Errorf("post-reset build stats = %+v, want full recompute of 3 pairs", st)
+	if scratchG, _ := corpus(late()).RelGraph(); !g.Equal(scratchG) {
+		t.Error("graph differs between the AddDataset path and a scratch build")
 	}
 }
 

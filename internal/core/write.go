@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"log/slog"
 	"maps"
 	"slices"
 	"strings"
@@ -28,8 +29,8 @@ import (
 //     resolution of every data set;
 //   - splice (brief exclusive lock): publish the data sets, time range,
 //     timelines, graphs and index at once, and drop the Monte Carlo results
-//     of the data sets whose supporting state changed. A new data set is
-//     registered only here, so no reader sees one without its index.
+//     of the data sets whose supporting state changed. IngestDataset's
+//     data set is registered only here, so no reader sees it unindexed.
 //
 // One rule sets a task's fromTile, the first tile it recomputes:
 //
@@ -42,10 +43,11 @@ import (
 //   - -1, keeping the captured entries, otherwise.
 //
 // A rebuild is no separate path: it is this write from an empty base. That
-// happens when nothing is indexed yet, when AddDataset has already reset
-// the index, and when an ingested data set starts before the corpus does —
-// every step index shifts, so no entry survives; that last case drops the
-// derived state at the splice and counts one rebuild (resetIndex).
+// happens when nothing is indexed yet, and when a data set registered but
+// not indexed (IngestDataset's, or AddDataset's) starts in a step before
+// the first of some captured timeline — every step index shifts, so no
+// entry survives; that case drops the derived state at the splice and
+// counts one rebuild.
 //
 // writeMu serializes the writes with AddDataset and Load, so nothing
 // changes the corpus between capture and splice, while readers are served
@@ -86,7 +88,6 @@ func (f *Framework) write(add, slice *dataset.Dataset) (IndexStats, AppendStats,
 	minTS, maxTS := f.minTS, f.maxTS
 	timelines, graphs := maps.Clone(f.timelines), maps.Clone(f.graphs)
 	base := f.index
-	hadState := f.built || len(f.timelines) > 0
 	noop := add == nil && slice == nil && f.indexedLocked()
 	err := f.checkWriteLocked(add, slice)
 	f.mu.RUnlock()
@@ -98,15 +99,8 @@ func (f *Framework) write(add, slice *dataset.Dataset) (IndexStats, AppendStats,
 	}
 
 	newMin, newMax := minTS, maxTS
-	rebase := false
 	if add != nil {
-		lo, hi, _ := add.TimeRange()
-		if len(order) == 0 {
-			newMin, newMax = lo, hi
-		}
-		// A data set starting before the corpus shifts every step index.
-		rebase = len(order) > 0 && lo < minTS
-		newMin, newMax = min(newMin, lo), max(newMax, hi)
+		newMin, newMax = widenRange(len(order) == 0, minTS, maxTS, add)
 		order = append(order, add.Name)
 		datasets[add.Name] = add
 	}
@@ -117,6 +111,11 @@ func (f *Framework) write(add, slice *dataset.Dataset) (IndexStats, AppendStats,
 		newMax = max(newMax, sliceHi)
 		datasets[slice.Name] = appendTuples(datasets[slice.Name], slice)
 		ast.Dataset = slice.Name
+	}
+	// A start in an earlier step shifts every step index of that timeline.
+	rebase := false
+	for tr, tl := range timelines {
+		rebase = rebase || temporal.Bin(newMin, tr) < tl.StepStart(0)
 	}
 	if rebase {
 		base = newIndex()
@@ -230,7 +229,7 @@ func (f *Framework) write(add, slice *dataset.Dataset) (IndexStats, AppendStats,
 		}
 		from, grew := grownFrom[t.res.Temporal]
 		for vi, e := range r.entries {
-			if t.base == nil || !entryBitsEqual(t.base[vi], e) || grew && entryOccupiesTileGE(t.base[vi], from) {
+			if t.base == nil || grew && entryOccupiesTileGE(t.base[vi], from) || !entryBitsEqual(t.base[vi], e) {
 				changed[t.ds.Name] = true
 				break
 			}
@@ -253,8 +252,12 @@ func (f *Framework) write(add, slice *dataset.Dataset) (IndexStats, AppendStats,
 	}
 	f.order, f.datasets = order, datasets
 	f.minTS, f.maxTS = newMin, newMax
-	if rebase && hadState {
-		f.resetIndex(add.Name)
+	if rebase {
+		slog.Warn("core: corpus start moved to an earlier step; rebuilding derived state",
+			"datasets", slices.DeleteFunc(slices.Clone(order), f.index.has),
+			"minTS", newMin, "maxTS", newMax, "rebuild", f.rebuilds.Add(1))
+		mRebuilds.Inc()
+		f.resetResults()
 	}
 	f.timelines, f.graphs = timelines, graphs
 	f.index = ix
@@ -266,7 +269,6 @@ func (f *Framework) write(add, slice *dataset.Dataset) (IndexStats, AppendStats,
 	}
 	mIndexFunctions.Set(float64(ix.numFunctions()))
 
-	ast.Rebuilds = f.rebuilds.Load()
 	ast.WallDuration = time.Since(t0)
 	ist.Functions = ast.EntriesRebuilt
 	ist.FeatureSets = ast.EntriesRebuilt
@@ -284,7 +286,7 @@ func (f *Framework) checkWriteLocked(add, slice *dataset.Dataset) error {
 		if _, dup := f.datasets[add.Name]; dup {
 			return fmt.Errorf("core: duplicate dataset %q", add.Name)
 		}
-		if _, _, ok := add.TimeRange(); !ok {
+		if len(add.Tuples) == 0 {
 			return fmt.Errorf("core: dataset %q is empty", add.Name)
 		}
 	}
@@ -308,13 +310,22 @@ func (f *Framework) checkWriteLocked(add, slice *dataset.Dataset) error {
 	return nil
 }
 
+// widenRange returns the corpus time range [minTS, maxTS] widened to cover
+// d; first reports an empty corpus, whose range becomes d's own.
+func widenRange(first bool, minTS, maxTS int64, d *dataset.Dataset) (int64, int64) {
+	lo, hi, _ := d.TimeRange()
+	if first {
+		return lo, hi
+	}
+	return min(minTS, lo), max(maxTS, hi)
+}
+
 // indexStats completes a write's stats with the corpus-level counters.
 // The caller holds writeMu, so the corpus is the one the write published.
 func (f *Framework) indexStats(st IndexStats, indexed int) IndexStats {
 	st.Datasets = len(f.order)
 	st.DatasetsIndexed = indexed
 	st.DatasetsReused = len(f.order) - indexed
-	st.Rebuilds = f.rebuilds.Load()
 	return st
 }
 
@@ -326,7 +337,7 @@ func (f *Framework) indexStats(st IndexStats, indexed int) IndexStats {
 // graph is not rebuilt — run BuildGraph afterwards to extend it
 // incrementally with the new pairs). A data set that ends after the corpus
 // grows the domain forward, recomputing only the grown tiles of the others;
-// one that starts before the corpus rebuilds from an empty base. The
+// one that starts in an earlier step rebuilds from an empty base. The
 // resulting state is byte-identical to a from-scratch build over the
 // enlarged corpus.
 func (f *Framework) IngestDataset(d *dataset.Dataset) (IndexStats, error) {
@@ -381,11 +392,16 @@ func isEntryKey(key, ds, fn string, res Resolution) bool {
 	return key == ""
 }
 
+// allVariants are the name prefixes of a function's entries with
+// IncludeGradients: the function, then its gradient.
+var allVariants = []string{"", "grad_"}
+
 // variants are the name prefixes of the entries a write indexes for each
 // scalar function: the function, and with IncludeGradients its gradient.
+// The slice is shared; callers only read it.
 func (f *Framework) variants() []string {
 	if f.opts.IncludeGradients {
-		return []string{"", "grad_"}
+		return allVariants
 	}
-	return []string{""}
+	return allVariants[:1]
 }

@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"strings"
 	"sync"
 
 	"github.com/urbandata/datapolygamy/internal/dataset"
@@ -118,11 +119,29 @@ func (s Spec) Name() string {
 	return s.Kind.String()
 }
 
+// SpecNamed reports whether one of Specs(d) is named name, matching the
+// name by its parts instead of building the specs and their names.
+func SpecNamed(d *dataset.Dataset, name string) bool {
+	switch name {
+	case Density.String():
+		return true
+	case Unique.String():
+		return d.HasID
+	}
+	attr, ok := strings.CutPrefix(name, Avg.String())
+	if !ok {
+		return false
+	}
+	attr, ok = strings.CutPrefix(attr, "_")
+	return ok && slices.Contains(d.Attrs, attr)
+}
+
 // Specs enumerates every scalar function derived from a data set: one
 // density function, one unique function when identifiers exist, and one
 // average attribute function per numerical attribute (Section 5.1).
 func Specs(d *dataset.Dataset) []Spec {
-	out := []Spec{{Kind: Density}}
+	out := make([]Spec, 1, 2+len(d.Attrs))
+	out[0] = Spec{Kind: Density}
 	if d.HasID {
 		out = append(out, Spec{Kind: Unique})
 	}

@@ -361,6 +361,25 @@ func TestSpecs(t *testing.T) {
 	}
 }
 
+// TestSpecNamed: SpecNamed accepts exactly the names of Specs(d), with and
+// without identifiers, and rejects every near miss.
+func TestSpecNamed(t *testing.T) {
+	for _, hasID := range []bool{false, true} {
+		d := &dataset.Dataset{Name: "d", HasID: hasID, Attrs: []string{"fare", "tip"}}
+		names := map[string]bool{}
+		for _, s := range Specs(d) {
+			names[s.Name()] = true
+		}
+		candidates := []string{"", "density", "unique", "avg_fare", "avg_tip", "max_fare", "avg_", "avgfare",
+			"avg__fare", "_fare", "fare", "avg_far", "avg_fares", "grad_avg_fare", "densityx", "range_fare"}
+		for _, n := range candidates {
+			if got := SpecNamed(d, n); got != names[n] {
+				t.Errorf("HasID %t: SpecNamed(%q) = %t, want %t", hasID, n, got, names[n])
+			}
+		}
+	}
+}
+
 func TestKey(t *testing.T) {
 	city := testCity(t)
 	f, err := Compute(gpsDataset(t, city), Spec{Kind: Density}, city, spatial.City, temporal.Hour)
