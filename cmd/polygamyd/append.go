@@ -65,7 +65,7 @@ func (s *server) runAppend(d *dataset.Dataset) (map[string]any, error) {
 		"extended":          st.Extended,
 		"tilesComputed":     st.TilesComputed,
 		"tilesReused":       st.TilesReused,
-		"entriesRebuilt":    st.EntriesRebuilt,
+		"entriesRebuilt":    st.Functions,
 		"entriesReused":     st.EntriesReused,
 		"changedDatasets":   st.ChangedDatasets,
 		"graphPairsDropped": st.GraphPairsDropped,

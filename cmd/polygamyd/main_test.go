@@ -13,8 +13,10 @@ import (
 	"net/url"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -189,6 +191,58 @@ func TestServerEndpoints(t *testing.T) {
 	}
 	if len(tq.Relationships) == 0 {
 		t.Error("textual query found no relationships")
+	}
+}
+
+// TestHandlersReadOneFramework: a replica's framework accessor returns
+// whichever epoch is current, so a handler that called it more than once
+// could report one epoch's data sets beside another's function counts.
+// Here the accessor alternates between two frameworks on every call, and
+// each /v1/stats and /v1/datasets response must still describe one of them.
+func TestHandlersReadOneFramework(t *testing.T) {
+	extra := testCorpus(t)[0]
+	extra.Name = "wind2"
+	fws := [2]*core.Framework{testFramework(t), testFrameworkWith(t, extra)}
+	var calls atomic.Int64
+	srv := httptest.NewServer(newServerFn(func() *core.Framework { return fws[calls.Add(1)%2] }))
+	defer srv.Close()
+
+	type dsWire struct {
+		Name      string `json:"name"`
+		Functions int    `json:"functions"`
+	}
+	var wantStats [2][2]int
+	var wantDatasets [2][]dsWire
+	for i, fw := range fws {
+		wantStats[i] = [2]int{len(fw.Datasets()), fw.NumFunctions()}
+		for _, n := range fw.Datasets() {
+			st, _ := fw.DatasetIndexStats(n)
+			wantDatasets[i] = append(wantDatasets[i], dsWire{n, st.Functions})
+		}
+	}
+	get := func(path string, v any) {
+		t.Helper()
+		resp, err := srv.Client().Get(srv.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if err := json.NewDecoder(resp.Body).Decode(v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Several requests each, so every handler starts on both frameworks.
+	for i := 0; i < 4; i++ {
+		var st struct{ Datasets, Functions int }
+		get("/v1/stats", &st)
+		if got := [2]int{st.Datasets, st.Functions}; got != wantStats[0] && got != wantStats[1] {
+			t.Errorf("/v1/stats reports %d data sets and %d functions, want %v or %v", st.Datasets, st.Functions, wantStats[0], wantStats[1])
+		}
+		var ds struct{ Datasets []dsWire }
+		get("/v1/datasets", &ds)
+		if !slices.Equal(ds.Datasets, wantDatasets[0]) && !slices.Equal(ds.Datasets, wantDatasets[1]) {
+			t.Errorf("/v1/datasets = %+v, want %+v or %+v", ds.Datasets, wantDatasets[0], wantDatasets[1])
+		}
 	}
 }
 

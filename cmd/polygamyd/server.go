@@ -163,10 +163,11 @@ func (s *server) handleDatasets(w http.ResponseWriter, r *http.Request) {
 		Name      string `json:"name"`
 		Functions int    `json:"functions,omitempty"`
 	}
+	fw := s.fw() // one framework per response: a replica's epoch may swap
 	var out []dsWire
-	for _, name := range s.fw().Datasets() {
+	for _, name := range fw.Datasets() {
 		d := dsWire{Name: name}
-		if st, ok := s.fw().DatasetIndexStats(name); ok {
+		if st, ok := fw.DatasetIndexStats(name); ok {
 			d.Functions = st.Functions
 		}
 		out = append(out, d)
@@ -175,6 +176,7 @@ func (s *server) handleDatasets(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
+	fw := s.fw() // one framework per response: a replica's epoch may swap
 	// Snapshot provenance: how this corpus came to be serving. source is
 	// "warm" when the index was loaded from a snapshot at startup, "cold"
 	// when it was built; format and mmap describe the loaded container
@@ -186,21 +188,21 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 	if s.warmStart {
 		snapshot["source"] = "warm"
 	}
-	if zeroCopy, ok := s.fw().LoadedSnapshot(); ok {
+	if zeroCopy, ok := fw.LoadedSnapshot(); ok {
 		snapshot["format"] = store.FormatVersion
 		snapshot["mmap"] = zeroCopy
 	}
 	resp := map[string]any{
 		"uptime":    time.Since(s.started).Round(time.Millisecond).String(),
-		"datasets":  len(s.fw().Datasets()),
-		"functions": s.fw().NumFunctions(),
+		"datasets":  len(fw.Datasets()),
+		"functions": fw.NumFunctions(),
 		"warmStart": s.warmStart,
 		"snapshot":  snapshot,
 		// rebuilds counts full derived-state discards over the framework's
 		// lifetime (a write whose new data set starts in an earlier step
 		// than the corpus); an operator watching this sees exactly when
 		// incrementality was lost.
-		"rebuilds": s.fw().Rebuilds(),
+		"rebuilds": fw.Rebuilds(),
 	}
 	if s.follower != nil {
 		resp["replica"] = s.follower.Status()

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"time"
 
 	"github.com/urbandata/datapolygamy/internal/dataset"
 )
@@ -44,46 +43,6 @@ import (
 // BuildIndex run too: a forward-extending ingest grows the domain the same
 // way, with the new data set computed from no base.
 
-// AppendStats reports what one AppendSlice call did.
-type AppendStats struct {
-	Dataset  string // the appended data set
-	Extended bool   // the corpus time range grew
-
-	OldMaxTS, NewMaxTS int64 // corpus end of time before and after
-
-	// TilesComputed and TilesReused count, across all function tasks, the
-	// temporal tiles recomputed versus reused verbatim from the existing
-	// index. A tile-aligned append keeps TilesReused high; appending into a
-	// partial tile recomputes it for every entry.
-	TilesComputed int
-	TilesReused   int
-
-	// EntriesRebuilt counts index entries restitched over the grown domain
-	// (or computed from no base); EntriesReused counts entries kept
-	// untouched (no domain growth and no new tuples at their resolution).
-	EntriesRebuilt int
-	EntriesReused  int
-
-	// ChangedDatasets lists the data sets whose feature bits changed, or
-	// that had no entries before (sorted). Their tested families and
-	// memoised answers are invalidated; everything else keeps its cached
-	// Monte Carlo results.
-	ChangedDatasets []string
-	// GraphPairsDropped counts the families dropped under the published
-	// graph's signature, for re-test by the next BuildGraph.
-	GraphPairsDropped int
-
-	// FellBack reports that the append recomputed every entry from an
-	// empty base: nothing was indexed yet.
-	FellBack bool
-
-	// ComputeDuration and IndexDuration are cumulative worker time in
-	// scalar computation and feature extraction over recomputed tiles.
-	ComputeDuration time.Duration
-	IndexDuration   time.Duration
-	WallDuration    time.Duration
-}
-
 // AppendSlice extends the registered data set slice.Name with the tuples of
 // slice, which must match the data set's schema and start no earlier than
 // the corpus start of time (appends never extend into the past — that would
@@ -97,12 +56,11 @@ type AppendStats struct {
 // entries, p-values, q-values, and the relationship graph after the next
 // BuildGraph — is byte-identical to a from-scratch build over the merged
 // corpus.
-func (f *Framework) AppendSlice(slice *dataset.Dataset) (AppendStats, error) {
+func (f *Framework) AppendSlice(slice *dataset.Dataset) (IndexStats, error) {
 	if err := slice.Validate(); err != nil {
-		return AppendStats{Dataset: slice.Name}, err
+		return IndexStats{}, err
 	}
-	_, st, err := f.write(nil, slice)
-	st.Dataset = slice.Name
+	st, err := f.write(nil, slice)
 	if err != nil {
 		return st, err
 	}

@@ -2,7 +2,9 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"math"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"sync"
@@ -14,6 +16,7 @@ import (
 	"github.com/urbandata/datapolygamy/internal/relgraph"
 	"github.com/urbandata/datapolygamy/internal/spatial"
 	"github.com/urbandata/datapolygamy/internal/stats"
+	"github.com/urbandata/datapolygamy/internal/store"
 	"github.com/urbandata/datapolygamy/internal/temporal"
 )
 
@@ -434,6 +437,90 @@ func TestConcurrentGraphBuildQueryStress(t *testing.T) {
 	}
 }
 
+// TestConcurrentSaveDuringGraphBuild: the published graph is one record, so
+// a Save that runs while builders alternate between two clauses of
+// different test signatures writes one graph whole: the manifest's clause
+// signature is the signature of the clause in the graph section, and
+// reopening the container reproduces that clause's graph.
+func TestConcurrentSaveDuringGraphBuild(t *testing.T) {
+	f := stressFW(t)
+	clauses := [2]Clause{{Permutations: 30}, {Permutations: 40, Correction: stats.BH}}
+	want := map[string]*relgraph.Graph{}
+	for _, c := range clauses {
+		if _, err := f.BuildGraph(c); err != nil {
+			t.Fatal(err)
+		}
+		want[graphSignature(c)], _ = f.RelGraph()
+	}
+	if len(want) != 2 {
+		t.Fatal("the two clauses share a test signature")
+	}
+
+	// The builders alternate clauses until the saver has written its
+	// containers, so every Save overlaps the builds.
+	dir := t.TempDir()
+	var paths []string
+	var builders sync.WaitGroup
+	stop := make(chan struct{})
+	for b := 0; b < 2; b++ {
+		builders.Add(1)
+		go func(b int) {
+			defer builders.Done()
+			for r := 0; ; r++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if _, err := f.BuildGraph(clauses[(b+r)%2]); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(b)
+	}
+	for i := 0; i < 20; i++ {
+		path := filepath.Join(dir, fmt.Sprintf("s%d.snap", i))
+		if err := f.Save(path); err != nil {
+			t.Error(err)
+			break
+		}
+		paths = append(paths, path)
+	}
+	close(stop)
+	builders.Wait()
+
+	seen := map[string]int{}
+	for _, path := range paths {
+		m, sections, err := store.Read(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ix, err := parseFlatIndex(sections[store.SectionIndex])
+		if err != nil {
+			t.Fatal(err)
+		}
+		snap, err := parseFlatGraph(sections[store.SectionGraph], ix.funcs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sig := graphSignature(snap.clause)
+		if m.ClauseSig != sig {
+			t.Errorf("%s: manifest clause signature %q, graph section's clause has %q", path, m.ClauseSig, sig)
+		}
+		g, err := Open(path, OpenOptions{Options: f.opts})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, ok := g.RelGraph(); !ok || want[sig] == nil || !got.Equal(want[sig]) {
+			t.Errorf("%s: reopened graph is not the graph of its clause %+v", path, snap.clause)
+		}
+		g.Close()
+		seen[sig]++
+	}
+	t.Logf("containers saved during the builds, by clause signature: %v", seen)
+}
+
 // TestConcurrentQueryGraphFamilies starts queries and graph builds that all
 // miss the same families at once, so they race to evaluate and store the
 // same pairs. Every answer, its stats counters, and the graph must be
@@ -538,7 +625,7 @@ func TestConcurrentWriters(t *testing.T) {
 	}
 	var writers sync.WaitGroup
 	var ist IndexStats
-	var ast AppendStats
+	var ast IndexStats
 	var ierr, aerr error
 	writers.Add(2)
 	go func() { defer writers.Done(); ist, ierr = live.IngestDataset(added()) }()

@@ -69,7 +69,7 @@ func TestFamiliesViewTheMapping(t *testing.T) {
 	lo := uintptr(unsafe.Pointer(&sec[0]))
 	hi := lo + uintptr(len(sec))
 	viewed := 0
-	for k, fam := range g.graphFams {
+	for k, fam := range g.published.Load().fams {
 		if len(fam) == 0 {
 			continue
 		}

@@ -35,7 +35,6 @@ import (
 
 	"github.com/urbandata/datapolygamy/internal/dataset"
 	"github.com/urbandata/datapolygamy/internal/montecarlo"
-	"github.com/urbandata/datapolygamy/internal/relgraph"
 	"github.com/urbandata/datapolygamy/internal/scalar"
 	"github.com/urbandata/datapolygamy/internal/spatial"
 	"github.com/urbandata/datapolygamy/internal/stgraph"
@@ -81,21 +80,44 @@ type Options struct {
 	IncludeGradients bool
 }
 
-// IndexStats reports what one BuildIndex or IngestDataset call did. The
-// function and duration fields cover only the data sets that call indexed
-// (or recomputed, when its domain grew); the rest are reused untouched.
+// IndexStats reports what one corpus write (BuildIndex, IngestDataset or
+// AppendSlice, write.go) did. The function, tile and duration fields cover
+// only the work that write did; untouched entries are reused as they are.
 // Framework.Rebuilds counts the writes that rebuilt from an empty base.
 type IndexStats struct {
 	Datasets        int // data sets registered in the corpus
-	DatasetsIndexed int // data sets (re)indexed by this call
-	DatasetsReused  int // data sets whose existing entries were kept
-	Functions       int // scalar functions computed by this call
-	FeatureSets     int // feature sets extracted by this call
+	DatasetsIndexed int // data sets (re)indexed from no base by this write
+	DatasetsReused  int // data sets whose existing entries were the base
+	// Functions counts the index entries this write computed, from no base
+	// or restitched over a grown domain; EntriesReused those it kept.
+	Functions     int
+	FeatureSets   int // feature sets extracted by this write
+	EntriesReused int
+
+	// TilesComputed and TilesReused count, across all function tasks, the
+	// temporal tiles recomputed versus kept from the existing index.
+	// Appending into a partial tile recomputes it for every entry.
+	TilesComputed int
+	TilesReused   int
+
+	// Extended reports that the write moved the end of time past the
+	// corpus's, or past the timelines' (a data set registered by AddDataset
+	// ends later).
+	Extended bool
+	// ChangedDatasets lists the data sets whose feature bits changed or that
+	// had no entries before (sorted); their families and memoised answers
+	// are dropped, and GraphPairsDropped counts those dropped under the
+	// published graph's signature, for re-test by the next BuildGraph.
+	ChangedDatasets   []string
+	GraphPairsDropped int
+	// FellBack reports that the write computed every entry from an empty
+	// base: nothing was indexed yet, or a rebuild.
+	FellBack bool
 
 	// ComputeDuration and IndexDuration are cumulative time spent across
 	// workers in scalar computation and feature identification. Each task
 	// runs both phases, tile by tile, so they overlap in wall time;
-	// WallDuration is the end-to-end elapsed time of the indexing job.
+	// WallDuration is the end-to-end elapsed time of the write.
 	ComputeDuration time.Duration
 	IndexDuration   time.Duration
 	WallDuration    time.Duration
@@ -156,25 +178,17 @@ type Framework struct {
 	// by test signature (graphSignature), then by data set pair, every
 	// tested relationship with its raw p-value. Query and BuildGraph both
 	// read it and fill its missing pairs. famMu guards it; it nests inside
-	// mu and graphMu and is never held across an evaluation.
+	// mu and is never held across an evaluation.
 	famMu    sync.Mutex
 	families map[string]map[graphPair][]candidate
 
-	// Materialized relationship graph. graphMu serializes graph builders
-	// and Save and guards the published graph's origin: its signature, its
-	// edge-selection rule, the clause it was built (or loaded) under — so a
-	// refresh after a corpus change can reuse exactly the operator's
-	// selection (GraphClause) — and graphFams, the families it was assembled
-	// from, minus any invalidated since. It nests inside mu (BuildGraph and
-	// Save take it while holding the read lock), so a long graph build never
-	// blocks query traffic. relGraph is the published graph — an immutable
-	// value replaced wholesale at the end of a build, read without any lock.
-	graphMu     sync.Mutex
-	graphSig    string
-	graphSel    graphSelection
-	graphClause Clause
-	graphFams   map[graphPair][]candidate
-	relGraph    atomic.Pointer[relgraph.Graph]
+	// published is the materialized relationship graph with its clause and
+	// families (graphRecord), replaced wholesale and read without any lock.
+	// A builder publishes under the shared lock, holding graphMu, which
+	// serializes BuildGraph against BuildGraph; everything else that
+	// replaces it (invalidation, reset, Load) holds mu exclusively.
+	graphMu   sync.Mutex
+	published atomic.Pointer[graphRecord]
 
 	// writeMu is the one writer mutex: AddDataset, Load and every corpus
 	// write (write.go) hold it, so nothing changes the corpus between a
@@ -363,7 +377,7 @@ type funcTask struct {
 // state lock, and reads observe either the previous or the fully built
 // index, never a partial one.
 func (f *Framework) BuildIndex() (IndexStats, error) {
-	st, _, err := f.write(nil, nil)
+	st, err := f.write(nil, nil)
 	if err == nil && st.DatasetsIndexed > 0 {
 		mIndexBuilds.Inc()
 		mIndexBuildDuration.Observe(st.WallDuration.Seconds())

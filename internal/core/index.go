@@ -12,7 +12,7 @@ import (
 
 // This file is the index layer of the framework: the Index type stores the
 // precomputed feature entries of every indexed function, organised by data
-// set and resolution, and maintains per-data-set statistics. The Framework
+// set and resolution, and reports per-data-set statistics. The Framework
 // publishes a new Index with every corpus write (write.go), reusing the
 // entries the write did not touch — indexing a newly added data set
 // computes only that data set's functions.
@@ -168,13 +168,10 @@ type Index struct {
 	// functions by position here (FunctionEntry.pos). Positions outlive any
 	// one Index: a data set that is re-indexed has its families dropped
 	// (dropResultsInvolving), and one that is not keeps its keys, so its
-	// list in the next Index is the same.
+	// list in the next Index is the same. Every data set the index covers
+	// has a key here, one with no viable evaluation resolution (indexed
+	// vacuously, with zero entries) included.
 	funcs map[string][]*FunctionEntry
-	stats map[string]DatasetStats
-	// done marks data sets the index covers. Tracked separately from
-	// entries: a data set with no viable evaluation resolution is indexed
-	// (vacuously, with zero entries) and must not be re-queued forever.
-	done map[string]bool
 
 	// tab is the function table graphs and query answers are assembled
 	// over, built on first use after a change (table).
@@ -186,18 +183,10 @@ func newIndex() *Index {
 	return &Index{
 		entries: make(map[string]map[Resolution][]*FunctionEntry),
 		funcs:   make(map[string][]*FunctionEntry),
-		stats:   make(map[string]DatasetStats),
-		done:    make(map[string]bool),
 	}
 }
 
-// markDone records that a data set's functions (possibly none) are indexed.
-func (ix *Index) markDone(ds string) {
-	ix.done[ds] = true
-}
-
-// add inserts one entry and updates its data set's statistics. Call sort
-// after the last add for a data set.
+// add inserts one entry. Call sort after the last add for a data set.
 func (ix *Index) add(e *FunctionEntry) {
 	byRes := ix.entries[e.Dataset]
 	if byRes == nil {
@@ -205,18 +194,12 @@ func (ix *Index) add(e *FunctionEntry) {
 		ix.entries[e.Dataset] = byRes
 	}
 	byRes[e.Res] = append(byRes[e.Res], e)
-	st := ix.stats[e.Dataset]
-	st.Functions++
-	st.CriticalPoints += e.CriticalPoints
-	st.SalientFeatures += e.occ(feature.Salient).All
-	st.ExtremeFeatures += e.occ(feature.Extreme).All
-	st.Resolutions = len(byRes)
-	ix.stats[e.Dataset] = st
 }
 
 // has reports whether the data set is covered by the index.
 func (ix *Index) has(ds string) bool {
-	return ix.done[ds]
+	_, ok := ix.funcs[ds]
+	return ok
 }
 
 // at returns the entries of a data set at a resolution (nil when absent).
@@ -236,7 +219,8 @@ func (ix *Index) numFunctions() int {
 }
 
 // sort orders a data set's entries deterministically by key within each
-// resolution and lays out its key-sorted entry list, numbering positions.
+// resolution and lays out its key-sorted entry list, numbering positions;
+// the data set is then covered.
 func (ix *Index) sort(ds string) {
 	var all []*FunctionEntry
 	for _, es := range ix.entries[ds] {
@@ -255,7 +239,7 @@ func (ix *Index) sort(ds string) {
 
 // addRun adds a data set's entries from run, its key-ascending entry list
 // as a parsed index section holds it (parseFlatIndex refuses any other
-// order), and marks the data set done. Positions are numbered by the run,
+// order), and covers the data set. Positions are numbered by the run,
 // so the entries keep the positions they were saved with and nothing is
 // sorted.
 func (ix *Index) addRun(ds string, run []*FunctionEntry) {
@@ -264,7 +248,6 @@ func (ix *Index) addRun(ds string, run []*FunctionEntry) {
 		ix.add(e)
 	}
 	ix.funcs[ds] = run
-	ix.markDone(ds)
 }
 
 // funcTable is the index's functions as one relgraph table: every data
@@ -298,12 +281,16 @@ func (ix *Index) table() *funcTable {
 	return t
 }
 
-// datasetStats returns the per-data-set statistics, reporting ok = false
-// for data sets the index does not cover. A covered data set with no
-// viable resolutions reports zero stats with ok = true.
+// datasetStats sums a data set's entries into its statistics, reporting
+// ok = false for data sets the index does not cover. A covered data set
+// with no viable resolutions reports zero stats with ok = true.
 func (ix *Index) datasetStats(ds string) (DatasetStats, bool) {
-	if !ix.done[ds] {
-		return DatasetStats{}, false
+	run, ok := ix.funcs[ds]
+	st := DatasetStats{Functions: len(run), Resolutions: len(ix.entries[ds])}
+	for _, e := range run {
+		st.CriticalPoints += e.CriticalPoints
+		st.SalientFeatures += e.SalientOcc.All
+		st.ExtremeFeatures += e.ExtremeOcc.All
 	}
-	return ix.stats[ds], true
+	return st, ok
 }

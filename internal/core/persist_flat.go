@@ -51,16 +51,17 @@ import (
 // occupancy counts and class tile bitmaps, which a load had recomputed from
 // the vectors, and drops the per-vector bit lengths and the critical point
 // total; 11 marks p-values counted two-sided (|tau*| >= |tau|), where a v10
-// family's p-values counted in the observed score's direction only.
-// Evolving any layout or meaning below means bumping both (the format has
-// no field tags).
-const flatSnapshotVersion = 11
+// family's p-values counted in the observed score's direction only; 12
+// drops the graph section's clause signature and selection rule, which
+// derive from its clause. Evolving any layout or meaning below means
+// bumping both (the format has no field tags).
+const flatSnapshotVersion = 12
 
 // Payload magics. The final byte is the generation, so another
-// generation's layout is "not flat v11" rather than a misparse.
+// generation's layout is "not flat v12" rather than a misparse.
 var (
-	flatIndexMagic = []byte("DPIXFLT\x0b")
-	flatGraphMagic = []byte("DPGRFLT\x0b")
+	flatIndexMagic = []byte("DPIXFLT\x0c")
+	flatGraphMagic = []byte("DPGRFLT\x0c")
 )
 
 // nilSlice is the length sentinel distinguishing a nil clause slice
@@ -532,72 +533,49 @@ func viewCandidates(b []byte, n int) []candidate {
 	return out
 }
 
-// encodeFlatGraphLocked serialises the materialized graph (the families it
-// was assembled from, clause signature, selection rule, originating clause)
-// as a flat section, returning the clause signature captured in the same
-// critical section as the payload — a caller must not re-read f.graphSig
-// afterwards, or a concurrent BuildGraph could make the two disagree. Only
-// the published graph's families are written: one a query stored for a data
-// set ingested since the last build is not part of the graph. The caller
-// must hold the state lock (shared or exclusive); the builder mutex is
-// taken here.
-func (f *Framework) encodeFlatGraphLocked() ([]byte, string, error) {
-	f.graphMu.Lock()
-	defer f.graphMu.Unlock()
-	if f.relGraph.Load() == nil {
-		return nil, "", fmt.Errorf("core: Save requires a built graph (run BuildGraph)")
-	}
-	keys := slices.Collect(maps.Keys(f.graphFams))
-	return f.flatGraphSectionLocked(f.graphSig, f.graphSel, f.graphClause, keys, f.graphFams), f.graphSig, nil
-}
-
-// flatGraphSectionLocked lays out a graph section — the inverse of
-// parseFlatGraph — for the given pairs of fams. Ahead of the pair table it
-// states the candidates' origin: the clause signature they were computed
-// under and the corpus fingerprint fields the per-pair seeds depend on. The
-// pair table lists the pairs in canonical (A, then B) order — keys is
-// sorted in place — each as its two names, its record count and its
-// records as one slab. The caller must hold the state lock.
-func (f *Framework) flatGraphSectionLocked(sig string, sel graphSelection, clause Clause,
-	keys []graphPair, fams map[graphPair][]candidate) []byte {
-	slices.SortFunc(keys, func(x, y graphPair) int { return cmp.Or(strings.Compare(x.A, y.A), strings.Compare(x.B, y.B)) })
+// encodeFlatGraphLocked lays out a published graph record as a graph
+// section — the inverse of parseFlatGraph. Ahead of the pair table it
+// states the candidates' origin: the corpus fingerprint fields the per-pair
+// seeds depend on and the clause, from which the test signature and the
+// selection rule derive. The pair table lists the record's pairs in
+// canonical (A, then B) order, each as its two names, its record count and
+// its records as one slab. Only the published graph's families are
+// written: one a query stored for a data set ingested since the last build
+// is not part of the graph. The caller must hold the state lock (shared or
+// exclusive).
+func (f *Framework) encodeFlatGraphLocked(rec *graphRecord) []byte {
+	keys := slices.SortedFunc(maps.Keys(rec.fams), func(x, y graphPair) int {
+		return cmp.Or(strings.Compare(x.A, y.A), strings.Compare(x.B, y.B))
+	})
 	n := 0
-	for _, k := range keys {
-		n += len(fams[k])
+	for _, fam := range rec.fams {
+		n += len(fam)
 	}
 	w := store.NewSlabWriter(4096 + 64*len(keys) + candidateBytes*n)
 	w.Raw(flatGraphMagic)
 	w.U64(flatSnapshotVersion)
-	w.String(sig)
 	w.I64(f.opts.Seed)
 	w.I64(f.minTS)
 	w.I64(f.maxTS)
-	w.F64(sel.alpha)
-	w.I64(int64(sel.correction))
-	w.F64(sel.maxQ)
-	w.U64(b2u(sel.skip))
-	writeFlatClause(w, clause)
+	writeFlatClause(w, rec.clause)
 	w.U64(uint64(len(keys)))
 	for _, k := range keys {
 		w.String(k.A)
 		w.String(k.B)
-		w.U64(uint64(len(fams[k])))
-		w.AppendFunc(func(dst []byte) []byte { return appendCandidates(dst, fams[k]) })
+		w.U64(uint64(len(rec.fams[k])))
+		w.AppendFunc(func(dst []byte) []byte { return appendCandidates(dst, rec.fams[k]) })
 	}
 	return w.Finish()
 }
 
 // flatGraphSnap is a parsed graph section: the published graph's families
-// with their origin, the edge-selection rule the graph is assembled under,
-// and the originating clause, so a loaded graph supports incremental
-// maintenance — q-value recomputation included — exactly like the
-// original, and refreshes under exactly the clause it was built with
+// with their origin and the clause the graph was built under, so a loaded
+// graph supports incremental maintenance — q-value recomputation included —
+// exactly like the original, and refreshes under exactly that clause
 // (GraphClause).
 type flatGraphSnap struct {
-	sig          string
 	seed         int64
 	minTS, maxTS int64
-	sel          graphSelection
 	clause       Clause
 	fams         map[graphPair][]candidate
 }
@@ -617,18 +595,14 @@ func parseFlatGraph(data []byte, funcs map[string][]*FunctionEntry) (flatGraphSn
 	if err != nil {
 		return snap, err
 	}
-	snap.sig = r.String()
 	snap.seed = r.I64()
 	snap.minTS = r.I64()
 	snap.maxTS = r.I64()
-	snap.sel = graphSelection{
-		alpha:      r.F64(),
-		correction: stats.Correction(r.I64()),
-		maxQ:       r.F64(),
-		skip:       r.U64() != 0,
-	}
 	if snap.clause, err = readFlatClause(r); err != nil {
 		return snap, err
+	}
+	if err := snap.clause.Validate(); err != nil {
+		return snap, corruptf("graph clause: %v", err)
 	}
 	nPairs := r.Count(24)
 	snap.fams = make(map[graphPair][]candidate, nPairs)
@@ -689,16 +663,14 @@ func (f *Framework) stageGraphLocked(snap *flatGraphSnap) error {
 }
 
 // applyGraphLocked publishes a staged graph section over the installed
-// index, its families becoming the stored families of its signature. The
-// caller must hold the state lock exclusively. It cannot fail.
+// index, its families becoming the stored families of its clause's
+// signature. The caller must hold the state lock exclusively. It cannot
+// fail.
 func (f *Framework) applyGraphLocked(snap *flatGraphSnap) {
-	f.graphMu.Lock()
-	f.graphSig, f.graphSel, f.graphClause, f.graphFams = snap.sig, snap.sel, snap.clause, snap.fams
-	f.graphMu.Unlock()
 	f.famMu.Lock()
-	f.families[snap.sig] = maps.Clone(snap.fams)
+	f.families[graphSignature(snap.clause)] = maps.Clone(snap.fams)
 	f.famMu.Unlock()
-	f.relGraph.Store(assembleGraph(f.index, snap.fams, snap.sel))
+	f.published.Store(&graphRecord{clause: snap.clause, fams: snap.fams, graph: assembleGraph(f.index, snap.fams, snap.clause)})
 }
 
 // ---- clause codec ----

@@ -4,7 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
-	"maps"
+	"math"
 	"path/filepath"
 	"reflect"
 	"slices"
@@ -247,15 +247,13 @@ func graphSectionWith(t *testing.T, f *Framework, mutate func(fams map[graphPair
 	t.Helper()
 	f.mu.RLock()
 	defer f.mu.RUnlock()
-	f.graphMu.Lock()
-	fams := make(map[graphPair][]candidate, len(f.graphFams))
-	for k, fam := range f.graphFams {
+	rec := f.published.Load()
+	fams := make(map[graphPair][]candidate, len(rec.fams))
+	for k, fam := range rec.fams {
 		fams[k] = slices.Clone(fam)
 	}
-	sig, sel, clause := f.graphSig, f.graphSel, f.graphClause
-	f.graphMu.Unlock()
 	mutate(fams)
-	return f.flatGraphSectionLocked(sig, sel, clause, slices.Collect(maps.Keys(fams)), fams)
+	return f.encodeFlatGraphLocked(&graphRecord{clause: rec.clause, fams: fams})
 }
 
 // TestFlatGraphRejectsDamagedPayloads walks the graph section's pair-table
@@ -288,7 +286,7 @@ func TestFlatGraphRejectsDamagedPayloads(t *testing.T) {
 
 	// The planted corpus has one pair; its family is the last slab.
 	pair := graphPair{A: "trips", B: "wind"}
-	fam := f.graphFams[pair]
+	fam := f.published.Load().fams[pair]
 	if len(fam) == 0 {
 		t.Fatal("planted pair has an empty family; the record cases would be vacuous")
 	}
@@ -315,15 +313,15 @@ func TestFlatGraphRejectsDamagedPayloads(t *testing.T) {
 	// The clause's retired test-kind word: seven words before the clause's
 	// end (Correction, MaxQ, Exhaustive, a reserved word, the window).
 	var cw store.SlabWriter
-	writeFlatClause(&cw, f.graphClause)
+	writeFlatClause(&cw, f.published.Load().clause)
 	clauseBlob := cw.Finish()
 	kindOff := bytes.Index(graph, clauseBlob) + len(clauseBlob) - 64
 	if kindOff < 64 {
 		t.Fatal("the published clause is not in the graph section")
 	}
 
-	// Word offsets in a graph section: magic 0, generation 8, then the
-	// signature's length at 16.
+	// Word offsets in a graph section: magic 0, generation 8, then the seed
+	// at 16; the pair count follows the clause.
 	cases := []struct {
 		name    string
 		payload []byte
@@ -335,7 +333,7 @@ func TestFlatGraphRejectsDamagedPayloads(t *testing.T) {
 		{"last word missing", graph[:len(graph)-8]},
 		{"trailing bytes", append(append([]byte(nil), graph...), make([]byte, 8)...)},
 		{"generation word flipped", flipWord(graph, 8)},
-		{"signature length flipped", flipWord(graph, 16)},
+		{"pair count flipped", flipWord(graph, kindOff+64)},
 		{"another generation's magic", append([]byte("DPGRFLT\x06"), graph[8:]...)},
 		{"index section instead of a graph", idx},
 		{"not flat at all", []byte("junk")},
@@ -354,6 +352,13 @@ func TestFlatGraphRejectsDamagedPayloads(t *testing.T) {
 		{"a retired test kind in the clause", func() []byte {
 			out := append([]byte(nil), graph...)
 			binary.LittleEndian.PutUint64(out[kindOff:], 1)
+			return out
+		}()},
+		// The selection rule derives from the clause: alpha, three words
+		// before the test kind, must be one Validate accepts.
+		{"a clause alpha outside [0, 1)", func() []byte {
+			out := append([]byte(nil), graph...)
+			binary.LittleEndian.PutUint64(out[kindOff-24:], math.Float64bits(2))
 			return out
 		}()},
 	}
@@ -558,11 +563,7 @@ func seedFlatPayloads(t testing.TB) (idx, graph []byte) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	graph, _, err = f.encodeFlatGraphLocked()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return idx, graph
+	return idx, f.encodeFlatGraphLocked(f.published.Load())
 }
 
 // FuzzParseFlatIndex: the flat index parser must never panic and must
@@ -571,7 +572,7 @@ func FuzzParseFlatIndex(f *testing.F) {
 	idx, _ := seedFlatPayloads(f)
 	f.Add(idx)
 	f.Add(idx[:len(idx)-8])
-	f.Add([]byte("DPIXFLT\x0b"))
+	f.Add([]byte("DPIXFLT\x0c"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if _, err := parseFlatIndex(data); err != nil && !errors.Is(err, store.ErrCorrupt) {
 			t.Errorf("non-ErrCorrupt failure: %v", err)
@@ -590,7 +591,7 @@ func FuzzParseFlatGraph(f *testing.F) {
 	f.Add(graph)
 	f.Add(graph[:len(graph)/2])
 	f.Add(graph[:len(graph)-8])
-	f.Add([]byte("DPGRFLT\x0b"))
+	f.Add([]byte("DPGRFLT\x0c"))
 	f.Add(graph[:len(graph)-4])
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if _, err := parseFlatGraph(data, ix.funcs); err != nil && !errors.Is(err, store.ErrCorrupt) {

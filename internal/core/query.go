@@ -390,21 +390,9 @@ func (f *Framework) evaluateQuery(sources, targets []string, clause Clause, t0 t
 	// Reduce phase of job 3: each pair's tested family, evaluated only
 	// where the store has none under this test signature.
 	tStage = time.Now()
-	sig := graphSignature(clause)
-	fams, missing := f.storedFamilies(sig, keys)
-	if len(missing) > 0 {
-		mKeys := make([]graphPair, len(missing))
-		mPlans := make([]queryPlan, len(missing))
-		for j, i := range missing {
-			mKeys[j], mPlans[j] = keys[i], plans[i]
-		}
-		computed, err := f.evaluatePairsLocked(sig, mKeys, mPlans, clause)
-		if err != nil {
-			return nil, stats, err
-		}
-		for j, i := range missing {
-			fams[i] = computed[j]
-		}
+	fams, _, err := f.testedFamilies(keys, clause, func(missing []int) []queryPlan { return pick(plans, missing) })
+	if err != nil {
+		return nil, stats, err
 	}
 	for _, fam := range fams {
 		stats.Evaluated += len(fam)
@@ -421,30 +409,18 @@ func (f *Framework) evaluateQuery(sources, targets []string, clause Clause, t0 t
 	// Select, then order the rows by (Function1, Function2, Class) through
 	// the function table's key ranks.
 	tStage = time.Now()
-	type pick struct {
+	type row struct {
 		order  uint64
 		fa, fb uint32
 		c      candidate
 		q      float64
 	}
 	tab := f.index.table()
-	var picks []pick
-	i := 0
-	for j, fam := range fams {
-		baseA, baseB := tab.base[keys[j].A], tab.base[keys[j].B]
-		for _, c := range fam {
-			q := qs[i]
-			i++
-			if sel.significant(q) {
-				stats.Significant++
-			}
-			if sel.keeps(q) {
-				fa, fb := baseA+c.posA, baseB+c.posB
-				picks = append(picks, pick{order: tab.Order(fa, fb, c.class), fa: fa, fb: fb, c: c, q: q})
-			}
-		}
-	}
-	slices.SortFunc(picks, func(x, y pick) int { return cmp.Compare(x.order, y.order) })
+	var picks []row
+	stats.Significant = tab.walkKept(keys, fams, qs, sel, func(fa, fb uint32, c candidate, q float64) {
+		picks = append(picks, row{order: tab.Order(fa, fb, c.class), fa: fa, fb: fb, c: c, q: q})
+	})
+	slices.SortFunc(picks, func(x, y row) int { return cmp.Compare(x.order, y.order) })
 	var out []Relationship
 	if len(picks) > 0 {
 		out = make([]Relationship, len(picks))

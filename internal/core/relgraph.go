@@ -31,14 +31,18 @@ import (
 // (dropResultsInvolving): a change to a data set drops its pairs' families
 // under every signature, plus the memoised answers that involve it.
 //
+// The published graph is one immutable record (graphRecord): the clause it
+// was built or loaded under, the families it was assembled from and the
+// graph. Its test signature and selection rule derive from the clause.
+//
 // Locking: evaluation only reads post-BuildIndex-immutable state, so Query
 // and BuildGraph both hold the state lock shared. famMu guards the store and
 // is never held across an evaluation, so a query never waits for a graph
 // build; two callers missing the same pair may both evaluate it, with
-// identical results. graphMu serializes builders and Save. Lock order: mu,
-// graphMu, famMu. The finished graph is published through an atomic
-// pointer: RelGraph never blocks, and a reader-held graph stays consistent
-// while a rebuild replaces it.
+// identical results. Lock order: mu, famMu; graphMu is held only between
+// builders, taken after mu. The record is published through an atomic
+// pointer: RelGraph, GraphClause and Save never wait for a build, and a
+// reader-held graph stays consistent while a rebuild replaces it.
 
 // GraphStats reports what one BuildGraph call did. The planner and
 // evaluation counters cover only the pairs computed by that call; reused
@@ -73,9 +77,8 @@ func graphSignature(clause Clause) string {
 }
 
 // graphSelection is the rule that turns a union of tested families into an
-// answer or a graph: the correction, its level, and the optional q cutoff.
-// The published graph's rule is remembered (and persisted in snapshots) so
-// Load and pure-reuse builds select identically.
+// answer or a graph: the correction, its level, and the optional q cutoff,
+// all read off the clause (selectionFromClause).
 type graphSelection struct {
 	alpha      float64
 	correction stats.Correction
@@ -151,16 +154,51 @@ func (s graphSelection) keeps(q float64) bool {
 	return s.skip || s.significant(q) && (s.maxQ <= 0 || q <= s.maxQ)
 }
 
-// assembleGraph corrects the union of the given families and materializes
-// the graph of the candidates the selection rule keeps, over the index's
-// function table.
-func assembleGraph(ix *Index, fams map[graphPair][]candidate, sel graphSelection) *relgraph.Graph {
-	keys := make([]graphPair, 0, len(fams))
-	list := make([][]candidate, 0, len(fams))
-	for k, fam := range fams {
-		keys = append(keys, k)
-		list = append(list, fam)
+// graphRecord is the published relationship graph: the clause it was built
+// (or loaded) under — so a refresh after a corpus change reuses exactly the
+// operator's selection (GraphClause) — the families it was assembled from,
+// minus any invalidated since, and the graph. A record is never mutated: a
+// change publishes a new one.
+type graphRecord struct {
+	clause Clause
+	fams   map[graphPair][]candidate
+	graph  *relgraph.Graph
+}
+
+// walkKept visits, in order, every candidate of fams — fams[j] is the family
+// of keys[j] and qs the union's q-values (qValues) — that sel keeps, with
+// its two function-table ids and its q-value, and returns how many
+// candidates are significant. It is the selection step of Query's rows and
+// of the graph's links alike.
+func (t *funcTable) walkKept(keys []graphPair, fams [][]candidate, qs []float64, sel graphSelection,
+	visit func(fa, fb uint32, c candidate, q float64)) (significant int) {
+	i := 0
+	for j, fam := range fams {
+		baseA, baseB := t.base[keys[j].A], t.base[keys[j].B]
+		for _, c := range fam {
+			q := qs[i]
+			i++
+			if sel.significant(q) {
+				significant++
+			}
+			if sel.keeps(q) {
+				visit(baseA+c.posA, baseB+c.posB, c, q)
+			}
+		}
 	}
+	return significant
+}
+
+// assembleGraph corrects the union of the given families and materializes
+// the graph of the candidates the clause's selection rule keeps, over the
+// index's function table.
+func assembleGraph(ix *Index, fams map[graphPair][]candidate, clause Clause) *relgraph.Graph {
+	keys := slices.Collect(maps.Keys(fams))
+	list := make([][]candidate, len(keys))
+	for j, k := range keys {
+		list[j] = fams[k]
+	}
+	sel := selectionFromClause(clause)
 	qs := qValues(list, sel)
 	n := 0
 	for _, q := range qs {
@@ -170,17 +208,9 @@ func assembleGraph(ix *Index, fams map[graphPair][]candidate, sel graphSelection
 	}
 	tab := ix.table()
 	links := make([]relgraph.Link, 0, n)
-	i := 0
-	for j, fam := range list {
-		baseA, baseB := tab.base[keys[j].A], tab.base[keys[j].B]
-		for _, c := range fam {
-			if q := qs[i]; sel.keeps(q) {
-				links = append(links, relgraph.Link{F1: baseA + c.posA, F2: baseB + c.posB, Class: c.class,
-					Tau: c.tau, Rho: c.rho, PValue: c.p, QValue: q})
-			}
-			i++
-		}
-	}
+	tab.walkKept(keys, list, qs, sel, func(fa, fb uint32, c candidate, q float64) {
+		links = append(links, relgraph.Link{F1: fa, F2: fb, Class: c.class, Tau: c.tau, Rho: c.rho, PValue: c.p, QValue: q})
+	})
 	return relgraph.Assemble(tab.Table, links)
 }
 
@@ -212,9 +242,10 @@ func makeGraphPair(a, b string) graphPair {
 // the incremental graph is byte-identical to a from-scratch rebuild.
 //
 // BuildGraph holds the state lock shared, so queries proceed concurrently
-// with a build; concurrent BuildGraph calls serialize on the builder
-// mutex. A graph obtained from RelGraph before the call remains valid
-// (graphs are immutable values).
+// with a build; concurrent BuildGraph calls serialize on graphMu. The
+// graph is published with its clause and families as one record; a graph
+// obtained from RelGraph before the call remains valid (graphs are
+// immutable values).
 func (f *Framework) BuildGraph(clause Clause) (GraphStats, error) {
 	t0 := time.Now()
 	f.mu.RLock()
@@ -228,36 +259,28 @@ func (f *Framework) BuildGraph(clause Clause) (GraphStats, error) {
 	}
 	f.graphMu.Lock()
 	defer f.graphMu.Unlock()
-	sig := graphSignature(clause)
-	sel := selectionFromClause(clause)
 	keys := queryPairs(f.order, f.order)
-	fams, missing := f.storedFamilies(sig, keys)
 	st.Datasets = len(f.order)
 	st.Pairs = len(keys)
-	st.PairsComputed = len(missing)
-	st.PairsReused = len(keys) - len(missing)
 
 	// Pure reuse: the published graph was assembled from every pair's
-	// current family under the same selection rule — skip the O(E log E)
-	// reassembly. Invalidation removes pairs from graphFams, so a full count
-	// means nothing changed.
-	if sig == f.graphSig && sel == f.graphSel && len(f.graphFams) == len(keys) {
-		if g := f.relGraph.Load(); g != nil {
-			f.graphClause = clause
-			st.Edges = g.NumEdges()
-			st.WallDuration = time.Since(t0)
-			recordGraphBuild(st)
-			return st, nil
-		}
+	// current family under the same signature and selection rule — skip the
+	// O(E log E) reassembly and republish it under the caller's clause.
+	// Invalidation removes pairs from the record, so a full count means
+	// nothing changed, and the store holds every one of them.
+	if rec := f.published.Load(); rec != nil && len(rec.fams) == len(keys) &&
+		graphSignature(rec.clause) == graphSignature(clause) && selectionFromClause(rec.clause) == selectionFromClause(clause) {
+		f.published.Store(&graphRecord{clause: clause, fams: rec.fams, graph: rec.graph})
+		st.PairsReused = len(keys)
+		st.Edges = rec.graph.NumEdges()
+		st.WallDuration = time.Since(t0)
+		recordGraphBuild(st)
+		return st, nil
 	}
 
-	if len(missing) > 0 {
-		tStage := time.Now()
-		mKeys := make([]graphPair, len(missing))
-		for j, i := range missing {
-			mKeys[j] = keys[i]
-		}
-		plans := f.planPairs(mKeys, clause)
+	tStage := time.Now()
+	fams, missing, err := f.testedFamilies(keys, clause, func(missing []int) []queryPlan {
+		plans := f.planPairs(pick(keys, missing), clause)
 		for _, pl := range plans {
 			st.PairsConsidered += pl.considered
 			st.Pruned += pl.pruned
@@ -265,45 +288,71 @@ func (f *Framework) BuildGraph(clause Clause) (GraphStats, error) {
 		}
 		mGraphStageDuration.With("plan").Observe(time.Since(tStage).Seconds())
 		tStage = time.Now()
-		computed, err := f.evaluatePairsLocked(sig, mKeys, plans, clause)
-		if err != nil {
-			return st, err
-		}
-		for j, i := range missing {
-			fams[i] = computed[j]
-			st.Evaluated += len(computed[j])
-		}
+		return plans
+	})
+	if err != nil {
+		return st, err
+	}
+	if len(missing) > 0 {
 		mGraphStageDuration.With("evaluate").Observe(time.Since(tStage).Seconds())
 	}
+	for _, i := range missing {
+		st.Evaluated += len(fams[i])
+	}
+	st.PairsComputed = len(missing)
+	st.PairsReused = len(keys) - len(missing)
 
 	tAssemble := time.Now()
-	published := make(map[graphPair][]candidate, len(keys))
+	rec := &graphRecord{clause: clause, fams: make(map[graphPair][]candidate, len(keys))}
 	for i, k := range keys {
-		published[k] = fams[i]
+		rec.fams[k] = fams[i]
 	}
-	g := assembleGraph(f.index, published, sel)
-	f.relGraph.Store(g)
+	rec.graph = assembleGraph(f.index, rec.fams, clause)
+	f.published.Store(rec)
 	mGraphStageDuration.With("assemble").Observe(time.Since(tAssemble).Seconds())
-	f.graphSig, f.graphSel, f.graphClause, f.graphFams = sig, sel, clause, published
-	st.Edges = g.NumEdges()
+	st.Edges = rec.graph.NumEdges()
 	st.WallDuration = time.Since(t0)
 	recordGraphBuild(st)
 	return st, nil
 }
 
-// storedFamilies looks keys up in the family store under sig, returning the
-// families in keys order and the indices of the keys that have none yet.
-func (f *Framework) storedFamilies(sig string, keys []graphPair) (fams [][]candidate, missing []int) {
+// testedFamilies returns the tested family of every pair of keys, in keys
+// order, under the clause's test signature: the stored one, or, for the
+// pairs the store lacks (missing, indices into keys), one evaluated now and
+// added to the store. plan returns the plans of the missing pairs: Query
+// picks them from its plan of every pair, BuildGraph plans only those.
+func (f *Framework) testedFamilies(keys []graphPair, clause Clause, plan func(missing []int) []queryPlan) (
+	fams [][]candidate, missing []int, err error) {
+	sig := graphSignature(clause)
 	fams = make([][]candidate, len(keys))
 	f.famMu.Lock()
-	defer f.famMu.Unlock()
 	for i, k := range keys {
 		var ok bool
 		if fams[i], ok = f.families[sig][k]; !ok {
 			missing = append(missing, i)
 		}
 	}
-	return fams, missing
+	f.famMu.Unlock()
+	if len(missing) == 0 {
+		return fams, nil, nil
+	}
+	computed, err := f.evaluatePairsLocked(sig, pick(keys, missing), plan(missing), clause)
+	if err != nil {
+		return nil, nil, err
+	}
+	for j, i := range missing {
+		fams[i] = computed[j]
+	}
+	return fams, missing, nil
+}
+
+// pick returns xs[i] for every i of idx, in order.
+func pick[T any](xs []T, idx []int) []T {
+	out := make([]T, len(idx))
+	for j, i := range idx {
+		out[j] = xs[i]
+	}
+	return out
 }
 
 // planPairs plans each pair of keys on the worker pool and adds the plans'
@@ -327,8 +376,8 @@ func (f *Framework) planPairs(keys []graphPair, clause Clause) []queryPlan {
 // BuildGraph alike. The pairs' tasks are one batch on the worker pool, so
 // the pool sees the whole batch at once, and a pair's tasks are contiguous
 // in it, so its results are a slice of the batch. A task's Monte Carlo test
-// runs on the pool goroutine that evaluates the task. Query and BuildGraph
-// both call this under the shared state lock.
+// runs on the pool goroutine that evaluates the task. testedFamilies calls
+// it under the shared state lock.
 func (f *Framework) evaluatePairsLocked(sig string, keys []graphPair, plans []queryPlan, clause Clause) ([][]candidate, error) {
 	workers := f.workers()
 	n := 0
@@ -391,22 +440,26 @@ func (f *Framework) evaluatePairsLocked(sig string, keys []graphPair, plans []qu
 
 // dropResultsInvolving is the one invalidation rule: under every signature
 // it drops the families of the pairs incident to any of the named data sets
-// — from the store and from the published graph's record — and it drops the
+// — from the store and from the published record — and it drops the
 // memoised answers that involve them. It returns how many pairs it dropped
 // under the published graph's signature. The caller holds the state lock
-// exclusively, so no evaluation is in flight.
+// exclusively, so no evaluation or build is in flight.
 func (f *Framework) dropResultsInvolving(names ...string) (dropped int) {
 	incident := func(k graphPair, _ []candidate) bool {
 		return slices.Contains(names, k.A) || slices.Contains(names, k.B)
 	}
-	f.graphMu.Lock()
-	defer f.graphMu.Unlock()
-	maps.DeleteFunc(f.graphFams, incident)
+	sig := ""
+	if rec := f.published.Load(); rec != nil {
+		fams := maps.Clone(rec.fams)
+		maps.DeleteFunc(fams, incident)
+		f.published.Store(&graphRecord{clause: rec.clause, fams: fams, graph: rec.graph})
+		sig = graphSignature(rec.clause)
+	}
 	f.famMu.Lock()
-	for sig, byPair := range f.families {
+	for s, byPair := range f.families {
 		n := len(byPair)
 		maps.DeleteFunc(byPair, incident)
-		if sig == f.graphSig {
+		if s == sig {
 			dropped = n - len(byPair)
 		}
 	}
@@ -423,10 +476,7 @@ func (f *Framework) dropResultsInvolving(names ...string) (dropped int) {
 // graph and the memoised answers. The caller holds the state lock
 // exclusively, which also excludes any in-flight builder.
 func (f *Framework) resetResults() {
-	f.graphMu.Lock()
-	f.graphSig, f.graphSel, f.graphClause, f.graphFams = "", graphSelection{}, Clause{}, nil
-	f.relGraph.Store(nil)
-	f.graphMu.Unlock()
+	f.published.Store(nil)
 	f.famMu.Lock()
 	f.families = make(map[string]map[graphPair][]candidate)
 	f.famMu.Unlock()
@@ -439,14 +489,13 @@ func (f *Framework) resetResults() {
 // (or loaded) under, and ok = false when no graph exists. An incremental
 // refresh after a corpus change — e.g. a runtime ingestion — should pass
 // exactly this clause to BuildGraph so the stored families are reused and
-// the selection is unchanged.
+// the selection is unchanged. It never blocks.
 func (f *Framework) GraphClause() (Clause, bool) {
-	if f.relGraph.Load() == nil {
+	rec := f.published.Load()
+	if rec == nil {
 		return Clause{}, false
 	}
-	f.graphMu.Lock()
-	defer f.graphMu.Unlock()
-	return f.graphClause, true
+	return rec.clause, true
 }
 
 // RelGraph returns the materialized relationship graph, or ok = false when
@@ -455,6 +504,9 @@ func (f *Framework) GraphClause() (Clause, bool) {
 // valid and consistent while a concurrent BuildGraph replaces the
 // framework's current graph.
 func (f *Framework) RelGraph() (*relgraph.Graph, bool) {
-	g := f.relGraph.Load()
-	return g, g != nil
+	rec := f.published.Load()
+	if rec == nil {
+		return nil, false
+	}
+	return rec.graph, true
 }

@@ -2,8 +2,10 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -141,12 +143,27 @@ func TestGraphIncrementalEquivalence(t *testing.T) {
 }
 
 // handGraphSection lays out a graph section under f's origin holding
-// exactly the given (empty) pairs — which, unlike encodeFlatGraphLocked's,
-// may be ones no BuildGraph could have cached.
-func handGraphSection(f *Framework, sig string, pairs []graphPair) []byte {
+// exactly the given (empty) pairs — which, unlike a published record's, may
+// be ones no BuildGraph could have cached. A record holds each pair once, so
+// with repeat the one pair's table entry is written twice, spliced after
+// the encoding of no pair.
+func handGraphSection(f *Framework, pairs []graphPair, repeat bool) []byte {
 	f.mu.RLock()
 	defer f.mu.RUnlock()
-	return f.flatGraphSectionLocked(sig, selectionFromClause(Clause{}), Clause{}, pairs, nil)
+	encode := func(pairs []graphPair) []byte {
+		fams := map[graphPair][]candidate{}
+		for _, k := range pairs {
+			fams[k] = nil
+		}
+		return f.encodeFlatGraphLocked(&graphRecord{fams: fams})
+	}
+	if !repeat {
+		return encode(pairs)
+	}
+	none, one := encode(nil), encode(pairs)
+	entry := one[len(none):]
+	out := binary.LittleEndian.AppendUint64(slices.Clone(none[:len(none)-8]), 2)
+	return append(append(out, entry...), entry...)
 }
 
 // TestGraphSaveLoadRoundTrip asserts that a Save/Load round-trip preserves
@@ -221,17 +238,16 @@ func TestGraphSaveLoadRoundTrip(t *testing.T) {
 	// The graph section is held to the same rules under a manifest that
 	// matches: each payload below is spliced into f's own snapshot, must be
 	// refused, and must leave the loaded graph as it was.
-	sig := graphSignature(clause)
 	sections := []struct {
 		name, want string
 		payload    []byte
 	}{
-		{"graph built under another seed", "seed", handGraphSection(f4, sig, nil)},
+		{"graph built under another seed", "seed", handGraphSection(f4, nil, false)},
 		// Pairs stored in non-canonical order would dodge the duplicate check
 		// and miss BuildGraph's canonical cache lookups.
-		{"non-canonical pair order", "canonical", handGraphSection(f, sig, []graphPair{{A: "wind", B: "trips"}})},
-		{"unregistered data set", "unregistered", handGraphSection(f, sig, []graphPair{{A: "trips", B: "zebra"}})},
-		{"repeated pair", "repeats", handGraphSection(f, sig, []graphPair{{A: "trips", B: "wind"}, {A: "trips", B: "wind"}})},
+		{"non-canonical pair order", "canonical", handGraphSection(f, []graphPair{{A: "wind", B: "trips"}}, false)},
+		{"unregistered data set", "unregistered", handGraphSection(f, []graphPair{{A: "trips", B: "zebra"}}, false)},
+		{"repeated pair", "repeats", handGraphSection(f, []graphPair{{A: "trips", B: "wind"}}, true)},
 	}
 	for _, tc := range sections {
 		err := f2.Load(splice(t, path, store.SectionGraph, tc.payload))
@@ -252,11 +268,8 @@ func TestBuildGraphRequiresIndex(t *testing.T) {
 	if _, ok := f.RelGraph(); ok {
 		t.Error("RelGraph should not be available before BuildGraph")
 	}
-	f.mu.RLock()
-	_, _, err := f.encodeFlatGraphLocked()
-	f.mu.RUnlock()
-	if err == nil {
-		t.Error("expected a graph section encoding error before BuildGraph")
+	if _, ok := f.GraphClause(); ok {
+		t.Error("GraphClause should report no graph before BuildGraph")
 	}
 }
 

@@ -101,7 +101,7 @@ func TestNotResolvableLeftOutOfFamilies(t *testing.T) {
 	if !slices.Contains(dropped, 12) || !slices.Contains(kept, 53) {
 		t.Errorf("dropped step counts %v, kept %v: want 12 dropped, 53 kept", dropped, kept)
 	}
-	for pair, fam := range f.graphFams {
+	for pair, fam := range f.published.Load().fams {
 		for _, c := range fam {
 			e1, e2 := f.index.funcs[pair.A][c.posA], f.index.funcs[pair.B][c.posB]
 			if S := testDomainSteps(f, e1, e2, c.class, Clause{}); f.graphs[e1.Res].NumRegions() == 1 && S < 20 {

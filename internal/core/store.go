@@ -56,7 +56,8 @@ func (f *Framework) checkFingerprintLocked(fp store.Fingerprint) error {
 
 // Save atomically writes the framework's derived state to path as one
 // snapshot container: the index section always, and the graph section when
-// the relationship graph has been built. The corpus data itself is not
+// the relationship graph has been built: the last one published, read
+// without waiting for a build in flight. The corpus data itself is not
 // stored — the snapshot names the corpus, and answers every read from its
 // index — so a snapshot stays small: bit vectors, thresholds, and cached
 // Monte Carlo candidates. The write goes through a temp file and os.Rename,
@@ -74,17 +75,9 @@ func (f *Framework) Save(path string) error {
 	}
 	m := store.Manifest{Fingerprint: f.fingerprintLocked()}
 	sections := []store.Section{{Name: store.SectionIndex, Data: idx}}
-	if f.relGraph.Load() != nil {
-		// The clause signature comes out of the same critical section that
-		// encoded the payload: a concurrent BuildGraph (which also runs
-		// under the shared lock) must not make the manifest describe a
-		// different clause than the section it accompanies.
-		g, sig, err := f.encodeFlatGraphLocked()
-		if err != nil {
-			return err
-		}
-		sections = append(sections, store.Section{Name: store.SectionGraph, Data: g})
-		m.ClauseSig = sig
+	if rec := f.published.Load(); rec != nil {
+		sections = append(sections, store.Section{Name: store.SectionGraph, Data: f.encodeFlatGraphLocked(rec)})
+		m.ClauseSig = graphSignature(rec.clause)
 	}
 	if err := store.Write(path, m, sections); err != nil {
 		return err

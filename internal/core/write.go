@@ -72,12 +72,10 @@ type writeResult struct {
 // write applies one change to the corpus: add registers a new data set
 // (IngestDataset), slice extends a registered one (AppendSlice), and with
 // neither it indexes whatever is registered but not yet indexed
-// (BuildIndex). It reports the change as both stats types; each caller
-// returns its own.
-func (f *Framework) write(add, slice *dataset.Dataset) (IndexStats, AppendStats, error) {
+// (BuildIndex).
+func (f *Framework) write(add, slice *dataset.Dataset) (IndexStats, error) {
 	t0 := time.Now()
-	var ist IndexStats
-	var ast AppendStats
+	var st IndexStats
 	f.writeMu.Lock()
 	defer f.writeMu.Unlock()
 
@@ -92,10 +90,10 @@ func (f *Framework) write(add, slice *dataset.Dataset) (IndexStats, AppendStats,
 	err := f.checkWriteLocked(add, slice)
 	f.mu.RUnlock()
 	if noop {
-		return f.indexStats(ist, 0), ast, nil
+		return f.indexStats(st, 0), nil
 	}
 	if err != nil {
-		return ist, ast, err
+		return st, err
 	}
 
 	newMin, newMax := minTS, maxTS
@@ -110,7 +108,6 @@ func (f *Framework) write(add, slice *dataset.Dataset) (IndexStats, AppendStats,
 		sliceLo, sliceHi, _ = slice.TimeRange()
 		newMax = max(newMax, sliceHi)
 		datasets[slice.Name] = appendTuples(datasets[slice.Name], slice)
-		ast.Dataset = slice.Name
 	}
 	// A start in an earlier step shifts every step index of that timeline.
 	rebase := false
@@ -122,8 +119,7 @@ func (f *Framework) write(add, slice *dataset.Dataset) (IndexStats, AppendStats,
 		timelines = make(map[temporal.Resolution]*temporal.Timeline)
 		graphs = make(map[Resolution]*stgraph.Graph)
 	}
-	ast.OldMaxTS, ast.NewMaxTS, ast.Extended = maxTS, newMax, newMax > maxTS
-	ast.FellBack = !slices.ContainsFunc(order, base.has)
+	st.FellBack = !slices.ContainsFunc(order, base.has)
 
 	// Compute (no lock): grow the captured timelines to the new end. grownFrom
 	// is, per temporal resolution that gained steps, the first tile whose
@@ -133,17 +129,18 @@ func (f *Framework) write(add, slice *dataset.Dataset) (IndexStats, AppendStats,
 	for tr, tl := range timelines {
 		ext, err := tl.Extend(newMax)
 		if err != nil {
-			return ist, ast, err
+			return st, err
 		}
 		if ext.Len() > tl.Len() {
 			timelines[tr] = ext
 			grownFrom[tr] = tl.TileOfStep(tl.Len())
 		}
 	}
+	st.Extended = newMax > maxTS || len(grownFrom) > 0
 	for res, g := range graphs {
 		if _, grew := grownFrom[res.Temporal]; grew {
 			if graphs[res], err = stgraph.New(g.NumRegions(), timelines[res.Temporal].Len(), g.SpatialAdjacency()); err != nil {
-				return ist, ast, err
+				return st, err
 			}
 		}
 	}
@@ -155,7 +152,7 @@ func (f *Framework) write(add, slice *dataset.Dataset) (IndexStats, AppendStats,
 		d := datasets[n]
 		for _, res := range f.resolutionsFor(d) {
 			if _, err := f.graph(res, newMin, newMax, timelines, graphs); err != nil {
-				return ist, ast, err
+				return st, err
 			}
 			old := base.at(n, res)
 			for _, spec := range scalar.Specs(d) {
@@ -196,7 +193,7 @@ func (f *Framework) write(add, slice *dataset.Dataset) (IndexStats, AppendStats,
 		return writeResult{entries: es, tm: tm}, err
 	})
 	if err != nil {
-		return ist, ast, err
+		return st, err
 	}
 
 	// A data set is changed when it (or one of its tasks) had no entries,
@@ -214,16 +211,16 @@ func (f *Framework) write(add, slice *dataset.Dataset) (IndexStats, AppendStats,
 	}
 	for i, r := range results {
 		t := tasks[i]
-		ast.ComputeDuration += r.tm.compute
-		ast.IndexDuration += r.tm.feature
+		st.ComputeDuration += r.tm.compute
+		st.IndexDuration += r.tm.feature
 		if t.fromTile < 0 {
-			ast.TilesReused += timelines[t.res.Temporal].NumTiles()
-			ast.EntriesReused += len(r.entries)
+			st.TilesReused += timelines[t.res.Temporal].NumTiles()
+			st.EntriesReused += len(r.entries)
 			continue
 		}
-		ast.TilesComputed += timelines[t.res.Temporal].NumTiles() - t.fromTile
-		ast.TilesReused += t.fromTile
-		ast.EntriesRebuilt += len(r.entries)
+		st.TilesComputed += timelines[t.res.Temporal].NumTiles() - t.fromTile
+		st.TilesReused += t.fromTile
+		st.Functions += len(r.entries)
 		if changed[t.ds.Name] {
 			continue
 		}
@@ -235,7 +232,8 @@ func (f *Framework) write(add, slice *dataset.Dataset) (IndexStats, AppendStats,
 			}
 		}
 	}
-	ast.ChangedDatasets = slices.Sorted(maps.Keys(changed))
+	st.ChangedDatasets = slices.Sorted(maps.Keys(changed))
+	st.FeatureSets = st.Functions
 
 	// Splice (brief exclusive lock).
 	ix := newIndex()
@@ -248,7 +246,6 @@ func (f *Framework) write(add, slice *dataset.Dataset) (IndexStats, AppendStats,
 	defer f.mu.Unlock()
 	for _, n := range order {
 		ix.sort(n)
-		ix.markDone(n)
 	}
 	f.order, f.datasets = order, datasets
 	f.minTS, f.maxTS = newMin, newMax
@@ -262,18 +259,14 @@ func (f *Framework) write(add, slice *dataset.Dataset) (IndexStats, AppendStats,
 	f.timelines, f.graphs = timelines, graphs
 	f.index = ix
 	f.built = true
-	if len(ast.ChangedDatasets) > 0 {
+	if len(st.ChangedDatasets) > 0 {
 		// Drop only the families whose supporting state changed; the next
 		// query or BuildGraph recomputes exactly those.
-		ast.GraphPairsDropped = f.dropResultsInvolving(ast.ChangedDatasets...)
+		st.GraphPairsDropped = f.dropResultsInvolving(st.ChangedDatasets...)
 	}
 	mIndexFunctions.Set(float64(ix.numFunctions()))
-
-	ast.WallDuration = time.Since(t0)
-	ist.Functions = ast.EntriesRebuilt
-	ist.FeatureSets = ast.EntriesRebuilt
-	ist.ComputeDuration, ist.IndexDuration, ist.WallDuration = ast.ComputeDuration, ast.IndexDuration, ast.WallDuration
-	return f.indexStats(ist, indexed), ast, nil
+	st.WallDuration = time.Since(t0)
+	return f.indexStats(st, indexed), nil
 }
 
 // checkWriteLocked validates a write against the captured corpus. The
@@ -344,7 +337,7 @@ func (f *Framework) IngestDataset(d *dataset.Dataset) (IndexStats, error) {
 	if err := d.Validate(); err != nil {
 		return IndexStats{}, err
 	}
-	st, _, err := f.write(d, nil)
+	st, err := f.write(d, nil)
 	if err == nil {
 		mIngests.Inc()
 	}
