@@ -15,8 +15,8 @@ import (
 // this incremental. Extending the corpus maximum timestamp appends steps to
 // every shared timeline (Timeline.Extend keeps existing step indices), so a
 // tile whose step range did not change — every complete tile before the old
-// end of time — keeps byte-identical feature bits, thresholds, and critical
-// points, and only the dirty suffix of tiles is recomputed:
+// end of time — keeps byte-identical feature bits and critical point
+// counts, and only the dirty suffix of tiles is recomputed:
 //
 //   - domain growth dirties the old last tile when it was partial (its step
 //     range gains steps, so its merge tree and thresholds see a longer

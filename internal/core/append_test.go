@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -9,7 +8,6 @@ import (
 	"testing"
 
 	"github.com/urbandata/datapolygamy/internal/dataset"
-	"github.com/urbandata/datapolygamy/internal/feature"
 	"github.com/urbandata/datapolygamy/internal/spatial"
 	"github.com/urbandata/datapolygamy/internal/temporal"
 )
@@ -58,43 +56,8 @@ func buildFW(t testing.TB, ds []*dataset.Dataset) *Framework {
 	return f
 }
 
-// nanEq treats NaN as equal to itself (imputed-constant functions carry NaN
-// thresholds; reflect.DeepEqual would call byte-identical entries unequal).
-func nanEq(a, b float64) bool {
-	return a == b || (math.IsNaN(a) && math.IsNaN(b))
-}
-
-func seasonsEq(a, b feature.SeasonThresholds) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i].Season != b[i].Season || !nanEq(a[i].Theta, b[i].Theta) {
-			return false
-		}
-	}
-	return true
-}
-
-func thresholdsEq(a, b feature.Thresholds) bool {
-	return seasonsEq(a.PosBySeason, b.PosBySeason) && seasonsEq(a.NegBySeason, b.NegBySeason) &&
-		nanEq(a.ExtremePos, b.ExtremePos) && nanEq(a.ExtremeNeg, b.ExtremeNeg)
-}
-
-func tileThresholdsEq(a, b []feature.Thresholds) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if !thresholdsEq(a[i], b[i]) {
-			return false
-		}
-	}
-	return true
-}
-
 // assertIndexIdentical compares every index entry of the two frameworks
-// byte for byte: feature bits, thresholds, per-tile metadata.
+// byte for byte: feature bits, shape, per-tile critical point counts.
 func assertIndexIdentical(t *testing.T, want, got *Framework) {
 	t.Helper()
 	for _, n := range want.Datasets() {
@@ -115,9 +78,6 @@ func assertIndexIdentical(t *testing.T, want, got *Framework) {
 				if w.NumSteps != g.NumSteps || w.NumVertices != g.NumVertices || w.CriticalPoints != g.CriticalPoints {
 					t.Errorf("%s: shape (%d,%d,%d) vs (%d,%d,%d)", w.Key,
 						w.NumSteps, w.NumVertices, w.CriticalPoints, g.NumSteps, g.NumVertices, g.CriticalPoints)
-				}
-				if !tileThresholdsEq(w.TileThresholds, g.TileThresholds) {
-					t.Errorf("%s: per-tile thresholds differ", w.Key)
 				}
 				if !reflect.DeepEqual(w.TileCriticalPoints, g.TileCriticalPoints) {
 					t.Errorf("%s: per-tile critical points differ", w.Key)

@@ -158,8 +158,10 @@ func TestSingleflightDedup(t *testing.T) {
 
 // TestQuerySignaturePinned pins the signature of two restricted clauses to
 // the strings the engine produced while a clause could still name its test
-// kind. The kind=0 field stays, so the family-store key a snapshot's graph
-// section carries is still the key its clause signs to.
+// kind or turn the Monte Carlo early stop off. The kind=0 and
+// exhaustive=false fields stay, so a query's router home and the
+// family-store key a snapshot's graph section carries are still the keys
+// its clause signs to.
 func TestQuerySignaturePinned(t *testing.T) {
 	for _, c := range []struct {
 		sources, targets []string
@@ -170,10 +172,10 @@ func TestQuerySignaturePinned(t *testing.T) {
 			"s=|t=|score=0|strength=0|alpha=0|perms=0|skip=false|kind=0|corr=none|maxq=0|exhaustive=false|classes=salient;extreme|res=all|win=none"},
 		{[]string{"weather", "taxi", "taxi"}, []string{"citibike"}, Clause{
 			MinScore: 0.6, MinStrength: 0.25, Alpha: 0.01, Permutations: 500, Correction: stats.BH, MaxQ: 0.1,
-			Exhaustive: true, Classes: []feature.Class{feature.Extreme, feature.Salient},
+			Classes:     []feature.Class{feature.Extreme, feature.Salient},
 			Resolutions: []Resolution{{Spatial: spatial.Neighborhood, Temporal: temporal.Day}, {Spatial: spatial.City, Temporal: temporal.Hour}},
 			Windowed:    true, WindowFrom: 1338508800, WindowTo: 1346371200,
-		}, "s=taxi,weather|t=citibike|score=0.6|strength=0.25|alpha=0.01|perms=500|skip=false|kind=0|corr=bh|maxq=0.1|exhaustive=true|classes=salient;extreme|res=(day, neighborhood);(hour, city)|win=1338508800:1346371200"},
+		}, "s=taxi,weather|t=citibike|score=0.6|strength=0.25|alpha=0.01|perms=500|skip=false|kind=0|corr=bh|maxq=0.1|exhaustive=false|classes=salient;extreme|res=(day, neighborhood);(hour, city)|win=1338508800:1346371200"},
 	} {
 		if got := querySignature(c.sources, c.targets, c.clause); got != c.want {
 			t.Errorf("signature\n got %s\nwant %s", got, c.want)

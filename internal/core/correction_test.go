@@ -100,16 +100,15 @@ func TestQueryMaxQFilter(t *testing.T) {
 	}
 }
 
-// TestQuerySignatureCoversCorrection: the correction, q cutoff, and
-// exhaustive switch are part of the canonical cache signature — queries
-// differing only there must never share a cache entry.
+// TestQuerySignatureCoversCorrection: the correction and q cutoff are part
+// of the canonical cache signature — queries differing only there must
+// never share a cache entry.
 func TestQuerySignatureCoversCorrection(t *testing.T) {
 	base := Clause{Permutations: 30}
 	variants := []Clause{
 		{Permutations: 30, Correction: stats.BH},
 		{Permutations: 30, Correction: stats.BY},
 		{Permutations: 30, MaxQ: 0.01},
-		{Permutations: 30, Exhaustive: true},
 	}
 	baseSig := querySignature(nil, nil, base)
 	seen := map[string]bool{baseSig: true}

@@ -73,11 +73,6 @@ type Options struct {
 	// shared toroidal shifts from this seed and the spatial resolution, so
 	// p-values are stable across query shapes.
 	Seed int64
-	// IncludeGradients additionally indexes the gradient of every scalar
-	// function (Section 8's sudden-change features): gradient functions
-	// appear as "grad_<name>" entries and participate in relationship
-	// queries like any other function.
-	IncludeGradients bool
 }
 
 // IndexStats reports what one corpus write (BuildIndex, IngestDataset or

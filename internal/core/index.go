@@ -52,10 +52,8 @@ type FunctionEntry struct {
 	// over. Together with Res.Temporal it determines the tile partition
 	// (temporal.TileWidth).
 	NumSteps int
-	// TileThresholds and TileCriticalPoints hold the per-tile extractor
-	// thresholds and merge-tree critical point counts, one element per tile.
-	// They are what an append reuses for untouched tiles.
-	TileThresholds     []feature.Thresholds
+	// TileCriticalPoints holds the merge-tree critical point count of each
+	// tile, what an append reuses for untouched tiles.
 	TileCriticalPoints []int
 
 	// Cached feature unions Σ = positive ∪ negative per class, shared by the
@@ -138,7 +136,7 @@ type Occupancy struct {
 // DatasetStats reports the index footprint of one data set.
 type DatasetStats struct {
 	// Functions is the number of indexed scalar functions (across all
-	// resolutions, including gradients when enabled).
+	// resolutions).
 	Functions int
 	// Resolutions is the number of distinct evaluation resolutions the data
 	// set is indexed at.

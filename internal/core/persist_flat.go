@@ -53,15 +53,17 @@ import (
 // total; 11 marks p-values counted two-sided (|tau*| >= |tau|), where a v10
 // family's p-values counted in the observed score's direction only; 12
 // drops the graph section's clause signature and selection rule, which
-// derive from its clause. Evolving any layout or meaning below means
-// bumping both (the format has no field tags).
-const flatSnapshotVersion = 12
+// derive from its clause; 13 drops the per-tile thresholds, which nothing
+// read, leaving one critical point count per tile, and the clause's
+// exhaustive flag, retired test kind and reserved word. Evolving any layout
+// or meaning below means bumping both (the format has no field tags).
+const flatSnapshotVersion = 13
 
 // Payload magics. The final byte is the generation, so another
-// generation's layout is "not flat v12" rather than a misparse.
+// generation's layout is "not flat v13" rather than a misparse.
 var (
-	flatIndexMagic = []byte("DPIXFLT\x0c")
-	flatGraphMagic = []byte("DPGRFLT\x0c")
+	flatIndexMagic = []byte("DPIXFLT\x0d")
+	flatGraphMagic = []byte("DPGRFLT\x0d")
 )
 
 // nilSlice is the length sentinel distinguishing a nil clause slice
@@ -137,18 +139,13 @@ func (f *Framework) encodeFlatIndexLocked() ([]byte, error) {
 		w.I64(int64(e.Res.Spatial))
 		w.I64(int64(e.Res.Temporal))
 		w.I64(int64(e.NumVertices))
-		// Tile table (v5): domain length plus per-tile thresholds and
-		// critical point counts, so appends can reuse untouched tiles after
-		// a warm open. CriticalPoints is their sum, recomputed at load.
-		if len(e.TileThresholds) != len(e.TileCriticalPoints) {
-			return nil, fmt.Errorf("core: entry %s has %d tile thresholds, %d tile critical point counts",
-				e.Key, len(e.TileThresholds), len(e.TileCriticalPoints))
-		}
+		// Tile table: domain length plus per-tile critical point counts, so
+		// appends can reuse untouched tiles after a warm open.
+		// CriticalPoints is their sum, recomputed at load.
 		w.I64(int64(e.NumSteps))
-		w.U64(uint64(len(e.TileThresholds)))
-		for ti, th := range e.TileThresholds {
-			writeFlatThresholds(w, th)
-			w.I64(int64(e.TileCriticalPoints[ti]))
+		w.U64(uint64(len(e.TileCriticalPoints)))
+		for _, c := range e.TileCriticalPoints {
+			w.I64(int64(c))
 		}
 		// The summaries the builder derived (v10): six occupancy counts,
 		// two to a word, and the two class tile bitmaps, so a load installs
@@ -228,35 +225,6 @@ func readTiles(r *store.SlabReader, e *FunctionEntry, class string, occ Occupanc
 	return bm.Words(), nil
 }
 
-func writeFlatThresholds(w *store.SlabWriter, t feature.Thresholds) {
-	w.F64(t.ExtremePos)
-	w.F64(t.ExtremeNeg)
-	for _, s := range []feature.SeasonThresholds{t.PosBySeason, t.NegBySeason} {
-		w.U64(uint64(len(s)))
-		for _, st := range s {
-			w.I64(int64(st.Season))
-			w.F64(st.Theta)
-		}
-	}
-}
-
-// readFlatThresholds appends both season lists to the shared arena and
-// hands back capped subslices, so one backing array serves every entry in
-// the section instead of two allocations per entry.
-func readFlatThresholds(r *store.SlabReader, arena *[]feature.SeasonTheta) feature.Thresholds {
-	t := feature.Thresholds{ExtremePos: r.F64(), ExtremeNeg: r.F64()}
-	for _, dst := range []*feature.SeasonThresholds{&t.PosBySeason, &t.NegBySeason} {
-		n := r.Count(16)
-		start := len(*arena)
-		for i := 0; i < n && r.Err() == nil; i++ {
-			season := int(r.I64())
-			*arena = append(*arena, feature.SeasonTheta{Season: season, Theta: r.F64()})
-		}
-		*dst = feature.SeasonThresholds((*arena)[start:len(*arena):len(*arena)])
-	}
-	return t
-}
-
 // flatIndexSnap is a parsed flat index section: the snapshot's identity
 // plus fully built entries whose bit vectors view the payload in place, and
 // funcs, every listed data set's key-sorted run of entries (none for a data
@@ -292,18 +260,16 @@ func parseFlatIndex(data []byte) (flatIndexSnap, error) {
 	}
 	nEntries := r.Count(64)
 	// Entry, vector, and feature-set headers are batched into three slabs,
-	// and the tile tables and season thresholds are carved from
-	// section-wide arenas, so warm open allocates per section, not per
-	// entry. The counts are bounded by Count, and the loop never outgrows
-	// the slabs, so the pointers taken below stay valid. An arena that
-	// grows leaves the entries carved so far on its old backing array,
-	// every one capped so no append can reach its neighbour.
+	// and the tile tables are carved from a section-wide arena, so warm
+	// open allocates per section, not per entry. The counts are bounded by
+	// Count, and the loop never outgrows the slabs, so the pointers taken
+	// below stay valid. An arena that grows leaves the entries carved so far
+	// on its old backing array, every one capped so no append can reach its
+	// neighbour.
 	entryBuf := make([]FunctionEntry, nEntries)
 	vecBuf := make([]bitvec.Vector, 6*nEntries)
 	setBuf := make([]feature.Set, 2*nEntries)
-	tileArena := make([]feature.Thresholds, 0, nEntries)
 	critArena := make([]int, 0, nEntries)
-	seasonArena := make([]feature.SeasonTheta, 0, 2*nEntries)
 	snap.entries = make([]*FunctionEntry, 0, nEntries)
 	for i := 0; i < nEntries && r.Err() == nil; i++ {
 		e := &entryBuf[i]
@@ -320,7 +286,7 @@ func parseFlatIndex(data []byte) (flatIndexSnap, error) {
 		}
 		e.NumVertices = int(nv)
 		e.NumSteps = int(r.I64())
-		nTiles := r.Count(24)
+		nTiles := r.Count(8)
 		if r.Err() != nil {
 			break
 		}
@@ -331,14 +297,12 @@ func parseFlatIndex(data []byte) (flatIndexSnap, error) {
 		if !e.Res.Temporal.Valid() || nTiles != temporal.NumTilesFor(e.NumSteps, e.Res.Temporal) {
 			return snap, corruptf("entry %s: %d tiles for %d steps at temporal resolution %d", e.Key, nTiles, e.NumSteps, e.Res.Temporal)
 		}
-		t0 := len(tileArena)
+		t0 := len(critArena)
 		for t := 0; t < nTiles && r.Err() == nil; t++ {
-			tileArena = append(tileArena, readFlatThresholds(r, &seasonArena))
 			crit := int(r.I64())
 			critArena = append(critArena, crit)
 			e.CriticalPoints += crit
 		}
-		e.TileThresholds = tileArena[t0:len(tileArena):len(tileArena)]
 		e.TileCriticalPoints = critArena[t0:len(critArena):len(critArena)]
 		vs := vecBuf[6*i : 6*i+6]
 		salOcc, extOcc := readOccupancy(r)
@@ -410,7 +374,7 @@ func (f *Framework) installIndexLocked(snap flatIndexSnap) error {
 		run := snap.funcs[name]
 		if !f.indexesExactly(name, run) {
 			return fmt.Errorf("core: index entries of %q are not the functions the framework indexes for it "+
-				"(its attributes and resolutions, IncludeGradients %t)", name, f.opts.IncludeGradients)
+				"(its attributes and resolutions)", name)
 		}
 		for _, e := range run {
 			g, err := f.graph(e.Res, f.minTS, f.maxTS, timelines, graphs)
@@ -434,13 +398,11 @@ func (f *Framework) installIndexLocked(snap flatIndexSnap) error {
 }
 
 // indexesExactly reports whether run, one data set's entries in key order,
-// holds exactly the keys a write indexes for it: one per viable
-// resolution, scalar spec and variant (the function, and with
-// IncludeGradients its grad_ twin). Keys are unique in a run, so a run of
-// that product's length whose every key is in it holds them all. A data
-// set the framework has no raw data for — a snapshot opened alone — takes
-// its specs and resolutions from the run's entries without the grad_
-// prefix, so only the variants are checked.
+// holds exactly the keys a write indexes for it: one per viable resolution
+// and scalar spec. Keys are unique in a run, so a run of that product's
+// length whose every key is in it holds them all. A data set the framework
+// has no raw data for — a snapshot opened alone — takes its specs and
+// resolutions from the run's entries, so only the product is checked.
 func (f *Framework) indexesExactly(name string, run []*FunctionEntry) bool {
 	var names []string
 	var resolutions []Resolution
@@ -450,9 +412,6 @@ func (f *Framework) indexesExactly(name string, run []*FunctionEntry) bool {
 		funcs, resolutions = len(scalar.Specs(d)), f.resolutionsFor(d)
 	} else {
 		for _, e := range run {
-			if strings.HasPrefix(e.SpecName, "grad_") {
-				continue
-			}
 			if !slices.Contains(names, e.SpecName) {
 				names = append(names, e.SpecName)
 			}
@@ -462,21 +421,12 @@ func (f *Framework) indexesExactly(name string, run []*FunctionEntry) bool {
 		}
 		funcs = len(names)
 	}
-	variants := f.variants()
-	if len(run) != len(resolutions)*funcs*len(variants) {
+	if len(run) != len(resolutions)*funcs {
 		return false
 	}
 	for _, e := range run {
-		if !slices.Contains(resolutions, e.Res) || !isEntryKey(e.Key, name, e.SpecName, e.Res) {
-			return false
-		}
-		indexed := false
-		for _, v := range variants {
-			if rest, ok := strings.CutPrefix(e.SpecName, v); ok && (d != nil && scalar.SpecNamed(d, rest) || slices.Contains(names, rest)) {
-				indexed = true
-			}
-		}
-		if !indexed {
+		if !slices.Contains(resolutions, e.Res) || !isEntryKey(e.Key, name, e.SpecName, e.Res) ||
+			d != nil && !scalar.SpecNamed(d, e.SpecName) {
 			return false
 		}
 	}
@@ -598,9 +548,7 @@ func parseFlatGraph(data []byte, funcs map[string][]*FunctionEntry) (flatGraphSn
 	snap.seed = r.I64()
 	snap.minTS = r.I64()
 	snap.maxTS = r.I64()
-	if snap.clause, err = readFlatClause(r); err != nil {
-		return snap, err
-	}
+	snap.clause = readFlatClause(r)
 	if err := snap.clause.Validate(); err != nil {
 		return snap, corruptf("graph clause: %v", err)
 	}
@@ -700,17 +648,14 @@ func writeFlatClause(w *store.SlabWriter, c Clause) {
 	w.F64(c.Alpha)
 	w.I64(int64(c.Permutations))
 	w.U64(b2u(c.SkipSignificance))
-	w.I64(0) // reserved: the retired test kind, 0 for the restricted test
 	w.I64(int64(c.Correction))
 	w.F64(c.MaxQ)
-	w.U64(b2u(c.Exhaustive))
-	w.U64(0) // reserved (a retired clause flag); readers ignore it
 	w.U64(b2u(c.Windowed))
 	w.I64(c.WindowFrom)
 	w.I64(c.WindowTo)
 }
 
-func readFlatClause(r *store.SlabReader) (Clause, error) {
+func readFlatClause(r *store.SlabReader) Clause {
 	var c Clause
 	c.MinScore = r.F64()
 	c.MinStrength = r.F64()
@@ -734,24 +679,12 @@ func readFlatClause(r *store.SlabReader) (Clause, error) {
 	c.Alpha = r.F64()
 	c.Permutations = int(r.I64())
 	c.SkipSignificance = r.U64() != 0
-	if kind := r.I64(); kind != 0 {
-		name := "an unknown test"
-		switch kind {
-		case 1:
-			name = "the standard test"
-		case 2:
-			name = "the block test"
-		}
-		return c, corruptf("graph clause names test kind %d (%s), which was removed", kind, name)
-	}
 	c.Correction = stats.Correction(r.I64())
 	c.MaxQ = r.F64()
-	c.Exhaustive = r.U64() != 0
-	r.U64() // reserved
 	c.Windowed = r.U64() != 0
 	c.WindowFrom = r.I64()
 	c.WindowTo = r.I64()
-	return c, nil
+	return c
 }
 
 // boundCount applies SlabReader.Count's allocation bound to a count that

@@ -14,6 +14,7 @@ import (
 	"github.com/urbandata/datapolygamy/internal/dataset"
 	"github.com/urbandata/datapolygamy/internal/feature"
 	"github.com/urbandata/datapolygamy/internal/spatial"
+	"github.com/urbandata/datapolygamy/internal/stats"
 	"github.com/urbandata/datapolygamy/internal/store"
 	"github.com/urbandata/datapolygamy/internal/temporal"
 )
@@ -113,7 +114,6 @@ func TestFlatSectionCorruption(t *testing.T) {
 		{"entry with zero steps", store.SectionIndex, indexSectionWith(t, f, func(e *FunctionEntry) { e.NumSteps = 0 }), ""},
 		{"entry with one step too many", store.SectionIndex, indexSectionWith(t, f, func(e *FunctionEntry) { e.NumSteps++ }), ""},
 		{"entry with one tile too many", store.SectionIndex, indexSectionWith(t, f, func(e *FunctionEntry) {
-			e.TileThresholds = append(slices.Clone(e.TileThresholds), feature.Thresholds{})
 			e.TileCriticalPoints = append(slices.Clone(e.TileCriticalPoints), 0)
 		}), ""},
 		{"entry vertices off its vectors", store.SectionIndex, indexSectionWith(t, f, func(e *FunctionEntry) { e.NumVertices++ }), ""},
@@ -133,7 +133,7 @@ func TestFlatSectionCorruption(t *testing.T) {
 			*occ = Occupancy{Pos: occ.All, All: occ.All + 1}
 		}), "union count"},
 		{"tile bit past the last tile", store.SectionIndex, salient(func(e *FunctionEntry, _ *Occupancy, tiles []uint64) {
-			if n := len(e.TileThresholds); n%64 != 0 {
+			if n := len(e.TileCriticalPoints); n%64 != 0 {
 				tiles[n/64] |= 1 << uint(n%64)
 			}
 		}), "bits beyond length"},
@@ -178,7 +178,7 @@ func TestFlatSectionCorruption(t *testing.T) {
 	// one-tile entry's tile count — parses, and the install refuses it.
 	oneTile := 0
 	bad = splice(t, path, store.SectionIndex, indexSectionWith(t, f, func(e *FunctionEntry) {
-		if len(e.TileThresholds) == 1 && e.NumSteps > 1 {
+		if len(e.TileCriticalPoints) == 1 && e.NumSteps > 1 {
 			e.NumSteps = 1
 			oneTile++
 		}
@@ -310,13 +310,14 @@ func TestFlatGraphRejectsDamagedPayloads(t *testing.T) {
 		})
 	}
 	countOff := len(graph) - candidateBytes*len(fam) - 8 // the pair's record count
-	// The clause's retired test-kind word: seven words before the clause's
-	// end (Correction, MaxQ, Exhaustive, a reserved word, the window).
+	// The clause's alpha word: eight words before the clause's end
+	// (Alpha, Permutations, SkipSignificance, Correction, MaxQ, the window).
 	var cw store.SlabWriter
 	writeFlatClause(&cw, f.published.Load().clause)
 	clauseBlob := cw.Finish()
-	kindOff := bytes.Index(graph, clauseBlob) + len(clauseBlob) - 64
-	if kindOff < 64 {
+	clauseEnd := bytes.Index(graph, clauseBlob) + len(clauseBlob)
+	alphaOff := clauseEnd - 64
+	if alphaOff < 64 {
 		t.Fatal("the published clause is not in the graph section")
 	}
 
@@ -333,7 +334,7 @@ func TestFlatGraphRejectsDamagedPayloads(t *testing.T) {
 		{"last word missing", graph[:len(graph)-8]},
 		{"trailing bytes", append(append([]byte(nil), graph...), make([]byte, 8)...)},
 		{"generation word flipped", flipWord(graph, 8)},
-		{"pair count flipped", flipWord(graph, kindOff+64)},
+		{"pair count flipped", flipWord(graph, clauseEnd)},
 		{"another generation's magic", append([]byte("DPGRFLT\x06"), graph[8:]...)},
 		{"index section instead of a graph", idx},
 		{"not flat at all", []byte("junk")},
@@ -349,16 +350,11 @@ func TestFlatGraphRejectsDamagedPayloads(t *testing.T) {
 			return out
 		}()},
 		{"slab ending mid-record", graph[:len(graph)-4]},
-		{"a retired test kind in the clause", func() []byte {
-			out := append([]byte(nil), graph...)
-			binary.LittleEndian.PutUint64(out[kindOff:], 1)
-			return out
-		}()},
-		// The selection rule derives from the clause: alpha, three words
-		// before the test kind, must be one Validate accepts.
+		// The selection rule derives from the clause: alpha must be one
+		// Validate accepts.
 		{"a clause alpha outside [0, 1)", func() []byte {
 			out := append([]byte(nil), graph...)
-			binary.LittleEndian.PutUint64(out[kindOff-24:], math.Float64bits(2))
+			binary.LittleEndian.PutUint64(out[alphaOff:], math.Float64bits(2))
 			return out
 		}()},
 	}
@@ -446,19 +442,27 @@ func openAllocs(t *testing.T, f *Framework, path string) float64 {
 	})
 }
 
-// indexOpenAllocs indexes the planted pair — with a gradient entry beside
-// every function entry when gradients is set, which doubles the entries
-// over the same data sets and resolutions — saves the index alone, and
-// returns what one Load of it allocates and how many entries it holds.
-func indexOpenAllocs(t *testing.T, gradients bool) (float64, int) {
+// indexOpenAllocs indexes the planted pair — with two more copies of each
+// data set's one attribute when wide is set, which doubles its functions
+// (scalar.Specs: the density and one average per attribute) over the same
+// data sets and resolutions — saves the index alone, and returns what one
+// Load of it allocates and how many entries it holds.
+func indexOpenAllocs(t *testing.T, wide bool) (float64, int) {
 	t.Helper()
 	corpus := func() *Framework {
-		f, err := New(Options{City: testCity(t), Workers: 2, Seed: 5, IncludeGradients: gradients})
+		f, err := New(Options{City: testCity(t), Workers: 2, Seed: 5})
 		if err != nil {
 			t.Fatal(err)
 		}
 		wind, trips := plantedPair(30, randomHours(31, 60), nil)
 		for _, d := range []*dataset.Dataset{wind, trips} {
+			if wide {
+				d.Attrs = append(d.Attrs, d.Attrs[0]+"2", d.Attrs[0]+"3")
+				for i := range d.Tuples {
+					v := d.Tuples[i].Values[0]
+					d.Tuples[i].Values = []float64{v, v, v}
+				}
+			}
 			if err := f.AddDataset(d); err != nil {
 				t.Fatal(err)
 			}
@@ -572,7 +576,7 @@ func FuzzParseFlatIndex(f *testing.F) {
 	idx, _ := seedFlatPayloads(f)
 	f.Add(idx)
 	f.Add(idx[:len(idx)-8])
-	f.Add([]byte("DPIXFLT\x0c"))
+	f.Add([]byte("DPIXFLT\x0d"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if _, err := parseFlatIndex(data); err != nil && !errors.Is(err, store.ErrCorrupt) {
 			t.Errorf("non-ErrCorrupt failure: %v", err)
@@ -591,7 +595,7 @@ func FuzzParseFlatGraph(f *testing.F) {
 	f.Add(graph)
 	f.Add(graph[:len(graph)/2])
 	f.Add(graph[:len(graph)-8])
-	f.Add([]byte("DPGRFLT\x0c"))
+	f.Add([]byte("DPGRFLT\x0d"))
 	f.Add(graph[:len(graph)-4])
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if _, err := parseFlatGraph(data, ix.funcs); err != nil && !errors.Is(err, store.ErrCorrupt) {
@@ -634,37 +638,24 @@ func TestBoundCountPoisons(t *testing.T) {
 	}
 }
 
-// TestFlatClauseReservedWord: the clause layout keeps two reserved words,
-// so the flat generation did not move. Where a retired flag used to sit,
-// the word is written as zero, and a snapshot from before the retirement
-// that carries a one there reads back as the same clause. Where the test
-// kind sat, the word is written as zero, the restricted test's code; a
-// clause naming the standard (1) or block (2) test, both removed, is
-// corrupt, and the error names the test.
+// TestFlatClauseReservedWord: the clause layout carries no reserved word
+// (v13 dropped the retired test kind, the exhaustive flag and the word a
+// retired flag left): every word is one Clause field, so a clause reads
+// back from exactly the words it was written as.
 func TestFlatClauseReservedWord(t *testing.T) {
-	clause := Clause{MinScore: 0.2, Permutations: 40, Exhaustive: true,
+	clause := Clause{MinScore: 0.2, Permutations: 40, Correction: stats.BY,
 		Windowed: true, WindowFrom: 100, WindowTo: 200}
 	var w store.SlabWriter
 	writeFlatClause(&w, clause)
 	blob := w.Finish()
-	reserved := blob[len(blob)-32 : len(blob)-24] // then Windowed, WindowFrom, WindowTo
-	kind := blob[len(blob)-64 : len(blob)-56]     // then Correction, MaxQ, Exhaustive, reserved, window
-	if binary.LittleEndian.Uint64(reserved) != 0 || binary.LittleEndian.Uint64(kind) != 0 {
-		t.Fatalf("reserved clause words written as %d and %d, want 0",
-			binary.LittleEndian.Uint64(reserved), binary.LittleEndian.Uint64(kind))
+	// MinScore, MinStrength, two nil-slice sentinels, Alpha, Permutations,
+	// SkipSignificance, Correction, MaxQ, Windowed, WindowFrom, WindowTo.
+	if len(blob) != 12*8 {
+		t.Fatalf("clause written as %d words, want 12", len(blob)/8)
 	}
-	binary.LittleEndian.PutUint64(reserved, 1)
 	r := store.NewSlabReader(blob)
-	if got, err := readFlatClause(r); err != nil || r.Err() != nil || r.Remaining() != 0 || !reflect.DeepEqual(got, clause) {
-		t.Errorf("clause with the reserved word set read back as %+v (err %v, %v, %d bytes left), want %+v",
-			got, err, r.Err(), r.Remaining(), clause)
-	}
-	for code, name := range map[uint64]string{1: "standard", 2: "block"} {
-		binary.LittleEndian.PutUint64(kind, code)
-		_, err := readFlatClause(store.NewSlabReader(blob))
-		if !errors.Is(err, store.ErrCorrupt) || !strings.Contains(err.Error(), "the "+name+" test") {
-			t.Errorf("clause naming test kind %d: err = %v, want an ErrCorrupt naming the %s test", code, err, name)
-		}
+	if got := readFlatClause(r); r.Err() != nil || r.Remaining() != 0 || !reflect.DeepEqual(got, clause) {
+		t.Errorf("clause read back as %+v (%v, %d bytes left), want %+v", got, r.Err(), r.Remaining(), clause)
 	}
 }
 
@@ -684,7 +675,6 @@ func TestFlatClauseRoundTrip(t *testing.T) {
 		Alpha:        0.1,
 		Permutations: 40,
 		MaxQ:         0.9,
-		Exhaustive:   true,
 	}
 	if _, err := f.BuildGraph(clause); err != nil {
 		t.Fatal(err)

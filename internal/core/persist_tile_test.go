@@ -57,9 +57,9 @@ func TestSnapshotTileTableRoundTrip(t *testing.T) {
 		for _, res := range g.resolutionsFor(g.datasets[n]) {
 			for _, e := range g.Entries(n, res) {
 				wantTiles := temporal.NumTilesFor(e.NumSteps, res.Temporal)
-				if len(e.TileThresholds) != wantTiles || len(e.TileCriticalPoints) != wantTiles {
-					t.Errorf("%s: tile table has %d thresholds / %d critical counts, want %d",
-						e.Key, len(e.TileThresholds), len(e.TileCriticalPoints), wantTiles)
+				if len(e.TileCriticalPoints) != wantTiles {
+					t.Errorf("%s: tile table has %d critical counts, want %d",
+						e.Key, len(e.TileCriticalPoints), wantTiles)
 				}
 				if e.tileOcc(feature.Salient) == nil {
 					t.Errorf("%s: tile occupancy not installed by the load", e.Key)
@@ -172,7 +172,7 @@ func assertSummariesFromVectors(t *testing.T, f *Framework, when string) {
 			for _, c := range []feature.Class{feature.Salient, feature.Extreme} {
 				s, u := e.set(c), e.union(c)
 				var occ Occupancy
-				tiles := make([]uint64, (len(e.TileThresholds)+63)/64)
+				tiles := make([]uint64, (len(e.TileCriticalPoints)+63)/64)
 				for v := 0; v < e.NumVertices; v++ {
 					p, q := s.Positive.Get(v), s.Negative.Get(v)
 					if u.Get(v) != (p || q) {

@@ -59,12 +59,6 @@ type Clause struct {
 	// (0 => no filter). It has no effect under SkipSignificance, where no
 	// hypothesis is tested and every q-value is 1.
 	MaxQ float64
-	// Exhaustive disables the Monte Carlo test's adaptive early
-	// termination, evaluating all Permutations for every pair. Significant
-	// verdicts are identical either way (the early stop is decision-exact);
-	// only the reported p-values of insignificant pairs differ. This exists
-	// for verification and calibration.
-	Exhaustive bool
 	// Windowed restricts the query to the time window [WindowFrom,
 	// WindowTo] (Unix seconds, both ends in their bins): feature bits
 	// outside the window are masked out before relationship evaluation, and
@@ -537,13 +531,14 @@ func querySignature(sources, targets []string, c Clause) string {
 	if c.Windowed {
 		winStr = fmt.Sprintf("%d:%d", c.WindowFrom, c.WindowTo)
 	}
-	// kind=0 is the restricted test's code, kept from when a clause could
-	// name another test, so that signatures and the family-store keys
-	// snapshots carry stay what they were.
-	return fmt.Sprintf("s=%s|t=%s|score=%g|strength=%g|alpha=%g|perms=%d|skip=%t|kind=0|corr=%s|maxq=%g|exhaustive=%t|classes=%s|res=%s|win=%s",
+	// kind=0 is the restricted test's code and exhaustive=false the
+	// adaptive early stop's, kept from when a clause could name another test
+	// or turn the early stop off, so that signatures — router homes — and
+	// the family-store keys snapshots carry stay what they were.
+	return fmt.Sprintf("s=%s|t=%s|score=%g|strength=%g|alpha=%g|perms=%d|skip=%t|kind=0|corr=%s|maxq=%g|exhaustive=false|classes=%s|res=%s|win=%s",
 		strings.Join(dedupeSorted(sources), ","), strings.Join(dedupeSorted(targets), ","),
 		c.MinScore, c.MinStrength, c.Alpha, c.Permutations, c.SkipSignificance,
-		c.Correction, c.MaxQ, c.Exhaustive,
+		c.Correction, c.MaxQ,
 		strings.Join(clsParts, ";"), resStr, winStr)
 }
 

@@ -59,7 +59,7 @@ func (f *Framework) checkFingerprintLocked(fp store.Fingerprint) error {
 // the relationship graph has been built: the last one published, read
 // without waiting for a build in flight. The corpus data itself is not
 // stored — the snapshot names the corpus, and answers every read from its
-// index — so a snapshot stays small: bit vectors, thresholds, and cached
+// index — so a snapshot stays small: bit vectors, tile tables, and cached
 // Monte Carlo candidates. The write goes through a temp file and os.Rename,
 // so a crash mid-save can never corrupt a previous snapshot at path.
 //

@@ -390,3 +390,72 @@ func TestLoadRejectsChangedAttributes(t *testing.T) {
 		t.Errorf("Open with wind's attributes changed: err = %v, want a refusal naming wind", err)
 	}
 }
+
+// TestOpenAloneRejectsChangedEntries: a framework opened from a snapshot
+// alone has no raw data to enumerate a data set's functions from, so Open
+// reads its specs and resolutions off the section's entries and checks the
+// product: an index section re-encoded with one of wind's entries removed,
+// or with one renamed to a spec wind never had, is refused, naming wind.
+func TestOpenAloneRejectsChangedEntries(t *testing.T) {
+	f, _ := snapshotCorpus(t)
+	if _, err := f.BuildIndex(); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "corpus.snap")
+	if err := f.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	if len(f.index.entries["wind"]) < 2 {
+		t.Fatal("wind is indexed at one resolution; a renamed entry would leave the product unchanged")
+	}
+	// reencode lays out the index section with wind's run as edit returns
+	// it, over copies of the entries.
+	reencode := func(edit func(run []FunctionEntry) []FunctionEntry) []byte {
+		t.Helper()
+		f.mu.Lock()
+		defer f.mu.Unlock()
+		saved := f.index
+		defer func() { f.index = saved }()
+		f.index = newIndex()
+		for _, name := range f.order {
+			es := make([]FunctionEntry, len(saved.funcs[name]))
+			for i, e := range saved.funcs[name] {
+				es[i] = *e
+			}
+			if name == "wind" {
+				es = edit(es)
+			}
+			for i := range es {
+				f.index.add(&es[i])
+			}
+			f.index.sort(name)
+		}
+		idx, err := f.encodeFlatIndexLocked()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return idx
+	}
+	opts := OpenOptions{Options: Options{City: testCity(t), Workers: 2, Seed: 5}}
+	g, err := Open(splice(t, path, store.SectionIndex, reencode(func(es []FunctionEntry) []FunctionEntry { return es })), opts)
+	if err != nil {
+		t.Fatalf("Open of the unchanged re-encoded index: %v", err)
+	}
+	g.Close()
+	for _, c := range []struct {
+		name string
+		edit func(es []FunctionEntry) []FunctionEntry
+	}{
+		{"one entry removed", func(es []FunctionEntry) []FunctionEntry { return es[1:] }},
+		{"one entry renamed to a spec wind never had", func(es []FunctionEntry) []FunctionEntry {
+			e := &es[len(es)-1]
+			e.SpecName = "avg_gust"
+			e.Key = entryKey(e.Dataset, e.SpecName, e.Res)
+			return es
+		}},
+	} {
+		if _, err := Open(splice(t, path, store.SectionIndex, reencode(c.edit)), opts); err == nil || !strings.Contains(err.Error(), `"wind"`) {
+			t.Errorf("%s: Open err = %v, want a refusal naming wind", c.name, err)
+		}
+	}
+}

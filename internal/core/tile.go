@@ -26,7 +26,7 @@ import (
 // Purity per tile is what makes appending time incremental: extending the
 // corpus recomputes only the tiles whose step range gained tuples — the old
 // last (possibly partial) tile and the new ones — and every earlier tile's
-// bits, thresholds, and critical points are reused verbatim (see append.go).
+// bits and critical point count are reused verbatim (see append.go).
 // A from-scratch build of the extended corpus computes the same tiles the
 // same way, which is what keeps append-then-query byte-identical to
 // rebuild-then-query.
@@ -70,71 +70,46 @@ type tileTimings struct {
 	feature time.Duration // merge trees + feature extraction (paper job 2)
 }
 
-// rebuildEntryTiles computes tiles [fromTile, tl.NumTiles()) of the entries
-// of one funcTask (the base function plus its gradient when enabled) and
-// returns the complete entries over the full timeline. It is the one
-// builder of index entries: build, ingest and append all run it, reading
-// the task's tuples from the job's inputs, whose timeline at the task's
-// resolution must be tl.
+// rebuildEntryTiles computes tiles [fromTile, tl.NumTiles()) of the entry
+// of one funcTask and returns the complete entry over the full timeline.
+// It is the one builder of index entries: build, ingest and append all run
+// it, reading the task's tuples from the job's inputs, whose timeline at
+// the task's resolution must be tl.
 //
 // When base is nil the whole domain is computed (fromTile must be 0). When
-// base holds the task's existing entries — one per variant, in variant
-// order (function, then gradient) — their bits and per-tile metadata for
-// tiles before fromTile are reused: the existing vectors are zero-extended
-// to the new domain and only the given tile range is recomputed and
-// re-stitched. This is the append path; base entries are never mutated.
-func (f *Framework) rebuildEntryTiles(t funcTask, in *jobInputs, tl *temporal.Timeline, g *stgraph.Graph, fromTile int, base []*FunctionEntry) ([]*FunctionEntry, tileTimings, error) {
+// base is the task's existing entry, its bits and per-tile critical point
+// counts for tiles before fromTile are reused: the existing vectors are
+// zero-extended to the new domain and only the given tile range is
+// recomputed and re-stitched. This is the append path; the base entry is
+// never mutated.
+func (f *Framework) rebuildEntryTiles(t funcTask, in *jobInputs, tl *temporal.Timeline, g *stgraph.Graph, fromTile int, base *FunctionEntry) (*FunctionEntry, tileTimings, error) {
 	var tm tileTimings
 	nTiles := tl.NumTiles()
 	if fromTile < 0 || fromTile >= nTiles {
 		return nil, tm, fmt.Errorf("core: tile range [%d,%d) out of bounds", fromTile, nTiles)
 	}
 	if base == nil && fromTile != 0 {
-		return nil, tm, fmt.Errorf("core: partial tile build requires base entries")
-	}
-
-	nVariants := 1
-	if f.opts.IncludeGradients {
-		nVariants = 2
-	}
-	if base != nil && len(base) != nVariants {
-		return nil, tm, fmt.Errorf("core: %d base entries, want %d variants", len(base), nVariants)
+		return nil, tm, fmt.Errorf("core: partial tile build requires a base entry")
 	}
 
 	S := tl.Len()
 	R := g.NumRegions()
 	nBits := g.NumVertices()
 
-	type acc struct {
-		key, specName      string
-		salPos, salNeg     *bitvec.Vector
-		extPos, extNeg     *bitvec.Vector
-		tileThresholds     []feature.Thresholds
-		tileCriticalPoints []int
-	}
-	accs := make([]*acc, nVariants)
-	for vi := range accs {
-		a := &acc{}
-		if base == nil {
-			a.salPos = bitvec.New(nBits)
-			a.salNeg = bitvec.New(nBits)
-			a.extPos = bitvec.New(nBits)
-			a.extNeg = bitvec.New(nBits)
-		} else {
-			b := base[vi]
-			if len(b.TileThresholds) < fromTile || len(b.TileCriticalPoints) < fromTile {
-				return nil, tm, fmt.Errorf("core: base entry %s has %d tiles, need %d", b.Key, len(b.TileThresholds), fromTile)
-			}
-			a.key = b.Key
-			a.specName = b.SpecName
-			a.salPos = b.Salient.Positive.Grow(nBits)
-			a.salNeg = b.Salient.Negative.Grow(nBits)
-			a.extPos = b.Extreme.Positive.Grow(nBits)
-			a.extNeg = b.Extreme.Negative.Grow(nBits)
-			a.tileThresholds = append([]feature.Thresholds{}, b.TileThresholds[:fromTile]...)
-			a.tileCriticalPoints = append([]int{}, b.TileCriticalPoints[:fromTile]...)
+	var key, specName string
+	var salPos, salNeg, extPos, extNeg *bitvec.Vector
+	var tileCrit []int
+	if base == nil {
+		salPos, salNeg = bitvec.New(nBits), bitvec.New(nBits)
+		extPos, extNeg = bitvec.New(nBits), bitvec.New(nBits)
+	} else {
+		if len(base.TileCriticalPoints) < fromTile {
+			return nil, tm, fmt.Errorf("core: base entry %s has %d tiles, need %d", base.Key, len(base.TileCriticalPoints), fromTile)
 		}
-		accs[vi] = a
+		key, specName = base.Key, base.SpecName
+		salPos, salNeg = base.Salient.Positive.Grow(nBits), base.Salient.Negative.Grow(nBits)
+		extPos, extNeg = base.Extreme.Positive.Grow(nBits), base.Extreme.Negative.Grow(nBits)
+		tileCrit = append([]int{}, base.TileCriticalPoints[:fromTile]...)
 	}
 
 	start := time.Now()
@@ -162,60 +137,45 @@ func (f *Framework) rebuildEntryTiles(t funcTask, in *jobInputs, tl *temporal.Ti
 		}
 		start := time.Now()
 		fn := src.Compute(t.spec, col, lo, sub, tg)
-		variants := []*scalar.Function{fn}
-		if f.opts.IncludeGradients {
-			variants = append(variants, scalar.Gradient(fn))
-		}
 		tm.compute += time.Since(start)
 
 		start = time.Now()
-		tileBits := (hi - lo) * R
-		off := lo * R
-		for vi, vfn := range variants {
-			a := accs[vi]
-			if a.key == "" {
-				a.key = vfn.Key()
-				a.specName = vfn.Name()
-			} else if a.key != vfn.Key() {
-				return nil, tm, fmt.Errorf("core: tile %d computed key %s, want %s", ti, vfn.Key(), a.key)
-			}
-			ex := feature.NewExtractor(vfn)
-			sal := ex.Extract(feature.Salient)
-			ext := ex.Extract(feature.Extreme)
-			a.salPos.CopyRange(sal.Positive, 0, off, tileBits)
-			a.salNeg.CopyRange(sal.Negative, 0, off, tileBits)
-			a.extPos.CopyRange(ext.Positive, 0, off, tileBits)
-			a.extNeg.CopyRange(ext.Negative, 0, off, tileBits)
-			a.tileThresholds = append(a.tileThresholds, ex.Thresholds())
-			a.tileCriticalPoints = append(a.tileCriticalPoints, ex.CriticalPoints())
-			vfn.Recycle()
+		if key == "" {
+			key, specName = fn.Key(), fn.Name()
+		} else if key != fn.Key() {
+			return nil, tm, fmt.Errorf("core: tile %d computed key %s, want %s", ti, fn.Key(), key)
 		}
+		ex := feature.NewExtractor(fn)
+		sal := ex.Extract(feature.Salient)
+		ext := ex.Extract(feature.Extreme)
+		tileBits, off := (hi-lo)*R, lo*R
+		salPos.CopyRange(sal.Positive, 0, off, tileBits)
+		salNeg.CopyRange(sal.Negative, 0, off, tileBits)
+		extPos.CopyRange(ext.Positive, 0, off, tileBits)
+		extNeg.CopyRange(ext.Negative, 0, off, tileBits)
+		tileCrit = append(tileCrit, ex.CriticalPoints())
+		fn.Recycle()
 		tm.feature += time.Since(start)
 	}
 
-	entries := make([]*FunctionEntry, nVariants)
-	for vi, a := range accs {
-		crit := 0
-		for _, c := range a.tileCriticalPoints {
-			crit += c
-		}
-		e := &FunctionEntry{
-			Key:                a.key,
-			Dataset:            t.ds.Name,
-			SpecName:           a.specName,
-			Res:                t.res,
-			Salient:            &feature.Set{Positive: a.salPos, Negative: a.salNeg},
-			Extreme:            &feature.Set{Positive: a.extPos, Negative: a.extNeg},
-			NumVertices:        nBits,
-			CriticalPoints:     crit,
-			NumSteps:           S,
-			TileThresholds:     a.tileThresholds,
-			TileCriticalPoints: a.tileCriticalPoints,
-		}
-		e.finalize(summarize(e.Salient, t.res.Temporal, S, R), summarize(e.Extreme, t.res.Temporal, S, R))
-		entries[vi] = e
+	crit := 0
+	for _, c := range tileCrit {
+		crit += c
 	}
-	return entries, tm, nil
+	e := &FunctionEntry{
+		Key:                key,
+		Dataset:            t.ds.Name,
+		SpecName:           specName,
+		Res:                t.res,
+		Salient:            &feature.Set{Positive: salPos, Negative: salNeg},
+		Extreme:            &feature.Set{Positive: extPos, Negative: extNeg},
+		NumVertices:        nBits,
+		CriticalPoints:     crit,
+		NumSteps:           S,
+		TileCriticalPoints: tileCrit,
+	}
+	e.finalize(summarize(e.Salient, t.res.Temporal, S, R), summarize(e.Extreme, t.res.Temporal, S, R))
+	return e, tm, nil
 }
 
 // summarize derives one class's summary from its vectors over nSteps steps

@@ -111,7 +111,6 @@ func (f *Framework) runSignificance(t pairTask, clause Clause, s1, s2 *feature.S
 		Permutations: clause.Permutations,
 		Alpha:        clause.Alpha,
 		Seed:         pairSeed(f.opts.Seed, t.e1.Key, t.e2.Key, t.class),
-		Exhaustive:   clause.Exhaustive,
 		Shifts:       f.shifts[t.e1.Res.Spatial],
 	}
 	if supp, steps := f.testDomain(t, clause.Windowed); supp != nil {

@@ -58,15 +58,14 @@ type writeTask struct {
 	funcTask
 	// fromTile is the first tile to recompute; -1 keeps base untouched.
 	fromTile int
-	// base holds the task's captured entries in variant order (function,
-	// then gradient), nil when the index has none.
-	base []*FunctionEntry
+	// base is the task's captured entry, nil when the index has none.
+	base *FunctionEntry
 }
 
 // writeResult is the outcome of one writeTask.
 type writeResult struct {
-	entries []*FunctionEntry
-	tm      tileTimings
+	entry *FunctionEntry
+	tm    tileTimings
 }
 
 // write applies one change to the corpus: add registers a new data set
@@ -145,7 +144,6 @@ func (f *Framework) write(add, slice *dataset.Dataset) (IndexStats, error) {
 		}
 	}
 
-	variants := f.variants()
 	var tasks []writeTask
 	var computing []funcTask
 	for _, n := range order {
@@ -157,17 +155,15 @@ func (f *Framework) write(add, slice *dataset.Dataset) (IndexStats, error) {
 			old := base.at(n, res)
 			for _, spec := range scalar.Specs(d) {
 				t := writeTask{funcTask: funcTask{ds: d, spec: spec, res: res}, fromTile: -1}
-				for _, v := range variants {
-					if i, ok := slices.BinarySearchFunc(old, entryKey(n, v+spec.Name(), res), func(e *FunctionEntry, k string) int {
-						return strings.Compare(e.Key, k)
-					}); ok {
-						t.base = append(t.base, old[i])
-					}
+				if i, ok := slices.BinarySearchFunc(old, entryKey(n, spec.Name(), res), func(e *FunctionEntry, k string) int {
+					return strings.Compare(e.Key, k)
+				}); ok {
+					t.base = old[i]
 				}
 				from, grew := grownFrom[res.Temporal]
 				switch {
-				case len(t.base) < len(variants):
-					t.base, t.fromTile = nil, 0
+				case t.base == nil:
+					t.fromTile = 0
 				case slice != nil && n == slice.Name:
 					tl := timelines[res.Temporal]
 					t.fromTile = tl.TileOfStep(tl.Index(sliceLo))
@@ -187,10 +183,10 @@ func (f *Framework) write(add, slice *dataset.Dataset) (IndexStats, error) {
 	in := newJobInputs(f.opts.City, timelines, computing)
 	results, err := mapreduce.ForEach(f.workers(), tasks, func(t writeTask) (writeResult, error) {
 		if t.fromTile < 0 {
-			return writeResult{entries: t.base}, nil
+			return writeResult{entry: t.base}, nil
 		}
-		es, tm, err := f.rebuildEntryTiles(t.funcTask, in, timelines[t.res.Temporal], graphs[t.res], t.fromTile, t.base)
-		return writeResult{entries: es, tm: tm}, err
+		e, tm, err := f.rebuildEntryTiles(t.funcTask, in, timelines[t.res.Temporal], graphs[t.res], t.fromTile, t.base)
+		return writeResult{entry: e, tm: tm}, err
 	})
 	if err != nil {
 		return st, err
@@ -215,21 +211,18 @@ func (f *Framework) write(add, slice *dataset.Dataset) (IndexStats, error) {
 		st.IndexDuration += r.tm.feature
 		if t.fromTile < 0 {
 			st.TilesReused += timelines[t.res.Temporal].NumTiles()
-			st.EntriesReused += len(r.entries)
+			st.EntriesReused++
 			continue
 		}
 		st.TilesComputed += timelines[t.res.Temporal].NumTiles() - t.fromTile
 		st.TilesReused += t.fromTile
-		st.Functions += len(r.entries)
+		st.Functions++
 		if changed[t.ds.Name] {
 			continue
 		}
 		from, grew := grownFrom[t.res.Temporal]
-		for vi, e := range r.entries {
-			if t.base == nil || grew && entryOccupiesTileGE(t.base[vi], from) || !entryBitsEqual(t.base[vi], e) {
-				changed[t.ds.Name] = true
-				break
-			}
+		if t.base == nil || grew && entryOccupiesTileGE(t.base, from) || !entryBitsEqual(t.base, r.entry) {
+			changed[t.ds.Name] = true
 		}
 	}
 	st.ChangedDatasets = slices.Sorted(maps.Keys(changed))
@@ -238,9 +231,7 @@ func (f *Framework) write(add, slice *dataset.Dataset) (IndexStats, error) {
 	// Splice (brief exclusive lock).
 	ix := newIndex()
 	for _, r := range results {
-		for _, e := range r.entries {
-			ix.add(e)
-		}
+		ix.add(r.entry)
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -383,18 +374,4 @@ func isEntryKey(key, ds, fn string, res Resolution) bool {
 		}
 	}
 	return key == ""
-}
-
-// allVariants are the name prefixes of a function's entries with
-// IncludeGradients: the function, then its gradient.
-var allVariants = []string{"", "grad_"}
-
-// variants are the name prefixes of the entries a write indexes for each
-// scalar function: the function, and with IncludeGradients its gradient.
-// The slice is shared; callers only read it.
-func (f *Framework) variants() []string {
-	if f.opts.IncludeGradients {
-		return allVariants
-	}
-	return allVariants[:1]
 }

@@ -245,8 +245,8 @@ func RunFigureE1(e *Env, w io.Writer) error {
 		spec  scalar.Spec
 	}{
 		{"Figure I: unique taxis", scalar.Spec{Kind: scalar.Unique}},
-		{"Figure II: average traveled miles", scalar.Spec{Kind: scalar.Attribute, Attr: "miles", Agg: scalar.Avg}},
-		{"Figure III: average total fare", scalar.Spec{Kind: scalar.Attribute, Attr: "fare", Agg: scalar.Avg}},
+		{"Figure II: average traveled miles", scalar.Spec{Kind: scalar.Attribute, Attr: "miles"}},
+		{"Figure III: average total fare", scalar.Spec{Kind: scalar.Attribute, Attr: "fare"}},
 	}
 	for _, s := range specs {
 		if err := printRobustness(e, w, s.title, s.spec); err != nil {

@@ -349,7 +349,7 @@ func citySeries(e *Env, ds, specName string) ([]float64, error) {
 		spec = scalar.Spec{Kind: scalar.Unique}
 	default:
 		attr := strings.TrimPrefix(specName, "avg_")
-		spec = scalar.Spec{Kind: scalar.Attribute, Attr: attr, Agg: scalar.Avg}
+		spec = scalar.Spec{Kind: scalar.Attribute, Attr: attr}
 	}
 	// All series share the corpus timeline so pairwise comparisons align.
 	tl, err := temporal.NewTimeline(e.Start().Unix(), e.End().Unix()-1, temporal.Hour)

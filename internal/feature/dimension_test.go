@@ -61,7 +61,7 @@ func TestThreeDimensionalSpatialDomain(t *testing.T) {
 		vals[g.Vertex(hot, s)] = 95
 	}
 	f := &scalar.Function{
-		Dataset: "building_noise", Spec: scalar.Spec{Kind: scalar.Attribute, Attr: "db", Agg: scalar.Avg},
+		Dataset: "building_noise", Spec: scalar.Spec{Kind: scalar.Attribute, Attr: "db"},
 		SRes: spatial.Neighborhood, TRes: temporal.Hour,
 		Timeline: tl, Graph: g, Values: vals,
 	}

@@ -71,8 +71,9 @@ type SeasonTheta struct {
 
 // SeasonThresholds lists per-season salient thresholds in ascending Season
 // order. A plain sorted slice rather than a map: season counts are tiny
-// (one per distinct seasonal interval), lookups are binary searches, and a
-// snapshot decoder can batch thousands of them in one backing array.
+// (one per distinct seasonal interval) and lookups are binary searches.
+// They live only while one function is extracted: the index keeps the
+// features, not the thresholds.
 type SeasonThresholds []SeasonTheta
 
 // find returns the index of season in s, or -1.

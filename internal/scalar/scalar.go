@@ -8,9 +8,8 @@
 //
 //   - count functions capture activity: density (tuples per spatio-temporal
 //     point) and unique (distinct identifiers per point);
-//   - attribute functions capture per-attribute behaviour; the default
-//     aggregate is the average, with sum/min/max/median available as the
-//     extensions Section 8 describes.
+//   - attribute functions capture per-attribute behaviour: the average of
+//     one numerical attribute per point.
 package scalar
 
 import (
@@ -54,67 +53,21 @@ func (k Kind) String() string {
 	}
 }
 
-// Agg selects the aggregate used by attribute functions.
-type Agg int
-
-const (
-	// Avg is the paper's default attribute aggregate.
-	Avg Agg = iota
-	// Sum totals the attribute per point.
-	Sum
-	// Min takes the minimum per point.
-	Min
-	// Max takes the maximum per point.
-	Max
-	// MedianAgg takes the median per point.
-	MedianAgg
-	// Custom applies a user-provided aggregate (Spec.CustomFn), the
-	// "users can define custom functions" extension of Section 8.
-	Custom
-)
-
-// String implements fmt.Stringer.
-func (a Agg) String() string {
-	switch a {
-	case Avg:
-		return "avg"
-	case Sum:
-		return "sum"
-	case Min:
-		return "min"
-	case Max:
-		return "max"
-	case MedianAgg:
-		return "median"
-	case Custom:
-		return "custom"
-	default:
-		return fmt.Sprintf("scalar.Agg(%d)", int(a))
-	}
-}
-
 // Spec identifies one scalar function of a data set, independent of
-// resolution: which kind, and for attribute functions which attribute and
-// aggregate.
+// resolution: which kind, and for attribute functions which attribute.
 type Spec struct {
 	Kind Kind
 	Attr string // attribute name; only for Kind == Attribute
-	Agg  Agg    // aggregate; only for Kind == Attribute
-
-	// CustomFn and CustomName define a user-provided aggregate when Agg ==
-	// Custom (Section 8): CustomFn folds the attribute values of one
-	// spatio-temporal point into the function value.
-	CustomFn   func([]float64) float64
-	CustomName string
 }
+
+// avgPrefix opens the name of every attribute function: the average is the
+// paper's one attribute aggregate.
+const avgPrefix = "avg_"
 
 // Name returns the function name, e.g. "density", "unique", "avg_fare".
 func (s Spec) Name() string {
 	if s.Kind == Attribute {
-		if s.Agg == Custom && s.CustomName != "" {
-			return s.CustomName + "_" + s.Attr
-		}
-		return s.Agg.String() + "_" + s.Attr
+		return avgPrefix + s.Attr
 	}
 	return s.Kind.String()
 }
@@ -128,11 +81,7 @@ func SpecNamed(d *dataset.Dataset, name string) bool {
 	case Unique.String():
 		return d.HasID
 	}
-	attr, ok := strings.CutPrefix(name, Avg.String())
-	if !ok {
-		return false
-	}
-	attr, ok = strings.CutPrefix(attr, "_")
+	attr, ok := strings.CutPrefix(name, avgPrefix)
 	return ok && slices.Contains(d.Attrs, attr)
 }
 
@@ -146,7 +95,7 @@ func Specs(d *dataset.Dataset) []Spec {
 		out = append(out, Spec{Kind: Unique})
 	}
 	for _, a := range d.Attrs {
-		out = append(out, Spec{Kind: Attribute, Attr: a, Agg: Avg})
+		out = append(out, Spec{Kind: Attribute, Attr: a})
 	}
 	return out
 }
@@ -157,9 +106,6 @@ func Specs(d *dataset.Dataset) []Spec {
 type Function struct {
 	Dataset string
 	Spec    Spec
-	// Derived names a transformation applied on top of the spec (e.g.
-	// "grad" for gradient functions, Section 8); empty for plain functions.
-	Derived string
 
 	SRes spatial.Resolution
 	TRes temporal.Resolution
@@ -173,14 +119,8 @@ type Function struct {
 	Values []float64
 }
 
-// Name returns the function's name: the spec name, prefixed by the
-// derivation when present (e.g. "grad_density").
-func (f *Function) Name() string {
-	if f.Derived != "" {
-		return f.Derived + "_" + f.Spec.Name()
-	}
-	return f.Spec.Name()
-}
+// Name returns the function's name, its spec's.
+func (f *Function) Name() string { return f.Spec.Name() }
 
 // Key uniquely identifies the function within a corpus.
 func (f *Function) Key() string {
@@ -374,7 +314,7 @@ func (b *Binned) Compute(spec Spec, col []float64, lo int, sub *temporal.Timelin
 		}
 		sc.uniq = uniq[:0]
 	case Attribute:
-		aggregate(vals, spec, b.vertex, col, off, sc)
+		average(vals, b.vertex, col, off, sc)
 	}
 	return f
 }
@@ -413,41 +353,24 @@ func (f *Function) Recycle() {
 	valuesPool.Put(&v)
 }
 
-// aggregate computes an attribute function into vals: the value col[i] of
-// tuple i folds into its tile vertex vertex[i]-off, missing values
-// skipped. A vertex no value reached is imputed with the mean of the
+// average computes an attribute function into vals: the value col[i] of
+// tuple i folds into the mean at its tile vertex vertex[i]-off, missing
+// values skipped. A vertex no value reached is imputed with the mean of the
 // others, so the function stays Morse-friendly: imputed points sit at
 // "normal" level and never become salient features.
-func aggregate(vals []float64, spec Spec, vertex []int32, col []float64, off int32, sc *scratch) {
+func average(vals []float64, vertex []int32, col []float64, off int32, sc *scratch) {
 	n := len(vals)
 	if cap(sc.cnts) < n {
 		sc.cnts = make([]float64, n)
 	}
 	cnts := sc.cnts[:n] // values folded into each vertex
 	clear(cnts)
-	var samples [][]float64
-	if spec.Agg == MedianAgg || spec.Agg == Custom {
-		samples = make([][]float64, n)
-	}
 	for i, v := range vertex {
 		u, x := uint32(v-off), col[i]
 		if u >= uint32(n) || dataset.IsMissing(x) {
 			continue
 		}
-		switch spec.Agg {
-		case Avg, Sum:
-			vals[u] += x
-		case Min:
-			if cnts[u] == 0 || x < vals[u] {
-				vals[u] = x
-			}
-		case Max:
-			if cnts[u] == 0 || x > vals[u] {
-				vals[u] = x
-			}
-		case MedianAgg, Custom:
-			samples[u] = append(samples[u], x)
-		}
+		vals[u] += x
 		cnts[u]++
 	}
 	sum, observed := 0.0, 0 // mathx.Mean of the observed values, in vertex order
@@ -455,14 +378,7 @@ func aggregate(vals []float64, spec Spec, vertex []int32, col []float64, off int
 		if c == 0 {
 			continue
 		}
-		switch spec.Agg {
-		case Avg:
-			vals[u] /= c
-		case MedianAgg:
-			vals[u] = mathx.Median(samples[u])
-		case Custom:
-			vals[u] = spec.CustomFn(samples[u])
-		}
+		vals[u] /= c
 		sum += vals[u]
 		observed++
 	}

@@ -83,7 +83,7 @@ func TestUniqueCountsDistinctIDs(t *testing.T) {
 func TestAttributeAvg(t *testing.T) {
 	city := testCity(t)
 	d := gpsDataset(t, city)
-	f, err := Compute(d, Spec{Kind: Attribute, Attr: "fare", Agg: Avg}, city, spatial.City, temporal.Hour)
+	f, err := Compute(d, Spec{Kind: Attribute, Attr: "fare"}, city, spatial.City, temporal.Hour)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,31 +95,11 @@ func TestAttributeAvg(t *testing.T) {
 	}
 }
 
-func TestAttributeAggregates(t *testing.T) {
-	city := testCity(t)
-	d := gpsDataset(t, city)
-	cases := []struct {
-		agg  Agg
-		want float64 // hour 0 value (tuples: 10, 20)
-	}{
-		{Sum, 30}, {Min, 10}, {Max, 20}, {MedianAgg, 15},
-	}
-	for _, c := range cases {
-		f, err := Compute(d, Spec{Kind: Attribute, Attr: "fare", Agg: c.agg}, city, spatial.City, temporal.Hour)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := f.Value(0, 0); got != c.want {
-			t.Errorf("%v hour0 = %g, want %g", c.agg, got, c.want)
-		}
-	}
-}
-
 func TestMissingValuesSkipped(t *testing.T) {
 	city := testCity(t)
 	d := gpsDataset(t, city)
 	d.Tuples[1].Values[0] = dataset.Missing()
-	f, err := Compute(d, Spec{Kind: Attribute, Attr: "fare", Agg: Avg}, city, spatial.City, temporal.Hour)
+	f, err := Compute(d, Spec{Kind: Attribute, Attr: "fare"}, city, spatial.City, temporal.Hour)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +112,7 @@ func TestImputationUsesGlobalMean(t *testing.T) {
 	city := testCity(t)
 	d := gpsDataset(t, city)
 	// Neighborhood resolution: most vertices unobserved.
-	f, err := Compute(d, Spec{Kind: Attribute, Attr: "fare", Agg: Avg}, city, spatial.Neighborhood, temporal.Hour)
+	f, err := Compute(d, Spec{Kind: Attribute, Attr: "fare"}, city, spatial.Neighborhood, temporal.Hour)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +159,7 @@ func TestComputeErrors(t *testing.T) {
 	if _, err := Compute(d, Spec{Kind: Density}, city, spatial.GPS, temporal.Hour); err == nil {
 		t.Error("expected error at GPS evaluation resolution")
 	}
-	if _, err := Compute(d, Spec{Kind: Attribute, Attr: "nope", Agg: Avg}, city, spatial.City, temporal.Hour); err == nil {
+	if _, err := Compute(d, Spec{Kind: Attribute, Attr: "nope"}, city, spatial.City, temporal.Hour); err == nil {
 		t.Error("expected error for unknown attribute")
 	}
 	noID := gpsDataset(t, city)
@@ -240,7 +220,7 @@ func TestInvalidTuplesRejected(t *testing.T) {
 		{"long values row at GPS", spatial.GPS, func(tups []dataset.Tuple) { tups[0].Values = []float64{1, 2} },
 			"dataset permits: tuple 0 has 2 values, want 1"},
 	}
-	specs := []Spec{{Kind: Density}, {Kind: Unique}, {Kind: Attribute, Attr: "fee", Agg: Avg}}
+	specs := []Spec{{Kind: Density}, {Kind: Unique}, {Kind: Attribute, Attr: "fee"}}
 	for _, c := range cases {
 		d := &dataset.Dataset{Name: "permits", SpatialRes: c.res, TemporalRes: temporal.Hour,
 			HasID: true, Attrs: []string{"fee"}, Tuples: tuples()}
@@ -485,8 +465,7 @@ func TestBinnedMatchesComputeOnDomain(t *testing.T) {
 		t.Fatal(err)
 	}
 	cols := Columns(d)
-	specs := append(Specs(d), Spec{Kind: Attribute, Attr: "fare", Agg: Max}, Spec{Kind: Attribute, Attr: "fare", Agg: MedianAgg})
-	for _, spec := range specs {
+	for _, spec := range Specs(d) {
 		want, err := ComputeOnDomain(d, spec, city, spatial.Neighborhood, temporal.Hour, tl, g)
 		if err != nil {
 			t.Fatal(err)

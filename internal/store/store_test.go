@@ -162,11 +162,12 @@ func TestReadRejectsForeignFile(t *testing.T) {
 }
 
 // TestReadRejectsOtherVersions: exactly FormatVersion is read. Older
-// generations (1 and 4–11 were written by earlier builds; 6 stored each
+// generations (1 and 4–12 were written by earlier builds; 6 stored each
 // tested candidate with its six strings, 7 sampled one-region p-values, 8
 // entry-level thresholds and edge counts, 9 no occupancy summaries, 10
 // one-directional p-values, 11 a clause signature and selection rule
-// beside the graph section's clause) and
+// beside the graph section's clause, 12 per-tile thresholds and the
+// clause's exhaustive flag) and
 // future ones fail with ErrVersion, which callers answer with a rebuild.
 func TestReadRejectsOtherVersions(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "corpus.snap")
@@ -177,7 +178,7 @@ func TestReadRejectsOtherVersions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, v := range []byte{1, 4, 5, 6, 7, 8, 9, 10, 11, FormatVersion + 1, 0xFF} {
+	for _, v := range []byte{1, 4, 5, 6, 7, 8, 9, 10, 11, 12, FormatVersion + 1, 0xFF} {
 		data[8] = v // low byte of the little-endian version field
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)

@@ -574,21 +574,24 @@ func benchmarkMergeTree3D(b *testing.B, w, h, steps int, values func(*rand.Rand,
 // neighbourhood) shapes that hold most of an urban corpus's vertices, 48
 // regions x 8,784 steps: a count with 95 % zeros (the plateau at the
 // minimum) and an average with 97 % at the imputed mean (values on both
-// sides).
+// sides). sparse-week and dense-week run the sparse and dense generators
+// over one week of hours (256 x 168), so a round runs tens of ops where the
+// year-long rows run one or two, whose times spread about ±20 % between
+// rounds on a shared 2-core host.
 func BenchmarkMergeTree3D(b *testing.B) {
-	b.Run("sparse", func(b *testing.B) {
-		benchmarkMergeTree3D(b, 16, 16, 8760, each(func(rng *rand.Rand) float64 {
-			if rng.Intn(10) < 7 {
-				return 0
-			}
-			return float64(rng.Intn(40))
-		}))
+	sparse := each(func(rng *rand.Rand) float64 {
+		if rng.Intn(10) < 7 {
+			return 0
+		}
+		return float64(rng.Intn(40))
 	})
-	b.Run("dense", func(b *testing.B) {
-		benchmarkMergeTree3D(b, 16, 16, 8760, each(func(rng *rand.Rand) float64 { return rng.NormFloat64() }))
-	})
+	dense := each(func(rng *rand.Rand) float64 { return rng.NormFloat64() })
+	b.Run("sparse", func(b *testing.B) { benchmarkMergeTree3D(b, 16, 16, 8760, sparse) })
+	b.Run("dense", func(b *testing.B) { benchmarkMergeTree3D(b, 16, 16, 8760, dense) })
 	b.Run("plateau48", func(b *testing.B) { benchmarkMergeTree3D(b, 8, 6, 8784, hourlyCounts(48)) })
 	b.Run("mean48", func(b *testing.B) { benchmarkMergeTree3D(b, 8, 6, 8784, hourlyMeans(48)) })
+	b.Run("sparse-week", func(b *testing.B) { benchmarkMergeTree3D(b, 16, 16, 168, sparse) })
+	b.Run("dense-week", func(b *testing.B) { benchmarkMergeTree3D(b, 16, 16, 168, dense) })
 }
 
 // ints widens vertex ids to int.
