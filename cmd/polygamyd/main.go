@@ -78,7 +78,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"syscall"
 	"time"
 
@@ -101,7 +100,7 @@ func main() {
 		workers   = flag.Int("workers", 0, "worker pool size (0 = NumCPU)")
 		graph     = flag.Bool("graph", false, "materialize the relationship graph at startup (otherwise POST /v1/graph/build)")
 		drain     = flag.Duration("drain", 15*time.Second, "in-flight query drain timeout on SIGINT/SIGTERM")
-		snapshot  = flag.String("snapshot", "", "snapshot container path: warm-start from it when present, write it after cold builds, ingestions and graph builds; also the container replicated to -replica followers")
+		snapshot  = flag.String("snapshot", "", "snapshot container path: warm-start from it when present, write it after cold builds, ingestions and graph builds, and ship it to -replica followers; with -replica, the follower's durable copy of its serving epoch, whose unchanged sections a restart reuses (empty: nothing on disk)")
 		replicaOf = flag.String("replica", "", "run as a read replica of the leader at this base URL: poll its snapshot, epoch-swap on change, reject writes")
 		poll      = flag.Duration("poll", 2*time.Second, "replica mode: how often an idle follower asks the leader for its manifest; the leader holds each request until it publishes or -poll runs out (failures back off exponentially)")
 		writeTO   = flag.Duration("write-timeout", 5*time.Minute, "HTTP response write timeout (bounds the slowest handler, e.g. a synchronous graph build)")
@@ -125,13 +124,9 @@ func main() {
 		// Replica mode: no local corpus assembly — the leader's snapshot is
 		// the only source of truth. The first sync must complete before the
 		// listener opens, so the replica never serves an empty framework.
-		path := *snapshot
-		if path == "" {
-			path = filepath.Join(os.TempDir(), fmt.Sprintf("polygamyd-replica-%d.snap", os.Getpid()))
-		}
 		fol, err := replica.NewFollower(replica.FollowerOptions{
 			Leader:  *replicaOf,
-			Path:    path,
+			Path:    *snapshot,
 			Grid:    *grid,
 			Workers: *workers,
 			Poll:    *poll,

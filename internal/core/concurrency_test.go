@@ -208,6 +208,7 @@ func TestClauseValidate(t *testing.T) {
 		{Clause{MinScore: math.Inf(1)}, "score"},
 		{Clause{MinStrength: math.NaN()}, "strength"},
 		{Clause{Windowed: true, WindowFrom: 6, WindowTo: 5}, "window"},
+		{Clause{Correction: 7}, "correction"},
 	} {
 		err := c.clause.Validate()
 		if (err == nil) != (c.field == "") || err != nil && !strings.Contains(err.Error(), c.field) {

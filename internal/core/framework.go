@@ -206,11 +206,10 @@ type Framework struct {
 	// vectors, caches, and the relationship graph). Read by Rebuilds.
 	rebuilds atomic.Int64
 
-	// mappings are the snapshot memory mappings adopted by Load: sections
-	// are viewed zero-copy, so the mapped file must outlive every
-	// reachable bit vector, string, and edge. They are released only by
-	// Close — not on re-Load, since lock-free readers may still hold state
-	// aliasing an older mapping. snapZeroCopy records how the last Load
+	// mappings are the snapshot containers adopted by Load: sections are
+	// viewed in place, so each must outlive every reachable bit vector,
+	// string and edge, and only Close releases them (lock-free readers may
+	// hold an older one's views). snapZeroCopy records how the last Load
 	// sourced its sections (see LoadedSnapshot).
 	mappings     []*store.Mapped
 	snapZeroCopy bool

@@ -357,6 +357,12 @@ func TestFlatGraphRejectsDamagedPayloads(t *testing.T) {
 			binary.LittleEndian.PutUint64(out[alphaOff:], math.Float64bits(2))
 			return out
 		}()},
+		// The correction word, three after alpha, names no procedure.
+		{"a clause correction outside none/bh/by", func() []byte {
+			out := append([]byte(nil), graph...)
+			binary.LittleEndian.PutUint64(out[alphaOff+24:], 7)
+			return out
+		}()},
 	}
 	for _, tc := range cases {
 		if _, err := parseFlatGraph(tc.payload, ix.funcs); !errors.Is(err, store.ErrCorrupt) {

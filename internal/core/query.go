@@ -94,6 +94,8 @@ func (c Clause) Validate() error {
 		return fmt.Errorf("core: permutations must be in [0, %d], got %d", maxPermutations, c.Permutations)
 	case c.MaxQ < 0:
 		return fmt.Errorf("core: max_q must be >= 0, got %g", c.MaxQ)
+	case c.Correction != stats.None && c.Correction != stats.BH && c.Correction != stats.BY:
+		return fmt.Errorf("core: correction must be none, bh or by, got %d", int(c.Correction))
 	case c.Windowed && c.WindowFrom > c.WindowTo:
 		return fmt.Errorf("core: time window starts after it ends (%d > %d)", c.WindowFrom, c.WindowTo)
 	}

@@ -107,12 +107,24 @@ func (f *Framework) Save(path string) error {
 // vectors and strings alias the mapping, which the framework keeps alive
 // until Close — so processes serving the same snapshot share one copy of
 // its pages, and warm start decodes nothing but the manifest.
-func (f *Framework) Load(path string) (err error) {
+func (f *Framework) Load(path string) error {
 	t0 := time.Now()
 	mp, err := store.Map(path)
 	if err != nil {
 		return err
 	}
+	return f.load(mp, t0)
+}
+
+// LoadContainer is Load of an open container, such as one store.Assemble
+// built from verified heap payloads (a follower's epoch, collected with the
+// framework). The framework keeps it until Close; a refused load closes it.
+func (f *Framework) LoadContainer(mp *store.Mapped) error {
+	return f.load(mp, time.Now())
+}
+
+// load installs mp, opened since t0: the one path of Load and LoadContainer.
+func (f *Framework) load(mp *store.Mapped, t0 time.Time) (err error) {
 	mapped := time.Since(t0)
 	adopted := false
 	defer func() {
@@ -123,7 +135,7 @@ func (f *Framework) Load(path string) (err error) {
 	m := mp.Manifest()
 	idx, ok := mp.Section(store.SectionIndex)
 	if !ok {
-		return fmt.Errorf("core: snapshot %s has no index section", path)
+		return fmt.Errorf("core: snapshot has no index section")
 	}
 	f.writeMu.Lock()
 	defer f.writeMu.Unlock()
@@ -175,12 +187,9 @@ func (f *Framework) Load(path string) (err error) {
 		f.applyGraphLocked(graph)
 	}
 	installed := time.Since(t2)
-	// The views alias the container buffer. A mmap-backed buffer must stay
-	// mapped for as long as any view can be reached — readers hold graphs
-	// and entries lock-free, so the mapping is adopted for the framework's
-	// lifetime (Close) rather than tied to this index generation. A
-	// heap-backed buffer (mmap unavailable) is kept via the same list for
-	// uniformity; its Close is a no-op and the GC tracks the aliases anyway.
+	// The views alias the container, and readers hold graphs and entries
+	// lock-free, so it is adopted for the framework's lifetime (Close), not
+	// this index generation. A heap container's Close is a no-op.
 	f.mappings = append(f.mappings, mp)
 	adopted = true
 	f.snapZeroCopy = mp.ZeroCopy()
@@ -207,22 +216,6 @@ func (f *Framework) LoadedSnapshot() (zeroCopy bool, ok bool) {
 	f.mu.RLock()
 	defer f.mu.RUnlock()
 	return f.snapZeroCopy, len(f.mappings) > 0
-}
-
-// Evict hands the resident pages of the framework's snapshot mappings back
-// to the kernel and keeps the mappings: unlike Close it is safe while readers
-// still hold state from this framework, which re-faults what it touches. A
-// follower calls it on the epoch it has just superseded.
-func (f *Framework) Evict() error {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	var first error
-	for _, mp := range f.mappings {
-		if err := mp.Evict(); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
 }
 
 // Close releases the snapshot mappings the framework has adopted across

@@ -67,9 +67,6 @@ func quantileSorted(sorted []float64, q float64) float64 {
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }
 
-// Median returns the median of xs.
-func Median(xs []float64) float64 { return Quantile(xs, 0.5) }
-
 // Quartiles returns (Q1, Q2, Q3) of xs.
 func Quartiles(xs []float64) (q1, q2, q3 float64) {
 	if len(xs) == 0 {

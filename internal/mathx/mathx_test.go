@@ -70,15 +70,6 @@ func TestQuartilesIQR(t *testing.T) {
 	}
 }
 
-func TestMedianOddEven(t *testing.T) {
-	if !almost(Median([]float64{5, 1, 3}), 3) {
-		t.Error("odd median wrong")
-	}
-	if !almost(Median([]float64{1, 2, 3, 10}), 2.5) {
-		t.Error("even median wrong")
-	}
-}
-
 func TestTwoMeansSeparated(t *testing.T) {
 	// Two well-separated groups: the paper's persistence split.
 	xs := []float64{0.1, 0.2, 0.15, 0.12, 10, 11, 10.5}

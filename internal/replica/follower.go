@@ -21,24 +21,26 @@ var (
 	mSectionsFetched = obsv.NewCounter("polygamy_replica_sections_fetched_total",
 		"Snapshot sections downloaded from the leader.")
 	mSectionsReused = obsv.NewCounter("polygamy_replica_sections_reused_total",
-		"Snapshot sections reused from the local container (unchanged CRC).")
+		"Snapshot sections reused from the serving epoch or the durable copy (unchanged CRC).")
 	mSectionBytesFetched = obsv.NewCounter("polygamy_replica_section_bytes_fetched_total",
 		"Section payload bytes downloaded from the leader.")
 	mEpoch = obsv.NewGauge("polygamy_replica_epoch",
 		"Serving epoch of this follower (increments on every applied sync).")
 	// wait is the manifest request (a leader's hold included), fetch the
-	// section downloads and local reuse, write the container, open the new
-	// epoch's framework and its swap.
+	// section downloads and reuse, open the new epoch's framework, write
+	// the durable copy (when Path is set) and the swap.
 	mSyncStage = obsv.NewHistogramVec("polygamy_replica_sync_stage_duration_seconds",
-		"Follower sync latency by stage (wait, fetch, write, open).", nil, "stage")
+		"Follower sync latency by stage (wait, fetch, open, write).", nil, "stage")
 )
 
 // FollowerOptions configures a follower.
 type FollowerOptions struct {
 	// Leader is the leader's base URL.
 	Leader string
-	// Path is the local snapshot container path the follower re-assembles
-	// and warm-starts from.
+	// Path, when set, is where the follower keeps a durable copy of its
+	// serving epoch, written before each swap: a restarted follower reuses
+	// its unchanged sections on its first sync. Empty keeps nothing on
+	// disk; either way an epoch is served from memory.
 	Path string
 	// Grid is the synthetic city grid side; it must match the leader's
 	// -grid (the seed travels in the snapshot fingerprint, the grid does
@@ -82,9 +84,9 @@ type FollowerStatus struct {
 }
 
 // Follower pulls snapshots from a leader and serves them through an
-// atomically swapped Framework pointer. One Follower owns its local
-// container path; Sync and Run must not race each other (Run is the only
-// caller in production, tests drive Sync directly).
+// atomically swapped Framework pointer. One Follower owns its Path; Sync
+// and Run must not race each other (Run is the only caller in production,
+// tests drive Sync directly).
 type Follower struct {
 	opts   FollowerOptions
 	client *Client
@@ -94,6 +96,7 @@ type Follower struct {
 	mu       sync.Mutex // guards the sync state below
 	etag     string
 	manifest store.Manifest
+	have     map[store.SectionInfo][]byte // the serving epoch's verified sections
 	epoch    int64
 	lastSync time.Time
 	lastErr  string
@@ -109,9 +112,6 @@ type Follower struct {
 // NewFollower validates the options and builds a follower. No network
 // traffic happens until Sync or Run.
 func NewFollower(opts FollowerOptions) (*Follower, error) {
-	if opts.Path == "" {
-		return nil, fmt.Errorf("replica: follower needs a local snapshot path")
-	}
 	if opts.Grid <= 0 {
 		opts.Grid = 32
 	}
@@ -135,9 +135,9 @@ func NewFollower(opts FollowerOptions) (*Follower, error) {
 }
 
 // Framework returns the currently serving framework — nil until the
-// first successful sync. Callers must not Close it: a swapped-out epoch
-// stays mapped because queries in flight may alias its mapped sections
-// (only its resident pages are given back, see syncLocked).
+// first successful sync. An epoch is heap, not a mapping: a swapped-out
+// one keeps answering the queries in flight on it, and the GC collects it
+// once none reaches it, so nothing needs closing.
 func (f *Follower) Framework() *core.Framework { return f.cur.Load() }
 
 // Status reports the follower's replication state.
@@ -208,26 +208,31 @@ func (f *Follower) sync(ctx context.Context, wait time.Duration) (applied bool, 
 	return applied, nil
 }
 
-// applyLocked pulls, writes and opens the snapshot info describes and
+// applyLocked pulls the snapshot info describes, opens it in memory and
 // swaps it in as the next epoch.
 func (f *Follower) applyLocked(ctx context.Context, info ManifestInfo) error {
 	m := info.Manifest
 	t0 := time.Now()
 
-	// Sections: pull only what changed, reuse the rest from the local
-	// container byte-for-byte. Every payload — fetched or reused — is
-	// verified against THIS manifest's CRC, and fetches carry If-Match, so
-	// a leader rotating mid-sync fails the whole cycle instead of mixing
-	// epochs.
-	var local *store.File
-	if lf, err := store.OpenFile(f.opts.Path); err == nil {
-		local = lf
-		defer local.Close()
+	// Pull only the sections that changed and reuse the rest. Every byte is
+	// checked against its CRC once: as it arrives, or when the epoch (or
+	// the durable copy, by store.Read) it is reused from was opened.
+	// Fetches carry If-Match, so a leader rotating mid-sync fails the whole
+	// cycle instead of mixing epochs.
+	have := f.have
+	if have == nil && f.opts.Path != "" {
+		if local, payloads, err := store.Read(f.opts.Path); err == nil {
+			have = make(map[store.SectionInfo][]byte, len(local.Sections))
+			for _, info := range local.Sections {
+				have[info] = payloads[info.Name]
+			}
+		}
 	}
 	sections := make([]store.Section, 0, len(m.Sections))
+	next := make(map[store.SectionInfo][]byte, len(m.Sections))
 	var fetched, reused, bytes int64
 	for _, want := range m.Sections {
-		data, ok := readLocalSection(local, want)
+		data, ok := have[want]
 		if ok {
 			reused++
 		} else {
@@ -239,42 +244,40 @@ func (f *Follower) applyLocked(ctx context.Context, info ManifestInfo) error {
 			fetched++
 			bytes += int64(len(data))
 		}
-		// Both paths checked data against want.CRC, so Write records it
-		// without hashing the payload again.
 		sections = append(sections, store.Section{Name: want.Name, Data: data, CRC: want.CRC, Verified: true})
+		next[want] = data
+	}
+	container, err := store.Assemble(store.Manifest{Fingerprint: m.Fingerprint, ClauseSig: m.ClauseSig}, sections)
+	if err != nil {
+		return err
 	}
 	t1 := time.Now()
 
-	// Assemble the container locally with the same atomic temp+rename
-	// publication the leader's Save uses, then warm-start a fresh
-	// framework from it alone: the snapshot names the corpus and its index
-	// answers every read, so the follower holds no raw data and its
-	// framework refuses writes. The previous epoch's framework keeps
-	// serving until the pointer swap below, and is never Closed: in-flight
-	// queries may alias its mapping, and the rename left its inode intact.
-	if err := store.Write(f.opts.Path, store.Manifest{Fingerprint: m.Fingerprint, ClauseSig: m.ClauseSig}, sections); err != nil {
-		return err
-	}
-	t2 := time.Now()
+	// The snapshot names the corpus and its index answers every read, so
+	// the framework holds no raw data and refuses writes.
 	city, err := spatial.Generate(spatial.GridConfig(m.Fingerprint.Seed, f.opts.Grid))
 	if err != nil {
 		return err
 	}
-	fw, err := core.Open(f.opts.Path, core.OpenOptions{
-		Options: core.Options{City: city, Workers: f.opts.Workers, Seed: m.Fingerprint.Seed},
-	})
+	fw, err := core.New(core.Options{City: city, Workers: f.opts.Workers, Seed: m.Fingerprint.Seed})
 	if err != nil {
 		return err
 	}
+	if err := fw.LoadContainer(container); err != nil {
+		return err
+	}
+	t2 := time.Now()
 
-	// The superseded epoch is never Closed, so its mapping would stay
-	// resident for the life of the process: one snapshot of RSS per epoch.
-	// Evicting drops the pages and keeps every address valid.
-	if old := f.cur.Swap(fw); old != nil {
-		if err := old.Evict(); err != nil {
-			f.opts.Logger.Warn("replica: evicting the superseded epoch's mapping", "error", err)
+	// The durable copy is written (atomically) before the swap, so a failed
+	// write fails the sync. After the swap, queries in flight finish on the
+	// previous epoch, and the GC frees it once none holds it.
+	if f.opts.Path != "" {
+		if err := store.Write(f.opts.Path, container.Manifest(), sections); err != nil {
+			return err
 		}
 	}
+	f.cur.Store(fw)
+	f.have = next
 	f.etag = info.ETag
 	f.manifest = m
 	f.epoch++
@@ -286,34 +289,13 @@ func (f *Follower) applyLocked(ctx context.Context, info ManifestInfo) error {
 	mSectionBytesFetched.Add(uint64(bytes))
 	mEpoch.Set(float64(f.epoch))
 	mSyncStage.With("fetch").Observe(t1.Sub(t0).Seconds())
-	mSyncStage.With("write").Observe(t2.Sub(t1).Seconds())
-	mSyncStage.With("open").Observe(time.Since(t2).Seconds())
+	mSyncStage.With("open").Observe(t2.Sub(t1).Seconds())
+	mSyncStage.With("write").Observe(time.Since(t2).Seconds())
 	f.opts.Logger.Info("replica: applied snapshot epoch",
 		"epoch", f.epoch, "etag", f.etag,
 		"sectionsFetched", fetched, "sectionsReused", reused, "bytesFetched", bytes,
 		"datasets", len(m.Fingerprint.Datasets))
 	return nil
-}
-
-// readLocalSection returns the local container's payload for want when
-// present with the same length and CRC; the bytes are re-verified so a
-// damaged local file falls back to fetching.
-func readLocalSection(local *store.File, want store.SectionInfo) ([]byte, bool) {
-	if local == nil {
-		return nil, false
-	}
-	rd, info, ok := local.Section(want.Name)
-	if !ok || info.Length != want.Length || info.CRC != want.CRC {
-		return nil, false
-	}
-	data := make([]byte, info.Length)
-	if _, err := rd.ReadAt(data, 0); err != nil {
-		return nil, false
-	}
-	if store.Checksum(data) != want.CRC {
-		return nil, false
-	}
-	return data, true
 }
 
 // backoffDelay is the poll delay after fails consecutive failures:

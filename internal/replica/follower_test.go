@@ -183,6 +183,105 @@ func TestFollowerDeltaPullReusesUnchangedSections(t *testing.T) {
 	}
 }
 
+// TestFollowerRestartReusesDurableCopy: a follower started on another's
+// Path reuses every section of the durable copy the leader still ships on
+// its first sync, and fetches only the rest.
+func TestFollowerRestartReusesDurableCopy(t *testing.T) {
+	leaderFW := leaderFramework(t, 0)
+	lf := newLeaderFixture(t, leaderFW, nil)
+	first := newTestFollower(t, lf)
+	mustSync(t, first)
+
+	// The graph section is new, the index section unchanged.
+	if _, err := leaderFW.BuildGraph(core.Clause{Permutations: 80}); err != nil {
+		t.Fatal(err)
+	}
+	if err := leaderFW.Save(lf.path); err != nil {
+		t.Fatal(err)
+	}
+	restarted, err := NewFollower(FollowerOptions{
+		Leader: lf.srv.URL, Path: first.opts.Path, Grid: testGrid, Workers: 2,
+		HTTPClient: &http.Client{Timeout: 2 * time.Second},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustSync(t, restarted)
+	if st := restarted.Status(); st.SectionsReused != 1 || st.SectionsFetched != 1 {
+		t.Fatalf("first sync on a durable copy reused %d and fetched %d sections, want 1 and 1", st.SectionsReused, st.SectionsFetched)
+	}
+	if _, ok := restarted.Framework().RelGraph(); !ok {
+		t.Fatal("restarted follower did not pick up the shipped graph")
+	}
+	if want, got := queryResults(t, leaderFW), queryResults(t, restarted.Framework()); !reflect.DeepEqual(want, got) {
+		t.Fatal("restarted follower answers differ from the leader")
+	}
+}
+
+// TestFollowerWithoutPathWritesNothing: with no Path, a follower syncs and
+// serves from memory and leaves no file behind, in the temp directory or
+// the working one.
+func TestFollowerWithoutPathWritesNothing(t *testing.T) {
+	dir := t.TempDir()
+	t.Setenv("TMPDIR", dir)
+	t.Chdir(dir)
+	leaderFW := leaderFramework(t, 0)
+	lf := newLeaderFixture(t, leaderFW, nil)
+	f, err := NewFollower(FollowerOptions{
+		Leader: lf.srv.URL, Grid: testGrid, Workers: 2,
+		HTTPClient: &http.Client{Timeout: 2 * time.Second},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustSync(t, f)
+	if want, got := queryResults(t, leaderFW), queryResults(t, f.Framework()); !reflect.DeepEqual(want, got) {
+		t.Fatal("path-less follower answers differ from the leader")
+	}
+	if entries, err := os.ReadDir(dir); err != nil || len(entries) != 0 {
+		t.Fatalf("path-less follower left %d entries (err %v)", len(entries), err)
+	}
+}
+
+// TestFollowerEpochsLeaveNoMapping: an epoch is opened from the bytes the
+// follower verified, not from its durable copy, so however many epochs it
+// applies the process maps no version of its Path — a superseded epoch is
+// heap the GC collects, not a deleted file held open until exit.
+func TestFollowerEpochsLeaveNoMapping(t *testing.T) {
+	if _, err := os.Stat("/proc/self/maps"); err != nil {
+		t.Skip("no /proc/self/maps on this platform")
+	}
+	leaderFW := leaderFramework(t, 0)
+	lf := newLeaderFixture(t, leaderFW, nil)
+	f := newTestFollower(t, lf)
+	mustSync(t, f)
+	for i := 0; i < 6; i++ {
+		if _, err := leaderFW.BuildGraph(core.Clause{Permutations: 60 + i*8}); err != nil {
+			t.Fatal(err)
+		}
+		if err := leaderFW.Save(lf.path); err != nil {
+			t.Fatal(err)
+		}
+		// A fresh mtime per re-save: the leader keys its manifest cache on
+		// size and mtime.
+		stamp := time.Now().Add(time.Duration(i+1) * time.Second)
+		if err := os.Chtimes(lf.path, stamp, stamp); err != nil {
+			t.Fatal(err)
+		}
+		mustSync(t, f)
+	}
+	if st := f.Status(); st.Epoch != 7 {
+		t.Fatalf("epoch = %d, want 7", st.Epoch)
+	}
+	maps, err := os.ReadFile("/proc/self/maps")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := bytes.Count(maps, []byte(f.opts.Path)); n != 0 {
+		t.Fatalf("after 7 epochs the process holds %d mappings of %s", n, f.opts.Path)
+	}
+}
+
 // TestFollowerCorpusGrowthResyncsDatasets: a leader-side ingest that adds
 // a data set (changing the fingerprint) makes the follower swap an epoch
 // that covers it, from the manifest and sections alone — no raw data set
@@ -224,11 +323,11 @@ func TestFollowerCorpusGrowthResyncsDatasets(t *testing.T) {
 	}
 }
 
-// TestFollowerSupersededEpochKeepsAnswering: each sync gives the pages of
-// the epoch it supersedes back to the kernel. A framework captured at epoch
-// 1 must, five epochs on, repeat its cached answer byte for byte and answer
-// a clause it has never seen — which reads its evicted index sections —
-// exactly as the leader does.
+// TestFollowerSupersededEpochKeepsAnswering: a superseded epoch is heap
+// that whoever still holds it keeps alive. A framework captured at epoch 1
+// must, five epochs on, repeat its cached answer byte for byte and answer
+// a clause it has never seen — which reads its index sections — exactly
+// as the leader does.
 func TestFollowerSupersededEpochKeepsAnswering(t *testing.T) {
 	leaderFW := leaderFramework(t, 0)
 	lf := newLeaderFixture(t, leaderFW, nil)
@@ -356,8 +455,8 @@ func TestBackoffDelay(t *testing.T) {
 }
 
 func TestNewFollowerValidation(t *testing.T) {
-	if _, err := NewFollower(FollowerOptions{Leader: "http://x", Path: ""}); err == nil {
-		t.Fatal("empty path accepted")
+	if _, err := NewFollower(FollowerOptions{Leader: "http://x", Path: ""}); err != nil {
+		t.Fatalf("empty path (no durable copy) refused: %v", err)
 	}
 	if _, err := NewFollower(FollowerOptions{Leader: "not a url", Path: "p"}); err == nil {
 		t.Fatal("relative leader URL accepted")

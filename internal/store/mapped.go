@@ -3,7 +3,6 @@ package store
 import (
 	"fmt"
 	"os"
-	"sync"
 )
 
 // Mapped is a verified snapshot container whose section payloads are
@@ -12,17 +11,15 @@ import (
 // share the page cache instead of each materializing a heap copy.
 //
 // On platforms without mmap support (or when mapping fails) Map falls back
-// to one private heap buffer — the views and lifetime rules are identical,
-// only the page sharing is lost.
+// to one private heap buffer, and Assemble builds a container from heap
+// payloads already verified: the views and lifetime rules are identical,
+// only the page sharing is lost, and a heap container the framework no
+// longer reaches is collected like any other memory.
 type Mapped struct {
 	m        Manifest
 	sections map[string][]byte
 	zeroCopy bool
-	data     []byte // the whole container: the mapping, or the heap buffer
-
-	mu     sync.Mutex
-	unmap  func() error
-	closed bool
+	unmap    func() error // noUnmap once closed, and for a heap container
 }
 
 // Map opens, fully verifies (magic, version, manifest, every section CRC),
@@ -54,28 +51,50 @@ func Map(path string) (*Mapped, error) {
 		if err != nil {
 			return nil, err
 		}
-		unmap = func() error { return nil }
+		unmap = noUnmap
 	}
 	m, sections, err := parseContainer(data, path)
 	if err != nil {
 		_ = unmap()
 		return nil, err
 	}
-	return &Mapped{m: m, sections: sections, zeroCopy: zeroCopy, data: data, unmap: unmap}, nil
+	return &Mapped{m: m, sections: sections, zeroCopy: zeroCopy, unmap: unmap}, nil
+}
+
+func noUnmap() error { return nil }
+
+// Assemble is the container holding sections under m's fingerprint and
+// clause signature, built in memory from payloads the caller has verified:
+// a Verified section's CRC is recorded as given, as Write records it, and
+// nothing is checksummed twice. The sections are viewed in place, so the
+// caller must not modify them afterwards. A repeated section name is
+// ErrCorrupt, as it is in a file.
+func Assemble(m Manifest, sections []Section) (*Mapped, error) {
+	m.FormatVersion = FormatVersion
+	m.Sections = sectionTable(sections)
+	views := make(map[string][]byte, len(sections))
+	for _, s := range sections {
+		if _, dup := views[s.Name]; dup {
+			return nil, fmt.Errorf("store: assembling: duplicate section %q: %w", s.Name, ErrCorrupt)
+		}
+		views[s.Name] = s.Data
+	}
+	return &Mapped{m: m, sections: views, unmap: noUnmap}, nil
 }
 
 // Manifest returns the container's verified manifest.
 func (mp *Mapped) Manifest() Manifest { return mp.m }
 
-// Section returns the named payload as a view into the mapping (nil, false
-// when absent). The view is read-only: writing through it faults.
+// Section returns the named payload as a view into the container (nil,
+// false when absent). The view is read-only: writing through a mapping
+// faults.
 func (mp *Mapped) Section(name string) ([]byte, bool) {
 	b, ok := mp.sections[name]
 	return b, ok
 }
 
 // ZeroCopy reports whether the sections alias a true memory mapping (as
-// opposed to the heap-buffer fallback).
+// opposed to heap payloads).
 func (mp *Mapped) ZeroCopy() bool { return mp.zeroCopy }
 
 // Size returns the total bytes of the mapped (or heap-buffered) section
@@ -88,30 +107,13 @@ func (mp *Mapped) Size() int {
 	return n
 }
 
-// Evict hands the mapping's resident pages back to the kernel without
-// unmapping anything (madvise MADV_DONTNEED where the platform has it). The
-// mapping is read-only and shared over a file, so every view stays valid and
-// a later read re-faults its page from the page cache: this is for a
-// container that is superseded but may still have readers. It does nothing
-// on the heap fallback or after Close.
-func (mp *Mapped) Evict() error {
-	mp.mu.Lock()
-	defer mp.mu.Unlock()
-	if mp.closed || !mp.zeroCopy || len(mp.data) == 0 {
-		return nil
-	}
-	return dropPages(mp.data)
-}
-
 // Close releases the mapping. Every view handed out by Section — and every
 // bit vector or string built over one — becomes invalid; using it after
-// Close is a use-after-free. Close is idempotent.
+// Close is a use-after-free. Close is idempotent, releases nothing for a
+// heap container, and is the owner's to call: a framework closes its
+// containers under its state lock.
 func (mp *Mapped) Close() error {
-	mp.mu.Lock()
-	defer mp.mu.Unlock()
-	if mp.closed {
-		return nil
-	}
-	mp.closed = true
-	return mp.unmap()
+	unmap := mp.unmap
+	mp.unmap = noUnmap
+	return unmap()
 }

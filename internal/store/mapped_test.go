@@ -82,41 +82,35 @@ func TestWriteVerifiedCRC(t *testing.T) {
 	}
 }
 
-// TestMapEvictKeepsViewsValid: Evict gives the mapping's pages back and
-// unmaps nothing, so views taken before it read the same bytes after it —
-// also when the file has since been replaced by rename, as a follower's is —
-// and it is a no-op once the mapping is closed.
-func TestMapEvictKeepsViewsValid(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "corpus.snap")
-	if err := Write(path, testManifest(), testSections()); err != nil {
-		t.Fatal(err)
+// TestAssemble: a container built in memory records a Verified CRC as
+// given, views the payloads in place, and refuses a repeated name, as Map
+// refuses one in a file.
+func TestAssemble(t *testing.T) {
+	secs := testSections()
+	for i := range secs {
+		secs[i].CRC, secs[i].Verified = Checksum(secs[i].Data), true
 	}
-	mp, err := Map(path)
+	mp, err := Assemble(testManifest(), secs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	views := map[string][]byte{}
-	for _, s := range testSections() {
-		views[s.Name], _ = mp.Section(s.Name)
+	if mp.ZeroCopy() || mp.Manifest().ClauseSig != "alpha=0.05" || mp.Manifest().FormatVersion != FormatVersion {
+		t.Errorf("manifest = %+v, zero-copy %v", mp.Manifest(), mp.ZeroCopy())
 	}
-	if err := Write(path, testManifest(), []Section{{Name: SectionIndex, Data: []byte("next epoch")}}); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		if err := mp.Evict(); err != nil {
-			t.Fatalf("Evict: %v", err)
+	for i, s := range secs {
+		got, ok := mp.Section(s.Name)
+		if !ok || &got[0] != &s.Data[0] {
+			t.Errorf("section %q is not the payload it was given", s.Name)
 		}
-		for _, want := range testSections() {
-			if !bytes.Equal(views[want.Name], want.Data) {
-				t.Fatalf("section %q reads differently after Evict %d", want.Name, i+1)
-			}
+		if info := mp.Manifest().Sections[i]; info != (SectionInfo{Name: s.Name, Length: int64(len(s.Data)), CRC: s.CRC}) {
+			t.Errorf("table row %d = %+v", i, info)
 		}
 	}
 	if err := mp.Close(); err != nil {
-		t.Fatal(err)
+		t.Errorf("Close: %v", err)
 	}
-	if err := mp.Evict(); err != nil {
-		t.Errorf("Evict after Close: %v", err)
+	if _, err := Assemble(testManifest(), append(secs, secs[0])); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("repeated section: err = %v, want ErrCorrupt", err)
 	}
 }
 

@@ -124,10 +124,9 @@ type Manifest struct {
 type Section struct {
 	Name string
 	Data []byte
-	// CRC, when Verified, is the payload's CRC-32C as the caller already
-	// checked it (a follower checks every shipped section against its
-	// manifest); Write records it instead of hashing Data again. Map still
-	// verifies it, so a wrong CRC fails the next open, not the write.
+	// CRC, when Verified, is the payload's CRC-32C as the caller checked it
+	// (a follower, against the manifest): Write and Assemble record it
+	// without hashing Data again; Map and Read of the file still check it.
 	CRC      uint32
 	Verified bool
 }
@@ -179,6 +178,20 @@ func Write(path string, m Manifest, sections []Section) (err error) {
 	return nil
 }
 
+// sectionTable is a fresh manifest table for sections (never the caller's
+// backing array), checksumming each payload without a Verified CRC.
+func sectionTable(sections []Section) []SectionInfo {
+	table := make([]SectionInfo, 0, len(sections))
+	for _, s := range sections {
+		crc := s.CRC
+		if !s.Verified {
+			crc = crc32.Checksum(s.Data, castagnoli)
+		}
+		table = append(table, SectionInfo{Name: s.Name, Length: int64(len(s.Data)), CRC: crc})
+	}
+	return table
+}
+
 var zeroPad [sectionAlign]byte
 
 // writeContainer serialises the container to w. Split from Write so tests
@@ -186,16 +199,7 @@ var zeroPad [sectionAlign]byte
 // the rename).
 func writeContainer(w io.Writer, m Manifest, sections []Section) error {
 	m.FormatVersion = FormatVersion
-	// A fresh table, never the caller's backing array: reusing it would
-	// mutate the caller's Manifest.Sections in place.
-	m.Sections = make([]SectionInfo, 0, len(sections))
-	for _, s := range sections {
-		crc := s.CRC
-		if !s.Verified {
-			crc = crc32.Checksum(s.Data, castagnoli)
-		}
-		m.Sections = append(m.Sections, SectionInfo{Name: s.Name, Length: int64(len(s.Data)), CRC: crc})
-	}
+	m.Sections = sectionTable(sections)
 	mbuf, err := json.Marshal(&m)
 	if err != nil {
 		return fmt.Errorf("store: encoding manifest: %w", err)
