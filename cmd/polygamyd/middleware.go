@@ -10,9 +10,8 @@ import (
 
 // This file is the request-observability shell around the route table:
 // every request gets an ID (client-supplied X-Request-ID or generated),
-// carried through the context so any log line it causes — handler, job
-// body, engine warning — can be correlated, and echoed back in the
-// response header. The middleware also owns the error taxonomy: handlers
+// echoed back in the response header and written on the request's access
+// log line. The middleware also owns the error taxonomy: handlers
 // just write their status, and the recorded code splits failures into
 // client (4xx) and server (5xx) errors for /metrics.
 
@@ -60,7 +59,6 @@ func (s *server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		id = obsv.NewRequestID()
 	}
 	w.Header().Set("X-Request-ID", id)
-	r = r.WithContext(obsv.WithRequestID(r.Context(), id))
 
 	rec := &statusRecorder{ResponseWriter: w}
 	s.mux.ServeHTTP(rec, r)

@@ -32,11 +32,11 @@ func TestCandidateRecordLayout(t *testing.T) {
 	}
 	var c candidate
 	offsets := []uintptr{unsafe.Offsetof(c.posA), unsafe.Offsetof(c.posB), unsafe.Offsetof(c.class),
-		unsafe.Offsetof(c.tau), unsafe.Offsetof(c.rho), unsafe.Offsetof(c.p)}
-	if want := []uintptr{0, 4, 8, 16, 24, 32}; !slices.Equal(offsets, want) {
+		unsafe.Offsetof(c.tau), unsafe.Offsetof(c.rho), unsafe.Offsetof(c.extreme), unsafe.Offsetof(c.visited)}
+	if want := []uintptr{0, 4, 8, 16, 24, 32, 36}; !slices.Equal(offsets, want) {
 		t.Errorf("candidate field offsets %v, section layout %v", offsets, want)
 	}
-	want := []candidate{{posA: 3, posB: 9, class: 1, tau: -0.5, rho: 0.25, p: 0.01}, {posA: 1 << 31, p: 1}}
+	want := []candidate{{posA: 3, posB: 9, class: 1, tau: -0.5, rho: 0.25, extreme: 9, visited: 999}, {posA: 1 << 31}}
 	slab := appendCandidates(nil, want)
 	if len(slab) != candidateBytes*len(want) {
 		t.Fatalf("%d records encode to %d bytes", len(want), len(slab))

@@ -61,13 +61,6 @@ type Options struct {
 	City *spatial.CityMap
 	// Workers sizes the worker pool ("cluster nodes"); 0 => NumCPU.
 	Workers int
-	// EvalSpatial restricts evaluation resolutions; nil => zip,
-	// neighborhood, and city.
-	EvalSpatial []spatial.Resolution
-	// EvalTemporal restricts evaluation resolutions; nil => hour, day,
-	// week, and month (the paper's evaluation set; raw seconds are never
-	// an evaluation resolution).
-	EvalTemporal []temporal.Resolution
 	// Seed seeds the Monte Carlo randomization tests. Each pair's own draws
 	// derive deterministically from this seed and the pair's identity, the
 	// shared toroidal shifts from this seed and the spatial resolution, so
@@ -220,24 +213,8 @@ func New(opts Options) (*Framework, error) {
 	if opts.City == nil {
 		return nil, fmt.Errorf("core: Options.City is required")
 	}
-	if opts.EvalSpatial == nil {
-		opts.EvalSpatial = []spatial.Resolution{spatial.ZipCode, spatial.Neighborhood, spatial.City}
-	}
-	if opts.EvalTemporal == nil {
-		opts.EvalTemporal = []temporal.Resolution{temporal.Hour, temporal.Day, temporal.Week, temporal.Month}
-	}
-	for _, r := range opts.EvalSpatial {
-		if r == spatial.GPS {
-			return nil, fmt.Errorf("core: GPS is not an evaluation resolution")
-		}
-	}
-	for _, r := range opts.EvalTemporal {
-		if r == temporal.Second {
-			return nil, fmt.Errorf("core: second is not an evaluation resolution")
-		}
-	}
-	// Every resolution an entry can have, not only EvalSpatial: a loaded
-	// snapshot may carry others, and a pool is empty until a test reads it.
+	// Every spatial resolution an entry can have; a pool is empty until a
+	// test reads it.
 	shifts := make(map[spatial.Resolution]*montecarlo.ShiftPool)
 	for _, sr := range []spatial.Resolution{spatial.ZipCode, spatial.Neighborhood, spatial.City} {
 		shifts[sr] = montecarlo.NewShiftPool(opts.City.Adjacency(sr), shiftSeed(opts.Seed, sr))
@@ -307,15 +284,17 @@ func (f *Framework) writableLocked() error {
 	return nil
 }
 
-// resolutionsFor enumerates the evaluation resolutions viable for a data
-// set given its native resolutions and the framework's evaluation sets.
+// resolutionsFor enumerates the evaluation resolutions — zip code…city ×
+// hour…month, the paper's evaluation set (GPS and raw seconds never are) —
+// that a data set's native resolutions convert to. Every valid data set
+// converts to (city, month).
 func (f *Framework) resolutionsFor(d *dataset.Dataset) []Resolution {
-	out := make([]Resolution, 0, len(f.opts.EvalSpatial)*len(f.opts.EvalTemporal))
-	for _, sr := range f.opts.EvalSpatial {
+	var out []Resolution
+	for sr := spatial.ZipCode; sr <= spatial.City; sr++ {
 		if !d.SpatialRes.ConvertibleTo(sr) {
 			continue
 		}
-		for _, tr := range f.opts.EvalTemporal {
+		for tr := temporal.Hour; tr <= temporal.Month; tr++ {
 			if !d.TemporalRes.ConvertibleTo(tr) {
 				continue
 			}

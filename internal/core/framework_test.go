@@ -139,12 +139,6 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(Options{}); err == nil {
 		t.Error("expected error for missing city")
 	}
-	if _, err := New(Options{City: testCity(t), EvalSpatial: []spatial.Resolution{spatial.GPS}}); err == nil {
-		t.Error("expected error for GPS evaluation resolution")
-	}
-	if _, err := New(Options{City: testCity(t), EvalTemporal: []temporal.Resolution{temporal.Second}}); err == nil {
-		t.Error("expected error for second evaluation resolution")
-	}
 }
 
 func TestAddDatasetValidation(t *testing.T) {

@@ -172,58 +172,6 @@ func TestAddDatasetExtendingRangeForcesRebuild(t *testing.T) {
 	}
 }
 
-// TestDatasetWithoutViableResolutionStaysQueryable: a data set that yields
-// zero index entries (no evaluation resolution viable for it) must not
-// wedge the framework — the index covers it vacuously and Query still runs.
-func TestDatasetWithoutViableResolutionStaysQueryable(t *testing.T) {
-	f, err := New(Options{
-		City:         testCity(t),
-		Workers:      2,
-		EvalTemporal: []temporal.Resolution{temporal.Hour, temporal.Day},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	wind, trips := plantedPair(27, randomHours(38, 40), nil)
-	_ = f.AddDataset(wind)
-	_ = f.AddDataset(trips)
-	// Weekly data cannot be disaggregated to hour or day: zero entries.
-	weekly := &dataset.Dataset{
-		Name: "gas", SpatialRes: spatial.City, TemporalRes: temporal.Week,
-		Attrs:  []string{"price"},
-		Tuples: []dataset.Tuple{{Region: 0, TS: ts(2, 0), Values: []float64{3}}},
-	}
-	if err := f.AddDataset(weekly); err != nil {
-		t.Fatal(err)
-	}
-	stats, err := f.BuildIndex()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.DatasetsIndexed != 3 {
-		t.Errorf("DatasetsIndexed = %d, want 3", stats.DatasetsIndexed)
-	}
-	if !f.Indexed() {
-		t.Fatal("Indexed() must be true after BuildIndex even with an entry-less data set")
-	}
-	st, ok := f.DatasetIndexStats("gas")
-	if !ok || st.Functions != 0 {
-		t.Errorf("gas stats = %+v ok=%v, want zero stats with ok=true", st, ok)
-	}
-	if _, _, err := f.Query(Query{Clause: Clause{SkipSignificance: true}}); err != nil {
-		t.Errorf("Query failed on corpus with an entry-less data set: %v", err)
-	}
-	// A second BuildIndex must be a no-op, not re-queue the data set.
-	stats2, err := f.BuildIndex()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats2.DatasetsIndexed != 0 || stats2.DatasetsReused != 3 {
-		t.Errorf("rebuild: DatasetsIndexed=%d DatasetsReused=%d, want 0/3",
-			stats2.DatasetsIndexed, stats2.DatasetsReused)
-	}
-}
-
 func TestDatasetIndexStats(t *testing.T) {
 	wind, trips := plantedPair(24, randomHours(35, 60), nil)
 	f := newFW(t)

@@ -55,15 +55,17 @@ import (
 // drops the graph section's clause signature and selection rule, which
 // derive from its clause; 13 drops the per-tile thresholds, which nothing
 // read, leaving one critical point count per tile, and the clause's
-// exhaustive flag, retired test kind and reserved word. Evolving any layout
-// or meaning below means bumping both (the format has no field tags).
-const flatSnapshotVersion = 13
+// exhaustive flag, retired test kind and reserved word; 14 stores each
+// candidate's test counts (extreme, visited) in place of its p-value.
+// Evolving any layout or meaning below means bumping both (the format has
+// no field tags).
+const flatSnapshotVersion = 14
 
 // Payload magics. The final byte is the generation, so another
-// generation's layout is "not flat v13" rather than a misparse.
+// generation's layout is "not flat v14" rather than a misparse.
 var (
-	flatIndexMagic = []byte("DPIXFLT\x0d")
-	flatGraphMagic = []byte("DPGRFLT\x0d")
+	flatIndexMagic = []byte("DPIXFLT\x0e")
+	flatGraphMagic = []byte("DPGRFLT\x0e")
 )
 
 // nilSlice is the length sentinel distinguishing a nil clause slice
@@ -436,8 +438,9 @@ func (f *Framework) indexesExactly(name string, run []*FunctionEntry) bool {
 // ---- graph section ----
 
 // candidateBytes is the width of one candidate record in a graph section:
-// posA and posB as little-endian uint32s, then class, tau, rho and p as
-// 64-bit words — the in-memory layout of candidate on a little-endian host.
+// posA and posB as little-endian uint32s, class, tau and rho as 64-bit
+// words, then extreme and visited as uint32s — the in-memory layout of
+// candidate on a little-endian host.
 const candidateBytes = 40
 
 // hostLittleEndian reports whether the host lays out candidate records as
@@ -452,7 +455,8 @@ func appendCandidates(dst []byte, fam []candidate) []byte {
 		dst = binary.LittleEndian.AppendUint64(dst, uint64(c.class))
 		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(c.tau))
 		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(c.rho))
-		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(c.p))
+		dst = binary.LittleEndian.AppendUint32(dst, c.extreme)
+		dst = binary.LittleEndian.AppendUint32(dst, c.visited)
 	}
 	return dst
 }
@@ -472,12 +476,13 @@ func viewCandidates(b []byte, n int) []candidate {
 	for i := range out {
 		r := b[candidateBytes*i:]
 		out[i] = candidate{
-			posA:  binary.LittleEndian.Uint32(r),
-			posB:  binary.LittleEndian.Uint32(r[4:]),
-			class: feature.Class(int64(binary.LittleEndian.Uint64(r[8:]))),
-			tau:   math.Float64frombits(binary.LittleEndian.Uint64(r[16:])),
-			rho:   math.Float64frombits(binary.LittleEndian.Uint64(r[24:])),
-			p:     math.Float64frombits(binary.LittleEndian.Uint64(r[32:])),
+			posA:    binary.LittleEndian.Uint32(r),
+			posB:    binary.LittleEndian.Uint32(r[4:]),
+			class:   feature.Class(int64(binary.LittleEndian.Uint64(r[8:]))),
+			tau:     math.Float64frombits(binary.LittleEndian.Uint64(r[16:])),
+			rho:     math.Float64frombits(binary.LittleEndian.Uint64(r[24:])),
+			extreme: binary.LittleEndian.Uint32(r[32:]),
+			visited: binary.LittleEndian.Uint32(r[36:]),
 		}
 	}
 	return out
@@ -537,8 +542,10 @@ type flatGraphSnap struct {
 // everything a record claims about the index: each pair is canonical
 // (A < B), appears once and names listed data sets; each record's
 // positions lie inside its data sets' lists and name entries of one
-// resolution, its class is a feature class, and the family is in (posA,
-// posB, class) order. Every failure wraps store.ErrCorrupt.
+// resolution, its class is a feature class, its test counted no more
+// extreme randomizations than it visited (so its p-value lies in
+// [1/(1+visited), 1]), and the family is in (posA, posB, class) order.
+// Every failure wraps store.ErrCorrupt.
 func parseFlatGraph(data []byte, funcs map[string][]*FunctionEntry) (flatGraphSnap, error) {
 	var snap flatGraphSnap
 	r, err := openFlat(data, flatGraphMagic, "graph section")
@@ -582,6 +589,9 @@ func parseFlatGraph(data []byte, funcs map[string][]*FunctionEntry) (flatGraphSn
 			}
 			if c.class != feature.Salient && c.class != feature.Extreme {
 				return snap, corruptf("pair %q|%q record %d has class %d", k.A, k.B, j, c.class)
+			}
+			if c.extreme > c.visited {
+				return snap, corruptf("pair %q|%q record %d counts %d extreme of %d randomizations", k.A, k.B, j, c.extreme, c.visited)
 			}
 			if j > 0 && compareCandidates(fam[j-1], c) >= 0 {
 				return snap, corruptf("pair %q|%q record %d is out of order", k.A, k.B, j)

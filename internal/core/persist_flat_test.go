@@ -341,6 +341,7 @@ func TestFlatGraphRejectsDamagedPayloads(t *testing.T) {
 		{"position past its data set's table", damaged(func(c *candidate) { c.posA = uint32(len(fa)) })},
 		{"entries of two resolutions", damaged(func(c *candidate) { c.posB = uint32(otherRes) })},
 		{"class out of range", damaged(func(c *candidate) { c.class = feature.Extreme + 1 })},
+		{"more extreme randomizations than visited", damaged(func(c *candidate) { c.extreme = c.visited + 1 })},
 		{"records out of order", graphSectionWith(t, f, func(fams map[graphPair][]candidate) {
 			fams[pair] = append(fams[pair], fams[pair][0])
 		})},
@@ -582,7 +583,7 @@ func FuzzParseFlatIndex(f *testing.F) {
 	idx, _ := seedFlatPayloads(f)
 	f.Add(idx)
 	f.Add(idx[:len(idx)-8])
-	f.Add([]byte("DPIXFLT\x0d"))
+	f.Add([]byte("DPIXFLT\x0e"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if _, err := parseFlatIndex(data); err != nil && !errors.Is(err, store.ErrCorrupt) {
 			t.Errorf("non-ErrCorrupt failure: %v", err)
@@ -601,7 +602,7 @@ func FuzzParseFlatGraph(f *testing.F) {
 	f.Add(graph)
 	f.Add(graph[:len(graph)/2])
 	f.Add(graph[:len(graph)-8])
-	f.Add([]byte("DPGRFLT\x0d"))
+	f.Add([]byte("DPGRFLT\x0e"))
 	f.Add(graph[:len(graph)-4])
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if _, err := parseFlatGraph(data, ix.funcs); err != nil && !errors.Is(err, store.ErrCorrupt) {

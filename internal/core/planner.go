@@ -74,8 +74,7 @@ func (f *Framework) plan(k graphPair, clause Clause) queryPlan {
 	for sr := spatial.ZipCode; sr <= spatial.City; sr++ {
 		for tr := temporal.Hour; tr <= temporal.Month; tr++ {
 			res := Resolution{sr, tr}
-			if !slices.Contains(f.opts.EvalSpatial, sr) || !slices.Contains(f.opts.EvalTemporal, tr) ||
-				clause.Resolutions != nil && !slices.Contains(clause.Resolutions, res) {
+			if clause.Resolutions != nil && !slices.Contains(clause.Resolutions, res) {
 				continue
 			}
 			es1, es2 := f.index.at(k.A, res), f.index.at(k.B, res)

@@ -48,8 +48,8 @@ func bruteForce(t *testing.T, f *Framework, clause Clause) (cands []bruteCand, c
 		for _, b := range names[i+1:] {
 			d1, d2 := f.datasets[a], f.datasets[b]
 			var resolutions []Resolution
-			for _, sr := range f.opts.EvalSpatial {
-				for _, tr := range f.opts.EvalTemporal {
+			for sr := spatial.ZipCode; sr <= spatial.City; sr++ {
+				for tr := temporal.Hour; tr <= temporal.Month; tr++ {
 					res := Resolution{sr, tr}
 					if d1.SpatialRes.ConvertibleTo(sr) && d2.SpatialRes.ConvertibleTo(sr) &&
 						d1.TemporalRes.ConvertibleTo(tr) && d2.TemporalRes.ConvertibleTo(tr) &&
@@ -167,7 +167,7 @@ func TestPlannerParity(t *testing.T) {
 					want[e1.Key+"|"+e2.Key+"|"+c.class.String()] = Relationship{
 						Function1: e1.Key, Function2: e2.Key, Dataset1: e1.Dataset, Dataset2: e2.Dataset,
 						Spec1: e1.SpecName, Spec2: e2.SpecName, Res: e1.Res, Class: c.class,
-						Score: c.tau, Strength: c.rho, PValue: c.p, QValue: q, Significant: sel.significant(q),
+						Score: c.tau, Strength: c.rho, PValue: c.p(), QValue: q, Significant: sel.significant(q),
 					}
 				}
 			}

@@ -428,7 +428,7 @@ func (f *Framework) evaluateQuery(sources, targets []string, clause Clause, t0 t
 			Dataset1: a.Dataset, Dataset2: b.Dataset,
 			Spec1: a.Spec, Spec2: b.Spec,
 			Res: Resolution{Spatial: a.SRes, Temporal: a.TRes}, Class: p.c.class,
-			Score: p.c.tau, Strength: p.c.rho, PValue: p.c.p, QValue: p.q,
+			Score: p.c.tau, Strength: p.c.rho, PValue: p.c.p(), QValue: p.q,
 			Significant: sel.significant(p.q),
 		}
 	}
@@ -456,7 +456,7 @@ func queryPairs(sources, targets []string) []graphPair {
 
 // evaluatePair computes measures for one candidate pair and applies clause
 // filters plus the significance test, returning the tested candidate with
-// its raw p-value (1 under SkipSignificance) and whether it joins its
+// its test's counts (none under SkipSignificance) and whether it joins its
 // pair's tested family (false: no feature relation, or a clause filter
 // failed). The planner has left out every tuple whose test is not
 // resolvable.
@@ -485,7 +485,7 @@ func (f *Framework) evaluatePair(t pairTask, clause Clause) (c candidate, inFami
 	if abs(m.Tau) < clause.MinScore || m.Rho < clause.MinStrength {
 		return c, false, nil
 	}
-	c = candidate{posA: t.e1.pos, posB: t.e2.pos, class: t.class, tau: m.Tau, rho: m.Rho, p: 1}
+	c = candidate{posA: t.e1.pos, posB: t.e2.pos, class: t.class, tau: m.Tau, rho: m.Rho}
 	if clause.SkipSignificance {
 		return c, true, nil
 	}
@@ -493,7 +493,7 @@ func (f *Framework) evaluatePair(t pairTask, clause Clause) (c candidate, inFami
 	if err != nil {
 		return c, false, err
 	}
-	c.p = res.PValue
+	c.extreme, c.visited = uint32(res.Extreme), uint32(res.Shifts)
 	return c, true, nil
 }
 

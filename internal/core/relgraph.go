@@ -99,13 +99,21 @@ func selectionFromClause(c Clause) graphSelection {
 // snapshot's graph section is viewed in place (viewCandidates). For the
 // family of pair (A, B), posA and posB are the two functions' positions in
 // A's and B's key-sorted entry lists (Index.funcs); both entries share the
-// candidate's resolution. p is the raw p-value (1 under SkipSignificance).
+// candidate's resolution. extreme and visited are the significance test's
+// counts (montecarlo.Result's Extreme and Shifts), zero when no
+// randomization ran (SkipSignificance, tau = 0); the raw p-value is p().
 // A family is sorted by (posA, posB, class), which is the order of
 // (Function1, Function2, Class): Function1 is always A's key.
 type candidate struct {
-	posA, posB  uint32
-	class       feature.Class
-	tau, rho, p float64
+	posA, posB       uint32
+	class            feature.Class
+	tau, rho         float64
+	extreme, visited uint32
+}
+
+// p is the candidate's raw p-value, 1 when no randomization ran.
+func (c candidate) p() float64 {
+	return montecarlo.PValue(int(c.extreme), int(c.visited))
 }
 
 // compareCandidates orders a family by (posA, posB, class).
@@ -132,7 +140,7 @@ func qValues(fams [][]candidate, sel graphSelection) []float64 {
 	ps := make([]float64, 0, n)
 	for _, fam := range fams {
 		for _, c := range fam {
-			ps = append(ps, c.p)
+			ps = append(ps, c.p())
 		}
 	}
 	if sel.skip || sel.correction == stats.None {
@@ -209,7 +217,7 @@ func assembleGraph(ix *Index, fams map[graphPair][]candidate, clause Clause) *re
 	tab := ix.table()
 	links := make([]relgraph.Link, 0, n)
 	tab.walkKept(keys, list, qs, sel, func(fa, fb uint32, c candidate, q float64) {
-		links = append(links, relgraph.Link{F1: fa, F2: fb, Class: c.class, Tau: c.tau, Rho: c.rho, PValue: c.p, QValue: q})
+		links = append(links, relgraph.Link{F1: fa, F2: fb, Class: c.class, Tau: c.tau, Rho: c.rho, PValue: c.p(), QValue: q})
 	})
 	return relgraph.Assemble(tab.Table, links)
 }

@@ -38,25 +38,9 @@ func Variance(xs []float64) float64 {
 // Std returns the population standard deviation of xs.
 func Std(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
 
-// Quantile returns the q-th quantile (0 <= q <= 1) of xs using linear
-// interpolation between order statistics, or NaN for empty input.
-// xs is not modified.
-func Quantile(xs []float64, q float64) float64 {
-	if len(xs) == 0 || math.IsNaN(q) {
-		return math.NaN()
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	return quantileSorted(sorted, q)
-}
-
+// quantileSorted returns the q-th quantile (0 < q < 1) of sorted, which is
+// not empty, by linear interpolation between order statistics.
 func quantileSorted(sorted []float64, q float64) float64 {
-	if q <= 0 {
-		return sorted[0]
-	}
-	if q >= 1 {
-		return sorted[len(sorted)-1]
-	}
 	pos := q * float64(len(sorted)-1)
 	lo := int(math.Floor(pos))
 	hi := int(math.Ceil(pos))
@@ -67,7 +51,8 @@ func quantileSorted(sorted []float64, q float64) float64 {
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }
 
-// Quartiles returns (Q1, Q2, Q3) of xs.
+// Quartiles returns (Q1, Q2, Q3) of xs, interpolating linearly between
+// order statistics, or NaNs for empty input. xs is not modified.
 func Quartiles(xs []float64) (q1, q2, q3 float64) {
 	if len(xs) == 0 {
 		return math.NaN(), math.NaN(), math.NaN()

@@ -31,31 +31,22 @@ func TestVarianceStd(t *testing.T) {
 	}
 }
 
-func TestQuantile(t *testing.T) {
+// TestQuartilesUnsortedEvenEmpty: Quartiles sorts a copy (the input keeps
+// its order), interpolates between order statistics at an even length, and
+// gives NaNs for empty input.
+func TestQuartilesUnsortedEvenEmpty(t *testing.T) {
 	xs := []float64{3, 1, 2, 4, 5}
-	if !almost(Quantile(xs, 0), 1) || !almost(Quantile(xs, 1), 5) {
-		t.Error("extreme quantiles wrong")
+	if q1, q2, q3 := Quartiles(xs); !almost(q1, 2) || !almost(q2, 3) || !almost(q3, 4) {
+		t.Errorf("Quartiles(3 1 2 4 5) = %g %g %g, want 2 3 4", q1, q2, q3)
 	}
-	if !almost(Quantile(xs, 0.5), 3) {
-		t.Errorf("median = %g, want 3", Quantile(xs, 0.5))
-	}
-	if !almost(Quantile(xs, 0.25), 2) {
-		t.Errorf("Q1 = %g, want 2", Quantile(xs, 0.25))
-	}
-	if !math.IsNaN(Quantile(nil, 0.5)) {
-		t.Error("Quantile of empty should be NaN")
-	}
-	// Interpolated case: even count.
-	if !almost(Quantile([]float64{1, 2, 3, 4}, 0.5), 2.5) {
-		t.Error("interpolated median wrong")
-	}
-}
-
-func TestQuantileDoesNotMutate(t *testing.T) {
-	xs := []float64{3, 1, 2}
-	Quantile(xs, 0.5)
 	if xs[0] != 3 || xs[1] != 1 || xs[2] != 2 {
-		t.Error("Quantile mutated its input")
+		t.Error("Quartiles mutated its input")
+	}
+	if q1, q2, q3 := Quartiles([]float64{1, 2, 3, 4}); !almost(q1, 1.75) || !almost(q2, 2.5) || !almost(q3, 3.25) {
+		t.Errorf("Quartiles(1 2 3 4) = %g %g %g, want 1.75 2.5 3.25", q1, q2, q3)
+	}
+	if q1, q2, q3 := Quartiles(nil); !math.IsNaN(q1) || !math.IsNaN(q2) || !math.IsNaN(q3) {
+		t.Errorf("Quartiles of empty = %g %g %g, want NaNs", q1, q2, q3)
 	}
 }
 

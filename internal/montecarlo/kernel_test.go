@@ -274,7 +274,7 @@ func oracleResult(taus []float64, tau float64, cfg Config, exhaustive, enumerate
 		}
 	}
 	p := float64(1+extreme) / float64(1+shifts)
-	return Result{PValue: p, Significant: p <= cfg.Alpha, TauObserved: tau, Shifts: shifts}
+	return Result{PValue: p, Significant: p <= cfg.Alpha, TauObserved: tau, Extreme: extreme, Shifts: shifts}
 }
 
 // checkKernelParity captures the production kernel's full per-permutation

@@ -129,9 +129,10 @@ func (c Config) withDefaults() Config {
 // rotations, for a one-region test) for an exhaustive (or significant — the
 // verdict is only ever decided early in the insignificant direction) run,
 // smaller when adaptive early termination stopped the test, and 0 for the
-// tau = 0 shortcut and a test that is not resolvable. PValue is always
-// computed over the evaluated permutations, so it is exact for full runs and
-// a valid conservative p-value for truncated ones.
+// tau = 0 shortcut and a test that is not resolvable. Extreme counts the
+// evaluated permutations at least as extreme as the observed score, and
+// PValue is PValue(Extreme, Shifts): exact for full runs and a valid
+// conservative p-value for truncated ones.
 //
 // NotResolvable marks a one-region test whose smallest attainable p-value
 // exceeds Alpha: nothing was evaluated, PValue is 1, and the test is no
@@ -140,8 +141,17 @@ type Result struct {
 	PValue        float64
 	Significant   bool
 	TauObserved   float64
+	Extreme       int
 	Shifts        int
 	NotResolvable bool
+}
+
+// PValue is the p-value of a test that visited randomizations of which
+// extreme were at least as extreme as the observed score: (1 + extreme) /
+// (1 + visited), Eqs. (3) and (4) of the paper. It is the one place a
+// p-value is made; zero counts give 1.
+func PValue(extreme, visited int) float64 {
+	return float64(1+extreme) / float64(1+visited)
 }
 
 // shiftScratch holds the working state of one toroidal-shift construction,
@@ -888,7 +898,7 @@ func test(a, b *feature.Set, g *stgraph.Graph, tauObserved float64, cfg Config, 
 	scratchPool.Put(sc)
 	prepPool.Put(run.prep)
 	run.prep = nil // the next test may refill it
-	p := float64(1+extreme) / float64(1+shifts)
+	p := PValue(extreme, shifts)
 	mTests.Inc()
 	mPermutations.Add(uint64(shifts))
 	if shifts < m {
@@ -898,6 +908,7 @@ func test(a, b *feature.Set, g *stgraph.Graph, tauObserved float64, cfg Config, 
 		PValue:      p,
 		Significant: p <= cfg.Alpha,
 		TauObserved: tauObserved,
+		Extreme:     extreme,
 		Shifts:      shifts,
 	}, run
 }
@@ -962,24 +973,16 @@ var noShift = []int32{0}
 // resolvable (Tarone's rule). Test applies it, and a caller that knows a
 // test's domain before it has the feature sets can apply it first.
 func Resolvable(alpha float64, regions, steps int) bool {
-	return regions > 1 || !exceedsAlpha(alpha, 0, steps)
-}
-
-// exceedsAlpha reports whether p = (1+extreme)/S exceeds alpha, the
-// p-value of a one-region test over S steps of whose S-1 rotations extreme
-// are extreme. It is computed exactly as Test computes and compares an
-// exhaustive p, so it is the verdict's own rule: at extreme = 0 it says
-// the test is not resolvable, and since the count only grows as rotations
-// are visited, once it holds the test is decided insignificant — the rule
-// stopThreshold states for sampled tests.
-func exceedsAlpha(alpha float64, extreme, S int) bool {
-	return float64(1+extreme)/float64(S) > alpha
+	return regions > 1 || !(PValue(0, steps-1) > alpha)
 }
 
 // enumerate counts a one-region test exactly: it visits the
 // rotations 1..S-1 in order and returns how many were visited and how many
 // of them are extreme. Unless the test is Exhaustive it stops at the first
-// extreme rotation that decides the test insignificant (exceedsAlpha).
+// extreme rotation after which even the exhaustive p-value, PValue(extreme,
+// S-1), exceeds alpha: the count only grows, so the test is decided
+// insignificant. (A sampled test stops on stopThreshold, which can stop one
+// extreme later than this rule would.)
 func (t *testRun) enumerate(sc *scratch) (extreme, visited int) {
 	S := t.g.NumSteps()
 	for rot := 1; rot < S; rot++ {
@@ -990,7 +993,7 @@ func (t *testRun) enumerate(sc *scratch) (extreme, visited int) {
 		visited++
 		if t.isExtreme(tauK) {
 			extreme++
-			if !t.cfg.Exhaustive && exceedsAlpha(t.cfg.Alpha, extreme, S) {
+			if !t.cfg.Exhaustive && PValue(extreme, S-1) > t.cfg.Alpha {
 				break
 			}
 		}

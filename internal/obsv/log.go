@@ -1,7 +1,6 @@
 package obsv
 
 import (
-	"context"
 	"crypto/rand"
 	"encoding/hex"
 	"io"
@@ -10,10 +9,8 @@ import (
 )
 
 // This file is the structured-logging half of the observability layer:
-// one slog configuration shared by every binary, and request-ID plumbing
-// so a log line anywhere in a request's lifetime — HTTP middleware, job
-// body, engine warning — can be correlated back to the request that
-// caused it.
+// one slog configuration shared by every binary, and the request IDs the
+// HTTP access logs and the router's forwarded requests carry.
 
 // NewLogger returns a slog text logger writing to w. Binaries install it
 // as the process default (slog.SetDefault) so engine-internal packages —
@@ -37,18 +34,4 @@ func NewRequestID() string {
 		}
 	}
 	return hex.EncodeToString(b[:])
-}
-
-// ctxKey keys the request ID in a context.
-type ctxKey struct{}
-
-// WithRequestID returns a context carrying the request ID.
-func WithRequestID(ctx context.Context, id string) context.Context {
-	return context.WithValue(ctx, ctxKey{}, id)
-}
-
-// RequestID returns the request ID carried by ctx, or "" when none is.
-func RequestID(ctx context.Context) string {
-	id, _ := ctx.Value(ctxKey{}).(string)
-	return id
 }

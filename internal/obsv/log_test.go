@@ -1,7 +1,6 @@
 package obsv
 
 import (
-	"context"
 	"log/slog"
 	"regexp"
 	"strings"
@@ -20,17 +19,6 @@ func TestNewRequestIDFormat(t *testing.T) {
 			t.Fatalf("request ID %q repeated", id)
 		}
 		seen[id] = true
-	}
-}
-
-func TestRequestIDContextRoundTrip(t *testing.T) {
-	ctx := context.Background()
-	if got := RequestID(ctx); got != "" {
-		t.Errorf("RequestID on bare context = %q, want empty", got)
-	}
-	ctx = WithRequestID(ctx, "deadbeefcafef00d")
-	if got := RequestID(ctx); got != "deadbeefcafef00d" {
-		t.Errorf("RequestID = %q, want the stored ID", got)
 	}
 }
 

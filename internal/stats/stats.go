@@ -26,8 +26,9 @@
 package stats
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -108,10 +109,11 @@ func Adjust(c Correction, ps []float64) []float64 {
 	for i := range idx {
 		idx[i] = i
 	}
-	sort.SliceStable(idx, func(a, b int) bool { return ps[idx[a]] < ps[idx[b]] })
-	// Step down from the largest p-value keeping a running minimum: the
-	// cumulative min assigns every tie group the smallest candidate value in
-	// it, which is what makes q-values a function of the p-value multiset.
+	// The order inside a tie group is left to the sort: stepping down from
+	// the largest p-value keeping a running minimum assigns every tie group
+	// the smallest candidate value in it, its last rank's, which is what
+	// makes q-values a function of the p-value multiset.
+	slices.SortFunc(idx, func(a, b int) int { return cmp.Compare(ps[a], ps[b]) })
 	runMin := 1.0
 	for r := m - 1; r >= 0; r-- {
 		q := float64(m) * factor * ps[idx[r]] / float64(r+1)

@@ -3,7 +3,10 @@ package stats
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
+
+	"github.com/urbandata/datapolygamy/internal/montecarlo"
 )
 
 func almost(a, b float64) bool { return math.Abs(a-b) < 1e-12 }
@@ -191,5 +194,61 @@ func TestAdjustEmptyAndSingle(t *testing.T) {
 	}
 	if qs := Adjust(BY, []float64{0.03}); len(qs) != 1 || qs[0] != 0.03 {
 		t.Errorf("single hypothesis BY (H_1 = 1): q = %v, want p unchanged", qs)
+	}
+}
+
+// stableAdjust is Adjust with the stable sort it once ran, the reference
+// TestAdjustUnstableSortIsIdentical holds the unstable one to.
+func stableAdjust(c Correction, ps []float64) []float64 {
+	m := len(ps)
+	out := make([]float64, m)
+	if m == 0 {
+		return out
+	}
+	factor := 1.0
+	if c == BY {
+		factor = 0
+		for k := 1; k <= m; k++ {
+			factor += 1 / float64(k)
+		}
+	}
+	idx := make([]int, m)
+	for i := range idx {
+		idx[i] = i
+	}
+	sort.SliceStable(idx, func(a, b int) bool { return ps[idx[a]] < ps[idx[b]] })
+	runMin := 1.0
+	for r := m - 1; r >= 0; r-- {
+		q := float64(m) * factor * ps[idx[r]] / float64(r+1)
+		if q < runMin {
+			runMin = q
+		}
+		out[idx[r]] = runMin
+	}
+	return out
+}
+
+// TestAdjustUnstableSortIsIdentical: the order Adjust's sort leaves inside
+// a tie group changes no q-value. Over families drawn as the engine's
+// p-values are, montecarlo.PValue of small counts — so nearly every value
+// is tied many times over — BH and BY must match the stable reference bit
+// for bit.
+func TestAdjustUnstableSortIsIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(57))
+	for trial := 0; trial < 300; trial++ {
+		m := 1 + rng.Intn(400)
+		ps := make([]float64, m)
+		for i := range ps {
+			v := 1 + rng.Intn(12)
+			ps[i] = montecarlo.PValue(rng.Intn(v+1), v)
+		}
+		for _, c := range []Correction{BH, BY} {
+			got, want := Adjust(c, ps), stableAdjust(c, ps)
+			for i := range ps {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("trial %d %v: q[%d] = %v, stable sort gives %v (p = %v)", trial, c, i, got[i], want[i], ps[i])
+				}
+			}
+		}
 	}
 }

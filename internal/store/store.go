@@ -52,10 +52,10 @@ var magic = [8]byte{'D', 'P', 'O', 'L', 'Y', 'S', 'N', 'P'}
 
 // FormatVersion is the one container format version this package writes
 // and reads. It moves in step with the flat section generation in
-// internal/core, so "a v13 snapshot" is unambiguous across layers; a
+// internal/core, so "a v14 snapshot" is unambiguous across layers; a
 // container of any other version fails with ErrVersion and is rebuilt, not
 // converted.
-const FormatVersion = 13
+const FormatVersion = 14
 
 // Well-known section names.
 const (
