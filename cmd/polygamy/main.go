@@ -127,22 +127,12 @@ func run(o cliOptions) error {
 	if o.graph && o.jsonOut && o.graphFormat != "json" {
 		return fmt.Errorf("-json conflicts with -graph-format %s", o.graphFormat)
 	}
-	// The canonical seed+grid city configuration shared with gendata and
-	// polygamyd, so snapshots written here warm-start the server.
-	city, err := spatial.Generate(spatial.GridConfig(o.seed, o.grid))
-	if err != nil {
-		return err
-	}
 	corr, err := stats.ParseCorrection(o.correction)
 	if err != nil {
 		return err
 	}
-	// !(>= 0) also rejects NaN, which would silently disable the filter.
-	if !(o.maxQ >= 0) {
-		return fmt.Errorf("-max-q must be >= 0, got %g", o.maxQ)
-	}
-	// Parse the query up front so a malformed one fails before the
-	// (potentially long) index build.
+	// Parse and check the query up front so a malformed one fails before
+	// the (potentially long) index build.
 	var q core.Query
 	if o.queryStr != "" {
 		q, err = queryparse.Parse(o.queryStr)
@@ -183,6 +173,18 @@ func run(o cliOptions) error {
 		// The graph is corpus-wide by definition; silently dropping a
 		// source/target restriction would misrepresent the output.
 		return fmt.Errorf("-graph materializes the graph over all data sets; -sources/-targets (or a between-clause naming data sets) are not supported with it")
+	}
+	// The merged clause — flags and where-clause — is checked as the engine
+	// checks it (a NaN max-q, say, would silently disable the filter), before
+	// any CSV or snapshot is read.
+	if err := q.Clause.Validate(); err != nil {
+		return err
+	}
+	// The canonical seed+grid city configuration shared with gendata and
+	// polygamyd, so snapshots written here warm-start the server.
+	city, err := spatial.Generate(spatial.GridConfig(o.seed, o.grid))
+	if err != nil {
+		return err
 	}
 	opts := core.Options{City: city, Workers: o.workers, Seed: o.seed}
 	var fw *core.Framework

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -304,6 +305,29 @@ func TestPolygamyCLIErrors(t *testing.T) {
 	}
 	if err := run(baseOptions(dir)); err == nil {
 		t.Error("expected error for malformed CSV")
+	}
+}
+
+// TestPolygamyCLIChecksClauseFirst: the merged clause is checked before any
+// CSV or snapshot is read, so a bad flag fails at once, even with a data
+// directory that does not exist.
+func TestPolygamyCLIChecksClauseFirst(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		set  func(*cliOptions)
+		want string
+	}{
+		{"alpha", func(o *cliOptions) { o.alpha = 1.5 }, "alpha must be in [0, 1)"},
+		{"perms", func(o *cliOptions) { o.perms = -1 }, "permutations must be in"},
+		{"min-score", func(o *cliOptions) { o.minScore = math.NaN() }, "score must be finite"},
+		{"max-q", func(o *cliOptions) { o.maxQ = -1 }, "max_q must be >= 0"},
+		{"textual query", func(o *cliOptions) { o.queryStr = "find relationships between a and b where alpha = 2" }, "alpha must be in [0, 1)"},
+	} {
+		o := baseOptions(filepath.Join(t.TempDir(), "missing"))
+		tc.set(&o)
+		if err := run(o); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want one containing %q", tc.name, err, tc.want)
+		}
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"net/http"
 	"strconv"
 
+	"github.com/urbandata/datapolygamy/internal/httpapi"
 	"github.com/urbandata/datapolygamy/internal/relgraph"
 )
 
@@ -56,7 +57,7 @@ func (s *server) handleGraphBuild(w http.ResponseWriter, r *http.Request) {
 	var req struct {
 		Clause clauseRequest `json:"clause"`
 	}
-	if !s.decodeJSON(w, r, &req, true) {
+	if _, ok := httpapi.ReadJSON(w, r, s.maxJSONBody, &req, true); !ok {
 		return
 	}
 	clause, err := parseClause(req.Clause)

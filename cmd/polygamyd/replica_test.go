@@ -159,6 +159,68 @@ func newReplTier(t *testing.T, nFollowers int) *replTier {
 	return tier
 }
 
+// TestQueryRequestRefusedAlike sends each malformed query request to a
+// polygamyd server and to a router in front of it. Both read a query
+// through httpapi.ReadQuery, so both must answer the same status with a
+// JSON error body, and the router must forward none of them.
+func TestQueryRequestRefusedAlike(t *testing.T) {
+	var reached atomic.Int64 // /v1/query requests the server saw
+	s := newServer(replFramework(t))
+	daemon := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/v1/query" {
+			reached.Add(1)
+		}
+		s.ServeHTTP(w, r)
+	}))
+	t.Cleanup(daemon.Close)
+	rt, err := replica.NewRouter(replica.RouterOptions{
+		Replicas:   []string{daemon.URL},
+		HTTPClient: &http.Client{Timeout: 30 * time.Second},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	router := httptest.NewServer(rt)
+	t.Cleanup(router.Close)
+
+	cases := []struct {
+		name, method, target, body string
+		want                       int
+	}{
+		{"unknown field", http.MethodPost, "/v1/query", `{"clause":{},"unknown_field":1}`, http.StatusBadRequest},
+		{"not JSON", http.MethodPost, "/v1/query", `not json`, http.StatusBadRequest},
+		{"over the cap", http.MethodPost, "/v1/query",
+			`{"` + strings.Repeat("a", httpapi.MaxJSONBody) + `":1}`, http.StatusRequestEntityTooLarge},
+		{"GET without q", http.MethodGet, "/v1/query", "", http.StatusBadRequest},
+		{"text that does not parse", http.MethodGet, "/v1/query?q=select+stars", "", http.StatusBadRequest},
+	}
+	for _, tc := range cases {
+		for _, door := range []struct{ name, url string }{{"server", daemon.URL}, {"router", router.URL}} {
+			req, err := http.NewRequest(tc.method, door.url+tc.target, strings.NewReader(tc.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatalf("%s via %s: %v", tc.name, door.name, err)
+			}
+			var e httpapi.Error
+			decodeErr := json.NewDecoder(resp.Body).Decode(&e)
+			resp.Body.Close()
+			if resp.StatusCode != tc.want {
+				t.Errorf("%s via %s: status %d, want %d", tc.name, door.name, resp.StatusCode, tc.want)
+			}
+			if decodeErr != nil || e.Error == "" {
+				t.Errorf("%s via %s: body is not a JSON error (%v, %+v)", tc.name, door.name, decodeErr, e)
+			}
+		}
+	}
+	// Only the requests sent to the server directly reached it.
+	if n := reached.Load(); n != int64(len(cases)) {
+		t.Errorf("server saw %d query requests, want the %d sent to it directly", n, len(cases))
+	}
+}
+
 func getJSON(t *testing.T, url string, out any) int {
 	t.Helper()
 	resp, err := http.Get(url)

@@ -1,10 +1,6 @@
 package main
 
 import (
-	"encoding/json"
-	"errors"
-	"fmt"
-	"io"
 	"log/slog"
 	"net/http"
 	"net/http/pprof"
@@ -14,19 +10,14 @@ import (
 	"github.com/urbandata/datapolygamy/internal/httpapi"
 	"github.com/urbandata/datapolygamy/internal/jobs"
 	"github.com/urbandata/datapolygamy/internal/obsv"
-	"github.com/urbandata/datapolygamy/internal/queryparse"
 	"github.com/urbandata/datapolygamy/internal/replica"
 	"github.com/urbandata/datapolygamy/internal/store"
 )
 
-// Request-body caps, enforced with http.MaxBytesReader on every POST
-// handler: structured queries and graph-build clauses are tiny JSON
-// documents, while an ingested CSV data set can legitimately run to tens
-// of megabytes. Oversized bodies get 413 with a JSON error.
-const (
-	defaultMaxJSONBody   = 1 << 20  // POST /v1/query, /v1/graph/build
-	defaultMaxIngestBody = 64 << 20 // POST /v1/datasets (CSV)
-)
+// defaultMaxIngestBody caps an ingested CSV data set, which can
+// legitimately run to tens of megabytes; JSON bodies are capped at
+// httpapi.MaxJSONBody. Oversized bodies get 413 with a JSON error.
+const defaultMaxIngestBody = 64 << 20 // POST /v1/datasets (CSV)
 
 // server is the HTTP shell around one indexed Framework. All handlers run
 // concurrently; the Framework's read path is thread-safe post-BuildIndex.
@@ -69,7 +60,7 @@ func newServerFn(fw func() *core.Framework) *server {
 		fw: fw, mux: http.NewServeMux(), started: time.Now(),
 		jobs:          jobs.NewManager(),
 		logger:        slog.Default(),
-		maxJSONBody:   defaultMaxJSONBody,
+		maxJSONBody:   httpapi.MaxJSONBody,
 		maxIngestBody: defaultMaxIngestBody,
 	}
 	s.mux.Handle("GET /metrics", obsv.Handler())
@@ -79,7 +70,7 @@ func newServerFn(fw func() *core.Framework) *server {
 	s.mux.HandleFunc("POST /v1/datasets/{name}/append", s.handleAppend)
 	s.mux.HandleFunc("GET /v1/stats", s.handleStats)
 	s.mux.HandleFunc("POST /v1/query", s.handleQuery)
-	s.mux.HandleFunc("GET /v1/query", s.handleQueryText)
+	s.mux.HandleFunc("GET /v1/query", s.handleQuery)
 	s.mux.HandleFunc("POST /v1/graph/build", s.handleGraphBuild)
 	s.mux.HandleFunc("GET /v1/graph/stats", s.handleGraphStats)
 	s.mux.HandleFunc("GET /v1/graph/neighbors", s.handleGraphNeighbors)
@@ -135,9 +126,9 @@ func (s *server) enablePprof() {
 
 // ---- wire types ----
 
-// The query vocabulary (clause, query, response and error bodies) lives
-// in internal/httpapi so the polygamyr router, the CLI and the tests parse
-// the exact same dialect.
+// The query vocabulary (clause, query, response and error bodies) and the
+// request reader live in internal/httpapi so the polygamyr router, the CLI
+// and the tests read the exact same dialect.
 type (
 	clauseRequest  = httpapi.ClauseRequest
 	resolutionWire = httpapi.Resolution
@@ -210,64 +201,13 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// decodeJSON decodes a bounded JSON request body into v, writing the
-// error response — 413 for an oversized body, 400 otherwise — and
-// returning false on failure. allowEmpty treats an empty body as the zero
-// value (the graph-build endpoint's optional clause).
-func (s *server) decodeJSON(w http.ResponseWriter, r *http.Request, v any, allowEmpty bool) bool {
-	r.Body = http.MaxBytesReader(w, r.Body, s.maxJSONBody)
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	err := dec.Decode(v)
-	if err == nil || (allowEmpty && errors.Is(err, io.EOF)) {
-		return true
-	}
-	var tooBig *http.MaxBytesError
-	if errors.As(err, &tooBig) {
-		writeJSON(w, http.StatusRequestEntityTooLarge,
-			errorResponse{Error: fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit)})
-		return false
-	}
-	writeJSON(w, http.StatusBadRequest, errorResponse{Error: "decoding request: " + err.Error()})
-	return false
-}
-
+// handleQuery answers one relationship query, structured (POST) or textual
+// (GET), with the per-stage timing breakdown when the request asks for it.
 func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	var req queryRequest
-	if !s.decodeJSON(w, r, &req, false) {
+	q, _, trace, ok := httpapi.ReadQuery(w, r, s.maxJSONBody)
+	if !ok {
 		return
 	}
-	clause, err := parseClause(req.Clause)
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
-		return
-	}
-	s.answer(w, core.Query{Sources: req.Sources, Targets: req.Targets, Clause: clause}, req.Trace)
-}
-
-func (s *server) handleQueryText(w http.ResponseWriter, r *http.Request) {
-	text := r.URL.Query().Get("q")
-	if text == "" {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "missing q parameter"})
-		return
-	}
-	q, err := queryparse.Parse(text)
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
-		return
-	}
-	trace := false
-	switch r.URL.Query().Get("trace") {
-	case "", "0", "false":
-	default:
-		trace = true
-	}
-	s.answer(w, q, trace)
-}
-
-// answer runs one relationship query and writes the JSON response. With
-// trace, the response carries the per-stage timing breakdown.
-func (s *server) answer(w http.ResponseWriter, q core.Query, trace bool) {
 	rels, stats, err := s.fw().QueryEncoded(q, httpapi.EncodeRelationships)
 	if err != nil {
 		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})

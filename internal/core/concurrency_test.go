@@ -156,6 +156,47 @@ func TestSingleflightDedup(t *testing.T) {
 	}
 }
 
+// TestMemoEntryFailure: callers that find a memo entry wait for it and get
+// its error when its evaluation failed, and once the failed entry has left
+// the memo the next caller evaluates afresh. The in-flight entry is planted
+// here, standing in for a caller whose evaluation fails.
+func TestMemoEntryFailure(t *testing.T) {
+	f := stressFW(t)
+	q := Query{Clause: Clause{Permutations: 30}}
+	sig := querySignature(f.order, f.order, q.Clause)
+	failed := errors.New("evaluation failed")
+	entry := &cachedResult{done: make(chan struct{})}
+	f.cacheMu.Lock()
+	f.cache[sig] = entry
+	f.cacheMu.Unlock()
+
+	const waiters = 4
+	errs := make(chan error, waiters)
+	for range waiters {
+		go func() {
+			_, _, err := f.Query(q)
+			errs <- err
+		}()
+	}
+	entry.err = failed
+	close(entry.done)
+	for range waiters {
+		if err := <-errs; err != failed {
+			t.Errorf("waiter got %v, want the entry's error", err)
+		}
+	}
+
+	f.cacheMu.Lock()
+	delete(f.cache, sig)
+	f.cacheMu.Unlock()
+	if _, stats, err := f.Query(q); err != nil || stats.CacheHit {
+		t.Fatalf("after the failed entry left: hit=%t err=%v, want a fresh evaluation", stats.CacheHit, err)
+	}
+	if _, stats, err := f.Query(q); err != nil || !stats.CacheHit || stats.Coalesced {
+		t.Fatalf("repeat: hit=%t coalesced=%t err=%v, want a plain hit", stats.CacheHit, stats.Coalesced, err)
+	}
+}
+
 // TestQuerySignaturePinned pins the signature of two restricted clauses to
 // the strings the engine produced while a clause could still name its test
 // kind or turn the Monte Carlo early stop off. The kind=0 and

@@ -184,14 +184,13 @@ type Framework struct {
 	// holding it.
 	writeMu sync.Mutex
 
-	// cache memoises assembled answers (query.go). cacheMu guards cache and
-	// inflight. It nests inside mu (Query touches it while holding the read
-	// lock) and is never held across a query evaluation: an in-flight leader
-	// publishes its result through the call's done channel, so waiters block
-	// on the channel, not the mutex.
-	cacheMu  sync.Mutex
-	cache    map[string]*cachedResult
-	inflight map[string]*inflightQuery
+	// cache is the one answer memo (query.go): one entry per query
+	// signature, in flight or done. cacheMu guards it. It nests inside mu
+	// (Query touches it while holding the read lock) and is never held
+	// across a query evaluation: an entry publishes its answer by closing
+	// its done channel, so waiters block on the channel, not the mutex.
+	cacheMu sync.Mutex
+	cache   map[string]*cachedResult
 
 	// rebuilds counts the corpus writes that discarded the derived state
 	// (a start in an earlier step, write.go) over the framework's lifetime,
@@ -228,7 +227,6 @@ func New(opts Options) (*Framework, error) {
 		shifts:    shifts,
 		families:  make(map[string]map[graphPair][]candidate),
 		cache:     make(map[string]*cachedResult),
-		inflight:  make(map[string]*inflightQuery),
 	}, nil
 }
 

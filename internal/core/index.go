@@ -167,8 +167,7 @@ type Index struct {
 	// one Index: a data set that is re-indexed has its families dropped
 	// (dropResultsInvolving), and one that is not keeps its keys, so its
 	// list in the next Index is the same. Every data set the index covers
-	// has a key here, one with no viable evaluation resolution (indexed
-	// vacuously, with zero entries) included.
+	// has a key here.
 	funcs map[string][]*FunctionEntry
 
 	// tab is the function table graphs and query answers are assembled
@@ -280,8 +279,7 @@ func (ix *Index) table() *funcTable {
 }
 
 // datasetStats sums a data set's entries into its statistics, reporting
-// ok = false for data sets the index does not cover. A covered data set
-// with no viable resolutions reports zero stats with ok = true.
+// ok = false for data sets the index does not cover.
 func (ix *Index) datasetStats(ds string) (DatasetStats, bool) {
 	run, ok := ix.funcs[ds]
 	st := DatasetStats{Functions: len(run), Resolutions: len(ix.entries[ds])}

@@ -229,9 +229,8 @@ func readTiles(r *store.SlabReader, e *FunctionEntry, class string, occ Occupanc
 
 // flatIndexSnap is a parsed flat index section: the snapshot's identity
 // plus fully built entries whose bit vectors view the payload in place, and
-// funcs, every listed data set's key-sorted run of entries (none for a data
-// set with no viable resolution) — the lists a graph section's records
-// name positions in.
+// funcs, every listed data set's key-sorted run of entries — the lists a
+// graph section's records name positions in.
 type flatIndexSnap struct {
 	minTS, maxTS int64
 	order        []string

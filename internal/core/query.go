@@ -2,6 +2,7 @@ package core
 
 import (
 	"cmp"
+	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -203,30 +204,29 @@ func (s *QueryStats) addStage(name string, d time.Duration) {
 	mStageDuration.With(name).Observe(d.Seconds())
 }
 
-// cachedResult is one memoised answer: its relationships, the stats of the
-// run that assembled them, and the data sets involved (for targeted
-// invalidation when the corpus changes). encoded is the caller's serialised
-// form of rels (QueryEncoded), made on first use and dropped with the result.
-// The Monte Carlo results behind it live in the family store.
+// cachedResult is one memo entry: the answer to one query signature, in
+// flight until done closes. The first caller with the signature inserts it
+// and evaluates; every other caller receives from done before reading it.
+// involved names the data sets the query reads (for targeted invalidation
+// when the corpus changes); rels and stats are the evaluation's answer, or
+// err its failure. encoded is the caller's serialised form of rels
+// (QueryEncoded), made on first use and dropped with the entry. The Monte
+// Carlo results behind it live in the family store.
 type cachedResult struct {
+	done     chan struct{}
+	involved map[string]bool
 	rels     []Relationship
 	stats    QueryStats
-	involved map[string]bool
+	err      error
 
 	encodeOnce sync.Once
 	encoded    []byte
 	encodeErr  error
 }
 
-// inflightQuery is one query evaluation being deduplicated (singleflight):
-// the first caller with a signature becomes the leader and evaluates;
-// concurrent callers with the same signature block on done and read the
-// result fields afterwards.
-type inflightQuery struct {
-	done chan struct{}
-	res  *cachedResult
-	err  error
-}
+// errEvaluationPanicked is what a memo entry's waiters get when the
+// evaluating caller panics.
+var errEvaluationPanicked = errors.New("core: query evaluation panicked")
 
 // Query runs the relationship operator and returns the statistically
 // significant relationships satisfying the clause, together with stats.
@@ -258,8 +258,9 @@ func (f *Framework) QueryEncoded(q Query, encode func([]Relationship) ([]byte, e
 	return res.encoded, stats, res.encodeErr
 }
 
-// query answers q from the cache, from an identical evaluation in flight, or
-// by evaluating it, and returns the shared result either way.
+// query answers q from its memo entry — done, or in flight and awaited — or
+// inserts the entry and evaluates it, and returns the shared entry either
+// way.
 func (f *Framework) query(q Query) (*cachedResult, QueryStats, error) {
 	t0 := time.Now()
 	mQueries.Inc()
@@ -291,84 +292,73 @@ func (f *Framework) query(q Query) (*cachedResult, QueryStats, error) {
 	sig := querySignature(sources, targets, q.Clause)
 
 	f.cacheMu.Lock()
-	if c, ok := f.cache[sig]; ok {
-		f.cacheMu.Unlock()
+	c, ok := f.cache[sig]
+	if !ok {
+		c = &cachedResult{done: make(chan struct{}), involved: make(map[string]bool, len(sources)+len(targets))}
+		for _, n := range sources {
+			c.involved[n] = true
+		}
+		for _, n := range targets {
+			c.involved[n] = true
+		}
+		f.cache[sig] = c
+	}
+	f.cacheMu.Unlock()
+	if ok {
+		// While done is open an identical query is being evaluated: wait for
+		// it instead of duplicating the work. The evaluating caller cannot be
+		// blocked by us — it needs only the shared state lock (held by both)
+		// and cacheMu, released above.
+		coalesced := false
+		select {
+		case <-c.done:
+		default:
+			coalesced = true
+			<-c.done
+		}
+		if c.err != nil {
+			mQueryErrors.Inc()
+			return nil, stats, c.err
+		}
 		stats = c.stats
-		stats.CacheHit = true
+		stats.CacheHit, stats.Coalesced = true, coalesced
 		stats.Duration = time.Since(t0)
 		mQueryCacheHits.Inc()
+		if coalesced {
+			mQueryCoalesced.Inc()
+		}
 		mQueryDuration.Observe(stats.Duration.Seconds())
 		return c, stats, nil
 	}
-	if call, ok := f.inflight[sig]; ok {
-		// An identical query is being evaluated right now: wait for the
-		// leader instead of duplicating the work. The leader cannot be
-		// blocked by us — it only needs the shared state lock (already
-		// held by both) and cacheMu, which we release here.
-		f.cacheMu.Unlock()
-		<-call.done
-		if call.err != nil {
-			mQueryErrors.Inc()
-			return nil, stats, call.err
-		}
-		stats = call.res.stats
-		stats.CacheHit = true
-		stats.Coalesced = true
-		stats.Duration = time.Since(t0)
-		mQueryCacheHits.Inc()
-		mQueryCoalesced.Inc()
-		mQueryDuration.Observe(stats.Duration.Seconds())
-		return call.res, stats, nil
-	}
-	call := &inflightQuery{done: make(chan struct{})}
-	f.inflight[sig] = call
-	f.cacheMu.Unlock()
 
-	// The leader must release its waiters even if evaluation panics (a
-	// recovered handler goroutine must not wedge the signature forever):
-	// publication and inflight cleanup run in a defer, and a panic turns
-	// into an error for the waiters while still propagating here.
-	var (
-		res       *cachedResult // set once evaluation has succeeded
-		err       error
-		completed bool
-	)
+	// The evaluating caller must release its waiters even if evaluation
+	// panics (a recovered handler goroutine must not wedge the signature
+	// forever): a failed entry leaves the memo before done closes, so its
+	// waiters get its error and the next caller evaluates again, and a
+	// panic becomes the waiters' error while still propagating here.
+	c.err = errEvaluationPanicked
 	defer func() {
-		if !completed && err == nil {
-			err = fmt.Errorf("core: query evaluation panicked")
+		if c.err != nil {
+			f.cacheMu.Lock()
+			delete(f.cache, sig)
+			f.cacheMu.Unlock()
 		}
-		call.res, call.err = res, err
-		f.cacheMu.Lock()
-		delete(f.inflight, sig)
-		if res != nil {
-			f.cache[sig] = res
-		}
-		f.cacheMu.Unlock()
-		close(call.done)
+		close(c.done)
 	}()
-	rels, rstats, err := f.evaluateQuery(sources, targets, q.Clause, t0)
-	completed = true
-	if err != nil {
+	c.rels, c.stats, c.err = f.evaluateQuery(sources, targets, q.Clause, t0)
+	if c.err != nil {
 		mQueryErrors.Inc()
-		return nil, rstats, err
+		return nil, c.stats, c.err
 	}
-	mQueryDuration.Observe(rstats.Duration.Seconds())
-	involved := make(map[string]bool, len(sources)+len(targets))
-	for _, n := range sources {
-		involved[n] = true
-	}
-	for _, n := range targets {
-		involved[n] = true
-	}
-	res = &cachedResult{rels: rels, stats: rstats, involved: involved}
-	return res, rstats, nil
+	mQueryDuration.Observe(c.stats.Duration.Seconds())
+	return c, c.stats, nil
 }
 
-// evaluateQuery plans and executes one relationship query (the leader path
-// of Query). Its stats describe the query alone, whatever the family store
-// held: the planner counters come from its own plan, and Evaluated is the
-// size of the family it corrected over. The caller holds the shared state
-// lock.
+// evaluateQuery plans and executes one relationship query (the evaluating
+// path of Query). Its stats describe the query alone, whatever the family
+// store held: the planner counters come from its own plan, and Evaluated is
+// the size of the family it corrected over. The caller holds the shared
+// state lock.
 func (f *Framework) evaluateQuery(sources, targets []string, clause Clause, t0 time.Time) ([]Relationship, QueryStats, error) {
 	var stats QueryStats
 

@@ -1,20 +1,25 @@
 // Package httpapi holds the JSON wire vocabulary shared by the
-// polygamyd server and the polygamyr router: request shapes, the
-// clause decoder, and response helpers. The router must parse exactly
-// the dialect the server accepts — a query it hashes for replica
-// affinity has to produce the same canonical signature the replica's
-// cache is keyed by — so both binaries import this one definition
+// polygamyd server and the polygamyr router: request shapes, the one
+// request reader, the clause decoder, and response helpers. The router
+// must read a query exactly as the server does — a query it hashes for
+// replica affinity has to produce the same canonical signature the
+// replica's memo is keyed by, and a request the server refuses must not
+// be forwarded — so both binaries read through this one definition
 // instead of drifting apart.
 package httpapi
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strings"
 
 	"github.com/urbandata/datapolygamy/internal/core"
 	"github.com/urbandata/datapolygamy/internal/feature"
+	"github.com/urbandata/datapolygamy/internal/queryparse"
 	"github.com/urbandata/datapolygamy/internal/spatial"
 	"github.com/urbandata/datapolygamy/internal/stats"
 	"github.com/urbandata/datapolygamy/internal/temporal"
@@ -61,6 +66,68 @@ func (q QueryRequest) Query() (core.Query, error) {
 		return core.Query{}, err
 	}
 	return core.Query{Sources: q.Sources, Targets: q.Targets, Clause: clause}, nil
+}
+
+// MaxJSONBody caps a JSON request body (a structured query or a
+// graph-build clause, both small documents) in the server and the router.
+const MaxJSONBody = 1 << 20
+
+// ReadJSON reads r's body, at most limit bytes, and decodes it into v,
+// refusing unknown fields. On failure it writes the error response — 413
+// for an oversized body, 400 otherwise — and returns ok = false. allowEmpty
+// treats an empty body as the zero value (the graph build's optional
+// clause). body is the bytes read, for a caller that forwards them.
+func ReadJSON(w http.ResponseWriter, r *http.Request, limit int64, v any, allowEmpty bool) (body []byte, ok bool) {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
+	if err == nil {
+		dec := json.NewDecoder(bytes.NewReader(body))
+		dec.DisallowUnknownFields()
+		if err = dec.Decode(v); err == nil || (allowEmpty && errors.Is(err, io.EOF)) {
+			return body, true
+		}
+	}
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		WriteJSON(w, http.StatusRequestEntityTooLarge,
+			Error{Error: fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit)})
+		return nil, false
+	}
+	WriteJSON(w, http.StatusBadRequest, Error{Error: "decoding request: " + err.Error()})
+	return nil, false
+}
+
+// ReadQuery reads a query request: a POST's QueryRequest body, read by
+// ReadJSON within limit, or a GET's textual query in the q parameter
+// (?trace=1 asks for the stage breakdown). On failure it writes the error
+// response and returns ok = false. body is the POST's bytes, which the
+// router forwards as they came (nil for a GET).
+func ReadQuery(w http.ResponseWriter, r *http.Request, limit int64) (q core.Query, body []byte, trace, ok bool) {
+	var err error
+	if r.Method == http.MethodPost {
+		var req QueryRequest
+		if body, ok = ReadJSON(w, r, limit, &req, false); !ok {
+			return q, nil, false, false
+		}
+		q, err = req.Query()
+		trace = req.Trace
+	} else {
+		text := r.URL.Query().Get("q")
+		if text == "" {
+			WriteJSON(w, http.StatusBadRequest, Error{Error: "missing q parameter"})
+			return q, nil, false, false
+		}
+		switch r.URL.Query().Get("trace") {
+		case "", "0", "false":
+		default:
+			trace = true
+		}
+		q, err = queryparse.Parse(text)
+	}
+	if err != nil {
+		WriteJSON(w, http.StatusBadRequest, Error{Error: err.Error()})
+		return q, nil, false, false
+	}
+	return q, body, trace, true
 }
 
 // Error is the uniform JSON error body.

@@ -166,26 +166,6 @@ func (m *Manager) List() []Job {
 	return out
 }
 
-// Wait blocks until the job reaches a terminal state or the timeout
-// elapses, returning the latest snapshot and whether it is terminal. It
-// exists for tests and synchronous callers; the serving layer polls Get.
-func (m *Manager) Wait(id string, timeout time.Duration) (Job, bool) {
-	deadline := time.Now().Add(timeout)
-	for {
-		j, ok := m.Get(id)
-		if !ok {
-			return Job{}, false
-		}
-		if j.Status.Terminal() {
-			return j, true
-		}
-		if time.Now().After(deadline) {
-			return j, false
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-}
-
 // snapshot deep-copies a job under the caller-held lock.
 func snapshot(j *Job) Job {
 	out := *j

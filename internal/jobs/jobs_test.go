@@ -124,3 +124,23 @@ func TestConcurrentJobs(t *testing.T) {
 		seen[id] = true
 	}
 }
+
+// Wait blocks until the job reaches a terminal state or the timeout
+// elapses, returning the latest snapshot and whether it is terminal. Only
+// these tests wait on a job; the serving layer polls Get.
+func (m *Manager) Wait(id string, timeout time.Duration) (Job, bool) {
+	deadline := time.Now().Add(timeout)
+	for {
+		j, ok := m.Get(id)
+		if !ok {
+			return Job{}, false
+		}
+		if j.Status.Terminal() {
+			return j, true
+		}
+		if time.Now().After(deadline) {
+			return j, false
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+}

@@ -55,14 +55,10 @@ type FollowerOptions struct {
 	// answers sooner without a change is asked again after the rest of
 	// Poll. The HTTP client's timeout must exceed Poll.
 	Poll time.Duration
-	// MaxBackoff caps the exponential backoff after consecutive sync
-	// failures (default 16x Poll).
-	MaxBackoff time.Duration
 	// HTTPClient overrides the leader transport. Nil gets a client whose
 	// Timeout is Poll plus transferMargin, so a held
 	// manifest request answers in time and a stalled leader fails the sync.
 	HTTPClient *http.Client
-	Logger     *slog.Logger
 }
 
 // FollowerStatus is one observable snapshot of a follower's replication
@@ -117,12 +113,6 @@ func NewFollower(opts FollowerOptions) (*Follower, error) {
 	}
 	if opts.Poll <= 0 {
 		opts.Poll = 2 * time.Second
-	}
-	if opts.MaxBackoff <= 0 {
-		opts.MaxBackoff = 16 * opts.Poll
-	}
-	if opts.Logger == nil {
-		opts.Logger = slog.Default()
 	}
 	if opts.HTTPClient == nil {
 		opts.HTTPClient = &http.Client{Timeout: opts.Poll + transferMargin}
@@ -291,7 +281,7 @@ func (f *Follower) applyLocked(ctx context.Context, info ManifestInfo) error {
 	mSyncStage.With("fetch").Observe(t1.Sub(t0).Seconds())
 	mSyncStage.With("open").Observe(t2.Sub(t1).Seconds())
 	mSyncStage.With("write").Observe(time.Since(t2).Seconds())
-	f.opts.Logger.Info("replica: applied snapshot epoch",
+	slog.Info("replica: applied snapshot epoch",
 		"epoch", f.epoch, "etag", f.etag,
 		"sectionsFetched", fetched, "sectionsReused", reused, "bytesFetched", bytes,
 		"datasets", len(m.Fingerprint.Datasets))
@@ -299,8 +289,8 @@ func (f *Follower) applyLocked(ctx context.Context, info ManifestInfo) error {
 }
 
 // backoffDelay is the poll delay after fails consecutive failures:
-// exponential from base, capped at max. fails == 0 is the steady-state
-// cadence.
+// exponential from base, capped at max (Run's cap is 16 Polls). fails == 0
+// is the steady-state cadence.
 func backoffDelay(base time.Duration, fails int, max time.Duration) time.Duration {
 	d := base
 	for i := 0; i < fails; i++ {
@@ -329,10 +319,10 @@ func (f *Follower) Run(ctx context.Context) {
 		switch {
 		case err != nil:
 			if ctx.Err() == nil {
-				f.opts.Logger.Warn("replica: sync failed", "leader", f.opts.Leader, "error", err)
+				slog.Warn("replica: sync failed", "leader", f.opts.Leader, "error", err)
 			}
 			f.mu.Lock()
-			delay = backoffDelay(f.opts.Poll, f.fails, f.opts.MaxBackoff)
+			delay = backoffDelay(f.opts.Poll, f.fails, 16*f.opts.Poll)
 			f.mu.Unlock()
 		case !applied:
 			delay = f.opts.Poll - time.Since(t0)

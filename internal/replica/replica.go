@@ -9,14 +9,17 @@
 // publishes a new snapshot or the follower's poll interval runs out (an
 // unchanged snapshot costs a 304 and zero section bytes). The follower
 // downloads only the sections whose CRC changed, each read once into a
-// buffer of the manifest's length, re-assembles the container locally
-// with the same atomic rename publication Write uses (recording the CRCs
-// it checked rather than hashing again), and warm-starts a fresh
-// Framework from it alone via core.Open: no raw data set is shipped, so a
-// follower's framework holds none and refuses writes. The serving pointer
-// swaps atomically — an epoch — and the previous framework is
-// deliberately never Closed while the process lives, because in-flight
-// queries may still alias its memory-mapped sections.
+// buffer of the manifest's length and checked against its CRC as it
+// arrives; the rest it reuses from the serving epoch's verified bytes (or,
+// after a restart, from its durable copy, read back by store.Read). It
+// assembles the container in memory and opens a fresh Framework from it
+// alone (core.Framework.LoadContainer): no raw data set is shipped, so a
+// follower's framework holds none and refuses writes. When Path is set the
+// container is also written there, atomically and before the swap, as the
+// durable copy; the follower never maps or re-opens that file. The
+// serving pointer swaps atomically — an epoch. An epoch is heap, not a
+// mapping: queries in flight finish on the previous one, and the GC frees
+// it once none holds it, so nothing is closed or evicted.
 //
 // Torn epochs are impossible by construction: every section a follower
 // applies was verified against the CRCs of ONE manifest, section

@@ -3,7 +3,6 @@ package replica
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"hash/fnv"
 	"io"
@@ -16,7 +15,6 @@ import (
 
 	"github.com/urbandata/datapolygamy/internal/httpapi"
 	"github.com/urbandata/datapolygamy/internal/obsv"
-	"github.com/urbandata/datapolygamy/internal/queryparse"
 )
 
 var (
@@ -44,13 +42,9 @@ type RouterOptions struct {
 	// HealthInterval is the cadence of the background health probes
 	// (default 1s).
 	HealthInterval time.Duration
-	// MaxBody caps buffered request bodies (default 1 MiB — the router
-	// only buffers structured JSON; ingest CSVs stream through).
-	MaxBody int64
 	// HTTPClient overrides the backend transport (nil = a client with a
 	// 5-minute timeout, matching polygamyd's slowest handler budget).
 	HTTPClient *http.Client
-	Logger     *slog.Logger
 }
 
 type backend struct {
@@ -87,12 +81,6 @@ func NewRouter(opts RouterOptions) (*Router, error) {
 	if opts.HealthInterval <= 0 {
 		opts.HealthInterval = time.Second
 	}
-	if opts.MaxBody <= 0 {
-		opts.MaxBody = 1 << 20
-	}
-	if opts.Logger == nil {
-		opts.Logger = slog.Default()
-	}
 	hc := opts.HTTPClient
 	if hc == nil {
 		hc = &http.Client{Timeout: 5 * time.Minute}
@@ -111,7 +99,7 @@ func NewRouter(opts RouterOptions) (*Router, error) {
 	sort.Slice(rt.ring, func(i, j int) bool { return rt.ring[i].hash < rt.ring[j].hash })
 
 	rt.mux.HandleFunc("POST /v1/query", rt.handleQuery)
-	rt.mux.HandleFunc("GET /v1/query", rt.handleQueryText)
+	rt.mux.HandleFunc("GET /v1/query", rt.handleQuery)
 	rt.mux.HandleFunc("POST /v1/graph/build", rt.handleWrite)
 	rt.mux.HandleFunc("POST /v1/datasets", rt.handleWrite)
 	rt.mux.HandleFunc("POST /v1/datasets/{name}/append", rt.handleWrite)
@@ -177,7 +165,7 @@ func (rt *Router) probe(ctx context.Context) {
 		cancel()
 		was := b.healthy.Swap(ok)
 		if was != ok {
-			rt.opts.Logger.Info("router: replica health changed", "replica", b.url, "healthy", ok)
+			slog.Info("router: replica health changed", "replica", b.url, "healthy", ok)
 		}
 		g := 0.0
 		if ok {
@@ -219,44 +207,18 @@ func (rt *Router) order(sig string) []*backend {
 	return healthyFirst
 }
 
-// handleQuery routes a structured query by its canonical signature, so
-// identical queries land on the same replica's cache/singleflight.
+// handleQuery routes a query by its canonical signature, so identical
+// queries land on the same replica's memo and singleflight. It reads the
+// request as polygamyd does (httpapi.ReadQuery) and answers what a replica
+// would refuse itself: the textual form signs like its structured
+// equivalent, so both forms share a home replica, and only a well-formed
+// query is forwarded.
 func (rt *Router) handleQuery(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, rt.opts.MaxBody))
-	if err != nil {
-		httpapi.WriteJSON(w, http.StatusRequestEntityTooLarge, httpapi.Error{Error: err.Error()})
+	q, body, _, ok := httpapi.ReadQuery(w, r, httpapi.MaxJSONBody)
+	if !ok {
 		return
 	}
-	var req httpapi.QueryRequest
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		httpapi.WriteJSON(w, http.StatusBadRequest, httpapi.Error{Error: "decoding request: " + err.Error()})
-		return
-	}
-	q, err := req.Query()
-	if err != nil {
-		httpapi.WriteJSON(w, http.StatusBadRequest, httpapi.Error{Error: err.Error()})
-		return
-	}
-	rt.forwardSigned(w, r, q.Signature(), http.MethodPost, "/v1/query", body)
-}
-
-// handleQueryText routes the paper's textual query form the same way:
-// the parsed query produces the same canonical signature as its
-// structured equivalent, so both forms share a home replica.
-func (rt *Router) handleQueryText(w http.ResponseWriter, r *http.Request) {
-	text := r.URL.Query().Get("q")
-	if text == "" {
-		httpapi.WriteJSON(w, http.StatusBadRequest, httpapi.Error{Error: "missing q parameter"})
-		return
-	}
-	q, err := queryparse.Parse(text)
-	if err != nil {
-		httpapi.WriteJSON(w, http.StatusBadRequest, httpapi.Error{Error: err.Error()})
-		return
-	}
-	rt.forwardSigned(w, r, q.Signature(), http.MethodGet, r.URL.RequestURI(), nil)
+	rt.forwardOrdered(w, r, rt.order(q.Signature()), r.Method, r.URL.RequestURI(), body)
 }
 
 // handleRead forwards any other read to a healthy replica, round-robin.
@@ -326,14 +288,10 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// forwardSigned sends the request down the signature's ring order,
-// retrying the next replica on transport errors and gateway-class
-// failures. Client-fault statuses (4xx) are the replica's verdict on the
-// request itself and forward as-is.
-func (rt *Router) forwardSigned(w http.ResponseWriter, r *http.Request, sig, method, path string, body []byte) {
-	rt.forwardOrdered(w, r, rt.order(sig), method, path, body)
-}
-
+// forwardOrdered sends the request down cands in order, retrying the next
+// replica on transport errors and gateway-class failures. Client-fault
+// statuses (4xx) are the replica's verdict on the request itself and
+// forward as-is.
 func (rt *Router) forwardOrdered(w http.ResponseWriter, r *http.Request, cands []*backend, method, path string, body []byte) {
 	for i, b := range cands {
 		if i > 0 {

@@ -3,7 +3,7 @@
 // snapshot, its relationship-graph snapshot (when built), and a manifest
 // describing what the file holds and which corpus it belongs to.
 //
-// # Container layout (format v6)
+// # Container layout (format v14)
 //
 //	offset 0   magic        [8]byte  "DPOLYSNP"
 //	offset 8   version      uint32   container format version (little-endian)
