@@ -10,6 +10,7 @@ package bitvec
 import (
 	"encoding/binary"
 	"fmt"
+	"iter"
 	"math/bits"
 	"strings"
 	"unsafe"
@@ -130,18 +131,37 @@ func (v *Vector) AndCount(o *Vector) int {
 	return c
 }
 
-// AndAny reports whether v AND o has any set bit, returning at the first
-// intersecting word. This is the cheapest exact "related at all" test: the
-// query planner runs it on feature unions to discard pairs with an empty
-// intersection before scheduling relationship evaluation.
-func (v *Vector) AndAny(o *Vector) bool {
-	v.checkLen(o)
+// Occupied returns v's word-occupancy bitmap: a vector of NumWords(v.Len())
+// bits whose bit i is set when word i of v is non-zero. SharedWords walks
+// two such bitmaps. A bitmap may also mark a zero word, which only costs
+// the walk a visit; one that misses a non-zero word hides its bits.
+func (v *Vector) Occupied() *Vector {
+	out := New(len(v.words))
 	for i, w := range v.words {
-		if w&o.words[i] != 0 {
-			return true
+		if w != 0 {
+			out.words[i/wordBits] |= 1 << uint(i%wordBits)
 		}
 	}
-	return false
+	return out
+}
+
+// SharedWords yields, in ascending order, the index of every word both
+// occupancy bitmaps mark (see Occupied): the only words in which the two
+// vectors they cover can share a bit. Relationship evaluation and the
+// query planner's union tests walk these instead of every word, so their
+// cost follows the features, not the length of the domain. Walking it
+// panics if the bitmaps' lengths differ.
+func SharedWords(oa, ob *Vector) iter.Seq[int] {
+	return func(yield func(int) bool) {
+		oa.checkLen(ob)
+		for j, w := range oa.words {
+			for w &= ob.words[j]; w != 0; w &= w - 1 {
+				if !yield(j*wordBits + bits.TrailingZeros64(w)) {
+					return
+				}
+			}
+		}
+	}
 }
 
 func (v *Vector) checkLen(o *Vector) {

@@ -2,6 +2,7 @@ package bitvec
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -101,32 +102,56 @@ func TestAndCountMatchesAnd(t *testing.T) {
 	}
 }
 
-func TestAndAnyMatchesAndCount(t *testing.T) {
+// TestOccupiedAndSharedWords checks the word-occupancy bitmap against the
+// words it covers, and that SharedWords yields, in ascending order, exactly
+// the words both bitmaps mark, stopping when the loop breaks.
+func TestOccupiedAndSharedWords(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	for trial := 0; trial < 40; trial++ {
-		n := 1 + rng.Intn(300)
+		n := 1 + rng.Intn(1000)
 		a, b := New(n), New(n)
 		for i := 0; i < n; i++ {
-			// Sparse fills so both empty and non-empty intersections occur.
-			if rng.Intn(8) == 0 {
+			// Sparse fills so empty words and empty intersections occur.
+			if rng.Intn(40) == 0 {
 				a.Set(i)
 			}
-			if rng.Intn(8) == 0 {
+			if rng.Intn(40) == 0 {
 				b.Set(i)
 			}
 		}
-		if got, want := a.AndAny(b), a.AndCount(b) > 0; got != want {
-			t.Fatalf("AndAny = %v, AndCount > 0 = %v at n=%d", got, want, n)
+		oa, ob := a.Occupied(), b.Occupied()
+		if oa.Len() != NumWords(n) {
+			t.Fatalf("n=%d: bitmap of %d bits, want %d", n, oa.Len(), NumWords(n))
+		}
+		var want []int
+		for i, w := range a.Words() {
+			if oa.Get(i) != (w != 0) {
+				t.Fatalf("n=%d: word %d = %x, bitmap bit %v", n, i, w, oa.Get(i))
+			}
+			if w != 0 && b.Words()[i] != 0 {
+				want = append(want, i)
+			}
+		}
+		var got []int
+		for i := range SharedWords(oa, ob) {
+			got = append(got, i)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("n=%d: SharedWords %v, want %v", n, got, want)
+		}
+		for i := range SharedWords(oa, ob) {
+			if i != want[0] {
+				t.Fatalf("n=%d: first shared word %d, want %d", n, i, want[0])
+			}
+			break
 		}
 	}
-	// Disjoint halves of one word must not intersect.
-	a, b := New(64), New(64)
-	for i := 0; i < 32; i++ {
-		a.Set(i)
-		b.Set(i + 32)
-	}
-	if a.AndAny(b) {
-		t.Error("disjoint vectors reported intersecting")
+	defer func() {
+		if recover() == nil {
+			t.Error("bitmaps of different lengths walked without a panic")
+		}
+	}()
+	for range SharedWords(New(2), New(3)) {
 	}
 }
 

@@ -57,8 +57,11 @@ type FunctionEntry struct {
 	TileCriticalPoints []int
 
 	// Cached feature unions Σ = positive ∪ negative per class, shared by the
-	// planner and relationship evaluation so neither re-derives them per pair.
-	salientAll, extremeAll *bitvec.Vector
+	// planner and relationship evaluation so neither re-derives them per pair,
+	// and their word-occupancy bitmaps (bitvec.Occupied), so both walk only
+	// the words two unions occupy.
+	salientAll, extremeAll     *bitvec.Vector
+	salientWords, extremeWords *bitvec.Vector
 
 	// Per-class tile occupancy bitmaps (bit t set ⇔ tile t contains at least
 	// one feature bit of that class), installed by finalize. The significance
@@ -73,14 +76,16 @@ type FunctionEntry struct {
 }
 
 // classSummary is what an entry keeps of one feature class beside its
-// Positive and Negative vectors: their union, its occupancy counts and its
+// Positive and Negative vectors: their union, its occupancy counts, its
 // tile occupancy bitmap (bit t set ⇔ tile t holds a feature bit of the
-// class). summarize derives it from the vectors when an entry is built;
+// class) and its word-occupancy bitmap (bit i set ⇔ word i of the union is
+// non-zero). summarize derives it from the vectors when an entry is built;
 // the entry's snapshot record carries it, so a load reads it as written.
 type classSummary struct {
 	all   *bitvec.Vector
 	occ   Occupancy
 	tiles []uint64
+	words *bitvec.Vector
 }
 
 // finalize installs both classes' summaries: freshly derived, or read from
@@ -89,8 +94,8 @@ type classSummary struct {
 // entry, after the entry's shape has been checked, before the entry is
 // queried.
 func (e *FunctionEntry) finalize(salient, extreme classSummary) {
-	e.salientAll, e.SalientOcc, e.salientTiles = salient.all, salient.occ, salient.tiles
-	e.extremeAll, e.ExtremeOcc, e.extremeTiles = extreme.all, extreme.occ, extreme.tiles
+	e.salientAll, e.SalientOcc, e.salientTiles, e.salientWords = salient.all, salient.occ, salient.tiles, salient.words
+	e.extremeAll, e.ExtremeOcc, e.extremeTiles, e.extremeWords = extreme.all, extreme.occ, extreme.tiles, extreme.words
 }
 
 // tileOcc returns the tile occupancy bitmap of the given class.
@@ -115,6 +120,14 @@ func (e *FunctionEntry) union(c feature.Class) *bitvec.Vector {
 		return e.salientAll
 	}
 	return e.extremeAll
+}
+
+// wordOcc returns the word-occupancy bitmap of the given class's union.
+func (e *FunctionEntry) wordOcc(c feature.Class) *bitvec.Vector {
+	if c == feature.Salient {
+		return e.salientWords
+	}
+	return e.extremeWords
 }
 
 // occ returns the occupancy summary of the given class.

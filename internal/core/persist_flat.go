@@ -56,16 +56,18 @@ import (
 // derive from its clause; 13 drops the per-tile thresholds, which nothing
 // read, leaving one critical point count per tile, and the clause's
 // exhaustive flag, retired test kind and reserved word; 14 stores each
-// candidate's test counts (extreme, visited) in place of its p-value.
+// candidate's test counts (extreme, visited) in place of its p-value; 15
+// stores each class union's word-occupancy bitmap, which relationship
+// evaluation and the planner walk instead of every word.
 // Evolving any layout or meaning below means bumping both (the format has
 // no field tags).
-const flatSnapshotVersion = 14
+const flatSnapshotVersion = 15
 
 // Payload magics. The final byte is the generation, so another
-// generation's layout is "not flat v14" rather than a misparse.
+// generation's layout is "not flat v15" rather than a misparse.
 var (
-	flatIndexMagic = []byte("DPIXFLT\x0e")
-	flatGraphMagic = []byte("DPGRFLT\x0e")
+	flatIndexMagic = []byte("DPIXFLT\x0f")
+	flatGraphMagic = []byte("DPGRFLT\x0f")
 )
 
 // nilSlice is the length sentinel distinguishing a nil clause slice
@@ -119,7 +121,7 @@ func (f *Framework) encodeFlatIndexLocked() ([]byte, error) {
 	entries := f.collectEntriesLocked()
 	est := 256
 	for _, e := range entries {
-		est += 256 + len(e.Key) + len(e.Dataset) + len(e.SpecName) + 6*e.Salient.Positive.WordBytes()
+		est += 256 + len(e.Key) + len(e.Dataset) + len(e.SpecName) + 6*e.Salient.Positive.WordBytes() + 2*e.salientWords.WordBytes()
 	}
 	w := store.NewSlabWriter(est)
 	w.Raw(flatIndexMagic)
@@ -149,16 +151,18 @@ func (f *Framework) encodeFlatIndexLocked() ([]byte, error) {
 		for _, c := range e.TileCriticalPoints {
 			w.I64(int64(c))
 		}
-		// The summaries the builder derived (v10): six occupancy counts,
-		// two to a word, and the two class tile bitmaps, so a load installs
-		// them without reading a feature bit.
+		// The summaries the builder derived: six occupancy counts, two to a
+		// word, and per class its tile bitmap (v10) and its union's
+		// word-occupancy bitmap (v15), so a load installs them without
+		// reading a feature bit.
 		w.U64(packCounts(e.SalientOcc.Pos, e.SalientOcc.Neg))
 		w.U64(packCounts(e.SalientOcc.All, e.ExtremeOcc.Pos))
 		w.U64(packCounts(e.ExtremeOcc.Neg, e.ExtremeOcc.All))
-		for _, bm := range [][]uint64{e.salientTiles, e.extremeTiles} {
-			for _, word := range bm {
+		for _, c := range [...]feature.Class{feature.Salient, feature.Extreme} {
+			for _, word := range e.tileOcc(c) {
 				w.U64(word)
 			}
+			w.AppendFunc(e.wordOcc(c).AppendWords)
 		}
 		// The derived unions are persisted too: reloading them as views
 		// keeps the whole feature working set inside the shared mapping.
@@ -203,13 +207,15 @@ func readFlatVector(r *store.SlabReader, dst *bitvec.Vector, n int) error {
 	return nil
 }
 
-// readTiles checks one class's occupancy counts against the entry's vertex
-// count and each other, then views the class's tile bitmap in place and
-// checks it against the tile count and the union count. It reads no
-// feature bit: counts and bitmap are installed as the builder derived them
-// (the snapshot CRC vouches for them in transit); what is checked is what
-// no vectors of the entry's shape could have.
-func readTiles(r *store.SlabReader, e *FunctionEntry, class string, occ Occupancy, nTiles int) ([]uint64, error) {
+// readSummary checks one class's occupancy counts against the entry's
+// vertex count and each other, then views the class's tile bitmap and its
+// union's word-occupancy bitmap in place, the latter into the
+// caller-allocated words. It reads no feature bit: counts and bitmaps are
+// installed as the builder derived them (the snapshot CRC vouches for them
+// in transit); what is checked is what no vectors of the entry's shape
+// could have: a bitmap bit past the tile or word count, or a bitmap that is
+// empty when the union count is not 0, or the other way round.
+func readSummary(r *store.SlabReader, e *FunctionEntry, class string, occ Occupancy, nTiles int, words *bitvec.Vector) ([]uint64, error) {
 	if occ.Pos > e.NumVertices || occ.Neg > e.NumVertices || occ.All > e.NumVertices {
 		return nil, corruptf("entry %s: %s counts %+v exceed its %d vertices", e.Key, class, occ, e.NumVertices)
 	}
@@ -217,14 +223,26 @@ func readTiles(r *store.SlabReader, e *FunctionEntry, class string, occ Occupanc
 		return nil, corruptf("entry %s: %s union count %d outside [max, sum] of its signs' %d and %d",
 			e.Key, class, occ.All, occ.Pos, occ.Neg)
 	}
-	var bm bitvec.Vector
-	if err := readFlatVector(r, &bm, nTiles); err != nil {
-		return nil, fmt.Errorf("core: entry %s: %s tile bitmap: %w", e.Key, class, err)
+	var tiles bitvec.Vector
+	if err := readBitmap(r, &tiles, nTiles, e, class, "tile", occ.All); err != nil {
+		return nil, err
 	}
-	if (occ.All == 0) != !bm.Any() {
-		return nil, corruptf("entry %s: %s tile bitmap disagrees with its union count %d", e.Key, class, occ.All)
+	if err := readBitmap(r, words, bitvec.NumWords(e.NumVertices), e, class, "word", occ.All); err != nil {
+		return nil, err
 	}
-	return bm.Words(), nil
+	return tiles.Words(), nil
+}
+
+// readBitmap views one n-bit summary bitmap into dst and checks that it is
+// empty exactly when the class's union count all is 0.
+func readBitmap(r *store.SlabReader, dst *bitvec.Vector, n int, e *FunctionEntry, class, what string, all int) error {
+	if err := readFlatVector(r, dst, n); err != nil {
+		return fmt.Errorf("core: entry %s: %s %s bitmap: %w", e.Key, class, what, err)
+	}
+	if (all == 0) != !dst.Any() {
+		return corruptf("entry %s: %s %s bitmap disagrees with its union count %d", e.Key, class, what, all)
+	}
+	return nil
 }
 
 // flatIndexSnap is a parsed flat index section: the snapshot's identity
@@ -243,7 +261,7 @@ type flatIndexSnap struct {
 // summaries are installed as the record states them. Every failure —
 // truncation, bad counts, tail bits beyond a vector's or bitmap's length,
 // an entry whose shape is not a tiled one (see FunctionEntry), summaries
-// that no vectors of its shape could have (readTiles), entries that
+// that no vectors of its shape could have (readSummary), entries that
 // are not one key-ascending run per listed data set — wraps
 // store.ErrCorrupt.
 func parseFlatIndex(data []byte) (flatIndexSnap, error) {
@@ -268,7 +286,7 @@ func parseFlatIndex(data []byte) (flatIndexSnap, error) {
 	// on its old backing array, every one capped so no append can reach its
 	// neighbour.
 	entryBuf := make([]FunctionEntry, nEntries)
-	vecBuf := make([]bitvec.Vector, 6*nEntries)
+	vecBuf := make([]bitvec.Vector, 8*nEntries)
 	setBuf := make([]feature.Set, 2*nEntries)
 	critArena := make([]int, 0, nEntries)
 	snap.entries = make([]*FunctionEntry, 0, nEntries)
@@ -305,17 +323,17 @@ func parseFlatIndex(data []byte) (flatIndexSnap, error) {
 			e.CriticalPoints += crit
 		}
 		e.TileCriticalPoints = critArena[t0:len(critArena):len(critArena)]
-		vs := vecBuf[6*i : 6*i+6]
+		vs := vecBuf[8*i : 8*i+8]
 		salOcc, extOcc := readOccupancy(r)
-		salTiles, err := readTiles(r, e, "salient", salOcc, nTiles)
+		salTiles, err := readSummary(r, e, "salient", salOcc, nTiles, &vs[6])
 		if err != nil {
 			return snap, err
 		}
-		extTiles, err := readTiles(r, e, "extreme", extOcc, nTiles)
+		extTiles, err := readSummary(r, e, "extreme", extOcc, nTiles, &vs[7])
 		if err != nil {
 			return snap, err
 		}
-		for j := range vs {
+		for j := range vs[:6] {
 			if err := readFlatVector(r, &vs[j], e.NumVertices); err != nil {
 				return snap, err
 			}
@@ -324,7 +342,7 @@ func parseFlatIndex(data []byte) (flatIndexSnap, error) {
 		e.Extreme = &setBuf[2*i+1]
 		*e.Salient = feature.Set{Positive: &vs[0], Negative: &vs[1]}
 		*e.Extreme = feature.Set{Positive: &vs[2], Negative: &vs[3]}
-		e.finalize(classSummary{&vs[4], salOcc, salTiles}, classSummary{&vs[5], extOcc, extTiles})
+		e.finalize(classSummary{&vs[4], salOcc, salTiles, &vs[6]}, classSummary{&vs[5], extOcc, extTiles, &vs[7]})
 		snap.entries = append(snap.entries, e)
 	}
 	if err := r.Done(); err != nil {

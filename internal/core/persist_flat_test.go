@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/urbandata/datapolygamy/internal/bitvec"
 	"github.com/urbandata/datapolygamy/internal/dataset"
 	"github.com/urbandata/datapolygamy/internal/feature"
 	"github.com/urbandata/datapolygamy/internal/spatial"
@@ -92,6 +93,15 @@ func TestFlatSectionCorruption(t *testing.T) {
 			mutate(e, &e.SalientOcc, e.salientTiles)
 		})
 	}
+	// The word-occupancy cases change the salient word bitmap (and, to
+	// reach its check, the counts and tile bitmap before it).
+	salientWords := func(mutate func(e *FunctionEntry, occ *Occupancy, tiles []uint64, words []uint64)) []byte {
+		return indexSectionWith(t, f, func(e *FunctionEntry) {
+			e.salientTiles = slices.Clone(e.salientTiles)
+			e.salientWords = e.salientWords.Clone()
+			mutate(e, &e.SalientOcc, e.salientTiles, e.salientWords.Words())
+		})
+	}
 	cases := []struct {
 		name    string
 		section string
@@ -145,6 +155,21 @@ func TestFlatSectionCorruption(t *testing.T) {
 				*occ = Occupancy{}
 			}
 		}), "disagrees"},
+		// One case per check of the word-occupancy bitmaps (v15).
+		{"word bit past the last word", store.SectionIndex, salientWords(func(e *FunctionEntry, _ *Occupancy, _, words []uint64) {
+			if n := bitvec.NumWords(e.NumVertices); n%64 != 0 {
+				words[n/64] |= 1 << uint(n%64)
+			}
+		}), "bits beyond length"},
+		{"occupied word bitmap under no feature", store.SectionIndex, salientWords(func(_ *FunctionEntry, occ *Occupancy, tiles, words []uint64) {
+			if slices.ContainsFunc(words, func(w uint64) bool { return w != 0 }) {
+				*occ = Occupancy{}
+				clear(tiles)
+			}
+		}), "word bitmap disagrees"},
+		{"empty word bitmap under features", store.SectionIndex, salientWords(func(_ *FunctionEntry, _ *Occupancy, _, words []uint64) {
+			clear(words)
+		}), "word bitmap disagrees"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -583,7 +608,7 @@ func FuzzParseFlatIndex(f *testing.F) {
 	idx, _ := seedFlatPayloads(f)
 	f.Add(idx)
 	f.Add(idx[:len(idx)-8])
-	f.Add([]byte("DPIXFLT\x0e"))
+	f.Add([]byte("DPIXFLT\x0f"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if _, err := parseFlatIndex(data); err != nil && !errors.Is(err, store.ErrCorrupt) {
 			t.Errorf("non-ErrCorrupt failure: %v", err)
@@ -602,7 +627,7 @@ func FuzzParseFlatGraph(f *testing.F) {
 	f.Add(graph)
 	f.Add(graph[:len(graph)/2])
 	f.Add(graph[:len(graph)-8])
-	f.Add([]byte("DPGRFLT\x0e"))
+	f.Add([]byte("DPGRFLT\x0f"))
 	f.Add(graph[:len(graph)-4])
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if _, err := parseFlatGraph(data, ix.funcs); err != nil && !errors.Is(err, store.ErrCorrupt) {

@@ -6,6 +6,7 @@ import (
 	"slices"
 	"testing"
 
+	"github.com/urbandata/datapolygamy/internal/bitvec"
 	"github.com/urbandata/datapolygamy/internal/feature"
 	"github.com/urbandata/datapolygamy/internal/temporal"
 )
@@ -173,6 +174,7 @@ func assertSummariesFromVectors(t *testing.T, f *Framework, when string) {
 				s, u := e.set(c), e.union(c)
 				var occ Occupancy
 				tiles := make([]uint64, (len(e.TileCriticalPoints)+63)/64)
+				words := bitvec.New(bitvec.NumWords(e.NumVertices))
 				for v := 0; v < e.NumVertices; v++ {
 					p, q := s.Positive.Get(v), s.Negative.Get(v)
 					if u.Get(v) != (p || q) {
@@ -188,6 +190,7 @@ func assertSummariesFromVectors(t *testing.T, f *Framework, when string) {
 						occ.All++
 						tile := v / regions / w
 						tiles[tile/64] |= 1 << uint(tile%64)
+						words.Set(v / 64)
 					}
 				}
 				if got := e.occ(c); got != occ {
@@ -195,6 +198,9 @@ func assertSummariesFromVectors(t *testing.T, f *Framework, when string) {
 				}
 				if got := e.tileOcc(c); !slices.Equal(got, tiles) {
 					t.Errorf("%s: %s: %v tile bitmap %x, its vectors occupy %x", when, e.Key, c, got, tiles)
+				}
+				if got := e.wordOcc(c); !got.Equal(words) {
+					t.Errorf("%s: %s: %v word bitmap %x, its union occupies %x", when, e.Key, c, got.Words(), words.Words())
 				}
 			}
 		}
@@ -204,10 +210,11 @@ func assertSummariesFromVectors(t *testing.T, f *Framework, when string) {
 	}
 }
 
-// TestSummariesMatchTheirVectors: the occupancy counts and tile bitmaps a
-// load installs unread are those of the entry's own vectors, along the
-// whole lifecycle — after a build, after a warm open, after an append into
-// the opened corpus, and after that corpus is saved and opened again.
+// TestSummariesMatchTheirVectors: the occupancy counts, tile bitmaps and
+// word-occupancy bitmaps a load installs unread are those of the entry's
+// own vectors, along the whole lifecycle — after a build, after a warm
+// open, after an append into the opened corpus, and after that corpus is
+// saved and opened again.
 func TestSummariesMatchTheirVectors(t *testing.T) {
 	base := buildFW(t, appendCorpus(t, 48))
 	assertSummariesFromVectors(t, base, "build")

@@ -2,8 +2,10 @@ package core
 
 import (
 	"hash/fnv"
+	"math/bits"
 	"slices"
 
+	"github.com/urbandata/datapolygamy/internal/bitvec"
 	"github.com/urbandata/datapolygamy/internal/feature"
 	"github.com/urbandata/datapolygamy/internal/montecarlo"
 	"github.com/urbandata/datapolygamy/internal/spatial"
@@ -142,12 +144,12 @@ func prunePair(e1, e2 *FunctionEntry, class feature.Class, clause Clause) bool {
 		// domain, so only this vacuity argument stays sound (a pair disjoint
 		// globally is disjoint in every window — the bound rules below are
 		// not monotone under masking).
-		return !e1.union(class).AndAny(e2.union(class))
+		return sharedFeatures(e1, e2, class, true) == 0
 	}
 	if 2*float64(min(o1.All, o2.All))/float64(o1.All+o2.All) < clause.MinStrength-pruneMargin {
 		return true // even a full overlap cannot reach MinStrength (≤ 0 never prunes)
 	}
-	sigma := e1.union(class).AndCount(e2.union(class))
+	sigma := sharedFeatures(e1, e2, class, false)
 	if sigma == 0 {
 		return true
 	}
@@ -157,6 +159,20 @@ func prunePair(e1, e2 *FunctionEntry, class feature.Class, clause Clause) bool {
 	pHi := min(o1.Pos, o2.Pos) + min(o1.Neg, o2.Neg)
 	nHi := min(o1.Pos, o2.Neg) + min(o1.Neg, o2.Pos)
 	return float64(max(pHi, nHi))/float64(sigma) < clause.MinScore-pruneMargin
+}
+
+// sharedFeatures returns |Σ1 ∩ Σ2| of the two entries' unions of class,
+// reading only the words both unions occupy. With first it stops at the
+// first shared word, so it is non-zero exactly when the unions intersect.
+func sharedFeatures(e1, e2 *FunctionEntry, class feature.Class, first bool) int {
+	u1, u2 := e1.union(class).Words(), e2.union(class).Words()
+	n := 0
+	for i := range bitvec.SharedWords(e1.wordOcc(class), e2.wordOcc(class)) {
+		if n += bits.OnesCount64(u1[i] & u2[i]); first && n > 0 {
+			break
+		}
+	}
+	return n
 }
 
 // pairSeed derives the Monte Carlo seed of one candidate tuple from the

@@ -84,11 +84,13 @@ func bruteForce(t *testing.T, f *Framework, clause Clause) (cands []bruteCand, c
 							}
 							if !clause.Windowed && (clause.MinScore > 0 || clause.MinStrength > 0) {
 								// prunePair counted σ to bound this tuple; the
-								// evaluator's one pass must find the same |Σ|.
+								// evaluator's one pass must find the same |Σ|,
+								// and so must a dense count of every word.
 								u1, u2 := e1.union(class), e2.union(class)
-								m := relationship.Measure(e1.set(class), e2.set(class), u1, u2, e1.occ(class).All, e2.occ(class).All)
-								if want := u1.AndCount(u2); m.SigmaBoth != want {
-									t.Errorf("%s ~ %s (%v): Measure |Σ| = %d, planner's AndCount %d", e1.Key, e2.Key, class, m.SigmaBoth, want)
+								m := relationship.Measure(e1.set(class), e2.set(class), u1, u2, e1.wordOcc(class), e2.wordOcc(class), e1.occ(class).All, e2.occ(class).All)
+								if want := u1.AndCount(u2); m.SigmaBoth != want || sharedFeatures(e1, e2, class, false) != want {
+									t.Errorf("%s ~ %s (%v): Measure |Σ| = %d, planner's count %d, dense AndCount %d",
+										e1.Key, e2.Key, class, m.SigmaBoth, sharedFeatures(e1, e2, class, false), want)
 								}
 							}
 							c, in, err := f.evaluatePair(task, clause)

@@ -179,15 +179,17 @@ func (f *Framework) rebuildEntryTiles(t funcTask, in *jobInputs, tl *temporal.Ti
 }
 
 // summarize derives one class's summary from its vectors over nSteps steps
-// of nRegions regions at temporal resolution tres: the union, its popcounts
-// and its tile occupancy. It is the one place summaries are derived; the
-// snapshot record stores them, and a load installs them unread.
+// of nRegions regions at temporal resolution tres: the union, its popcounts,
+// its tile occupancy and its word occupancy. It is the one place summaries
+// are derived; the snapshot record stores them, and a load installs them
+// unread.
 func summarize(s *feature.Set, tres temporal.Resolution, nSteps, nRegions int) classSummary {
 	all := s.All()
 	return classSummary{
 		all:   all,
 		occ:   Occupancy{Pos: s.Positive.Count(), Neg: s.Negative.Count(), All: all.Count()},
 		tiles: tileOccupancyBits(all, temporal.TileWidth(tres), nRegions, nSteps, temporal.NumTilesFor(nSteps, tres)),
+		words: all.Occupied(),
 	}
 }
 

@@ -73,7 +73,7 @@ func pairSets(rng *rand.Rand, n, na, nb int) (*feature.Set, *feature.Set) {
 func pathName(w walk, b *feature.Set) string {
 	switch w {
 	case wordWalk:
-		if b.Positive.AndAny(b.Negative) {
+		if b.Positive.AndCount(b.Negative) > 0 {
 			return "word walk forced with both signs"
 		}
 		return "word walk"
@@ -302,7 +302,7 @@ func checkKernelParity(t *testing.T, a, b *feature.Set, g *stgraph.Graph, tau fl
 		t.Fatalf("oracle: adaptive verdict %+v differs from exhaustive %+v", wAdaptive, w)
 	}
 	var run *testRun
-	overlap := b.Positive.AndAny(b.Negative)
+	overlap := b.Positive.AndCount(b.Negative) > 0
 	for _, wk := range []walk{wordWalk, flatA, flatB, chooseWalk} {
 		path := pathName(wk, b)
 		got := make([]float64, len(want))

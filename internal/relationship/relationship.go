@@ -4,12 +4,13 @@
 // computes the feature relations, the relationship score tau, and the
 // relationship strength rho (F1).
 //
-// Measure is the one kernel. It makes a single pass over the words of the
-// two feature unions Σ1 and Σ2: a word the unions do not share holds no
-// feature relation and is skipped; every other word adds its popcount to
-// |Σ| and its four sign intersections to #p and #n. |Σ1| and |Σ2| come from
-// the caller, which holds them already (the index caches them per entry),
-// so nothing is counted twice.
+// Measure is the one kernel. It makes a single pass over the words both
+// feature unions Σ1 and Σ2 occupy, read off the unions' word-occupancy
+// bitmaps: a word either union leaves empty holds no feature relation and
+// is never read; every other word adds its popcount to |Σ| and its four
+// sign intersections to #p and #n. |Σ1| and |Σ2| come from the caller,
+// which holds them already (the index caches them per entry), so nothing
+// is counted twice.
 package relationship
 
 import (
@@ -43,32 +44,39 @@ type Measures struct {
 }
 
 // Evaluate computes the relationship measures between the feature sets of
-// two functions defined on the same domain graph, deriving their unions
-// and union sizes. It panics if the sets have different vertex counts
-// (callers align resolutions first).
+// two functions defined on the same domain graph, deriving their unions,
+// the unions' word-occupancy bitmaps and their sizes. It panics if the sets
+// have different vertex counts (callers align resolutions first).
 func Evaluate(a, b *feature.Set) Measures {
 	allA, allB := a.All(), b.All()
-	return Measure(a, b, allA, allB, allA.Count(), allB.Count())
+	return Measure(a, b, allA, allB, allA.Occupied(), allB.Occupied(), allA.Count(), allB.Count())
 }
 
 // Measure computes the relationship measures of a and b in one pass over
-// their feature unions unionA = Σ1 and unionB = Σ2, whose popcounts the
-// caller supplies as sizeA = |Σ1| and sizeB = |Σ2| (used as given). It
-// panics if the six vectors do not all have the same length.
-func Measure(a, b *feature.Set, unionA, unionB *bitvec.Vector, sizeA, sizeB int) Measures {
+// the words both feature unions unionA = Σ1 and unionB = Σ2 occupy, as
+// their word-occupancy bitmaps occA and occB mark them (bitvec.Occupied; a
+// bitmap may mark zero words too, never miss a non-zero one). The caller
+// supplies the unions' popcounts as sizeA = |Σ1| and sizeB = |Σ2| (used as
+// given). It panics if the six vectors do not all have the same length, or
+// a bitmap does not have one bit per word of them.
+func Measure(a, b *feature.Set, unionA, unionB, occA, occB *bitvec.Vector, sizeA, sizeB int) Measures {
 	n := unionA.Len()
 	for _, v := range [...]*bitvec.Vector{unionB, a.Positive, a.Negative, b.Positive, b.Negative} {
 		if v.Len() != n {
 			panic(fmt.Sprintf("relationship: feature vectors over %d vs %d vertices", n, v.Len()))
 		}
 	}
+	if nw := bitvec.NumWords(n); occA.Len() != nw || occB.Len() != nw {
+		panic(fmt.Sprintf("relationship: occupancy bitmaps of %d and %d bits for %d words", occA.Len(), occB.Len(), nw))
+	}
 	ua := unionA.Words()
 	ub := unionB.Words()[:len(ua)]
 	ap, an := a.Positive.Words()[:len(ua)], a.Negative.Words()[:len(ua)]
 	bp, bn := b.Positive.Words()[:len(ua)], b.Negative.Words()[:len(ua)]
 	var m Measures
-	for i, w := range ua {
-		if w &= ub[i]; w == 0 {
+	for i := range bitvec.SharedWords(occA, occB) {
+		w := ua[i] & ub[i]
+		if w == 0 {
 			continue
 		}
 		m.SigmaBoth += bits.OnesCount64(w)

@@ -269,25 +269,81 @@ func randomSet(rng *rand.Rand, n int, pos, neg float64) *feature.Set {
 	return s
 }
 
+// burstySet draws a feature set over steps × regions vertices (vertex
+// step·regions + region) whose features come in runs of consecutive steps
+// of one region, as extracted features do: at each step a region starts a
+// positive run with probability pos/maxRun and, independently, a negative
+// one with probability neg/maxRun, each 1 to maxRun steps long, so the
+// signs sometimes overlap and a run may cross a word boundary.
+func burstySet(rng *rand.Rand, steps, regions int, pos, neg float64, maxRun int) *feature.Set {
+	s := &feature.Set{Positive: bitvec.New(steps * regions), Negative: bitvec.New(steps * regions)}
+	for _, sign := range []struct {
+		v *bitvec.Vector
+		p float64
+	}{{s.Positive, pos}, {s.Negative, neg}} {
+		for r := 0; r < regions; r++ {
+			for st := 0; st < steps; st++ {
+				if rng.Float64() >= sign.p/float64(maxRun) {
+					continue
+				}
+				for end := min(st+1+rng.Intn(maxRun), steps); st < end; st++ {
+					sign.v.Set(st*regions + r)
+				}
+			}
+		}
+	}
+	return s
+}
+
+// allOnes is a word-occupancy bitmap for n-bit vectors that marks every
+// word, the coarsest over-approximation Measure accepts.
+func allOnes(n int) *bitvec.Vector {
+	v := bitvec.New(bitvec.NumWords(n))
+	for i := range v.Len() {
+		v.Set(i)
+	}
+	return v
+}
+
 // FuzzMeasureOracle holds Measure bit-identical to the per-vertex oracle on
 // random lengths (word multiples and not), densities and overlapping signs,
-// checks that it takes the supplied union sizes as given, and that vectors
-// of different lengths panic with a message rather than an index error.
+// on uniform sets and on bursty ones (run > 0: runs of up to run steps over
+// regions regions), with the word-occupancy bitmaps derived from the unions
+// and with all-ones bitmaps. It checks that Measure takes the supplied
+// union sizes as given, and that vectors or bitmaps of the wrong length
+// panic with a message rather than an index error.
 func FuzzMeasureOracle(f *testing.F) {
-	f.Add(int64(1), uint16(99), uint8(40), uint8(40), uint8(40), uint8(40), int8(0), int8(0))
-	f.Add(int64(2), uint16(63), uint8(255), uint8(0), uint8(0), uint8(255), int8(0), int8(0))
-	f.Add(int64(3), uint16(0), uint8(128), uint8(128), uint8(128), uint8(128), int8(3), int8(-1))
-	f.Add(int64(4), uint16(128), uint8(5), uint8(2), uint8(200), uint8(10), int8(0), int8(1))
-	f.Add(int64(5), uint16(299), uint8(0), uint8(0), uint8(30), uint8(30), int8(-2), int8(0))
-	f.Fuzz(func(t *testing.T, seed int64, nB uint16, aPos, aNeg, bPos, bNeg uint8, dA, dB int8) {
+	f.Add(int64(1), uint16(99), uint8(40), uint8(40), uint8(40), uint8(40), int8(0), int8(0), uint8(0), uint8(0))
+	f.Add(int64(2), uint16(63), uint8(255), uint8(0), uint8(0), uint8(255), int8(0), int8(0), uint8(0), uint8(0))
+	f.Add(int64(3), uint16(0), uint8(128), uint8(128), uint8(128), uint8(128), int8(3), int8(-1), uint8(0), uint8(0))
+	f.Add(int64(4), uint16(128), uint8(5), uint8(2), uint8(200), uint8(10), int8(0), int8(1), uint8(0), uint8(0))
+	f.Add(int64(5), uint16(299), uint8(0), uint8(0), uint8(30), uint8(30), int8(-2), int8(0), uint8(0), uint8(0))
+	f.Add(int64(6), uint16(299), uint8(20), uint8(20), uint8(40), uint8(10), int8(0), int8(0), uint8(3), uint8(12))
+	f.Add(int64(7), uint16(255), uint8(60), uint8(5), uint8(60), uint8(5), int8(0), int8(0), uint8(0), uint8(40))
+	f.Add(int64(8), uint16(200), uint8(10), uint8(10), uint8(90), uint8(90), int8(1), int8(0), uint8(7), uint8(5))
+	f.Fuzz(func(t *testing.T, seed int64, nB uint16, aPos, aNeg, bPos, bNeg uint8, dA, dB int8, regionsB, run uint8) {
 		n := int(nB)%300 + 1
 		rng := rand.New(rand.NewSource(seed))
-		a := randomSet(rng, n, float64(aPos)/255, float64(aNeg)/255)
-		b := randomSet(rng, n, float64(bPos)/255, float64(bNeg)/255)
+		var a, b *feature.Set
+		if run == 0 {
+			a = randomSet(rng, n, float64(aPos)/255, float64(aNeg)/255)
+			b = randomSet(rng, n, float64(bPos)/255, float64(bNeg)/255)
+		} else {
+			regions := int(regionsB)%8 + 1
+			steps := (n-1)/regions + 1
+			n = steps * regions
+			maxRun := int(run)%64 + 1
+			a = burstySet(rng, steps, regions, float64(aPos)/255, float64(aNeg)/255, maxRun)
+			b = burstySet(rng, steps, regions, float64(bPos)/255, float64(bNeg)/255, maxRun)
+		}
 		want := oracleMeasures(a, b)
 		allA, allB := a.All(), b.All()
-		if got := Measure(a, b, allA, allB, want.Sigma1, want.Sigma2); got != want {
+		occA, occB := allA.Occupied(), allB.Occupied()
+		if got := Measure(a, b, allA, allB, occA, occB, want.Sigma1, want.Sigma2); got != want {
 			t.Fatalf("n=%d: Measure %+v, oracle %+v", n, got, want)
+		}
+		if got := Measure(a, b, allA, allB, allOnes(n), allOnes(n), want.Sigma1, want.Sigma2); got != want {
+			t.Fatalf("n=%d: Measure with all-ones bitmaps %+v, oracle %+v", n, got, want)
 		}
 		if got := Evaluate(a, b); got != want {
 			t.Fatalf("n=%d: Evaluate %+v, oracle %+v", n, got, want)
@@ -295,7 +351,7 @@ func FuzzMeasureOracle(f *testing.F) {
 
 		// Supplied sizes are used as given, never recounted.
 		sizeA, sizeB := want.Sigma1+int(dA), want.Sigma2+int(dB)
-		got := Measure(a, b, allA, allB, sizeA, sizeB)
+		got := Measure(a, b, allA, allB, occA, occB, sizeA, sizeB)
 		if got.Sigma1 != sizeA || got.Sigma2 != sizeB {
 			t.Fatalf("sizes %d/%d supplied, Measure reports %d/%d", sizeA, sizeB, got.Sigma1, got.Sigma2)
 		}
@@ -304,13 +360,18 @@ func FuzzMeasureOracle(f *testing.F) {
 			t.Fatalf("sizes %d/%d supplied: precision %g recall %g", sizeA, sizeB, got.Precision, got.Recall)
 		}
 
-		// Any one of the six vectors one bit longer than the others panics
-		// with a message.
-		for i := range 6 {
-			vs := []*bitvec.Vector{allA, allB, a.Positive, a.Negative, b.Positive, b.Negative}
-			vs[i] = bitvec.New(n + 1)
+		// Any one of the six vectors one bit longer than the others, or
+		// either bitmap one bit longer than their word count, panics with a
+		// message.
+		for i := range 8 {
+			vs := []*bitvec.Vector{allA, allB, a.Positive, a.Negative, b.Positive, b.Negative, occA, occB}
+			if i < 6 {
+				vs[i] = bitvec.New(n + 1)
+			} else {
+				vs[i] = bitvec.New(bitvec.NumWords(n) + 1)
+			}
 			checkLengthPanic(t, i, func() {
-				Measure(&feature.Set{Positive: vs[2], Negative: vs[3]}, &feature.Set{Positive: vs[4], Negative: vs[5]}, vs[0], vs[1], 0, 0)
+				Measure(&feature.Set{Positive: vs[2], Negative: vs[3]}, &feature.Set{Positive: vs[4], Negative: vs[5]}, vs[0], vs[1], vs[6], vs[7], 0, 0)
 			})
 		}
 	})
@@ -324,34 +385,45 @@ func checkLengthPanic(t *testing.T, i int, call func()) {
 		r := recover()
 		msg, ok := r.(string)
 		if !ok || !strings.HasPrefix(msg, "relationship: ") {
-			t.Errorf("vector %d one bit longer: panic %v (%T), want a relationship message", i, r, r)
+			t.Errorf("argument %d one bit longer: panic %v (%T), want a relationship message", i, r, r)
 		}
 	}()
 	call()
 }
 
-// BenchmarkMeasure times the one-pass kernel on two shapes: the probe of
-// the ingest-deep benchmark (48 regions × 8,760 hours, unions over ≈0.7 %
-// and ≈1.8 % of the vertices, as its taxi and collisions functions have at
-// that resolution) and a dense city × hour pair over 90 days (1 × 2,160,
+// BenchmarkMeasure times the one-pass kernel on three shapes. Two are
+// 48 regions × 8,760 hours with unions over ≈0.7 % and ≈1.8 % of the
+// vertices, the densities of the ingest-deep probe's taxi and collisions
+// functions at that resolution: "uniform" scatters the features, so about
+// 36 % and 69 % of the union words are non-zero; "bursty" lays them in runs
+// of consecutive hours per region, as extracted features come, so far fewer
+// words are. The third is a dense city × hour pair over 90 days (1 × 2,160,
 // ≈60 % features), as in graph-wide.
 func BenchmarkMeasure(b *testing.B) {
+	const regions, hours = 48, 8760
 	for _, bc := range []struct {
-		name                   string
-		n                      int
-		aPos, aNeg, bPos, bNeg float64
+		name   string
+		s1, s2 func(*rand.Rand) *feature.Set
 	}{
-		{"48x8760", 48 * 8760, 0.0035, 0.0035, 0.009, 0.009},
-		{"1x2160", 2160, 0.37, 0.37, 0.37, 0.37},
+		{"48x8760-uniform",
+			func(rng *rand.Rand) *feature.Set { return randomSet(rng, regions*hours, 0.0035, 0.0035) },
+			func(rng *rand.Rand) *feature.Set { return randomSet(rng, regions*hours, 0.009, 0.009) }},
+		{"48x8760-bursty",
+			func(rng *rand.Rand) *feature.Set { return burstySet(rng, hours, regions, 0.0035, 0.0035, 12) },
+			func(rng *rand.Rand) *feature.Set { return burstySet(rng, hours, regions, 0.009, 0.009, 12) }},
+		{"1x2160",
+			func(rng *rand.Rand) *feature.Set { return randomSet(rng, 2160, 0.37, 0.37) },
+			func(rng *rand.Rand) *feature.Set { return randomSet(rng, 2160, 0.37, 0.37) }},
 	} {
 		rng := rand.New(rand.NewSource(1))
-		s1, s2 := randomSet(rng, bc.n, bc.aPos, bc.aNeg), randomSet(rng, bc.n, bc.bPos, bc.bNeg)
+		s1, s2 := bc.s1(rng), bc.s2(rng)
 		u1, u2 := s1.All(), s2.All()
+		o1, o2 := u1.Occupied(), u2.Occupied()
 		n1, n2 := u1.Count(), u2.Count()
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if m := Measure(s1, s2, u1, u2, n1, n2); !m.Related() {
+				if m := Measure(s1, s2, u1, u2, o1, o2, n1, n2); !m.Related() {
 					b.Fatal("benchmark pair is not related")
 				}
 			}

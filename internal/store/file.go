@@ -2,7 +2,6 @@ package store
 
 import (
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 )
@@ -103,9 +102,3 @@ func (sf *File) Section(name string) (*io.SectionReader, SectionInfo, bool) {
 // Close releases the underlying descriptor. Section readers obtained
 // earlier must not be used afterwards.
 func (sf *File) Close() error { return sf.f.Close() }
-
-// Checksum computes the container format's payload checksum (CRC-32C,
-// Castagnoli) over b — the same function Write records in the manifest —
-// so remote readers can verify downloaded section bytes against a
-// manifest entry.
-func Checksum(b []byte) uint32 { return crc32.Checksum(b, castagnoli) }

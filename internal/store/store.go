@@ -3,7 +3,7 @@
 // snapshot, its relationship-graph snapshot (when built), and a manifest
 // describing what the file holds and which corpus it belongs to.
 //
-// # Container layout (format v14)
+// # Container layout (format v15)
 //
 //	offset 0   magic        [8]byte  "DPOLYSNP"
 //	offset 8   version      uint32   container format version (little-endian)
@@ -25,7 +25,8 @@
 // decoding any section. Every section carries a CRC-32C checksum; Read and
 // Map verify all of them, so truncation and bit rot are detected at the
 // section level rather than surfacing as a decode error deep inside the
-// framework.
+// framework. A large section is checked in chunks across cores, whose
+// checksums combine into the section's one CRC (Checksum).
 //
 // # Atomicity
 //
@@ -41,7 +42,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
@@ -52,10 +52,11 @@ var magic = [8]byte{'D', 'P', 'O', 'L', 'Y', 'S', 'N', 'P'}
 
 // FormatVersion is the one container format version this package writes
 // and reads. It moves in step with the flat section generation in
-// internal/core, so "a v14 snapshot" is unambiguous across layers; a
-// container of any other version fails with ErrVersion and is rebuilt, not
-// converted.
-const FormatVersion = 14
+// internal/core, whose flatSnapshotVersion comment holds the history (15:
+// each index record carries its unions' word-occupancy bitmaps), so "a v15
+// snapshot" is unambiguous across layers; a container of any other version
+// fails with ErrVersion and is rebuilt, not converted.
+const FormatVersion = 15
 
 // Well-known section names.
 const (
@@ -131,8 +132,6 @@ type Section struct {
 	Verified bool
 }
 
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
-
 // align8 rounds n up to the next multiple of the section alignment.
 func align8(n int64) int64 {
 	return (n + sectionAlign - 1) &^ (sectionAlign - 1)
@@ -185,7 +184,7 @@ func sectionTable(sections []Section) []SectionInfo {
 	for _, s := range sections {
 		crc := s.CRC
 		if !s.Verified {
-			crc = crc32.Checksum(s.Data, castagnoli)
+			crc = Checksum(s.Data)
 		}
 		table = append(table, SectionInfo{Name: s.Name, Length: int64(len(s.Data)), CRC: crc})
 	}
@@ -300,7 +299,7 @@ func parseContainer(data []byte, path string) (Manifest, map[string][]byte, erro
 			return Manifest{}, nil, fmt.Errorf("store: %s: duplicate section %q: %w", path, info.Name, ErrCorrupt)
 		}
 		payload := data[off : off+info.Length : off+info.Length]
-		if crc := crc32.Checksum(payload, castagnoli); crc != info.CRC {
+		if crc := Checksum(payload); crc != info.CRC {
 			return Manifest{}, nil, fmt.Errorf("store: %s: section %q checksum mismatch (%08x != %08x): %w",
 				path, info.Name, crc, info.CRC, ErrCorrupt)
 		}
