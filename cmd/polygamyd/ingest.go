@@ -95,11 +95,7 @@ func (s *server) readCSVBody(w http.ResponseWriter, r *http.Request, what, name 
 		return nil
 	}
 	if name != "" {
-		d.Name = name
-	}
-	if err := d.Validate(); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
-		return nil
+		d.Name = name // ReadCSV validated d; a non-empty name keeps it valid
 	}
 	return d
 }

@@ -57,10 +57,11 @@ import (
 // BuildGraph — is byte-identical to a from-scratch build over the merged
 // corpus.
 func (f *Framework) AppendSlice(slice *dataset.Dataset) (IndexStats, error) {
-	if err := slice.Validate(); err != nil {
+	span, err := slice.Validate()
+	if err != nil {
 		return IndexStats{}, err
 	}
-	st, err := f.write(nil, slice)
+	st, err := f.write(nil, slice, span)
 	if err != nil {
 		return st, err
 	}

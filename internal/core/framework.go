@@ -248,17 +248,18 @@ func (f *Framework) workers() int {
 // blocks until an in-flight write finishes and reads drain (see the
 // Framework concurrency contract).
 func (f *Framework) AddDataset(d *dataset.Dataset) error {
-	if err := d.Validate(); err != nil {
+	span, err := d.Validate()
+	if err != nil {
 		return err
 	}
 	f.writeMu.Lock()
 	defer f.writeMu.Unlock()
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if err := f.checkWriteLocked(d, nil); err != nil {
+	if err := f.checkWriteLocked(d, nil, span); err != nil {
 		return err
 	}
-	f.minTS, f.maxTS = widenRange(len(f.order) == 0, f.minTS, f.maxTS, d)
+	f.minTS, f.maxTS = widenRange(len(f.order) == 0, f.minTS, f.maxTS, span)
 	f.datasets[d.Name] = d
 	f.order = append(f.order, d.Name)
 	return nil
@@ -348,7 +349,7 @@ type funcTask struct {
 // state lock, and reads observe either the previous or the fully built
 // index, never a partial one.
 func (f *Framework) BuildIndex() (IndexStats, error) {
-	st, err := f.write(nil, nil)
+	st, err := f.write(nil, nil, dataset.Span{})
 	if err == nil && st.DatasetsIndexed > 0 {
 		mIndexBuilds.Inc()
 		mIndexBuildDuration.Observe(st.WallDuration.Seconds())

@@ -114,7 +114,7 @@ func testDomainSteps(f *Framework, e1, e2 *FunctionEntry, class feature.Class, c
 	for t0 := 0; t0 < S; t0 += w {
 		t1 := min(t0+w, S)
 		from, to := max(t0, lo), min(t1, hi)
-		if from < to && (e1.union(class).AnyRange(from*R, to*R) || e2.union(class).AnyRange(from*R, to*R)) {
+		if from < to && (e1.set(class).AnyRange(from*R, to*R) || e2.set(class).AnyRange(from*R, to*R)) {
 			steps += t1 - t0
 		}
 	}

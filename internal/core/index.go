@@ -56,11 +56,10 @@ type FunctionEntry struct {
 	// tile, what an append reuses for untouched tiles.
 	TileCriticalPoints []int
 
-	// Cached feature unions Σ = positive ∪ negative per class, shared by the
-	// planner and relationship evaluation so neither re-derives them per pair,
-	// and their word-occupancy bitmaps (bitvec.Occupied), so both walk only
-	// the words two unions occupy.
-	salientAll, extremeAll     *bitvec.Vector
+	// Word-occupancy bitmaps (bitvec.Occupied) of each class's union
+	// Σ = positive ∪ negative, so the planner and relationship evaluation
+	// walk only the words two unions occupy. The union itself is not kept:
+	// a reader forms each word it visits from the two sign words.
 	salientWords, extremeWords *bitvec.Vector
 
 	// Per-class tile occupancy bitmaps (bit t set ⇔ tile t contains at least
@@ -76,26 +75,25 @@ type FunctionEntry struct {
 }
 
 // classSummary is what an entry keeps of one feature class beside its
-// Positive and Negative vectors: their union, its occupancy counts, its
-// tile occupancy bitmap (bit t set ⇔ tile t holds a feature bit of the
-// class) and its word-occupancy bitmap (bit i set ⇔ word i of the union is
-// non-zero). summarize derives it from the vectors when an entry is built;
-// the entry's snapshot record carries it, so a load reads it as written.
+// Positive and Negative vectors: the occupancy counts of them and of their
+// union, the union's tile occupancy bitmap (bit t set ⇔ tile t holds a
+// feature bit of the class) and its word-occupancy bitmap (bit i set ⇔
+// word i of the union is non-zero). summarize derives it from the vectors
+// when an entry is built; the entry's snapshot record carries it, so a load
+// reads it as written.
 type classSummary struct {
-	all   *bitvec.Vector
 	occ   Occupancy
 	tiles []uint64
 	words *bitvec.Vector
 }
 
 // finalize installs both classes' summaries: freshly derived, or read from
-// a snapshot record whose unions and bitmaps are zero-copy views into the
-// mapping (the snapshot CRC guards them in transit). It runs once per
-// entry, after the entry's shape has been checked, before the entry is
-// queried.
+// a snapshot record whose bitmaps are zero-copy views into the mapping (the
+// snapshot CRC guards them in transit). It runs once per entry, after the
+// entry's shape has been checked, before the entry is queried.
 func (e *FunctionEntry) finalize(salient, extreme classSummary) {
-	e.salientAll, e.SalientOcc, e.salientTiles, e.salientWords = salient.all, salient.occ, salient.tiles, salient.words
-	e.extremeAll, e.ExtremeOcc, e.extremeTiles, e.extremeWords = extreme.all, extreme.occ, extreme.tiles, extreme.words
+	e.SalientOcc, e.salientTiles, e.salientWords = salient.occ, salient.tiles, salient.words
+	e.ExtremeOcc, e.extremeTiles, e.extremeWords = extreme.occ, extreme.tiles, extreme.words
 }
 
 // tileOcc returns the tile occupancy bitmap of the given class.
@@ -112,14 +110,6 @@ func (e *FunctionEntry) set(c feature.Class) *feature.Set {
 		return e.Salient
 	}
 	return e.Extreme
-}
-
-// union returns the cached feature union of the given class.
-func (e *FunctionEntry) union(c feature.Class) *bitvec.Vector {
-	if c == feature.Salient {
-		return e.salientAll
-	}
-	return e.extremeAll
 }
 
 // wordOcc returns the word-occupancy bitmap of the given class's union.

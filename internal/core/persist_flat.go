@@ -58,16 +58,18 @@ import (
 // exhaustive flag, retired test kind and reserved word; 14 stores each
 // candidate's test counts (extreme, visited) in place of its p-value; 15
 // stores each class union's word-occupancy bitmap, which relationship
-// evaluation and the planner walk instead of every word.
+// evaluation and the planner walk instead of every word; 16 drops the two
+// union vectors, which readers form word by word from the four sign
+// vectors, so an entry carries four word slabs.
 // Evolving any layout or meaning below means bumping both (the format has
 // no field tags).
-const flatSnapshotVersion = 15
+const flatSnapshotVersion = 16
 
 // Payload magics. The final byte is the generation, so another
-// generation's layout is "not flat v15" rather than a misparse.
+// generation's layout is "not flat v16" rather than a misparse.
 var (
-	flatIndexMagic = []byte("DPIXFLT\x0f")
-	flatGraphMagic = []byte("DPGRFLT\x0f")
+	flatIndexMagic = []byte("DPIXFLT\x10")
+	flatGraphMagic = []byte("DPGRFLT\x10")
 )
 
 // nilSlice is the length sentinel distinguishing a nil clause slice
@@ -121,7 +123,7 @@ func (f *Framework) encodeFlatIndexLocked() ([]byte, error) {
 	entries := f.collectEntriesLocked()
 	est := 256
 	for _, e := range entries {
-		est += 256 + len(e.Key) + len(e.Dataset) + len(e.SpecName) + 6*e.Salient.Positive.WordBytes() + 2*e.salientWords.WordBytes()
+		est += 256 + len(e.Key) + len(e.Dataset) + len(e.SpecName) + 4*e.Salient.Positive.WordBytes() + 2*e.salientWords.WordBytes()
 	}
 	w := store.NewSlabWriter(est)
 	w.Raw(flatIndexMagic)
@@ -164,14 +166,12 @@ func (f *Framework) encodeFlatIndexLocked() ([]byte, error) {
 			}
 			w.AppendFunc(e.wordOcc(c).AppendWords)
 		}
-		// The derived unions are persisted too: reloading them as views
-		// keeps the whole feature working set inside the shared mapping.
-		// Every vector is NumVertices bits long, so no slab carries its
-		// length.
-		for _, v := range []*bitvec.Vector{
+		// The four sign vectors, and no union: a reader forms each union
+		// word it visits from them. Every vector is NumVertices bits long,
+		// so no slab carries its length.
+		for _, v := range [...]*bitvec.Vector{
 			e.Salient.Positive, e.Salient.Negative,
 			e.Extreme.Positive, e.Extreme.Negative,
-			e.salientAll, e.extremeAll,
 		} {
 			w.AppendFunc(v.AppendWords)
 		}
@@ -286,7 +286,7 @@ func parseFlatIndex(data []byte) (flatIndexSnap, error) {
 	// on its old backing array, every one capped so no append can reach its
 	// neighbour.
 	entryBuf := make([]FunctionEntry, nEntries)
-	vecBuf := make([]bitvec.Vector, 8*nEntries)
+	vecBuf := make([]bitvec.Vector, 6*nEntries)
 	setBuf := make([]feature.Set, 2*nEntries)
 	critArena := make([]int, 0, nEntries)
 	snap.entries = make([]*FunctionEntry, 0, nEntries)
@@ -323,17 +323,17 @@ func parseFlatIndex(data []byte) (flatIndexSnap, error) {
 			e.CriticalPoints += crit
 		}
 		e.TileCriticalPoints = critArena[t0:len(critArena):len(critArena)]
-		vs := vecBuf[8*i : 8*i+8]
+		vs := vecBuf[6*i : 6*i+6]
 		salOcc, extOcc := readOccupancy(r)
-		salTiles, err := readSummary(r, e, "salient", salOcc, nTiles, &vs[6])
+		salTiles, err := readSummary(r, e, "salient", salOcc, nTiles, &vs[4])
 		if err != nil {
 			return snap, err
 		}
-		extTiles, err := readSummary(r, e, "extreme", extOcc, nTiles, &vs[7])
+		extTiles, err := readSummary(r, e, "extreme", extOcc, nTiles, &vs[5])
 		if err != nil {
 			return snap, err
 		}
-		for j := range vs[:6] {
+		for j := range vs[:4] {
 			if err := readFlatVector(r, &vs[j], e.NumVertices); err != nil {
 				return snap, err
 			}
@@ -342,7 +342,7 @@ func parseFlatIndex(data []byte) (flatIndexSnap, error) {
 		e.Extreme = &setBuf[2*i+1]
 		*e.Salient = feature.Set{Positive: &vs[0], Negative: &vs[1]}
 		*e.Extreme = feature.Set{Positive: &vs[2], Negative: &vs[3]}
-		e.finalize(classSummary{&vs[4], salOcc, salTiles, &vs[6]}, classSummary{&vs[5], extOcc, extTiles, &vs[7]})
+		e.finalize(classSummary{salOcc, salTiles, &vs[4]}, classSummary{extOcc, extTiles, &vs[5]})
 		snap.entries = append(snap.entries, e)
 	}
 	if err := r.Done(); err != nil {
@@ -420,32 +420,30 @@ func (f *Framework) installIndexLocked(snap flatIndexSnap) error {
 // holds exactly the keys a write indexes for it: one per viable resolution
 // and scalar spec. Keys are unique in a run, so a run of that product's
 // length whose every key is in it holds them all. A data set the framework
-// has no raw data for — a snapshot opened alone — takes its specs and
-// resolutions from the run's entries, so only the product is checked.
+// has no raw data for — a snapshot opened alone — takes its spec names and
+// resolutions from the run's entries, so only the product is checked. The
+// spec names are one set per data set, so each entry costs one lookup.
 func (f *Framework) indexesExactly(name string, run []*FunctionEntry) bool {
-	var names []string
+	names := make(map[string]bool)
 	var resolutions []Resolution
-	funcs := 0
-	d := f.datasets[name]
-	if d != nil {
-		funcs, resolutions = len(scalar.Specs(d)), f.resolutionsFor(d)
+	if d := f.datasets[name]; d != nil {
+		for _, s := range scalar.Specs(d) {
+			names[s.Name()] = true
+		}
+		resolutions = f.resolutionsFor(d)
 	} else {
 		for _, e := range run {
-			if !slices.Contains(names, e.SpecName) {
-				names = append(names, e.SpecName)
-			}
+			names[e.SpecName] = true
 			if !slices.Contains(resolutions, e.Res) {
 				resolutions = append(resolutions, e.Res)
 			}
 		}
-		funcs = len(names)
 	}
-	if len(run) != len(resolutions)*funcs {
+	if len(run) != len(resolutions)*len(names) {
 		return false
 	}
 	for _, e := range run {
-		if !slices.Contains(resolutions, e.Res) || !isEntryKey(e.Key, name, e.SpecName, e.Res) ||
-			d != nil && !scalar.SpecNamed(d, e.SpecName) {
+		if !names[e.SpecName] || !slices.Contains(resolutions, e.Res) || !isEntryKey(e.Key, name, e.SpecName, e.Res) {
 			return false
 		}
 	}

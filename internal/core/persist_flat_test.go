@@ -608,7 +608,7 @@ func FuzzParseFlatIndex(f *testing.F) {
 	idx, _ := seedFlatPayloads(f)
 	f.Add(idx)
 	f.Add(idx[:len(idx)-8])
-	f.Add([]byte("DPIXFLT\x0f"))
+	f.Add([]byte("DPIXFLT\x10"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if _, err := parseFlatIndex(data); err != nil && !errors.Is(err, store.ErrCorrupt) {
 			t.Errorf("non-ErrCorrupt failure: %v", err)
@@ -627,13 +627,54 @@ func FuzzParseFlatGraph(f *testing.F) {
 	f.Add(graph)
 	f.Add(graph[:len(graph)/2])
 	f.Add(graph[:len(graph)-8])
-	f.Add([]byte("DPGRFLT\x0f"))
+	f.Add([]byte("DPGRFLT\x10"))
 	f.Add(graph[:len(graph)-4])
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if _, err := parseFlatGraph(data, ix.funcs); err != nil && !errors.Is(err, store.ErrCorrupt) {
 			t.Errorf("non-ErrCorrupt failure: %v", err)
 		}
 	})
+}
+
+// TestFlatIndexLayoutLength: a one-data-set index section is exactly as
+// long as the record layout says — a header, then per entry its strings,
+// resolution, shape and tile table, three count words, per class a tile
+// bitmap and a word bitmap, and four word slabs, the sign vectors. A union
+// slab beside them, or any other word the layout does not name, fails it.
+func TestFlatIndexLayoutLength(t *testing.T) {
+	f, err := New(Options{City: testCity(t), Workers: 2, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wind, _ := plantedPair(30, randomHours(31, 60), nil)
+	if err := f.AddDataset(wind); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.BuildIndex(); err != nil {
+		t.Fatal(err)
+	}
+	f.mu.RLock()
+	defer f.mu.RUnlock()
+	idx, err := f.encodeFlatIndexLocked()
+	if err != nil {
+		t.Fatal(err)
+	}
+	str := func(s string) int { return 8 + (len(s)+7)/8*8 }
+	slab := func(bits int) int { return 8 * bitvec.NumWords(bits) }
+	want := 8 + 8 + 2*8 + 8 + str(wind.Name) + 8 // magic, version, range, order, entry count
+	entries := f.collectEntriesLocked()
+	if len(entries) == 0 {
+		t.Fatal("no index entries; the layout check would be vacuous")
+	}
+	for _, e := range entries {
+		nTiles := len(e.TileCriticalPoints)
+		want += str(e.Key) + str(e.Dataset) + str(e.SpecName) + 2*8 + 8 + 8 + 8 + 8*nTiles + 3*8
+		want += 2 * (slab(nTiles) + slab(bitvec.NumWords(e.NumVertices)))
+		want += 4 * slab(e.NumVertices)
+	}
+	if len(idx) != want {
+		t.Errorf("index section of %d entries is %d bytes, the four-slab layout %d", len(entries), len(idx), want)
+	}
 }
 
 // TestFlatVersionMismatch: a payload with the right magic but a future

@@ -162,13 +162,16 @@ func prunePair(e1, e2 *FunctionEntry, class feature.Class, clause Clause) bool {
 }
 
 // sharedFeatures returns |Σ1 ∩ Σ2| of the two entries' unions of class,
-// reading only the words both unions occupy. With first it stops at the
-// first shared word, so it is non-zero exactly when the unions intersect.
+// forming each union word from its sign words and reading only the words
+// both unions occupy. With first it stops at the first shared word, so it
+// is non-zero exactly when the unions intersect.
 func sharedFeatures(e1, e2 *FunctionEntry, class feature.Class, first bool) int {
-	u1, u2 := e1.union(class).Words(), e2.union(class).Words()
+	s1, s2 := e1.set(class), e2.set(class)
+	p1, n1 := s1.Positive.Words(), s1.Negative.Words()
+	p2, n2 := s2.Positive.Words(), s2.Negative.Words()
 	n := 0
 	for i := range bitvec.SharedWords(e1.wordOcc(class), e2.wordOcc(class)) {
-		if n += bits.OnesCount64(u1[i] & u2[i]); first && n > 0 {
+		if n += bits.OnesCount64((p1[i] | n1[i]) & (p2[i] | n2[i])); first && n > 0 {
 			break
 		}
 	}

@@ -86,8 +86,8 @@ func bruteForce(t *testing.T, f *Framework, clause Clause) (cands []bruteCand, c
 								// prunePair counted σ to bound this tuple; the
 								// evaluator's one pass must find the same |Σ|,
 								// and so must a dense count of every word.
-								u1, u2 := e1.union(class), e2.union(class)
-								m := relationship.Measure(e1.set(class), e2.set(class), u1, u2, e1.wordOcc(class), e2.wordOcc(class), e1.occ(class).All, e2.occ(class).All)
+								u1, u2 := e1.set(class).All(), e2.set(class).All()
+								m := relationship.Measure(e1.set(class), e2.set(class), e1.wordOcc(class), e2.wordOcc(class), e1.occ(class).All, e2.occ(class).All)
 								if want := u1.AndCount(u2); m.SigmaBoth != want || sharedFeatures(e1, e2, class, false) != want {
 									t.Errorf("%s ~ %s (%v): Measure |Σ| = %d, planner's count %d, dense AndCount %d",
 										e1.Key, e2.Key, class, m.SigmaBoth, sharedFeatures(e1, e2, class, false), want)

@@ -452,22 +452,22 @@ func queryPairs(sources, targets []string) []graphPair {
 // resolvable.
 func (f *Framework) evaluatePair(t pairTask, clause Clause) (c candidate, inFamily bool, err error) {
 	s1, s2 := t.e1.set(t.class), t.e2.set(t.class)
-	all1, all2 := t.e1.union(t.class), t.e2.union(t.class)
 	occ1, occ2 := t.e1.wordOcc(t.class), t.e2.wordOcc(t.class)
 	n1, n2 := t.e1.occ(t.class).All, t.e2.occ(t.class).All
 	if clause.Windowed {
 		// Mask every feature vector to the window's vertex range; measures,
 		// filters, and the significance test below all see only windowed
-		// bits, so the union sizes and word occupancy are derived again.
+		// bits, so the union sizes and word occupancy are derived again,
+		// from a union formed for them alone.
 		g := f.graphs[t.e1.Res]
 		lo, hi := t.winLo*g.NumRegions(), t.winHi*g.NumRegions()
 		s1 = &feature.Set{Positive: s1.Positive.MaskRange(lo, hi), Negative: s1.Negative.MaskRange(lo, hi)}
 		s2 = &feature.Set{Positive: s2.Positive.MaskRange(lo, hi), Negative: s2.Negative.MaskRange(lo, hi)}
-		all1, all2 = all1.MaskRange(lo, hi), all2.MaskRange(lo, hi)
+		all1, all2 := s1.All(), s2.All()
 		occ1, occ2 = all1.Occupied(), all2.Occupied()
 		n1, n2 = all1.Count(), all2.Count()
 	}
-	m := relationship.Measure(s1, s2, all1, all2, occ1, occ2, n1, n2)
+	m := relationship.Measure(s1, s2, occ1, occ2, n1, n2)
 	if !m.Related() {
 		return c, false, nil
 	}

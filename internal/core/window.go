@@ -71,14 +71,14 @@ func (f *Framework) testDomain(t pairTask, windowed bool) (supp []uint64, steps 
 	R, S, w := g.NumRegions(), g.NumSteps(), temporal.TileWidth(tres)
 	nTiles := temporal.NumTilesFor(S, tres)
 	b1, b2 := t.e1.tileOcc(t.class), t.e2.tileOcc(t.class)
-	u1, u2 := t.e1.union(t.class), t.e2.union(t.class)
+	s1, s2 := t.e1.set(t.class), t.e2.set(t.class)
 	supp = make([]uint64, (nTiles+63)/64)
 	for ti := 0; ti < nTiles; ti++ {
 		lo, hi := ti*w, min((ti+1)*w, S)
 		bit := uint64(1) << uint(ti%64)
 		if windowed {
 			from, to := max(lo, t.winLo), min(hi, t.winHi)
-			if from >= to || !u1.AnyRange(from*R, to*R) && !u2.AnyRange(from*R, to*R) {
+			if from >= to || !s1.AnyRange(from*R, to*R) && !s2.AnyRange(from*R, to*R) {
 				continue
 			}
 		} else if (b1[ti/64]|b2[ti/64])&bit == 0 {

@@ -71,8 +71,9 @@ type writeResult struct {
 // write applies one change to the corpus: add registers a new data set
 // (IngestDataset), slice extends a registered one (AppendSlice), and with
 // neither it indexes whatever is registered but not yet indexed
-// (BuildIndex).
-func (f *Framework) write(add, slice *dataset.Dataset) (IndexStats, error) {
+// (BuildIndex). span is the time span of add or slice, as validating it
+// returned.
+func (f *Framework) write(add, slice *dataset.Dataset, span dataset.Span) (IndexStats, error) {
 	t0 := time.Now()
 	var st IndexStats
 	f.writeMu.Lock()
@@ -86,7 +87,7 @@ func (f *Framework) write(add, slice *dataset.Dataset) (IndexStats, error) {
 	timelines, graphs := maps.Clone(f.timelines), maps.Clone(f.graphs)
 	base := f.index
 	noop := add == nil && slice == nil && f.indexedLocked()
-	err := f.checkWriteLocked(add, slice)
+	err := f.checkWriteLocked(add, slice, span)
 	f.mu.RUnlock()
 	if noop {
 		return f.indexStats(st, 0), nil
@@ -97,15 +98,12 @@ func (f *Framework) write(add, slice *dataset.Dataset) (IndexStats, error) {
 
 	newMin, newMax := minTS, maxTS
 	if add != nil {
-		newMin, newMax = widenRange(len(order) == 0, minTS, maxTS, add)
+		newMin, newMax = widenRange(len(order) == 0, minTS, maxTS, span)
 		order = append(order, add.Name)
 		datasets[add.Name] = add
 	}
-	var sliceLo int64
 	if slice != nil {
-		var sliceHi int64
-		sliceLo, sliceHi, _ = slice.TimeRange()
-		newMax = max(newMax, sliceHi)
+		newMax = max(newMax, span.Max)
 		datasets[slice.Name] = appendTuples(datasets[slice.Name], slice)
 	}
 	// A start in an earlier step shifts every step index of that timeline.
@@ -166,7 +164,7 @@ func (f *Framework) write(add, slice *dataset.Dataset) (IndexStats, error) {
 					t.fromTile = 0
 				case slice != nil && n == slice.Name:
 					tl := timelines[res.Temporal]
-					t.fromTile = tl.TileOfStep(tl.Index(sliceLo))
+					t.fromTile = tl.TileOfStep(tl.Index(span.Min))
 					if grew {
 						t.fromTile = min(t.fromTile, from)
 					}
@@ -260,9 +258,9 @@ func (f *Framework) write(add, slice *dataset.Dataset) (IndexStats, error) {
 	return f.indexStats(st, indexed), nil
 }
 
-// checkWriteLocked validates a write against the captured corpus. The
-// caller holds the state lock.
-func (f *Framework) checkWriteLocked(add, slice *dataset.Dataset) error {
+// checkWriteLocked validates a write against the captured corpus; span is
+// the time span of add or slice. The caller holds the state lock.
+func (f *Framework) checkWriteLocked(add, slice *dataset.Dataset, span dataset.Span) error {
 	if err := f.writableLocked(); err != nil {
 		return err
 	}
@@ -282,26 +280,24 @@ func (f *Framework) checkWriteLocked(add, slice *dataset.Dataset) error {
 		if err := sliceSchemaMatch(old, slice); err != nil {
 			return err
 		}
-		lo, _, ok := slice.TimeRange()
-		if !ok {
+		if len(slice.Tuples) == 0 {
 			return fmt.Errorf("core: append slice for %q is empty", slice.Name)
 		}
-		if lo < f.minTS {
+		if span.Min < f.minTS {
 			return fmt.Errorf("core: append slice for %q starts at %d, before corpus start %d (appends cannot extend into the past)",
-				slice.Name, lo, f.minTS)
+				slice.Name, span.Min, f.minTS)
 		}
 	}
 	return nil
 }
 
 // widenRange returns the corpus time range [minTS, maxTS] widened to cover
-// d; first reports an empty corpus, whose range becomes d's own.
-func widenRange(first bool, minTS, maxTS int64, d *dataset.Dataset) (int64, int64) {
-	lo, hi, _ := d.TimeRange()
+// span; first reports an empty corpus, whose range becomes span.
+func widenRange(first bool, minTS, maxTS int64, span dataset.Span) (int64, int64) {
 	if first {
-		return lo, hi
+		return span.Min, span.Max
 	}
-	return min(minTS, lo), max(maxTS, hi)
+	return min(minTS, span.Min), max(maxTS, span.Max)
 }
 
 // indexStats completes a write's stats with the corpus-level counters.
@@ -325,10 +321,11 @@ func (f *Framework) indexStats(st IndexStats, indexed int) IndexStats {
 // resulting state is byte-identical to a from-scratch build over the
 // enlarged corpus.
 func (f *Framework) IngestDataset(d *dataset.Dataset) (IndexStats, error) {
-	if err := d.Validate(); err != nil {
+	span, err := d.Validate()
+	if err != nil {
 		return IndexStats{}, err
 	}
-	st, err := f.write(d, nil)
+	st, err := f.write(d, nil, span)
 	if err == nil {
 		mIngests.Inc()
 	}

@@ -38,7 +38,7 @@ const csvChunkBytes = 256 << 10
 // A name is quoted where CSV needs it; a number never is, which is what
 // lets ReadCSV split the data lines on bytes.
 func WriteCSV(w io.Writer, d *Dataset) error {
-	if err := d.Validate(); err != nil {
+	if _, err := d.Validate(); err != nil {
 		return err
 	}
 	cw := csv.NewWriter(w)
@@ -152,7 +152,7 @@ func readCSV(data []byte, chunkBytes, workers int) (*Dataset, error) {
 		return nil, errors.Unwrap(err) // ForEach wraps the lowest failing chunk's error
 	}
 	d.Tuples = slices.DeleteFunc(d.Tuples, func(t Tuple) bool { return t.Values == nil })
-	if err := d.Validate(); err != nil {
+	if _, err := d.Validate(); err != nil {
 		return nil, err
 	}
 	return d, nil

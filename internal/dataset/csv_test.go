@@ -105,7 +105,7 @@ func oracleReadCSV(r io.Reader) (*Dataset, error) {
 		}
 		d.Tuples = append(d.Tuples, t)
 	}
-	if err := d.Validate(); err != nil {
+	if _, err := d.Validate(); err != nil {
 		return nil, err
 	}
 	return d, nil

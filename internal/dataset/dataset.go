@@ -44,19 +44,30 @@ type Dataset struct {
 	Tuples []Tuple
 }
 
+// Span is a closed range of timestamps [Min, Max] (Unix seconds).
+type Span struct{ Min, Max int64 }
+
 // Validate checks structural invariants: resolutions are defined, attribute
 // values have the declared arity, regions are non-negative for polygon data.
-// It is ValidateSchema followed by ValidateTuple on every tuple.
-func (d *Dataset) Validate() error {
+// It is ValidateSchema followed by ValidateTuple on every tuple, and the
+// same pass over the tuples returns their time span, the range TimeRange
+// returns (the zero Span for a data set with no tuples).
+func (d *Dataset) Validate() (Span, error) {
 	if err := d.ValidateSchema(); err != nil {
-		return err
+		return Span{}, err
 	}
+	var s Span
 	for i := range d.Tuples {
 		if err := d.ValidateTuple(i); err != nil {
-			return err
+			return Span{}, err
+		}
+		if ts := d.Tuples[i].TS; i == 0 {
+			s = Span{ts, ts}
+		} else {
+			s = Span{min(s.Min, ts), max(s.Max, ts)}
 		}
 	}
-	return nil
+	return s, nil
 }
 
 // ValidateSchema checks the invariants that do not depend on the tuples:

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -27,7 +28,7 @@ func sample() *Dataset {
 }
 
 func TestValidateOK(t *testing.T) {
-	if err := sample().Validate(); err != nil {
+	if _, err := sample().Validate(); err != nil {
 		t.Fatalf("Validate: %v", err)
 	}
 }
@@ -35,31 +36,31 @@ func TestValidateOK(t *testing.T) {
 func TestValidateErrors(t *testing.T) {
 	d := sample()
 	d.Name = ""
-	if err := d.Validate(); err == nil {
+	if _, err := d.Validate(); err == nil {
 		t.Error("expected error for empty name")
 	}
 
 	d = sample()
 	d.SpatialRes = spatial.Resolution(77)
-	if err := d.Validate(); err == nil {
+	if _, err := d.Validate(); err == nil {
 		t.Error("expected error for bad spatial resolution")
 	}
 
 	d = sample()
 	d.TemporalRes = temporal.Resolution(77)
-	if err := d.Validate(); err == nil {
+	if _, err := d.Validate(); err == nil {
 		t.Error("expected error for bad temporal resolution")
 	}
 
 	d = sample()
 	d.Tuples[1].Values = []float64{1}
-	if err := d.Validate(); err == nil {
+	if _, err := d.Validate(); err == nil {
 		t.Error("expected error for wrong arity")
 	}
 
 	d = sample()
 	d.SpatialRes = spatial.ZipCode
-	if err := d.Validate(); err == nil {
+	if _, err := d.Validate(); err == nil {
 		t.Error("expected error for negative region at polygon resolution")
 	}
 }
@@ -73,6 +74,36 @@ func TestTimeRange(t *testing.T) {
 	empty := &Dataset{Name: "e"}
 	if _, _, ok := empty.TimeRange(); ok {
 		t.Error("empty dataset should report ok=false")
+	}
+}
+
+// TestValidateSpan: the span Validate returns from its one pass is the
+// range TimeRange returns, whatever the tuple order, and a data set with a
+// bad tuple fails on the first one, with the error ValidateTuple gives it.
+func TestValidateSpan(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for trial := range 50 {
+		d := sample()
+		d.Tuples = nil
+		for range 1 + rng.Intn(20) {
+			d.Tuples = append(d.Tuples, Tuple{TS: rng.Int63n(1 << 40), Values: []float64{1, 2}})
+		}
+		span, err := d.Validate()
+		lo, hi, _ := d.TimeRange()
+		if err != nil || span != (Span{lo, hi}) {
+			t.Fatalf("trial %d: Validate = %+v, %v; TimeRange = [%d, %d]", trial, span, err, lo, hi)
+		}
+		bad := rng.Intn(len(d.Tuples))
+		for i := bad; i < len(d.Tuples); i += 2 {
+			d.Tuples[i].Values = d.Tuples[i].Values[:1]
+		}
+		want := d.ValidateTuple(bad)
+		if span, err := d.Validate(); want == nil || err == nil || err.Error() != want.Error() || span != (Span{}) {
+			t.Fatalf("trial %d: Validate = %+v, %v; want the zero span and %v", trial, span, err, want)
+		}
+	}
+	if span, err := (&Dataset{Name: "e", SpatialRes: spatial.GPS, TemporalRes: temporal.Hour}).Validate(); err != nil || span != (Span{}) {
+		t.Errorf("empty data set: Validate = %+v, %v; want the zero span", span, err)
 	}
 }
 

@@ -59,6 +59,11 @@ func (s *Set) NumVertices() int { return s.Positive.Len() }
 // All returns the union of positive and negative features (the set Sigma_i).
 func (s *Set) All() *bitvec.Vector { return s.Positive.Or(s.Negative) }
 
+// AnyRange reports whether a feature of either sign lies in [from, to).
+func (s *Set) AnyRange(from, to int) bool {
+	return s.Positive.AnyRange(from, to) || s.Negative.AnyRange(from, to)
+}
+
 // Count returns (#positive, #negative).
 func (s *Set) Count() (int, int) { return s.Positive.Count(), s.Negative.Count() }
 

@@ -338,7 +338,9 @@ const shiftStream = 0x746f726f6964616c // "toroidal"
 // The leading chunks are memoised on first use, up to a byte budget; a
 // chunk past it is regenerated from its seed into the caller's scratch, so
 // a result depends on the sequence and never on what is memoised
-// (TestShiftPoolMemoIndependence). A pool is safe for concurrent use.
+// (TestShiftPoolMemoIndependence). A one-region pool has no memo: its
+// tests enumerate rotations and draw no shift. A pool is safe for
+// concurrent use.
 type ShiftPool struct {
 	adj  [][]int
 	seed int64
@@ -357,7 +359,7 @@ func NewShiftPool(adj [][]int, seed int64) *ShiftPool {
 
 func newShiftPool(adj [][]int, seed int64, budget int) *ShiftPool {
 	p := &ShiftPool{adj: adj, seed: seed}
-	if slots := budget / (permChunk * 4 * max(len(adj), 1)); slots > 0 {
+	if slots := budget / (permChunk * 4 * max(len(adj), 1)); slots > 0 && len(adj) > 1 {
 		p.memo = make([]shiftChunk, slots)
 		// Followers open a framework per epoch and never close the old one,
 		// so the gauge gets a pool's bytes back when the pool is collected.

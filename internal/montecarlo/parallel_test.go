@@ -109,6 +109,18 @@ func TestShiftPoolMemoIndependence(t *testing.T) {
 	}
 }
 
+// TestOneRegionShiftPoolHasNoMemo: a one-region domain's tests enumerate
+// rotations and draw no shift, so its pool allocates no memo, while a pool
+// of two regions or more still memoises up to the budget.
+func TestOneRegionShiftPoolHasNoMemo(t *testing.T) {
+	if p := NewShiftPool(grid(1, 1), 9); p.memo != nil {
+		t.Errorf("one-region pool holds %d memo slots, want none", len(p.memo))
+	}
+	if p := NewShiftPool(grid(2, 1), 9); len(p.memo) != shiftPoolBudget/(4*permChunk*2) {
+		t.Errorf("two-region pool holds %d memo slots, want %d", len(p.memo), shiftPoolBudget/(4*permChunk*2))
+	}
+}
+
 // TestPreparedLanesPoolRace: concurrent tests over domains of different
 // shapes share the prep and scratch pools, so a recycled buffer is refilled
 // for a shape other than the one it last held. Every Result must equal the

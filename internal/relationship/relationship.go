@@ -7,10 +7,10 @@
 // Measure is the one kernel. It makes a single pass over the words both
 // feature unions Σ1 and Σ2 occupy, read off the unions' word-occupancy
 // bitmaps: a word either union leaves empty holds no feature relation and
-// is never read; every other word adds its popcount to |Σ| and its four
-// sign intersections to #p and #n. |Σ1| and |Σ2| come from the caller,
-// which holds them already (the index caches them per entry), so nothing
-// is counted twice.
+// is never read; every other word forms Σ1 ∩ Σ2 from the four sign words
+// and adds its popcount to |Σ| and its four sign intersections to #p and
+// #n. |Σ1| and |Σ2| come from the caller, which holds them already (the
+// index keeps them per entry), so nothing is counted twice.
 package relationship
 
 import (
@@ -44,24 +44,25 @@ type Measures struct {
 }
 
 // Evaluate computes the relationship measures between the feature sets of
-// two functions defined on the same domain graph, deriving their unions,
-// the unions' word-occupancy bitmaps and their sizes. It panics if the sets
-// have different vertex counts (callers align resolutions first).
+// two functions defined on the same domain graph, deriving their unions'
+// word-occupancy bitmaps and sizes. It panics if the sets have different
+// vertex counts (callers align resolutions first).
 func Evaluate(a, b *feature.Set) Measures {
 	allA, allB := a.All(), b.All()
-	return Measure(a, b, allA, allB, allA.Occupied(), allB.Occupied(), allA.Count(), allB.Count())
+	return Measure(a, b, allA.Occupied(), allB.Occupied(), allA.Count(), allB.Count())
 }
 
 // Measure computes the relationship measures of a and b in one pass over
-// the words both feature unions unionA = Σ1 and unionB = Σ2 occupy, as
-// their word-occupancy bitmaps occA and occB mark them (bitvec.Occupied; a
-// bitmap may mark zero words too, never miss a non-zero one). The caller
-// supplies the unions' popcounts as sizeA = |Σ1| and sizeB = |Σ2| (used as
-// given). It panics if the six vectors do not all have the same length, or
-// a bitmap does not have one bit per word of them.
-func Measure(a, b *feature.Set, unionA, unionB, occA, occB *bitvec.Vector, sizeA, sizeB int) Measures {
-	n := unionA.Len()
-	for _, v := range [...]*bitvec.Vector{unionB, a.Positive, a.Negative, b.Positive, b.Negative} {
+// the words both feature unions Σ1 and Σ2 occupy, as their word-occupancy
+// bitmaps occA and occB mark them (bitvec.Occupied; a bitmap may mark zero
+// words too, never miss a non-zero one). Each visited union word is formed
+// from the sign words, (pos | neg). The caller supplies the unions'
+// popcounts as sizeA = |Σ1| and sizeB = |Σ2| (used as given). It panics if
+// the four sign vectors do not all have the same length, or a bitmap does
+// not have one bit per word of them.
+func Measure(a, b *feature.Set, occA, occB *bitvec.Vector, sizeA, sizeB int) Measures {
+	n := a.Positive.Len()
+	for _, v := range [...]*bitvec.Vector{a.Negative, b.Positive, b.Negative} {
 		if v.Len() != n {
 			panic(fmt.Sprintf("relationship: feature vectors over %d vs %d vertices", n, v.Len()))
 		}
@@ -69,13 +70,12 @@ func Measure(a, b *feature.Set, unionA, unionB, occA, occB *bitvec.Vector, sizeA
 	if nw := bitvec.NumWords(n); occA.Len() != nw || occB.Len() != nw {
 		panic(fmt.Sprintf("relationship: occupancy bitmaps of %d and %d bits for %d words", occA.Len(), occB.Len(), nw))
 	}
-	ua := unionA.Words()
-	ub := unionB.Words()[:len(ua)]
-	ap, an := a.Positive.Words()[:len(ua)], a.Negative.Words()[:len(ua)]
-	bp, bn := b.Positive.Words()[:len(ua)], b.Negative.Words()[:len(ua)]
+	ap := a.Positive.Words()
+	an := a.Negative.Words()[:len(ap)]
+	bp, bn := b.Positive.Words()[:len(ap)], b.Negative.Words()[:len(ap)]
 	var m Measures
 	for i := range bitvec.SharedWords(occA, occB) {
-		w := ua[i] & ub[i]
+		w := (ap[i] | an[i]) & (bp[i] | bn[i])
 		if w == 0 {
 			continue
 		}

@@ -310,8 +310,8 @@ func allOnes(n int) *bitvec.Vector {
 // on uniform sets and on bursty ones (run > 0: runs of up to run steps over
 // regions regions), with the word-occupancy bitmaps derived from the unions
 // and with all-ones bitmaps. It checks that Measure takes the supplied
-// union sizes as given, and that vectors or bitmaps of the wrong length
-// panic with a message rather than an index error.
+// union sizes as given, and that sign vectors or bitmaps of the wrong
+// length panic with a message rather than an index error.
 func FuzzMeasureOracle(f *testing.F) {
 	f.Add(int64(1), uint16(99), uint8(40), uint8(40), uint8(40), uint8(40), int8(0), int8(0), uint8(0), uint8(0))
 	f.Add(int64(2), uint16(63), uint8(255), uint8(0), uint8(0), uint8(255), int8(0), int8(0), uint8(0), uint8(0))
@@ -337,12 +337,11 @@ func FuzzMeasureOracle(f *testing.F) {
 			b = burstySet(rng, steps, regions, float64(bPos)/255, float64(bNeg)/255, maxRun)
 		}
 		want := oracleMeasures(a, b)
-		allA, allB := a.All(), b.All()
-		occA, occB := allA.Occupied(), allB.Occupied()
-		if got := Measure(a, b, allA, allB, occA, occB, want.Sigma1, want.Sigma2); got != want {
+		occA, occB := a.All().Occupied(), b.All().Occupied()
+		if got := Measure(a, b, occA, occB, want.Sigma1, want.Sigma2); got != want {
 			t.Fatalf("n=%d: Measure %+v, oracle %+v", n, got, want)
 		}
-		if got := Measure(a, b, allA, allB, allOnes(n), allOnes(n), want.Sigma1, want.Sigma2); got != want {
+		if got := Measure(a, b, allOnes(n), allOnes(n), want.Sigma1, want.Sigma2); got != want {
 			t.Fatalf("n=%d: Measure with all-ones bitmaps %+v, oracle %+v", n, got, want)
 		}
 		if got := Evaluate(a, b); got != want {
@@ -351,7 +350,7 @@ func FuzzMeasureOracle(f *testing.F) {
 
 		// Supplied sizes are used as given, never recounted.
 		sizeA, sizeB := want.Sigma1+int(dA), want.Sigma2+int(dB)
-		got := Measure(a, b, allA, allB, occA, occB, sizeA, sizeB)
+		got := Measure(a, b, occA, occB, sizeA, sizeB)
 		if got.Sigma1 != sizeA || got.Sigma2 != sizeB {
 			t.Fatalf("sizes %d/%d supplied, Measure reports %d/%d", sizeA, sizeB, got.Sigma1, got.Sigma2)
 		}
@@ -360,18 +359,18 @@ func FuzzMeasureOracle(f *testing.F) {
 			t.Fatalf("sizes %d/%d supplied: precision %g recall %g", sizeA, sizeB, got.Precision, got.Recall)
 		}
 
-		// Any one of the six vectors one bit longer than the others, or
-		// either bitmap one bit longer than their word count, panics with a
-		// message.
-		for i := range 8 {
-			vs := []*bitvec.Vector{allA, allB, a.Positive, a.Negative, b.Positive, b.Negative, occA, occB}
-			if i < 6 {
+		// Any one of the four sign vectors one bit longer than the others,
+		// or either bitmap one bit longer than their word count, panics with
+		// a message.
+		for i := range 6 {
+			vs := []*bitvec.Vector{a.Positive, a.Negative, b.Positive, b.Negative, occA, occB}
+			if i < 4 {
 				vs[i] = bitvec.New(n + 1)
 			} else {
 				vs[i] = bitvec.New(bitvec.NumWords(n) + 1)
 			}
 			checkLengthPanic(t, i, func() {
-				Measure(&feature.Set{Positive: vs[2], Negative: vs[3]}, &feature.Set{Positive: vs[4], Negative: vs[5]}, vs[0], vs[1], vs[6], vs[7], 0, 0)
+				Measure(&feature.Set{Positive: vs[0], Negative: vs[1]}, &feature.Set{Positive: vs[2], Negative: vs[3]}, vs[4], vs[5], 0, 0)
 			})
 		}
 	})
@@ -423,7 +422,7 @@ func BenchmarkMeasure(b *testing.B) {
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if m := Measure(s1, s2, u1, u2, o1, o2, n1, n2); !m.Related() {
+				if m := Measure(s1, s2, o1, o2, n1, n2); !m.Related() {
 					b.Fatal("benchmark pair is not related")
 				}
 			}

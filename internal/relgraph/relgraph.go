@@ -84,7 +84,8 @@ type Table struct {
 // one uint64 sort key (Order).
 const maxTableFuncs = 1 << 28
 
-// NewTable ranks the functions of fns, which the table keeps.
+// NewTable ranks the functions of fns, which the table keeps. Keys that
+// already ascend, as an index lists them, are ranked without a sort.
 func NewTable(fns []Function) *Table {
 	if len(fns) >= maxTableFuncs {
 		panic(fmt.Sprintf("relgraph: %d functions exceed the table bound %d", len(fns), maxTableFuncs))
@@ -94,7 +95,10 @@ func NewTable(fns []Function) *Table {
 	for i := range ids {
 		ids[i] = uint32(i)
 	}
-	slices.SortFunc(ids, func(a, b uint32) int { return strings.Compare(fns[a].Key, fns[b].Key) })
+	byKey := func(a, b uint32) int { return strings.Compare(fns[a].Key, fns[b].Key) }
+	if !slices.IsSortedFunc(ids, byKey) {
+		slices.SortFunc(ids, byKey)
+	}
 	for i, id := range ids {
 		if i > 0 && fns[id].Key != fns[ids[i-1]].Key {
 			t.numRanks++

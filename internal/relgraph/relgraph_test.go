@@ -3,6 +3,7 @@ package relgraph
 import (
 	"bytes"
 	"encoding/json"
+	"math/rand"
 	"slices"
 	"sort"
 	"strings"
@@ -416,6 +417,40 @@ func TestAssembleOrderMatchesStringOracle(t *testing.T) {
 	}
 	if want := slices.Sorted(slices.Values(names)); !slices.Equal(g.Datasets(), want) {
 		t.Errorf("Datasets() = %q, want %q", g.Datasets(), want)
+	}
+}
+
+// TestNewTableRanksIgnoreOrder: a table ranks each key by its place among
+// the distinct keys in string order, whether the functions come with their
+// keys ascending (ranked without a sort), shuffled, or repeated.
+func TestNewTableRanksIgnoreOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for trial := range 200 {
+		var fns []Function
+		for range rng.Intn(40) {
+			ds := []string{"taxi", "taxi-x", "taxi2", "a/b", "a"}[rng.Intn(5)]
+			key := ds + "/" + []string{"density", "avg_fare", "b/c"}[rng.Intn(3)] + "@city,hour"
+			fns = append(fns, Function{Key: key, Dataset: ds})
+		}
+		keys := make([]string, len(fns))
+		for i, f := range fns {
+			keys[i] = f.Key
+		}
+		distinct := slices.Compact(slices.Sorted(slices.Values(keys)))
+		sorted := slices.SortedFunc(slices.Values(fns), func(a, b Function) int { return strings.Compare(a.Key, b.Key) })
+		shuffled := slices.Clone(sorted)
+		rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+		for _, in := range [][]Function{sorted, shuffled} {
+			tab := NewTable(in)
+			if tab.numRanks != len(distinct) {
+				t.Fatalf("trial %d: %d ranks for %d distinct keys", trial, tab.numRanks, len(distinct))
+			}
+			for i, f := range in {
+				if want, _ := slices.BinarySearch(distinct, f.Key); tab.rank[i] != uint32(want) {
+					t.Fatalf("trial %d: %q ranked %d, want %d", trial, f.Key, tab.rank[i], want)
+				}
+			}
+		}
 	}
 }
 

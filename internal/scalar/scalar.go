@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
-	"strings"
 	"sync"
 
 	"github.com/urbandata/datapolygamy/internal/dataset"
@@ -70,19 +69,6 @@ func (s Spec) Name() string {
 		return avgPrefix + s.Attr
 	}
 	return s.Kind.String()
-}
-
-// SpecNamed reports whether one of Specs(d) is named name, matching the
-// name by its parts instead of building the specs and their names.
-func SpecNamed(d *dataset.Dataset, name string) bool {
-	switch name {
-	case Density.String():
-		return true
-	case Unique.String():
-		return d.HasID
-	}
-	attr, ok := strings.CutPrefix(name, avgPrefix)
-	return ok && slices.Contains(d.Attrs, attr)
 }
 
 // Specs enumerates every scalar function derived from a data set: one

@@ -229,7 +229,7 @@ func TestInvalidTuplesRejected(t *testing.T) {
 			d.Tuples[i].X, d.Tuples[i].Y = p.X, p.Y
 		}
 		c.corrupt(d.Tuples)
-		if err := d.Validate(); err == nil || err.Error() != c.want {
+		if _, err := d.Validate(); err == nil || err.Error() != c.want {
 			t.Fatalf("%s: Validate = %v, want %q", c.name, err, c.want)
 		}
 		// A timeline of the first day only: the third tuple lies outside it.
@@ -337,25 +337,6 @@ func TestSpecs(t *testing.T) {
 	for i, want := range []string{"density", "unique", "attribute"} {
 		if got := specs[i].Kind.String(); got != want {
 			t.Errorf("spec %d kind = %q, want %q", i, got, want)
-		}
-	}
-}
-
-// TestSpecNamed: SpecNamed accepts exactly the names of Specs(d), with and
-// without identifiers, and rejects every near miss.
-func TestSpecNamed(t *testing.T) {
-	for _, hasID := range []bool{false, true} {
-		d := &dataset.Dataset{Name: "d", HasID: hasID, Attrs: []string{"fare", "tip"}}
-		names := map[string]bool{}
-		for _, s := range Specs(d) {
-			names[s.Name()] = true
-		}
-		candidates := []string{"", "density", "unique", "avg_fare", "avg_tip", "max_fare", "avg_", "avgfare",
-			"avg__fare", "_fare", "fare", "avg_far", "avg_fares", "grad_avg_fare", "densityx", "range_fare"}
-		for _, n := range candidates {
-			if got := SpecNamed(d, n); got != names[n] {
-				t.Errorf("HasID %t: SpecNamed(%q) = %t, want %t", hasID, n, got, names[n])
-			}
 		}
 	}
 }

@@ -3,7 +3,7 @@
 // snapshot, its relationship-graph snapshot (when built), and a manifest
 // describing what the file holds and which corpus it belongs to.
 //
-// # Container layout (format v15)
+// # Container layout (format v16)
 //
 //	offset 0   magic        [8]byte  "DPOLYSNP"
 //	offset 8   version      uint32   container format version (little-endian)
@@ -52,11 +52,11 @@ var magic = [8]byte{'D', 'P', 'O', 'L', 'Y', 'S', 'N', 'P'}
 
 // FormatVersion is the one container format version this package writes
 // and reads. It moves in step with the flat section generation in
-// internal/core, whose flatSnapshotVersion comment holds the history (15:
-// each index record carries its unions' word-occupancy bitmaps), so "a v15
-// snapshot" is unambiguous across layers; a container of any other version
-// fails with ErrVersion and is rebuilt, not converted.
-const FormatVersion = 15
+// internal/core, whose flatSnapshotVersion comment holds the history (16:
+// each index record carries four word slabs, its sign vectors, and no
+// union), so "a v16 snapshot" is unambiguous across layers; a container of
+// any other version fails with ErrVersion and is rebuilt, not converted.
+const FormatVersion = 16
 
 // Well-known section names.
 const (

@@ -179,7 +179,7 @@ func TestReadRejectsOtherVersions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, v := range []byte{1, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, FormatVersion + 1, 0xFF} {
+	for _, v := range []byte{1, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, FormatVersion + 1, 0xFF} {
 		data[8] = v // low byte of the little-endian version field
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)

@@ -90,7 +90,7 @@ func Generate(cfg Config) (*Collection, error) {
 		GenerateTwitter(cfg.Seed+1100, cfg.Scale, cfg.City, w, act),
 	}
 	for _, d := range col.Datasets {
-		if err := d.Validate(); err != nil {
+		if _, err := d.Validate(); err != nil {
 			return nil, err
 		}
 	}

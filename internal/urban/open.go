@@ -200,5 +200,6 @@ func generateOpenDataset(rng *rand.Rand, idx int, cfg OpenConfig, w *Weather, la
 		// Guarantee non-emptiness for degenerate configs.
 		d.Tuples = append(d.Tuples, dataset.Tuple{TS: startTS, Values: make([]float64, nAttrs)})
 	}
-	return d, d.Validate()
+	_, err := d.Validate()
+	return d, err
 }

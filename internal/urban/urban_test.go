@@ -116,7 +116,7 @@ func TestWeatherDatasetShape(t *testing.T) {
 	s, e := shortRange()
 	w := GenerateWeather(5, s, e, nil)
 	d := w.WeatherDataset(6)
-	if err := d.Validate(); err != nil {
+	if _, err := d.Validate(); err != nil {
 		t.Fatal(err)
 	}
 	if len(d.Tuples) != w.Hours {
@@ -237,7 +237,7 @@ func TestGasSeries(t *testing.T) {
 		t.Error("Norm out of range")
 	}
 	d := g.Dataset()
-	if err := d.Validate(); err != nil {
+	if _, err := d.Validate(); err != nil {
 		t.Fatal(err)
 	}
 	if d.NumScalarFunctions() != 2 {
@@ -257,7 +257,7 @@ func TestTaxiGeneratorShape(t *testing.T) {
 	g := GenerateGas(7, s, e)
 	sp := SpeedSeries(8, w, a)
 	d := GenerateTaxi(TaxiConfig{Seed: 9, Scale: 0.5}, city, w, a, g, sp)
-	if err := d.Validate(); err != nil {
+	if _, err := d.Validate(); err != nil {
 		t.Fatal(err)
 	}
 	if d.NumScalarFunctions() != 13 {
@@ -358,7 +358,7 @@ func TestBikeSnowBehaviour(t *testing.T) {
 	w := GenerateWeather(31, s, e, nil)
 	a := GenerateActivity(32, s, w.Hours)
 	d := GenerateBike(33, 2, city, w, a)
-	if err := d.Validate(); err != nil {
+	if _, err := d.Validate(); err != nil {
 		t.Fatal(err)
 	}
 	// Active stations must dip on heavy-snow-depth days.
@@ -390,7 +390,7 @@ func TestGenerateOpenCorpus(t *testing.T) {
 	}
 	totalAttrs := 0
 	for _, d := range ds {
-		if err := d.Validate(); err != nil {
+		if _, err := d.Validate(); err != nil {
 			t.Fatalf("%s: %v", d.Name, err)
 		}
 		if len(d.Tuples) == 0 {
@@ -497,7 +497,7 @@ func TestComplaintsShape(t *testing.T) {
 	a := GenerateActivity(6, s, w.Hours)
 	sampler := NewHotspotSampler(7, city, 4)
 	d := GenerateComplaints("complaints_311", 8, 3, 1.2, 0.5, w, a, sampler)
-	if err := d.Validate(); err != nil {
+	if _, err := d.Validate(); err != nil {
 		t.Fatal(err)
 	}
 	if d.NumScalarFunctions() != 1 {
